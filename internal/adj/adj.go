@@ -662,69 +662,58 @@ func (s *Store) visitBlock(ctx *xpsim.Ctx, off int64, format uint8, capacity, cn
 	}
 }
 
-// Neighbors appends vertex v's stored records to dst, newest block first
-// (records inside a block stay in insertion order). Deletion tombstones
-// are returned as-is; merging is the caller's concern.
-func (s *Store) Neighbors(ctx *xpsim.Ctx, v graph.VID, dst []uint32) []uint32 {
-	if int(v) >= len(s.tail) {
-		return dst
-	}
-	off := s.tail[v]
-	for off != 0 {
-		var hdr [headerBytes]byte
-		s.m.Read(ctx, off, hdr[:])
-		cnt := s.blockCnt(v, off, binary.LittleEndian.Uint32(hdr[offCnt0:]), binary.LittleEndian.Uint32(hdr[offCap:]))
-		prev := int64(binary.LittleEndian.Uint32(hdr[offPrev:])) * headerAlign
-		s.visitBlock(ctx, off, uint8(binary.LittleEndian.Uint32(hdr[offFmt:])),
-			binary.LittleEndian.Uint32(hdr[offCap:]), cnt, func(nb uint32) { dst = append(dst, nb) })
-		off = prev
-	}
-	return dst
-}
-
-// Visit streams vertex v's stored records to fn, newest block first,
-// without allocating. Deletion tombstones are streamed as-is; callers
-// needing resolved views use Neighbors.
-func (s *Store) Visit(ctx *xpsim.Ctx, v graph.VID, fn func(nbr uint32)) {
+// walk streams vertex v's stored records to fn block by block — newest
+// block first, or in insertion order (oldest block first) — with the
+// records inside a block always in insertion order. Deletion tombstones
+// are streamed as-is; merging is the caller's concern.
+func (s *Store) walk(ctx *xpsim.Ctx, v graph.VID, oldestFirst bool, fn func(nbr uint32)) {
 	if int(v) >= len(s.tail) {
 		return
 	}
-	off := s.tail[v]
-	for off != 0 {
+	// block streams the block at off and returns its prev link.
+	block := func(off int64) int64 {
 		var hdr [headerBytes]byte
 		s.m.Read(ctx, off, hdr[:])
-		cnt := s.blockCnt(v, off, binary.LittleEndian.Uint32(hdr[offCnt0:]), binary.LittleEndian.Uint32(hdr[offCap:]))
-		prev := int64(binary.LittleEndian.Uint32(hdr[offPrev:])) * headerAlign
-		s.visitBlock(ctx, off, uint8(binary.LittleEndian.Uint32(hdr[offFmt:])),
-			binary.LittleEndian.Uint32(hdr[offCap:]), cnt, fn)
-		off = prev
+		capacity := binary.LittleEndian.Uint32(hdr[offCap:])
+		cnt := s.blockCnt(v, off, binary.LittleEndian.Uint32(hdr[offCnt0:]), capacity)
+		s.visitBlock(ctx, off, uint8(binary.LittleEndian.Uint32(hdr[offFmt:])), capacity, cnt, fn)
+		return int64(binary.LittleEndian.Uint32(hdr[offPrev:])) * headerAlign
 	}
-}
-
-// NeighborsOldestFirst appends vertex v's stored records to dst in
-// insertion order (oldest block first) — the order snapshot-bounded reads
-// need.
-func (s *Store) NeighborsOldestFirst(ctx *xpsim.Ctx, v graph.VID, dst []uint32) []uint32 {
-	if int(v) >= len(s.tail) {
-		return dst
+	if !oldestFirst {
+		for off := s.tail[v]; off != 0; {
+			off = block(off)
+		}
+		return
 	}
-	// Collect the chain tail->head, then read blocks in reverse.
+	// The chain links tail->head only: collect it, then stream in reverse.
 	var chain []int64
-	off := s.tail[v]
-	for off != 0 {
+	for off := s.tail[v]; off != 0; {
 		chain = append(chain, off)
 		var hdr [headerBytes]byte
 		s.m.Read(ctx, off, hdr[:])
 		off = int64(binary.LittleEndian.Uint32(hdr[offPrev:])) * headerAlign
 	}
 	for i := len(chain) - 1; i >= 0; i-- {
-		b := chain[i]
-		var hdr [headerBytes]byte
-		s.m.Read(ctx, b, hdr[:])
-		cnt := s.blockCnt(v, b, binary.LittleEndian.Uint32(hdr[offCnt0:]), binary.LittleEndian.Uint32(hdr[offCap:]))
-		s.visitBlock(ctx, b, uint8(binary.LittleEndian.Uint32(hdr[offFmt:])),
-			binary.LittleEndian.Uint32(hdr[offCap:]), cnt, func(nb uint32) { dst = append(dst, nb) })
+		block(chain[i])
 	}
+}
+
+// Visit streams vertex v's stored records to fn, newest block first,
+// without allocating.
+func (s *Store) Visit(ctx *xpsim.Ctx, v graph.VID, fn func(nbr uint32)) {
+	s.walk(ctx, v, false, fn)
+}
+
+// Neighbors appends vertex v's stored records to dst, newest block first.
+func (s *Store) Neighbors(ctx *xpsim.Ctx, v graph.VID, dst []uint32) []uint32 {
+	s.walk(ctx, v, false, func(nb uint32) { dst = append(dst, nb) })
+	return dst
+}
+
+// NeighborsOldestFirst appends vertex v's stored records to dst in
+// insertion order — the order snapshot-bounded reads need.
+func (s *Store) NeighborsOldestFirst(ctx *xpsim.Ctx, v graph.VID, dst []uint32) []uint32 {
+	s.walk(ctx, v, true, func(nb uint32) { dst = append(dst, nb) })
 	return dst
 }
 
@@ -749,7 +738,7 @@ func (s *Store) Compact(ctx *xpsim.Ctx, v graph.VID) error {
 		return nil
 	}
 	recs := s.Neighbors(ctx, v, nil)
-	live := resolveTombstones(recs)
+	live := ResolveTombstones(recs, 0)
 	if s.opts.VarintBlocks {
 		// Sorting is safe here — compaction fences live snapshots and any
 		// later snapshot's record-count bound covers the whole compacted
@@ -958,9 +947,11 @@ func (s *Store) recycle(off int64, capacity int) {
 	delete(s.crc, off)
 }
 
-// resolveTombstones removes, for every deletion record, one matching
-// neighbor record, returning the surviving neighbors.
-func resolveTombstones(recs []uint32) []uint32 {
+// ResolveTombstones removes the deletion records of dst[start:], and one
+// matching neighbor record for each, returning dst shortened to the
+// survivors. dst[:start] is left alone.
+func ResolveTombstones(dst []uint32, start int) []uint32 {
+	recs := dst[start:]
 	var dels map[uint32]int
 	for _, r := range recs {
 		if r&graph.DelFlag != 0 {
@@ -971,8 +962,11 @@ func resolveTombstones(recs []uint32) []uint32 {
 		}
 	}
 	if dels == nil {
-		return recs
+		return dst
 	}
+	// Forward compaction is alias-safe (the write index never passes the
+	// read index); which matching insert a deletion cancels is
+	// irrelevant under multiset semantics.
 	out := recs[:0]
 	for _, r := range recs {
 		if r&graph.DelFlag != 0 {
@@ -984,7 +978,7 @@ func resolveTombstones(recs []uint32) []uint32 {
 		}
 		out = append(out, r)
 	}
-	return out
+	return dst[:start+len(out)]
 }
 
 func align(x, a int64) int64 { return (x + a - 1) / a * a }

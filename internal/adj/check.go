@@ -135,15 +135,27 @@ func (s *Store) VerifyChain(ctx *xpsim.Ctx, v graph.VID) error {
 			}
 			continue
 		}
-		buf := make([]byte, 4*cnt)
-		if err := mem.ReadChecked(s.m, ctx, off+headerBytes, buf); err != nil {
+		if _, err := s.readFixedChecked(ctx, v, off, cnt); err != nil {
 			return err
-		}
-		if got := crc32.Checksum(buf, castagnoli); got != s.crc[off] {
-			return &CorruptError{V: v, Block: off, Reason: fmt.Sprintf("payload crc %08x, acknowledged %08x", got, s.crc[off])}
 		}
 	}
 	return nil
+}
+
+// readFixedChecked reads the cnt visible records of the fixed-width block
+// at off through the media-error-checked path and, with Checksums on,
+// verifies them against the acknowledged CRC32-C.
+func (s *Store) readFixedChecked(ctx *xpsim.Ctx, v graph.VID, off int64, cnt uint32) ([]byte, error) {
+	buf := make([]byte, 4*cnt)
+	if err := mem.ReadChecked(s.m, ctx, off+headerBytes, buf); err != nil {
+		return nil, err
+	}
+	if s.opts.Checksums {
+		if got := crc32.Checksum(buf, castagnoli); got != s.crc[off] {
+			return nil, &CorruptError{V: v, Block: off, Reason: fmt.Sprintf("payload crc %08x, acknowledged %08x", got, s.crc[off])}
+		}
+	}
+	return buf, nil
 }
 
 // readBlockChecked decodes cnt varint records of the block at off through
@@ -206,31 +218,21 @@ func (s *Store) neighborsChecked(ctx *xpsim.Ctx, v graph.VID, dst []uint32, olde
 			}
 			return s.readBlockChecked(ctx, v, off, capacity, cnt, s.opts.Checksums, &dst)
 		}
-		buf := make([]byte, 4*cnt)
-		if err := mem.ReadChecked(s.m, ctx, off+headerBytes, buf); err != nil {
+		buf, err := s.readFixedChecked(ctx, v, off, cnt)
+		if err != nil {
 			return err
-		}
-		if s.opts.Checksums {
-			if got := crc32.Checksum(buf, castagnoli); got != s.crc[off] {
-				return &CorruptError{V: v, Block: off, Reason: fmt.Sprintf("payload crc %08x, acknowledged %08x", got, s.crc[off])}
-			}
 		}
 		for i := uint32(0); i < cnt; i++ {
 			dst = append(dst, binary.LittleEndian.Uint32(buf[i*4:]))
 		}
 		return nil
 	}
-	if oldestFirst {
-		for i := len(chain) - 1; i >= 0; i-- {
-			if err := read(chain[i]); err != nil {
-				return dst, err
-			}
+	for i, off := range chain { // newest first
+		if oldestFirst {
+			off = chain[len(chain)-1-i]
 		}
-	} else {
-		for _, off := range chain {
-			if err := read(off); err != nil {
-				return dst, err
-			}
+		if err := read(off); err != nil {
+			return dst, err
 		}
 	}
 	return dst, nil

@@ -25,6 +25,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/splitmix"
 )
 
 // Link identifies one directed transport link: a shard leader shipping
@@ -115,21 +117,12 @@ type Stats struct {
 	Partitions int64
 }
 
-// splitmix64 is the repo's deterministic PRNG step.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	z := x
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // mix folds a link, seq and attempt into one seeded draw.
 func (p *Plan) mix(link Link, seq uint64, attempt int) uint64 {
 	h := p.Seed
-	h = splitmix64(h ^ uint64(uint32(link.Shard))<<32 ^ uint64(uint32(link.Replica)))
-	h = splitmix64(h ^ seq)
-	h = splitmix64(h ^ uint64(attempt))
+	h = splitmix.Mix(h ^ uint64(uint32(link.Shard))<<32 ^ uint64(uint32(link.Replica)))
+	h = splitmix.Mix(h ^ seq)
+	h = splitmix.Mix(h ^ uint64(attempt))
 	return h
 }
 
@@ -174,7 +167,7 @@ func (p *Plan) delay(r uint64) time.Duration {
 		max = 2 * time.Millisecond
 	}
 	lo := max / 4
-	return lo + time.Duration(splitmix64(r)%uint64(max-lo))
+	return lo + time.Duration(splitmix.Mix(r)%uint64(max-lo))
 }
 
 // Heal closes the chaos window: every later Fate is Deliver. Used by
@@ -214,9 +207,9 @@ func RandomPartitions(seed uint64, links []Link, n int, length, horizon uint64) 
 	}
 	var out []Window
 	for _, l := range links {
-		h := splitmix64(seed ^ uint64(uint32(l.Shard))<<32 ^ uint64(uint32(l.Replica)))
+		h := splitmix.Mix(seed ^ uint64(uint32(l.Shard))<<32 ^ uint64(uint32(l.Replica)))
 		for i := 0; i < n; i++ {
-			h = splitmix64(h)
+			h = splitmix.Mix(h)
 			from := 1 + h%(horizon-length)
 			out = append(out, Window{Link: l, From: from, To: from + length})
 		}

@@ -29,6 +29,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/pmem"
 	"repro/internal/prop"
+	"repro/internal/splitmix"
 	"repro/internal/xpsim"
 )
 
@@ -68,18 +69,9 @@ func (r Result) String() string {
 		r.Rep.Dedupes, r.Rep.Reorders, r.Rep.Resyncs, r.Rep.LogReplays, r.Rep.SnapReplays)
 }
 
-// mix is splitmix64 — the repo's deterministic seed-expansion step.
-func mix(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	z := x
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // frac maps one seed draw onto [0, hi).
 func frac(seed, term uint64, hi float64) float64 {
-	return float64(mix(seed^term)%(1<<20)) / float64(1<<20) * hi
+	return float64(splitmix.Mix(seed^term)%(1<<20)) / float64(1<<20) * hi
 }
 
 // derivePlan expands one seed into a chaos plan over the cluster's
@@ -92,10 +84,10 @@ func derivePlan(seed uint64, links []chaos.Link, horizon uint64) *chaos.Plan {
 		DropProb:  frac(seed, 0x1, 0.12),
 		DupProb:   frac(seed, 0x2, 0.08),
 		DelayProb: frac(seed, 0x3, 0.15),
-		DelayMax:  200*time.Microsecond + time.Duration(mix(seed^0x4)%uint64(600*time.Microsecond)),
+		DelayMax:  200*time.Microsecond + time.Duration(splitmix.Mix(seed^0x4)%uint64(600*time.Microsecond)),
 	}
-	nPart := int(1 + mix(seed^0x5)%3)
-	length := 4 + mix(seed^0x6)%24
+	nPart := int(1 + splitmix.Mix(seed^0x5)%3)
+	length := 4 + splitmix.Mix(seed^0x6)%24
 	p.Partitions = chaos.RandomPartitions(seed, links, nPart, length, horizon)
 	return p
 }
@@ -194,7 +186,7 @@ func Run(o Options) (Result, error) {
 	tEdges := make([]graph.Edge, typedN)
 	tLabels := make([]uint16, typedN)
 	for i := range tEdges {
-		h := mix(o.Seed ^ 0x100 ^ uint64(i))
+		h := splitmix.Mix(o.Seed ^ 0x100 ^ uint64(i))
 		tEdges[i] = graph.Edge{Src: uint32(h % 256), Dst: 256 + uint32(h>>32)%256}
 		if h&1 == 0 {
 			tLabels[i] = follows
@@ -204,7 +196,7 @@ func Run(o Options) (Result, error) {
 	}
 	props := make([]graph.PropSet, 256)
 	for v := range props {
-		props[v] = graph.PropSet{V: uint32(v), Key: 1, Val: int64(mix(o.Seed^0x200^uint64(v)) % 100)}
+		props[v] = graph.PropSet{V: uint32(v), Key: 1, Val: int64(splitmix.Mix(o.Seed^0x200^uint64(v)) % 100)}
 	}
 
 	// Interleave the three streams through the cluster and the
@@ -247,7 +239,7 @@ func Run(o Options) (Result, error) {
 	// Heal the fabric and ship one more batch through a now-perfect
 	// network: every follower must converge from here.
 	plan.Heal()
-	tail := gen.Uniform(256, 300, mix(o.Seed^0x300))
+	tail := gen.Uniform(256, 300, splitmix.Mix(o.Seed^0x300))
 	if _, err := cl.Ingest(tail, true); err != nil {
 		return fail("post-heal ingest: %v", err)
 	}
@@ -315,7 +307,7 @@ func Run(o Options) (Result, error) {
 	// Differential 3: kill one seed-chosen leader; its partition now
 	// serves from a chaos-survivor follower and the view must still
 	// answer exactly what the reference does.
-	cl.KillShard(int(mix(o.Seed^0x400) % uint64(cl.Shards())))
+	cl.KillShard(int(splitmix.Mix(o.Seed^0x400) % uint64(cl.Shards())))
 	if err := compareView(cl, ref); err != nil {
 		return fail("post-leader-kill view vs reference: %v", err)
 	}

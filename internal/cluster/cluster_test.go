@@ -13,6 +13,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/pmem"
+	"repro/internal/view"
 	"repro/internal/xpsim"
 )
 
@@ -328,6 +329,19 @@ func TestFailoverWithoutReplica(t *testing.T) {
 	// rather than answer a silently partial union.
 	if _, err := cv.NbrsInChecked(ctx, liveV, nil); err == nil {
 		t.Fatal("checked in-read with a dead partition must fail typed")
+	}
+	// Degrees follow the reads: the dead partition's out-count and every
+	// in-count (a sum over all partitions) fail typed instead of
+	// undercounting; the surviving partition's out-count still answers.
+	var pd *PartitionDownError
+	if _, err := cv.Degree(view.Out, deadV); !errors.As(err, &pd) || pd.Shard != victim {
+		t.Fatalf("out-degree on dead partition: err = %v, want PartitionDownError{%d}", err, victim)
+	}
+	if _, err := cv.Degree(view.In, liveV); !errors.As(err, &pd) || pd.Shard != victim {
+		t.Fatalf("in-degree with a dead partition: err = %v, want PartitionDownError{%d}", err, victim)
+	}
+	if n, err := cv.Degree(view.Out, liveV); err != nil || n != cv.OutDegree(liveV) {
+		t.Fatalf("out-degree on surviving partition = %d, %v", n, err)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/ingest"
+	"repro/internal/splitmix"
 	"repro/internal/xpsim"
 )
 
@@ -229,7 +230,7 @@ func (sh *Shard) backoff(seq uint64, attempt int) time.Duration {
 	if d > sh.shipBackoffMax {
 		d = sh.shipBackoffMax
 	}
-	h := splitmix64(uint64(uint32(sh.id))<<40 ^ seq<<8 ^ uint64(attempt))
+	h := splitmix.Mix(uint64(uint32(sh.id))<<40 ^ seq<<8 ^ uint64(attempt))
 	return d/2 + time.Duration(h%uint64(d/2+1))
 }
 

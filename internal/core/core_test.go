@@ -10,6 +10,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mem"
 	"repro/internal/pmem"
+	"repro/internal/view"
 	"repro/internal/xpsim"
 )
 
@@ -380,8 +381,8 @@ func TestDegreeTracking(t *testing.T) {
 	if _, err := s.Ingest([]graph.Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 3, Dst: 0}}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Degree(Out, 0) != 2 || s.Degree(In, 0) != 1 || s.Degree(Out, 7) != 0 {
-		t.Fatalf("degrees: out0=%d in0=%d", s.Degree(Out, 0), s.Degree(In, 0))
+	if s.OutDegree(0) != 2 || s.InDegree(0) != 1 || s.OutDegree(7) != 0 {
+		t.Fatalf("degrees: out0=%d in0=%d", s.OutDegree(0), s.InDegree(0))
 	}
 }
 
@@ -588,7 +589,9 @@ func TestVisitMatchesNbrs(t *testing.T) {
 		for d := Out; d <= In; d++ {
 			want := s.Nbrs(ctx, d, v, nil)
 			var got []uint32
-			s.VisitNbrs(ctx, d, v, func(n uint32) { got = append(got, n) })
+			if err := s.Visit(ctx, d, v, view.Opts{}, func(nbrs []uint32, _ []uint16) { got = append(got, nbrs...) }); err != nil {
+				t.Fatal(err)
+			}
 			if !sameMultiset(got, want) {
 				t.Fatalf("vertex %d dir %d: visit %d records, Nbrs %d", v, d, len(got), len(want))
 			}
@@ -646,7 +649,7 @@ func TestFourSocketMachine(t *testing.T) {
 	checkAgainstReference(t, s, buildReference(edges), 1024)
 	// Vertex v's data lives on node v%4.
 	for v := graph.VID(0); v < 8; v++ {
-		if got := s.PartitionNode(Out, v); got != int(v%4) {
+		if got := s.Node(Out, v); got != int(v%4) {
 			t.Fatalf("vertex %d on node %d, want %d", v, got, v%4)
 		}
 	}
@@ -748,17 +751,16 @@ func TestSmallAPISurface(t *testing.T) {
 	if got := s.NbrsOut(ctx, 1, nil); len(got) != 0 {
 		t.Fatalf("out(1) after del = %v", got)
 	}
-	if s.OutNode(1) != s.PartitionNode(Out, 1) || s.InNode(1) != s.PartitionNode(In, 1) {
+	if s.OutNode(1) != s.Node(Out, 1) || s.InNode(1) != s.Node(In, 1) {
 		t.Fatal("node accessors disagree")
 	}
-	if s.OutDegree(1) != s.Degree(Out, 1) {
+	if n, err := s.Degree(Out, 1); err != nil || n != s.OutDegree(1) {
 		t.Fatal("degree accessors disagree")
 	}
-	if s.Degree(Out, 9999) != 0 {
+	if n, err := s.Degree(Out, 9999); err != nil || n != 0 {
 		t.Fatal("out-of-range degree should be 0")
 	}
-	// Vertex 2 is tombstoned, so VisitIn takes the resolving path: the
-	// add and its deletion cancel.
+	// Vertex 2 is tombstoned: the add and its deletion cancel.
 	var in []uint32
 	s.VisitIn(ctx, 2, func(n uint32) { in = append(in, n) })
 	if len(in) != 0 {

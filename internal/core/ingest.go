@@ -291,12 +291,6 @@ func (s *Store) bufferInsert(ctx *xpsim.Ctx, thread int, d Direction, p int, v g
 	g := s.groups[d][p]
 	s.records[d][v]++
 	s.lat.CPU(ctx, 12) // vertex-index lookup and bookkeeping
-	if nbr&graph.DelFlag != 0 {
-		if s.delVerts[d] == nil {
-			s.delVerts[d] = make(map[graph.VID]struct{})
-		}
-		s.delVerts[d][v] = struct{}{}
-	}
 
 	if s.opts.Buffer == BufferNone {
 		return g.adj.Append(ctx, v, []uint32{nbr})

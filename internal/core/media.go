@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"hash/crc32"
 
+	"repro/internal/adj"
 	"repro/internal/graph"
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -473,29 +474,7 @@ func (s *Store) Health() Health {
 	return h
 }
 
-// ---- checked reads ----
-
-// NbrsChecked is Nbrs with media-error detection: adjacency blocks are
-// read through the checked path (UE lines and checksum mismatches error
-// instead of returning scrambled bytes), and quarantined-unrecoverable
-// vertices fail fast with *UnrecoverableError. DRAM vertex buffers need
-// no checking — the error model covers persistent media only.
-func (s *Store) NbrsChecked(ctx *xpsim.Ctx, d Direction, v graph.VID, dst []uint32) ([]uint32, error) {
-	if v >= s.NumVertices() {
-		return dst, nil
-	}
-	if s.isUnrec(d, v) {
-		return dst, &UnrecoverableError{Dir: d, V: v}
-	}
-	start := len(dst)
-	dst, err := s.groups[d][s.partOf(v)].adj.NeighborsChecked(ctx, v, dst)
-	if err != nil {
-		s.noteReadDamage(d, v, err)
-		return dst[:start], err
-	}
-	dst = s.nbrsBufRaw(ctx, d, v, dst)
-	return resolveInPlace(dst, start), nil
-}
+// ---- fault targeting ----
 
 // MediaLine locates one XPLine on the simulated machine.
 type MediaLine struct {
@@ -720,7 +699,7 @@ func (s *Store) rebuildRecords(ctx *xpsim.Ctx, d Direction, v graph.VID, logOK b
 		// The archive holds the raw stream; resolve tombstones the same
 		// way compaction does (the rebuilt chain is a resolved rewrite).
 		recs := s.arch.collect(ctx, d, v)
-		return resolveInPlace(recs, 0), true
+		return adj.ResolveTombstones(recs, 0), true
 	}
 	if logOK {
 		lo := s.log.Head() - s.log.Cap()

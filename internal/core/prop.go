@@ -5,16 +5,17 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/prop"
+	"repro/internal/view"
 	"repro/internal/xpsim"
 )
 
 // The property-graph surface of the store (Options.Props; internal/prop,
 // DESIGN.md §13). The write side pairs a plain Ingest with label/property
-// records in the column log; the read side implements view.Typed on both
-// the live store and its snapshots, with filter predicates applied while
-// the adjacency stream decodes — a pruned neighbor never reaches the
-// caller, so a filtered frontier never charges the next hop's media
-// reads.
+// records in the column log; the read side is the label a Visit reports
+// per edge plus the Labels/VProp lookups, on both the live store and its
+// snapshots. view.Surface applies filter predicates over them before a
+// neighbor ever reaches the caller, so a filtered frontier never charges
+// the next hop's media reads.
 //
 // Property reads are read-latest, not snapshot-pinned: a Snapshot pins
 // the adjacency view (which edges exist) but labels and vertex
@@ -118,7 +119,7 @@ func (s *Store) RestorePropState(edges []graph.Edge, labels []uint16, sets []gra
 	return nil
 }
 
-// ---- view.Typed on the live store ----
+// ---- the property half of view.Source ----
 
 // Labels reports the label table ([""] when the layer is disabled: every
 // edge carries the default label).
@@ -127,14 +128,6 @@ func (s *Store) Labels() []string {
 		return []string{""}
 	}
 	return s.props.Labels()
-}
-
-// LabelID resolves a registered label name.
-func (s *Store) LabelID(name string) (uint16, bool) {
-	if s.props == nil {
-		return 0, false
-	}
-	return s.props.LabelID(name)
 }
 
 // VProp reads vertex v's property key; it fails with prop.ErrDamaged
@@ -146,81 +139,41 @@ func (s *Store) VProp(v graph.VID, key uint16) (int64, bool, error) {
 	return s.props.VPropChecked(uint32(v), key)
 }
 
-// VisitOutTyped streams v's out-neighbors passing f with their labels.
-func (s *Store) VisitOutTyped(ctx *xpsim.Ctx, v graph.VID, f prop.Filter, fn func(nbr uint32, lbl uint16)) error {
-	return visitTyped(ctx, Out, v, f, fn, s.props, s.Nbrs)
-}
-
-// VisitInTyped streams v's in-neighbors passing f with their labels.
-func (s *Store) VisitInTyped(ctx *xpsim.Ctx, v graph.VID, f prop.Filter, fn func(nbr uint32, lbl uint16)) error {
-	return visitTyped(ctx, In, v, f, fn, s.props, s.Nbrs)
-}
-
-// ---- view.Typed on snapshots ----
-
-// Labels reports the label table through the snapshot (read-latest).
+// Labels and VProp read through the snapshot to the live column index
+// (read-latest, see above).
 func (sn *Snapshot) Labels() []string { return sn.store.Labels() }
 
-// LabelID resolves a label name through the snapshot (read-latest).
-func (sn *Snapshot) LabelID(name string) (uint16, bool) { return sn.store.LabelID(name) }
-
-// VProp reads a vertex property through the snapshot (read-latest).
 func (sn *Snapshot) VProp(v graph.VID, key uint16) (int64, bool, error) {
 	return sn.store.VProp(v, key)
 }
 
-// VisitOutTyped streams the snapshot's out-neighbors of v passing f —
-// the adjacency view is epoch-exact, the labels read-latest.
-func (sn *Snapshot) VisitOutTyped(ctx *xpsim.Ctx, v graph.VID, f prop.Filter, fn func(nbr uint32, lbl uint16)) error {
-	return visitTyped(ctx, Out, v, f, fn, sn.store.props, sn.Nbrs)
-}
-
-// VisitInTyped mirrors VisitOutTyped over the in-direction.
-func (sn *Snapshot) VisitInTyped(ctx *xpsim.Ctx, v graph.VID, f prop.Filter, fn func(nbr uint32, lbl uint16)) error {
-	return visitTyped(ctx, In, v, f, fn, sn.store.props, sn.Nbrs)
-}
-
-// visitTyped is the shared typed-visit core: materialize the resolved
-// neighbor stream through nbrs, look up each edge's label in the column
-// index, and apply the filter before the callback ever sees the
-// neighbor. With no property layer every edge is default-labeled and no
-// vertex has properties — a filter on real types or properties simply
-// matches nothing.
-func visitTyped(ctx *xpsim.Ctx, d Direction, v graph.VID, f prop.Filter,
-	fn func(nbr uint32, lbl uint16), props *prop.Store,
-	nbrs func(ctx *xpsim.Ctx, d Direction, v graph.VID, dst []uint32) []uint32) error {
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	if props != nil && props.Damaged() {
-		// Fail closed: a lost column block could hide exactly the label
-		// or property the filter asks about.
+// labelsReadable fails a label-reporting walk closed once the columns
+// are damaged: a lost block could hide exactly the label a filter asks
+// about.
+func (s *Store) labelsReadable(o view.Opts) error {
+	if o.Labels && s.props != nil && s.props.Damaged() {
 		return prop.ErrDamaged
 	}
-	get := func(nbr uint32) func(key uint16) (int64, bool) {
-		return func(key uint16) (int64, bool) {
-			if props == nil {
-				return 0, false
-			}
-			return props.VProp(nbr, key)
-		}
-	}
-	for _, nbr := range nbrs(ctx, d, v, nil) {
-		lbl := uint16(graph.DefaultLabel)
-		if props != nil {
-			if d == Out {
-				lbl = props.Label(uint32(v), nbr)
-			} else {
-				lbl = props.Label(nbr, uint32(v))
-			}
-		}
-		if !f.MatchLabel(lbl) {
-			continue
-		}
-		if !f.MatchVertex(get(nbr)) {
-			continue
-		}
-		fn(nbr, lbl)
-	}
 	return nil
+}
+
+// labels is what a label-reporting walk of v in direction d hands over
+// beside nbrs: the column index's answer per edge (all default without a
+// property layer). nil when the walk did not ask.
+func (s *Store) labels(d Direction, v graph.VID, nbrs []uint32, o view.Opts) []uint16 {
+	if !o.Labels {
+		return nil
+	}
+	lbls := make([]uint16, len(nbrs)) // zero = graph.DefaultLabel
+	if s.props == nil {
+		return lbls
+	}
+	for i, nbr := range nbrs {
+		if d == Out {
+			lbls[i] = s.props.Label(uint32(v), nbr)
+		} else {
+			lbls[i] = s.props.Label(nbr, uint32(v))
+		}
+	}
+	return lbls
 }

@@ -1,66 +1,70 @@
 package core
 
 import (
+	"repro/internal/adj"
 	"repro/internal/graph"
 	"repro/internal/mempool"
+	"repro/internal/view"
 	"repro/internal/xpsim"
 )
 
-// The graph querying interfaces of Table I. All return neighbor IDs with
-// deletion tombstones already resolved unless stated otherwise.
+// The graph querying interfaces of Table I. get_nebrs_{out,in} and their
+// checked and typed forms are all one walk — PMEM block chain, then the
+// DRAM vertex buffer — so the store hand-writes that walk once (Visit) and
+// view.Surface derives NbrsOut, VisitIn, NbrsOutChecked, VisitOutTyped
+// and the rest from it. All return neighbor IDs with deletion tombstones
+// already resolved unless stated otherwise.
 
-// Nbrs returns the merged neighbor view of v in direction d: PMEM
-// adjacency blocks plus the DRAM vertex buffer — get_nebrs_{out/in}(vid).
-func (s *Store) Nbrs(ctx *xpsim.Ctx, d Direction, v graph.VID, dst []uint32) []uint32 {
-	if v >= s.NumVertices() {
-		return dst
+// Visit hands the merged neighbor view of v in direction d to fn, as one
+// run.
+func (s *Store) Visit(ctx *xpsim.Ctx, d Direction, v graph.VID, o view.Opts, fn func(nbrs []uint32, lbls []uint16)) error {
+	if err := s.labelsReadable(o); err != nil {
+		return err
 	}
-	start := len(dst)
-	dst = s.groups[d][s.partOf(v)].adj.Neighbors(ctx, v, dst)
-	dst = s.nbrsBufRaw(ctx, d, v, dst)
-	return resolveInPlace(dst, start)
-}
-
-// NbrsOut and NbrsIn are direction-fixed conveniences.
-func (s *Store) NbrsOut(ctx *xpsim.Ctx, v graph.VID, dst []uint32) []uint32 {
-	return s.Nbrs(ctx, Out, v, dst)
-}
-
-// NbrsIn returns v's in-neighbors.
-func (s *Store) NbrsIn(ctx *xpsim.Ctx, v graph.VID, dst []uint32) []uint32 {
-	return s.Nbrs(ctx, In, v, dst)
-}
-
-// VisitNbrs streams v's merged neighbor view (PMEM blocks then the DRAM
-// vertex buffer) to fn without allocating. Vertices that ever received a
-// deletion tombstone fall back to the materializing path so the resolved
-// view stays correct.
-func (s *Store) VisitNbrs(ctx *xpsim.Ctx, d Direction, v graph.VID, fn func(nbr uint32)) {
 	if v >= s.NumVertices() {
-		return
+		return nil
 	}
-	_, tombstoned := s.delVerts[d][v]
-	if tombstoned || s.delsUnknown {
-		for _, nbr := range s.Nbrs(ctx, d, v, nil) {
-			fn(nbr)
+	recs, err := s.rawStream(ctx, d, v, false, o.Checked)
+	if err != nil {
+		return err
+	}
+	recs = adj.ResolveTombstones(recs, 0)
+	fn(recs, s.labels(d, v, recs, o))
+	return nil
+}
+
+// rawStream materializes v's raw record stream in direction d: the PMEM
+// chain (newest block first, or in insertion order) followed by the DRAM
+// vertex buffer, tombstones unresolved. checked reads the chain through
+// the media-error-checked path: blocks on uncorrectable lines or failing
+// their checksum error instead of returning scrambled bytes, and
+// quarantined-unrecoverable vertices fail fast with *UnrecoverableError.
+// DRAM vertex buffers need no checking — the error model covers
+// persistent media only.
+func (s *Store) rawStream(ctx *xpsim.Ctx, d Direction, v graph.VID, oldestFirst, checked bool) ([]uint32, error) {
+	a := s.groups[d][s.partOf(v)].adj
+	recs := make([]uint32, 0, s.records[d][v])
+	switch {
+	case checked:
+		if s.isUnrec(d, v) {
+			return nil, &UnrecoverableError{Dir: d, V: v}
 		}
-		return
+		var err error
+		if oldestFirst {
+			recs, err = a.NeighborsOldestFirstChecked(ctx, v, recs)
+		} else {
+			recs, err = a.NeighborsChecked(ctx, v, recs)
+		}
+		if err != nil {
+			s.noteReadDamage(d, v, err)
+			return nil, err
+		}
+	case oldestFirst:
+		recs = a.NeighborsOldestFirst(ctx, v, recs)
+	default:
+		recs = a.Neighbors(ctx, v, recs)
 	}
-	s.groups[d][s.partOf(v)].adj.Visit(ctx, v, fn)
-	h := s.vbH[d][v]
-	if h != mempool.None {
-		s.bufs.Visit(ctx, h, int(s.vbC[d][v]), fn)
-	}
-}
-
-// VisitOut and VisitIn are direction-fixed conveniences.
-func (s *Store) VisitOut(ctx *xpsim.Ctx, v graph.VID, fn func(nbr uint32)) {
-	s.VisitNbrs(ctx, Out, v, fn)
-}
-
-// VisitIn streams v's in-neighbors.
-func (s *Store) VisitIn(ctx *xpsim.Ctx, v graph.VID, fn func(nbr uint32)) {
-	s.VisitNbrs(ctx, In, v, fn)
+	return s.nbrsBufRaw(ctx, d, v, recs), nil
 }
 
 // NbrsFlush returns only the PMEM-resident neighbors —
@@ -71,7 +75,7 @@ func (s *Store) NbrsFlush(ctx *xpsim.Ctx, d Direction, v graph.VID, dst []uint32
 	}
 	start := len(dst)
 	dst = s.groups[d][s.partOf(v)].adj.Neighbors(ctx, v, dst)
-	return resolveInPlace(dst, start)
+	return adj.ResolveTombstones(dst, start)
 }
 
 // NbrsBuf returns only the DRAM-buffered neighbors —
@@ -82,7 +86,7 @@ func (s *Store) NbrsBuf(ctx *xpsim.Ctx, d Direction, v graph.VID, dst []uint32) 
 	}
 	start := len(dst)
 	dst = s.nbrsBufRaw(ctx, d, v, dst)
-	return resolveInPlace(dst, start)
+	return adj.ResolveTombstones(dst, start)
 }
 
 func (s *Store) nbrsBufRaw(ctx *xpsim.Ctx, d Direction, v graph.VID, dst []uint32) []uint32 {
@@ -114,72 +118,14 @@ func (s *Store) LoggedEdges(ctx *xpsim.Ctx) []graph.Edge {
 	return s.log.Read(ctx, s.log.Buffered(), s.log.Head(), nil)
 }
 
-// OutNode and InNode report the NUMA home of v's adjacency data for query
-// classification (§III-D).
-func (s *Store) OutNode(v graph.VID) int { return s.PartitionNode(Out, v) }
-
-// InNode reports the NUMA home of v's in-adjacency.
-func (s *Store) InNode(v graph.VID) int { return s.PartitionNode(In, v) }
-
-// OutDegree reports the record count of v's out-adjacency.
-func (s *Store) OutDegree(v graph.VID) int { return s.Degree(Out, v) }
-
-// InDegree reports the record count of v's in-adjacency.
-func (s *Store) InDegree(v graph.VID) int { return s.Degree(In, v) }
-
-// NbrsOutChecked and NbrsInChecked are direction-fixed conveniences over
-// NbrsChecked (media.go), completing the view.Full surface on the live
-// store.
-func (s *Store) NbrsOutChecked(ctx *xpsim.Ctx, v graph.VID, dst []uint32) ([]uint32, error) {
-	return s.NbrsChecked(ctx, Out, v, dst)
-}
-
-// NbrsInChecked returns v's in-neighbors through the checked path.
-func (s *Store) NbrsInChecked(ctx *xpsim.Ctx, v graph.VID, dst []uint32) ([]uint32, error) {
-	return s.NbrsChecked(ctx, In, v, dst)
-}
-
-// Degree reports the number of live records known for v (records minus
-// nothing — tombstones still count as records; use Nbrs for the resolved
-// view). It is the cheap DRAM-side degree GraphOne also maintains.
-func (s *Store) Degree(d Direction, v graph.VID) int {
+// Degree reports the number of records known for v (tombstones still
+// count as records; use Nbrs for the resolved view). It is the cheap
+// DRAM-side degree GraphOne also maintains.
+func (s *Store) Degree(d Direction, v graph.VID) (int, error) {
 	if v >= s.NumVertices() {
-		return 0
+		return 0, nil
 	}
-	return int(s.records[d][v])
-}
-
-// resolveInPlace removes deletion tombstones (and one matching neighbor
-// each) from dst[start:], returning the shortened slice.
-func resolveInPlace(dst []uint32, start int) []uint32 {
-	recs := dst[start:]
-	var dels map[uint32]int
-	for _, r := range recs {
-		if r&graph.DelFlag != 0 {
-			if dels == nil {
-				dels = make(map[uint32]int)
-			}
-			dels[r&^graph.DelFlag]++
-		}
-	}
-	if dels == nil {
-		return dst
-	}
-	// Forward compaction is alias-safe (the write index never passes the
-	// read index); which matching insert a deletion cancels is
-	// irrelevant under multiset semantics.
-	out := recs[:0]
-	for _, r := range recs {
-		if r&graph.DelFlag != 0 {
-			continue
-		}
-		if n := dels[r]; n > 0 {
-			dels[r] = n - 1
-			continue
-		}
-		out = append(out, r)
-	}
-	return dst[:start+len(out)]
+	return int(s.records[d][v]), nil
 }
 
 // Edges streams every live edge (tombstones resolved) to fn in vertex

@@ -8,6 +8,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/pmem"
+	"repro/internal/view"
 	"repro/internal/xpsim"
 )
 
@@ -66,6 +67,7 @@ func Recover(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts O
 		lat:     &machine.Lat,
 		tracer:  opts.Tracer,
 	}
+	s.Surface = view.Surface{Source: s}
 	if opts.NUMA == NUMASubgraph {
 		s.nparts = machine.Sockets
 	} else {
@@ -110,7 +112,6 @@ func Recover(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts O
 	}
 
 	s.initPool()
-	s.delsUnknown = true // pre-crash tombstones cannot be re-discovered cheaply
 	var rep RecoveryReport
 
 	// Rebuild vertex-level DRAM state from the recovered arenas.

@@ -3,8 +3,9 @@ package core
 import (
 	"sync"
 
+	"repro/internal/adj"
 	"repro/internal/graph"
-	"repro/internal/mempool"
+	"repro/internal/view"
 	"repro/internal/xpsim"
 )
 
@@ -16,8 +17,9 @@ import (
 // later. This is the role snapshot metadata plays in GraphOne (§II-B);
 // XPGraph's hybrid store supports it the same way.
 //
-// Snapshot implements view.View, so the analytics engine and the HTTP
-// server run unchanged over a snapshot — the basis of the serving stack's
+// Snapshot hand-writes view.Source and embeds the view.Full surface
+// derived from it, so the analytics engine and the HTTP server run
+// unchanged over a snapshot — the basis of the serving stack's
 // snapshot-isolated reads.
 //
 // Compaction rewrites chains and resolves tombstones in place, which
@@ -34,6 +36,8 @@ import (
 // The frozen-copy map has its own internal lock, so compaction fencing
 // is safe against concurrent snapshot reads under that discipline.
 type Snapshot struct {
+	view.Surface
+
 	store   *Store
 	numV    graph.VID // vertex-ID space at capture time
 	records [2][]uint32
@@ -54,6 +58,7 @@ type Snapshot struct {
 // until Close is called.
 func (s *Store) Snapshot(ctx *xpsim.Ctx) *Snapshot {
 	snap := &Snapshot{store: s, numV: s.NumVertices()}
+	snap.Surface = view.Surface{Source: snap}
 	for d := 0; d < 2; d++ {
 		snap.records[d] = append([]uint32(nil), s.records[d]...)
 		s.lat.DRAM(ctx, int64(4*len(s.records[d])), false, true)
@@ -109,74 +114,75 @@ func (sn *Snapshot) Edges(d Direction) int64 {
 
 // Degree reports the record count (tombstones included) of v as of the
 // snapshot — the snapshot analogue of Store.Degree.
-func (sn *Snapshot) Degree(d Direction, v graph.VID) int {
+func (sn *Snapshot) Degree(d Direction, v graph.VID) (int, error) {
 	if v >= sn.numV || int(v) >= len(sn.records[d]) {
-		return 0
+		return 0, nil
 	}
-	return int(sn.records[d][v])
+	return int(sn.records[d][v]), nil
 }
 
-// OutDegree reports the out-record count of v as of the snapshot.
-func (sn *Snapshot) OutDegree(v graph.VID) int { return sn.Degree(Out, v) }
+// Node reports the NUMA home of v's adjacency data; the placement is
+// fixed at store creation, so delegating to the live store is
+// snapshot-safe.
+func (sn *Snapshot) Node(d Direction, v graph.VID) int { return sn.store.Node(d, v) }
 
-// InDegree reports the in-record count of v as of the snapshot.
-func (sn *Snapshot) InDegree(v graph.VID) int { return sn.Degree(In, v) }
-
-// OutNode and InNode report the NUMA home of v's adjacency data; the
-// placement is fixed at store creation, so delegating to the live store
-// is snapshot-safe.
-func (sn *Snapshot) OutNode(v graph.VID) int { return sn.store.PartitionNode(Out, v) }
-
-// InNode reports the NUMA home of v's in-adjacency.
-func (sn *Snapshot) InNode(v graph.VID) int { return sn.store.PartitionNode(In, v) }
-
-// Nbrs returns v's neighbors as of the snapshot, tombstones resolved.
-// Records ingested after the snapshot are invisible; vertices created
-// after the snapshot read as empty.
-func (sn *Snapshot) Nbrs(ctx *xpsim.Ctx, d Direction, v graph.VID, dst []uint32) []uint32 {
-	// Bounds first, against the snapshot's own captured space: the live
-	// store may have grown since capture, and the captured records slice
-	// must never be indexed for a vertex born later.
+// Visit hands v's neighbors as of the snapshot, tombstones resolved, to
+// fn as one run. Records ingested after the snapshot are invisible;
+// vertices created after the snapshot read as empty. The adjacency view
+// is epoch-exact, the labels read-latest. On the checked walk, reads that
+// touch uncorrectable lines or checksum-mismatched blocks return a typed
+// error instead of wrong data, and views frozen over already-damaged
+// chains replay the freeze-time error.
+func (sn *Snapshot) Visit(ctx *xpsim.Ctx, d Direction, v graph.VID, o view.Opts, fn func(nbrs []uint32, lbls []uint16)) error {
+	s := sn.store
+	if err := s.labelsReadable(o); err != nil {
+		return err
+	}
+	// Bounds against the snapshot's own captured space: the live store
+	// may have grown since capture, and the captured records slice must
+	// never be indexed for a vertex born later.
 	if v >= sn.numV || int(v) >= len(sn.records[d]) {
-		return dst
+		return nil
 	}
 	sn.mu.RLock()
-	f, ok := sn.frozen[d][v]
+	ferr := sn.frozenErr[d][v]
+	recs, frozen := sn.frozen[d][v]
 	sn.mu.RUnlock()
-	if ok {
-		sn.store.lat.DRAM(ctx, int64(4*len(f)), false, true)
-		return append(dst, f...)
+	switch {
+	case o.Checked && ferr != nil:
+		return ferr
+	case frozen:
+		s.lat.DRAM(ctx, int64(4*len(recs)), false, true)
+	default:
+		var err error
+		if recs, err = sn.materialize(ctx, d, v, o.Checked); err != nil {
+			return err
+		}
 	}
-	return sn.materialize(ctx, d, v, dst)
+	fn(recs, s.labels(d, v, recs, o))
+	return nil
 }
 
 // materialize reconstructs the snapshot view of v from the live chains:
-// the first records[d][v] entries of the vertex's append-only stream,
+// the first records[d][v] entries of the vertex's append-only stream
+// (PMEM chain blocks oldest->newest, then the live vertex buffer),
 // tombstones resolved.
-func (sn *Snapshot) materialize(ctx *xpsim.Ctx, d Direction, v graph.VID, dst []uint32) []uint32 {
+func (sn *Snapshot) materialize(ctx *xpsim.Ctx, d Direction, v graph.VID, checked bool) ([]uint32, error) {
 	want := int(sn.records[d][v])
 	if want == 0 {
-		return dst
+		return nil, nil
 	}
-	start := len(dst)
-
-	// The vertex's record stream is: PMEM chain blocks oldest->newest,
-	// then the live vertex buffer. Neighbors/Visit walk newest-first, so
-	// materialize and trim from the front of the reconstructed order.
-	s := sn.store
-	g := s.groups[d][s.partOf(v)]
-	all := g.adj.NeighborsOldestFirst(ctx, v, nil)
-	if h := s.vbH[d][v]; h != mempool.None {
-		all = s.bufs.Neighbors(ctx, h, int(s.vbC[d][v]), all)
+	all, err := sn.store.rawStream(ctx, d, v, true, checked)
+	if err != nil {
+		return nil, err
 	}
-	if want > len(all) {
-		// Fewer records visible than captured: only possible if a
-		// compaction slipped past the fencing (e.g. on a snapshot read
-		// after Close). Degrade to the resolved stream rather than fail.
-		want = len(all)
+	// Fewer records visible than captured is only possible if a
+	// compaction slipped past the fencing (e.g. on a snapshot read after
+	// Close): degrade to the resolved stream rather than fail.
+	if want < len(all) {
+		all = all[:want]
 	}
-	dst = append(dst, all[:want]...)
-	return resolveInPlace(dst, start)
+	return adj.ResolveTombstones(all, 0), nil
 }
 
 // freezeVertex materializes the snapshot's view of v into a private
@@ -198,117 +204,21 @@ func (sn *Snapshot) freezeVertex(ctx *xpsim.Ctx, v graph.VID) {
 		if _, bad := sn.frozenErr[d][v]; bad {
 			continue
 		}
-		if sn.store.opts.MediaGuard {
-			// Freeze through the checked path: if v's chain is already
-			// media-damaged, the freeze must not launder scrambled bytes
-			// into a trusted frozen copy — record the error instead, so
-			// checked readers of this snapshot keep failing typed.
-			rec, err := sn.materializeChecked(ctx, Direction(d), v, nil)
-			if err != nil {
-				if sn.frozenErr[d] == nil {
-					sn.frozenErr[d] = make(map[graph.VID]error)
-				}
-				sn.frozenErr[d][v] = err
-				continue
+		// MediaGuard stores freeze through the checked path: if v's chain
+		// is already media-damaged, the freeze must not launder scrambled
+		// bytes into a trusted frozen copy — record the error instead, so
+		// checked readers of this snapshot keep failing typed.
+		recs, err := sn.materialize(ctx, Direction(d), v, sn.store.opts.MediaGuard)
+		if err != nil {
+			if sn.frozenErr[d] == nil {
+				sn.frozenErr[d] = make(map[graph.VID]error)
 			}
-			if sn.frozen[d] == nil {
-				sn.frozen[d] = make(map[graph.VID][]uint32)
-			}
-			sn.frozen[d][v] = rec
+			sn.frozenErr[d][v] = err
 			continue
 		}
 		if sn.frozen[d] == nil {
 			sn.frozen[d] = make(map[graph.VID][]uint32)
 		}
-		sn.frozen[d][v] = sn.materialize(ctx, Direction(d), v, nil)
-	}
-}
-
-// materializeChecked is materialize through the media-checked read path:
-// a damaged or unrecoverable chain returns a typed error instead of
-// scrambled records.
-func (sn *Snapshot) materializeChecked(ctx *xpsim.Ctx, d Direction, v graph.VID, dst []uint32) ([]uint32, error) {
-	want := int(sn.records[d][v])
-	if want == 0 {
-		return dst, nil
-	}
-	s := sn.store
-	if s.isUnrec(d, v) {
-		return dst, &UnrecoverableError{Dir: d, V: v}
-	}
-	start := len(dst)
-	g := s.groups[d][s.partOf(v)]
-	all, err := g.adj.NeighborsOldestFirstChecked(ctx, v, nil)
-	if err != nil {
-		s.noteReadDamage(d, v, err)
-		return dst, err
-	}
-	if h := s.vbH[d][v]; h != mempool.None {
-		all = s.bufs.Neighbors(ctx, h, int(s.vbC[d][v]), all)
-	}
-	if want > len(all) {
-		want = len(all)
-	}
-	dst = append(dst, all[:want]...)
-	return resolveInPlace(dst, start), nil
-}
-
-// NbrsChecked is Nbrs with media-error detection: reads that touch
-// uncorrectable lines or checksum-mismatched blocks return a typed error
-// instead of wrong data, and views frozen over already-damaged chains
-// replay the freeze-time error.
-func (sn *Snapshot) NbrsChecked(ctx *xpsim.Ctx, d Direction, v graph.VID, dst []uint32) ([]uint32, error) {
-	if v >= sn.numV || int(v) >= len(sn.records[d]) {
-		return dst, nil
-	}
-	sn.mu.RLock()
-	ferr := sn.frozenErr[d][v]
-	f, ok := sn.frozen[d][v]
-	sn.mu.RUnlock()
-	if ferr != nil {
-		return dst, ferr
-	}
-	if ok {
-		sn.store.lat.DRAM(ctx, int64(4*len(f)), false, true)
-		return append(dst, f...), nil
-	}
-	return sn.materializeChecked(ctx, d, v, dst)
-}
-
-// NbrsOutChecked and NbrsInChecked are direction-fixed conveniences used
-// by the serving layer's checked read path.
-func (sn *Snapshot) NbrsOutChecked(ctx *xpsim.Ctx, v graph.VID, dst []uint32) ([]uint32, error) {
-	return sn.NbrsChecked(ctx, Out, v, dst)
-}
-
-// NbrsInChecked returns v's in-neighbors through the checked path.
-func (sn *Snapshot) NbrsInChecked(ctx *xpsim.Ctx, v graph.VID, dst []uint32) ([]uint32, error) {
-	return sn.NbrsChecked(ctx, In, v, dst)
-}
-
-// NbrsOut and NbrsIn are direction-fixed conveniences.
-func (sn *Snapshot) NbrsOut(ctx *xpsim.Ctx, v graph.VID, dst []uint32) []uint32 {
-	return sn.Nbrs(ctx, Out, v, dst)
-}
-
-// NbrsIn returns v's in-neighbors as of the snapshot.
-func (sn *Snapshot) NbrsIn(ctx *xpsim.Ctx, v graph.VID, dst []uint32) []uint32 {
-	return sn.Nbrs(ctx, In, v, dst)
-}
-
-// VisitOut streams v's resolved out-neighbors as of the snapshot.
-// Snapshot reads must trim and resolve against the captured counts, so
-// the stream materializes internally; the callback contract matches
-// Store.VisitOut.
-func (sn *Snapshot) VisitOut(ctx *xpsim.Ctx, v graph.VID, fn func(nbr uint32)) {
-	for _, nbr := range sn.Nbrs(ctx, Out, v, nil) {
-		fn(nbr)
-	}
-}
-
-// VisitIn streams v's resolved in-neighbors as of the snapshot.
-func (sn *Snapshot) VisitIn(ctx *xpsim.Ctx, v graph.VID, fn func(nbr uint32)) {
-	for _, nbr := range sn.Nbrs(ctx, In, v, nil) {
-		fn(nbr)
+		sn.frozen[d][v] = recs
 	}
 }

@@ -14,16 +14,17 @@ import (
 	"repro/internal/prop"
 	"repro/internal/ssd"
 	"repro/internal/vbuf"
+	"repro/internal/view"
 	"repro/internal/xpsim"
 )
 
 // Direction selects out-neighbors or in-neighbors.
-type Direction int
+type Direction = view.Dir
 
 // Out and In are the two adjacency directions every edge updates.
 const (
-	Out Direction = 0
-	In  Direction = 1
+	Out = view.Out
+	In  = view.In
 )
 
 // perVertexMetaBytes approximates the DRAM metadata per vertex per
@@ -38,8 +39,11 @@ type group struct {
 	node int // node to bind accessing threads to; xpsim.NodeUnbound = no binding
 }
 
-// Store is an XPGraph instance.
+// Store is an XPGraph instance. Its read surface is view.Surface over
+// the primitives in query.go.
 type Store struct {
+	view.Surface
+
 	opts    Options
 	machine *xpsim.Machine
 	heap    *pmem.Heap
@@ -74,14 +78,6 @@ type Store struct {
 	// pipeline schedule the cost model computed (see obs.go).
 	tracer  *obs.Tracer
 	laneEnd [obs.LaneWorkerBase]int64
-
-	// delVerts tracks vertices that ever received a deletion tombstone,
-	// per direction. Queries on every other vertex can stream neighbors
-	// without materializing a slice for tombstone resolution. After a
-	// recovery the pre-crash tombstone set is unknown (block headers do
-	// not record it), so delsUnknown forces the resolving path.
-	delVerts    [2]map[graph.VID]struct{}
-	delsUnknown bool
 
 	// snaps registers outstanding snapshots for compaction fencing:
 	// before a vertex's chains are rewritten, each registered snapshot
@@ -121,6 +117,7 @@ func New(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts Optio
 		lat:     &machine.Lat,
 		tracer:  opts.Tracer,
 	}
+	s.Surface = view.Surface{Source: s}
 	switch opts.NUMA {
 	case NUMASubgraph:
 		s.nparts = machine.Sockets
@@ -417,10 +414,10 @@ func (s *Store) partOf(v graph.VID) int {
 	return int(v) % s.nparts
 }
 
-// PartitionNode reports the NUMA node that owns vertex v's adjacency data
-// in the given direction (xpsim.NodeUnbound when interleaved). Query
-// engines use it to classify work per node before binding (§III-D).
-func (s *Store) PartitionNode(d Direction, v graph.VID) int {
+// Node reports the NUMA node that owns vertex v's adjacency data in the
+// given direction (xpsim.NodeUnbound when interleaved). Query engines use
+// it to classify work per node before binding (§III-D).
+func (s *Store) Node(d Direction, v graph.VID) int {
 	return s.groups[d][s.partOf(v)].node
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/splitmix"
 	"repro/internal/xpsim"
 )
 
@@ -12,23 +13,13 @@ import (
 // base seed — paste the seed a failure printed to replay it exactly.
 var seedFlag = flag.Uint64("crashtest.seed", 0x9E3779B97F4A7C15, "base seed for randomized crash schedules")
 
-// splitmix64 mirrors xpsim's deterministic mixing step so schedules are
-// reproducible from the printed seed alone.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	z := x
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // randomSchedule derives one workload config + fault plan from a seed.
 // Everything — graph shape, deletion ratio, chunking, compaction cadence,
 // NUMA mode, kill point, tear geometry — is a pure function of the seed.
 func randomSchedule(seed uint64, mediaWrites int64) (Config, xpsim.FaultPlan) {
 	r := seed
 	next := func(mod uint64) uint64 {
-		r = splitmix64(r)
+		r = splitmix.Mix(r)
 		if mod == 0 {
 			return r
 		}
@@ -84,7 +75,7 @@ func TestCrashRandomizedSchedules(t *testing.T) {
 	base := *seedFlag
 	t.Logf("base seed %#x (%d schedules; rerun one with -crashtest.seed=<seed>)", base, iters)
 	for i := 0; i < iters; i++ {
-		seed := splitmix64(base + uint64(i))
+		seed := splitmix.Mix(base + uint64(i))
 		if i == 0 {
 			seed = base // so -crashtest.seed=<printed seed> replays exactly
 		}

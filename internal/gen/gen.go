@@ -12,36 +12,20 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
+	"repro/internal/splitmix"
 )
-
-// splitmix64 is a tiny, fast, seedable RNG — edge generation dominates
-// workload setup time, so math/rand is deliberately avoided.
-type splitmix64 uint64
-
-func (s *splitmix64) next() uint64 {
-	*s += 0x9e3779b97f4a7c15
-	z := uint64(*s)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// float returns a uniform float64 in [0,1).
-func (s *splitmix64) float() float64 {
-	return float64(s.next()>>11) / (1 << 53)
-}
 
 // RMAT generates numEdges directed edges over 2^scale vertices using the
 // recursive-matrix method with the Graph500 parameters
 // (a,b,c,d) = (0.57, 0.19, 0.19, 0.05).
 func RMAT(scale int, numEdges int64, seed uint64) []graph.Edge {
 	const a, b, c = 0.57, 0.19, 0.19
-	rng := splitmix64(seed)
+	rng := splitmix.Rand(seed)
 	edges := make([]graph.Edge, numEdges)
 	for i := range edges {
 		var src, dst uint32
 		for bit := 0; bit < scale; bit++ {
-			r := rng.float()
+			r := rng.Float()
 			switch {
 			case r < a:
 				// top-left: no bits set
@@ -62,12 +46,12 @@ func RMAT(scale int, numEdges int64, seed uint64) []graph.Edge {
 // Uniform generates numEdges edges uniformly over numV vertices
 // (Erdős–Rényi-style; useful as a low-skew contrast workload).
 func Uniform(numV uint32, numEdges int64, seed uint64) []graph.Edge {
-	rng := splitmix64(seed)
+	rng := splitmix.Rand(seed)
 	edges := make([]graph.Edge, numEdges)
 	for i := range edges {
 		edges[i] = graph.Edge{
-			Src: uint32(rng.next() % uint64(numV)),
-			Dst: uint32(rng.next() % uint64(numV)),
+			Src: uint32(rng.Next() % uint64(numV)),
+			Dst: uint32(rng.Next() % uint64(numV)),
 		}
 	}
 	return edges
@@ -151,14 +135,14 @@ func DegreeHistogram(edges []graph.Edge, numV uint32) [5]int64 {
 // workload shape of the paper's title that pure bulk loads do not
 // exercise.
 func Evolving(scale int, updates int64, delRatio float64, seed uint64) []graph.Edge {
-	rng := splitmix64(seed)
+	rng := splitmix.Rand(seed)
 	adds := RMAT(scale, updates, seed^0xE0177E)
 	out := make([]graph.Edge, 0, updates)
 	live := make([]graph.Edge, 0, updates)
 	ai := 0
 	for int64(len(out)) < updates {
-		if len(live) > 0 && rng.float() < delRatio {
-			i := int(rng.next() % uint64(len(live)))
+		if len(live) > 0 && rng.Float() < delRatio {
+			i := int(rng.Next() % uint64(len(live)))
 			e := live[i]
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]

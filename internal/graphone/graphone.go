@@ -111,8 +111,11 @@ func (r IngestReport) TotalNs() int64 {
 	return r.ArchiveNs
 }
 
-// Store is a GraphOne instance.
+// Store is a GraphOne instance. Its read surface is view.Surface over
+// Visit and the lookups beside it.
 type Store struct {
+	view.Surface
+
 	opts    Options
 	machine *xpsim.Machine
 	heap    *pmem.Heap
@@ -122,11 +125,10 @@ type Store struct {
 	log  *elog.Log
 	adjs [2]*adj.Store // out, in
 
-	records  [2][]uint32
-	epoch    uint32
-	degEp    [2][]uint32
-	degInc   [2][]uint32
-	delVerts [2]map[graph.VID]struct{}
+	records [2][]uint32
+	epoch   uint32
+	degEp   [2][]uint32
+	degInc  [2][]uint32
 
 	metaBytes int64
 	report    IngestReport
@@ -191,6 +193,7 @@ var _ view.View = (*Store)(nil)
 func New(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	s := &Store{opts: opts, machine: machine, heap: heap, budget: budget, lat: &machine.Lat}
+	s.Surface = view.Surface{Source: s}
 
 	logBytes := opts.LogCapacity*graph.EdgeBytes + 4096
 	var logMem mem.Mem
@@ -423,12 +426,6 @@ func (s *Store) archive() error {
 				for _, se := range shards[d][ri] {
 					s.lat.CPU(ctx, 6)
 					s.records[d][se.V]++
-					if se.Nbr&graph.DelFlag != 0 {
-						if s.delVerts[d] == nil {
-							s.delVerts[d] = make(map[graph.VID]struct{})
-						}
-						s.delVerts[d][se.V] = struct{}{}
-					}
 					one[0] = se.Nbr
 					if err := s.adjs[d].Append(ctx, se.V, one[:]); err != nil {
 						archiveErr = err
@@ -463,60 +460,33 @@ func (s *Store) DelEdge(src, dst graph.VID) error {
 	return err
 }
 
-// NbrsOut returns v's archived out-neighbors (tombstones resolved).
-func (s *Store) NbrsOut(ctx *xpsim.Ctx, v graph.VID, dst []uint32) []uint32 {
-	return s.nbrs(ctx, 0, v, dst)
-}
-
-// NbrsIn returns v's archived in-neighbors.
-func (s *Store) NbrsIn(ctx *xpsim.Ctx, v graph.VID, dst []uint32) []uint32 {
-	return s.nbrs(ctx, 1, v, dst)
-}
-
-func (s *Store) nbrs(ctx *xpsim.Ctx, d int, v graph.VID, dst []uint32) []uint32 {
+// Visit hands v's archived neighbors in direction d, tombstones resolved,
+// to fn as one run. GraphOne has no media-checked path and no property
+// layer; every edge carries the default label.
+func (s *Store) Visit(ctx *xpsim.Ctx, d view.Dir, v graph.VID, o view.Opts, fn func(nbrs []uint32, lbls []uint16)) error {
 	if v >= s.NumVertices() {
-		return dst
+		return nil
 	}
-	start := len(dst)
-	dst = s.adjs[d].Neighbors(ctx, v, dst)
-	return resolveTombstones(dst, start)
-}
-
-// VisitOut streams v's archived out-neighbors without allocating
-// (tombstoned vertices fall back to the resolved path).
-func (s *Store) VisitOut(ctx *xpsim.Ctx, v graph.VID, fn func(nbr uint32)) {
-	s.visit(ctx, 0, v, fn)
-}
-
-// VisitIn streams v's archived in-neighbors.
-func (s *Store) VisitIn(ctx *xpsim.Ctx, v graph.VID, fn func(nbr uint32)) {
-	s.visit(ctx, 1, v, fn)
-}
-
-func (s *Store) visit(ctx *xpsim.Ctx, d int, v graph.VID, fn func(nbr uint32)) {
-	if v >= s.NumVertices() {
-		return
+	nbrs := adj.ResolveTombstones(s.adjs[d].Neighbors(ctx, v, nil), 0)
+	var lbls []uint16
+	if o.Labels {
+		lbls = make([]uint16, len(nbrs))
 	}
-	if _, tombstoned := s.delVerts[d][v]; tombstoned {
-		for _, nbr := range s.nbrs(ctx, d, v, nil) {
-			fn(nbr)
-		}
-		return
-	}
-	s.adjs[d].Visit(ctx, v, fn)
+	fn(nbrs, lbls)
+	return nil
 }
 
 // Degree reports archived records of v.
-func (s *Store) Degree(d int, v graph.VID) int {
+func (s *Store) Degree(d view.Dir, v graph.VID) (int, error) {
 	if v >= s.NumVertices() {
-		return 0
+		return 0, nil
 	}
-	return int(s.records[d][v])
+	return int(s.records[d][v]), nil
 }
 
-// PartitionNode reports where v's data lives; GraphOne interleaves, so
-// queries cannot exploit locality.
-func (s *Store) PartitionNode(d int, v graph.VID) int {
+// Node reports where v's data lives; GraphOne interleaves, so queries
+// cannot exploit locality.
+func (s *Store) Node(view.Dir, graph.VID) int {
 	if s.opts.BindSingleNode {
 		return 0
 	}
@@ -526,15 +496,11 @@ func (s *Store) PartitionNode(d int, v graph.VID) int {
 // NumPartitions reports 1: GraphOne has no NUMA-aware partitioning.
 func (s *Store) NumPartitions() int { return 1 }
 
-// OutNode and InNode report the NUMA home of v's adjacency data; GraphOne
-// interleaves everything, so queries cannot exploit locality.
-func (s *Store) OutNode(v graph.VID) int { return s.PartitionNode(0, v) }
+// Labels reports the one default label; GraphOne has no property layer.
+func (s *Store) Labels() []string { return []string{""} }
 
-// InNode reports the NUMA home of v's in-adjacency.
-func (s *Store) InNode(v graph.VID) int { return s.PartitionNode(1, v) }
-
-// OutDegree reports the archived out-record count of v.
-func (s *Store) OutDegree(v graph.VID) int { return s.Degree(0, v) }
+// VProp reports no property for any vertex.
+func (s *Store) VProp(graph.VID, uint16) (int64, bool, error) { return 0, false, nil }
 
 // MemUsage mirrors core.MemUsage fields for the benches.
 type MemUsage struct {
@@ -550,34 +516,4 @@ func (s *Store) MemUsage() MemUsage {
 		ElogPMEM: s.log.Bytes(),
 		PblkPMEM: s.adjs[0].Bytes() + s.adjs[1].Bytes(),
 	}
-}
-
-// resolveTombstones removes deletion records (and one matching neighbor
-// each) from dst[start:].
-func resolveTombstones(dst []uint32, start int) []uint32 {
-	recs := dst[start:]
-	var dels map[uint32]int
-	for _, r := range recs {
-		if r&graph.DelFlag != 0 {
-			if dels == nil {
-				dels = make(map[uint32]int)
-			}
-			dels[r&^graph.DelFlag]++
-		}
-	}
-	if dels == nil {
-		return dst
-	}
-	out := recs[:0]
-	for _, r := range recs {
-		if r&graph.DelFlag != 0 {
-			continue
-		}
-		if n := dels[r]; n > 0 {
-			dels[r] = n - 1
-			continue
-		}
-		out = append(out, r)
-	}
-	return dst[:start+len(out)]
 }

@@ -276,10 +276,10 @@ func TestGraphOneAPISurface(t *testing.T) {
 	if VariantN.String() != "GraphOne-N" || VariantMM.String() != "GraphOne-MM" || Variant(9).String() == "" {
 		t.Fatal("variant names")
 	}
-	if s.Degree(0, 3) != 1 || s.Degree(0, 999) != 0 || s.OutDegree(3) != 1 {
+	if n, err := s.Degree(0, 999); err != nil || n != 0 || s.OutDegree(3) != 1 {
 		t.Fatal("degrees")
 	}
-	if s.NumPartitions() != 1 || s.PartitionNode(0, 1) != xpsim.NodeUnbound ||
+	if s.NumPartitions() != 1 || s.Node(0, 1) != xpsim.NodeUnbound ||
 		s.OutNode(1) != s.InNode(1) {
 		t.Fatal("partition surface")
 	}
@@ -295,7 +295,7 @@ func TestGraphOneAPISurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.PartitionNode(0, 5) != 0 {
+	if s2.Node(0, 5) != 0 {
 		t.Fatal("bound store should report node 0")
 	}
 }

@@ -361,7 +361,7 @@ func RunUnrecoverable(cfg Config) error {
 	}
 	var rotated []graph.VID
 	for v := graph.VID(0); v < st.NumVertices() && len(rotated) < cfg.UETargets; v++ {
-		if st.Degree(core.Out, v) > windowCount[v] && len(st.VertexMediaLines(core.Out, v)) > 0 {
+		if st.OutDegree(v) > windowCount[v] && len(st.VertexMediaLines(core.Out, v)) > 0 {
 			rotated = append(rotated, v)
 		}
 	}
@@ -519,7 +519,7 @@ func RunNodeFailure(cfg Config) error {
 	for d := 0; d < 2; d++ {
 		for v := graph.VID(0); v < st.NumVertices(); v++ {
 			got, rerr := st.NbrsChecked(ctx, core.Direction(d), v, nil)
-			onDead := st.PartitionNode(core.Direction(d), v) == dead
+			onDead := st.Node(core.Direction(d), v) == dead
 			switch {
 			case rerr == nil:
 				if diff := diffMultiset(got, o.want(core.Direction(d), v)); diff != "" {

@@ -1,5 +1,7 @@
 package server
 
+import "repro/internal/splitmix"
+
 // The ingest circuit breaker moved to internal/cluster: failure shedding
 // is a property of one shard, not of the HTTP frontend. What stays here
 // is the retry-delay jitter of the 429 responses.
@@ -9,9 +11,5 @@ package server
 // spreading shed writers' retries instead of synchronizing them on one
 // fixed delay.
 func retryAfterSecs(seq uint64) int {
-	z := seq + 0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return 1 + int(z%3)
+	return 1 + int(splitmix.Mix(seq)%3)
 }

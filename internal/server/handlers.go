@@ -20,6 +20,7 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/prop"
+	"repro/internal/view"
 	"repro/internal/xpsim"
 )
 
@@ -316,7 +317,17 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
 		writeEpochJSON(w, cv.Epoch(), NeighborsResponse{Vertex: v, Neighbors: nbrs,
 			SimUs: float64(ctx.Cost.Ns()) / 1e3, Epoch: cv.Epoch(), EpochVector: cv.EpochVector()})
 	case "degree":
-		out, in := cv.OutDegree(v), cv.InDegree(v)
+		// The checked form: a count that silently leaves out a dead,
+		// replica-less partition's records answers 503 like /out and /in.
+		out, err := cv.Degree(view.Out, v)
+		in, inErr := cv.Degree(view.In, v)
+		if err == nil {
+			err = inErr
+		}
+		if err != nil {
+			s.writeReadError(w, cv, v, err)
+			return
+		}
 		writeEpochJSON(w, cv.Epoch(), DegreeResponse{Vertex: v, Out: out, In: in,
 			Epoch: cv.Epoch(), EpochVector: cv.EpochVector()})
 	default:

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/pmem"
 	"repro/internal/xpsim"
@@ -240,5 +241,63 @@ func TestKHopEndpoint(t *testing.T) {
 	}
 	if kh.Reached != 3 {
 		t.Fatalf("khop reached %d, want 3", kh.Reached)
+	}
+}
+
+// TestDegreeOnDeadPartitionFailsTyped: with a shard down and no replica
+// to fail over to, the degree route must answer 503 partition_down like
+// /out and /in on the same view — not 200 with the dead partition's
+// records silently missing from the counts.
+func TestDegreeOnDeadPartitionFailsTyped(t *testing.T) {
+	stores := make([]*core.Store, 2)
+	for i := range stores {
+		m := xpsim.NewMachine(2, 256<<20, xpsim.DefaultLatency())
+		st, err := core.New(m, pmem.NewHeap(m), nil, core.Options{
+			Name: fmt.Sprintf("shard%d", i), NumVertices: 1024, LogCapacity: 1 << 12,
+			ArchiveThreshold: 1 << 8, ArchiveThreads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = st
+	}
+	cl, err := cluster.New(stores, Config{}.withDefaults().clusterConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewCluster(cl, Config{})
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+
+	const victim = 0
+	var deadV, liveV uint32
+	for v := uint32(1); deadV == 0 || liveV == 0; v++ {
+		if cl.Owner(v) == victim {
+			deadV = v
+		} else {
+			liveV = v
+		}
+	}
+	if code := do(t, "POST", ts.URL+"/v1/edges", EdgesRequest{Edges: []EdgeJSON{
+		{Src: deadV, Dst: liveV}, {Src: liveV, Dst: deadV},
+	}}, nil); code != 200 {
+		t.Fatalf("ingest: %d", code)
+	}
+	var dg DegreeResponse
+	if code := do(t, "GET", fmt.Sprintf("%s/v1/vertices/%d/degree", ts.URL, liveV), nil, &dg); code != 200 || dg.Out != 1 || dg.In != 1 {
+		t.Fatalf("degree before the kill: code=%d %+v", code, dg)
+	}
+
+	cl.KillShard(victim)
+	for _, path := range []string{
+		fmt.Sprintf("%d/out", deadV), fmt.Sprintf("%d/degree", deadV),
+		fmt.Sprintf("%d/degree", liveV), // its in-count sums over the dead partition too
+	} {
+		var eb errorBody
+		code := do(t, "GET", ts.URL+"/v1/vertices/"+path, nil, &eb)
+		if code != http.StatusServiceUnavailable || eb.Error.Code != "partition_down" ||
+			eb.Error.Shard == nil || *eb.Error.Shard != victim {
+			t.Fatalf("GET %s with partition %d down: code=%d body=%+v", path, victim, code, eb)
+		}
 	}
 }

@@ -51,6 +51,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pmem"
 	"repro/internal/server"
+	"repro/internal/splitmix"
 	"repro/internal/xpsim"
 )
 
@@ -133,21 +134,11 @@ type Report struct {
 // Failed reports whether the run violated its SLO spec.
 func (r Report) Failed() bool { return len(r.Violations) > 0 }
 
-// splitmix64 is the repo's deterministic PRNG.
-type rng struct{ s uint64 }
+// rng is the scenario's one splitmix64 stream plus the draws soak shapes
+// from it.
+type rng struct{ splitmix.Rand }
 
-func (r *rng) next() uint64 {
-	r.s += 0x9E3779B97F4A7C15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
-
-// float returns a uniform float64 in [0,1).
-func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
+func (r *rng) intn(n int) int { return int(r.Next() % uint64(n)) }
 
 // zipfIdx picks an index in [0,n) with a power-law head: skew 0 is
 // uniform, larger skews concentrate mass on the low indices.
@@ -155,7 +146,7 @@ func (r *rng) zipfIdx(n int, skew float64) int {
 	if n <= 1 {
 		return 0
 	}
-	i := int(float64(n) * math.Pow(r.float(), 1+3*skew))
+	i := int(float64(n) * math.Pow(r.Float(), 1+3*skew))
 	if i >= n {
 		i = n - 1
 	}
@@ -293,7 +284,7 @@ func newRunner(sc Scenario) (*runner, error) {
 		cl:        cl,
 		faults:    faults,
 		tailStart: -1,
-		rng:       rng{s: sc.Seed},
+		rng:       rng{splitmix.Rand(sc.Seed)},
 		tracer:    obs.NewTracer(1 << 15),
 		reg:       obs.NewRegistry(),
 	}
@@ -403,7 +394,7 @@ func (r *rng) jitter(base int64) int64 {
 	if base <= 0 {
 		return math.MaxInt64
 	}
-	return base/2 + int64(r.next()%uint64(base))
+	return base/2 + int64(r.Next()%uint64(base))
 }
 
 // inBurst reports whether virtual time t falls inside a burst.
@@ -602,9 +593,9 @@ const soakLabel = "hot"
 func (r *runner) read() {
 	sc := &r.sc
 	v := r.pickVertex()
-	khop := sc.KHopFrac > 0 && r.rng.float() < sc.KHopFrac
+	khop := sc.KHopFrac > 0 && r.rng.Float() < sc.KHopFrac
 	filtered := false
-	if !khop && sc.FilteredKHopFrac > 0 && r.rng.float() < sc.FilteredKHopFrac {
+	if !khop && sc.FilteredKHopFrac > 0 && r.rng.Float() < sc.FilteredKHopFrac {
 		khop, filtered = true, true
 	}
 
@@ -659,7 +650,7 @@ func (r *runner) read() {
 
 func (r *runner) write() {
 	sc := &r.sc
-	del := sc.DeleteFrac > 0 && r.rng.float() < sc.DeleteFrac
+	del := sc.DeleteFrac > 0 && r.rng.Float() < sc.DeleteFrac
 	// Split the arrival by owner shard; each part is admitted (or shed)
 	// against its shard's live threshold independently, like the real
 	// router does.

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+
+	"repro/internal/splitmix"
 )
 
 // This file implements the runtime media-error model layered on top of the
@@ -202,8 +204,8 @@ func (f *Faults) checkRead(node int, line int64) (ue bool, mul float64, fresh bo
 	}
 	if f.decayPerRead > 0 {
 		f.readSeq++
-		h := splitmix64(uint64(node)<<48 ^ uint64(line)*0x9E3779B97F4A7C15 ^ f.readSeq)
-		r := splitmix64(f.decaySeed ^ h)
+		h := splitmix.Mix(uint64(node)<<48 ^ uint64(line)*0x9E3779B97F4A7C15 ^ f.readSeq)
+		r := splitmix.Mix(f.decaySeed ^ h)
 		if float64(r>>11)/(1<<53) < f.decayPerRead {
 			f.markUELocked(node, line)
 			return true, mul, true
@@ -309,9 +311,9 @@ func (d *Device) scrambleLine(li int64) {
 func (d *Device) scrambleLineLocked(li int64) {
 	d.checkRange(li*XPLineSize, XPLineSize)
 	var buf [XPLineSize]byte
-	s := splitmix64(uint64(d.node)<<52 ^ uint64(li)*0x9E3779B97F4A7C15)
+	s := splitmix.Mix(uint64(d.node)<<52 ^ uint64(li)*0x9E3779B97F4A7C15)
 	for w := 0; w < XPLineSize/8; w++ {
-		s = splitmix64(s)
+		s = splitmix.Mix(s)
 		binary.LittleEndian.PutUint64(buf[w*8:], s)
 	}
 	d.store.WriteAt(buf[:], li*XPLineSize)

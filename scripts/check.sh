@@ -37,6 +37,12 @@ fi
 echo "== go build ./..."
 go build ./...
 
+echo "== benchmarks/ module (vet + tests)"
+# The repo's benchmark is its own module (replace repro => ../), outside
+# ./..., and it calls internal/ APIs by name: an internal/ change that
+# breaks it would otherwise pass everything above.
+(cd benchmarks && go vet ./... && go test ./...)
+
 echo "== go test -race -short ./..."
 # Short mode caps the exhaustive crash-point sweeps to deterministic
 # subsamples; the full sweeps run under plain `go test ./...` (and in CI).
