@@ -13,7 +13,7 @@
 // # Crash safety
 //
 // The header carries TWO count slots. In CrashSafe mode appends leave the
-// persisted counts alone; a flushing phase calls Ack(slot) to write the
+// persisted counts alone; a flushing phase's workers call Ack to write the
 // changed blocks' counts into one slot, the caller makes them durable with
 // a machine-wide writeback barrier, and then commits by flipping the slot
 // selector bit stored in the edge log's flushed cursor (elog.
@@ -25,9 +25,11 @@
 package adj
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -170,11 +172,16 @@ type Store struct {
 	lastVal   []uint32
 	// encBytes/encRecs count payload bytes and records written through
 	// the append and compaction paths, per format — the obs feed for
-	// edges-per-XPLine accounting. encScratch is the reusable varint
-	// encode buffer.
-	encBytes   [2]int64
-	encRecs    [2]int64
-	encScratch []byte
+	// edges-per-XPLine accounting.
+	encBytes [2]int64
+	encRecs  [2]int64
+	// Write-path scratch: the payload encode buffer, a block header and a
+	// count word. Stack buffers would escape through the mem.Mem interface
+	// and cost one allocation per store; writers are exclusive, so one set
+	// per Store serves every append and ack (readers never touch it).
+	encScratch  []byte
+	hdrScratch  [headerBytes]byte
+	wordScratch [8]byte
 	// partialCnt records counts of retired-but-not-full blocks when
 	// counts live in DRAM (VolatileCounts, or CrashSafe between acks);
 	// retired blocks are otherwise exactly full.
@@ -184,11 +191,17 @@ type Store struct {
 	freeBlocks map[int][]int64
 
 	// pendCur/pendPrev track blocks whose DRAM count is ahead of the
-	// persisted slots: blocks changed since the last Ack and since the
-	// one before it. Ack writes the union, so every count value lands in
-	// both slots over two consecutive flush cycles.
-	pendCur  map[int64]uint32
-	pendPrev map[int64]uint32
+	// persisted slots: blocks changed since the last ack cycle and during
+	// the one before it. A cycle writes the union, so every count value
+	// lands in both slots over two consecutive flush cycles. pendCur is an
+	// append log (one entry per append run, duplicates allowed); a cycle
+	// sorts it once by offset, merges it with the already-sorted pendPrev
+	// into ackList — the write order — and keeps it as the next pendPrev.
+	// ackLeft counts the workers of the running cycle still to call Ack.
+	pendCur  []pendEntry
+	pendPrev []pendEntry
+	ackList  []pendEntry
+	ackLeft  int
 	journal  int64 // offset of the compaction journal block; 0 = none
 
 	// Checksum state (check.go; populated only with opts.Checksums):
@@ -324,13 +337,66 @@ func (s *Store) volatileReads() bool {
 	return s.opts.VolatileCounts || s.opts.CrashSafe || s.opts.DeferCounts
 }
 
+// pendEntry is one block whose durable count slots lag its DRAM count. The
+// block is named the way prev links name it, in headerAlign units, which
+// keeps an entry to 8 bytes: the lists hold every block a flush cycle
+// touched.
+type pendEntry struct {
+	blk uint32
+	cnt uint32 // pendDead once the block was recycled while waiting in pendPrev
+}
+
+// pendDead is no record count: a block's payload is under 4 GiB and a
+// record takes at least a byte.
+const pendDead = ^uint32(0)
+
+func (e pendEntry) off() int64 { return int64(e.blk) * headerAlign }
+
 // pendAdd notes that block off's durable count slots no longer match its
 // DRAM count cnt.
 func (s *Store) pendAdd(off int64, cnt uint32) {
-	if s.pendCur == nil {
-		s.pendCur = make(map[int64]uint32)
+	blk := uint32(off / headerAlign)
+	if n := len(s.pendCur); n > 0 && s.pendCur[n-1].blk == blk {
+		s.pendCur[n-1].cnt = cnt
+		return
 	}
-	s.pendCur[off] = cnt
+	if len(s.pendCur) == cap(s.pendCur) {
+		// Double: append's 1.25x steps for large slices would allocate
+		// five times the final size on the way there.
+		s.pendCur = slices.Grow(s.pendCur, max(len(s.pendCur), 64))
+	}
+	s.pendCur = append(s.pendCur, pendEntry{blk: blk, cnt: cnt})
+}
+
+// pendDrop forgets a block that is being killed: its offset may be handed
+// to a new owner, whose slots a stale count must never reach.
+func (s *Store) pendDrop(off int64) {
+	blk := uint32(off / headerAlign)
+	if len(s.pendCur) > 0 {
+		// Rare: kills follow a flushing phase, which leaves pendCur empty.
+		s.pendCur = slices.DeleteFunc(s.pendCur, func(e pendEntry) bool { return e.blk == blk })
+	}
+	if i, ok := slices.BinarySearchFunc(s.pendPrev, blk, func(e pendEntry, blk uint32) int {
+		return cmp.Compare(e.blk, blk)
+	}); ok {
+		s.pendPrev[i].cnt = pendDead
+	}
+}
+
+// sortPend orders entries by offset, a block's highest count last.
+func sortPend(list []pendEntry) {
+	slices.SortFunc(list, func(a, b pendEntry) int {
+		if c := cmp.Compare(a.blk, b.blk); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.cnt, b.cnt)
+	})
+}
+
+// putU32 stores a 4-byte value at off through the scratch word.
+func (s *Store) putU32(ctx *xpsim.Ctx, off int64, v uint32) {
+	binary.LittleEndian.PutUint32(s.wordScratch[:4], v)
+	s.m.Write(ctx, off, s.wordScratch[:4])
 }
 
 // Append stores nbrs for vertex v. Contiguous neighbors are written with
@@ -378,10 +444,11 @@ func (s *Store) appendFixed(ctx *xpsim.Ctx, v graph.VID, nbrs []uint32) int {
 		n = free
 	}
 	off := s.tail[v] + headerBytes + int64(s.tailCnt[v])*4
-	buf := make([]byte, n*4)
-	for i, nb := range nbrs[:n] {
-		binary.LittleEndian.PutUint32(buf[i*4:], nb)
+	buf := s.encScratch[:0]
+	for _, nb := range nbrs[:n] {
+		buf = binary.LittleEndian.AppendUint32(buf, nb)
 	}
+	s.encScratch = buf[:0]
 	s.m.Write(ctx, off, buf)
 	if s.opts.Checksums {
 		s.crc[s.tail[v]] = crc32.Update(s.crc[s.tail[v]], castagnoli, buf)
@@ -443,7 +510,7 @@ func (s *Store) commitAppend(ctx *xpsim.Ctx, v graph.VID, off, wrote int64, n in
 		s.pendAdd(s.tail[v], s.tailCnt[v])
 	case !s.opts.VolatileCounts && !s.opts.DeferCounts:
 		// Persist the record count in the block header.
-		mem.WriteU32(s.m, ctx, s.tail[v]+offCnt0, s.tailCnt[v])
+		s.putU32(ctx, s.tail[v]+offCnt0, s.tailCnt[v])
 	}
 	if s.opts.ProactiveFlush && wrote >= xpsim.XPLineSize {
 		s.m.Flush(ctx, off, wrote)
@@ -535,7 +602,8 @@ func (s *Store) newBlock(ctx *xpsim.Ctx, v graph.VID, incoming int) error {
 	if err != nil {
 		return err
 	}
-	var hdr [headerBytes]byte
+	hdr := s.hdrScratch[:]
+	clear(hdr)
 	binary.LittleEndian.PutUint32(hdr[offVID:], v)
 	binary.LittleEndian.PutUint32(hdr[offCap:], uint32(capacity))
 	binary.LittleEndian.PutUint32(hdr[offPrev:], uint32(s.tail[v]/headerAlign))
@@ -550,10 +618,10 @@ func (s *Store) newBlock(ctx *xpsim.Ctx, v graph.VID, incoming int) error {
 		// update and write the header bytes cost-free so the shared
 		// on-media block format stays walkable in the simulation.
 		free := &xpsim.Ctx{Cost: &xpsim.Cost{}, Node: ctx.Node, Worker: ctx.Worker, Workers: ctx.Workers}
-		s.m.Write(free, off, hdr[:])
+		s.m.Write(free, off, hdr)
 		s.lat.DRAM(ctx, headerBytes, true, false)
 	} else {
-		s.m.Write(ctx, off, hdr[:])
+		s.m.Write(ctx, off, hdr)
 	}
 	s.tail[v] = off
 	s.tailCnt[v] = 0
@@ -567,60 +635,79 @@ func (s *Store) newBlock(ctx *xpsim.Ctx, v graph.VID, incoming int) error {
 	return nil
 }
 
-// Ack writes the DRAM counts of every block changed in this or the
-// previous flush cycle into count slot `slot` — the first half of a
-// crash-safe flushing phase. The caller must then (1) issue a machine-wide
-// writeback barrier so the counts and the data they cover are on media,
-// and (2) commit with elog.MarkFlushedSlot(..., slot). Writing two cycles'
-// worth of blocks means each count value reaches both slots over two
-// acks, so whichever slot a crash leaves selected is internally complete.
-func (s *Store) Ack(ctx *xpsim.Ctx, slot int) {
+// Ack is worker w's share (of n) of the first half of a crash-safe flushing
+// phase: writing the DRAM counts of every block changed in this or the
+// previous flush cycle into count slot `slot`. The cycle's first call sorts
+// the pending blocks by offset; worker w then writes the w-th of n contiguous
+// runs of that list, so n workers called in order w = 0..n-1 issue exactly
+// the write sequence one worker would: the split never leaks into the
+// simulated device's cache state. Every worker of the cycle must call Ack
+// exactly once, all with the same slot and n.
+//
+// After the cycle the caller must (1) issue a machine-wide writeback barrier
+// so the counts and the data they cover are on media, and (2) commit with
+// elog.MarkFlushedSlot(..., slot). Writing two cycles' worth of blocks means
+// each count value reaches both slots over two cycles, so whichever slot a
+// crash leaves selected is internally complete.
+func (s *Store) Ack(ctx *xpsim.Ctx, slot, w, n int) {
 	if !s.opts.CrashSafe {
 		panic("adj: Ack on a store without CrashSafe")
 	}
 	if slot != 0 && slot != 1 {
 		panic(fmt.Sprintf("adj: bad ack slot %d", slot))
 	}
+	if w < 0 || w >= n {
+		panic(fmt.Sprintf("adj: ack worker %d of %d", w, n))
+	}
+	if s.ackLeft == 0 {
+		s.ackBegin()
+		s.ackLeft = n
+	}
+	s.ackLeft--
 	slotOff := int64(offCnt0 + 8*slot)
-	offs := make([]int64, 0, len(s.pendCur)+len(s.pendPrev))
-	for off := range s.pendCur {
-		offs = append(offs, off)
-	}
-	for off := range s.pendPrev {
-		if _, dup := s.pendCur[off]; !dup {
-			offs = append(offs, off)
-		}
-	}
-	// Deterministic write order: map iteration order must not leak into
-	// the simulated device's cache state.
-	sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-	for _, off := range offs {
-		cnt, ok := s.pendCur[off]
-		if !ok {
-			cnt = s.pendPrev[off]
-		}
+	for _, e := range s.ackList[len(s.ackList)*w/n : len(s.ackList)*(w+1)/n] {
 		if s.opts.Checksums {
 			// {cnt, crc} share one 8-byte word, so powerfail atomicity
 			// guarantees a count is never durable without its checksum.
-			mem.WriteU64(s.m, ctx, off+slotOff, uint64(cnt)|uint64(s.crc[off])<<32)
+			binary.LittleEndian.PutUint64(s.wordScratch[:], uint64(e.cnt)|uint64(s.crc[e.off()])<<32)
+			s.m.Write(ctx, e.off()+slotOff, s.wordScratch[:])
 		} else {
-			mem.WriteU32(s.m, ctx, off+slotOff, cnt)
+			s.putU32(ctx, e.off()+slotOff, e.cnt)
 		}
 	}
-	s.pendPrev = s.pendCur
-	s.pendCur = nil
 }
 
-// PendingAcks reports how many blocks still have DRAM counts ahead of at
-// least one persisted slot.
-func (s *Store) PendingAcks() int {
-	n := len(s.pendCur)
-	for off := range s.pendPrev {
-		if _, dup := s.pendCur[off]; !dup {
-			n++
+// ackBegin opens an ack cycle: it builds ackList, the offset-sorted union of
+// the blocks changed since the last cycle and during it (newest count
+// wins), and rotates the former into pendPrev for the next cycle.
+func (s *Store) ackBegin() {
+	sortPend(s.pendCur)
+	cur := s.pendCur[:0]
+	for i, e := range s.pendCur {
+		if i+1 == len(s.pendCur) || s.pendCur[i+1].blk != e.blk {
+			cur = append(cur, e)
 		}
 	}
-	return n
+	prev, list := s.pendPrev, slices.Grow(s.ackList[:0], len(cur)+len(s.pendPrev))
+	for i, j := 0, 0; i < len(cur) || j < len(prev); {
+		switch {
+		case j == len(prev) || (i < len(cur) && cur[i].blk < prev[j].blk):
+			list = append(list, cur[i])
+			i++
+		case i == len(cur) || prev[j].blk < cur[i].blk:
+			if prev[j].cnt != pendDead {
+				list = append(list, prev[j])
+			}
+			j++
+		default:
+			list = append(list, cur[i])
+			i++
+			j++
+		}
+	}
+	// The next cycle's log reuses the old pendPrev's array, sized to hold as
+	// many entries as this cycle collected before it has to grow.
+	s.ackList, s.pendPrev, s.pendCur = list, cur, slices.Grow(prev[:0], len(cur))
 }
 
 // visitBlock streams the first cnt records of the block at off to fn,
@@ -869,7 +956,7 @@ func (s *Store) compactCrashSafe(ctx *xpsim.Ctx, v graph.VID, live []uint32) err
 		s.m.Read(ctx, off, hdr[:])
 		capacity := int(binary.LittleEndian.Uint32(hdr[offCap:]))
 		prev := int64(binary.LittleEndian.Uint32(hdr[offPrev:])) * headerAlign
-		s.killBlock(ctx, off, capacity)
+		s.killBlock(ctx, off, capacity, uint8(binary.LittleEndian.Uint32(hdr[offFmt:])))
 		off = prev
 	}
 
@@ -927,11 +1014,20 @@ func (s *Store) free(ctx *xpsim.Ctx, off int64, capacity int) {
 // recycles it. Zeroing matters: a recycled block whose new header write
 // has not reached media yet must read as zero visible records, not as its
 // previous owner's counts.
-func (s *Store) killBlock(ctx *xpsim.Ctx, off int64, capacity int) {
-	var hdr [headerBytes]byte
+//
+// The dead header keeps the block's format word. Powerfail atomicity is
+// per 8-byte word, so a torn kill can leave the {prev, fmt} word durable
+// while the {vid, cap} word and the count slots are still the old owner's:
+// with a zeroed format that is a live FIXED block carrying a varint count
+// above its capacity, which recovery's scan takes for the never-durable
+// frontier — and zeroes the acknowledged blocks behind it.
+func (s *Store) killBlock(ctx *xpsim.Ctx, off int64, capacity int, format uint8) {
+	hdr := s.hdrScratch[:]
+	clear(hdr)
 	binary.LittleEndian.PutUint32(hdr[offVID:], deadVID)
 	binary.LittleEndian.PutUint32(hdr[offCap:], uint32(capacity))
-	s.m.Write(ctx, off, hdr[:])
+	binary.LittleEndian.PutUint32(hdr[offFmt:], uint32(format))
+	s.m.Write(ctx, off, hdr)
 	s.m.Flush(ctx, off, headerBytes)
 	s.recycle(off, capacity)
 }
@@ -942,8 +1038,7 @@ func (s *Store) recycle(off int64, capacity int) {
 	}
 	s.freeBlocks[capacity] = append(s.freeBlocks[capacity], off)
 	delete(s.partialCnt, off)
-	delete(s.pendCur, off)
-	delete(s.pendPrev, off)
+	s.pendDrop(off)
 	delete(s.crc, off)
 }
 

@@ -1,6 +1,7 @@
 package adj
 
 import (
+	"bytes"
 	"math/rand"
 	"sort"
 	"testing"
@@ -385,5 +386,68 @@ func TestVolatileCountsVisit(t *testing.T) {
 	s.Visit(ctx, 1, func(n uint32) { got = append(got, n) })
 	if len(got) != 31 {
 		t.Fatalf("volatile-count visit = %d records, want 31", len(got))
+	}
+}
+
+// TestAckSplitIsInvisibleToDevice acknowledges twin stores with one worker
+// and with four: however many workers share the offset-sorted pending
+// list, the arenas must come out byte-identical and the devices must have
+// seen the same access sequence (identical counters, cache state included).
+func TestAckSplitIsInvisibleToDevice(t *testing.T) {
+	type twin struct {
+		s *Store
+		r *pmem.Region
+		m *xpsim.Machine
+	}
+	build := func() twin {
+		_, r, m, _ := testStore(t)
+		return twin{New(r, &m.Lat, 16, Options{CrashSafe: true}), r, m}
+	}
+	one, four := build(), build()
+	rng := rand.New(rand.NewSource(5))
+	ctx := xpsim.NewCtx(0)
+	for cycle := 0; cycle < 6; cycle++ {
+		for i := 0; i < 300; i++ {
+			v := graph.VID(rng.Intn(200))
+			nbrs := make([]uint32, 1+rng.Intn(20))
+			for j := range nbrs {
+				nbrs[j] = rng.Uint32() &^ graph.DelFlag
+			}
+			for _, tw := range []twin{one, four} {
+				if err := tw.s.Append(ctx, v, nbrs); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if cycle == 3 {
+			// Kills drop pending entries; recycled offsets get new owners.
+			for v := graph.VID(0); v < 50; v++ {
+				for _, tw := range []twin{one, four} {
+					if err := tw.s.Compact(ctx, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		// Same contention on both sides: only the split differs.
+		for i, tw := range []twin{one, four} {
+			n := 1 + 3*i
+			xpsim.ParallelN(n, 4, xpsim.PinnedTo(0), func(w int, wctx *xpsim.Ctx) {
+				tw.s.Ack(wctx, cycle%2, w, n)
+			})
+		}
+		a := make([]byte, one.r.AllocBytes())
+		b := make([]byte, four.r.AllocBytes())
+		one.r.Read(ctx, 0, a)
+		four.r.Read(ctx, 0, b)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("cycle %d: arenas differ between n=1 and n=4 acks", cycle)
+		}
+		if sa, sb := one.m.SnapshotStats(), four.m.SnapshotStats(); sa != sb {
+			t.Fatalf("cycle %d: device stats differ:\n n=1 %+v\n n=4 %+v", cycle, sa, sb)
+		}
+	}
+	if sa, sb := one.m.TotalStats(), four.m.TotalStats(); sa != sb {
+		t.Fatalf("drained device stats differ:\n n=1 %+v\n n=4 %+v", sa, sb)
 	}
 }

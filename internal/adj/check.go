@@ -371,8 +371,7 @@ func (s *Store) ReplaceChain(ctx *xpsim.Ctx, v graph.VID, recs []uint32) ([][2]i
 		s.m.Write(ctx, off, hdr[:])
 		s.m.Flush(ctx, off, headerBytes)
 		delete(s.partialCnt, off)
-		delete(s.pendCur, off)
-		delete(s.pendPrev, off)
+		s.pendDrop(off)
 		delete(s.crc, off)
 	}
 

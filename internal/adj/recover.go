@@ -122,11 +122,11 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 		}
 		// A dead block's count slots are never authoritative, and they can
 		// legitimately look implausible mid-kill: killBlock's fresh header
-		// can straddle two XPLines, so a crash can leave vid=deadVID (and a
-		// zeroed fmt word) durable while the previous owner's counts — a
-		// varint count read against the fixed bound — survive in the second
-		// line. Skip the count checks for dead blocks instead of treating
-		// the whole suffix as garbage; pass 3 finishes the kill.
+		// can straddle two XPLines, so a crash can leave vid=deadVID durable
+		// while the previous owner's counts survive in the second line —
+		// checked against whatever format word the tear left beside them.
+		// Skip the count checks for dead blocks instead of treating the
+		// whole suffix as garbage; pass 3 finishes the kill.
 		cntOK := b.vid == deadVID || (b.cntPlausible(b.cnt0) && b.cntPlausible(b.cnt1))
 		if b.capacity == 0 || off+b.size() > end || fmtWord > fmtVarint || !cntOK ||
 			(b.vid > maxScanVID && b.vid != deadVID && b.vid != journalVID) {
@@ -183,7 +183,7 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 				// did not. Finish the kill before recycling — newBlock relies
 				// on recycled blocks having durably zeroed count slots so a
 				// torn reuse header can never resurrect stale counts.
-				s.killBlock(ctx, b.off, int(b.capacity))
+				s.killBlock(ctx, b.off, int(b.capacity), b.format)
 				continue
 			}
 			// Recycled block awaiting reuse: skip, but remember it so
@@ -232,7 +232,7 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 			kept := blks[:0]
 			for _, b := range blks {
 				if pointedTo[b.off] == 0 && b.cnt == 0 {
-					s.killBlock(ctx, b.off, int(b.cap))
+					s.killBlock(ctx, b.off, int(b.cap), b.format)
 					if b.prev != 0 {
 						pointedTo[b.prev]--
 					}
@@ -365,15 +365,13 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 				s.partialCnt[b.off] = b.cnt
 			}
 			if b.mismatch {
-				// One slot is stale; make sure the next Ack rewrites it
-				// even if no new records arrive for this block.
-				if s.pendPrev == nil {
-					s.pendPrev = make(map[int64]uint32)
-				}
-				s.pendPrev[b.off] = b.cnt
+				// One slot is stale; make sure the next ack cycle rewrites
+				// it even if no new records arrive for this block.
+				s.pendPrev = append(s.pendPrev, pendEntry{blk: uint32(b.off / headerAlign), cnt: b.cnt})
 			}
 		}
 	}
+	sortPend(s.pendPrev) // collected in vertex order; ack cycles merge by offset
 	return s, nil
 }
 
@@ -420,7 +418,7 @@ func (s *Store) journalRollForward(ctx *xpsim.Ctx, m RecoverableMem, raw []rawBl
 			committed = true
 		case b.vid == v:
 			// Old-chain survivor: finish the kill.
-			s.killBlock(ctx, b.off, int(b.capacity))
+			s.killBlock(ctx, b.off, int(b.capacity), b.format)
 			// recycle() already queued it; pass 3 must see it dead but
 			// must not queue it twice, so rewrite the raw entry and pull
 			// it back out of the free list (pass 3 re-adds it).

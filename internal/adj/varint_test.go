@@ -250,7 +250,7 @@ func TestVarintChecksumsDetectCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.Ack(ctx, 0)
+	s.Ack(ctx, 0, 0, 1)
 	if err := s.VerifyChain(ctx, 6); err != nil {
 		t.Fatalf("clean chain: %v", err)
 	}
@@ -300,7 +300,7 @@ func TestVarintReplaceChainRoundTrip(t *testing.T) {
 	if err := s.Append(ctx, 8, []uint32{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	s.Ack(ctx, 0)
+	s.Ack(ctx, 0, 0, 1)
 	if _, err := s.ReplaceChain(ctx, 8, recs); err != nil {
 		t.Fatal(err)
 	}
@@ -375,4 +375,67 @@ func FuzzVarintBlockDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRecoverTornKillKeepsBlocksBehind hand-builds the torn kill that used
+// to truncate an arena: powerfail atomicity is per 8-byte word, so killing
+// a varint block can leave the dead header's {prev, fmt} word durable while
+// the {vid, cap} word and the count slots are still the live owner's. If
+// the dead header dropped the format, that reads as a live fixed block
+// whose (varint) count exceeds its capacity — the scan's never-durable
+// frontier — and every acknowledged block behind it gets zeroed.
+func TestRecoverTornKillKeepsBlocksBehind(t *testing.T) {
+	opts := Options{CrashSafe: true}
+	s, r, ctx := varintStore(t, opts)
+	opts.VarintBlocks = true
+
+	// Vertex 1: one varint block holding more records than its capacity
+	// word (one-byte deltas, four per capacity unit).
+	var dense []uint32
+	for i := uint32(0); i < 40; i++ {
+		dense = append(dense, i)
+	}
+	// The first append sizes the block (12 units = 48 payload bytes).
+	for _, part := range [][]uint32{dense[:1], dense[1:]} {
+		if err := s.Append(ctx, 1, part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victim := s.tail[1]
+	if s.tailCnt[1] <= s.tailCap[1] {
+		t.Fatalf("setup: cnt %d must exceed cap %d", s.tailCnt[1], s.tailCap[1])
+	}
+	// Blocks allocated behind it.
+	behind := map[graph.VID][]uint32{2: {7, 9, 11}, 3: {1000, 5, 77, 78}}
+	for v, recs := range behind {
+		if err := s.Append(ctx, v, recs); err != nil {
+			t.Fatal(err)
+		}
+		if s.tail[v] < victim {
+			t.Fatalf("setup: vertex %d's block is not behind the victim", v)
+		}
+	}
+	s.Ack(ctx, 0, 0, 1)
+
+	// Kill the block for real, then put every word but {prev, fmt} back.
+	var live, dead [headerBytes]byte
+	r.Read(ctx, victim, live[:])
+	s.killBlock(ctx, victim, int(s.tailCap[1]), fmtVarint)
+	r.Read(ctx, victim, dead[:])
+	torn := live
+	copy(torn[offPrev:offPrev+8], dead[offPrev:offPrev+8])
+	r.Write(ctx, victim, torn[:])
+
+	rs, err := RecoverWith(ctx, r, s.lat, opts, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, want := range behind {
+		if got := rs.NeighborsOldestFirst(ctx, v, nil); !equalU32s(got, want) {
+			t.Errorf("vertex %d behind the torn kill = %v, want %v", v, got, want)
+		}
+	}
+	if got := rs.NeighborsOldestFirst(ctx, 1, nil); !equalU32s(got, dense) {
+		t.Errorf("torn-killed vertex = %d records, want %d", len(got), len(dense))
+	}
 }

@@ -4,6 +4,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/graphone"
 )
 
 // quickCfg keeps unit-test runs fast; shape assertions still hold at this
@@ -85,6 +88,50 @@ func TestFig11Shape(t *testing.T) {
 	}
 	if xpB > xp*1.05 {
 		t.Errorf("XPGraph-B (%f) should not be slower than XPGraph (%f)", xpB, xp)
+	}
+}
+
+// TestFig11AcrossFlushAlls pins Fig. 11 where TestFig11Shape cannot: at
+// quickCfg's scale the log never fills, no flushing phase ever commits,
+// and the cost of the crash-safe commit is invisible — which is how
+// XPGraph once fell below GraphOne-P on YW with the suite green. Half of
+// the K28 stand-in crosses four flush-alls (1.88x with the count
+// acknowledgment on one unbound context).
+func TestFig11AcrossFlushAlls(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2M-edge ingest on two systems")
+	}
+	cfg := quickCfg("K28")
+	cfg.EdgeScale = 0.5
+	ds, err := gen.ByName("K28")
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := edgesFor(ds, cfg)
+	xp, _, err := newXPGraph(edges, ds.NumVertices(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xpRep, err := xp.Ingest(edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if xpRep.FlushAlls < 2 {
+		t.Fatalf("only %d flush-alls at this scale: the check needs the commit on the path", xpRep.FlushAlls)
+	}
+	goP, _, err := newGraphOne(edges, ds.NumVertices(), cfg, graphone.VariantP, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goRep, err := goP.Ingest(edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := float64(goRep.TotalNs()) / float64(xpRep.TotalNs())
+	t.Logf("%d flush-alls: XPGraph %.3fs, GraphOne-P %.3fs (%.2fx; paper 3.01-3.95x)",
+		xpRep.FlushAlls, float64(xpRep.TotalNs())/1e9, float64(goRep.TotalNs())/1e9, sp)
+	if sp < 2 {
+		t.Errorf("XPGraph only %.2fx faster than GraphOne-P across %d flush-alls, want >= 2x", sp, xpRep.FlushAlls)
 	}
 }
 

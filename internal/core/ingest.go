@@ -364,19 +364,39 @@ func (s *Store) initialClass(d Direction, v graph.VID) int {
 // slot while advancing the cursor (elog.MarkFlushedSlot). A crash before
 // the final store leaves the previous slot selected and the whole phase
 // invisible; after it, fully visible.
+//
+// Everything before the barrier is parallel work on bound threads (§III-D):
+// each group drains and then acknowledges with its own workers, and the
+// property-column flush runs as one more worker beside them, so the phase
+// costs max(drain + ack, props) plus the serial barrier and cursor flip.
 func (s *Store) FlushAllVbufs() error {
-	if s.opts.Buffer == BufferNone {
-		ctx := xpsim.NewCtx(xpsim.NodeUnbound)
-		if err := s.flushProps(ctx); err != nil {
+	flushStart := s.laneEnd[obs.LaneFlushing]
+	var drainNs int64
+	if s.opts.Buffer != BufferNone {
+		s.report.FlushAlls++
+		var err error
+		if drainNs, err = s.drainVbufs(flushStart); err != nil {
 			return err
 		}
-		s.commitFlush(ctx)
-		s.report.FlushNs += ctx.Cost.Ns()
-		s.emitSpan("flush", obs.LaneFlushing, ctx.Cost.Ns())
-		return nil
 	}
-	s.report.FlushAlls++
-	flushStart := s.laneEnd[obs.LaneFlushing]
+	propsNs, err := s.flushProps(flushStart)
+	if err != nil {
+		return err
+	}
+	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
+	parNs := max(drainNs+s.commitFlush(ctx, flushStart+drainNs), propsNs)
+	if s.opts.Buffer != BufferNone {
+		s.pool.Reset()
+	}
+	s.report.FlushNs += parNs + ctx.Cost.Ns()
+	s.emitSpan("flush", obs.LaneFlushing, parNs+ctx.Cost.Ns())
+	return nil
+}
+
+// drainVbufs is the drain sub-phase of a flush-all: every group's workers
+// append their vertices' buffered neighbors to the adjacency lists and free
+// the buffers. It returns the slowest group's simulated time.
+func (s *Store) drainVbufs(startNs int64) (int64, error) {
 	wpg := s.workersPerGroup()
 	contention := s.contentionFor()
 	var phaseNs int64
@@ -413,46 +433,59 @@ func (s *Store) FlushAllVbufs() error {
 			if int64(dur) > phaseNs {
 				phaseNs = int64(dur)
 			}
-			s.workerSpan("flush", d, p, flushStart, int64(dur))
+			s.workerSpan("flush", d, p, startNs, int64(dur))
 			if flushErr != nil {
-				return flushErr
+				return 0, flushErr
 			}
 		}
 	}
-	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
-	if err := s.flushProps(ctx); err != nil {
-		return err
-	}
-	s.commitFlush(ctx)
-	s.pool.Reset()
-	s.report.FlushNs += phaseNs + ctx.Cost.Ns()
-	s.emitSpan("flush", obs.LaneFlushing, phaseNs+ctx.Cost.Ns())
-	return nil
+	return phaseNs, nil
 }
 
 // flushProps pushes pending property records into the column log so a
 // flush point is a durability point for the property layer as well as
-// the adjacency lists. No-op without Options.Props.
-func (s *Store) flushProps(ctx *xpsim.Ctx) error {
+// the adjacency lists. It is one more worker of the flushing phase that
+// starts at startNs, beside the adjacency groups; its simulated time is
+// returned. No-op without Options.Props.
+func (s *Store) flushProps(startNs int64) (int64, error) {
 	if s.props == nil {
-		return nil
+		return 0, nil
 	}
-	return s.props.Flush(ctx)
+	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
+	err := s.props.Flush(ctx)
+	s.subSpan("props", 2*s.nparts, startNs, ctx.Cost.Ns())
+	return ctx.Cost.Ns(), err
 }
 
 // commitFlush advances the flushing cursor over everything buffered,
 // running the crash-safe ack/barrier/select commit when the store
-// requires it.
-func (s *Store) commitFlush(ctx *xpsim.Ctx) {
+// requires it. The ack sub-phase starts at ackStart on the flushing lane
+// and its duration — the slowest group — is returned; the serial tail
+// (barrier and cursor store) is charged to ctx.
+//
+// Each group writes its own count slots with its own workers, bound to the
+// group's node like every other PMEM write of the archiving pipeline.
+// Groups are visited in (direction, partition) order and a group's workers
+// split its offset-sorted pending blocks into contiguous runs, so the
+// devices see one ascending sweep per arena however many workers share it.
+func (s *Store) commitFlush(ctx *xpsim.Ctx, ackStart int64) (ackNs int64) {
 	if !s.opts.crashSafe() {
 		s.log.MarkFlushed(ctx, s.log.Buffered())
-		return
+		return 0
 	}
 	s.machine.CrashPoint("flush:drained")
 	slot := 1 - s.log.AckSlot()
+	wpg := s.workersPerGroup()
+	contention := s.contentionFor()
 	for d := 0; d < 2; d++ {
-		for _, g := range s.groups[d] {
-			g.adj.Ack(ctx, slot)
+		for p, g := range s.groups[d] {
+			dur := xpsim.ParallelN(wpg, contention, nodeOfFn(g.node), func(w int, wctx *xpsim.Ctx) {
+				g.adj.Ack(wctx, slot, w, wpg)
+			})
+			if int64(dur) > ackNs {
+				ackNs = int64(dur)
+			}
+			s.workerSpan("ack", d, p, ackStart, int64(dur))
 		}
 	}
 	s.machine.CrashPoint("flush:acked")
@@ -460,6 +493,7 @@ func (s *Store) commitFlush(ctx *xpsim.Ctx) {
 	s.machine.CrashPoint("flush:barrier")
 	s.log.MarkFlushedSlot(ctx, s.log.Buffered(), slot)
 	s.machine.CrashPoint("flush:committed")
+	return ackNs
 }
 
 // CompactAdjs merges all of one vertex's adjacency blocks (DRAM buffer

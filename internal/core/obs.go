@@ -42,10 +42,17 @@ func (s *Store) workerSpan(phase string, d, p int, startNs, durNs int64) {
 	if s.tracer == nil {
 		return
 	}
+	s.subSpan(fmt.Sprintf("%s %s/p%d", phase, dirName(d), p), d*s.nparts+p, startNs, durNs)
+}
+
+// subSpan emits a sub-span on worker lane `worker`: lanes 0..2*nparts-1
+// belong to the adjacency groups, lane 2*nparts to the property-column
+// flush that runs beside them.
+func (s *Store) subSpan(name string, worker int, startNs, durNs int64) {
 	s.tracer.Emit(obs.Span{
-		Name:    fmt.Sprintf("%s %s/p%d", phase, dirName(d), p),
+		Name:    name,
 		Cat:     "worker",
-		Lane:    obs.LaneWorkerBase + int64(d*s.nparts+p),
+		Lane:    obs.LaneWorkerBase + int64(worker),
 		StartNs: startNs,
 		DurNs:   durNs,
 	})

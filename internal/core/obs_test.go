@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/xpsim"
 )
@@ -59,30 +60,56 @@ func TestSpansMatchPhaseReport(t *testing.T) {
 }
 
 // TestWorkerSpansStayInsidePhase: per-worker sub-spans carry the worker
-// category and sit on worker lanes.
+// category, sit on worker lanes, and — for the flushing phase, whose
+// drain, ack and property sub-phases overlap — lie inside a parent span.
 func TestWorkerSpansStayInsidePhase(t *testing.T) {
 	s := newStore(t, Options{Name: "wspans", NumVertices: 1 << 12,
-		ArchiveThreads: 4, NUMA: NUMASubgraph, AdjBytes: 8 << 20})
+		ArchiveThreads: 4, NUMA: NUMASubgraph, AdjBytes: 8 << 20, Props: true})
 	tr := obs.NewTracer(1 << 14)
 	s.SetTracer(tr)
 	if _, err := s.Ingest(gen.RMAT(12, 8000, 11)); err != nil {
 		t.Fatal(err)
 	}
-	workers := 0
-	for _, sp := range tr.Snapshot() {
+	if err := s.SetProps([]graph.PropSet{{V: 1, Key: 2, Val: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FlushAllVbufs(); err != nil {
+		t.Fatal(err)
+	}
+	spans := tr.Snapshot()
+	inFlush := func(sp obs.Span) bool {
+		for _, ph := range spans {
+			if ph.Cat == "phase" && ph.Lane == obs.LaneFlushing &&
+				ph.StartNs <= sp.StartNs && sp.StartNs+sp.DurNs <= ph.StartNs+ph.DurNs {
+				return true
+			}
+		}
+		return false
+	}
+	seen := map[string]int{}
+	for _, sp := range spans {
 		if sp.Cat != "worker" {
 			continue
 		}
-		workers++
 		if sp.Lane < obs.LaneWorkerBase {
 			t.Fatalf("worker span %q on fixed lane %d", sp.Name, sp.Lane)
 		}
-		if !strings.HasPrefix(sp.Name, "buffer ") && !strings.HasPrefix(sp.Name, "flush ") {
+		kind, _, _ := strings.Cut(sp.Name, " ")
+		seen[kind]++
+		switch kind {
+		case "buffer":
+		case "flush", "ack", "props":
+			if !inFlush(sp) {
+				t.Errorf("sub-span %q [%d,+%d] lies outside every flush phase span", sp.Name, sp.StartNs, sp.DurNs)
+			}
+		default:
 			t.Fatalf("unexpected worker span name %q", sp.Name)
 		}
 	}
-	if workers == 0 {
-		t.Fatal("no worker sub-spans recorded")
+	// 2 directions x 2 partitions drain and acknowledge; the property
+	// flush is one more worker beside them.
+	if seen["buffer"] == 0 || seen["flush"] != 4 || seen["ack"] != 4 || seen["props"] != 1 {
+		t.Fatalf("worker sub-spans by kind = %v, want buffer > 0, flush 4, ack 4, props 1", seen)
 	}
 }
 

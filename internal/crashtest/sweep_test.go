@@ -3,6 +3,7 @@ package crashtest
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/xpsim"
 )
 
@@ -137,5 +138,67 @@ func TestCrashSweepNoCompaction(t *testing.T) {
 		if res, err := Run(cfg, plan); err != nil {
 			t.Fatalf("kill at media write %d/%d: %v (crash: %s)", n, m, err, res.CrashDesc)
 		}
+	}
+}
+
+// wideSweepConfigs is sweepConfig on 16 archive threads under both NUMA
+// bindings — 4 workers per group with sub-graph partitioning, 8 with
+// out/in placement — so every flush commit splits each group's pending
+// blocks over several bound ack workers. The default two-thread configs
+// only ever run the one-worker case of that split.
+func wideSweepConfigs() []Config {
+	var cfgs []Config
+	for _, numa := range []struct {
+		name string
+		mode core.NUMAMode
+	}{{"sweep-w-sg", core.NUMASubgraph}, {"sweep-w-oi", core.NUMAOutIn}} {
+		cfg := sweepConfig()
+		cfg.Name = numa.name
+		cfg.ArchiveThreads = 16
+		cfg.NUMA = numa.mode
+		cfgs = append(cfgs, cfg)
+	}
+	return cfgs
+}
+
+// TestCrashSweepWideArchive crashes the wide-archive configs at every
+// media write (word tears, the nastiest mode; strided under -short) and at
+// every hit of the four flush-commit sites: drained (before any ack
+// worker runs), acked (all groups' count slots written, nothing fenced),
+// barrier, committed.
+func TestCrashSweepWideArchive(t *testing.T) {
+	for _, cfg := range wideSweepConfigs() {
+		probe, err := Probe(cfg)
+		if err != nil {
+			t.Fatalf("%s: probe: %v", cfg.Name, err)
+		}
+		m := probe.MediaWrites
+		stride := int64(1)
+		if testing.Short() {
+			stride = m/20 + 1
+		}
+		for n := int64(1); n <= m; n += stride {
+			plan := xpsim.FaultPlan{KillAtMediaWrite: n, Tear: xpsim.TearWords, Seed: 0x16AC ^ uint64(n)}
+			if res, err := Run(cfg, plan); err != nil {
+				t.Fatalf("%s: kill at media write %d/%d: %v (crash: %s)", cfg.Name, n, m, err, res.CrashDesc)
+			}
+		}
+		for _, site := range []string{"flush:drained", "flush:acked", "flush:barrier", "flush:committed"} {
+			total := probe.Sites[site]
+			if total == 0 {
+				t.Fatalf("%s: workload never reached site %q", cfg.Name, site)
+			}
+			hitStride := int64(1)
+			if testing.Short() {
+				hitStride = max(total-1, 1) // first and last hit
+			}
+			for hit := int64(1); hit <= total; hit += hitStride {
+				plan := xpsim.FaultPlan{KillAtSite: site, KillAtSiteHit: hit}
+				if res, err := Run(cfg, plan); err != nil {
+					t.Fatalf("%s: kill at site %q hit %d/%d: %v (crash: %s)", cfg.Name, site, hit, total, err, res.CrashDesc)
+				}
+			}
+		}
+		t.Logf("%s: %d media writes, flush commits %d", cfg.Name, m, probe.Sites["flush:committed"])
 	}
 }

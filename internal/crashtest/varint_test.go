@@ -1,8 +1,10 @@
 package crashtest
 
 import (
+	"flag"
 	"testing"
 
+	"repro/internal/splitmix"
 	"repro/internal/xpsim"
 )
 
@@ -17,11 +19,17 @@ func varintSweepConfig() Config {
 	return cfg
 }
 
+// -crashtest.tearseeds widens TestCrashSweepVarint to several word-tear
+// geometries per kill point (the nightly runs 4).
+var tearSeedsFlag = flag.Int("crashtest.tearseeds", 1, "tear seeds per kill point in the exhaustive varint sweep")
+
 // TestCrashSweepVarint sweeps media-write crash points over the varint
-// workload under the nastiest tear mode. Strided: the fixed-format sweep
-// already covers every point of the shared machinery; this one pins the
-// encoding-specific recovery paths (varint extent CRC, mid-record tears,
-// compaction of varint chains).
+// workload under the nastiest tear mode. It pins the encoding-specific
+// recovery paths (varint extent CRC, mid-record tears, compaction and
+// kills of varint chains) and is exhaustive outside -short: the torn
+// kills that broke recovery sat at 5 of 1335 points, which a stride
+// stepped over. Every failing (kill point, tear seed) pair is reported
+// before the test fails, so one run names the whole set.
 func TestCrashSweepVarint(t *testing.T) {
 	cfg := varintSweepConfig()
 	probe, err := Probe(cfg)
@@ -32,23 +40,27 @@ func TestCrashSweepVarint(t *testing.T) {
 	if m < 100 {
 		t.Fatalf("workload too small to sweep: only %d media writes", m)
 	}
-	stride := m / 60
+	stride := int64(1)
 	if testing.Short() {
 		stride = m / 15
 	}
-	if stride == 0 {
-		stride = 1
-	}
-	for n := int64(1); n <= m; n += stride {
-		plan := xpsim.FaultPlan{KillAtMediaWrite: n, Tear: xpsim.TearWords, Seed: uint64(n) * 0x7A81}
-		if res, err := Run(cfg, plan); err != nil {
-			t.Fatalf("kill at media write %d/%d: %v (crash: %s)", n, m, err, res.CrashDesc)
+	kill := func(n int64) {
+		for k := 0; k < *tearSeedsFlag; k++ {
+			seed := uint64(n) * 0x7A81
+			if k > 0 {
+				seed = splitmix.Mix(seed + uint64(k))
+			}
+			plan := xpsim.FaultPlan{KillAtMediaWrite: n, Tear: xpsim.TearWords, Seed: seed}
+			if res, err := Run(cfg, plan); err != nil {
+				t.Errorf("kill at media write n=%d/%d tear seed=%#x: %v (crash: %s)", n, m, seed, err, res.CrashDesc)
+			}
 		}
 	}
-	// Always cover the final write — the freshest varint tail.
-	plan := xpsim.FaultPlan{KillAtMediaWrite: m, Tear: xpsim.TearWords, Seed: uint64(m) * 0x7A81}
-	if res, err := Run(cfg, plan); err != nil {
-		t.Fatalf("kill at final media write %d: %v (crash: %s)", m, err, res.CrashDesc)
+	for n := int64(1); n <= m; n += stride {
+		kill(n)
+	}
+	if (m-1)%stride != 0 {
+		kill(m) // always cover the final write — the freshest varint tail
 	}
 }
 
