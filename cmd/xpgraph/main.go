@@ -435,14 +435,22 @@ func gateCluster(raw, baseRaw []byte, tol float64) error {
 	return gateVerdict(fails)
 }
 
+// propOverheadCeilNs caps what the property layer may add to one typed
+// edge, in simulated ns. PR 9 wrote the cap as a throughput ratio (typed >=
+// 0.8x plain), which punishes a faster denominator: the same column-log
+// cost is a larger share of a faster pipeline. 0.8x of the 13.18 Medges/s
+// plain pipeline the ratio last gated allowed 18.96 ns (of PR 9's own,
+// 32.8), so 19 is never looser than the ratio has been.
+const propOverheadCeilNs = 19.0
+
 // gateProp enforces the PR-9 property-graph gates on a prop bench
 // report: the filtered 2-hop with the label predicate pushed into
 // adjacency decode must read >= 2x fewer media lines than the
-// read-all-then-filter traversal, and typed-edge ingest must hold
-// >= 0.8x the plain pipeline's throughput. Both sides are
+// read-all-then-filter traversal, and the property layer must add no
+// more than propOverheadCeilNs to a typed edge. Both sides are
 // simulated-clock / simulated-media, so at a fixed scale the numbers
-// are exact; the baseline comparison only applies at matching edge
-// counts.
+// are exact; the baseline comparison (pushdown savings, typed overhead
+// and typed throughput) only applies at matching edge counts.
 func gateProp(raw, baseRaw []byte, tol float64) error {
 	cur, err := decodeReports[bench.PropReport](raw)
 	if err != nil {
@@ -456,9 +464,9 @@ func gateProp(raw, baseRaw []byte, tol float64) error {
 		}
 	}
 	for _, r := range cur {
-		fmt.Printf("%-4s rd lines filtered %d / read-all %d (%.2fx)  ingest plain %.2f / typed %.2f Medges/s (%.3fx)\n",
+		fmt.Printf("%-4s rd lines filtered %d / read-all %d (%.2fx)  ingest plain %.2f / typed %.2f Medges/s (%.3fx, +%.2f sim-ns/edge)\n",
 			r.Dataset, r.FilteredMediaReadLines, r.ReadAllMediaReadLines, r.MediaReadSavings,
-			r.PlainIngestMEdgesPerSec, r.TypedIngestMEdgesPerSec, r.TypedIngestRatio)
+			r.PlainIngestMEdgesPerSec, r.TypedIngestMEdgesPerSec, r.TypedIngestRatio, r.TypedOverheadSimNsPerEdge)
 		check(r.FilteredMediaReadLines > 0 && r.ReadAllMediaReadLines > 0,
 			"%s: degenerate media measurement (%d filtered / %d read-all lines)",
 			r.Dataset, r.FilteredMediaReadLines, r.ReadAllMediaReadLines)
@@ -469,8 +477,9 @@ func gateProp(raw, baseRaw []byte, tol float64) error {
 			"%s: filtered traversal reached nothing; the savings are vacuous", r.Dataset)
 		check(r.PlainIngestMEdgesPerSec > 0 && r.TypedIngestMEdgesPerSec > 0,
 			"%s: missing ingest throughput measurements", r.Dataset)
-		check(r.TypedIngestRatio >= 0.8,
-			"%s: typed ingest only %.3fx plain throughput (need >= 0.8x)", r.Dataset, r.TypedIngestRatio)
+		check(r.TypedOverheadSimNsPerEdge <= propOverheadCeilNs,
+			"%s: the property layer adds %.2f sim-ns per typed edge (need <= %v)",
+			r.Dataset, r.TypedOverheadSimNsPerEdge, propOverheadCeilNs)
 	}
 
 	if baseRaw != nil {
@@ -495,9 +504,12 @@ func gateProp(raw, baseRaw []byte, tol float64) error {
 			check(r.MediaReadSavings >= b.MediaReadSavings*floor,
 				"%s: pushdown savings regressed: %.2fx vs baseline %.2fx",
 				r.Dataset, r.MediaReadSavings, b.MediaReadSavings)
-			check(r.TypedIngestRatio >= b.TypedIngestRatio*floor,
-				"%s: typed ingest ratio regressed: %.3fx vs baseline %.3fx",
-				r.Dataset, r.TypedIngestRatio, b.TypedIngestRatio)
+			check(r.TypedOverheadSimNsPerEdge <= b.TypedOverheadSimNsPerEdge*(1+tol),
+				"%s: typed ingest overhead regressed: %.2f sim-ns/edge vs baseline %.2f",
+				r.Dataset, r.TypedOverheadSimNsPerEdge, b.TypedOverheadSimNsPerEdge)
+			check(r.TypedIngestMEdgesPerSec >= b.TypedIngestMEdgesPerSec*floor,
+				"%s: typed ingest regressed: %.2f Medges/s vs baseline %.2f",
+				r.Dataset, r.TypedIngestMEdgesPerSec, b.TypedIngestMEdgesPerSec)
 		}
 	}
 	return gateVerdict(fails)

@@ -216,10 +216,20 @@ func TestFig20Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Rows: 1, 2, 4, 8, 16, 32, 48, 64, 95 threads. Every doubling up to
+	// the default 16 must pay (a store with fewer threads than groups is
+	// charged for the sharing, not as if each group had its own), and the
+	// whole sweep is worth at least 4x; past 16 the logging thread is the
+	// floor.
+	for i := 1; i <= 4; i++ {
+		if prev, cur := cellF(t, tb, i-1, "ingest_s"), cellF(t, tb, i, "ingest_s"); cur >= prev {
+			t.Errorf("%s threads (%f) should beat %s (%f)", tb.Rows[i][1], cur, tb.Rows[i-1][1], prev)
+		}
+	}
 	first := cellF(t, tb, 0, "ingest_s")
 	last := cellF(t, tb, len(tb.Rows)-1, "ingest_s")
-	if last >= first {
-		t.Errorf("XPGraph at 95 threads (%f) should beat 1 thread (%f)", last, first)
+	if first < 4*last {
+		t.Errorf("XPGraph at 95 threads (%f) should be >= 4x faster than at 1 (%f)", last, first)
 	}
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"time"
 
 	"repro/internal/elog"
 	"repro/internal/graph"
@@ -131,7 +133,7 @@ func (s *Store) Ingest(edges []graph.Edge) (IngestReport, error) {
 // flushing is only ever needed for pool pressure (§IV-C — this is where
 // XPGraph-B's up-to-23% win comes from).
 func (s *Store) archiveStep(force bool) error {
-	if err := s.bufferPhase(); err != nil {
+	if err := s.bufferPhase(obs.LaneBuffering); err != nil {
 		return err
 	}
 	logPressure := false
@@ -178,18 +180,21 @@ func (s *Store) BufferEdges(edges []graph.Edge) (int, error) {
 // buffers — buffer_all_edges of Table I.
 func (s *Store) BufferAllEdges() error {
 	for s.log.PendingBuffer() > 0 {
-		if err := s.bufferPhase(); err != nil {
+		if err := s.bufferPhase(obs.LaneBuffering); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// bufferPhase stages one batch of logged edges into DRAM vertex buffers:
-// the batch is sharded into per-(direction, partition) ranged edge lists
-// (the GraphOne edge-sharding approach, §IV-A), then worker groups bound
-// to the owning NUMA nodes drain their shards in parallel.
-func (s *Store) bufferPhase() error {
+// bufferPhase stages one batch of logged edges into DRAM vertex buffers.
+// The archive threads first shard the batch into per-(direction,
+// partition) ranged edge lists (the GraphOne edge-sharding approach,
+// §IV-A; shard.Stage), each thread reading the log stripes of its own NUMA
+// node; then the worker groups bound to the owning nodes drain their lists
+// in parallel. The phase's span goes on lane: the buffering lane, or the
+// recovery lane when the batch is a piece of the replay window.
+func (s *Store) bufferPhase(lane int64) error {
 	from, to := s.log.Buffered(), s.log.Head()
 	if to == from {
 		return nil
@@ -199,86 +204,97 @@ func (s *Store) bufferPhase() error {
 	}
 	s.epoch++
 	s.report.Batches++
-	bufStart := s.laneEnd[obs.LaneBuffering]
-
-	shardCtx := xpsim.NewCtx(xpsim.NodeUnbound)
-	batch := s.log.Read(shardCtx, from, to, nil)
-	s.ensureVertices(graph.MaxVID(batch) + 1)
+	bufStart := s.laneEnd[lane]
 
 	wpg := s.workersPerGroup()
-	nRanges := shard.RangesPerWorker * wpg
-	rangeWidth := shard.Width(int64(s.NumVertices()), nRanges)
-
-	// Shard into [dir][part][range] lists and count per-vertex batch
-	// increments for skip-layer buffer allocation.
-	shards := make([][][]shard.Entry, 2)
-	for d := 0; d < 2; d++ {
-		shards[d] = make([][]shard.Entry, s.nparts*nRanges)
-	}
-	for _, e := range batch {
-		for d := 0; d < 2; d++ {
-			var v graph.VID
-			var nbr uint32
-			if Direction(d) == Out {
-				v, nbr = e.Src, e.Dst
-			} else {
-				v, nbr = e.Target(), e.Src|(e.Dst&graph.DelFlag)
-			}
-			p := s.partOf(v)
-			r := shard.RangeOf(v, rangeWidth, nRanges)
-			shards[d][p*nRanges+r] = append(shards[d][p*nRanges+r], shard.Entry{V: v, Nbr: nbr})
-			if s.batchEpoch[d][v] != s.epoch {
-				s.batchEpoch[d][v] = s.epoch
-				s.batchCnt[d][v] = 0
-			}
-			s.batchCnt[d][v]++
-		}
-	}
-	// Sharding cost: the temporary ranged edge lists live in DRAM.
-	s.lat.DRAM(shardCtx, int64(len(batch))*graph.EdgeBytes*2, true, true)
-	s.lat.CPU(shardCtx, int64(len(batch))*2)
-	if extra := int64(len(batch)) * graph.EdgeBytes * 2; extra > s.metaPeakExtra {
+	geo := shard.Geometry{Parts: s.nparts, Ranges: shard.RangesPerWorker * wpg}
+	geo.Width = shard.Width(int64(s.NumVertices()), geo.Ranges)
+	contention := s.contentionFor()
+	lists, maxV, shardNs := s.stage.Run(s.log, from, to, geo, shard.Sharders{
+		N: s.opts.ArchiveThreads, NodeOf: s.threadNode, Contention: contention, Lat: s.lat})
+	// Vertices first seen in this batch (only a recovery replay has any:
+	// Ingest grows the ID space before it logs) fell into the last range.
+	s.ensureVertices(maxV + 1)
+	// The ranged edge lists are DRAM scratch.
+	if extra := (to - from) * graph.EdgeBytes * 2; extra > s.metaPeakExtra {
 		s.metaPeakExtra = extra
 	}
+	s.shardSpans(bufStart)
 
-	// Drain shards: all 2*nparts groups run concurrently; the phase's
-	// simulated time is the slowest group.
-	var phaseNs int64
-	var insertErr error
-	contention := s.contentionFor()
-	preNs := shardCtx.Cost.Ns() // sharding cost precedes the worker groups
-	for d := 0; d < 2; d++ {
-		for p := 0; p < s.nparts; p++ {
-			g := s.groups[d][p]
-			ranges := shards[d][p*nRanges : (p+1)*nRanges]
-			assign := shard.Balance(ranges, wpg)
-			dur := xpsim.ParallelN(wpg, contention, nodeOfFn(g.node), func(w int, ctx *xpsim.Ctx) {
-				scratch := make([]uint32, 0, vbuf.Cap(s.opts.maxClass()))
-				thread := (d*s.nparts+p)*wpg + w
-				for _, ri := range assign[w] {
-					for _, se := range ranges[ri] {
-						if err := s.bufferInsert(ctx, thread, Direction(d), p, se.V, se.Nbr, &scratch); err != nil {
-							insertErr = err
-							return
-						}
+	// Drain the lists. The worker that owns a range first counts its
+	// vertices' batch increments for skip-layer buffer allocation (§III-C)
+	// — every entry of a vertex sits in the one list of its range, so the
+	// counts are complete before the worker's first insert and need no
+	// atomics — then inserts in log order.
+	drainNs, err := s.runGroups("buffer", bufStart+shardNs, func(d, p int, g *group) (time.Duration, error) {
+		ranges := lists[(d*s.nparts+p)*geo.Ranges:][:geo.Ranges]
+		assign := s.stage.Balance(ranges, wpg)
+		var insertErr error
+		dur := xpsim.ParallelN(wpg, contention, nodeOfFn(g.node), func(w int, ctx *xpsim.Ctx) {
+			thread := (d*s.nparts+p)*wpg + w
+			for _, ri := range assign[w] {
+				for _, se := range ranges[ri] {
+					if s.batchEpoch[d][se.V] != s.epoch {
+						s.batchEpoch[d][se.V] = s.epoch
+						s.batchCnt[d][se.V] = 0
+					}
+					s.batchCnt[d][se.V]++
+				}
+				s.lat.CPU(ctx, int64(len(ranges[ri])))
+			}
+			for _, ri := range assign[w] {
+				for _, se := range ranges[ri] {
+					if err := s.bufferInsert(ctx, thread, Direction(d), p, se.V, se.Nbr); err != nil {
+						insertErr = err
+						return
 					}
 				}
-			})
-			if int64(dur) > phaseNs {
-				phaseNs = int64(dur)
 			}
-			s.workerSpan("buffer", d, p, bufStart+preNs, int64(dur))
-			if insertErr != nil {
-				return insertErr
+		})
+		return dur, insertErr
+	})
+	if err != nil {
+		return err
+	}
+	s.machine.CrashPoint("buffer:staged")
+	markCtx := xpsim.NewCtx(xpsim.NodeUnbound)
+	s.log.MarkBuffered(markCtx, to)
+	s.machine.CrashPoint("buffer:marked")
+	phaseNs := shardNs + drainNs + markCtx.Cost.Ns()
+	s.report.BufferNs += phaseNs
+	s.emitSpan("buffer", lane, phaseNs)
+	return nil
+}
+
+// threadNode reports the node archive thread t is bound to: thread t
+// serves group t mod 2P in (direction, partition) order, so every node
+// holds an equal share of the threads.
+func (s *Store) threadNode(t int) int {
+	g := t % (2 * s.nparts)
+	return s.groups[g/s.nparts][g%s.nparts].node
+}
+
+// runGroups runs one parallel step of the archiving pipeline — fn once
+// per (direction, partition) group, in that order — and returns how long
+// the step lasts. With a thread per group all groups run concurrently and
+// the step is as long as its slowest group; fewer archive threads than
+// groups share them round-robin, and the step is as long as its busiest
+// thread. Each group's worker span is placed where its thread reaches it.
+func (s *Store) runGroups(phase string, startNs int64, fn func(d, p int, g *group) (time.Duration, error)) (int64, error) {
+	busy := s.threadBusy[:min(s.opts.ArchiveThreads, 2*s.nparts)]
+	clear(busy)
+	for d := 0; d < 2; d++ {
+		for p, g := range s.groups[d] {
+			dur, err := fn(d, p, g)
+			t := (d*s.nparts + p) % len(busy)
+			s.workerSpan(phase, d, p, startNs+busy[t], int64(dur))
+			busy[t] += int64(dur)
+			if err != nil {
+				return 0, err
 			}
 		}
 	}
-	s.machine.CrashPoint("buffer:staged")
-	s.log.MarkBuffered(shardCtx, to)
-	s.machine.CrashPoint("buffer:marked")
-	s.report.BufferNs += shardCtx.Cost.Ns() + phaseNs
-	s.emitSpan("buffer", obs.LaneBuffering, shardCtx.Cost.Ns()+phaseNs)
-	return nil
+	return slices.Max(busy), nil
 }
 
 func nodeOfFn(node int) func(int) int {
@@ -287,7 +303,7 @@ func nodeOfFn(node int) func(int) int {
 
 // bufferInsert stages one neighbor into v's vertex buffer, promoting or
 // flushing the buffer as required (§III-B, §III-C).
-func (s *Store) bufferInsert(ctx *xpsim.Ctx, thread int, d Direction, p int, v graph.VID, nbr uint32, scratch *[]uint32) error {
+func (s *Store) bufferInsert(ctx *xpsim.Ctx, thread int, d Direction, p int, v graph.VID, nbr uint32) error {
 	g := s.groups[d][p]
 	s.records[d][v]++
 	s.lat.CPU(ctx, 12) // vertex-index lookup and bookkeeping
@@ -317,16 +333,16 @@ func (s *Store) bufferInsert(ctx *xpsim.Ctx, thread int, d Direction, p int, v g
 				s.vbH[d][v], s.vbC[d][v] = h, uint8(c)
 			} else {
 				// No room to grow: flush in place instead.
-				*scratch = s.bufs.Drain(ctx, h, c, (*scratch)[:0])
-				if aerr := g.adj.Append(ctx, v, *scratch); aerr != nil {
+				s.drained = s.bufs.Drain(ctx, h, c, s.drained[:0])
+				if aerr := g.adj.Append(ctx, v, s.drained); aerr != nil {
 					return aerr
 				}
 			}
 		} else {
 			// Max layer full: flush the whole buffer to the PMEM
 			// adjacency list with one contiguous write (§III-B).
-			*scratch = s.bufs.Drain(ctx, h, c, (*scratch)[:0])
-			if aerr := g.adj.Append(ctx, v, *scratch); aerr != nil {
+			s.drained = s.bufs.Drain(ctx, h, c, s.drained[:0])
+			if aerr := g.adj.Append(ctx, v, s.drained); aerr != nil {
 				return aerr
 			}
 		}
@@ -395,51 +411,39 @@ func (s *Store) FlushAllVbufs() error {
 
 // drainVbufs is the drain sub-phase of a flush-all: every group's workers
 // append their vertices' buffered neighbors to the adjacency lists and free
-// the buffers. It returns the slowest group's simulated time.
+// the buffers. It returns the sub-phase's simulated time (runGroups).
 func (s *Store) drainVbufs(startNs int64) (int64, error) {
 	wpg := s.workersPerGroup()
 	contention := s.contentionFor()
-	var phaseNs int64
-	var flushErr error
 	numV := s.NumVertices()
-	for d := 0; d < 2; d++ {
-		for p := 0; p < s.nparts; p++ {
-			g := s.groups[d][p]
-			dur := xpsim.ParallelN(wpg, contention, nodeOfFn(g.node), func(w int, ctx *xpsim.Ctx) {
-				scratch := make([]uint32, 0, vbuf.Cap(s.opts.maxClass()))
-				thread := (d*s.nparts+p)*wpg + w
-				for v := graph.VID(w); v < numV; v += graph.VID(wpg) {
-					if s.partOf(v) != p {
-						continue
-					}
-					h := s.vbH[d][v]
-					if h == mempool.None {
-						continue
-					}
-					c := int(s.vbC[d][v])
-					s.lat.CPU(ctx, 2)
-					if s.bufs.Count(h, c) > 0 {
-						scratch = s.bufs.Drain(ctx, h, c, scratch[:0])
-						if err := g.adj.Append(ctx, v, scratch); err != nil {
-							flushErr = err
-							return
-						}
-					}
-					s.bufs.Free(thread, h, c)
-					s.vbH[d][v] = mempool.None
-					s.vbC[d][v] = 0
+	return s.runGroups("flush", startNs, func(d, p int, g *group) (time.Duration, error) {
+		var flushErr error
+		dur := xpsim.ParallelN(wpg, contention, nodeOfFn(g.node), func(w int, ctx *xpsim.Ctx) {
+			thread := (d*s.nparts+p)*wpg + w
+			for v := graph.VID(w); v < numV; v += graph.VID(wpg) {
+				if s.partOf(v) != p {
+					continue
 				}
-			})
-			if int64(dur) > phaseNs {
-				phaseNs = int64(dur)
+				h := s.vbH[d][v]
+				if h == mempool.None {
+					continue
+				}
+				c := int(s.vbC[d][v])
+				s.lat.CPU(ctx, 2)
+				if s.bufs.Count(h, c) > 0 {
+					s.drained = s.bufs.Drain(ctx, h, c, s.drained[:0])
+					if err := g.adj.Append(ctx, v, s.drained); err != nil {
+						flushErr = err
+						return
+					}
+				}
+				s.bufs.Free(thread, h, c)
+				s.vbH[d][v] = mempool.None
+				s.vbC[d][v] = 0
 			}
-			s.workerSpan("flush", d, p, startNs, int64(dur))
-			if flushErr != nil {
-				return 0, flushErr
-			}
-		}
-	}
-	return phaseNs, nil
+		})
+		return dur, flushErr
+	})
 }
 
 // flushProps pushes pending property records into the column log so a
@@ -477,17 +481,11 @@ func (s *Store) commitFlush(ctx *xpsim.Ctx, ackStart int64) (ackNs int64) {
 	slot := 1 - s.log.AckSlot()
 	wpg := s.workersPerGroup()
 	contention := s.contentionFor()
-	for d := 0; d < 2; d++ {
-		for p, g := range s.groups[d] {
-			dur := xpsim.ParallelN(wpg, contention, nodeOfFn(g.node), func(w int, wctx *xpsim.Ctx) {
-				g.adj.Ack(wctx, slot, w, wpg)
-			})
-			if int64(dur) > ackNs {
-				ackNs = int64(dur)
-			}
-			s.workerSpan("ack", d, p, ackStart, int64(dur))
-		}
-	}
+	ackNs, _ = s.runGroups("ack", ackStart, func(_, _ int, g *group) (time.Duration, error) {
+		return xpsim.ParallelN(wpg, contention, nodeOfFn(g.node), func(w int, wctx *xpsim.Ctx) {
+			g.adj.Ack(wctx, slot, w, wpg)
+		}), nil
+	})
 	s.machine.CrashPoint("flush:acked")
 	s.persistBarrier(ctx)
 	s.machine.CrashPoint("flush:barrier")

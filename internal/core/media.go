@@ -34,6 +34,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/pmem"
+	"repro/internal/shard"
 	"repro/internal/ssd"
 	"repro/internal/xpsim"
 )
@@ -363,8 +364,8 @@ func (a *archive) collect(ctx *xpsim.Ctx, d Direction, v graph.VID) []uint32 {
 		a.sp.Read(ctx, a.base+at*graph.EdgeBytes, p)
 		for i := int64(0); i < n; i++ {
 			e := graph.DecodeEdge(p[i*graph.EdgeBytes:])
-			if vv, nbr := replayRecord(d, e); vv == v {
-				recs = append(recs, nbr)
+			if en := shard.Of(int(d), e); en.V == v {
+				recs = append(recs, en.Nbr)
 			}
 		}
 	}
@@ -709,8 +710,8 @@ func (s *Store) rebuildRecords(ctx *xpsim.Ctx, d Direction, v graph.VID, logOK b
 		edges := s.log.Read(ctx, lo, s.log.Head(), nil)
 		var recs []uint32
 		for _, e := range edges {
-			if vv, nbr := replayRecord(d, e); vv == v {
-				recs = append(recs, nbr)
+			if en := shard.Of(int(d), e); en.V == v {
+				recs = append(recs, en.Nbr)
 			}
 		}
 		if len(recs) == int(s.records[d][v]) {

@@ -45,6 +45,25 @@ func (s *Store) workerSpan(phase string, d, p int, startNs, durNs int64) {
 	s.subSpan(fmt.Sprintf("%s %s/p%d", phase, dirName(d), p), d*s.nparts+p, startNs, durNs)
 }
 
+// shardSpans emits the last shard stage's sub-spans from startNs: one per
+// group lane, as long as the slowest of the archive threads that serve
+// that group (thread t serves group t mod 2P) took to read, count and
+// scatter its stripes. The groups' buffer spans follow once every sharder
+// is done.
+func (s *Store) shardSpans(startNs int64) {
+	if s.tracer == nil {
+		return
+	}
+	groups := 2 * s.nparts
+	for g := 0; g < groups; g++ {
+		var ns int64
+		for t := g; t < s.opts.ArchiveThreads; t += groups {
+			ns = max(ns, s.stage.SharderNs(t))
+		}
+		s.workerSpan("shard", g/s.nparts, g%s.nparts, startNs, ns)
+	}
+}
+
 // subSpan emits a sub-span on worker lane `worker`: lanes 0..2*nparts-1
 // belong to the adjacency groups, lane 2*nparts to the property-column
 // flush that runs beside them.

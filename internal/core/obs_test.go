@@ -57,11 +57,41 @@ func TestSpansMatchPhaseReport(t *testing.T) {
 			t.Errorf("lane %d spans overlap or leave gaps: sum %d != end %d", lane, laneDur[lane], laneMax[lane])
 		}
 	}
+	// A buffering phase is its slowest sharder, then its slowest group,
+	// then the cursor store: the worker sub-spans account for all of
+	// BufferNs but that store.
+	var shardNs, drainNs int64
+	for _, ph := range tr.Snapshot() {
+		if ph.Cat != "phase" || ph.Lane != obs.LaneBuffering {
+			continue
+		}
+		var sh, dr int64
+		for _, sp := range tr.Snapshot() {
+			if sp.Cat != "worker" || sp.StartNs < ph.StartNs || sp.StartNs >= ph.StartNs+ph.DurNs {
+				continue
+			}
+			if strings.HasPrefix(sp.Name, "shard ") {
+				sh = max(sh, sp.DurNs)
+			} else if strings.HasPrefix(sp.Name, "buffer ") {
+				dr = max(dr, sp.DurNs)
+			}
+		}
+		if sh == 0 || dr == 0 || sh+dr >= ph.DurNs {
+			t.Errorf("buffering phase [%d,+%d]: slowest sharder %d + slowest group %d", ph.StartNs, ph.DurNs, sh, dr)
+		}
+		shardNs, drainNs = shardNs+sh, drainNs+dr
+	}
+	if mark := rep.BufferNs - shardNs - drainNs; mark <= 0 || mark > rep.BufferNs/100 {
+		t.Errorf("BufferNs %d = shard %d + drain %d + %d: the cursor stores should be a sliver", rep.BufferNs, shardNs, drainNs, mark)
+	}
+	t.Logf("BufferNs %d = shard %d + drain %d + cursor stores", rep.BufferNs, shardNs, drainNs)
 }
 
 // TestWorkerSpansStayInsidePhase: per-worker sub-spans carry the worker
-// category, sit on worker lanes, and — for the flushing phase, whose
-// drain, ack and property sub-phases overlap — lie inside a parent span.
+// category, sit on worker lanes and lie inside a parent span — the flushing
+// phase's drain, ack and property sub-phases overlap each other; a
+// buffering phase's shard sub-spans start with the phase and its buffer
+// sub-spans start together, once the slowest sharder is done.
 func TestWorkerSpansStayInsidePhase(t *testing.T) {
 	s := newStore(t, Options{Name: "wspans", NumVertices: 1 << 12,
 		ArchiveThreads: 4, NUMA: NUMASubgraph, AdjBytes: 8 << 20, Props: true})
@@ -77,16 +107,18 @@ func TestWorkerSpansStayInsidePhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	spans := tr.Snapshot()
-	inFlush := func(sp obs.Span) bool {
+	parent := func(sp obs.Span, lane int64) (obs.Span, bool) {
 		for _, ph := range spans {
-			if ph.Cat == "phase" && ph.Lane == obs.LaneFlushing &&
+			if ph.Cat == "phase" && ph.Lane == lane &&
 				ph.StartNs <= sp.StartNs && sp.StartNs+sp.DurNs <= ph.StartNs+ph.DurNs {
-				return true
+				return ph, true
 			}
 		}
-		return false
+		return obs.Span{}, false
 	}
 	seen := map[string]int{}
+	shardEnd := map[int64]int64{}    // buffering phase start -> end of its slowest shard sub-span
+	bufferStart := map[int64]int64{} // buffering phase start -> start of its buffer sub-spans
 	for _, sp := range spans {
 		if sp.Cat != "worker" {
 			continue
@@ -97,19 +129,107 @@ func TestWorkerSpansStayInsidePhase(t *testing.T) {
 		kind, _, _ := strings.Cut(sp.Name, " ")
 		seen[kind]++
 		switch kind {
-		case "buffer":
+		case "shard", "buffer":
+			ph, ok := parent(sp, obs.LaneBuffering)
+			if !ok {
+				t.Errorf("sub-span %q [%d,+%d] lies outside every buffering phase span", sp.Name, sp.StartNs, sp.DurNs)
+				continue
+			}
+			if kind == "shard" {
+				if sp.StartNs != ph.StartNs {
+					t.Errorf("shard sub-span %q starts at %d, its phase at %d", sp.Name, sp.StartNs, ph.StartNs)
+				}
+				shardEnd[ph.StartNs] = max(shardEnd[ph.StartNs], sp.StartNs+sp.DurNs)
+			} else if at, ok := bufferStart[ph.StartNs]; ok && at != sp.StartNs {
+				t.Errorf("buffer sub-span %q starts at %d, its siblings at %d", sp.Name, sp.StartNs, at)
+			} else {
+				bufferStart[ph.StartNs] = sp.StartNs
+			}
 		case "flush", "ack", "props":
-			if !inFlush(sp) {
+			if _, ok := parent(sp, obs.LaneFlushing); !ok {
 				t.Errorf("sub-span %q [%d,+%d] lies outside every flush phase span", sp.Name, sp.StartNs, sp.DurNs)
 			}
 		default:
 			t.Fatalf("unexpected worker span name %q", sp.Name)
 		}
 	}
-	// 2 directions x 2 partitions drain and acknowledge; the property
-	// flush is one more worker beside them.
-	if seen["buffer"] == 0 || seen["flush"] != 4 || seen["ack"] != 4 || seen["props"] != 1 {
-		t.Fatalf("worker sub-spans by kind = %v, want buffer > 0, flush 4, ack 4, props 1", seen)
+	for ph, end := range shardEnd {
+		if bufferStart[ph] != end {
+			t.Errorf("buffering phase at %d: buffer sub-spans start at %d, the slowest sharder ends at %d", ph, bufferStart[ph], end)
+		}
+	}
+	// 2 directions x 2 partitions shard and buffer in every batch, drain
+	// and acknowledge in the one flush; the property flush is one more
+	// worker beside them.
+	batches := int(s.Report().Batches)
+	if seen["shard"] != 4*batches || seen["buffer"] != 4*batches || seen["flush"] != 4 || seen["ack"] != 4 || seen["props"] != 1 {
+		t.Fatalf("worker sub-spans by kind = %v over %d batches, want shard and buffer 4 per batch, flush 4, ack 4, props 1", seen, batches)
+	}
+}
+
+// TestRecoverySpans: the replay is the buffering phase, so a recovery
+// trace shows it — buffer phase spans, with their shard and buffer worker
+// sub-spans, on the recovery lane inside the recover span, which is as long
+// as the serial scan plus those phases. None of it is ingestion: the
+// buffering lane and the recovered store's report stay empty.
+func TestRecoverySpans(t *testing.T) {
+	opts := Options{Name: "rspans", NumVertices: 1 << 12, ArchiveThreads: 4,
+		NUMA: NUMASubgraph, AdjBytes: 8 << 20, ArchiveThreshold: 1 << 10}
+	s := newStore(t, opts)
+	if _, err := s.Ingest(gen.RMAT(12, 20000, 5)); err != nil {
+		t.Fatal(err)
+	}
+	clone, err := s.Heap().CrashClone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTracer(1 << 12)
+	opts.Tracer = tr
+	rs, rep, err := Recover(clone.Machine(), clone, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Replayed == 0 {
+		t.Fatal("empty replay window: nothing to show")
+	}
+	if rs.Report() != (IngestReport{}) {
+		t.Errorf("recovered store reports ingestion: %+v", rs.Report())
+	}
+	var rec obs.Span
+	var phases, workers int
+	var replayNs, firstStart int64 = 0, -1
+	for _, sp := range tr.Snapshot() {
+		switch {
+		case sp.Name == "recover":
+			rec = sp
+		case sp.Cat == "phase" && sp.Lane == obs.LaneRecovery && sp.Name == "buffer":
+			phases++
+			replayNs += sp.DurNs
+			if firstStart < 0 {
+				firstStart = sp.StartNs
+			}
+		case sp.Cat == "phase":
+			t.Errorf("unexpected phase span %q on lane %d", sp.Name, sp.Lane)
+		default:
+			workers++
+		}
+	}
+	if rec.StartNs != 0 || rec.DurNs != rep.SimNs {
+		t.Fatalf("recover span [%d,+%d], report SimNs %d", rec.StartNs, rec.DurNs, rep.SimNs)
+	}
+	if want := (rep.Replayed + 4*opts.ArchiveThreshold - 1) / (4 * opts.ArchiveThreshold); int64(phases) != want {
+		t.Errorf("%d buffer phases replay %d edges, want %d", phases, rep.Replayed, want)
+	}
+	if workers != 8*phases {
+		t.Errorf("%d worker sub-spans under %d replay phases, want a shard and a buffer span per group", workers, phases)
+	}
+	for _, sp := range tr.Snapshot() {
+		if sp.StartNs < firstStart && sp.Name != "recover" || sp.StartNs+sp.DurNs > rec.DurNs {
+			t.Errorf("span %q [%d,+%d] outside the replay [%d,%d]", sp.Name, sp.StartNs, sp.DurNs, firstStart, rec.DurNs)
+		}
+	}
+	if firstStart <= 0 || firstStart+replayNs != rep.SimNs {
+		t.Errorf("scan %d + replay %d != SimNs %d", firstStart, replayNs, rep.SimNs)
 	}
 }
 

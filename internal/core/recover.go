@@ -26,7 +26,8 @@ type RecoveryReport struct {
 // sequentially to reload the vertex index — completing any interrupted
 // compaction via its journal — and the log window [flushed, head) is
 // replayed into fresh vertex buffers (the recovery scheme of §III-B /
-// §V-D).
+// §V-D) by the buffering phase itself, so recovery scales with the archive
+// threads like ingestion does.
 //
 // The replay is a straight re-insertion with no content dedup: counts
 // acknowledged under the selected slot cover exactly the edges below the
@@ -149,21 +150,21 @@ func Recover(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts O
 
 	// Replay the window that may have lived in lost DRAM vertex buffers.
 	// Every record in it is invisible in the recovered adjacency lists
-	// (its count was never acknowledged under the selected slot), so each
-	// edge is re-inserted exactly once.
-	replay := s.log.Read(ctx, s.log.Flushed(), s.log.Head(), nil)
-	s.ensureVertices(graph.MaxVID(replay) + 1)
-	scratch := make([]uint32, 0, opts.maxBufNeighbors())
-	for d := 0; d < 2; d++ {
-		for _, e := range replay {
-			v, nbr := replayRecord(Direction(d), e)
-			if err := s.bufferInsert(ctx, 0, Direction(d), s.partOf(v), v, nbr, &scratch); err != nil {
-				return nil, RecoveryReport{}, err
-			}
+	// (its count was never acknowledged under the selected slot), so it is
+	// an unbuffered window like any other: rewind the buffered cursor to
+	// the flushed one and run the ordinary buffering phase over it, on the
+	// archive threads. The phases sit on the recovery lane, after the
+	// serial scan and inside the recover span.
+	rep.Replayed = s.log.Head() - s.log.Flushed()
+	s.log.RewindBuffered()
+	s.laneEnd[obs.LaneRecovery] = ctx.Cost.Ns()
+	for s.log.PendingBuffer() > 0 {
+		if err := s.bufferPhase(obs.LaneRecovery); err != nil {
+			return nil, RecoveryReport{}, err
 		}
 	}
-	rep.Replayed = int64(len(replay))
-	s.log.MarkBuffered(ctx, s.log.Head())
+	replayNs := s.report.BufferNs
+	s.report = IngestReport{} // the replay is recovery's work, not ingestion
 
 	if opts.Props {
 		// Re-attach the property columns last: their CRC-guarded blocks
@@ -175,18 +176,10 @@ func Recover(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts O
 			return nil, RecoveryReport{}, err
 		}
 	}
-	rep.SimNs = ctx.Cost.Ns()
+	rep.SimNs = ctx.Cost.Ns() + replayNs
+	s.laneEnd[obs.LaneRecovery] = 0 // the recover span holds scan and replay
 	s.emitSpan("recover", obs.LaneRecovery, rep.SimNs)
 	return s, rep, nil
-}
-
-// replayRecord extracts the (vertex, neighbor-record) pair an edge
-// contributes in direction d.
-func replayRecord(d Direction, e graph.Edge) (graph.VID, uint32) {
-	if d == Out {
-		return e.Src, e.Dst
-	}
-	return e.Target(), e.Src | (e.Dst & graph.DelFlag)
 }
 
 func alignUp(x, a int64) int64 { return (x + a - 1) / a * a }

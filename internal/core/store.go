@@ -12,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pmem"
 	"repro/internal/prop"
+	"repro/internal/shard"
 	"repro/internal/ssd"
 	"repro/internal/vbuf"
 	"repro/internal/view"
@@ -72,6 +73,14 @@ type Store struct {
 	metaBytes     int64
 	metaPeakExtra int64 // shard scratch high-water mark
 	report        IngestReport
+
+	// Archiving scratch. A store runs one phase at a time and the
+	// simulation runs a phase's workers one after the other, so one copy
+	// serves them all; it grows to the largest batch seen and a
+	// steady-state phase allocates nothing.
+	stage      shard.Stage
+	drained    []uint32 // a vertex buffer's neighbors on their way to the adjacency list
+	threadBusy []int64  // runGroups: time each archive thread has spent in the current step
 
 	// Phase tracing (nil = disabled): spans are placed on per-lane
 	// simulated-clock cursors so the exported timeline reconstructs the
@@ -360,6 +369,8 @@ func (s *Store) SSDBytes() int64 {
 	return n
 }
 
+// initPool sets up the vertex-buffer pool and the archive threads'
+// bookkeeping.
 func (s *Store) initPool() {
 	threads := s.workersPerGroup() * 2 * s.nparts
 	bulk := s.opts.PoolBulk
@@ -381,6 +392,7 @@ func (s *Store) initPool() {
 		Budget:   s.budget,
 	})
 	s.bufs = vbuf.New(s.pool, s.lat)
+	s.threadBusy = make([]int64, 2*s.nparts)
 }
 
 // workersPerGroup divides the archive threads over the 2*nparts

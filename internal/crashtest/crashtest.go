@@ -142,24 +142,12 @@ func Run(cfg Config, plan xpsim.FaultPlan) (*Result, error) {
 // (duplicate edges straddling a compaction, dense self-loops, ...).
 func RunStream(cfg Config, edges []graph.Edge, plan xpsim.FaultPlan) (*Result, error) {
 	cfg = cfg.withDefaults()
-
-	st, faults, err := build(cfg)
+	c, err := crash(cfg, edges, plan)
 	if err != nil {
 		return nil, err
 	}
-	faults.Arm(plan)
-	if err := ingest(st, cfg, edges); err != nil {
-		return nil, fmt.Errorf("ingest: %w", err)
-	}
-
-	res := &Result{
-		MediaWrites: faults.MediaWrites(),
-		Sites:       faults.SiteHits(),
-		Crashed:     faults.Crashed(),
-		CrashDesc:   faults.CrashDescription(),
-	}
-
-	rs, err := recoverClone(st.Heap(), cfg, res)
+	res := &c.Result
+	rs, err := recoverClone(c.heap, cfg, res)
 	if err != nil {
 		return res, err
 	}
@@ -172,22 +160,62 @@ func RunStream(cfg Config, edges []graph.Edge, plan xpsim.FaultPlan) (*Result, e
 	return res, nil
 }
 
-// RunDouble crashes and recovers once, ingests a continuation workload
-// on the recovered store with a second plan armed, and crashes/recovers
-// again — the repeated-crash scenario that exercises recovery's own
-// writes (journal completion, allocation rewinds, garbage zeroing) as a
-// crashable workload.
-func RunDouble(cfg Config, plan1, plan2 xpsim.FaultPlan, contEdges int64) (*Result, error) {
-	cfg = cfg.withDefaults()
-	edges := cfg.workload()
+// CrashedRun is a workload stopped by its fault plan: the live run went
+// on unharmed, but the machine's durable image is frozen at the crash
+// point, so any number of recoveries can be tried on copies of it.
+type CrashedRun struct {
+	Result // of the workload run
 
+	cfg   Config
+	edges []graph.Edge
+	heap  *pmem.Heap
+}
+
+// Crash runs the workload under plan and keeps the crashed machine.
+func Crash(cfg Config, plan xpsim.FaultPlan) (*CrashedRun, error) {
+	cfg = cfg.withDefaults()
+	return crash(cfg, cfg.workload(), plan)
+}
+
+func crash(cfg Config, edges []graph.Edge, plan xpsim.FaultPlan) (*CrashedRun, error) {
 	st, faults, err := build(cfg)
 	if err != nil {
 		return nil, err
 	}
-	faults.Arm(plan1)
+	faults.Arm(plan)
 	if err := ingest(st, cfg, edges); err != nil {
 		return nil, fmt.Errorf("ingest: %w", err)
+	}
+	return &CrashedRun{
+		Result: Result{
+			MediaWrites: faults.MediaWrites(),
+			Sites:       faults.SiteHits(),
+			Crashed:     faults.Crashed(),
+			CrashDesc:   faults.CrashDescription(),
+		},
+		cfg: cfg, edges: edges, heap: st.Heap(),
+	}, nil
+}
+
+// RecoverCrashing crashes the recovery itself: it recovers a copy of the
+// image with plan armed on the recovering machine, so the kill lands
+// inside core.Recover — in the arena repairs, or in the replay of the log
+// window, which is the buffering phase (its cursor stores, its
+// buffer:staged / buffer:marked sites, any adjacency write a full vertex
+// buffer forces). The twice-crashed image is then recovered and verified
+// against the prefix oracle. The Result counts the media writes and site
+// hits of the interrupted recovery — with a zero plan, the sweep space of
+// crashes inside it.
+func (c *CrashedRun) RecoverCrashing(plan xpsim.FaultPlan) (*Result, error) {
+	clone, err := c.heap.CrashClone()
+	if err != nil {
+		return nil, err
+	}
+	faults := clone.Machine().TrackFaults()
+	faults.Arm(plan)
+	rs, _, err := core.Recover(clone.Machine(), clone, nil, c.cfg.recoveredOptions())
+	if err != nil {
+		return nil, fmt.Errorf("first recover (crash: %s): %w", c.CrashDesc, err)
 	}
 	res := &Result{
 		MediaWrites: faults.MediaWrites(),
@@ -195,10 +223,36 @@ func RunDouble(cfg Config, plan1, plan2 xpsim.FaultPlan, contEdges int64) (*Resu
 		Crashed:     faults.Crashed(),
 		CrashDesc:   faults.CrashDescription(),
 	}
+	head := rs.Log().Head()
+	rs2, err := recoverClone(clone, c.cfg, res)
+	if err != nil {
+		return res, err
+	}
+	if res.DurableEdges != head {
+		return res, fmt.Errorf("a crash inside recovery moved the log head: %d, was %d", res.DurableEdges, head)
+	}
+	if err := verify(rs2, c.edges, head); err != nil {
+		return res, fmt.Errorf("recovery of the twice-crashed image: %w", err)
+	}
+	return res, nil
+}
+
+// RunDouble crashes and recovers once, ingests a continuation workload
+// on the recovered store with a second plan armed, and crashes/recovers
+// again — the repeated-crash scenario that exercises recovery's own
+// writes (journal completion, allocation rewinds, garbage zeroing) as a
+// crashable workload.
+func RunDouble(cfg Config, plan1, plan2 xpsim.FaultPlan, contEdges int64) (*Result, error) {
+	cfg = cfg.withDefaults()
+	c, err := crash(cfg, cfg.workload(), plan1)
+	if err != nil {
+		return nil, err
+	}
+	res, edges := &c.Result, c.edges
 
 	// First crash + recovery, on a clone that is itself fault-tracked so
 	// the continuation can crash too.
-	clone1, err := st.Heap().CrashClone()
+	clone1, err := c.heap.CrashClone()
 	if err != nil {
 		return res, err
 	}

@@ -47,9 +47,11 @@ func TestCrashSweepMediaWrites(t *testing.T) {
 	for _, tear := range []xpsim.TearMode{xpsim.TearNone, xpsim.TearPrefix, xpsim.TearWords} {
 		checked := 0
 		for n := int64(1); n <= m; n += stride {
-			plan := xpsim.FaultPlan{KillAtMediaWrite: n, Tear: tear, Seed: 0xDEAD ^ uint64(n)}
-			if res, err := Run(cfg, plan); err != nil {
-				t.Fatalf("kill at media write %d/%d tear=%s: %v (crash: %s)", n, m, tear, err, res.CrashDesc)
+			for _, seed := range tearSeeds(0xDEAD ^ uint64(n)) {
+				plan := xpsim.FaultPlan{KillAtMediaWrite: n, Tear: tear, Seed: seed}
+				if res, err := Run(cfg, plan); err != nil {
+					t.Fatalf("kill at media write %d/%d tear=%s seed=%#x: %v (crash: %s)", n, m, tear, seed, err, res.CrashDesc)
+				}
 			}
 			checked++
 		}
@@ -178,9 +180,11 @@ func TestCrashSweepWideArchive(t *testing.T) {
 			stride = m/20 + 1
 		}
 		for n := int64(1); n <= m; n += stride {
-			plan := xpsim.FaultPlan{KillAtMediaWrite: n, Tear: xpsim.TearWords, Seed: 0x16AC ^ uint64(n)}
-			if res, err := Run(cfg, plan); err != nil {
-				t.Fatalf("%s: kill at media write %d/%d: %v (crash: %s)", cfg.Name, n, m, err, res.CrashDesc)
+			for _, seed := range tearSeeds(0x16AC ^ uint64(n)) {
+				plan := xpsim.FaultPlan{KillAtMediaWrite: n, Tear: xpsim.TearWords, Seed: seed}
+				if res, err := Run(cfg, plan); err != nil {
+					t.Fatalf("%s: kill at media write %d/%d seed=%#x: %v (crash: %s)", cfg.Name, n, m, seed, err, res.CrashDesc)
+				}
 			}
 		}
 		for _, site := range []string{"flush:drained", "flush:acked", "flush:barrier", "flush:committed"} {

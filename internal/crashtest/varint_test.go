@@ -19,9 +19,20 @@ func varintSweepConfig() Config {
 	return cfg
 }
 
-// -crashtest.tearseeds widens TestCrashSweepVarint to several word-tear
-// geometries per kill point (the nightly runs 4).
-var tearSeedsFlag = flag.Int("crashtest.tearseeds", 1, "tear seeds per kill point in the exhaustive varint sweep")
+// -crashtest.tearseeds widens the exhaustive sweeps (media writes, varint,
+// wide archive, inside recovery) to several word-tear geometries per kill
+// point (the nightly runs 4).
+var tearSeedsFlag = flag.Int("crashtest.tearseeds", 1, "tear seeds per kill point in the exhaustive sweeps")
+
+// tearSeeds lists the tear geometries to try at one kill point: base, plus
+// -crashtest.tearseeds - 1 derived from it.
+func tearSeeds(base uint64) []uint64 {
+	seeds := []uint64{base}
+	for k := 1; k < *tearSeedsFlag; k++ {
+		seeds = append(seeds, splitmix.Mix(base+uint64(k)))
+	}
+	return seeds
+}
 
 // TestCrashSweepVarint sweeps media-write crash points over the varint
 // workload under the nastiest tear mode. It pins the encoding-specific
@@ -45,11 +56,7 @@ func TestCrashSweepVarint(t *testing.T) {
 		stride = m / 15
 	}
 	kill := func(n int64) {
-		for k := 0; k < *tearSeedsFlag; k++ {
-			seed := uint64(n) * 0x7A81
-			if k > 0 {
-				seed = splitmix.Mix(seed + uint64(k))
-			}
+		for _, seed := range tearSeeds(uint64(n) * 0x7A81) {
 			plan := xpsim.FaultPlan{KillAtMediaWrite: n, Tear: xpsim.TearWords, Seed: seed}
 			if res, err := Run(cfg, plan); err != nil {
 				t.Errorf("kill at media write n=%d/%d tear seed=%#x: %v (crash: %s)", n, m, seed, err, res.CrashDesc)

@@ -293,6 +293,30 @@ func (l *Log) Read(ctx *xpsim.Ctx, from, to int64, dst []graph.Edge) []graph.Edg
 	return dst
 }
 
+// stripeBytes is the interleave granularity of app-direct PMEM regions
+// (pmem.DefaultStripe): 4 KiB, 512 records.
+const stripeBytes = 4096
+
+// Stripe reports where the run of records starting at counter from ends
+// when it is cut at the next interleave-stripe boundary of the ring's
+// memory, at the ring wrap and at to, and which NUMA node that stripe
+// lives on (-1 for uniform memory). Archiving cuts a batch there, so that
+// every piece can be read by a thread on the node that holds it.
+func (l *Log) Stripe(from, to int64) (end int64, node int) {
+	pos := from % l.cap
+	off := l.base + pos*graph.EdgeBytes
+	n := (stripeBytes - off%stripeBytes + graph.EdgeBytes - 1) / graph.EdgeBytes
+	n = min(n, l.cap-pos, to-from)
+	return from + n, l.m.NodeOf(off)
+}
+
+// RewindBuffered moves the DRAM mirror of the buffered cursor back to the
+// flushed cursor: the first step of recovery, whose replay of [flushed,
+// head) then is the ordinary buffering of an unbuffered window. The
+// persisted cursor stays where it is until the replay's first MarkBuffered
+// overwrites it; either value is a valid one to crash with.
+func (l *Log) RewindBuffered() { l.buffered = l.flushed }
+
 // MarkBuffered advances the buffered cursor to upTo and persists it.
 func (l *Log) MarkBuffered(ctx *xpsim.Ctx, upTo int64) {
 	if upTo < l.buffered || upTo > l.head {

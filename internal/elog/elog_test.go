@@ -215,3 +215,67 @@ func TestPendingAndBytes(t *testing.T) {
 		t.Fatalf("bytes = %d", l.Bytes())
 	}
 }
+
+// TestStripeCutsAtInterleaveAndWrap: walking a window with Stripe visits
+// every record once, each piece lies in one interleave stripe of the region
+// (one home node, the one Stripe reports), never crosses the ring wrap, and
+// is as long as those two limits allow.
+func TestStripeCutsAtInterleaveAndWrap(t *testing.T) {
+	if stripeBytes != pmem.DefaultStripe {
+		t.Fatalf("elog cuts at %d bytes, PMEM interleaves at %d", stripeBytes, pmem.DefaultStripe)
+	}
+	const capEntries = 1500 // not a multiple of the 512 records a stripe holds
+	l, r, ctx := testLog(t, capEntries, false)
+	// Two laps, so that windows wrap.
+	for lap := 0; lap < 2; lap++ {
+		if _, err := l.Append(ctx, edges(capEntries, 0)); err != nil {
+			t.Fatal(err)
+		}
+		l.MarkBuffered(ctx, l.Head())
+		l.MarkFlushed(ctx, l.Head())
+	}
+	off := func(i int64) int64 { return l.BaseOffset() + i%capEntries*graph.EdgeBytes }
+	from, to := l.Head()-capEntries+7, l.Head()
+	nodes := map[int]bool{}
+	for at := from; at < to; {
+		end, node := l.Stripe(at, to)
+		if end <= at || end > to {
+			t.Fatalf("Stripe(%d, %d) = %d", at, to, end)
+		}
+		for i := at; i < end; i++ {
+			if r.NodeOf(off(i)) != node || off(i)/stripeBytes != off(at)/stripeBytes {
+				t.Fatalf("piece [%d,%d): record %d is in another stripe (node %d, piece on %d)", at, end, i, r.NodeOf(off(i)), node)
+			}
+		}
+		if end < to && end%capEntries != 0 && off(end)/stripeBytes == off(at)/stripeBytes {
+			t.Fatalf("piece [%d,%d) stops inside its stripe", at, end)
+		}
+		nodes[node] = true
+		at = end
+	}
+	if len(nodes) != 2 {
+		t.Fatalf("an interleaved log should have stripes on both nodes, saw %v", nodes)
+	}
+}
+
+// TestRewindBuffered: recovery's rewind moves only the DRAM mirror; the
+// window it opens is buffered again like any other.
+func TestRewindBuffered(t *testing.T) {
+	l, r, ctx := testLog(t, 128, false)
+	if _, err := l.Append(ctx, edges(40, 0)); err != nil {
+		t.Fatal(err)
+	}
+	l.MarkBuffered(ctx, 30)
+	l.MarkFlushed(ctx, 10)
+	l.RewindBuffered()
+	if l.Buffered() != 10 || l.PendingBuffer() != 30 {
+		t.Fatalf("after rewind buffered = %d, pending = %d", l.Buffered(), l.PendingBuffer())
+	}
+	if again, err := Attach(ctx, r, l.HeaderOffset(), l.BaseOffset(), false); err != nil || again.Buffered() != 30 {
+		t.Fatalf("persisted buffered cursor moved: %v, %v", again, err)
+	}
+	l.MarkBuffered(ctx, 25)
+	if again, err := Attach(ctx, r, l.HeaderOffset(), l.BaseOffset(), false); err != nil || again.Buffered() != 25 {
+		t.Fatalf("replay did not persist its cursor: %v, %v", again, err)
+	}
+}

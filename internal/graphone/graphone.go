@@ -132,6 +132,7 @@ type Store struct {
 
 	metaBytes int64
 	report    IngestReport
+	stage     shard.Stage // archiving scratch, reused by every phase
 
 	// Phase tracing (nil = disabled); lane cursors as in core.Store.
 	tracer  *obs.Tracer
@@ -349,8 +350,10 @@ func (s *Store) ArchiveAll() error {
 }
 
 // archive runs one global batched edge-centric archiving phase (§II-B):
-// degree counting, per-vertex chunk allocation, then parallel per-edge
-// neighbor appends.
+// the archive threads shard the batch into ranged edge lists (shard.Stage,
+// the stage XPGraph inherited), then each counts the degree increments of
+// its ranges, allocates the per-vertex chunks and appends the neighbors one
+// at a time.
 func (s *Store) archive() error {
 	from, to := s.log.Buffered(), s.log.Head()
 	if to == from {
@@ -362,56 +365,42 @@ func (s *Store) archive() error {
 	s.epoch++
 	s.report.Batches++
 	threads := s.opts.ArchiveThreads
-
-	coord := xpsim.NewCtx(s.logNode())
-	batch := s.log.Read(coord, from, to, nil)
-	s.ensureVertices(graph.MaxVID(batch) + 1)
-
-	nRanges := shard.RangesPerWorker * threads
-	width := shard.Width(int64(s.NumVertices()), nRanges)
-	shards := make([][][]shard.Entry, 2)
-	for d := 0; d < 2; d++ {
-		shards[d] = make([][]shard.Entry, nRanges)
-	}
-	// Degree-counting pass plus sharding (both DRAM work).
-	for _, e := range batch {
-		for d := 0; d < 2; d++ {
-			var v graph.VID
-			var nbr uint32
-			if d == 0 {
-				v, nbr = e.Src, e.Dst
-			} else {
-				v, nbr = e.Target(), e.Src|(e.Dst&graph.DelFlag)
-			}
-			if s.degEp[d][v] != s.epoch {
-				s.degEp[d][v] = s.epoch
-				s.degInc[d][v] = 0
-			}
-			s.degInc[d][v]++
-			r := shard.RangeOf(v, width, nRanges)
-			shards[d][r] = append(shards[d][r], shard.Entry{V: v, Nbr: nbr})
-		}
-	}
-	s.lat.DRAM(coord, int64(len(batch))*graph.EdgeBytes*2, true, true)
-	s.lat.CPU(coord, int64(len(batch))*4)
-
-	// Parallel edge-centric archiving: each worker first allocates the
-	// exactly-sized per-vertex chunks for its ranges (the vertices of a
-	// range belong to that worker alone), then appends neighbors one at
-	// a time — each append one small write into its vertex's chunk.
-	var archiveErr error
 	nodeOf := xpsim.Unpinned
 	if s.opts.BindSingleNode {
 		nodeOf = xpsim.PinnedTo(0)
 	}
+
+	geo := shard.Geometry{Parts: 1, Ranges: shard.RangesPerWorker * threads}
+	geo.Width = shard.Width(int64(s.NumVertices()), geo.Ranges)
+	lists, maxV, shardNs := s.stage.Run(s.log, from, to, geo, shard.Sharders{
+		N: threads, NodeOf: nodeOf, Contention: threads, Lat: s.lat})
+	s.ensureVertices(maxV + 1)
+
+	// Parallel edge-centric archiving: each worker first counts the batch's
+	// degree increments and allocates the exactly-sized per-vertex chunks
+	// for its ranges (the vertices of a range belong to that worker alone),
+	// then appends neighbors one at a time — each append one small write
+	// into its vertex's chunk.
+	var archiveErr error
 	var phaseNs int64
 	for d := 0; d < 2; d++ {
-		assign := shard.Balance(shards[d], threads)
-		dur := xpsim.ParallelN(threads, s.opts.ArchiveThreads, nodeOf, func(w int, ctx *xpsim.Ctx) {
+		ranges := lists[d*geo.Ranges:][:geo.Ranges]
+		assign := s.stage.Balance(ranges, threads)
+		dur := xpsim.ParallelN(threads, threads, nodeOf, func(w int, ctx *xpsim.Ctx) {
 			for _, ri := range assign[w] {
-				for _, se := range shards[d][ri] {
+				for _, se := range ranges[ri] {
+					if s.degEp[d][se.V] != s.epoch {
+						s.degEp[d][se.V] = s.epoch
+						s.degInc[d][se.V] = 0
+					}
+					s.degInc[d][se.V]++
+				}
+				s.lat.CPU(ctx, int64(len(ranges[ri])))
+			}
+			for _, ri := range assign[w] {
+				for _, se := range ranges[ri] {
 					v := se.V
-					if s.degEp[d][v] == s.epoch && s.degInc[d][v] > 0 {
+					if s.degInc[d][v] > 0 {
 						s.lat.CPU(ctx, 4)
 						if err := s.adjs[d].Reserve(ctx, v, int(s.degInc[d][v])); err != nil {
 							archiveErr = err
@@ -423,7 +412,7 @@ func (s *Store) archive() error {
 			}
 			var one [1]uint32
 			for _, ri := range assign[w] {
-				for _, se := range shards[d][ri] {
+				for _, se := range ranges[ri] {
 					s.lat.CPU(ctx, 6)
 					s.records[d][se.V]++
 					one[0] = se.Nbr
@@ -441,10 +430,11 @@ func (s *Store) archive() error {
 			return archiveErr
 		}
 	}
+	coord := xpsim.NewCtx(s.logNode())
 	s.log.MarkBuffered(coord, to)
 	s.log.MarkFlushed(coord, to)
-	s.report.ArchiveNs += coord.Cost.Ns() + phaseNs
-	s.emitSpan("archive", obs.LaneArchive, coord.Cost.Ns()+phaseNs)
+	s.report.ArchiveNs += shardNs + phaseNs + coord.Cost.Ns()
+	s.emitSpan("archive", obs.LaneArchive, shardNs+phaseNs+coord.Cost.Ns())
 	return nil
 }
 

@@ -299,3 +299,70 @@ func TestGraphOneAPISurface(t *testing.T) {
 		t.Fatal("bound store should report node 0")
 	}
 }
+
+// TestArchiveOrderAtAnyThreadCount: the archive threads shard the batch
+// themselves, yet every vertex's chain holds its records in log order —
+// what the one serial sharding loop (the oracle below) produced — however
+// many threads there are, tombstones after their adds.
+func TestArchiveOrderAtAnyThreadCount(t *testing.T) {
+	edges := gen.Evolving(9, 12000, 0.2, 41)
+	var want [2]map[graph.VID][]uint32
+	for d := range want {
+		want[d] = map[graph.VID][]uint32{}
+	}
+	for _, e := range edges {
+		want[0][e.Src] = append(want[0][e.Src], e.Dst)
+		want[1][e.Target()] = append(want[1][e.Target()], e.Src|(e.Dst&graph.DelFlag))
+	}
+	for _, threads := range []int{1, 2, 16} {
+		m, h := testMachine()
+		s, err := New(m, h, nil, Options{Name: "ord", NumVertices: 512, LogCapacity: 1 << 13,
+			ArchiveThreshold: 1 << 10, ArchiveThreads: threads, Variant: VariantP})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Ingest(edges); err != nil {
+			t.Fatal(err)
+		}
+		ctx := xpsim.NewCtx(0)
+		for d := 0; d < 2; d++ {
+			for v := graph.VID(0); v < 512; v++ {
+				got := s.adjs[d].NeighborsOldestFirst(ctx, v, nil)
+				if len(got) != len(want[d][v]) {
+					t.Fatalf("%d threads: vertex %d dir %d holds %d records, oracle %d", threads, v, d, len(got), len(want[d][v]))
+				}
+				for i := range got {
+					if got[i] != want[d][v][i] {
+						t.Fatalf("%d threads: vertex %d dir %d record %d = %#x, oracle %#x", threads, v, d, i, got[i], want[d][v][i])
+					}
+				}
+			}
+		}
+		checkStore(t, s, edges, 512)
+	}
+}
+
+// TestBindSingleNodeStaysLocal: bound to node 0, GraphOne-P's sharders read
+// the log, like its workers write the adjacency lists, without crossing a
+// socket; unbound on interleaved PMEM it does cross.
+func TestBindSingleNodeStaysLocal(t *testing.T) {
+	edges := gen.RMAT(10, 20000, 43)
+	remote := func(bind bool) int64 {
+		m, h := testMachine()
+		s, err := New(m, h, nil, Options{Name: "loc", NumVertices: 1024, LogCapacity: 1 << 14,
+			ArchiveThreshold: 1 << 11, ArchiveThreads: 16, Variant: VariantP, BindSingleNode: bind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Ingest(edges); err != nil {
+			t.Fatal(err)
+		}
+		return m.TotalStats().RemoteAccesses
+	}
+	if n := remote(true); n != 0 {
+		t.Errorf("bound to one node, ingest made %d remote line accesses", n)
+	}
+	if remote(false) == 0 {
+		t.Error("unbound ingest on interleaved PMEM made no remote access: the check above proves nothing")
+	}
+}

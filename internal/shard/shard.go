@@ -16,7 +16,6 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -138,30 +137,4 @@ func (m *SlotMap) Split(edges []graph.Edge, bufs [][]graph.Edge) [][]graph.Edge 
 		bufs[m.Owner(e.Src)] = append(bufs[m.Owner(e.Src)], e)
 	}
 	return bufs
-}
-
-// Balance assigns range indexes to workers greedily by descending size,
-// returning per-worker range index lists.
-func Balance[T any](ranges [][]T, workers int) [][]int {
-	order := make([]int, len(ranges))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return len(ranges[order[a]]) > len(ranges[order[b]]) })
-	assign := make([][]int, workers)
-	load := make([]int, workers)
-	for _, ri := range order {
-		if len(ranges[ri]) == 0 {
-			continue
-		}
-		min := 0
-		for w := 1; w < workers; w++ {
-			if load[w] < load[min] {
-				min = w
-			}
-		}
-		assign[min] = append(assign[min], ri)
-		load[min] += len(ranges[ri])
-	}
-	return assign
 }

@@ -2,9 +2,48 @@ package shard
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// oracleBalance is Balance as it was before the Stage owned its scratch.
+func oracleBalance(ranges [][]Entry, workers int) [][]int {
+	order := make([]int, len(ranges))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return len(ranges[order[a]]) > len(ranges[order[b]]) })
+	assign := make([][]int, workers)
+	load := make([]int, workers)
+	for _, ri := range order {
+		if len(ranges[ri]) == 0 {
+			continue
+		}
+		min := 0
+		for w := 1; w < workers; w++ {
+			if load[w] < load[min] {
+				min = w
+			}
+		}
+		assign[min] = append(assign[min], ri)
+		load[min] += len(ranges[ri])
+	}
+	return assign
+}
+
+// normalize maps empty per-worker lists to nil so DeepEqual compares
+// contents only.
+func normalize(assign [][]int) [][]int {
+	out := make([][]int, len(assign))
+	for w, l := range assign {
+		if len(l) > 0 {
+			out[w] = l
+		}
+	}
+	return out
+}
 
 func TestWidthAndRangeOf(t *testing.T) {
 	w := Width(1000, 16)
@@ -37,16 +76,25 @@ func TestBalanceProperty(t *testing.T) {
 		ranges := make([][]Entry, nRanges)
 		largest := 0
 		total := 0
+		maxLen := []int{3, 200}[rng.Intn(2)] // short lists: many equally long ones
 		for i := range ranges {
-			n := rng.Intn(200)
+			n := rng.Intn(maxLen)
 			ranges[i] = make([]Entry, n)
 			total += n
 			if n > largest {
 				largest = n
 			}
 		}
-		assign := Balance(ranges, workers)
+		var st Stage
+		assign := st.Balance(ranges, workers)
 		if len(assign) != workers {
+			return false
+		}
+		// The scratch-owning Balance is the allocating one it replaced,
+		// down to the order of equally long ranges: the order decides which
+		// worker drains what, and so the device write sequence.
+		if want := oracleBalance(ranges, workers); !reflect.DeepEqual(normalize(assign), normalize(want)) {
+			t.Errorf("Balance = %v, oracle %v", assign, want)
 			return false
 		}
 		seen := map[int]bool{}
@@ -78,7 +126,7 @@ func TestBalanceProperty(t *testing.T) {
 		}
 		return max <= min+largest
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

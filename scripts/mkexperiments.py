@@ -51,11 +51,13 @@ subs = {
 
 r3 = rows('fig3')
 pd = f(r3[1]['total_s']) / f(r3[0]['total_s'])
+subs['fig3_pd'] = '%.1fx' % pd
 subs['sum_fig3'] = '-P %.1fx slower; archiving dominates; w-amp %.1fx' % (pd, f(r3[1]['w_amp']))
 
 r4 = rows('fig4')
 pNorm = next(r for r in r4 if r['system'] == 'GraphOne-P' and r['config'] == 'normal')
 pBind = next(r for r in r4 if r['system'] == 'GraphOne-P' and r['config'] == 'bind-1-node')
+subs['fig4_bind'] = '%.1fx' % (f(pNorm['ingest_s']) / f(pBind['ingest_s']))
 subs['sum_fig4a'] = 'binding speeds -P %.1fx, -D unchanged' % (f(pNorm['ingest_s']) / f(pBind['ingest_s']))
 p8 = next(r for r in r4 if r['system'] == 'GraphOne-P' and r['config'] == 'threads=8')
 p32 = next(r for r in r4 if r['system'] == 'GraphOne-P' and r['config'] == 'threads=32')
@@ -63,7 +65,12 @@ subs['sum_fig4b'] = 'valley at 8; 32 threads %.1fx worse' % (f(p32['ingest_s']) 
 
 r12 = rows('fig12')
 ooms = sum(1 for r in r12 if r['GraphOne-D(DO)'] == 'OOM')
-subs['sum_fig12'] = '%d graphs OOM on DRAM-only; XPGraph-D faster on most rows' % ooms
+do = [100 * (f(r['XPGraph-D(DO)']) / f(r['GraphOne-D(DO)']) - 1) for r in r12 if r['GraphOne-D(DO)'] != 'OOM']
+mmwins = sum(1 for r in r12 if f(r['XPGraph-D(MM)']) < f(r['GraphOne-D(MM)']))
+subs['fig12_do'] = '%.0f-%.0f%%' % (min(do), max(do))
+subs['fig12_mm'] = '%d of %d' % (mmwins, len(r12))
+subs['sum_fig12'] = '%d graphs OOM on DRAM-only; there XPGraph-D is %.0f-%.0f%% *slower*; under Memory Mode it wins %d of %d' % (
+    ooms, min(do), max(do), mmwins, len(r12))
 
 r13 = rows('fig13')
 by = {}
@@ -91,12 +98,13 @@ subs['sum_fig14'] = subs['fig14_range']
 r15 = rows('fig15')
 small = [f(r['speedup']) for r in r15 if r['dataset'] in ('TT', 'FS', 'UK', 'YW')]
 subs['fig15_range'] = '%.1f-%.1fx' % (min(small), max(small))
-allsp = [f(r['speedup']) for r in r15]
-subs['sum_fig15'] = '%.1f-%.1fx (real graphs), up to %.0fx (Kron)' % (min(small), max(small), max(allsp))
+kron = [f(r['speedup']) for r in r15 if r['dataset'].startswith('K')]
+subs['fig15_kron'] = '%.1f-%.1fx' % (min(kron), max(kron))
+subs['sum_fig15'] = '%.1f-%.1fx (real graphs), %.1f-%.1fx (Kron)' % (min(small), max(small), min(kron), max(kron))
 
 r16 = rows('fig16')
 oom16 = [r['buf_bytes'] for r in r16 if r['ingest_s'] == 'OOM']
-subs['sum_fig16'] = 'monotone speed/DRAM trade; OOM at %s B' % (oom16[0] if oom16 else 'none')
+subs['sum_fig16'] = 'monotone speed/DRAM trade from 8 B up; OOM at %s B' % (oom16[0] if oom16 else 'none')
 
 r17 = rows('fig17')
 fx = next(r for r in r17 if r['config'] == 'fixed-256')
@@ -114,13 +122,17 @@ qg = []
 for v in by18.values():
     gains.append(100 * (1 - f(v['NUMA-bind-SG']['ingest_s']) / f(v['no-bind']['ingest_s'])))
     qg.append(100 * (f(v['no-bind']['bfs_s']) / f(v['NUMA-bind-SG']['bfs_s']) - 1))
-subs['sum_fig18'] = 'SG ingest +%.0f-%.0f%%; SG BFS up to +%.0f%%; OIG worst for queries' % (min(gains), max(gains), max(qg))
+subs['fig18_sg'] = '%.0f-%.0f%%' % (min(gains), max(gains))
+subs['sum_fig18'] = 'SG ingest %.0f-%.0f%% faster; SG BFS up to +%.0f%%; OIG worst for queries' % (min(gains), max(gains), max(qg))
 
 r19 = rows('fig19')
 subs['sum_fig19'] = 'gains up to 16 MB, flat past 32 MB'
 r20 = rows('fig20')
 first, last = f(r20[0]['ingest_s']), f(r20[-1]['ingest_s'])
-subs['sum_fig20'] = '%.1fx from 1 to 95 threads, still improving at 95' % (first / last)
+t16 = f(next(r for r in r20 if r['threads'] == '16')['ingest_s'])
+subs['fig20_total'] = '%.1fx' % (first / last)
+subs['fig20_to16'] = '%.1fx' % (first / t16)
+subs['sum_fig20'] = '%.1fx from 1 to 95 threads, %.1fx of it by 16; flat from 32 (logging thread)' % (first / last, first / t16)
 
 for name in sections:
     tmpl = tmpl.replace('{{%s}}' % name, block(name))
