@@ -12,16 +12,21 @@
 //
 // # Crash safety
 //
-// The header carries TWO count slots. In CrashSafe mode appends leave the
-// persisted counts alone; a flushing phase's workers call Ack to write the
-// changed blocks' counts into one slot, the caller makes them durable with
-// a machine-wide writeback barrier, and then commits by flipping the slot
-// selector bit stored in the edge log's flushed cursor (elog.
-// MarkFlushedSlot) — a single atomic 8-byte store. Recovery trusts only
-// the selected slot, so a crash anywhere inside a flushing phase leaves
-// every acknowledged count intact and every unacknowledged record
-// invisible; replaying the log window [flushed, head) then restores the
-// unacknowledged records exactly once, with no content-based dedup.
+// The header carries TWO count slots, one of them selected by a bit stored
+// in the edge log's flushed cursor. Recovery trusts only the selected slot;
+// the other one is scratch until the next flushing phase commits, and that
+// is where counts go. An append whose records start in the XPLine of that
+// slot writes its count there itself — a new block's header, count and first
+// records are one contiguous write — so the count rides to the media with
+// the records; a flushing phase's workers call Ack to write what is left:
+// the counts of blocks whose tail has moved on to another line, and of
+// blocks the previous phase counted into what was then the other slot. The
+// caller makes everything durable with a machine-wide writeback barrier and
+// then commits by flipping the selector (elog.MarkFlushedSlot) — a single
+// atomic 8-byte store. A crash anywhere before it leaves every acknowledged
+// count intact and every unacknowledged record invisible; replaying the log
+// window [flushed, head) then restores the unacknowledged records exactly
+// once, with no content-based dedup.
 package adj
 
 import (
@@ -198,10 +203,17 @@ type Store struct {
 	// sorts it once by offset, merges it with the already-sorted pendPrev
 	// into ackList — the write order — and keeps it as the next pendPrev.
 	// ackLeft counts the workers of the running cycle still to call Ack.
+	//
+	// nextSlot is the slot the running cycle will select and its Ack must
+	// name — the other one is the slot recovery trusts. Until the cycle
+	// commits it is scratch, which is what lets an append leave a count
+	// there beside its records (appendTail, newBlock); such a block's entry
+	// carries pendCounted and the cycle's Ack skips it.
 	pendCur  []pendEntry
 	pendPrev []pendEntry
 	ackList  []pendEntry
 	ackLeft  int
+	nextSlot int
 	journal  int64 // offset of the compaction journal block; 0 = none
 
 	// Checksum state (check.go; populated only with opts.Checksums):
@@ -227,7 +239,8 @@ func New(m mem.Mem, lat *xpsim.LatencyModel, maxV graph.VID, opts Options) *Stor
 	if opts.Checksums && !opts.CrashSafe {
 		panic("adj: Checksums require CrashSafe (the CRC lifecycle rides the Ack slots)")
 	}
-	s := &Store{m: m, lat: lat, opts: opts}
+	// A fresh edge log selects slot 0, so the first flush cycle fills slot 1.
+	s := &Store{m: m, lat: lat, opts: opts, nextSlot: 1}
 	s.EnsureVertices(maxV + 1)
 	return s
 }
@@ -259,6 +272,10 @@ func (s *Store) Records(v graph.VID) int {
 	}
 	return int(s.records[v])
 }
+
+// Has reports whether vertex v owns a block in this arena, visible records
+// or not.
+func (s *Store) Has(v graph.VID) bool { return int(v) < len(s.tail) && s.tail[v] != 0 }
 
 // Blocks reports total allocated blocks.
 func (s *Store) Blocks() int64 { return s.blocks }
@@ -343,19 +360,29 @@ func (s *Store) volatileReads() bool {
 // touched.
 type pendEntry struct {
 	blk uint32
-	cnt uint32 // pendDead once the block was recycled while waiting in pendPrev
+	// cnt is the record count, with pendCounted set while the running
+	// cycle's slot already holds it; or pendDead once the block was recycled
+	// while waiting in pendPrev.
+	cnt uint32
 }
 
-// pendDead is no record count: a block's payload is under 4 GiB and a
-// record takes at least a byte.
-const pendDead = ^uint32(0)
+// A block's payload is under 2 GiB and a record takes at least a byte, so
+// the top bit of a count is spare and all-ones is no count.
+const (
+	pendCounted = uint32(1) << 31
+	pendDead    = ^uint32(0)
+)
 
 func (e pendEntry) off() int64 { return int64(e.blk) * headerAlign }
 
 // pendAdd notes that block off's durable count slots no longer match its
-// DRAM count cnt.
-func (s *Store) pendAdd(off int64, cnt uint32) {
+// DRAM count cnt; counted says the append wrote cnt into the running
+// cycle's slot itself.
+func (s *Store) pendAdd(off int64, cnt uint32, counted bool) {
 	blk := uint32(off / headerAlign)
+	if counted {
+		cnt |= pendCounted
+	}
 	if n := len(s.pendCur); n > 0 && s.pendCur[n-1].blk == blk {
 		s.pendCur[n-1].cnt = cnt
 		return
@@ -389,7 +416,7 @@ func sortPend(list []pendEntry) {
 		if c := cmp.Compare(a.blk, b.blk); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.cnt, b.cnt)
+		return cmp.Compare(a.cnt&^pendCounted, b.cnt&^pendCounted)
 	})
 }
 
@@ -408,114 +435,124 @@ func (s *Store) putU32(ctx *xpsim.Ctx, off int64, v uint32) {
 func (s *Store) Append(ctx *xpsim.Ctx, v graph.VID, nbrs []uint32) error {
 	s.EnsureVertices(v + 1)
 	for len(nbrs) > 0 {
-		if s.tail[v] == 0 {
-			if err := s.newBlock(ctx, v, len(nbrs)); err != nil {
-				return err
-			}
-		}
-		var n int
-		if s.tailFmt[v] == fmtVarint {
-			n = s.appendVarint(ctx, v, nbrs)
-		} else {
-			n = s.appendFixed(ctx, v, nbrs)
+		n := 0
+		if s.tail[v] != 0 {
+			n = s.appendTail(ctx, v, nbrs)
 		}
 		if n == 0 {
-			// Tail block full (fixed: no free slot; varint: the next
-			// record's encoding does not fit the byte budget).
-			if err := s.newBlock(ctx, v, len(nbrs)); err != nil {
+			// No tail block, or a full one (fixed: no free slot; varint: the
+			// next record's encoding does not fit the byte budget).
+			var err error
+			if n, err = s.newBlock(ctx, v, len(nbrs), nbrs); err != nil {
 				return err
 			}
-			continue
 		}
 		nbrs = nbrs[n:]
 	}
 	return nil
 }
 
-// appendFixed writes as many of nbrs as fit the fixed-width tail block,
-// returning how many it stored.
-func (s *Store) appendFixed(ctx *xpsim.Ctx, v graph.VID, nbrs []uint32) int {
-	free := int(s.tailCap[v] - s.tailCnt[v])
-	if free <= 0 {
-		return 0
+// encodeRun appends to buf the payload encoding of the longest prefix of
+// nbrs that fits the free bytes of a block of the given format. prev is the
+// block's last record so far, the predecessor of a varint block's delta
+// chain. It returns the extended buffer, the length of the prefix and the
+// new last record.
+func encodeRun(buf []byte, format uint8, free int, prev uint32, nbrs []uint32) ([]byte, int, uint32) {
+	if format != fmtVarint {
+		n := min(len(nbrs), max(free, 0)/4)
+		for _, nb := range nbrs[:n] {
+			buf = binary.LittleEndian.AppendUint32(buf, nb)
+		}
+		return buf, n, prev
 	}
-	n := len(nbrs)
-	if n > free {
-		n = free
-	}
-	off := s.tail[v] + headerBytes + int64(s.tailCnt[v])*4
-	buf := s.encScratch[:0]
-	for _, nb := range nbrs[:n] {
-		buf = binary.LittleEndian.AppendUint32(buf, nb)
-	}
-	s.encScratch = buf[:0]
-	s.m.Write(ctx, off, buf)
-	if s.opts.Checksums {
-		s.crc[s.tail[v]] = crc32.Update(s.crc[s.tail[v]], castagnoli, buf)
-	}
-	s.tailCnt[v] += uint32(n)
-	s.commitAppend(ctx, v, off, int64(len(buf)), n)
-	s.encBytes[fmtFixed] += int64(len(buf))
-	s.encRecs[fmtFixed] += int64(n)
-	return n
-}
-
-// appendVarint encodes as many of nbrs as fit the varint tail block's
-// byte budget — one delta chain continued from the block's last record —
-// and writes them with a single memory operation.
-func (s *Store) appendVarint(ctx *xpsim.Ctx, v graph.VID, nbrs []uint32) int {
-	freeBytes := int(4*s.tailCap[v]) - int(s.tailBytes[v])
-	if freeBytes <= 0 {
-		return 0
-	}
-	enc := s.encScratch[:0]
-	prev := s.lastVal[v]
 	n := 0
 	for _, val := range nbrs {
 		var k int
-		enc, k = putVarintRec(enc, prev, val)
-		if len(enc) > freeBytes {
-			enc = enc[:len(enc)-k]
+		if buf, k = putVarintRec(buf, prev, val); k > free {
+			buf = buf[:len(buf)-k]
 			break
 		}
+		free -= k
 		prev = val
 		n++
 	}
+	return buf, n, prev
+}
+
+// appendTail writes as many of nbrs as fit v's tail block with a single
+// memory operation — fixed slots, or one delta chain continued from the
+// block's last record — and returns how many it stored.
+func (s *Store) appendTail(ctx *xpsim.Ctx, v graph.VID, nbrs []uint32) int {
+	blk, format := s.tail[v], s.tailFmt[v]
+	used := 4 * s.tailCnt[v]
+	if format == fmtVarint {
+		used = s.tailBytes[v]
+	}
+	enc, n, last := encodeRun(s.encScratch[:0], format, int(4*s.tailCap[v])-int(used), s.lastVal[v], nbrs)
 	s.encScratch = enc[:0]
 	if n == 0 {
 		return 0
 	}
-	off := s.tail[v] + headerBytes + int64(s.tailBytes[v])
+	off := blk + headerBytes + int64(used)
 	s.m.Write(ctx, off, enc)
 	if s.opts.Checksums {
-		s.crc[s.tail[v]] = crc32.Update(s.crc[s.tail[v]], castagnoli, enc)
+		s.crc[blk] = crc32.Update(s.crc[blk], castagnoli, enc)
 	}
-	s.tailBytes[v] += uint32(len(enc))
-	s.lastVal[v] = prev
+	s.tailBytes[v] = used + uint32(len(enc))
+	s.lastVal[v] = last
 	s.tailCnt[v] += uint32(n)
-	s.commitAppend(ctx, v, off, int64(len(enc)), n)
-	s.encBytes[fmtVarint] += int64(len(enc))
-	s.encRecs[fmtVarint] += int64(n)
+	switch {
+	case s.opts.CrashSafe:
+		// The count becomes durable through a flush cycle; recovery replays
+		// anything not yet acknowledged. Until the cycle commits, the slot it
+		// will select is scratch, so when that slot shares the records' XPLine
+		// the count rides the same line to the media here and now, and the
+		// cycle's Ack has nothing left to write for this block.
+		counted := (blk+s.slotOff())/xpsim.XPLineSize == off/xpsim.XPLineSize
+		if counted {
+			s.putCount(ctx, blk, s.tailCnt[v])
+		}
+		s.pendAdd(blk, s.tailCnt[v], counted)
+	case !s.opts.VolatileCounts && !s.opts.DeferCounts:
+		// Persist the record count in the block header.
+		s.putU32(ctx, blk+offCnt0, s.tailCnt[v])
+	}
+	s.commitAppend(ctx, v, off, enc, n)
 	return n
 }
 
-// commitAppend is the shared tail of an append run: count persistence
-// policy, proactive flushing, and record accounting. The caller has
-// already advanced tailCnt (and, for varint, the byte cursor).
-func (s *Store) commitAppend(ctx *xpsim.Ctx, v graph.VID, off, wrote int64, n int) {
-	switch {
-	case s.opts.CrashSafe:
-		// The count stays in DRAM until the next Ack; recovery
-		// replays anything not yet acknowledged.
-		s.pendAdd(s.tail[v], s.tailCnt[v])
-	case !s.opts.VolatileCounts && !s.opts.DeferCounts:
-		// Persist the record count in the block header.
-		s.putU32(ctx, s.tail[v]+offCnt0, s.tailCnt[v])
-	}
-	if s.opts.ProactiveFlush && wrote >= xpsim.XPLineSize {
-		s.m.Flush(ctx, off, wrote)
+// commitAppend is the shared tail of an append run — n records, encoded as
+// enc, written at off: proactive flushing and record accounting.
+func (s *Store) commitAppend(ctx *xpsim.Ctx, v graph.VID, off int64, enc []byte, n int) {
+	if s.opts.ProactiveFlush && len(enc) >= xpsim.XPLineSize {
+		s.m.Flush(ctx, off, int64(len(enc)))
 	}
 	s.records[v] += uint32(n)
+	s.encBytes[s.tailFmt[v]] += int64(len(enc))
+	s.encRecs[s.tailFmt[v]] += int64(n)
+}
+
+// slotOff is the header offset of the count slot the running flush cycle
+// will select.
+func (s *Store) slotOff() int64 { return offCnt0 + 8*int64(s.nextSlot) }
+
+// countWord renders cnt as block blk's count slot — with the payload's
+// checksum where the store keeps them: {cnt, crc} share one 8-byte word, so
+// powerfail atomicity guarantees a count is never durable without its
+// checksum.
+func (s *Store) countWord(blk int64, cnt uint32) []byte {
+	binary.LittleEndian.PutUint32(s.wordScratch[:], cnt)
+	if !s.opts.Checksums {
+		return s.wordScratch[:4]
+	}
+	binary.LittleEndian.PutUint32(s.wordScratch[4:], s.crc[blk])
+	return s.wordScratch[:]
+}
+
+// putCount stores cnt as block blk's record count in the slot the running
+// flush cycle will select.
+func (s *Store) putCount(ctx *xpsim.Ctx, blk int64, cnt uint32) {
+	s.m.Write(ctx, blk+s.slotOff(), s.countWord(blk, cnt))
 }
 
 // Reserve ensures v's tail block has room for at least n more neighbors,
@@ -536,7 +573,8 @@ func (s *Store) Reserve(ctx *xpsim.Ctx, v graph.VID, n int) error {
 			return nil
 		}
 	}
-	return s.newBlock(ctx, v, n)
+	_, err := s.newBlock(ctx, v, n, nil)
+	return err
 }
 
 // blockCnt resolves a block's record count honoring DRAM-resident counts.
@@ -575,7 +613,11 @@ func (s *Store) allocBlock(ctx *xpsim.Ctx, v graph.VID, capacity int) (int64, er
 	return off, nil
 }
 
-func (s *Store) newBlock(ctx *xpsim.Ctx, v graph.VID, incoming int) error {
+// newBlock makes a fresh block v's tail, sized for incoming more records,
+// and stores as many of first as fit it, returning how many. Header, count
+// and records leave as one contiguous write: a block's first append costs
+// the device one access, not three.
+func (s *Store) newBlock(ctx *xpsim.Ctx, v graph.VID, incoming int, first []uint32) (int, error) {
 	// Retire the old tail. A fixed block whose count equals its capacity
 	// needs no DRAM record — blockCnt's fallback is exact — but a varint
 	// block's record count is unrelated to cap (cnt can exceed it), so
@@ -600,49 +642,72 @@ func (s *Store) newBlock(ctx *xpsim.Ctx, v graph.VID, incoming int) error {
 	}
 	off, err := s.allocBlock(ctx, v, capacity)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	hdr := s.hdrScratch[:]
-	clear(hdr)
-	binary.LittleEndian.PutUint32(hdr[offVID:], v)
-	binary.LittleEndian.PutUint32(hdr[offCap:], uint32(capacity))
-	binary.LittleEndian.PutUint32(hdr[offPrev:], uint32(s.tail[v]/headerAlign))
-	binary.LittleEndian.PutUint32(hdr[offFmt:], uint32(format))
-	// cnt0/cnt1 stay zero: a recycled block's slots were durably zeroed
-	// when it was killed, so even if this header write never becomes
-	// durable, recovery sees zero visible records — never a stale count
-	// from the block's previous owner.
+	buf := append(s.encScratch[:0], make([]byte, headerBytes)...)
+	binary.LittleEndian.PutUint32(buf[offVID:], v)
+	binary.LittleEndian.PutUint32(buf[offCap:], uint32(capacity))
+	binary.LittleEndian.PutUint32(buf[offPrev:], uint32(s.tail[v]/headerAlign))
+	binary.LittleEndian.PutUint32(buf[offFmt:], uint32(format))
+	var n int
+	var last uint32
+	if !s.opts.VolatileCounts {
+		buf, n, last = encodeRun(buf, format, 4*capacity, 0, first)
+	}
+	enc := buf[headerBytes:]
+	s.tail[v] = off
+	s.tailCnt[v] = uint32(n)
+	s.tailCap[v] = uint32(capacity)
+	s.tailFmt[v] = format
+	s.tailBytes[v] = uint32(len(enc))
+	s.lastVal[v] = last
+	if s.opts.Checksums {
+		s.noteBlock(v, off, uint32(capacity), crc32.Checksum(enc, castagnoli))
+	}
+	switch {
+	case n == 0: // reserved, not appended to: both slots stay zero
+	case s.opts.CrashSafe:
+		// The count goes into the slot the running flush cycle will select;
+		// the other one — the slot recovery trusts until the cycle commits —
+		// stays zero. A recycled block's slots were durably zeroed when it was
+		// killed, so even if this write never becomes durable, or only some
+		// of its words do, recovery sees zero visible records — never a stale
+		// count from the block's previous owner.
+		copy(buf[s.slotOff():], s.countWord(off, uint32(n)))
+		s.pendAdd(off, uint32(n), true)
+	case !s.opts.DeferCounts:
+		binary.LittleEndian.PutUint32(buf[offCnt0:], uint32(n))
+	}
 	if s.opts.VolatileCounts {
 		// GraphOne keeps chunk metadata (sizes, links) in its DRAM
 		// vertex index, not in the chunk itself; charge a DRAM metadata
 		// update and write the header bytes cost-free so the shared
 		// on-media block format stays walkable in the simulation.
 		free := &xpsim.Ctx{Cost: &xpsim.Cost{}, Node: ctx.Node, Worker: ctx.Worker, Workers: ctx.Workers}
-		s.m.Write(free, off, hdr)
+		s.m.Write(free, off, buf)
 		s.lat.DRAM(ctx, headerBytes, true, false)
 	} else {
-		s.m.Write(ctx, off, hdr)
+		s.m.Write(ctx, off, buf)
 	}
-	s.tail[v] = off
-	s.tailCnt[v] = 0
-	s.tailCap[v] = uint32(capacity)
-	s.tailFmt[v] = format
-	s.tailBytes[v] = 0
-	s.lastVal[v] = 0
-	if s.opts.Checksums {
-		s.noteBlock(v, off, uint32(capacity), 0)
+	s.encScratch = buf[:0]
+	if n > 0 {
+		s.commitAppend(ctx, v, off+headerBytes, enc, n)
 	}
-	return nil
+	return n, nil
 }
 
 // Ack is worker w's share (of n) of the first half of a crash-safe flushing
-// phase: writing the DRAM counts of every block changed in this or the
-// previous flush cycle into count slot `slot`. The cycle's first call sorts
-// the pending blocks by offset; worker w then writes the w-th of n contiguous
-// runs of that list, so n workers called in order w = 0..n-1 issue exactly
-// the write sequence one worker would: the split never leaks into the
-// simulated device's cache state. Every worker of the cycle must call Ack
-// exactly once, all with the same slot and n.
+// phase: writing, into count slot `slot`, the DRAM counts of the blocks
+// changed in this or the previous flush cycle that do not hold them there
+// yet — a block whose last append left its count beside the records has
+// nothing left to write. The cycle's first call sorts the pending blocks by
+// offset; worker w then writes the w-th of n contiguous runs of that list,
+// so n workers called in order w = 0..n-1 issue exactly the write sequence
+// one worker would: the split never leaks into the simulated device's cache
+// state. Every worker of the cycle must call Ack exactly once, all with the
+// same n and with the slot the store's appends have been counting into: the
+// one a fresh store's log does not select (1), or recovery did not trust,
+// flipped by every finished cycle.
 //
 // After the cycle the caller must (1) issue a machine-wide writeback barrier
 // so the counts and the data they cover are on media, and (2) commit with
@@ -653,8 +718,8 @@ func (s *Store) Ack(ctx *xpsim.Ctx, slot, w, n int) {
 	if !s.opts.CrashSafe {
 		panic("adj: Ack on a store without CrashSafe")
 	}
-	if slot != 0 && slot != 1 {
-		panic(fmt.Sprintf("adj: bad ack slot %d", slot))
+	if slot != s.nextSlot {
+		panic(fmt.Sprintf("adj: ack into slot %d, the appends counted into slot %d", slot, s.nextSlot))
 	}
 	if w < 0 || w >= n {
 		panic(fmt.Sprintf("adj: ack worker %d of %d", w, n))
@@ -663,23 +728,18 @@ func (s *Store) Ack(ctx *xpsim.Ctx, slot, w, n int) {
 		s.ackBegin()
 		s.ackLeft = n
 	}
-	s.ackLeft--
-	slotOff := int64(offCnt0 + 8*slot)
 	for _, e := range s.ackList[len(s.ackList)*w/n : len(s.ackList)*(w+1)/n] {
-		if s.opts.Checksums {
-			// {cnt, crc} share one 8-byte word, so powerfail atomicity
-			// guarantees a count is never durable without its checksum.
-			binary.LittleEndian.PutUint64(s.wordScratch[:], uint64(e.cnt)|uint64(s.crc[e.off()])<<32)
-			s.m.Write(ctx, e.off()+slotOff, s.wordScratch[:])
-		} else {
-			s.putU32(ctx, e.off()+slotOff, e.cnt)
-		}
+		s.putCount(ctx, e.off(), e.cnt)
+	}
+	if s.ackLeft--; s.ackLeft == 0 {
+		s.nextSlot = 1 - s.nextSlot
 	}
 }
 
-// ackBegin opens an ack cycle: it builds ackList, the offset-sorted union of
-// the blocks changed since the last cycle and during it (newest count
-// wins), and rotates the former into pendPrev for the next cycle.
+// ackBegin opens an ack cycle: it builds ackList — the offset-sorted union
+// of the blocks changed since the last cycle and during it (newest count
+// wins), less those whose count the appends already wrote — and rotates the
+// former into pendPrev for the next cycle, which owes them the other slot.
 func (s *Store) ackBegin() {
 	sortPend(s.pendCur)
 	cur := s.pendCur[:0]
@@ -690,20 +750,21 @@ func (s *Store) ackBegin() {
 	}
 	prev, list := s.pendPrev, slices.Grow(s.ackList[:0], len(cur)+len(s.pendPrev))
 	for i, j := 0, 0; i < len(cur) || j < len(prev); {
-		switch {
-		case j == len(prev) || (i < len(cur) && cur[i].blk < prev[j].blk):
-			list = append(list, cur[i])
-			i++
-		case i == len(cur) || prev[j].blk < cur[i].blk:
+		if i == len(cur) || (j < len(prev) && prev[j].blk < cur[i].blk) {
 			if prev[j].cnt != pendDead {
 				list = append(list, prev[j])
 			}
 			j++
-		default:
-			list = append(list, cur[i])
-			i++
+			continue
+		}
+		if j < len(prev) && prev[j].blk == cur[i].blk {
 			j++
 		}
+		if cur[i].cnt&pendCounted == 0 {
+			list = append(list, cur[i])
+		}
+		cur[i].cnt &^= pendCounted
+		i++
 	}
 	// The next cycle's log reuses the old pendPrev's array, sized to hold as
 	// many entries as this cycle collected before it has to grow.

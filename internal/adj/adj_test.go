@@ -2,6 +2,7 @@ package adj
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"sort"
 	"testing"
@@ -429,11 +430,12 @@ func TestAckSplitIsInvisibleToDevice(t *testing.T) {
 				}
 			}
 		}
-		// Same contention on both sides: only the split differs.
+		// Same contention on both sides: only the split differs. A fresh
+		// store's first cycle fills slot 1 and every cycle flips it.
 		for i, tw := range []twin{one, four} {
 			n := 1 + 3*i
 			xpsim.ParallelN(n, 4, xpsim.PinnedTo(0), func(w int, wctx *xpsim.Ctx) {
-				tw.s.Ack(wctx, cycle%2, w, n)
+				tw.s.Ack(wctx, 1-cycle%2, w, n)
 			})
 		}
 		a := make([]byte, one.r.AllocBytes())
@@ -449,5 +451,103 @@ func TestAckSplitIsInvisibleToDevice(t *testing.T) {
 	}
 	if sa, sb := one.m.TotalStats(), four.m.TotalStats(); sa != sb {
 		t.Fatalf("drained device stats differ:\n n=1 %+v\n n=4 %+v", sa, sb)
+	}
+}
+
+// countingMem counts the write requests a store hands its memory.
+type countingMem struct {
+	RecoverableMem
+	writes int
+}
+
+func (c *countingMem) Write(ctx *xpsim.Ctx, off int64, p []byte) {
+	c.writes++
+	c.RecoverableMem.Write(ctx, off, p)
+}
+
+// TestCountsRideTheRecordsWrite pins the device accesses of the crash-safe
+// append path. A new block's header, count and first records are ONE write
+// request: a count written separately is one more access that ages every
+// other line's XPBuffer reuse window, and costs media writes wherever no
+// flush-all earns them back. An append that starts in the XPLine of the
+// running cycle's count slot writes the count beside its records, and the
+// cycle's Ack then skips the block; only a block whose tail has moved on to
+// another line is left for Ack — and, one cycle later, every block the
+// cycle before counted into what was then the other slot.
+func TestCountsRideTheRecordsWrite(t *testing.T) {
+	for name, opts := range map[string]Options{
+		"fixed": {CrashSafe: true}, "varint": {CrashSafe: true, VarintBlocks: true}, "checksums": {CrashSafe: true, Checksums: true},
+	} {
+		// Every block spans several XPLines, whatever it is asked to hold.
+		opts.Sizing = func(int, int) int { return 256 }
+		_, r, m, ctx := testStore(t)
+		cm := &countingMem{RecoverableMem: r}
+		s := New(cm, &m.Lat, 16, opts)
+		appendN := func(v graph.VID, n int) int {
+			t.Helper()
+			nbrs := make([]uint32, n)
+			for i := range nbrs {
+				nbrs[i] = uint32(i+1) * 0x9E3779B1 &^ graph.DelFlag // far apart: a varint record is 5 bytes
+			}
+			before := cm.writes
+			if err := s.Append(ctx, v, nbrs); err != nil {
+				t.Fatal(err)
+			}
+			return cm.writes - before
+		}
+		slots := func(v graph.VID) (cnt0, cnt1 uint32) {
+			var hdr [headerBytes]byte
+			r.Read(ctx, s.tail[v], hdr[:])
+			return binary.LittleEndian.Uint32(hdr[offCnt0:]), binary.LittleEndian.Uint32(hdr[offCnt1:])
+		}
+
+		if w := appendN(1, 3); w != 1 {
+			t.Fatalf("%s: a new block's first append is %d write requests, want 1", name, w)
+		}
+		if c0, c1 := slots(1); c0 != 0 || c1 != 3 {
+			t.Fatalf("%s: new block's slots = %d/%d, want 0 (trusted until the commit) and 3", name, c0, c1)
+		}
+		if w := appendN(1, 1); w != 2 {
+			t.Fatalf("%s: an append beside its header is %d write requests, want records + count", name, w)
+		}
+		// Vertex 2's tail leaves the header's line.
+		appendN(2, 3)
+		appendN(2, 100)
+		roomy := s.tail[2]
+		if (roomy+offCnt1)/xpsim.XPLineSize == (roomy+headerBytes+int64(s.tailBytes[2]))/xpsim.XPLineSize {
+			t.Fatalf("%s: setup: block %d's tail is still in its header's line", name, roomy)
+		}
+		if w := appendN(2, 1); w != 1 || s.tail[2] != roomy {
+			t.Fatalf("%s: an append in another line than its header is %d write requests, want the records alone", name, w)
+		}
+
+		s.Ack(ctx, 1, 0, 1)
+		if len(s.ackList) != 1 || s.ackList[0].off() != roomy {
+			t.Fatalf("%s: the cycle acknowledges %v, want block %d alone", name, s.ackList, roomy)
+		}
+		for v := graph.VID(1); v <= 2; v++ {
+			if _, c1 := slots(v); c1 != s.tailCnt[v] {
+				t.Fatalf("%s: vertex %d's block holds %d of %d records in the slot to commit", name, v, c1, s.tailCnt[v])
+			}
+		}
+		// The next cycle fills slot 0: neither block changed, so Ack owes both
+		// the count the first cycle left in slot 1.
+		s.Ack(ctx, 0, 0, 1)
+		if len(s.ackList) != 2 {
+			t.Fatalf("%s: the second cycle acknowledges %v, want both blocks of the first", name, s.ackList)
+		}
+		for v := graph.VID(1); v <= 2; v++ {
+			if c0, c1 := slots(v); c0 != c1 || c0 != s.tailCnt[v] {
+				t.Fatalf("%s: vertex %d's block after two cycles: slots %d/%d, %d records", name, v, c0, c1, s.tailCnt[v])
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: Ack into the slot the store is not counting into did not panic", name)
+				}
+			}()
+			s.Ack(ctx, 0, 0, 1)
+		}()
 	}
 }

@@ -55,6 +55,15 @@ const maxScanVID = 1 << 28
 
 func (b *rawBlock) size() int64 { return headerBytes + 4*int64(b.capacity) }
 
+// trusted is the record count recovery trusts, and its checksum: the
+// selected slot's on CrashSafe stores, the one slot the others write.
+func (b *rawBlock) trusted(opts Options, slot int) (cnt, crc uint32) {
+	if opts.CrashSafe && slot == 1 {
+		return b.cnt1, b.crc1
+	}
+	return b.cnt0, b.crc0
+}
+
 // Recover rebuilds the DRAM index (tails, counts, degrees) by scanning
 // the arena sequentially from its start to the persisted allocation
 // pointer. Chains come back because each block persists its prev link;
@@ -96,6 +105,7 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 		return nil, fmt.Errorf("adj: bad count slot %d", slot)
 	}
 	s := New(m, lat, 0, opts)
+	s.nextSlot = 1 - slot
 	end := m.PersistedAllocOffset(ctx)
 	if end < m.UserStart() || end > m.Size() {
 		return nil, fmt.Errorf("adj: corrupt allocation pointer %d (arena is [%d,%d])", end, m.UserStart(), m.Size())
@@ -125,9 +135,14 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 		// can straddle two XPLines, so a crash can leave vid=deadVID durable
 		// while the previous owner's counts survive in the second line —
 		// checked against whatever format word the tear left beside them.
-		// Skip the count checks for dead blocks instead of treating the
-		// whole suffix as garbage; pass 3 finishes the kill.
-		cntOK := b.vid == deadVID || (b.cntPlausible(b.cnt0) && b.cntPlausible(b.cnt1))
+		// Skip the count check for dead blocks instead of treating the
+		// whole suffix as garbage; pass 3 finishes the kill. A live block
+		// answers for the slot recovery trusts only: the other one is the
+		// running cycle's scratch, where an append leaves its count beside
+		// its records — on a recycled block, possibly torn against the
+		// previous owner's format word.
+		cnt, _ := b.trusted(opts, slot)
+		cntOK := b.vid == deadVID || b.cntPlausible(cnt)
 		if b.capacity == 0 || off+b.size() > end || fmtWord > fmtVarint || !cntOK ||
 			(b.vid > maxScanVID && b.vid != deadVID && b.vid != journalVID) {
 			if opts.CrashSafe {
@@ -193,10 +208,7 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 		case journalVID:
 			continue // already recorded by journalRollForward
 		}
-		visible, crc := b.cnt0, b.crc0
-		if opts.CrashSafe && slot == 1 {
-			visible, crc = b.cnt1, b.crc1
-		}
+		visible, crc := b.trusted(opts, slot)
 		v := graph.VID(b.vid)
 		s.EnsureVertices(v + 1)
 		live[v] = append(live[v], blk{off: b.off, prev: b.prev, cnt: visible, cap: b.capacity, crc: crc, format: b.format, mismatch: b.cnt0 != b.cnt1})

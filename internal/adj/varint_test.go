@@ -1,6 +1,7 @@
 package adj
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -250,7 +251,7 @@ func TestVarintChecksumsDetectCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.Ack(ctx, 0, 0, 1)
+	s.Ack(ctx, 1, 0, 1) // a fresh store's first cycle fills slot 1
 	if err := s.VerifyChain(ctx, 6); err != nil {
 		t.Fatalf("clean chain: %v", err)
 	}
@@ -279,7 +280,7 @@ func TestVarintChecksumsDetectCorruption(t *testing.T) {
 	}
 
 	// Recovery recomputes payload CRCs: the vertex must come back suspect.
-	rs, err := RecoverWith(ctx, r, s.lat, Options{CrashSafe: true, Checksums: true, VarintBlocks: true}, 0, nil)
+	rs, err := RecoverWith(ctx, r, s.lat, Options{CrashSafe: true, Checksums: true, VarintBlocks: true}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ func TestVarintReplaceChainRoundTrip(t *testing.T) {
 	if err := s.Append(ctx, 8, []uint32{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	s.Ack(ctx, 0, 0, 1)
+	s.Ack(ctx, 1, 0, 1)
 	if _, err := s.ReplaceChain(ctx, 8, recs); err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +416,7 @@ func TestRecoverTornKillKeepsBlocksBehind(t *testing.T) {
 			t.Fatalf("setup: vertex %d's block is not behind the victim", v)
 		}
 	}
-	s.Ack(ctx, 0, 0, 1)
+	s.Ack(ctx, 1, 0, 1) // the slot a fresh store's first commit selects
 
 	// Kill the block for real, then put every word but {prev, fmt} back.
 	var live, dead [headerBytes]byte
@@ -426,7 +427,7 @@ func TestRecoverTornKillKeepsBlocksBehind(t *testing.T) {
 	copy(torn[offPrev:offPrev+8], dead[offPrev:offPrev+8])
 	r.Write(ctx, victim, torn[:])
 
-	rs, err := RecoverWith(ctx, r, s.lat, opts, 0, nil)
+	rs, err := RecoverWith(ctx, r, s.lat, opts, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,5 +438,81 @@ func TestRecoverTornKillKeepsBlocksBehind(t *testing.T) {
 	}
 	if got := rs.NeighborsOldestFirst(ctx, 1, nil); !equalU32s(got, dense) {
 		t.Errorf("torn-killed vertex = %d records, want %d", len(got), len(dense))
+	}
+}
+
+// TestRecoverTornReuseKeepsBlocksBehind hand-builds the torn reuse of a
+// recycled block across formats. A store recovered from fixed-width media
+// appends varint blocks, and takes them off the free lists: the block's old
+// contents are a dead header whose format word says fixed. Its new owner's
+// appends leave their count in the slot the running cycle will select, and a
+// varint count may exceed the capacity word. If the line is torn so that
+// {vid, cap} and the count reach the media but {prev, fmt} does not, the
+// scan sees a live fixed block carrying, in the slot it does NOT trust, a
+// count above its capacity. That slot is scratch: the block must be taken
+// for what the trusted slot says — an empty dangler — not for the
+// never-durable frontier, behind which every acknowledged block gets zeroed.
+func TestRecoverTornReuseKeepsBlocksBehind(t *testing.T) {
+	opts := Options{CrashSafe: true}
+	_, r, m, ctx := testStore(t)
+	s := New(r, &m.Lat, 16, opts)
+	want := map[graph.VID][]uint32{1: {4, 5, 6}, 2: {7, 9, 11}, 3: {1000, 5, 77, 78}}
+	for v := graph.VID(1); v <= 3; v++ {
+		if err := s.Append(ctx, v, want[v]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Ack(ctx, 1, 0, 1)
+	// Compacting vertex 1 moves it to the frontier and recycles its first
+	// block, which sits in front of the other two.
+	victim := s.tail[1]
+	if err := s.Compact(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	if victim > s.tail[2] || victim > s.tail[3] || s.tail[1] < s.tail[3] {
+		t.Fatalf("setup: recycled block %d is not in front of blocks %d and %d", victim, s.tail[2], s.tail[3])
+	}
+	var dead [headerBytes]byte
+	r.Read(ctx, victim, dead[:])
+
+	// The recovered store turns varint on and gives the recycled block to
+	// vertex 4: one record sizes it, forty one-byte deltas overfill its
+	// capacity word, all counted into slot 0 beside the records.
+	opts.VarintBlocks = true
+	rs, err := RecoverWith(ctx, r, &m.Lat, opts, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dense []uint32
+	for i := uint32(0); i < 41; i++ {
+		dense = append(dense, i)
+	}
+	for _, part := range [][]uint32{dense[:1], dense[1:]} {
+		if err := rs.Append(ctx, 4, part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rs.tail[4] != victim || rs.tailCnt[4] <= rs.tailCap[4] {
+		t.Fatalf("setup: vertex 4's block %d (recycled: %d) holds %d records, capacity word %d", rs.tail[4], victim, rs.tailCnt[4], rs.tailCap[4])
+	}
+	var torn [headerBytes]byte
+	r.Read(ctx, victim, torn[:])
+	if cnt0 := binary.LittleEndian.Uint32(torn[offCnt0:]); cnt0 != rs.tailCnt[4] {
+		t.Fatalf("setup: the appends left %d in slot 0, want their count %d", cnt0, rs.tailCnt[4])
+	}
+	copy(torn[offPrev:offPrev+8], dead[offPrev:offPrev+8])
+	r.Write(ctx, victim, torn[:])
+
+	rs, err = RecoverWith(ctx, r, &m.Lat, opts, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, recs := range want {
+		if got := rs.NeighborsOldestFirst(ctx, v, nil); !equalU32s(got, recs) {
+			t.Errorf("vertex %d behind the torn reuse = %v, want %v", v, got, recs)
+		}
+	}
+	if got := rs.Records(4); got != 0 {
+		t.Errorf("vertex 4 recovers %d records of a flushing phase that never committed", got)
 	}
 }

@@ -11,6 +11,9 @@
 package analytics
 
 import (
+	"maps"
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/view"
 	"repro/internal/xpsim"
@@ -83,8 +86,12 @@ func (e *Engine) parRun(buckets map[int][]graph.VID, work func(ctx *xpsim.Ctx, v
 	if perNodeCap < 1 {
 		perNodeCap = 1
 	}
+	// Node order, not map order: the buckets run one after the other on
+	// devices whose XPBuffer state carries over, so the order they run in
+	// shows in the simulated time.
 	var phaseNs int64
-	for node, vs := range buckets {
+	for _, node := range slices.Sorted(maps.Keys(buckets)) {
+		vs := buckets[node]
 		workers := per
 		// contention is per-device pressure: workers bound to one node
 		// all hammer that node's DIMMs, while unbound workers spread

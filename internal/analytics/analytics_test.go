@@ -172,6 +172,38 @@ func TestPageRankDeterministic(t *testing.T) {
 	}
 }
 
+// TestSimulatedTimeRepeats: the per-node buckets of a phase run one after
+// the other on devices whose XPBuffer state carries over, so the order they
+// run in is part of the simulated time. It is node order: BFS + PageRank on
+// one snapshot of a sub-graph store cost the same simulated nanoseconds run
+// after run (the first run, which starts on the XPBuffer the flush left
+// behind, set aside). Ranging over the bucket map, they did not.
+func TestSimulatedTimeRepeats(t *testing.T) {
+	m := xpsim.NewMachine(2, 256<<20, xpsim.DefaultLatency())
+	s, err := core.New(m, pmem.NewHeap(m), nil, core.Options{Name: "rep", NumVertices: 1024,
+		LogCapacity: 1 << 15, ArchiveThreshold: 1 << 10, ArchiveThreads: 8, NUMA: core.NUMASubgraph})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Ingest(gen.RMAT(10, 30000, 14)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FlushAllVbufs(); err != nil { // every read goes to PMEM
+		t.Fatal(err)
+	}
+	snap := s.Snapshot(xpsim.NewCtx(xpsim.NodeUnbound))
+	defer snap.Close()
+	e := NewEngine(snap, &m.Lat, 8)
+	run := func() int64 { return e.BFS(0).SimNs + e.PageRank(3).SimNs }
+	run()
+	want := run()
+	for i := 0; i < 4; i++ {
+		if got := run(); got != want {
+			t.Fatalf("run %d: BFS + PageRank cost %d simulated ns, the run before %d", i+2, got, want)
+		}
+	}
+}
+
 func TestOneHop(t *testing.T) {
 	edges := gen.RMAT(8, 2000, 12)
 	e := NewEngine(newMapView(256, edges), testLat(), 4)

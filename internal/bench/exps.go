@@ -591,15 +591,7 @@ func fig19(cfg Config) (Table, error) {
 	for _, ds := range dss {
 		edges := edgesFor(ds, cfg)
 		for _, poolMB := range []int64{1, 2, 4, 8, 16, 32, 64, 96} {
-			pm := poolMB << 20
-			s, _, err := newXPGraph(edges, ds.NumVertices(), cfg, func(o *core.Options) {
-				o.PoolMax = pm
-				o.PoolBulk = pm / int64(2*cfg.ArchiveThreads)
-			})
-			if err != nil {
-				return Table{}, err
-			}
-			rep, err := s.Ingest(edges)
+			rep, err := fig19Point(edges, ds, cfg, poolMB)
 			if err != nil {
 				return Table{}, err
 			}
@@ -610,6 +602,19 @@ func fig19(cfg Config) (Table, error) {
 	t.Notes = append(t.Notes,
 		"paper Fig.19: big gains up to 16 GB (scaled: MB), flat beyond 32; oversized pools cost nothing (lazy allocation)")
 	return t, nil
+}
+
+// fig19Point ingests the edges with the vertex-buffer pool capped at poolMB.
+func fig19Point(edges []graph.Edge, ds gen.Dataset, cfg Config, poolMB int64) (core.IngestReport, error) {
+	pm := poolMB << 20
+	s, _, err := newXPGraph(edges, ds.NumVertices(), cfg, func(o *core.Options) {
+		o.PoolMax = pm
+		o.PoolBulk = pm / int64(2*cfg.ArchiveThreads)
+	})
+	if err != nil {
+		return core.IngestReport{}, err
+	}
+	return s.Ingest(edges)
 }
 
 // ---- Fig. 20: XPGraph thread sweep ----
@@ -742,8 +747,8 @@ func ablation(cfg Config) (Table, error) {
 }
 
 // extSSD measures the SSD-supported XPGraph prototype (§V-F future work):
-// the same workload on ample PMEM vs a PMEM arena one-eighth the size
-// with SSD overflow.
+// the same workload on ample PMEM vs PMEM arenas one-eighth of what the
+// adjacency lists need, with SSD overflow.
 func extSSD(cfg Config) (Table, error) {
 	dss, err := datasets(cfg, "FS")
 	if err != nil {
@@ -752,39 +757,55 @@ func extSSD(cfg Config) (Table, error) {
 	t := Table{Exp: "ext-ssd", Title: "SSD-supported XPGraph (PMEM-overflow prototype)",
 		Columns: []string{"dataset", "config", "ingest_s", "bfs_s", "ssd_MB"}}
 	for _, ds := range dss {
-		edges := edgesFor(ds, cfg)
-		need := adjBytesFor(int64(len(edges)), 2)
-		run := func(name string, adjBytes, overflow int64) error {
-			s, m, err := newXPGraph(edges, ds.NumVertices(), cfg, func(o *core.Options) {
-				o.AdjBytes = adjBytes
-				o.SSDOverflow = overflow
-			})
-			if err != nil {
-				return err
-			}
-			rep, err := s.Ingest(edges)
-			if err != nil {
-				return err
-			}
-			e := analytics.NewEngine(s, &m.Lat, cfg.QueryThreads)
-			bfs := e.BFS(bfsRoots(ds)[0])
-			t.Rows = append(t.Rows, []string{ds.Name, name, secs(rep.TotalNs()),
-				secs(bfs.SimNs), mb(s.SSDBytes())})
-			return nil
-		}
-		if err := run("pmem-only", need, 0); err != nil {
+		runs, err := extSSDRuns(ds, cfg)
+		if err != nil {
 			return Table{}, err
 		}
-		// An arena far below the flushed-adjacency footprint forces
-		// most blocks onto the SSD.
-		small := int64(len(edges))/4 + (16 << 10)
-		if err := run("small-pmem+ssd", small, 4*need); err != nil {
-			return Table{}, err
+		for i, name := range []string{"pmem-only", "small-pmem+ssd"} {
+			t.Rows = append(t.Rows, []string{ds.Name, name, secs(runs[i].ingestNs),
+				secs(runs[i].bfsNs), mb(runs[i].ssdBytes)})
 		}
 	}
 	t.Notes = append(t.Notes,
 		"extension experiment: graphs larger than PMEM keep working with cold adjacency blocks on NVMe")
 	return t, nil
+}
+
+// ssdRun is one ext-ssd measurement.
+type ssdRun struct {
+	ingestNs, bfsNs int64
+	ssdBytes        int64
+}
+
+// extSSDRuns ingests ds on ample PMEM, then on arenas an eighth of what the
+// first run's arenas came to hold — the sub-graphs are balanced halves, so
+// every arena holds about the same — with the rest overflowing to SSD.
+func extSSDRuns(ds gen.Dataset, cfg Config) ([2]ssdRun, error) {
+	edges := edgesFor(ds, cfg)
+	need := adjBytesFor(int64(len(edges)), 2)
+	var runs [2]ssdRun
+	var perArena int64
+	run := func(i int, adjBytes, overflow int64) error {
+		s, m, err := newXPGraph(edges, ds.NumVertices(), cfg, func(o *core.Options) {
+			o.AdjBytes = adjBytes
+			o.SSDOverflow = overflow
+		})
+		if err != nil {
+			return err
+		}
+		rep, err := s.Ingest(edges)
+		if err != nil {
+			return err
+		}
+		e := analytics.NewEngine(s, &m.Lat, cfg.QueryThreads)
+		runs[i] = ssdRun{ingestNs: rep.TotalNs(), bfsNs: e.BFS(bfsRoots(ds)[0]).SimNs, ssdBytes: s.SSDBytes()}
+		perArena = s.MemUsage().PblkPMEM / int64(2*s.NumPartitions())
+		return nil
+	}
+	if err := run(0, need, 0); err != nil {
+		return runs, err
+	}
+	return runs, run(1, perArena/8+(4<<10), 4*need)
 }
 
 // extHotCold isolates the buffer-as-cache effect behind Fig. 14's query

@@ -1,6 +1,10 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/gen"
+)
 
 func TestAblationShape(t *testing.T) {
 	tb, err := Run("ablation", quickCfg("FS"))
@@ -22,18 +26,22 @@ func TestAblationShape(t *testing.T) {
 }
 
 func TestExtSSDShape(t *testing.T) {
-	tb, err := Run("ext-ssd", quickCfg("FS"))
+	// Raw nanoseconds, not table cells: at this scale both runs round to the
+	// same millisecond.
+	ds, err := gen.ByName("FS")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm := cellF(t, tb, 0, "ingest_s")
-	tiered := cellF(t, tb, 1, "ingest_s")
-	ssdMB := cellF(t, tb, 1, "ssd_MB")
-	if tiered <= pm {
-		t.Errorf("tiered ingest (%f) should cost more than pure PMEM (%f)", tiered, pm)
+	runs, err := extSSDRuns(ds, quickCfg("FS").withDefaults())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ssdMB <= 0 {
-		t.Error("overflow run should place bytes on the SSD")
+	pm, tiered := runs[0], runs[1]
+	if tiered.ingestNs <= pm.ingestNs {
+		t.Errorf("tiered ingest (%d ns) should cost more than pure PMEM (%d ns)", tiered.ingestNs, pm.ingestNs)
+	}
+	if pm.ssdBytes != 0 || tiered.ssdBytes <= 0 {
+		t.Errorf("SSD bytes: %d on ample PMEM, %d on small arenas; only the overflow run should place any", pm.ssdBytes, tiered.ssdBytes)
 	}
 }
 

@@ -647,10 +647,33 @@ func TestFourSocketMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAgainstReference(t, s, buildReference(edges), 1024)
-	// Vertex v's data lives on node v%4.
-	for v := graph.VID(0); v < 8; v++ {
-		if got := s.Node(Out, v); got != int(v%4) {
-			t.Fatalf("vertex %d on node %d, want %d", v, got, v%4)
+	if err := s.FlushAllVbufs(); err != nil {
+		t.Fatal(err)
+	}
+	// All of a vertex's records, in both directions, sit in the arena of the
+	// node Store.Node names, and every node holds a share of the graph.
+	var perNode [4]int
+	for v := graph.VID(0); v < 1024; v++ {
+		node := s.Node(Out, v)
+		if in := s.Node(In, v); in != node {
+			t.Fatalf("vertex %d: out-list on node %d, in-list on node %d", v, node, in)
+		}
+		for d := 0; d < 2; d++ {
+			for p, g := range s.groups[d] {
+				switch recs := g.adj.Records(v); {
+				case p != node && recs != 0:
+					t.Fatalf("vertex %d lives on node %d, but partition %d holds %d of its %s-records", v, node, p, recs, dirName(d))
+				case p == node && g.node != node:
+					t.Fatalf("partition %d is bound to node %d", p, g.node)
+				case p == node:
+					perNode[node] += recs
+				}
+			}
+		}
+	}
+	for node, recs := range perNode {
+		if recs == 0 {
+			t.Fatalf("node %d holds no records: %v", node, perNode)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/mempool"
+	"repro/internal/xpsim"
 )
 
 // TestCrashSafeFlushCostNearRelaxed pins what the crash-safe commit may
@@ -35,4 +37,51 @@ func TestCrashSafeFlushCostNearRelaxed(t *testing.T) {
 	if ratio > 1.5 {
 		t.Errorf("crash-safe FlushNs is %.2fx the relaxed store's, want <= 1.5x", ratio)
 	}
+}
+
+// TestFlushDrainUsesEveryWorker: 16 archive threads on two sockets are four
+// drain workers per group, and every one of them must be dealt vertices to
+// drain — in shares of comparable cost — with each buffered vertex drained
+// exactly once. A stride over the ID space under a partition filter does not
+// give that: with `v mod 2` partitions and `v += 4` per worker, two of a
+// group's four never meet a vertex of their partition.
+func TestFlushDrainUsesEveryWorker(t *testing.T) {
+	s := newStore(t, Options{Name: "deal", NumVertices: 1 << 12, ArchiveThreads: 16,
+		NUMA: NUMASubgraph, AdjBytes: 16 << 20})
+	edges := gen.RMAT(12, 40000, 3)
+	if _, err := s.Ingest(edges); err != nil { // no flush yet: every edge sits in a vertex buffer
+		t.Fatal(err)
+	}
+	wpg := s.workersPerGroup()
+	if wpg != 4 || s.Report().FlushAlls != 0 {
+		t.Fatalf("setup: %d workers per group, %d flush-alls", wpg, s.Report().FlushAlls)
+	}
+	for d := 0; d < 2; d++ {
+		for p, g := range s.groups[d] {
+			var lo, hi int64
+			for w := 0; w < wpg; w++ {
+				ctx := xpsim.NewCtx(g.node)
+				if err := s.drainShare(ctx, d, p, w, wpg); err != nil {
+					t.Fatal(err)
+				}
+				ns := ctx.Cost.Ns()
+				if ns == 0 {
+					t.Errorf("%s/p%d: drain worker %d of %d was dealt nothing", dirName(d), p, w, wpg)
+				}
+				if w == 0 {
+					lo, hi = ns, ns
+				}
+				lo, hi = min(lo, ns), max(hi, ns)
+			}
+			if hi > 2*lo {
+				t.Errorf("%s/p%d: the slowest drain worker takes %d ns, the fastest %d", dirName(d), p, hi, lo)
+			}
+		}
+		for v, h := range s.vbH[d] {
+			if h != mempool.None {
+				t.Fatalf("vertex %d still holds a %s-buffer after every worker drained its share", v, dirName(d))
+			}
+		}
+	}
+	checkAgainstReference(t, s, buildReference(edges), 1<<12)
 }

@@ -415,35 +415,56 @@ func (s *Store) FlushAllVbufs() error {
 func (s *Store) drainVbufs(startNs int64) (int64, error) {
 	wpg := s.workersPerGroup()
 	contention := s.contentionFor()
-	numV := s.NumVertices()
 	return s.runGroups("flush", startNs, func(d, p int, g *group) (time.Duration, error) {
 		var flushErr error
 		dur := xpsim.ParallelN(wpg, contention, nodeOfFn(g.node), func(w int, ctx *xpsim.Ctx) {
-			thread := (d*s.nparts+p)*wpg + w
-			for v := graph.VID(w); v < numV; v += graph.VID(wpg) {
-				if s.partOf(v) != p {
-					continue
-				}
-				h := s.vbH[d][v]
-				if h == mempool.None {
-					continue
-				}
-				c := int(s.vbC[d][v])
-				s.lat.CPU(ctx, 2)
-				if s.bufs.Count(h, c) > 0 {
-					s.drained = s.bufs.Drain(ctx, h, c, s.drained[:0])
-					if err := g.adj.Append(ctx, v, s.drained); err != nil {
-						flushErr = err
-						return
-					}
-				}
-				s.bufs.Free(thread, h, c)
-				s.vbH[d][v] = mempool.None
-				s.vbC[d][v] = 0
+			if err := s.drainShare(ctx, d, p, w, wpg); err != nil {
+				flushErr = err
 			}
 		})
 		return dur, flushErr
 	})
+}
+
+// drainShare is flush worker w's share (of n workers) of partition p: the
+// partition's vertices in ascending order, every n-th one, round-robin.
+// Membership in a partition is a hash of the ID and a vertex's weight
+// follows its ID's bit pattern (RMAT), so no stride over the ID space itself
+// gives every worker both vertices and an even load. A vertex's rank in its
+// partition never changes, so the same worker drains it flush after flush:
+// its blocks sit among that worker's other blocks, in the order the worker
+// visits them. Every worker walks the ID space for itself and keeps no list
+// of the partition.
+func (s *Store) drainShare(ctx *xpsim.Ctx, d, p, w, n int) error {
+	g := s.groups[d][p]
+	thread := (d*s.nparts+p)*n + w
+	rank := 0
+	for v, numV := graph.VID(0), s.NumVertices(); v < numV; v++ {
+		if s.partOf(v) != p {
+			continue
+		}
+		mine := rank%n == w
+		rank++
+		if !mine {
+			continue
+		}
+		h := s.vbH[d][v]
+		if h == mempool.None {
+			continue
+		}
+		c := int(s.vbC[d][v])
+		s.lat.CPU(ctx, 2)
+		if s.bufs.Count(h, c) > 0 {
+			s.drained = s.bufs.Drain(ctx, h, c, s.drained[:0])
+			if err := g.adj.Append(ctx, v, s.drained); err != nil {
+				return err
+			}
+		}
+		s.bufs.Free(thread, h, c)
+		s.vbH[d][v] = mempool.None
+		s.vbC[d][v] = 0
+	}
+	return nil
 }
 
 // flushProps pushes pending property records into the column log so a

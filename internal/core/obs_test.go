@@ -167,11 +167,13 @@ func TestWorkerSpansStayInsidePhase(t *testing.T) {
 	}
 }
 
-// TestRecoverySpans: the replay is the buffering phase, so a recovery
-// trace shows it — buffer phase spans, with their shard and buffer worker
-// sub-spans, on the recovery lane inside the recover span, which is as long
-// as the serial scan plus those phases. None of it is ingestion: the
-// buffering lane and the recovered store's report stay empty.
+// TestRecoverySpans: a recovery trace shows the three parts of a recovery
+// inside the recover span, which is as long as all of them: the serial
+// attach; the arena scans, one worker sub-span per group, starting together
+// once the log is attached; and the replay, which is the buffering phase —
+// buffer phase spans, with their shard and buffer worker sub-spans, on the
+// recovery lane, from the end of the slowest scan. None of it is ingestion:
+// the buffering lane and the recovered store's report stay empty.
 func TestRecoverySpans(t *testing.T) {
 	opts := Options{Name: "rspans", NumVertices: 1 << 12, ArchiveThreads: 4,
 		NUMA: NUMASubgraph, AdjBytes: 8 << 20, ArchiveThreshold: 1 << 10}
@@ -196,8 +198,9 @@ func TestRecoverySpans(t *testing.T) {
 		t.Errorf("recovered store reports ingestion: %+v", rs.Report())
 	}
 	var rec obs.Span
-	var phases, workers int
-	var replayNs, firstStart int64 = 0, -1
+	var phases, scans, workers int
+	var replayNs int64
+	var scanStart, scanEnd, firstStart int64 = -1, 0, -1
 	for _, sp := range tr.Snapshot() {
 		switch {
 		case sp.Name == "recover":
@@ -210,6 +213,12 @@ func TestRecoverySpans(t *testing.T) {
 			}
 		case sp.Cat == "phase":
 			t.Errorf("unexpected phase span %q on lane %d", sp.Name, sp.Lane)
+		case strings.HasPrefix(sp.Name, "scan "):
+			scans++
+			if scanStart >= 0 && sp.StartNs != scanStart {
+				t.Errorf("scan sub-span %q starts at %d, its siblings at %d", sp.Name, sp.StartNs, scanStart)
+			}
+			scanStart, scanEnd = sp.StartNs, max(scanEnd, sp.StartNs+sp.DurNs)
 		default:
 			workers++
 		}
@@ -220,16 +229,90 @@ func TestRecoverySpans(t *testing.T) {
 	if want := (rep.Replayed + 4*opts.ArchiveThreshold - 1) / (4 * opts.ArchiveThreshold); int64(phases) != want {
 		t.Errorf("%d buffer phases replay %d edges, want %d", phases, rep.Replayed, want)
 	}
-	if workers != 8*phases {
-		t.Errorf("%d worker sub-spans under %d replay phases, want a shard and a buffer span per group", workers, phases)
+	if scans != 4 || workers != 8*phases {
+		t.Errorf("%d scan sub-spans and %d others under %d replay phases, want a scan span per group and a shard and a buffer span per group and phase", scans, workers, phases)
 	}
 	for _, sp := range tr.Snapshot() {
-		if sp.StartNs < firstStart && sp.Name != "recover" || sp.StartNs+sp.DurNs > rec.DurNs {
+		if sp.StartNs < firstStart && sp.Name != "recover" && !strings.HasPrefix(sp.Name, "scan ") || sp.StartNs+sp.DurNs > rec.DurNs {
 			t.Errorf("span %q [%d,+%d] outside the replay [%d,%d]", sp.Name, sp.StartNs, sp.DurNs, firstStart, rec.DurNs)
 		}
 	}
-	if firstStart <= 0 || firstStart+replayNs != rep.SimNs {
-		t.Errorf("scan %d + replay %d != SimNs %d", firstStart, replayNs, rep.SimNs)
+	if scanStart <= 0 || scanEnd != firstStart || firstStart+replayNs != rep.SimNs {
+		t.Errorf("attach %d, scans until %d, replay [%d,+%d], SimNs %d: not back to back", scanStart, scanEnd, firstStart, replayNs, rep.SimNs)
+	}
+}
+
+// TestRecoveryScanIsBoundAndParallel: every arena is scanned by an archive
+// thread bound to the arena's node — on sub-graph partitions not one access
+// of a recovery crosses sockets, where one unbound context read every other
+// arena remotely — and the arenas are scanned in parallel: recovery (with
+// nothing to replay) lasts as long as the serial attach plus the thread
+// with the most to scan. One archive thread scans them one after the other.
+func TestRecoveryScanIsBoundAndParallel(t *testing.T) {
+	opts := Options{Name: "scan", NumVertices: 1 << 12, ArchiveThreads: 16,
+		NUMA: NUMASubgraph, AdjBytes: 8 << 20}
+	s := newStore(t, opts)
+	if _, err := s.Ingest(gen.RMAT(12, 40000, 21)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FlushAllVbufs(); err != nil {
+		t.Fatal(err)
+	}
+	// scansOn recovers on the given number of archive threads and returns
+	// the report, when the scans start, and the scan sub-spans' durations in
+	// start order.
+	scansOn := func(threads int) (rep RecoveryReport, attachNs int64, scans []obs.Span) {
+		clone, err := s.Heap().CrashClone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		clone.Machine().ResetStats()
+		o := opts
+		o.ArchiveThreads = threads
+		o.Tracer = obs.NewTracer(1 << 8)
+		_, rep, err = Recover(clone.Machine(), clone, nil, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Replayed != 0 || rep.BlocksScanned == 0 {
+			t.Fatalf("setup: replayed %d edges, scanned %d blocks: want a scan-only recovery", rep.Replayed, rep.BlocksScanned)
+		}
+		if st := clone.Machine().TotalStats(); st.RemoteAccesses != 0 || st.LocalAccesses == 0 {
+			t.Errorf("%d threads: %d remote and %d local line accesses during recovery, want none remote", threads, st.RemoteAccesses, st.LocalAccesses)
+		}
+		for _, sp := range o.Tracer.Snapshot() {
+			if strings.HasPrefix(sp.Name, "scan ") {
+				scans = append(scans, sp)
+			}
+		}
+		if len(scans) != 4 {
+			t.Fatalf("%d threads: %d scan sub-spans, want one per group", threads, len(scans))
+		}
+		return rep, scans[0].StartNs, scans
+	}
+
+	rep, attachNs, scans := scansOn(16)
+	var slowest, sum int64
+	for _, sp := range scans {
+		if sp.StartNs != attachNs {
+			t.Errorf("16 threads: %q starts at %d, the first scan at %d", sp.Name, sp.StartNs, attachNs)
+		}
+		slowest, sum = max(slowest, sp.DurNs), sum+sp.DurNs
+	}
+	if attachNs <= 0 || rep.SimNs != attachNs+slowest {
+		t.Errorf("16 threads: SimNs %d, want attach %d + slowest scan %d", rep.SimNs, attachNs, slowest)
+	}
+
+	one, oneAttach, scans := scansOn(1)
+	at := oneAttach
+	for _, sp := range scans {
+		if sp.StartNs != at {
+			t.Errorf("1 thread: %q starts at %d, want %d: right after the scan before it", sp.Name, sp.StartNs, at)
+		}
+		at += sp.DurNs
+	}
+	if oneAttach != attachNs || one.SimNs != at || one.SimNs != attachNs+sum {
+		t.Errorf("1 thread: attach %d, SimNs %d; 16 threads: attach %d, scans sum to %d", oneAttach, one.SimNs, attachNs, sum)
 	}
 }
 

@@ -47,7 +47,7 @@ const (
 	// NUMAOutIn stores the out-graph on node 0 and the in-graph on
 	// node 1, binding threads accordingly.
 	NUMAOutIn
-	// NUMASubgraph hash-partitions vertices (v mod P) into P sub-graphs,
+	// NUMASubgraph hash-partitions vertices (shard.PartOf) into P sub-graphs,
 	// one per node — the paper's default.
 	NUMASubgraph
 )

@@ -156,3 +156,47 @@ func TestIngestTypedWithoutProps(t *testing.T) {
 		t.Fatalf("propless typed visit = %v, want {2:0}", got)
 	}
 }
+
+// TestPropFlushWritesNoBlockAcrossSockets: the column log is interleaved
+// over the sockets, and on a store whose archive threads are bound each
+// block is written and flushed from the node that holds it (prop.BindFlush):
+// no remote access, one line write and one write-back a block, and a DRAM
+// line handed over wherever the log crosses into the other socket's stripe.
+// Without binding the one flush thread sits on a socket and pays the remote
+// price for the other's stripes.
+func TestPropFlushWritesNoBlockAcrossSockets(t *testing.T) {
+	const blocks = 100 // 6.25 stripes of 16 blocks
+	sets := make([]graph.PropSet, blocks*prop.RecordsPerBlock)
+	for i := range sets {
+		sets[i] = graph.PropSet{V: graph.VID(i % 64), Key: 1, Val: int64(i)}
+	}
+	flush := func(numa NUMAMode) (ns int64, st xpsim.Stats) {
+		s := newStore(t, Options{Name: "pflush", NumVertices: 64, NUMA: numa, Props: true})
+		if err := s.SetProps(sets); err != nil {
+			t.Fatal(err)
+		}
+		s.machine.ResetStats()
+		ns, err := s.flushProps(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.props.Blocks(); got != blocks {
+			t.Fatalf("%d column blocks, want %d", got, blocks)
+		}
+		return ns, s.machine.TotalStats()
+	}
+
+	lat := xpsim.DefaultLatency()
+	ns, st := flush(NUMASubgraph)
+	if st.RemoteAccesses != 0 {
+		t.Errorf("bound store: %d of %d column-log accesses crossed sockets", st.RemoteAccesses, st.RemoteAccesses+st.LocalAccesses)
+	}
+	handover := lat.DRAMWrite + lat.DRAMRead
+	if lo, hi := int64(blocks)*2*lat.LineWrite+6*handover, int64(blocks)*2*lat.LineWrite+8*handover; ns < lo || ns > hi {
+		t.Errorf("bound store: flush takes %d ns, want %d..%d (%d blocks, 6-8 handovers)", ns, lo, hi, blocks)
+	}
+	unboundNs, st := flush(NUMANone)
+	if st.RemoteAccesses == 0 || unboundNs <= ns {
+		t.Errorf("unbound store: %d remote accesses, %d ns (bound: %d ns)", st.RemoteAccesses, unboundNs, ns)
+	}
+}

@@ -22,9 +22,10 @@ type RecoveryReport struct {
 
 // Recover re-attaches to the PMEM of a crashed store and rebuilds all
 // DRAM state: the edge log is attached first (its flushed cursor carries
-// the authoritative count slot), the adjacency arenas are scanned
-// sequentially to reload the vertex index — completing any interrupted
-// compaction via its journal — and the log window [flushed, head) is
+// the authoritative count slot), the adjacency arenas are scanned — each
+// one sequentially, by an archive thread bound to its node, all of them in
+// parallel — to reload the vertex index, completing any interrupted
+// compaction via its journal, and the log window [flushed, head) is
 // replayed into fresh vertex buffers (the recovery scheme of §III-B /
 // §V-D) by the buffering phase itself, so recovery scales with the archive
 // threads like ingestion does.
@@ -108,11 +109,13 @@ func Recover(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts O
 		}
 	}
 
-	if err := s.mapMemories(ctx, s.log.AckSlot()); err != nil {
+	// Everything so far was serial; the arena scans are a step of the
+	// archive threads, whose bookkeeping initPool sets up.
+	s.initPool()
+	scanNs, err := s.attachMemories(ctx.Cost.Ns(), s.log.AckSlot())
+	if err != nil {
 		return nil, RecoveryReport{}, err
 	}
-
-	s.initPool()
 	var rep RecoveryReport
 
 	// Rebuild vertex-level DRAM state from the recovered arenas.
@@ -129,9 +132,17 @@ func Recover(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts O
 	for d := 0; d < 2; d++ {
 		for p, g := range s.groups[d] {
 			for v := graph.VID(0); v < g.adj.NumVertices(); v++ {
-				if s.partOf(v) == p {
-					s.records[d][v] += uint32(g.adj.Records(v))
+				if !g.adj.Has(v) {
+					continue
 				}
+				if home := s.partOf(v); home != p {
+					// Reads, flushes and the replay would all look for v in
+					// its home arena and never see these records: a heap
+					// written under another partition function must not
+					// recover as a partial graph.
+					return nil, RecoveryReport{}, fmt.Errorf("core: adjacency region %q holds a block of vertex %d, which these options place in partition %d: the crashed store partitioned its vertices differently (wrong geometry)", s.adjRegionName(d, p), v, home)
+				}
+				s.records[d][v] += uint32(g.adj.Records(v))
 			}
 		}
 	}
@@ -154,10 +165,10 @@ func Recover(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts O
 	// an unbuffered window like any other: rewind the buffered cursor to
 	// the flushed one and run the ordinary buffering phase over it, on the
 	// archive threads. The phases sit on the recovery lane, after the
-	// serial scan and inside the recover span.
+	// scans and inside the recover span.
 	rep.Replayed = s.log.Head() - s.log.Flushed()
 	s.log.RewindBuffered()
-	s.laneEnd[obs.LaneRecovery] = ctx.Cost.Ns()
+	s.laneEnd[obs.LaneRecovery] = ctx.Cost.Ns() + scanNs
 	for s.log.PendingBuffer() > 0 {
 		if err := s.bufferPhase(obs.LaneRecovery); err != nil {
 			return nil, RecoveryReport{}, err
@@ -176,8 +187,8 @@ func Recover(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts O
 			return nil, RecoveryReport{}, err
 		}
 	}
-	rep.SimNs = ctx.Cost.Ns() + replayNs
-	s.laneEnd[obs.LaneRecovery] = 0 // the recover span holds scan and replay
+	rep.SimNs = ctx.Cost.Ns() + scanNs + replayNs
+	s.laneEnd[obs.LaneRecovery] = 0 // the recover span holds attach, scan and replay
 	s.emitSpan("recover", obs.LaneRecovery, rep.SimNs)
 	return s, rep, nil
 }

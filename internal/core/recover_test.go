@@ -2,11 +2,14 @@ package core
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/mem"
 	"repro/internal/pmem"
+	"repro/internal/shard"
 	"repro/internal/xpsim"
 )
 
@@ -233,5 +236,50 @@ func TestRecoverRejectsWrongNUMAMode(t *testing.T) {
 	bad.NUMA = NUMANone
 	if _, _, err := Recover(m, h, nil, bad); err == nil {
 		t.Fatal("wrong NUMA mode must fail recovery")
+	}
+}
+
+func TestRecoverRejectsForeignPlacement(t *testing.T) {
+	// An arena holding a live block of a vertex that shard.PartOf places in
+	// another partition was written under another partition function (the
+	// `v mod P` of older heaps, say). Every read, flush and replay would look
+	// for the vertex in its home arena, so recovery must refuse the heap like
+	// any other wrong geometry instead of returning a partial graph.
+	m, h := testMachine()
+	opts := Options{Name: "placed", NumVertices: 64, LogCapacity: 1 << 10,
+		ArchiveThreshold: 16, ArchiveThreads: 2, NUMA: NUMASubgraph}
+	s, err := New(m, h, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var home, foreign graph.VID
+	for v := graph.VID(1); home == 0 || foreign == 0; v++ {
+		if shard.PartOf(v, 2) == 0 && home == 0 {
+			home = v
+		} else if shard.PartOf(v, 2) == 1 && foreign == 0 {
+			foreign = v
+		}
+	}
+	if _, err := s.Ingest([]graph.Edge{{Src: home, Dst: 60}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FlushAllVbufs(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Recover(m, h, nil, opts); err != nil {
+		t.Fatalf("the heap as written must recover: %v", err)
+	}
+	// home's out-block is the first of arena out/p0, its vid the header's
+	// first word: hand it to a vertex of partition 1.
+	r, _ := h.Get("placed-adj-out-0")
+	ctx := xpsim.NewCtx(0)
+	first := alignUp(r.UserStart(), 16)
+	if got := mem.ReadU32(r, ctx, first); got != home {
+		t.Fatalf("setup: the first block of out/p0 belongs to vertex %d, want %d", got, home)
+	}
+	mem.WriteU32(r, ctx, first, foreign)
+	_, _, err = Recover(m, h, nil, opts)
+	if err == nil || !strings.Contains(err.Error(), "partition") {
+		t.Fatalf("recovery of a foreign placement = %v, want a geometry error naming the partition", err)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/adj"
 	"repro/internal/elog"
@@ -142,7 +143,7 @@ func New(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts Optio
 	}
 
 	ctx := xpsim.NewCtx(0)
-	if err := s.mapMemories(ctx, 0); err != nil {
+	if err := s.mapMemories(); err != nil {
 		return nil, err
 	}
 	var err error
@@ -181,15 +182,9 @@ func (s *Store) persistBarrier(ctx *xpsim.Ctx) {
 	}
 }
 
-// mapMemories creates (or, for recovery, re-attaches) the log memory and
-// the adjacency groups. In recovery mode (reattach) the caller has
-// already attached the edge log — whose flushed cursor carries ackSlot,
-// the count slot adjacency recovery must trust — and every region must
-// already exist in the heap: a missing region means the options describe
-// a different geometry (wrong NUMA mode, wrong name) than the store that
-// crashed.
-func (s *Store) mapMemories(ctx *xpsim.Ctx, ackSlot int) error {
-	reattach := s.logMem != nil
+// mapMemories creates the log memory and the adjacency groups of a new
+// store.
+func (s *Store) mapMemories() error {
 	opts := s.opts
 	logBytes := opts.LogCapacity*graph.EdgeBytes + 4096
 	if opts.MediaGuard {
@@ -197,15 +192,7 @@ func (s *Store) mapMemories(ctx *xpsim.Ctx, ackSlot int) error {
 		// alignment slack on both sides).
 		logBytes += opts.LogCapacity*4 + 2*xpsim.XPLineSize
 	}
-	adjOpts := adj.Options{
-		ProactiveFlush: opts.ProactiveFlush && opts.Medium == MediumPMEM,
-		CrashSafe:      opts.crashSafe(),
-		// Battery-backed DRAM is persistent, so the count mirrors need
-		// no PMEM writes (§IV-C).
-		DeferCounts:  opts.Battery && opts.Medium == MediumPMEM,
-		Checksums:    opts.MediaGuard,
-		VarintBlocks: opts.CompressedAdj,
-	}
+	adjOpts := s.adjOptions()
 
 	newSpace := func(size int64) mem.Mem {
 		if opts.Medium == MediumMemoryMode {
@@ -226,92 +213,128 @@ func (s *Store) mapMemories(ctx *xpsim.Ctx, ackSlot int) error {
 	if s.heap == nil {
 		return fmt.Errorf("core: PMEM medium requires a heap")
 	}
-	if !reattach {
-		logRegion, err := s.heap.Map(opts.Name+"-elog", logBytes, pmem.Placement{Kind: pmem.Interleave})
-		if err != nil {
-			return err
-		}
-		s.logMem = logRegion
+	logRegion, err := s.heap.Map(opts.Name+"-elog", logBytes, pmem.Placement{Kind: pmem.Interleave})
+	if err != nil {
+		return err
 	}
+	s.logMem = logRegion
 
-	place := func(d, p int) pmem.Placement {
-		switch opts.NUMA {
-		case NUMAOutIn:
-			return pmem.Placement{Kind: pmem.Bind, Node: d % s.machine.Sockets}
-		case NUMASubgraph:
-			return pmem.Placement{Kind: pmem.Bind, Node: p}
-		default:
-			return pmem.Placement{Kind: pmem.Interleave}
-		}
-	}
-	bindNode := func(d, p int) int {
-		switch opts.NUMA {
-		case NUMAOutIn:
-			return d % s.machine.Sockets
-		case NUMASubgraph:
-			return p
-		default:
-			return xpsim.NodeUnbound
-		}
-	}
-
-	dirName := [2]string{"out", "in"}
 	for d := 0; d < 2; d++ {
-		s.groups[d] = nil
 		for p := 0; p < s.nparts; p++ {
-			name := fmt.Sprintf("%s-adj-%s-%d", opts.Name, dirName[d], p)
-			var r *pmem.Region
-			var err error
-			if reattach {
-				var ok bool
-				if r, ok = s.heap.Get(name); !ok {
-					return fmt.Errorf("core: adjacency region %q not found: recovery options disagree with the crashed store's geometry (name or NUMA mode)", name)
-				}
-				if r.Size() != opts.AdjBytes {
-					return fmt.Errorf("core: adjacency region %q is %d bytes, options say %d", name, r.Size(), opts.AdjBytes)
-				}
-			} else if r, err = s.heap.Map(name, opts.AdjBytes, place(d, p)); err != nil {
+			node := s.groupNode(d, p)
+			place := pmem.Placement{Kind: pmem.Interleave}
+			if node != xpsim.NodeUnbound {
+				place = pmem.Placement{Kind: pmem.Bind, Node: node}
+			}
+			r, err := s.heap.Map(s.adjRegionName(d, p), opts.AdjBytes, place)
+			if err != nil {
 				return err
 			}
-			var st *adj.Store
-			if reattach {
-				// Quarantined block spans (loaded from the persisted
-				// quarantine region before mapMemories runs) must never
-				// be recycled by the arena scan.
-				var quar map[int64]bool
-				if s.quarSpans[d] != nil && s.quarSpans[d][p] != nil {
-					quar = make(map[int64]bool, len(s.quarSpans[d][p]))
-					for off := range s.quarSpans[d][p] {
-						quar[off] = true
-					}
-				}
-				st, err = adj.RecoverWith(ctx, r, s.lat, adjOpts, ackSlot, quar)
-				if err != nil {
-					return err
-				}
-			} else if opts.SSDOverflow > 0 {
+			var m mem.Mem = r
+			if opts.SSDOverflow > 0 {
 				// SSD-supported XPGraph: overflow adjacency blocks onto
 				// a simulated NVMe namespace once the PMEM arena fills.
-				tier := mem.NewTiered(r, ssd.New(s.lat, opts.SSDOverflow/int64(2*s.nparts)))
-				st = adj.New(tier, s.lat, s.opts.NumVertices, adjOpts)
-			} else {
-				st = adj.New(r, s.lat, s.opts.NumVertices, adjOpts)
+				m = mem.NewTiered(r, ssd.New(s.lat, opts.SSDOverflow/int64(2*s.nparts)))
 			}
-			s.groups[d] = append(s.groups[d], &group{adj: st, node: bindNode(d, p)})
-		}
-	}
-	if reattach {
-		// A store with more partitions than these options describe would
-		// have its extra partitions' regions silently ignored — a partial
-		// graph recovered without error. One probe past the end catches
-		// the partition-count mismatch (e.g. NUMASubgraph recovered as
-		// NUMANone, whose region names are a strict subset).
-		extra := fmt.Sprintf("%s-adj-%s-%d", opts.Name, dirName[0], s.nparts)
-		if _, ok := s.heap.Get(extra); ok {
-			return fmt.Errorf("core: found adjacency region %q beyond partition %d: the crashed store had more partitions (different NUMA mode)", extra, s.nparts-1)
+			s.groups[d] = append(s.groups[d], &group{adj: adj.New(m, s.lat, opts.NumVertices, adjOpts), node: node})
 		}
 	}
 	return nil
+}
+
+// adjOptions derives the arenas' configuration from the store's.
+func (s *Store) adjOptions() adj.Options {
+	opts := s.opts
+	return adj.Options{
+		ProactiveFlush: opts.ProactiveFlush && opts.Medium == MediumPMEM,
+		CrashSafe:      opts.crashSafe(),
+		// Battery-backed DRAM is persistent, so the count mirrors need
+		// no PMEM writes (§IV-C).
+		DeferCounts:  opts.Battery && opts.Medium == MediumPMEM,
+		Checksums:    opts.MediaGuard,
+		VarintBlocks: opts.CompressedAdj,
+	}
+}
+
+func (s *Store) adjRegionName(d, p int) string {
+	return fmt.Sprintf("%s-adj-%s-%d", s.opts.Name, dirName(d), p)
+}
+
+// groupNode is the node the arena of direction d, partition p lives on and
+// its threads are bound to; xpsim.NodeUnbound for an interleaved arena and
+// unbound threads.
+func (s *Store) groupNode(d, p int) int {
+	switch s.opts.NUMA {
+	case NUMAOutIn:
+		return d % s.machine.Sockets
+	case NUMASubgraph:
+		return p
+	default:
+		return xpsim.NodeUnbound
+	}
+}
+
+// attachMemories re-attaches the adjacency arenas of a crashed store and
+// rebuilds their DRAM indexes. The caller has already attached the edge log
+// — whose flushed cursor carries ackSlot, the count slot adjacency recovery
+// must trust — and loaded the quarantine. Every region must already exist
+// in the heap: a missing region means the options describe a different
+// geometry (wrong NUMA mode, wrong name) than the store that crashed.
+//
+// The arena scans are one more parallel step of the archive threads
+// (runGroups), starting at startNs on the recovery lane: each arena is
+// scanned by a thread bound to the arena's node, so no block is read across
+// sockets, and the step lasts as long as the thread with the most arenas to
+// scan. Its duration is returned.
+func (s *Store) attachMemories(startNs int64, ackSlot int) (int64, error) {
+	adjOpts := s.adjOptions()
+	regions := [2][]*pmem.Region{}
+	for d := 0; d < 2; d++ {
+		for p := 0; p < s.nparts; p++ {
+			name := s.adjRegionName(d, p)
+			r, ok := s.heap.Get(name)
+			if !ok {
+				return 0, fmt.Errorf("core: adjacency region %q not found: recovery options disagree with the crashed store's geometry (name or NUMA mode)", name)
+			}
+			if r.Size() != s.opts.AdjBytes {
+				return 0, fmt.Errorf("core: adjacency region %q is %d bytes, options say %d", name, r.Size(), s.opts.AdjBytes)
+			}
+			regions[d] = append(regions[d], r)
+			s.groups[d] = append(s.groups[d], &group{node: s.groupNode(d, p)})
+		}
+	}
+	// A store with more partitions than these options describe would
+	// have its extra partitions' regions silently ignored — a partial
+	// graph recovered without error. One probe past the end catches
+	// the partition-count mismatch (e.g. NUMASubgraph recovered as
+	// NUMANone, whose region names are a strict subset).
+	extra := s.adjRegionName(0, s.nparts)
+	if _, ok := s.heap.Get(extra); ok {
+		return 0, fmt.Errorf("core: found adjacency region %q beyond partition %d: the crashed store had more partitions (different NUMA mode)", extra, s.nparts-1)
+	}
+
+	// One scanning thread per arena: the threads that share a device are the
+	// bound ones of its node, or all of them on interleaved arenas.
+	scanners := min(s.opts.ArchiveThreads, 2*s.nparts)
+	contention := scanners
+	if s.opts.NUMA != NUMANone {
+		contention = (scanners + s.machine.Sockets - 1) / s.machine.Sockets
+	}
+	return s.runGroups("scan", startNs, func(d, p int, g *group) (time.Duration, error) {
+		// Quarantined block spans must never be recycled by the arena scan.
+		var quar map[int64]bool
+		if s.quarSpans[d] != nil && s.quarSpans[d][p] != nil {
+			quar = make(map[int64]bool, len(s.quarSpans[d][p]))
+			for off := range s.quarSpans[d][p] {
+				quar[off] = true
+			}
+		}
+		var err error
+		dur := xpsim.ParallelN(1, contention, nodeOfFn(g.node), func(_ int, ctx *xpsim.Ctx) {
+			g.adj, err = adj.RecoverWith(ctx, regions[d][p], s.lat, adjOpts, ackSlot, quar)
+		})
+		return dur, err
+	})
 }
 
 // attachProps creates (or, for recovery, re-attaches) the property
@@ -345,6 +368,9 @@ func (s *Store) attachProps(ctx *xpsim.Ctx, reattach bool) error {
 		s.props, _, err = prop.Attach(ctx, r, s.lat, base, capBlocks)
 	} else {
 		s.props, err = prop.Create(r, s.lat, base, capBlocks)
+	}
+	if err == nil && s.opts.NUMA != NUMANone {
+		s.props.BindFlush() // the archive threads are bound: no column block is written across sockets
 	}
 	return err
 }
@@ -419,12 +445,7 @@ func (s *Store) contentionFor() int {
 }
 
 // partOf maps a vertex to its partition.
-func (s *Store) partOf(v graph.VID) int {
-	if s.nparts == 1 {
-		return 0
-	}
-	return int(v) % s.nparts
-}
+func (s *Store) partOf(v graph.VID) int { return shard.PartOf(v, s.nparts) }
 
 // Node reports the NUMA node that owns vertex v's adjacency data in the
 // given direction (xpsim.NodeUnbound when interleaved). Query engines use

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/mem"
@@ -94,6 +95,15 @@ type Log struct {
 	buffered int64
 	flushed  int64
 	slot     int // count slot selected by the persisted flushed word
+
+	// Append's encode buffers, log-owned so that a steady-state append
+	// allocates nothing (the logging thread is the only writer). They hold
+	// one Append call's records — core hands over 4096 edges a call, 48 KiB
+	// with checksums — and exist because mem.Write takes bytes: a real log
+	// streams the caller's edges straight into the ring, so they count as no
+	// DRAM of the modelled store (core.MemUsage).
+	recScratch []byte
+	crcScratch []byte
 }
 
 // Create allocates and initializes a log of capEntries edges inside m.
@@ -223,47 +233,40 @@ func (l *Log) Append(ctx *xpsim.Ctx, edges []graph.Edge) (int, error) {
 	if n == 0 && len(edges) > 0 {
 		return 0, ErrFull
 	}
-	var rec [graph.EdgeBytes]byte
-	for i := int64(0); i < n; i++ {
-		edges[i].Encode(rec[:])
-		pos := (l.head + i) % l.cap
-		l.m.Write(ctx, l.base+pos*graph.EdgeBytes, rec[:])
-	}
+	// The accepted chunk leaves as one write per contiguous ring span — two
+	// when it wraps — and its checksums likewise: XPLine-sized sequential
+	// stores (§III-B), where a store per record would hand the device 8 and
+	// 4 bytes at a time.
+	//
 	// Crash-consistency ordering: the edge records must be durable before
 	// the head cursor that publishes them, or recovery would replay
-	// whatever stale ring bytes sit beyond the durable data. Flush the
-	// written ring range (two spans when it wraps), then advance the
-	// head, then flush the header line. Battery-backed stores skip the
-	// ordering: their whole memory hierarchy is in the persistence
-	// domain, so buffered lines survive power loss anyway (§IV-C).
+	// whatever stale ring bytes sit beyond the durable data — and so must
+	// their strip entries, or a recovered log would flag a perfectly good
+	// record as corrupt. Flush the written ring spans, then the strip's,
+	// then advance the head, then flush the header line. Battery-backed
+	// stores skip the ordering: their whole memory hierarchy is in the
+	// persistence domain, so buffered lines survive power loss anyway
+	// (§IV-C).
+	startPos := l.head % l.cap
+	first := min(n, l.cap-startPos) // records before the ring wraps
+	recs := slices.Grow(l.recScratch[:0], int(n)*graph.EdgeBytes)[:n*graph.EdgeBytes]
+	for i := range edges[:n] {
+		edges[i].Encode(recs[i*graph.EdgeBytes:])
+	}
+	l.recScratch = recs
+	l.writeSpans(ctx, l.base, graph.EdgeBytes, startPos, first, recs)
 	if l.strip != 0 {
-		// The strip entry must be durable before the head that publishes
-		// its record, same as the record bytes themselves — otherwise a
-		// recovered log would flag a perfectly good record as corrupt.
-		var cb [4]byte
+		crcs := slices.Grow(l.crcScratch[:0], int(n)*4)[:n*4]
 		for i := int64(0); i < n; i++ {
-			edges[i].Encode(rec[:])
-			pos := (l.head + i) % l.cap
-			binary.LittleEndian.PutUint32(cb[:], recCRC(l.head+i, rec[:]))
-			l.m.Write(ctx, l.strip+pos*4, cb[:])
+			binary.LittleEndian.PutUint32(crcs[i*4:], recCRC(l.head+i, recs[i*graph.EdgeBytes:][:graph.EdgeBytes]))
 		}
+		l.crcScratch = crcs
+		l.writeSpans(ctx, l.strip, 4, startPos, first, crcs)
 	}
 	if !l.battery {
-		startPos := l.head % l.cap
-		if startPos+n <= l.cap {
-			l.m.Flush(ctx, l.base+startPos*graph.EdgeBytes, n*graph.EdgeBytes)
-		} else {
-			l.m.Flush(ctx, l.base+startPos*graph.EdgeBytes, (l.cap-startPos)*graph.EdgeBytes)
-			l.m.Flush(ctx, l.base, (startPos+n-l.cap)*graph.EdgeBytes)
-		}
+		l.flushSpans(ctx, l.base, graph.EdgeBytes, startPos, first, n)
 		if l.strip != 0 {
-			startPos := l.head % l.cap
-			if startPos+n <= l.cap {
-				l.m.Flush(ctx, l.strip+startPos*4, n*4)
-			} else {
-				l.m.Flush(ctx, l.strip+startPos*4, (l.cap-startPos)*4)
-				l.m.Flush(ctx, l.strip, (startPos+n-l.cap)*4)
-			}
+			l.flushSpans(ctx, l.strip, 4, startPos, first, n)
 		}
 	}
 	l.head += n
@@ -275,6 +278,23 @@ func (l *Log) Append(ctx *xpsim.Ctx, edges []graph.Edge) (int, error) {
 		return int(n), ErrFull
 	}
 	return int(n), nil
+}
+
+// writeSpans stores p — entries of size bytes each, the first of them at ring
+// position pos of the array at base, `first` of them before the ring wraps.
+func (l *Log) writeSpans(ctx *xpsim.Ctx, base, size, pos, first int64, p []byte) {
+	l.m.Write(ctx, base+pos*size, p[:first*size])
+	if rest := p[first*size:]; len(rest) > 0 {
+		l.m.Write(ctx, base, rest)
+	}
+}
+
+// flushSpans flushes what writeSpans wrote for n entries.
+func (l *Log) flushSpans(ctx *xpsim.Ctx, base, size, pos, first, n int64) {
+	l.m.Flush(ctx, base+pos*size, first*size)
+	if n > first {
+		l.m.Flush(ctx, base, (n-first)*size)
+	}
 }
 
 // Read copies the edges with counters [from, to) into dst (wrapping

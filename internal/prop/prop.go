@@ -56,6 +56,9 @@ type Store struct {
 	damaged bool
 
 	quarantined int64 // physical blocks retired by scrub
+
+	// bound: every block is written from the node that holds it (BindFlush).
+	bound bool
 }
 
 // RecoverInfo reports what Attach found in the durable image.
@@ -309,6 +312,19 @@ func (s *Store) ApplyProps(sets []graph.PropSet) {
 	}
 }
 
+// BindFlush makes every later flush a relay of bound threads, for stores
+// whose archive threads are pinned to NUMA nodes: the log is interleaved
+// over the sockets, and each block is written and flushed by a thread on
+// the node that holds it. The threads work one after the other — the next
+// takes over where the log crosses into its stripe, for the price of one
+// DRAM line passed between the sockets — so blocks still become durable in
+// append order, which is what lets Attach read a hole as the end of the log.
+func (s *Store) BindFlush() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.bound = true
+}
+
 // Flush writes every pending record out as full column blocks (the last
 // one possibly partial — blocks are never rewritten, so the next flush
 // starts a fresh block). Records are durable in append order: a crash
@@ -321,6 +337,9 @@ func (s *Store) Flush(ctx *xpsim.Ctx) error {
 
 func (s *Store) flushLocked(ctx *xpsim.Ctx) error {
 	var buf [BlockBytes]byte
+	// Under BindFlush the writing thread is on the node of the stripe it
+	// writes; its time is the caller's either way.
+	defer func(node int) { ctx.Node = node }(ctx.Node)
 	for len(s.pending) > 0 {
 		if s.head >= s.capBlocks {
 			return ErrFull
@@ -332,6 +351,11 @@ func (s *Store) flushLocked(ctx *xpsim.Ctx) error {
 		recs := append([]Record(nil), s.pending[:n]...)
 		EncodeBlock(buf[:], recs, 0)
 		off := s.base + s.head*BlockBytes
+		if node := s.m.NodeOf(off); s.bound && node != ctx.Node {
+			s.lat.DRAM(ctx, 8, true, false)  // the handover: one thread's store,
+			s.lat.DRAM(ctx, 8, false, false) // the next one's load
+			ctx.Node = node
+		}
 		s.m.Write(ctx, off, buf[:])
 		s.m.Flush(ctx, off, BlockBytes)
 		s.blocks = append(s.blocks, blockMeta{recs: recs, patchOf: -1})

@@ -18,8 +18,8 @@ type Log interface {
 	Read(ctx *xpsim.Ctx, from, to int64, dst []graph.Edge) []graph.Edge
 }
 
-// Geometry maps a vertex to its ranged list: partition v mod Parts, then
-// the vertex range inside it.
+// Geometry maps a vertex to its ranged list: partition PartOf(v, Parts),
+// then the vertex range inside it.
 type Geometry struct {
 	Parts  int   // partitions per direction
 	Ranges int   // ranged lists per partition
@@ -30,7 +30,7 @@ type Geometry struct {
 func (g Geometry) Lists() int { return g.Parts * g.Ranges }
 
 func (g Geometry) listOf(v graph.VID) int {
-	return int(v)%g.Parts*g.Ranges + RangeOf(v, g.Width, g.Ranges)
+	return PartOf(v, g.Parts)*g.Ranges + RangeOf(v, g.Width, g.Ranges)
 }
 
 // Sharders are the threads that run the stage — the archive threads

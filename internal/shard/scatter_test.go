@@ -21,7 +21,7 @@ func oracleShard(batch []graph.Edge, g Geometry) [][]Entry {
 			} else {
 				v, nbr = e.Target(), e.Src|(e.Dst&graph.DelFlag)
 			}
-			p := int(v) % g.Parts
+			p := PartOf(v, g.Parts)
 			r := RangeOf(v, g.Width, g.Ranges)
 			l := d*g.Lists() + p*g.Ranges + r
 			lists[l] = append(lists[l], Entry{V: v, Nbr: nbr})

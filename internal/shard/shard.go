@@ -71,6 +71,20 @@ func Hash64(v graph.VID) uint64 {
 	return x
 }
 
+// PartOf maps a vertex to one of a store's parts NUMA sub-graphs (§III-D):
+// the one partition function of the tree, shared by core.Store and
+// Geometry. It scales the high half of Hash64 onto [0, parts). SlotMap takes
+// the hash modulo the ring size — its low bits — and on the same bits every
+// vertex a cluster shard owns would fall into one sub-graph. Like the slot
+// map it is seedless: a recovered store must find every vertex in the arena
+// that was written for it.
+func PartOf(v graph.VID, parts int) int {
+	if parts <= 1 {
+		return 0
+	}
+	return int((Hash64(v) >> 32) * uint64(parts) >> 32)
+}
+
 // SlotMap is the cluster partition map: a fixed ring of hash slots, each
 // owned by one shard. The slot table is filled round-robin, so it is a
 // pure function of (slots, shards) — two processes that agree on those

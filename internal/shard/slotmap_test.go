@@ -1,8 +1,12 @@
 package shard
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -211,5 +215,108 @@ func TestNewSlotMapErrors(t *testing.T) {
 	}
 	if m, err := NewSlotMap(1, 0); err != nil || m.Slots() != DefaultSlots {
 		t.Errorf("default ring: m=%v err=%v", m, err)
+	}
+}
+
+// TestPartOfGolden pins the sub-graph placement like TestHash64Golden pins
+// the slot hash: it decides which arena of a persistent heap holds a vertex,
+// and a store recovered under a different function refuses the heap
+// (core.Recover's placement check) rather than lose half of it.
+func TestPartOfGolden(t *testing.T) {
+	for _, c := range []struct {
+		v          graph.VID
+		p2, p3, p4 int
+	}{
+		{0, 0, 0, 0}, {1, 0, 1, 1}, {2, 1, 2, 3}, {3, 0, 0, 0}, {4, 1, 2, 2},
+		{5, 1, 2, 2}, {6, 1, 2, 3}, {7, 0, 0, 0}, {1 << 16, 1, 2, 3}, {1<<31 - 1, 0, 1, 1},
+	} {
+		if p2, p3, p4 := PartOf(c.v, 2), PartOf(c.v, 3), PartOf(c.v, 4); p2 != c.p2 || p3 != c.p3 || p4 != c.p4 {
+			t.Errorf("PartOf(%d, 2|3|4) = %d, %d, %d, want %d, %d, %d", c.v, p2, p3, p4, c.p2, c.p3, c.p4)
+		}
+		if p := PartOf(c.v, 1); p != 0 {
+			t.Errorf("PartOf(%d, 1) = %d", c.v, p)
+		}
+	}
+}
+
+// TestPartOfBalancesRMAT: gen.RMAT does not scramble vertex IDs, so any bit
+// of an ID is clear with probability a+b = 0.76 and `v mod P` puts 76 % of
+// every direction on partition 0. PartOf must give every partition its
+// 1/P of the out- and of the in-entries, within 2 points — and, because a
+// cluster shard's store only ever sees the sources its SlotMap slots own,
+// inside each of the four shards too. There the band is 4 points: a shard
+// holds a quarter of the sources, so the stream's heaviest vertices weigh
+// four times as much (vertex 0 alone is 3.6 % of shard 0's out-entries). A
+// PartOf on the slot map's own bits, Hash64(v) % 256 % P, would read 100/0
+// in every shard.
+func TestPartOfBalancesRMAT(t *testing.T) {
+	edges := gen.RMAT(17, 1<<21, 7)
+	const shards = 4
+	sm, err := NewSlotMap(shards, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, parts := range []int{2, 4} {
+		var all [2][]int
+		var inShard [shards][2][]int
+		for d := 0; d < 2; d++ {
+			all[d] = make([]int, parts)
+			for o := range inShard {
+				inShard[o][d] = make([]int, parts)
+			}
+		}
+		for _, e := range edges {
+			o := sm.Owner(e.Src)
+			for d := 0; d < 2; d++ {
+				p := PartOf(Of(d, e).V, parts)
+				all[d][p]++
+				inShard[o][d][p]++
+			}
+		}
+		check := func(where string, counts []int, band float64) {
+			total := 0
+			for _, c := range counts {
+				total += c
+			}
+			for p, c := range counts {
+				if share := float64(c) / float64(total); math.Abs(share-1/float64(parts)) > band {
+					t.Errorf("P=%d %s: partition %d holds %.1f %% of the entries, want %.1f ± %.0f", parts, where, p, 100*share, 100/float64(parts), 100*band)
+				}
+			}
+		}
+		for d, dir := range []string{"out", "in"} {
+			check(dir, all[d], 0.02)
+			for o := range inShard {
+				check(fmt.Sprintf("%s, shard %d", dir, o), inShard[o][d], 0.04)
+			}
+		}
+	}
+}
+
+// TestPartOfBalancesScrambledIDs is the other side of the property above: the
+// same stream with its IDs permuted at random (Graph500's scrambling, a real
+// graph's arbitrary IDs), where `v mod P` is balanced as well and the hash
+// has nothing to fix. Both must stay within 2 points of 1/P there.
+func TestPartOfBalancesScrambledIDs(t *testing.T) {
+	edges := gen.RMAT(17, 1<<21, 7)
+	perm := rand.New(rand.NewSource(7)).Perm(1 << 17)
+	for _, parts := range []int{2, 4} {
+		var hash, mod [2][4]int
+		for _, e := range edges {
+			for d := 0; d < 2; d++ {
+				v := graph.VID(perm[Of(d, e).V])
+				hash[d][PartOf(v, parts)]++
+				mod[d][int(v)%parts]++
+			}
+		}
+		for d, dir := range []string{"out", "in"} {
+			for p := 0; p < parts; p++ {
+				for name, c := range map[string]int{"PartOf": hash[d][p], "v mod P": mod[d][p]} {
+					if share := float64(c) / float64(len(edges)); math.Abs(share-1/float64(parts)) > 0.02 {
+						t.Errorf("P=%d %s, %s: partition %d holds %.1f %% of the entries, want %.1f ± 2", parts, dir, name, p, 100*share, 100/float64(parts))
+					}
+				}
+			}
+		}
 	}
 }

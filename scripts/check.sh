@@ -51,11 +51,13 @@ go test -race -short ./...
 echo "== crash-point sweeps (capped, native)"
 go test -run Crash -short ./internal/crashtest/ ./internal/core/ ./internal/elog/
 
-echo "== allocation budgets of the archiving path"
-# A warmed shard stage allocates nothing and a warmed store at most 128
-# times per 2048-edge Ingest (it was 542 while the ranged lists grew by
-# append). They ran above under -race as well; this stanza names them.
-go test -count=1 -run 'TestSteadyStateIngestAllocations|TestStageSteadyStateAllocatesNothing' ./internal/core/ ./internal/shard/
+echo "== allocation budgets of the archiving path + sub-graph balance"
+# A warmed shard stage allocates nothing and a warmed store at most 24
+# times per 2048-edge Ingest. shard.PartOf gives every sub-graph its share
+# of an RMAT stream's out- and in-entries, inside each cluster shard too
+# and whether or not the IDs are scrambled. They ran above under -race as
+# well; this stanza names them.
+go test -count=1 -run 'TestSteadyStateIngestAllocations|TestStageSteadyStateAllocatesNothing|TestPartOf' ./internal/core/ ./internal/shard/
 
 echo "== cluster router + failover (-race)"
 # The partitioned-cluster suite under the race detector: the 4-shard

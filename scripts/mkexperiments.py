@@ -132,7 +132,7 @@ first, last = f(r20[0]['ingest_s']), f(r20[-1]['ingest_s'])
 t16 = f(next(r for r in r20 if r['threads'] == '16')['ingest_s'])
 subs['fig20_total'] = '%.1fx' % (first / last)
 subs['fig20_to16'] = '%.1fx' % (first / t16)
-subs['sum_fig20'] = '%.1fx from 1 to 95 threads, %.1fx of it by 16; flat from 32 (logging thread)' % (first / last, first / t16)
+subs['sum_fig20'] = '%.1fx from 1 to 95 threads, %.1fx of it by 16; level from 64' % (first / last, first / t16)
 
 for name in sections:
     tmpl = tmpl.replace('{{%s}}' % name, block(name))
