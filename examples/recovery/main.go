@@ -47,8 +47,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("recovered in %v simulated: %d adjacency blocks scanned, %d log edges replayed, %d deduplicated\n",
-		time.Duration(rep.SimNs), rep.BlocksScanned, rep.Replayed, rep.DedupSkipped)
+	fmt.Printf("recovered in %v simulated: %d adjacency blocks scanned, %d log edges replayed\n",
+		time.Duration(rep.SimNs), rep.BlocksScanned, rep.Replayed)
 
 	// Verify: every vertex's neighbor set must match the reference.
 	ref := map[xpgraph.VID][]uint32{}

@@ -14,8 +14,8 @@ import (
 // so a pruned vertex never joins the frontier and its adjacency lists
 // are never read at the next hop. That frontier shrinkage, not the
 // per-edge label test, is where a selective filter saves media reads
-// over traverse-all-then-filter (the BENCH_9 gate measures exactly
-// this).
+// over traverse-all-then-filter (the prop experiment's rd_savings row
+// measures exactly this).
 
 // ErrNoTypedView reports a typed traversal over a view that does not
 // implement the typed surface (e.g. the GraphOne baseline).

@@ -62,20 +62,128 @@ func (c Config) withDefaults() Config {
 // the same place against this implementation's memory layout constants.
 const ScaledDRAMBytes = 120 << 20
 
+// Cell is one table cell: the text the table prints and, for a measured
+// cell, the number behind it — a number leaves the harness once, here, and
+// nothing parses it back out of Text.
+type Cell struct {
+	Text string
+	// Key is set on a label cell that names its row; the labels of a row,
+	// joined, are the row key of every measurement beside them.
+	Key string
+	// Row is the measurement: value, unit, direction and what is declared
+	// about it. Unit is empty on a label.
+	Row
+}
+
+// label is a key cell printed as its key; keyed prints text but names the
+// row by key (a dataset prints "TT" and is keyed "TT@732500", so a run at
+// another scale is another row); text is a cell that is neither key nor
+// measurement ("OOM", an echoed parameter).
+func label(s string) Cell         { return Cell{Text: s, Key: s} }
+func keyed(text, key string) Cell { return Cell{Text: text, Key: key} }
+func text(s string) Cell          { return Cell{Text: s} }
+
+// num is a measured cell: v printed with format.
+func num(v float64, format, unit, better string) Cell {
+	return Cell{Text: fmt.Sprintf(format, v), Row: Row{Value: v, Unit: unit, Better: better}}
+}
+
+// count is a measured integer.
+func count(n int64, unit, better string) Cell { return num(float64(n), "%.0f", unit, better) }
+
+func secs(ns int64) Cell  { return num(float64(ns)/1e9, "%.3f", "s", Lower) }
+func gb(bytes int64) Cell { return num(float64(bytes)/1e9, "%.3f", "GB", Lower) }
+func mb(bytes int64) Cell { return num(float64(bytes)/1e6, "%.1f", "MB", Lower) }
+func ratio(a, b int64) Cell {
+	if b == 0 {
+		return text("-")
+	}
+	return num(float64(a)/float64(b), "%.2fx", "x", Higher)
+}
+
+// dsCell labels a row with its dataset, keyed by the edge count it ran at.
+func dsCell(ds gen.Dataset, edges int) Cell {
+	return keyed(ds.Name, fmt.Sprintf("%s@%d", ds.Name, edges))
+}
+
+// floor, bound, paper and deviation declare what the gate and the
+// EXPERIMENTS verdict hold the cell's row to (see Row); about is the band of
+// a point claim ("~6.4x", "up to 23%"): a quarter either side.
+func (c Cell) floor(f float64) Cell { c.Floor = &f; return c }
+func (c Cell) bound(b float64) Cell { c.Bound = &b; return c }
+func (c Cell) paper(lo, hi float64) Cell {
+	c.Band = &[2]float64{lo, hi}
+	return c
+}
+func (c Cell) about(x float64) Cell { return c.paper(0.75*x, 1.25*x) }
+func (c Cell) deviation(n int) Cell { c.Deviation = n; return c }
+
+// printed replaces the text of a measured cell whose number alone does not
+// say it ("5 of 7", "none").
+func (c Cell) printed(s string) Cell { c.Text = s; return c }
+
+// simBound is how far a simulated or counted row may fall behind its
+// baseline. Such rows repeat to the digit; the slack is for a change that
+// trades a little of one for a lot of another. Host-clock rows are reported
+// unbounded, or (a ratio of two) bounded loosely.
+const simBound = 0.05
+
 // Table is one regenerated table/figure.
 type Table struct {
 	Exp     string
 	Title   string
 	Columns []string
-	Rows    [][]string
+	Rows    [][]Cell
 	Notes   []string
-	// JSON, when non-nil, is the experiment's machine-readable payload
-	// (written by `xpgraph bench -json`); experiments without one fall
-	// back to the tabular shape.
-	JSON any
+	// Extra are the rows the experiment computes beside its table: the
+	// numbers EXPERIMENTS.md quotes for a figure (Exp "shape", held against
+	// the paper's band) and measurements the table has no column for.
+	Extra []Cell
 }
 
-// String renders the table as aligned text.
+// add appends one table row.
+func (t *Table) add(cells ...Cell) { t.Rows = append(t.Rows, cells) }
+
+// derive records a measurement the table has no column for.
+func (t *Table) derive(name string, c Cell) {
+	c.Exp, c.Name = t.Exp, name
+	t.Extra = append(t.Extra, c)
+}
+
+// shape records a number the figure's EXPERIMENTS summary quotes.
+func (t *Table) shape(name string, c Cell) {
+	c.Exp, c.Name = "shape", t.Exp+"/"+name
+	t.Extra = append(t.Extra, c)
+}
+
+// Report flattens the table into rows: every measured cell as
+// "<row key>/<column>", then the extra rows.
+func (t Table) Report() []Row {
+	var out []Row
+	for _, cells := range t.Rows {
+		key := ""
+		for _, c := range cells {
+			if c.Key != "" {
+				key += c.Key + "/"
+			}
+		}
+		for i, c := range cells {
+			if c.Unit == "" {
+				continue
+			}
+			r := c.Row
+			r.Exp, r.Name = t.Exp, key+t.Columns[i]
+			out = append(out, r)
+		}
+	}
+	for _, c := range t.Extra {
+		out = append(out, c.Row)
+	}
+	return out
+}
+
+// String renders the table as aligned text, the extra rows below it one a
+// line: "<exp>: <name> = <text>  [<what the row declares>]".
 func (t Table) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s: %s ==\n", t.Exp, t.Title)
@@ -85,8 +193,8 @@ func (t Table) String() string {
 	}
 	for _, r := range t.Rows {
 		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if i < len(widths) && len(c.Text) > widths[i] {
+				widths[i] = len(c.Text)
 			}
 		}
 	}
@@ -101,10 +209,17 @@ func (t Table) String() string {
 	}
 	line(t.Columns)
 	for _, r := range t.Rows {
-		line(r)
+		texts := make([]string, len(r))
+		for i, c := range r {
+			texts[i] = c.Text
+		}
+		line(texts)
 	}
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
+	}
+	for _, c := range t.Extra {
+		fmt.Fprintf(&b, "%s: %s = %s  [%s]\n", c.Exp, c.Name, c.Text, c.Row.declared())
 	}
 	return b.String()
 }
@@ -244,6 +359,19 @@ func newXPGraph(edges []graph.Edge, numV uint32, cfg Config, opts ...xpOpt) (*co
 	return s, m, err
 }
 
+// ingestXP builds an XPGraph (or variant) over a fresh machine and ingests
+// the stream into it; the machine's counters then hold the ingest's traffic
+// alone.
+func ingestXP(edges []graph.Edge, numV uint32, cfg Config, opts ...xpOpt) (*core.Store, *xpsim.Machine, core.IngestReport, error) {
+	s, m, err := newXPGraph(edges, numV, cfg, opts...)
+	if err != nil {
+		return nil, nil, core.IngestReport{}, err
+	}
+	m.ResetStats()
+	rep, err := s.Ingest(edges)
+	return s, m, rep, err
+}
+
 // newGraphOne builds a GraphOne variant over a fresh machine.
 func newGraphOne(edges []graph.Edge, numV uint32, cfg Config, variant graphone.Variant, bind bool, threads int) (*graphone.Store, *xpsim.Machine, error) {
 	m := newMachine(int64(len(edges)))
@@ -272,39 +400,13 @@ func newGraphOne(edges []graph.Edge, numV uint32, cfg Config, variant graphone.V
 	return s, m, err
 }
 
-// ---- formatting ----
-
-// pmemHeap builds a heap over the machine.
-func pmemHeap(m *xpsim.Machine) *pmem.Heap { return pmem.NewHeap(m) }
-
-func secs(ns int64) string  { return fmt.Sprintf("%.3f", float64(ns)/1e9) }
-func gb(bytes int64) string { return fmt.Sprintf("%.3f", float64(bytes)/1e9) }
-func mb(bytes int64) string { return fmt.Sprintf("%.1f", float64(bytes)/1e6) }
-func ratio(a, b int64) string {
-	if b == 0 {
-		return "-"
+// ingestGraphOne is ingestXP for a GraphOne variant.
+func ingestGraphOne(edges []graph.Edge, numV uint32, cfg Config, variant graphone.Variant, bind bool, threads int) (*graphone.Store, *xpsim.Machine, graphone.IngestReport, error) {
+	s, m, err := newGraphOne(edges, numV, cfg, variant, bind, threads)
+	if err != nil {
+		return nil, nil, graphone.IngestReport{}, err
 	}
-	return fmt.Sprintf("%.2fx", float64(a)/float64(b))
-}
-
-// CSV renders the table as RFC-4180-ish CSV for machine consumption.
-func (t Table) CSV() string {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			b.WriteString(c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Columns)
-	for _, r := range t.Rows {
-		writeRow(r)
-	}
-	return b.String()
+	m.ResetStats()
+	rep, err := s.Ingest(edges)
+	return s, m, rep, err
 }

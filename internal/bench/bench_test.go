@@ -1,7 +1,7 @@
 package bench
 
 import (
-	"strconv"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -15,23 +15,30 @@ func quickCfg(datasets ...string) Config {
 	return Config{EdgeScale: 0.04, Datasets: datasets, ArchiveThreads: 16, QueryThreads: 16}
 }
 
-func cellF(t *testing.T, tb Table, row int, col string) float64 {
+// row reads one number of the table's report by name; a shape test reads
+// what a gate or EXPERIMENTS.md would, not a position in the table.
+func row(t *testing.T, tb Table, exp, name string) float64 {
 	t.Helper()
-	ci := -1
-	for i, c := range tb.Columns {
-		if c == col {
-			ci = i
+	for _, r := range tb.Report() {
+		if r.Exp == exp && r.Name == name {
+			return r.Value
 		}
 	}
-	if ci < 0 {
-		t.Fatalf("no column %q in %v", col, tb.Columns)
-	}
-	v := strings.TrimSuffix(tb.Rows[row][ci], "x")
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		t.Fatalf("cell %d/%s = %q: %v", row, col, tb.Rows[row][ci], err)
-	}
-	return f
+	t.Fatalf("%s has no row %s/%s", tb.Exp, exp, name)
+	return 0
+}
+
+// val reads the measured cell "<labels>/<column>" of the table's first
+// dataset, whose key ("FS@14394") carries the edge count the run came to.
+func val(t *testing.T, tb Table, name string) float64 {
+	t.Helper()
+	return row(t, tb, tb.Exp, tb.Rows[0][0].Key+"/"+name)
+}
+
+// shapeVal reads one of the figure's shape rows.
+func shapeVal(t *testing.T, tb Table, name string) float64 {
+	t.Helper()
+	return row(t, tb, "shape", tb.Exp+"/"+name)
 }
 
 func TestAllExperimentsRegistered(t *testing.T) {
@@ -56,17 +63,14 @@ func TestFig3Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Row 0 = GraphOne-D, row 1 = GraphOne-P.
-	d := cellF(t, tb, 0, "total_s")
-	p := cellF(t, tb, 1, "total_s")
-	if p <= d*2 {
-		t.Errorf("GraphOne-P (%f) should be several times GraphOne-D (%f)", p, d)
+	if r := shapeVal(t, tb, "p_over_d"); r <= 2 {
+		t.Errorf("GraphOne-P should take several times GraphOne-D's time, takes %.2fx", r)
 	}
-	if amp := cellF(t, tb, 1, "w_amp"); amp < 2 {
+	if amp := shapeVal(t, tb, "w_amp"); amp < 2 {
 		t.Errorf("write amplification %f, want heavy", amp)
 	}
 	// Archiving dominates logging on PMEM.
-	if cellF(t, tb, 1, "archive_s") <= cellF(t, tb, 1, "log_s") {
+	if val(t, tb, "GraphOne-P/archive_s") <= val(t, tb, "GraphOne-P/log_s") {
 		t.Error("archiving should dominate on PMEM")
 	}
 }
@@ -76,12 +80,12 @@ func TestFig11Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	goP := cellF(t, tb, 0, "GraphOne-P")
-	goN := cellF(t, tb, 0, "GraphOne-N")
-	xp := cellF(t, tb, 0, "XPGraph")
-	xpB := cellF(t, tb, 0, "XPGraph-B")
-	if xp >= goP {
-		t.Errorf("XPGraph (%f) should beat GraphOne-P (%f)", xp, goP)
+	goP := val(t, tb, "GraphOne-P")
+	goN := val(t, tb, "GraphOne-N")
+	xp := val(t, tb, "XPGraph")
+	xpB := val(t, tb, "XPGraph-B")
+	if sp := shapeVal(t, tb, "speedup_min"); sp <= 1 {
+		t.Errorf("XPGraph (%f) should beat GraphOne-P (%f), is %.2fx as fast", xp, goP, sp)
 	}
 	if goN < goP*4 {
 		t.Errorf("GraphOne-N (%f) should be much slower than GraphOne-P (%f)", goN, goP)
@@ -143,12 +147,11 @@ func TestFig14Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rows: 0 = GraphOne-P, 1 = XPGraph.
-	if bfsGo, bfsXp := cellF(t, tb, 0, "bfs_s"), cellF(t, tb, 1, "bfs_s"); bfsXp >= bfsGo {
-		t.Errorf("XPGraph BFS (%f) should beat GraphOne-P (%f)", bfsXp, bfsGo)
+	if bfs := shapeVal(t, tb, "bfs_max"); bfs <= 1 {
+		t.Errorf("XPGraph BFS should beat GraphOne-P, is %.2fx as fast", bfs)
 	}
-	if prGo, prXp := cellF(t, tb, 0, "pagerank_s"), cellF(t, tb, 1, "pagerank_s"); prXp >= prGo {
-		t.Errorf("XPGraph PageRank (%f) should beat GraphOne-P (%f)", prXp, prGo)
+	if pr := shapeVal(t, tb, "pagerank_max"); pr <= 1 {
+		t.Errorf("XPGraph PageRank should beat GraphOne-P, is %.2fx as fast", pr)
 	}
 }
 
@@ -160,7 +163,7 @@ func TestFig15Shape(t *testing.T) {
 	// The replay window covers the whole stream at this tiny scale (no
 	// flush-all ever triggers), so the quick-run speedup is a floor; the
 	// full-scale run lands near the paper's 5.2-9.5x band.
-	if sp := cellF(t, tb, 0, "speedup"); sp < 1.4 {
+	if sp := val(t, tb, "speedup"); sp < 1.4 {
 		t.Errorf("XPGraph recovery speedup %fx, want >= 1.4x (paper: 5.2-9.5x)", sp)
 	}
 }
@@ -173,38 +176,20 @@ func TestFig16And17Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Larger buffers => faster ingest (compare 8B vs 256B rows).
-	var t8, t256 float64
-	for i, r := range tb.Rows {
-		switch r[1] {
-		case "8":
-			t8 = cellF(t, tb, i, "ingest_s")
-		case "256":
-			t256 = cellF(t, tb, i, "ingest_s")
-		}
-	}
-	if t256 >= t8 {
-		t.Errorf("256B buffers (%f) should ingest faster than 8B (%f)", t256, t8)
+	// Larger buffers => faster ingest (8 B against 256 B).
+	if r := shapeVal(t, tb, "t8_over_t256"); r <= 1 {
+		t.Errorf("256B buffers should ingest faster than 8B, 8B takes %.2fx the time", r)
 	}
 
 	tb17, err := Run("fig17", quickCfg("YW"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fixed256T, fixed256M, hier256T, hier256M float64
-	for i, r := range tb17.Rows {
-		switch r[1] {
-		case "fixed-256":
-			fixed256T, fixed256M = cellF(t, tb17, i, "ingest_s"), cellF(t, tb17, i, "vbuf_peak_MB")
-		case "hier-16..256":
-			hier256T, hier256M = cellF(t, tb17, i, "ingest_s"), cellF(t, tb17, i, "vbuf_peak_MB")
-		}
+	if pct := shapeVal(t, tb17, "dram_pct"); pct >= 70 {
+		t.Errorf("hierarchical DRAM should be well under fixed-256's, is %.0f%% of it", pct)
 	}
-	if hier256M >= fixed256M*0.7 {
-		t.Errorf("hierarchical DRAM %fMB should be well under fixed %fMB", hier256M, fixed256M)
-	}
-	if hier256T > fixed256T*1.3 {
-		t.Errorf("hierarchical time %f should stay near fixed %f", hier256T, fixed256T)
+	if r := shapeVal(t, tb17, "time_ratio"); r > 1.3 {
+		t.Errorf("hierarchical time should stay near fixed-256's, is %.2fx", r)
 	}
 }
 
@@ -216,20 +201,19 @@ func TestFig20Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rows: 1, 2, 4, 8, 16, 32, 48, 64, 95 threads. Every doubling up to
+	// The sweep is 1, 2, 4, 8, 16, 32, 48, 64, 95 threads. Every doubling up to
 	// the default 16 must pay (a store with fewer threads than groups is
 	// charged for the sharing, not as if each group had its own), and the
 	// whole sweep is worth at least 4x; past 16 the logging thread is the
 	// floor.
-	for i := 1; i <= 4; i++ {
-		if prev, cur := cellF(t, tb, i-1, "ingest_s"), cellF(t, tb, i, "ingest_s"); cur >= prev {
-			t.Errorf("%s threads (%f) should beat %s (%f)", tb.Rows[i][1], cur, tb.Rows[i-1][1], prev)
+	for th := 2; th <= 16; th *= 2 {
+		prev, cur := val(t, tb, fmt.Sprintf("%d/ingest_s", th/2)), val(t, tb, fmt.Sprintf("%d/ingest_s", th))
+		if cur >= prev {
+			t.Errorf("%d threads (%f) should beat %d (%f)", th, cur, th/2, prev)
 		}
 	}
-	first := cellF(t, tb, 0, "ingest_s")
-	last := cellF(t, tb, len(tb.Rows)-1, "ingest_s")
-	if first < 4*last {
-		t.Errorf("XPGraph at 95 threads (%f) should be >= 4x faster than at 1 (%f)", last, first)
+	if total := shapeVal(t, tb, "total"); total < 4 {
+		t.Errorf("XPGraph at 95 threads should be >= 4x faster than at 1, is %.2fx", total)
 	}
 }
 
@@ -245,21 +229,11 @@ func TestTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cellF(t, tb3, 0, "pblk_MB") <= 0 {
+	if val(t, tb3, "pblk_MB") <= 0 {
 		t.Error("pblk usage must be positive")
 	}
 	if s := tb3.String(); !strings.Contains(s, "table3") {
 		t.Error("String() should include the experiment name")
-	}
-}
-
-func TestCSVRendering(t *testing.T) {
-	tb := Table{Exp: "x", Columns: []string{"a", "b"},
-		Rows: [][]string{{"1", "two, \"quoted\""}}}
-	got := tb.CSV()
-	want := "a,b\n1,\"two, \"\"quoted\"\"\"\n"
-	if got != want {
-		t.Fatalf("CSV = %q, want %q", got, want)
 	}
 }
 
@@ -268,46 +242,24 @@ func TestFig4Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pNormal, pBound, p8, p32 float64
-	for i, r := range tb.Rows {
-		switch {
-		case r[1] == "GraphOne-P" && r[2] == "normal":
-			pNormal = cellF(t, tb, i, "ingest_s")
-		case r[1] == "GraphOne-P" && r[2] == "bind-1-node":
-			pBound = cellF(t, tb, i, "ingest_s")
-		case r[1] == "GraphOne-P" && r[2] == "threads=8":
-			p8 = cellF(t, tb, i, "ingest_s")
-		case r[1] == "GraphOne-P" && r[2] == "threads=32":
-			p32 = cellF(t, tb, i, "ingest_s")
-		}
+	if r := shapeVal(t, tb, "bind"); r <= 1 {
+		t.Errorf("bound GraphOne-P should beat unbound, unbound takes %.2fx the time", r)
 	}
-	if pBound >= pNormal {
-		t.Errorf("bound GraphOne-P (%f) should beat unbound (%f)", pBound, pNormal)
-	}
-	if p32 <= p8 {
-		t.Errorf("GraphOne-P at 32 threads (%f) should be slower than at 8 (%f)", p32, p8)
+	if r := shapeVal(t, tb, "t32_over_t8"); r <= 1 {
+		t.Errorf("GraphOne-P at 32 threads should be slower than at 8, takes %.2fx the time", r)
 	}
 }
 
 func TestFig19Shape(t *testing.T) {
-	// Raw nanoseconds, not table cells: at this scale both ends of the
-	// sweep round to the same millisecond.
-	cfg := quickCfg("FS").withDefaults()
-	ds, err := gen.ByName("FS")
+	// A row carries the nanoseconds, not the cell text: at this scale both
+	// ends of the sweep print as the same millisecond.
+	tb, err := Run("fig19", quickCfg("FS"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := edgesFor(ds, cfg)
-	r1, err := fig19Point(edges, ds, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r32, err := fig19Point(edges, ds, cfg, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r32.TotalNs() >= r1.TotalNs() || r32.FlushAlls >= r1.FlushAlls {
-		t.Errorf("32MB pool (%d ns, %d flush-alls) should beat 1MB pool (%d ns, %d flush-alls)",
-			r32.TotalNs(), r32.FlushAlls, r1.TotalNs(), r1.FlushAlls)
+	ns1, ns32 := val(t, tb, "1/ingest_s"), val(t, tb, "32/ingest_s")
+	fa1, fa32 := val(t, tb, "1/flush_alls"), val(t, tb, "32/flush_alls")
+	if ns32 >= ns1 || fa32 >= fa1 {
+		t.Errorf("32MB pool (%g s, %g flush-alls) should beat 1MB pool (%g s, %g flush-alls)", ns32, fa32, ns1, fa1)
 	}
 }

@@ -12,24 +12,11 @@ func init() {
 	register("cluster", "Partitioned multi-shard ingest scaling (1 vs 4 shards)", clusterExp)
 }
 
-// clusterShardCounts is the scaling sweep; the acceptance gate reads the
-// largest one (4 shards >= 2x a single shard).
+// clusterShardCounts is the scaling sweep; clusterGatedShards is the count
+// whose row carries the floor (4 shards >= 2x a single shard).
 var clusterShardCounts = []int{1, 2, 4}
 
-// ClusterReport is one (dataset, shard count) row behind BENCH_7.json.
-type ClusterReport struct {
-	Dataset string `json:"dataset"`
-	Shards  int    `json:"shards"`
-	Edges   int64  `json:"edges"`
-	// SimSeconds is the summed simulated time of synchronized ingest
-	// rounds: each round routes one chunk and costs the slowest shard's
-	// application (shards are independent machines applying in parallel).
-	SimSeconds   float64 `json:"sim_seconds"`
-	MEdgesPerSec float64 `json:"medges_per_sec"`
-	// Speedup is this shard count's ingest throughput over the 1-shard
-	// run of the same dataset.
-	Speedup float64 `json:"speedup"`
-}
+const clusterGatedShards = 4
 
 // newClusterStores builds one leader store per shard, each on its own
 // two-socket machine — a shard is its own simulated PM box, which is
@@ -76,12 +63,10 @@ func clusterExp(cfg Config) (Table, error) {
 			"speedup is vs the 1-shard run of the same dataset on the same machine model",
 		},
 	}
-	var reports []ClusterReport
-
 	const chunk = 1 << 16
 	for _, ds := range dss {
 		edges := edgesFor(ds, cfg)
-		var baseSec float64
+		var baseNs int64
 		for _, nsh := range clusterShardCounts {
 			stores, err := newClusterStores(nsh, int64(len(edges)), ds.NumVertices(), cfg)
 			if err != nil {
@@ -94,6 +79,9 @@ func clusterExp(cfg Config) (Table, error) {
 			if err := cl.Start(); err != nil {
 				return Table{}, err
 			}
+			// simNs is the summed simulated time of synchronized ingest
+			// rounds: each round routes one chunk and costs the slowest
+			// shard's application.
 			var simNs int64
 			for off := 0; off < len(edges); off += chunk {
 				end := off + chunk
@@ -109,30 +97,17 @@ func clusterExp(cfg Config) (Table, error) {
 			}
 			cl.Close()
 
-			rep := ClusterReport{
-				Dataset:    ds.Name,
-				Shards:     nsh,
-				Edges:      int64(len(edges)),
-				SimSeconds: float64(simNs) / 1e9,
-			}
-			if simNs > 0 {
-				rep.MEdgesPerSec = float64(len(edges)) / (float64(simNs) / 1e9) / 1e6
-			}
 			if nsh == 1 {
-				baseSec = rep.SimSeconds
+				baseNs = simNs
 			}
-			if rep.SimSeconds > 0 {
-				rep.Speedup = baseSec / rep.SimSeconds
+			speedup := ratio(baseNs, simNs).bound(simBound)
+			if nsh == clusterGatedShards {
+				speedup = speedup.floor(2)
 			}
-			reports = append(reports, rep)
-			t.Rows = append(t.Rows, []string{
-				ds.Name, fmt.Sprintf("%d", nsh), fmt.Sprintf("%d", len(edges)),
-				fmt.Sprintf("%.3f", rep.SimSeconds),
-				fmt.Sprintf("%.2f", rep.MEdgesPerSec),
-				fmt.Sprintf("%.2fx", rep.Speedup),
-			})
+			t.add(dsCell(ds, len(edges)), keyed(fmt.Sprint(nsh), fmt.Sprintf("shards=%d", nsh)),
+				text(fmt.Sprint(len(edges))), secs(simNs).bound(simBound),
+				num(float64(len(edges))/(float64(simNs)/1e9)/1e6, "%.2f", "Medges/s", Higher).bound(simBound), speedup)
 		}
 	}
-	t.JSON = map[string]any{"experiment": "cluster", "reports": reports}
 	return t, nil
 }

@@ -3,6 +3,8 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 
 	"repro/internal/analytics"
 	"repro/internal/core"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/graphone"
 	"repro/internal/mem"
+	"repro/internal/pmem"
 	"repro/internal/view"
 	"repro/internal/xpsim"
 )
@@ -35,6 +38,42 @@ func init() {
 	register("ext-evolving", "Mixed add/delete update stream (extension)", extEvolving)
 }
 
+// span is the range a per-dataset quantity covers across a figure's rows.
+// The EXPERIMENTS summary quotes both ends ("lo-hi", shapeSpan) or the one the
+// paper's claim is about: hi for an "up to", lo for what every graph must
+// reach.
+type span struct {
+	lo, hi float64
+	n      int
+}
+
+func (s *span) add(v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return // over a point with no time (it ran out of memory): nothing to quote
+	}
+	if s.n == 0 || v < s.lo {
+		s.lo = v
+	}
+	if s.n == 0 || v > s.hi {
+		s.hi = v
+	}
+	s.n++
+}
+
+// shapeSpan records a span's two ends as the shape rows <name>_min and
+// <name>_max, each built by mk; a figure run on no dataset the quantity
+// exists for (an all-OOM column) has no span to record.
+func (t *Table) shapeSpan(name string, s span, mk func(v float64) Cell) {
+	if s.n == 0 {
+		return
+	}
+	t.shape(name+"_min", mk(s.lo))
+	t.shape(name+"_max", mk(s.hi))
+}
+
+// over is a/b as a float, the ratio a shape row quotes.
+func over(a, b int64) float64 { return float64(a) / float64(b) }
+
 // ---- Fig. 3: motivation, GraphOne-D vs -P ----
 
 func fig3(cfg Config) (Table, error) {
@@ -44,24 +83,28 @@ func fig3(cfg Config) (Table, error) {
 	}
 	t := Table{Exp: "fig3", Title: "GraphOne on DRAM vs PMEM: phase split and PMEM traffic (FS)",
 		Columns: []string{"dataset", "system", "log_s", "archive_s", "total_s", "pmem_read_GB", "pmem_write_GB", "w_amp"}}
+	var pOverD, wamp span // how much slower GraphOne-P is, and its write amplification
 	for _, ds := range dss {
 		edges := edgesFor(ds, cfg)
+		total := map[graphone.Variant]int64{}
 		for _, v := range []graphone.Variant{graphone.VariantD, graphone.VariantP} {
-			s, m, err := newGraphOne(edges, ds.NumVertices(), cfg, v, false, 0)
-			if err != nil {
-				return Table{}, err
-			}
-			m.ResetStats()
-			rep, err := s.Ingest(edges)
+			_, m, rep, err := ingestGraphOne(edges, ds.NumVertices(), cfg, v, false, 0)
 			if err != nil {
 				return Table{}, err
 			}
 			st := m.TotalStats()
-			t.Rows = append(t.Rows, []string{ds.Name, v.String(), secs(rep.LogNs), secs(rep.ArchiveNs),
+			t.add(dsCell(ds, len(edges)), label(v.String()), secs(rep.LogNs), secs(rep.ArchiveNs),
 				secs(rep.TotalNs()), gb(st.MediaReadBytes()), gb(st.MediaWriteBytes()),
-				fmt.Sprintf("%.2f", st.WriteAmplification())})
+				num(st.WriteAmplification(), "%.2f", "x", Lower))
+			total[v] = rep.TotalNs()
+			if v == graphone.VariantP {
+				wamp.add(st.WriteAmplification())
+			}
 		}
+		pOverD.add(over(total[graphone.VariantP], total[graphone.VariantD]))
 	}
+	t.shape("p_over_d", num(pOverD.lo, "%.1f", "x", Higher).about(6.4).deviation(10))
+	t.shape("w_amp", num(wamp.lo, "%.1f", "x", Higher).about(8.56).deviation(1))
 	t.Notes = append(t.Notes,
 		"paper Fig.3: archiving dominates on PMEM; ~10x read and ~8.6x write amplification",
 		"logging is sequential and stays cheap on both media")
@@ -77,44 +120,49 @@ func fig4(cfg Config) (Table, error) {
 	}
 	t := Table{Exp: "fig4", Title: "GraphOne NUMA binding and archive-thread scaling (FS)",
 		Columns: []string{"dataset", "system", "config", "ingest_s"}}
+	var bind, t32OverT8 span // GraphOne-P: normal over bound, 32 threads over 8
 	for _, ds := range dss {
 		edges := edgesFor(ds, cfg)
-		run := func(v graphone.Variant, bind bool, threads int) (int64, error) {
-			s, _, err := newGraphOne(edges, ds.NumVertices(), cfg, v, bind, threads)
+		// GraphOne-P's times by config, for the shape rows.
+		pNs := map[string]int64{}
+		point := func(v graphone.Variant, bind bool, threads int, config string) error {
+			_, _, rep, err := ingestGraphOne(edges, ds.NumVertices(), cfg, v, bind, threads)
 			if err != nil {
-				return 0, err
+				return err
 			}
-			rep, err := s.Ingest(edges)
-			if err != nil {
-				return 0, err
+			if v == graphone.VariantP {
+				pNs[config] = rep.TotalNs()
 			}
-			return rep.TotalNs(), nil
+			t.add(dsCell(ds, len(edges)), label(v.String()), label(config), secs(rep.TotalNs()))
+			return nil
 		}
 		// 4a: normal vs bound to one node.
 		for _, v := range []graphone.Variant{graphone.VariantD, graphone.VariantP} {
 			for _, bind := range []bool{false, true} {
-				ns, err := run(v, bind, 0)
-				if err != nil {
-					return Table{}, err
-				}
 				cfgName := "normal"
 				if bind {
 					cfgName = "bind-1-node"
 				}
-				t.Rows = append(t.Rows, []string{ds.Name, v.String(), cfgName, secs(ns)})
+				if err := point(v, bind, 0, cfgName); err != nil {
+					return Table{}, err
+				}
 			}
 		}
 		// 4b: thread sweep.
 		for _, v := range []graphone.Variant{graphone.VariantD, graphone.VariantP} {
 			for _, th := range []int{1, 2, 4, 8, 16, 32} {
-				ns, err := run(v, false, th)
-				if err != nil {
+				if err := point(v, false, th, fmt.Sprintf("threads=%d", th)); err != nil {
 					return Table{}, err
 				}
-				t.Rows = append(t.Rows, []string{ds.Name, v.String(), fmt.Sprintf("threads=%d", th), secs(ns)})
 			}
 		}
+		bind.add(over(pNs["normal"], pNs["bind-1-node"]))
+		t32OverT8.add(over(pNs["threads=32"], pNs["threads=8"]))
 	}
+	// The floors are TestFig4Shape's: binding must pay on PMEM, and the
+	// sweep must turn back up past the valley.
+	t.shape("bind", num(bind.lo, "%.1f", "x", Higher).floor(1))
+	t.shape("t32_over_t8", num(t32OverT8.lo, "%.1f", "x", Higher).floor(1))
 	t.Notes = append(t.Notes,
 		"paper Fig.4a: NUMA effects much larger for GraphOne-P than GraphOne-D",
 		"paper Fig.4b: GraphOne-P degrades past 8 archiving threads")
@@ -130,38 +178,22 @@ func fig11(cfg Config) (Table, error) {
 	}
 	t := Table{Exp: "fig11", Title: "Ingestion time, non-volatile systems",
 		Columns: []string{"dataset", "GraphOne-P", "GraphOne-N", "XPGraph", "XPGraph-B", "XP_speedup_vs_GoP"}}
+	var speedup, nOverP, bGain span
 	for _, ds := range dss {
 		edges := edgesFor(ds, cfg)
-		var goP, goN, xp, xpB int64
-		{
-			s, _, err := newGraphOne(edges, ds.NumVertices(), cfg, graphone.VariantP, false, 0)
+		goNs := map[graphone.Variant]int64{}
+		for _, v := range []graphone.Variant{graphone.VariantP, graphone.VariantN} {
+			_, _, rep, err := ingestGraphOne(edges, ds.NumVertices(), cfg, v, false, 0)
 			if err != nil {
 				return Table{}, err
 			}
-			rep, err := s.Ingest(edges)
-			if err != nil {
-				return Table{}, err
-			}
-			goP = rep.TotalNs()
+			goNs[v] = rep.TotalNs()
 		}
-		{
-			s, _, err := newGraphOne(edges, ds.NumVertices(), cfg, graphone.VariantN, false, 0)
-			if err != nil {
-				return Table{}, err
-			}
-			rep, err := s.Ingest(edges)
-			if err != nil {
-				return Table{}, err
-			}
-			goN = rep.TotalNs()
-		}
+		goP, goN := goNs[graphone.VariantP], goNs[graphone.VariantN]
+		var xp, xpB int64
 		for _, battery := range []bool{false, true} {
 			b := battery
-			s, _, err := newXPGraph(edges, ds.NumVertices(), cfg, func(o *core.Options) { o.Battery = b })
-			if err != nil {
-				return Table{}, err
-			}
-			rep, err := s.Ingest(edges)
+			s, _, rep, err := ingestXP(edges, ds.NumVertices(), cfg, func(o *core.Options) { o.Battery = b })
 			if err != nil {
 				return Table{}, err
 			}
@@ -179,8 +211,18 @@ func fig11(cfg Config) (Table, error) {
 				xp = rep.TotalNs()
 			}
 		}
-		t.Rows = append(t.Rows, []string{ds.Name, secs(goP), secs(goN), secs(xp), secs(xpB), ratio(goP, xp)})
+		t.add(dsCell(ds, len(edges)), secs(goP), secs(goN), secs(xp), secs(xpB), ratio(goP, xp))
+		speedup.add(over(goP, xp))
+		nOverP.add(over(goN, goP))
+		bGain.add(100 * (1 - over(xpB, xp)))
 	}
+	// The floor is the one TestFig11AcrossFlushAlls holds at half of K28:
+	// below 2x the crash-safe commit is back on one thread.
+	t.shapeSpan("speedup", speedup, func(v float64) Cell {
+		return num(v, "%.2f", "x", Higher).paper(3.01, 3.95).deviation(11).floor(2)
+	})
+	t.shapeSpan("n_over_p", nOverP, func(v float64) Cell { return num(v, "%.1f", "x", Higher).about(10).deviation(3) })
+	t.shapeSpan("b_gain_pct", bGain, func(v float64) Cell { return num(v, "%.0f", "%", Higher).paper(0, 23).deviation(4) })
 	t.Notes = append(t.Notes,
 		"paper Fig.11: XPGraph 3.01-3.95x faster than GraphOne-P; GraphOne-N an order of magnitude slower; XPGraph-B up to 23% over XPGraph")
 	return t, nil
@@ -195,59 +237,60 @@ func fig12(cfg Config) (Table, error) {
 	}
 	t := Table{Exp: "fig12", Title: "Ingestion time, volatile systems (DO=DRAM-only, MM=memory mode)",
 		Columns: []string{"dataset", "GraphOne-D(DO)", "XPGraph-D(DO)", "GraphOne-D(MM)", "XPGraph-D(MM)"}}
+	var doSlower span
+	var ooms, mmWins int64
 	for _, ds := range dss {
 		edges := edgesFor(ds, cfg)
-		cell := func(run func() (int64, error)) string {
-			ns, err := run()
+		cell := func(ns int64, err error) Cell {
 			if err != nil {
 				if errors.Is(err, mem.ErrOOM) {
-					return "OOM"
+					return text("OOM")
 				}
-				return "err:" + err.Error()
+				return text("err:" + err.Error())
 			}
 			return secs(ns)
 		}
-		goDO := cell(func() (int64, error) {
-			s, _, err := newGraphOne(edges, ds.NumVertices(), cfg, graphone.VariantD, false, 0)
-			if err != nil {
-				return 0, err
-			}
-			rep, err := s.Ingest(edges)
+		goNs := func(v graphone.Variant) (int64, error) {
+			_, _, rep, err := ingestGraphOne(edges, ds.NumVertices(), cfg, v, false, 0)
 			return rep.TotalNs(), err
-		})
-		xpDO := cell(func() (int64, error) {
-			s, _, err := newXPGraph(edges, ds.NumVertices(), cfg, func(o *core.Options) {
-				o.Medium = core.MediumDRAM
-				o.NUMA = core.NUMANone
-				o.PoolMax = ScaledDRAMBytes / 2
-			})
-			if err != nil {
-				return 0, err
-			}
-			rep, err := s.Ingest(edges)
+		}
+		xpNs := func(opt xpOpt) (int64, error) {
+			_, _, rep, err := ingestXP(edges, ds.NumVertices(), cfg, opt)
 			return rep.TotalNs(), err
-		})
-		goMM := cell(func() (int64, error) {
-			s, _, err := newGraphOne(edges, ds.NumVertices(), cfg, graphone.VariantMM, false, 0)
-			if err != nil {
-				return 0, err
-			}
-			rep, err := s.Ingest(edges)
-			return rep.TotalNs(), err
-		})
-		xpMM := cell(func() (int64, error) {
-			s, _, err := newXPGraph(edges, ds.NumVertices(), cfg, func(o *core.Options) {
-				o.Medium = core.MediumMemoryMode
-				o.NUMA = core.NUMANone
-			})
-			if err != nil {
-				return 0, err
-			}
-			rep, err := s.Ingest(edges)
-			return rep.TotalNs(), err
-		})
-		t.Rows = append(t.Rows, []string{ds.Name, goDO, xpDO, goMM, xpMM})
+		}
+		goDO := cell(goNs(graphone.VariantD))
+		xpDO := cell(xpNs(func(o *core.Options) {
+			o.Medium = core.MediumDRAM
+			o.NUMA = core.NUMANone
+			o.PoolMax = ScaledDRAMBytes / 2
+		}))
+		goMM := cell(goNs(graphone.VariantMM))
+		xpMM := cell(xpNs(func(o *core.Options) {
+			o.Medium = core.MediumMemoryMode
+			o.NUMA = core.NUMANone
+		}))
+		t.add(dsCell(ds, len(edges)), goDO, xpDO, goMM, xpMM)
+		// A cell with no unit is an OOM: it has no time to compare.
+		switch {
+		case goDO.Unit == "":
+			ooms++
+		case xpDO.Unit != "":
+			doSlower.add(100 * (xpDO.Value/goDO.Value - 1))
+		}
+		if xpMM.Unit != "" && goMM.Unit != "" && xpMM.Value < goMM.Value {
+			mmWins++
+		}
 	}
+	// Paper: the three largest graphs OOM on DRAM-only; where it fits
+	// XPGraph-D is up to 73% faster (a negative "slower"), and under Memory
+	// Mode it wins on every graph.
+	t.shape("do_ooms", count(ooms, "graphs", Lower).paper(3, 3))
+	t.shapeSpan("do_slower_pct", doSlower, func(v float64) Cell {
+		return num(v, "%.0f", "%", Lower).paper(-73, 0).deviation(8)
+	})
+	all := float64(len(dss))
+	t.shape("mm_wins", count(mmWins, "graphs", Higher).paper(all, all).deviation(8).
+		printed(fmt.Sprintf("%d of %d", mmWins, len(dss))))
 	t.Notes = append(t.Notes,
 		"paper Fig.12: large graphs OOM on DRAM-only; XPGraph-D up to 73% (DO) / 76% (MM) faster than GraphOne-D",
 		fmt.Sprintf("scaled machine DRAM = %d MB", ScaledDRAMBytes>>20))
@@ -263,59 +306,47 @@ func fig13(cfg Config) (Table, error) {
 	}
 	t := Table{Exp: "fig13", Title: "PMEM read/write data amount during ingestion (GB)",
 		Columns: []string{"dataset", "system", "read_GB", "write_GB"}}
+	var readLess, writeLess span
 	for _, ds := range dss {
 		edges := edgesFor(ds, cfg)
-		type sys struct {
+		goRun := func(v graphone.Variant) func() (*xpsim.Machine, error) {
+			return func() (*xpsim.Machine, error) {
+				_, m, _, err := ingestGraphOne(edges, ds.NumVertices(), cfg, v, false, 0)
+				return m, err
+			}
+		}
+		xpRun := func(battery bool) func() (*xpsim.Machine, error) {
+			return func() (*xpsim.Machine, error) {
+				_, m, _, err := ingestXP(edges, ds.NumVertices(), cfg, func(o *core.Options) { o.Battery = battery })
+				return m, err
+			}
+		}
+		stats := map[string]xpsim.Stats{}
+		for _, sy := range []struct {
 			name string
 			run  func() (*xpsim.Machine, error)
-		}
-		systems := []sys{
-			{"GraphOne-P", func() (*xpsim.Machine, error) {
-				s, m, err := newGraphOne(edges, ds.NumVertices(), cfg, graphone.VariantP, false, 0)
-				if err != nil {
-					return nil, err
-				}
-				m.ResetStats()
-				_, err = s.Ingest(edges)
-				return m, err
-			}},
-			{"GraphOne-N", func() (*xpsim.Machine, error) {
-				s, m, err := newGraphOne(edges, ds.NumVertices(), cfg, graphone.VariantN, false, 0)
-				if err != nil {
-					return nil, err
-				}
-				m.ResetStats()
-				_, err = s.Ingest(edges)
-				return m, err
-			}},
-			{"XPGraph", func() (*xpsim.Machine, error) {
-				s, m, err := newXPGraph(edges, ds.NumVertices(), cfg)
-				if err != nil {
-					return nil, err
-				}
-				m.ResetStats()
-				_, err = s.Ingest(edges)
-				return m, err
-			}},
-			{"XPGraph-B", func() (*xpsim.Machine, error) {
-				s, m, err := newXPGraph(edges, ds.NumVertices(), cfg, func(o *core.Options) { o.Battery = true })
-				if err != nil {
-					return nil, err
-				}
-				m.ResetStats()
-				_, err = s.Ingest(edges)
-				return m, err
-			}},
-		}
-		for _, sy := range systems {
+		}{
+			{"GraphOne-P", goRun(graphone.VariantP)}, {"GraphOne-N", goRun(graphone.VariantN)},
+			{"XPGraph", xpRun(false)}, {"XPGraph-B", xpRun(true)},
+		} {
 			m, err := sy.run()
 			if err != nil {
 				return Table{}, err
 			}
 			st := m.TotalStats()
-			t.Rows = append(t.Rows, []string{ds.Name, sy.name, gb(st.MediaReadBytes()), gb(st.MediaWriteBytes())})
+			stats[sy.name] = st
+			t.add(dsCell(ds, len(edges)), label(sy.name), gb(st.MediaReadBytes()), gb(st.MediaWriteBytes()))
 		}
+		goP, xp := stats["GraphOne-P"], stats["XPGraph"]
+		readLess.add(over(goP.MediaReadBytes(), xp.MediaReadBytes()))
+		writeLess.add(over(goP.MediaWriteBytes(), xp.MediaWriteBytes()))
 	}
+	t.shapeSpan("write_less", writeLess, func(v float64) Cell {
+		return num(v, "%.1f", "x", Higher).paper(2.02, 3.44).deviation(11)
+	})
+	t.shapeSpan("read_less", readLess, func(v float64) Cell {
+		return num(v, "%.1f", "x", Higher).paper(2.29, 4.17).deviation(11)
+	})
 	t.Notes = append(t.Notes,
 		"paper Fig.13: XPGraph reads 2.29-4.17x and writes 2.02-3.44x less than GraphOne-P; XPGraph-B further -31%/-47%")
 	return t, nil
@@ -336,6 +367,7 @@ func fig14(cfg Config) (Table, error) {
 	if oneHopCount < 256 {
 		oneHopCount = 256
 	}
+	var bfs, pagerank, cc span
 	for _, ds := range dss {
 		edges := edgesFor(ds, cfg)
 		type prep struct {
@@ -345,38 +377,39 @@ func fig14(cfg Config) (Table, error) {
 		}
 		var preps []prep
 		{
-			s, m, err := newGraphOne(edges, ds.NumVertices(), cfg, graphone.VariantP, false, 0)
+			s, m, _, err := ingestGraphOne(edges, ds.NumVertices(), cfg, graphone.VariantP, false, 0)
 			if err != nil {
-				return Table{}, err
-			}
-			if _, err := s.Ingest(edges); err != nil {
 				return Table{}, err
 			}
 			preps = append(preps, prep{"GraphOne-P", s, &m.Lat})
 		}
 		{
-			s, m, err := newXPGraph(edges, ds.NumVertices(), cfg)
+			s, m, _, err := ingestXP(edges, ds.NumVertices(), cfg)
 			if err != nil {
-				return Table{}, err
-			}
-			if _, err := s.Ingest(edges); err != nil {
 				return Table{}, err
 			}
 			preps = append(preps, prep{"XPGraph", s, &m.Lat})
 		}
-		for _, p := range preps {
+		var ns [2][3]int64 // [GraphOne-P, XPGraph][bfs, pagerank, cc]
+		for i, p := range preps {
 			e := analytics.NewEngine(p.view, p.lat, cfg.QueryThreads)
 			oh := e.OneHop(oneHopCount, 0xBEEF)
-			var bfsNs int64
 			for _, root := range bfsRoots(ds) {
-				bfsNs += e.BFS(root).SimNs
+				ns[i][0] += e.BFS(root).SimNs
 			}
-			pr := e.PageRank(10)
-			cc := e.CC()
-			t.Rows = append(t.Rows, []string{ds.Name, p.name,
-				secs(oh.SimNs), secs(bfsNs), secs(pr.SimNs), secs(cc.SimNs)})
+			ns[i][1] = e.PageRank(10).SimNs
+			ns[i][2] = e.CC().SimNs
+			t.add(dsCell(ds, len(edges)), label(p.name),
+				secs(oh.SimNs), secs(ns[i][0]), secs(ns[i][1]), secs(ns[i][2]))
 		}
+		bfs.add(over(ns[0][0], ns[1][0]))
+		pagerank.add(over(ns[0][1], ns[1][1]))
+		cc.add(over(ns[0][2], ns[1][2]))
 	}
+	// The paper reports each algorithm's best graph ("up to").
+	t.shape("bfs_max", num(bfs.hi, "%.2f", "x", Higher).about(4.46).deviation(6))
+	t.shape("pagerank_max", num(pagerank.hi, "%.2f", "x", Higher).about(3.57).deviation(6))
+	t.shape("cc_max", num(cc.hi, "%.2f", "x", Higher).about(4.23).deviation(6))
 	t.Notes = append(t.Notes,
 		"paper Fig.14: 1-hop comparable (within ~30%); XPGraph up to 4.46x (BFS), 3.57x (PageRank), 4.23x (CC) faster")
 	return t, nil
@@ -400,10 +433,11 @@ func fig15(cfg Config) (Table, error) {
 	// GraphOne recovers by re-archiving with threshold 2^27 (paper);
 	// scaled by 1/1024 -> 2^17.
 	const rebuildThreshold = 1 << 17
+	var real, kron span
 	for _, ds := range dss {
 		edges := edgesFor(ds, cfg)
 		goMachine := newMachine(int64(len(edges)))
-		_, goNs, err := graphone.Rebuild(goMachine, pmemHeap(goMachine), graphone.Options{
+		_, goNs, err := graphone.Rebuild(goMachine, pmem.NewHeap(goMachine), graphone.Options{
 			Name: "rb", NumVertices: ds.NumVertices(), ArchiveThreads: cfg.ArchiveThreads,
 			AdjBytes: adjBytesFor(int64(len(edges)), 1), Variant: graphone.VariantP,
 		}, edges, rebuildThreshold)
@@ -411,11 +445,8 @@ func fig15(cfg Config) (Table, error) {
 			return Table{}, err
 		}
 		// XPGraph: ingest, crash (drop DRAM state), recover.
-		s, m, err := newXPGraph(edges, ds.NumVertices(), cfg)
+		s, m, _, err := ingestXP(edges, ds.NumVertices(), cfg)
 		if err != nil {
-			return Table{}, err
-		}
-		if _, err := s.Ingest(edges); err != nil {
 			return Table{}, err
 		}
 		heap := s.Heap()
@@ -425,8 +456,19 @@ func fig15(cfg Config) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		t.Rows = append(t.Rows, []string{ds.Name, secs(goNs), secs(rec.SimNs), ratio(goNs, rec.SimNs)})
+		t.add(dsCell(ds, len(edges)), secs(goNs), secs(rec.SimNs), ratio(goNs, rec.SimNs))
+		if strings.HasPrefix(ds.Name, "K") {
+			kron.add(over(goNs, rec.SimNs))
+		} else {
+			real.add(over(goNs, rec.SimNs))
+		}
 	}
+	t.shapeSpan("real", real, func(v float64) Cell {
+		return num(v, "%.1f", "x", Higher).paper(5.20, 9.47).deviation(11)
+	})
+	t.shapeSpan("kron", kron, func(v float64) Cell {
+		return num(v, "%.1f", "x", Higher).paper(5.20, 9.47).deviation(5)
+	})
 	t.Notes = append(t.Notes,
 		"paper Fig.15: XPGraph recovers 5.20-9.47x faster than GraphOne's re-archiving")
 	return t, nil
@@ -446,13 +488,22 @@ func fig16(cfg Config) (Table, error) {
 	// buffers (~88 MB of buffers + ~96 MB vertex metadata) fit, 512 B
 	// (~176 MB of buffers) do not.
 	const fig16DRAM = 240 << 20
+	var oomAt int64 // the first buffer size to run out of DRAM; 0: none did
+	var t8OverT256 span
 	for _, ds := range dss {
 		edges := edgesFor(ds, cfg)
+		ns := map[int64]int64{}
+		oom := func(bb int64) {
+			t.add(dsCell(ds, len(edges)), label(fmt.Sprint(bb)), text("OOM"), text("OOM"))
+			if oomAt == 0 {
+				oomAt = bb
+			}
+		}
 		for _, bufBytes := range []int64{0, 8, 16, 32, 64, 128, 256, 512} {
 			bb := bufBytes
 			budget := mem.NewBudget(fig16DRAM)
 			m := newMachine(int64(len(edges)))
-			h := pmemHeap(m)
+			h := pmem.NewHeap(m)
 			o := core.Options{Name: "f16", NumVertices: ds.NumVertices(),
 				ArchiveThreads: cfg.ArchiveThreads, NUMA: core.NUMASubgraph,
 				PoolBulk: 4 << 20, // fine-grained bulks so footprint tracks demand
@@ -470,7 +521,7 @@ func fig16(cfg Config) (Table, error) {
 			rep, err := s.Ingest(edges)
 			if err != nil {
 				if errors.Is(err, mem.ErrOOM) {
-					t.Rows = append(t.Rows, []string{ds.Name, fmt.Sprint(bb), "OOM", "OOM"})
+					oom(bb)
 					continue
 				}
 				return Table{}, err
@@ -479,13 +530,21 @@ func fig16(cfg Config) (Table, error) {
 				// The pool hit the DRAM budget mid-run; the store
 				// degraded to direct writes where the paper's system
 				// would have failed its allocation — report the OOM.
-				t.Rows = append(t.Rows, []string{ds.Name, fmt.Sprint(bb), "OOM", "OOM"})
+				oom(bb)
 				continue
 			}
-			t.Rows = append(t.Rows, []string{ds.Name, fmt.Sprint(bb),
-				secs(rep.TotalNs()), mb(s.Pool().Peak())})
+			ns[bb] = rep.TotalNs()
+			t.add(dsCell(ds, len(edges)), label(fmt.Sprint(bb)), secs(ns[bb]), mb(s.Pool().Peak()))
 		}
+		t8OverT256.add(over(ns[8], ns[256]))
 	}
+	at := count(oomAt, "B", Higher).paper(512, 512)
+	if oomAt == 0 {
+		at = at.printed("none")
+	}
+	t.shape("oom_at", at)
+	// TestFig16And17Shape's floor: larger buffers ingest faster.
+	t.shape("t8_over_t256", num(t8OverT256.lo, "%.1f", "x", Higher).floor(1))
 	t.Notes = append(t.Notes,
 		"paper Fig.16: larger fixed buffers reduce ingest time but inflate DRAM; 512 B OOMs on YahooWeb")
 	return t, nil
@@ -500,11 +559,13 @@ func fig17(cfg Config) (Table, error) {
 	}
 	t := Table{Exp: "fig17", Title: "Hierarchical buffers (16B..max) vs best fixed buffers",
 		Columns: []string{"dataset", "config", "ingest_s", "vbuf_peak_MB"}}
+	var dramPct, timeRatio span // hier-16..256 against fixed-256
 	for _, ds := range dss {
 		edges := edgesFor(ds, cfg)
+		ns, peak := map[string]int64{}, map[string]int64{}
 		run := func(name string, o core.Options) error {
 			m := newMachine(int64(len(edges)))
-			h := pmemHeap(m)
+			h := pmem.NewHeap(m)
 			o.Name = "f17"
 			o.NumVertices = ds.NumVertices()
 			o.ArchiveThreads = cfg.ArchiveThreads
@@ -517,8 +578,8 @@ func fig17(cfg Config) (Table, error) {
 			if _, err := s.Ingest(edges); err != nil {
 				return err
 			}
-			t.Rows = append(t.Rows, []string{ds.Name, name,
-				secs(s.Report().TotalNs()), mb(s.Pool().Peak())})
+			ns[name], peak[name] = s.Report().TotalNs(), s.Pool().Peak()
+			t.add(dsCell(ds, len(edges)), label(name), secs(ns[name]), mb(peak[name]))
 			return nil
 		}
 		if err := run("fixed-128", core.Options{Buffer: core.BufferFixed, MinBufBytes: 128, MaxBufBytes: 128}); err != nil {
@@ -533,7 +594,14 @@ func fig17(cfg Config) (Table, error) {
 				return Table{}, err
 			}
 		}
+		dramPct.add(100 * over(peak["hier-16..256"], peak["fixed-256"]))
+		timeRatio.add(over(ns["hier-16..256"], ns["fixed-256"]))
 	}
+	// Paper: hierarchical 16..256 B at the best fixed setting's speed and
+	// less than half its DRAM. The floors are TestFig16And17Shape's, which
+	// runs where the buffers are emptier: within 30% and under 70%.
+	t.shape("dram_pct", num(dramPct.hi, "%.0f", "%", Lower).paper(0, 50).floor(70))
+	t.shape("time_ratio", num(timeRatio.hi, "%.2f", "x", Lower).floor(1.3))
 	t.Notes = append(t.Notes,
 		"paper Fig.17: hierarchical 16..256B matches the best fixed setting's speed at less than half the DRAM")
 	return t, nil
@@ -548,18 +616,16 @@ func fig18(cfg Config) (Table, error) {
 	}
 	t := Table{Exp: "fig18", Title: "NUMA accessing strategies: ingest and BFS",
 		Columns: []string{"dataset", "strategy", "ingest_s", "bfs_s"}}
+	var sgIngest, sgBFS span
 	for _, ds := range dss {
 		edges := edgesFor(ds, cfg)
+		ingestNs, bfsNs := map[core.NUMAMode]int64{}, map[core.NUMAMode]int64{}
 		for _, mode := range []struct {
 			name string
 			m    core.NUMAMode
 		}{{"no-bind", core.NUMANone}, {"NUMA-bind-OIG", core.NUMAOutIn}, {"NUMA-bind-SG", core.NUMASubgraph}} {
 			md := mode.m
-			s, m, err := newXPGraph(edges, ds.NumVertices(), cfg, func(o *core.Options) { o.NUMA = md })
-			if err != nil {
-				return Table{}, err
-			}
-			rep, err := s.Ingest(edges)
+			s, m, rep, err := ingestXP(edges, ds.NumVertices(), cfg, func(o *core.Options) { o.NUMA = md })
 			if err != nil {
 				return Table{}, err
 			}
@@ -567,13 +633,19 @@ func fig18(cfg Config) (Table, error) {
 			if md == core.NUMANone {
 				e.SetBinding(false)
 			}
-			var bfsNs int64
+			ingestNs[md] = rep.TotalNs()
 			for _, root := range bfsRoots(ds) {
-				bfsNs += e.BFS(root).SimNs
+				bfsNs[md] += e.BFS(root).SimNs
 			}
-			t.Rows = append(t.Rows, []string{ds.Name, mode.name, secs(rep.TotalNs()), secs(bfsNs)})
+			t.add(dsCell(ds, len(edges)), label(mode.name), secs(ingestNs[md]), secs(bfsNs[md]))
 		}
+		sgIngest.add(100 * (1 - over(ingestNs[core.NUMASubgraph], ingestNs[core.NUMANone])))
+		sgBFS.add(100 * (over(bfsNs[core.NUMANone], bfsNs[core.NUMASubgraph]) - 1))
 	}
+	t.shapeSpan("sg_ingest_pct", sgIngest, func(v float64) Cell {
+		return num(v, "%.0f", "%", Higher).paper(5, 23).deviation(10)
+	})
+	t.shape("sg_bfs_pct_max", num(sgBFS.hi, "%.0f", "%", Higher).about(54).deviation(6))
 	t.Notes = append(t.Notes,
 		"paper Fig.18: binding improves ingest 5-23%; sub-graph binding improves BFS up to 54% while out/in-graph binding can hurt queries")
 	return t, nil
@@ -588,33 +660,33 @@ func fig19(cfg Config) (Table, error) {
 	}
 	t := Table{Exp: "fig19", Title: "Vertex-buffer pool size sweep (paper GB -> scaled MB)",
 		Columns: []string{"dataset", "pool_MB", "ingest_s", "flush_alls"}}
+	var to16, past32 span // time at 1 MB over 16 MB, at 32 MB over 96 MB
 	for _, ds := range dss {
 		edges := edgesFor(ds, cfg)
+		ns := map[int64]int64{}
 		for _, poolMB := range []int64{1, 2, 4, 8, 16, 32, 64, 96} {
-			rep, err := fig19Point(edges, ds, cfg, poolMB)
+			pm := poolMB << 20
+			_, _, rep, err := ingestXP(edges, ds.NumVertices(), cfg, func(o *core.Options) {
+				o.PoolMax = pm
+				o.PoolBulk = pm / int64(2*cfg.ArchiveThreads)
+			})
 			if err != nil {
 				return Table{}, err
 			}
-			t.Rows = append(t.Rows, []string{ds.Name, fmt.Sprint(poolMB), secs(rep.TotalNs()),
-				fmt.Sprint(rep.FlushAlls)})
+			ns[poolMB] = rep.TotalNs()
+			t.add(dsCell(ds, len(edges)), label(fmt.Sprint(poolMB)), secs(ns[poolMB]),
+				count(int64(rep.FlushAlls), "flush-alls", Lower))
 		}
+		to16.add(over(ns[1], ns[16]))
+		past32.add(over(ns[32], ns[96]))
 	}
+	// Paper: big gains up to 16, flat past 32. TestFig19Shape's floor: a
+	// pool that covers the working set beats one that does not.
+	t.shape("to16", num(to16.lo, "%.2f", "x", Higher).floor(1))
+	t.shape("past32", num(past32.hi, "%.2f", "x", Higher).paper(0.95, 1.05))
 	t.Notes = append(t.Notes,
 		"paper Fig.19: big gains up to 16 GB (scaled: MB), flat beyond 32; oversized pools cost nothing (lazy allocation)")
 	return t, nil
-}
-
-// fig19Point ingests the edges with the vertex-buffer pool capped at poolMB.
-func fig19Point(edges []graph.Edge, ds gen.Dataset, cfg Config, poolMB int64) (core.IngestReport, error) {
-	pm := poolMB << 20
-	s, _, err := newXPGraph(edges, ds.NumVertices(), cfg, func(o *core.Options) {
-		o.PoolMax = pm
-		o.PoolBulk = pm / int64(2*cfg.ArchiveThreads)
-	})
-	if err != nil {
-		return core.IngestReport{}, err
-	}
-	return s.Ingest(edges)
 }
 
 // ---- Fig. 20: XPGraph thread sweep ----
@@ -626,21 +698,26 @@ func fig20(cfg Config) (Table, error) {
 	}
 	t := Table{Exp: "fig20", Title: "XPGraph archive-thread sweep (FS)",
 		Columns: []string{"dataset", "threads", "ingest_s"}}
+	var total, to16 span // time at 1 thread over 95, over 16
 	for _, ds := range dss {
 		edges := edgesFor(ds, cfg)
+		ns := map[int]int64{}
 		for _, th := range []int{1, 2, 4, 8, 16, 32, 48, 64, 95} {
 			th := th
-			s, _, err := newXPGraph(edges, ds.NumVertices(), cfg, func(o *core.Options) { o.ArchiveThreads = th })
+			_, _, rep, err := ingestXP(edges, ds.NumVertices(), cfg, func(o *core.Options) { o.ArchiveThreads = th })
 			if err != nil {
 				return Table{}, err
 			}
-			rep, err := s.Ingest(edges)
-			if err != nil {
-				return Table{}, err
-			}
-			t.Rows = append(t.Rows, []string{ds.Name, fmt.Sprint(th), secs(rep.TotalNs())})
+			ns[th] = rep.TotalNs()
+			t.add(dsCell(ds, len(edges)), label(fmt.Sprint(th)), secs(ns[th]))
 		}
+		total.add(over(ns[1], ns[95]))
+		to16.add(over(ns[1], ns[16]))
 	}
+	// The floor is TestFig20Shape's: the whole sweep is worth at least 4x,
+	// or a stage of the pipeline is back on one thread.
+	t.shape("total", num(total.lo, "%.1f", "x", Higher).floor(4))
+	t.shape("to16", num(to16.lo, "%.1f", "x", Higher))
 	t.Notes = append(t.Notes,
 		"paper Fig.20: XPGraph keeps scaling with archive threads, peaking at the machine's 95 threads")
 	return t, nil
@@ -663,9 +740,9 @@ func table2(cfg Config) (Table, error) {
 		if nonZero > 0 {
 			pct = 100 * float64(h[1]) / float64(nonZero)
 		}
-		t.Rows = append(t.Rows, []string{ds.Name, ds.PaperV, ds.PaperE,
-			fmt.Sprint(ds.NumVertices()), fmt.Sprint(len(edges)),
-			mb(int64(len(edges)) * graph.EdgeBytes), fmt.Sprintf("%.1f", pct)})
+		t.add(dsCell(ds, len(edges)), text(ds.PaperV), text(ds.PaperE),
+			count(int64(ds.NumVertices()), "vertices", Higher), count(int64(len(edges)), "edges", Higher),
+			mb(int64(len(edges))*graph.EdgeBytes), num(pct, "%.1f", "%", Higher))
 	}
 	t.Notes = append(t.Notes, "paper §III-C: vertices with degree 1-2 exceed 40% of non-zero vertices in real graphs")
 	return t, nil
@@ -682,16 +759,13 @@ func table3(cfg Config) (Table, error) {
 		Columns: []string{"dataset", "meta_dram_MB", "vbuf_dram_MB", "input_MB", "elog_MB", "pblk_MB"}}
 	for _, ds := range dss {
 		edges := edgesFor(ds, cfg)
-		s, _, err := newXPGraph(edges, ds.NumVertices(), cfg)
+		s, _, _, err := ingestXP(edges, ds.NumVertices(), cfg)
 		if err != nil {
 			return Table{}, err
 		}
-		if _, err := s.Ingest(edges); err != nil {
-			return Table{}, err
-		}
 		u := s.MemUsage()
-		t.Rows = append(t.Rows, []string{ds.Name, mb(u.MetaDRAM), mb(u.VbufDRAM),
-			mb(int64(len(edges)) * graph.EdgeBytes), mb(u.ElogPMEM), mb(u.PblkPMEM)})
+		t.add(dsCell(ds, len(edges)), mb(u.MetaDRAM), mb(u.VbufDRAM),
+			mb(int64(len(edges))*graph.EdgeBytes), mb(u.ElogPMEM), mb(u.PblkPMEM))
 	}
 	t.Notes = append(t.Notes,
 		"paper Table III: DRAM usage is limited and tunable; PMEM holds input, 8GB elog (scaled 8MB) and adjacency blocks")
@@ -712,17 +786,11 @@ func ablation(cfg Config) (Table, error) {
 	for _, ds := range dss {
 		edges := edgesFor(ds, cfg)
 		run := func(name string, f xpOpt) error {
-			s, m, err := newXPGraph(edges, ds.NumVertices(), cfg, f)
+			_, m, rep, err := ingestXP(edges, ds.NumVertices(), cfg, f)
 			if err != nil {
 				return err
 			}
-			m.ResetStats()
-			rep, err := s.Ingest(edges)
-			if err != nil {
-				return err
-			}
-			st := m.TotalStats()
-			t.Rows = append(t.Rows, []string{ds.Name, name, secs(rep.TotalNs()), gb(st.MediaWriteBytes())})
+			t.add(dsCell(ds, len(edges)), label(name), secs(rep.TotalNs()), gb(m.TotalStats().MediaWriteBytes()))
 			return nil
 		}
 		cases := []struct {
@@ -757,55 +825,36 @@ func extSSD(cfg Config) (Table, error) {
 	t := Table{Exp: "ext-ssd", Title: "SSD-supported XPGraph (PMEM-overflow prototype)",
 		Columns: []string{"dataset", "config", "ingest_s", "bfs_s", "ssd_MB"}}
 	for _, ds := range dss {
-		runs, err := extSSDRuns(ds, cfg)
-		if err != nil {
+		// Ample PMEM first, then arenas an eighth of what the first run's
+		// arenas came to hold — the sub-graphs are balanced halves, so every
+		// arena holds about the same — with the rest overflowing to SSD.
+		edges := edgesFor(ds, cfg)
+		need := adjBytesFor(int64(len(edges)), 2)
+		var perArena int64
+		run := func(name string, adjBytes, overflow int64) error {
+			s, m, rep, err := ingestXP(edges, ds.NumVertices(), cfg, func(o *core.Options) {
+				o.AdjBytes = adjBytes
+				o.SSDOverflow = overflow
+			})
+			if err != nil {
+				return err
+			}
+			e := analytics.NewEngine(s, &m.Lat, cfg.QueryThreads)
+			t.add(dsCell(ds, len(edges)), label(name), secs(rep.TotalNs()),
+				secs(e.BFS(bfsRoots(ds)[0]).SimNs), mb(s.SSDBytes()))
+			perArena = s.MemUsage().PblkPMEM / int64(2*s.NumPartitions())
+			return nil
+		}
+		if err := run("pmem-only", need, 0); err != nil {
 			return Table{}, err
 		}
-		for i, name := range []string{"pmem-only", "small-pmem+ssd"} {
-			t.Rows = append(t.Rows, []string{ds.Name, name, secs(runs[i].ingestNs),
-				secs(runs[i].bfsNs), mb(runs[i].ssdBytes)})
+		if err := run("small-pmem+ssd", perArena/8+(4<<10), 4*need); err != nil {
+			return Table{}, err
 		}
 	}
 	t.Notes = append(t.Notes,
 		"extension experiment: graphs larger than PMEM keep working with cold adjacency blocks on NVMe")
 	return t, nil
-}
-
-// ssdRun is one ext-ssd measurement.
-type ssdRun struct {
-	ingestNs, bfsNs int64
-	ssdBytes        int64
-}
-
-// extSSDRuns ingests ds on ample PMEM, then on arenas an eighth of what the
-// first run's arenas came to hold — the sub-graphs are balanced halves, so
-// every arena holds about the same — with the rest overflowing to SSD.
-func extSSDRuns(ds gen.Dataset, cfg Config) ([2]ssdRun, error) {
-	edges := edgesFor(ds, cfg)
-	need := adjBytesFor(int64(len(edges)), 2)
-	var runs [2]ssdRun
-	var perArena int64
-	run := func(i int, adjBytes, overflow int64) error {
-		s, m, err := newXPGraph(edges, ds.NumVertices(), cfg, func(o *core.Options) {
-			o.AdjBytes = adjBytes
-			o.SSDOverflow = overflow
-		})
-		if err != nil {
-			return err
-		}
-		rep, err := s.Ingest(edges)
-		if err != nil {
-			return err
-		}
-		e := analytics.NewEngine(s, &m.Lat, cfg.QueryThreads)
-		runs[i] = ssdRun{ingestNs: rep.TotalNs(), bfsNs: e.BFS(bfsRoots(ds)[0]).SimNs, ssdBytes: s.SSDBytes()}
-		perArena = s.MemUsage().PblkPMEM / int64(2*s.NumPartitions())
-		return nil
-	}
-	if err := run(0, need, 0); err != nil {
-		return runs, err
-	}
-	return runs, run(1, perArena/8+(4<<10), 4*need)
 }
 
 // extHotCold isolates the buffer-as-cache effect behind Fig. 14's query
@@ -824,11 +873,8 @@ func extHotCold(cfg Config) (Table, error) {
 	}
 	for _, ds := range dss {
 		edges := edgesFor(ds, cfg)
-		s, m, err := newXPGraph(edges, ds.NumVertices(), cfg)
+		s, m, _, err := ingestXP(edges, ds.NumVertices(), cfg)
 		if err != nil {
-			return Table{}, err
-		}
-		if _, err := s.Ingest(edges); err != nil {
 			return Table{}, err
 		}
 		e := analytics.NewEngine(s, &m.Lat, cfg.QueryThreads)
@@ -840,8 +886,8 @@ func extHotCold(cfg Config) (Table, error) {
 				bfsNs += e.BFS(root).SimNs
 			}
 			delta := m.SnapshotStats().Sub(before)
-			t.Rows = append(t.Rows, []string{ds.Name, state,
-				secs(oh.SimNs), secs(bfsNs), gb(delta.MediaReadBytes())})
+			t.add(dsCell(ds, len(edges)), label(state),
+				secs(oh.SimNs), secs(bfsNs), gb(delta.MediaReadBytes()))
 		}
 		measure("hot-buffers")
 		if err := s.FlushAllVbufs(); err != nil {
@@ -870,30 +916,16 @@ func extEvolving(cfg Config) (Table, error) {
 			n = 1024
 		}
 		updates := gen.Evolving(ds.Scale, n, 0.15, ds.Seed^0xDE1)
-		var goNs int64
-		{
-			s, _, err := newGraphOne(updates, ds.NumVertices(), cfg, graphone.VariantP, false, 0)
-			if err != nil {
-				return Table{}, err
-			}
-			rep, err := s.Ingest(updates)
-			if err != nil {
-				return Table{}, err
-			}
-			goNs = rep.TotalNs()
-			t.Rows = append(t.Rows, []string{ds.Name, "GraphOne-P", secs(goNs), "-"})
+		_, _, goRep, err := ingestGraphOne(updates, ds.NumVertices(), cfg, graphone.VariantP, false, 0)
+		if err != nil {
+			return Table{}, err
 		}
-		{
-			s, _, err := newXPGraph(updates, ds.NumVertices(), cfg)
-			if err != nil {
-				return Table{}, err
-			}
-			rep, err := s.Ingest(updates)
-			if err != nil {
-				return Table{}, err
-			}
-			t.Rows = append(t.Rows, []string{ds.Name, "XPGraph", secs(rep.TotalNs()), ratio(goNs, rep.TotalNs())})
+		t.add(dsCell(ds, len(updates)), label("GraphOne-P"), secs(goRep.TotalNs()), text("-"))
+		_, _, xpRep, err := ingestXP(updates, ds.NumVertices(), cfg)
+		if err != nil {
+			return Table{}, err
 		}
+		t.add(dsCell(ds, len(updates)), label("XPGraph"), secs(xpRep.TotalNs()), ratio(goRep.TotalNs(), xpRep.TotalNs()))
 	}
 	t.Notes = append(t.Notes,
 		"extension experiment: deletions are logged records like adds, so the XPLine-friendly advantage carries over")

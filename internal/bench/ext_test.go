@@ -1,47 +1,32 @@
 package bench
 
-import (
-	"testing"
-
-	"repro/internal/gen"
-)
+import "testing"
 
 func TestAblationShape(t *testing.T) {
 	tb, err := Run("ablation", quickCfg("FS"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var full, noBuf float64
-	for i, r := range tb.Rows {
-		switch r[1] {
-		case "full":
-			full = cellF(t, tb, i, "ingest_s")
-		case "no-buffering":
-			noBuf = cellF(t, tb, i, "ingest_s")
-		}
-	}
+	full, noBuf := val(t, tb, "full/ingest_s"), val(t, tb, "no-buffering/ingest_s")
 	if noBuf <= full {
 		t.Errorf("disabling vertex buffering (%f) should cost more than full XPGraph (%f)", noBuf, full)
 	}
 }
 
 func TestExtSSDShape(t *testing.T) {
-	// Raw nanoseconds, not table cells: at this scale both runs round to the
-	// same millisecond.
-	ds, err := gen.ByName("FS")
+	// A row carries the nanoseconds, not the cell text: at this scale both
+	// runs print as the same millisecond.
+	tb, err := Run("ext-ssd", quickCfg("FS"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs, err := extSSDRuns(ds, quickCfg("FS").withDefaults())
-	if err != nil {
-		t.Fatal(err)
+	pm, tiered := val(t, tb, "pmem-only/ingest_s"), val(t, tb, "small-pmem+ssd/ingest_s")
+	if tiered <= pm {
+		t.Errorf("tiered ingest (%g s) should cost more than pure PMEM (%g s)", tiered, pm)
 	}
-	pm, tiered := runs[0], runs[1]
-	if tiered.ingestNs <= pm.ingestNs {
-		t.Errorf("tiered ingest (%d ns) should cost more than pure PMEM (%d ns)", tiered.ingestNs, pm.ingestNs)
-	}
-	if pm.ssdBytes != 0 || tiered.ssdBytes <= 0 {
-		t.Errorf("SSD bytes: %d on ample PMEM, %d on small arenas; only the overflow run should place any", pm.ssdBytes, tiered.ssdBytes)
+	pmSSD, tieredSSD := val(t, tb, "pmem-only/ssd_MB"), val(t, tb, "small-pmem+ssd/ssd_MB")
+	if pmSSD != 0 || tieredSSD <= 0 {
+		t.Errorf("SSD MB: %g on ample PMEM, %g on small arenas; only the overflow run should place any", pmSSD, tieredSSD)
 	}
 }
 
@@ -50,8 +35,8 @@ func TestExtHotColdShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hotRead := cellF(t, tb, 0, "pmem_read_GB")
-	coldRead := cellF(t, tb, 1, "pmem_read_GB")
+	hotRead := val(t, tb, "hot-buffers/pmem_read_GB")
+	coldRead := val(t, tb, "flushed/pmem_read_GB")
 	if hotRead >= coldRead {
 		t.Errorf("hot-buffer queries read %f GB from PMEM vs flushed %f GB; buffers should absorb reads", hotRead, coldRead)
 	}
@@ -62,8 +47,7 @@ func TestExtEvolvingShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	goP := cellF(t, tb, 0, "ingest_s")
-	xp := cellF(t, tb, 1, "ingest_s")
+	goP, xp := val(t, tb, "GraphOne-P/ingest_s"), val(t, tb, "XPGraph/ingest_s")
 	if xp >= goP {
 		t.Errorf("XPGraph (%f) should beat GraphOne-P (%f) on evolving streams too", xp, goP)
 	}

@@ -16,38 +16,6 @@ func init() {
 	register("wire", "Binary batch ingest protocol + delta-varint adjacency density", wire)
 }
 
-// WireFormatStats is one adjacency format's density measurement after
-// ingest + flush + whole-store compaction.
-type WireFormatStats struct {
-	// EdgesPerLine is live records per 256 B XPLine of block footprint
-	// (headers included — the real on-media cost).
-	EdgesPerLine float64 `json:"edges_per_line"`
-	// PayloadBytesPerEdge is the encoded payload cost of one record.
-	PayloadBytesPerEdge float64 `json:"payload_bytes_per_edge"`
-	// MediaWriteBytesPerEdge is total simulated media write traffic of
-	// the whole ingest+flush+compact run, per input edge.
-	MediaWriteBytesPerEdge float64 `json:"media_write_bytes_per_edge"`
-}
-
-// WireReport is the machine-readable result behind BENCH_6.json.
-type WireReport struct {
-	Dataset string `json:"dataset"`
-	Edges   int64  `json:"edges"`
-	// Decode throughput of the two ingest wire formats (host clock,
-	// same machine for both, so only the ratio is meaningful).
-	JSONIngestEdgesPerSec float64 `json:"json_ingest_edges_per_sec"`
-	BinIngestEdgesPerSec  float64 `json:"bin_ingest_edges_per_sec"`
-	BinSpeedup            float64 `json:"bin_speedup"`
-	// BinBytesPerEdge / JSONBytesPerEdge compare the request body sizes.
-	JSONBytesPerEdge float64 `json:"json_bytes_per_edge"`
-	BinBytesPerEdge  float64 `json:"bin_bytes_per_edge"`
-
-	Fixed  WireFormatStats `json:"fixed"`
-	Varint WireFormatStats `json:"varint"`
-	// DensityGain is varint edges-per-line over fixed edges-per-line.
-	DensityGain float64 `json:"density_gain"`
-}
-
 // jsonBodyFor renders edges as the POST /v1/edges JSON request body.
 func jsonBodyFor(edges []graph.Edge) []byte {
 	type edgeJSON struct {
@@ -105,22 +73,18 @@ func wire(cfg Config) (Table, error) {
 			"edges_per_line = live records per 256 B XPLine of adjacency block footprint after compaction",
 		},
 	}
-	var reports []WireReport
-
 	for _, ds := range dss {
 		edges := edgesFor(ds, cfg)
-		rep := WireReport{Dataset: ds.Name, Edges: int64(len(edges))}
+		n := float64(len(edges))
 
 		// Transport decode throughput: the same edge stream through the
 		// streaming JSON decoder and the binary batch decoder, both into
 		// a reused destination buffer.
 		jsonBody := jsonBodyFor(edges)
 		binBody := ingest.EncodeBatch(edges, true)
-		rep.JSONBytesPerEdge = float64(len(jsonBody)) / float64(len(edges))
-		rep.BinBytesPerEdge = float64(len(binBody)) / float64(len(edges))
 		dst := make([]graph.Edge, 0, len(edges))
 		const rounds = 3
-		rep.JSONIngestEdgesPerSec, err = decodeRate(len(edges), rounds, func() error {
+		jsonRate, err := decodeRate(len(edges), rounds, func() error {
 			var derr error
 			dst, derr = ingest.DecodeJSONEdges(bytes.NewReader(jsonBody), dst[:0], false, 0)
 			return derr
@@ -128,7 +92,7 @@ func wire(cfg Config) (Table, error) {
 		if err != nil {
 			return Table{}, fmt.Errorf("wire: json decode: %w", err)
 		}
-		rep.BinIngestEdgesPerSec, err = decodeRate(len(edges), rounds, func() error {
+		binRate, err := decodeRate(len(edges), rounds, func() error {
 			var derr error
 			dst, derr = ingest.DecodeBatch(bytes.NewReader(binBody), dst[:0], 0)
 			return derr
@@ -136,20 +100,17 @@ func wire(cfg Config) (Table, error) {
 		if err != nil {
 			return Table{}, fmt.Errorf("wire: binary decode: %w", err)
 		}
-		rep.BinSpeedup = rep.BinIngestEdgesPerSec / rep.JSONIngestEdgesPerSec
 
 		// Adjacency density: ingest + flush + whole-store compaction on
 		// both block formats, measuring the live layout and the total
 		// media write traffic.
-		for _, varint := range []bool{false, true} {
-			s, m, err := newXPGraph(edges, ds.NumVertices(), cfg, func(o *core.Options) {
-				o.CompressedAdj = varint
+		key := dsCell(ds, len(edges))
+		var perLine, wrBytes [2]float64 // [fixed, varint]
+		for i, format := range []string{"fixed", "varint"} {
+			s, m, _, err := ingestXP(edges, ds.NumVertices(), cfg, func(o *core.Options) {
+				o.CompressedAdj = format == "varint"
 			})
 			if err != nil {
-				return Table{}, err
-			}
-			m.ResetStats()
-			if _, err := s.Ingest(edges); err != nil {
 				return Table{}, err
 			}
 			if err := s.FlushAllVbufs(); err != nil {
@@ -160,39 +121,34 @@ func wire(cfg Config) (Table, error) {
 				return Table{}, err
 			}
 			ls := s.AdjLayout(ctx)
-			st := m.TotalStats()
-			fs := WireFormatStats{
-				MediaWriteBytesPerEdge: float64(st.MediaWriteBytes()) / float64(len(edges)),
+			// Total simulated media write traffic of the whole run, per
+			// input edge, and live records per 256 B XPLine of block
+			// footprint (headers included — the real on-media cost).
+			wrBytes[i] = float64(m.TotalStats().MediaWriteBytes()) / n
+			if ls.BlockBytes > 0 {
+				perLine[i] = float64(ls.Records) * float64(xpsim.XPLineSize) / float64(ls.BlockBytes)
 			}
 			if ls.Records > 0 {
-				fs.PayloadBytesPerEdge = float64(ls.PayloadBytes) / float64(ls.Records)
-			}
-			if ls.BlockBytes > 0 {
-				fs.EdgesPerLine = float64(ls.Records) * float64(xpsim.XPLineSize) / float64(ls.BlockBytes)
-			}
-			if varint {
-				rep.Varint = fs
-			} else {
-				rep.Fixed = fs
+				t.derive(key.Key+"/"+format+"_payload_B_edge",
+					num(float64(ls.PayloadBytes)/float64(ls.Records), "%.2f", "B/edge", Lower).bound(simBound))
 			}
 		}
-		if rep.Fixed.EdgesPerLine > 0 {
-			rep.DensityGain = rep.Varint.EdgesPerLine / rep.Fixed.EdgesPerLine
+		gain := 0.0
+		if perLine[0] > 0 {
+			gain = perLine[1] / perLine[0]
 		}
 
-		t.Rows = append(t.Rows, []string{
-			ds.Name, fmt.Sprintf("%d", len(edges)),
-			fmt.Sprintf("%.2f", rep.JSONIngestEdgesPerSec/1e6),
-			fmt.Sprintf("%.2f", rep.BinIngestEdgesPerSec/1e6),
-			fmt.Sprintf("%.2fx", rep.BinSpeedup),
-			fmt.Sprintf("%.1f", rep.Fixed.EdgesPerLine),
-			fmt.Sprintf("%.1f", rep.Varint.EdgesPerLine),
-			fmt.Sprintf("%.2fx", rep.DensityGain),
-			fmt.Sprintf("%.1f", rep.Fixed.MediaWriteBytesPerEdge),
-			fmt.Sprintf("%.1f", rep.Varint.MediaWriteBytesPerEdge),
-		})
-		reports = append(reports, rep)
+		t.add(key, text(fmt.Sprint(len(edges))),
+			num(jsonRate/1e6, "%.2f", "Medges/s", Higher),
+			num(binRate/1e6, "%.2f", "Medges/s", Higher),
+			num(binRate/jsonRate, "%.2fx", "x", Higher).floor(2).bound(0.5),
+			num(perLine[0], "%.1f", "edges/line", Higher).bound(simBound),
+			num(perLine[1], "%.1f", "edges/line", Higher).bound(simBound),
+			num(gain, "%.2fx", "x", Higher).floor(1.5).bound(simBound),
+			num(wrBytes[0], "%.1f", "B/edge", Lower).bound(simBound),
+			num(wrBytes[1], "%.1f", "B/edge", Lower).bound(simBound))
+		t.derive(key.Key+"/json_wire_B_edge", num(float64(len(jsonBody))/n, "%.2f", "B/edge", Lower).bound(simBound))
+		t.derive(key.Key+"/bin_wire_B_edge", num(float64(len(binBody))/n, "%.2f", "B/edge", Lower).bound(simBound))
 	}
-	t.JSON = map[string]any{"experiment": "wire", "reports": reports}
 	return t, nil
 }

@@ -17,7 +17,6 @@ type RecoveryReport struct {
 	SimNs         int64 // simulated recovery time
 	BlocksScanned int64 // adjacency blocks reloaded from PMEM
 	Replayed      int64 // log edges replayed into fresh vertex buffers
-	DedupSkipped  int64 // always 0: the slot protocol makes replay exact (kept for report compatibility)
 }
 
 // Recover re-attaches to the PMEM of a crashed store and rebuilds all

@@ -20,6 +20,7 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/prop"
+	"repro/internal/splitmix"
 	"repro/internal/view"
 	"repro/internal/xpsim"
 )
@@ -113,6 +114,14 @@ func (s *Server) writeIngestError(w http.ResponseWriter, err error) {
 		httpShardError(w, http.StatusInsufficientStorage, "ingest_failed", shardID, vec,
 			"ingest: %v", err)
 	}
+}
+
+// retryAfterSecs maps a request sequence number to a deterministic
+// pseudo-random Retry-After of 1, 2, or 3 seconds (splitmix64 finalizer),
+// spreading shed writers' retries instead of synchronizing them on one
+// fixed delay.
+func retryAfterSecs(seq uint64) int {
+	return 1 + int(splitmix.Mix(seq)%3)
 }
 
 // enqueueAndRespond routes decoded edges through the cluster — breaker

@@ -190,7 +190,7 @@ const (
 	// BurstyIngest is the adaptive-admission benchmark scenario: one
 	// shard under heavy periodic ingest bursts with a zipfian read
 	// load. Run static vs adaptive to measure the p99 read-latency win
-	// (BENCH_8, `xpgraph bench -exp soak`).
+	// (`xpgraph bench -exp soak`).
 	BurstyIngest = "bursty-ingest"
 	// FaultStorm schedules media UEs under the hottest vertices, a
 	// shard-leader kill, and a late scrub. Its strict SLO fails by

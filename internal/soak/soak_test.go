@@ -195,7 +195,8 @@ func TestSustainedOverloadBreaker(t *testing.T) {
 // TestAdaptiveBeatsStatic is the tentpole claim at test scale: under
 // the bursty-ingest scenario the AIMD admission controller must cut
 // the p99 read latency by at least 1.2x vs the static defaults (the
-// committed BENCH_8.json gates the same comparison at bench scale).
+// soak experiment's adaptive_advantage row holds the same floor at bench
+// scale).
 func TestAdaptiveBeatsStatic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench-scale comparison; run without -short or via xpgraph bench -exp soak")

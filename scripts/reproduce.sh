@@ -11,7 +11,7 @@ echo "== tests ==" | tee results/progress.txt
 go test ./... 2>&1 | tee results/test_output.txt
 
 echo "== full-scale evaluation (fig3..fig20, tables, extensions) ==" | tee -a results/progress.txt
-go run ./cmd/xpgraph bench -exp all -scale 1 | tee results/results_full.txt
+go run ./cmd/xpgraph bench -exp all -scale 1 -json results/rows_full.json | tee results/results_full.txt
 
 echo "== quick-scale benchmarks ==" | tee -a results/progress.txt
 go test -bench=. -benchmem ./... 2>&1 | tee results/bench_output.txt
