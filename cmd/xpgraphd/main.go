@@ -69,6 +69,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -86,40 +87,57 @@ import (
 	"repro/internal/xpsim"
 )
 
-func main() {
-	addr := flag.String("addr", ":7611", "listen address")
-	vertices := flag.Uint("vertices", 1<<20, "initial vertex-ID space")
-	shards := flag.Int("shards", 1, "partition count: vertices hash across this many shard stores, each on its own simulated machine (DESIGN.md §11)")
-	replicas := flag.Int("replicas", 0, "log-shipping read replicas per shard, each on its own simulated machine")
-	pmemGB := flag.Int64("pmem-gb", 4, "simulated PMEM per NUMA node (GiB)")
-	threads := flag.Int("threads", 16, "archive threads")
-	qthreads := flag.Int("qthreads", 32, "query threads")
-	queueCap := flag.Int("queue-cap", 1<<16, "ingest queue capacity (edges)")
-	batchEdges := flag.Int("batch-edges", 4096, "edges applied per ingest batch")
-	linger := flag.Duration("linger", 2*time.Millisecond, "batching linger time")
-	adaptive := flag.Bool("adaptive", false, "AIMD adaptive admission: auto-tune batch size, linger and the 429 threshold from observed queue depth and batch latency (DESIGN.md §12.3)")
-	adaptiveTarget := flag.Duration("adaptive-target", 0, "applied-batch latency target for -adaptive (default 2ms)")
-	flushEvery := flag.Duration("flush-every", 5*time.Second, "periodic vertex-buffer flush (0 disables)")
-	requestTimeout := flag.Duration("request-timeout", 0, "per-request deadline; requests past it answer 503 deadline_exceeded (0 disables)")
-	shutdownTimeout := flag.Duration("shutdown-timeout", 30*time.Second, "bound on graceful shutdown: HTTP drain plus ingest-queue drain share this budget (0 waits forever)")
-	mediaGuard := flag.Bool("media-guard", false, "checksummed media-error detection, scrubbing, and quarantine (see DESIGN.md §9)")
-	varintAdj := flag.Bool("varint-adj", false, "delta-varint compressed adjacency blocks (see DESIGN.md §10.2)")
-	props := flag.Bool("props", true, "property graph layer: typed edges, vertex properties, filtered traversals (DESIGN.md §13)")
-	propLogMB := flag.Int64("prop-log-mb", 16, "property column log per shard, in MiB (requires -props)")
-	archiveSSDMB := flag.Int64("archive-ssd-mb", 0, "SSD edge archive for scrub rebuilds, in MiB (requires -media-guard)")
-	scrubEvery := flag.Duration("scrub-every", 0, "periodic media scrub pass (requires -media-guard; 0 disables)")
-	ueDecay := flag.Float64("ue-decay", 0, "per-read probability a media line decays uncorrectable — demo/chaos knob (requires -media-guard)")
-	chaosSpec := flag.String("chaos", "", `seeded fault injection on the leader→replica shipping links, e.g. "seed=7,drop=0.05,dup=0.02,delay=0.1:2ms,part=2x40@400" (requires -replicas; DESIGN.md §14.4)`)
-	preload := flag.String("preload", "", "catalog dataset to pre-load (TT, FS, ...)")
-	scale := flag.Float64("scale", 0.1, "pre-load edge scale")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the phase timeline on shutdown")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the daemon: it serves until SIGINT/SIGTERM or a listener error and
+// returns the process's exit status — 0 after a clean drain, 1 for a fatal
+// error or an expired -shutdown-timeout, 2 for a bad command line.
+func run(args []string, _, stderr io.Writer) int {
+	logger := log.New(stderr, "", log.LstdFlags)
+	fatal := func(v ...any) int {
+		logger.Print(v...)
+		return 1
+	}
+	fs := flag.NewFlagSet("xpgraphd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":7611", "listen address")
+	vertices := fs.Uint("vertices", 1<<20, "initial vertex-ID space")
+	shards := fs.Int("shards", 1, "partition count: vertices hash across this many shard stores, each on its own simulated machine (DESIGN.md §11)")
+	replicas := fs.Int("replicas", 0, "log-shipping read replicas per shard, each on its own simulated machine")
+	pmemGB := fs.Int64("pmem-gb", 4, "simulated PMEM per NUMA node (GiB)")
+	threads := fs.Int("threads", 16, "archive threads")
+	qthreads := fs.Int("qthreads", 32, "query threads")
+	queueCap := fs.Int("queue-cap", 1<<16, "ingest queue capacity (edges)")
+	batchEdges := fs.Int("batch-edges", 4096, "edges applied per ingest batch")
+	linger := fs.Duration("linger", 2*time.Millisecond, "batching linger time")
+	adaptive := fs.Bool("adaptive", false, "AIMD adaptive admission: auto-tune batch size, linger and the 429 threshold from observed queue depth and batch latency (DESIGN.md §12.3)")
+	adaptiveTarget := fs.Duration("adaptive-target", 0, "applied-batch latency target for -adaptive (default 2ms)")
+	flushEvery := fs.Duration("flush-every", 5*time.Second, "periodic vertex-buffer flush (0 disables)")
+	requestTimeout := fs.Duration("request-timeout", 0, "per-request deadline; requests past it answer 503 deadline_exceeded (0 disables)")
+	shutdownTimeout := fs.Duration("shutdown-timeout", 30*time.Second, "bound on graceful shutdown: HTTP drain plus ingest-queue drain share this budget (0 waits forever)")
+	mediaGuard := fs.Bool("media-guard", false, "checksummed media-error detection, scrubbing, and quarantine (see DESIGN.md §9)")
+	varintAdj := fs.Bool("varint-adj", false, "delta-varint compressed adjacency blocks (see DESIGN.md §10.2)")
+	props := fs.Bool("props", true, "property graph layer: typed edges, vertex properties, filtered traversals (DESIGN.md §13)")
+	propLogMB := fs.Int64("prop-log-mb", 16, "property column log per shard, in MiB (requires -props)")
+	archiveSSDMB := fs.Int64("archive-ssd-mb", 0, "SSD edge archive for scrub rebuilds, in MiB (requires -media-guard)")
+	scrubEvery := fs.Duration("scrub-every", 0, "periodic media scrub pass (requires -media-guard; 0 disables)")
+	ueDecay := fs.Float64("ue-decay", 0, "per-read probability a media line decays uncorrectable — demo/chaos knob (requires -media-guard)")
+	chaosSpec := fs.String("chaos", "", `seeded fault injection on the leader→replica shipping links, e.g. "seed=7,drop=0.05,dup=0.02,delay=0.1:2ms,part=2x40@400" (requires -replicas; DESIGN.md §14.4)`)
+	preload := fs.String("preload", "", "catalog dataset to pre-load (TT, FS, ...)")
+	scale := fs.Float64("scale", 0.1, "pre-load edge scale")
+	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON of the phase timeline on shutdown")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *ueDecay > 0 && !*mediaGuard {
-		log.Fatal("xpgraphd: -ue-decay requires -media-guard")
+		return fatal("xpgraphd: -ue-decay requires -media-guard")
 	}
 	if *shards < 1 {
-		log.Fatal("xpgraphd: -shards must be >= 1")
+		return fatal("xpgraphd: -shards must be >= 1")
 	}
 	// Every shard leader and every replica is its own simulated machine —
 	// its own failure domain, DIMMs and telemetry.
@@ -152,7 +170,7 @@ func main() {
 		var err error
 		stores[i], err = newNode(fmt.Sprintf("xpgraphd-s%d", i))
 		if err != nil {
-			log.Fatal(err)
+			return fatal(err)
 		}
 	}
 	ccfg := cluster.Config{
@@ -172,11 +190,11 @@ func main() {
 	}
 	if *chaosSpec != "" {
 		if *replicas < 1 {
-			log.Fatal("xpgraphd: -chaos requires -replicas (it injects faults on the shipping links)")
+			return fatal("xpgraphd: -chaos requires -replicas (it injects faults on the shipping links)")
 		}
 		plan, parts, err := chaos.Parse(*chaosSpec)
 		if err != nil {
-			log.Fatal(err)
+			return fatal(err)
 		}
 		var links []chaos.Link
 		for s := 0; s < *shards; s++ {
@@ -186,30 +204,30 @@ func main() {
 		}
 		parts.Finish(plan, links)
 		ccfg.Transport = cluster.NewChaosTransport(plan)
-		fmt.Fprintf(os.Stderr, "xpgraphd: chaos armed on %d shipping link(s): %s\n", len(links), *chaosSpec)
+		fmt.Fprintf(stderr, "xpgraphd: chaos armed on %d shipping link(s): %s\n", len(links), *chaosSpec)
 	}
 	cl, err := cluster.New(stores, ccfg)
 	if err != nil {
-		log.Fatal(err)
+		return fatal(err)
 	}
 	// Start before pre-loading so the followers exist and the bulk load
 	// ships to them too (Start is idempotent; the server calls it again).
 	if err := cl.Start(); err != nil {
-		log.Fatal(err)
+		return fatal(err)
 	}
 
 	if *preload != "" {
 		ds, err := gen.ByName(*preload)
 		if err != nil {
-			log.Fatal(err)
+			return fatal(err)
 		}
 		n := int64(float64(ds.Edges) * *scale)
-		fmt.Fprintf(os.Stderr, "pre-loading %d edges of %s across %d shard(s)...\n", n, ds.Full, *shards)
+		fmt.Fprintf(stderr, "pre-loading %d edges of %s across %d shard(s)...\n", n, ds.Full, *shards)
 		simNs, err := cl.IngestLocal(gen.RMAT(ds.Scale, n, ds.Seed))
 		if err != nil {
-			log.Fatal(err)
+			return fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "loaded in %.3fs simulated\n", float64(simNs)/1e9)
+		fmt.Fprintf(stderr, "loaded in %.3fs simulated\n", float64(simNs)/1e9)
 	}
 
 	var tracer *obs.Tracer
@@ -233,14 +251,15 @@ func main() {
 
 	sigC := make(chan os.Signal, 1)
 	signal.Notify(sigC, syscall.SIGINT, syscall.SIGTERM)
-	fmt.Fprintf(os.Stderr, "xpgraphd listening on %s\n", *addr)
+	defer signal.Stop(sigC)
+	fmt.Fprintf(stderr, "xpgraphd listening on %s\n", *addr)
 
 	select {
 	case err := <-errC:
 		srv.Close()
-		log.Fatal(err)
+		return fatal(err)
 	case sig := <-sigC:
-		fmt.Fprintf(os.Stderr, "xpgraphd: %s — draining...\n", sig)
+		fmt.Fprintf(stderr, "xpgraphd: %s — draining...\n", sig)
 	}
 
 	// The HTTP drain and the ingest-queue drain share one shutdown budget
@@ -256,7 +275,7 @@ func main() {
 
 	// Stop accepting connections, let in-flight requests finish.
 	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintf(os.Stderr, "xpgraphd: http shutdown: %v\n", err)
+		fmt.Fprintf(stderr, "xpgraphd: http shutdown: %v\n", err)
 	}
 	// Apply every queued write and flush vertex buffers to PMEM — but
 	// give up when the shutdown deadline fires rather than drain forever.
@@ -265,22 +284,23 @@ func main() {
 	select {
 	case <-drained:
 	case <-deadline:
-		fmt.Fprintf(os.Stderr,
+		fmt.Fprintf(stderr,
 			"xpgraphd: shutdown deadline (%v) fired before the ingest drain finished; exiting with queued writes unapplied\n",
 			*shutdownTimeout)
-		os.Exit(1)
+		return 1
 	}
 
 	if *tracePath != "" {
-		if err := writeTrace(*tracePath, srv.Tracer()); err != nil {
-			log.Fatal(err)
+		if err := writeTrace(*tracePath, srv.Tracer(), stderr); err != nil {
+			return fatal(err)
 		}
 	}
-	fmt.Fprintln(os.Stderr, "xpgraphd: drained and flushed; bye")
+	fmt.Fprintln(stderr, "xpgraphd: drained and flushed; bye")
+	return 0
 }
 
 // writeTrace dumps the tracer ring as Chrome trace-event JSON.
-func writeTrace(path string, t *obs.Tracer) error {
+func writeTrace(path string, t *obs.Tracer, stderr io.Writer) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -293,6 +313,6 @@ func writeTrace(path string, t *obs.Tracer) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "xpgraphd: wrote %d phase spans to %s\n", len(spans), path)
+	fmt.Fprintf(stderr, "xpgraphd: wrote %d phase spans to %s\n", len(spans), path)
 	return nil
 }

@@ -1,8 +1,11 @@
 // Package adj implements persistent adjacency-list storage: per-vertex
 // chains of neighbor blocks living in PMEM (or DRAM for the volatile
-// variants). Blocks carry a persisted header {vid, cap, prev, cnt0, cnt1}
-// so a recovering process can rebuild every chain with one sequential scan
-// of the arena — the recovery scheme of §V-D.
+// variants). Blocks carry a persisted, self-describing header (header.go:
+// the one file that knows its layout) so a recovering process can rebuild
+// every chain with one sequential scan of the arena — the recovery scheme
+// of §V-D. Every read of a chain goes through one walker and one block
+// decoder (walk.go); compaction and scrub repair share one journaled chain
+// swap (swap.go).
 //
 // XPGraph appends whole drained vertex buffers (up to 63 neighbors) as one
 // contiguous write — the single-XPLine flush of §III-B — while GraphOne's
@@ -35,43 +38,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/mem"
 	"repro/internal/xpsim"
 )
-
-// blockHeader is {vid u32, cap u32, prev u32, _ u32, cnt0 u32, _ u32,
-// cnt1 u32, _ u32}; prev is the 16-byte-aligned offset of the previous
-// block divided by headerAlign (0 = none). The count slots live in their
-// own 8-byte words so a torn header line can never mix halves of two
-// counts: powerfail atomicity is per 8-byte word.
-const (
-	headerBytes = 32
-	headerAlign = 16
-
-	offVID  = 0
-	offCap  = 4
-	offPrev = 8
-	offCnt0 = 16
-	offCRC0 = 20
-	offCnt1 = 24
-	offCRC1 = 28
-)
-
-// deadVID marks a recycled block's header so the recovery scan skips it.
-// The ID is reserved: no vertex may use it (it is also graph.DelFlag|...,
-// which real vertex IDs cannot carry).
-const deadVID = ^uint32(0)
-
-// journalVID marks the compaction journal pseudo-block (also reserved).
-const journalVID = ^uint32(0) - 1
-
-// journalMagic is the high half of the journal's second word while a
-// compaction is in flight; recovery rolls the compaction forward iff it
-// sees the magic.
-const journalMagic = 0x4A524E4C // "JRNL"
 
 // Sizing decides the capacity (in neighbors) of a new block for a vertex
 // that already stores `degree` records and is receiving `incoming` more.
@@ -81,17 +52,7 @@ type Sizing func(degree, incoming int) int
 // blocks, hot vertices get room to absorb future flushes (amortizing
 // block-chain overhead), capped at 1024 neighbors per block.
 func XPGraphSizing(degree, incoming int) int {
-	c := degree / 2
-	if c < 12 {
-		c = 12
-	}
-	if c > 1024 {
-		c = 1024
-	}
-	if c < incoming {
-		c = incoming
-	}
-	return c
+	return max(min(max(degree/2, 12), 1024), incoming)
 }
 
 // ExactSizing allocates exactly the incoming count (no growth headroom).
@@ -110,13 +71,7 @@ func GraphOneSizing(degree, incoming int) int {
 	for c < degree {
 		c *= 2
 	}
-	if c > 1024 {
-		c = 1024
-	}
-	if c < incoming {
-		c = incoming
-	}
-	return c
+	return max(min(c, 1024), incoming)
 }
 
 // Options configure a Store.
@@ -150,10 +105,24 @@ type Options struct {
 	Checksums bool
 	// VarintBlocks makes NEW blocks use the delta-varint payload encoding
 	// (varint.go) instead of fixed 4-byte neighbor slots. The format is
-	// negotiated per block through the offFmt header word, so chains may
+	// negotiated per block through the header's format word, so chains may
 	// mix formats freely: a store recovered from fixed-width media keeps
 	// reading its old blocks while appending compressed ones.
 	VarintBlocks bool
+}
+
+// vertex is one vertex's entry in the DRAM index: where its chain ends and
+// the append cursor inside that tail block. All rebuilt by recovery.
+type vertex struct {
+	tail     int64  // offset of the newest block; 0 = none
+	cnt      uint32 // DRAM mirror of the tail block's cnt
+	capacity uint32 // DRAM mirror of the tail block's cap
+	records  uint32 // total records (incl. tombstones)
+	// Delta-varint tail state (varint.go): the byte cursor inside the tail
+	// block's payload and the delta predecessor for the next record.
+	bytes  uint32
+	last   uint32
+	format uint8 // the tail block's payload format
 }
 
 // Store is one adjacency arena: one direction (out or in) of one
@@ -163,18 +132,9 @@ type Store struct {
 	lat  *xpsim.LatencyModel
 	opts Options
 
-	tail    []int64  // per-vertex offset of the newest block; 0 = none
-	tailCnt []uint32 // DRAM mirror of the tail block's cnt
-	tailCap []uint32 // DRAM mirror of the tail block's cap
-	records []uint32 // total records (incl. tombstones) per vertex
-	blocks  int64    // blocks allocated
-	bytes   int64    // bytes allocated
-	// Delta-varint tail state (varint.go): the tail block's format, the
-	// byte cursor inside its payload, and the delta predecessor for the
-	// next appended record. All rebuilt by recovery.
-	tailFmt   []uint8
-	tailBytes []uint32
-	lastVal   []uint32
+	vx     []vertex // the per-vertex index
+	blocks int64    // blocks allocated
+	bytes  int64    // bytes allocated
 	// encBytes/encRecs count payload bytes and records written through
 	// the append and compaction paths, per format — the obs feed for
 	// edges-per-XPLine accounting.
@@ -214,16 +174,15 @@ type Store struct {
 	ackList  []pendEntry
 	ackLeft  int
 	nextSlot int
-	journal  int64 // offset of the compaction journal block; 0 = none
+	journal  int64 // offset of the swap journal block; 0 = none
 
 	// Checksum state (check.go; populated only with opts.Checksums):
-	// crc mirrors the running CRC32-C of each block's appended payload,
-	// caps remembers every block's capacity, chains the newest-first block
-	// layout per vertex — so verification and repair never have to trust a
+	// mirror remembers every live block's capacity, format and the running
+	// CRC32-C of its appended payload, chains the newest-first block layout
+	// per vertex — so verification and repair never have to trust a
 	// possibly-corrupt on-media header. suspects collects vertices whose
 	// media payload disagreed with the acknowledged checksum at Recover.
-	crc      map[int64]uint32
-	caps     map[int64]uint32
+	mirror   map[int64]blockMirror
 	chains   map[graph.VID][]int64
 	suspects []graph.VID
 }
@@ -240,7 +199,11 @@ func New(m mem.Mem, lat *xpsim.LatencyModel, maxV graph.VID, opts Options) *Stor
 		panic("adj: Checksums require CrashSafe (the CRC lifecycle rides the Ack slots)")
 	}
 	// A fresh edge log selects slot 0, so the first flush cycle fills slot 1.
-	s := &Store{m: m, lat: lat, opts: opts, nextSlot: 1}
+	s := &Store{m: m, lat: lat, opts: opts, nextSlot: 1,
+		partialCnt: make(map[int64]uint32), freeBlocks: make(map[int][]int64)}
+	if opts.Checksums {
+		s.mirror, s.chains = make(map[int64]blockMirror), make(map[graph.VID][]int64)
+	}
 	s.EnsureVertices(maxV + 1)
 	return s
 }
@@ -250,32 +213,26 @@ func (s *Store) Mem() mem.Mem { return s.m }
 
 // EnsureVertices grows the index to hold at least n vertices.
 func (s *Store) EnsureVertices(n graph.VID) {
-	for uint32(len(s.tail)) < n {
-		s.tail = append(s.tail, make([]int64, int(n)-len(s.tail))...)
-		s.tailCnt = append(s.tailCnt, make([]uint32, int(n)-len(s.tailCnt))...)
-		s.tailCap = append(s.tailCap, make([]uint32, int(n)-len(s.tailCap))...)
-		s.records = append(s.records, make([]uint32, int(n)-len(s.records))...)
-		s.tailFmt = append(s.tailFmt, make([]uint8, int(n)-len(s.tailFmt))...)
-		s.tailBytes = append(s.tailBytes, make([]uint32, int(n)-len(s.tailBytes))...)
-		s.lastVal = append(s.lastVal, make([]uint32, int(n)-len(s.lastVal))...)
+	if int(n) > len(s.vx) {
+		s.vx = append(s.vx, make([]vertex, int(n)-len(s.vx))...)
 	}
 }
 
 // NumVertices reports the index size.
-func (s *Store) NumVertices() graph.VID { return graph.VID(len(s.tail)) }
+func (s *Store) NumVertices() graph.VID { return graph.VID(len(s.vx)) }
 
 // Records reports how many neighbor records (including deletion
 // tombstones) vertex v stores.
 func (s *Store) Records(v graph.VID) int {
-	if int(v) >= len(s.records) {
+	if int(v) >= len(s.vx) {
 		return 0
 	}
-	return int(s.records[v])
+	return int(s.vx[v].records)
 }
 
 // Has reports whether vertex v owns a block in this arena, visible records
 // or not.
-func (s *Store) Has(v graph.VID) bool { return int(v) < len(s.tail) && s.tail[v] != 0 }
+func (s *Store) Has(v graph.VID) bool { return int(v) < len(s.vx) && s.vx[v].tail != 0 }
 
 // Blocks reports total allocated blocks.
 func (s *Store) Blocks() int64 { return s.blocks }
@@ -300,50 +257,6 @@ func (s *Store) Encoding() EncodingStats {
 		VarintBytes:   s.encBytes[fmtVarint],
 		VarintRecords: s.encRecs[fmtVarint],
 	}
-}
-
-// LayoutStats describes the live on-media adjacency layout: visible
-// records, the payload bytes they occupy, and total block bytes
-// (headers + payload capacity, the real XPLine footprint).
-type LayoutStats struct {
-	Records      int64
-	PayloadBytes int64
-	BlockBytes   int64
-}
-
-// Layout walks every live chain and measures the current on-media
-// layout. Varint payload extents are discovered by decoding, so this is
-// a full read of the arena — a bench/diagnostic API, not a hot path.
-func (s *Store) Layout(ctx *xpsim.Ctx) LayoutStats {
-	var ls LayoutStats
-	for v := range s.tail {
-		off := s.tail[v]
-		for off != 0 {
-			var hdr [headerBytes]byte
-			s.m.Read(ctx, off, hdr[:])
-			capacity := binary.LittleEndian.Uint32(hdr[offCap:])
-			format := uint8(binary.LittleEndian.Uint32(hdr[offFmt:]))
-			cnt := s.blockCnt(graph.VID(v), off, binary.LittleEndian.Uint32(hdr[offCnt0:]), capacity)
-			ls.Records += int64(cnt)
-			ls.BlockBytes += headerBytes + 4*int64(capacity)
-			if format == fmtVarint {
-				vr := newVarintReader(func(o int64, p []byte) error {
-					s.m.Read(ctx, o, p)
-					return nil
-				}, off+headerBytes, int64(capacity)*4, false)
-				for i := uint32(0); i < cnt; i++ {
-					if _, err := vr.next(); err != nil {
-						break
-					}
-				}
-				ls.PayloadBytes += vr.bytesConsumed()
-			} else {
-				ls.PayloadBytes += 4 * int64(cnt)
-			}
-			off = int64(binary.LittleEndian.Uint32(hdr[offPrev:])) * headerAlign
-		}
-	}
-	return ls
 }
 
 // volatileReads reports whether record counts are resolved from DRAM
@@ -420,12 +333,6 @@ func sortPend(list []pendEntry) {
 	})
 }
 
-// putU32 stores a 4-byte value at off through the scratch word.
-func (s *Store) putU32(ctx *xpsim.Ctx, off int64, v uint32) {
-	binary.LittleEndian.PutUint32(s.wordScratch[:4], v)
-	s.m.Write(ctx, off, s.wordScratch[:4])
-}
-
 // Append stores nbrs for vertex v. Contiguous neighbors are written with
 // a single memory operation, so a 63-neighbor vertex-buffer flush costs
 // one XPLine-sized write while single-neighbor appends behave like
@@ -436,7 +343,7 @@ func (s *Store) Append(ctx *xpsim.Ctx, v graph.VID, nbrs []uint32) error {
 	s.EnsureVertices(v + 1)
 	for len(nbrs) > 0 {
 		n := 0
-		if s.tail[v] != 0 {
+		if s.vx[v].tail != 0 {
 			n = s.appendTail(ctx, v, nbrs)
 		}
 		if n == 0 {
@@ -483,12 +390,13 @@ func encodeRun(buf []byte, format uint8, free int, prev uint32, nbrs []uint32) (
 // memory operation — fixed slots, or one delta chain continued from the
 // block's last record — and returns how many it stored.
 func (s *Store) appendTail(ctx *xpsim.Ctx, v graph.VID, nbrs []uint32) int {
-	blk, format := s.tail[v], s.tailFmt[v]
-	used := 4 * s.tailCnt[v]
+	t := &s.vx[v]
+	blk, format := t.tail, t.format
+	used := 4 * t.cnt
 	if format == fmtVarint {
-		used = s.tailBytes[v]
+		used = t.bytes
 	}
-	enc, n, last := encodeRun(s.encScratch[:0], format, int(4*s.tailCap[v])-int(used), s.lastVal[v], nbrs)
+	enc, n, last := encodeRun(s.encScratch[:0], format, int(4*t.capacity)-int(used), t.last, nbrs)
 	s.encScratch = enc[:0]
 	if n == 0 {
 		return 0
@@ -496,11 +404,13 @@ func (s *Store) appendTail(ctx *xpsim.Ctx, v graph.VID, nbrs []uint32) int {
 	off := blk + headerBytes + int64(used)
 	s.m.Write(ctx, off, enc)
 	if s.opts.Checksums {
-		s.crc[blk] = crc32.Update(s.crc[blk], castagnoli, enc)
+		m := s.mirror[blk]
+		m.crc = crc32.Update(m.crc, castagnoli, enc)
+		s.mirror[blk] = m
 	}
-	s.tailBytes[v] = used + uint32(len(enc))
-	s.lastVal[v] = last
-	s.tailCnt[v] += uint32(n)
+	t.bytes = used + uint32(len(enc))
+	t.last = last
+	t.cnt += uint32(n)
 	switch {
 	case s.opts.CrashSafe:
 		// The count becomes durable through a flush cycle; recovery replays
@@ -508,14 +418,14 @@ func (s *Store) appendTail(ctx *xpsim.Ctx, v graph.VID, nbrs []uint32) int {
 		// will select is scratch, so when that slot shares the records' XPLine
 		// the count rides the same line to the media here and now, and the
 		// cycle's Ack has nothing left to write for this block.
-		counted := (blk+s.slotOff())/xpsim.XPLineSize == off/xpsim.XPLineSize
+		counted := (blk+slotOff(s.nextSlot))/xpsim.XPLineSize == off/xpsim.XPLineSize
 		if counted {
-			s.putCount(ctx, blk, s.tailCnt[v])
+			s.putCount(ctx, blk, s.nextSlot, t.cnt)
 		}
-		s.pendAdd(blk, s.tailCnt[v], counted)
+		s.pendAdd(blk, t.cnt, counted)
 	case !s.opts.VolatileCounts && !s.opts.DeferCounts:
 		// Persist the record count in the block header.
-		s.putU32(ctx, blk+offCnt0, s.tailCnt[v])
+		s.putCount(ctx, blk, 0, t.cnt)
 	}
 	s.commitAppend(ctx, v, off, enc, n)
 	return n
@@ -527,32 +437,22 @@ func (s *Store) commitAppend(ctx *xpsim.Ctx, v graph.VID, off int64, enc []byte,
 	if s.opts.ProactiveFlush && len(enc) >= xpsim.XPLineSize {
 		s.m.Flush(ctx, off, int64(len(enc)))
 	}
-	s.records[v] += uint32(n)
-	s.encBytes[s.tailFmt[v]] += int64(len(enc))
-	s.encRecs[s.tailFmt[v]] += int64(n)
+	s.vx[v].records += uint32(n)
+	s.encBytes[s.vx[v].format] += int64(len(enc))
+	s.encRecs[s.vx[v].format] += int64(n)
 }
 
-// slotOff is the header offset of the count slot the running flush cycle
-// will select.
-func (s *Store) slotOff() int64 { return offCnt0 + 8*int64(s.nextSlot) }
-
-// countWord renders cnt as block blk's count slot — with the payload's
-// checksum where the store keeps them: {cnt, crc} share one 8-byte word, so
-// powerfail atomicity guarantees a count is never durable without its
-// checksum.
-func (s *Store) countWord(blk int64, cnt uint32) []byte {
-	binary.LittleEndian.PutUint32(s.wordScratch[:], cnt)
-	if !s.opts.Checksums {
-		return s.wordScratch[:4]
+// putCount stores cnt as block blk's record count in the given slot — with
+// the payload's checksum where the store keeps them: {cnt, crc} share one
+// 8-byte word, so powerfail atomicity guarantees a count is never durable
+// without its checksum.
+func (s *Store) putCount(ctx *xpsim.Ctx, blk int64, slot int, cnt uint32) {
+	word, crc := s.wordScratch[:4], uint32(0)
+	if s.opts.Checksums {
+		word, crc = s.wordScratch[:], s.mirror[blk].crc
 	}
-	binary.LittleEndian.PutUint32(s.wordScratch[4:], s.crc[blk])
-	return s.wordScratch[:]
-}
-
-// putCount stores cnt as block blk's record count in the slot the running
-// flush cycle will select.
-func (s *Store) putCount(ctx *xpsim.Ctx, blk int64, cnt uint32) {
-	s.m.Write(ctx, blk+s.slotOff(), s.countWord(blk, cnt))
+	putSlot(s.wordScratch[:], cnt, crc)
+	s.m.Write(ctx, blk+slotOff(slot), word)
 }
 
 // Reserve ensures v's tail block has room for at least n more neighbors,
@@ -564,12 +464,12 @@ func (s *Store) putCount(ctx *xpsim.Ctx, blk int64, cnt uint32) {
 // enable VarintBlocks, and Append handles overflow either way.
 func (s *Store) Reserve(ctx *xpsim.Ctx, v graph.VID, n int) error {
 	s.EnsureVertices(v + 1)
-	if s.tail[v] != 0 {
-		if s.tailFmt[v] == fmtVarint {
-			if (int(4*s.tailCap[v])-int(s.tailBytes[v]))/maxVarintRec >= n {
+	if t := &s.vx[v]; t.tail != 0 {
+		if t.format == fmtVarint {
+			if (int(4*t.capacity)-int(t.bytes))/maxVarintRec >= n {
 				return nil
 			}
-		} else if int(s.tailCap[v]-s.tailCnt[v]) >= n {
+		} else if int(t.capacity-t.cnt) >= n {
 			return nil
 		}
 	}
@@ -582,8 +482,8 @@ func (s *Store) blockCnt(v graph.VID, off int64, persisted, capacity uint32) uin
 	if !s.volatileReads() {
 		return persisted
 	}
-	if off == s.tail[v] {
-		return s.tailCnt[v]
+	if off == s.vx[v].tail {
+		return s.vx[v].cnt
 	}
 	if c, ok := s.partialCnt[off]; ok {
 		return c
@@ -622,18 +522,16 @@ func (s *Store) newBlock(ctx *xpsim.Ctx, v graph.VID, incoming int, first []uint
 	// needs no DRAM record — blockCnt's fallback is exact — but a varint
 	// block's record count is unrelated to cap (cnt can exceed it), so
 	// retired varint tails always keep their count in partialCnt.
-	if s.volatileReads() && s.tail[v] != 0 &&
-		(s.tailCnt[v] != s.tailCap[v] || s.tailFmt[v] == fmtVarint) {
-		if s.partialCnt == nil {
-			s.partialCnt = make(map[int64]uint32)
-		}
-		s.partialCnt[s.tail[v]] = s.tailCnt[v]
+	t := &s.vx[v]
+	if s.volatileReads() && t.tail != 0 &&
+		(t.cnt != t.capacity || t.format == fmtVarint) {
+		s.partialCnt[t.tail] = t.cnt
 	}
 	format := uint8(fmtFixed)
 	if s.opts.VarintBlocks {
 		format = fmtVarint
 	}
-	capacity := s.opts.Sizing(int(s.records[v]), incoming)
+	capacity := s.opts.Sizing(int(t.records), incoming)
 	if format == fmtVarint && capacity < 2 {
 		// A varint block's byte budget (4*cap) must hold at least one
 		// worst-case record (maxVarintRec bytes) or Append cannot make
@@ -644,25 +542,20 @@ func (s *Store) newBlock(ctx *xpsim.Ctx, v graph.VID, incoming int, first []uint
 	if err != nil {
 		return 0, err
 	}
+	h := header{vid: v, capacity: uint32(capacity), prev: t.tail, format: uint32(format)}
 	buf := append(s.encScratch[:0], make([]byte, headerBytes)...)
-	binary.LittleEndian.PutUint32(buf[offVID:], v)
-	binary.LittleEndian.PutUint32(buf[offCap:], uint32(capacity))
-	binary.LittleEndian.PutUint32(buf[offPrev:], uint32(s.tail[v]/headerAlign))
-	binary.LittleEndian.PutUint32(buf[offFmt:], uint32(format))
 	var n int
 	var last uint32
 	if !s.opts.VolatileCounts {
 		buf, n, last = encodeRun(buf, format, 4*capacity, 0, first)
 	}
 	enc := buf[headerBytes:]
-	s.tail[v] = off
-	s.tailCnt[v] = uint32(n)
-	s.tailCap[v] = uint32(capacity)
-	s.tailFmt[v] = format
-	s.tailBytes[v] = uint32(len(enc))
-	s.lastVal[v] = last
+	*t = vertex{tail: off, cnt: uint32(n), capacity: h.capacity, records: t.records,
+		bytes: uint32(len(enc)), last: last, format: format}
+	var crc uint32
 	if s.opts.Checksums {
-		s.noteBlock(v, off, uint32(capacity), crc32.Checksum(enc, castagnoli))
+		crc = crc32.Checksum(enc, castagnoli)
+		s.noteBlock(v, off, blockMirror{capacity: h.capacity, crc: crc, format: format})
 	}
 	switch {
 	case n == 0: // reserved, not appended to: both slots stay zero
@@ -673,11 +566,12 @@ func (s *Store) newBlock(ctx *xpsim.Ctx, v graph.VID, incoming int, first []uint
 		// killed, so even if this write never becomes durable, or only some
 		// of its words do, recovery sees zero visible records — never a stale
 		// count from the block's previous owner.
-		copy(buf[s.slotOff():], s.countWord(off, uint32(n)))
+		h.cnt[s.nextSlot], h.crc[s.nextSlot] = uint32(n), crc
 		s.pendAdd(off, uint32(n), true)
 	case !s.opts.DeferCounts:
-		binary.LittleEndian.PutUint32(buf[offCnt0:], uint32(n))
+		h.cnt[0] = uint32(n)
 	}
+	h.put(buf)
 	if s.opts.VolatileCounts {
 		// GraphOne keeps chunk metadata (sizes, links) in its DRAM
 		// vertex index, not in the chunk itself; charge a DRAM metadata
@@ -729,7 +623,7 @@ func (s *Store) Ack(ctx *xpsim.Ctx, slot, w, n int) {
 		s.ackLeft = n
 	}
 	for _, e := range s.ackList[len(s.ackList)*w/n : len(s.ackList)*(w+1)/n] {
-		s.putCount(ctx, e.off(), e.cnt)
+		s.putCount(ctx, e.off(), slot, e.cnt)
 	}
 	if s.ackLeft--; s.ackLeft == 0 {
 		s.nextSlot = 1 - s.nextSlot
@@ -769,338 +663,6 @@ func (s *Store) ackBegin() {
 	// The next cycle's log reuses the old pendPrev's array, sized to hold as
 	// many entries as this cycle collected before it has to grow.
 	s.ackList, s.pendPrev, s.pendCur = list, cur, slices.Grow(prev[:0], len(cur))
-}
-
-// visitBlock streams the first cnt records of the block at off to fn,
-// decoding the block's payload format. Fixed blocks read through a
-// stack chunk; varint blocks stream through the chunked decoder. Decode
-// errors (possible only on corrupt media) stop the walk — the checked
-// paths in check.go surface them as typed errors instead.
-func (s *Store) visitBlock(ctx *xpsim.Ctx, off int64, format uint8, capacity, cnt uint32, fn func(nbr uint32)) {
-	if cnt == 0 {
-		return
-	}
-	if format == fmtVarint {
-		vr := newVarintReader(func(o int64, p []byte) error {
-			s.m.Read(ctx, o, p)
-			return nil
-		}, off+headerBytes, int64(capacity)*4, false)
-		for i := uint32(0); i < cnt; i++ {
-			nb, err := vr.next()
-			if err != nil {
-				return
-			}
-			fn(nb)
-		}
-		return
-	}
-	var buf [4 * 256]byte
-	data := off + headerBytes
-	for cnt > 0 {
-		n := cnt
-		if n > uint32(len(buf)/4) {
-			n = uint32(len(buf) / 4)
-		}
-		s.m.Read(ctx, data, buf[:4*n])
-		for i := uint32(0); i < n; i++ {
-			fn(binary.LittleEndian.Uint32(buf[i*4:]))
-		}
-		data += int64(4 * n)
-		cnt -= n
-	}
-}
-
-// walk streams vertex v's stored records to fn block by block — newest
-// block first, or in insertion order (oldest block first) — with the
-// records inside a block always in insertion order. Deletion tombstones
-// are streamed as-is; merging is the caller's concern.
-func (s *Store) walk(ctx *xpsim.Ctx, v graph.VID, oldestFirst bool, fn func(nbr uint32)) {
-	if int(v) >= len(s.tail) {
-		return
-	}
-	// block streams the block at off and returns its prev link.
-	block := func(off int64) int64 {
-		var hdr [headerBytes]byte
-		s.m.Read(ctx, off, hdr[:])
-		capacity := binary.LittleEndian.Uint32(hdr[offCap:])
-		cnt := s.blockCnt(v, off, binary.LittleEndian.Uint32(hdr[offCnt0:]), capacity)
-		s.visitBlock(ctx, off, uint8(binary.LittleEndian.Uint32(hdr[offFmt:])), capacity, cnt, fn)
-		return int64(binary.LittleEndian.Uint32(hdr[offPrev:])) * headerAlign
-	}
-	if !oldestFirst {
-		for off := s.tail[v]; off != 0; {
-			off = block(off)
-		}
-		return
-	}
-	// The chain links tail->head only: collect it, then stream in reverse.
-	var chain []int64
-	for off := s.tail[v]; off != 0; {
-		chain = append(chain, off)
-		var hdr [headerBytes]byte
-		s.m.Read(ctx, off, hdr[:])
-		off = int64(binary.LittleEndian.Uint32(hdr[offPrev:])) * headerAlign
-	}
-	for i := len(chain) - 1; i >= 0; i-- {
-		block(chain[i])
-	}
-}
-
-// Visit streams vertex v's stored records to fn, newest block first,
-// without allocating.
-func (s *Store) Visit(ctx *xpsim.Ctx, v graph.VID, fn func(nbr uint32)) {
-	s.walk(ctx, v, false, fn)
-}
-
-// Neighbors appends vertex v's stored records to dst, newest block first.
-func (s *Store) Neighbors(ctx *xpsim.Ctx, v graph.VID, dst []uint32) []uint32 {
-	s.walk(ctx, v, false, func(nb uint32) { dst = append(dst, nb) })
-	return dst
-}
-
-// NeighborsOldestFirst appends vertex v's stored records to dst in
-// insertion order — the order snapshot-bounded reads need.
-func (s *Store) NeighborsOldestFirst(ctx *xpsim.Ctx, v graph.VID, dst []uint32) []uint32 {
-	s.walk(ctx, v, true, func(nb uint32) { dst = append(dst, nb) })
-	return dst
-}
-
-// Contains reports whether nbr already appears in v's stored records.
-func (s *Store) Contains(ctx *xpsim.Ctx, v graph.VID, nbr uint32) bool {
-	found := false
-	s.Visit(ctx, v, func(n uint32) {
-		if n == nbr {
-			found = true
-		}
-	})
-	return found
-}
-
-// Compact merges all of v's blocks (resolving deletion tombstones) into a
-// single exactly-sized block — compact_adjs of Table I. The old blocks
-// are marked dead on media (so scan recovery skips them) and recycled
-// through per-capacity free lists. In CrashSafe mode the whole swap runs
-// through a redo journal; see compactCrashSafe.
-func (s *Store) Compact(ctx *xpsim.Ctx, v graph.VID) error {
-	if int(v) >= len(s.tail) || s.tail[v] == 0 {
-		return nil
-	}
-	recs := s.Neighbors(ctx, v, nil)
-	live := ResolveTombstones(recs, 0)
-	if s.opts.VarintBlocks {
-		// Sorting is safe here — compaction fences live snapshots and any
-		// later snapshot's record-count bound covers the whole compacted
-		// block — and it is where the delta encoding earns its density:
-		// a sorted run's deltas are small and non-negative.
-		sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
-	}
-	if s.opts.CrashSafe {
-		return s.compactCrashSafe(ctx, v, live)
-	}
-
-	// Release the old chain.
-	off := s.tail[v]
-	for off != 0 {
-		var hdr [headerBytes]byte
-		s.m.Read(ctx, off, hdr[:])
-		capacity := int(binary.LittleEndian.Uint32(hdr[offCap:]))
-		prev := int64(binary.LittleEndian.Uint32(hdr[offPrev:])) * headerAlign
-		s.free(ctx, off, capacity)
-		off = prev
-	}
-	s.tail[v] = 0
-	s.tailCnt[v] = 0
-	s.tailCap[v] = 0
-	s.records[v] = 0
-	if len(live) == 0 {
-		return nil
-	}
-	old := s.opts.Sizing
-	s.opts.Sizing = ExactSizing
-	err := s.Append(ctx, v, live)
-	s.opts.Sizing = old
-	return err
-}
-
-// compactCrashSafe swaps v's chain for one exactly-sized block via a redo
-// journal, so a crash at any point either keeps the old chain or completes
-// the swap on recovery — never both, never neither:
-//
-//  1. stage: write the new block fully (data + both count slots) with a
-//     dead vid, flush it, and flush the allocation pointer covering it;
-//  2. arm: journal wordA {v, newOff}, flush; wordB {oldTail, magic},
-//     flush — the wordB flush is the commit point;
-//  3. commit: rewrite the staged block's vid to v, flush;
-//  4. kill: mark every old-chain block dead with durably zeroed count
-//     slots (so recycling them can never resurrect stale counts), flush;
-//  5. disarm: zero wordB, flush.
-//
-// Recovery rolls an armed journal forward idempotently (see Recover);
-// an unarmed journal means the old chain is still authoritative and the
-// staged block, if any, is just a dead block awaiting recycling.
-//
-// The caller must have flush-acknowledged all of v's records first
-// (core.FlushAllVbufs): the compacted counts are written to both slots,
-// which is only safe when the records they cover are below the log's
-// flushed cursor at both parities.
-func (s *Store) compactCrashSafe(ctx *xpsim.Ctx, v graph.VID, live []uint32) error {
-	if err := s.ensureJournal(ctx); err != nil {
-		return err
-	}
-	oldTail := s.tail[v]
-
-	// 1. Stage the replacement block under a dead vid. The payload format
-	// follows the store option; cnt counts records while cap keeps its
-	// 4-bytes-per-unit size semantics, so a varint block is sized by its
-	// encoded length.
-	var newOff int64
-	var capacity int
-	format := uint8(fmtFixed)
-	var payload []byte
-	if len(live) > 0 {
-		if s.opts.VarintBlocks {
-			format = fmtVarint
-			payload = encodeVarintRun(nil, 0, live)
-			capacity = varintCapacity(len(payload))
-		} else {
-			payload = encodeU32s(live)
-			capacity = len(live)
-		}
-		var err error
-		newOff, err = s.allocBlock(ctx, v, capacity)
-		if err != nil {
-			return err
-		}
-		size := int64(headerBytes + 4*capacity)
-		buf := make([]byte, size)
-		binary.LittleEndian.PutUint32(buf[offVID:], deadVID)
-		binary.LittleEndian.PutUint32(buf[offCap:], uint32(capacity))
-		binary.LittleEndian.PutUint32(buf[offFmt:], uint32(format))
-		binary.LittleEndian.PutUint32(buf[offCnt0:], uint32(len(live)))
-		binary.LittleEndian.PutUint32(buf[offCnt1:], uint32(len(live)))
-		copy(buf[headerBytes:], payload)
-		if s.opts.Checksums {
-			// The CRC covers exactly the visible payload extent — all
-			// 4*cap bytes for fixed blocks, the encoded bytes for varint
-			// ones (what a decode of cnt records consumes).
-			crc := crc32.Checksum(payload, castagnoli)
-			binary.LittleEndian.PutUint32(buf[offCRC0:], crc)
-			binary.LittleEndian.PutUint32(buf[offCRC1:], crc)
-		}
-		s.m.Write(ctx, newOff, buf)
-		s.m.Flush(ctx, newOff, size)
-		// The journal will point at this block: its allocation must be
-		// durable before arming or recovery's scan would stop short of it.
-		s.m.Flush(ctx, 0, 8)
-		s.encBytes[format] += int64(len(payload))
-		s.encRecs[format] += int64(len(live))
-	}
-
-	// 2. Arm the journal. wordA must be durable before wordB's magic:
-	// an armed journal with a torn target would roll garbage forward.
-	wA := s.journal + headerBytes
-	mem.WriteU64(s.m, ctx, wA, uint64(v)|uint64(newOff/headerAlign)<<32)
-	s.m.Flush(ctx, wA, 8)
-	mem.WriteU64(s.m, ctx, wA+8, uint64(oldTail/headerAlign)|uint64(journalMagic)<<32)
-	s.m.Flush(ctx, wA+8, 8)
-
-	// 3. Commit the staged block.
-	if newOff != 0 {
-		mem.WriteU32(s.m, ctx, newOff+offVID, v)
-		s.m.Flush(ctx, newOff, headerBytes)
-	}
-
-	// 4. Kill the old chain.
-	off := oldTail
-	for off != 0 {
-		var hdr [headerBytes]byte
-		s.m.Read(ctx, off, hdr[:])
-		capacity := int(binary.LittleEndian.Uint32(hdr[offCap:]))
-		prev := int64(binary.LittleEndian.Uint32(hdr[offPrev:])) * headerAlign
-		s.killBlock(ctx, off, capacity, uint8(binary.LittleEndian.Uint32(hdr[offFmt:])))
-		off = prev
-	}
-
-	// 5. Disarm.
-	mem.WriteU64(s.m, ctx, wA+8, 0)
-	s.m.Flush(ctx, wA+8, 8)
-
-	s.tail[v] = newOff
-	s.tailCnt[v] = uint32(len(live))
-	s.tailCap[v] = uint32(capacity)
-	s.records[v] = uint32(len(live))
-	s.tailFmt[v] = format
-	s.tailBytes[v] = uint32(len(payload))
-	s.lastVal[v] = 0
-	if format == fmtVarint && len(live) > 0 {
-		s.lastVal[v] = live[len(live)-1]
-	}
-	if s.opts.Checksums {
-		delete(s.chains, v)
-		if newOff != 0 {
-			s.noteBlock(v, newOff, uint32(capacity), crc32.Checksum(payload, castagnoli))
-		}
-	}
-	return nil
-}
-
-// ensureJournal allocates the compaction journal pseudo-block (header +
-// two 8-byte words) and makes it durably reachable.
-func (s *Store) ensureJournal(ctx *xpsim.Ctx) error {
-	if s.journal != 0 {
-		return nil
-	}
-	off, err := s.m.Alloc(ctx, headerBytes+16, headerAlign)
-	if err != nil {
-		return fmt.Errorf("adj: journal: %w", err)
-	}
-	var buf [headerBytes + 16]byte
-	binary.LittleEndian.PutUint32(buf[offVID:], journalVID)
-	binary.LittleEndian.PutUint32(buf[offCap:], 4) // 16 data bytes
-	s.m.Write(ctx, off, buf[:])
-	s.m.Flush(ctx, off, int64(len(buf)))
-	s.m.Flush(ctx, 0, 8) // allocation pointer
-	s.journal = off
-	return nil
-}
-
-// free marks a block dead on media and recycles it (legacy path; counts
-// in the dead header go stale but are only trusted behind a valid vid).
-func (s *Store) free(ctx *xpsim.Ctx, off int64, capacity int) {
-	mem.WriteU32(s.m, ctx, off, deadVID)
-	s.recycle(off, capacity)
-}
-
-// killBlock durably marks a block dead with zeroed count slots and
-// recycles it. Zeroing matters: a recycled block whose new header write
-// has not reached media yet must read as zero visible records, not as its
-// previous owner's counts.
-//
-// The dead header keeps the block's format word. Powerfail atomicity is
-// per 8-byte word, so a torn kill can leave the {prev, fmt} word durable
-// while the {vid, cap} word and the count slots are still the old owner's:
-// with a zeroed format that is a live FIXED block carrying a varint count
-// above its capacity, which recovery's scan takes for the never-durable
-// frontier — and zeroes the acknowledged blocks behind it.
-func (s *Store) killBlock(ctx *xpsim.Ctx, off int64, capacity int, format uint8) {
-	hdr := s.hdrScratch[:]
-	clear(hdr)
-	binary.LittleEndian.PutUint32(hdr[offVID:], deadVID)
-	binary.LittleEndian.PutUint32(hdr[offCap:], uint32(capacity))
-	binary.LittleEndian.PutUint32(hdr[offFmt:], uint32(format))
-	s.m.Write(ctx, off, hdr)
-	s.m.Flush(ctx, off, headerBytes)
-	s.recycle(off, capacity)
-}
-
-func (s *Store) recycle(off int64, capacity int) {
-	if s.freeBlocks == nil {
-		s.freeBlocks = make(map[int][]int64)
-	}
-	s.freeBlocks[capacity] = append(s.freeBlocks[capacity], off)
-	delete(s.partialCnt, off)
-	s.pendDrop(off)
-	delete(s.crc, off)
 }
 
 // ResolveTombstones removes the deletion records of dst[start:], and one

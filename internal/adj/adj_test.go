@@ -2,7 +2,6 @@ package adj
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math/rand"
 	"sort"
 	"testing"
@@ -23,6 +22,12 @@ func testStore(t *testing.T) (*Store, *pmem.Region, *xpsim.Machine, *xpsim.Ctx) 
 	}
 	lat := &m.Lat
 	return New(r, lat, 16, Options{}), r, m, xpsim.NewCtx(0)
+}
+
+// oldestFirst reads v's records in insertion order through the trusting path.
+func oldestFirst(s *Store, ctx *xpsim.Ctx, v graph.VID) []uint32 {
+	recs, _ := s.Read(ctx, v, nil, ReadOpts{OldestFirst: true})
+	return recs
 }
 
 func sorted(u []uint32) []uint32 {
@@ -101,8 +106,8 @@ func TestCompactResolvesTombstones(t *testing.T) {
 		t.Fatalf("after compact: %v", got)
 	}
 	// Everything now sits in one block.
-	if s.tail[4] == 0 || s.tailCnt[4] != 3 {
-		t.Fatalf("compact left tailCnt=%d", s.tailCnt[4])
+	if s.vx[4].tail == 0 || s.vx[4].cnt != 3 {
+		t.Fatalf("compact left tailCnt=%d", s.vx[4].cnt)
 	}
 }
 
@@ -131,7 +136,7 @@ func TestRecoverRebuildsChains(t *testing.T) {
 		want[v] = append(want[v], nbr)
 	}
 	// Crash: all DRAM state is lost; rebuild from the region alone.
-	rs, err := Recover(ctx, r, s.lat, Options{}, 0)
+	rs, err := RecoverWith(ctx, r, s.lat, Options{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +265,7 @@ func TestRecoverSkipsDeadBlocks(t *testing.T) {
 	if err := s.Compact(ctx, 2); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := Recover(ctx, r, s.lat, Options{}, 0)
+	rs, err := RecoverWith(ctx, r, s.lat, Options{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +308,7 @@ func TestRecoverAfterRecycleReorder(t *testing.T) {
 	}
 	want2 := s.Neighbors(ctx, 2, nil)
 
-	rs, err := Recover(ctx, r, s.lat, Options{}, 0)
+	rs, err := RecoverWith(ctx, r, s.lat, Options{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +333,7 @@ func TestVisitAndOldestFirst(t *testing.T) {
 	if !equalMultiset(visited, want) {
 		t.Fatalf("Visit yielded %d records, want %d", len(visited), len(want))
 	}
-	old := s.NeighborsOldestFirst(ctx, 7, nil)
+	old := oldestFirst(s, ctx, 7)
 	if len(old) != len(want) {
 		t.Fatalf("oldest-first %d records", len(old))
 	}
@@ -339,7 +344,7 @@ func TestVisitAndOldestFirst(t *testing.T) {
 	}
 	// Out-of-range vertices are no-ops.
 	s.Visit(ctx, 9999, func(uint32) { t.Fatal("visited missing vertex") })
-	if got := s.NeighborsOldestFirst(ctx, 9999, nil); len(got) != 0 {
+	if got := oldestFirst(s, ctx, 9999); len(got) != 0 {
 		t.Fatal("missing vertex has records")
 	}
 }
@@ -497,8 +502,9 @@ func TestCountsRideTheRecordsWrite(t *testing.T) {
 		}
 		slots := func(v graph.VID) (cnt0, cnt1 uint32) {
 			var hdr [headerBytes]byte
-			r.Read(ctx, s.tail[v], hdr[:])
-			return binary.LittleEndian.Uint32(hdr[offCnt0:]), binary.LittleEndian.Uint32(hdr[offCnt1:])
+			r.Read(ctx, s.vx[v].tail, hdr[:])
+			h := parseHeader(hdr[:])
+			return h.cnt[0], h.cnt[1]
 		}
 
 		if w := appendN(1, 3); w != 1 {
@@ -513,11 +519,11 @@ func TestCountsRideTheRecordsWrite(t *testing.T) {
 		// Vertex 2's tail leaves the header's line.
 		appendN(2, 3)
 		appendN(2, 100)
-		roomy := s.tail[2]
-		if (roomy+offCnt1)/xpsim.XPLineSize == (roomy+headerBytes+int64(s.tailBytes[2]))/xpsim.XPLineSize {
+		roomy := s.vx[2].tail
+		if (roomy+slotOff(1))/xpsim.XPLineSize == (roomy+headerBytes+int64(s.vx[2].bytes))/xpsim.XPLineSize {
 			t.Fatalf("%s: setup: block %d's tail is still in its header's line", name, roomy)
 		}
-		if w := appendN(2, 1); w != 1 || s.tail[2] != roomy {
+		if w := appendN(2, 1); w != 1 || s.vx[2].tail != roomy {
 			t.Fatalf("%s: an append in another line than its header is %d write requests, want the records alone", name, w)
 		}
 
@@ -526,8 +532,8 @@ func TestCountsRideTheRecordsWrite(t *testing.T) {
 			t.Fatalf("%s: the cycle acknowledges %v, want block %d alone", name, s.ackList, roomy)
 		}
 		for v := graph.VID(1); v <= 2; v++ {
-			if _, c1 := slots(v); c1 != s.tailCnt[v] {
-				t.Fatalf("%s: vertex %d's block holds %d of %d records in the slot to commit", name, v, c1, s.tailCnt[v])
+			if _, c1 := slots(v); c1 != s.vx[v].cnt {
+				t.Fatalf("%s: vertex %d's block holds %d of %d records in the slot to commit", name, v, c1, s.vx[v].cnt)
 			}
 		}
 		// The next cycle fills slot 0: neither block changed, so Ack owes both
@@ -537,8 +543,8 @@ func TestCountsRideTheRecordsWrite(t *testing.T) {
 			t.Fatalf("%s: the second cycle acknowledges %v, want both blocks of the first", name, s.ackList)
 		}
 		for v := graph.VID(1); v <= 2; v++ {
-			if c0, c1 := slots(v); c0 != c1 || c0 != s.tailCnt[v] {
-				t.Fatalf("%s: vertex %d's block after two cycles: slots %d/%d, %d records", name, v, c0, c1, s.tailCnt[v])
+			if c0, c1 := slots(v); c0 != c1 || c0 != s.vx[v].cnt {
+				t.Fatalf("%s: vertex %d's block after two cycles: slots %d/%d, %d records", name, v, c0, c1, s.vx[v].cnt)
 			}
 		}
 		func() {

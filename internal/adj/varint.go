@@ -3,9 +3,9 @@ package adj
 // Delta-varint block payloads — the compressed adjacency encoding of the
 // binary-ingest fast path (DESIGN.md §10.2).
 //
-// A block's format is negotiated per block through the previously unused
-// header word at offset 12 (offFmt): 0 keeps the classic fixed-width
-// 4-byte little-endian neighbor slots, 1 switches the payload to a byte
+// A block's format is negotiated per block through the header's format
+// word (header.go): fmtFixed keeps the classic fixed-width 4-byte
+// little-endian neighbor slots, fmtVarint switches the payload to a byte
 // stream of delta-varint records. Record i encodes
 //
 //	binary.PutUvarint(zigzag(int64(v_i) - int64(v_{i-1})))
@@ -35,12 +35,6 @@ import (
 )
 
 const (
-	// offFmt is the header word holding the block's payload format.
-	offFmt = 12
-
-	fmtFixed  = 0 // 4-byte little-endian neighbor slots
-	fmtVarint = 1 // zigzag delta-varint records
-
 	// maxVarintRec bounds one encoded record: |delta| < 1<<32, so
 	// zigzag(delta) < 1<<33, which uvarint encodes in at most 5 bytes.
 	// Decoders reject longer runs as corruption; the encoder can never
@@ -68,16 +62,6 @@ func putVarintRec(buf []byte, prev, v uint32) ([]byte, int) {
 	return append(buf, tmp[:n]...), n
 }
 
-// encodeVarintRun encodes vals as one delta chain starting from prev,
-// appending to buf.
-func encodeVarintRun(buf []byte, prev uint32, vals []uint32) []byte {
-	for _, v := range vals {
-		buf, _ = putVarintRec(buf, prev, v)
-		prev = v
-	}
-	return buf
-}
-
 // varintCapacity is the cap header value (payload bytes / 4, rounded up)
 // for an exactly-sized block holding the given encoded payload.
 func varintCapacity(encodedBytes int) int {
@@ -89,8 +73,7 @@ func varintCapacity(encodedBytes int) int {
 }
 
 // varintReader streams records out of a block payload through a chunked
-// read callback — the one decoder behind Neighbors, Visit, the checked
-// walks, and recovery. When withCRC is set it accumulates the CRC32-C of
+// read callback — the varint half of the one block decoder (reader.decode). When withCRC is set it accumulates the CRC32-C of
 // exactly the consumed bytes (call sum after the last record).
 type varintReader struct {
 	read     func(off int64, p []byte) error
@@ -104,8 +87,8 @@ type varintReader struct {
 	withCRC  bool
 }
 
-func newVarintReader(read func(off int64, p []byte) error, payOff, payBytes int64, withCRC bool) *varintReader {
-	return &varintReader{read: read, off: payOff, end: payOff + payBytes, withCRC: withCRC}
+func newVarintReader(read func(off int64, p []byte) error, payOff, payBytes int64, withCRC bool) varintReader {
+	return varintReader{read: read, off: payOff, end: payOff + payBytes, withCRC: withCRC}
 }
 
 func (r *varintReader) fill() error {

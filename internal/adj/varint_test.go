@@ -1,7 +1,6 @@
 package adj
 
 import (
-	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -23,6 +22,13 @@ func TestZigzagRoundTrip(t *testing.T) {
 	if err := quick.Check(func(d int64) bool { return unzigzag(zigzag(d)) == d }, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// encodeVarintRun encodes vals as one delta chain starting from prev,
+// appending to buf.
+func encodeVarintRun(buf []byte, prev uint32, vals []uint32) []byte {
+	buf, _, _ = encodeRun(buf, fmtVarint, maxVarintRec*len(vals), prev, vals)
+	return buf
 }
 
 // decodeAll decodes cnt records from a raw payload slice.
@@ -79,7 +85,7 @@ func TestVarintAppendAndRead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s.NeighborsOldestFirst(ctx, 3, nil); !equalU32s(got, want) {
+	if got := oldestFirst(s, ctx, 3); !equalU32s(got, want) {
 		t.Fatalf("oldest-first = %v, want %v", got, want)
 	}
 	if got := s.Neighbors(ctx, 3, nil); !equalMultiset(got, want) {
@@ -107,7 +113,7 @@ func TestVarintChainAcrossBlocks(t *testing.T) {
 	if s.Blocks() < 2 {
 		t.Fatalf("expected multiple blocks, got %d", s.Blocks())
 	}
-	if got := s.NeighborsOldestFirst(ctx, 1, nil); !equalU32s(got, want) {
+	if got := oldestFirst(s, ctx, 1); !equalU32s(got, want) {
 		t.Fatalf("%d neighbors back, want %d (order-preserving)", len(got), len(want))
 	}
 	visited := 0
@@ -140,17 +146,17 @@ func TestMixedFormatChain(t *testing.T) {
 	if st.FixedRecords == 0 || st.VarintRecords == 0 {
 		t.Fatalf("expected both formats in use: %+v", st)
 	}
-	if got := s.NeighborsOldestFirst(ctx, 5, nil); !equalU32s(got, want) {
+	if got := oldestFirst(s, ctx, 5); !equalU32s(got, want) {
 		t.Fatalf("mixed chain read back %d records, want %d", len(got), len(want))
 	}
 
 	// The mixed chain must scan-recover, and the recovered varint tail must
 	// keep appending (byte cursor + delta predecessor rebuilt from media).
-	rs, err := Recover(ctx, r, s.lat, Options{VarintBlocks: true}, 0)
+	rs, err := RecoverWith(ctx, r, s.lat, Options{VarintBlocks: true}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rs.NeighborsOldestFirst(ctx, 5, nil); !equalU32s(got, want) {
+	if got := oldestFirst(rs, ctx, 5); !equalU32s(got, want) {
 		t.Fatalf("recovered mixed chain mismatch: %d records, want %d", len(got), len(want))
 	}
 	more := []uint32{1, math.MaxUint32, 2, 2}
@@ -158,7 +164,7 @@ func TestMixedFormatChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	want = append(want, more...)
-	if got := rs.NeighborsOldestFirst(ctx, 5, nil); !equalU32s(got, want) {
+	if got := oldestFirst(rs, ctx, 5); !equalU32s(got, want) {
 		t.Fatalf("post-recovery append mismatch: got %d records, want %d", len(got), len(want))
 	}
 }
@@ -174,7 +180,7 @@ func TestVarintCompactSortsAndResolves(t *testing.T) {
 	if err := s.Compact(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	got := s.NeighborsOldestFirst(ctx, 1, nil)
+	got := oldestFirst(s, ctx, 1)
 	want := []uint32{10, 20, 30, 40} // sorted run, one tombstone resolved
 	if !equalU32s(got, want) {
 		t.Fatalf("compacted = %v, want %v", got, want)
@@ -218,11 +224,11 @@ func TestVarintRecoverTailCursor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rs, err := Recover(ctx, r, s.lat, opts, 0)
+	rs, err := RecoverWith(ctx, r, s.lat, opts, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rs.NeighborsOldestFirst(ctx, 4, nil); !equalU32s(got, want) {
+	if got := oldestFirst(rs, ctx, 4); !equalU32s(got, want) {
 		t.Fatalf("recovered %d records, want %d", len(got), len(want))
 	}
 	// Appends after recovery continue the tail's delta chain; a wrong byte
@@ -234,7 +240,7 @@ func TestVarintRecoverTailCursor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := rs.NeighborsOldestFirst(ctx, 4, nil); !equalU32s(got, want) {
+	if got := oldestFirst(rs, ctx, 4); !equalU32s(got, want) {
 		t.Fatalf("post-recovery appends garbled: got %d records, want %d", len(got), len(want))
 	}
 }
@@ -255,7 +261,7 @@ func TestVarintChecksumsDetectCorruption(t *testing.T) {
 	if err := s.VerifyChain(ctx, 6); err != nil {
 		t.Fatalf("clean chain: %v", err)
 	}
-	got, err := s.NeighborsChecked(ctx, 6, nil)
+	got, err := s.Read(ctx, 6, nil, ReadOpts{Checked: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +281,7 @@ func TestVarintChecksumsDetectCorruption(t *testing.T) {
 	if err := s.VerifyChain(ctx, 6); !errors.As(err, &ce) {
 		t.Fatalf("VerifyChain after corruption = %v, want CorruptError", err)
 	}
-	if _, err := s.NeighborsOldestFirstChecked(ctx, 6, nil); !errors.As(err, &ce) {
+	if _, err := s.Read(ctx, 6, nil, ReadOpts{OldestFirst: true, Checked: true}); !errors.As(err, &ce) {
 		t.Fatalf("checked read after corruption = %v, want CorruptError", err)
 	}
 
@@ -305,7 +311,7 @@ func TestVarintReplaceChainRoundTrip(t *testing.T) {
 	if _, err := s.ReplaceChain(ctx, 8, recs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.NeighborsOldestFirstChecked(ctx, 8, nil)
+	got, err := s.Read(ctx, 8, nil, ReadOpts{OldestFirst: true, Checked: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,9 +408,9 @@ func TestRecoverTornKillKeepsBlocksBehind(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	victim := s.tail[1]
-	if s.tailCnt[1] <= s.tailCap[1] {
-		t.Fatalf("setup: cnt %d must exceed cap %d", s.tailCnt[1], s.tailCap[1])
+	victim := s.vx[1].tail
+	if s.vx[1].cnt <= s.vx[1].capacity {
+		t.Fatalf("setup: cnt %d must exceed cap %d", s.vx[1].cnt, s.vx[1].capacity)
 	}
 	// Blocks allocated behind it.
 	behind := map[graph.VID][]uint32{2: {7, 9, 11}, 3: {1000, 5, 77, 78}}
@@ -412,7 +418,7 @@ func TestRecoverTornKillKeepsBlocksBehind(t *testing.T) {
 		if err := s.Append(ctx, v, recs); err != nil {
 			t.Fatal(err)
 		}
-		if s.tail[v] < victim {
+		if s.vx[v].tail < victim {
 			t.Fatalf("setup: vertex %d's block is not behind the victim", v)
 		}
 	}
@@ -421,7 +427,7 @@ func TestRecoverTornKillKeepsBlocksBehind(t *testing.T) {
 	// Kill the block for real, then put every word but {prev, fmt} back.
 	var live, dead [headerBytes]byte
 	r.Read(ctx, victim, live[:])
-	s.killBlock(ctx, victim, int(s.tailCap[1]), fmtVarint)
+	s.killBlock(ctx, victim, int(s.vx[1].capacity), fmtVarint)
 	r.Read(ctx, victim, dead[:])
 	torn := live
 	copy(torn[offPrev:offPrev+8], dead[offPrev:offPrev+8])
@@ -432,11 +438,11 @@ func TestRecoverTornKillKeepsBlocksBehind(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v, want := range behind {
-		if got := rs.NeighborsOldestFirst(ctx, v, nil); !equalU32s(got, want) {
+		if got := oldestFirst(rs, ctx, v); !equalU32s(got, want) {
 			t.Errorf("vertex %d behind the torn kill = %v, want %v", v, got, want)
 		}
 	}
-	if got := rs.NeighborsOldestFirst(ctx, 1, nil); !equalU32s(got, dense) {
+	if got := oldestFirst(rs, ctx, 1); !equalU32s(got, dense) {
 		t.Errorf("torn-killed vertex = %d records, want %d", len(got), len(dense))
 	}
 }
@@ -465,12 +471,12 @@ func TestRecoverTornReuseKeepsBlocksBehind(t *testing.T) {
 	s.Ack(ctx, 1, 0, 1)
 	// Compacting vertex 1 moves it to the frontier and recycles its first
 	// block, which sits in front of the other two.
-	victim := s.tail[1]
+	victim := s.vx[1].tail
 	if err := s.Compact(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	if victim > s.tail[2] || victim > s.tail[3] || s.tail[1] < s.tail[3] {
-		t.Fatalf("setup: recycled block %d is not in front of blocks %d and %d", victim, s.tail[2], s.tail[3])
+	if victim > s.vx[2].tail || victim > s.vx[3].tail || s.vx[1].tail < s.vx[3].tail {
+		t.Fatalf("setup: recycled block %d is not in front of blocks %d and %d", victim, s.vx[2].tail, s.vx[3].tail)
 	}
 	var dead [headerBytes]byte
 	r.Read(ctx, victim, dead[:])
@@ -492,13 +498,13 @@ func TestRecoverTornReuseKeepsBlocksBehind(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if rs.tail[4] != victim || rs.tailCnt[4] <= rs.tailCap[4] {
-		t.Fatalf("setup: vertex 4's block %d (recycled: %d) holds %d records, capacity word %d", rs.tail[4], victim, rs.tailCnt[4], rs.tailCap[4])
+	if rs.vx[4].tail != victim || rs.vx[4].cnt <= rs.vx[4].capacity {
+		t.Fatalf("setup: vertex 4's block %d (recycled: %d) holds %d records, capacity word %d", rs.vx[4].tail, victim, rs.vx[4].cnt, rs.vx[4].capacity)
 	}
 	var torn [headerBytes]byte
 	r.Read(ctx, victim, torn[:])
-	if cnt0 := binary.LittleEndian.Uint32(torn[offCnt0:]); cnt0 != rs.tailCnt[4] {
-		t.Fatalf("setup: the appends left %d in slot 0, want their count %d", cnt0, rs.tailCnt[4])
+	if cnt0 := parseHeader(torn[:]).cnt[0]; cnt0 != rs.vx[4].cnt {
+		t.Fatalf("setup: the appends left %d in slot 0, want their count %d", cnt0, rs.vx[4].cnt)
 	}
 	copy(torn[offPrev:offPrev+8], dead[offPrev:offPrev+8])
 	r.Write(ctx, victim, torn[:])
@@ -508,7 +514,7 @@ func TestRecoverTornReuseKeepsBlocksBehind(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v, recs := range want {
-		if got := rs.NeighborsOldestFirst(ctx, v, nil); !equalU32s(got, recs) {
+		if got := oldestFirst(rs, ctx, v); !equalU32s(got, recs) {
 			t.Errorf("vertex %d behind the torn reuse = %v, want %v", v, got, recs)
 		}
 	}

@@ -100,21 +100,29 @@ func (s *Store) initMediaGuard(ctx *xpsim.Ctx, reattach bool) error {
 	return nil
 }
 
-func (s *Store) quarBase() int64 {
-	return alignUp(s.quarMem.UserStart(), xpsim.XPLineSize)
+// quarSlot is where generation seq of the quarantine record lives: the
+// region holds two record slots and generations alternate between them, so
+// a record is never overwritten by its successor.
+func (s *Store) quarSlot(seq uint64) (off, size int64) {
+	base := alignUp(s.quarMem.UserStart(), xpsim.XPLineSize)
+	size = (s.quarMem.Size() - base) / 2 / xpsim.XPLineSize * xpsim.XPLineSize
+	return base + int64((seq+1)%2)*size, size
 }
 
 // persistQuarantine writes the quarantine state — block spans plus the
 // damaged/unrecoverable vertex sets — as one checksummed record:
-// magic, {len,crc} word, payload. The payload CRC makes a torn or
-// media-damaged record read back as empty (conservative: the next scrub
-// rediscovers), never as garbage spans.
+// magic, {len,crc} word, payload (generation number first). The payload CRC
+// makes a torn or media-damaged record read back as absent, never as
+// garbage spans, and the record goes into the slot its predecessor does not
+// occupy: a crash inside this write leaves the previous generation — every
+// span persisted so far — in force.
 func (s *Store) persistQuarantine(ctx *xpsim.Ctx) error {
 	var buf []byte
 	putU64 := func(x uint64) {
 		buf = append(buf, byte(x), byte(x>>8), byte(x>>16), byte(x>>24),
 			byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56))
 	}
+	putU64(s.quarSeq + 1)
 	var nSpans uint64
 	for d := 0; d < 2; d++ {
 		for _, m := range s.quarSpans[d] {
@@ -143,10 +151,11 @@ func (s *Store) persistQuarantine(ctx *xpsim.Ctx) error {
 		}
 	}
 
-	base := s.quarBase()
-	if base+16+int64(len(buf)) > s.quarMem.Size() {
+	base, size := s.quarSlot(s.quarSeq + 1)
+	if 16+int64(len(buf)) > size {
 		return fmt.Errorf("core: quarantine state (%d bytes) exceeds the quarantine region", len(buf))
 	}
+	s.quarSeq++
 	s.quarMem.Write(ctx, base+16, buf)
 	crc := crc32.Checksum(buf, coreCastagnoli)
 	mem.WriteU64(s.quarMem, ctx, base+8, uint64(uint32(len(buf)))|uint64(crc)<<32)
@@ -155,36 +164,45 @@ func (s *Store) persistQuarantine(ctx *xpsim.Ctx) error {
 	return nil
 }
 
-// loadQuarantine reads the persisted quarantine back. Any damage to the
-// record itself — bad magic, CRC mismatch, an uncorrectable line under it
-// — degrades to an empty quarantine rather than an error: quarantined
-// blocks were rewritten with valid dead headers before they were
-// quarantined, so losing the span list can only re-expose bad lines to
-// recycling, where the next checked read or scrub re-detects them.
-func (s *Store) loadQuarantine(ctx *xpsim.Ctx) {
-	base := s.quarBase()
+// readQuarRecord reads the record slot of generation parity `slot` and
+// returns its payload, nil when the slot holds no intact record.
+func (s *Store) readQuarRecord(ctx *xpsim.Ctx, slot uint64) []byte {
+	base, size := s.quarSlot(slot)
 	var hdr [16]byte
-	if mem.ReadChecked(s.quarMem, ctx, base, hdr[:]) != nil {
-		return
-	}
-	if leU64(hdr[:8]) != quarMagic {
-		return
+	if mem.ReadChecked(s.quarMem, ctx, base, hdr[:]) != nil || leU64(hdr[:8]) != quarMagic {
+		return nil
 	}
 	word := leU64(hdr[8:])
 	ln := int64(uint32(word))
-	crc := uint32(word >> 32)
-	if ln < 0 || base+16+ln > s.quarMem.Size() {
-		return
+	if ln < 8 || 16+ln > size {
+		return nil
 	}
 	buf := make([]byte, ln)
-	if mem.ReadChecked(s.quarMem, ctx, base+16, buf) != nil {
-		return
+	if mem.ReadChecked(s.quarMem, ctx, base+16, buf) != nil || crc32.Checksum(buf, coreCastagnoli) != uint32(word>>32) {
+		return nil
 	}
-	if crc32.Checksum(buf, coreCastagnoli) != crc {
+	return buf
+}
+
+// loadQuarantine reads the persisted quarantine back: the newer of the two
+// record slots that holds an intact record. Damage to both — bad magic,
+// CRC mismatch, an uncorrectable line under them — degrades to an empty
+// quarantine rather than an error: quarantined blocks were rewritten with
+// valid dead headers before they were quarantined, so losing the span list
+// can only re-expose bad lines to recycling, where the next checked read or
+// scrub re-detects them.
+func (s *Store) loadQuarantine(ctx *xpsim.Ctx) {
+	var buf []byte
+	for slot := uint64(0); slot < 2; slot++ {
+		if b := s.readQuarRecord(ctx, slot); b != nil && leU64(b) > s.quarSeq {
+			buf, s.quarSeq = b, leU64(b)
+		}
+	}
+	if buf == nil {
 		return
 	}
 
-	pos := 0
+	pos := 8
 	next := func() (uint64, bool) {
 		if pos+8 > len(buf) {
 			return 0, false
@@ -488,6 +506,18 @@ type MediaLine struct {
 // harnesses use it to aim uncorrectable-error injection at lines that
 // hold real graph data instead of guessing offsets.
 func (s *Store) VertexMediaLines(d Direction, v graph.VID) []MediaLine {
+	return s.vertexLines(d, v, false)
+}
+
+// VertexPayloadLines reports the lines of v's chain that lie wholly inside
+// the payload of one block: a UE there damages v's records and nothing
+// else — no block header, v's own included, so a recovery scan still
+// parses the arena.
+func (s *Store) VertexPayloadLines(d Direction, v graph.VID) []MediaLine {
+	return s.vertexLines(d, v, true)
+}
+
+func (s *Store) vertexLines(d Direction, v graph.VID, payloadOnly bool) []MediaLine {
 	if !s.opts.MediaGuard || v >= s.NumVertices() {
 		return nil
 	}
@@ -498,7 +528,11 @@ func (s *Store) VertexMediaLines(d Direction, v graph.VID) []MediaLine {
 	}
 	var out []MediaLine
 	for _, span := range g.adj.ChainSpans(v) {
-		for off := span[0]; off < span[0]+span[1]; off += xpsim.XPLineSize {
+		lo, hi := span[0], span[0]+span[1]
+		if payloadOnly {
+			lo, hi = alignUp(lo+adj.HeaderBytes, xpsim.XPLineSize), hi/xpsim.XPLineSize*xpsim.XPLineSize
+		}
+		for off := lo; off < hi; off += xpsim.XPLineSize {
 			node, line := r.LineAt(off)
 			out = append(out, MediaLine{Node: node, Line: line})
 		}

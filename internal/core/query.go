@@ -24,7 +24,7 @@ func (s *Store) Visit(ctx *xpsim.Ctx, d Direction, v graph.VID, o view.Opts, fn 
 	if v >= s.NumVertices() {
 		return nil
 	}
-	recs, err := s.rawStream(ctx, d, v, false, o.Checked)
+	recs, err := s.rawStream(ctx, d, v, adj.ReadOpts{Checked: o.Checked})
 	if err != nil {
 		return err
 	}
@@ -35,34 +35,20 @@ func (s *Store) Visit(ctx *xpsim.Ctx, d Direction, v graph.VID, o view.Opts, fn 
 
 // rawStream materializes v's raw record stream in direction d: the PMEM
 // chain (newest block first, or in insertion order) followed by the DRAM
-// vertex buffer, tombstones unresolved. checked reads the chain through
-// the media-error-checked path: blocks on uncorrectable lines or failing
+// vertex buffer, tombstones unresolved. A checked read goes through the
+// media-error-checked path: blocks on uncorrectable lines or failing
 // their checksum error instead of returning scrambled bytes, and
 // quarantined-unrecoverable vertices fail fast with *UnrecoverableError.
 // DRAM vertex buffers need no checking — the error model covers
 // persistent media only.
-func (s *Store) rawStream(ctx *xpsim.Ctx, d Direction, v graph.VID, oldestFirst, checked bool) ([]uint32, error) {
-	a := s.groups[d][s.partOf(v)].adj
-	recs := make([]uint32, 0, s.records[d][v])
-	switch {
-	case checked:
-		if s.isUnrec(d, v) {
-			return nil, &UnrecoverableError{Dir: d, V: v}
-		}
-		var err error
-		if oldestFirst {
-			recs, err = a.NeighborsOldestFirstChecked(ctx, v, recs)
-		} else {
-			recs, err = a.NeighborsChecked(ctx, v, recs)
-		}
-		if err != nil {
-			s.noteReadDamage(d, v, err)
-			return nil, err
-		}
-	case oldestFirst:
-		recs = a.NeighborsOldestFirst(ctx, v, recs)
-	default:
-		recs = a.Neighbors(ctx, v, recs)
+func (s *Store) rawStream(ctx *xpsim.Ctx, d Direction, v graph.VID, o adj.ReadOpts) ([]uint32, error) {
+	if o.Checked && s.isUnrec(d, v) {
+		return nil, &UnrecoverableError{Dir: d, V: v}
+	}
+	recs, err := s.groups[d][s.partOf(v)].adj.Read(ctx, v, make([]uint32, 0, s.records[d][v]), o)
+	if err != nil {
+		s.noteReadDamage(d, v, err)
+		return nil, err
 	}
 	return s.nbrsBufRaw(ctx, d, v, recs), nil
 }

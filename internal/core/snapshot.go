@@ -172,7 +172,7 @@ func (sn *Snapshot) materialize(ctx *xpsim.Ctx, d Direction, v graph.VID, checke
 	if want == 0 {
 		return nil, nil
 	}
-	all, err := sn.store.rawStream(ctx, d, v, true, checked)
+	all, err := sn.store.rawStream(ctx, d, v, adj.ReadOpts{OldestFirst: true, Checked: checked})
 	if err != nil {
 		return nil, err
 	}

@@ -109,6 +109,7 @@ type Store struct {
 	mediaMu    sync.RWMutex
 	arch       *archive                  // SSD edge archive (nil: no archive)
 	quarMem    *pmem.Region              // persisted quarantine region
+	quarSeq    uint64                    // generation of the newest persisted quarantine record
 	damaged    [2]map[graph.VID]struct{} // vertices with detected corruption, awaiting repair
 	unrec      [2]map[graph.VID]struct{} // vertices the scrubber could not rebuild
 	quarSpans  [2][]map[int64]int64      // per dir/part: quarantined block offset -> span bytes

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/adj"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mem"
@@ -327,7 +328,7 @@ func TestArchiveOrderAtAnyThreadCount(t *testing.T) {
 		ctx := xpsim.NewCtx(0)
 		for d := 0; d < 2; d++ {
 			for v := graph.VID(0); v < 512; v++ {
-				got := s.adjs[d].NeighborsOldestFirst(ctx, v, nil)
+				got, _ := s.adjs[d].Read(ctx, v, nil, adj.ReadOpts{OldestFirst: true})
 				if len(got) != len(want[d][v]) {
 					t.Fatalf("%d threads: vertex %d dir %d holds %d records, oracle %d", threads, v, d, len(got), len(want[d][v]))
 				}

@@ -609,3 +609,122 @@ func RunQuarantinePersistence(cfg Config) error {
 	}
 	return nil
 }
+
+// ScrubCrash is a store stopped inside a scrub: the first composition of
+// two fault harnesses (crash × scrub). A first scrub has repaired one small
+// vertex and persisted its quarantine; then every payload line under the
+// out-chain of the graph's hub went uncorrectable, and the machine was
+// killed by plan inside the second scrub — the one that repairs the hub. The live run went
+// on unharmed, so any number of recoveries can be tried on clones of the
+// frozen durable image.
+type ScrubCrash struct {
+	MediaWrites int64  // media writes of the interrupted scrub (probe: all of them)
+	CrashDesc   string // where the plan fired; empty if it did not
+
+	cfg    Config
+	st     *core.Store
+	oracle *oracle
+	quar   core.Health // after the first scrub: what must survive
+}
+
+// CrashInScrub builds the workload, runs the first scrub, damages the hub
+// and runs the second scrub under plan. A zero plan is the probe that
+// counts the sweep space.
+func CrashInScrub(cfg Config, plan xpsim.FaultPlan) (*ScrubCrash, error) {
+	cfg = cfg.withDefaults()
+	st, faults, edges, err := build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if targets := injectChains(st, faults, 1); len(targets) == 0 {
+		return nil, fmt.Errorf("workload left no PMEM chains to damage")
+	}
+	if rep, err := st.Scrub(); err != nil || rep.Repaired == 0 || rep.SpansQuarantined == 0 {
+		return nil, fmt.Errorf("first scrub did not repair+quarantine: %+v, %v", rep, err)
+	}
+	c := &ScrubCrash{cfg: cfg, st: st, oracle: buildOracle(edges), quar: st.Health()}
+
+	hub, lines := graph.VID(0), []core.MediaLine(nil)
+	for v := graph.VID(0); v < st.NumVertices(); v++ {
+		if l := st.VertexPayloadLines(core.Out, v); len(l) > len(lines) {
+			hub, lines = v, l
+		}
+	}
+	if len(lines) == 0 {
+		return nil, fmt.Errorf("hub vertex %d has no payload-only XPLine", hub)
+	}
+	for _, ln := range lines {
+		st.Machine().InjectUE(ln.Node, ln.Line)
+	}
+	faults.Arm(plan)
+	if rep, err := st.Scrub(); err != nil || rep.Repaired == 0 {
+		return nil, fmt.Errorf("second scrub did not repair the hub: %+v, %v", rep, err)
+	}
+	c.MediaWrites, c.CrashDesc = faults.MediaWrites(), faults.CrashDescription()
+	return c, nil
+}
+
+// Verify recovers a clone of the crashed machine and checks the
+// composition's contract: every checked read is exact against the oracle
+// or fails typed, the quarantine the first scrub persisted survives, and a
+// further scrub completes the repair — after it every read is exact, none
+// fails, and the store is healthy.
+func (c *ScrubCrash) Verify() error {
+	clone, err := c.st.Heap().CrashClone()
+	if err != nil {
+		return err
+	}
+	rs, _, err := core.Recover(clone.Machine(), clone, nil, c.cfg.storeOptions())
+	if err != nil {
+		return fmt.Errorf("recover: %w", err)
+	}
+	if _, err := differential(rs, c.oracle); err != nil {
+		return fmt.Errorf("recovered differential: %w", err)
+	}
+	if h := rs.Health(); h.QuarantinedSpans < c.quar.QuarantinedSpans || h.QuarantinedBytes < c.quar.QuarantinedBytes {
+		return fmt.Errorf("quarantine lost across the crash: got %+v, want at least %+v", h, c.quar)
+	}
+	if rep, err := rs.Scrub(); err != nil || rep.Unrecoverable != 0 {
+		return fmt.Errorf("scrub after recovery: %+v, %v", rep, err)
+	}
+	after, err := differential(rs, c.oracle)
+	if err != nil {
+		return fmt.Errorf("differential after the completing scrub: %w", err)
+	}
+	if h := rs.Health(); after.Failed != 0 || h.State != core.HealthOK {
+		return fmt.Errorf("repair not completed: %d reads still fail, health %v (%+v)", after.Failed, h.State, h)
+	}
+	return nil
+}
+
+// RunHeaderUECrash pins what recovery makes of a block header it cannot
+// read. UEs land under whole chains — headers included — and the machine
+// crashes before any scrub has rewritten them. Blocks are self-describing:
+// the arena scan cannot size, and so cannot step over, a block whose header
+// is scrambled, and taking it for the never-durable frontier would silently
+// drop every acknowledged block behind it. core.Recover must refuse with a
+// typed media error instead. (Once a scrub has rewritten and quarantined
+// the damaged blocks, recovery parses straight over them:
+// RunQuarantinePersistence.)
+func RunHeaderUECrash(cfg Config) error {
+	cfg = cfg.withDefaults()
+	st, faults, _, err := build(cfg)
+	if err != nil {
+		return err
+	}
+	if targets := injectChains(st, faults, cfg.UETargets); len(targets) == 0 {
+		return fmt.Errorf("workload left no PMEM chains to damage")
+	}
+	clone, err := st.Heap().CrashClone()
+	if err != nil {
+		return err
+	}
+	_, _, err = core.Recover(clone.Machine(), clone, nil, cfg.storeOptions())
+	if err == nil {
+		return fmt.Errorf("recovery scanned over uncorrectable block headers without a word")
+	}
+	if !typedMediaError(err) {
+		return fmt.Errorf("recovery over uncorrectable block headers failed untyped: %v", err)
+	}
+	return nil
+}

@@ -1,6 +1,12 @@
 package scrubtest
 
-import "testing"
+import (
+	"flag"
+	"testing"
+
+	"repro/internal/splitmix"
+	"repro/internal/xpsim"
+)
 
 // TestUEDetection: after UE injection, every checked read matches the
 // oracle or fails typed — never silently wrong edges.
@@ -110,5 +116,61 @@ func TestQuarantinePersistenceVarint(t *testing.T) {
 func TestMixedFormatScrub(t *testing.T) {
 	if err := RunMixedFormatScrub(Config{Name: "mix-scrub", Seed: 12, Edges: 600}, 300); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// -scrubtest.tearseeds widens the crash × scrub sweep to several tear
+// geometries per kill point (the nightly runs 4).
+var tearSeedsFlag = flag.Int("scrubtest.tearseeds", 1, "tear seeds per kill point in the crash × scrub sweep")
+
+// TestScrubCrashSweep kills the machine at every media write inside the
+// scrub that repairs a UE-damaged hub vertex — fixed-width and varint
+// stores, dropped, prefix-torn and word-torn lines — and recovers: every
+// read is exact or fails typed, the persisted quarantine survives, and a
+// further scrub completes the repair. Exhaustive outside -short. Every
+// failing (store, tear mode, kill point, tear seed) is reported before the
+// test fails, so one run names the whole set.
+func TestScrubCrashSweep(t *testing.T) {
+	for _, varint := range []bool{false, true} {
+		cfg := Config{Name: "scrub-crash", Seed: 21, Edges: 3000, LogCapacity: 1 << 12, Varint: varint}
+		probe, err := CrashInScrub(cfg, xpsim.FaultPlan{})
+		if err != nil {
+			t.Fatalf("varint=%v: probe: %v", varint, err)
+		}
+		if err := probe.Verify(); err != nil {
+			t.Fatalf("varint=%v: uncrashed run: %v", varint, err)
+		}
+		m := probe.MediaWrites
+		if m < 8 {
+			t.Fatalf("varint=%v: the repairing scrub issued only %d media writes", varint, m)
+		}
+		stride := int64(1)
+		if testing.Short() {
+			stride = m / 6
+		}
+		for _, tear := range []xpsim.TearMode{xpsim.TearNone, xpsim.TearPrefix, xpsim.TearWords} {
+			for n := int64(1); n <= m; n += stride {
+				for k := 0; k < *tearSeedsFlag; k++ {
+					seed := splitmix.Mix(uint64(n)*0x5C4B + uint64(k))
+					c, err := CrashInScrub(cfg, xpsim.FaultPlan{KillAtMediaWrite: n, Tear: tear, Seed: seed})
+					if err == nil {
+						err = c.Verify()
+					}
+					if err != nil {
+						t.Errorf("varint=%v tear=%s kill n=%d/%d tear seed=%#x: %v", varint, tear, n, m, seed, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestHeaderUECrash: a crash while block headers sit on uncorrectable
+// lines must not recover as a silently truncated arena.
+func TestHeaderUECrash(t *testing.T) {
+	for _, varint := range []bool{false, true} {
+		if err := RunHeaderUECrash(Config{Name: "hdr-ue", Seed: 22, Edges: 800, Varint: varint}); err != nil {
+			t.Fatalf("varint=%v: %v", varint, err)
+		}
 	}
 }

@@ -51,6 +51,22 @@ go test -race -short ./...
 echo "== crash-point sweeps (capped, native)"
 go test -run Crash -short ./internal/crashtest/ ./internal/core/ ./internal/elog/
 
+echo "== adjacency block format: one codec, pinned accesses, crash × scrub"
+# internal/adj/header.go is the only non-test file of the package that may
+# name a header offset (DESIGN.md §7 "Block format — who may touch it").
+if grep -nE 'off(VID|Cap|Prev|Fmt|Cnt[01]|CRC[01])' \
+    $(git ls-files 'internal/adj/*.go' | grep -v -e '_test\.go$' -e '/header\.go$'); then
+    echo "a header offset is named outside internal/adj/header.go" >&2
+    exit 1
+fi
+# The device's view of the adjacency store — every write, flush, miss and
+# media byte — against the table captured before the package had one codec,
+# one walker and one swap; the torn kill inside a scrub repair; and the
+# capped crash × scrub sweep (exhaustive under plain `go test`, × 4 tear
+# seeds nightly). They ran above under -race as well; this stanza names them.
+go test -count=1 -run 'TestGoldenAccessSequence' ./internal/core/
+go test -count=1 -short -run 'TestReplaceChainTornKillKeepsArena|TestScrubCrashSweep|TestHeaderUECrash' ./internal/adj/ ./internal/scrubtest/
+
 echo "== allocation budgets of the archiving path + sub-graph balance"
 # A warmed shard stage allocates nothing and a warmed store at most 24
 # times per 2048-edge Ingest. shard.PartOf gives every sub-graph its share
