@@ -45,10 +45,12 @@ var declarations = []struct {
 	{"soak", "static@1s/p50_us", nil, ptr(simBound)},
 	{"soak", "static@1s/p95_us", nil, ptr(simBound)},
 	{"soak", "static@1s/p99_us", nil, ptr(simBound)},
+	{"soak", "static@1s/wait_us", nil, ptr(simBound)},
 	{"soak", "static@1s/wr_p99_ms", nil, ptr(simBound)},
 	{"soak", "adaptive@1s/p50_us", nil, ptr(simBound)},
 	{"soak", "adaptive@1s/p95_us", nil, ptr(simBound)},
 	{"soak", "adaptive@1s/p99_us", nil, ptr(simBound)},
+	{"soak", "adaptive@1s/wait_us", nil, ptr(simBound)},
 	{"soak", "adaptive@1s/wr_p99_ms", nil, ptr(simBound)},
 
 	{"prop", "{ds}/filtered_rd_lines", nil, ptr(simBound)},

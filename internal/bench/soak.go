@@ -30,16 +30,17 @@ func soakExp(cfg Config) (Table, error) {
 
 	t := Table{Exp: "soak",
 		Title:   "Adaptive vs static admission under the bursty-ingest soak",
-		Columns: []string{"mode", "reads", "p50_us", "p95_us", "p99_us", "wr_p99_ms", "shed", "tuned"},
+		Columns: []string{"mode", "reads", "p50_us", "p95_us", "p99_us", "wait_us", "wr_p99_ms", "shed", "tuned"},
 		Notes: []string{
 			"one shard under periodic ingest bursts; latencies are simulated (lock wait + media cost)",
 			"identical seed and virtual load in both modes; only the admission policy differs",
+			"wait_us: mean time a read waited behind a write window, over all reads (DESIGN.md 12.3)",
 		},
 	}
 	// The horizon is in the row key: a run over another virtual horizon is
 	// another measurement, not a regression of this one.
 	at := fmt.Sprintf("@%gs", sc.Horizon.Seconds())
-	var p99 [2]float64 // [static, adaptive]
+	var p99, wait [2]float64 // [static, adaptive]
 	var shed [2]int64
 	for i, mode := range []string{"static", "adaptive"} {
 		sc.Adaptive = mode == "adaptive"
@@ -59,21 +60,26 @@ func soakExp(cfg Config) (Table, error) {
 		if sc.Adaptive {
 			tuned = tuned.floor(1)
 		}
-		p99[i], shed[i] = rep.ReadP99Us, rep.Shed429
+		p99[i], wait[i], shed[i] = rep.ReadP99Us, rep.ReadWaitUs, rep.Shed429
 		us := func(v float64) Cell { return num(v, "%.2f", "us", Lower).bound(simBound) }
 		t.add(keyed(mode, mode+at), count(rep.Reads, "reads", Higher).floor(1),
-			us(rep.ReadP50Us), us(rep.ReadP95Us), us(rep.ReadP99Us),
+			us(rep.ReadP50Us), us(rep.ReadP95Us), us(rep.ReadP99Us), us(rep.ReadWaitUs),
 			num(rep.WriteP99Ms, "%.2f", "ms", Lower).bound(simBound),
 			count(rep.Shed429, "parts", Lower), tuned)
 		// Neither mode may violate the scenario's own SLO.
 		t.derive(mode+at+"/violations", count(int64(len(rep.Violations)), "violations", Lower).floor(0))
 	}
-	// The headline claim, as one number: how many times lower the adaptive
-	// p99 read latency is or, when it sheds at a p99 within 5% of the
-	// static one, how many times fewer 429s it sheds, whichever is larger.
+	// The headline claim, as one number: how many times shorter readers
+	// wait behind the writer under the adaptive controller or, when it
+	// sheds at a p99 within 5% of the static one, how many times fewer
+	// 429s it sheds, whichever is larger. The wait is the mean over all
+	// reads, not the p99: at this scenario's write count about 1 % of reads
+	// meet a write window at all, so p99 samples the edge of that
+	// population and moves with where windows happen to fall (DESIGN.md
+	// §12.3); both p99s stay in the table, bounded.
 	advantage := 0.0
-	if p99[1] > 0 {
-		advantage = p99[0] / p99[1]
+	if wait[1] > 0 {
+		advantage = wait[0] / wait[1]
 	}
 	if shed[1] > 0 && p99[1] <= 1.05*p99[0] {
 		advantage = max(advantage, over(shed[0], shed[1]))

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// Breaker is the per-shard ingest circuit breaker. It has two arms:
+// breaker is the per-shard ingest circuit breaker. It has two arms:
 //
 //   - media: repeated media-write failures (the shard's store reporting
 //     *xpsim.MediaError from Ingest) open it, so a dying device sheds
@@ -18,13 +18,21 @@ import (
 //     full queue (DESIGN.md §12.4).
 //
 // After the cooldown the breaker goes half-open: the next write is
-// admitted as a probe; a success (applied, or at least admitted past
-// the queue) closes the breaker, another failure re-opens it
-// immediately. It moved here from internal/server (PR 5) because
-// failure shedding is a property of one shard, not of the HTTP
-// frontend; the soak harness reuses the same policy on its virtual
-// clock, which is why every method takes an explicit now.
-type Breaker struct {
+// admitted as a probe, and what closes the breaker is the evidence its
+// arm was waiting for — a probe admitted past the queue when overload
+// opened it, a batch applied when media failures did; the failure it was
+// opened for re-opens it immediately. The arms do not answer for each
+// other: a batch that was queued before an overload trip and applies
+// during the cooldown says nothing about the queue and leaves the
+// breaker open, or an overload trip would last one write window instead
+// of one cooldown (DESIGN.md §12.4).
+//
+// It lives here, not in internal/server, because failure shedding is a
+// property of one shard, not of the HTTP frontend. Every method that
+// compares times takes now from its caller, which reads the cluster's
+// clock (Config.Clock): a breaker on a stepped cluster cools down on
+// virtual time like everything else there.
+type breaker struct {
 	mu        sync.Mutex
 	threshold int           // consecutive media failures that open the breaker
 	overload  int           // consecutive queue-full sheds that open it (0 = arm disabled)
@@ -33,21 +41,16 @@ type Breaker struct {
 	sheds     int           // consecutive queue-full sheds while closed
 	openUntil time.Time     // zero when closed
 	halfOpen  bool          // a probe write is in flight
+	byShed    bool          // which arm opened it: overload sheds, else media failures
 	trips     int64
 	closes    int64
 	probes    int64
 	rejected  int64
 }
 
-// NewBreaker builds a breaker for the soak harness's virtual admission
-// model (the cluster builds its shards' breakers from Config directly).
-func NewBreaker(mediaThreshold, overloadThreshold int, cooldown time.Duration) *Breaker {
-	return &Breaker{threshold: mediaThreshold, overload: overloadThreshold, cooldown: cooldown}
-}
-
 // allow reports whether a write may enter the pipeline; when refused it
 // also reports how long until the half-open probe is admitted.
-func (b *Breaker) allow(now time.Time) (bool, time.Duration) {
+func (b *breaker) allow(now time.Time) (bool, time.Duration) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.openUntil.IsZero() {
@@ -64,11 +67,12 @@ func (b *Breaker) allow(now time.Time) (bool, time.Duration) {
 	return true, 0
 }
 
-// Allow is the exported admission check (soak's virtual model).
-func (b *Breaker) Allow(now time.Time) (bool, time.Duration) { return b.allow(now) }
-
-// openLocked trips the breaker (callers hold mu).
-func (b *Breaker) openLocked(now time.Time) {
+// openLocked trips the breaker for one arm (callers hold mu). A failed
+// probe re-opens it for the arm it was probing for.
+func (b *breaker) openLocked(now time.Time, byShed bool) {
+	if !b.halfOpen {
+		b.byShed = byShed
+	}
 	b.openUntil = now.Add(b.cooldown)
 	b.trips++
 	b.fails = 0
@@ -77,7 +81,7 @@ func (b *Breaker) openLocked(now time.Time) {
 }
 
 // closeLocked closes an open or half-open breaker (callers hold mu).
-func (b *Breaker) closeLocked() {
+func (b *breaker) closeLocked() {
 	if !b.openUntil.IsZero() || b.halfOpen {
 		b.closes++
 	}
@@ -90,26 +94,32 @@ func (b *Breaker) closeLocked() {
 // recordFailure counts one media-write failure. The breaker opens at
 // threshold consecutive failures, or immediately when a half-open probe
 // fails.
-func (b *Breaker) recordFailure(now time.Time) {
+func (b *breaker) recordFailure(now time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.fails++
 	if b.fails >= b.threshold || b.halfOpen {
-		b.openLocked(now)
+		b.openLocked(now, false)
 	}
 }
 
-// recordSuccess closes the breaker and clears both failure streaks.
-func (b *Breaker) recordSuccess() {
+// recordSuccess records one applied batch: the media failure streak is
+// over, and a breaker that media failures opened closes. One that
+// overload opened stays as it is — the batch was admitted before the
+// trip.
+func (b *breaker) recordSuccess() {
 	b.mu.Lock()
-	b.closeLocked()
-	b.mu.Unlock()
+	defer b.mu.Unlock()
+	b.fails = 0
+	if !b.openUntil.IsZero() && !b.byShed {
+		b.closeLocked()
+	}
 }
 
-// NoteShed counts one queue-full refusal on the overload arm. The
+// noteShed counts one queue-full refusal on the overload arm. The
 // breaker opens at `overload` consecutive sheds, or immediately when a
 // half-open probe is shed again.
-func (b *Breaker) NoteShed(now time.Time) {
+func (b *breaker) noteShed(now time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.overload <= 0 {
@@ -117,17 +127,18 @@ func (b *Breaker) NoteShed(now time.Time) {
 	}
 	b.sheds++
 	if b.sheds >= b.overload || b.halfOpen {
-		b.openLocked(now)
+		b.openLocked(now, true)
 	}
 }
 
-// NoteAdmit records a write admitted past the queue: it clears the
-// overload streak and closes a half-open breaker (the probe got
-// through, so the queue is draining again).
-func (b *Breaker) NoteAdmit() {
+// noteAdmit records a write admitted past the queue: it clears the
+// overload streak and closes a breaker that overload opened and that is
+// half-open (the probe got through, so the queue is draining again). A
+// probe for media failures still has to apply.
+func (b *breaker) noteAdmit() {
 	b.mu.Lock()
 	b.sheds = 0
-	if b.halfOpen {
+	if b.halfOpen && b.byShed {
 		b.closeLocked()
 	}
 	b.mu.Unlock()
@@ -146,7 +157,7 @@ type BreakerView struct {
 	Rejected int64
 }
 
-func (b *Breaker) view(now time.Time) BreakerView {
+func (b *breaker) view(now time.Time) BreakerView {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return BreakerView{
@@ -157,6 +168,3 @@ func (b *Breaker) view(now time.Time) BreakerView {
 		Rejected: b.rejected,
 	}
 }
-
-// View is the exported state read (soak's virtual model).
-func (b *Breaker) View(now time.Time) BreakerView { return b.view(now) }

@@ -10,7 +10,7 @@ import (
 // admits a half-open probe, a failed probe re-opens immediately, a
 // successful one closes and resets the streak.
 func TestBreakerStateMachine(t *testing.T) {
-	b := Breaker{threshold: 3, cooldown: time.Second}
+	b := breaker{threshold: 3, cooldown: time.Second}
 	t0 := time.Unix(1000, 0)
 
 	for i := 0; i < 2; i++ {
@@ -32,6 +32,10 @@ func TestBreakerStateMachine(t *testing.T) {
 	t1 := t0.Add(2 * time.Second)
 	if ok, _ := b.allow(t1); !ok {
 		t.Fatal("half-open probe refused after cooldown")
+	}
+	b.noteAdmit() // the probe is past the queue; that is not what media failures wait for
+	if v := b.view(t1); v.Closes != 0 {
+		t.Fatal("an admitted probe closed a breaker that media failures opened")
 	}
 	b.recordFailure(t1)
 	if ok, _ := b.allow(t1); ok {

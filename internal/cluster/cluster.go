@@ -31,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/ingest"
@@ -102,6 +103,15 @@ type Config struct {
 	// ResyncLimit is the consecutive failed snapshot-resync attempts
 	// before a follower is declared damaged (default 3).
 	ResyncLimit int
+
+	// Clock is the clock every shard's pipeline, breaker and publication
+	// stamp reads; nil is the wall clock. With a clock its owner advances
+	// (clock.Virtual) the cluster is stepped: Start launches no writer
+	// goroutines, the owner calls each Shard's Step at the time it asked
+	// for, and writes must be asynchronous (nothing applies while a
+	// synchronous Ingest waits). Replica apply loops and log shipping
+	// stay on goroutines and the host clock either way.
+	Clock clock.Clock
 }
 
 func (c Config) withDefaults() Config {
@@ -137,6 +147,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ResyncLimit <= 0 {
 		c.ResyncLimit = 3
+	}
+	if c.Clock == nil {
+		c.Clock = clock.Wall()
 	}
 	return c
 }
@@ -202,7 +215,8 @@ func New(stores []*core.Store, cfg Config) (*Cluster, error) {
 		sh := &Shard{
 			id:    i,
 			store: st,
-			br: Breaker{
+			clk:   cfg.Clock,
+			br: breaker{
 				threshold: cfg.BreakerThreshold,
 				overload:  cfg.BreakerSheds,
 				cooldown:  cfg.BreakerCooldown,
@@ -220,6 +234,7 @@ func New(stores []*core.Store, cfg Config) (*Cluster, error) {
 			FlushEvery: cfg.FlushEvery,
 			ScrubEvery: cfg.ScrubEvery,
 			BatchDelay: cfg.BatchDelay,
+			Clock:      cfg.Clock,
 		}
 		if cfg.Adaptive {
 			icfg.Adaptive = &ingest.AdaptiveConfig{Target: cfg.AdaptiveTarget}
@@ -232,8 +247,9 @@ func New(stores []*core.Store, cfg Config) (*Cluster, error) {
 
 // Start publishes every shard's initial snapshot (epoch 1), starts the
 // follower apply goroutines, and launches the per-shard writer
-// goroutines. Idempotent. Attach tracers to the shard stores before
-// calling it so the initial snapshots' spans are recorded.
+// goroutines — unless the cluster is stepped (Config.Clock), in which
+// case the owner is the writer. Idempotent. Attach tracers to the shard
+// stores before calling it so the initial snapshots' spans are recorded.
 func (c *Cluster) Start() error {
 	var err error
 	c.started.Do(func() {
@@ -271,6 +287,9 @@ func (c *Cluster) Owner(v graph.VID) int { return c.pmap.Owner(v) }
 
 // QueueCap is the per-shard ingest queue bound in edges.
 func (c *Cluster) QueueCap() int { return c.cfg.QueueCap }
+
+// Clock is the clock the cluster's policy code reads (Config.Clock).
+func (c *Cluster) Clock() clock.Clock { return c.cfg.Clock }
 
 // Replicas is the configured follower count per shard.
 func (c *Cluster) Replicas() int { return c.cfg.Replicas }
@@ -331,13 +350,7 @@ func (r IngestResult) Epoch() uint64 { return EpochScalar(r.Epochs) }
 func (c *Cluster) Ingest(edges []graph.Edge, sync bool) (IngestResult, error) {
 	res := IngestResult{}
 	parts := c.splitPooled(edges)
-	defer func() {
-		for _, p := range parts {
-			if p != nil {
-				ingest.PutEdgeBuf(p)
-			}
-		}
-	}()
+	defer putParts(parts)
 
 	reqs := make([]*ingest.Request, len(parts))
 	enq := make([][]graph.Edge, len(parts)) // buffers the pipelines own
@@ -351,7 +364,7 @@ func (c *Cluster) Ingest(edges []graph.Edge, sync bool) (IngestResult, error) {
 			firstErr = &ShardError{Shard: i, Err: ErrShardDown}
 			break
 		}
-		if ok, wait := sh.br.allow(time.Now()); !ok {
+		if ok, wait := sh.br.allow(sh.clk.Now()); !ok {
 			firstErr = &ShardError{Shard: i, Err: &BreakerOpenError{Wait: wait}}
 			break
 		}
@@ -360,12 +373,12 @@ func (c *Cluster) Ingest(edges []graph.Edge, sync bool) (IngestResult, error) {
 			if errors.Is(err, ingest.ErrQueueFull) {
 				// Feed the overload arm: sustained queue-full streaks trip
 				// the breaker so the 429 storm becomes typed 503s.
-				sh.br.NoteShed(time.Now())
+				sh.br.noteShed(sh.clk.Now())
 			}
 			firstErr = &ShardError{Shard: i, Err: err}
 			break
 		}
-		sh.br.NoteAdmit()
+		sh.br.noteAdmit()
 		// The pipeline owns the part until its Result is delivered.
 		parts[i], enq[i] = nil, part
 		reqs[i] = req
@@ -444,6 +457,16 @@ func (c *Cluster) splitPooled(edges []graph.Edge) [][]graph.Edge {
 	return parts
 }
 
+// putParts recycles the per-shard buffers still in parts (nil: a pipeline
+// owns that one).
+func putParts(parts [][]graph.Edge) {
+	for _, p := range parts {
+		if p != nil {
+			ingest.PutEdgeBuf(p)
+		}
+	}
+}
+
 // IngestLocal applies edges synchronously, bypassing the pipelines — the
 // bulk-load path (bench, preload). Each shard applies its partition
 // under its own lock, republishes, and ships to its followers; the
@@ -451,13 +474,7 @@ func (c *Cluster) splitPooled(edges []graph.Edge) [][]graph.Edge {
 // its own machine applying in parallel.
 func (c *Cluster) IngestLocal(edges []graph.Edge) (simNs int64, err error) {
 	parts := c.splitPooled(edges)
-	defer func() {
-		for _, p := range parts {
-			if p != nil {
-				ingest.PutEdgeBuf(p)
-			}
-		}
-	}()
+	defer putParts(parts)
 	for i, part := range parts {
 		if len(part) == 0 {
 			continue
@@ -678,7 +695,7 @@ type ClusterHealth struct {
 // Health reports per-shard and aggregate health.
 func (c *Cluster) Health() ClusterHealth {
 	ch := ClusterHealth{}
-	now := time.Now()
+	now := c.cfg.Clock.Now()
 	allReadonly := true
 	anyBad := false
 	for _, sh := range c.shards {
@@ -744,8 +761,8 @@ func (c *Cluster) RegisterMetrics(reg *obs.Registry) {
 			sample("xpgraph_ingest_batches_total", "Ingest batches applied under the write lock.", obs.KindCounter, float64(v.BatchesApplied))
 			sample("xpgraph_ingest_rejected_writes_total", "Write requests shed with 429 queue_full.", obs.KindCounter, float64(v.Rejected))
 			sample("xpgraph_snapshot_epoch", "Epoch of the currently published snapshot.", obs.KindGauge, float64(v.Epoch))
-			sample("xpgraph_snapshot_age_seconds", "Host seconds since the last snapshot publication.", obs.KindGauge,
-				float64(time.Now().UnixNano()-v.PublishedAtNs)/1e9)
+			sample("xpgraph_snapshot_age_seconds", "Seconds since the last snapshot publication.", obs.KindGauge,
+				float64(sh.clk.Now().UnixNano()-v.PublishedAtNs)/1e9)
 			sample("xpgraph_last_batch_host_seconds", "Host latency of the most recent ingest batch.", obs.KindGauge, float64(v.LastBatchHostNs)/1e9)
 			sample("xpgraph_last_batch_sim_seconds", "Simulated store time of the most recent ingest batch.", obs.KindGauge, float64(v.LastBatchSimNs)/1e9)
 			sample("xpgraph_last_batch_edges", "Size of the most recent ingest batch.", obs.KindGauge, float64(v.LastBatchEdges))
@@ -755,7 +772,7 @@ func (c *Cluster) RegisterMetrics(reg *obs.Registry) {
 			sample("xpgraph_ingest_tune_decreases_total", "Multiplicative decreases taken by the adaptive admission controller.", obs.KindCounter, float64(v.TuneDecreases))
 			sample("xpgraph_ingest_tune_increases_total", "Additive increases taken by the adaptive admission controller.", obs.KindCounter, float64(v.TuneIncreases))
 
-			b := sh.br.view(time.Now())
+			b := sh.Breaker()
 			open := 0.0
 			if b.Open {
 				open = 1
@@ -806,26 +823,21 @@ func (c *Cluster) RegisterMetrics(reg *obs.Registry) {
 // Close stops every shard's pipeline abruptly (queued writers get
 // ErrShuttingDown) and stops the followers after they drain what was
 // already shipped. Idempotent.
-func (c *Cluster) Close() {
-	c.closed.Do(func() {
-		for _, sh := range c.shards {
-			sh.pipe.Close()
-		}
-		for _, sh := range c.shards {
-			for _, r := range sh.replicas {
-				r.close()
-			}
-		}
-	})
-}
+func (c *Cluster) Close() { c.stop(false) }
 
 // Shutdown drains gracefully: every accepted write on every shard is
 // applied, flushed, and shipped; followers then drain their queues, so
 // the whole cluster — leaders and replicas — converges before return.
-func (c *Cluster) Shutdown() {
+func (c *Cluster) Shutdown() { c.stop(true) }
+
+// stop fences every pipeline first when draining, so no shard keeps
+// admitting while another drains, then stops pipelines, then followers.
+func (c *Cluster) stop(drain bool) {
 	c.closed.Do(func() {
 		for _, sh := range c.shards {
-			sh.pipe.SetDraining()
+			if drain {
+				sh.pipe.SetDraining()
+			}
 		}
 		for _, sh := range c.shards {
 			sh.pipe.Close()

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/ingest"
@@ -80,7 +81,8 @@ type Shard struct {
 	cur *published // guarded by mu; swapped only under the write lock
 
 	pipe *ingest.Pipeline
-	br   Breaker
+	br   breaker
+	clk  clock.Clock // Config.Clock: what the breaker and the gauges call now
 
 	replicas []*Replica
 
@@ -125,7 +127,13 @@ func (sh *Shard) Down() bool { return sh.down.Load() }
 func (sh *Shard) PipeStats() ingest.Stats { return sh.pipe.Stats() }
 
 // Breaker reads one consistent copy of the shard's breaker state.
-func (sh *Shard) Breaker() BreakerView { return sh.br.View(time.Now()) }
+func (sh *Shard) Breaker() BreakerView { return sh.br.view(sh.clk.Now()) }
+
+// Step runs the shard's pipeline writer once (ingest.Pipeline.Step) and
+// returns when it next needs to run. Only the owner of a stepped
+// cluster's clock calls it; on the wall clock the pipeline's own
+// goroutine is the writer.
+func (sh *Shard) Step() time.Time { return sh.pipe.Step() }
 
 // Replicas returns the shard's followers.
 func (sh *Shard) Replicas() []*Replica { return sh.replicas }
@@ -271,8 +279,22 @@ func (sh *Shard) dispatch(m shipMsg) {
 	}
 }
 
+// noteApply feeds one application's outcome to the circuit breaker:
+// media-write failures count toward opening it, so repeated ones shed new
+// writes up front instead of sending them into a failing store; a success
+// closes it (and is what a half-open probe is waiting for).
+func (sh *Shard) noteApply(err error) {
+	var me *xpsim.MediaError
+	switch {
+	case err == nil:
+		sh.br.recordSuccess()
+	case errors.As(err, &me):
+		sh.br.recordFailure(sh.clk.Now())
+	}
+}
+
 // shardApplier is the shard's side of the ingest.Applier contract. It
-// runs on the pipeline's single writer goroutine and owns the lock
+// runs on the pipeline's single writer and owns the lock
 // ordering: every application takes the shard's exclusive lock, ends in
 // a snapshot publication plus a ship-stream record, feeds the circuit
 // breaker, and dispatches the chunk to the followers outside the lock.
@@ -296,17 +318,10 @@ func (a *shardApplier) Apply(chunk []graph.Edge) (int64, uint64, error) {
 	}
 	sh.mu.Unlock()
 
+	sh.noteApply(err)
 	if err != nil {
-		// Media-write failures feed the circuit breaker so repeated ones
-		// shed new writes up front instead of queueing them into a
-		// failing pipeline.
-		var me *xpsim.MediaError
-		if errors.As(err, &me) {
-			sh.br.recordFailure(time.Now())
-		}
 		return 0, 0, err
 	}
-	sh.br.recordSuccess()
 	sh.dispatch(msg)
 	return rep.TotalNs(), epoch, nil
 }

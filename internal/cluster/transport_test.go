@@ -264,51 +264,57 @@ func TestReplicaGapResyncAfterDrops(t *testing.T) {
 // half-open probe, an admitted write closes it, and the transition
 // counters record the full open → half-open → closed cycle.
 func TestBreakerOverloadArm(t *testing.T) {
-	b := NewBreaker(3, 2, time.Second)
+	b := breaker{threshold: 3, overload: 2, cooldown: time.Second}
 	t0 := time.Unix(2000, 0)
 
-	b.NoteShed(t0)
-	if v := b.View(t0); v.Open {
+	b.noteShed(t0)
+	if v := b.view(t0); v.Open {
 		t.Fatal("one shed tripped the breaker below the threshold")
 	}
-	b.NoteAdmit() // an admit between sheds resets the streak
-	b.NoteShed(t0)
-	if v := b.View(t0); v.Open {
+	b.noteAdmit() // an admit between sheds resets the streak
+	b.noteShed(t0)
+	if v := b.view(t0); v.Open {
 		t.Fatal("streak survived an admit")
 	}
-	b.NoteShed(t0)
-	if v := b.View(t0); !v.Open || v.Trips != 1 {
+	b.noteShed(t0)
+	if v := b.view(t0); !v.Open || v.Trips != 1 {
 		t.Fatalf("two consecutive sheds should trip: %+v", v)
 	}
-	if ok, wait := b.Allow(t0); ok || wait <= 0 {
+	if ok, wait := b.allow(t0); ok || wait <= 0 {
 		t.Fatalf("open breaker admitted a write: ok=%v wait=%v", ok, wait)
+	}
+	// A batch queued before the trip applies during the cooldown: that
+	// says nothing about the queue.
+	b.recordSuccess()
+	if v := b.view(t0); !v.Open || v.Closes != 0 {
+		t.Fatalf("an applied batch closed a breaker that overload opened: %+v", v)
 	}
 
 	// Cooldown over: a probe is admitted; shedding it re-opens at once.
 	t1 := t0.Add(2 * time.Second)
-	if ok, _ := b.Allow(t1); !ok {
+	if ok, _ := b.allow(t1); !ok {
 		t.Fatal("half-open probe refused after cooldown")
 	}
-	b.NoteShed(t1)
-	if ok, _ := b.Allow(t1); ok {
+	b.noteShed(t1)
+	if ok, _ := b.allow(t1); ok {
 		t.Fatal("breaker should re-open when the probe is shed")
 	}
 
 	// Second probe gets through the queue: closed, streak reset.
 	t2 := t1.Add(2 * time.Second)
-	if ok, _ := b.Allow(t2); !ok {
+	if ok, _ := b.allow(t2); !ok {
 		t.Fatal("second probe refused")
 	}
-	b.NoteAdmit()
-	v := b.View(t2)
+	b.noteAdmit()
+	v := b.view(t2)
 	if v.Open {
 		t.Fatal("breaker still open after an admitted probe")
 	}
 	if v.Trips != 2 || v.Closes != 1 || v.Probes != 2 || v.Rejected == 0 {
 		t.Fatalf("transition counters = %+v, want 2 trips, 1 close, 2 probes", v)
 	}
-	b.NoteShed(t2)
-	if vv := b.View(t2); vv.Open {
+	b.noteShed(t2)
+	if vv := b.view(t2); vv.Open {
 		t.Fatal("shed streak should have reset on close")
 	}
 }

@@ -67,6 +67,10 @@ func (c *Cluster) RegisterLabel(name string) (uint16, error) {
 // labels, and properties — under its exclusive lock, republishes, and
 // ships the typed entry to its followers. Per-shard atomic like Ingest:
 // a failing shard is named and the parts routed elsewhere still land.
+// The shard's breaker is consulted before the lock window and fed the
+// outcome after it, exactly as on the pipeline path: an open breaker
+// refuses typed writes too, typed media failures count toward opening
+// it, and a typed success is a valid half-open probe.
 func (c *Cluster) IngestTyped(edges []graph.Edge, labels []uint16, props []graph.PropSet) (IngestResult, error) {
 	res := IngestResult{}
 	n := len(c.shards)
@@ -76,13 +80,7 @@ func (c *Cluster) IngestTyped(edges []graph.Edge, labels []uint16, props []graph
 	for i := range eparts {
 		eparts[i] = ingest.GetEdgeBuf()
 	}
-	defer func() {
-		for _, p := range eparts {
-			if p != nil {
-				ingest.PutEdgeBuf(p)
-			}
-		}
-	}()
+	defer putParts(eparts)
 	for i, e := range edges {
 		o := c.pmap.Owner(e.Src)
 		eparts[o] = append(eparts[o], e)
@@ -103,6 +101,9 @@ func (c *Cluster) IngestTyped(edges []graph.Edge, labels []uint16, props []graph
 		}
 		if sh.down.Load() {
 			return res, &ShardError{Shard: i, Err: ErrShardDown}
+		}
+		if ok, wait := sh.br.allow(sh.clk.Now()); !ok {
+			return res, &ShardError{Shard: i, Err: &BreakerOpenError{Wait: wait}}
 		}
 		wctx := xpsim.NewCtx(xpsim.NodeUnbound)
 		sh.mu.Lock()
@@ -131,6 +132,7 @@ func (c *Cluster) IngestTyped(edges []graph.Edge, labels []uint16, props []graph
 			})
 		}
 		sh.mu.Unlock()
+		sh.noteApply(err)
 		if err != nil {
 			return res, &ShardError{Shard: i, Err: err}
 		}

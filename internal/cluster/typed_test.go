@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/pmem"
@@ -247,5 +249,68 @@ func TestClusterTypedFailClosed(t *testing.T) {
 	}
 	if _, err := cl.IngestTyped([]graph.Edge{{Src: uint32(liveV), Dst: 1}}, []uint16{1}, nil); err != nil {
 		t.Fatalf("typed ingest to live shard: %v", err)
+	}
+}
+
+// TestClusterTypedBreaker pins that the typed write path goes through
+// the shard's circuit breaker like the pipeline path does: typed media
+// failures count toward opening it, an open breaker refuses a typed
+// write up front with the time left until its probe, and after the
+// cooldown a successful typed write is the half-open probe that closes
+// it. The cluster runs on a virtual clock, so the cooldown is crossed by
+// setting the clock, not by sleeping.
+func TestClusterTypedBreaker(t *testing.T) {
+	m := xpsim.NewMachine(2, 256<<20, xpsim.DefaultLatency())
+	faults := m.TrackFaults()
+	st, err := core.New(m, pmem.NewHeap(m), nil, core.Options{
+		Name: "tbreaker", NumVertices: 1 << 10, LogCapacity: 1 << 12,
+		ArchiveThreshold: 1 << 8, ArchiveThreads: 4, Props: true,
+		MediaGuard: true, ArchiveSSDBytes: 4 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := &clock.Virtual{}
+	cl, err := New([]*core.Store{st}, Config{BreakerThreshold: 2, BreakerCooldown: time.Minute, Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	lbl, err := cl.RegisterLabel("follows")
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(dst uint32) error {
+		_, err := cl.IngestTyped([]graph.Edge{{Src: 3, Dst: dst}}, []uint16{lbl}, nil)
+		return err
+	}
+	if err := write(1); err != nil {
+		t.Fatalf("typed write on a healthy store: %v", err)
+	}
+
+	faults.FailNode(1)
+	var me *xpsim.MediaError
+	for i := 0; i < 2; i++ {
+		if err := write(2); !errors.As(err, &me) {
+			t.Fatalf("typed write %d on a dead node = %v, want a *xpsim.MediaError", i, err)
+		}
+	}
+	var boe *BreakerOpenError
+	if err := write(2); !errors.As(err, &boe) || boe.Wait <= 0 {
+		t.Fatalf("typed write after two media failures = %v, want a *BreakerOpenError with a positive Wait", err)
+	}
+	if v := cl.Shard(0).Breaker(); !v.Open || v.Trips != 1 || v.Rejected != 1 {
+		t.Fatalf("breaker after the trip = %+v", v)
+	}
+
+	faults.ReviveNode(1)
+	clk.Set(int64(2 * time.Minute))
+	if err := write(2); err != nil {
+		t.Fatalf("typed half-open probe after the cooldown: %v", err)
+	}
+	if v := cl.Shard(0).Breaker(); v.Open || v.Probes != 1 || v.Closes != 1 {
+		t.Fatalf("breaker after a successful typed probe = %+v, want closed by one probe", v)
 	}
 }

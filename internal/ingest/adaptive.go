@@ -45,9 +45,9 @@ type Tuning struct {
 // AdaptiveConfig tunes the controller. Zero fields take the defaults.
 type AdaptiveConfig struct {
 	// Target is the applied-batch latency the controller steers toward;
-	// batches slower than it signal congestion (default 2ms). The
-	// pipeline observes host latency; the soak harness feeds simulated
-	// latency — the rules are clock-agnostic.
+	// batches slower than it signal congestion (default 2ms). It is on
+	// the pipeline's clock: host latency on the wall clock, the batch's
+	// simulated cost on a virtual one.
 	Target time.Duration
 	// LowWater and HighWater bound the hysteresis band as fractions of
 	// the queue capacity: depth above HighWater*cap signals congestion,
@@ -86,10 +86,9 @@ func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
 	return c
 }
 
-// Controller is the AIMD admission controller. Observe runs on the
-// single writer goroutine (or the soak harness's event loop); the knob
-// reads are lock-free atomics so admission checks on request goroutines
-// never contend with it.
+// Controller is the AIMD admission controller. observe runs on the
+// pipeline's single writer; the knob reads are lock-free atomics so
+// admission checks on request goroutines never contend with it.
 type Controller struct {
 	cfg      AdaptiveConfig
 	queueCap int
@@ -105,9 +104,9 @@ type Controller struct {
 	increases        atomic.Int64
 }
 
-// NewController builds a controller starting at the static ceiling
+// newController builds a controller starting at the static ceiling
 // (base), which it never exceeds. queueCap bounds AdmitEdges.
-func NewController(queueCap int, base Tuning, cfg AdaptiveConfig) *Controller {
+func newController(queueCap int, base Tuning, cfg AdaptiveConfig) *Controller {
 	cfg = cfg.withDefaults()
 	if base.AdmitEdges <= 0 || base.AdmitEdges > queueCap {
 		base.AdmitEdges = queueCap
@@ -120,15 +119,6 @@ func NewController(queueCap int, base Tuning, cfg AdaptiveConfig) *Controller {
 	c.lingerNs.Store(int64(base.Linger))
 	c.admitEdges.Store(int64(base.AdmitEdges))
 	return c
-}
-
-// Tuning reads the current knob set.
-func (c *Controller) Tuning() Tuning {
-	return Tuning{
-		BatchEdges: int(c.batchEdges.Load()),
-		Linger:     time.Duration(c.lingerNs.Load()),
-		AdmitEdges: int(c.admitEdges.Load()),
-	}
 }
 
 // BatchEdges reads the current write-window cap.
@@ -146,15 +136,14 @@ func (c *Controller) Steps() (decreases, increases int64) {
 	return c.decreases.Load(), c.increases.Load()
 }
 
-// Observe feeds one applied batch: the queue depth after it drained,
-// its size in edges, and its latency (host or simulated — whichever
-// clock Target was written for). Returns true when the tuning moved.
-func (c *Controller) Observe(queued int64, batchEdges int, latency time.Duration) bool {
+// observe feeds one applied batch: the queue depth after it drained and
+// its latency on the pipeline's clock. Returns true when the tuning
+// moved.
+func (c *Controller) observe(queued int64, latency time.Duration) bool {
 	congested := latency > c.cfg.Target ||
 		float64(queued) > c.cfg.HighWater*float64(c.queueCap)
 	clear := latency < c.cfg.Target/2 &&
 		float64(queued) < c.cfg.LowWater*float64(c.queueCap)
-	_ = batchEdges // size rides along for telemetry; the rules key on latency+depth
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -182,84 +171,45 @@ func (c *Controller) Observe(queued int64, batchEdges int, latency time.Duration
 
 // decrease halves every knob toward its floor. Called under mu.
 func (c *Controller) decrease() bool {
-	moved := false
-	if b := int(c.batchEdges.Load()); b > c.cfg.MinBatchEdges {
-		nb := b / 2
-		if nb < c.cfg.MinBatchEdges {
-			nb = c.cfg.MinBatchEdges
-		}
-		c.batchEdges.Store(int64(nb))
-		moved = true
-	}
-	minLinger := c.base.Linger / 8
-	if l := time.Duration(c.lingerNs.Load()); l > minLinger {
-		nl := l / 2
-		if nl < minLinger {
-			nl = minLinger
-		}
-		c.lingerNs.Store(int64(nl))
-		moved = true
-	}
-	minAdmit := int(c.cfg.MinAdmitFrac * float64(c.queueCap))
-	if minAdmit < 1 {
-		minAdmit = 1
-	}
-	if a := int(c.admitEdges.Load()); a > minAdmit {
-		na := a / 2
-		if na < minAdmit {
-			na = minAdmit
-		}
-		c.admitEdges.Store(int64(na))
-		moved = true
-	}
+	minAdmit := max(1, int64(c.cfg.MinAdmitFrac*float64(c.queueCap)))
+	moved := halve(&c.batchEdges, int64(c.cfg.MinBatchEdges))
+	moved = halve(&c.lingerNs, int64(c.base.Linger/8)) || moved
+	moved = halve(&c.admitEdges, minAdmit) || moved
 	if moved {
 		c.decreases.Add(1)
 	}
 	return moved
 }
 
-// increase steps every knob an additive increment back toward the
-// static ceiling. Called under mu.
+// increase steps every knob an additive increment — an eighth of its
+// configured value — back toward the static ceiling. Called under mu.
 func (c *Controller) increase() bool {
-	moved := false
-	if b := int(c.batchEdges.Load()); b < c.base.BatchEdges {
-		step := c.base.BatchEdges / 8
-		if step < 1 {
-			step = 1
-		}
-		nb := b + step
-		if nb > c.base.BatchEdges {
-			nb = c.base.BatchEdges
-		}
-		c.batchEdges.Store(int64(nb))
-		moved = true
-	}
-	if l := time.Duration(c.lingerNs.Load()); l < c.base.Linger {
-		step := c.base.Linger / 8
-		if step < 1 {
-			step = 1
-		}
-		nl := l + step
-		if nl > c.base.Linger {
-			nl = c.base.Linger
-		}
-		c.lingerNs.Store(int64(nl))
-		moved = true
-	}
-	if a := int(c.admitEdges.Load()); a < c.base.AdmitEdges {
-		step := c.queueCap / 8
-		if step < 1 {
-			step = 1
-		}
-		na := a + step
-		if na > c.base.AdmitEdges {
-			na = c.base.AdmitEdges
-		}
-		c.admitEdges.Store(int64(na))
-		moved = true
-	}
+	moved := raise(&c.batchEdges, int64(c.base.BatchEdges/8), int64(c.base.BatchEdges))
+	moved = raise(&c.lingerNs, int64(c.base.Linger/8), int64(c.base.Linger)) || moved
+	moved = raise(&c.admitEdges, int64(c.queueCap/8), int64(c.base.AdmitEdges)) || moved
 	if moved {
 		c.increases.Add(1)
 	}
 	return moved
+}
+
+// halve halves one knob, not below floor; false when it was there already.
+func halve(knob *atomic.Int64, floor int64) bool {
+	v := knob.Load()
+	if v <= floor {
+		return false
+	}
+	knob.Store(max(v/2, floor))
+	return true
+}
+
+// raise adds step (at least 1) to one knob, not above ceil; false when it
+// was there already.
+func raise(knob *atomic.Int64, step, ceil int64) bool {
+	v := knob.Load()
+	if v >= ceil {
+		return false
+	}
+	knob.Store(min(v+max(step, 1), ceil))
+	return true
 }

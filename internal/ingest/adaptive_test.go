@@ -5,8 +5,13 @@ import (
 	"time"
 )
 
+// Tuning reads the controller's three knobs as one comparable value.
+func (c *Controller) Tuning() Tuning {
+	return Tuning{BatchEdges: c.BatchEdges(), Linger: c.Linger(), AdmitEdges: c.AdmitEdges()}
+}
+
 func newTestController() *Controller {
-	return NewController(1<<14, Tuning{BatchEdges: 4096, Linger: 2 * time.Millisecond},
+	return newController(1<<14, Tuning{BatchEdges: 4096, Linger: 2 * time.Millisecond},
 		AdaptiveConfig{Target: time.Millisecond, Hold: 3})
 }
 
@@ -19,11 +24,11 @@ func TestControllerDecreaseCascade(t *testing.T) {
 
 	// Two over-target batches are not enough (Hold = 3).
 	for i := 0; i < 2; i++ {
-		if c.Observe(0, 4096, slow) {
+		if c.observe(0, slow) {
 			t.Fatal("controller moved before Hold consecutive signals")
 		}
 	}
-	if !c.Observe(0, 4096, slow) {
+	if !c.observe(0, slow) {
 		t.Fatal("third consecutive congestion signal did not decrease")
 	}
 	tun := c.Tuning()
@@ -34,7 +39,7 @@ func TestControllerDecreaseCascade(t *testing.T) {
 	// Sustained congestion bottoms out at the floors: MinBatchEdges,
 	// base.Linger/8, MinAdmitFrac*queueCap.
 	for i := 0; i < 60; i++ {
-		c.Observe(0, 4096, slow)
+		c.observe(0, slow)
 	}
 	tun = c.Tuning()
 	if tun.BatchEdges != 256 {
@@ -49,7 +54,7 @@ func TestControllerDecreaseCascade(t *testing.T) {
 	// At the floors, further congestion is a no-op (not counted as a step).
 	dec, _ := c.Steps()
 	for i := 0; i < 3; i++ {
-		if c.Observe(0, 4096, slow) {
+		if c.observe(0, slow) {
 			t.Fatal("controller claimed to move while pinned at the floors")
 		}
 	}
@@ -67,7 +72,7 @@ func TestControllerHysteresisBand(t *testing.T) {
 
 	// In-band: latency between Target/2 and Target at moderate depth.
 	for i := 0; i < 20; i++ {
-		if c.Observe(100, 4096, 700*time.Microsecond) {
+		if c.observe(100, 700*time.Microsecond) {
 			t.Fatal("in-band batch moved the tuning")
 		}
 	}
@@ -78,11 +83,11 @@ func TestControllerHysteresisBand(t *testing.T) {
 	// Streak reset: 2 congestion signals, then an in-band batch, then 2
 	// more congestion signals — never Hold consecutive, so no movement.
 	slow := 5 * time.Millisecond
-	c.Observe(0, 4096, slow)
-	c.Observe(0, 4096, slow)
-	c.Observe(100, 4096, 700*time.Microsecond)
-	c.Observe(0, 4096, slow)
-	if c.Observe(0, 4096, slow) {
+	c.observe(0, slow)
+	c.observe(0, slow)
+	c.observe(100, 700*time.Microsecond)
+	c.observe(0, slow)
+	if c.observe(0, slow) {
 		t.Fatal("in-band batch did not reset the congestion streak")
 	}
 	if c.Tuning() != before {
@@ -100,14 +105,14 @@ func TestControllerIncreaseToCeiling(t *testing.T) {
 
 	// Drive all the way down...
 	for i := 0; i < 60; i++ {
-		c.Observe(0, 4096, slow)
+		c.observe(0, slow)
 	}
 	// ...then feed clear signals until the controller stops moving.
 	moved, rounds := true, 0
 	for moved && rounds < 1000 {
 		moved = false
 		for i := 0; i < 3; i++ {
-			if c.Observe(0, 256, fast) {
+			if c.observe(0, fast) {
 				moved = true
 			}
 		}
@@ -120,7 +125,7 @@ func TestControllerIncreaseToCeiling(t *testing.T) {
 	// Pinned at the ceiling, further clear signals are a no-op.
 	_, inc := c.Steps()
 	for i := 0; i < 3; i++ {
-		if c.Observe(0, 256, fast) {
+		if c.observe(0, fast) {
 			t.Fatal("controller exceeded or re-reported the static ceiling")
 		}
 	}
@@ -142,9 +147,9 @@ func TestControllerDepthSignals(t *testing.T) {
 
 	// Depth above HighWater*cap (0.75 * 1<<14 = 12288) congests.
 	deep := int64(13000)
-	c.Observe(deep, 4096, fast)
-	c.Observe(deep, 4096, fast)
-	if !c.Observe(deep, 4096, fast) {
+	c.observe(deep, fast)
+	c.observe(deep, fast)
+	if !c.observe(deep, fast) {
 		t.Fatal("deep queue with fast batches did not signal congestion")
 	}
 
@@ -153,7 +158,7 @@ func TestControllerDepthSignals(t *testing.T) {
 	mid := int64(8000)
 	before := c.Tuning()
 	for i := 0; i < 10; i++ {
-		if c.Observe(mid, 4096, fast) {
+		if c.observe(mid, fast) {
 			t.Fatal("mid-depth queue produced a clear signal")
 		}
 	}
@@ -166,13 +171,13 @@ func TestControllerDepthSignals(t *testing.T) {
 // defaults to (and never exceeds) the queue capacity, and MinBatchEdges
 // is clamped down to the base batch size so the floor is reachable.
 func TestNewControllerClamping(t *testing.T) {
-	c := NewController(1000, Tuning{BatchEdges: 4096, Linger: time.Millisecond, AdmitEdges: 5000},
+	c := newController(1000, Tuning{BatchEdges: 4096, Linger: time.Millisecond, AdmitEdges: 5000},
 		AdaptiveConfig{})
 	if got := c.AdmitEdges(); got != 1000 {
 		t.Fatalf("AdmitEdges not clamped to queueCap: got %d", got)
 	}
 
-	c = NewController(1000, Tuning{BatchEdges: 64, Linger: time.Millisecond}, AdaptiveConfig{})
+	c = newController(1000, Tuning{BatchEdges: 64, Linger: time.Millisecond}, AdaptiveConfig{})
 	if got := c.BatchEdges(); got != 64 {
 		t.Fatalf("base BatchEdges not honored: got %d", got)
 	}
@@ -180,7 +185,7 @@ func TestNewControllerClamping(t *testing.T) {
 	// to base: sustained congestion must leave BatchEdges at base, not
 	// try to halve below it.
 	for i := 0; i < 30; i++ {
-		c.Observe(0, 64, time.Minute)
+		c.observe(0, time.Minute)
 	}
 	if got := c.BatchEdges(); got != 64 {
 		t.Fatalf("MinBatchEdges floor not clamped to base: got %d", got)

@@ -10,6 +10,16 @@
 // so the pipeline never takes the caller's state lock itself and the
 // lock ordering remains the caller's business.
 //
+// The writer is one resumable function, Step, on an injected clock
+// (internal/clock; DESIGN.md §12.5 "Clocks"): each call does whatever is
+// due at the clock's now — gather queued requests into the open batch,
+// apply one chunk, run a background tick, drain for a stop — and returns
+// when it next needs to run. On the wall clock Start launches a
+// goroutine that calls Step and sleeps until that time, an Enqueue or a
+// stop; on a clock its owner advances there is no goroutine and the
+// owner calls Step. There is no second implementation of admission,
+// gathering, chunking or the controller feed.
+//
 // Lifecycle: New builds the pipeline stopped; the caller publishes its
 // initial snapshot (epoch 1) and then calls Start. Close stops abruptly
 // (queued writes fail with ErrShuttingDown); Shutdown drains — every
@@ -21,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/graph"
 )
 
@@ -37,6 +48,11 @@ type Config struct {
 	// controller tunes the live knobs down under congestion. Nil keeps
 	// the classic fully-static pipeline.
 	Adaptive *AdaptiveConfig
+	// Clock is the clock the writer lingers, pauses and measures batch
+	// latency on; nil is the wall clock. A clock without a Timer (a
+	// clock.Virtual) makes the pipeline stepped: Start launches nothing
+	// and the clock's owner calls Step.
+	Clock clock.Clock
 }
 
 func (c Config) withDefaults() Config {
@@ -55,9 +71,10 @@ func (c Config) withDefaults() Config {
 // Applier is the store-side surface the pipeline drives. Apply ingests
 // one chunk and, on success, publishes a fresh snapshot, returning the
 // simulated batch cost and the published epoch. It runs on the single
-// writer goroutine; implementations do their own locking. Flush and
-// Scrub are the periodic background steps; failures are surfaced through
-// their own endpoints, so they return nothing.
+// writer (the goroutine, or the owner calling Step); implementations do
+// their own locking. Flush and Scrub are the periodic background steps;
+// failures are surfaced through their own endpoints, so they return
+// nothing.
 type Applier interface {
 	Apply(chunk []graph.Edge) (simNs int64, epoch uint64, err error)
 	Flush()
@@ -79,6 +96,9 @@ type Result struct {
 type Request struct {
 	edges []graph.Edge
 	done  chan Result
+	// Writer-side progress while the request sits in a batch.
+	res  Result
+	left int // edges not yet applied
 }
 
 // NewRequest wraps edges for enqueueing. The pipeline owns the slice
@@ -99,13 +119,16 @@ var (
 // never observe applied > accepted, or a queue depth that disagrees with
 // accepted - applied - dropped.
 type Stats struct {
-	Queued          int64
-	Epoch           uint64
-	EdgesAccepted   int64
-	EdgesApplied    int64
-	EdgesDropped    int64
-	BatchesApplied  int64
-	Rejected        int64
+	Queued         int64
+	Epoch          uint64
+	EdgesAccepted  int64
+	EdgesApplied   int64
+	EdgesDropped   int64
+	BatchesApplied int64
+	Rejected       int64
+	// LastBatchHostNs is the most recent batch's latency on the
+	// pipeline's clock: host time on the wall clock, the batch's
+	// simulated cost on a virtual one.
 	LastBatchHostNs int64
 	LastBatchSimNs  int64
 	LastBatchEdges  int64
@@ -123,17 +146,37 @@ type Stats struct {
 type Pipeline struct {
 	cfg   Config
 	ap    Applier
-	ctl   *Controller // nil: static knobs
-	queue chan *Request
+	ctl   *Controller // the live knobs; fed only when cfg.Adaptive is set
+	clk   clock.Clock
+	timer *clock.Timer // the goroutine's wake-up; nil: stepped by the clock's owner
 
 	stop    chan struct{}
 	stopped sync.Once
 	wg      sync.WaitGroup
+	// kick wakes the writer goroutine after an Enqueue (capacity 1: a
+	// pending kick already covers every request queued behind it).
+	kick chan struct{}
 
 	mu sync.Mutex
 	st Stats
 	// draining: graceful shutdown — reject new writes, apply queued ones.
 	draining bool
+	// queue holds admitted requests in arrival order, from qhead on.
+	queue []*Request
+	qhead int
+
+	// Writer state: touched only by whoever calls Step.
+	batch     []*Request   // the open batch, arrival order, from bhead on
+	bhead     int          // first request of the batch not fully applied
+	total     int          // edges gathered into the batch
+	deadline  time.Time    // when the open batch stops waiting for company
+	all       []graph.Edge // the closed batch's edges; nil while gathering
+	off       int          // edges of all already applied
+	buf       []graph.Edge // backing store of all for a multi-request batch
+	busyUntil time.Time    // end of the current write window or chunk pause
+	nextFlush time.Time    // zero: no background flush
+	nextScrub time.Time    // zero: no background scrub
+	finished  bool         // a stop has been fully served
 }
 
 // New builds a stopped pipeline. Call Start after the initial snapshot
@@ -141,51 +184,43 @@ type Pipeline struct {
 func New(cfg Config, ap Applier) *Pipeline {
 	cfg = cfg.withDefaults()
 	p := &Pipeline{
-		cfg:   cfg,
-		ap:    ap,
-		queue: make(chan *Request, cfg.QueueCap),
-		stop:  make(chan struct{}),
+		cfg:  cfg,
+		ap:   ap,
+		clk:  cfg.Clock,
+		stop: make(chan struct{}),
+		kick: make(chan struct{}, 1),
 	}
+	if p.clk == nil {
+		p.clk = clock.Wall()
+	}
+	// A static pipeline keeps its knobs in a controller too — one that is
+	// never fed, so they stay at the configured values.
+	var adaptive AdaptiveConfig
 	if cfg.Adaptive != nil {
-		p.ctl = NewController(cfg.QueueCap, Tuning{
-			BatchEdges: cfg.BatchEdges,
-			Linger:     cfg.Linger,
-			AdmitEdges: cfg.QueueCap,
-		}, *cfg.Adaptive)
+		adaptive = *cfg.Adaptive
 	}
+	p.ctl = newController(cfg.QueueCap, Tuning{
+		BatchEdges: cfg.BatchEdges,
+		Linger:     cfg.Linger,
+		AdmitEdges: cfg.QueueCap,
+	}, adaptive)
 	return p
 }
 
-// Controller returns the adaptive admission controller, nil when the
-// pipeline runs static knobs.
-func (p *Pipeline) Controller() *Controller { return p.ctl }
-
-// batchEdges reads the live write-window cap.
-func (p *Pipeline) batchEdges() int {
-	if p.ctl != nil {
-		return p.ctl.BatchEdges()
-	}
-	return p.cfg.BatchEdges
-}
-
-// linger reads the live batching linger.
-func (p *Pipeline) linger() time.Duration {
-	if p.ctl != nil {
-		return p.ctl.Linger()
-	}
-	return p.cfg.Linger
-}
-
-// admitEdges reads the live 429 admission threshold.
-func (p *Pipeline) admitEdges() int64 {
-	if p.ctl != nil {
-		return int64(p.ctl.AdmitEdges())
-	}
-	return int64(p.cfg.QueueCap)
-}
-
-// Start launches the writer goroutine.
+// Start arms the background ticks and, on a clock that can wake it,
+// launches the writer goroutine. A stepped pipeline starts nothing: its
+// owner calls Step.
 func (p *Pipeline) Start() {
+	now := p.clk.Now()
+	if p.cfg.FlushEvery > 0 {
+		p.nextFlush = now.Add(p.cfg.FlushEvery)
+	}
+	if p.cfg.ScrubEvery > 0 {
+		p.nextScrub = now.Add(p.cfg.ScrubEvery)
+	}
+	if p.timer = p.clk.Timer(); p.timer == nil {
+		return
+	}
 	p.wg.Add(1)
 	go p.loop()
 }
@@ -196,12 +231,10 @@ func (p *Pipeline) Stats() Stats {
 	p.mu.Lock()
 	st := p.st
 	p.mu.Unlock()
-	st.CurBatchEdges = int64(p.batchEdges())
-	st.CurLingerNs = int64(p.linger())
-	st.AdmitEdges = p.admitEdges()
-	if p.ctl != nil {
-		st.TuneDecreases, st.TuneIncreases = p.ctl.Steps()
-	}
+	st.CurBatchEdges = int64(p.ctl.BatchEdges())
+	st.CurLingerNs = int64(p.ctl.Linger())
+	st.AdmitEdges = int64(p.ctl.AdmitEdges())
+	st.TuneDecreases, st.TuneIncreases = p.ctl.Steps()
 	return st
 }
 
@@ -218,7 +251,7 @@ func (p *Pipeline) Publish() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.st.Epoch++
-	p.st.PublishedAtNs = time.Now().UnixNano()
+	p.st.PublishedAtNs = p.clk.Now().UnixNano()
 	return p.st.Epoch
 }
 
@@ -242,10 +275,16 @@ func (p *Pipeline) Draining() bool {
 func (p *Pipeline) Stopping() <-chan struct{} { return p.stop }
 
 // Close stops the pipeline abruptly: queued writes fail with
-// ErrShuttingDown. Returns once the writer goroutine has exited;
-// idempotent.
+// ErrShuttingDown. Returns once the stop has been served — by the writer
+// goroutine, or, on a stepped pipeline, by stepping it here (so the
+// caller must be the clock's owner). Idempotent.
 func (p *Pipeline) Close() {
 	p.stopped.Do(func() { close(p.stop) })
+	if p.timer == nil {
+		for !p.finished {
+			p.Step()
+		}
+	}
 	p.wg.Wait()
 }
 
@@ -257,16 +296,16 @@ func (p *Pipeline) Shutdown() {
 }
 
 // Enqueue reserves queue space for the request's edges and hands them to
-// the writer. Reservation and acceptance counting share one critical
-// section, so accepted >= applied + dropped + queued can never be
-// violated by an interleaved scrape. Returns ErrQueueFull when the
-// bounded queue is full — or, with the adaptive controller attached,
-// when the queue sits above its current admission threshold (always at
-// most QueueCap, so the channel reservation stays safe) — and
-// ErrShuttingDown once draining started.
+// the writer. Reservation, acceptance counting and the hand-over share
+// one critical section, so accepted >= applied + dropped + queued can
+// never be violated by an interleaved scrape and a drain never has to
+// wait for a request in flight between the two. Returns ErrQueueFull
+// when the bounded queue is full — or, with the adaptive controller
+// attached, when the queue sits above its current admission threshold
+// (always at most QueueCap) — and ErrShuttingDown once draining started.
 func (p *Pipeline) Enqueue(req *Request) error {
 	n := int64(len(req.edges))
-	admit := p.admitEdges()
+	admit := int64(p.ctl.AdmitEdges())
 	p.mu.Lock()
 	if p.draining {
 		p.mu.Unlock()
@@ -279,222 +318,255 @@ func (p *Pipeline) Enqueue(req *Request) error {
 	}
 	p.st.Queued += n
 	p.st.EdgesAccepted += n
+	p.queue = append(p.queue, req)
 	p.mu.Unlock()
-	// Cannot block: every request holds at least one edge's worth of
-	// reserved capacity and the channel is QueueCap deep.
-	p.queue <- req
+	select {
+	case p.kick <- struct{}{}:
+	default:
+	}
 	return nil
 }
 
-// loop is the single writer: it gathers queued requests into batches,
-// applies them through the Applier, and relies on the Applier to
-// republish after every batch so reads converge on fresh data.
+// loop is the wall-clock driver of Step: it sleeps until Step's wake
+// time, an Enqueue, or a stop, and steps again.
 func (p *Pipeline) loop() {
 	defer p.wg.Done()
-	var flushC <-chan time.Time
-	if p.cfg.FlushEvery > 0 {
-		t := time.NewTicker(p.cfg.FlushEvery)
-		defer t.Stop()
-		flushC = t.C
-	}
-	var scrubC <-chan time.Time
-	if p.cfg.ScrubEvery > 0 {
-		t := time.NewTicker(p.cfg.ScrubEvery)
-		defer t.Stop()
-		scrubC = t.C
-	}
+	defer p.timer.Stop()
 	for {
+		wake := p.Step()
+		if p.finished {
+			return
+		}
+		var wakeC <-chan time.Time
+		if !wake.IsZero() {
+			if !wake.After(p.clk.Now()) {
+				continue
+			}
+			p.timer.Reset(wake)
+			wakeC = p.timer.C()
+		}
 		select {
 		case <-p.stop:
-			if p.Draining() {
-				p.drainApplyOnStop()
-			} else {
-				p.drainOnStop()
-			}
-			return
-		case req := <-p.queue:
-			p.gatherAndApply(req)
-		case <-flushC:
-			// A tick racing shutdown is dropped: the graceful drain runs
-			// its own final Flush, and the abrupt path wants out now.
-			if p.stopRequested() {
-				continue
-			}
-			p.ap.Flush()
-		case <-scrubC:
-			// Same guard for background scrubs: a scrub is minutes of
-			// exclusive-lock work on a big store, and a tick that lands
-			// while stop/draining is already decided must not race the
-			// drain — it is cancelled, and an in-flight one (started
-			// before the drain) finishes on this goroutine before the
-			// stop case can be selected, so drain always waits for it.
-			if p.stopRequested() {
-				continue
-			}
-			p.ap.Scrub()
+		case <-p.kick:
+		case <-wakeC:
 		}
 	}
 }
 
-// stopRequested reports whether stop has been closed or a graceful
-// drain has begun — without blocking.
-func (p *Pipeline) stopRequested() bool {
+// stopClosed reports, without blocking, whether Close has been called.
+func (p *Pipeline) stopClosed() bool {
 	select {
 	case <-p.stop:
 		return true
 	default:
-	}
-	return p.Draining()
-}
-
-// gatherAndApply batches more requests behind the first one — up to
-// the live BatchEdges cap or until the live Linger expires — then
-// applies them.
-func (p *Pipeline) gatherAndApply(first *Request) {
-	reqs := []*Request{first}
-	total := len(first.edges)
-	linger := time.NewTimer(p.linger())
-	defer linger.Stop()
-gather:
-	for total < p.batchEdges() {
-		select {
-		case r := <-p.queue:
-			reqs = append(reqs, r)
-			total += len(r.edges)
-		case <-linger.C:
-			break gather
-		case <-p.stop:
-			break gather
-		}
-	}
-	p.applyAll(reqs)
-}
-
-// applyAll applies the gathered requests in arrival order, chunked into
-// BatchEdges-sized batches. Each chunk is one Applier.Apply call (one
-// write window ending in a snapshot publication), so a large ingest
-// becomes a sequence of short write windows with reads interleaving
-// between them.
-func (p *Pipeline) applyAll(reqs []*Request) {
-	var all []graph.Edge
-	for _, r := range reqs {
-		all = append(all, r.edges...)
-	}
-	results := make([]Result, len(reqs))
-	remaining := make([]int, len(reqs))
-	for i, r := range reqs {
-		remaining[i] = len(r.edges)
-	}
-	ri := 0 // first request not yet fully applied
-
-	fail := func(err error, lost int64) {
-		p.mu.Lock()
-		p.st.Queued -= lost
-		p.st.EdgesDropped += lost
-		p.mu.Unlock()
-		for ; ri < len(reqs); ri++ {
-			res := results[ri]
-			res.Err = err
-			reqs[ri].done <- res
-		}
-	}
-
-	for off := 0; off < len(all); {
-		// Re-read the live cap per chunk so adaptive tuning takes effect
-		// mid-request: a long ingest shrinks its own write windows once
-		// the controller reacts to the first slow chunks.
-		end := off + p.batchEdges()
-		if end > len(all) {
-			end = len(all)
-		}
-		chunk := all[off:end]
-		off = end
-
-		hostStart := time.Now()
-		simNs, epoch, err := p.ap.Apply(chunk)
-		if err != nil {
-			// The failed chunk and everything behind it is dropped:
-			// dequeued without application.
-			fail(err, int64(len(all)-(off-len(chunk))))
-			return
-		}
-
-		hostNs := time.Since(hostStart).Nanoseconds()
-		p.mu.Lock()
-		p.st.Queued -= int64(len(chunk))
-		p.st.EdgesApplied += int64(len(chunk))
-		p.st.BatchesApplied++
-		p.st.LastBatchHostNs = hostNs
-		p.st.LastBatchSimNs = simNs
-		p.st.LastBatchEdges = int64(len(chunk))
-		queued := p.st.Queued
-		p.mu.Unlock()
-		if p.ctl != nil {
-			p.ctl.Observe(queued, len(chunk), time.Duration(hostNs))
-		}
-
-		// Credit the chunk to the requests it covered; a request is done
-		// when its last edge has been applied and published.
-		for n := len(chunk); n > 0 && ri < len(reqs); {
-			take := remaining[ri]
-			if take > n {
-				take = n
-			}
-			remaining[ri] -= take
-			n -= take
-			results[ri].SimNs += simNs
-			results[ri].Batches++
-			results[ri].Epoch = epoch
-			if remaining[ri] == 0 {
-				results[ri].Accepted = int64(len(reqs[ri].edges))
-				reqs[ri].done <- results[ri]
-				ri++
-			}
-		}
-
-		if p.cfg.BatchDelay > 0 && end < len(all) {
-			time.Sleep(p.cfg.BatchDelay)
-		}
+		return false
 	}
 }
 
-// drainOnStop releases every queued writer with a shutdown error — the
-// abrupt Close path.
-func (p *Pipeline) drainOnStop() {
-	for {
-		select {
-		case req := <-p.queue:
-			p.mu.Lock()
-			p.st.Queued -= int64(len(req.edges))
-			p.st.EdgesDropped += int64(len(req.edges))
-			p.mu.Unlock()
-			req.done <- Result{Err: ErrShuttingDown}
-		default:
-			return
+// Step is the single writer. It does what is due at the clock's now and
+// returns when it next needs to run (the zero time: not before the next
+// Enqueue or stop):
+//
+//   - a closed stop is served first: abruptly (every queued writer gets
+//     ErrShuttingDown) or, when draining, by applying everything queued
+//     without lingering, one chunk a call, then one final Flush;
+//   - inside a write window or chunk pause nothing happens until its end;
+//   - between batches a due background Flush or Scrub runs, unless a stop
+//     or drain has been requested: the graceful drain runs its own final
+//     Flush and a scrub is minutes of exclusive-lock work that must not
+//     start behind an already-decided shutdown;
+//   - queued requests join the open batch up to the live BatchEdges; the
+//     batch closes when it is full, when its linger deadline has passed,
+//     or when stopping, and then one chunk of at most the live BatchEdges
+//     — re-read per chunk, so adaptive tuning takes effect mid-request —
+//     is applied: one Applier.Apply call, one write window ending in a
+//     snapshot publication, with reads interleaving between windows.
+func (p *Pipeline) Step() time.Time {
+	now := p.clk.Now()
+	stop := p.stopClosed()
+	draining := p.Draining()
+	switch {
+	case p.finished:
+		return time.Time{}
+	case stop && !draining:
+		p.failQueued()
+		p.finished = true
+		return time.Time{}
+	case !stop && now.Before(p.busyUntil):
+		return p.busyUntil
+	}
+	if !stop && !draining && len(p.batch) == 0 {
+		p.tick(now)
+	}
+	if p.all == nil && !p.gather(now, stop) {
+		if stop && len(p.batch) == 0 {
+			p.ap.Flush()
+			p.finished = true
 		}
+		return p.idleWake()
+	}
+	p.applyChunk(stop)
+	return p.busyUntil
+}
+
+// tick runs the background Flush and Scrub that have come due.
+func (p *Pipeline) tick(now time.Time) {
+	if !p.nextFlush.IsZero() && !now.Before(p.nextFlush) {
+		p.ap.Flush()
+		p.nextFlush = p.clk.Now().Add(p.cfg.FlushEvery)
+	}
+	if !p.nextScrub.IsZero() && !now.Before(p.nextScrub) {
+		p.ap.Scrub()
+		p.nextScrub = p.clk.Now().Add(p.cfg.ScrubEvery)
 	}
 }
 
-// drainApplyOnStop is the graceful Shutdown path: every accepted write
-// — including one whose enqueuing goroutine is still between capacity
-// reservation and channel send — is applied normally, then a final
-// Flush makes everything durable. New writes were already fenced off by
-// the draining flag before stop closed, so the queued-edge count can
-// only fall.
-func (p *Pipeline) drainApplyOnStop() {
-	for {
-		select {
-		case req := <-p.queue:
-			p.applyAll([]*Request{req})
-		default:
-			if p.Stats().Queued == 0 {
-				p.ap.Flush()
-				return
-			}
-			// An accepted request is mid-enqueue; its channel send is
-			// imminent.
-			time.Sleep(100 * time.Microsecond)
+// idleWake is the next time Step has something to do unasked: the open
+// batch's linger deadline or, with no batch open, the earlier background
+// tick.
+func (p *Pipeline) idleWake() time.Time {
+	if len(p.batch) > 0 {
+		return p.deadline
+	}
+	wake := p.nextFlush
+	if wake.IsZero() || (!p.nextScrub.IsZero() && p.nextScrub.Before(wake)) {
+		wake = p.nextScrub
+	}
+	return wake
+}
+
+// gather moves queued requests into the open batch — up to the live
+// BatchEdges cap — and reports whether the batch is ready to apply: full,
+// lingered out, or the pipeline is stopping. A ready batch is closed:
+// its edges become all, in arrival order.
+func (p *Pipeline) gather(now time.Time, stop bool) bool {
+	limit := p.ctl.BatchEdges()
+	p.mu.Lock()
+	for p.total < limit && p.qhead < len(p.queue) {
+		r := p.queue[p.qhead]
+		p.queue[p.qhead] = nil
+		p.qhead++
+		r.left = len(r.edges)
+		p.batch = append(p.batch, r)
+		p.total += r.left
+	}
+	if p.qhead == len(p.queue) {
+		p.queue, p.qhead = p.queue[:0], 0
+	}
+	p.mu.Unlock()
+	if len(p.batch) == 0 {
+		return false
+	}
+	if p.deadline.IsZero() {
+		p.deadline = now.Add(p.ctl.Linger())
+	}
+	if p.total < limit && !stop && now.Before(p.deadline) {
+		return false
+	}
+	p.deadline = time.Time{}
+	if len(p.batch) == 1 {
+		p.all = p.batch[0].edges
+		return true
+	}
+	p.buf = p.buf[:0]
+	for _, r := range p.batch {
+		p.buf = append(p.buf, r.edges...)
+	}
+	p.all = p.buf
+	return true
+}
+
+// applyChunk applies the next chunk of the closed batch: one
+// Applier.Apply call, the counters and the controller fed with the
+// chunk's latency on the pipeline's clock, and the chunk credited to the
+// requests it covered — a request is done when its last edge has been
+// applied and published. An Apply error drops the failed chunk and
+// everything behind it in the batch, dequeued without application.
+func (p *Pipeline) applyChunk(stop bool) {
+	end := min(p.off+p.ctl.BatchEdges(), len(p.all))
+	chunk := p.all[p.off:end]
+	start := p.clk.Now()
+	simNs, epoch, err := p.ap.Apply(chunk)
+	p.busyUntil = p.clk.Done(start, time.Duration(simNs))
+	if err != nil {
+		p.failBatch(err, int64(len(p.all)-p.off))
+		return
+	}
+	p.off = end
+	lat := p.busyUntil.Sub(start)
+
+	p.mu.Lock()
+	p.st.Queued -= int64(len(chunk))
+	p.st.EdgesApplied += int64(len(chunk))
+	p.st.BatchesApplied++
+	p.st.LastBatchHostNs = lat.Nanoseconds()
+	p.st.LastBatchSimNs = simNs
+	p.st.LastBatchEdges = int64(len(chunk))
+	queued := p.st.Queued
+	p.mu.Unlock()
+	if p.cfg.Adaptive != nil {
+		p.ctl.observe(queued, lat)
+	}
+
+	for n := len(chunk); n > 0; {
+		r := p.batch[p.bhead]
+		take := min(r.left, n)
+		r.left -= take
+		n -= take
+		r.res.SimNs += simNs
+		r.res.Batches++
+		r.res.Epoch = epoch
+		if r.left == 0 {
+			r.res.Accepted = int64(len(r.edges))
+			r.done <- r.res
+			p.bhead++
 		}
+	}
+	if p.off == len(p.all) {
+		p.resetBatch()
+	} else if p.cfg.BatchDelay > 0 && !stop {
+		p.busyUntil = p.busyUntil.Add(p.cfg.BatchDelay)
+	}
+}
+
+// resetBatch forgets the finished (or failed) batch, keeping its slices.
+func (p *Pipeline) resetBatch() {
+	clear(p.batch)
+	p.batch, p.bhead, p.total = p.batch[:0], 0, 0
+	p.all, p.off = nil, 0
+	p.deadline = time.Time{}
+}
+
+// failBatch answers every request of the batch that is not fully
+// applied with err (keeping the progress it had made) and counts the
+// lost edges as dropped.
+func (p *Pipeline) failBatch(err error, lost int64) {
+	p.mu.Lock()
+	p.st.Queued -= lost
+	p.st.EdgesDropped += lost
+	p.mu.Unlock()
+	for _, r := range p.batch[p.bhead:] {
+		r.res.Err = err
+		r.done <- r.res
+	}
+	p.resetBatch()
+}
+
+// failQueued releases every writer the pipeline still holds — in the
+// batch or behind it in the queue — with a shutdown error: the abrupt
+// Close path.
+func (p *Pipeline) failQueued() {
+	p.failBatch(ErrShuttingDown, int64(p.total-p.off))
+	p.mu.Lock()
+	rest := p.queue[p.qhead:]
+	p.queue, p.qhead = nil, 0
+	for _, r := range rest {
+		p.st.Queued -= int64(len(r.edges))
+		p.st.EdgesDropped += int64(len(r.edges))
+	}
+	p.mu.Unlock()
+	for _, r := range rest {
+		r.done <- Result{Err: ErrShuttingDown}
 	}
 }
 

@@ -444,7 +444,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp.QueueCapEdges = int64(s.cl.QueueCap()) * int64(s.cl.Shards())
-	resp.SnapshotAgeMs = float64(time.Now().UnixNano()-lastPub) / 1e6
+	resp.SnapshotAgeMs = float64(s.cl.Clock().Now().UnixNano()-lastPub) / 1e6
 	writeJSON(w, resp)
 }
 

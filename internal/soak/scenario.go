@@ -2,9 +2,9 @@
 //
 // A Scenario is a complete, JSON-serializable description of one soak
 // run: the cluster shape, the open-loop load mix (zipfian reads,
-// bursty batched ingest, tenant skew), the virtual ingest-pipeline
-// knobs under test, a fault schedule, and the SLO the run is judged
-// against. Everything is derived from one seed, so a failing run's
+// bursty batched ingest, tenant skew), the ingest-pipeline and breaker
+// knobs the cluster is built with, a fault schedule, and the SLO the run
+// is judged against. Everything is derived from one seed, so a failing run's
 // dump replays bit-identically with `xpgraph soak -scenario X -seed N`.
 package soak
 
@@ -110,24 +110,24 @@ type Scenario struct {
 	OverloadFor  time.Duration `json:"overload_for,omitempty"`
 	OverloadMult int           `json:"overload_mult,omitempty"`
 
-	// BreakerSheds arms the per-shard overload circuit breaker in the
-	// virtual admission model (cluster.Breaker on the simulated clock,
-	// the same policy code the live pipeline runs): that many consecutive
+	// BreakerSheds arms the overload side of every shard's circuit
+	// breaker (cluster.Config.BreakerSheds): that many consecutive
 	// queue-full sheds open it, converting the 429 storm into typed
 	// circuit_open 503s until a half-open probe after BreakerCooldown is
-	// admitted. 0 leaves the breaker out of the model.
+	// admitted. 0 leaves the arm off.
 	BreakerSheds    int           `json:"breaker_sheds,omitempty"`
 	BreakerCooldown time.Duration `json:"breaker_cooldown,omitempty"`
 
-	// Virtual ingest-pipeline knobs under test (the admission model the
-	// harness enforces on the virtual clock; DESIGN.md §12.3). With
-	// Adaptive they are the AIMD controller's ceiling.
+	// Ingest-pipeline knobs under test: every shard's pipeline is built
+	// with them (cluster.Config; DESIGN.md §12.3). With Adaptive they are
+	// the AIMD controller's ceiling.
 	QueueCap   int           `json:"queue_cap"`
 	BatchEdges int           `json:"batch_edges"`
 	Linger     time.Duration `json:"linger"`
 	Adaptive   bool          `json:"adaptive"`
-	// Target is the AIMD applied-batch latency target on the simulated
-	// clock (only with Adaptive).
+	// Target is the AIMD applied-batch latency target, in simulated time:
+	// on the driver's clock a batch takes its simulated cost (only with
+	// Adaptive).
 	Target time.Duration `json:"target"`
 
 	// ScrapeEvery is the metrics/health scrape cadence.
@@ -248,10 +248,11 @@ func ByName(name string) (Scenario, error) {
 		// spike-free: the read tail is then driven by routine apply
 		// windows, whose length the live BatchEdges knob controls —
 		// the effect the static-vs-adaptive comparison measures.
-		// WritesPerSec follows from that window (DESIGN.md §12.3): in a
-		// burst, 8 x BurstMult writes/s of 132 us each keep 5 % of the
-		// time under one, so ~2 % of all reads meet a window and p99
-		// samples them.
+		// WritesPerSec was derived from that window (DESIGN.md §12.3) as 8
+		// x BurstMult writes/s of 133 us in a burst; the generator delivers
+		// 154 writes in 2 s, 1 % of reads meet a window, and the
+		// static-vs-adaptive comparison is therefore made on the mean read
+		// wait, not on p99.
 		return Scenario{
 			Name:          BurstyIngest,
 			Seed:          0x50A6_0002,
@@ -332,8 +333,9 @@ func ByName(name string) (Scenario, error) {
 			ZipfSkew:      0.8,
 			Tenants:       1,
 			// Overload: 40x the offered write rate for 600ms against a
-			// queue that holds only two write batches — arrivals outrun
-			// the linger-bound drain, so refusals come in streaks.
+			// queue that holds only two write batches — a 512-edge write
+			// lingers 2 ms for a 4096-edge batch it never fills, arrivals
+			// come every 625 us, so refusals come in streaks.
 			OverloadAt:   500 * time.Millisecond,
 			OverloadFor:  600 * time.Millisecond,
 			OverloadMult: 40,

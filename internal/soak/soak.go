@@ -17,20 +17,25 @@
 // carries the seed, the full scenario spec, and a Chrome trace of the
 // virtual timeline.
 //
-// # The virtual pipeline model
+// # Policy is the system's, measurement is the harness's
 //
-// The real per-shard ingest pipeline batches on the host clock, which
-// would make latencies scheduling-dependent. The harness instead pins
-// the real pipeline wide open (one Apply per request, no background
-// ticks) and enforces the batching/admission knobs under test — Queue
-// Cap, BatchEdges, Linger, and optionally the AIMD adaptive controller
-// (ingest.Controller, the same policy code the live pipeline runs) —
-// on the virtual clock: each admitted write part becomes one or more
-// exclusive write windows on its owner shard, sized by the live
-// BatchEdges knob and costed by the store's real simulated apply time;
-// reads arriving inside a window wait for its end. That is exactly the
-// reader-behind-the-write-lock wait the adaptive controller exists to
-// shrink, reproduced deterministically.
+// The cluster is built with the scenario's own QueueCap, BatchEdges,
+// Linger, adaptive controller and overload breaker, on a virtual clock
+// the driver owns (DESIGN.md §12.5 "Clocks"). A stepped cluster starts
+// no writer goroutines: writes go in through POST /v1/ingest/bin?async=1
+// — a 429 queue_full or a 503 circuit_open is the router's own answer —
+// and the event loop calls each shard's pipeline Step at the time it
+// asked to be woken, so admission, gathering, linger, chunking, the AIMD
+// feed and the breaker are the code production runs, not a model of it.
+//
+// What the harness keeps is what virtual time cannot give it. A shard is
+// its own machine: the chunk its pipeline applied at t occupies the
+// shard for the chunk's simulated cost, and a read arriving inside that
+// write window waits for its end — on the host there is a lock to wait
+// on, in virtual time the driver keeps the window list. And a write's
+// latency is arrival to applied, so the driver keeps admitted parts'
+// arrival times in admission order and retires them by the edge counts
+// the pipeline reports.
 package soak
 
 import (
@@ -41,9 +46,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -98,7 +105,7 @@ type Report struct {
 	EdgesShed     int64 `json:"edges_shed"`
 	WriteErrors   int64 `json:"write_errors"`
 
-	// Virtual overload-breaker transitions (Scenario.BreakerSheds).
+	// Circuit-breaker transitions, summed over the shards' breakers.
 	BreakerTrips  int64 `json:"breaker_trips,omitempty"`
 	BreakerCloses int64 `json:"breaker_closes,omitempty"`
 	BreakerProbes int64 `json:"breaker_probes,omitempty"`
@@ -110,6 +117,12 @@ type Report struct {
 	ReadP95Us float64 `json:"read_p95_us"`
 	ReadP99Us float64 `json:"read_p99_us"`
 	ReadMaxUs float64 `json:"read_max_us"`
+	// ReadWaitUs is the mean time a read spent waiting behind a write
+	// (or scrub) window, over all successful reads, the ones that met no
+	// window included: the reader-behind-the-writer wait the admission
+	// controller exists to shrink, as an average rather than an order
+	// statistic.
+	ReadWaitUs float64 `json:"read_wait_us"`
 	// TailReadP99Us is the p99 over reads arriving after the sustained
 	// overload window closed (0 without an overload phase).
 	TailReadP99Us float64 `json:"tail_read_p99_us,omitempty"`
@@ -157,19 +170,28 @@ func (r *rng) zipfIdx(n int, skew float64) int {
 // timeline: a read arriving inside it waits for end.
 type window struct{ start, end int64 }
 
-// pend is an admitted write part that has not virtually completed:
-// its edges count toward queue depth until done.
-type pend struct {
-	done  int64
-	edges int
-}
+// part is an admitted write part the shard's pipeline has not finished
+// with: when it arrived and how many of its edges are still queued.
+type part struct{ at, left int64 }
 
-// shardModel is one shard's virtual writer state.
-type shardModel struct {
-	busyUntil int64
-	windows   []window
-	pend      []pend
-	ctl       *ingest.Controller // nil when the scenario is static
+// never is the wake time of a shard with nothing scheduled.
+const never = int64(math.MaxInt64)
+
+// shardTimeline is what the driver measures about one shard; every
+// decision is the shard's own pipeline's.
+type shardTimeline struct {
+	// wake is when the pipeline next wants to be stepped.
+	wake int64
+	// windows are the write windows the pipeline applied (and scrub
+	// holds), in time order; free is the end of the last one.
+	windows []window
+	free    int64
+	// parts are the admitted parts in admission order — the order the
+	// pipeline applies them in — and inflight is their edges left.
+	parts    []part
+	inflight int64
+	// applied and dropped are the pipeline's counters when last read.
+	applied, dropped int64
 }
 
 // Runner executes one scenario. Build with newRunner via Run.
@@ -180,28 +202,22 @@ type runner struct {
 	// faults holds each shard leader's armed fault-injection handle
 	// (MediaGuard scenarios only).
 	faults []*xpsim.Faults
-	shards []*shardModel
-	// vbr holds each shard's virtual overload breaker (BreakerSheds
-	// scenarios only): the real cluster.Breaker policy clocked by the
-	// simulated time, so its trips are deterministic.
-	vbr []*cluster.Breaker
+	shards []*shardTimeline
 	// tailStart is when the sustained-overload window closes (-1 when
 	// the scenario has none); reads at or after it feed TailReadP99Us.
 	tailStart int64
 	rng       rng
-	now       int64 // virtual ns
+	now       int64         // virtual ns
+	clk       clock.Virtual // the cluster's clock, set to now at every event
+	// depthDrift sums, over the scrapes, how far /v1/metrics' queue depth
+	// was from the driver's own count of admitted-not-yet-applied edges.
+	depthDrift int64
 
-	// Observability surface: the soak registry carries the driver-side
-	// SLO histograms the scrape events gather; the tracer records the
-	// virtual timeline for the failure dump.
-	reg       *obs.Registry
+	// tracer records the virtual timeline for the failure dump.
 	tracer    *obs.Tracer
-	latHist   *obs.HistogramVec
-	shedCtr   *obs.Counter
-	brShedCtr *obs.Counter
-	errCtr    *obs.CounterVec
 	readLatNs []int64
 	tailLatNs []int64
+	waitNs    int64 // summed read waits behind write windows
 	writeLat  []int64
 
 	rep Report
@@ -256,14 +272,23 @@ func newRunner(sc Scenario) (*runner, error) {
 			return nil, fmt.Errorf("soak: building shard %d: %w", i, err)
 		}
 	}
-	// The real pipeline is pinned wide open — one Apply per request, no
-	// background ticks — so the harness's virtual model is the only
-	// batching in play and every request's simulated cost is exact.
+	r := &runner{
+		sc:        sc,
+		faults:    faults,
+		tailStart: -1,
+		rng:       rng{splitmix.Rand(sc.Seed)},
+		tracer:    obs.NewTracer(1 << 15),
+	}
 	ccfg := cluster.Config{
-		Replicas:   sc.Replicas,
-		QueueCap:   1 << 20,
-		BatchEdges: 1 << 20,
-		Linger:     time.Nanosecond,
+		Replicas:        sc.Replicas,
+		QueueCap:        sc.QueueCap,
+		BatchEdges:      sc.BatchEdges,
+		Linger:          sc.Linger,
+		Adaptive:        sc.Adaptive,
+		AdaptiveTarget:  sc.Target,
+		BreakerSheds:    sc.BreakerSheds,
+		BreakerCooldown: sc.BreakerCooldown,
+		Clock:           &r.clk,
 	}
 	if sc.Replicas > 0 {
 		ccfg.ReplicaFactory = func(shardID, replica int) (*core.Store, error) {
@@ -279,52 +304,14 @@ func newRunner(sc Scenario) (*runner, error) {
 		return nil, fmt.Errorf("soak: starting cluster: %w", err)
 	}
 
-	r := &runner{
-		sc:        sc,
-		cl:        cl,
-		faults:    faults,
-		tailStart: -1,
-		rng:       rng{splitmix.Rand(sc.Seed)},
-		tracer:    obs.NewTracer(1 << 15),
-		reg:       obs.NewRegistry(),
-	}
+	r.cl = cl
 	if sc.OverloadFor > 0 {
 		r.tailStart = int64(sc.OverloadAt + sc.OverloadFor)
 	}
-	if sc.BreakerSheds > 0 {
-		// The media arm is irrelevant on the virtual path (Ingest
-		// failures surface as write errors, not recordFailure calls);
-		// only the overload arm is exercised.
-		r.vbr = make([]*cluster.Breaker, sc.Shards)
-		for i := range r.vbr {
-			r.vbr[i] = cluster.NewBreaker(1<<30, sc.BreakerSheds, sc.BreakerCooldown)
-		}
-	}
-	r.latHist = obs.NewHistogramVec("soak_latency_seconds",
-		"Driver-observed request latency on the simulated clock.",
-		"op", obs.LogBuckets(1e-6, 2, 24))
-	r.shedCtr = obs.NewCounter("soak_shed_writes_total",
-		"Write parts shed by the virtual admission threshold (429).")
-	r.brShedCtr = obs.NewCounter("soak_breaker_shed_writes_total",
-		"Write parts refused by the open overload breaker (503 circuit_open).")
-	r.errCtr = obs.NewCounterVec("soak_errors_total",
-		"Error-envelope responses by code.", "code")
-	r.reg.Register(r.latHist)
-	r.reg.Register(r.shedCtr)
-	r.reg.Register(r.brShedCtr)
-	r.reg.Register(r.errCtr)
 
-	r.shards = make([]*shardModel, sc.Shards)
+	r.shards = make([]*shardTimeline, sc.Shards)
 	for i := range r.shards {
-		sm := &shardModel{}
-		if sc.Adaptive {
-			sm.ctl = ingest.NewController(sc.QueueCap, ingest.Tuning{
-				BatchEdges: sc.BatchEdges,
-				Linger:     sc.Linger,
-				AdmitEdges: sc.QueueCap,
-			}, ingest.AdaptiveConfig{Target: sc.Target})
-		}
-		r.shards[i] = sm
+		r.shards[i] = &shardTimeline{wake: never}
 	}
 
 	// Warm the graph before the clock starts so the zipfian head has
@@ -363,7 +350,6 @@ func newRunner(sc Scenario) (*runner, error) {
 
 	r.srv = server.NewCluster(cl, server.Config{
 		QueryThreads: 8,
-		QueueCap:     1 << 20,
 		Tracer:       obs.NewTracer(1 << 14),
 	})
 	r.rep = Report{
@@ -416,14 +402,12 @@ func (r *runner) inOverload(t int64) bool {
 	return t >= int64(sc.OverloadAt) && t < int64(sc.OverloadAt+sc.OverloadFor)
 }
 
-// vclock materializes the virtual ns clock as a time.Time for the
-// breaker policy (which takes explicit nows for exactly this reason).
-func (r *runner) vclock() time.Time { return time.Unix(0, r.now) }
-
 // drive runs the discrete-event loop to the horizon. Streams are
-// merged by next-fire time with a fixed tie order (faults, scrapes,
-// writes, reads) so the event sequence — and therefore the rng
-// consumption — is identical run to run.
+// merged by next-fire time with a fixed tie order (pipeline steps by
+// shard, faults, scrapes, writes, reads) so the event sequence — and
+// therefore the rng consumption — is identical run to run. A step that
+// is due comes first: what a pipeline would have done by t is done before
+// a request arriving at t sees the shard.
 func (r *runner) drive() {
 	sc := &r.sc
 	horizon := int64(sc.Horizon)
@@ -434,14 +418,8 @@ func (r *runner) drive() {
 	if sc.WritesPerSec > 0 {
 		writeBase = int64(time.Second) / int64(sc.WritesPerSec)
 	}
-	const never = int64(math.MaxInt64)
-	nextRead, nextWrite, nextScrape := never, never, never
-	if readBase > 0 {
-		nextRead = r.rng.jitter(readBase)
-	}
-	if writeBase > 0 {
-		nextWrite = r.rng.jitter(writeBase)
-	}
+	// A stream with no rate never fires (jitter of 0 is never).
+	nextRead, nextWrite, nextScrape := r.rng.jitter(readBase), r.rng.jitter(writeBase), never
 	if sc.ScrapeEvery > 0 {
 		nextScrape = int64(sc.ScrapeEvery)
 	}
@@ -451,8 +429,15 @@ func (r *runner) drive() {
 		if faultIdx < len(sc.Faults) {
 			nextFault = int64(sc.Faults[faultIdx].At)
 		}
-		t := nextFault
-		kind := 0
+		t, kind := never, 0
+		for si, sh := range r.shards {
+			if sh.wake < t {
+				t, kind = sh.wake, -1-si
+			}
+		}
+		if nextFault < t {
+			t, kind = nextFault, 0
+		}
 		if nextScrape < t {
 			t, kind = nextScrape, 1
 		}
@@ -463,11 +448,13 @@ func (r *runner) drive() {
 			t, kind = nextRead, 3
 		}
 		if t > horizon {
-			r.now = horizon
+			r.at(horizon)
 			return
 		}
-		r.now = t
+		r.at(t)
 		switch kind {
+		default:
+			r.step(-1 - kind)
 		case 0:
 			r.fault(sc.Faults[faultIdx])
 			faultIdx++
@@ -493,25 +480,27 @@ func (r *runner) drive() {
 	}
 }
 
+// at moves virtual time — the driver's and the cluster's — to t.
+func (r *runner) at(t int64) {
+	r.now = t
+	r.clk.Set(t)
+}
+
 // ---- HTTP plumbing (synchronous, in-process) ----
 
 // errEnvelope mirrors the server's uniform error body.
 type errEnvelope struct {
 	Error struct {
-		Code string `json:"code"`
+		Code  string `json:"code"`
+		Shard *int   `json:"shard"`
 	} `json:"error"`
 }
 
 // call serves one request through the real server stack and decodes
-// the response into out. A non-2xx response returns its envelope code.
-func (r *runner) call(method, path, contentType string, body []byte, out any) (code string) {
-	var rd *bytes.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	} else {
-		rd = bytes.NewReader(nil)
-	}
-	req := httptest.NewRequest(method, path, rd)
+// the response into out. A non-2xx response returns its envelope code
+// and the shard the envelope names (-1 when it names none).
+func (r *runner) call(method, path, contentType string, body []byte, out any) (code string, shard int) {
+	req := httptest.NewRequest(method, path, bytes.NewReader(body))
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
@@ -520,60 +509,88 @@ func (r *runner) call(method, path, contentType string, body []byte, out any) (c
 	if w.Code/100 != 2 {
 		var env errEnvelope
 		if json.Unmarshal(w.Body.Bytes(), &env) == nil && env.Error.Code != "" {
-			return env.Error.Code
+			if env.Error.Shard != nil {
+				return env.Error.Code, *env.Error.Shard
+			}
+			return env.Error.Code, -1
 		}
-		return fmt.Sprintf("http_%d", w.Code)
+		return fmt.Sprintf("http_%d", w.Code), -1
 	}
 	if out != nil {
 		if err := json.Unmarshal(w.Body.Bytes(), out); err != nil {
-			return "bad_body"
+			return "bad_body", -1
 		}
 	}
-	return ""
+	return "", -1
 }
 
-// ---- virtual shard model ----
+// ---- shard timelines ----
 
-// tuning reads shard si's live knob set.
-func (r *runner) tuning(si int) ingest.Tuning {
-	if ctl := r.shards[si].ctl; ctl != nil {
-		return ctl.Tuning()
+// step runs shard si's pipeline writer at the current virtual time and
+// records what it did: a chunk applied now is a write window from now
+// for the chunk's simulated cost.
+func (r *runner) step(si int) {
+	sh := r.shards[si]
+	sh.wake = never
+	if wake := r.cl.Shard(si).Step(); !wake.IsZero() {
+		sh.wake = max(wake.UnixNano(), r.now)
 	}
-	return ingest.Tuning{
-		BatchEdges: r.sc.BatchEdges,
-		Linger:     r.sc.Linger,
-		AdmitEdges: r.sc.QueueCap,
-	}
+	r.settle(si)
+	sh.wake = max(sh.wake, sh.free)
 }
 
-// depthAt returns shard si's virtual queue depth (admitted edges not
-// yet applied) at time t, retiring completed parts.
-func (r *runner) depthAt(si int, t int64) int64 {
-	sm := r.shards[si]
-	keep := sm.pend[:0]
-	var depth int64
-	for _, p := range sm.pend {
-		if p.done > t {
-			keep = append(keep, p)
-			depth += int64(p.edges)
+// settle reads shard si's pipeline counters and retires the parts they
+// say are done: a part whose last edge was applied by the window ending
+// at the shard's free time has its write latency; a dropped one (failed
+// apply, killed leader) has none.
+func (r *runner) settle(si int) {
+	sh := r.shards[si]
+	st := r.cl.Shard(si).PipeStats()
+	if n := st.EdgesApplied - sh.applied; n > 0 {
+		sh.applied = st.EdgesApplied
+		sh.free = r.now + st.LastBatchSimNs
+		sh.windows = append(sh.windows, window{r.now, sh.free})
+		r.tracer.EmitPhase("apply", int64(laneShard+si), r.now, st.LastBatchSimNs)
+		for _, at := range sh.retire(n) {
+			lat := sh.free - at
+			r.writeLat = append(r.writeLat, lat)
 		}
 	}
-	sm.pend = keep
-	return depth
+	if n := st.EdgesDropped - sh.dropped; n > 0 {
+		sh.dropped = st.EdgesDropped
+		sh.retire(n)
+	}
+}
+
+// retire takes n edges off the front of the admitted parts and returns
+// the arrival times of the parts that ended among them.
+func (sh *shardTimeline) retire(n int64) (ended []int64) {
+	sh.inflight -= n
+	for n > 0 && len(sh.parts) > 0 {
+		p := &sh.parts[0]
+		take := min(p.left, n)
+		p.left -= take
+		n -= take
+		if p.left == 0 {
+			ended = append(ended, p.at)
+			sh.parts = sh.parts[1:]
+		}
+	}
+	return ended
 }
 
 // waitAt returns how long a read arriving at t waits behind shard si's
 // exclusive write/scrub windows, pruning fully past ones.
 func (r *runner) waitAt(si int, pruneBefore, t int64) int64 {
-	sm := r.shards[si]
+	sh := r.shards[si]
 	i := 0
-	for i < len(sm.windows) && sm.windows[i].end <= pruneBefore {
+	for i < len(sh.windows) && sh.windows[i].end <= pruneBefore {
 		i++
 	}
 	if i > 0 {
-		sm.windows = append(sm.windows[:0], sm.windows[i:]...)
+		sh.windows = append(sh.windows[:0], sh.windows[i:]...)
 	}
-	for _, w := range sm.windows {
+	for _, w := range sh.windows {
 		if t >= w.start && t < w.end {
 			return w.end - t
 		}
@@ -611,7 +628,7 @@ func (r *runner) read() {
 		}
 		body, _ := json.Marshal(kreq)
 		var resp server.KHopResponse
-		code = r.call("POST", "/v1/query/khop", "application/json", body, &resp)
+		code, _ = r.call("POST", "/v1/query/khop", "application/json", body, &resp)
 		if code == "" {
 			costNs = int64(math.Round(resp.SimMs * 1e6))
 		}
@@ -624,7 +641,7 @@ func (r *runner) read() {
 		}
 	} else {
 		var resp server.NeighborsResponse
-		code = r.call("GET", fmt.Sprintf("/v1/vertices/%d/out", v), "", nil, &resp)
+		code, _ = r.call("GET", fmt.Sprintf("/v1/vertices/%d/out", v), "", nil, &resp)
 		if code == "" {
 			costNs = int64(math.Round(resp.SimUs * 1e3))
 		}
@@ -634,117 +651,81 @@ func (r *runner) read() {
 	if code != "" {
 		r.rep.ReadErrors++
 		r.rep.Errors[code]++
-		r.errCtr.With(code).Inc()
 		return
 	}
 	lat := waitNs + costNs
 	r.readLatNs = append(r.readLatNs, lat)
+	r.waitNs += waitNs
 	if r.tailStart >= 0 && r.now >= r.tailStart {
 		r.tailLatNs = append(r.tailLatNs, lat)
 	}
-	r.latHist.With("read").Observe(float64(lat) / 1e9)
 	if waitNs > 0 {
 		r.tracer.EmitPhase("read-wait", laneRead, r.now, lat)
 	}
 }
 
+// write posts one arrival through the real router, asynchronously: the
+// answer is the admission decision, the application happens when the
+// owner shards' pipelines are stepped. The router offers the batch's
+// parts to their owner shards in shard order and stops at the first that
+// refuses — a 429 from a full queue, a 503 from an open breaker or a dead
+// leader — so the parts before the refusing shard are in, its own and
+// the ones behind it are not.
 func (r *runner) write() {
 	sc := &r.sc
 	del := sc.DeleteFrac > 0 && r.rng.Float() < sc.DeleteFrac
-	// Split the arrival by owner shard; each part is admitted (or shed)
-	// against its shard's live threshold independently, like the real
-	// router does.
-	parts := make([][]graph.Edge, sc.Shards)
-	for i := 0; i < sc.WriteBatch; i++ {
+	edges := make([]graph.Edge, sc.WriteBatch)
+	parts := make([]int64, sc.Shards)
+	for i := range edges {
 		src := r.pickVertex()
 		dst := graph.VID(r.rng.intn(int(sc.Vertices)))
-		e := graph.Edge{Src: src, Dst: dst}
+		edges[i] = graph.Edge{Src: src, Dst: dst}
 		if del {
-			e = graph.Del(src, dst)
+			edges[i] = graph.Del(src, dst)
 		}
-		si := r.cl.Owner(src)
-		parts[si] = append(parts[si], e)
+		parts[r.cl.Owner(src)]++
 	}
-	for si, part := range parts {
-		if len(part) == 0 {
+	code, refused := r.call("POST", "/v1/ingest/bin?async=1", ingest.ContentTypeBatch,
+		ingest.EncodeBatch(edges, false), nil)
+	switch {
+	case code == "":
+		refused = sc.Shards
+	case refused < 0:
+		refused = 0
+	}
+	for si, n := range parts {
+		if n == 0 {
 			continue
 		}
 		r.rep.WriteParts++
-		r.rep.EdgesOffered += int64(len(part))
-		// An open overload breaker refuses the part up front — the typed
-		// 503 the live handler maps BreakerOpenError to — before the
-		// queue is even consulted.
-		if r.vbr != nil {
-			if ok, _ := r.vbr[si].Allow(r.vclock()); !ok {
-				r.rep.Shed503++
-				r.rep.EdgesShed += int64(len(part))
-				r.rep.Errors["circuit_open"]++
-				r.errCtr.With("circuit_open").Inc()
-				r.brShedCtr.Inc()
-				r.tracer.EmitPhase("shed-503", laneShed, r.now, 0)
-				continue
-			}
-		}
-		tun := r.tuning(si)
-		depth := r.depthAt(si, r.now)
-		if depth+int64(len(part)) > int64(tun.AdmitEdges) {
-			r.rep.Shed429++
-			r.rep.EdgesShed += int64(len(part))
-			r.shedCtr.Inc()
-			r.tracer.EmitPhase("shed-429", laneShed, r.now, 0)
-			if r.vbr != nil {
-				r.vbr[si].NoteShed(r.vclock())
-			}
+		r.rep.EdgesOffered += n
+		if si >= refused {
+			r.rep.EdgesShed += n
 			continue
 		}
-		if r.vbr != nil {
-			r.vbr[si].NoteAdmit()
+		r.rep.EdgesAccepted += n
+		sh := r.shards[si]
+		sh.parts = append(sh.parts, part{at: r.now, left: n})
+		sh.inflight += n
+		if sh.inflight > r.rep.MaxQueueDepthEdges {
+			r.rep.MaxQueueDepthEdges = sh.inflight
 		}
-		if d := depth + int64(len(part)); d > r.rep.MaxQueueDepthEdges {
-			r.rep.MaxQueueDepthEdges = d
-		}
-		sm := r.shards[si]
-		start := r.now + int64(tun.Linger)
-		if sm.busyUntil > start {
-			start = sm.busyUntil
-		}
-		failed := false
-		for off := 0; off < len(part); {
-			end := off + tun.BatchEdges
-			if end > len(part) {
-				end = len(part)
-			}
-			chunk := part[off:end]
-			var resp server.IngestResponse
-			code := r.call("POST", "/v1/ingest/bin", ingest.ContentTypeBatch,
-				ingest.EncodeBatch(chunk, false), &resp)
-			if code != "" {
-				r.rep.WriteErrors++
-				r.rep.Errors[code]++
-				r.errCtr.With(code).Inc()
-				failed = true
-				break
-			}
-			simNs := int64(math.Round(resp.SimMs * 1e6))
-			sm.windows = append(sm.windows, window{start, start + simNs})
-			r.tracer.EmitPhase("apply", int64(laneShard+si), start, simNs)
-			if sm.ctl != nil {
-				sm.ctl.Observe(depth, len(chunk), time.Duration(simNs))
-			}
-			start += simNs
-			off = end
-		}
-		if start > sm.busyUntil {
-			sm.busyUntil = start
-		}
-		if failed {
-			continue
-		}
-		sm.pend = append(sm.pend, pend{done: start, edges: len(part)})
-		r.rep.EdgesAccepted += int64(len(part))
-		lat := start - r.now
-		r.writeLat = append(r.writeLat, lat)
-		r.latHist.With("write").Observe(float64(lat) / 1e9)
+		// The Enqueue would have kicked the writer goroutine; the driver
+		// is the writer, as soon as the shard is free.
+		sh.wake = min(sh.wake, max(r.now, sh.free))
+	}
+	switch code {
+	case "":
+	case "queue_full":
+		r.rep.Shed429++
+		r.tracer.EmitPhase("shed-429", laneShed, r.now, 0)
+	case "circuit_open":
+		r.rep.Shed503++
+		r.rep.Errors[code]++
+		r.tracer.EmitPhase("shed-503", laneShed, r.now, 0)
+	default:
+		r.rep.WriteErrors++
+		r.rep.Errors[code]++
 	}
 }
 
@@ -755,6 +736,11 @@ func (r *runner) scrape() {
 	r.rep.Scrapes++
 	var m server.MetricsResponse
 	r.call("GET", "/v1/metrics", "", nil, &m)
+	counted := int64(0)
+	for _, sh := range r.shards {
+		counted += sh.inflight
+	}
+	r.depthDrift += max(m.QueueDepthEdges-counted, counted-m.QueueDepthEdges)
 	var h server.HealthzResponse
 	r.call("GET", "/v1/healthz", "", nil, &h)
 	if h.Status == "" {
@@ -769,12 +755,7 @@ func (r *runner) scrape() {
 		if len(sh.ReplicaEpochs) == 0 {
 			continue
 		}
-		minRep := sh.ReplicaEpochs[0]
-		for _, e := range sh.ReplicaEpochs[1:] {
-			if e < minRep {
-				minRep = e
-			}
-		}
+		minRep := slices.Min(sh.ReplicaEpochs)
 		if sh.Epoch > minRep {
 			if lag := int64(sh.Epoch - minRep); lag > r.rep.MaxReplicaLagEpochs {
 				r.rep.MaxReplicaLagEpochs = lag
@@ -805,25 +786,26 @@ func (r *runner) fault(op FaultOp) {
 			}
 		}
 	case "kill":
+		// The dead leader's pipeline fails what it still held.
 		r.cl.KillShard(op.Shard)
+		r.settle(op.Shard)
+		r.shards[op.Shard].wake = never
 	case "scrub":
 		var resp server.ScrubResponse
-		if code := r.call("POST", "/v1/scrub", "", nil, &resp); code != "" {
+		if code, _ := r.call("POST", "/v1/scrub", "", nil, &resp); code != "" {
 			r.rep.Errors[code]++
-			r.errCtr.With(code).Inc()
 			break
 		}
-		// A scrub holds every shard's write lock; model it as one
-		// exclusive window per shard (they scrub in parallel).
+		// A scrub holds every shard's write lock: one exclusive window
+		// per shard (they scrub in parallel), behind the write window the
+		// shard is in, and its pipeline is not stepped before it ends.
 		simNs := int64(math.Round(resp.SimMs * 1e6))
-		for _, sm := range r.shards {
-			start := r.now
-			if sm.busyUntil > start {
-				start = sm.busyUntil
-			}
-			sm.windows = append(sm.windows, window{start, start + simNs})
-			if start+simNs > sm.busyUntil {
-				sm.busyUntil = start + simNs
+		for _, sh := range r.shards {
+			start := max(r.now, sh.free)
+			sh.free = start + simNs
+			sh.windows = append(sh.windows, window{start, sh.free})
+			if sh.wake != never {
+				sh.wake = max(sh.wake, sh.free)
 			}
 		}
 	}
@@ -853,6 +835,9 @@ func (r *runner) finish() {
 	rep.ReadP95Us = float64(quantile(r.readLatNs, 0.95)) / 1e3
 	rep.ReadP99Us = float64(quantile(r.readLatNs, 0.99)) / 1e3
 	rep.ReadMaxUs = float64(quantile(r.readLatNs, 1)) / 1e3
+	if n := len(r.readLatNs); n > 0 {
+		rep.ReadWaitUs = float64(r.waitNs) / float64(n) / 1e3
+	}
 	rep.TailReadP99Us = float64(quantile(r.tailLatNs, 0.99)) / 1e3
 	rep.WriteP50Ms = float64(quantile(r.writeLat, 0.50)) / 1e6
 	rep.WriteP99Ms = float64(quantile(r.writeLat, 0.99)) / 1e6
@@ -861,24 +846,27 @@ func (r *runner) finish() {
 	if rep.FinalHealth == "" {
 		rep.FinalHealth = "ok"
 	}
-	for _, b := range r.vbr {
-		v := b.View(r.vclock())
-		rep.BreakerTrips += v.Trips
-		rep.BreakerCloses += v.Closes
-		rep.BreakerProbes += v.Probes
-	}
-	for si, sm := range r.shards {
-		tr := TuningReport{Shard: si}
-		tun := r.tuning(si)
-		tr.BatchEdges = tun.BatchEdges
-		tr.LingerUs = int64(tun.Linger / time.Microsecond)
-		tr.AdmitEdges = tun.AdmitEdges
-		if sm.ctl != nil {
-			tr.Decreases, tr.Increases = sm.ctl.Steps()
-		}
-		rep.FinalTuning = append(rep.FinalTuning, tr)
+	for si := range r.shards {
+		b := r.cl.Shard(si).Breaker()
+		rep.BreakerTrips += b.Trips
+		rep.BreakerCloses += b.Closes
+		rep.BreakerProbes += b.Probes
+		st := r.cl.Shard(si).PipeStats()
+		rep.FinalTuning = append(rep.FinalTuning, TuningReport{
+			Shard:      si,
+			BatchEdges: int(st.CurBatchEdges),
+			LingerUs:   st.CurLingerNs / int64(time.Microsecond),
+			AdmitEdges: int(st.AdmitEdges),
+			Decreases:  st.TuneDecreases,
+			Increases:  st.TuneIncreases,
+		})
 	}
 	rep.Violations = r.sc.SLO.check(*rep)
+	if r.depthDrift != 0 {
+		rep.Violations = append(rep.Violations, fmt.Sprintf(
+			"harness: /v1/metrics queue depth and the driver's admitted-not-applied count differ by %d edges over the scrapes",
+			r.depthDrift))
+	}
 }
 
 // check evaluates the SLO spec against a finished report.
@@ -949,11 +937,11 @@ func (r *runner) dump(dir string) error {
 		return err
 	}
 
-	var prom bytes.Buffer
-	if err := r.reg.WritePrometheus(&prom); err != nil {
-		return err
-	}
-	return os.WriteFile(base+".metrics.prom", prom.Bytes(), 0o644)
+	// The serving stack's own exposition: queue, tuning, breaker and
+	// device counters as a production scraper would have seen them last.
+	prom := httptest.NewRecorder()
+	r.srv.ServeHTTP(prom, httptest.NewRequest("GET", "/v1/metrics?format=prometheus", nil))
+	return os.WriteFile(base+".metrics.prom", prom.Body.Bytes(), 0o644)
 }
 
 // DumpFiles lists the artifact paths a failing run writes into dir.

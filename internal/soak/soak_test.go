@@ -11,37 +11,129 @@ import (
 
 // TestDeterministicReport pins the harness's replayability contract:
 // the same scenario with the same seed produces a bit-identical Report
-// — every latency quantile, counter, epoch and tuning step — across
-// two full runs of the real server/cluster/ingest/core stack.
+// — every latency quantile, counter, epoch, tuning step and breaker
+// transition — across two full runs of the real server/cluster/ingest/
+// core stack, whose pipelines, controller and breakers the driver steps
+// on its virtual clock.
 func TestDeterministicReport(t *testing.T) {
-	sc, err := ByName(ShortMix)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name, scenario string
+		adaptive       bool
+	}{
+		{"short-mix", ShortMix, false},
+		{"short-mix/adaptive", ShortMix, true},
+		{"bursty-ingest/static", BurstyIngest, false},
+		{"bursty-ingest/adaptive", BurstyIngest, true},
+		{"sustained-overload", SustainedOverload, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc, err := ByName(tc.scenario)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.Adaptive = tc.adaptive
+			if testing.Short() {
+				skipBenchScale(t, sc)
+				sc.Horizon = time.Second
+			}
+			a, err := Run(sc, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := Run(sc, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				aj, _ := json.Marshal(a)
+				bj, _ := json.Marshal(b)
+				t.Fatalf("same seed, different reports:\n run 1: %s\n run 2: %s", aj, bj)
+			}
+			if a.Failed() {
+				t.Fatalf("%s violated its SLO: %v", sc.Name, a.Violations)
+			}
+			if a.Reads == 0 || a.EdgesAccepted == 0 {
+				t.Fatalf("degenerate run: %d reads, %d edges accepted", a.Reads, a.EdgesAccepted)
+			}
+			if a.Scrapes == 0 {
+				t.Fatal("no metrics/health scrapes ran")
+			}
+		})
 	}
-	if testing.Short() {
-		sc.Horizon = time.Second
+}
+
+// skipBenchScale keeps -short (and the -race pass of scripts/check.sh)
+// off bursty-ingest: its 1.2M-edge warm load is bench scale whatever the
+// horizon. check.sh names these tests again without -short.
+func skipBenchScale(t *testing.T, sc Scenario) {
+	if sc.Name == BurstyIngest {
+		t.Skip("bench-scale warm load; run without -short")
 	}
-	a, err := Run(sc, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(sc, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		aj, _ := json.Marshal(a)
-		bj, _ := json.Marshal(b)
-		t.Fatalf("same seed, different reports:\n run 1: %s\n run 2: %s", aj, bj)
-	}
-	if a.Failed() {
-		t.Fatalf("%s violated its SLO: %v", sc.Name, a.Violations)
-	}
-	if a.Reads == 0 || a.EdgesAccepted == 0 {
-		t.Fatalf("degenerate run: %d reads, %d edges accepted", a.Reads, a.EdgesAccepted)
-	}
-	if a.Scrapes == 0 {
-		t.Fatal("no metrics/health scrapes ran")
+}
+
+// TestCountersAreTheClusters runs every builtin scenario and holds the
+// report to identities instead of plausibility: what the driver counted
+// from HTTP answers is what the cluster's own pipelines and breakers
+// counted, and the tuning it reports is the live controller's. (The
+// fifth identity — /v1/metrics' queue depth at every scrape equals the
+// driver's count of admitted-not-yet-applied edges — is checked by the
+// run itself and would be a "harness:" violation.)
+func TestCountersAreTheClusters(t *testing.T) {
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			sc, err := ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if testing.Short() {
+				skipBenchScale(t, sc)
+			}
+			r, err := newRunner(sc.withDefaults())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.srv.Shutdown()
+			r.drive()
+			r.finish()
+			rep := r.rep
+			for _, v := range rep.Violations {
+				if strings.HasPrefix(v, "harness:") {
+					t.Error(v)
+				}
+			}
+			var rejected, accepted, settled int64
+			var trips, closes, probes, refused int64
+			for i := 0; i < r.cl.Shards(); i++ {
+				st := r.cl.Shard(i).PipeStats()
+				rejected += st.Rejected
+				accepted += st.EdgesAccepted
+				settled += st.EdgesApplied + st.EdgesDropped + st.Queued
+				b := r.cl.Shard(i).Breaker()
+				trips, closes, probes, refused = trips+b.Trips, closes+b.Closes, probes+b.Probes, refused+b.Rejected
+				want := TuningReport{Shard: i, BatchEdges: int(st.CurBatchEdges), LingerUs: st.CurLingerNs / 1000,
+					AdmitEdges: int(st.AdmitEdges), Decreases: st.TuneDecreases, Increases: st.TuneIncreases}
+				if rep.FinalTuning[i] != want {
+					t.Errorf("shard %d: reported tuning %+v, the pipeline's is %+v", i, rep.FinalTuning[i], want)
+				}
+			}
+			if rep.Shed429 != rejected {
+				t.Errorf("driver saw %d queue_full answers, the pipelines rejected %d writes", rep.Shed429, rejected)
+			}
+			if rep.Shed503 != refused {
+				t.Errorf("driver saw %d circuit_open answers, the breakers refused %d writes", rep.Shed503, refused)
+			}
+			if rep.BreakerTrips != trips || rep.BreakerCloses != closes || rep.BreakerProbes != probes {
+				t.Errorf("breaker transitions %d/%d/%d, the shards' breakers say %d/%d/%d",
+					rep.BreakerTrips, rep.BreakerCloses, rep.BreakerProbes, trips, closes, probes)
+			}
+			if rep.EdgesAccepted != accepted || accepted != settled {
+				t.Errorf("driver counted %d edges admitted, the pipelines accepted %d = %d applied + dropped + queued",
+					rep.EdgesAccepted, accepted, settled)
+			}
+			if rep.EdgesAccepted+rep.EdgesShed != rep.EdgesOffered {
+				t.Errorf("offered %d edges, accepted %d + shed %d", rep.EdgesOffered, rep.EdgesAccepted, rep.EdgesShed)
+			}
+		})
 	}
 }
 
@@ -192,11 +284,12 @@ func TestSustainedOverloadBreaker(t *testing.T) {
 	}
 }
 
-// TestAdaptiveBeatsStatic is the tentpole claim at test scale: under
-// the bursty-ingest scenario the AIMD admission controller must cut
-// the p99 read latency by at least 1.2x vs the static defaults (the
-// soak experiment's adaptive_advantage row holds the same floor at bench
-// scale).
+// TestAdaptiveBeatsStatic is the admission controller's claim at test
+// scale, on the real pipeline: under the bursty-ingest scenario the
+// AIMD controller must cut the time readers wait behind the writer by at
+// least 1.2x vs the static defaults (the soak experiment's
+// adaptive_advantage row holds the same floor at bench scale; why the
+// mean wait and not the p99: DESIGN.md §12.3).
 func TestAdaptiveBeatsStatic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench-scale comparison; run without -short or via xpgraph bench -exp soak")
@@ -218,9 +311,9 @@ func TestAdaptiveBeatsStatic(t *testing.T) {
 		t.Fatalf("bursty scenario violated its own SLO: static %v adaptive %v",
 			static.Violations, adaptive.Violations)
 	}
-	if adaptive.ReadP99Us*1.2 > static.ReadP99Us {
-		t.Fatalf("adaptive p99 %.1fus is not >=1.2x better than static %.1fus",
-			adaptive.ReadP99Us, static.ReadP99Us)
+	if adaptive.ReadWaitUs*1.2 > static.ReadWaitUs {
+		t.Fatalf("readers wait %.3fus on average behind the adaptive writer, not >=1.2x less than the static one's %.3fus",
+			adaptive.ReadWaitUs, static.ReadWaitUs)
 	}
 	var tuned bool
 	for _, tr := range adaptive.FinalTuning {

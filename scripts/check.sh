@@ -67,6 +67,36 @@ fi
 go test -count=1 -run 'TestGoldenAccessSequence' ./internal/core/
 go test -count=1 -short -run 'TestReplaceChainTornKillKeepsArena|TestScrubCrashSweep|TestHeaderUECrash' ./internal/adj/ ./internal/scrubtest/
 
+echo "== one clock: no wall-clock read in a policy path; the stepped pipeline; soak on the real one"
+# Policy code reads time through internal/clock (DESIGN.md §12.5 "Clocks"),
+# so that what it decides can be stepped on virtual time. A host-clock call
+# in a non-test file under internal/, cmd/ or client/ fails here unless its
+# file is on this list, one reason a line.
+wall_clock_ok='
+internal/clock/clock.go          the wall clock itself
+internal/bench/wire.go           the one gated host-clock row (decode rates)
+internal/server/server.go        the HTTP latency histogram times the host
+internal/cluster/transport.go    chaos transport delays: goroutines, not stepped
+internal/cluster/replica.go      follower GapWait: goroutines, not stepped
+internal/cluster/shard.go        ship retry backoff: goroutines, not stepped
+internal/chaostest/chaostest.go  convergence wait on those goroutines
+client/client.go                 retry timer of a real network client
+'
+echo "$wall_clock_ok" | sed '/^$/d; s/^/  allowed: /'
+if git ls-files 'internal/*.go' 'cmd/*.go' 'client/*.go' | grep -v '_test\.go$' |
+    grep -vxF -f <(echo "$wall_clock_ok" | awk 'NF {print $1}') |
+    xargs grep -nE 'time\.(Now|Since|Until|Sleep|After|AfterFunc|Tick|NewTimer|NewTicker)\('; then
+    echo "a wall-clock read outside the allowlist above: take the time from a clock.Clock" >&2
+    exit 1
+fi
+# The writer as a step — gather, linger, chunking, busy windows, drain,
+# apply failure — on a virtual clock with no goroutine and no sleep; and the
+# soak reports, bit-identical per seed and equal to the cluster's own
+# counters, bursty-ingest (bench-scale warm load, skipped by -short above)
+# included. The nightly repeats the determinism test under -race -count=3.
+go test -count=1 -run 'TestStep' ./internal/ingest/
+go test -count=1 -run 'TestDeterministicReport|TestCountersAreTheClusters' ./internal/soak/
+
 echo "== allocation budgets of the archiving path + sub-graph balance"
 # A warmed shard stage allocates nothing and a warmed store at most 24
 # times per 2048-edge Ingest. shard.PartOf gives every sub-graph its share
