@@ -143,6 +143,7 @@ func TestCrashDoubleCrash(t *testing.T) {
 	if testing.Short() {
 		firstKills = []int64{m / 2}
 	}
+	t.Logf("first kills %v of %d media writes × 3 second crashes", firstKills, m)
 	for _, n := range firstKills {
 		plans2 := []xpsim.FaultPlan{
 			{KillAtSite: "flush:barrier"},

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/mem"
@@ -300,22 +301,47 @@ func (l *Log) flushSpans(ctx *xpsim.Ctx, base, size, pos, first, n int64) {
 // Read copies the edges with counters [from, to) into dst (wrapping
 // around the ring as needed) and returns dst. The range must still be
 // resident: from >= head-cap.
+//
+// The records leave the memory as one read per contiguous ring span of at
+// most one interleave stripe — cut where Stripe cuts — so the device sees
+// each XPLine once, as the sequential line-sized access the log was written
+// with (§III-B), not once per 8-byte record. The span buffer comes from a
+// pool: a buffer handed to a mem.Mem escapes, and Read has concurrent
+// callers (the window queries, scrub), so it can be neither on the stack
+// nor log-owned.
 func (l *Log) Read(ctx *xpsim.Ctx, from, to int64, dst []graph.Edge) []graph.Edge {
 	if from < l.head-l.cap || to > l.head || from > to {
 		panic(fmt.Sprintf("elog: read [%d,%d) outside resident window [%d,%d]", from, to, l.head-l.cap, l.head))
 	}
-	var rec [graph.EdgeBytes]byte
-	for i := from; i < to; i++ {
-		pos := i % l.cap
-		l.m.Read(ctx, l.base+pos*graph.EdgeBytes, rec[:])
-		dst = append(dst, graph.DecodeEdge(rec[:]))
+	buf := spanPool.Get().(*[stripeBytes]byte)
+	for at := from; at < to; {
+		end := l.cut(at, to, stripeBytes)
+		span := buf[:(end-at)*graph.EdgeBytes]
+		l.m.Read(ctx, l.base+at%l.cap*graph.EdgeBytes, span)
+		for i := 0; i < len(span); i += graph.EdgeBytes {
+			dst = append(dst, graph.DecodeEdge(span[i:]))
+		}
+		at = end
 	}
+	spanPool.Put(buf)
 	return dst
 }
+
+var spanPool = sync.Pool{New: func() any { return new([stripeBytes]byte) }}
 
 // stripeBytes is the interleave granularity of app-direct PMEM regions
 // (pmem.DefaultStripe): 4 KiB, 512 records.
 const stripeBytes = 4096
+
+// cut reports where the run of records starting at counter from ends when
+// it is cut at the next unit-aligned boundary of the ring's memory, at the
+// ring wrap and at to.
+func (l *Log) cut(from, to, unit int64) int64 {
+	pos := from % l.cap
+	off := l.base + pos*graph.EdgeBytes
+	n := (unit - off%unit + graph.EdgeBytes - 1) / graph.EdgeBytes
+	return from + min(n, l.cap-pos, to-from)
+}
 
 // Stripe reports where the run of records starting at counter from ends
 // when it is cut at the next interleave-stripe boundary of the ring's
@@ -323,11 +349,15 @@ const stripeBytes = 4096
 // lives on (-1 for uniform memory). Archiving cuts a batch there, so that
 // every piece can be read by a thread on the node that holds it.
 func (l *Log) Stripe(from, to int64) (end int64, node int) {
-	pos := from % l.cap
-	off := l.base + pos*graph.EdgeBytes
-	n := (stripeBytes - off%stripeBytes + graph.EdgeBytes - 1) / graph.EdgeBytes
-	n = min(n, l.cap-pos, to-from)
-	return from + n, l.m.NodeOf(off)
+	return l.cut(from, to, stripeBytes), l.m.NodeOf(l.base + from%l.cap*graph.EdgeBytes)
+}
+
+// Line is Stripe at XPLine granularity: where the run of records starting
+// at counter from ends when it is cut at the next XPLine boundary, at the
+// ring wrap and at to. Archiving cuts a stripe there when a node has more
+// archive threads than stripes to read.
+func (l *Log) Line(from, to int64) int64 {
+	return l.cut(from, to, xpsim.XPLineSize)
 }
 
 // RewindBuffered moves the DRAM mirror of the buffered cursor back to the

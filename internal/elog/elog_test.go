@@ -2,7 +2,9 @@ package elog
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -250,11 +252,139 @@ func TestStripeCutsAtInterleaveAndWrap(t *testing.T) {
 		if end < to && end%capEntries != 0 && off(end)/stripeBytes == off(at)/stripeBytes {
 			t.Fatalf("piece [%d,%d) stops inside its stripe", at, end)
 		}
+		// Line cuts the stripe the same way at XPLines.
+		for l0 := at; l0 < end; {
+			l1 := l.Line(l0, end)
+			if l1 <= l0 || off(l1-1)/xpsim.XPLineSize != off(l0)/xpsim.XPLineSize ||
+				l1 < end && off(l1)/xpsim.XPLineSize == off(l0)/xpsim.XPLineSize {
+				t.Fatalf("Line(%d, %d) = %d: not the rest of one XPLine", l0, end, l1)
+			}
+			l0 = l1
+		}
 		nodes[node] = true
 		at = end
 	}
 	if len(nodes) != 2 {
 		t.Fatalf("an interleaved log should have stripes on both nodes, saw %v", nodes)
+	}
+}
+
+// perRecordRead is the reference Read: one 8-byte memory read per record.
+func perRecordRead(l *Log, ctx *xpsim.Ctx, from, to int64) []graph.Edge {
+	var dst []graph.Edge
+	var rec [graph.EdgeBytes]byte
+	for i := from; i < to; i++ {
+		l.m.Read(ctx, l.base+i%l.cap*graph.EdgeBytes, rec[:])
+		dst = append(dst, graph.DecodeEdge(rec[:]))
+	}
+	return dst
+}
+
+// wrappedLog is a 1500-record log — its ring ends mid-line and mid-stripe —
+// on its own machine, two laps in, so that windows wrap.
+func wrappedLog(t *testing.T) (*Log, *xpsim.Machine) {
+	t.Helper()
+	const capEntries = 1500
+	l, _, ctx := testLog(t, capEntries, false)
+	for lap := 0; lap < 2; lap++ {
+		if _, err := l.Append(ctx, edges(capEntries, uint32(lap)*capEntries)); err != nil {
+			t.Fatal(err)
+		}
+		l.MarkBuffered(ctx, l.Head())
+		l.MarkFlushed(ctx, l.Head())
+	}
+	return l, lastMachine
+}
+
+// TestReadInLines: Read returns what the per-record loop returns and the
+// device sees the same bytes requested and the same lines read from media,
+// but one access per XPLine touched instead of one per record — across the
+// ring wrap, with partial first and last lines, inside one line, over the
+// whole ring.
+func TestReadInLines(t *testing.T) {
+	probe, _ := wrappedLog(t)
+	head, c := probe.Head(), probe.Cap()
+	windows := [][2]int64{
+		{head - c + 7, head - 5},       // partial first and last line, across the wrap
+		{head - 300, head - 200},       // across the wrap only
+		{head - 20, head - 13},         // inside one line
+		{head - c, head},               // the whole ring
+		{head - c + 33, head - c + 33}, // empty
+	}
+	for _, w := range windows {
+		lines := map[int64]bool{}
+		for i := w[0]; i < w[1]; i++ {
+			lines[(probe.base+i%c*graph.EdgeBytes)/xpsim.XPLineSize] = true
+		}
+		run := func(read func(l *Log, ctx *xpsim.Ctx) []graph.Edge) ([]graph.Edge, xpsim.Stats, int64) {
+			l, m := wrappedLog(t)
+			ctx := xpsim.NewCtx(0)
+			before := m.SnapshotStats()
+			got := read(l, ctx)
+			return got, m.SnapshotStats().Sub(before), ctx.Cost.Ns()
+		}
+		got, st, ns := run(func(l *Log, ctx *xpsim.Ctx) []graph.Edge { return l.Read(ctx, w[0], w[1], nil) })
+		want, ref, refNs := run(func(l *Log, ctx *xpsim.Ctx) []graph.Edge { return perRecordRead(l, ctx, w[0], w[1]) })
+		if len(got) != len(want) {
+			t.Fatalf("%v: %d edges, the per-record loop %d", w, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%v: edge %d = %v, the per-record loop %v", w, i, got[i], want[i])
+			}
+		}
+		if st.ReqReadBytes != ref.ReqReadBytes || st.MediaReadLines != ref.MediaReadLines {
+			t.Fatalf("%v: requested %d B and read %d media lines, the per-record loop %d B and %d lines", w, st.ReqReadBytes, st.MediaReadLines, ref.ReqReadBytes, ref.MediaReadLines)
+		}
+		if n := st.BufHits + st.BufMisses; n != int64(len(lines)) {
+			t.Fatalf("%v: %d XPBuffer accesses for %d XPLines touched", w, n, len(lines))
+		}
+		if ns > refNs || len(want) > 1 && len(lines) < len(want) && ns == refNs {
+			t.Fatalf("%v: %d sim-ns, the per-record loop %d", w, ns, refNs)
+		}
+	}
+}
+
+// TestReadAllocatesNothing: a warmed Read into a buffer with room allocates
+// nothing, though the span buffer it hands the memory escapes.
+func TestReadAllocatesNothing(t *testing.T) {
+	l, _ := wrappedLog(t)
+	ctx := xpsim.NewCtx(0)
+	dst := make([]graph.Edge, 0, l.Cap())
+	read := func() { dst = l.Read(ctx, l.Head()-l.Cap()+7, l.Head()-5, dst[:0]) }
+	read()
+	if allocs := testing.AllocsPerRun(20, read); allocs != 0 {
+		t.Fatalf("a warmed Read allocates %.0f times", allocs)
+	}
+}
+
+// TestConcurrentReads: readers of the log window share no scratch (run
+// under -race).
+func TestConcurrentReads(t *testing.T) {
+	l, _ := wrappedLog(t)
+	want := l.Read(xpsim.NewCtx(0), l.Head()-l.Cap(), l.Head(), nil)
+	var wg sync.WaitGroup
+	errs := make(chan string, 2)
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(node int) {
+			defer wg.Done()
+			ctx := xpsim.NewCtx(node)
+			for k := 0; k < 20; k++ {
+				got := l.Read(ctx, l.Head()-l.Cap(), l.Head(), nil)
+				for i := range want {
+					if got[i] != want[i] {
+						errs <- fmt.Sprintf("reader %d, pass %d: edge %d = %v, want %v", node, k, i, got[i], want[i])
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
 	}
 }
 

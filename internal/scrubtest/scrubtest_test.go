@@ -148,6 +148,7 @@ func TestScrubCrashSweep(t *testing.T) {
 		if testing.Short() {
 			stride = m / 6
 		}
+		t.Logf("varint=%v: kills at %d of %d media writes × 3 tear modes × %d tear seeds", varint, (m-1)/stride+1, m, *tearSeedsFlag)
 		for _, tear := range []xpsim.TearMode{xpsim.TearNone, xpsim.TearPrefix, xpsim.TearWords} {
 			for n := int64(1); n <= m; n += stride {
 				for k := 0; k < *tearSeedsFlag; k++ {

@@ -14,6 +14,9 @@ type Log interface {
 	// and shares one interleave stripe of the log's memory ends (at most
 	// to), and the NUMA node that stripe lives on (negative: none).
 	Stripe(from, to int64) (end int64, node int)
+	// Line reports where the run of records that starts at counter from and
+	// shares one XPLine of the log's memory ends (at most to).
+	Line(from, to int64) (end int64)
 	// Read appends the records [from, to) to dst.
 	Read(ctx *xpsim.Ctx, from, to int64, dst []graph.Edge) []graph.Edge
 }
@@ -53,7 +56,8 @@ func Of(d int, e graph.Edge) Entry {
 }
 
 // chunk is one piece of a batch: records [from, to) of the log, all in one
-// interleave stripe, read and scattered by one sharder.
+// interleave stripe — the whole stripe or a run of its XPLines — read and
+// scattered by one sharder.
 type chunk struct {
 	from, to int64
 	node     int // home of the stripe, negative: none
@@ -62,19 +66,21 @@ type chunk struct {
 
 // Stage is the shard stage of an archiving phase (§IV-A): it turns a batch
 // of logged edges into the per-(direction, partition, range) lists the
-// archive workers drain. The batch is cut at the log's interleave stripes
-// and every piece is handled by a sharder on the stripe's node, in three
-// steps with a barrier between them: read the piece and count its entries
-// per list; prefix-sum the counts in log order into write cursors; scatter
-// the entries to their cursors. The lists come out in log order — a
-// tombstone still follows its add — with no list ever growing and no two
-// sharders writing the same slot.
+// archive workers drain. The batch is cut at the log's interleave stripes —
+// and at its XPLines where a node has more sharders than stripes, so that
+// every sharder works — and every piece is handled by a sharder on the
+// stripe's node, in three steps with a barrier between them: read the
+// piece and count its entries per list; prefix-sum the counts in log order
+// into write cursors; scatter the entries to their cursors. The lists come
+// out in log order — a tombstone still follows its add — with no list ever
+// growing and no two sharders writing the same slot.
 //
 // A Stage owns all of its scratch and grows it to the largest batch seen,
 // so a steady-state batch allocates nothing. The store that owns the Stage
 // runs one phase at a time.
 type Stage struct {
 	chunks  []chunk
+	spare   []chunk      // assign's output, swapped with chunks
 	batch   []graph.Edge // the batch, in log order
 	entries []Entry      // every list, back to back
 	cursors []uint32     // [chunk][direction][list]: counts, then write cursors
@@ -82,18 +88,31 @@ type Stage struct {
 	ctxs    []xpsim.Ctx  // one per sharder, kept across the three steps
 	costs   []xpsim.Cost
 
-	perNode []nodeShare // chunk and sharder census, indexed by node+1
+	perNode []nodeShare // sharder and stripe census, indexed by node+1
 	byNode  []int       // sharders grouped by node
 
 	bal balancer
 }
 
-// nodeShare is the census of one NUMA node (index 0: no node).
+// nodeShare is the census of the sharders bound to one NUMA node and of
+// the stripes they read. Index 0 is the pool of all sharders: its census
+// counts the unbound ones, and it reads the stripes without a home and
+// those of nodes no sharder is bound to.
 type nodeShare struct {
-	chunks   int // chunks homed here
-	dealt    int // of those, already assigned
 	sharders int // sharders bound here
-	first    int // offset of the node's sharders in Stage.byNode
+	first    int // offset of those sharders in Stage.byNode
+	pool     int // sharders that read the stripes: the bound ones, or all
+	chunks   int // stripes the pool reads
+	lines    int // their XPLines, counted when chunks < pool
+	dealt    int // stripes (lines when cut) already assigned
+}
+
+// sharder is the i-th sharder of the pool ns.
+func (st *Stage) sharder(ns *nodeShare, i int) int {
+	if ns == &st.perNode[0] {
+		return i
+	}
+	return st.byNode[ns.first+i]
 }
 
 // Run shards the log records [from, to). It returns the 2*g.Lists() lists
@@ -102,7 +121,7 @@ type nodeShare struct {
 // the simulated duration of the stage: that of its slowest sharder.
 func (st *Stage) Run(log Log, from, to int64, g Geometry, sh Sharders) (lists [][]Entry, maxV graph.VID, ns int64) {
 	st.cut(log, from, to)
-	st.assign(sh)
+	st.assign(log, sh)
 	n := int(to - from)
 	nl := 2 * g.Lists()
 	st.batch = grow(st.batch, n)
@@ -188,11 +207,15 @@ func (st *Stage) cut(log Log, from, to int64) {
 }
 
 // assign binds every chunk to a sharder and resets the sharders' clocks.
-// The chunks homed on a node go to the sharders bound to that node, in
-// contiguous ascending runs of near-equal length; chunks without a home,
-// or whose node has no sharder (unbound stores, fewer threads than
-// sockets), are dealt the same way over all sharders.
-func (st *Stage) assign(sh Sharders) {
+// A stripe goes to a pool: the sharders bound to its node, or — for a
+// stripe without a home, or whose node has no sharder (DRAM logs, unbound
+// stores, fewer threads than sockets) — all sharders. Each pool takes its
+// stripes in contiguous ascending runs: whole stripes dealt near-equally
+// when it has at least as many stripes as sharders, else its stripes cut at
+// the log's XPLines into one run per sharder, the runs' lengths at most a
+// line apart (a line each when there are fewer lines than sharders). The
+// chunks stay in log order.
+func (st *Stage) assign(log Log, sh Sharders) {
 	st.ctxs = grow(st.ctxs, sh.N)
 	st.costs = grow(st.costs, sh.N)
 	st.byNode = grow(st.byNode, sh.N)
@@ -208,9 +231,6 @@ func (st *Stage) assign(sh Sharders) {
 	st.perNode = grow(st.perNode, nodes)
 	clear(st.perNode)
 	slot := func(node int) *nodeShare { return &st.perNode[max(node, -1)+1] }
-	for _, c := range st.chunks {
-		slot(c.node).chunks++
-	}
 	for t := range st.ctxs {
 		slot(st.ctxs[t].Node).sharders++
 	}
@@ -220,22 +240,54 @@ func (st *Stage) assign(sh Sharders) {
 	for i := range st.perNode {
 		at += st.perNode[i].sharders
 		st.perNode[i].first = at
+		st.perNode[i].pool = st.perNode[i].sharders
 	}
+	st.perNode[0].pool = sh.N
 	for t := sh.N - 1; t >= 0; t-- {
 		ns := slot(st.ctxs[t].Node)
 		ns.first--
 		st.byNode[ns.first] = t
 	}
-	for ci := range st.chunks {
-		c := &st.chunks[ci]
-		ns := slot(c.node)
-		if c.node < 0 || ns.sharders == 0 {
-			c.sharder = ns.dealt * sh.N / ns.chunks
-		} else {
-			c.sharder = st.byNode[ns.first+ns.dealt*ns.sharders/ns.chunks]
+	poolOf := func(node int) *nodeShare {
+		if ns := slot(node); ns.sharders > 0 {
+			return ns
 		}
-		ns.dealt++
+		return &st.perNode[0]
 	}
+	for _, c := range st.chunks {
+		poolOf(c.node).chunks++
+	}
+	for _, c := range st.chunks {
+		if ns := poolOf(c.node); ns.chunks < ns.pool {
+			for at := c.from; at < c.to; ns.lines++ {
+				at = log.Line(at, c.to)
+			}
+		}
+	}
+	st.spare = st.spare[:0]
+	for _, c := range st.chunks {
+		ns := poolOf(c.node)
+		if ns.chunks >= ns.pool {
+			c.sharder = st.sharder(ns, ns.dealt*ns.pool/ns.chunks)
+			ns.dealt++
+			st.spare = append(st.spare, c)
+			continue
+		}
+		// Run k holds the pool's lines [⌈k·lines/runs⌉, ⌈(k+1)·lines/runs⌉);
+		// a run that outlasts its stripe goes on in the pool's next one.
+		runs := min(ns.pool, ns.lines)
+		for at := c.from; at < c.to; {
+			run := ns.dealt * runs / ns.lines
+			next := ((run+1)*ns.lines + runs - 1) / runs
+			end := at
+			for ; end < c.to && ns.dealt < next; ns.dealt++ {
+				end = log.Line(end, c.to)
+			}
+			st.spare = append(st.spare, chunk{from: at, to: end, node: c.node, sharder: st.sharder(ns, run*ns.pool/runs)})
+			at = end
+		}
+	}
+	st.chunks, st.spare = st.spare, st.chunks
 }
 
 // grow returns s with length n, reallocating only when n exceeds every

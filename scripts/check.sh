@@ -97,13 +97,17 @@ fi
 go test -count=1 -run 'TestStep' ./internal/ingest/
 go test -count=1 -run 'TestDeterministicReport|TestCountersAreTheClusters' ./internal/soak/
 
-echo "== allocation budgets of the archiving path + sub-graph balance"
-# A warmed shard stage allocates nothing and a warmed store at most 24
-# times per 2048-edge Ingest. shard.PartOf gives every sub-graph its share
-# of an RMAT stream's out- and in-entries, inside each cluster shard too
-# and whether or not the IDs are scrambled. They ran above under -race as
-# well; this stanza names them.
-go test -count=1 -run 'TestSteadyStateIngestAllocations|TestStageSteadyStateAllocatesNothing|TestPartOf' ./internal/core/ ./internal/shard/
+echo "== archiving path: full-width shard stage, log read in XPLines, allocation budgets, sub-graph balance"
+# The shard stage cuts a batch across every archive thread of a node —
+# whole stripes when there are enough, else XPLine runs at most a line
+# apart — and the log is read one access per XPLine, not per record. A
+# warmed shard stage and a warmed log read allocate nothing and a warmed
+# store at most 19 times per 2048-edge Ingest (budgets checked without
+# -race, under which sync.Pool drops buffers). shard.PartOf gives every
+# sub-graph its share of an RMAT stream's out- and in-entries, inside each
+# cluster shard too and whether or not the IDs are scrambled. They ran
+# above under -race as well; this stanza names them.
+go test -count=1 -run 'TestStageCutsFullWidth|TestReadInLines|TestReadAllocatesNothing|TestSteadyStateIngestAllocations|TestStageSteadyStateAllocatesNothing|TestPartOf' ./internal/core/ ./internal/shard/ ./internal/elog/
 
 echo "== cluster router + failover (-race)"
 # The partitioned-cluster suite under the race detector: the 4-shard
