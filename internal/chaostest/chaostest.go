@@ -1,21 +1,21 @@
 // Package chaostest is the chaos differential harness (DESIGN.md §14.5):
 // it drives a partitioned cluster with replicas through a seeded chaos
 // schedule on the leader→replica shipping transport — drops, duplicates,
-// delays, reorders, partition windows — alongside a reference single
-// store fed the identical stream over a perfect network, then heals the
-// chaos and requires total convergence:
+// delays, reorders, partition windows — and feeds the identical stream to
+// a difftest.Model, then heals the chaos and requires total convergence:
 //
 //   - the ClusterView answers edge-for-edge, label-for-label, and
-//     property-for-property what the reference store answers;
-//   - every follower's own store converges with its leader the same way
-//     (through in-order apply, dedupe, reorder, or resync — the harness
-//     does not care which, only that the end state is exact);
+//     property-for-property what the model answers;
+//   - every follower's own store converges with its leader's the same way,
+//     in both directions, on every vertex (through in-order apply, dedupe,
+//     reorder, or resync — the harness does not care which, only that the
+//     end state is exact);
 //   - no follower is damaged: chaos is transport-level noise, and the
 //     replica state machine must classify all of it as transient.
 //
 // Everything is derived from one uint64 seed — the chaos plan, the
-// workload, the partition windows — so a failing run replays exactly
-// with `-chaostest.seed=<seed>`.
+// workload, the partition windows — so a failing run replays exactly from
+// the seed its subtest is named by.
 package chaostest
 
 import (
@@ -25,10 +25,10 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/pmem"
-	"repro/internal/prop"
 	"repro/internal/splitmix"
 	"repro/internal/xpsim"
 )
@@ -92,10 +92,13 @@ func derivePlan(seed uint64, links []chaos.Link, horizon uint64) *chaos.Plan {
 	return p
 }
 
+// numVertices is every store's initial vertex space.
+const numVertices = 1 << 10
+
 func newStore(name string) (*core.Store, error) {
 	m := xpsim.NewMachine(2, 256<<20, xpsim.DefaultLatency())
 	return core.New(m, pmem.NewHeap(m), nil, core.Options{
-		Name: name, NumVertices: 1 << 10, LogCapacity: 1 << 16,
+		Name: name, NumVertices: numVertices, LogCapacity: 1 << 16,
 		ArchiveThreshold: 1 << 8, ArchiveThreads: 2, Props: true})
 }
 
@@ -151,10 +154,7 @@ func Run(o Options) (Result, error) {
 	}
 	defer cl.Close()
 
-	ref, err := newStore("chaos-ref")
-	if err != nil {
-		return res, err
-	}
+	model := difftest.New()
 
 	// The workload, all derived from the seed: plain edges, a sprinkle
 	// of deletions of earlier plain edges, typed edges with two labels,
@@ -176,11 +176,8 @@ func Run(o Options) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	if id, err := ref.RegisterLabel("follows"); err != nil || id != follows {
-		return fail("reference label follows = %d, %v", id, err)
-	}
-	if id, err := ref.RegisterLabel("mentions"); err != nil || id != mentions {
-		return fail("reference label mentions = %d, %v", id, err)
+	if model.RegisterLabel("follows") != follows || model.RegisterLabel("mentions") != mentions {
+		return fail("label ids %d, %d, want the registration order", follows, mentions)
 	}
 	const typedN = 400
 	tEdges := make([]graph.Edge, typedN)
@@ -199,9 +196,9 @@ func Run(o Options) (Result, error) {
 		props[v] = graph.PropSet{V: uint32(v), Key: 1, Val: int64(splitmix.Mix(o.Seed^0x200^uint64(v)) % 100)}
 	}
 
-	// Interleave the three streams through the cluster and the
-	// reference in the same global order, so both end at the same
-	// last-write-wins state.
+	// Interleave the three streams through the cluster and the model in
+	// the same global order, so both end at the same last-write-wins
+	// state.
 	const chunk = 100
 	ti := 0
 	for off := 0; off < len(plain); off += chunk {
@@ -209,20 +206,14 @@ func Run(o Options) (Result, error) {
 		if _, err := cl.Ingest(plain[off:end], true); err != nil {
 			return fail("cluster ingest at %d: %v", off, err)
 		}
-		if _, err := ref.Ingest(plain[off:end]); err != nil {
-			return fail("reference ingest at %d: %v", off, err)
-		}
+		model.Ingest(plain[off:end])
 		if off/chunk%3 == 2 && ti < typedN {
 			te := min(ti+typedN/6, typedN)
 			if _, err := cl.IngestTyped(tEdges[ti:te], tLabels[ti:te], props[ti%len(props):min(te, len(props))]); err != nil {
 				return fail("cluster typed ingest: %v", err)
 			}
-			if _, err := ref.IngestTyped(tEdges[ti:te], tLabels[ti:te]); err != nil {
-				return fail("reference typed ingest: %v", err)
-			}
-			if err := ref.SetProps(props[ti%len(props) : min(te, len(props))]); err != nil {
-				return fail("reference props: %v", err)
-			}
+			model.IngestTyped(tEdges[ti:te], tLabels[ti:te])
+			model.SetProps(props[ti%len(props) : min(te, len(props))])
 			ti = te
 		}
 	}
@@ -231,9 +222,7 @@ func Run(o Options) (Result, error) {
 		if _, err := cl.Ingest(dels[off:end], true); err != nil {
 			return fail("cluster deletes: %v", err)
 		}
-		if _, err := ref.Ingest(dels[off:end]); err != nil {
-			return fail("reference deletes: %v", err)
-		}
+		model.Ingest(dels[off:end])
 	}
 
 	// Heal the fabric and ship one more batch through a now-perfect
@@ -243,9 +232,7 @@ func Run(o Options) (Result, error) {
 	if _, err := cl.Ingest(tail, true); err != nil {
 		return fail("post-heal ingest: %v", err)
 	}
-	if _, err := ref.Ingest(tail); err != nil {
-		return fail("reference post-heal ingest: %v", err)
-	}
+	model.Ingest(tail)
 
 	// Convergence: every follower running at its leader's epoch.
 	deadline := time.Now().Add(30 * time.Second)
@@ -288,17 +275,25 @@ func Run(o Options) (Result, error) {
 		return fail("chunk-id verification rejected %d messages on an honest fabric", res.Rep.Misroutes)
 	}
 
-	// Differential 1: the cluster view vs the reference store.
-	if err := compareView(cl, ref); err != nil {
-		return fail("cluster view vs reference: %v", err)
+	// Differential 1: the cluster view vs the model, and its vertex space
+	// vs the one a single store fed the stream would have.
+	cv := cl.AcquireView()
+	_, err = exact.Run(model, cv)
+	nv := cv.NumVertices()
+	cv.Release()
+	if err != nil {
+		return fail("cluster view: %v", err)
+	}
+	if want := max(numVertices, model.NumVertices()); nv != want {
+		return fail("cluster view: NumVertices = %d, want %d", nv, want)
 	}
 
-	// Differential 2: every follower store vs its leader store —
-	// edge-for-edge net adjacency, label-for-label, prop-for-prop.
+	// Differential 2: every follower store vs its leader store, both
+	// directions of every vertex — a shard's in-records are its own too.
 	for i := 0; i < cl.Shards(); i++ {
 		sh := cl.Shard(i)
 		for ri, r := range sh.Replicas() {
-			if err := compareStores(cl, i, sh.Store(), r.Store()); err != nil {
+			if _, err := exact.Run(sh.Store(), r.Store()); err != nil {
 				return fail("shard %d replica %d vs leader: %v", i, ri, err)
 			}
 		}
@@ -306,137 +301,17 @@ func Run(o Options) (Result, error) {
 
 	// Differential 3: kill one seed-chosen leader; its partition now
 	// serves from a chaos-survivor follower and the view must still
-	// answer exactly what the reference does.
+	// answer exactly what the model does.
 	cl.KillShard(int(splitmix.Mix(o.Seed^0x400) % uint64(cl.Shards())))
-	if err := compareView(cl, ref); err != nil {
-		return fail("post-leader-kill view vs reference: %v", err)
+	cv = cl.AcquireView()
+	defer cv.Release()
+	if _, err := exact.Run(model, cv); err != nil {
+		return fail("post-leader-kill view: %v", err)
 	}
 	return res, nil
 }
 
-// compareView checks the ClusterView against the reference store on
-// every vertex: out/in adjacency (order-free), typed out-neighbors with
-// their labels, and the per-vertex property.
-func compareView(cl *cluster.Cluster, ref *core.Store) error {
-	cv := cl.AcquireView()
-	defer cv.Release()
-	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
-	if got, want := cv.NumVertices(), ref.NumVertices(); got != want {
-		return fmt.Errorf("NumVertices = %d, want %d", got, want)
-	}
-	for v := graph.VID(0); v < ref.NumVertices(); v++ {
-		if err := sameSet("out", v, cv.NbrsOut(ctx, v, nil), ref.Nbrs(ctx, core.Out, v, nil)); err != nil {
-			return err
-		}
-		if err := sameSet("in", v, cv.NbrsIn(ctx, v, nil), ref.Nbrs(ctx, core.In, v, nil)); err != nil {
-			return err
-		}
-		got, err := typedOut(cv.VisitOutTyped, v)
-		if err != nil {
-			return err
-		}
-		want, err := typedOut(ref.VisitOutTyped, v)
-		if err != nil {
-			return err
-		}
-		if err := sameLabeled(v, got, want); err != nil {
-			return err
-		}
-		gv, gok, err := cv.VProp(v, 1)
-		if err != nil {
-			return err
-		}
-		wv, wok, err := ref.VProp(v, 1)
-		if err != nil {
-			return err
-		}
-		if gv != wv || gok != wok {
-			return fmt.Errorf("VProp(%d) = %d,%v, want %d,%v", v, gv, gok, wv, wok)
-		}
-	}
-	return nil
-}
-
-// compareStores checks one follower store against its leader on the
-// vertices the shard owns.
-func compareStores(cl *cluster.Cluster, shardID int, leader, rep *core.Store) error {
-	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
-	lt, rt := leader.Labels(), rep.Labels()
-	if len(lt) != len(rt) {
-		return fmt.Errorf("label table %v, leader %v", rt, lt)
-	}
-	for i := range lt {
-		if lt[i] != rt[i] {
-			return fmt.Errorf("label %d = %q, leader %q", i, rt[i], lt[i])
-		}
-	}
-	for v := graph.VID(0); v < leader.NumVertices(); v++ {
-		if cl.Owner(v) != shardID {
-			continue
-		}
-		if err := sameSet("out", v, rep.Nbrs(ctx, core.Out, v, nil), leader.Nbrs(ctx, core.Out, v, nil)); err != nil {
-			return err
-		}
-		got, err := typedOut(rep.VisitOutTyped, v)
-		if err != nil {
-			return err
-		}
-		want, err := typedOut(leader.VisitOutTyped, v)
-		if err != nil {
-			return err
-		}
-		if err := sameLabeled(v, got, want); err != nil {
-			return err
-		}
-		gv, gok, err := rep.VProp(v, 1)
-		if err != nil {
-			return err
-		}
-		wv, wok, err := leader.VProp(v, 1)
-		if err != nil {
-			return err
-		}
-		if gv != wv || gok != wok {
-			return fmt.Errorf("VProp(%d) = %d,%v, leader %d,%v", v, gv, gok, wv, wok)
-		}
-	}
-	return nil
-}
-
-func typedOut(visit func(*xpsim.Ctx, graph.VID, prop.Filter, func(uint32, uint16)) error, v graph.VID) (map[uint32]uint16, error) {
-	out := map[uint32]uint16{}
-	err := visit(xpsim.NewCtx(xpsim.NodeUnbound), v, prop.Filter{}, func(nbr uint32, lbl uint16) {
-		out[nbr] = lbl
-	})
-	return out, err
-}
-
-func sameLabeled(v graph.VID, got, want map[uint32]uint16) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("typed out(%d): %d neighbors, want %d", v, len(got), len(want))
-	}
-	for nbr, lbl := range want {
-		if got[nbr] != lbl {
-			return fmt.Errorf("typed out(%d) nbr %d label %d, want %d", v, nbr, got[nbr], lbl)
-		}
-	}
-	return nil
-}
-
-// sameSet compares two neighbor lists as multisets.
-func sameSet(dir string, v graph.VID, got, want []uint32) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("%s(%d): %d neighbors %v, want %d %v", dir, v, len(got), got, len(want), want)
-	}
-	count := map[uint32]int{}
-	for _, n := range want {
-		count[n]++
-	}
-	for _, n := range got {
-		count[n]--
-		if count[n] < 0 {
-			return fmt.Errorf("%s(%d): unexpected neighbor %d (got %v, want %v)", dir, v, n, got, want)
-		}
-	}
-	return nil
-}
+// exact compares adjacency, labels and the one property key the workload
+// writes. Record counts are left out: a follower rebuilt from a snapshot
+// nets deletions the log shipped as tombstones.
+var exact = difftest.Compare{Labels: true, Props: []uint16{1}}

@@ -4,19 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/graph"
-	"repro/internal/xpsim"
+	"repro/internal/difftest"
 )
-
-// copyAdj deep-copies an adjacency accumulator so per-epoch expectations
-// stay frozen as later chunks land.
-func copyAdj(adj map[graph.VID][]uint32) map[graph.VID][]uint32 {
-	out := make(map[graph.VID][]uint32, len(adj))
-	for v, nbrs := range adj {
-		out[v] = append([]uint32(nil), nbrs...)
-	}
-	return out
-}
 
 // TestFailoverMidLagEpochMonotonic is the satellite-3 regression test:
 // kill a shard leader while its only replica is mid-lag (stalled with
@@ -50,32 +39,22 @@ func TestFailoverMidLagEpochMonotonic(t *testing.T) {
 	}()
 
 	// Feed chunks synchronously, recording the leader epoch and the
-	// cumulative expected adjacency after each one. Each chunk is one
+	// model of the stream so far after each one. Each chunk is one
 	// Apply (chunk < BatchEdges, sync round-trips), so these are exactly
 	// the epochs the replica will publish while catching up. Keep the
 	// chunk count under ReplicaQueue so the stalled follower never
 	// backpressures the leader.
 	all := testEdges(3000)
-	adjOut := map[graph.VID][]uint32{}
-	adjIn := map[graph.VID][]uint32{}
-	outAt := map[uint64]map[graph.VID][]uint32{1: {}} // epoch 1: initial empty publication
-	inAt := map[uint64]map[graph.VID][]uint32{1: {}}
+	m := difftest.New()
+	at := map[uint64]*difftest.Model{1: m.Clone()} // epoch 1: initial empty publication
 	const chunk = 300
 	for off := 0; off < len(all); off += chunk {
-		end := off + chunk
-		if end > len(all) {
-			end = len(all)
-		}
+		end := min(off+chunk, len(all))
 		if _, err := cl.Ingest(all[off:end], true); err != nil {
 			t.Fatalf("ingest chunk at %d: %v", off, err)
 		}
-		for _, e := range all[off:end] {
-			adjOut[e.Src] = append(adjOut[e.Src], e.Dst)
-			adjIn[graph.VID(e.Dst)] = append(adjIn[graph.VID(e.Dst)], uint32(e.Src))
-		}
-		epoch := sh.Epoch()
-		outAt[epoch] = copyAdj(adjOut)
-		inAt[epoch] = copyAdj(adjIn)
+		m.Ingest(all[off:end])
+		at[sh.Epoch()] = m.Clone()
 	}
 	finalEpoch := sh.Epoch()
 	if finalEpoch == 1 {
@@ -88,21 +67,14 @@ func TestFailoverMidLagEpochMonotonic(t *testing.T) {
 	// Leader dies with the replica maximally behind.
 	cl.KillShard(0)
 
-	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
 	checkAtEpoch := func(cv *ClusterView, epoch uint64) {
 		t.Helper()
-		wantOut, ok := outAt[epoch]
+		want, ok := at[epoch]
 		if !ok {
 			t.Fatalf("view pinned at epoch %d, which no applied chunk produced", epoch)
 		}
-		wantIn := inAt[epoch]
-		for v := graph.VID(0); v < 256; v++ {
-			if got := sorted(cv.NbrsOut(ctx, v, nil)); !equalU32(got, sorted(wantOut[v])) {
-				t.Fatalf("epoch %d: NbrsOut(%d) = %v, want %v", epoch, v, got, sorted(wantOut[v]))
-			}
-			if got := sorted(cv.NbrsIn(ctx, v, nil)); !equalU32(got, sorted(wantIn[v])) {
-				t.Fatalf("epoch %d: NbrsIn(%d) = %v, want %v", epoch, v, got, sorted(wantIn[v]))
-			}
+		if _, err := (difftest.Compare{}).Run(want, cv); err != nil {
+			t.Fatalf("epoch %d: %v", epoch, err)
 		}
 	}
 

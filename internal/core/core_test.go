@@ -2,10 +2,10 @@ package core
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mem"
@@ -29,64 +29,11 @@ func newStore(t *testing.T, opts Options) *Store {
 	return s
 }
 
-// reference builds plain adjacency maps from an edge stream with multiset
-// deletion semantics.
-type reference struct {
-	out, in map[graph.VID][]uint32
-}
-
-func buildReference(edges []graph.Edge) *reference {
-	r := &reference{out: map[graph.VID][]uint32{}, in: map[graph.VID][]uint32{}}
-	for _, e := range edges {
-		if e.IsDelete() {
-			r.out[e.Src] = removeOne(r.out[e.Src], e.Target())
-			r.in[e.Target()] = removeOne(r.in[e.Target()], e.Src)
-			continue
-		}
-		r.out[e.Src] = append(r.out[e.Src], e.Dst)
-		r.in[e.Dst] = append(r.in[e.Dst], e.Src)
-	}
-	return r
-}
-
-func removeOne(s []uint32, v uint32) []uint32 {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == v {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
-}
-
-func sortedU32(u []uint32) []uint32 {
-	v := append([]uint32(nil), u...)
-	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
-	return v
-}
-
-func sameMultiset(a, b []uint32) bool {
-	a, b = sortedU32(a), sortedU32(b)
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func checkAgainstReference(t *testing.T, s *Store, ref *reference, numV graph.VID) {
+// checkModel holds s to the model exactly: every vertex, both directions.
+func checkModel(t *testing.T, s view.Source, m *difftest.Model) {
 	t.Helper()
-	ctx := xpsim.NewCtx(0)
-	for v := graph.VID(0); v < numV; v++ {
-		if got, want := s.NbrsOut(ctx, v, nil), ref.out[v]; !sameMultiset(got, want) {
-			t.Fatalf("vertex %d out: got %d nbrs %v, want %d %v", v, len(got), got, len(want), want)
-		}
-		if got, want := s.NbrsIn(ctx, v, nil), ref.in[v]; !sameMultiset(got, want) {
-			t.Fatalf("vertex %d in: got %d nbrs, want %d", v, len(got), len(want))
-		}
+	if _, err := (difftest.Compare{}).Run(m, s); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -103,12 +50,12 @@ func TestIngestSmall(t *testing.T) {
 	if rep.TotalNs() <= 0 {
 		t.Fatal("ingest must cost simulated time")
 	}
-	checkAgainstReference(t, s, buildReference(edges), 8)
+	checkModel(t, s, difftest.Of(edges))
 }
 
 func TestIngestRMATAllNUMAModes(t *testing.T) {
 	edges := gen.RMAT(10, 20000, 123)
-	ref := buildReference(edges)
+	ref := difftest.Of(edges)
 	for name, mode := range map[string]NUMAMode{"none": NUMANone, "outin": NUMAOutIn, "subgraph": NUMASubgraph} {
 		t.Run(name, func(t *testing.T) {
 			s := newStore(t, Options{Name: "n-" + name, NumVertices: 1024, LogCapacity: 1 << 14,
@@ -116,14 +63,14 @@ func TestIngestRMATAllNUMAModes(t *testing.T) {
 			if _, err := s.Ingest(edges); err != nil {
 				t.Fatal(err)
 			}
-			checkAgainstReference(t, s, ref, 1024)
+			checkModel(t, s, ref)
 		})
 	}
 }
 
 func TestIngestBufferModes(t *testing.T) {
 	edges := gen.RMAT(9, 8000, 5)
-	ref := buildReference(edges)
+	ref := difftest.Of(edges)
 	cases := map[string]Options{
 		"hier":    {Buffer: BufferHierarchical},
 		"fixed64": {Buffer: BufferFixed, MaxBufBytes: 64},
@@ -142,14 +89,14 @@ func TestIngestBufferModes(t *testing.T) {
 			if _, err := s.Ingest(edges); err != nil {
 				t.Fatal(err)
 			}
-			checkAgainstReference(t, s, ref, 512)
+			checkModel(t, s, ref)
 		})
 	}
 }
 
 func TestIngestVolatileMedia(t *testing.T) {
 	edges := gen.RMAT(9, 8000, 6)
-	ref := buildReference(edges)
+	ref := difftest.Of(edges)
 	for name, medium := range map[string]Medium{"dram": MediumDRAM, "memmode": MediumMemoryMode} {
 		t.Run(name, func(t *testing.T) {
 			m, _ := testMachine()
@@ -161,7 +108,7 @@ func TestIngestVolatileMedia(t *testing.T) {
 			if _, err := s.Ingest(edges); err != nil {
 				t.Fatal(err)
 			}
-			checkAgainstReference(t, s, ref, 512)
+			checkModel(t, s, ref)
 		})
 	}
 }
@@ -175,10 +122,10 @@ func TestDeletions(t *testing.T) {
 	ctx := xpsim.NewCtx(0)
 	got := s.NbrsOut(ctx, 0, nil)
 	// One of the two 0->1 edges is deleted; del(0,9) has no match.
-	if !sameMultiset(got, []uint32{1, 2}) {
+	if !difftest.SameMultiset(got, []uint32{1, 2}) {
 		t.Fatalf("out(0) = %v, want {1,2}", got)
 	}
-	if in := s.NbrsIn(ctx, 1, nil); !sameMultiset(in, []uint32{0}) {
+	if in := s.NbrsIn(ctx, 1, nil); !difftest.SameMultiset(in, []uint32{0}) {
 		t.Fatalf("in(1) = %v, want {0}", in)
 	}
 }
@@ -196,7 +143,7 @@ func TestLogWrapsAndFlushes(t *testing.T) {
 	if rep.FlushAlls == 0 {
 		t.Fatal("tiny log must force flush-all phases")
 	}
-	checkAgainstReference(t, s, buildReference(edges), 256)
+	checkModel(t, s, difftest.Of(edges))
 }
 
 func TestPoolPressureForcesFlush(t *testing.T) {
@@ -210,7 +157,7 @@ func TestPoolPressureForcesFlush(t *testing.T) {
 	if rep.FlushAlls == 0 {
 		t.Fatal("tiny pool must trigger pressure flushes")
 	}
-	checkAgainstReference(t, s, buildReference(edges), 1024)
+	checkModel(t, s, difftest.Of(edges))
 }
 
 func TestCrashRecovery(t *testing.T) {
@@ -236,14 +183,14 @@ func TestCrashRecovery(t *testing.T) {
 	if rep.SimNs <= 0 || rep.BlocksScanned == 0 {
 		t.Fatalf("suspicious recovery report: %+v", rep)
 	}
-	checkAgainstReference(t, rs, buildReference(edges), 512)
+	checkModel(t, rs, difftest.Of(edges))
 
 	// The recovered store keeps ingesting.
 	more := []graph.Edge{{Src: 1, Dst: 2}, {Src: 2, Dst: 3}}
 	if _, err := rs.Ingest(more); err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstReference(t, rs, buildReference(append(edges, more...)), 512)
+	checkModel(t, rs, difftest.Of(append(edges, more...)))
 }
 
 // Property: crash after an arbitrary ingest prefix loses nothing — the
@@ -277,17 +224,8 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ref := buildReference(prefix)
-		ctx := xpsim.NewCtx(0)
-		for v := graph.VID(0); v < 256; v++ {
-			if !sameMultiset(rs.NbrsOut(ctx, v, nil), ref.out[v]) {
-				return false
-			}
-			if !sameMultiset(rs.NbrsIn(ctx, v, nil), ref.in[v]) {
-				return false
-			}
-		}
-		return true
+		_, err = difftest.Compare{}.Run(difftest.Of(prefix), rs)
+		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
@@ -319,17 +257,17 @@ func TestViewInterfaces(t *testing.T) {
 	if got := s.LoggedEdges(ctx); len(got) != 3 {
 		t.Fatalf("logged edges = %d, want 3", len(got))
 	}
-	if got := s.NbrsLog(ctx, Out, 1, nil); !sameMultiset(got, []uint32{2, 3}) {
+	if got := s.NbrsLog(ctx, Out, 1, nil); !difftest.SameMultiset(got, []uint32{2, 3}) {
 		t.Fatalf("log out(1) = %v", got)
 	}
-	if got := s.NbrsLog(ctx, In, 1, nil); !sameMultiset(got, []uint32{4}) {
+	if got := s.NbrsLog(ctx, In, 1, nil); !difftest.SameMultiset(got, []uint32{4}) {
 		t.Fatalf("log in(1) = %v", got)
 	}
 	// Buffer them: they move to vertex buffers.
 	if err := s.BufferAllEdges(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.NbrsBuf(ctx, Out, 1, nil); !sameMultiset(got, []uint32{2, 3}) {
+	if got := s.NbrsBuf(ctx, Out, 1, nil); !difftest.SameMultiset(got, []uint32{2, 3}) {
 		t.Fatalf("buf out(1) = %v", got)
 	}
 	if got := s.NbrsFlush(ctx, Out, 1, nil); len(got) != 0 {
@@ -339,14 +277,14 @@ func TestViewInterfaces(t *testing.T) {
 	if err := s.FlushAllVbufs(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.NbrsFlush(ctx, Out, 1, nil); !sameMultiset(got, []uint32{2, 3}) {
+	if got := s.NbrsFlush(ctx, Out, 1, nil); !difftest.SameMultiset(got, []uint32{2, 3}) {
 		t.Fatalf("flush out(1) = %v after flush", got)
 	}
 	if got := s.NbrsBuf(ctx, Out, 1, nil); len(got) != 0 {
 		t.Fatalf("buf out(1) = %v after flush", got)
 	}
 	// The merged view is stable throughout.
-	if got := s.NbrsOut(ctx, 1, nil); !sameMultiset(got, []uint32{2, 3}) {
+	if got := s.NbrsOut(ctx, 1, nil); !difftest.SameMultiset(got, []uint32{2, 3}) {
 		t.Fatalf("merged out(1) = %v", got)
 	}
 }
@@ -424,7 +362,7 @@ func TestBatteryVariantIngests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstReference(t, s, buildReference(edges), 512)
+	checkModel(t, s, difftest.Of(edges))
 
 	// The battery variant should flush less: compare against standard.
 	s2 := newStore(t, Options{Name: "nobat", NumVertices: 512, LogCapacity: 1 << 10,
@@ -443,7 +381,7 @@ func TestSSDOverflowExtension(t *testing.T) {
 	// PMEM adjacency arena, ingestion overflows blocks onto the SSD tier
 	// and still answers queries correctly — just slower.
 	edges := gen.RMAT(10, 30000, 19)
-	ref := buildReference(edges)
+	ref := difftest.Of(edges)
 
 	m1, h1 := testMachine()
 	small, err := New(m1, h1, nil, Options{Name: "ssd", NumVertices: 1024,
@@ -456,7 +394,7 @@ func TestSSDOverflowExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstReference(t, small, ref, 1024)
+	checkModel(t, small, ref)
 	if small.SSDBytes() == 0 {
 		t.Fatal("expected adjacency blocks to spill onto the SSD tier")
 	}
@@ -526,17 +464,8 @@ func TestDeletionMixProperty(t *testing.T) {
 		if _, err := s.Ingest(edges); err != nil {
 			return false
 		}
-		ref := buildReference(edges)
-		ctx := xpsim.NewCtx(0)
-		for v := graph.VID(0); v < 64; v++ {
-			if !sameMultiset(s.NbrsOut(ctx, v, nil), ref.out[v]) {
-				return false
-			}
-			if !sameMultiset(s.NbrsIn(ctx, v, nil), ref.in[v]) {
-				return false
-			}
-		}
-		return true
+		_, err = difftest.Compare{}.Run(difftest.Of(edges), s)
+		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
@@ -554,7 +483,7 @@ func TestDynamicVertexGrowth(t *testing.T) {
 		t.Fatalf("store did not grow: %d vertices", s.NumVertices())
 	}
 	ctx := xpsim.NewCtx(0)
-	if got := s.NbrsOut(ctx, 100, nil); !sameMultiset(got, []uint32{2000}) {
+	if got := s.NbrsOut(ctx, 100, nil); !difftest.SameMultiset(got, []uint32{2000}) {
 		t.Fatalf("out(100) = %v", got)
 	}
 }
@@ -571,7 +500,7 @@ func TestBufferEdgesInterface(t *testing.T) {
 		t.Fatalf("pending after BufferEdges = %d", s.Log().PendingBuffer())
 	}
 	ctx := xpsim.NewCtx(0)
-	if got := s.NbrsBuf(ctx, Out, 1, nil); !sameMultiset(got, []uint32{2, 3}) {
+	if got := s.NbrsBuf(ctx, Out, 1, nil); !difftest.SameMultiset(got, []uint32{2, 3}) {
 		t.Fatalf("buffered out(1) = %v", got)
 	}
 }
@@ -592,7 +521,7 @@ func TestVisitMatchesNbrs(t *testing.T) {
 			if err := s.Visit(ctx, d, v, view.Opts{}, func(nbrs []uint32, _ []uint16) { got = append(got, nbrs...) }); err != nil {
 				t.Fatal(err)
 			}
-			if !sameMultiset(got, want) {
+			if !difftest.SameMultiset(got, want) {
 				t.Fatalf("vertex %d dir %d: visit %d records, Nbrs %d", v, d, len(got), len(want))
 			}
 		}
@@ -624,7 +553,7 @@ func TestVisitAfterRecoveryResolvesTombstones(t *testing.T) {
 	ctx := xpsim.NewCtx(0)
 	var got []uint32
 	rs.VisitOut(ctx, 1, func(n uint32) { got = append(got, n) })
-	if !sameMultiset(got, []uint32{3}) {
+	if !difftest.SameMultiset(got, []uint32{3}) {
 		t.Fatalf("post-recovery visit out(1) = %v, want {3}", got)
 	}
 }
@@ -646,7 +575,7 @@ func TestFourSocketMachine(t *testing.T) {
 	if _, err := s.Ingest(edges); err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstReference(t, s, buildReference(edges), 1024)
+	checkModel(t, s, difftest.Of(edges))
 	if err := s.FlushAllVbufs(); err != nil {
 		t.Fatal(err)
 	}
@@ -689,9 +618,10 @@ func TestEdgesExport(t *testing.T) {
 	ctx := xpsim.NewCtx(0)
 	got := map[graph.Edge]int{}
 	s.Edges(ctx, func(e graph.Edge) { got[e]++ })
-	ref := buildReference(stream)
+	ref := difftest.Of(stream)
 	var want int
-	for v, outs := range ref.out {
+	for v := graph.VID(0); v < ref.NumVertices(); v++ {
+		outs := ref.NbrsOut(ctx, v, nil)
 		want += len(outs)
 		for _, d := range outs {
 			if got[graph.Edge{Src: v, Dst: d}] == 0 {
@@ -823,7 +753,7 @@ func TestCompactAllAdjs(t *testing.T) {
 	if err := s.CompactAllAdjs(ctx); err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstReference(t, s, buildReference(edges), 256)
+	checkModel(t, s, difftest.Of(edges))
 	if _, err := s.Verify(ctx); err != nil {
 		t.Fatalf("verify after compact-all: %v", err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/mempool"
 	"repro/internal/xpsim"
@@ -83,5 +84,5 @@ func TestFlushDrainUsesEveryWorker(t *testing.T) {
 			}
 		}
 	}
-	checkAgainstReference(t, s, buildReference(edges), 1<<12)
+	checkModel(t, s, difftest.Of(edges))
 }

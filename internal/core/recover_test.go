@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mem"
@@ -32,7 +33,7 @@ func TestRecoveryAllNUMAModes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkAgainstReference(t, rs, buildReference(edges), 512)
+			checkModel(t, rs, difftest.Of(edges))
 		})
 	}
 }
@@ -62,10 +63,10 @@ func TestRecoveryWithDeletions(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := xpsim.NewCtx(0)
-	if got := rs.NbrsOut(ctx, 1, nil); !sameMultiset(got, []uint32{2, 4}) {
+	if got := rs.NbrsOut(ctx, 1, nil); !difftest.SameMultiset(got, []uint32{2, 4}) {
 		t.Fatalf("out(1) after recovery = %v, want {2,4}", got)
 	}
-	if got := rs.NbrsIn(ctx, 1, nil); !sameMultiset(got, []uint32{2}) {
+	if got := rs.NbrsIn(ctx, 1, nil); !difftest.SameMultiset(got, []uint32{2}) {
 		t.Fatalf("in(1) after recovery = %v, want {2}", got)
 	}
 }
@@ -130,7 +131,7 @@ func TestRecoveryRepeatedCrashes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstReference(t, r2, buildReference(append(part1, part2...)), 256)
+	checkModel(t, r2, difftest.Of(append(part1, part2...)))
 }
 
 func TestCrossProcessRecovery(t *testing.T) {
@@ -166,7 +167,7 @@ func TestCrossProcessRecovery(t *testing.T) {
 	if rep.BlocksScanned == 0 {
 		t.Fatal("recovery scanned nothing")
 	}
-	checkAgainstReference(t, rs, buildReference(edges), 512)
+	checkModel(t, rs, difftest.Of(edges))
 	if _, err := rs.Verify(xpsim.NewCtx(0)); err != nil {
 		t.Fatalf("verify after cross-process recovery: %v", err)
 	}
@@ -213,7 +214,7 @@ func TestRecoverRejectsWrongLogCapacity(t *testing.T) {
 	}
 	if rs, _, err := Recover(m, h, nil, opts); err != nil {
 		t.Fatalf("correct geometry must still recover: %v", err)
-	} else if got := rs.NbrsOut(xpsim.NewCtx(0), 1, nil); !sameMultiset(got, []uint32{2}) {
+	} else if got := rs.NbrsOut(xpsim.NewCtx(0), 1, nil); !difftest.SameMultiset(got, []uint32{2}) {
 		t.Fatalf("out(1) = %v, want {2}", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/xpsim"
@@ -51,16 +52,16 @@ func TestTombstoneOrderAcrossStripes(t *testing.T) {
 	check := func(s *Store, when string) {
 		t.Helper()
 		ctx := xpsim.NewCtx(0)
-		if got := s.NbrsOut(ctx, 5, nil); !sameMultiset(got, []uint32{9}) {
+		if got := s.NbrsOut(ctx, 5, nil); !difftest.SameMultiset(got, []uint32{9}) {
 			t.Errorf("%s: out(5) = %v, want {9}", when, got)
 		}
 		if got := s.NbrsOut(ctx, 6, nil); len(got) != 0 {
 			t.Errorf("%s: out(6) = %v, want none", when, got)
 		}
-		if got := s.NbrsIn(ctx, 9, nil); !sameMultiset(got, []uint32{5}) {
+		if got := s.NbrsIn(ctx, 9, nil); !difftest.SameMultiset(got, []uint32{5}) {
 			t.Errorf("%s: in(9) = %v, want {5}", when, got)
 		}
-		checkAgainstReference(t, s, buildReference(edges), 512)
+		checkModel(t, s, difftest.Of(edges))
 	}
 	check(s, "live")
 
@@ -121,7 +122,7 @@ func TestNbrsLogConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			ctx := xpsim.NewCtx(node)
 			for v := graph.VID(0); v < 64; v++ {
-				if got := s.NbrsLog(ctx, Out, v, nil); !sameMultiset(got, want[v]) {
+				if got := s.NbrsLog(ctx, Out, v, nil); !difftest.SameMultiset(got, want[v]) {
 					errs <- fmt.Errorf("reader %d: log out(%d) = %v, want %v", node, v, got, want[v])
 					return
 				}
@@ -192,9 +193,9 @@ func TestRecoveryScalesWithArchiveThreads(t *testing.T) {
 	}
 	wide, wideRep := recoverOn(16)
 	one, oneRep := recoverOn(1)
-	ref := buildReference(edges)
-	checkAgainstReference(t, wide, ref, 1<<12)
-	checkAgainstReference(t, one, ref, 1<<12)
+	ref := difftest.Of(edges)
+	checkModel(t, wide, ref)
+	checkModel(t, one, ref)
 	if wideRep.Replayed != oneRep.Replayed || wideRep.Replayed == 0 {
 		t.Fatalf("replayed %d edges on 16 threads, %d on 1", wideRep.Replayed, oneRep.Replayed)
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/graph"
 	"repro/internal/xpsim"
 )
@@ -28,27 +29,15 @@ func TestSoak(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			ref := &reference{out: map[graph.VID][]uint32{}, in: map[graph.VID][]uint32{}}
+			ref := difftest.New()
 			ctx := xpsim.NewCtx(0)
 			nextEdge := uint32(0) // unique (src,dst) pairs so recovery dedup is exact
 
 			type pendingSnap struct {
 				snap *Snapshot
-				out  map[graph.VID][]uint32
+				ref  *difftest.Model
 			}
 			var snaps []pendingSnap
-
-			apply := func(edges []graph.Edge) {
-				for _, e := range edges {
-					if e.IsDelete() {
-						ref.out[e.Src] = removeOne(ref.out[e.Src], e.Target())
-						ref.in[e.Target()] = removeOne(ref.in[e.Target()], e.Src)
-					} else {
-						ref.out[e.Src] = append(ref.out[e.Src], e.Dst)
-						ref.in[e.Dst] = append(ref.in[e.Dst], e.Src)
-					}
-				}
-			}
 
 			for op := 0; op < 60; op++ {
 				switch rng.Intn(10) {
@@ -56,10 +45,10 @@ func TestSoak(t *testing.T) {
 					n := 1 + rng.Intn(400)
 					batch := make([]graph.Edge, 0, n)
 					for i := 0; i < n; i++ {
-						if rng.Intn(8) == 0 && len(ref.out) > 0 {
-							// Delete a random live edge.
-							for v, outs := range ref.out {
-								if len(outs) > 0 {
+						if rng.Intn(8) == 0 {
+							// Delete a live edge of a random vertex that has one.
+							for v := graph.VID(rng.Intn(numV)); v < numV; v++ {
+								if outs := ref.NbrsOut(ctx, v, nil); len(outs) > 0 {
 									batch = append(batch, graph.Del(v, outs[rng.Intn(len(outs))]))
 									break
 								}
@@ -75,7 +64,7 @@ func TestSoak(t *testing.T) {
 					if _, err := s.Ingest(batch); err != nil {
 						t.Fatalf("op %d ingest: %v", op, err)
 					}
-					apply(batch)
+					ref.Ingest(batch)
 				case 5: // flush everything to PMEM
 					if err := s.FlushAllVbufs(); err != nil {
 						t.Fatalf("op %d flush: %v", op, err)
@@ -85,11 +74,7 @@ func TestSoak(t *testing.T) {
 						t.Fatalf("op %d compact: %v", op, err)
 					}
 				case 7: // take a snapshot of the current out-view
-					ps := pendingSnap{snap: s.Snapshot(ctx), out: map[graph.VID][]uint32{}}
-					for v, outs := range ref.out {
-						ps.out[v] = append([]uint32(nil), outs...)
-					}
-					snaps = append(snaps, ps)
+					snaps = append(snaps, pendingSnap{s.Snapshot(ctx), ref.Clone()})
 				case 8: // verify structural invariants
 					if _, err := s.Verify(ctx); err != nil {
 						t.Fatalf("op %d verify: %v", op, err)
@@ -107,25 +92,24 @@ func TestSoak(t *testing.T) {
 				// Spot-check a few random vertices against the model.
 				for i := 0; i < 4; i++ {
 					v := graph.VID(rng.Intn(numV))
-					if got := s.Nbrs(ctx, Out, v, nil); !sameMultiset(got, ref.out[v]) {
-						t.Fatalf("op %d: out(%d) = %d records, want %d", op, v, len(got), len(ref.out[v]))
-					}
-					if got := s.Nbrs(ctx, In, v, nil); !sameMultiset(got, ref.in[v]) {
-						t.Fatalf("op %d: in(%d) mismatch", op, v)
+					for d := Out; d <= In; d++ {
+						if got, want := s.Nbrs(ctx, d, v, nil), ref.Nbrs(ctx, d, v, nil); !difftest.SameMultiset(got, want) {
+							t.Fatalf("op %d: %v(%d) = %v, want %v", op, d, v, got, want)
+						}
 					}
 				}
 				// Check every live snapshot still reports its frozen view —
 				// including across flushes and compactions.
 				for si, ps := range snaps {
 					v := graph.VID(rng.Intn(numV))
-					if got := ps.snap.NbrsOut(ctx, v, nil); !sameMultiset(got, ps.out[v]) {
-						t.Fatalf("op %d snapshot %d: out(%d) drifted", op, si, v)
+					if got, want := ps.snap.NbrsOut(ctx, v, nil), ps.ref.NbrsOut(ctx, v, nil); !difftest.SameMultiset(got, want) {
+						t.Fatalf("op %d snapshot %d: out(%d) = %v, drifted from %v", op, si, v, got, want)
 					}
 				}
 			}
 
 			// Final full sweep.
-			checkAgainstReference(t, s, ref, numV)
+			checkModel(t, s, ref)
 			if _, err := s.Verify(ctx); err != nil {
 				t.Fatalf("final verify: %v", err)
 			}

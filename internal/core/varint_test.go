@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/xpsim"
@@ -14,7 +15,7 @@ import (
 // 4 bytes per record.
 func TestCompressedAdjIngest(t *testing.T) {
 	edges := gen.RMAT(10, 20000, 77)
-	ref := buildReference(edges)
+	ref := difftest.Of(edges)
 	s := newStore(t, Options{Name: "vz", NumVertices: 1024, LogCapacity: 1 << 14,
 		ArchiveThreshold: 1 << 10, ArchiveThreads: 8, CompressedAdj: true})
 	if _, err := s.Ingest(edges); err != nil {
@@ -23,7 +24,7 @@ func TestCompressedAdjIngest(t *testing.T) {
 	if err := s.FlushAllVbufs(); err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstReference(t, s, ref, 1024)
+	checkModel(t, s, ref)
 
 	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
 	if _, err := s.Verify(ctx); err != nil {
@@ -37,7 +38,7 @@ func TestCompressedAdjIngest(t *testing.T) {
 	if err := s.CompactAllAdjs(ctx); err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstReference(t, s, ref, 1024)
+	checkModel(t, s, ref)
 	ls := s.AdjLayout(ctx)
 	if ls.Records == 0 {
 		t.Fatal("layout reports no records")
@@ -66,11 +67,11 @@ func TestCompressedAdjRecover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	checkAgainstReference(t, r, buildReference(edges), 512)
+	checkModel(t, r, difftest.Of(edges))
 
 	more := gen.RMAT(9, 2000, 43)
 	if _, err := r.Ingest(more); err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstReference(t, r, buildReference(append(append([]graph.Edge{}, edges...), more...)), 512)
+	checkModel(t, r, difftest.Of(append(append([]graph.Edge{}, edges...), more...)))
 }

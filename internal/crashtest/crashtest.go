@@ -2,29 +2,32 @@
 // deterministic XPGraph workload against the fault-injecting device model
 // (xpsim.Faults), crashes the simulated machine at an injected point,
 // recovers a store from the durable image (pmem.Heap.CrashClone +
-// core.Recover), and checks the recovered store edge-for-edge against an
-// in-memory oracle restricted to the durable prefix of the edge log.
+// core.Recover), and holds the recovered store to difftest's prefix mode.
 //
 // The check exploits the log's prefix-durability guarantee: media writes
 // are totally ordered in the device model and every Append flushes its
 // ring records before publishing the head, so whatever head value the
 // durable image holds, exactly that prefix of the ingested edge stream is
-// durable. The oracle is therefore just the reference adjacency built
-// from edges[:recoveredHead] — no loss of flush-acknowledged edges, no
-// duplicates from replay, for any crash point.
+// durable — no loss of flush-acknowledged edges, no duplicates from
+// replay, for any crash point.
+//
+// Its Config and Build are the one store configuration of the
+// single-store harnesses: internal/scrubtest builds its MediaGuard stores
+// with them too.
 package crashtest
 
 import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/pmem"
 	"repro/internal/xpsim"
 )
 
-// Config describes one deterministic workload.
+// Config describes one deterministic workload and the store it runs on.
 type Config struct {
 	Name     string  // store/region name prefix
 	Scale    int     // vertex-ID space is 1<<Scale
@@ -36,6 +39,8 @@ type Config struct {
 	ArchiveThreshold int64
 	ArchiveThreads   int
 	NUMA             core.NUMAMode
+	MediaGuard       bool  // checksummed blocks and log, scrub, quarantine
+	ArchiveSSDBytes  int64 // MediaGuard's SSD edge archive (0 = none)
 
 	Chunk        int // edges per Ingest call (0 = all at once)
 	CompactEvery int // run CompactAllAdjs after every Nth chunk (0 = never)
@@ -50,7 +55,9 @@ type Config struct {
 	VarintFromRecovery bool
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults fills the zero fields: a 64-vertex, 1500-update workload
+// on a 1024-record log, archived by two threads in one chunk.
+func (c Config) WithDefaults() Config {
 	if c.Name == "" {
 		c.Name = "crash"
 	}
@@ -75,15 +82,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// workload generates the deterministic edge stream for a config.
-func (c Config) workload() []graph.Edge {
+// Workload generates the deterministic edge stream for a config.
+func (c Config) Workload() []graph.Edge {
 	if c.DelRatio > 0 {
 		return gen.Evolving(c.Scale, c.Edges, c.DelRatio, c.Seed)
 	}
 	return gen.RMAT(c.Scale, c.Edges, c.Seed)
 }
 
-func (c Config) storeOptions() core.Options {
+// Options is the store c describes.
+func (c Config) Options() core.Options {
 	return core.Options{
 		Name:             c.Name,
 		NumVertices:      1 << c.Scale,
@@ -91,6 +99,8 @@ func (c Config) storeOptions() core.Options {
 		ArchiveThreshold: c.ArchiveThreshold,
 		ArchiveThreads:   c.ArchiveThreads,
 		NUMA:             c.NUMA,
+		MediaGuard:       c.MediaGuard,
+		ArchiveSSDBytes:  c.ArchiveSSDBytes,
 		CompressedAdj:    c.Varint,
 		// These workloads buffer a few KB. With the default 16 MB bulk
 		// per archive thread a run is mostly the host zeroing pool memory
@@ -100,15 +110,43 @@ func (c Config) storeOptions() core.Options {
 	}
 }
 
-// recoveredOptions is storeOptions for stores built by recovery: with
+// recoveredOptions is Options for stores built by recovery: with
 // VarintFromRecovery the recovered store turns the varint encoding on
 // over the fixed-format image it inherited.
 func (c Config) recoveredOptions() core.Options {
-	opts := c.storeOptions()
-	if c.VarintFromRecovery {
-		opts.CompressedAdj = true
-	}
+	opts := c.Options()
+	opts.CompressedAdj = opts.CompressedAdj || c.VarintFromRecovery
 	return opts
+}
+
+// Build constructs a fault-tracked two-socket machine, its heap, and a
+// store with opts on it.
+func Build(opts core.Options) (*core.Store, *xpsim.Faults, error) {
+	machine := xpsim.NewMachine(2, 256<<20, xpsim.DefaultLatency())
+	faults := machine.TrackFaults()
+	st, err := core.New(machine, pmem.NewHeap(machine), nil, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return st, faults, nil
+}
+
+// Ingest drives c's chunked ingest/compaction schedule over edges. Once an
+// armed plan has fired, the live run continues unharmed — only the durable
+// image is frozen — so the workload always completes.
+func Ingest(st *core.Store, c Config, edges []graph.Edge) error {
+	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
+	for i, chunkN := 0, 1; i < len(edges); i, chunkN = i+c.Chunk, chunkN+1 {
+		if _, err := st.Ingest(edges[i:min(i+c.Chunk, len(edges))]); err != nil {
+			return err
+		}
+		if c.CompactEvery > 0 && chunkN%c.CompactEvery == 0 {
+			if err := st.CompactAllAdjs(ctx); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Result reports what one harness run observed.
@@ -121,6 +159,10 @@ type Result struct {
 	Recovery     core.RecoveryReport
 }
 
+func resultOf(f *xpsim.Faults) *Result {
+	return &Result{MediaWrites: f.MediaWrites(), Sites: f.SiteHits(), Crashed: f.Crashed(), CrashDesc: f.CrashDescription()}
+}
+
 // Probe runs the workload with fault tracking armed but no kill
 // scheduled, returning the total media-write count and crash-site hits —
 // the sweep space for exhaustive runs.
@@ -131,31 +173,31 @@ func Probe(cfg Config) (*Result, error) {
 // Run executes the workload, crashing at the planned point, then
 // recovers from the durable image and differentially verifies the
 // recovered store. A zero plan runs to completion (and still verifies:
-// the final state must match the full oracle).
+// the final state must match the full model).
 func Run(cfg Config, plan xpsim.FaultPlan) (*Result, error) {
-	cfg = cfg.withDefaults()
-	return RunStream(cfg, cfg.workload(), plan)
+	cfg = cfg.WithDefaults()
+	return RunStream(cfg, cfg.Workload(), plan)
 }
 
 // RunStream is Run with an explicit edge stream instead of a generated
 // workload — regression tests use it to pin hand-built scenarios
 // (duplicate edges straddling a compaction, dense self-loops, ...).
 func RunStream(cfg Config, edges []graph.Edge, plan xpsim.FaultPlan) (*Result, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	c, err := crash(cfg, edges, plan)
 	if err != nil {
 		return nil, err
 	}
 	res := &c.Result
 	rs, err := recoverClone(c.heap, cfg, res)
+	if err == nil && !res.Crashed && res.DurableEdges != int64(len(edges)) {
+		err = fmt.Errorf("no crash, but only %d/%d edges durable", res.DurableEdges, len(edges))
+	}
+	if err == nil {
+		err = verify(rs, edges, res.DurableEdges)
+	}
 	if err != nil {
-		return res, err
-	}
-	if !res.Crashed && res.DurableEdges != int64(len(edges)) {
-		return res, fmt.Errorf("no crash, but only %d/%d edges durable", res.DurableEdges, len(edges))
-	}
-	if err := verify(rs, edges, res.DurableEdges); err != nil {
-		return res, err
+		return res, fmt.Errorf("%w (crash: %s)", err, res.CrashDesc)
 	}
 	return res, nil
 }
@@ -173,28 +215,20 @@ type CrashedRun struct {
 
 // Crash runs the workload under plan and keeps the crashed machine.
 func Crash(cfg Config, plan xpsim.FaultPlan) (*CrashedRun, error) {
-	cfg = cfg.withDefaults()
-	return crash(cfg, cfg.workload(), plan)
+	cfg = cfg.WithDefaults()
+	return crash(cfg, cfg.Workload(), plan)
 }
 
 func crash(cfg Config, edges []graph.Edge, plan xpsim.FaultPlan) (*CrashedRun, error) {
-	st, faults, err := build(cfg)
+	st, faults, err := Build(cfg.Options())
 	if err != nil {
 		return nil, err
 	}
 	faults.Arm(plan)
-	if err := ingest(st, cfg, edges); err != nil {
+	if err := Ingest(st, cfg, edges); err != nil {
 		return nil, fmt.Errorf("ingest: %w", err)
 	}
-	return &CrashedRun{
-		Result: Result{
-			MediaWrites: faults.MediaWrites(),
-			Sites:       faults.SiteHits(),
-			Crashed:     faults.Crashed(),
-			CrashDesc:   faults.CrashDescription(),
-		},
-		cfg: cfg, edges: edges, heap: st.Heap(),
-	}, nil
+	return &CrashedRun{Result: *resultOf(faults), cfg: cfg, edges: edges, heap: st.Heap()}, nil
 }
 
 // RecoverCrashing crashes the recovery itself: it recovers a copy of the
@@ -202,10 +236,10 @@ func crash(cfg Config, edges []graph.Edge, plan xpsim.FaultPlan) (*CrashedRun, e
 // inside core.Recover — in the arena repairs, or in the replay of the log
 // window, which is the buffering phase (its cursor stores, its
 // buffer:staged / buffer:marked sites, any adjacency write a full vertex
-// buffer forces). The twice-crashed image is then recovered and verified
-// against the prefix oracle. The Result counts the media writes and site
-// hits of the interrupted recovery — with a zero plan, the sweep space of
-// crashes inside it.
+// buffer forces). The twice-crashed image is then recovered and held to
+// the prefix mode. The Result counts the media writes and site hits of the
+// interrupted recovery — with a zero plan, the sweep space of crashes
+// inside it.
 func (c *CrashedRun) RecoverCrashing(plan xpsim.FaultPlan) (*Result, error) {
 	clone, err := c.heap.CrashClone()
 	if err != nil {
@@ -217,12 +251,7 @@ func (c *CrashedRun) RecoverCrashing(plan xpsim.FaultPlan) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("first recover (crash: %s): %w", c.CrashDesc, err)
 	}
-	res := &Result{
-		MediaWrites: faults.MediaWrites(),
-		Sites:       faults.SiteHits(),
-		Crashed:     faults.Crashed(),
-		CrashDesc:   faults.CrashDescription(),
-	}
+	res := resultOf(faults)
 	head := rs.Log().Head()
 	rs2, err := recoverClone(clone, c.cfg, res)
 	if err != nil {
@@ -243,8 +272,8 @@ func (c *CrashedRun) RecoverCrashing(plan xpsim.FaultPlan) (*Result, error) {
 // writes (journal completion, allocation rewinds, garbage zeroing) as a
 // crashable workload.
 func RunDouble(cfg Config, plan1, plan2 xpsim.FaultPlan, contEdges int64) (*Result, error) {
-	cfg = cfg.withDefaults()
-	c, err := crash(cfg, cfg.workload(), plan1)
+	cfg = cfg.WithDefaults()
+	c, err := crash(cfg, cfg.Workload(), plan1)
 	if err != nil {
 		return nil, err
 	}
@@ -270,7 +299,7 @@ func RunDouble(cfg Config, plan1, plan2 xpsim.FaultPlan, contEdges int64) (*Resu
 	// Continuation workload under the second plan.
 	cont := gen.RMAT(cfg.Scale, contEdges, cfg.Seed^0xC047)
 	faults2.Arm(plan2)
-	if err := ingest(rs, cfg, cont); err != nil {
+	if err := Ingest(rs, cfg, cont); err != nil {
 		return res, fmt.Errorf("continuation ingest: %w", err)
 	}
 	res.Crashed = faults2.Crashed()
@@ -290,42 +319,6 @@ func RunDouble(cfg Config, plan1, plan2 xpsim.FaultPlan, contEdges int64) (*Resu
 	return res, nil
 }
 
-// build constructs the fault-tracked machine, heap, and store.
-func build(cfg Config) (*core.Store, *xpsim.Faults, error) {
-	machine := xpsim.NewMachine(2, 256<<20, xpsim.DefaultLatency())
-	faults := machine.TrackFaults()
-	heap := pmem.NewHeap(machine)
-	st, err := core.New(machine, heap, nil, cfg.storeOptions())
-	if err != nil {
-		return nil, nil, err
-	}
-	return st, faults, nil
-}
-
-// ingest drives the chunked ingest/compaction schedule. Once the armed
-// plan has fired, the live run continues unharmed — only the durable
-// image is frozen — so the workload always completes.
-func ingest(st *core.Store, cfg Config, edges []graph.Edge) error {
-	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
-	chunkN := 0
-	for i := 0; i < len(edges); i += cfg.Chunk {
-		end := i + cfg.Chunk
-		if end > len(edges) {
-			end = len(edges)
-		}
-		if _, err := st.Ingest(edges[i:end]); err != nil {
-			return err
-		}
-		chunkN++
-		if cfg.CompactEvery > 0 && chunkN%cfg.CompactEvery == 0 {
-			if err := st.CompactAllAdjs(ctx); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // recoverClone snapshots the durable image and recovers a store from it,
 // filling res.DurableEdges and res.Recovery.
 func recoverClone(heap *pmem.Heap, cfg Config, res *Result) (*core.Store, error) {
@@ -340,4 +333,23 @@ func recoverClone(heap *pmem.Heap, cfg Config, res *Result) (*core.Store, error)
 	res.Recovery = rep
 	res.DurableEdges = rs.Log().Head()
 	return rs, nil
+}
+
+// verify holds the recovered store to the prefix mode over edges — any
+// lost flushed edge or duplicate introduced by replay surfaces there — then
+// checks the log cursor invariants and the store's own structural
+// self-check.
+func verify(rs *core.Store, edges []graph.Edge, durable int64) error {
+	if err := (difftest.Compare{}).Prefix(difftest.Of(edges), int(durable), rs); err != nil {
+		return err
+	}
+	l := rs.Log()
+	if l.Flushed() > l.Buffered() || l.Buffered() != l.Head() || l.Head()-l.Flushed() > l.Cap() {
+		return fmt.Errorf("recovered cursors flushed=%d buffered=%d head=%d: want flushed ≤ buffered = head, a window within the capacity %d",
+			l.Flushed(), l.Buffered(), l.Head(), l.Cap())
+	}
+	if _, err := rs.Verify(xpsim.NewCtx(xpsim.NodeUnbound)); err != nil {
+		return fmt.Errorf("structural check: %w", err)
+	}
+	return nil
 }

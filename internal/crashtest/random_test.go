@@ -1,17 +1,14 @@
 package crashtest
 
 import (
-	"flag"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/difftest"
 	"repro/internal/splitmix"
 	"repro/internal/xpsim"
 )
-
-// -crashtest.seed reruns the randomized schedule suite from a specific
-// base seed — paste the seed a failure printed to replay it exactly.
-var seedFlag = flag.Uint64("crashtest.seed", 0x9E3779B97F4A7C15, "base seed for randomized crash schedules")
 
 // randomSchedule derives one workload config + fault plan from a seed.
 // Everything — graph shape, deletion ratio, chunking, compaction cadence,
@@ -64,33 +61,26 @@ func randomSchedule(seed uint64, mediaWrites int64) (Config, xpsim.FaultPlan) {
 }
 
 // TestCrashRandomizedSchedules probes and then crash-verifies a batch of
-// seed-derived schedules. On failure it prints the per-schedule seed;
-// rerun with -crashtest.seed=<seed> (and the failing iteration reruns
-// first, as iteration 0 derives directly from the base seed).
+// seed-derived schedules, one subtest per schedule, so a failure's replay
+// line reruns exactly its schedule; -difftest.tearseeds multiplies the
+// batch and -difftest.seed draws a new one.
 func TestCrashRandomizedSchedules(t *testing.T) {
-	iters := 40
-	if testing.Short() {
-		iters = 8
-	}
-	base := *seedFlag
-	t.Logf("base seed %#x (%d schedules; rerun one with -crashtest.seed=<seed>)", base, iters)
-	for i := 0; i < iters; i++ {
-		seed := splitmix.Mix(base + uint64(i))
-		if i == 0 {
-			seed = base // so -crashtest.seed=<printed seed> replays exactly
-		}
-		cfg, _ := randomSchedule(seed, 0)
-		probe, err := Probe(cfg)
-		if err != nil {
-			t.Fatalf("seed %#x: probe: %v", seed, err)
-		}
-		cfg, plan := randomSchedule(seed, probe.MediaWrites)
-		res, err := Run(cfg, plan)
-		if err != nil {
-			t.Fatalf("seed %#x: %v (plan %+v)", seed, err, plan)
-		}
-		if plan.KillAtMediaWrite > 0 && !res.Crashed {
-			t.Fatalf("seed %#x: plan %+v never fired (%d media writes)", seed, plan, res.MediaWrites)
-		}
+	for _, seed := range difftest.Schedules(0x9E3779B97F4A7C15, difftest.Short(50, 8)*difftest.TearSeeds()) {
+		t.Run(fmt.Sprintf("seed=%#x", seed), func(t *testing.T) {
+			cfg, _ := randomSchedule(seed, 0)
+			probe, err := Probe(cfg)
+			if err != nil {
+				difftest.Fail(t, fmt.Errorf("probe: %w", err))
+				return
+			}
+			cfg, plan := randomSchedule(seed, probe.MediaWrites)
+			res, err := Run(cfg, plan)
+			if err == nil && plan.KillAtMediaWrite > 0 && !res.Crashed {
+				err = fmt.Errorf("plan %+v never fired (%d media writes)", plan, res.MediaWrites)
+			}
+			if err != nil {
+				difftest.Fail(t, fmt.Errorf("plan %+v: %w", plan, err))
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package crashtest
 import (
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/graph"
 	"repro/internal/xpsim"
 )
@@ -40,7 +41,8 @@ func dupConfig() (Config, []graph.Edge) {
 
 // TestCrashReplayKeepsDuplicateEdges pins the dedup regression: crash
 // right after each compaction, when the PMEM chains hold compacted copies
-// of (1,2) and the replay window holds more copies of the same edge. The
+// of (1,2) and the replay window holds more copies of the same edge, and at
+// strided media writes of the duplicate-heavy stream, word-torn. The
 // recovered multiset must keep every durable copy — no replay dedup
 // losses, no double replay.
 func TestCrashReplayKeepsDuplicateEdges(t *testing.T) {
@@ -49,25 +51,16 @@ func TestCrashReplayKeepsDuplicateEdges(t *testing.T) {
 	if err != nil {
 		t.Fatalf("probe: %v", err)
 	}
-	for hit := int64(1); hit <= probe.Sites["compact:done"]; hit += 7 {
-		plan := xpsim.FaultPlan{KillAtSite: "compact:done", KillAtSiteHit: hit}
-		if res, err := RunStream(cfg, edges, plan); err != nil {
-			t.Fatalf("kill at compact:done hit %d: %v (crash: %s)", hit, err, res.CrashDesc)
-		}
-	}
-	// And at every media write of the duplicate-heavy stream, torn.
-	stride := probe.MediaWrites / 50
-	if testing.Short() {
-		stride = probe.MediaWrites / 10
-	}
-	if stride == 0 {
-		stride = 1
-	}
-	for n := int64(1); n <= probe.MediaWrites; n += stride {
-		plan := xpsim.FaultPlan{KillAtMediaWrite: n, Tear: xpsim.TearWords, Seed: uint64(n)}
-		if res, err := RunStream(cfg, edges, plan); err != nil {
-			t.Fatalf("kill at media write %d: %v (crash: %s)", n, err, res.CrashDesc)
-		}
+	s := difftest.Sweep{Name: "dup", Writes: probe.MediaWrites, Points: difftest.Short[int64](50, 10),
+		Sites: map[string]int64{"compact:done": probe.Sites["compact:done"]}}
+	s.Run(t, streams(cfg, edges))
+}
+
+// streams kills the edges stream at a case and verifies the recovered store.
+func streams(cfg Config, edges []graph.Edge) func(difftest.Case) error {
+	return func(c difftest.Case) error {
+		_, err := RunStream(cfg, edges, c.Plan)
+		return err
 	}
 }
 
@@ -82,14 +75,11 @@ func TestCrashAckCommitBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatalf("probe: %v", err)
 	}
+	sites := map[string]int64{}
 	for _, site := range []string{"flush:drained", "flush:acked", "flush:barrier", "flush:committed"} {
-		for hit := int64(1); hit <= probe.Sites[site]; hit++ {
-			plan := xpsim.FaultPlan{KillAtSite: site, KillAtSiteHit: hit}
-			if res, err := RunStream(cfg, edges, plan); err != nil {
-				t.Fatalf("kill at %s hit %d: %v (crash: %s)", site, hit, err, res.CrashDesc)
-			}
-		}
+		sites[site] = probe.Sites[site]
 	}
+	difftest.Sweep{Name: "ack", Sites: sites}.Run(t, streams(cfg, edges))
 }
 
 // TestCrashTinyFullSweep is the compact always-on sweep: a single-epoch
@@ -109,21 +99,7 @@ func TestCrashTinyFullSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("probe: %v", err)
 	}
-	seeds := []uint64{1, 0xFFFF}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, tear := range []xpsim.TearMode{xpsim.TearNone, xpsim.TearPrefix, xpsim.TearWords} {
-		for n := int64(1); n <= probe.MediaWrites; n++ {
-			for _, seed := range seeds {
-				plan := xpsim.FaultPlan{KillAtMediaWrite: n, Tear: tear, Seed: seed}
-				if res, err := Run(cfg, plan); err != nil {
-					t.Fatalf("kill at %d/%d tear=%s seed=%d: %v (crash: %s)",
-						n, probe.MediaWrites, tear, seed, err, res.CrashDesc)
-				}
-			}
-		}
-	}
+	difftest.Sweep{Name: cfg.Name, Writes: probe.MediaWrites, Tears: allTears, Seeds: difftest.Short(2, 1)}.Run(t, runs(cfg))
 }
 
 // TestCrashDoubleCrash crashes, recovers, keeps ingesting on the

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/difftest"
 	"repro/internal/xpsim"
 )
 
@@ -25,122 +26,15 @@ func sweepConfig() Config {
 	}
 }
 
-// TestCrashSweepMediaWrites is the exhaustive crash-point sweep: for
-// every media-write event N the workload performs and every tear mode,
-// crash at N, recover from the durable image, and differentially verify
-// the recovered store against the oracle. Under -short it subsamples the
-// sweep (a deterministic stride, plus the first and last points).
-func TestCrashSweepMediaWrites(t *testing.T) {
+// varintSweepConfig is sweepConfig on delta-varint adjacency blocks:
+// same schedule, but every block the workload writes carries the
+// variable-length encoding, so torn writes land mid-record and CRC extents
+// cover varint payloads.
+func varintSweepConfig() Config {
 	cfg := sweepConfig()
-	probe, err := Probe(cfg)
-	if err != nil {
-		t.Fatalf("probe: %v", err)
-	}
-	m := probe.MediaWrites
-	if m < 100 {
-		t.Fatalf("workload too small to sweep: only %d media writes", m)
-	}
-	stride := int64(1)
-	if testing.Short() {
-		stride = m / 40
-	}
-	for _, tear := range []xpsim.TearMode{xpsim.TearNone, xpsim.TearPrefix, xpsim.TearWords} {
-		checked := 0
-		for n := int64(1); n <= m; n += stride {
-			for _, seed := range tearSeeds(0xDEAD ^ uint64(n)) {
-				plan := xpsim.FaultPlan{KillAtMediaWrite: n, Tear: tear, Seed: seed}
-				if res, err := Run(cfg, plan); err != nil {
-					t.Fatalf("kill at media write %d/%d tear=%s seed=%#x: %v (crash: %s)", n, m, tear, seed, err, res.CrashDesc)
-				}
-			}
-			checked++
-		}
-		// The very last write is the most interesting boundary; make sure a
-		// strided sweep still covers it.
-		if (m-1)%stride != 0 {
-			plan := xpsim.FaultPlan{KillAtMediaWrite: m, Tear: tear, Seed: 0xDEAD ^ uint64(m)}
-			if res, err := Run(cfg, plan); err != nil {
-				t.Fatalf("kill at final media write %d tear=%s: %v (crash: %s)", m, tear, err, res.CrashDesc)
-			}
-			checked++
-		}
-		t.Logf("tear=%s: %d/%d crash points verified", tear, checked, m)
-	}
-}
-
-// TestCrashSweepSites kills at every named crash-site hook the workload
-// reaches — the protocol-boundary points (between ack and barrier,
-// between barrier and commit, after compaction, ...) that the media-write
-// sweep hits only incidentally.
-func TestCrashSweepSites(t *testing.T) {
-	cfg := sweepConfig()
-	probe, err := Probe(cfg)
-	if err != nil {
-		t.Fatalf("probe: %v", err)
-	}
-	if len(probe.Sites) == 0 {
-		t.Fatal("workload hit no crash sites")
-	}
-	for _, site := range faultSites(probe) {
-		total := probe.Sites[site]
-		hits := []int64{1}
-		if total > 1 {
-			hits = append(hits, total)
-		}
-		if total > 2 && !testing.Short() {
-			hits = append(hits, 2, (total+1)/2)
-		}
-		for _, hit := range hits {
-			plan := xpsim.FaultPlan{KillAtSite: site, KillAtSiteHit: hit}
-			if res, err := Run(cfg, plan); err != nil {
-				t.Fatalf("kill at site %q hit %d/%d: %v (crash: %s)", site, hit, total, err, res.CrashDesc)
-			}
-		}
-	}
-	t.Logf("sites verified: %v", faultSites(probe))
-}
-
-// faultSites lists the probe's hit sites in deterministic order.
-func faultSites(probe *Result) []string {
-	sites := make([]string, 0, len(probe.Sites))
-	for _, s := range []string{
-		"core.New:done", "buffer:staged", "buffer:marked",
-		"flush:drained", "flush:acked", "flush:barrier", "flush:committed",
-		"compact:done",
-	} {
-		if probe.Sites[s] > 0 {
-			sites = append(sites, s)
-		}
-	}
-	return sites
-}
-
-// TestCrashSweepNoCompaction sweeps a compaction-free schedule so log
-// replay and flush acknowledgment are verified in isolation (compaction
-// journals never enter the picture). Strided even without -short: the
-// main sweep already covers every point of the richer schedule.
-func TestCrashSweepNoCompaction(t *testing.T) {
-	cfg := sweepConfig()
-	cfg.Name = "sweep-nc"
-	cfg.CompactEvery = 0
-	probe, err := Probe(cfg)
-	if err != nil {
-		t.Fatalf("probe: %v", err)
-	}
-	m := probe.MediaWrites
-	stride := m / 60
-	if testing.Short() {
-		stride = m / 15
-	}
-	if stride == 0 {
-		stride = 1
-	}
-	for n := int64(1); n <= m; n += stride {
-		plan := xpsim.FaultPlan{KillAtMediaWrite: n, Tear: xpsim.TearWords, Seed: uint64(n) * 0x5EED}
-		if res, err := Run(cfg, plan); err != nil {
-			t.Fatalf("kill at media write %d/%d: %v (crash: %s)", n, m, err, res.CrashDesc)
-		}
-	}
+	cfg.Name = "sweep-vz"
+	cfg.Varint = true
+	return cfg
 }
 
 // wideSweepConfigs is sweepConfig on 16 archive threads under both NUMA
@@ -163,46 +57,126 @@ func wideSweepConfigs() []Config {
 	return cfgs
 }
 
+var allTears = []xpsim.TearMode{xpsim.TearNone, xpsim.TearPrefix, xpsim.TearWords}
+
+// probeSweep probes cfg: the kill space is every media write and every hit
+// of every crash site the workload reaches.
+func probeSweep(t *testing.T, cfg Config) difftest.Sweep {
+	t.Helper()
+	probe, err := Probe(cfg)
+	if err != nil {
+		t.Fatalf("%s: probe: %v", cfg.Name, err)
+	}
+	if probe.MediaWrites < 100 {
+		t.Fatalf("%s: workload too small to sweep: only %d media writes", cfg.Name, probe.MediaWrites)
+	}
+	return difftest.Sweep{Name: cfg.Name, Writes: probe.MediaWrites, Sites: probe.Sites}
+}
+
+// runs kills cfg's workload at a case and verifies the recovered store.
+func runs(cfg Config) func(difftest.Case) error {
+	return func(c difftest.Case) error {
+		_, err := Run(cfg, c.Plan)
+		return err
+	}
+}
+
+// TestCrashSweepMediaWrites is the exhaustive crash-point sweep: for
+// every media-write event the workload performs and every tear mode,
+// crash there, recover from the durable image, and hold the recovered
+// store to the prefix mode. Under -short it strides.
+func TestCrashSweepMediaWrites(t *testing.T) {
+	s := probeSweep(t, sweepConfig())
+	s.Sites, s.Points, s.Tears = nil, difftest.Short[int64](0, 40), allTears
+	s.Run(t, runs(sweepConfig()))
+}
+
+// TestCrashSweepSites kills at every hit of every named crash site the
+// workload reaches — the protocol-boundary points (between ack and
+// barrier, between barrier and commit, after compaction, ...) that the
+// media-write sweep hits only incidentally.
+func TestCrashSweepSites(t *testing.T) {
+	s := probeSweep(t, sweepConfig())
+	s.Writes = 0
+	s.Run(t, runs(sweepConfig()))
+}
+
+// TestCrashSweepNoCompaction sweeps a compaction-free schedule so log
+// replay and flush acknowledgment are verified in isolation (compaction
+// journals never enter the picture). Strided even without -short: the
+// main sweep already covers every point of the richer schedule.
+func TestCrashSweepNoCompaction(t *testing.T) {
+	cfg := sweepConfig()
+	cfg.Name = "sweep-nc"
+	cfg.CompactEvery = 0
+	s := probeSweep(t, cfg)
+	s.Sites, s.Points = nil, difftest.Short[int64](60, 15)
+	s.Run(t, runs(cfg))
+}
+
 // TestCrashSweepWideArchive crashes the wide-archive configs at every
-// media write (word tears, the nastiest mode; strided under -short) and at
-// every hit of the four flush-commit sites: drained (before any ack
-// worker runs), acked (all groups' count slots written, nothing fenced),
-// barrier, committed.
+// media write (word tears, the nastiest mode) and at every hit of the four
+// flush-commit sites: drained (before any ack worker runs), acked (all
+// groups' count slots written, nothing fenced), barrier, committed.
 func TestCrashSweepWideArchive(t *testing.T) {
 	for _, cfg := range wideSweepConfigs() {
-		probe, err := Probe(cfg)
-		if err != nil {
-			t.Fatalf("%s: probe: %v", cfg.Name, err)
-		}
-		m := probe.MediaWrites
-		stride := int64(1)
-		if testing.Short() {
-			stride = m/20 + 1
-		}
-		for n := int64(1); n <= m; n += stride {
-			for _, seed := range tearSeeds(0x16AC ^ uint64(n)) {
-				plan := xpsim.FaultPlan{KillAtMediaWrite: n, Tear: xpsim.TearWords, Seed: seed}
-				if res, err := Run(cfg, plan); err != nil {
-					t.Fatalf("%s: kill at media write %d/%d seed=%#x: %v (crash: %s)", cfg.Name, n, m, seed, err, res.CrashDesc)
-				}
-			}
-		}
+		s := probeSweep(t, cfg)
+		sites := map[string]int64{}
 		for _, site := range []string{"flush:drained", "flush:acked", "flush:barrier", "flush:committed"} {
-			total := probe.Sites[site]
-			if total == 0 {
+			if sites[site] = s.Sites[site]; sites[site] == 0 {
 				t.Fatalf("%s: workload never reached site %q", cfg.Name, site)
 			}
-			hitStride := int64(1)
-			if testing.Short() {
-				hitStride = max(total-1, 1) // first and last hit
-			}
-			for hit := int64(1); hit <= total; hit += hitStride {
-				plan := xpsim.FaultPlan{KillAtSite: site, KillAtSiteHit: hit}
-				if res, err := Run(cfg, plan); err != nil {
-					t.Fatalf("%s: kill at site %q hit %d/%d: %v (crash: %s)", cfg.Name, site, hit, total, err, res.CrashDesc)
-				}
+		}
+		s.Sites, s.Points = sites, difftest.Short[int64](0, 20)
+		s.Run(t, runs(cfg))
+	}
+}
+
+// TestCrashSweepVarint sweeps media-write crash points over the varint
+// workload under the nastiest tear mode. It pins the encoding-specific
+// recovery paths (varint extent CRC, mid-record tears, compaction and
+// kills of varint chains) and is exhaustive outside -short: the torn
+// kills that broke recovery sat at 5 of 1335 points, which a stride
+// stepped over.
+func TestCrashSweepVarint(t *testing.T) {
+	s := probeSweep(t, varintSweepConfig())
+	s.Sites, s.Points = nil, difftest.Short[int64](0, 15)
+	s.Run(t, runs(varintSweepConfig()))
+}
+
+// TestCrashSweepVarintSites kills the varint workload at every named
+// protocol-boundary crash site it reaches.
+func TestCrashSweepVarintSites(t *testing.T) {
+	s := probeSweep(t, varintSweepConfig())
+	s.Writes = 0
+	s.Run(t, runs(varintSweepConfig()))
+}
+
+// TestCrashMixedFormatChains is the mixed-format negotiation sweep: the
+// first phase runs on fixed blocks, the recovered store turns varint on,
+// and the continuation grows varint tails on fixed chains — then crashes
+// again mid-continuation. Both recoveries are held to the prefix mode, so
+// a chain that mixes both encodings must replay, CRC-check, and read back
+// exactly.
+func TestCrashMixedFormatChains(t *testing.T) {
+	cfg := sweepConfig()
+	cfg.Name = "sweep-mix"
+	cfg.VarintFromRecovery = true
+	probe, err := Probe(cfg)
+	if err != nil {
+		t.Fatalf("probe: %v", err)
+	}
+	m := probe.MediaWrites
+	const contEdges = 300
+	kills1 := difftest.Short([]int64{m / 4, m / 2, 3 * m / 4, m}, []int64{m / 2, m})
+	kills2 := difftest.Short([]int64{40, 120, 0}, []int64{80, 0}) // 0: run the continuation to completion
+	for _, k1 := range kills1 {
+		for _, k2 := range kills2 {
+			plan1 := xpsim.FaultPlan{KillAtMediaWrite: k1, Tear: xpsim.TearWords, Seed: uint64(k1) ^ 0x317}
+			plan2 := xpsim.FaultPlan{KillAtMediaWrite: k2, Tear: xpsim.TearWords, Seed: uint64(k2) ^ 0x731}
+			if res, err := RunDouble(cfg, plan1, plan2, contEdges); err != nil {
+				t.Fatalf("kill1=%d kill2=%d: %v (crash: %s)", k1, k2, err, res.CrashDesc)
 			}
 		}
-		t.Logf("%s: %d media writes, flush commits %d", cfg.Name, m, probe.Sites["flush:committed"])
 	}
 }

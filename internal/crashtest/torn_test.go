@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/splitmix"
 	"repro/internal/xpsim"
 )
 
@@ -22,12 +22,12 @@ type tornWrite struct {
 	target  []graph.Edge
 }
 
-// run plays the scenario under plan and verifies the recovered store against
-// the prefix oracle. It also reports how much adjacency space the target
+// run plays the scenario under plan and holds the recovered store to the
+// prefix mode. It also reports how much adjacency space the target
 // allocated and where the log head stood before it.
 func (tw tornWrite) run(plan xpsim.FaultPlan) (res *Result, pblkGrowth, headBefore int64, err error) {
-	cfg := tw.cfg.withDefaults()
-	st, faults, err := build(cfg)
+	cfg := tw.cfg.WithDefaults()
+	st, faults, err := Build(cfg.Options())
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -51,12 +51,7 @@ func (tw tornWrite) run(plan xpsim.FaultPlan) (res *Result, pblkGrowth, headBefo
 	if err := st.FlushAllVbufs(); err != nil {
 		return nil, 0, 0, fmt.Errorf("target: %w", err)
 	}
-	res = &Result{
-		MediaWrites: faults.MediaWrites(),
-		Sites:       faults.SiteHits(),
-		Crashed:     faults.Crashed(),
-		CrashDesc:   faults.CrashDescription(),
-	}
+	res = resultOf(faults)
 	pblkGrowth = st.MemUsage().PblkPMEM - pblk
 
 	rs, err := recoverClone(st.Heap(), cfg, res)
@@ -67,27 +62,21 @@ func (tw tornWrite) run(plan xpsim.FaultPlan) (res *Result, pblkGrowth, headBefo
 	if !res.Crashed && res.DurableEdges != int64(len(all)) {
 		return res, pblkGrowth, headBefore, fmt.Errorf("no crash, but only %d/%d edges durable", res.DurableEdges, len(all))
 	}
-	return res, pblkGrowth, headBefore, verify(rs, all, res.DurableEdges)
+	if err := verify(rs, all, res.DurableEdges); err != nil {
+		return res, pblkGrowth, headBefore, fmt.Errorf("%w (crash: %s)", err, res.CrashDesc)
+	}
+	return res, pblkGrowth, headBefore, nil
 }
 
 // sweep kills the target at every one of its media writes, word-torn under
-// several geometries each (-crashtest.tearseeds multiplies them).
+// 16 geometries each (2 under -short).
 func (tw tornWrite) sweep(t *testing.T, mediaWrites int64) {
 	t.Helper()
-	geometries := uint64(16)
-	if testing.Short() {
-		geometries = 2
-	}
-	for n := int64(1); n <= mediaWrites; n++ {
-		for g := uint64(0); g < geometries; g++ {
-			for _, seed := range tearSeeds(splitmix.Mix(uint64(n)<<8 | g)) {
-				plan := xpsim.FaultPlan{KillAtMediaWrite: n, Tear: xpsim.TearWords, Seed: seed}
-				if res, _, _, err := tw.run(plan); err != nil {
-					t.Errorf("%s: kill at media write %d/%d tear seed=%#x: %v (crash: %s)", tw.cfg.Name, n, mediaWrites, seed, err, res.CrashDesc)
-				}
-			}
-		}
-	}
+	s := difftest.Sweep{Name: tw.cfg.Name, Writes: mediaWrites, Seeds: difftest.Short(16, 2)}
+	s.Run(t, func(c difftest.Case) error {
+		_, _, _, err := tw.run(c.Plan)
+		return err
+	})
 }
 
 // TestCrashTornFirstAppend kills inside the one write that carries a new
@@ -139,7 +128,6 @@ func TestCrashTornFirstAppend(t *testing.T) {
 			t.Fatalf("%s: the target is %d flushing phases and %d media writes, want one phase to kill inside", sc.name, probe.Sites["flush:committed"], probe.MediaWrites)
 		}
 		tw.sweep(t, probe.MediaWrites)
-		t.Logf("%s: %d media writes swept", sc.name, probe.MediaWrites)
 	}
 }
 
@@ -167,5 +155,4 @@ func TestCrashTornWrappedLogAppend(t *testing.T) {
 		t.Fatalf("the target is %d media writes, want two ring spans and a header at least", probe.MediaWrites)
 	}
 	tw.sweep(t, probe.MediaWrites)
-	t.Logf("%d media writes swept", probe.MediaWrites)
 }

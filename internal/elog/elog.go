@@ -425,22 +425,27 @@ func (l *Log) Bytes() int64 {
 	return b
 }
 
-// VerifyWindow audits the resident ring window [max(0, head-cap), head)
-// through the media-error-checked read path, verifying each record against
-// the checksum strip when one exists. It returns the monotonic counters of
-// records that could not be read back as published — uncorrectable lines,
-// or bytes that disagree with the checksum. An empty result means every
-// resident record (including the [flushed, head) replay window a recovery
-// would consume) is intact.
+// VerifyWindow audits the resident ring window [max(0, head-cap), head):
+// VerifyRange over all of it. An empty result means every resident record
+// (including the [flushed, head) replay window a recovery would consume) is
+// intact.
 func (l *Log) VerifyWindow(ctx *xpsim.Ctx) []int64 {
-	lo := l.head - l.cap
-	if lo < 0 {
-		lo = 0
+	return l.VerifyRange(ctx, max(0, l.head-l.cap), l.head)
+}
+
+// VerifyRange audits the records [from, to) through the media-error-checked
+// read path, verifying each against the checksum strip when one exists. It
+// returns the monotonic counters of records that could not be read back as
+// published — uncorrectable lines, or bytes that disagree with the checksum.
+// The range must be resident, as for Read.
+func (l *Log) VerifyRange(ctx *xpsim.Ctx, from, to int64) []int64 {
+	if from < l.head-l.cap || to > l.head || from > to {
+		panic(fmt.Sprintf("elog: verify [%d,%d) outside resident window [%d,%d]", from, to, l.head-l.cap, l.head))
 	}
 	var bad []int64
 	var rec [graph.EdgeBytes]byte
 	var cb [4]byte
-	for i := lo; i < l.head; i++ {
+	for i := from; i < to; i++ {
 		pos := i % l.cap
 		if err := mem.ReadChecked(l.m, ctx, l.base+pos*graph.EdgeBytes, rec[:]); err != nil {
 			bad = append(bad, i)

@@ -1,10 +1,10 @@
 package graphone
 
 import (
-	"sort"
 	"testing"
 
 	"repro/internal/adj"
+	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mem"
@@ -17,58 +17,11 @@ func testMachine() (*xpsim.Machine, *pmem.Heap) {
 	return m, pmem.NewHeap(m)
 }
 
-func sortedU32(u []uint32) []uint32 {
-	v := append([]uint32(nil), u...)
-	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
-	return v
-}
-
-func sameMultiset(a, b []uint32) bool {
-	a, b = sortedU32(a), sortedU32(b)
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func buildRef(edges []graph.Edge) (out, in map[graph.VID][]uint32) {
-	out, in = map[graph.VID][]uint32{}, map[graph.VID][]uint32{}
-	rm := func(s []uint32, v uint32) []uint32 {
-		for i := len(s) - 1; i >= 0; i-- {
-			if s[i] == v {
-				return append(s[:i], s[i+1:]...)
-			}
-		}
-		return s
-	}
-	for _, e := range edges {
-		if e.IsDelete() {
-			out[e.Src] = rm(out[e.Src], e.Target())
-			in[e.Target()] = rm(in[e.Target()], e.Src)
-			continue
-		}
-		out[e.Src] = append(out[e.Src], e.Dst)
-		in[e.Dst] = append(in[e.Dst], e.Src)
-	}
-	return out, in
-}
-
-func checkStore(t *testing.T, s *Store, edges []graph.Edge, numV graph.VID) {
+// checkStore holds s to the model of edges exactly.
+func checkStore(t *testing.T, s *Store, edges []graph.Edge) {
 	t.Helper()
-	out, in := buildRef(edges)
-	ctx := xpsim.NewCtx(0)
-	for v := graph.VID(0); v < numV; v++ {
-		if got := s.NbrsOut(ctx, v, nil); !sameMultiset(got, out[v]) {
-			t.Fatalf("vertex %d out: got %d nbrs, want %d", v, len(got), len(out[v]))
-		}
-		if got := s.NbrsIn(ctx, v, nil); !sameMultiset(got, in[v]) {
-			t.Fatalf("vertex %d in: got %d nbrs, want %d", v, len(got), len(in[v]))
-		}
+	if _, err := (difftest.Compare{}).Run(difftest.Of(edges), s); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -91,7 +44,7 @@ func TestIngestAllVariants(t *testing.T) {
 			if rep.Edges != int64(len(edges)) || rep.TotalNs() <= 0 || rep.Batches == 0 {
 				t.Fatalf("bad report %+v", rep)
 			}
-			checkStore(t, s, edges, 512)
+			checkStore(t, s, edges)
 		})
 	}
 }
@@ -107,7 +60,7 @@ func TestDeletion(t *testing.T) {
 	if _, err := s.Ingest(edges); err != nil {
 		t.Fatal(err)
 	}
-	checkStore(t, s, edges, 8)
+	checkStore(t, s, edges)
 }
 
 func TestPSlowerThanD(t *testing.T) {
@@ -225,7 +178,7 @@ func TestRebuildRecovery(t *testing.T) {
 	if simNs <= 0 {
 		t.Fatal("recovery must cost simulated time")
 	}
-	checkStore(t, s, edges, 512)
+	checkStore(t, s, edges)
 }
 
 func TestDRAMBudgetOOM(t *testing.T) {
@@ -339,7 +292,7 @@ func TestArchiveOrderAtAnyThreadCount(t *testing.T) {
 				}
 			}
 		}
-		checkStore(t, s, edges, 512)
+		checkStore(t, s, edges)
 	}
 }
 

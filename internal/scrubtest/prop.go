@@ -9,7 +9,7 @@
 //     and the patched image recovers with the full typed state intact;
 //   - unscrubbed mid-log damage surfaces at recovery as fail-closed
 //     typed reads (prop.ErrDamaged) — never default-label answers —
-//     while untyped adjacency reads keep serving oracle-exactly.
+//     while untyped adjacency reads keep serving model-exactly.
 package scrubtest
 
 import (
@@ -17,132 +17,70 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/crashtest"
+	"repro/internal/difftest"
 	"repro/internal/graph"
-	"repro/internal/pmem"
 	"repro/internal/prop"
 	"repro/internal/xpsim"
 )
 
-const (
-	propNV    = 64
-	propEdges = 300
-)
+const propNV = 64
 
-// propWorkload is the deterministic typed workload: distinct edges, all
-// typed, plus one property per source vertex.
-func propWorkload() ([]graph.Edge, []uint16, []graph.PropSet) {
-	edges := make([]graph.Edge, propEdges)
-	labels := make([]uint16, propEdges)
+// propOptions is the MediaGuard store with property columns both scenarios
+// run on.
+func propOptions(name string) core.Options {
+	return core.Options{Name: name, NumVertices: propNV, LogCapacity: 1 << 10,
+		ArchiveThreshold: 1 << 6, ArchiveThreads: 2, MediaGuard: true, Props: true}
+}
+
+// buildProp constructs the store, ingests the deterministic typed workload
+// — 300 distinct edges, all typed, plus one property per source vertex —
+// flushes every record into PMEM blocks, and returns the workload's model.
+func buildProp(name string) (*core.Store, *xpsim.Faults, *difftest.Model, error) {
+	st, faults, err := crashtest.Build(propOptions(name))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	m := difftest.New()
+	for _, l := range []string{"a", "b", "c"} {
+		if _, err := st.RegisterLabel(l); err != nil {
+			return nil, nil, nil, err
+		}
+		m.RegisterLabel(l)
+	}
+	edges, labels := make([]graph.Edge, 300), make([]uint16, 300)
 	for i := range edges {
-		edges[i] = graph.Edge{Src: uint32(i % 16), Dst: uint32(16 + i/16)}
-		labels[i] = uint16(1 + i%3)
+		edges[i], labels[i] = graph.Edge{Src: uint32(i % 16), Dst: uint32(16 + i/16)}, uint16(1+i%3)
 	}
 	props := make([]graph.PropSet, 16)
 	for v := range props {
 		props[v] = graph.PropSet{V: uint32(v), Key: 1, Val: int64(v * 10)}
 	}
-	return edges, labels, props
-}
-
-// buildProp constructs a MediaGuard store with property columns, ingests
-// the typed workload, and flushes every record into PMEM blocks.
-func buildProp(name string) (*core.Store, *xpsim.Faults, error) {
-	machine := xpsim.NewMachine(2, 256<<20, xpsim.DefaultLatency())
-	faults := machine.TrackFaults()
-	st, err := core.New(machine, pmem.NewHeap(machine), nil, core.Options{
-		Name: name, NumVertices: propNV, LogCapacity: 1 << 10,
-		ArchiveThreshold: 1 << 6, ArchiveThreads: 2,
-		MediaGuard: true, Props: true,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, l := range []string{"a", "b", "c"} {
-		if _, err := st.RegisterLabel(l); err != nil {
-			return nil, nil, err
-		}
-	}
-	edges, labels, props := propWorkload()
+	m.IngestTyped(edges, labels)
+	m.SetProps(props)
 	if _, err := st.IngestTyped(edges, labels); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	if err := st.SetProps(props); err != nil {
-		return nil, nil, err
+	if err := errors.Join(st.SetProps(props), st.BufferAllEdges(), st.FlushAllVbufs()); err != nil {
+		return nil, nil, nil, err
 	}
-	if err := st.BufferAllEdges(); err != nil {
-		return nil, nil, err
-	}
-	if err := st.FlushAllVbufs(); err != nil {
-		return nil, nil, err
-	}
-	return st, faults, nil
+	return st, faults, m, nil
 }
 
-// propDifferential checks the typed read surface against the workload
-// oracle: every edge carries exactly its assigned label, every written
-// property reads back exactly, and a type filter prunes exactly.
-func propDifferential(st *core.Store) error {
-	edges, labels, props := propWorkload()
-	wantLbl := map[graph.Edge]uint16{}
-	for i, e := range edges {
-		wantLbl[e] = labels[i]
-	}
-	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
-	got := map[graph.Edge]uint16{}
-	for v := graph.VID(0); v < propNV; v++ {
-		err := st.VisitOutTyped(ctx, v, prop.Filter{}, func(nbr uint32, lbl uint16) {
-			got[graph.Edge{Src: uint32(v), Dst: nbr}] = lbl
-		})
-		if err != nil {
-			return fmt.Errorf("typed visit %d: %w", v, err)
-		}
-	}
-	if len(got) != len(wantLbl) {
-		return fmt.Errorf("typed view has %d edges, want %d", len(got), len(wantLbl))
-	}
-	for e, want := range wantLbl {
-		if got[e] != want {
-			return fmt.Errorf("SILENT WRONG LABEL %d→%d: got %d, want %d", e.Src, e.Dst, got[e], want)
-		}
-	}
-	for _, p := range props {
-		val, ok, err := st.VProp(graph.VID(p.V), p.Key)
-		if err != nil {
-			return fmt.Errorf("VProp(%d): %w", p.V, err)
-		}
-		if !ok || val != p.Val {
-			return fmt.Errorf("SILENT WRONG PROPERTY v%d: got %d,%v, want %d", p.V, val, ok, p.Val)
-		}
-	}
-	// Pushdown spot check: filtering on label 2 keeps exactly its third.
-	var kept, want int
-	for _, l := range labels {
-		if l == 2 {
-			want++
-		}
-	}
-	for v := graph.VID(0); v < propNV; v++ {
-		err := st.VisitOutTyped(ctx, v, prop.Filter{Types: []uint16{2}}, func(uint32, uint16) { kept++ })
-		if err != nil {
-			return fmt.Errorf("filtered visit %d: %w", v, err)
-		}
-	}
-	if kept != want {
-		return fmt.Errorf("type filter kept %d edges, want %d", kept, want)
-	}
-	return nil
-}
+// typed is the comparator of the typed read surface: every edge with
+// exactly its label, every written property exactly.
+var typed = difftest.Compare{Labels: true, Props: []uint16{1}}
 
 // RunPropScrubRepair drives the repair loop over the column log: UEs
 // land under every written block, the scrub rebuilds each from the DRAM
 // mirror as patch blocks, and the patched image survives crash +
 // recovery with the full typed state.
 func RunPropScrubRepair() error {
-	st, faults, err := buildProp("prop-repair")
+	st, faults, m, err := buildProp("prop-repair")
 	if err != nil {
 		return err
 	}
-	if err := propDifferential(st); err != nil {
+	if _, err := typed.Run(m, st); err != nil {
 		return fmt.Errorf("pre-damage: %w", err)
 	}
 	lines := st.PropMediaLines()
@@ -153,7 +91,7 @@ func RunPropScrubRepair() error {
 		faults.InjectUE(ln.Node, ln.Line)
 	}
 	// Live reads stay exact: they answer from the DRAM index.
-	if err := propDifferential(st); err != nil {
+	if _, err := typed.Run(m, st); err != nil {
 		return fmt.Errorf("post-damage live reads: %w", err)
 	}
 
@@ -174,15 +112,11 @@ func RunPropScrubRepair() error {
 	if err != nil {
 		return err
 	}
-	rs, _, err := core.Recover(clone.Machine(), clone, nil, core.Options{
-		Name: "prop-repair", NumVertices: propNV, LogCapacity: 1 << 10,
-		ArchiveThreshold: 1 << 6, ArchiveThreads: 2,
-		MediaGuard: true, Props: true,
-	})
+	rs, _, err := core.Recover(clone.Machine(), clone, nil, propOptions("prop-repair"))
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
-	if err := propDifferential(rs); err != nil {
+	if _, err := typed.Run(m, rs); err != nil {
 		return fmt.Errorf("recovered: %w", err)
 	}
 	// Retired blocks are out of the scan set: a fresh scrub is clean.
@@ -202,7 +136,7 @@ func RunPropScrubRepair() error {
 // answer), the scrub reports it unrecoverable, and the untyped adjacency
 // surface keeps serving.
 func RunPropUnrecoverable() error {
-	st, faults, err := buildProp("prop-unrec")
+	st, faults, m, err := buildProp("prop-unrec")
 	if err != nil {
 		return err
 	}
@@ -217,11 +151,7 @@ func RunPropUnrecoverable() error {
 	if err != nil {
 		return err
 	}
-	rs, _, err := core.Recover(clone.Machine(), clone, nil, core.Options{
-		Name: "prop-unrec", NumVertices: propNV, LogCapacity: 1 << 10,
-		ArchiveThreshold: 1 << 6, ArchiveThreads: 2,
-		MediaGuard: true, Props: true,
-	})
+	rs, _, err := core.Recover(clone.Machine(), clone, nil, propOptions("prop-unrec"))
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
@@ -240,20 +170,9 @@ func RunPropUnrecoverable() error {
 	if rep.PropUnrecoverable == 0 {
 		return fmt.Errorf("scrub recovered a block with no mirror: %+v", rep)
 	}
-	// Adjacency is a separate surface: untyped reads stay oracle-exact.
-	edges, _, _ := propWorkload()
-	want := map[graph.VID]int{}
-	for _, e := range edges {
-		want[e.Src]++
-	}
-	for v := graph.VID(0); v < propNV; v++ {
-		got, err := rs.NbrsChecked(ctx, core.Out, v, nil)
-		if err != nil {
-			return fmt.Errorf("untyped read %d: %v", v, err)
-		}
-		if len(got) != want[v] {
-			return fmt.Errorf("untyped out(%d) = %d edges, want %d", v, len(got), want[v])
-		}
+	// Adjacency is a separate surface: untyped checked reads stay exact.
+	if err := clean(m, rs); err != nil {
+		return fmt.Errorf("untyped reads: %w", err)
 	}
 	return nil
 }

@@ -1,189 +1,58 @@
 // Package scrubtest is the differential media-error verifier: it runs a
-// deterministic workload on a MediaGuard store, injects uncorrectable
-// errors (xpsim.Faults.InjectUE) under live adjacency chains, and checks
-// the store's checked read path vertex-for-vertex against an in-memory
-// oracle.
+// deterministic workload on a MediaGuard store (crashtest's Config and
+// Build), injects uncorrectable errors (xpsim.Faults.InjectUE) under live
+// adjacency chains, and holds the store's checked read path to difftest's
+// checked mode against the workload's model.
 //
 // The contract under test is the media-tolerance invariant: a checked
-// read either returns exactly what the oracle holds or fails with a
-// typed error (*xpsim.MediaError, *adj.CorruptError,
-// *core.UnrecoverableError) — it never returns silently wrong edges. On
-// top of that the harness drives the repair loop: after core.Scrub the
-// damaged vertices must be rebuilt from the SSD archive or the resident
-// edge-log window, the store must report HealthOK again, and every read
-// must match the oracle with no errors left. Separate scenarios cover
-// the unrecoverable path (no rebuild source → typed failure, degraded
-// health), whole-NUMA-node failure (readonly health, healthy partitions
-// keep serving), and quarantine persistence across crash + recovery.
+// read either returns exactly what the model holds or fails with a typed
+// error (*xpsim.MediaError, *adj.CorruptError, *core.UnrecoverableError) —
+// it never returns silently wrong edges. On top of that the harness drives
+// the repair loop: after core.Scrub the damaged vertices must be rebuilt
+// from the SSD archive or the resident edge-log window, the store must
+// report HealthOK again, and every read must match with no errors left.
+// Separate scenarios cover the unrecoverable path (no rebuild source →
+// typed failure, degraded health), whole-NUMA-node failure (readonly
+// health, healthy partitions keep serving), quarantine persistence across
+// crash + recovery, and the compositions of a crash with a scrub and with
+// damage in the log window a recovery replays.
 package scrubtest
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/adj"
 	"repro/internal/core"
+	"repro/internal/crashtest"
+	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/pmem"
 	"repro/internal/xpsim"
 )
 
-// Config describes one deterministic scrub workload.
-type Config struct {
-	Name     string  // store/region name prefix
-	Scale    int     // vertex-ID space is 1<<Scale
-	Edges    int64   // workload length
-	DelRatio float64 // fraction of deletions (gen.Evolving); 0 = adds only
-	Seed     uint64  // workload generator seed
+// ueTargets is how many vertices' chains a scenario damages.
+const ueTargets = 4
 
-	LogCapacity      int64
-	ArchiveThreshold int64
-	ArchiveThreads   int
-	NUMA             core.NUMAMode
-	ArchiveSSDBytes  int64 // SSD edge archive size (0 = log-window rebuilds only)
-
-	Chunk     int // edges per Ingest call (0 = all at once)
-	UETargets int // vertices whose chains get UE-injected (default 4)
-
-	// Varint runs the workload on delta-varint adjacency blocks, so UE
-	// damage and scrub rebuilds land on variable-length payloads.
-	Varint bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.Name == "" {
-		c.Name = "scrub"
-	}
-	if c.Scale == 0 {
-		c.Scale = 6
-	}
-	if c.Edges == 0 {
-		c.Edges = 600
-	}
-	if c.LogCapacity == 0 {
-		c.LogCapacity = 1 << 10
-	}
-	if c.ArchiveThreshold == 0 {
-		c.ArchiveThreshold = 1 << 6
-	}
-	if c.ArchiveThreads == 0 {
-		c.ArchiveThreads = 2
-	}
-	if c.Chunk == 0 {
-		c.Chunk = int(c.Edges)
-	}
-	if c.UETargets == 0 {
-		c.UETargets = 4
-	}
-	return c
-}
-
-func (c Config) workload() []graph.Edge {
-	if c.DelRatio > 0 {
-		return gen.Evolving(c.Scale, c.Edges, c.DelRatio, c.Seed)
-	}
-	return gen.RMAT(c.Scale, c.Edges, c.Seed)
-}
-
-func (c Config) storeOptions() core.Options {
-	return core.Options{
-		Name:             c.Name,
-		NumVertices:      1 << c.Scale,
-		LogCapacity:      c.LogCapacity,
-		ArchiveThreshold: c.ArchiveThreshold,
-		ArchiveThreads:   c.ArchiveThreads,
-		NUMA:             c.NUMA,
-		MediaGuard:       true,
-		ArchiveSSDBytes:  c.ArchiveSSDBytes,
-		CompressedAdj:    c.Varint,
-	}
-}
-
-// build constructs the fault-tracked machine, heap, and MediaGuard store,
+// build constructs the fault-tracked MediaGuard store cfg describes,
 // ingests the workload, and flushes everything into PMEM chains so UE
-// injection hits data the checked read path must cover.
-func build(cfg Config) (*core.Store, *xpsim.Faults, []graph.Edge, error) {
-	machine := xpsim.NewMachine(2, 256<<20, xpsim.DefaultLatency())
-	faults := machine.TrackFaults()
-	st, err := core.New(machine, pmem.NewHeap(machine), nil, cfg.storeOptions())
+// injection hits data the checked read path must cover. It returns cfg
+// with its defaults filled and the workload's model.
+func build(cfg crashtest.Config) (crashtest.Config, *core.Store, *xpsim.Faults, *difftest.Model, error) {
+	cfg = cfg.WithDefaults()
+	cfg.MediaGuard = true
+	st, faults, err := crashtest.Build(cfg.Options())
 	if err != nil {
-		return nil, nil, nil, err
+		return cfg, nil, nil, nil, err
 	}
-	edges := cfg.workload()
-	for i := 0; i < len(edges); i += cfg.Chunk {
-		end := i + cfg.Chunk
-		if end > len(edges) {
-			end = len(edges)
-		}
-		if _, err := st.Ingest(edges[i:end]); err != nil {
-			return nil, nil, nil, fmt.Errorf("ingest: %w", err)
-		}
+	edges := cfg.Workload()
+	if err := crashtest.Ingest(st, cfg, edges); err != nil {
+		return cfg, nil, nil, nil, fmt.Errorf("ingest: %w", err)
 	}
-	if err := st.BufferAllEdges(); err != nil {
-		return nil, nil, nil, err
+	if err := errors.Join(st.BufferAllEdges(), st.FlushAllVbufs()); err != nil {
+		return cfg, nil, nil, nil, err
 	}
-	if err := st.FlushAllVbufs(); err != nil {
-		return nil, nil, nil, err
-	}
-	return st, faults, edges, nil
-}
-
-// ---- oracle (crashtest's reference semantics, duplicated locally) ----
-
-type oracle struct {
-	out, in map[graph.VID][]uint32
-}
-
-func buildOracle(edges []graph.Edge) *oracle {
-	o := &oracle{out: map[graph.VID][]uint32{}, in: map[graph.VID][]uint32{}}
-	for _, e := range edges {
-		if e.IsDelete() {
-			o.out[e.Src] = removeOne(o.out[e.Src], e.Target())
-			o.in[e.Target()] = removeOne(o.in[e.Target()], e.Src)
-			continue
-		}
-		o.out[e.Src] = append(o.out[e.Src], e.Dst)
-		o.in[e.Dst] = append(o.in[e.Dst], e.Src)
-	}
-	return o
-}
-
-func removeOne(s []uint32, v uint32) []uint32 {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == v {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
-}
-
-func diffMultiset(got, want []uint32) string {
-	g := append([]uint32(nil), got...)
-	w := append([]uint32(nil), want...)
-	sort.Slice(g, func(i, j int) bool { return g[i] < g[j] })
-	sort.Slice(w, func(i, j int) bool { return w[i] < w[j] })
-	if len(g) == len(w) {
-		same := true
-		for i := range g {
-			if g[i] != w[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return ""
-		}
-	}
-	return fmt.Sprintf("got %d nbrs %v, want %d nbrs %v", len(g), g, len(w), w)
-}
-
-func (o *oracle) want(d core.Direction, v graph.VID) []uint32 {
-	if d == core.Out {
-		return o.out[v]
-	}
-	return o.in[v]
+	return cfg, st, faults, difftest.Of(edges), nil
 }
 
 // typedMediaError reports whether err is one of the typed failures the
@@ -195,37 +64,17 @@ func typedMediaError(err error) bool {
 	return errors.As(err, &me) || errors.As(err, &ce) || errors.As(err, &ue)
 }
 
-// diffReport summarizes one differential pass over every vertex and both
-// directions through the checked read path.
-type diffReport struct {
-	Clean  int // reads that matched the oracle
-	Failed int // reads that returned a typed media error
-}
+// checked is the comparator every scenario reads through: each checked
+// read exact or failed typed.
+var checked = difftest.Compare{Typed: typedMediaError}
 
-// differential checks every vertex in both directions: a checked read
-// must either match the oracle exactly or fail with a typed media error.
-// Any silently wrong neighbor list is fatal — it is the one outcome the
-// media-tolerance layer exists to prevent.
-func differential(st *core.Store, o *oracle) (diffReport, error) {
-	var rep diffReport
-	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
-	for d := 0; d < 2; d++ {
-		for v := graph.VID(0); v < st.NumVertices(); v++ {
-			got, err := st.NbrsChecked(ctx, core.Direction(d), v, nil)
-			if err != nil {
-				if !typedMediaError(err) {
-					return rep, fmt.Errorf("vertex %d dir %d: untyped error %v", v, d, err)
-				}
-				rep.Failed++
-				continue
-			}
-			if diff := diffMultiset(got, o.want(core.Direction(d), v)); diff != "" {
-				return rep, fmt.Errorf("SILENT WRONG DATA vertex %d dir %d: %s", v, d, diff)
-			}
-			rep.Clean++
-		}
+// clean is checked.Run requiring that no read fail.
+func clean(m *difftest.Model, st *core.Store) error {
+	rep, err := checked.Run(m, st)
+	if err == nil && len(rep.Failed) > 0 {
+		err = fmt.Errorf("%d reads fail, the first %v", len(rep.Failed), rep.Failed[0])
 	}
-	return rep, nil
+	return err
 }
 
 // injectChains marks every XPLine backing the Out-chains of n vertices
@@ -251,80 +100,63 @@ func injectChains(st *core.Store, faults *xpsim.Faults, n int) []graph.VID {
 
 // RunUEDetection pins the detection half of the contract: after UEs land
 // under live chains, no checked read returns silently wrong data — every
-// read either matches the oracle or fails typed — and at least the
+// read either matches the model or fails typed — and at least the
 // injected vertices do fail.
-func RunUEDetection(cfg Config) error {
-	cfg = cfg.withDefaults()
-	st, faults, edges, err := build(cfg)
+func RunUEDetection(cfg crashtest.Config) error {
+	_, st, faults, m, err := build(cfg)
 	if err != nil {
 		return err
 	}
-	o := buildOracle(edges)
-
-	before, err := differential(st, o)
-	if err != nil {
-		return fmt.Errorf("pre-damage differential: %w", err)
+	if err := clean(m, st); err != nil {
+		return fmt.Errorf("pre-damage: %w", err)
 	}
-	if before.Failed != 0 {
-		return fmt.Errorf("pre-damage reads failed: %+v", before)
-	}
-
-	targets := injectChains(st, faults, cfg.UETargets)
+	targets := injectChains(st, faults, ueTargets)
 	if len(targets) == 0 {
 		return fmt.Errorf("workload left no PMEM chains to damage")
 	}
-	after, err := differential(st, o)
+	after, err := checked.Run(m, st)
 	if err != nil {
-		return fmt.Errorf("post-damage differential: %w", err)
+		return fmt.Errorf("post-damage: %w", err)
 	}
-	if after.Failed < len(targets) {
-		return fmt.Errorf("only %d reads failed for %d damaged vertices", after.Failed, len(targets))
+	if len(after.Failed) < len(targets) {
+		return fmt.Errorf("only %d reads failed for %d damaged vertices", len(after.Failed), len(targets))
 	}
 	return nil
 }
 
-// RunScrubRepair drives the full detect → scrub → repair loop: after the
-// scrub every read matches the oracle with no errors left and the store
-// reports HealthOK. With cfg.ArchiveSSDBytes set the rebuild comes from
-// the SSD archive; otherwise every record must still be resident in the
-// edge-log window (size cfg.Edges <= cfg.LogCapacity accordingly).
-func RunScrubRepair(cfg Config) error {
-	cfg = cfg.withDefaults()
-	st, faults, edges, err := build(cfg)
-	if err != nil {
-		return err
-	}
-	o := buildOracle(edges)
-	targets := injectChains(st, faults, cfg.UETargets)
-	if len(targets) == 0 {
-		return fmt.Errorf("workload left no PMEM chains to damage")
-	}
-
+// repair runs a scrub that must repair everything it finds, quarantine
+// something, and leave the store healthy with every read exact.
+func repair(st *core.Store, m *difftest.Model, damaged int) error {
 	rep, err := st.Scrub()
 	if err != nil {
 		return fmt.Errorf("scrub: %w", err)
 	}
-	if rep.Damaged < int64(len(targets)) {
-		return fmt.Errorf("scrub found %d damaged, injected %d", rep.Damaged, len(targets))
-	}
-	if rep.Unrecoverable != 0 || rep.Repaired != rep.Damaged {
-		return fmt.Errorf("scrub did not repair everything: %+v", rep)
-	}
-	if rep.SpansQuarantined == 0 {
-		return fmt.Errorf("repair quarantined nothing: %+v", rep)
+	if rep.Damaged < int64(damaged) || rep.Unrecoverable != 0 || rep.Repaired != rep.Damaged || rep.SpansQuarantined == 0 {
+		return fmt.Errorf("scrub did not repair and quarantine all %d damaged vertices: %+v", damaged, rep)
 	}
 	if h := st.Health(); h.State != core.HealthOK {
 		return fmt.Errorf("health after scrub = %v (%+v)", h.State, h)
 	}
-
-	after, err := differential(st, o)
-	if err != nil {
-		return fmt.Errorf("post-scrub differential: %w", err)
-	}
-	if after.Failed != 0 {
-		return fmt.Errorf("reads still failing after repair: %+v", after)
+	if err := clean(m, st); err != nil {
+		return fmt.Errorf("post-scrub: %w", err)
 	}
 	return nil
+}
+
+// RunScrubRepair drives the full detect → scrub → repair loop. With
+// cfg.ArchiveSSDBytes set the rebuild comes from the SSD archive;
+// otherwise every record must still be resident in the edge-log window
+// (size cfg.Edges <= cfg.LogCapacity accordingly).
+func RunScrubRepair(cfg crashtest.Config) error {
+	_, st, faults, m, err := build(cfg)
+	if err != nil {
+		return err
+	}
+	targets := injectChains(st, faults, ueTargets)
+	if len(targets) == 0 {
+		return fmt.Errorf("workload left no PMEM chains to damage")
+	}
+	return repair(st, m, len(targets))
 }
 
 // RunUnrecoverable pins the honest-failure path: with no SSD archive and
@@ -332,46 +164,34 @@ func RunScrubRepair(cfg Config) error {
 // window, a damaged early vertex has no rebuild source. The scrub must
 // report it unrecoverable (never fabricate a partial chain), the store
 // must go degraded, and reads of it must fail with *UnrecoverableError
-// while every other read still matches the oracle.
-func RunUnrecoverable(cfg Config) error {
-	cfg = cfg.withDefaults()
-	if cfg.ArchiveSSDBytes != 0 {
-		return fmt.Errorf("RunUnrecoverable requires no archive")
-	}
-	if cfg.Edges <= cfg.LogCapacity {
-		return fmt.Errorf("workload (%d edges) must overflow the log window (%d)", cfg.Edges, cfg.LogCapacity)
-	}
-	st, faults, edges, err := build(cfg)
+// while every other read still matches the model.
+func RunUnrecoverable(cfg crashtest.Config) error {
+	cfg, st, faults, m, err := build(cfg)
 	if err != nil {
 		return err
 	}
-	o := buildOracle(edges)
-
+	if cfg.ArchiveSSDBytes != 0 || cfg.Edges <= cfg.LogCapacity {
+		return fmt.Errorf("the workload (%d edges) must overflow the log window (%d) with no archive", cfg.Edges, cfg.LogCapacity)
+	}
 	// Target a vertex whose record stream is no longer fully resident:
 	// count its out-records in the log window and compare to the store.
-	lo := st.Log().Head() - st.Log().Cap()
-	if lo < 0 {
-		lo = 0
-	}
 	windowCount := map[graph.VID]int{}
-	for _, e := range edges[lo:st.Log().Head()] {
+	for _, e := range cfg.Workload()[max(0, st.Log().Head()-st.Log().Cap()):st.Log().Head()] {
 		if !e.IsDelete() {
 			windowCount[e.Src]++
 		}
 	}
 	var rotated []graph.VID
-	for v := graph.VID(0); v < st.NumVertices() && len(rotated) < cfg.UETargets; v++ {
-		if st.OutDegree(v) > windowCount[v] && len(st.VertexMediaLines(core.Out, v)) > 0 {
+	for v := graph.VID(0); v < st.NumVertices() && len(rotated) < ueTargets; v++ {
+		if lines := st.VertexMediaLines(core.Out, v); st.OutDegree(v) > windowCount[v] && len(lines) > 0 {
+			for _, ln := range lines {
+				faults.InjectUE(ln.Node, ln.Line)
+			}
 			rotated = append(rotated, v)
 		}
 	}
 	if len(rotated) == 0 {
 		return fmt.Errorf("no vertex lost records to log rotation; grow cfg.Edges")
-	}
-	for _, v := range rotated {
-		for _, ln := range st.VertexMediaLines(core.Out, v) {
-			faults.InjectUE(ln.Node, ln.Line)
-		}
 	}
 
 	rep, err := st.Scrub()
@@ -384,53 +204,42 @@ func RunUnrecoverable(cfg Config) error {
 	if h := st.Health(); h.State != core.HealthDegraded {
 		return fmt.Errorf("health = %v, want degraded (%+v)", h.State, h)
 	}
-
-	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
-	var sawUnrec bool
-	for _, v := range rotated {
-		_, rerr := st.NbrsChecked(ctx, core.Out, v, nil)
+	// The rest of the graph keeps serving, model-exact.
+	after, err := checked.Run(m, st)
+	if err != nil {
+		return fmt.Errorf("post-scrub: %w", err)
+	}
+	for _, r := range after.Failed {
 		var ue *core.UnrecoverableError
-		if errors.As(rerr, &ue) {
-			sawUnrec = true
+		if errors.As(r.Err, &ue) {
+			return nil
 		}
 	}
-	if !sawUnrec {
-		return fmt.Errorf("no rotated target failed with UnrecoverableError")
-	}
-	// The rest of the graph keeps serving, oracle-exact.
-	if _, err := differential(st, o); err != nil {
-		return fmt.Errorf("post-scrub differential: %w", err)
-	}
-	return nil
+	return fmt.Errorf("no rotated target failed with UnrecoverableError")
 }
 
 // RunMixedFormatScrub pins media tolerance over mixed-format chains: a
 // fixed-block store crashes cleanly, the recovered store enables the
 // varint encoding and ingests a continuation (varint tails on fixed
 // chains), then UEs land under the mixed chains. Checked reads must stay
-// oracle-or-typed-error, and the scrub must rebuild every damaged vertex
+// exact-or-typed, and the scrub must rebuild every damaged vertex
 // from the resident log window — regardless of which encodings its chain
 // mixed. cfg.Edges + contEdges must fit in LogCapacity.
-func RunMixedFormatScrub(cfg Config, contEdges int64) error {
-	cfg = cfg.withDefaults()
-	if cfg.Varint {
-		return fmt.Errorf("RunMixedFormatScrub builds the first phase on fixed blocks; leave Varint unset")
-	}
-	if cfg.Edges+contEdges > cfg.LogCapacity {
-		return fmt.Errorf("workload (%d+%d edges) must fit the log window (%d) for rebuilds",
-			cfg.Edges, contEdges, cfg.LogCapacity)
-	}
-	st, _, edges, err := build(cfg)
+func RunMixedFormatScrub(cfg crashtest.Config, contEdges int64) error {
+	cfg, st, _, m, err := build(cfg)
 	if err != nil {
 		return err
 	}
-
+	if cfg.Varint || cfg.Edges+contEdges > cfg.LogCapacity {
+		return fmt.Errorf("the first phase runs on fixed blocks, and the workload (%d+%d edges) must fit the log window (%d) for rebuilds",
+			cfg.Edges, contEdges, cfg.LogCapacity)
+	}
 	clone, err := st.Heap().CrashClone()
 	if err != nil {
 		return err
 	}
 	faults := clone.Machine().TrackFaults()
-	opts := cfg.storeOptions()
+	opts := cfg.Options()
 	opts.CompressedAdj = true
 	rs, _, err := core.Recover(clone.Machine(), clone, nil, opts)
 	if err != nil {
@@ -440,113 +249,67 @@ func RunMixedFormatScrub(cfg Config, contEdges int64) error {
 	if _, err := rs.Ingest(cont); err != nil {
 		return fmt.Errorf("continuation ingest: %w", err)
 	}
-	if err := rs.BufferAllEdges(); err != nil {
-		return err
-	}
-	if err := rs.FlushAllVbufs(); err != nil {
+	if err := errors.Join(rs.BufferAllEdges(), rs.FlushAllVbufs()); err != nil {
 		return err
 	}
 	if es := rs.AdjEncoding(); es.VarintRecords == 0 {
 		return fmt.Errorf("continuation wrote no varint records; chains are not mixed")
 	}
-
-	o := buildOracle(append(append([]graph.Edge(nil), edges...), cont...))
-	if rep, err := differential(rs, o); err != nil {
-		return fmt.Errorf("pre-damage differential: %w", err)
-	} else if rep.Failed != 0 {
-		return fmt.Errorf("pre-damage reads failed: %+v", rep)
+	m.Ingest(cont)
+	if err := clean(m, rs); err != nil {
+		return fmt.Errorf("pre-damage: %w", err)
 	}
-
-	targets := injectChains(rs, faults, cfg.UETargets)
+	targets := injectChains(rs, faults, ueTargets)
 	if len(targets) == 0 {
 		return fmt.Errorf("workload left no PMEM chains to damage")
 	}
-	after, err := differential(rs, o)
+	after, err := checked.Run(m, rs)
 	if err != nil {
-		return fmt.Errorf("post-damage differential: %w", err)
+		return fmt.Errorf("post-damage: %w", err)
 	}
-	if after.Failed < len(targets) {
-		return fmt.Errorf("only %d reads failed for %d damaged vertices", after.Failed, len(targets))
+	if len(after.Failed) < len(targets) {
+		return fmt.Errorf("only %d reads failed for %d damaged vertices", len(after.Failed), len(targets))
 	}
-
-	rep, err := rs.Scrub()
-	if err != nil {
-		return fmt.Errorf("scrub: %w", err)
-	}
-	if rep.Unrecoverable != 0 || rep.Repaired != rep.Damaged {
-		return fmt.Errorf("scrub did not repair everything: %+v", rep)
-	}
-	if h := rs.Health(); h.State != core.HealthOK {
-		return fmt.Errorf("health after scrub = %v (%+v)", h.State, h)
-	}
-	final, err := differential(rs, o)
-	if err != nil {
-		return fmt.Errorf("post-scrub differential: %w", err)
-	}
-	if final.Failed != 0 {
-		return fmt.Errorf("reads still failing after repair: %+v", final)
-	}
-	return nil
+	return repair(rs, m, len(targets))
 }
 
 // RunNodeFailure pins whole-device failure: kill one NUMA node of a
 // NUMASubgraph store and the store answers reads for partitions on the
-// healthy node oracle-exactly, fails reads on the dead node typed,
+// healthy node model-exactly, fails reads on the dead node typed,
 // refuses ingestion with a media error, and recovers to HealthOK when
 // the node revives.
-func RunNodeFailure(cfg Config) error {
-	cfg = cfg.withDefaults()
+func RunNodeFailure(cfg crashtest.Config) error {
 	cfg.NUMA = core.NUMASubgraph
-	st, faults, edges, err := build(cfg)
+	_, st, faults, m, err := build(cfg)
 	if err != nil {
 		return err
 	}
-	o := buildOracle(edges)
-
 	const dead = 1
 	faults.FailNode(dead)
 	if h := st.Health(); h.State != core.HealthReadonly {
 		return fmt.Errorf("health with dead node = %v", h.State)
 	}
-	if _, ierr := st.Ingest([]graph.Edge{{Src: 1, Dst: 2}}); ierr == nil {
-		return fmt.Errorf("ingest succeeded on a store with a dead node")
-	} else if !typedMediaError(ierr) {
-		return fmt.Errorf("ingest refusal is untyped: %v", ierr)
+	if _, ierr := st.Ingest([]graph.Edge{{Src: 1, Dst: 2}}); !typedMediaError(ierr) {
+		return fmt.Errorf("ingest on a store with a dead node: %v, want a typed refusal", ierr)
 	}
-
-	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
-	var healthy, failed int
-	for d := 0; d < 2; d++ {
-		for v := graph.VID(0); v < st.NumVertices(); v++ {
-			got, rerr := st.NbrsChecked(ctx, core.Direction(d), v, nil)
-			onDead := st.Node(core.Direction(d), v) == dead
-			switch {
-			case rerr == nil:
-				if diff := diffMultiset(got, o.want(core.Direction(d), v)); diff != "" {
-					return fmt.Errorf("SILENT WRONG DATA vertex %d dir %d: %s", v, d, diff)
-				}
-				if !onDead {
-					healthy++
-				}
-			case !typedMediaError(rerr):
-				return fmt.Errorf("vertex %d dir %d: untyped error %v", v, d, rerr)
-			case !onDead:
-				return fmt.Errorf("vertex %d dir %d on healthy node failed: %v", v, d, rerr)
-			default:
-				failed++
-			}
+	rep, err := checked.Run(m, st)
+	if err != nil {
+		return err
+	}
+	for _, r := range rep.Failed {
+		if st.Node(r.Dir, r.V) != dead {
+			return fmt.Errorf("a read on the healthy node failed: %v", r)
 		}
 	}
-	if healthy == 0 || failed == 0 {
-		return fmt.Errorf("partition split not exercised: healthy=%d failed=%d", healthy, failed)
+	if len(rep.Failed) == 0 || rep.Clean == 0 {
+		return fmt.Errorf("partition split not exercised: %d clean reads, %d failed", rep.Clean, len(rep.Failed))
 	}
-
 	faults.ReviveNode(dead)
 	if h := st.Health(); h.State != core.HealthOK {
 		return fmt.Errorf("health after revive = %v", h.State)
 	}
-	if _, err := differential(st, o); err != nil {
-		return fmt.Errorf("post-revive differential: %w", err)
+	if err := clean(m, st); err != nil {
+		return fmt.Errorf("post-revive: %w", err)
 	}
 	return nil
 }
@@ -555,15 +318,13 @@ func RunNodeFailure(cfg Config) error {
 // quarantine), crash, recover with the SSD archive re-attached — the
 // quarantine must survive (same spans, no bad block recycled), the fault
 // state must propagate to the clone, the recovered store must serve the
-// full oracle view, and a fresh scrub must find nothing new.
-func RunQuarantinePersistence(cfg Config) error {
-	cfg = cfg.withDefaults()
-	st, faults, edges, err := build(cfg)
+// full model, and a fresh scrub must find nothing new.
+func RunQuarantinePersistence(cfg crashtest.Config) error {
+	cfg, st, faults, m, err := build(cfg)
 	if err != nil {
 		return err
 	}
-	o := buildOracle(edges)
-	if targets := injectChains(st, faults, cfg.UETargets); len(targets) == 0 {
+	if targets := injectChains(st, faults, ueTargets); len(targets) == 0 {
 		return fmt.Errorf("workload left no PMEM chains to damage")
 	}
 	rep, err := st.Scrub()
@@ -582,7 +343,7 @@ func RunQuarantinePersistence(cfg Config) error {
 	if f := clone.Machine().Faults(); f == nil || f.UECount() == 0 {
 		return fmt.Errorf("media fault state did not propagate to the crash clone")
 	}
-	opts := cfg.storeOptions()
+	opts := cfg.Options()
 	opts.ArchiveSSDBytes = 0
 	opts.Archive = st.Archive()
 	rs, _, err := core.Recover(clone.Machine(), clone, nil, opts)
@@ -591,14 +352,11 @@ func RunQuarantinePersistence(cfg Config) error {
 	}
 
 	got := rs.Health()
-	if got.QuarantinedSpans != want.QuarantinedSpans || got.QuarantinedBytes != want.QuarantinedBytes {
-		return fmt.Errorf("quarantine lost across recovery: got %+v, want %+v", got, want)
+	if got.QuarantinedSpans != want.QuarantinedSpans || got.QuarantinedBytes != want.QuarantinedBytes || got.State != want.State {
+		return fmt.Errorf("quarantine or health changed across recovery: got %+v, want %+v", got, want)
 	}
-	if got.State != want.State {
-		return fmt.Errorf("health state changed across recovery: got %v, want %v", got.State, want.State)
-	}
-	if _, err := differential(rs, o); err != nil {
-		return fmt.Errorf("recovered differential: %w", err)
+	if err := clean(m, rs); err != nil {
+		return fmt.Errorf("recovered: %w", err)
 	}
 	rep2, err := rs.Scrub()
 	if err != nil {
@@ -614,25 +372,24 @@ func RunQuarantinePersistence(cfg Config) error {
 // two fault harnesses (crash × scrub). A first scrub has repaired one small
 // vertex and persisted its quarantine; then every payload line under the
 // out-chain of the graph's hub went uncorrectable, and the machine was
-// killed by plan inside the second scrub — the one that repairs the hub. The live run went
-// on unharmed, so any number of recoveries can be tried on clones of the
-// frozen durable image.
+// killed by plan inside the second scrub — the one that repairs the hub.
+// The live run went on unharmed, so any number of recoveries can be tried
+// on clones of the frozen durable image.
 type ScrubCrash struct {
 	MediaWrites int64  // media writes of the interrupted scrub (probe: all of them)
 	CrashDesc   string // where the plan fired; empty if it did not
 
-	cfg    Config
-	st     *core.Store
-	oracle *oracle
-	quar   core.Health // after the first scrub: what must survive
+	cfg   crashtest.Config
+	st    *core.Store
+	model *difftest.Model
+	quar  core.Health // after the first scrub: what must survive
 }
 
 // CrashInScrub builds the workload, runs the first scrub, damages the hub
 // and runs the second scrub under plan. A zero plan is the probe that
 // counts the sweep space.
-func CrashInScrub(cfg Config, plan xpsim.FaultPlan) (*ScrubCrash, error) {
-	cfg = cfg.withDefaults()
-	st, faults, edges, err := build(cfg)
+func CrashInScrub(cfg crashtest.Config, plan xpsim.FaultPlan) (*ScrubCrash, error) {
+	cfg, st, faults, m, err := build(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -642,7 +399,7 @@ func CrashInScrub(cfg Config, plan xpsim.FaultPlan) (*ScrubCrash, error) {
 	if rep, err := st.Scrub(); err != nil || rep.Repaired == 0 || rep.SpansQuarantined == 0 {
 		return nil, fmt.Errorf("first scrub did not repair+quarantine: %+v, %v", rep, err)
 	}
-	c := &ScrubCrash{cfg: cfg, st: st, oracle: buildOracle(edges), quar: st.Health()}
+	c := &ScrubCrash{cfg: cfg, st: st, model: m, quar: st.Health()}
 
 	hub, lines := graph.VID(0), []core.MediaLine(nil)
 	for v := graph.VID(0); v < st.NumVertices(); v++ {
@@ -665,21 +422,21 @@ func CrashInScrub(cfg Config, plan xpsim.FaultPlan) (*ScrubCrash, error) {
 }
 
 // Verify recovers a clone of the crashed machine and checks the
-// composition's contract: every checked read is exact against the oracle
-// or fails typed, the quarantine the first scrub persisted survives, and a
-// further scrub completes the repair — after it every read is exact, none
-// fails, and the store is healthy.
+// composition's contract: every checked read is exact or fails typed, the
+// quarantine the first scrub persisted survives, and a further scrub
+// completes the repair — after it every read is exact, none fails, and the
+// store is healthy.
 func (c *ScrubCrash) Verify() error {
 	clone, err := c.st.Heap().CrashClone()
 	if err != nil {
 		return err
 	}
-	rs, _, err := core.Recover(clone.Machine(), clone, nil, c.cfg.storeOptions())
+	rs, _, err := core.Recover(clone.Machine(), clone, nil, c.cfg.Options())
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
-	if _, err := differential(rs, c.oracle); err != nil {
-		return fmt.Errorf("recovered differential: %w", err)
+	if _, err := checked.Run(c.model, rs); err != nil {
+		return fmt.Errorf("recovered: %w", err)
 	}
 	if h := rs.Health(); h.QuarantinedSpans < c.quar.QuarantinedSpans || h.QuarantinedBytes < c.quar.QuarantinedBytes {
 		return fmt.Errorf("quarantine lost across the crash: got %+v, want at least %+v", h, c.quar)
@@ -687,12 +444,28 @@ func (c *ScrubCrash) Verify() error {
 	if rep, err := rs.Scrub(); err != nil || rep.Unrecoverable != 0 {
 		return fmt.Errorf("scrub after recovery: %+v, %v", rep, err)
 	}
-	after, err := differential(rs, c.oracle)
-	if err != nil {
-		return fmt.Errorf("differential after the completing scrub: %w", err)
+	if err := clean(c.model, rs); err != nil {
+		return fmt.Errorf("after the completing scrub: %w", err)
 	}
-	if h := rs.Health(); after.Failed != 0 || h.State != core.HealthOK {
-		return fmt.Errorf("repair not completed: %d reads still fail, health %v (%+v)", after.Failed, h.State, h)
+	if h := rs.Health(); h.State != core.HealthOK {
+		return fmt.Errorf("repair not completed: health %v (%+v)", h.State, h)
+	}
+	return nil
+}
+
+// refusesTyped recovers a clone of st's durable image and requires a typed
+// media error — a refusal, neither a recovered store nor a panic.
+func refusesTyped(st *core.Store, opts core.Options) error {
+	clone, err := st.Heap().CrashClone()
+	if err != nil {
+		return err
+	}
+	_, _, err = core.Recover(clone.Machine(), clone, nil, opts)
+	if err == nil {
+		return fmt.Errorf("recovery read uncorrectable media without a word")
+	}
+	if !typedMediaError(err) {
+		return fmt.Errorf("recovery over uncorrectable media failed untyped: %v", err)
 	}
 	return nil
 }
@@ -706,25 +479,48 @@ func (c *ScrubCrash) Verify() error {
 // typed media error instead. (Once a scrub has rewritten and quarantined
 // the damaged blocks, recovery parses straight over them:
 // RunQuarantinePersistence.)
-func RunHeaderUECrash(cfg Config) error {
-	cfg = cfg.withDefaults()
-	st, faults, _, err := build(cfg)
+func RunHeaderUECrash(cfg crashtest.Config) error {
+	cfg, st, faults, _, err := build(cfg)
 	if err != nil {
 		return err
 	}
-	if targets := injectChains(st, faults, cfg.UETargets); len(targets) == 0 {
+	if targets := injectChains(st, faults, ueTargets); len(targets) == 0 {
 		return fmt.Errorf("workload left no PMEM chains to damage")
 	}
-	clone, err := st.Heap().CrashClone()
+	return refusesTyped(st, cfg.Options())
+}
+
+// RunReplayWindowUECrash pins what recovery makes of an edge-log record
+// it cannot read back. The workload's first two thirds are flushed, the
+// last third only logged, so a recovery replays [flushed, head); the
+// XPLine holding record `record` of that window goes uncorrectable and
+// the machine crashes. The replay would take the record for whatever the
+// line now holds — a scrambled vertex ID, or a silently wrong edge given a
+// fresh, valid checksum by the replay's own writes — so core.Recover must
+// refuse with a typed media error.
+func RunReplayWindowUECrash(cfg crashtest.Config, record int64) error {
+	cfg = cfg.WithDefaults()
+	cfg.MediaGuard = true
+	st, _, err := crashtest.Build(cfg.Options())
 	if err != nil {
 		return err
 	}
-	_, _, err = core.Recover(clone.Machine(), clone, nil, cfg.storeOptions())
-	if err == nil {
-		return fmt.Errorf("recovery scanned over uncorrectable block headers without a word")
+	edges := cfg.Workload()
+	flushed := int64(len(edges)) * 2 / 3
+	if _, err := st.Ingest(edges[:flushed]); err != nil {
+		return err
 	}
-	if !typedMediaError(err) {
-		return fmt.Errorf("recovery over uncorrectable block headers failed untyped: %v", err)
+	if err := errors.Join(st.BufferAllEdges(), st.FlushAllVbufs()); err != nil {
+		return err
 	}
-	return nil
+	if _, err := st.Ingest(edges[flushed:]); err != nil {
+		return err
+	}
+	l := st.Log()
+	if l.Flushed() != flushed || l.Head() != int64(len(edges)) || record < flushed || record >= l.Head() {
+		return fmt.Errorf("record %d is outside the replay window [%d,%d)", record, l.Flushed(), l.Head())
+	}
+	ring, _ := st.Heap().Get(cfg.Name + "-elog") // core.New mapped it
+	st.Machine().InjectUE(ring.LineAt(l.BaseOffset() + record%l.Cap()*graph.EdgeBytes))
+	return refusesTyped(st, cfg.Options())
 }

@@ -1,17 +1,18 @@
 package scrubtest
 
 import (
-	"flag"
+	"fmt"
 	"testing"
 
-	"repro/internal/splitmix"
+	"repro/internal/crashtest"
+	"repro/internal/difftest"
 	"repro/internal/xpsim"
 )
 
 // TestUEDetection: after UE injection, every checked read matches the
-// oracle or fails typed — never silently wrong edges.
+// model or fails typed — never silently wrong edges.
 func TestUEDetection(t *testing.T) {
-	if err := RunUEDetection(Config{Name: "ue-detect", Seed: 1}); err != nil {
+	if err := RunUEDetection(crashtest.Config{Name: "ue-detect", Seed: 1, Edges: 600}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -19,7 +20,7 @@ func TestUEDetection(t *testing.T) {
 // TestUEDetectionDeletes runs the detection differential over a
 // workload with deletions, so damaged chains carry tombstones too.
 func TestUEDetectionDeletes(t *testing.T) {
-	if err := RunUEDetection(Config{Name: "ue-del", Seed: 2, DelRatio: 0.2}); err != nil {
+	if err := RunUEDetection(crashtest.Config{Name: "ue-del", Seed: 2, Edges: 600, DelRatio: 0.2}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -27,7 +28,7 @@ func TestUEDetectionDeletes(t *testing.T) {
 // TestScrubRepairFromLog rebuilds damaged chains from the resident
 // edge-log window: the whole workload fits in LogCapacity.
 func TestScrubRepairFromLog(t *testing.T) {
-	if err := RunScrubRepair(Config{Name: "repair-log", Seed: 3, Edges: 600, LogCapacity: 1 << 10}); err != nil {
+	if err := RunScrubRepair(crashtest.Config{Name: "repair-log", Seed: 3, Edges: 600, LogCapacity: 1 << 10}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -35,7 +36,7 @@ func TestScrubRepairFromLog(t *testing.T) {
 // TestScrubRepairFromArchive rebuilds from the SSD edge archive even
 // though the log window has rotated past the early records.
 func TestScrubRepairFromArchive(t *testing.T) {
-	if err := RunScrubRepair(Config{
+	if err := RunScrubRepair(crashtest.Config{
 		Name: "repair-ssd", Seed: 4, Edges: 1500,
 		LogCapacity: 1 << 8, ArchiveSSDBytes: 4 << 20,
 	}); err != nil {
@@ -46,7 +47,7 @@ func TestScrubRepairFromArchive(t *testing.T) {
 // TestUnrecoverable: no archive and a rotated log window leave a damaged
 // early vertex with no rebuild source; the scrub must say so honestly.
 func TestUnrecoverable(t *testing.T) {
-	if err := RunUnrecoverable(Config{
+	if err := RunUnrecoverable(crashtest.Config{
 		Name: "unrec", Seed: 5, Edges: 1500, LogCapacity: 1 << 8,
 	}); err != nil {
 		t.Fatal(err)
@@ -56,7 +57,7 @@ func TestUnrecoverable(t *testing.T) {
 // TestNodeFailure: whole-device failure serves healthy partitions and
 // refuses the rest, then recovers on revival.
 func TestNodeFailure(t *testing.T) {
-	if err := RunNodeFailure(Config{Name: "nodefail", Seed: 6, Edges: 800}); err != nil {
+	if err := RunNodeFailure(crashtest.Config{Name: "nodefail", Seed: 6, Edges: 800}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -64,7 +65,7 @@ func TestNodeFailure(t *testing.T) {
 // TestQuarantinePersistence: quarantined spans survive crash + recovery
 // with the archive re-attached, and a fresh scrub finds nothing new.
 func TestQuarantinePersistence(t *testing.T) {
-	if err := RunQuarantinePersistence(Config{
+	if err := RunQuarantinePersistence(crashtest.Config{
 		Name: "quar-persist", Seed: 7, Edges: 900, ArchiveSSDBytes: 4 << 20,
 	}); err != nil {
 		t.Fatal(err)
@@ -74,7 +75,7 @@ func TestQuarantinePersistence(t *testing.T) {
 // TestUEDetectionVarint runs the detection differential over delta-varint
 // chains, where one torn line can scramble a variable number of records.
 func TestUEDetectionVarint(t *testing.T) {
-	if err := RunUEDetection(Config{Name: "ue-vz", Seed: 8, DelRatio: 0.2, Varint: true}); err != nil {
+	if err := RunUEDetection(crashtest.Config{Name: "ue-vz", Seed: 8, Edges: 600, DelRatio: 0.2, Varint: true}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -82,7 +83,7 @@ func TestUEDetectionVarint(t *testing.T) {
 // TestScrubRepairVarint rebuilds damaged varint chains from the resident
 // edge-log window.
 func TestScrubRepairVarint(t *testing.T) {
-	if err := RunScrubRepair(Config{
+	if err := RunScrubRepair(crashtest.Config{
 		Name: "repair-vz", Seed: 9, Edges: 600, LogCapacity: 1 << 10, Varint: true,
 	}); err != nil {
 		t.Fatal(err)
@@ -92,7 +93,7 @@ func TestScrubRepairVarint(t *testing.T) {
 // TestScrubRepairVarintFromArchive rebuilds varint chains from the SSD
 // archive after the log window rotated.
 func TestScrubRepairVarintFromArchive(t *testing.T) {
-	if err := RunScrubRepair(Config{
+	if err := RunScrubRepair(crashtest.Config{
 		Name: "repair-vz-ssd", Seed: 10, Edges: 1500,
 		LogCapacity: 1 << 8, ArchiveSSDBytes: 4 << 20, Varint: true,
 	}); err != nil {
@@ -103,7 +104,7 @@ func TestScrubRepairVarintFromArchive(t *testing.T) {
 // TestQuarantinePersistenceVarint: quarantine survives crash + recovery
 // when the repaired chains carry the varint encoding.
 func TestQuarantinePersistenceVarint(t *testing.T) {
-	if err := RunQuarantinePersistence(Config{
+	if err := RunQuarantinePersistence(crashtest.Config{
 		Name: "quar-vz", Seed: 11, Edges: 900, ArchiveSSDBytes: 4 << 20, Varint: true,
 	}); err != nil {
 		t.Fatal(err)
@@ -112,57 +113,41 @@ func TestQuarantinePersistenceVarint(t *testing.T) {
 
 // TestMixedFormatScrub: fixed chains grow varint tails after a recovery
 // flips the encoding on, then UE damage and scrub repair must handle the
-// mixed chains oracle-exactly.
+// mixed chains model-exactly.
 func TestMixedFormatScrub(t *testing.T) {
-	if err := RunMixedFormatScrub(Config{Name: "mix-scrub", Seed: 12, Edges: 600}, 300); err != nil {
+	if err := RunMixedFormatScrub(crashtest.Config{Name: "mix-scrub", Seed: 12, Edges: 600}, 300); err != nil {
 		t.Fatal(err)
 	}
 }
-
-// -scrubtest.tearseeds widens the crash × scrub sweep to several tear
-// geometries per kill point (the nightly runs 4).
-var tearSeedsFlag = flag.Int("scrubtest.tearseeds", 1, "tear seeds per kill point in the crash × scrub sweep")
 
 // TestScrubCrashSweep kills the machine at every media write inside the
 // scrub that repairs a UE-damaged hub vertex — fixed-width and varint
 // stores, dropped, prefix-torn and word-torn lines — and recovers: every
 // read is exact or fails typed, the persisted quarantine survives, and a
-// further scrub completes the repair. Exhaustive outside -short. Every
-// failing (store, tear mode, kill point, tear seed) is reported before the
-// test fails, so one run names the whole set.
+// further scrub completes the repair. Exhaustive outside -short.
 func TestScrubCrashSweep(t *testing.T) {
 	for _, varint := range []bool{false, true} {
-		cfg := Config{Name: "scrub-crash", Seed: 21, Edges: 3000, LogCapacity: 1 << 12, Varint: varint}
+		cfg := crashtest.Config{Name: "scrub-crash", Seed: 21, Edges: 3000, LogCapacity: 1 << 12, Varint: varint}
+		name := fmt.Sprintf("varint=%v", varint)
 		probe, err := CrashInScrub(cfg, xpsim.FaultPlan{})
 		if err != nil {
-			t.Fatalf("varint=%v: probe: %v", varint, err)
+			t.Fatalf("%s: probe: %v", name, err)
 		}
 		if err := probe.Verify(); err != nil {
-			t.Fatalf("varint=%v: uncrashed run: %v", varint, err)
+			t.Fatalf("%s: uncrashed run: %v", name, err)
 		}
-		m := probe.MediaWrites
-		if m < 8 {
-			t.Fatalf("varint=%v: the repairing scrub issued only %d media writes", varint, m)
+		if probe.MediaWrites < 8 {
+			t.Fatalf("%s: the repairing scrub issued only %d media writes", name, probe.MediaWrites)
 		}
-		stride := int64(1)
-		if testing.Short() {
-			stride = m / 6
-		}
-		t.Logf("varint=%v: kills at %d of %d media writes × 3 tear modes × %d tear seeds", varint, (m-1)/stride+1, m, *tearSeedsFlag)
-		for _, tear := range []xpsim.TearMode{xpsim.TearNone, xpsim.TearPrefix, xpsim.TearWords} {
-			for n := int64(1); n <= m; n += stride {
-				for k := 0; k < *tearSeedsFlag; k++ {
-					seed := splitmix.Mix(uint64(n)*0x5C4B + uint64(k))
-					c, err := CrashInScrub(cfg, xpsim.FaultPlan{KillAtMediaWrite: n, Tear: tear, Seed: seed})
-					if err == nil {
-						err = c.Verify()
-					}
-					if err != nil {
-						t.Errorf("varint=%v tear=%s kill n=%d/%d tear seed=%#x: %v", varint, tear, n, m, seed, err)
-					}
-				}
+		s := difftest.Sweep{Name: name, Writes: probe.MediaWrites, Points: difftest.Short[int64](0, 6),
+			Tears: []xpsim.TearMode{xpsim.TearNone, xpsim.TearPrefix, xpsim.TearWords}}
+		s.Run(t, func(c difftest.Case) error {
+			crashed, err := CrashInScrub(cfg, c.Plan)
+			if err != nil {
+				return err
 			}
-		}
+			return crashed.Verify()
+		})
 	}
 }
 
@@ -170,8 +155,23 @@ func TestScrubCrashSweep(t *testing.T) {
 // lines must not recover as a silently truncated arena.
 func TestHeaderUECrash(t *testing.T) {
 	for _, varint := range []bool{false, true} {
-		if err := RunHeaderUECrash(Config{Name: "hdr-ue", Seed: 22, Edges: 800, Varint: varint}); err != nil {
+		if err := RunHeaderUECrash(crashtest.Config{Name: "hdr-ue", Seed: 22, Edges: 800, Varint: varint}); err != nil {
 			t.Fatalf("varint=%v: %v", varint, err)
+		}
+	}
+}
+
+// TestReplayWindowUECrash: a crash while a record of the log window a
+// recovery replays sits on an uncorrectable line — its first, a middle or
+// its last line — must end in a typed refusal, never in wrong edges or a
+// runaway vertex index.
+func TestReplayWindowUECrash(t *testing.T) {
+	for _, varint := range []bool{false, true} {
+		for _, record := range []int64{400, 500, 599} {
+			cfg := crashtest.Config{Name: "replay-ue", Scale: 6, Edges: 600, Seed: 3, Varint: varint}
+			if err := RunReplayWindowUECrash(cfg, record); err != nil {
+				t.Errorf("varint=%v record %d: %v", varint, record, err)
+			}
 		}
 	}
 }

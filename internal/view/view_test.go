@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/difftest"
 	"repro/internal/graph"
 	"repro/internal/graphone"
 	"repro/internal/pmem"
@@ -22,8 +23,10 @@ import (
 
 // The conformance suite: every implementer of the read surface answers
 // the same questions the same way. One seeded workload (multi-edges,
-// deletions, typed edges, vertex properties) is loaded into each, and the
-// same assertions run against a map oracle.
+// deletions, typed edges, vertex properties) is loaded into each and into
+// a difftest.Model; the kit's comparator holds every Source to the model,
+// and the assertions here pin what the surface adds on top — appends,
+// reads past NumVertices, filters, the guard's re-entrancy, typed damage.
 
 const (
 	numV = 48
@@ -45,66 +48,41 @@ type workload struct {
 	props  []graph.PropSet
 }
 
-// oracle is the reference answer: resolved neighbor multisets, stored
-// record counts (tombstones included) and the latest vertex properties.
-type oracle struct {
-	out, in       map[graph.VID][]uint32
-	recOut, recIn map[graph.VID]int
-	prop          map[graph.VID]int64
-}
-
-func build() (workload, *oracle) {
+func build() (workload, *difftest.Model) {
 	var w workload
-	o := &oracle{
-		out: map[graph.VID][]uint32{}, in: map[graph.VID][]uint32{},
-		recOut: map[graph.VID]int{}, recIn: map[graph.VID]int{},
-		prop: map[graph.VID]int64{},
-	}
-	add := func(src, dst graph.VID) {
-		w.ops = append(w.ops, graph.Edge{Src: src, Dst: dst})
-		w.labels = append(w.labels, pairLabel(src, dst))
-		o.out[src] = append(o.out[src], dst)
-		o.in[dst] = append(o.in[dst], src)
-		o.recOut[src]++
-		o.recIn[dst]++
-	}
-	remove := func(s []uint32, x uint32) []uint32 {
-		i := slices.Index(s, x)
-		return slices.Delete(s, i, i+1)
+	add := func(e graph.Edge) {
+		w.ops = append(w.ops, e)
+		w.labels = append(w.labels, pairLabel(e.Src, e.Target()))
 	}
 	rng := splitmix.Rand(1)
 	for i := 0; i < 40; i++ {
-		add(hub, graph.VID(rng.Next()%numV))
+		add(graph.Edge{Src: hub, Dst: graph.VID(rng.Next() % numV)})
 	}
 	var live []graph.Edge
 	for i := 0; i < 600; i++ {
 		switch {
 		case i%9 == 8 && len(live) > 0: // delete one live edge
 			j := int(rng.Next() % uint64(len(live)))
-			e := live[j]
+			add(graph.Del(live[j].Src, live[j].Dst)) // a deletion's label is ignored
 			live = slices.Delete(live, j, j+1)
-			w.ops = append(w.ops, graph.Del(e.Src, e.Dst))
-			w.labels = append(w.labels, 0) // deletions never carry labels
-			o.out[e.Src] = remove(o.out[e.Src], e.Dst)
-			o.in[e.Dst] = remove(o.in[e.Dst], e.Src)
-			o.recOut[e.Src]++
-			o.recIn[e.Dst]++
 		case i%7 == 6 && len(live) > 0: // multi-edge: repeat the latest add
-			e := live[len(live)-1]
-			add(e.Src, e.Dst)
-			live = append(live, e)
+			add(live[len(live)-1])
+			live = append(live, live[len(live)-1])
 		default:
 			e := graph.Edge{Src: graph.VID(rng.Next() % numV), Dst: graph.VID(rng.Next() % numV)}
-			add(e.Src, e.Dst)
+			add(e)
 			live = append(live, e)
 		}
 	}
 	for v := graph.VID(0); v < numV; v += 2 {
-		val := int64(v*3) % 100
-		w.props = append(w.props, graph.PropSet{V: v, Key: 1, Val: val})
-		o.prop[v] = val
+		w.props = append(w.props, graph.PropSet{V: v, Key: 1, Val: int64(v*3) % 100})
 	}
-	return w, o
+	m := difftest.New()
+	m.RegisterLabel("follows")
+	m.RegisterLabel("likes")
+	m.IngestTyped(w.ops, w.labels)
+	m.SetProps(w.props)
+	return w, m
 }
 
 // subject is one implementer under test.
@@ -276,24 +254,22 @@ func graphOne(t *testing.T, w workload) subject {
 	return subject{name: "graphone.Store", view: g}
 }
 
-func sorted(s []uint32) []uint32 {
-	s = slices.Clone(s)
-	slices.Sort(s)
-	return s
-}
-
-func sameMultiset(a, b []uint32) bool { return slices.Equal(sorted(a), sorted(b)) }
-
 func TestConformance(t *testing.T) {
-	w, o := build()
+	w, m := build()
 	for _, mk := range []func(*testing.T, workload) subject{
 		liveStore, snapshot, guardedSnapshot, clusterView(1, 0), clusterView(4, 1), graphOne,
 	} {
 		s := mk(t, w)
 		t.Run(s.name, func(t *testing.T) {
-			checkView(t, s.view, o)
+			if _, err := (difftest.Compare{Degrees: true}).Run(m, s.view.(view.Source)); err != nil {
+				t.Fatal(err)
+			}
+			checkView(t, s.view, m)
 			if s.full != nil {
-				checkFull(t, s.full, o)
+				if _, err := (difftest.Compare{Labels: true, Props: []uint16{1}}).Run(m, s.full.(view.Source)); err != nil {
+					t.Fatal(err)
+				}
+				checkFull(t, s.full, m)
 			}
 			if s.damage != nil { // last: a poisoned XPLine takes its neighbors' blocks with it
 				s.damage(t)
@@ -303,9 +279,10 @@ func TestConformance(t *testing.T) {
 	}
 }
 
-// checkView covers the algorithm surface: tombstones resolved, multi-edges
-// kept, appends after a non-empty dst, reads past NumVertices empty.
-func checkView(t *testing.T, g view.View, o *oracle) {
+// checkView covers what the algorithm surface adds to a Source: appends
+// after a non-empty dst, the per-neighbor visit, reads past NumVertices
+// empty.
+func checkView(t *testing.T, g view.View, m *difftest.Model) {
 	t.Helper()
 	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
 	if g.NumVertices() < numV {
@@ -319,24 +296,18 @@ func checkView(t *testing.T, g view.View, o *oracle) {
 			visit func(*xpsim.Ctx, graph.VID, func(uint32))
 			want  []uint32
 		}{
-			{"Out", g.NbrsOut, g.VisitOut, o.out[v]},
-			{"In", g.NbrsIn, g.VisitIn, o.in[v]},
+			{"Out", g.NbrsOut, g.VisitOut, m.NbrsOut(ctx, v, nil)},
+			{"In", g.NbrsIn, g.VisitIn, m.NbrsIn(ctx, v, nil)},
 		} {
-			if got := d.nbrs(ctx, v, nil); !sameMultiset(got, d.want) {
-				t.Fatalf("Nbrs%s(%d) = %v, want %v", d.name, v, sorted(got), sorted(d.want))
-			}
 			got := d.nbrs(ctx, v, slices.Clone(prefix))
-			if len(got) < len(prefix) || !slices.Equal(got[:len(prefix)], prefix) || !sameMultiset(got[len(prefix):], d.want) {
-				t.Fatalf("Nbrs%s(%d) onto %v = %v: must append %v", d.name, v, prefix, got, sorted(d.want))
+			if len(got) < len(prefix) || !slices.Equal(got[:len(prefix)], prefix) || !difftest.SameMultiset(got[len(prefix):], d.want) {
+				t.Fatalf("Nbrs%s(%d) onto %v = %v: must append %v", d.name, v, prefix, got, d.want)
 			}
 			var visited []uint32
 			d.visit(ctx, v, func(n uint32) { visited = append(visited, n) })
-			if !sameMultiset(visited, d.want) {
-				t.Fatalf("Visit%s(%d) = %v, want %v", d.name, v, sorted(visited), sorted(d.want))
+			if !difftest.SameMultiset(visited, d.want) {
+				t.Fatalf("Visit%s(%d) = %v, want %v", d.name, v, visited, d.want)
 			}
-		}
-		if got := g.OutDegree(v); got != o.recOut[v] {
-			t.Fatalf("OutDegree(%d) = %d, want %d stored records", v, got, o.recOut[v])
 		}
 	}
 	beyond := g.NumVertices() + 5
@@ -349,8 +320,9 @@ func checkView(t *testing.T, g view.View, o *oracle) {
 	}
 }
 
-// checkFull covers the checked reads, the in-degree and the typed half.
-func checkFull(t *testing.T, g view.Full, o *oracle) {
+// checkFull covers the checked reads' appends, label lookups and the
+// filtered visits, against the filter applied to the model's neighbors.
+func checkFull(t *testing.T, g view.Full, m *difftest.Model) {
 	t.Helper()
 	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
 	prefix := []uint32{7, 8, 9}
@@ -360,19 +332,12 @@ func checkFull(t *testing.T, g view.Full, o *oracle) {
 	}
 	for v := graph.VID(0); v < numV; v++ {
 		out, err := g.NbrsOutChecked(ctx, v, slices.Clone(prefix))
-		if err != nil || !slices.Equal(out[:len(prefix)], prefix) || !sameMultiset(out[len(prefix):], o.out[v]) {
-			t.Fatalf("NbrsOutChecked(%d) onto %v = %v, %v: must append %v", v, prefix, out, err, sorted(o.out[v]))
+		if want := m.NbrsOut(ctx, v, nil); err != nil || !slices.Equal(out[:len(prefix)], prefix) || !difftest.SameMultiset(out[len(prefix):], want) {
+			t.Fatalf("NbrsOutChecked(%d) onto %v = %v, %v: must append %v", v, prefix, out, err, want)
 		}
 		in, err := g.NbrsInChecked(ctx, v, slices.Clone(prefix))
-		if err != nil || !slices.Equal(in[:len(prefix)], prefix) || !sameMultiset(in[len(prefix):], o.in[v]) {
-			t.Fatalf("NbrsInChecked(%d) onto %v = %v, %v: must append %v", v, prefix, in, err, sorted(o.in[v]))
-		}
-		if got := g.InDegree(v); got != o.recIn[v] {
-			t.Fatalf("InDegree(%d) = %d, want %d stored records", v, got, o.recIn[v])
-		}
-		val, ok, err := g.VProp(v, 1)
-		if want, has := o.prop[v]; err != nil || ok != has || val != want {
-			t.Fatalf("VProp(%d) = %d, %v, %v; want %d, %v", v, val, ok, err, want, has)
+		if want := m.NbrsIn(ctx, v, nil); err != nil || !slices.Equal(in[:len(prefix)], prefix) || !difftest.SameMultiset(in[len(prefix):], want) {
+			t.Fatalf("NbrsInChecked(%d) onto %v = %v, %v: must append %v", v, prefix, in, err, want)
 		}
 
 		// The label half is answered where the edge lives, the vertex half
@@ -384,22 +349,28 @@ func checkFull(t *testing.T, g view.Full, o *oracle) {
 			{Key: 1, Op: prop.OpExists},
 		} {
 			for _, d := range []struct {
-				name  string
-				visit func(*xpsim.Ctx, graph.VID, prop.Filter, func(uint32, uint16)) error
-				nbrs  []uint32
-				label func(nbr uint32) uint16
+				name string
+				dir  view.Dir
+				got  func(*xpsim.Ctx, graph.VID, prop.Filter, func(uint32, uint16)) error
 			}{
-				{"Out", g.VisitOutTyped, o.out[v], func(n uint32) uint16 { return pairLabel(v, n) }},
-				{"In", g.VisitInTyped, o.in[v], func(n uint32) uint16 { return pairLabel(n, v) }},
+				{"Out", view.Out, g.VisitOutTyped},
+				{"In", view.In, g.VisitInTyped},
 			} {
+				// want applies f by hand to the model's labelled neighbors:
+				// the label half to the edge, the vertex half to the
+				// neighbor's properties.
 				var want, got []edge
-				for _, n := range d.nbrs {
-					lbl := d.label(n)
-					if f.MatchLabel(lbl) && f.MatchVertex(func(uint16) (int64, bool) { p, ok := o.prop[n]; return p, ok }) {
-						want = append(want, edge{n, lbl})
+				if err := m.Visit(ctx, d.dir, v, view.Opts{Labels: true}, func(nbrs []uint32, lbls []uint16) {
+					for i, n := range nbrs {
+						get := func(k uint16) (int64, bool) { val, ok, _ := m.VProp(graph.VID(n), k); return val, ok }
+						if f.MatchLabel(lbls[i]) && f.MatchVertex(get) {
+							want = append(want, edge{n, lbls[i]})
+						}
 					}
+				}); err != nil {
+					t.Fatal(err)
 				}
-				if err := d.visit(ctx, v, f, func(n uint32, l uint16) { got = append(got, edge{n, l}) }); err != nil {
+				if err := d.got(ctx, v, f, func(n uint32, l uint16) { got = append(got, edge{n, l}) }); err != nil {
 					t.Fatalf("Visit%sTyped(%d, %+v): %v", d.name, v, f, err)
 				}
 				less := func(a, b edge) int { return int(a.nbr) - int(b.nbr) }
@@ -410,9 +381,6 @@ func checkFull(t *testing.T, g view.Full, o *oracle) {
 				}
 			}
 		}
-	}
-	if got := g.Labels(); !slices.Equal(got, []string{"", "follows", "likes"}) {
-		t.Fatalf("Labels() = %q", got)
 	}
 	if id, ok := g.LabelID("likes"); !ok || id != 2 {
 		t.Fatalf(`LabelID("likes") = %d, %v`, id, ok)

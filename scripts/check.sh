@@ -51,6 +51,16 @@ go test -race -short ./...
 echo "== crash-point sweeps (capped, native)"
 go test -run Crash -short ./internal/crashtest/ ./internal/core/ ./internal/elog/
 
+echo "== differential-test kit: one model, one comparator, one sweep"
+# internal/difftest is what every fault harness compares and sweeps with
+# (DESIGN.md §9 "Verification"). Each comparator mode — exact, checked,
+# source against source, prefix — must pass a correct store and kill a
+# table of mutant sources by name; the sweep's kill space is pinned. A
+# failing sweep case — each kill is its own subtest — prints one line that
+# is also its replay command
+# (`go test <pkg> -run '<Test>/<case>' -difftest.tearseeds=<k> [-difftest.seed=<s>]`).
+go test -count=1 -run 'TestComparatorKillsMutants|TestSweepCases' ./internal/difftest/
+
 echo "== adjacency block format: one codec, pinned accesses, crash × scrub"
 # internal/adj/header.go is the only non-test file of the package that may
 # name a header offset (DESIGN.md §7 "Block format — who may touch it").
@@ -61,11 +71,13 @@ if grep -nE 'off(VID|Cap|Prev|Fmt|Cnt[01]|CRC[01])' \
 fi
 # The device's view of the adjacency store — every write, flush, miss and
 # media byte — against the table captured before the package had one codec,
-# one walker and one swap; the torn kill inside a scrub repair; and the
-# capped crash × scrub sweep (exhaustive under plain `go test`, × 4 tear
-# seeds nightly). They ran above under -race as well; this stanza names them.
+# one walker and one swap; the torn kill inside a scrub repair; the capped
+# crash × scrub sweep (exhaustive under plain `go test`, × 4 tear seeds
+# nightly); and a crash with a UE under a block header or under a record of
+# the log window a recovery replays, both refused typed. They ran above
+# under -race as well; this stanza names them.
 go test -count=1 -run 'TestGoldenAccessSequence' ./internal/core/
-go test -count=1 -short -run 'TestReplaceChainTornKillKeepsArena|TestScrubCrashSweep|TestHeaderUECrash' ./internal/adj/ ./internal/scrubtest/
+go test -count=1 -short -run 'TestReplaceChainTornKillKeepsArena|TestScrubCrashSweep|TestHeaderUECrash|TestReplayWindowUECrash' ./internal/adj/ ./internal/scrubtest/
 
 echo "== one clock: no wall-clock read in a policy path; the stepped pipeline; soak on the real one"
 # Policy code reads time through internal/clock (DESIGN.md §12.5 "Clocks"),
@@ -120,10 +132,10 @@ go test -race -run 'TestHash64|TestOwner|TestSlot|TestSplit|TestNewSlotMap' ./in
 echo "== chaos differential sweep (capped, -race)"
 # Seeded chaos schedules (drops, dups, delays, reorders, partitions) over
 # a 4-shard+replicas cluster must converge edge-for-edge and
-# label/prop-for-prop with a reference store once the chaos heals
-# (DESIGN.md §14.5). Short mode caps the sweep at 2 schedules; a failure
-# prints the exact -chaostest.seed replay command. The nightly widens the
-# sweep and the workload.
+# label/prop-for-prop with the model once the chaos heals, and every
+# follower with its leader in both directions (DESIGN.md §14.5). Short
+# mode caps the sweep at 2 schedules; a failure prints difftest's replay
+# line for its schedule. The nightly widens the sweep and the workload.
 go test -race -short ./internal/chaostest/
 
 echo "== bench rows + gate (DESIGN.md §3.1)"
@@ -153,7 +165,7 @@ python3 scripts/mkexperiments.py /dev/stdout | diff -u EXPERIMENTS.md -
 
 echo "== media-scrub differentials (short)"
 # The UE-injection differential harness (DESIGN.md §9): every read under
-# injected media errors matches the oracle or fails typed, scrubs repair
+# injected media errors matches the model or fails typed, scrubs repair
 # or honestly refuse, quarantine survives recovery. Fast and
 # deterministic, so the whole suite gates here; the nightly workflow
 # repeats it under -race -count=5.
