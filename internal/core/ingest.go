@@ -60,6 +60,11 @@ func (s *Store) ResetReport() { s.report = IngestReport{} }
 // loop does.
 const logChunk = 4096
 
+// flushFraction triggers a full flushing phase once buffered-but-unflushed
+// edges reach this fraction of the log, so the head never catches the
+// flushing cursor.
+const flushFraction = 0.5
+
 // Ingest streams the edges through the full logging → buffering →
 // flushing pipeline and leaves the store queryable (hot vertex buffers
 // included). It is the batch path the paper's ingestion experiments use.
@@ -138,7 +143,7 @@ func (s *Store) archiveStep(force bool) error {
 	}
 	logPressure := false
 	if !s.opts.Battery {
-		flushLimit := int64(float64(s.log.Cap()) * s.opts.FlushFraction)
+		flushLimit := int64(float64(s.log.Cap()) * flushFraction)
 		logPressure = s.log.PendingFlush() >= flushLimit
 	}
 	if force || logPressure || s.pool.NeedsFlush() {
@@ -207,13 +212,12 @@ func (s *Store) bufferPhase(lane int64) error {
 	bufStart := s.laneEnd[lane]
 
 	wpg := s.workersPerGroup()
-	geo := shard.Geometry{Parts: s.nparts, Ranges: shard.RangesPerWorker * wpg}
-	geo.Width = shard.Width(int64(s.NumVertices()), geo.Ranges)
+	geo := shard.Hashed(s.nparts, shard.RangesPerWorker*wpg)
 	contention := s.contentionFor()
 	lists, maxV, shardNs := s.stage.Run(s.log, from, to, geo, shard.Sharders{
 		N: s.opts.ArchiveThreads, NodeOf: s.threadNode, Contention: contention, Lat: s.lat})
-	// Vertices first seen in this batch (only a recovery replay has any:
-	// Ingest grows the ID space before it logs) fell into the last range.
+	// Only a recovery replay meets vertices first seen in its batch: Ingest
+	// grows the ID space before it logs.
 	s.ensureVertices(maxV + 1)
 	// The ranged edge lists are DRAM scratch.
 	if extra := (to - from) * graph.EdgeBytes * 2; extra > s.metaPeakExtra {
@@ -221,13 +225,13 @@ func (s *Store) bufferPhase(lane int64) error {
 	}
 	s.shardSpans(bufStart)
 
-	// Drain the lists. The worker that owns a range first counts its
+	// Drain the lists. The worker that owns a list first counts its
 	// vertices' batch increments for skip-layer buffer allocation (§III-C)
-	// — every entry of a vertex sits in the one list of its range, so the
+	// — every entry of a vertex sits in that vertex's one list, so the
 	// counts are complete before the worker's first insert and need no
 	// atomics — then inserts in log order.
 	drainNs, err := s.runGroups("buffer", bufStart+shardNs, func(d, p int, g *group) (time.Duration, error) {
-		ranges := lists[(d*s.nparts+p)*geo.Ranges:][:geo.Ranges]
+		ranges := lists[(d*s.nparts+p)*geo.Ranges():][:geo.Ranges()]
 		assign := s.stage.Balance(ranges, wpg)
 		var insertErr error
 		dur := xpsim.ParallelN(wpg, contention, nodeOfFn(g.node), func(w int, ctx *xpsim.Ctx) {

@@ -94,7 +94,7 @@ func (s *Store) initMediaGuard(ctx *xpsim.Ctx, reattach bool) error {
 		}
 		s.arch = a
 		if reattach {
-			s.archiveCatchUp(ctx)
+			return s.archiveCatchUp(ctx)
 		}
 	}
 	return nil
@@ -392,21 +392,39 @@ func (a *archive) collect(ctx *xpsim.Ctx, d Direction, v graph.VID) []uint32 {
 
 // archiveCatchUp re-tees edges that reached the log but not the archive
 // before a crash (the tee follows the log append, so the archive count
-// can trail the head by at most the in-flight chunk). Edges that have
-// already rotated out of the ring cannot be recovered; the archive then
-// stays permanently incomplete and is disabled.
-func (s *Store) archiveCatchUp(ctx *xpsim.Ctx) {
+// can trail the head by at most the in-flight chunk). The span is verified
+// first: a record on an uncorrectable line would enter the scrub's rebuild
+// source scrambled, under a valid count, so recovery refuses instead. Edges
+// that have already rotated out of the ring cannot be recovered; the archive
+// then stays permanently incomplete and is disabled.
+func (s *Store) archiveCatchUp(ctx *xpsim.Ctx) error {
 	a := s.arch
 	head := s.log.Head()
 	if a.cnt >= head {
-		return
+		return nil
 	}
 	if head-a.cnt > s.log.Cap() || a.full {
 		a.full = true
-		return
+		return nil
 	}
-	missing := s.log.Read(ctx, a.cnt, head, nil)
-	a.tee(ctx, missing)
+	if err := s.verifyLog(ctx, "span the archive catches up", a.cnt, head); err != nil {
+		return err
+	}
+	a.tee(ctx, s.log.Read(ctx, a.cnt, head, nil))
+	return nil
+}
+
+// verifyLog refuses, with a typed media error, the edge-log records [from,
+// to) — the span named what — unless every one reads back as logged.
+func (s *Store) verifyLog(ctx *xpsim.Ctx, what string, from, to int64) error {
+	bad := s.log.VerifyRange(ctx, from, to)
+	if len(bad) == 0 {
+		return nil
+	}
+	// MediaGuard stores are PMEM stores: the log lives in a heap region.
+	node, line := s.logMem.(*pmem.Region).LineAt(s.log.BaseOffset() + bad[0]%s.log.Cap()*graph.EdgeBytes)
+	return fmt.Errorf("core: %d records of the edge-log %s [%d,%d) do not read back as logged, the first %d: %w",
+		len(bad), what, from, to, bad[0], &xpsim.MediaError{Node: node, Line: line})
 }
 
 // Archive exposes the SSD edge archive namespace (nil when disabled), so

@@ -86,11 +86,6 @@ type Options struct {
 	// edges are unbuffered (default 2^16, as in the paper and GraphOne).
 	ArchiveThreshold int64
 
-	// FlushFraction triggers a full flushing phase once
-	// buffered-but-unflushed edges exceed this fraction of the log
-	// (default 0.5), so the head never catches the flushing cursor.
-	FlushFraction float64
-
 	// ArchiveThreads is the buffering/flushing parallelism (default 16,
 	// the unified setting of §V-B).
 	ArchiveThreads int
@@ -211,9 +206,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ArchiveThreshold <= 0 {
 		o.ArchiveThreshold = 1 << 16
-	}
-	if o.FlushFraction <= 0 || o.FlushFraction >= 1 {
-		o.FlushFraction = 0.5
 	}
 	if o.ArchiveThreads <= 0 {
 		o.ArchiveThreads = 16

@@ -161,10 +161,8 @@ func Recover(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts O
 		// buffering phase's own writes then give a fresh, valid checksum —
 		// or a scrambled vertex ID the vertex index grows toward. Verify
 		// exactly the window it consumes against the checksum strip first.
-		if bad := s.log.VerifyRange(ctx, s.log.Flushed(), s.log.Head()); len(bad) > 0 {
-			node, line := logRegion.LineAt(s.log.BaseOffset() + bad[0]%s.log.Cap()*graph.EdgeBytes)
-			return nil, RecoveryReport{}, fmt.Errorf("core: %d records of the edge-log replay window [%d,%d) do not read back as logged, the first %d: %w",
-				len(bad), s.log.Flushed(), s.log.Head(), bad[0], &xpsim.MediaError{Node: node, Line: line})
+		if err := s.verifyLog(ctx, "replay window", s.log.Flushed(), s.log.Head()); err != nil {
+			return nil, RecoveryReport{}, err
 		}
 	}
 

@@ -370,8 +370,7 @@ func (s *Store) archive() error {
 		nodeOf = xpsim.PinnedTo(0)
 	}
 
-	geo := shard.Geometry{Parts: 1, Ranges: shard.RangesPerWorker * threads}
-	geo.Width = shard.Width(int64(s.NumVertices()), geo.Ranges)
+	geo := shard.Contiguous(int64(s.NumVertices()), shard.RangesPerWorker*threads)
 	lists, maxV, shardNs := s.stage.Run(s.log, from, to, geo, shard.Sharders{
 		N: threads, NodeOf: nodeOf, Contention: threads, Lat: s.lat})
 	s.ensureVertices(maxV + 1)
@@ -384,7 +383,7 @@ func (s *Store) archive() error {
 	var archiveErr error
 	var phaseNs int64
 	for d := 0; d < 2; d++ {
-		ranges := lists[d*geo.Ranges:][:geo.Ranges]
+		ranges := lists[d*geo.Ranges():][:geo.Ranges()]
 		assign := s.stage.Balance(ranges, threads)
 		dur := xpsim.ParallelN(threads, threads, nodeOf, func(w int, ctx *xpsim.Ctx) {
 			for _, ri := range assign[w] {

@@ -14,11 +14,13 @@
 // Separate scenarios cover the unrecoverable path (no rebuild source →
 // typed failure, degraded health), whole-NUMA-node failure (readonly
 // health, healthy partitions keep serving), quarantine persistence across
-// crash + recovery, and the compositions of a crash with a scrub and with
-// damage in the log window a recovery replays.
+// crash + recovery, and the compositions of a crash with a scrub, with
+// damage in the log window a recovery replays, and with damage in the log
+// span a recovery re-tees into the SSD archive.
 package scrubtest
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -28,6 +30,8 @@ import (
 	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/pmem"
+	"repro/internal/ssd"
 	"repro/internal/xpsim"
 )
 
@@ -516,11 +520,119 @@ func RunReplayWindowUECrash(cfg crashtest.Config, record int64) error {
 	if _, err := st.Ingest(edges[flushed:]); err != nil {
 		return err
 	}
-	l := st.Log()
-	if l.Flushed() != flushed || l.Head() != int64(len(edges)) || record < flushed || record >= l.Head() {
+	if l := st.Log(); l.Flushed() != flushed || l.Head() != int64(len(edges)) || record < flushed || record >= l.Head() {
 		return fmt.Errorf("record %d is outside the replay window [%d,%d)", record, l.Flushed(), l.Head())
 	}
+	injectLogUE(st, cfg, record)
+	return refusesTyped(st, cfg.Options())
+}
+
+// injectLogUE marks the XPLine of st's edge-log ring that holds record
+// uncorrectable.
+func injectLogUE(st *core.Store, cfg crashtest.Config, record int64) {
+	l := st.Log()
 	ring, _ := st.Heap().Get(cfg.Name + "-elog") // core.New mapped it
 	st.Machine().InjectUE(ring.LineAt(l.BaseOffset() + record%l.Cap()*graph.EdgeBytes))
-	return refusesTyped(st, cfg.Options())
+}
+
+// AppendCrash is a MediaGuard store with an SSD archive, killed inside an
+// edge-log append whose records never reached the archive: Ingest tees a
+// chunk into the archive only once the log has taken it, so a crash between
+// the two leaves the archive trailing the log, and the recovery's catch-up
+// re-tees the trailing span from the log. The workload is ingested, flushed
+// and archived; then one more chunk goes to the log alone, under the plan;
+// then the XPLine holding the chunk's first record goes uncorrectable.
+type AppendCrash struct {
+	MediaWrites int64  // media writes of the append (probe: all of them)
+	CrashDesc   string // where the plan fired; empty if it did not
+
+	cfg      crashtest.Config
+	st       *core.Store
+	image    *pmem.Heap      // the durable image, before the UE landed
+	model    *difftest.Model // the workload, then the chunk
+	archived int64           // the archive's count: the workload's length
+}
+
+// CrashInAppend builds the workload and appends chunk more edges to the log
+// under plan. A zero plan is the probe that counts the sweep space.
+func CrashInAppend(cfg crashtest.Config, chunk int64, plan xpsim.FaultPlan) (*AppendCrash, error) {
+	cfg, st, faults, m, err := build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.ArchiveSSDBytes == 0 {
+		return nil, fmt.Errorf("the store needs an SSD archive to trail the log")
+	}
+	c := &AppendCrash{cfg: cfg, st: st, model: m, archived: st.Log().Head()}
+	tail := gen.RMAT(cfg.Scale, chunk, cfg.Seed^0xA9C)
+	faults.Arm(plan)
+	if n, err := st.Log().Append(xpsim.NewCtx(xpsim.NodeUnbound), tail); err != nil || n != len(tail) {
+		return nil, fmt.Errorf("the log took %d of the %d-edge chunk: %v", n, len(tail), err)
+	}
+	c.MediaWrites, c.CrashDesc = faults.MediaWrites(), faults.CrashDescription()
+	m.Ingest(tail)
+	if c.image, err = st.Heap().CrashClone(); err != nil {
+		return nil, err
+	}
+	injectLogUE(st, cfg, c.archived)
+	return c, nil
+}
+
+// Verify learns the durable head from a recovery of the image without the
+// UE, holding it to the prefix mode, then recovers the damaged image with the
+// archive attached. Where the head covers the chunk's first record, the
+// archive trails it over an uncorrectable line and recovery must refuse,
+// typed (refused); elsewhere it must recover the same prefix. Either way the
+// archive must end as it began: a refused recovery that had already teed the
+// span would leave scrambled records, under a valid count, in the scrub's
+// rebuild source.
+func (c *AppendCrash) Verify() (refused bool, err error) {
+	clean, err := c.image.CrashClone()
+	if err != nil {
+		return false, err
+	}
+	opts := c.cfg.Options()
+	opts.ArchiveSSDBytes = 0
+	rs, _, err := core.Recover(clean.Machine(), clean, nil, opts)
+	if err != nil {
+		return false, fmt.Errorf("recover without the UE: %w", err)
+	}
+	head := rs.Log().Head()
+	if err := (difftest.Compare{}).Prefix(c.model, int(head), rs); err != nil {
+		return false, fmt.Errorf("recovered without the UE: %w", err)
+	}
+
+	arch := c.st.Archive()
+	before := archiveBytes(arch)
+	damaged, err := c.st.Heap().CrashClone()
+	if err != nil {
+		return false, err
+	}
+	opts.Archive = arch
+	rs, _, err = core.Recover(damaged.Machine(), damaged, nil, opts)
+	refused = head > c.archived
+	switch {
+	case refused && err == nil:
+		return refused, fmt.Errorf("recovery re-teed [%d,%d) over an uncorrectable line without a word", c.archived, head)
+	case refused && !typedMediaError(err):
+		return refused, fmt.Errorf("recovery over an uncorrectable catch-up span failed untyped: %v", err)
+	case !refused && err != nil:
+		return refused, fmt.Errorf("recover with nothing to catch up: %w", err)
+	case !refused:
+		if err := (difftest.Compare{}).Prefix(c.model, int(head), rs); err != nil {
+			return refused, fmt.Errorf("recovered with the archive: %w", err)
+		}
+	}
+	if !bytes.Equal(archiveBytes(arch), before) {
+		return refused, fmt.Errorf("the recovery attempt rewrote the archive (durable head %d, archived %d)", head, c.archived)
+	}
+	return refused, nil
+}
+
+// archiveBytes is a copy of the whole archive namespace: its count and its
+// records.
+func archiveBytes(sp *ssd.Space) []byte {
+	b := make([]byte, sp.Size())
+	sp.Read(xpsim.NewCtx(xpsim.NodeUnbound), 0, b)
+	return b
 }

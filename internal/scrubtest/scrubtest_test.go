@@ -151,6 +151,39 @@ func TestScrubCrashSweep(t *testing.T) {
 	}
 }
 
+// TestCatchUpUECrash kills the machine at every media write of an edge-log
+// append that has not reached the SSD archive — dropped, prefix-torn and
+// word-torn lines — with the line of its first record uncorrectable. Where
+// the append's head did not persist, recovery restores the durable prefix;
+// where it did, the archive trails it over the bad line and recovery refuses,
+// typed. Either way the archive is left as it was. The uncrashed append is
+// one more case, and refuses. Exhaustive.
+func TestCatchUpUECrash(t *testing.T) {
+	cfg := crashtest.Config{Name: "catchup-ue", Seed: 23, Edges: 600, ArchiveSSDBytes: 64 << 10}
+	const chunk = 100
+	probe, err := CrashInAppend(cfg, chunk, xpsim.FaultPlan{})
+	if err != nil {
+		t.Fatalf("probe: %v", err)
+	}
+	if refused, err := probe.Verify(); err != nil || !refused {
+		t.Fatalf("uncrashed append: refused %v, %v", refused, err)
+	}
+	refusals := 0
+	s := difftest.Sweep{Name: "append", Writes: probe.MediaWrites, Tears: []xpsim.TearMode{xpsim.TearNone, xpsim.TearPrefix, xpsim.TearWords}}
+	s.Run(t, func(c difftest.Case) error {
+		crashed, err := CrashInAppend(cfg, chunk, c.Plan)
+		if err != nil {
+			return err
+		}
+		refused, err := crashed.Verify()
+		if refused {
+			refusals++
+		}
+		return err
+	})
+	t.Logf("%d kills left the archive trailing the durable head", refusals)
+}
+
 // TestHeaderUECrash: a crash while block headers sit on uncorrectable
 // lines must not recover as a silently truncated arena.
 func TestHeaderUECrash(t *testing.T) {

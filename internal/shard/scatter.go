@@ -21,19 +21,41 @@ type Log interface {
 	Read(ctx *xpsim.Ctx, from, to int64, dst []graph.Edge) []graph.Edge
 }
 
-// Geometry maps a vertex to its ranged list: partition PartOf(v, Parts),
-// then the vertex range inside it.
+// Geometry maps a vertex to its ranged list: list i of a direction belongs
+// to partition i / Ranges(). It comes from Hashed or Contiguous.
 type Geometry struct {
-	Parts  int   // partitions per direction
-	Ranges int   // ranged lists per partition
-	Width  int64 // vertices per range: Width(vertices, Ranges)
+	parts, ranges int
+	width         int64 // vertices per contiguous range; 0: hashed lists
 }
 
+// Hashed is XPGraph's geometry: parts partitions of ranges lists each, and
+// vertex v on list ⌊h·parts·ranges / 2³²⌋, h the high half of Hash64(v).
+// By the nested-floor identity that list ÷ ranges is exactly PartOf(v,
+// parts), so a partition's lists hold exactly its vertices, and inside the
+// partition they split its vertices by hash, not by ID order: how the IDs
+// were numbered does not decide which list a hub lands on.
+func Hashed(parts, ranges int) Geometry {
+	return Geometry{parts: parts, ranges: ranges}
+}
+
+// Contiguous is GraphOne's published geometry: one partition cut into
+// ranges vertex-ID ranges of ⌈numV / ranges⌉ IDs each; a vertex beyond them
+// falls into the last.
+func Contiguous(numV int64, ranges int) Geometry {
+	return Geometry{parts: 1, ranges: ranges, width: max(1, (numV+int64(ranges)-1)/int64(ranges))}
+}
+
+// Ranges is how many ranged lists one partition has.
+func (g Geometry) Ranges() int { return g.ranges }
+
 // Lists is how many ranged lists one direction has.
-func (g Geometry) Lists() int { return g.Parts * g.Ranges }
+func (g Geometry) Lists() int { return g.parts * g.ranges }
 
 func (g Geometry) listOf(v graph.VID) int {
-	return PartOf(v, g.Parts)*g.Ranges + RangeOf(v, g.Width, g.Ranges)
+	if g.width == 0 {
+		return int((Hash64(v) >> 32) * uint64(g.Lists()) >> 32)
+	}
+	return min(int(int64(v)/g.width), g.ranges-1)
 }
 
 // Sharders are the threads that run the stage — the archive threads

@@ -22,13 +22,17 @@ func oracleShard(batch []graph.Edge, g Geometry) [][]Entry {
 			} else {
 				v, nbr = e.Target(), e.Src|(e.Dst&graph.DelFlag)
 			}
-			p := PartOf(v, g.Parts)
-			r := RangeOf(v, g.Width, g.Ranges)
-			l := d*g.Lists() + p*g.Ranges + r
+			l := d*g.Lists() + g.listOf(v)
 			lists[l] = append(lists[l], Entry{V: v, Nbr: nbr})
 		}
 	}
 	return lists
+}
+
+// geometries are the two constructors over one vertex-ID space: XPGraph's
+// hashed lists on parts partitions and GraphOne's contiguous ranges.
+func geometries(parts int, numV int64, ranges int) []Geometry {
+	return []Geometry{Hashed(parts, ranges), Contiguous(numV, ranges)}
 }
 
 // ringLog is a circular log over a plain slice whose "stripes" end at
@@ -135,17 +139,16 @@ func TestStageMatchesSerialLoop(t *testing.T) {
 		nodes := 1 + rng.Intn(4)
 		capacity := 1 + rng.Intn(600)
 		log := newRingLog(rng, capacity, nodes)
-		g := Geometry{Parts: 1 + rng.Intn(3), Ranges: 1 + rng.Intn(12)}
 		numV := 1 + rng.Intn(500)
-		g.Width = Width(int64(numV), g.Ranges)
+		g := geometries(1+rng.Intn(3), int64(numV), 1+rng.Intn(12))[seed%2]
 
 		from := int64(rng.Intn(3 * capacity))
 		n := rng.Intn(capacity + 1)
 		batch := make([]graph.Edge, n)
 		var maxV graph.VID
 		for i := range batch {
-			// IDs run past numV (the clamp into the last range) and repeat,
-			// so that adds and their tombstones share lists.
+			// IDs run past numV (contiguous ranges clamp them into the last
+			// range) and repeat, so that adds and their tombstones share lists.
 			e := graph.Edge{Src: graph.VID(rng.Intn(numV + 20)), Dst: graph.VID(rng.Intn(numV + 20))}
 			maxV = max(maxV, e.Src, e.Dst)
 			if rng.Intn(4) == 0 {
@@ -200,7 +203,7 @@ func TestStageReadsOnTheHomeNode(t *testing.T) {
 	for i := range log.ring {
 		log.ring[i] = graph.Edge{Src: graph.VID(rng.Intn(1000)), Dst: graph.VID(rng.Intn(1000))}
 	}
-	g := Geometry{Parts: 2, Ranges: 8, Width: Width(1000, 8)}
+	g := Hashed(2, 8)
 	sh := Sharders{N: 6, NodeOf: func(t int) int { return t % nodes }, Contention: 3, Lat: &xpsim.LatencyModel{}}
 	var st Stage
 	st.Run(log, 1000, 1000+1<<12, g, sh)
@@ -234,14 +237,14 @@ func TestStageSteadyStateAllocatesNothing(t *testing.T) {
 	for i := range log.ring {
 		log.ring[i] = graph.Edge{Src: graph.VID(rng.Intn(1000)), Dst: graph.VID(rng.Intn(1000))}
 	}
-	g := Geometry{Parts: 2, Ranges: 16, Width: Width(1000, 16)}
+	g := Hashed(2, 16)
 	sh := Sharders{N: 16, NodeOf: func(t int) int { return t % 2 }, Contention: 8, Lat: &xpsim.LatencyModel{}}
 	var st Stage
 	for _, n := range []int64{2048, 1561, 65536} {
 		run := func() {
 			lists, _, _ := st.Run(log, 100, 100+n, g, sh)
-			for p := 0; p < 2*g.Parts; p++ {
-				st.Balance(lists[p*g.Ranges:][:g.Ranges], 4)
+			for p := 0; p < 2*g.parts; p++ {
+				st.Balance(lists[p*g.Ranges():][:g.Ranges()], 4)
 			}
 		}
 		run()
@@ -280,16 +283,16 @@ func TestStageCutsFullWidth(t *testing.T) {
 		name   string
 		n      int
 		nodeOf func(t int) int
+		g      Geometry // the lists the store would cut with these threads
 	}{
-		{"xpgraph-16", 16, bound},
-		{"graphone-16-unbound", 16, xpsim.Unpinned},
-		{"fig20-95", 95, bound},
-		{"one", 1, bound},
+		{"xpgraph-16", 16, bound, Hashed(nodes, RangesPerWorker*4)},
+		{"graphone-16-unbound", 16, xpsim.Unpinned, Contiguous(1000, RangesPerWorker*16)},
+		{"fig20-95", 95, bound, Hashed(nodes, RangesPerWorker*23)},
+		{"one", 1, bound, Contiguous(1000, RangesPerWorker)},
 	}
 	sizes := []int64{1, 31, 32, 33, 511, 512, 513, 1561, 2048, 4096, 65536}
 
 	rng := rand.New(rand.NewSource(24))
-	g := Geometry{Parts: 2, Ranges: 8, Width: Width(1000, 8)}
 	var st Stage
 	maxChunks := map[string]int{} // most chunks beyond max(stripes, sharders), per sharder set
 	defer func() { t.Logf("chunks beyond max(stripes, sharders): %v", maxChunks) }()
@@ -324,8 +327,8 @@ func TestStageCutsFullWidth(t *testing.T) {
 				}
 				clear(log.reads)
 				log.remote = 0
-				lists, _, _ := st.Run(log, from, from+n, g, sh)
-				sameLists(t, lists, oracleShard(batch, g))
+				lists, _, _ := st.Run(log, from, from+n, set.g, sh)
+				sameLists(t, lists, oracleShard(batch, set.g))
 				for i := int64(0); i < n; i++ {
 					if r := log.reads[(from+i)%c]; r != 1 {
 						t.Fatalf("%s: record %d read %d times", name, from+i, r)

@@ -1,9 +1,10 @@
 // Package shard implements the edge-sharding approach both stores use for
 // load-balanced multi-threaded archiving (§IV-A, inherited from GraphOne):
-// a batch of edges is split into many ranged edge lists keyed by vertex ID
-// range — more lists than threads — and lists are assigned to workers
-// greedily by size so every worker gets an approximately equal number of
-// edges while staying free of atomics.
+// a batch of edges is split into many ranged edge lists keyed by vertex —
+// by its hash for XPGraph, by its contiguous ID range for GraphOne — more
+// lists than threads, and lists are assigned to workers greedily by size so
+// every worker gets an approximately equal number of edges while staying
+// free of atomics.
 //
 // The same idea generalized one level up is the cluster partition map
 // (SlotMap): vertex IDs hash onto a fixed ring of slots — more slots than
@@ -31,25 +32,6 @@ type Entry struct {
 // greedy assignment can balance skewed batches.
 const RangesPerWorker = 4
 
-// Width returns the vertex-range width that splits numV vertices into
-// nRanges ranges.
-func Width(numV int64, nRanges int) int64 {
-	w := (numV + int64(nRanges) - 1) / int64(nRanges)
-	if w <= 0 {
-		w = 1
-	}
-	return w
-}
-
-// RangeOf maps a vertex to its range index.
-func RangeOf(v graph.VID, width int64, nRanges int) int {
-	r := int(int64(v) / width)
-	if r >= nRanges {
-		r = nRanges - 1
-	}
-	return r
-}
-
 // DefaultSlots is the partition-ring size used when a SlotMap is built
 // with slots <= 0. 256 slots over at most a few dozen shards keeps the
 // per-shard slot count high enough that hash skew stays under a few
@@ -72,12 +54,12 @@ func Hash64(v graph.VID) uint64 {
 }
 
 // PartOf maps a vertex to one of a store's parts NUMA sub-graphs (§III-D):
-// the one partition function of the tree, shared by core.Store and
-// Geometry. It scales the high half of Hash64 onto [0, parts). SlotMap takes
-// the hash modulo the ring size — its low bits — and on the same bits every
-// vertex a cluster shard owns would fall into one sub-graph. Like the slot
-// map it is seedless: a recovered store must find every vertex in the arena
-// that was written for it.
+// the one partition function of the tree, used by core.Store and refined by
+// Hashed's lists. It scales the high half of Hash64 onto [0, parts).
+// SlotMap takes the hash modulo the ring size — its low bits — and on the
+// same bits every vertex a cluster shard owns would fall into one
+// sub-graph. Like the slot map it is seedless: a recovered store must find
+// every vertex in the arena that was written for it.
 func PartOf(v graph.VID, parts int) int {
 	if parts <= 1 {
 		return 0

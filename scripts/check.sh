@@ -74,10 +74,11 @@ fi
 # one walker and one swap; the torn kill inside a scrub repair; the capped
 # crash × scrub sweep (exhaustive under plain `go test`, × 4 tear seeds
 # nightly); and a crash with a UE under a block header or under a record of
-# the log window a recovery replays, both refused typed. They ran above
-# under -race as well; this stanza names them.
+# the log window a recovery replays or of the span it re-tees into the SSD
+# archive, all refused typed. They ran above under -race as well; this
+# stanza names them.
 go test -count=1 -run 'TestGoldenAccessSequence' ./internal/core/
-go test -count=1 -short -run 'TestReplaceChainTornKillKeepsArena|TestScrubCrashSweep|TestHeaderUECrash|TestReplayWindowUECrash' ./internal/adj/ ./internal/scrubtest/
+go test -count=1 -short -run 'TestReplaceChainTornKillKeepsArena|TestScrubCrashSweep|TestHeaderUECrash|TestReplayWindowUECrash|TestCatchUpUECrash' ./internal/adj/ ./internal/scrubtest/
 
 echo "== one clock: no wall-clock read in a policy path; the stepped pipeline; soak on the real one"
 # Policy code reads time through internal/clock (DESIGN.md §12.5 "Clocks"),
@@ -109,7 +110,7 @@ fi
 go test -count=1 -run 'TestStep' ./internal/ingest/
 go test -count=1 -run 'TestDeterministicReport|TestCountersAreTheClusters' ./internal/soak/
 
-echo "== archiving path: full-width shard stage, log read in XPLines, allocation budgets, sub-graph balance"
+echo "== archiving path: full-width shard stage, log read in XPLines, allocation budgets, sub-graph and list balance"
 # The shard stage cuts a batch across every archive thread of a node —
 # whole stripes when there are enough, else XPLine runs at most a line
 # apart — and the log is read one access per XPLine, not per record. A
@@ -117,9 +118,12 @@ echo "== archiving path: full-width shard stage, log read in XPLines, allocation
 # store at most 19 times per 2048-edge Ingest (budgets checked without
 # -race, under which sync.Pool drops buffers). shard.PartOf gives every
 # sub-graph its share of an RMAT stream's out- and in-entries, inside each
-# cluster shard too and whether or not the IDs are scrambled. They ran
-# above under -race as well; this stanza names them.
-go test -count=1 -run 'TestStageCutsFullWidth|TestReadInLines|TestReadAllocatesNothing|TestSteadyStateIngestAllocations|TestStageSteadyStateAllocatesNothing|TestPartOf' ./internal/core/ ./internal/shard/ ./internal/elog/
+# cluster shard too and whether or not the IDs are scrambled. XPGraph's
+# ranged lists come from the same hash — each lies inside its vertex's
+# partition, and they balance a group's drain workers on RMAT IDs — while
+# GraphOne's stay its contiguous ranges. They ran above under -race as
+# well; this stanza names them.
+go test -count=1 -run 'TestStageCutsFullWidth|TestReadInLines|TestReadAllocatesNothing|TestSteadyStateIngestAllocations|TestStageSteadyStateAllocatesNothing|TestPartOf|TestHashedLists|TestContiguousIsGraphOnesRanges' ./internal/core/ ./internal/shard/ ./internal/elog/
 
 echo "== cluster router + failover (-race)"
 # The partitioned-cluster suite under the race detector: the 4-shard
