@@ -192,17 +192,11 @@ func run(args []string, _, stderr io.Writer) int {
 		if *replicas < 1 {
 			return fatal("xpgraphd: -chaos requires -replicas (it injects faults on the shipping links)")
 		}
-		plan, parts, err := chaos.Parse(*chaosSpec)
+		links := chaos.Links(*shards, *replicas)
+		plan, err := chaos.Parse(*chaosSpec, links)
 		if err != nil {
 			return fatal(err)
 		}
-		var links []chaos.Link
-		for s := 0; s < *shards; s++ {
-			for r := 0; r < *replicas; r++ {
-				links = append(links, chaos.Link{Shard: s, Replica: r})
-			}
-		}
-		parts.Finish(plan, links)
 		ccfg.Transport = cluster.NewChaosTransport(plan)
 		fmt.Fprintf(stderr, "xpgraphd: chaos armed on %d shipping link(s): %s\n", len(links), *chaosSpec)
 	}

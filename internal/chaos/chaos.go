@@ -5,17 +5,18 @@
 // the same way xpsim's FaultPlan derives tear geometry from
 // (seed, event): no global state, no wall clock, so the injected fault
 // sequence for a given seed is identical run to run regardless of
-// goroutine interleaving. That is what makes a failing chaostest seed
-// replayable.
+// goroutine interleaving. That is what makes a failing chaos schedule
+// replayable from its seed.
 //
 // A Plan combines per-attempt probabilities (drop, duplicate, delay)
 // with per-link partition windows expressed in sequence space: while a
-// link's seq falls inside a window, every attempt is refused —
-// modelling a network partition that heals only when the stream has
-// moved past the window. Probabilistic faults are attempt-keyed, so a
-// sender's retry of a dropped chunk can succeed; partition windows are
-// attempt-independent, so retries during a partition always fail and
-// the sender must give up and let the receiver resync.
+// link's seq falls inside a window, every attempt is refused — and so is
+// a follower's catch-up read across the link (Partitioned) — modelling a
+// network partition that heals only when the stream has moved past the
+// window. Probabilistic faults are attempt-keyed, so a sender's retry of
+// a dropped chunk can succeed; partition windows are attempt-independent,
+// so retries during a partition always fail and the sender must give up
+// and let the receiver resync.
 package chaos
 
 import (
@@ -138,11 +139,9 @@ func (p *Plan) Fate(link Link, seq uint64, attempt int) (Verdict, time.Duration)
 		return Deliver, 0
 	}
 	p.count(func(s *Stats) { s.Attempts++ })
-	for _, w := range p.Partitions {
-		if w.Link == link && seq >= w.From && seq < w.To {
-			p.count(func(s *Stats) { s.Partitions++ })
-			return Partition, 0
-		}
+	if p.Partitioned(link, seq) {
+		p.count(func(s *Stats) { s.Partitions++ })
+		return Partition, 0
 	}
 	r := p.mix(link, seq, attempt)
 	u := unit(r)
@@ -158,6 +157,20 @@ func (p *Plan) Fate(link Link, seq uint64, attempt int) (Verdict, time.Duration)
 		return Delay, p.delay(r)
 	}
 	return Deliver, 0
+}
+
+// Partitioned reports whether link is cut at stream position seq: seq
+// lies inside one of its windows and the plan has not healed.
+func (p *Plan) Partitioned(link Link, seq uint64) bool {
+	if p == nil || p.healed.Load() {
+		return false
+	}
+	for _, w := range p.Partitions {
+		if w.Link == link && seq >= w.From && seq < w.To {
+			return true
+		}
+	}
+	return false
 }
 
 // delay derives a bounded delay from a fate draw.
@@ -217,8 +230,20 @@ func RandomPartitions(seed uint64, links []Link, n int, length, horizon uint64) 
 	return out
 }
 
-// Parse builds a Plan from the compact schedule grammar (DESIGN.md
-// §14.4):
+// Links lists every shipping link of a cluster shape: each shard leader
+// to each of its followers.
+func Links(shards, replicas int) []Link {
+	links := make([]Link, 0, shards*replicas)
+	for s := 0; s < shards; s++ {
+		for r := 0; r < replicas; r++ {
+			links = append(links, Link{Shard: s, Replica: r})
+		}
+	}
+	return links
+}
+
+// Parse builds a Plan over links from the compact schedule grammar
+// (DESIGN.md §14.4):
 //
 //	spec    = term { "," term }
 //	term    = "seed=" uint
@@ -228,14 +253,12 @@ func RandomPartitions(seed uint64, links []Link, n int, length, horizon uint64) 
 //
 // Example: "seed=7,drop=0.05,dup=0.02,delay=0.1:2ms,part=2x40@400"
 // drops 5% of attempts, duplicates 2%, delays 10% by up to 2ms, and
-// cuts 2 partition windows of 40 seqs per link inside the first 400
-// seqs. The partition windows are materialized per link by Finish.
-func Parse(spec string) (*Plan, *PartitionSpec, error) {
+// cuts 2 partition windows of 40 seqs on every link inside the first 400
+// seqs, placed from the seed.
+func Parse(spec string, links []Link) (*Plan, error) {
 	p := &Plan{}
-	var ps *PartitionSpec
-	if strings.TrimSpace(spec) == "" {
-		return p, nil, nil
-	}
+	var count int
+	var length, horizon uint64
 	for _, term := range strings.Split(spec, ",") {
 		term = strings.TrimSpace(term)
 		if term == "" {
@@ -243,13 +266,13 @@ func Parse(spec string) (*Plan, *PartitionSpec, error) {
 		}
 		key, val, ok := strings.Cut(term, "=")
 		if !ok {
-			return nil, nil, fmt.Errorf("chaos: bad term %q (want key=value)", term)
+			return nil, fmt.Errorf("chaos: bad term %q (want key=value)", term)
 		}
 		switch key {
 		case "seed":
 			n, err := strconv.ParseUint(val, 0, 64)
 			if err != nil {
-				return nil, nil, fmt.Errorf("chaos: bad seed %q: %v", val, err)
+				return nil, fmt.Errorf("chaos: bad seed %q: %v", val, err)
 			}
 			p.Seed = n
 		case "drop", "dup", "delay":
@@ -259,14 +282,14 @@ func Parse(spec string) (*Plan, *PartitionSpec, error) {
 					probStr = ps
 					d, err := time.ParseDuration(ds)
 					if err != nil {
-						return nil, nil, fmt.Errorf("chaos: bad delay bound %q: %v", ds, err)
+						return nil, fmt.Errorf("chaos: bad delay bound %q: %v", ds, err)
 					}
 					p.DelayMax = d
 				}
 			}
 			f, err := strconv.ParseFloat(probStr, 64)
 			if err != nil || f < 0 || f > 1 {
-				return nil, nil, fmt.Errorf("chaos: bad probability %q for %s", probStr, key)
+				return nil, fmt.Errorf("chaos: bad probability %q for %s", probStr, key)
 			}
 			switch key {
 			case "drop":
@@ -277,45 +300,31 @@ func Parse(spec string) (*Plan, *PartitionSpec, error) {
 				p.DelayProb = f
 			}
 		case "part":
-			spec, horizon := val, uint64(4096)
-			if body, hs, ok := strings.Cut(val, "@"); ok {
-				spec = body
+			spec, hs, hasHorizon := strings.Cut(val, "@")
+			horizon = 4096
+			if hasHorizon {
 				h, err := strconv.ParseUint(hs, 10, 64)
 				if err != nil {
-					return nil, nil, fmt.Errorf("chaos: bad partition horizon %q: %v", hs, err)
+					return nil, fmt.Errorf("chaos: bad partition horizon %q: %v", hs, err)
 				}
 				horizon = h
 			}
 			cs, ls, ok := strings.Cut(spec, "x")
 			if !ok {
-				return nil, nil, fmt.Errorf("chaos: bad partition spec %q (want COUNTxLENGTH)", val)
+				return nil, fmt.Errorf("chaos: bad partition spec %q (want COUNTxLENGTH)", val)
 			}
-			count, err1 := strconv.Atoi(cs)
-			length, err2 := strconv.ParseUint(ls, 10, 64)
+			var err1, err2 error
+			count, err1 = strconv.Atoi(cs)
+			length, err2 = strconv.ParseUint(ls, 10, 64)
 			if err1 != nil || err2 != nil || count < 0 || length == 0 {
-				return nil, nil, fmt.Errorf("chaos: bad partition spec %q", val)
+				return nil, fmt.Errorf("chaos: bad partition spec %q", val)
 			}
-			ps = &PartitionSpec{Count: count, Length: length, Horizon: horizon}
 		default:
-			return nil, nil, fmt.Errorf("chaos: unknown term %q", key)
+			return nil, fmt.Errorf("chaos: unknown term %q", key)
 		}
 	}
-	return p, ps, nil
-}
-
-// PartitionSpec is a parsed-but-unmaterialized partition schedule: the
-// links are only known once the cluster shape is. Finish attaches the
-// concrete windows to the plan.
-type PartitionSpec struct {
-	Count   int
-	Length  uint64
-	Horizon uint64
-}
-
-// Finish materializes the spec's windows over links onto p.
-func (s *PartitionSpec) Finish(p *Plan, links []Link) {
-	if s == nil || p == nil {
-		return
+	if count > 0 {
+		p.Partitions = RandomPartitions(p.Seed, links, count, length, horizon)
 	}
-	p.Partitions = append(p.Partitions, RandomPartitions(p.Seed, links, s.Count, s.Length, s.Horizon)...)
+	return p, nil
 }

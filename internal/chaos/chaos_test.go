@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// TestFateDeterministic pins the seeded-replay property the chaostest
-// workflow depends on: the same seed yields the identical injected
+// TestFateDeterministic pins the seeded-replay property the soak chaos
+// schedules depend on: the same seed yields the identical injected
 // fault sequence, fate by fate, independent of evaluation order.
 func TestFateDeterministic(t *testing.T) {
 	mk := func() *Plan {
@@ -99,6 +99,13 @@ func TestPartitionWindowRefusesAllAttempts(t *testing.T) {
 	if v, _ := p.Fate(Link{0, 1}, 15, 1); v != Deliver {
 		t.Fatalf("other link inside window seqs: got %v, want Deliver", v)
 	}
+	if !p.Partitioned(Link{0, 0}, 15) || p.Partitioned(Link{0, 0}, 20) || p.Partitioned(Link{0, 1}, 15) {
+		t.Fatal("Partitioned disagrees with the window")
+	}
+	p.Heal()
+	if p.Partitioned(Link{0, 0}, 15) {
+		t.Fatal("a healed plan still cuts the link")
+	}
 }
 
 // TestHeal pins that a healed plan injects nothing more.
@@ -120,7 +127,11 @@ func TestHeal(t *testing.T) {
 
 // TestParse pins the schedule grammar.
 func TestParse(t *testing.T) {
-	p, ps, err := Parse("seed=7,drop=0.05,dup=0.02,delay=0.1:2ms,part=2x40@400")
+	links := Links(2, 1)
+	if want := []Link{{0, 0}, {1, 0}}; len(links) != 2 || links[0] != want[0] || links[1] != want[1] {
+		t.Fatalf("Links(2, 1) = %v, want %v", links, want)
+	}
+	p, err := Parse("seed=7,drop=0.05,dup=0.02,delay=0.1:2ms,part=2x40@400", links)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +141,6 @@ func TestParse(t *testing.T) {
 	if p.DelayMax != 2*time.Millisecond {
 		t.Fatalf("DelayMax = %v, want 2ms", p.DelayMax)
 	}
-	if ps == nil || ps.Count != 2 || ps.Length != 40 || ps.Horizon != 400 {
-		t.Fatalf("partition spec = %+v", ps)
-	}
-	links := []Link{{0, 0}, {1, 0}}
-	ps.Finish(p, links)
 	if len(p.Partitions) != 4 {
 		t.Fatalf("materialized %d windows, want 4", len(p.Partitions))
 	}
@@ -142,18 +148,21 @@ func TestParse(t *testing.T) {
 		if w.To-w.From != 40 || w.From < 1 || w.To > 401 {
 			t.Fatalf("bad window %+v", w)
 		}
+		if !p.Partitioned(w.Link, w.From) {
+			t.Fatalf("window %+v does not cut its link at its first seq", w)
+		}
 	}
 
-	if _, _, err := Parse("drop=1.5"); err == nil {
+	if _, err := Parse("drop=1.5", links); err == nil {
 		t.Fatal("probability > 1 accepted")
 	}
-	if _, _, err := Parse("bogus=1"); err == nil {
+	if _, err := Parse("bogus=1", links); err == nil {
 		t.Fatal("unknown term accepted")
 	}
-	if _, _, err := Parse("part=2y40"); err == nil {
+	if _, err := Parse("part=2y40", links); err == nil {
 		t.Fatal("malformed partition spec accepted")
 	}
-	if p, ps, err := Parse(""); err != nil || ps != nil || p.DropProb != 0 {
+	if p, err := Parse("", links); err != nil || len(p.Partitions) != 0 || p.DropProb != 0 {
 		t.Fatal("empty spec should parse to a no-op plan")
 	}
 }

@@ -6,8 +6,9 @@
 //
 // A Virtual clock cannot wake anyone, so it hands out no Timer, and that
 // is how code learns it is stepped: whoever advances the clock also
-// calls the code that would have slept on it (ingest.Pipeline.Step), on
-// the owner's goroutine, at the time it asked to be woken.
+// calls the code that would have slept on it (ingest.Pipeline.Step,
+// cluster.Shard.Step), on the owner's goroutine, at the time it asked to
+// be woken. On the wall clock the same step runs under Timer.Drive.
 //
 // This file is the only place outside the allowlist in scripts/check.sh
 // that may read the host clock.
@@ -32,17 +33,40 @@ type Clock interface {
 	Done(start time.Time, sim time.Duration) time.Time
 }
 
-// Timer is a reusable wake-up on the wall clock.
+// Timer is a wake-up on the wall clock, for one Drive.
 type Timer struct{ t *time.Timer }
 
-// C fires once after each Reset, at the time it named.
-func (t *Timer) C() <-chan time.Time { return t.t.C }
-
-// Reset re-arms the timer to fire at the given time.
-func (t *Timer) Reset(at time.Time) { t.t.Reset(time.Until(at)) }
-
-// Stop disarms the timer.
-func (t *Timer) Stop() { t.t.Stop() }
+// Drive is the wall clock's driver of a resumable step: on its own
+// goroutine it calls step, sleeps until the wake time step returned (the
+// zero time: until a kick) or a kick, and calls it again, until step
+// reports done. The returned channel is closed once it has.
+func (t *Timer) Drive(kick <-chan struct{}, step func() (wake time.Time, done bool)) <-chan struct{} {
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		defer t.t.Stop()
+		for {
+			wake, done := step()
+			if done {
+				return
+			}
+			var at <-chan time.Time
+			if !wake.IsZero() {
+				d := time.Until(wake)
+				if d <= 0 {
+					continue
+				}
+				t.t.Reset(d)
+				at = t.t.C
+			}
+			select {
+			case <-kick:
+			case <-at:
+			}
+		}
+	}()
+	return exited
+}
 
 type wall struct{}
 

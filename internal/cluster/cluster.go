@@ -78,39 +78,19 @@ type Config struct {
 	// the pre-PR-10 behavior where only media failures tripped it).
 	BreakerSheds int
 
-	// Shipping transport knobs (DESIGN.md §14). Transport is the
-	// leader→replica delivery fabric; nil means the in-process perfect
-	// transport. Chaos harnesses pass NewChaosTransport(plan).
+	// Transport is the leader→replica delivery fabric (DESIGN.md §14);
+	// nil means the in-process perfect transport. xpgraphd -chaos and the
+	// soak chaos scenarios pass NewChaosTransport(plan).
 	Transport Transport
-	// ShipAttempts bounds delivery attempts per (chunk, replica) before
-	// the leader gives up and flips the follower into resync (default 4).
-	ShipAttempts int
-	// ShipBackoff/ShipBackoffMax bound the exponential retry backoff
-	// (defaults 200µs and 2ms).
-	ShipBackoff    time.Duration
-	ShipBackoffMax time.Duration
-	// ShipRetain is the per-shard retention ring length in chunks: a
-	// resyncing follower within this window replays the log tail instead
-	// of a full snapshot rebuild (default 256).
-	ShipRetain int
-	// ReorderWindow bounds how far ahead of the next expected sequence a
-	// follower stashes out-of-order chunks; a wider hole triggers resync
-	// (default ReplicaQueue/2).
-	ReorderWindow int
-	// GapWait is how long a follower sits on a sequence hole before
-	// declaring the chunk lost and resyncing (default 5ms).
-	GapWait time.Duration
-	// ResyncLimit is the consecutive failed snapshot-resync attempts
-	// before a follower is declared damaged (default 3).
-	ResyncLimit int
 
-	// Clock is the clock every shard's pipeline, breaker and publication
-	// stamp reads; nil is the wall clock. With a clock its owner advances
-	// (clock.Virtual) the cluster is stepped: Start launches no writer
-	// goroutines, the owner calls each Shard's Step at the time it asked
-	// for, and writes must be asynchronous (nothing applies while a
-	// synchronous Ingest waits). Replica apply loops and log shipping
-	// stay on goroutines and the host clock either way.
+	// Clock is the clock every shard's pipeline, breaker, publication
+	// stamp, ship retry, chaos delay and follower reads; nil is the wall
+	// clock. With a clock its owner advances (clock.Virtual) the cluster
+	// is stepped: Start launches no goroutine, the owner calls each
+	// Shard's Step at the time it asked for — and after a synchronous
+	// IngestTyped, RegisterLabel or IngestLocal, which ship as they
+	// apply — and writes through the pipelines must be asynchronous
+	// (nothing applies while a synchronous Ingest waits).
 	Clock clock.Clock
 }
 
@@ -126,27 +106,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Transport == nil {
 		c.Transport = perfectTransport{}
-	}
-	if c.ShipAttempts <= 0 {
-		c.ShipAttempts = 4
-	}
-	if c.ShipBackoff <= 0 {
-		c.ShipBackoff = 200 * time.Microsecond
-	}
-	if c.ShipBackoffMax <= 0 {
-		c.ShipBackoffMax = 2 * time.Millisecond
-	}
-	if c.ShipRetain <= 0 {
-		c.ShipRetain = 256
-	}
-	if c.ReorderWindow <= 0 {
-		c.ReorderWindow = ReplicaQueue / 2
-	}
-	if c.GapWait <= 0 {
-		c.GapWait = 5 * time.Millisecond
-	}
-	if c.ResyncLimit <= 0 {
-		c.ResyncLimit = 3
 	}
 	if c.Clock == nil {
 		c.Clock = clock.Wall()
@@ -221,11 +180,7 @@ func New(stores []*core.Store, cfg Config) (*Cluster, error) {
 				overload:  cfg.BreakerSheds,
 				cooldown:  cfg.BreakerCooldown,
 			},
-			tr:             cfg.Transport,
-			shipAttempts:   cfg.ShipAttempts,
-			shipBackoff:    cfg.ShipBackoff,
-			shipBackoffMax: cfg.ShipBackoffMax,
-			retCap:         cfg.ShipRetain,
+			tr: cfg.Transport,
 		}
 		icfg := ingest.Config{
 			QueueCap:   cfg.QueueCap,
@@ -245,10 +200,10 @@ func New(stores []*core.Store, cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Start publishes every shard's initial snapshot (epoch 1), starts the
-// follower apply goroutines, and launches the per-shard writer
-// goroutines — unless the cluster is stepped (Config.Clock), in which
-// case the owner is the writer. Idempotent. Attach tracers to the shard
+// Start publishes every shard's initial snapshot (epoch 1), builds the
+// followers, and starts the wall drivers of every pipeline and follower —
+// unless the cluster is stepped (Config.Clock), in which case the owner
+// steps them. Idempotent. Attach tracers to the shard
 // stores before calling it so the initial snapshots' spans are recorded.
 func (c *Cluster) Start() error {
 	var err error
@@ -263,7 +218,7 @@ func (c *Cluster) Start() error {
 					}
 					ri := ri
 					factory := func() (*core.Store, error) { return c.cfg.ReplicaFactory(sh.id, ri) }
-					sh.replicas = append(sh.replicas, newReplica(sh, ri, st, factory, c.cfg))
+					sh.replicas = append(sh.replicas, newReplica(sh, ri, st, factory))
 				}
 			}
 			sh.mu.Lock()

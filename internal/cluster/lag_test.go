@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
+	"repro/internal/clock"
 	"repro/internal/difftest"
 )
 
@@ -23,10 +25,10 @@ func TestFailoverMidLagEpochMonotonic(t *testing.T) {
 	sh := cl.Shard(0)
 	rep := sh.Replicas()[0]
 
-	// Stall the replica's apply goroutine before any write: the gate
-	// blocks it ahead of each chunk's application (outside the replica's
-	// lock, so reads and epoch queries keep flowing) while shipped
-	// chunks queue in its channel.
+	// Stall the replica's driver before any write: the gate blocks it
+	// ahead of each chunk's application (outside the replica's lock, so
+	// reads and epoch queries keep flowing) while shipped chunks queue in
+	// its inbox.
 	release := make(chan struct{})
 	rep.mu.Lock()
 	rep.applyGate = func() { <-release }
@@ -116,4 +118,59 @@ func TestFailoverMidLagEpochMonotonic(t *testing.T) {
 	if err := rep.Err(); err != nil {
 		t.Fatalf("replica apply failed during catch-up: %v", err)
 	}
+}
+
+// TestLeaderKilledWhileFollowerResyncs composes a partition with a leader
+// kill on a stepped cluster: the link is cut over seqs [6, 40), so the
+// leader abandons seq 6 and its follower is resyncing — its rounds
+// refused across the cut — when the leader dies. A dead leader serves
+// nothing, its retention ring included: the follower makes no further
+// round, even once the partition heals, and every read of the partition
+// is exact at the epoch the view reports, against the model as it stood
+// at that epoch.
+func TestLeaderKilledWhileFollowerResyncs(t *testing.T) {
+	clk := &clock.Virtual{}
+	plan := &chaos.Plan{Seed: 0x5EED, Partitions: []chaos.Window{{Link: chaos.Link{}, From: 6, To: 40}}}
+	cl := newCluster(t, 1, 1, Config{Clock: clk, Transport: NewChaosTransport(plan)})
+	sh := cl.Shard(0)
+	rep := sh.Replicas()[0]
+
+	all := testEdges(1000)
+	m := difftest.New()
+	at := map[uint64]*difftest.Model{1: m.Clone()}
+	for off := 0; off < len(all) && sh.ShipSeq() < 10; off += 100 {
+		if _, err := cl.Ingest(all[off:off+100], false); err != nil {
+			t.Fatal(err)
+		}
+		runUntil(cl, clk, clk.Now().Add(20*time.Millisecond))
+		m.Ingest(all[off : off+100])
+		at[sh.Epoch()] = m.Clone()
+	}
+	if got := rep.State(); got != "resyncing" {
+		t.Fatalf("follower is %s at the kill, want resyncing (next seq %d, leader at %d)", got, rep.NextSeq(), sh.ShipSeq())
+	}
+	before, epoch := rep.Counters(), rep.Epoch()
+
+	cl.KillShard(0)
+	plan.Heal()
+	runUntil(cl, clk, clk.Now().Add(time.Second))
+	if after := rep.Counters(); after.LogReplays != before.LogReplays || after.SnapReplays != before.SnapReplays || rep.Epoch() != epoch {
+		t.Fatalf("the follower caught up from a dead leader: epoch %d -> %d, counters %+v -> %+v", epoch, rep.Epoch(), before, after)
+	}
+
+	cv := cl.AcquireView()
+	defer cv.Release()
+	e := cv.EpochVector()[0]
+	want, ok := at[e]
+	if !ok {
+		t.Fatalf("view pinned at epoch %d, which no applied chunk produced", e)
+	}
+	if _, err := (difftest.Compare{}).Run(want, cv); err != nil {
+		t.Fatalf("partition served at epoch %d: %v", e, err)
+	}
+	if e >= sh.Epoch() {
+		t.Fatalf("view at epoch %d, but the follower stopped behind its leader's %d", e, sh.Epoch())
+	}
+	t.Logf("killed at seq %d with the follower resyncing from seq %d: the partition serves epoch %d exactly (the dead leader's last: %d)",
+		sh.ShipSeq(), rep.NextSeq(), e, sh.Epoch())
 }

@@ -6,12 +6,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/ingest"
-	"repro/internal/splitmix"
 	"repro/internal/xpsim"
 )
 
@@ -89,16 +87,12 @@ type Shard struct {
 	// Shipping stream state, guarded by mu: the sequence number is
 	// assigned in the same exclusive window that applies and publishes
 	// the chunk, so the stream order IS the application order, and the
-	// retention ring holds the recent tail for resync replay.
+	// retention ring holds the recent tail (shipRetain chunks) for resync
+	// replay.
 	shipSeq uint64
 	ret     []shipMsg
-	retCap  int
 
-	// Transport policy (from Config).
-	tr             Transport
-	shipAttempts   int
-	shipBackoff    time.Duration
-	shipBackoffMax time.Duration
+	tr Transport // Config.Transport
 
 	shipsTotal  atomic.Int64
 	shipRetries atomic.Int64
@@ -129,11 +123,19 @@ func (sh *Shard) PipeStats() ingest.Stats { return sh.pipe.Stats() }
 // Breaker reads one consistent copy of the shard's breaker state.
 func (sh *Shard) Breaker() BreakerView { return sh.br.view(sh.clk.Now()) }
 
-// Step runs the shard's pipeline writer once (ingest.Pipeline.Step) and
-// returns when it next needs to run. Only the owner of a stepped
-// cluster's clock calls it; on the wall clock the pipeline's own
-// goroutine is the writer.
-func (sh *Shard) Step() time.Time { return sh.pipe.Step() }
+// Step runs the shard once at its clock's now — the pipeline writer
+// (ingest.Pipeline.Step), then each link's due ship retries and its
+// follower — and returns the earliest time any of them next needs to run
+// (the zero time: not before the next write). Only the owner of a stepped
+// cluster's clock calls it; on the wall clock the pipeline and every
+// follower run under their own driver.
+func (sh *Shard) Step() time.Time {
+	wake := sh.pipe.Step()
+	for _, r := range sh.replicas {
+		wake = earliest(wake, r.step())
+	}
+	return wake
+}
 
 // Replicas returns the shard's followers.
 func (sh *Shard) Replicas() []*Replica { return sh.replicas }
@@ -208,7 +210,7 @@ func (sh *Shard) recordShipLocked(e shipEntry) shipMsg {
 	sh.shipSeq++
 	m := shipMsg{seq: sh.shipSeq, id: chunkID(sh.id, sh.shipSeq), e: ent}
 	sh.ret = append(sh.ret, m)
-	if len(sh.ret) > sh.retCap {
+	if len(sh.ret) > shipRetain {
 		n := copy(sh.ret, sh.ret[1:])
 		sh.ret[n] = shipMsg{} // release the dropped entry
 		sh.ret = sh.ret[:n]
@@ -230,52 +232,18 @@ func (sh *Shard) retainedFromLocked(seq uint64) []shipMsg {
 	return append([]shipMsg(nil), sh.ret[idx:]...)
 }
 
-// backoff derives the bounded, jittered sleep before retry `attempt+1`:
-// exponential from shipBackoff, capped at shipBackoffMax, with seeded
-// jitter in [d/2, d) so concurrent shippers do not retry in lockstep.
-func (sh *Shard) backoff(seq uint64, attempt int) time.Duration {
-	d := sh.shipBackoff << (attempt - 1)
-	if d > sh.shipBackoffMax {
-		d = sh.shipBackoffMax
-	}
-	h := splitmix.Mix(uint64(uint32(sh.id))<<40 ^ seq<<8 ^ uint64(attempt))
-	return d/2 + time.Duration(h%uint64(d/2+1))
-}
-
 // dispatch ships one recorded chunk to every running follower through
-// the transport: bounded retries with exponential backoff + jitter per
-// follower, and on exhaustion the follower is flipped into resync (the
-// lag breaker) instead of blocking the caller. Runs OUTSIDE the shard
-// lock; per-link ordering comes from the sequence numbers, not from
-// delivery order.
+// the transport, outside the shard lock: a failed attempt becomes a
+// pending retry on the link and the caller never waits (Replica.ship).
+// Per-link ordering comes from the sequence numbers, not from delivery
+// order.
 func (sh *Shard) dispatch(m shipMsg) {
 	if m.e == nil {
 		return
 	}
+	now := sh.clk.Now()
 	for _, r := range sh.replicas {
-		if r.stateNow() != replicaRunning {
-			// Already resyncing (it will replay this seq from the
-			// retention ring) or damaged: don't burn the retry budget.
-			sh.shipSkips.Add(1)
-			continue
-		}
-		link := chaos.Link{Shard: sh.id, Replica: r.id}
-		delivered := false
-		for attempt := 1; attempt <= sh.shipAttempts; attempt++ {
-			sh.shipsTotal.Add(1)
-			if err := sh.tr.Ship(link, m.seq, attempt, func() bool { return r.deliver(m) }); err == nil {
-				delivered = true
-				break
-			}
-			if attempt < sh.shipAttempts {
-				sh.shipRetries.Add(1)
-				time.Sleep(sh.backoff(m.seq, attempt))
-			}
-		}
-		if !delivered {
-			sh.shipGiveUps.Add(1)
-			r.fellBehind()
-		}
+		r.ship(m, 1, now)
 	}
 }
 

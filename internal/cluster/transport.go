@@ -8,13 +8,11 @@ import (
 )
 
 // The transport boundary between a shard leader and its followers
-// (DESIGN.md §14). Until PR 10 the leader called straight into the
-// replica's inbox channel and blocked forever when it was full; now
-// every shipped chunk crosses an explicit, fallible Transport carrying
-// a monotonic per-shard sequence number and a chunk id, the leader
-// retries failed attempts with bounded exponential backoff, and a
-// chunk that cannot be delivered is *abandoned* — the follower detects
-// the sequence hole and resyncs instead of the leader waiting.
+// (DESIGN.md §14). Every shipped chunk crosses an explicit, fallible
+// Transport carrying a monotonic per-shard sequence number and a chunk
+// id; a failed attempt becomes a pending retry with bounded exponential
+// backoff on the link, and a chunk that cannot be delivered is
+// *abandoned* — the follower resyncs instead of the leader waiting.
 //
 // Transport semantics are deliberately weak, like a real fabric:
 //   - an attempt can fail with the message never arriving (drop,
@@ -26,19 +24,22 @@ import (
 // The replica's sequence/dedupe/resync machinery (replica.go) is the
 // reliability layer on top; the transport stays dumb.
 
-// Transport is one delivery fabric for leader→replica shipping.
-// Implementations must not block the caller beyond a bounded, small
-// time: injected delays are realized asynchronously.
+// Transport is one delivery fabric for leader→replica shipping. It
+// never blocks and starts nothing: a delayed delivery is a message queued
+// at the receiver with a later arrival time.
 type Transport interface {
-	// Ship makes one delivery attempt (attempt is 1-based) of the
-	// chunk with sequence number seq on link. deliver runs the
-	// receiver's inbox admission and reports whether the message was
-	// accepted; the transport may invoke it zero times (drop), once,
-	// or more than once (duplication), synchronously or later.
+	// Ship makes one delivery attempt (attempt is 1-based), at now, of
+	// the chunk with sequence number seq on link. deliver queues the
+	// message at the receiver to arrive at the given time and reports
+	// whether the receiver's inbox took it; the transport may call it
+	// zero times (drop), once, or twice (duplication), for now or later.
 	// A nil return means the sender may consider the chunk delivered;
 	// an error means it should retry or give up — even though the
 	// message may still arrive (delayed delivery).
-	Ship(link chaos.Link, seq uint64, attempt int, deliver func() bool) error
+	Ship(link chaos.Link, seq uint64, attempt int, now time.Time, deliver func(at time.Time) bool) error
+	// Cut reports whether link is partitioned at stream position seq: a
+	// follower's resync round cannot reach its leader across it either.
+	Cut(link chaos.Link, seq uint64) bool
 }
 
 // Typed transport failures (all transient by construction — the
@@ -57,20 +58,22 @@ var (
 	ErrShipTimeout = errors.New("transport: delivery timed out")
 )
 
-// perfectTransport is the default in-process fabric: one synchronous
-// delivery attempt, failing only on receiver backpressure.
+// perfectTransport is the default in-process fabric: one immediate
+// delivery, failing only on receiver backpressure.
 type perfectTransport struct{}
 
-func (perfectTransport) Ship(_ chaos.Link, _ uint64, _ int, deliver func() bool) error {
-	if !deliver() {
+func (perfectTransport) Ship(_ chaos.Link, _ uint64, _ int, now time.Time, deliver func(time.Time) bool) error {
+	if !deliver(now) {
 		return ErrShipBusy
 	}
 	return nil
 }
 
+func (perfectTransport) Cut(chaos.Link, uint64) bool { return false }
+
 // ChaosTransport injects faults from a seeded chaos.Plan: drops,
-// duplicates, delays (realized on goroutines so the sender never
-// blocks), and seq-window partitions. Deterministic per
+// duplicates, delays (a copy that arrives later, on whichever clock the
+// cluster runs), and seq-window partitions. Deterministic per
 // (seed, link, seq, attempt) — see internal/chaos.
 type ChaosTransport struct {
 	plan *chaos.Plan
@@ -86,38 +89,31 @@ func NewChaosTransport(plan *chaos.Plan) *ChaosTransport {
 // it).
 func (t *ChaosTransport) Plan() *chaos.Plan { return t.plan }
 
-func (t *ChaosTransport) Ship(link chaos.Link, seq uint64, attempt int, deliver func() bool) error {
+func (t *ChaosTransport) Ship(link chaos.Link, seq uint64, attempt int, now time.Time, deliver func(time.Time) bool) error {
 	verdict, d := t.plan.Fate(link, seq, attempt)
 	switch verdict {
 	case chaos.Drop:
 		return ErrShipDropped
 	case chaos.Partition:
 		return ErrShipPartitioned
-	case chaos.Duplicate:
-		// One copy now, one later. The payload is immutable and shared,
-		// so the late copy needs no deep clone; the receiver dedupes.
-		go func() {
-			time.Sleep(d)
-			deliver()
-		}()
-		if !deliver() {
-			return ErrShipBusy
-		}
-		return nil
 	case chaos.Delay:
 		// The message will arrive after d, but the sender has already
 		// lost patience: it sees a timeout and may retry, producing a
 		// duplicate the receiver dedupes. This is the classic ambiguous
 		// RPC outcome.
-		go func() {
-			time.Sleep(d)
-			deliver()
-		}()
+		deliver(now.Add(d))
 		return ErrShipTimeout
-	default:
-		if !deliver() {
+	case chaos.Duplicate:
+		// One copy now, one later. The payload is immutable and shared,
+		// so the late copy needs no deep clone; the receiver dedupes.
+		ok := deliver(now)
+		deliver(now.Add(d))
+		if !ok {
 			return ErrShipBusy
 		}
 		return nil
 	}
+	return perfectTransport{}.Ship(link, seq, attempt, now, deliver)
 }
+
+func (t *ChaosTransport) Cut(link chaos.Link, seq uint64) bool { return t.plan.Partitioned(link, seq) }

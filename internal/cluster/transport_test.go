@@ -34,22 +34,13 @@ func waitReplicaRunning(t *testing.T, sh *Shard, r *Replica) {
 
 // TestReplicaFrozenFollowerDoesNotStallLeader is the PR-10 regression:
 // before the lag breaker, a follower that stopped consuming froze the
-// leader's writer goroutine on the 65th chunk. Now the leader exhausts
-// its bounded retry budget, abandons the chunk, flips the follower into
-// resync, and keeps ingesting; when the follower thaws it catches up
-// through the resync path and converges.
+// leader's writer goroutine on the 65th chunk. Now a refused attempt is a
+// pending retry on the link, the bounded retry queue overflows, the
+// leader abandons the chunk and flips the follower into resync, and keeps
+// ingesting; when the follower thaws it catches up through the resync
+// path and converges.
 func TestReplicaFrozenFollowerDoesNotStallLeader(t *testing.T) {
-	cl := newCluster(t, 1, 1, Config{
-		Linger: time.Millisecond,
-		// Keep the abandon path fast: the frozen inbox refuses ~hundreds
-		// of chunks and each one burns the full retry budget.
-		ShipAttempts: 2,
-		ShipBackoff:  50 * time.Microsecond,
-		// Smaller than the 200 chunks shipped below, so the thawed
-		// follower finds the stream gone past the retention ring and must
-		// take the snapshot-rebuild path.
-		ShipRetain: 32,
-	})
+	cl := newCluster(t, 1, 1, Config{Linger: time.Millisecond})
 	sh := cl.Shard(0)
 	rep := sh.Replicas()[0]
 
@@ -58,9 +49,10 @@ func TestReplicaFrozenFollowerDoesNotStallLeader(t *testing.T) {
 	rep.applyGate = func() { <-frozen }
 	rep.mu.Unlock()
 
-	// 200 single-chunk ingests: far more than the inbox (64) plus the
-	// retention ring can hide. Pre-PR-10 this deadlocked right here.
-	edges := testEdges(2000)
+	// 400 single-chunk ingests: more than the inbox (64) and the retention
+	// ring (256) together can hide. Before the lag breaker this deadlocked
+	// right here.
+	edges := testEdges(4000)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -77,8 +69,8 @@ func TestReplicaFrozenFollowerDoesNotStallLeader(t *testing.T) {
 		t.Fatalf("expected abandoned or skipped chunks behind a frozen follower, counters %+v", sc)
 	}
 
-	// Thaw. The stuck applyMsg finishes its chunk, the loop sees the
-	// resyncing state, and the follower catches up from the leader.
+	// Thaw. The stuck applyMsg finishes its chunk, the follower sees the
+	// resyncing state, and catches up from the leader.
 	rep.mu.Lock()
 	rep.applyGate = nil
 	rep.mu.Unlock()
@@ -89,7 +81,7 @@ func TestReplicaFrozenFollowerDoesNotStallLeader(t *testing.T) {
 	if rc.Resyncs == 0 {
 		t.Fatalf("follower converged without resyncing? counters %+v", rc)
 	}
-	// The stream moved ~200 chunks past a 32-chunk retention ring while
+	// The stream moved ~400 chunks past a 256-chunk retention ring while
 	// the follower was frozen: catching up required a snapshot rebuild.
 	if rc.SnapReplays == 0 {
 		t.Fatalf("deep lag recovered without a snapshot rebuild: %+v", rc)
@@ -105,36 +97,64 @@ func TestReplicaFrozenFollowerDoesNotStallLeader(t *testing.T) {
 	}
 }
 
-// TestReplicaDuplicateDeliveryDedupe pins exactly-once apply under a
-// transport that duplicates every chunk: the follower discards the
-// second copies by sequence number, so its log holds each edge exactly
+// TestReplicaDelayedDeliveriesOnTheWallClock: links whose every attempt
+// is duplicated (a copy now and one later) or delayed (a copy later and
+// a timeout now) converge on the wall clock, and every late copy is
+// served and deduped. Nothing kicks the wall driver after the last
+// delivery, so draining the inbox proves its timer wakes at an arrival's
+// due time. Under duplication the follower's log holds each edge exactly
 // once — byte-for-byte the leader's count.
-func TestReplicaDuplicateDeliveryDedupe(t *testing.T) {
-	plan := &chaos.Plan{Seed: 0xD0D0, DupProb: 1, DelayMax: 200 * time.Microsecond}
-	cl := newCluster(t, 2, 1, Config{
-		Linger:    time.Millisecond,
-		Transport: NewChaosTransport(plan),
-	})
-	ingestChunks(t, cl, testEdges(2000), 100)
+func TestReplicaDelayedDeliveriesOnTheWallClock(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		plan *chaos.Plan
+	}{
+		{"dup", &chaos.Plan{Seed: 0xD0D0, DupProb: 1, DelayMax: 200 * time.Microsecond}},
+		{"delay", &chaos.Plan{Seed: 0xDE1A, DelayProb: 1, DelayMax: 200 * time.Microsecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := tc.plan
+			cl := newCluster(t, 2, 1, Config{Linger: time.Millisecond, Transport: NewChaosTransport(plan)})
+			ingestChunks(t, cl, testEdges(2000), 100)
 
-	var dedupes int64
-	for i := 0; i < cl.Shards(); i++ {
-		sh := cl.Shard(i)
-		for _, r := range sh.Replicas() {
-			waitReplicaRunning(t, sh, r)
-			rc := r.Counters()
-			dedupes += rc.Dedupes
-			if got, want := r.Store().Log().Head(), sh.Store().Log().Head(); got != want {
-				t.Fatalf("shard %d: follower logged %d edges under duplication, leader %d (dedupe broken)",
-					i, got, want)
+			var dedupes int64
+			for i := 0; i < cl.Shards(); i++ {
+				sh := cl.Shard(i)
+				for _, r := range sh.Replicas() {
+					waitReplicaRunning(t, sh, r)
+					waitInboxDrained(t, r)
+					dedupes += r.Counters().Dedupes
+					if got, want := r.Store().Log().Head(), sh.Store().Log().Head(); got != want {
+						t.Fatalf("shard %d: follower logged %d edges, leader %d (dedupe broken)", i, got, want)
+					}
+				}
 			}
+			if dedupes == 0 {
+				t.Fatal("every attempt left a late copy, but none was deduped")
+			}
+			if st := plan.Snapshot(); st.Dups+st.Delays == 0 {
+				t.Fatalf("chaos plan injected nothing: %+v", st)
+			}
+		})
+	}
+}
+
+// waitInboxDrained polls until every message delivered to the follower
+// has been served.
+func waitInboxDrained(t *testing.T, r *Replica) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		r.qmu.Lock()
+		n := len(r.inbox)
+		r.qmu.Unlock()
+		if n == 0 {
+			return
 		}
-	}
-	if dedupes == 0 {
-		t.Fatal("DupProb=1 but no duplicate was deduped")
-	}
-	if st := plan.Snapshot(); st.Dups == 0 {
-		t.Fatalf("chaos plan injected nothing: %+v", st)
+		if time.Now().After(deadline) {
+			t.Fatalf("%d delivered messages never served", n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -225,13 +245,7 @@ func TestReplicaApplyErrorClassification(t *testing.T) {
 // edge-for-edge once the chaos heals.
 func TestReplicaGapResyncAfterDrops(t *testing.T) {
 	plan := &chaos.Plan{Seed: 0xBAD, DropProb: 1}
-	cl := newCluster(t, 1, 1, Config{
-		Linger:       time.Millisecond,
-		Transport:    NewChaosTransport(plan),
-		ShipAttempts: 2,
-		ShipBackoff:  50 * time.Microsecond,
-		GapWait:      2 * time.Millisecond,
-	})
+	cl := newCluster(t, 1, 1, Config{Linger: time.Millisecond, Transport: NewChaosTransport(plan)})
 	sh := cl.Shard(0)
 	rep := sh.Replicas()[0]
 

@@ -14,11 +14,11 @@
 // (internal/clock; DESIGN.md §12.5 "Clocks"): each call does whatever is
 // due at the clock's now — gather queued requests into the open batch,
 // apply one chunk, run a background tick, drain for a stop — and returns
-// when it next needs to run. On the wall clock Start launches a
-// goroutine that calls Step and sleeps until that time, an Enqueue or a
-// stop; on a clock its owner advances there is no goroutine and the
-// owner calls Step. There is no second implementation of admission,
-// gathering, chunking or the controller feed.
+// when it next needs to run. On the wall clock Start hands Step to
+// clock.Timer.Drive, which sleeps until that time, an Enqueue or a stop;
+// on a clock its owner advances there is no goroutine and the owner calls
+// Step. There is no second implementation of admission, gathering,
+// chunking or the controller feed.
 //
 // Lifecycle: New builds the pipeline stopped; the caller publishes its
 // initial snapshot (epoch 1) and then calls Start. Close stops abruptly
@@ -144,16 +144,17 @@ type Stats struct {
 
 // Pipeline is the single-writer batched ingest engine.
 type Pipeline struct {
-	cfg   Config
-	ap    Applier
-	ctl   *Controller // the live knobs; fed only when cfg.Adaptive is set
-	clk   clock.Clock
-	timer *clock.Timer // the goroutine's wake-up; nil: stepped by the clock's owner
+	cfg Config
+	ap  Applier
+	ctl *Controller // the live knobs; fed only when cfg.Adaptive is set
+	clk clock.Clock
+	// driver is closed when the wall driver has exited; nil: stepped by
+	// the clock's owner.
+	driver <-chan struct{}
 
 	stop    chan struct{}
 	stopped sync.Once
-	wg      sync.WaitGroup
-	// kick wakes the writer goroutine after an Enqueue (capacity 1: a
+	// kick wakes the wall driver after an Enqueue or a stop (capacity 1: a
 	// pending kick already covers every request queued behind it).
 	kick chan struct{}
 
@@ -208,7 +209,7 @@ func New(cfg Config, ap Applier) *Pipeline {
 }
 
 // Start arms the background ticks and, on a clock that can wake it,
-// launches the writer goroutine. A stepped pipeline starts nothing: its
+// hands Step to the wall driver. A stepped pipeline starts nothing: its
 // owner calls Step.
 func (p *Pipeline) Start() {
 	now := p.clk.Now()
@@ -218,11 +219,12 @@ func (p *Pipeline) Start() {
 	if p.cfg.ScrubEvery > 0 {
 		p.nextScrub = now.Add(p.cfg.ScrubEvery)
 	}
-	if p.timer = p.clk.Timer(); p.timer == nil {
-		return
+	if t := p.clk.Timer(); t != nil {
+		p.driver = t.Drive(p.kick, func() (time.Time, bool) {
+			wake := p.Step()
+			return wake, p.finished
+		})
 	}
-	p.wg.Add(1)
-	go p.loop()
 }
 
 // Stats snapshots every counter under one lock acquisition, plus the
@@ -275,17 +277,27 @@ func (p *Pipeline) Draining() bool {
 func (p *Pipeline) Stopping() <-chan struct{} { return p.stop }
 
 // Close stops the pipeline abruptly: queued writes fail with
-// ErrShuttingDown. Returns once the stop has been served — by the writer
-// goroutine, or, on a stepped pipeline, by stepping it here (so the
-// caller must be the clock's owner). Idempotent.
+// ErrShuttingDown. Returns once the stop has been served — by the wall
+// driver, or, on a stepped pipeline, by stepping it here (so the caller
+// must be the clock's owner). Idempotent.
 func (p *Pipeline) Close() {
 	p.stopped.Do(func() { close(p.stop) })
-	if p.timer == nil {
+	if p.driver == nil {
 		for !p.finished {
 			p.Step()
 		}
+		return
 	}
-	p.wg.Wait()
+	p.wake()
+	<-p.driver
+}
+
+// wake kicks the wall driver without blocking.
+func (p *Pipeline) wake() {
+	select {
+	case p.kick <- struct{}{}:
+	default:
+	}
 }
 
 // Shutdown drains gracefully: new writes are fenced off, every accepted
@@ -320,37 +332,8 @@ func (p *Pipeline) Enqueue(req *Request) error {
 	p.st.EdgesAccepted += n
 	p.queue = append(p.queue, req)
 	p.mu.Unlock()
-	select {
-	case p.kick <- struct{}{}:
-	default:
-	}
+	p.wake()
 	return nil
-}
-
-// loop is the wall-clock driver of Step: it sleeps until Step's wake
-// time, an Enqueue, or a stop, and steps again.
-func (p *Pipeline) loop() {
-	defer p.wg.Done()
-	defer p.timer.Stop()
-	for {
-		wake := p.Step()
-		if p.finished {
-			return
-		}
-		var wakeC <-chan time.Time
-		if !wake.IsZero() {
-			if !wake.After(p.clk.Now()) {
-				continue
-			}
-			p.timer.Reset(wake)
-			wakeC = p.timer.C()
-		}
-		select {
-		case <-p.stop:
-		case <-p.kick:
-		case <-wakeC:
-		}
-	}
 }
 
 // stopClosed reports, without blocking, whether Close has been called.

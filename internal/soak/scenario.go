@@ -10,6 +10,7 @@ package soak
 
 import (
 	"fmt"
+	"strings"
 	"time"
 )
 
@@ -22,8 +23,13 @@ type FaultOp struct {
 	// marks the same lines latency-degraded by Mult, "kill" kills
 	// shard leader Shard, "scrub" runs a cluster-wide media scrub.
 	Kind string `json:"kind"`
-	// Shard is the target leader for "kill".
+	// Shard is the target leader for "kill", and the shard whose
+	// follower Replica targets.
 	Shard int `json:"shard,omitempty"`
+	// Replica, when set, aims "ue" and "slow" at follower Replica-1 of
+	// shard Shard — the lines under the hottest vertices it holds —
+	// instead of at every owner shard's leader.
+	Replica int `json:"replica,omitempty"`
 	// Vertices is how many of the hottest vertices "ue"/"slow" damage.
 	Vertices int `json:"vertices,omitempty"`
 	// Mult is the latency multiplier for "slow".
@@ -88,6 +94,11 @@ type Scenario struct {
 	// a typed edge set alongside the plain warm edges.
 	FilteredKHopFrac float64 `json:"filtered_khop_frac"`
 	DeleteFrac       float64 `json:"delete_frac"`
+	// TypedFrac of write arrivals are typed batches, posted synchronously
+	// (typed batches bypass the pipeline): edges under two labels plus a
+	// property write per source vertex. Setting it attaches property
+	// columns to every store and registers the two labels at warm-up.
+	TypedFrac float64 `json:"typed_frac,omitempty"`
 
 	// ZipfSkew skews vertex popularity inside a tenant's range (0 =
 	// uniform; larger = hotter head). Tenants partitions the vertex
@@ -132,6 +143,12 @@ type Scenario struct {
 
 	// ScrapeEvery is the metrics/health scrape cadence.
 	ScrapeEvery time.Duration `json:"scrape_every"`
+
+	// Chaos is a seeded fault schedule on every leader→follower shipping
+	// link, in chaos.Parse's grammar (DESIGN.md §14.4). A chaos run keeps
+	// a journal of what the cluster applied, in the order it applied it,
+	// for the differential its tests end in.
+	Chaos string `json:"chaos,omitempty"`
 
 	Faults []FaultOp `json:"faults,omitempty"`
 	SLO    SLO       `json:"slo"`
@@ -360,8 +377,7 @@ func ByName(name string) (Scenario, error) {
 			},
 		}, nil
 	}
-	return Scenario{}, fmt.Errorf("soak: unknown scenario %q (builtins: %s, %s, %s, %s)",
-		name, ShortMix, BurstyIngest, FaultStorm, SustainedOverload)
+	return Scenario{}, fmt.Errorf("soak: unknown scenario %q (builtins: %s)", name, strings.Join(Names(), ", "))
 }
 
 // Names lists the builtin scenarios.

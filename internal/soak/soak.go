@@ -22,11 +22,14 @@
 // The cluster is built with the scenario's own QueueCap, BatchEdges,
 // Linger, adaptive controller and overload breaker, on a virtual clock
 // the driver owns (DESIGN.md §12.5 "Clocks"). A stepped cluster starts
-// no writer goroutines: writes go in through POST /v1/ingest/bin?async=1
-// — a 429 queue_full or a 503 circuit_open is the router's own answer —
-// and the event loop calls each shard's pipeline Step at the time it
-// asked to be woken, so admission, gathering, linger, chunking, the AIMD
-// feed and the breaker are the code production runs, not a model of it.
+// no goroutines: writes go in through POST /v1/ingest/bin?async=1 — a 429
+// queue_full or a 503 circuit_open is the router's own answer — and the
+// event loop calls each shard's Step at the time it asked to be woken, so
+// admission, gathering, linger, chunking, the AIMD feed, the breaker and
+// replication — ship retries, chaos delays, follower apply and resync —
+// are the code production runs, not a model of it. A scenario with a
+// chaos plan also journals what the cluster applied, in order, for the
+// differential its tests end in.
 //
 // What the harness keeps is what virtual time cannot give it. A shard is
 // its own machine: the chunk its pipeline applied at t occupies the
@@ -50,6 +53,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -104,6 +108,8 @@ type Report struct {
 	Shed503       int64 `json:"shed_503"`
 	EdgesShed     int64 `json:"edges_shed"`
 	WriteErrors   int64 `json:"write_errors"`
+	// TypedWrites counts typed batches every owner shard applied.
+	TypedWrites int64 `json:"typed_writes,omitempty"`
 
 	// Circuit-breaker transitions, summed over the shards' breakers.
 	BreakerTrips  int64 `json:"breaker_trips,omitempty"`
@@ -171,8 +177,22 @@ func (r *rng) zipfIdx(n int, skew float64) int {
 type window struct{ start, end int64 }
 
 // part is an admitted write part the shard's pipeline has not finished
-// with: when it arrived and how many of its edges are still queued.
-type part struct{ at, left int64 }
+// with: when it arrived, its edges (for a chaos run's journal) and how
+// many of them are still queued.
+type part struct {
+	at, left int64
+	edges    []graph.Edge
+}
+
+// applied is one application the cluster made, journaled in the order it
+// made it: plain edges (inserts and tombstones), a typed write's edges
+// with their labels and its property writes, or a label registration.
+type applied struct {
+	edges  []graph.Edge
+	labels []uint16 // non-nil: a typed write
+	props  []graph.PropSet
+	label  string
+}
 
 // never is the wake time of a shard with nothing scheduled.
 const never = int64(math.MaxInt64)
@@ -196,13 +216,18 @@ type shardTimeline struct {
 
 // Runner executes one scenario. Build with newRunner via Run.
 type runner struct {
-	sc  Scenario
-	srv *server.Server
-	cl  *cluster.Cluster
-	// faults holds each shard leader's armed fault-injection handle
-	// (MediaGuard scenarios only).
-	faults []*xpsim.Faults
+	sc     Scenario
+	srv    *server.Server
+	cl     *cluster.Cluster
 	shards []*shardTimeline
+	// labels are the label ids typed writes draw from.
+	labels []uint16
+	// plan is the chaos schedule on the shipping links, journal what the
+	// cluster applied, in order, and live the inserts it applied that no
+	// write has deleted since (chaos runs only).
+	plan    *chaos.Plan
+	journal []applied
+	live    []graph.Edge
 	// tailStart is when the sustained-overload window closes (-1 when
 	// the scenario has none); reads at or after it feed TailReadP99Us.
 	tailStart int64
@@ -245,36 +270,31 @@ func Run(sc Scenario, dumpDir string) (Report, error) {
 
 func newRunner(sc Scenario) (*runner, error) {
 	perNode := sc.PMEMPerNodeMB << 20
-	newNode := func(name string) (*core.Store, *xpsim.Faults, error) {
+	newNode := func(name string) (*core.Store, error) {
 		m := xpsim.NewMachine(2, perNode, xpsim.DefaultLatency())
-		var f *xpsim.Faults
 		if sc.MediaGuard {
-			f = m.TrackFaults()
+			m.TrackFaults()
 		}
-		st, err := core.New(m, pmem.NewHeap(m), nil, core.Options{
+		return core.New(m, pmem.NewHeap(m), nil, core.Options{
 			Name:           name,
 			NumVertices:    sc.Vertices,
 			ArchiveThreads: 8,
 			NUMA:           core.NUMASubgraph,
 			AdjBytes:       perNode / 4,
 			MediaGuard:     sc.MediaGuard,
-			Props:          sc.FilteredKHopFrac > 0,
+			Props:          sc.FilteredKHopFrac > 0 || sc.TypedFrac > 0,
 		})
-		return st, f, err
 	}
 
 	stores := make([]*core.Store, sc.Shards)
-	faults := make([]*xpsim.Faults, sc.Shards)
 	for i := range stores {
 		var err error
-		stores[i], faults[i], err = newNode(fmt.Sprintf("soak-s%d", i))
-		if err != nil {
+		if stores[i], err = newNode(fmt.Sprintf("soak-s%d", i)); err != nil {
 			return nil, fmt.Errorf("soak: building shard %d: %w", i, err)
 		}
 	}
 	r := &runner{
 		sc:        sc,
-		faults:    faults,
 		tailStart: -1,
 		rng:       rng{splitmix.Rand(sc.Seed)},
 		tracer:    obs.NewTracer(1 << 15),
@@ -292,9 +312,16 @@ func newRunner(sc Scenario) (*runner, error) {
 	}
 	if sc.Replicas > 0 {
 		ccfg.ReplicaFactory = func(shardID, replica int) (*core.Store, error) {
-			st, _, err := newNode(fmt.Sprintf("soak-s%d-r%d", shardID, replica))
-			return st, err
+			return newNode(fmt.Sprintf("soak-s%d-r%d", shardID, replica))
 		}
+	}
+	if sc.Chaos != "" {
+		plan, err := chaos.Parse(sc.Chaos, chaos.Links(sc.Shards, sc.Replicas))
+		if err != nil {
+			return nil, fmt.Errorf("soak: %w", err)
+		}
+		r.plan = plan
+		ccfg.Transport = cluster.NewChaosTransport(plan)
 	}
 	cl, err := cluster.New(stores, ccfg)
 	if err != nil {
@@ -309,9 +336,11 @@ func newRunner(sc Scenario) (*runner, error) {
 		r.tailStart = int64(sc.OverloadAt + sc.OverloadFor)
 	}
 
+	// Every shard is stepped once at t=0: its followers take the warm
+	// load's shipments then.
 	r.shards = make([]*shardTimeline, sc.Shards)
 	for i := range r.shards {
-		r.shards[i] = &shardTimeline{wake: never}
+		r.shards[i] = &shardTimeline{}
 	}
 
 	// Warm the graph before the clock starts so the zipfian head has
@@ -325,27 +354,42 @@ func newRunner(sc Scenario) (*runner, error) {
 			cl.Close()
 			return nil, fmt.Errorf("soak: warm load: %w", err)
 		}
+		r.record(applied{edges: warm})
 	}
-	// Typed warm set for the filtered-khop read fraction: one "hot"
-	// label over a tenth of the warm volume, so the typed traversals have
-	// real labeled adjacency to prune against.
-	if sc.FilteredKHopFrac > 0 {
-		hot, err := cl.RegisterLabel(soakLabel)
+	// Labels: one "hot" label for the filtered-khop reads, and a second
+	// one when typed writes draw from two.
+	var names []string
+	if sc.FilteredKHopFrac > 0 || sc.TypedFrac > 0 {
+		names = append(names, soakLabel)
+	}
+	if sc.TypedFrac > 0 {
+		names = append(names, "cold")
+	}
+	for _, name := range names {
+		id, err := cl.RegisterLabel(name)
 		if err != nil {
 			cl.Close()
-			return nil, fmt.Errorf("soak: registering warm label: %w", err)
+			return nil, fmt.Errorf("soak: registering label %q: %w", name, err)
 		}
+		r.labels = append(r.labels, id)
+		r.record(applied{label: name})
+	}
+	// Typed warm set for the filtered-khop read fraction: the "hot" label
+	// over a tenth of the warm volume, so the typed traversals have real
+	// labeled adjacency to prune against.
+	if sc.FilteredKHopFrac > 0 {
 		n := sc.WarmEdges/10 + 1
 		typed := make([]graph.Edge, n)
 		labels := make([]uint16, n)
 		for i := range typed {
 			typed[i] = graph.Edge{Src: r.pickVertex(), Dst: graph.VID(r.rng.intn(int(sc.Vertices)))}
-			labels[i] = hot
+			labels[i] = r.labels[0]
 		}
 		if _, err := cl.IngestTyped(typed, labels, nil); err != nil {
 			cl.Close()
 			return nil, fmt.Errorf("soak: typed warm load: %w", err)
 		}
+		r.record(applied{edges: typed, labels: labels})
 	}
 
 	r.srv = server.NewCluster(cl, server.Config{
@@ -360,6 +404,19 @@ func newRunner(sc Scenario) (*runner, error) {
 		Errors:   map[string]int64{},
 	}
 	return r, nil
+}
+
+// record journals one application, in a chaos run.
+func (r *runner) record(a applied) {
+	if r.plan == nil {
+		return
+	}
+	r.journal = append(r.journal, a)
+	for _, e := range a.edges {
+		if !e.IsDelete() {
+			r.live = append(r.live, e)
+		}
+	}
 }
 
 // ---- load generation ----
@@ -551,24 +608,29 @@ func (r *runner) settle(si int) {
 		sh.free = r.now + st.LastBatchSimNs
 		sh.windows = append(sh.windows, window{r.now, sh.free})
 		r.tracer.EmitPhase("apply", int64(laneShard+si), r.now, st.LastBatchSimNs)
-		for _, at := range sh.retire(n) {
+		for _, at := range sh.retire(n, r.record) {
 			lat := sh.free - at
 			r.writeLat = append(r.writeLat, lat)
 		}
 	}
 	if n := st.EdgesDropped - sh.dropped; n > 0 {
 		sh.dropped = st.EdgesDropped
-		sh.retire(n)
+		sh.retire(n, nil)
 	}
 }
 
 // retire takes n edges off the front of the admitted parts and returns
-// the arrival times of the parts that ended among them.
-func (sh *shardTimeline) retire(n int64) (ended []int64) {
+// the arrival times of the parts that ended among them; record, when
+// set, gets the edges themselves, as applied.
+func (sh *shardTimeline) retire(n int64, record func(applied)) (ended []int64) {
 	sh.inflight -= n
 	for n > 0 && len(sh.parts) > 0 {
 		p := &sh.parts[0]
 		take := min(p.left, n)
+		if record != nil {
+			off := int64(len(p.edges)) - p.left
+			record(applied{edges: p.edges[off : off+take]})
+		}
 		p.left -= take
 		n -= take
 		if p.left == 0 {
@@ -673,17 +735,43 @@ func (r *runner) read() {
 // the ones behind it are not.
 func (r *runner) write() {
 	sc := &r.sc
+	if sc.TypedFrac > 0 && r.rng.Float() < sc.TypedFrac {
+		r.writeTyped()
+		return
+	}
 	del := sc.DeleteFrac > 0 && r.rng.Float() < sc.DeleteFrac
-	edges := make([]graph.Edge, sc.WriteBatch)
-	parts := make([]int64, sc.Shards)
-	for i := range edges {
-		src := r.pickVertex()
-		dst := graph.VID(r.rng.intn(int(sc.Vertices)))
-		edges[i] = graph.Edge{Src: src, Dst: dst}
-		if del {
-			edges[i] = graph.Del(src, dst)
+	var edges []graph.Edge
+	if del && r.plan != nil {
+		// A chaos run deletes only inserts it has seen applied: a store
+		// resolves a deletion that matches no earlier insert against a
+		// later one until a compaction drops it, and a follower rebuilt
+		// from a snapshot never holds it (ROADMAP item 3), so an unmatched
+		// deletion would fail the differential for a reason that is not
+		// replication's.
+		for len(edges) < sc.WriteBatch && len(r.live) > 0 {
+			i := r.rng.intn(len(r.live))
+			edges = append(edges, graph.Del(r.live[i].Src, r.live[i].Dst))
+			r.live[i] = r.live[len(r.live)-1]
+			r.live = r.live[:len(r.live)-1]
 		}
-		parts[r.cl.Owner(src)]++
+		if len(edges) == 0 {
+			return
+		}
+	} else {
+		edges = make([]graph.Edge, sc.WriteBatch)
+		for i := range edges {
+			src := r.pickVertex()
+			dst := graph.VID(r.rng.intn(int(sc.Vertices)))
+			edges[i] = graph.Edge{Src: src, Dst: dst}
+			if del {
+				edges[i] = graph.Del(src, dst)
+			}
+		}
+	}
+	parts := make([][]graph.Edge, sc.Shards)
+	for _, e := range edges {
+		o := r.cl.Owner(e.Src)
+		parts[o] = append(parts[o], e)
 	}
 	code, refused := r.call("POST", "/v1/ingest/bin?async=1", ingest.ContentTypeBatch,
 		ingest.EncodeBatch(edges, false), nil)
@@ -693,7 +781,8 @@ func (r *runner) write() {
 	case refused < 0:
 		refused = 0
 	}
-	for si, n := range parts {
+	for si, p := range parts {
+		n := int64(len(p))
 		if n == 0 {
 			continue
 		}
@@ -705,7 +794,7 @@ func (r *runner) write() {
 		}
 		r.rep.EdgesAccepted += n
 		sh := r.shards[si]
-		sh.parts = append(sh.parts, part{at: r.now, left: n})
+		sh.parts = append(sh.parts, part{at: r.now, left: n, edges: p})
 		sh.inflight += n
 		if sh.inflight > r.rep.MaxQueueDepthEdges {
 			r.rep.MaxQueueDepthEdges = sh.inflight
@@ -726,6 +815,66 @@ func (r *runner) write() {
 	default:
 		r.rep.WriteErrors++
 		r.rep.Errors[code]++
+	}
+}
+
+// writeTyped posts one typed batch — its edges under the scenario's two
+// labels, and a property write per edge's source — which every owner
+// shard applies now, under its lock, for the batch's simulated cost: the
+// typed path bypasses the pipelines. The router stops at the first shard
+// that refuses, so the parts before it are in.
+func (r *runner) writeTyped() {
+	sc := &r.sc
+	n := sc.WriteBatch
+	edges := make([]graph.Edge, n)
+	labels := make([]uint16, n)
+	props := make([]graph.PropSet, n)
+	for i := range edges {
+		src := r.pickVertex()
+		edges[i] = graph.Edge{Src: src, Dst: graph.VID(r.rng.intn(int(sc.Vertices)))}
+		labels[i] = r.labels[r.rng.intn(len(r.labels))]
+		props[i] = graph.PropSet{V: src, Key: 1, Val: int64(r.rng.intn(1000))}
+	}
+	var resp server.IngestResponse
+	code, refused := r.call("POST", "/v1/ingest/bin", ingest.ContentTypeBatch,
+		ingest.EncodeTypedBatch(edges, labels, props), &resp)
+	switch {
+	case code == "":
+		refused = sc.Shards
+		r.rep.TypedWrites++
+	case refused < 0:
+		refused = 0
+	}
+	parts := make([]applied, sc.Shards)
+	for i, e := range edges {
+		p := &parts[r.cl.Owner(e.Src)]
+		p.edges, p.labels, p.props = append(p.edges, e), append(p.labels, labels[i]), append(p.props, props[i])
+	}
+	simNs := int64(math.Round(resp.SimMs * 1e6))
+	for si, p := range parts[:refused] {
+		if len(p.edges) > 0 {
+			r.record(p)
+			r.hold(si, simNs)
+			// The part shipped as it applied: the shard's followers have
+			// an arrival to step.
+			r.shards[si].wake = min(r.shards[si].wake, r.shards[si].free)
+		}
+	}
+	if code != "" {
+		r.rep.WriteErrors++
+		r.rep.Errors[code]++
+	}
+}
+
+// hold puts an exclusive window of simNs on shard si's timeline, behind
+// the window it is in; its pipeline is not stepped before the hold ends.
+func (r *runner) hold(si int, simNs int64) {
+	sh := r.shards[si]
+	start := max(r.now, sh.free)
+	sh.free = start + simNs
+	sh.windows = append(sh.windows, window{start, sh.free})
+	if sh.wake != never {
+		sh.wake = max(sh.wake, sh.free)
 	}
 }
 
@@ -768,45 +917,50 @@ func (r *runner) scrape() {
 func (r *runner) fault(op FaultOp) {
 	switch op.Kind {
 	case "ue", "slow":
-		// Materialize adjacency into PMEM lines, then damage (or slow)
-		// the lines under the hottest vertices — the ones the zipfian
-		// read head keeps hitting.
-		r.call("POST", "/v1/flush", "", nil, nil)
+		// Damage (or slow) the lines under the hottest vertices — the ones
+		// the zipfian read head keeps hitting — on every owner shard's
+		// leader, flushed first to materialize its adjacency in PMEM lines,
+		// or on one follower.
+		if op.Replica == 0 {
+			r.call("POST", "/v1/flush", "", nil, nil)
+		}
 		for v := graph.VID(0); v < graph.VID(op.Vertices); v++ {
 			si := r.cl.Owner(v)
-			if r.faults[si] == nil {
+			st := r.cl.Shard(si).Store()
+			if op.Replica > 0 {
+				if si != op.Shard {
+					continue
+				}
+				st = r.cl.Shard(si).Replicas()[op.Replica-1].Store()
+			}
+			f := st.Machine().Faults()
+			if f == nil {
 				continue
 			}
-			for _, ln := range r.cl.Shard(si).Store().VertexMediaLines(core.Out, v) {
+			for _, ln := range st.VertexMediaLines(core.Out, v) {
 				if op.Kind == "ue" {
-					r.faults[si].InjectUE(ln.Node, ln.Line)
+					f.InjectUE(ln.Node, ln.Line)
 				} else {
-					r.faults[si].MarkSlow(ln.Node, ln.Line, op.Mult)
+					f.MarkSlow(ln.Node, ln.Line, op.Mult)
 				}
 			}
 		}
 	case "kill":
-		// The dead leader's pipeline fails what it still held.
+		// The dead leader's pipeline fails what it still held; its
+		// followers keep being stepped.
 		r.cl.KillShard(op.Shard)
-		r.settle(op.Shard)
-		r.shards[op.Shard].wake = never
+		r.step(op.Shard)
 	case "scrub":
 		var resp server.ScrubResponse
 		if code, _ := r.call("POST", "/v1/scrub", "", nil, &resp); code != "" {
 			r.rep.Errors[code]++
 			break
 		}
-		// A scrub holds every shard's write lock: one exclusive window
-		// per shard (they scrub in parallel), behind the write window the
-		// shard is in, and its pipeline is not stepped before it ends.
+		// A scrub holds every shard's write lock: one exclusive window per
+		// shard (they scrub in parallel).
 		simNs := int64(math.Round(resp.SimMs * 1e6))
-		for _, sh := range r.shards {
-			start := max(r.now, sh.free)
-			sh.free = start + simNs
-			sh.windows = append(sh.windows, window{start, sh.free})
-			if sh.wake != never {
-				sh.wake = max(sh.wake, sh.free)
-			}
+		for si := range r.shards {
+			r.hold(si, simNs)
 		}
 	}
 	r.tracer.EmitPhase("fault:"+op.Kind, laneFault, r.now, 0)

@@ -89,10 +89,6 @@ wall_clock_ok='
 internal/clock/clock.go          the wall clock itself
 internal/bench/wire.go           the one gated host-clock row (decode rates)
 internal/server/server.go        the HTTP latency histogram times the host
-internal/cluster/transport.go    chaos transport delays: goroutines, not stepped
-internal/cluster/replica.go      follower GapWait: goroutines, not stepped
-internal/cluster/shard.go        ship retry backoff: goroutines, not stepped
-internal/chaostest/chaostest.go  convergence wait on those goroutines
 client/client.go                 retry timer of a real network client
 '
 echo "$wall_clock_ok" | sed '/^$/d; s/^/  allowed: /'
@@ -102,13 +98,23 @@ if git ls-files 'internal/*.go' 'cmd/*.go' 'client/*.go' | grep -v '_test\.go$' 
     echo "a wall-clock read outside the allowlist above: take the time from a clock.Clock" >&2
     exit 1
 fi
+# Replication is stepped too (DESIGN.md §12.5): no goroutine of its own in
+# internal/cluster or internal/chaos — the wall driver is clock.Timer.Drive.
+if git ls-files 'internal/cluster/*.go' 'internal/chaos/*.go' | grep -v '_test\.go$' |
+    xargs grep -nE '^\s*go [a-zA-Z_(]|\bgo func'; then
+    echo "a go statement in internal/cluster or internal/chaos: step it on the clock instead" >&2
+    exit 1
+fi
 # The writer as a step — gather, linger, chunking, busy windows, drain,
 # apply failure — on a virtual clock with no goroutine and no sleep; and the
 # soak reports, bit-identical per seed and equal to the cluster's own
 # counters, bursty-ingest (bench-scale warm load, skipped by -short above)
-# included. The nightly repeats the determinism test under -race -count=3.
+# and fault-storm (followers, ship retries and replica lag on the driver's
+# clock) included, twice under -race. The nightly repeats the determinism
+# test under -race -count=3.
 go test -count=1 -run 'TestStep' ./internal/ingest/
 go test -count=1 -run 'TestDeterministicReport|TestCountersAreTheClusters' ./internal/soak/
+go test -count=2 -race -run 'TestDeterministicReport/fault-storm' ./internal/soak/
 
 echo "== archiving path: full-width shard stage, log read in XPLines, allocation budgets, sub-graph and list balance"
 # The shard stage cuts a batch across every archive thread of a node —
@@ -127,20 +133,27 @@ go test -count=1 -run 'TestStageCutsFullWidth|TestReadInLines|TestReadAllocatesN
 
 echo "== cluster router + failover (-race)"
 # The partitioned-cluster suite under the race detector: the 4-shard
-# differential vs a single store, replica log-shipping convergence,
-# leader-kill failover (replica serving / typed degradation), and the
-# partition-map stability properties (DESIGN.md §11).
-go test -race -run 'TestCluster|TestFailover|TestReplica|TestShutdown|TestEpochVector|TestBreaker' ./internal/cluster/
+# differential vs a single store, replica log-shipping convergence, the
+# wall driver waking on a delayed arrival's due time, leader-kill failover
+# (replica serving / typed degradation, a leader killed while its follower
+# resyncs), and the partition-map stability properties (DESIGN.md §11).
+# The follower's allocation budget runs without -race (sync.Pool drops
+# buffers under it).
+go test -race -run 'TestCluster|TestFailover|TestReplica|TestShutdown|TestEpochVector|TestBreaker|TestLeaderKilled' ./internal/cluster/
+go test -count=1 -run 'TestFollowerApplyAllocatesOnlyItsIngest' ./internal/cluster/
 go test -race -run 'TestHash64|TestOwner|TestSlot|TestSplit|TestNewSlotMap' ./internal/shard/
 
 echo "== chaos differential sweep (capped, -race)"
-# Seeded chaos schedules (drops, dups, delays, reorders, partitions) over
-# a 4-shard+replicas cluster must converge edge-for-edge and
-# label/prop-for-prop with the model once the chaos heals, and every
-# follower with its leader in both directions (DESIGN.md §14.5). Short
-# mode caps the sweep at 2 schedules; a failure prints difftest's replay
-# line for its schedule. The nightly widens the sweep and the workload.
-go test -race -short ./internal/chaostest/
+# Seeded chaos schedules (drops, dups, delays, reorders, partitions) on the
+# shipping links of a soak run over a 4-shard, 2-replica cluster, stepped on
+# the driver's clock, must quiesce to a cluster that equals the model
+# edge-, label- and property-for-property, every follower its leader in
+# both directions, and the view after a leader kill; and a UE on a
+# follower inside its partition window leaves it damaged and never served
+# (DESIGN.md §9 "Verification"). Short mode caps the sweep at 2 schedules
+# of a third of the workload; a failure prints difftest's replay line for
+# its schedule. The nightly widens the sweep and the workload.
+go test -race -short -run 'TestChaos|TestFollowerUEInsidePartition' ./internal/soak/
 
 echo "== bench rows + gate (DESIGN.md §3.1)"
 # The four gated experiments into one row report — wire, cluster and prop
