@@ -599,12 +599,11 @@ func (r *Replica) applyMsg(m shipMsg) bool {
 		r.mu.Lock()
 		if simNs, err = r.apply(m.e); err == nil {
 			r.nextSeq.Store(m.seq + 1)
-			old := r.cur
+			r.cur.retire() // first, as in Shard.publishLocked
 			r.cur = &published{
 				snap:  r.store.Snapshot(xpsim.NewCtx(xpsim.NodeUnbound)),
 				epoch: m.e.epoch,
 			}
-			old.retire()
 		}
 		r.mu.Unlock()
 	}

@@ -33,8 +33,9 @@ func (p *published) unref() {
 }
 
 // retire marks p replaced by a newer publication, closing it when no
-// reader holds it. Snapshot.Close is idempotent, so the benign race with
-// a releasing reader's zero-check is harmless.
+// reader holds it. A releasing reader's zero-check may race it to the
+// close; Snapshot.Close runs once, so the snapshot's share of its count
+// base is released exactly once.
 func (p *published) retire() {
 	if p == nil {
 		return
@@ -158,12 +159,14 @@ func (sh *Shard) ShipCounters() ShipCounters {
 }
 
 // publishLocked captures a fresh leader snapshot, makes it the served
-// view, and returns the new epoch. Callers must hold mu exclusively.
+// view, and returns the new epoch. Callers must hold mu exclusively, so no
+// reader sees the old publication retired before the new one is in place;
+// retiring it first lets an unpinned one close and its count base be
+// patched instead of copied.
 func (sh *Shard) publishLocked(ctx *xpsim.Ctx) uint64 {
-	old := sh.cur
+	sh.cur.retire()
 	epoch := sh.pipe.Publish()
 	sh.cur = &published{snap: sh.store.Snapshot(ctx), epoch: epoch}
-	old.retire()
 	return epoch
 }
 

@@ -66,9 +66,8 @@ func TestFollowerApplyAllocatesOnlyItsIngest(t *testing.T) {
 		if _, err := twin.Ingest(m.e.edges); err != nil {
 			t.Fatal(err)
 		}
-		old := twinPub
+		twinPub.retire()
 		twinPub = &published{snap: twin.Snapshot(xpsim.NewCtx(xpsim.NodeUnbound)), epoch: m.e.epoch}
-		old.retire()
 	}
 	// The least of three measurements: a collection in the middle of one
 	// empties the store's pools, an extra allocation of the follower's

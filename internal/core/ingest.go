@@ -241,6 +241,7 @@ func (s *Store) bufferPhase(lane int64) error {
 					if s.batchEpoch[d][se.V] != s.epoch {
 						s.batchEpoch[d][se.V] = s.epoch
 						s.batchCnt[d][se.V] = 0
+						s.noteDirty(d, se.V)
 					}
 					s.batchCnt[d][se.V]++
 				}
@@ -567,6 +568,7 @@ func (s *Store) compactOne(ctx *xpsim.Ctx, v graph.VID) error {
 			return err
 		}
 		s.machine.CrashPoint("compact:done")
+		s.staleBase()
 		s.records[d][v] = uint32(g.adj.Records(v))
 		if h != mempool.None {
 			cnt := s.bufs.Count(h, int(s.vbC[d][v]))

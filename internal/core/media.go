@@ -693,6 +693,7 @@ func (s *Store) Scrub() (ScrubReport, error) {
 						rep.BytesQuarantined += span[1]
 					}
 					s.records[d][v] = uint32(g.adj.Records(v))
+					s.staleBase()
 					if g.adj.VerifyChain(ctx, v) == nil {
 						repaired = true
 						break

@@ -37,12 +37,25 @@ func dirName(d int) string {
 }
 
 // workerSpan emits a per-group worker-lane sub-span aligned with its
-// parent phase (nil-safe; only called at phase boundaries).
+// parent phase (nil-safe; only called at phase boundaries). A phase's
+// group names ("buffer out/p0", ...) are built once per store.
 func (s *Store) workerSpan(phase string, d, p int, startNs, durNs int64) {
 	if s.tracer == nil {
 		return
 	}
-	s.subSpan(fmt.Sprintf("%s %s/p%d", phase, dirName(d), p), d*s.nparts+p, startNs, durNs)
+	names := s.spanNames[phase]
+	if names == nil {
+		names = make([]string, 2*s.nparts)
+		for g := range names {
+			names[g] = fmt.Sprintf("%s %s/p%d", phase, dirName(g/s.nparts), g%s.nparts)
+		}
+		if s.spanNames == nil {
+			s.spanNames = make(map[string][]string)
+		}
+		s.spanNames[phase] = names
+	}
+	g := d*s.nparts + p
+	s.subSpan(names[g], g, startNs, durNs)
 }
 
 // shardSpans emits the last shard stage's sub-spans from startNs: one per

@@ -145,6 +145,7 @@ func Recover(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts O
 			}
 		}
 	}
+	s.staleBase()
 	if opts.MediaGuard {
 		// Vertices whose media payload failed checksum verification while
 		// the arena scan rebuilt the CRC mirrors join the damaged set; the

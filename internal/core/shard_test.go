@@ -8,6 +8,7 @@ import (
 	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/xpsim"
 )
 
@@ -140,31 +141,36 @@ func TestNbrsLogConcurrentReaders(t *testing.T) {
 // archiving path: on a warmed store one 2048-edge Ingest — log, shard,
 // drain — allocates 17 times, budget 19: the ranged lists, the log's encode
 // and span buffers and the workers' contexts are all store-owned or pooled
-// scratch.
+// scratch. A traced store (the server always attaches a tracer) keeps the
+// same budget: its worker span names are built once.
 func TestSteadyStateIngestAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled buffers")
 	}
-	s := newStore(t, Options{Name: "allocs", NumVertices: 1 << 14, ArchiveThreads: 16, NUMA: NUMASubgraph, AdjBytes: 32 << 20})
-	edges := gen.RMAT(14, 16*2048, 9)
-	next := func() []graph.Edge {
-		b := edges[:2048]
-		edges = edges[2048:]
-		return b
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := s.Ingest(next()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(8, func() {
-		if _, err := s.Ingest(next()); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("%.0f allocations per 2048-edge Ingest", allocs)
-	if allocs > 19 {
-		t.Fatalf("one 2048-edge Ingest on a warmed store allocates %.0f times, budget 19", allocs)
+	for _, tracer := range []*obs.Tracer{nil, obs.NewTracer(0)} {
+		t.Run(fmt.Sprintf("traced=%v", tracer != nil), func(t *testing.T) {
+			s := newStore(t, Options{Name: "allocs", NumVertices: 1 << 14, ArchiveThreads: 16, NUMA: NUMASubgraph, AdjBytes: 32 << 20, Tracer: tracer})
+			edges := gen.RMAT(14, 16*2048, 9)
+			next := func() []graph.Edge {
+				b := edges[:2048]
+				edges = edges[2048:]
+				return b
+			}
+			for i := 0; i < 4; i++ {
+				if _, err := s.Ingest(next()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(8, func() {
+				if _, err := s.Ingest(next()); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%.0f allocations per 2048-edge Ingest", allocs)
+			if allocs > 19 {
+				t.Fatalf("one 2048-edge Ingest on a warmed store allocates %.0f times, budget 19", allocs)
+			}
+		})
 	}
 }
 

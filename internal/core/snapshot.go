@@ -1,13 +1,19 @@
 package core
 
 import (
+	"errors"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/adj"
 	"repro/internal/graph"
 	"repro/internal/view"
 	"repro/internal/xpsim"
 )
+
+// ErrSnapshotClosed is what a read of a closed snapshot returns: its record
+// counts may since have been patched for a newer publication.
+var ErrSnapshotClosed = errors.New("core: snapshot is closed")
 
 // Snapshot is a consistent point-in-time view of the graph. Because both
 // the PMEM adjacency chains and the DRAM vertex buffers are append-only
@@ -27,8 +33,8 @@ import (
 // outstanding snapshots, the store fences compaction with
 // copy-on-invalidate: before a vertex's chains are rewritten, every live
 // snapshot materializes its view of that vertex into a private frozen
-// copy. Snapshots therefore survive compaction; call Close when done so
-// the store stops fencing for them.
+// copy. Snapshots therefore survive compaction; call Close when done, so
+// the store stops fencing for them and may reuse their counts.
 //
 // Concurrency: a Snapshot may serve many readers at once, and readers
 // may interleave with ingestion provided reads and writes are externally
@@ -40,7 +46,9 @@ type Snapshot struct {
 
 	store   *Store
 	numV    graph.VID // vertex-ID space at capture time
-	records [2][]uint32
+	base    *countBase
+	records [2][]uint32 // base.records, as captured
+	closed  atomic.Bool
 
 	// frozen holds per-vertex views materialized by compaction fencing;
 	// mu guards the maps (readers take RLock on every lookup).
@@ -52,25 +60,102 @@ type Snapshot struct {
 	frozenErr [2]map[graph.VID]error
 }
 
-// Snapshot captures the current view. O(V) DRAM copy, no PMEM traffic —
-// the same cost class as GraphOne's per-epoch snapshot metadata. The
-// snapshot stays registered with the store (for compaction fencing)
-// until Close is called.
-func (s *Store) Snapshot(ctx *xpsim.Ctx) *Snapshot {
-	snap := &Snapshot{store: s, numV: s.NumVertices()}
-	snap.Surface = view.Surface{Source: snap}
-	for d := 0; d < 2; d++ {
-		snap.records[d] = append([]uint32(nil), s.records[d]...)
-		s.lat.DRAM(ctx, int64(4*len(s.records[d])), false, true)
-		s.lat.DRAM(ctx, int64(4*len(s.records[d])), true, true)
+// countBase is one copy of the store's per-vertex record counts, read by
+// the open snapshots that share it. shares is guarded by the store's
+// snapMu.
+type countBase struct {
+	records [2][]uint32
+	shares  int
+}
+
+// dirtyLogDiv caps the dirty log at |V|/dirtyLogDiv entries per direction:
+// past it, patching would touch a large share of the base anyway, so the
+// base goes stale and the next capture copies it whole.
+const dirtyLogDiv = 8
+
+// noteDirty logs that v's record count in direction d changed since the
+// last capture. bufferPhase calls it on a vertex's first touch per phase.
+func (s *Store) noteDirty(d int, v graph.VID) {
+	if s.baseStale {
+		return
 	}
+	if len(s.dirty[d]) >= len(s.records[d])/dirtyLogDiv {
+		s.staleBase()
+		return
+	}
+	s.dirty[d] = append(s.dirty[d], v)
+}
+
+// staleBase records that counts changed beyond what the dirty log says:
+// the next capture copies every count.
+func (s *Store) staleBase() {
+	s.baseStale = true
+	s.dirty[0], s.dirty[1] = s.dirty[0][:0], s.dirty[1][:0]
+}
+
+// Snapshot captures the current view. No PMEM traffic. The store keeps one
+// count base and a log of the vertices whose counts changed since it was
+// captured, so a capture is one of three cases:
+//
+//  1. no open snapshot shares the base, or nothing changed since it was
+//     captured: patch the logged entries in place (a full copy when the
+//     base is stale) and share it;
+//  2. an open snapshot shares it and counts changed: allocate a fresh base
+//     with a full copy, and leave the old one to its snapshots;
+//  3. the first capture: a full copy.
+//
+// ctx is charged for the entries copied. A capture updates the store's
+// count base, so it is ordered with the store's writes and other captures
+// like a write is. The snapshot stays registered with the store (for
+// compaction fencing) until Close is called.
+func (s *Store) Snapshot(ctx *xpsim.Ctx) *Snapshot {
+	changed := s.baseStale || len(s.dirty[Out])+len(s.dirty[In]) > 0
 	s.snapMu.Lock()
+	b := s.base
+	fresh := b == nil || (b.shares > 0 && changed)
+	s.snapMu.Unlock()
+	// Only the writer adds shares, so a base seen unshared stays unshared
+	// while it is patched; a share released meanwhile only costs a copy.
+	switch {
+	case fresh:
+		b = &countBase{}
+		s.base = b
+		s.copyBase(ctx, b)
+	case s.baseStale:
+		s.copyBase(ctx, b)
+	default:
+		for d := 0; d < 2; d++ {
+			for _, v := range s.dirty[d] {
+				b.records[d][v] = s.records[d][v]
+			}
+			// One scattered line read and written per patched entry.
+			n := int64(len(s.dirty[d])) * xpsim.CacheLineSize
+			s.lat.DRAM(ctx, n, false, false)
+			s.lat.DRAM(ctx, n, true, false)
+		}
+	}
+	s.dirty[0], s.dirty[1] = s.dirty[0][:0], s.dirty[1][:0]
+	s.baseStale = false
+
+	snap := &Snapshot{store: s, numV: s.NumVertices(), base: b, records: b.records}
+	snap.Surface = view.Surface{Source: snap}
+	s.snapMu.Lock()
+	b.shares++
 	if s.snaps == nil {
 		s.snaps = make(map[*Snapshot]struct{})
 	}
 	s.snaps[snap] = struct{}{}
 	s.snapMu.Unlock()
 	return snap
+}
+
+// copyBase copies every count into b — the GraphOne-style O(V) capture.
+func (s *Store) copyBase(ctx *xpsim.Ctx, b *countBase) {
+	for d := 0; d < 2; d++ {
+		b.records[d] = append(b.records[d][:0], s.records[d]...)
+		s.lat.DRAM(ctx, int64(4*len(s.records[d])), false, true)
+		s.lat.DRAM(ctx, int64(4*len(s.records[d])), true, true)
+	}
 }
 
 // liveSnapshots returns the snapshots currently registered for
@@ -88,22 +173,32 @@ func (s *Store) liveSnapshots() []*Snapshot {
 	return out
 }
 
-// Close deregisters the snapshot from the store. The snapshot stays
-// readable (frozen copies are kept), but compaction no longer fences for
-// it, so post-Close reads of vertices compacted after Close may reflect
-// the compacted (resolved) stream. Close is idempotent.
+// Close deregisters the snapshot from the store and releases its share of
+// the count base, which a later capture may then patch. It runs once;
+// further calls do nothing. Reads of a closed snapshot (Visit, Degree)
+// return ErrSnapshotClosed, so Close must not race with a read of the same
+// snapshot (the cluster's refcounted publications guarantee that).
 func (sn *Snapshot) Close() {
+	if !sn.closed.CompareAndSwap(false, true) {
+		return
+	}
 	s := sn.store
 	s.snapMu.Lock()
 	delete(s.snaps, sn)
+	sn.base.shares--
+	shares := sn.base.shares
 	s.snapMu.Unlock()
+	if shares < 0 {
+		panic("core: a snapshot count base was released more often than it was shared")
+	}
 }
 
 // NumVertices reports the vertex-ID space the snapshot covers; vertices
 // created after capture read as empty.
 func (sn *Snapshot) NumVertices() graph.VID { return sn.numV }
 
-// Edges reports how many edge records the snapshot covers in direction d.
+// Edges reports how many edge records an open snapshot covers in
+// direction d.
 func (sn *Snapshot) Edges(d Direction) int64 {
 	var n int64
 	for _, c := range sn.records[d] {
@@ -113,8 +208,12 @@ func (sn *Snapshot) Edges(d Direction) int64 {
 }
 
 // Degree reports the record count (tombstones included) of v as of the
-// snapshot — the snapshot analogue of Store.Degree.
+// snapshot — the snapshot analogue of Store.Degree. A closed snapshot
+// returns ErrSnapshotClosed.
 func (sn *Snapshot) Degree(d Direction, v graph.VID) (int, error) {
+	if sn.closed.Load() {
+		return 0, ErrSnapshotClosed
+	}
 	if v >= sn.numV || int(v) >= len(sn.records[d]) {
 		return 0, nil
 	}
@@ -132,9 +231,13 @@ func (sn *Snapshot) Node(d Direction, v graph.VID) int { return sn.store.Node(d,
 // is epoch-exact, the labels read-latest. On the checked walk, reads that
 // touch uncorrectable lines or checksum-mismatched blocks return a typed
 // error instead of wrong data, and views frozen over already-damaged
-// chains replay the freeze-time error.
+// chains replay the freeze-time error. A closed snapshot returns
+// ErrSnapshotClosed.
 func (sn *Snapshot) Visit(ctx *xpsim.Ctx, d Direction, v graph.VID, o view.Opts, fn func(nbrs []uint32, lbls []uint16)) error {
 	s := sn.store
+	if sn.closed.Load() {
+		return ErrSnapshotClosed
+	}
 	if err := s.labelsReadable(o); err != nil {
 		return err
 	}
@@ -177,8 +280,8 @@ func (sn *Snapshot) materialize(ctx *xpsim.Ctx, d Direction, v graph.VID, checke
 		return nil, err
 	}
 	// Fewer records visible than captured is only possible if a
-	// compaction slipped past the fencing (e.g. on a snapshot read after
-	// Close): degrade to the resolved stream rather than fail.
+	// compaction slipped past the fencing: degrade to the resolved stream
+	// rather than fail.
 	if want < len(all) {
 		all = all[:want]
 	}

@@ -86,15 +86,25 @@ type Store struct {
 	// Phase tracing (nil = disabled): spans are placed on per-lane
 	// simulated-clock cursors so the exported timeline reconstructs the
 	// pipeline schedule the cost model computed (see obs.go).
-	tracer  *obs.Tracer
-	laneEnd [obs.LaneWorkerBase]int64
+	tracer    *obs.Tracer
+	laneEnd   [obs.LaneWorkerBase]int64
+	spanNames map[string][]string // workerSpan: phase -> one name per group
 
 	// snaps registers outstanding snapshots for compaction fencing:
 	// before a vertex's chains are rewritten, each registered snapshot
 	// freezes its view of that vertex (copy-on-invalidate). snapMu is a
-	// leaf mutex — nothing is called while holding it.
+	// leaf mutex — nothing is called while holding it — and also guards
+	// the count bases' shares.
 	snapMu sync.Mutex
 	snaps  map[*Snapshot]struct{}
+
+	// Publication state (snapshot.go): base is the count base the newest
+	// snapshot reads; dirty logs, per direction, the vertices whose counts
+	// changed since it was captured, unless baseStale says a capture must
+	// copy every count.
+	base      *countBase
+	dirty     [2][]graph.VID
+	baseStale bool
 
 	// props is the property-graph layer (typed edges + vertex property
 	// columns; nil unless Options.Props). Its column log lives in region
@@ -473,6 +483,7 @@ func (s *Store) ensureVertices(n graph.VID) {
 		s.batchCnt[d] = append(s.batchCnt[d], make([]uint32, grow)...)
 		s.groups[d][0].adj.EnsureVertices(n) // others grow lazily on access
 	}
+	s.staleBase()
 	s.metaBytes += int64(grow) * perVertexMetaBytes * 2
 	_ = s.budget.Charge(int64(grow) * perVertexMetaBytes * 2)
 }

@@ -207,3 +207,23 @@ func TestSweepCases(t *testing.T) {
 		t.Fatalf("points %v, %d untorn, %d torn and %d site kills; want [1 4 7 10], 4, 8, 2", points, none, torn, sites)
 	}
 }
+
+// TestModelCompact: compacting a vertex drops its tombstones and the
+// inserts they cancelled from its record counts, in both directions, and a
+// clone keeps what compaction did.
+func TestModelCompact(t *testing.T) {
+	m := difftest.Of([]graph.Edge{{Src: 1, Dst: 2}, {Src: 1, Dst: 3}, graph.Del(1, 2), {Src: 4, Dst: 1}})
+	m.Compact(1)
+	c := m.Clone()
+	for _, src := range []*difftest.Model{m, c} {
+		if out, _ := src.Degree(view.Out, 1); out != 1 {
+			t.Fatalf("out-records of 1 after compaction = %d, want 1", out)
+		}
+		if in, _ := src.Degree(view.In, 1); in != 1 {
+			t.Fatalf("in-records of 1 after compaction = %d, want 1", in)
+		}
+		if in, _ := src.Degree(view.In, 2); in != 2 {
+			t.Fatalf("in-records of 2 = %d: compacting 1 touched vertex 2's chain", in)
+		}
+	}
+}

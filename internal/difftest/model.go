@@ -7,6 +7,7 @@ package difftest
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"repro/internal/graph"
@@ -168,12 +169,24 @@ func (m *Model) RegisterLabel(name string) uint16 {
 	return uint16(len(m.names) - 1)
 }
 
+// Compact is what compacting v's chains does to a store: tombstones and the
+// inserts they cancel are dropped, so v's stored record counts fall to its
+// live neighbors in both directions.
+func (m *Model) Compact(v graph.VID) {
+	for d := range m.recs {
+		m.recs[d][v] = len(m.nbrs[d][v])
+	}
+}
+
 // Len is the length of the adjacency stream.
 func (m *Model) Len() int { return len(m.edges) }
 
 // Clone is a copy of m that later updates to m leave alone.
 func (m *Model) Clone() *Model {
 	c := Of(m.edges)
+	for d := range c.recs {
+		c.recs[d] = maps.Clone(m.recs[d]) // compactions included
+	}
 	c.names = slices.Clone(m.names)
 	c.cols = slices.Clone(m.cols)
 	for _, r := range c.cols {

@@ -121,8 +121,8 @@ echo "== archiving path: full-width shard stage, log read in XPLines, allocation
 # whole stripes when there are enough, else XPLine runs at most a line
 # apart — and the log is read one access per XPLine, not per record. A
 # warmed shard stage and a warmed log read allocate nothing and a warmed
-# store at most 19 times per 2048-edge Ingest (budgets checked without
-# -race, under which sync.Pool drops buffers). shard.PartOf gives every
+# store, traced or not, at most 19 times per 2048-edge Ingest (budgets
+# checked without -race, under which sync.Pool drops buffers). shard.PartOf gives every
 # sub-graph its share of an RMAT stream's out- and in-entries, inside each
 # cluster shard too and whether or not the IDs are scrambled. XPGraph's
 # ranged lists come from the same hash — each lies inside its vertex's
@@ -130,6 +130,23 @@ echo "== archiving path: full-width shard stage, log read in XPLines, allocation
 # GraphOne's stay its contiguous ranges. They ran above under -race as
 # well; this stanza names them.
 go test -count=1 -run 'TestStageCutsFullWidth|TestReadInLines|TestReadAllocatesNothing|TestSteadyStateIngestAllocations|TestStageSteadyStateAllocatesNothing|TestPartOf|TestHashedLists|TestContiguousIsGraphOnesRanges' ./internal/core/ ./internal/shard/ ./internal/elog/
+
+echo "== publication: one count base per store, patched from the vertices a buffer phase touched"
+# A capture patches the store's shared count base from the dirty log, copies
+# it whole once the log passed its cap or another writer marked it stale,
+# or allocates a fresh one while an open snapshot shares it (DESIGN.md §6
+# "Snapshot publication"). The seeded differential holds every snapshot to
+# a difftest.Model at its capture point, record counts included, across
+# ingest with deletes, closes, held snapshots, compaction, a scrub repair,
+# recovery and growth; it kills four mutants (compaction not staling the
+# base, a shared base patched, the log dropping an entry at its cap, a
+# second Close releasing again). Close runs once however retire and unref
+# race, under -race; and a patched capture allocates the Snapshot alone, a
+# published chunk with one follower under |V| bytes (without -race).
+go test -count=1 -race -short -run 'TestPublicationDifferential' ./internal/core/
+go test -count=1 -race -run 'TestPinnedReadersNeverSeeClosedSnapshots|TestRetireAndUnrefCloseOnce' ./internal/cluster/
+go test -count=1 -run 'TestSnapshotPatchesOnlyTouchedCounts' ./internal/core/
+go test -count=1 -run 'TestPublicationAllocatesUnderV' ./internal/cluster/
 
 echo "== cluster router + failover (-race)"
 # The partitioned-cluster suite under the race detector: the 4-shard
