@@ -128,8 +128,10 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 		func() float64 { return float64(s.pool.Used()) })
 	gauge("xpgraph_pool_peak_bytes", "Vertex-buffer pool high-water mark.",
 		func() float64 { return float64(s.pool.Peak()) })
-	gauge("xpgraph_pool_footprint_bytes", "Vertex-buffer pool bulk footprint (allocated from the OS).",
+	gauge("xpgraph_pool_footprint_bytes", "Vertex-buffer pool bulks reserved from the DRAM budget.",
 		func() float64 { return float64(s.pool.Footprint()) })
+	gauge("xpgraph_pool_backed_bytes", "Host memory allocated behind the reserved bulks (what carving reached).",
+		func() float64 { return float64(s.pool.Backed()) })
 
 	// Table III memory breakdown.
 	gauge("xpgraph_meta_dram_bytes", "DRAM metadata bytes (vertex indexes, batch counters, shard scratch).",

@@ -2,12 +2,15 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/mem"
+	"repro/internal/mempool"
 	"repro/internal/obs"
 	"repro/internal/xpsim"
 )
@@ -171,6 +174,47 @@ func TestSteadyStateIngestAllocations(t *testing.T) {
 				t.Fatalf("one 2048-edge Ingest on a warmed store allocates %.0f times, budget 19", allocs)
 			}
 		})
+	}
+}
+
+// TestFirstIngestBacksOnlyWhatItCarves: a pool bulk is a reservation. A
+// fresh store's first 2048-edge Ingest takes a default bulk for each of its
+// 16 buffering threads, and the DRAM budget and the pool footprint count
+// them whole, 256 MiB. Host memory backs each bulk only up to the segment
+// its buffers reached, its first 256 KiB, so the Ingest allocates about
+// 16 × 256 KiB.
+func TestFirstIngestBacksOnlyWhatItCarves(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations show in MemStats")
+	}
+	const threads = 16
+	m, h := testMachine()
+	budget := mem.NewBudget(0)
+	s, err := New(m, h, budget, Options{Name: "first", NumVertices: 1 << 14, ArchiveThreads: threads, NUMA: NUMASubgraph, AdjBytes: 32 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	charged := budget.Used()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := s.Ingest(gen.RMAT(14, 2048, 9)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	p := s.Pool()
+	reserved := int64(threads * mempool.DefaultBulkSize)
+	if p.Footprint() != reserved || budget.Used()-charged < reserved {
+		t.Fatalf("footprint %d B, budget charged %d B: want both to cover %d B of bulks",
+			p.Footprint(), budget.Used()-charged, reserved)
+	}
+	first := mempool.FirstSegment(mempool.DefaultBulkSize)
+	if want := threads * first; p.Backed() != want {
+		t.Fatalf("%d B of bulks backed, want %d threads × one first segment = %d B", p.Backed(), threads, want)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("the first 2048-edge Ingest allocated %d B; %d B of bulks reserved, %d B backed", got, reserved, p.Backed())
+	if limit := uint64(2 * threads * first); got > limit {
+		t.Fatalf("the first 2048-edge Ingest allocated %d B, budget %d B", got, limit)
 	}
 }
 

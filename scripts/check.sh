@@ -148,6 +148,19 @@ go test -count=1 -race -run 'TestPinnedReadersNeverSeeClosedSnapshots|TestRetire
 go test -count=1 -run 'TestSnapshotPatchesOnlyTouchedCounts' ./internal/core/
 go test -count=1 -run 'TestPublicationAllocatesUnderV' ./internal/cluster/
 
+echo "== vertex-buffer pool: a bulk is a reservation, backed on first carve"
+# A buffering thread's bulk counts whole against the DRAM budget, the pool
+# limit and the footprint from the moment it is taken, and host memory
+# backs it in segments that double from a 64th of the bulk as carving
+# reaches them (DESIGN.md §4 "A pool bulk is a reservation"). Buffers keep
+# their bytes across segments, a bulk carved whole is backed by exactly its
+# size, a recycled bulk and the alloc/free churn allocate nothing, and a
+# fresh store's first 2048-edge Ingest reserves 16 bulks and backs one
+# segment of each (the last without -race: it reads MemStats). The pool
+# tests ran above under -race as well; this stanza names them.
+go test -count=1 ./internal/mempool/
+go test -count=1 -run 'TestFirstIngestBacksOnlyWhatItCarves' ./internal/core/
+
 echo "== cluster router + failover (-race)"
 # The partitioned-cluster suite under the race detector: the 4-shard
 # differential vs a single store, replica log-shipping convergence, the
