@@ -78,29 +78,16 @@ func GraphOneSizing(degree, incoming int) int {
 type Options struct {
 	Sizing         Sizing
 	ProactiveFlush bool // clwb adjacency data >= one XPLine (§IV-A)
-	// VolatileCounts keeps per-block record counts in DRAM instead of
-	// persisting them on every append. GraphOne keeps all metadata in
-	// DRAM (§V-A) and recovers by re-archiving, so it never pays the
-	// per-edge header write; XPGraph persists counts (amortized over
-	// whole-buffer flushes) so its scan-based recovery works.
-	VolatileCounts bool
-	// CrashSafe defers count persistence to explicit Ack slots (see the
-	// package comment) and runs compactions through a redo journal, so a
-	// crash at any media-write boundary recovers without losing
-	// acknowledged records or duplicating replayed ones. Incompatible
-	// with VolatileCounts.
+	// Counts is who writes the count slots (header.go's countRules).
+	Counts CountPolicy
+	// CrashSafe is the older spelling of Counts: CountsAcked. New folds it
+	// into Counts and panics when Counts names another policy beside it.
 	CrashSafe bool
-	// DeferCounts skips per-append count persistence without the Ack
-	// machinery: counts live only in DRAM mirrors. For battery-backed
-	// stores (XPGraph-B), whose DRAM is inside the persistence domain, the
-	// mirrors are durable by definition and the PMEM count write is pure
-	// overhead (§IV-C). Such stores are not scan-recoverable.
-	DeferCounts bool
 	// Checksums turns the two spare header words into per-slot CRC32-C
 	// checksums of the visible payload (see check.go): Ack persists
 	// {cnt, crc} as one 8-byte powerfail-atomic word, checked walks verify
 	// payloads against DRAM mirrors, and recovery flags blocks whose media
-	// bytes disagree with the acknowledged checksum. Requires CrashSafe
+	// bytes disagree with the acknowledged checksum. Requires CountsAcked
 	// (the checksum lifecycle rides the Ack slots).
 	Checksums bool
 	// VarintBlocks makes NEW blocks use the delta-varint payload encoding
@@ -109,6 +96,24 @@ type Options struct {
 	// mix formats freely: a store recovered from fixed-width media keeps
 	// reading its old blocks while appending compressed ones.
 	VarintBlocks bool
+}
+
+// normalized folds CrashSafe into Counts and rejects what the count rules
+// leave invalid.
+func (o Options) normalized() (Options, error) {
+	if o.CrashSafe && o.Counts == CountsAtAppend {
+		o.Counts = CountsAcked
+	}
+	switch {
+	case o.CrashSafe && o.Counts != CountsAcked:
+		return o, fmt.Errorf("adj: CrashSafe spells the acked count policy, Counts says %v", o.Counts)
+	case o.Checksums && !o.Counts.Acked():
+		return o, fmt.Errorf("adj: Checksums require the acked count policy (the CRC lifecycle rides the Ack slots), not %v", o.Counts)
+	}
+	if o.Sizing == nil {
+		o.Sizing = XPGraphSizing
+	}
+	return o, nil
 }
 
 // vertex is one vertex's entry in the DRAM index: where its chain ends and
@@ -147,9 +152,9 @@ type Store struct {
 	encScratch  []byte
 	hdrScratch  [headerBytes]byte
 	wordScratch [8]byte
-	// partialCnt records counts of retired-but-not-full blocks when
-	// counts live in DRAM (VolatileCounts, or CrashSafe between acks);
-	// retired blocks are otherwise exactly full.
+	// partialCnt records counts of retired-but-not-full blocks; retired
+	// blocks are otherwise exactly full. Reads take every count from DRAM:
+	// a persisted slot lags it under every policy but CountsAtAppend.
 	partialCnt map[int64]uint32
 	// freeBlocks recycles compacted-away blocks by capacity, so repeated
 	// compaction does not leak the bump-allocated arena.
@@ -187,16 +192,12 @@ type Store struct {
 	suspects []graph.VID
 }
 
-// New builds a store over m for vertices [0, maxV].
+// New builds a store over m for vertices [0, maxV]. It panics on options
+// that Options.normalized rejects.
 func New(m mem.Mem, lat *xpsim.LatencyModel, maxV graph.VID, opts Options) *Store {
-	if opts.Sizing == nil {
-		opts.Sizing = XPGraphSizing
-	}
-	if opts.CrashSafe && opts.VolatileCounts {
-		panic("adj: CrashSafe and VolatileCounts are incompatible")
-	}
-	if opts.Checksums && !opts.CrashSafe {
-		panic("adj: Checksums require CrashSafe (the CRC lifecycle rides the Ack slots)")
+	opts, err := opts.normalized()
+	if err != nil {
+		panic(err)
 	}
 	// A fresh edge log selects slot 0, so the first flush cycle fills slot 1.
 	s := &Store{m: m, lat: lat, opts: opts, nextSlot: 1,
@@ -259,13 +260,8 @@ func (s *Store) Encoding() EncodingStats {
 	}
 }
 
-// volatileReads reports whether record counts are resolved from DRAM
-// mirrors rather than the persisted header (VolatileCounts always;
-// CrashSafe because the persisted slots lag until the next Ack;
-// DeferCounts because the slots are never written at all).
-func (s *Store) volatileReads() bool {
-	return s.opts.VolatileCounts || s.opts.CrashSafe || s.opts.DeferCounts
-}
+// rule is the store's row of the count rules.
+func (s *Store) rule() countRule { return countRules[s.opts.Counts] }
 
 // pendEntry is one block whose durable count slots lag its DRAM count. The
 // block is named the way prev links name it, in headerAlign units, which
@@ -411,8 +407,8 @@ func (s *Store) appendTail(ctx *xpsim.Ctx, v graph.VID, nbrs []uint32) int {
 	t.bytes = used + uint32(len(enc))
 	t.last = last
 	t.cnt += uint32(n)
-	switch {
-	case s.opts.CrashSafe:
+	switch s.rule().atAppend {
+	case slotNext:
 		// The count becomes durable through a flush cycle; recovery replays
 		// anything not yet acknowledged. Until the cycle commits, the slot it
 		// will select is scratch, so when that slot shares the records' XPLine
@@ -423,8 +419,7 @@ func (s *Store) appendTail(ctx *xpsim.Ctx, v graph.VID, nbrs []uint32) int {
 			s.putCount(ctx, blk, s.nextSlot, t.cnt)
 		}
 		s.pendAdd(blk, t.cnt, counted)
-	case !s.opts.VolatileCounts && !s.opts.DeferCounts:
-		// Persist the record count in the block header.
+	case slot0:
 		s.putCount(ctx, blk, 0, t.cnt)
 	}
 	s.commitAppend(ctx, v, off, enc, n)
@@ -477,11 +472,8 @@ func (s *Store) Reserve(ctx *xpsim.Ctx, v graph.VID, n int) error {
 	return err
 }
 
-// blockCnt resolves a block's record count honoring DRAM-resident counts.
-func (s *Store) blockCnt(v graph.VID, off int64, persisted, capacity uint32) uint32 {
-	if !s.volatileReads() {
-		return persisted
-	}
+// blockCnt resolves a block's record count from the DRAM index.
+func (s *Store) blockCnt(v graph.VID, off int64, capacity uint32) uint32 {
 	if off == s.vx[v].tail {
 		return s.vx[v].cnt
 	}
@@ -523,8 +515,7 @@ func (s *Store) newBlock(ctx *xpsim.Ctx, v graph.VID, incoming int, first []uint
 	// block's record count is unrelated to cap (cnt can exceed it), so
 	// retired varint tails always keep their count in partialCnt.
 	t := &s.vx[v]
-	if s.volatileReads() && t.tail != 0 &&
-		(t.cnt != t.capacity || t.format == fmtVarint) {
+	if t.tail != 0 && (t.cnt != t.capacity || t.format == fmtVarint) {
 		s.partialCnt[t.tail] = t.cnt
 	}
 	format := uint8(fmtFixed)
@@ -546,7 +537,9 @@ func (s *Store) newBlock(ctx *xpsim.Ctx, v graph.VID, incoming int, first []uint
 	buf := append(s.encScratch[:0], make([]byte, headerBytes)...)
 	var n int
 	var last uint32
-	if !s.opts.VolatileCounts {
+	rule := s.rule()
+	if rule.chargeHdr {
+		// Records ride the header write only when the device sees it.
 		buf, n, last = encodeRun(buf, format, 4*capacity, 0, first)
 	}
 	enc := buf[headerBytes:]
@@ -559,7 +552,7 @@ func (s *Store) newBlock(ctx *xpsim.Ctx, v graph.VID, incoming int, first []uint
 	}
 	switch {
 	case n == 0: // reserved, not appended to: both slots stay zero
-	case s.opts.CrashSafe:
+	case rule.atAppend == slotNext:
 		// The count goes into the slot the running flush cycle will select;
 		// the other one — the slot recovery trusts until the cycle commits —
 		// stays zero. A recycled block's slots were durably zeroed when it was
@@ -568,21 +561,19 @@ func (s *Store) newBlock(ctx *xpsim.Ctx, v graph.VID, incoming int, first []uint
 		// count from the block's previous owner.
 		h.cnt[s.nextSlot], h.crc[s.nextSlot] = uint32(n), crc
 		s.pendAdd(off, uint32(n), true)
-	case !s.opts.DeferCounts:
+	case rule.atAppend == slot0:
 		h.cnt[0] = uint32(n)
 	}
 	h.put(buf)
-	if s.opts.VolatileCounts {
-		// GraphOne keeps chunk metadata (sizes, links) in its DRAM
-		// vertex index, not in the chunk itself; charge a DRAM metadata
-		// update and write the header bytes cost-free so the shared
-		// on-media block format stays walkable in the simulation.
-		free := &xpsim.Ctx{Cost: &xpsim.Cost{}, Node: ctx.Node, Worker: ctx.Worker, Workers: ctx.Workers}
-		s.m.Write(free, off, buf)
+	wctx := ctx
+	if !rule.chargeHdr {
+		// The header lives in DRAM metadata (the vertex index): charge a
+		// DRAM update and write the bytes cost-free so the shared on-media
+		// block format stays walkable in the simulation.
 		s.lat.DRAM(ctx, headerBytes, true, false)
-	} else {
-		s.m.Write(ctx, off, buf)
+		wctx = &xpsim.Ctx{Cost: &xpsim.Cost{}, Node: ctx.Node, Worker: ctx.Worker, Workers: ctx.Workers}
 	}
+	s.m.Write(wctx, off, buf)
 	s.encScratch = buf[:0]
 	if n > 0 {
 		s.commitAppend(ctx, v, off+headerBytes, enc, n)
@@ -609,8 +600,8 @@ func (s *Store) newBlock(ctx *xpsim.Ctx, v graph.VID, incoming int, first []uint
 // each count value reaches both slots over two cycles, so whichever slot a
 // crash leaves selected is internally complete.
 func (s *Store) Ack(ctx *xpsim.Ctx, slot, w, n int) {
-	if !s.opts.CrashSafe {
-		panic("adj: Ack on a store without CrashSafe")
+	if !s.rule().ack {
+		panic(fmt.Sprintf("adj: Ack on a store with the %v count policy", s.opts.Counts))
 	}
 	if slot != s.nextSlot {
 		panic(fmt.Sprintf("adj: ack into slot %d, the appends counted into slot %d", slot, s.nextSlot))

@@ -24,6 +24,27 @@ func testStore(t *testing.T) (*Store, *pmem.Region, *xpsim.Machine, *xpsim.Ctx) 
 	return New(r, lat, 16, Options{}), r, m, xpsim.NewCtx(0)
 }
 
+// ackedStore is testStore's store under the one policy a scan recovers.
+func ackedStore(t *testing.T) (*Store, *pmem.Region, *xpsim.Ctx) {
+	t.Helper()
+	_, r, m, ctx := testStore(t)
+	return New(r, &m.Lat, 16, Options{Counts: CountsAcked}), r, ctx
+}
+
+// crashAfterCommit runs one Ack cycle on s — what a flushing phase writes
+// before the edge log's selector flips to that cycle's slot — and rebuilds
+// a store from r alone, trusting the flipped slot, as core.Recover does.
+func crashAfterCommit(t *testing.T, s *Store, r RecoverableMem, ctx *xpsim.Ctx) *Store {
+	t.Helper()
+	slot := s.nextSlot
+	s.Ack(ctx, slot, 0, 1)
+	rs, err := RecoverWith(ctx, r, s.lat, s.opts, slot, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
 // oldestFirst reads v's records in insertion order through the trusting path.
 func oldestFirst(s *Store, ctx *xpsim.Ctx, v graph.VID) []uint32 {
 	recs, _ := s.Read(ctx, v, nil, ReadOpts{OldestFirst: true})
@@ -124,7 +145,7 @@ func TestCompactEmptiesFullyDeletedVertex(t *testing.T) {
 }
 
 func TestRecoverRebuildsChains(t *testing.T) {
-	s, r, _, ctx := testStore(t)
+	s, r, ctx := ackedStore(t)
 	want := map[graph.VID][]uint32{}
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 2000; i++ {
@@ -136,10 +157,7 @@ func TestRecoverRebuildsChains(t *testing.T) {
 		want[v] = append(want[v], nbr)
 	}
 	// Crash: all DRAM state is lost; rebuild from the region alone.
-	rs, err := RecoverWith(ctx, r, s.lat, Options{}, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := crashAfterCommit(t, s, r, ctx)
 	if rs.Blocks() != s.Blocks() || rs.Bytes() != s.Bytes() {
 		t.Fatalf("recovered blocks=%d bytes=%d, want %d/%d", rs.Blocks(), rs.Bytes(), s.Blocks(), s.Bytes())
 	}
@@ -257,18 +275,16 @@ func TestCompactRecyclesBlocks(t *testing.T) {
 }
 
 func TestRecoverSkipsDeadBlocks(t *testing.T) {
-	s, r, _, ctx := testStore(t)
+	s, r, ctx := ackedStore(t)
 	for i := uint32(0); i < 100; i++ {
 		s.Append(ctx, 2, []uint32{i})
 		s.Append(ctx, 3, []uint32{i + 1000})
 	}
+	s.Ack(ctx, 1, 0, 1) // compaction rewrites acknowledged records only
 	if err := s.Compact(ctx, 2); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := RecoverWith(ctx, r, s.lat, Options{}, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := crashAfterCommit(t, s, r, ctx)
 	if got := rs.Neighbors(ctx, 2, nil); len(got) != 100 {
 		t.Fatalf("recovered vertex 2: %d nbrs, want 100 (dead blocks must not resurrect)", len(got))
 	}
@@ -282,36 +298,32 @@ func TestRecoverSkipsDeadBlocks(t *testing.T) {
 }
 
 func TestRecoverAfterRecycleReorder(t *testing.T) {
-	// Regression: a compacted vertex reuses a low-offset dead block, so
-	// its chain is NOT offset-ordered; recovery must find the tail via
-	// prev-links, not arena order.
-	s, r, _, ctx := testStore(t)
-	// Vertex 1 builds a chain, then compacts (freeing its blocks).
+	// Regression: a vertex whose next block is a recycled low-offset one has
+	// a chain that is NOT offset-ordered; recovery must find the tail via
+	// prev links, not arena order.
+	s, r, ctx := ackedStore(t)
+	// Vertex 1 builds a chain of small blocks at the front of the arena;
+	// vertex 2 fills one 12-record block behind them.
 	for i := uint32(0); i < 100; i++ {
 		s.Append(ctx, 1, []uint32{i})
 	}
+	s.Append(ctx, 2, make([]uint32, 12))
+	first := s.vx[2].tail
+	s.Ack(ctx, 1, 0, 1)
+	// Compaction frees vertex 1's blocks; vertex 2's next 12-record block
+	// is one of them.
 	if err := s.Compact(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	// Vertex 2 appends, compacts into a REUSED low-offset block, then
-	// appends more so its tail is a fresh high-offset block... and then
-	// compacts vertex 2 again so its single block is recycled and its
-	// chain grows from a low offset.
-	for i := uint32(0); i < 100; i++ {
-		s.Append(ctx, 2, []uint32{1000 + i})
-	}
-	if err := s.Compact(ctx, 2); err != nil {
-		t.Fatal(err)
-	}
-	for i := uint32(0); i < 50; i++ {
+	for i := uint32(0); i < 5; i++ {
 		s.Append(ctx, 2, []uint32{2000 + i})
+	}
+	if s.vx[2].tail >= first {
+		t.Fatalf("setup: vertex 2's tail %d is not in front of its first block %d", s.vx[2].tail, first)
 	}
 	want2 := s.Neighbors(ctx, 2, nil)
 
-	rs, err := RecoverWith(ctx, r, s.lat, Options{}, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := crashAfterCommit(t, s, r, ctx)
 	got := rs.Neighbors(ctx, 2, nil)
 	if !equalMultiset(got, want2) {
 		t.Fatalf("recovered vertex 2: %d records, want %d", len(got), len(want2))
@@ -380,8 +392,8 @@ func TestReserveAndSizings(t *testing.T) {
 }
 
 func TestVolatileCountsVisit(t *testing.T) {
-	s, _, _, ctx := testStore(t)
-	s.opts.VolatileCounts = true
+	_, r, m, ctx := testStore(t)
+	s := New(r, &m.Lat, 16, Options{Counts: CountsVolatile})
 	// Fill past one block so retired-full and partial paths both run.
 	for i := uint32(0); i < 30; i++ {
 		s.Append(ctx, 1, []uint32{i})
@@ -459,15 +471,26 @@ func TestAckSplitIsInvisibleToDevice(t *testing.T) {
 	}
 }
 
-// countingMem counts the write requests a store hands its memory.
+// countingMem counts the write requests a store hands its memory, and
+// remembers the clock the last one was charged to and what allocations
+// cost.
 type countingMem struct {
 	RecoverableMem
-	writes int
+	writes   int
+	lastCost *xpsim.Cost
+	allocNs  int64
 }
 
 func (c *countingMem) Write(ctx *xpsim.Ctx, off int64, p []byte) {
 	c.writes++
+	c.lastCost = ctx.Cost
 	c.RecoverableMem.Write(ctx, off, p)
+}
+
+func (c *countingMem) Alloc(ctx *xpsim.Ctx, size, align int64) (int64, error) {
+	before := ctx.Cost.Ns()
+	defer func() { c.allocNs += ctx.Cost.Ns() - before }()
+	return c.RecoverableMem.Alloc(ctx, size, align)
 }
 
 // TestCountsRideTheRecordsWrite pins the device accesses of the crash-safe
@@ -554,6 +577,114 @@ func TestCountsRideTheRecordsWrite(t *testing.T) {
 				}
 			}()
 			s.Ack(ctx, 0, 0, 1)
+		}()
+	}
+}
+
+// TestCountPolicies pins each row of countRules at the device: for every
+// policy, which count slots hold what on the media after a new block's
+// first append, an append inside the header's XPLine, one past it and an
+// Ack cycle; how many write requests each append is; and whether a new
+// block's header write is charged to the device or, for CountsVolatile,
+// costs a DRAM metadata update alone.
+func TestCountPolicies(t *testing.T) {
+	type slots [2]uint32
+	for _, tc := range []struct {
+		p CountPolicy
+		// media slots after each step: new block (3 records), an append in
+		// the header's line (1), one that leaves it (100), one past it (1),
+		// and the Ack cycle
+		first, inLine, leave, past, acked slots
+		writes                            [4]int // write requests per append
+	}{
+		{CountsAtAppend, slots{3, 0}, slots{4, 0}, slots{104, 0}, slots{105, 0}, slots{105, 0}, [4]int{1, 2, 2, 2}},
+		{CountsVolatile, slots{}, slots{}, slots{}, slots{}, slots{}, [4]int{2, 1, 1, 1}},
+		{CountsDeferred, slots{}, slots{}, slots{}, slots{}, slots{}, [4]int{1, 1, 1, 1}},
+		{CountsAcked, slots{0, 3}, slots{0, 4}, slots{0, 104}, slots{0, 104}, slots{0, 105}, [4]int{1, 2, 2, 1}},
+	} {
+		t.Run(tc.p.String(), func(t *testing.T) {
+			_, r, m, ctx := testStore(t)
+			cm := &countingMem{RecoverableMem: r}
+			s := New(cm, &m.Lat, 16, Options{Counts: tc.p, Sizing: func(int, int) int { return 256 }})
+			media := func() slots {
+				var hdr [headerBytes]byte
+				r.Read(ctx, s.vx[1].tail, hdr[:])
+				return parseHeader(hdr[:]).cnt
+			}
+			for i, n := range []int{3, 1, 100, 1} {
+				before := cm.writes
+				if err := s.Append(ctx, 1, make([]uint32, n)); err != nil {
+					t.Fatal(err)
+				}
+				want := []slots{tc.first, tc.inLine, tc.leave, tc.past}[i]
+				if got := media(); got != want || cm.writes-before != tc.writes[i] {
+					t.Errorf("append %d of %d records: slots %v in %d write requests, want %v in %d",
+						i, n, got, cm.writes-before, want, tc.writes[i])
+				}
+			}
+			if tail := s.vx[1].tail; (tail+slotOff(1))/xpsim.XPLineSize == (tail+headerBytes+4*104)/xpsim.XPLineSize {
+				t.Fatal("setup: the last append did not leave the header's line")
+			}
+			if tc.p.Acked() {
+				s.Ack(ctx, 1, 0, 1)
+			} else {
+				func() {
+					defer func() { _ = recover() }()
+					s.Ack(ctx, 1, 0, 1)
+					t.Error("Ack did not panic")
+				}()
+			}
+			if got := media(); got != tc.acked {
+				t.Errorf("after the ack cycle: slots %v, want %v", got, tc.acked)
+			}
+
+			// A reserved block is its header alone: written on the caller's
+			// clock, or for free beside a DRAM metadata update.
+			dram := xpsim.NewCtx(0)
+			m.Lat.DRAM(dram, headerBytes, true, false)
+			hdr := xpsim.NewCtx(0)
+			cm.allocNs = 0
+			if err := s.Reserve(hdr, 2, 10); err != nil {
+				t.Fatal(err)
+			}
+			charged, ns := cm.lastCost == hdr.Cost, hdr.Cost.Ns()-cm.allocNs
+			if want := tc.p != CountsVolatile; charged != want || !charged && ns != dram.Cost.Ns() {
+				t.Errorf("header write charged = %v at %d ns beside the allocation, want %v (a DRAM update is %d ns)",
+					charged, ns, want, dram.Cost.Ns())
+			}
+		})
+	}
+}
+
+// TestRecoverWithRefusesUnrecoverablePolicies: a scan rebuilds acked stores
+// only, and refuses every other policy — or options New would panic on —
+// with an error.
+func TestRecoverWithRefusesUnrecoverablePolicies(t *testing.T) {
+	for _, opts := range []Options{
+		{}, {Counts: CountsVolatile}, {Counts: CountsDeferred},
+		{Counts: CountsDeferred, Checksums: true}, {Checksums: true},
+		{Counts: CountsVolatile, CrashSafe: true},
+	} {
+		_, r, m, ctx := testStore(t)
+		if rs, err := RecoverWith(ctx, r, &m.Lat, opts, 1, nil); err == nil || rs != nil {
+			t.Errorf("RecoverWith(%+v) = %v, %v; want a refusal", opts, rs, err)
+		}
+	}
+	for _, opts := range []Options{{CrashSafe: true}, {Counts: CountsAcked, CrashSafe: true}, {Counts: CountsAcked, Checksums: true}} {
+		_, r, m, ctx := testStore(t)
+		if _, err := RecoverWith(ctx, r, &m.Lat, opts, 1, nil); err != nil {
+			t.Errorf("RecoverWith(%+v): %v", opts, err)
+		}
+	}
+	_, r, m, _ := testStore(t)
+	for _, opts := range []Options{{Counts: CountsDeferred, CrashSafe: true}, {Checksums: true}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%+v) did not panic", opts)
+				}
+			}()
+			New(r, &m.Lat, 16, opts)
 		}()
 	}
 }

@@ -43,6 +43,67 @@ const (
 	fmtVarint = 1 // zigzag delta-varint records (varint.go)
 )
 
+// CountPolicy says who writes a block's count slots and whether a crash can
+// be recovered from them. A policy's rules are its row of countRules;
+// DESIGN.md §7 "Who writes the count slots" has the same table with the
+// stores that choose each.
+type CountPolicy uint8
+
+const (
+	// CountsAtAppend writes the tail block's count into slot 0 with every
+	// append: DRAM and Memory Mode media, SSD-tiered and relaxed stores.
+	CountsAtAppend CountPolicy = iota
+	// CountsVolatile keeps counts in DRAM and charges a new block's header
+	// as a DRAM metadata update: GraphOne keeps chunk metadata in its DRAM
+	// vertex index (§V-A) and recovers by re-archiving.
+	CountsVolatile
+	// CountsDeferred keeps counts in DRAM mirrors and never writes a slot:
+	// XPGraph-B, whose battery-backed DRAM is inside the persistence domain
+	// (§IV-C), so a PMEM count write would be pure overhead.
+	CountsDeferred
+	// CountsAcked counts into the slot the running flush cycle will select
+	// and leaves the rest to Ack (see the package comment): the crash-safe
+	// PMEM store, the only policy a recovery scan accepts.
+	CountsAcked
+	countPolicies
+)
+
+// countSlot is where an append's count goes.
+type countSlot uint8
+
+const (
+	slotNone countSlot = iota // DRAM mirrors only
+	slot0                     // slot 0, every append
+	// the running cycle's slot, when it shares the XPLine the append's
+	// records start in (and always in a new block's header write)
+	slotNext
+)
+
+// countRule is one policy's rules.
+type countRule struct {
+	name        string
+	atAppend    countSlot
+	ack         bool // Store.Ack writes the counts appends left behind
+	chargeHdr   bool // a new block's header write is charged to the device
+	recoverable bool // RecoverWith rebuilds the store; compaction is a journaled swap
+}
+
+var countRules = [countPolicies]countRule{
+	CountsAtAppend: {name: "at-append", atAppend: slot0, chargeHdr: true},
+	CountsVolatile: {name: "volatile", atAppend: slotNone},
+	CountsDeferred: {name: "deferred", atAppend: slotNone, chargeHdr: true},
+	CountsAcked:    {name: "acked", atAppend: slotNext, ack: true, chargeHdr: true, recoverable: true},
+}
+
+func (p CountPolicy) String() string { return countRules[p].name }
+
+// Acked reports whether p's counts become durable through Ack cycles, which
+// the caller commits (Store.Ack).
+func (p CountPolicy) Acked() bool { return countRules[p].ack }
+
+// Recoverable reports whether RecoverWith accepts stores under p.
+func (p CountPolicy) Recoverable() bool { return countRules[p].recoverable }
+
 // Reserved owners: no vertex may use them (both carry graph.DelFlag, which
 // real vertex IDs cannot).
 const (
@@ -102,15 +163,6 @@ func (h *header) put(b []byte) {
 // word keeps its 4-bytes-per-unit meaning in both formats, so sizing, the
 // per-capacity free lists and ChainSpans are format-independent.
 func (h *header) size() int64 { return headerBytes + 4*int64(h.capacity) }
-
-// trusted is the record count recovery trusts, and its checksum: the
-// selected slot's on CrashSafe stores, the one slot the others write.
-func (h *header) trusted(opts Options, slot int) (cnt, crc uint32) {
-	if !opts.CrashSafe {
-		slot = 0
-	}
-	return h.cnt[slot], h.crc[slot]
-}
 
 // plausible reports whether h can head a block at off in an arena that ends
 // at end, given the count the scan trusts.

@@ -11,16 +11,12 @@ import (
 )
 
 // RecoverableMem is the extra surface recovery needs: where the arena
-// starts and how far it had grown before the crash.
+// starts, how far it had grown before the crash, and giving back a suffix
+// that turned out to be garbage (pmem.Region implements it).
 type RecoverableMem interface {
 	mem.Mem
 	PersistedAllocOffset(ctx *xpsim.Ctx) int64
 	UserStart() int64
-}
-
-// rewindableMem lets recovery give back an arena suffix that turned out
-// to be garbage (pmem.Region implements it).
-type rewindableMem interface {
 	RewindAlloc(ctx *xpsim.Ctx, off int64)
 }
 
@@ -36,14 +32,15 @@ type scanned struct {
 // the tail of a chain is the one block no other block points to (offset
 // order is not enough once compaction recycles blocks).
 //
-// slot selects which persisted count slot is authoritative — the slot the
-// edge log's flushed cursor carried at the crash (elog.AckSlot). For
-// CrashSafe stores the scan additionally: completes an armed compaction
-// journal (roll-forward), treats an unparsable header as the frontier of
-// writes that never became durable (truncating and durably zeroing the
-// garbage suffix so a later recovery cannot misparse it), remembers
-// partially-visible retired blocks, and queues blocks with disagreeing
-// slots for re-acknowledgment.
+// Only CountsAcked stores are scan-recoverable (countRules); opts naming
+// another policy is refused with an error. slot selects which persisted
+// count slot is authoritative — the slot the edge log's flushed cursor
+// carried at the crash (elog.AckSlot). The scan also completes an armed
+// compaction journal (roll-forward), treats an unparsable header as the
+// frontier of writes that never became durable (truncating and durably
+// zeroing the garbage suffix so a later recovery cannot misparse it),
+// remembers partially-visible retired blocks, and queues blocks with
+// disagreeing slots for re-acknowledgment.
 //
 // quarantined names block offsets whose media was damaged and routed around
 // by a scrub before the crash (nil: none). Quarantined blocks carry valid
@@ -58,11 +55,12 @@ type scanned struct {
 // corruption that happened while the store was down, caught before any
 // read can serve it.
 func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts Options, slot int, quarantined map[int64]bool) (*Store, error) {
+	opts, err := opts.normalized()
 	switch {
-	case opts.VolatileCounts:
-		return nil, fmt.Errorf("adj: stores with volatile counts are not scan-recoverable (GraphOne recovers by re-archiving)")
-	case opts.DeferCounts:
-		return nil, fmt.Errorf("adj: stores with deferred counts are not scan-recoverable (battery-backed DRAM keeps them)")
+	case err != nil:
+		return nil, err
+	case !opts.Counts.Recoverable():
+		return nil, fmt.Errorf("adj: %v counts are not scan-recoverable", opts.Counts)
 	case slot != 0 && slot != 1:
 		return nil, fmt.Errorf("adj: bad count slot %d", slot)
 	}
@@ -87,13 +85,10 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 		if err != nil && !quarantined[off] {
 			return nil, fmt.Errorf("adj: block header at %d is unreadable and the scan cannot step over it: %w", off, err)
 		}
-		if cnt, _ := h.trusted(opts, slot); h.plausible(off, end, cnt) {
+		if h.plausible(off, end, h.cnt[slot]) {
 			raw = append(raw, scanned{off, h})
 			off = align(off+h.size(), headerAlign)
 			continue
-		}
-		if !opts.CrashSafe {
-			return nil, fmt.Errorf("adj: corrupt block header at %d (cap=%d)", off, h.capacity)
 		}
 		// The frontier: everything from here on was allocated after the
 		// last writeback barrier and never became durably reachable, so it
@@ -101,9 +96,7 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 		// parse leftover bytes as a block) and hand it back to the allocator.
 		m.Write(ctx, off, make([]byte, end-off))
 		m.Flush(ctx, off, end-off)
-		if rw, ok := m.(rewindableMem); ok {
-			rw.RewindAlloc(ctx, off)
-		}
+		m.RewindAlloc(ctx, off)
 		break
 	}
 
@@ -114,12 +107,9 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 		return nil, err
 	}
 
-	// Pass 3: build the index.
-	type blk struct {
-		scanned
-		cnt, crc uint32 // of the slot recovery trusts
-	}
-	live := make(map[graph.VID][]blk)
+	// Pass 3: build the index. A live block's counts are those of the slot
+	// recovery trusts.
+	live := make(map[graph.VID][]scanned)
 	pointedTo := make(map[int64]int)
 	for _, b := range raw {
 		switch b.vid {
@@ -128,7 +118,7 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 			case quarantined[b.off]:
 				// Quarantined media with a scrub-written dead header:
 				// parseable, never reusable.
-			case opts.CrashSafe && (b.cnt != [2]uint32{} || b.prev != 0):
+			case b.cnt != [2]uint32{} || b.prev != 0:
 				// Mid-kill: the dead vid became durable but the slot zeroing
 				// did not. Finish the kill before recycling — newBlock relies
 				// on recycled blocks having durably zeroed count slots so a
@@ -145,8 +135,7 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 		}
 		v := graph.VID(b.vid)
 		s.EnsureVertices(v + 1)
-		cnt, crc := b.trusted(opts, slot)
-		live[v] = append(live[v], blk{b, cnt, crc})
+		live[v] = append(live[v], b)
 		if b.prev != 0 {
 			pointedTo[b.prev]++
 		}
@@ -164,7 +153,7 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 			return n
 		}
 		tails := countTails()
-		for opts.CrashSafe && tails > 1 {
+		for tails > 1 {
 			// More than one chain end means some block's prev link never
 			// became durable — a tail allocated right before the crash,
 			// torn mid-header. Such a block cannot hold acknowledged
@@ -175,7 +164,7 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 			// drop can expose another dangler it pointed to).
 			kept := blks[:0]
 			for _, b := range blks {
-				if pointedTo[b.off] != 0 || b.cnt != 0 {
+				if pointedTo[b.off] != 0 || b.cnt[slot] != 0 {
 					kept = append(kept, b)
 					continue
 				}
@@ -194,15 +183,15 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 			continue
 		}
 		for _, b := range blks {
-			s.vx[v].records += b.cnt
+			s.vx[v].records += b.cnt[slot]
 			s.blocks++
 			s.bytes += b.size()
 			if pointedTo[b.off] != 0 {
 				continue
 			}
 			t := &s.vx[v]
-			t.tail, t.cnt, t.capacity, t.format = b.off, b.cnt, b.capacity, uint8(b.format)
-			if b.format == fmtVarint && b.cnt > 0 {
+			t.tail, t.cnt, t.capacity, t.format = b.off, b.cnt[slot], b.capacity, uint8(b.format)
+			if b.format == fmtVarint && t.cnt > 0 {
 				// Rebuild the append cursor (byte extent + delta
 				// predecessor) by decoding the acknowledged records. The
 				// count slot only became authoritative after the barrier
@@ -210,7 +199,7 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 				// here is real corruption: fatal without Checksums; with
 				// Checksums keep a best-effort cursor and let the CRC
 				// walk below flag the vertex as suspect.
-				e, err := r.decode(b.off, b.format, b.capacity, b.cnt, false, nil)
+				e, err := r.decode(b.off, b.format, b.capacity, t.cnt, false, nil)
 				if err != nil && !opts.Checksums {
 					return nil, fmt.Errorf("adj: vertex %d varint tail at %d undecodable: %v", v, b.off, err)
 				}
@@ -220,21 +209,18 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 		if tails != 1 {
 			return nil, fmt.Errorf("adj: vertex %d chain has %d tails (corrupt prev links)", v, tails)
 		}
-		if !opts.CrashSafe {
-			continue
-		}
 		for _, b := range blks {
-			if b.off != s.vx[v].tail && b.cnt != b.capacity {
+			if b.off != s.vx[v].tail && b.cnt[slot] != b.capacity {
 				// Retired with a count differing from capacity — a fixed
 				// block retired before filling up, or any varint block
 				// (whose record count is unrelated to cap): pin the visible
 				// count so reads stop at it.
-				s.partialCnt[b.off] = b.cnt
+				s.partialCnt[b.off] = b.cnt[slot]
 			}
-			if b.header.cnt[0] != b.header.cnt[1] {
+			if b.cnt[0] != b.cnt[1] {
 				// One slot is stale; make sure the next ack cycle rewrites
 				// it even if no new records arrive for this block.
-				s.pendPrev = append(s.pendPrev, pendEntry{blk: uint32(b.off / headerAlign), cnt: b.cnt})
+				s.pendPrev = append(s.pendPrev, pendEntry{blk: uint32(b.off / headerAlign), cnt: b.cnt[slot]})
 			}
 		}
 		if !opts.Checksums {
@@ -245,7 +231,7 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 		// into a self-consistent mirror. Then recompute each payload's CRC
 		// from the media, newest block first up to the first disagreement,
 		// and flag the vertex if there is one.
-		byOff := make(map[int64]blk, len(blks))
+		byOff := make(map[int64]scanned, len(blks))
 		for _, b := range blks {
 			byOff[b.off] = b
 		}
@@ -255,7 +241,7 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 				return nil, fmt.Errorf("adj: vertex %d chain prev link to unknown block %d", v, off)
 			}
 			s.chains[v] = append(s.chains[v], off)
-			s.mirror[off] = blockMirror{capacity: b.capacity, crc: b.crc, format: uint8(b.format)}
+			s.mirror[off] = blockMirror{capacity: b.capacity, crc: b.crc[slot], format: uint8(b.format)}
 			off = b.prev
 		}
 		if s.read(ctx, v, walkOpts{mirror: true, blind: true}, nil) != nil {
@@ -288,9 +274,6 @@ func (s *Store) journalRollForward(ctx *xpsim.Ctx, raw []scanned) error {
 	}
 	v := uint32(wordA)
 	newOff := int64(wordA>>32) * headerAlign
-	if !s.opts.CrashSafe {
-		return fmt.Errorf("adj: armed compaction journal for vertex %d but store is not CrashSafe", v)
-	}
 	committed := false
 	for i := range raw {
 		b := &raw[i]

@@ -11,14 +11,14 @@ import (
 )
 
 // Replacing a vertex's whole chain by one exactly-sized block: compaction
-// (compact_adjs of Table I) and the scrub repair primitive. On CrashSafe
-// stores both are one journaled swap; see swapChain.
+// (compact_adjs of Table I) and the scrub repair primitive. On recoverable
+// stores (CountsAcked) both are one journaled swap; see swapChain.
 
 // Compact merges all of v's blocks (resolving deletion tombstones) into a
 // single exactly-sized block. The old blocks are marked dead on media (so
 // scan recovery skips them) and recycled through per-capacity free lists.
 //
-// On CrashSafe stores the caller must have flush-acknowledged all of v's
+// On CountsAcked stores the caller must have flush-acknowledged all of v's
 // records first (core.FlushAllVbufs): the compacted counts are written to
 // both slots, which is only safe when the records they cover are below the
 // log's flushed cursor at both parities.
@@ -34,13 +34,13 @@ func (s *Store) Compact(ctx *xpsim.Ctx, v graph.VID) error {
 		// a sorted run's deltas are small and non-negative.
 		slices.Sort(live)
 	}
-	if s.opts.CrashSafe {
+	if s.rule().recoverable {
 		return s.swapChain(ctx, v, live, false)
 	}
-	// Without the crash-safe protocol there is no journal to swap through:
-	// release the old chain block by block (a 4-byte dead owner; the counts
-	// in the dead header go stale but are only trusted behind a valid vid)
-	// and append the survivors afresh.
+	// A store no scan recovers needs no journal: release the old chain
+	// block by block (a 4-byte dead owner; the counts in the dead header go
+	// stale but are only trusted behind a valid vid) and append the
+	// survivors afresh.
 	s.walk(ctx, v, walkOpts{}, func(_ *reader, off int64, h header) error {
 		writeVID(s.m, ctx, off, deadVID)
 		s.recycle(off, int(h.capacity))

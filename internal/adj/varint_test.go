@@ -124,7 +124,7 @@ func TestVarintChainAcrossBlocks(t *testing.T) {
 }
 
 func TestMixedFormatChain(t *testing.T) {
-	s, r, _, ctx := testStore(t)
+	s, r, ctx := ackedStore(t)
 	var want []uint32
 	for i := uint32(0); i < 100; i++ {
 		want = append(want, i*7)
@@ -152,10 +152,7 @@ func TestMixedFormatChain(t *testing.T) {
 
 	// The mixed chain must scan-recover, and the recovered varint tail must
 	// keep appending (byte cursor + delta predecessor rebuilt from media).
-	rs, err := RecoverWith(ctx, r, s.lat, Options{VarintBlocks: true}, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := crashAfterCommit(t, s, r, ctx)
 	if got := oldestFirst(rs, ctx, 5); !equalU32s(got, want) {
 		t.Fatalf("recovered mixed chain mismatch: %d records, want %d", len(got), len(want))
 	}
@@ -213,8 +210,7 @@ func TestVarintCompactDensity(t *testing.T) {
 }
 
 func TestVarintRecoverTailCursor(t *testing.T) {
-	opts := Options{VarintBlocks: true}
-	s, r, ctx := varintStore(t, Options{})
+	s, r, ctx := varintStore(t, Options{Counts: CountsAcked})
 	rng := rand.New(rand.NewSource(9))
 	var want []uint32
 	for i := 0; i < 700; i++ {
@@ -224,10 +220,7 @@ func TestVarintRecoverTailCursor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rs, err := RecoverWith(ctx, r, s.lat, opts, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := crashAfterCommit(t, s, r, ctx)
 	if got := oldestFirst(rs, ctx, 4); !equalU32s(got, want) {
 		t.Fatalf("recovered %d records, want %d", len(got), len(want))
 	}

@@ -245,7 +245,7 @@ func (s *Store) walk(ctx *xpsim.Ctx, v graph.VID, o walkOpts, visit func(r *read
 // trusting walk, which skips what it cannot decode.
 func (s *Store) read(ctx *xpsim.Ctx, v graph.VID, o walkOpts, fn func(nbr uint32)) error {
 	return s.walk(ctx, v, o, func(r *reader, off int64, h header) error {
-		cnt := s.blockCnt(v, off, h.cnt[0], h.capacity)
+		cnt := s.blockCnt(v, off, h.capacity)
 		if cnt == 0 {
 			return nil
 		}
@@ -322,7 +322,7 @@ func (s *Store) Layout(ctx *xpsim.Ctx) LayoutStats {
 	var ls LayoutStats
 	for v := range s.vx {
 		s.walk(ctx, graph.VID(v), walkOpts{}, func(r *reader, off int64, h header) error {
-			cnt := s.blockCnt(graph.VID(v), off, h.cnt[0], h.capacity)
+			cnt := s.blockCnt(graph.VID(v), off, h.capacity)
 			ls.Records += int64(cnt)
 			ls.BlockBytes += h.size()
 			e := extent{bytes: 4 * int64(cnt)}

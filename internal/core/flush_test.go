@@ -86,3 +86,28 @@ func TestFlushDrainUsesEveryWorker(t *testing.T) {
 	}
 	checkModel(t, s, difftest.Of(edges))
 }
+
+// TestDisableProactiveFlushIssuesNoAdjacencyFlush: an XPLine-sized append
+// to an arena of a PMEM store clwb-flushes its lines unless the store was
+// built with DisableProactiveFlush — which no other option overrides.
+func TestDisableProactiveFlushIssuesNoAdjacencyFlush(t *testing.T) {
+	for _, disable := range []bool{false, true} {
+		m, h := testMachine()
+		s, err := New(m, h, nil, Options{Name: "pf", NumVertices: 64, DisableProactiveFlush: disable})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := m.TotalStats().Flushes
+		ctx := xpsim.NewCtx(0)
+		for d := 0; d < 2; d++ {
+			for _, g := range s.groups[d] {
+				if err := g.adj.Append(ctx, 3, make([]uint32, 4*xpsim.XPLineSize)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if flushes := m.TotalStats().Flushes - before; (flushes == 0) != disable {
+			t.Errorf("DisableProactiveFlush=%v: XPLine-sized adjacency appends flushed %d lines", disable, flushes)
+		}
+	}
+}

@@ -499,7 +499,7 @@ func (s *Store) flushProps(startNs int64) (int64, error) {
 // split its offset-sorted pending blocks into contiguous runs, so the
 // devices see one ascending sweep per arena however many workers share it.
 func (s *Store) commitFlush(ctx *xpsim.Ctx, ackStart int64) (ackNs int64) {
-	if !s.opts.crashSafe() {
+	if !s.adjOpts.Counts.Acked() {
 		s.log.MarkFlushed(ctx, s.log.Buffered())
 		return 0
 	}
@@ -531,7 +531,7 @@ func (s *Store) CompactAdjs(ctx *xpsim.Ctx, v graph.VID) error {
 	if v >= s.NumVertices() {
 		return fmt.Errorf("core: vertex %d out of range", v)
 	}
-	if s.opts.crashSafe() {
+	if s.adjOpts.Counts.Acked() {
 		if err := s.FlushAllVbufs(); err != nil {
 			return err
 		}
@@ -580,7 +580,7 @@ func (s *Store) compactOne(ctx *xpsim.Ctx, v graph.VID) error {
 
 // CompactAllAdjs compacts every vertex — compact_all_adjs of Table I.
 func (s *Store) CompactAllAdjs(ctx *xpsim.Ctx) error {
-	if s.opts.crashSafe() {
+	if s.adjOpts.Counts.Acked() {
 		if err := s.FlushAllVbufs(); err != nil {
 			return err
 		}

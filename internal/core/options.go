@@ -17,6 +17,7 @@
 package core
 
 import (
+	"repro/internal/adj"
 	"repro/internal/mempool"
 	"repro/internal/obs"
 	"repro/internal/ssd"
@@ -121,10 +122,8 @@ type Options struct {
 	// edge log may overwrite buffered-but-unflushed edges (§IV-C).
 	Battery bool
 
-	// ProactiveFlush clwb-flushes XPLine-sized adjacency writes
-	// (§IV-A; default on for PMEM). DisableProactiveFlush turns it off
-	// for ablations.
-	ProactiveFlush        bool
+	// DisableProactiveFlush turns off the clwb flush of XPLine-sized
+	// adjacency writes (§IV-A), on for PMEM stores otherwise: an ablation.
 	DisableProactiveFlush bool
 
 	// CompressedAdj encodes new adjacency blocks as delta-varint runs
@@ -184,13 +183,36 @@ type Options struct {
 	PropLogBytes int64
 }
 
-// crashSafe reports whether the store runs the crash-safe persistence
-// protocol: PMEM app-direct, no battery (XPGraph-B's vertex buffers
-// survive power loss, so the protocol would be pure overhead), no SSD
-// tier (the extension prototype is not recoverable), and not explicitly
-// relaxed.
-func (o Options) crashSafe() bool {
-	return o.Medium == MediumPMEM && !o.Battery && o.SSDOverflow == 0 && !o.RelaxedDurability
+// counts derives the adjacency count policy (DESIGN.md §7 "Who writes the
+// count slots"). Every store but the default PMEM one gets a policy
+// recovery refuses; why names the option that decided it.
+func (o Options) counts() (p adj.CountPolicy, why string) {
+	switch {
+	case o.Medium != MediumPMEM:
+		return adj.CountsAtAppend, "volatile media (DRAM, Memory Mode) lose the graph on power loss"
+	case o.Battery:
+		// XPGraph-B's persistence domain includes DRAM: a power failure
+		// does not lose the vertex buffers, so there is nothing to replay —
+		// and the edge log may legitimately have overwritten
+		// buffered-but-unflushed edges, so replay would be wrong (§IV-C).
+		return adj.CountsDeferred, "battery-backed stores (XPGraph-B) keep DRAM across power loss"
+	case o.SSDOverflow > 0:
+		return adj.CountsAtAppend, "SSD-tiered stores are an extension prototype"
+	case o.RelaxedDurability:
+		return adj.CountsAtAppend, "relaxed-durability stores skip the ordering protocol recovery depends on"
+	}
+	return adj.CountsAcked, ""
+}
+
+// adjOptions derives the arenas' configuration.
+func (o Options) adjOptions() adj.Options {
+	counts, _ := o.counts()
+	return adj.Options{
+		Counts:         counts,
+		ProactiveFlush: o.Medium == MediumPMEM && !o.DisableProactiveFlush,
+		Checksums:      o.MediaGuard,
+		VarintBlocks:   o.CompressedAdj,
+	}
 }
 
 // withDefaults fills unset fields.
@@ -235,8 +257,6 @@ func (o Options) withDefaults() Options {
 			o.Buffer = BufferFixed
 			o.MaxBufBytes = 64
 		}
-	} else if !o.DisableProactiveFlush {
-		o.ProactiveFlush = true
 	}
 	return o
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/pmem"
-	"repro/internal/view"
 	"repro/internal/xpsim"
 )
 
@@ -43,37 +42,10 @@ type RecoveryReport struct {
 // reported as errors rather than producing a silently wrong store.
 func Recover(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts Options) (*Store, RecoveryReport, error) {
 	opts = opts.withDefaults()
-	if opts.Medium != MediumPMEM {
-		return nil, RecoveryReport{}, fmt.Errorf("core: only PMEM stores are recoverable")
+	if p, why := opts.counts(); !p.Recoverable() {
+		return nil, RecoveryReport{}, fmt.Errorf("core: the store is not recoverable: %s", why)
 	}
-	if opts.SSDOverflow > 0 {
-		return nil, RecoveryReport{}, fmt.Errorf("core: SSD-tiered stores are not yet recoverable (extension prototype)")
-	}
-	if opts.Battery {
-		// XPGraph-B's persistence domain includes DRAM (battery-backed):
-		// a power failure does not lose the vertex buffers, so there is
-		// nothing to replay — and the edge log may legitimately have
-		// overwritten buffered-but-unflushed edges, so log replay would
-		// be wrong as well as unnecessary (§IV-C).
-		return nil, RecoveryReport{}, fmt.Errorf("core: battery-backed stores (XPGraph-B) keep DRAM across power loss; crash recovery does not apply")
-	}
-	if opts.RelaxedDurability {
-		return nil, RecoveryReport{}, fmt.Errorf("core: relaxed-durability stores skip the ordering protocol recovery depends on; they are not recoverable")
-	}
-	s := &Store{
-		opts:    opts,
-		machine: machine,
-		heap:    heap,
-		budget:  budget,
-		lat:     &machine.Lat,
-		tracer:  opts.Tracer,
-	}
-	s.Surface = view.Surface{Source: s}
-	if opts.NUMA == NUMASubgraph {
-		s.nparts = machine.Sockets
-	} else {
-		s.nparts = 1
-	}
+	s := newShell(machine, heap, budget, opts)
 
 	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
 

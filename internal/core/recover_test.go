@@ -97,11 +97,27 @@ func TestRecoverMissingRegions(t *testing.T) {
 	}
 }
 
-func TestRecoverRejectsVolatile(t *testing.T) {
-	m, _ := testMachine()
-	if _, _, err := Recover(m, nil, nil, Options{Name: "x", Medium: MediumDRAM}); err == nil {
-		t.Fatal("volatile media must not be recoverable")
+// refusesRecovery builds a store under opts, ingests into it, and checks
+// that Recover refuses the crashed store with an error naming the option
+// that decided its count policy.
+func refusesRecovery(t *testing.T, opts Options, names string) {
+	t.Helper()
+	m, h := testMachine()
+	s, err := New(m, h, nil, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if _, err := s.Ingest([]graph.Edge{{Src: 1, Dst: 2}, {Src: 2, Dst: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Recover(m, h, nil, opts); err == nil || !strings.Contains(err.Error(), names) {
+		t.Fatalf("Recover(%+v) = %v, want a refusal naming %q", opts, err, names)
+	}
+}
+
+func TestRecoverRejectsVolatile(t *testing.T) {
+	refusesRecovery(t, Options{Name: "x", Medium: MediumDRAM}, "volatile media")
+	refusesRecovery(t, Options{Name: "x", Medium: MediumMemoryMode}, "volatile media")
 }
 
 func TestRecoveryRepeatedCrashes(t *testing.T) {
@@ -174,24 +190,16 @@ func TestCrossProcessRecovery(t *testing.T) {
 }
 
 func TestRecoverRejectsBattery(t *testing.T) {
-	m, h := testMachine()
-	if _, _, err := Recover(m, h, nil, Options{Name: "bat", Battery: true}); err == nil {
-		t.Fatal("battery-backed stores must not be crash-recovered")
-	}
+	refusesRecovery(t, Options{Name: "bat", Battery: true}, "battery-backed")
+	refusesRecovery(t, Options{Name: "bat", Battery: true, SSDOverflow: 1 << 20}, "battery-backed")
 }
 
 func TestRecoverRejectsSSDOverflow(t *testing.T) {
-	m, h := testMachine()
-	if _, _, err := Recover(m, h, nil, Options{Name: "ssd", SSDOverflow: 1 << 20}); err == nil {
-		t.Fatal("SSD-tiered stores must not be crash-recovered")
-	}
+	refusesRecovery(t, Options{Name: "ssd", SSDOverflow: 1 << 20}, "SSD-tiered")
 }
 
 func TestRecoverRejectsRelaxedDurability(t *testing.T) {
-	m, h := testMachine()
-	if _, _, err := Recover(m, h, nil, Options{Name: "rlx", RelaxedDurability: true}); err == nil {
-		t.Fatal("relaxed-durability stores must not be crash-recovered")
-	}
+	refusesRecovery(t, Options{Name: "rlx", RelaxedDurability: true}, "relaxed-durability")
 }
 
 func TestRecoverRejectsWrongLogCapacity(t *testing.T) {

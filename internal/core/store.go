@@ -47,6 +47,7 @@ type Store struct {
 	view.Surface
 
 	opts    Options
+	adjOpts adj.Options // every arena's, derived once from opts
 	machine *xpsim.Machine
 	heap    *pmem.Heap
 	budget  *mem.Budget
@@ -130,25 +131,10 @@ type Store struct {
 // required; budget caps DRAM usage (nil: unlimited).
 func New(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
-	s := &Store{
-		opts:    opts,
-		machine: machine,
-		heap:    heap,
-		budget:  budget,
-		lat:     &machine.Lat,
-		tracer:  opts.Tracer,
+	if p, why := opts.counts(); opts.MediaGuard && !p.Acked() {
+		return nil, fmt.Errorf("core: MediaGuard requires the crash-safe protocol: %s", why)
 	}
-	s.Surface = view.Surface{Source: s}
-	switch opts.NUMA {
-	case NUMASubgraph:
-		s.nparts = machine.Sockets
-	default:
-		s.nparts = 1
-	}
-
-	if opts.MediaGuard && !opts.crashSafe() {
-		return nil, fmt.Errorf("core: MediaGuard requires the crash-safe protocol (PMEM, no battery, no SSD tier, not relaxed)")
-	}
+	s := newShell(machine, heap, budget, opts)
 	if (opts.ArchiveSSDBytes > 0 || opts.Archive != nil) && !opts.MediaGuard {
 		return nil, fmt.Errorf("core: the SSD edge archive is part of MediaGuard; enable it")
 	}
@@ -175,13 +161,32 @@ func New(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts Optio
 	}
 	s.initPool()
 	s.ensureVertices(opts.NumVertices)
-	if opts.crashSafe() {
+	if s.adjOpts.Counts.Recoverable() {
 		// Make the freshly initialized store durable, so a crash right
 		// after creation recovers an empty store instead of torn metadata.
 		s.persistBarrier(ctx)
 		s.machine.CrashPoint("core.New:done")
 	}
 	return s, nil
+}
+
+// newShell is the DRAM shell of a store, which New and Recover fill in.
+func newShell(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts Options) *Store {
+	s := &Store{
+		opts:    opts,
+		adjOpts: opts.adjOptions(),
+		machine: machine,
+		heap:    heap,
+		budget:  budget,
+		lat:     &machine.Lat,
+		tracer:  opts.Tracer,
+		nparts:  1,
+	}
+	s.Surface = view.Surface{Source: s}
+	if opts.NUMA == NUMASubgraph {
+		s.nparts = machine.Sockets
+	}
+	return s
 }
 
 // persistBarrier writes back every line buffered inside the machine's
@@ -203,8 +208,6 @@ func (s *Store) mapMemories() error {
 		// alignment slack on both sides).
 		logBytes += opts.LogCapacity*4 + 2*xpsim.XPLineSize
 	}
-	adjOpts := s.adjOptions()
-
 	newSpace := func(size int64) mem.Mem {
 		if opts.Medium == MediumMemoryMode {
 			return mem.NewMemoryMode(s.lat, size)
@@ -216,7 +219,7 @@ func (s *Store) mapMemories() error {
 		s.logMem = newSpace(logBytes)
 		for d := 0; d < 2; d++ {
 			m := newSpace(opts.AdjBytes)
-			s.groups[d] = []*group{{adj: adj.New(m, s.lat, opts.NumVertices, adjOpts), node: xpsim.NodeUnbound}}
+			s.groups[d] = []*group{{adj: adj.New(m, s.lat, opts.NumVertices, s.adjOpts), node: xpsim.NodeUnbound}}
 		}
 		return nil
 	}
@@ -247,24 +250,10 @@ func (s *Store) mapMemories() error {
 				// a simulated NVMe namespace once the PMEM arena fills.
 				m = mem.NewTiered(r, ssd.New(s.lat, opts.SSDOverflow/int64(2*s.nparts)))
 			}
-			s.groups[d] = append(s.groups[d], &group{adj: adj.New(m, s.lat, opts.NumVertices, adjOpts), node: node})
+			s.groups[d] = append(s.groups[d], &group{adj: adj.New(m, s.lat, opts.NumVertices, s.adjOpts), node: node})
 		}
 	}
 	return nil
-}
-
-// adjOptions derives the arenas' configuration from the store's.
-func (s *Store) adjOptions() adj.Options {
-	opts := s.opts
-	return adj.Options{
-		ProactiveFlush: opts.ProactiveFlush && opts.Medium == MediumPMEM,
-		CrashSafe:      opts.crashSafe(),
-		// Battery-backed DRAM is persistent, so the count mirrors need
-		// no PMEM writes (§IV-C).
-		DeferCounts:  opts.Battery && opts.Medium == MediumPMEM,
-		Checksums:    opts.MediaGuard,
-		VarintBlocks: opts.CompressedAdj,
-	}
 }
 
 func (s *Store) adjRegionName(d, p int) string {
@@ -298,7 +287,6 @@ func (s *Store) groupNode(d, p int) int {
 // sockets, and the step lasts as long as the thread with the most arenas to
 // scan. Its duration is returned.
 func (s *Store) attachMemories(startNs int64, ackSlot int) (int64, error) {
-	adjOpts := s.adjOptions()
 	regions := [2][]*pmem.Region{}
 	for d := 0; d < 2; d++ {
 		for p := 0; p < s.nparts; p++ {
@@ -342,7 +330,7 @@ func (s *Store) attachMemories(startNs int64, ackSlot int) (int64, error) {
 		}
 		var err error
 		dur := xpsim.ParallelN(1, contention, nodeOfFn(g.node), func(_ int, ctx *xpsim.Ctx) {
-			g.adj, err = adj.RecoverWith(ctx, regions[d][p], s.lat, adjOpts, ackSlot, quar)
+			g.adj, err = adj.RecoverWith(ctx, regions[d][p], s.lat, s.adjOpts, ackSlot, quar)
 		})
 		return dur, err
 	})

@@ -260,7 +260,7 @@ func New(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts Optio
 		return nil, err
 	}
 	for d := 0; d < 2; d++ {
-		s.adjs[d] = adj.New(adjMems[d], s.lat, opts.NumVertices, adj.Options{Sizing: adj.GraphOneSizing, VolatileCounts: true})
+		s.adjs[d] = adj.New(adjMems[d], s.lat, opts.NumVertices, adj.Options{Sizing: adj.GraphOneSizing, Counts: adj.CountsVolatile})
 	}
 	s.ensureVertices(opts.NumVertices)
 	return s, nil

@@ -4,10 +4,18 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/pmem"
+	"repro/internal/xpsim"
 )
 
 func scrape(t *testing.T, url, accept string) (string, string) {
@@ -237,4 +245,107 @@ func TestGracefulShutdown(t *testing.T) {
 	if code := do(t, "GET", ts.URL+"/v1/vertices/0/in", nil, &nb); code != 200 {
 		t.Fatalf("read after Shutdown: %d", code)
 	}
+}
+
+// TestMetricCatalogMatchesDesign holds DESIGN.md §8's "Metric catalog"
+// tables to the registry of a live server — its store's gauges and
+// counters, the machine's device collector, the pipeline's and the
+// server's own series — name for name, in both directions. A catalog name
+// may abbreviate alternatives as {a,b}; a {key="..."} selector names a
+// label and is not part of the name.
+func TestMetricCatalogMatchesDesign(t *testing.T) {
+	store := func(name string) *core.Store {
+		m := xpsim.NewMachine(2, 256<<20, xpsim.DefaultLatency())
+		st, err := core.New(m, pmem.NewHeap(m), nil, core.Options{
+			Name: name, NumVertices: 1024, LogCapacity: 1 << 12, ArchiveThreshold: 1 << 8, ArchiveThreads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	// One follower, so the replica series exist.
+	cfg := Config{}.withDefaults().clusterConfig()
+	cfg.Replicas = 1
+	cfg.ReplicaFactory = func(int, int) (*core.Store, error) { return store("follower"), nil }
+	cl, err := cluster.New([]*core.Store{store("leader")}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewCluster(cl, Config{})
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	do(t, "POST", ts.URL+"/v1/edges", EdgesRequest{Edges: []EdgeJSON{{Src: 1, Dst: 2}}}, nil)
+	body, _ := scrape(t, ts.URL+"/v1/metrics", "text/plain")
+	live := map[string]bool{}
+	for _, line := range strings.Split(body, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+			live[f[2]] = true
+		}
+	}
+
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(design), "\n### Metric catalog\n")
+	section, _, _ = strings.Cut(section, "\n### ")
+	documented := map[string]bool{}
+	name := regexp.MustCompile(`^[a-z_][a-z0-9_]*$`)
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "| `") {
+			continue
+		}
+		// The first cell ends at the first pipe a backslash does not escape.
+		cell := line[1:]
+		for i := 0; i < len(cell); i++ {
+			if cell[i] == '|' && cell[i-1] != '\\' {
+				cell = cell[:i]
+				break
+			}
+		}
+		for i, tok := range strings.Split(cell, "`") {
+			if i%2 == 0 {
+				continue
+			}
+			for _, n := range expandBraces(tok) {
+				if !name.MatchString(n) {
+					t.Fatalf("catalog entry %q expands to %q, not a series name", tok, n)
+				}
+				documented[n] = true
+			}
+		}
+	}
+	if len(documented) == 0 {
+		t.Fatal("no series names found under DESIGN.md's Metric catalog")
+	}
+	for n := range live {
+		if !documented[n] {
+			t.Errorf("the registry exports %s; DESIGN.md §8's catalog does not list it", n)
+		}
+	}
+	for n := range documented {
+		if !live[n] {
+			t.Errorf("DESIGN.md §8's catalog lists %s; the registry does not export it", n)
+		}
+	}
+}
+
+// expandBraces expands every {a,b,...} group of s into its alternatives and
+// drops label selectors ({key="..."}).
+func expandBraces(s string) []string {
+	open := strings.IndexByte(s, '{')
+	if open < 0 {
+		return []string{s}
+	}
+	end := open + strings.IndexByte(s[open:], '}')
+	group, rest := s[open+1:end], s[end+1:]
+	if strings.Contains(group, "=") {
+		return expandBraces(s[:open] + rest)
+	}
+	var out []string
+	for _, alt := range strings.Split(group, ",") {
+		out = append(out, expandBraces(s[:open]+alt+rest)...)
+	}
+	return out
 }

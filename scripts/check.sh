@@ -69,6 +69,23 @@ if grep -nE 'off(VID|Cap|Prev|Fmt|Cnt[01]|CRC[01])' \
     echo "a header offset is named outside internal/adj/header.go" >&2
     exit 1
 fi
+# One count policy (DESIGN.md §7 "Who writes the count slots"): adj branches
+# on the normalized Options.Counts, whose rules are header.go's table, and
+# reads the CrashSafe spelling only where New folds it in
+# (Options.normalized); core derives the policy in options.go alone.
+if git ls-files 'internal/adj/*.go' | grep -v '_test\.go$' | xargs awk '
+    /^func \(o Options\) normalized\(/ { fold = 1 }
+    !fold && /\.CrashSafe([^A-Za-z0-9_]|$)/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+    fold && /^}/ { fold = 0 }
+    END { exit !bad }'; then
+    echo "CrashSafe is read outside the fold into adj.Options.Counts" >&2
+    exit 1
+fi
+if grep -nE 'adj\.Counts(AtAppend|Volatile|Deferred|Acked)' \
+    $(git ls-files 'internal/core/*.go' | grep -v -e '_test\.go$' -e '/options\.go$'); then
+    echo "a count-policy constant is named outside internal/core/options.go" >&2
+    exit 1
+fi
 # The device's view of the adjacency store — every write, flush, miss and
 # media byte — against the table captured before the package had one codec,
 # one walker and one swap; the torn kill inside a scrub repair; the capped
@@ -79,6 +96,10 @@ fi
 # stanza names them.
 go test -count=1 -run 'TestGoldenAccessSequence' ./internal/core/
 go test -count=1 -short -run 'TestReplaceChainTornKillKeepsArena|TestScrubCrashSweep|TestHeaderUECrash|TestReplayWindowUECrash|TestCatchUpUECrash' ./internal/adj/ ./internal/scrubtest/
+# Each count policy's row at the device, the scan refusing every policy but
+# the acked one with an error, and DisableProactiveFlush holding.
+go test -count=1 -run 'TestCountPolicies|TestRecoverWithRefusesUnrecoverablePolicies' ./internal/adj/
+go test -count=1 -run 'TestRecoverRejects|TestDisableProactiveFlushIssuesNoAdjacencyFlush' ./internal/core/
 
 echo "== one clock: no wall-clock read in a policy path; the stepped pipeline; soak on the real one"
 # Policy code reads time through internal/clock (DESIGN.md §12.5 "Clocks"),
@@ -209,6 +230,12 @@ echo "== EXPERIMENTS.md is what its template renders from results_full.txt"
 # the others, a placeholder that resolves to nothing and a shape row outside
 # its paper band with no recorded deviation all fail here.
 python3 scripts/mkexperiments.py /dev/stdout | diff -u EXPERIMENTS.md -
+
+echo "== DESIGN.md §8's metric catalog is the live registry"
+# Every series a live server exports — store, device collector, pipeline,
+# breaker, shipping, a follower, the server's own — is in the catalog's
+# tables and every catalog name is exported ({a,b} expands).
+go test -count=1 -run 'TestMetricCatalogMatchesDesign' ./internal/server/
 
 echo "== media-scrub differentials (short)"
 # The UE-injection differential harness (DESIGN.md §9): every read under
