@@ -7,7 +7,12 @@
 // each computing iteration, vertices are classified by the NUMA node that
 // owns their adjacency data and each class is processed by worker threads
 // bound to that node's cores — avoiding both remote PMEM reads and
-// per-vertex thread migration.
+// per-vertex thread migration. Within a class the vertices are one
+// xpsim.Sweep: in ascending order, dealt in chunks of consecutive vertices
+// to whichever bound worker is least busy, each weighing its degree in the
+// direction the kernel visits. A whole-graph iteration thus reads each
+// arena upward, in the order a flush drain and compaction laid its blocks
+// out, while a power-law graph's hubs still spread over the workers.
 package analytics
 
 import (
@@ -24,15 +29,23 @@ import (
 // type: a single core.Snapshot and a partitioned cluster.ClusterView
 // run every algorithm identically. (The old `analytics.View` alias is
 // gone; depend on view.View directly.)
+//
+// An Engine keeps its loop's scratch between queries and is not safe for
+// concurrent use.
 type Engine struct {
 	view    view.View
 	lat     *xpsim.LatencyModel
 	threads int
-	sockets int
 	// bind classifies work by NUMA node before running (§III-D); false
 	// reproduces the unbound baseline of Fig. 18.
-	bind bool
+	bind  bool
+	sweep xpsim.Sweep
 }
+
+// sockets is the simulated machine's socket count: threads bound to one
+// node cannot exceed that node's share of the cores — the load-imbalance
+// problem of out/in-graph binding (§V-E, Fig. 18).
+const sockets = 2
 
 // NewEngine builds a query engine. threads is the total query
 // parallelism (the paper uses all 96 hardware threads).
@@ -40,16 +53,7 @@ func NewEngine(view view.View, lat *xpsim.LatencyModel, threads int) *Engine {
 	if threads <= 0 {
 		threads = 1
 	}
-	return &Engine{view: view, lat: lat, threads: threads, sockets: 2, bind: true}
-}
-
-// SetSockets tells the engine how many sockets the machine has; threads
-// bound to one node cannot exceed that node's share of the cores — the
-// load-imbalance problem of out/in-graph binding (§V-E, Fig. 18).
-func (e *Engine) SetSockets(n int) {
-	if n > 0 {
-		e.sockets = n
-	}
+	return &Engine{view: view, lat: lat, threads: threads, bind: true}
 }
 
 // SetBinding toggles NUMA-classified query binding.
@@ -72,8 +76,10 @@ func (e *Engine) classify(vs []graph.VID, nodeOf func(graph.VID) int) map[int][]
 
 // parRun processes the vertex buckets: each bucket gets an equal share of
 // the threads, bound to the bucket's node, and all buckets run
-// concurrently — the phase's simulated time is the slowest bucket.
-func (e *Engine) parRun(buckets map[int][]graph.VID, work func(ctx *xpsim.Ctx, v graph.VID)) int64 {
+// concurrently — the phase's simulated time is the slowest bucket. A
+// bucket is one xpsim.Sweep over its vertices in order; records(v) is the
+// number of adjacency records work reads for v, its weight in the deal.
+func (e *Engine) parRun(buckets map[int][]graph.VID, records func(v graph.VID) int, work func(ctx *xpsim.Ctx, v graph.VID)) int64 {
 	if len(buckets) == 0 {
 		return 0
 	}
@@ -82,7 +88,7 @@ func (e *Engine) parRun(buckets map[int][]graph.VID, work func(ctx *xpsim.Ctx, v
 		per = 1
 	}
 	// A bound bucket can only use its node's cores.
-	perNodeCap := e.threads / e.sockets
+	perNodeCap := e.threads / sockets
 	if perNodeCap < 1 {
 		perNodeCap = 1
 	}
@@ -100,7 +106,7 @@ func (e *Engine) parRun(buckets map[int][]graph.VID, work func(ctx *xpsim.Ctx, v
 		// both spreading and sub-graph binding (§V-E, Fig. 18).
 		contention := workers
 		if node == xpsim.NodeUnbound {
-			contention = workers / e.sockets
+			contention = workers / sockets
 			if contention < 1 {
 				contention = 1
 			}
@@ -109,17 +115,19 @@ func (e *Engine) parRun(buckets map[int][]graph.VID, work func(ctx *xpsim.Ctx, v
 			contention = workers
 		}
 		n := node
-		dur := xpsim.ParallelN(workers, contention, func(int) int { return n }, func(w int, ctx *xpsim.Ctx) {
-			for i := w; i < len(vs); i += workers {
-				work(ctx, vs[i])
-			}
-		})
+		dur := e.sweep.Run(e.lat, workers, contention, func(int) int { return n }, len(vs),
+			func(i int) int { return records(vs[i]) },
+			func(ctx *xpsim.Ctx, i int) { work(ctx, vs[i]) })
 		if int64(dur) > phaseNs {
 			phaseNs = int64(dur)
 		}
 	}
 	return phaseNs
 }
+
+// degree is v's record count in both directions, the weight of a vertex
+// whose kernel visits both.
+func (e *Engine) degree(v graph.VID) int { return e.view.OutDegree(v) + e.view.InDegree(v) }
 
 // OneHopResult reports the one-hop neighbor query workload.
 type OneHopResult struct {
@@ -146,7 +154,7 @@ func (e *Engine) OneHop(count int, seed uint64) OneHopResult {
 		}
 	}
 	var touched int64
-	ns := e.parRun(e.classify(vs, e.view.OutNode), func(ctx *xpsim.Ctx, v graph.VID) {
+	ns := e.parRun(e.classify(vs, e.view.OutNode), e.view.OutDegree, func(ctx *xpsim.Ctx, v graph.VID) {
 		var n int64
 		e.view.VisitOut(ctx, v, func(uint32) { n++ })
 		touched += n
@@ -176,7 +184,7 @@ func (e *Engine) BFS(root graph.VID) BFSResult {
 	for len(frontier) > 0 {
 		res.Levels++
 		var next []graph.VID
-		ns := e.parRun(e.classify(frontier, e.view.OutNode), func(ctx *xpsim.Ctx, v graph.VID) {
+		ns := e.parRun(e.classify(frontier, e.view.OutNode), e.view.OutDegree, func(ctx *xpsim.Ctx, v graph.VID) {
 			e.view.VisitOut(ctx, v, func(nb uint32) {
 				e.lat.CPU(ctx, 2)
 				if nb < uint32(numV) && !visited[nb] {
@@ -218,7 +226,7 @@ func (e *Engine) PageRank(iters int) PageRankResult {
 	buckets := e.classify(all, e.view.InNode)
 	var res PageRankResult
 	for it := 0; it < iters; it++ {
-		ns := e.parRun(buckets, func(ctx *xpsim.Ctx, v graph.VID) {
+		ns := e.parRun(buckets, e.view.InDegree, func(ctx *xpsim.Ctx, v graph.VID) {
 			var sum float64
 			e.view.VisitIn(ctx, v, func(u uint32) {
 				e.lat.CPU(ctx, 3)
@@ -264,7 +272,7 @@ func (e *Engine) CC() CCResult {
 	var res CCResult
 	for changed := true; changed; {
 		changed = false
-		ns := e.parRun(buckets, func(ctx *xpsim.Ctx, v graph.VID) {
+		ns := e.parRun(buckets, e.degree, func(ctx *xpsim.Ctx, v graph.VID) {
 			min := labels[v]
 			scan := func(u uint32) {
 				e.lat.CPU(ctx, 2)

@@ -52,6 +52,7 @@ func (m *mapView) OutNode(v graph.VID) int {
 }
 func (m *mapView) InNode(v graph.VID) int    { return m.OutNode(v) }
 func (m *mapView) OutDegree(v graph.VID) int { return len(m.out[v]) }
+func (m *mapView) InDegree(v graph.VID) int  { return len(m.in[v]) }
 
 func testLat() *xpsim.LatencyModel {
 	lat := xpsim.DefaultLatency()

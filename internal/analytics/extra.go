@@ -28,7 +28,7 @@ func (e *Engine) KHop(root graph.VID, k int) KHopResult {
 	var res KHopResult
 	for hop := 0; hop < k && len(frontier) > 0; hop++ {
 		var next []graph.VID
-		ns := e.parRun(e.classify(frontier, e.view.OutNode), func(ctx *xpsim.Ctx, v graph.VID) {
+		ns := e.parRun(e.classify(frontier, e.view.OutNode), e.view.OutDegree, func(ctx *xpsim.Ctx, v graph.VID) {
 			e.view.VisitOut(ctx, v, func(nb uint32) {
 				e.lat.CPU(ctx, 2)
 				if nb < uint32(numV) && !visited[nb] {
@@ -68,7 +68,7 @@ func (e *Engine) Triangles() TriangleResult {
 		all[v] = graph.VID(v)
 	}
 	var res TriangleResult
-	res.SimNs += e.parRun(e.classify(all, e.view.OutNode), func(ctx *xpsim.Ctx, v graph.VID) {
+	res.SimNs += e.parRun(e.classify(all, e.view.OutNode), e.degree, func(ctx *xpsim.Ctx, v graph.VID) {
 		var set []uint32
 		collect := func(u uint32) {
 			if int(u) < numV && u != uint32(v) {
@@ -105,7 +105,7 @@ func (e *Engine) Triangles() TriangleResult {
 		rank[v] = int32(r)
 	}
 
-	res.SimNs += e.parRun(e.classify(all, e.view.OutNode), func(ctx *xpsim.Ctx, v graph.VID) {
+	res.SimNs += e.parRun(e.classify(all, e.view.OutNode), func(v graph.VID) int { return len(adj[v]) }, func(ctx *xpsim.Ctx, v graph.VID) {
 		for _, u := range adj[v] {
 			if rank[u] <= rank[v] {
 				continue

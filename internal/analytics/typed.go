@@ -52,7 +52,7 @@ func (e *Engine) KHopFiltered(root graph.VID, k int, f prop.Filter) (KHopResult,
 	for hop := 0; hop < k && len(frontier) > 0; hop++ {
 		var next []graph.VID
 		var verr error
-		ns := e.parRun(e.classify(frontier, e.view.OutNode), func(ctx *xpsim.Ctx, v graph.VID) {
+		ns := e.parRun(e.classify(frontier, e.view.OutNode), e.view.OutDegree, func(ctx *xpsim.Ctx, v graph.VID) {
 			err := tv.VisitOutTyped(ctx, v, f, func(nb uint32, _ uint16) {
 				e.lat.CPU(ctx, 2)
 				if nb < uint32(numV) && !visited[nb] {
@@ -113,7 +113,7 @@ func (e *Engine) Path(root, target graph.VID, maxDepth int, f prop.Filter) (Path
 	for hop := 0; hop < maxDepth && len(frontier) > 0 && !res.Found; hop++ {
 		var next []graph.VID
 		var verr error
-		ns := e.parRun(e.classify(frontier, e.view.OutNode), func(ctx *xpsim.Ctx, v graph.VID) {
+		ns := e.parRun(e.classify(frontier, e.view.OutNode), e.view.OutDegree, func(ctx *xpsim.Ctx, v graph.VID) {
 			err := tv.VisitOutTyped(ctx, v, f, func(nb uint32, _ uint16) {
 				e.lat.CPU(ctx, 2)
 				if nb < uint32(numV) && parent[nb] == noParent {

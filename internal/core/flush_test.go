@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/difftest"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/mempool"
 	"repro/internal/xpsim"
 )
@@ -41,11 +42,10 @@ func TestCrashSafeFlushCostNearRelaxed(t *testing.T) {
 }
 
 // TestFlushDrainUsesEveryWorker: 16 archive threads on two sockets are four
-// drain workers per group, and every one of them must be dealt vertices to
-// drain — in shares of comparable cost — with each buffered vertex drained
-// exactly once. A stride over the ID space under a partition filter does not
-// give that: with `v mod 2` partitions and `v += 4` per worker, two of a
-// group's four never meet a vertex of their partition.
+// drain workers per group. A group's buffered vertices are one
+// xpsim.Sweep, dealt in chunks to whichever worker is least busy, so every
+// worker of every group drains something, the slowest worker takes at most
+// twice the fastest, and each buffered vertex is drained exactly once.
 func TestFlushDrainUsesEveryWorker(t *testing.T) {
 	s := newStore(t, Options{Name: "deal", NumVertices: 1 << 12, ArchiveThreads: 16,
 		NUMA: NUMASubgraph, AdjBytes: 16 << 20})
@@ -59,29 +59,88 @@ func TestFlushDrainUsesEveryWorker(t *testing.T) {
 	}
 	for d := 0; d < 2; d++ {
 		for p, g := range s.groups[d] {
-			var lo, hi int64
+			if _, err := s.drainGroup(d, p, g); err != nil {
+				t.Fatal(err)
+			}
+			lo, hi := s.sweep.Clock(0), s.sweep.Clock(0)
 			for w := 0; w < wpg; w++ {
-				ctx := xpsim.NewCtx(g.node)
-				if err := s.drainShare(ctx, d, p, w, wpg); err != nil {
-					t.Fatal(err)
-				}
-				ns := ctx.Cost.Ns()
+				ns := s.sweep.Clock(w)
 				if ns == 0 {
 					t.Errorf("%s/p%d: drain worker %d of %d was dealt nothing", dirName(d), p, w, wpg)
 				}
-				if w == 0 {
-					lo, hi = ns, ns
-				}
 				lo, hi = min(lo, ns), max(hi, ns)
 			}
+			t.Logf("%s/p%d: %d buffered vertices, slowest drain worker %v, fastest %v (%.3fx)",
+				dirName(d), p, len(s.sweepVs), hi, lo, float64(hi)/float64(lo))
 			if hi > 2*lo {
-				t.Errorf("%s/p%d: the slowest drain worker takes %d ns, the fastest %d", dirName(d), p, hi, lo)
+				t.Errorf("%s/p%d: the slowest drain worker takes %v, the fastest %v", dirName(d), p, hi, lo)
 			}
 		}
 		for v, h := range s.vbH[d] {
 			if h != mempool.None {
-				t.Fatalf("vertex %d still holds a %s-buffer after every worker drained its share", v, dirName(d))
+				t.Fatalf("vertex %d still holds a %s-buffer after its group drained", v, dirName(d))
 			}
+		}
+	}
+	checkModel(t, s, difftest.Of(edges))
+}
+
+// TestFlushLaysBlocksOutInIDOrder is the layout the drain's sweep order
+// exists for: after one flush-all of a 16-thread sub-graph store, the
+// blocks the flush allocated ascend in offset with their vertex IDs in
+// every arena, as compaction lays them out and a whole-graph sweep reads
+// them — whichever of the group's four workers drained which vertex.
+func TestFlushLaysBlocksOutInIDOrder(t *testing.T) {
+	s := newStore(t, Options{Name: "layout", NumVertices: 1 << 12, ArchiveThreads: 16,
+		NUMA: NUMASubgraph, AdjBytes: 16 << 20, MediaGuard: true})
+	edges := gen.RMAT(12, 40000, 3)
+	if _, err := s.Ingest(edges); err != nil {
+		t.Fatal(err)
+	}
+	if s.workersPerGroup() != 4 || s.Report().FlushAlls != 0 {
+		t.Fatalf("setup: %d workers per group, %d flush-alls", s.workersPerGroup(), s.Report().FlushAlls)
+	}
+	// Blocks a full max-layer buffer already flushed in place are not the
+	// flush's: remember every block that exists before it.
+	before := make(map[[2]int64]bool)
+	for d := 0; d < 2; d++ {
+		for p, g := range s.groups[d] {
+			for v := graph.VID(0); v < s.NumVertices(); v++ {
+				if s.partOf(v) == p && g.adj.Has(v) {
+					for _, sp := range g.adj.ChainSpans(v) {
+						before[[2]int64{int64(d*s.nparts + p), sp[0]}] = true
+					}
+				}
+			}
+		}
+	}
+	if err := s.FlushAllVbufs(); err != nil {
+		t.Fatal(err)
+	}
+	for d := 0; d < 2; d++ {
+		for p, g := range s.groups[d] {
+			var blocks int
+			last, lastV := int64(-1), graph.VID(0)
+			for v := graph.VID(0); v < s.NumVertices(); v++ {
+				if s.partOf(v) != p || !g.adj.Has(v) {
+					continue
+				}
+				for _, sp := range g.adj.ChainSpans(v) {
+					if before[[2]int64{int64(d*s.nparts + p), sp[0]}] {
+						continue
+					}
+					if sp[0] <= last {
+						t.Fatalf("%s/p%d: vertex %d's new block at %d lies below vertex %d's at %d",
+							dirName(d), p, v, sp[0], lastV, last)
+					}
+					last, lastV = sp[0], v
+					blocks++
+				}
+			}
+			if blocks == 0 {
+				t.Fatalf("%s/p%d: the flush allocated no block", dirName(d), p)
+			}
+			t.Logf("%s/p%d: %d new blocks in ID order", dirName(d), p, blocks)
 		}
 	}
 	checkModel(t, s, difftest.Of(edges))

@@ -396,7 +396,7 @@ func (s *Store) FlushAllVbufs() error {
 	if s.opts.Buffer != BufferNone {
 		s.report.FlushAlls++
 		var err error
-		if drainNs, err = s.drainVbufs(flushStart); err != nil {
+		if drainNs, err = s.runGroups("flush", flushStart, s.drainGroup); err != nil {
 			return err
 		}
 	}
@@ -414,61 +414,61 @@ func (s *Store) FlushAllVbufs() error {
 	return nil
 }
 
-// drainVbufs is the drain sub-phase of a flush-all: every group's workers
-// append their vertices' buffered neighbors to the adjacency lists and free
-// the buffers. It returns the sub-phase's simulated time (runGroups).
-func (s *Store) drainVbufs(startNs int64) (int64, error) {
-	wpg := s.workersPerGroup()
-	contention := s.contentionFor()
-	return s.runGroups("flush", startNs, func(d, p int, g *group) (time.Duration, error) {
-		var flushErr error
-		dur := xpsim.ParallelN(wpg, contention, nodeOfFn(g.node), func(w int, ctx *xpsim.Ctx) {
-			if err := s.drainShare(ctx, d, p, w, wpg); err != nil {
-				flushErr = err
-			}
-		})
-		return dur, flushErr
+// drainGroup is group (d, p)'s share of the drain sub-phase of a flush-all:
+// the group's workers, bound to its node, append their vertices' buffered
+// neighbors to the adjacency list and free the buffers.
+//
+// The group's buffered vertices are one xpsim.Sweep in ascending ID order,
+// each weighing its buffered count, so the group's appends sweep its arena
+// upward and a flush lays its new blocks out in ID order — the order
+// compaction writes and analytics reads them in — whichever worker drains
+// which vertex. The item list is sized to its first use plus a quarter,
+// not doubled, because a store's first flushes are on the write path's
+// allocation budget.
+func (s *Store) drainGroup(d, p int, g *group) (time.Duration, error) {
+	numV := s.NumVertices()
+	buffered := func(v graph.VID) bool { return s.vbH[d][v] != mempool.None && s.partOf(v) == p }
+	k := 0
+	for v := graph.VID(0); v < numV; v++ {
+		if buffered(v) {
+			k++
+		}
+	}
+	if cap(s.sweepVs) < k {
+		s.sweepVs = make([]graph.VID, 0, k+k/4)
+	}
+	vs := s.sweepVs[:0]
+	for v := graph.VID(0); v < numV; v++ {
+		if buffered(v) {
+			vs = append(vs, v)
+		}
+	}
+	s.sweepVs = vs
+	var err error
+	dur := s.sweep.Run(s.lat, s.workersPerGroup(), s.contentionFor(), nodeOfFn(g.node), len(vs), func(i int) int {
+		return s.bufs.Count(s.vbH[d][vs[i]], int(s.vbC[d][vs[i]]))
+	}, func(ctx *xpsim.Ctx, i int) {
+		if err == nil {
+			err = s.drainVertex(ctx, d, p, vs[i])
+		}
 	})
+	return dur, err
 }
 
-// drainShare is flush worker w's share (of n workers) of partition p: the
-// partition's vertices in ascending order, every n-th one, round-robin.
-// Membership in a partition is a hash of the ID and a vertex's weight
-// follows its ID's bit pattern (RMAT), so no stride over the ID space itself
-// gives every worker both vertices and an even load. A vertex's rank in its
-// partition never changes, so the same worker drains it flush after flush:
-// its blocks sit among that worker's other blocks, in the order the worker
-// visits them. Every worker walks the ID space for itself and keeps no list
-// of the partition.
-func (s *Store) drainShare(ctx *xpsim.Ctx, d, p, w, n int) error {
-	g := s.groups[d][p]
-	thread := (d*s.nparts+p)*n + w
-	rank := 0
-	for v, numV := graph.VID(0), s.NumVertices(); v < numV; v++ {
-		if s.partOf(v) != p {
-			continue
+// drainVertex appends v's buffered neighbors in direction d to its
+// adjacency list and frees the buffer, on the drain worker ctx names.
+func (s *Store) drainVertex(ctx *xpsim.Ctx, d, p int, v graph.VID) error {
+	h, c := s.vbH[d][v], int(s.vbC[d][v])
+	s.lat.CPU(ctx, 2)
+	if s.bufs.Count(h, c) > 0 {
+		s.drained = s.bufs.Drain(ctx, h, c, s.drained[:0])
+		if err := s.groups[d][p].adj.Append(ctx, v, s.drained); err != nil {
+			return err
 		}
-		mine := rank%n == w
-		rank++
-		if !mine {
-			continue
-		}
-		h := s.vbH[d][v]
-		if h == mempool.None {
-			continue
-		}
-		c := int(s.vbC[d][v])
-		s.lat.CPU(ctx, 2)
-		if s.bufs.Count(h, c) > 0 {
-			s.drained = s.bufs.Drain(ctx, h, c, s.drained[:0])
-			if err := g.adj.Append(ctx, v, s.drained); err != nil {
-				return err
-			}
-		}
-		s.bufs.Free(thread, h, c)
-		s.vbH[d][v] = mempool.None
-		s.vbC[d][v] = 0
 	}
+	s.bufs.Free((d*s.nparts+p)*s.workersPerGroup()+ctx.Worker, h, c)
+	s.vbH[d][v] = mempool.None
+	s.vbC[d][v] = 0
 	return nil
 }
 

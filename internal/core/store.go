@@ -81,8 +81,10 @@ type Store struct {
 	// serves them all; it grows to the largest batch seen and a
 	// steady-state phase allocates nothing.
 	stage      shard.Stage
-	drained    []uint32 // a vertex buffer's neighbors on their way to the adjacency list
-	threadBusy []int64  // runGroups: time each archive thread has spent in the current step
+	drained    []uint32    // a vertex buffer's neighbors on their way to the adjacency list
+	threadBusy []int64     // runGroups: time each archive thread has spent in the current step
+	sweep      xpsim.Sweep // the drain's loop: its workers' clocks
+	sweepVs    []graph.VID // the drain's items: a group's buffered vertices, ascending
 
 	// Phase tracing (nil = disabled): spans are placed on per-lane
 	// simulated-clock cursors so the exported timeline reconstructs the

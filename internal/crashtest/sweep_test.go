@@ -132,6 +132,21 @@ func TestCrashSweepWideArchive(t *testing.T) {
 	}
 }
 
+// TestCrashSweepWideVarint is the sub-graph wide-archive config on
+// delta-varint blocks, killed at every media write under word tears: four
+// drain workers per group take chunks of one ID-ordered sweep and pack
+// variable-length blocks back to back in ID order, so a tear can land in
+// a block whose neighbour in the arena another worker wrote. Exhaustive
+// outside -short, as TestCrashSweepVarint is.
+func TestCrashSweepWideVarint(t *testing.T) {
+	cfg := wideSweepConfigs()[0]
+	cfg.Name = "sweep-w-sg-vz"
+	cfg.Varint = true
+	s := probeSweep(t, cfg)
+	s.Sites, s.Points = nil, difftest.Short[int64](0, 15)
+	s.Run(t, runs(cfg))
+}
+
 // TestCrashSweepVarint sweeps media-write crash points over the varint
 // workload under the nastiest tear mode. It pins the encoding-specific
 // recovery paths (varint extent CRC, mid-record tears, compaction and

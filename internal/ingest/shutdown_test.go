@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -96,15 +97,24 @@ func TestShutdownWaitsForInFlightScrub(t *testing.T) {
 // TestDrainCancelsPendingScrubTick pins the other half of the fix: a
 // scrub tick that becomes runnable only after draining has begun is
 // cancelled, not started — the drain must not queue minutes of
-// exclusive-lock scrub work behind an already-decided shutdown.
+// exclusive-lock scrub work behind an already-decided shutdown. Only
+// scrubs that start once draining has begun count: a 200 µs tick may come
+// due, and rightly run, before the first Enqueue reaches the writer or
+// between it and the Apply.
 func TestDrainCancelsPendingScrubTick(t *testing.T) {
 	applyStarted := make(chan struct{})
 	applyRelease := make(chan struct{})
+	var p *Pipeline
+	var late atomic.Int64 // scrubs started after SetDraining
 	ap := &hookApplier{onApply: func() {
 		applyStarted <- struct{}{}
 		<-applyRelease
+	}, onScrub: func() {
+		if p.Draining() {
+			late.Add(1)
+		}
 	}}
-	p := New(Config{ScrubEvery: 200 * time.Microsecond}, ap)
+	p = New(Config{ScrubEvery: 200 * time.Microsecond}, ap)
 	p.Start()
 
 	// Occupy the writer goroutine in a long Apply so scrub ticks pile up
@@ -131,10 +141,10 @@ func TestDrainCancelsPendingScrubTick(t *testing.T) {
 	p.Shutdown()
 
 	ap.mu.Lock()
-	scrubs, flushes := ap.scrubs, ap.flushes
+	flushes := ap.flushes
 	ap.mu.Unlock()
-	if scrubs != 0 {
-		t.Fatalf("%d scrubs started after draining began; want 0", scrubs)
+	if n := late.Load(); n != 0 {
+		t.Fatalf("%d scrubs started after draining began; want 0", n)
 	}
 	if flushes != 1 {
 		t.Fatalf("graceful drain ran %d final flushes, want exactly 1", flushes)

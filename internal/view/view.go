@@ -98,8 +98,11 @@ type View interface {
 	OutNode(v graph.VID) int
 	InNode(v graph.VID) int
 	// OutDegree is the stored out-record count (PageRank's divisor and
-	// the one-hop query's non-zero filter).
+	// the one-hop query's non-zero filter); with InDegree, the weight of a
+	// vertex in the analytics engine's deal.
 	OutDegree(v graph.VID) int
+	// InDegree is the stored in-record count of v.
+	InDegree(v graph.VID) int
 }
 
 // Checked is the media-error-aware half of the read surface: reads that
@@ -145,9 +148,6 @@ type Full interface {
 	View
 	Checked
 	Typed
-	// InDegree is the stored in-record count of v (the counterpart of
-	// View.OutDegree).
-	InDegree(v graph.VID) int
 }
 
 // Surface derives the Full method set from a Source. A store embeds it

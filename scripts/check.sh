@@ -152,6 +152,26 @@ echo "== archiving path: full-width shard stage, log read in XPLines, allocation
 # well; this stanza names them.
 go test -count=1 -run 'TestStageCutsFullWidth|TestReadInLines|TestReadAllocatesNothing|TestSteadyStateIngestAllocations|TestStageSteadyStateAllocatesNothing|TestPartOf|TestHashedLists|TestContiguousIsGraphOnesRanges' ./internal/core/ ./internal/shard/ ./internal/elog/
 
+echo "== one sweep order: the flush drain and the analytics kernels on one xpsim loop"
+# A whole-graph sweep is one xpsim.Sweep over ascending IDs, dealt in
+# weighted chunks to the least busy worker (DESIGN.md §4 "One sweep
+# order"), so a flush lays its blocks out in ID order and an analytics
+# iteration reads them back in that order. No strided or rank deal of
+# vertices to workers remains in non-test code under internal/.
+if git ls-files 'internal/*.go' | grep -v '_test\.go$' |
+    xargs grep -nE '[a-z]+ \+= workers\b|rank ?% ?n\b|for [a-z]+ := w; [^;]*; [a-z]+ \+= '; then
+    echo "a strided or rank deal of items to workers: run the sweep on xpsim.Sweep" >&2
+    exit 1
+fi
+# The loop (every item once, in index order; chunk limits; the idlest worker
+# grabs; the slowest clock; grabs charged only on several workers; no
+# allocation; a small frontier no slower than round-robin), every drain
+# worker dealt a comparable share, a flush's blocks ascending with their IDs
+# in every arena, and no scrub started once draining began.
+go test -count=1 -run 'TestSweep|ExampleSweep' ./internal/xpsim/
+go test -count=1 -run 'TestFlushDrainUsesEveryWorker|TestFlushLaysBlocksOutInIDOrder' ./internal/core/
+go test -count=20 -run 'TestDrainCancelsPendingScrubTick' ./internal/ingest/
+
 echo "== publication: one count base per store, patched from the vertices a buffer phase touched"
 # A capture patches the store's shared count base from the dirty log, copies
 # it whole once the log passed its cap or another writer marked it stale,
