@@ -15,21 +15,24 @@
 //
 // # Crash safety
 //
-// The header carries TWO count slots, one of them selected by a bit stored
-// in the edge log's flushed cursor. Recovery trusts only the selected slot;
-// the other one is scratch until the next flushing phase commits, and that
-// is where counts go. An append whose records start in the XPLine of that
-// slot writes its count there itself — a new block's header, count and first
-// records are one contiguous write — so the count rides to the media with
-// the records; a flushing phase's workers call Ack to write what is left:
-// the counts of blocks whose tail has moved on to another line, and of
-// blocks the previous phase counted into what was then the other slot. The
-// caller makes everything durable with a machine-wide writeback barrier and
-// then commits by flipping the selector (elog.MarkFlushedSlot) — a single
-// atomic 8-byte store. A crash anywhere before it leaves every acknowledged
-// count intact and every unacknowledged record invisible; replaying the log
-// window [flushed, head) then restores the unacknowledged records exactly
-// once, with no content-based dedup.
+// The header carries TWO count slots and a stamp naming one of them and the
+// flush epoch that chose it (header.go). The edge log commits epochs with a
+// single 8-byte store (elog.Log.Commit); once epoch E has committed, a
+// block's current slot is the one its stamp names — unless the stamp names
+// E+1, the running epoch, whose change may never commit: then it is the
+// other one. A block's first count change in an epoch goes into its other
+// slot and stamps the header with that slot and the epoch; later changes in
+// the same epoch rewrite the same slot, and a block left alone afterwards
+// needs no further write. An append whose records start in the XPLine of
+// that slot writes the count (and the stamp) itself — a new block's header,
+// stamp, count and first records are one contiguous write — so the count
+// rides to the media with the records; a flushing phase's workers call Ack
+// to write what is left: the counts of blocks whose tail has moved on to
+// another line. The caller makes everything durable with a machine-wide
+// writeback barrier and then commits the epoch. A crash anywhere before the
+// commit leaves every committed count current and every uncommitted record
+// invisible; replaying the log window [flushed, head) then restores the
+// uncommitted records exactly once, with no content-based dedup.
 package adj
 
 import (
@@ -38,6 +41,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/mem"
@@ -128,7 +132,24 @@ type vertex struct {
 	bytes  uint32
 	last   uint32
 	format uint8 // the tail block's payload format
+	// stamp is the tail block's stamp as the store knows it (header.go):
+	// stampSel, and stampOnMedia once the running epoch's stamp is on the
+	// media too (until then Ack owes it). run is the runTag of the epoch
+	// that stamped the block, 0 for none: the stamp is the running epoch's
+	// when run is its tag. Both fit the index's padding.
+	stamp uint8
+	run   uint16
 }
+
+const (
+	stampSel = 1 << iota
+	stampOnMedia
+)
+
+// runTag names flush epoch e in a vertex's run field: 1..0xFFFF, cycling.
+// The Ack that opens an epoch tagged 1 zeroes every run field, so a tag
+// never names an epoch 0xFFFF back.
+func runTag(e uint32) uint16 { return uint16(e%0xFFFF) + 1 }
 
 // Store is one adjacency arena: one direction (out or in) of one
 // partition of the graph.
@@ -146,12 +167,13 @@ type Store struct {
 	encBytes [2]int64
 	encRecs  [2]int64
 	// Write-path scratch: the payload encode buffer, a block header and a
-	// count word. Stack buffers would escape through the mem.Mem interface
-	// and cost one allocation per store; writers are exclusive, so one set
-	// per Store serves every append and ack (readers never touch it).
+	// stamp and count. Stack buffers would escape through the mem.Mem
+	// interface and cost one allocation per store; writers are exclusive,
+	// so one set per Store serves every append and ack (readers never touch
+	// it).
 	encScratch  []byte
 	hdrScratch  [headerBytes]byte
-	wordScratch [8]byte
+	wordScratch [stampCountBytes]byte
 	// partialCnt records counts of retired-but-not-full blocks; retired
 	// blocks are otherwise exactly full. Reads take every count from DRAM:
 	// a persisted slot lags it under every policy but CountsAtAppend.
@@ -160,26 +182,18 @@ type Store struct {
 	// compaction does not leak the bump-allocated arena.
 	freeBlocks map[int][]int64
 
-	// pendCur/pendPrev track blocks whose DRAM count is ahead of the
-	// persisted slots: blocks changed since the last ack cycle and during
-	// the one before it. A cycle writes the union, so every count value
-	// lands in both slots over two consecutive flush cycles. pendCur is an
-	// append log (one entry per append run, duplicates allowed); a cycle
-	// sorts it once by offset, merges it with the already-sorted pendPrev
-	// into ackList — the write order — and keeps it as the next pendPrev.
-	// ackLeft counts the workers of the running cycle still to call Ack.
-	//
-	// nextSlot is the slot the running cycle will select and its Ack must
-	// name — the other one is the slot recovery trusts. Until the cycle
-	// commits it is scratch, which is what lets an append leave a count
-	// there beside its records (appendTail, newBlock); such a block's entry
-	// carries pendCounted and the cycle's Ack skips it.
-	pendCur  []pendEntry
-	pendPrev []pendEntry
-	ackList  []pendEntry
-	ackLeft  int
-	nextSlot int
-	journal  int64 // offset of the swap journal block; 0 = none
+	// pendCur tracks blocks whose DRAM count is ahead of their slot on the
+	// media: an append log of the running epoch, one entry per append run
+	// (duplicates allowed). Ack sorts it once by offset into ackList — the
+	// write order — keeping each block's highest count, less those whose count
+	// the appends already wrote (pendCounted). ackLeft counts the workers of
+	// the running cycle still to call Ack. epoch is the running flush epoch:
+	// the one after the edge log's committed epoch.
+	pendCur []pendEntry
+	ackList []pendEntry
+	ackLeft int
+	epoch   uint32
+	journal int64 // offset of the swap journal block; 0 = none
 
 	// Checksum state (check.go; populated only with opts.Checksums):
 	// mirror remembers every live block's capacity, format and the running
@@ -199,8 +213,8 @@ func New(m mem.Mem, lat *xpsim.LatencyModel, maxV graph.VID, opts Options) *Stor
 	if err != nil {
 		panic(err)
 	}
-	// A fresh edge log selects slot 0, so the first flush cycle fills slot 1.
-	s := &Store{m: m, lat: lat, opts: opts, nextSlot: 1,
+	// A fresh edge log has committed epoch 0.
+	s := &Store{m: m, lat: lat, opts: opts, epoch: 1,
 		partialCnt: make(map[int64]uint32), freeBlocks: make(map[int][]int64)}
 	if opts.Checksums {
 		s.mirror, s.chains = make(map[int64]blockMirror), make(map[graph.VID][]int64)
@@ -263,37 +277,38 @@ func (s *Store) Encoding() EncodingStats {
 // rule is the store's row of the count rules.
 func (s *Store) rule() countRule { return countRules[s.opts.Counts] }
 
-// pendEntry is one block whose durable count slots lag its DRAM count. The
-// block is named the way prev links name it, in headerAlign units, which
-// keeps an entry to 8 bytes: the lists hold every block a flush cycle
-// touched.
+// pendEntry is one block whose count slot on the media lags its DRAM count.
+// The block is named the way prev links name it, in headerAlign units, and
+// its count shares a word with flags, which keeps an entry to 8 bytes: the
+// list holds every block a flush cycle touched.
 type pendEntry struct {
-	blk uint32
-	// cnt is the record count, with pendCounted set while the running
-	// cycle's slot already holds it; or pendDead once the block was recycled
-	// while waiting in pendPrev.
-	cnt uint32
+	blk  uint32
+	word uint32 // the record count, pendCounted, and the stamp's sel and format
 }
 
-// A block's payload is under 2 GiB and a record takes at least a byte, so
-// the top bit of a count is spare and all-ones is no count.
+// A block holds fewer than maxBlockRecords records (allocBlock bounds its
+// capacity), so the top three bits of a pending count are flags: whether
+// the append wrote the count itself, and the stamp's slot and format.
 const (
-	pendCounted = uint32(1) << 31
-	pendDead    = ^uint32(0)
+	pendCounted     = uint32(1) << 31
+	pendSelBit      = 30
+	pendFmtBit      = 29
+	maxBlockRecords = uint32(1) << pendFmtBit
 )
 
-func (e pendEntry) off() int64 { return int64(e.blk) * headerAlign }
+func (e pendEntry) off() int64  { return int64(e.blk) * headerAlign }
+func (e pendEntry) cnt() uint32 { return e.word % maxBlockRecords }
 
-// pendAdd notes that block off's durable count slots no longer match its
-// DRAM count cnt; counted says the append wrote cnt into the running
-// cycle's slot itself.
-func (s *Store) pendAdd(off int64, cnt uint32, counted bool) {
+// pendAdd notes that block off's count slot sel on the media no longer
+// holds its DRAM count cnt; counted says the append wrote it there itself.
+func (s *Store) pendAdd(off int64, cnt uint32, sel, format uint8, counted bool) {
 	blk := uint32(off / headerAlign)
+	cnt |= uint32(sel)<<pendSelBit | uint32(format)<<pendFmtBit
 	if counted {
 		cnt |= pendCounted
 	}
 	if n := len(s.pendCur); n > 0 && s.pendCur[n-1].blk == blk {
-		s.pendCur[n-1].cnt = cnt
+		s.pendCur[n-1].word = cnt
 		return
 	}
 	if len(s.pendCur) == cap(s.pendCur) {
@@ -301,7 +316,7 @@ func (s *Store) pendAdd(off int64, cnt uint32, counted bool) {
 		// five times the final size on the way there.
 		s.pendCur = slices.Grow(s.pendCur, max(len(s.pendCur), 64))
 	}
-	s.pendCur = append(s.pendCur, pendEntry{blk: blk, cnt: cnt})
+	s.pendCur = append(s.pendCur, pendEntry{blk: blk, word: cnt})
 }
 
 // pendDrop forgets a block that is being killed: its offset may be handed
@@ -312,21 +327,6 @@ func (s *Store) pendDrop(off int64) {
 		// Rare: kills follow a flushing phase, which leaves pendCur empty.
 		s.pendCur = slices.DeleteFunc(s.pendCur, func(e pendEntry) bool { return e.blk == blk })
 	}
-	if i, ok := slices.BinarySearchFunc(s.pendPrev, blk, func(e pendEntry, blk uint32) int {
-		return cmp.Compare(e.blk, blk)
-	}); ok {
-		s.pendPrev[i].cnt = pendDead
-	}
-}
-
-// sortPend orders entries by offset, a block's highest count last.
-func sortPend(list []pendEntry) {
-	slices.SortFunc(list, func(a, b pendEntry) int {
-		if c := cmp.Compare(a.blk, b.blk); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.cnt&^pendCounted, b.cnt&^pendCounted)
-	})
 }
 
 // Append stores nbrs for vertex v. Contiguous neighbors are written with
@@ -336,6 +336,9 @@ func sortPend(list []pendEntry) {
 // the payload encoding; insertion order is preserved in both formats
 // (snapshot-bounded reads take record-count prefixes of it).
 func (s *Store) Append(ctx *xpsim.Ctx, v graph.VID, nbrs []uint32) error {
+	if s.epoch > MaxEpoch && s.rule().ack {
+		return ErrEpochBound
+	}
 	s.EnsureVertices(v + 1)
 	for len(nbrs) > 0 {
 		n := 0
@@ -408,19 +411,26 @@ func (s *Store) appendTail(ctx *xpsim.Ctx, v graph.VID, nbrs []uint32) int {
 	t.last = last
 	t.cnt += uint32(n)
 	switch s.rule().atAppend {
-	case slotNext:
-		// The count becomes durable through a flush cycle; recovery replays
-		// anything not yet acknowledged. Until the cycle commits, the slot it
-		// will select is scratch, so when that slot shares the records' XPLine
-		// the count rides the same line to the media here and now, and the
-		// cycle's Ack has nothing left to write for this block.
-		counted := (blk+slotOff(s.nextSlot))/xpsim.XPLineSize == off/xpsim.XPLineSize
-		if counted {
-			s.putCount(ctx, blk, s.nextSlot, t.cnt)
+	case slotEpoch:
+		// The count becomes durable through a flush epoch; recovery replays
+		// anything not yet committed. A block's first change in the epoch
+		// turns to its other slot — the current one must survive a crash
+		// before the commit — and later ones rewrite it. When that slot
+		// shares the records' XPLine the count (and the stamp, if the media
+		// lacks it) rides the same line to the media here and now, and Ack
+		// has nothing left to write for this block.
+		if tag := runTag(s.epoch); t.run != tag {
+			t.stamp, t.run = t.stamp&stampSel^stampSel, tag
 		}
-		s.pendAdd(blk, t.cnt, counted)
+		sel := t.stamp & stampSel
+		counted := (blk+slotOff(int(sel)))/xpsim.XPLineSize == off/xpsim.XPLineSize
+		if counted {
+			s.putCount(ctx, blk, t.format, sel, t.stamp&stampOnMedia == 0, t.cnt)
+			t.stamp |= stampOnMedia
+		}
+		s.pendAdd(blk, t.cnt, sel, t.format, counted)
 	case slot0:
-		s.putCount(ctx, blk, 0, t.cnt)
+		s.putCount(ctx, blk, t.format, 0, false, t.cnt)
 	}
 	s.commitAppend(ctx, v, off, enc, n)
 	return n
@@ -435,19 +445,6 @@ func (s *Store) commitAppend(ctx *xpsim.Ctx, v graph.VID, off int64, enc []byte,
 	s.vx[v].records += uint32(n)
 	s.encBytes[s.vx[v].format] += int64(len(enc))
 	s.encRecs[s.vx[v].format] += int64(n)
-}
-
-// putCount stores cnt as block blk's record count in the given slot — with
-// the payload's checksum where the store keeps them: {cnt, crc} share one
-// 8-byte word, so powerfail atomicity guarantees a count is never durable
-// without its checksum.
-func (s *Store) putCount(ctx *xpsim.Ctx, blk int64, slot int, cnt uint32) {
-	word, crc := s.wordScratch[:4], uint32(0)
-	if s.opts.Checksums {
-		word, crc = s.wordScratch[:], s.mirror[blk].crc
-	}
-	putSlot(s.wordScratch[:], cnt, crc)
-	s.m.Write(ctx, blk+slotOff(slot), word)
 }
 
 // Reserve ensures v's tail block has room for at least n more neighbors,
@@ -486,6 +483,10 @@ func (s *Store) blockCnt(v graph.VID, off int64, capacity uint32) uint32 {
 // allocBlock grabs a block of the given capacity from the free list or
 // the arena, without writing its header.
 func (s *Store) allocBlock(ctx *xpsim.Ctx, v graph.VID, capacity int) (int64, error) {
+	if 4*int64(capacity) >= int64(maxBlockRecords) {
+		// A varint block holds up to 4*cap records.
+		return 0, fmt.Errorf("adj: block for vertex %d: capacity %d is beyond the format's %d records", v, capacity, maxBlockRecords)
+	}
 	size := int64(headerBytes + 4*capacity)
 	var off int64
 	if lst := s.freeBlocks[capacity]; len(lst) > 0 {
@@ -552,15 +553,15 @@ func (s *Store) newBlock(ctx *xpsim.Ctx, v graph.VID, incoming int, first []uint
 	}
 	switch {
 	case n == 0: // reserved, not appended to: both slots stay zero
-	case rule.atAppend == slotNext:
-		// The count goes into the slot the running flush cycle will select;
-		// the other one — the slot recovery trusts until the cycle commits —
-		// stays zero. A recycled block's slots were durably zeroed when it was
-		// killed, so even if this write never becomes durable, or only some
-		// of its words do, recovery sees zero visible records — never a stale
-		// count from the block's previous owner.
-		h.cnt[s.nextSlot], h.crc[s.nextSlot] = uint32(n), crc
-		s.pendAdd(off, uint32(n), true)
+	case rule.atAppend == slotEpoch:
+		// The count goes into slot 1, stamped with the running epoch; slot 0
+		// — the one recovery trusts until the epoch commits — stays zero. A
+		// recycled block's dead header selects slot 0 and zeroed both, so
+		// however this write is torn, recovery sees zero visible records,
+		// never a stale count from the block's previous owner.
+		h.sel, h.epoch, h.cnt[1], h.crc[1] = 1, s.epoch, uint32(n), crc
+		t.stamp, t.run = stampSel|stampOnMedia, runTag(s.epoch)
+		s.pendAdd(off, uint32(n), 1, format, true)
 	case rule.atAppend == slot0:
 		h.cnt[0] = uint32(n)
 	}
@@ -582,29 +583,26 @@ func (s *Store) newBlock(ctx *xpsim.Ctx, v graph.VID, incoming int, first []uint
 }
 
 // Ack is worker w's share (of n) of the first half of a crash-safe flushing
-// phase: writing, into count slot `slot`, the DRAM counts of the blocks
-// changed in this or the previous flush cycle that do not hold them there
-// yet — a block whose last append left its count beside the records has
-// nothing left to write. The cycle's first call sorts the pending blocks by
-// offset; worker w then writes the w-th of n contiguous runs of that list,
-// so n workers called in order w = 0..n-1 issue exactly the write sequence
-// one worker would: the split never leaks into the simulated device's cache
-// state. Every worker of the cycle must call Ack exactly once, all with the
-// same n and with the slot the store's appends have been counting into: the
-// one a fresh store's log does not select (1), or recovery did not trust,
-// flipped by every finished cycle.
+// phase: writing the DRAM counts of the blocks changed in the running epoch
+// that do not hold them on the media yet — a block whose last append left
+// its count beside the records has nothing left to write — each with its
+// stamp. The cycle's first call sorts the pending blocks by offset; worker w
+// then writes the w-th of n contiguous runs of that list, so n workers
+// called in order w = 0..n-1 issue exactly the write sequence one worker
+// would: the split never leaks into the simulated device's cache state.
+// Every worker of the cycle must call Ack exactly once, all with the same n
+// and with the epoch the store's appends have been stamping: the one after
+// the edge log's committed epoch.
 //
 // After the cycle the caller must (1) issue a machine-wide writeback barrier
-// so the counts and the data they cover are on media, and (2) commit with
-// elog.MarkFlushedSlot(..., slot). Writing two cycles' worth of blocks means
-// each count value reaches both slots over two cycles, so whichever slot a
-// crash leaves selected is internally complete.
-func (s *Store) Ack(ctx *xpsim.Ctx, slot, w, n int) {
+// so the counts and the data they cover are on media, and (2) commit the
+// epoch (elog.Log.Commit).
+func (s *Store) Ack(ctx *xpsim.Ctx, epoch uint32, w, n int) {
 	if !s.rule().ack {
 		panic(fmt.Sprintf("adj: Ack on a store with the %v count policy", s.opts.Counts))
 	}
-	if slot != s.nextSlot {
-		panic(fmt.Sprintf("adj: ack into slot %d, the appends counted into slot %d", slot, s.nextSlot))
+	if epoch != s.epoch {
+		panic(fmt.Sprintf("adj: ack of epoch %d, the appends stamped epoch %d", epoch, s.epoch))
 	}
 	if w < 0 || w >= n {
 		panic(fmt.Sprintf("adj: ack worker %d of %d", w, n))
@@ -614,46 +612,36 @@ func (s *Store) Ack(ctx *xpsim.Ctx, slot, w, n int) {
 		s.ackLeft = n
 	}
 	for _, e := range s.ackList[len(s.ackList)*w/n : len(s.ackList)*(w+1)/n] {
-		s.putCount(ctx, e.off(), slot, e.cnt)
+		s.putCount(ctx, e.off(), uint8(e.word>>pendFmtBit&1), uint8(e.word>>pendSelBit&1), true, e.cnt())
 	}
 	if s.ackLeft--; s.ackLeft == 0 {
-		s.nextSlot = 1 - s.nextSlot
+		// The next epoch has stamped nothing yet: no run field holds its
+		// tag, unless the tags wrap. Then one pass over the index, once in
+		// 0xFFFF epochs, zeroes them all.
+		if s.epoch++; runTag(s.epoch) == 1 {
+			for i := range s.vx {
+				s.vx[i].run = 0
+			}
+			s.lat.DRAM(ctx, int64(len(s.vx))*int64(unsafe.Sizeof(vertex{})), true, true)
+		}
 	}
 }
 
-// ackBegin opens an ack cycle: it builds ackList — the offset-sorted union
-// of the blocks changed since the last cycle and during it (newest count
-// wins), less those whose count the appends already wrote — and rotates the
-// former into pendPrev for the next cycle, which owes them the other slot.
+// ackBegin opens an ack cycle: it builds ackList — the offset-sorted blocks
+// changed in the running epoch, each with its highest count — counts only
+// grow within an epoch — less those whose count the appends already wrote —
+// and empties pendCur.
 func (s *Store) ackBegin() {
-	sortPend(s.pendCur)
-	cur := s.pendCur[:0]
+	slices.SortFunc(s.pendCur, func(a, b pendEntry) int {
+		return cmp.Or(cmp.Compare(a.blk, b.blk), cmp.Compare(a.cnt(), b.cnt()))
+	})
+	list := slices.Grow(s.ackList[:0], len(s.pendCur))
 	for i, e := range s.pendCur {
-		if i+1 == len(s.pendCur) || s.pendCur[i+1].blk != e.blk {
-			cur = append(cur, e)
+		if (i+1 == len(s.pendCur) || s.pendCur[i+1].blk != e.blk) && e.word&pendCounted == 0 {
+			list = append(list, e)
 		}
 	}
-	prev, list := s.pendPrev, slices.Grow(s.ackList[:0], len(cur)+len(s.pendPrev))
-	for i, j := 0, 0; i < len(cur) || j < len(prev); {
-		if i == len(cur) || (j < len(prev) && prev[j].blk < cur[i].blk) {
-			if prev[j].cnt != pendDead {
-				list = append(list, prev[j])
-			}
-			j++
-			continue
-		}
-		if j < len(prev) && prev[j].blk == cur[i].blk {
-			j++
-		}
-		if cur[i].cnt&pendCounted == 0 {
-			list = append(list, cur[i])
-		}
-		cur[i].cnt &^= pendCounted
-		i++
-	}
-	// The next cycle's log reuses the old pendPrev's array, sized to hold as
-	// many entries as this cycle collected before it has to grow.
-	s.ackList, s.pendPrev, s.pendCur = list, cur, slices.Grow(prev[:0], len(cur))
+	s.ackList, s.pendCur = list, s.pendCur[:0]
 }
 
 // ResolveTombstones removes the deletion records of dst[start:], and one

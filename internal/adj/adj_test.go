@@ -2,10 +2,12 @@ package adj
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/pmem"
@@ -32,13 +34,13 @@ func ackedStore(t *testing.T) (*Store, *pmem.Region, *xpsim.Ctx) {
 }
 
 // crashAfterCommit runs one Ack cycle on s — what a flushing phase writes
-// before the edge log's selector flips to that cycle's slot — and rebuilds
-// a store from r alone, trusting the flipped slot, as core.Recover does.
+// before the edge log commits its epoch — and rebuilds a store from r
+// alone, with that epoch committed, as core.Recover does.
 func crashAfterCommit(t *testing.T, s *Store, r RecoverableMem, ctx *xpsim.Ctx) *Store {
 	t.Helper()
-	slot := s.nextSlot
-	s.Ack(ctx, slot, 0, 1)
-	rs, err := RecoverWith(ctx, r, s.lat, s.opts, slot, nil)
+	epoch := s.epoch
+	s.Ack(ctx, epoch, 0, 1)
+	rs, err := RecoverWith(ctx, r, s.lat, s.opts, epoch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,11 +450,11 @@ func TestAckSplitIsInvisibleToDevice(t *testing.T) {
 			}
 		}
 		// Same contention on both sides: only the split differs. A fresh
-		// store's first cycle fills slot 1 and every cycle flips it.
+		// store's first cycle acknowledges epoch 1.
 		for i, tw := range []twin{one, four} {
 			n := 1 + 3*i
 			xpsim.ParallelN(n, 4, xpsim.PinnedTo(0), func(w int, wctx *xpsim.Ctx) {
-				tw.s.Ack(wctx, 1-cycle%2, w, n)
+				tw.s.Ack(wctx, uint32(cycle+1), w, n)
 			})
 		}
 		a := make([]byte, one.r.AllocBytes())
@@ -498,10 +500,10 @@ func (c *countingMem) Alloc(ctx *xpsim.Ctx, size, align int64) (int64, error) {
 // request: a count written separately is one more access that ages every
 // other line's XPBuffer reuse window, and costs media writes wherever no
 // flush-all earns them back. An append that starts in the XPLine of the
-// running cycle's count slot writes the count beside its records, and the
-// cycle's Ack then skips the block; only a block whose tail has moved on to
-// another line is left for Ack — and, one cycle later, every block the
-// cycle before counted into what was then the other slot.
+// slot its block's stamp names writes the count beside its records, and
+// the cycle's Ack then skips the block; only a block whose tail has moved
+// on to another line is left for Ack. A block left alone in the next epoch
+// owes nothing; one changed there turns to its other slot and stamps it.
 func TestCountsRideTheRecordsWrite(t *testing.T) {
 	for name, opts := range map[string]Options{
 		"fixed": {CrashSafe: true}, "varint": {CrashSafe: true, VarintBlocks: true}, "checksums": {CrashSafe: true, Checksums: true},
@@ -523,18 +525,17 @@ func TestCountsRideTheRecordsWrite(t *testing.T) {
 			}
 			return cm.writes - before
 		}
-		slots := func(v graph.VID) (cnt0, cnt1 uint32) {
+		media := func(v graph.VID) header {
 			var hdr [headerBytes]byte
 			r.Read(ctx, s.vx[v].tail, hdr[:])
-			h := parseHeader(hdr[:])
-			return h.cnt[0], h.cnt[1]
+			return parseHeader(hdr[:])
 		}
 
 		if w := appendN(1, 3); w != 1 {
 			t.Fatalf("%s: a new block's first append is %d write requests, want 1", name, w)
 		}
-		if c0, c1 := slots(1); c0 != 0 || c1 != 3 {
-			t.Fatalf("%s: new block's slots = %d/%d, want 0 (trusted until the commit) and 3", name, c0, c1)
+		if h := media(1); h.cnt != [2]uint32{0, 3} || h.sel != 1 || h.epoch != 1 {
+			t.Fatalf("%s: new block's slots = %v, stamp %d@%d; want 0 (trusted until the commit) and 3, slot 1 stamped by epoch 1", name, h.cnt, h.sel, h.epoch)
 		}
 		if w := appendN(1, 1); w != 2 {
 			t.Fatalf("%s: an append beside its header is %d write requests, want records + count", name, w)
@@ -555,28 +556,43 @@ func TestCountsRideTheRecordsWrite(t *testing.T) {
 			t.Fatalf("%s: the cycle acknowledges %v, want block %d alone", name, s.ackList, roomy)
 		}
 		for v := graph.VID(1); v <= 2; v++ {
-			if _, c1 := slots(v); c1 != s.vx[v].cnt {
-				t.Fatalf("%s: vertex %d's block holds %d of %d records in the slot to commit", name, v, c1, s.vx[v].cnt)
+			if h := media(v); h.cnt[1] != s.vx[v].cnt {
+				t.Fatalf("%s: vertex %d's block holds %d of %d records in the slot to commit", name, v, h.cnt[1], s.vx[v].cnt)
 			}
 		}
-		// The next cycle fills slot 0: neither block changed, so Ack owes both
-		// the count the first cycle left in slot 1.
-		s.Ack(ctx, 0, 0, 1)
-		if len(s.ackList) != 2 {
-			t.Fatalf("%s: the second cycle acknowledges %v, want both blocks of the first", name, s.ackList)
+		// Neither block changes in epoch 2: Ack owes them nothing.
+		s.Ack(ctx, 2, 0, 1)
+		if len(s.ackList) != 0 {
+			t.Fatalf("%s: epoch 2 acknowledges %v, want nothing", name, s.ackList)
 		}
-		for v := graph.VID(1); v <= 2; v++ {
-			if c0, c1 := slots(v); c0 != c1 || c0 != s.vx[v].cnt {
-				t.Fatalf("%s: vertex %d's block after two cycles: slots %d/%d, %d records", name, v, c0, c1, s.vx[v].cnt)
+		// Epoch 3 changes vertex 1's block: its other slot, stamped beside
+		// it, one write; epoch 4 turns back to slot 1, whose stamp and count
+		// are two.
+		for _, tc := range []struct {
+			epoch  uint32
+			sel    uint32
+			writes int
+		}{{3, 0, 2}, {4, 1, 3}} {
+			before := media(1).cnt
+			if w := appendN(1, 1); w != tc.writes {
+				t.Fatalf("%s: epoch %d's first append beside the header is %d write requests, want %d", name, tc.epoch, w, tc.writes)
+			}
+			h := media(1)
+			if h.sel != tc.sel || h.epoch != tc.epoch || h.cnt[tc.sel] != s.vx[1].cnt || h.cnt[1-tc.sel] != before[1-tc.sel] {
+				t.Fatalf("%s: epoch %d: slots %v stamped %d@%d, want %d records in slot %d, the other untouched", name, tc.epoch, h.cnt, h.sel, h.epoch, s.vx[1].cnt, tc.sel)
+			}
+			s.Ack(ctx, tc.epoch, 0, 1)
+			if len(s.ackList) != 0 {
+				t.Fatalf("%s: epoch %d acknowledges %v, want nothing", name, tc.epoch, s.ackList)
 			}
 		}
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("%s: Ack into the slot the store is not counting into did not panic", name)
+					t.Fatalf("%s: Ack of an epoch the store is not stamping did not panic", name)
 				}
 			}()
-			s.Ack(ctx, 0, 0, 1)
+			s.Ack(ctx, 4, 0, 1)
 		}()
 	}
 }
@@ -686,5 +702,53 @@ func TestRecoverWithRefusesUnrecoverablePolicies(t *testing.T) {
 			}()
 			New(r, &m.Lat, 16, opts)
 		}()
+	}
+}
+
+// TestBoundsAreTypedRefusals: a block too large for a pending count's
+// flags, and an append past the last epoch a stamp can name, are refused
+// with errors — never a count that spills into the flags, never a stamp
+// that wraps to the epoch every block is created in.
+func TestBoundsAreTypedRefusals(t *testing.T) {
+	s, _, ctx := ackedStore(t)
+	if _, err := s.allocBlock(ctx, 1, int(maxBlockRecords/4)); err == nil {
+		t.Error("a block of 2^27 capacity units was allocated")
+	}
+	s.epoch = MaxEpoch
+	if err := s.Append(ctx, 1, []uint32{7}); err != nil {
+		t.Fatalf("an append in the last epoch: %v", err)
+	}
+	s.Ack(ctx, MaxEpoch, 0, 1)
+	if err := s.Append(ctx, 1, []uint32{8}); !errors.Is(err, ErrEpochBound) {
+		t.Fatalf("an append past the last epoch: %v, want ErrEpochBound", err)
+	}
+}
+
+// TestRunTagsWrapWithoutAStaleStamp holds the index to 32 bytes a vertex
+// and the epoch tags to their cycle: a block stamped 0xFFFF epochs back
+// (the same tag) is not the running epoch's, so its next change still
+// turns to the other slot.
+func TestRunTagsWrapWithoutAStaleStamp(t *testing.T) {
+	if n := unsafe.Sizeof(vertex{}); n != 32 {
+		t.Fatalf("vertex index entry is %d bytes, want 32", n)
+	}
+	s, r, ctx := ackedStore(t)
+	if err := s.Append(ctx, 1, []uint32{7}); err != nil {
+		t.Fatal(err)
+	}
+	stamped := s.epoch
+	for i := 0; i < 0xFFFF; i++ {
+		s.Ack(ctx, s.epoch, 0, 1)
+	}
+	if runTag(s.epoch) != runTag(stamped) {
+		t.Fatalf("setup: epoch %d's tag %d is not epoch %d's %d", s.epoch, runTag(s.epoch), stamped, runTag(stamped))
+	}
+	if err := s.Append(ctx, 1, []uint32{8}); err != nil {
+		t.Fatal(err)
+	}
+	var hdr [headerBytes]byte
+	r.Read(ctx, s.vx[1].tail, hdr[:])
+	if h := parseHeader(hdr[:]); h.sel != 0 || h.cnt != [2]uint32{2, 1} || h.epoch != s.epoch {
+		t.Fatalf("the change counted into slot %d (slots %v, stamp epoch %d), want slot 0 stamped by epoch %d beside the committed 1", h.sel, h.cnt, h.epoch, s.epoch)
 	}
 }

@@ -2,6 +2,7 @@ package adj
 
 import (
 	"encoding/binary"
+	"errors"
 
 	"repro/internal/mem"
 	"repro/internal/xpsim"
@@ -15,10 +16,14 @@ import (
 // A block is a 32-byte header followed by 4*cap payload bytes, at a
 // headerAlign-aligned offset:
 //
-//	word 0  {vid u32, cap u32}    owner; payload capacity in 4-byte units
-//	word 1  {prev u32, fmt u32}   previous block / headerAlign (0 = none); payload format
-//	word 2  {cnt0 u32, crc0 u32}  count slot 0 and, with Options.Checksums, its payload CRC32-C
-//	word 3  {cnt1 u32, crc1 u32}  count slot 1
+//	word 0  {vid u32, cap u32}                owner; payload capacity in 4-byte units
+//	word 1  {prev u32, fmt:1|sel:1|epoch:30}  previous block / headerAlign (0 = none); payload format; the stamp
+//	word 2  {cnt0 u32, crc0 u32}              count slot 0 and, with Options.Checksums, its payload CRC32-C
+//	word 3  {cnt1 u32, crc1 u32}              count slot 1
+//
+// The stamp says which count slot is current and which flush epoch chose
+// it: slot sel once that epoch has committed, the other slot while it is
+// still running (header.trusted). Epoch 0 is "committed at creation".
 //
 // Powerfail atomicity is per 8-byte word, so a torn header line can never
 // mix halves of two counts, and a count never becomes durable without the
@@ -27,17 +32,29 @@ const (
 	headerBytes = 32
 	headerAlign = 16
 
-	offVID  = 0
-	offCap  = 4
-	offPrev = 8
-	offFmt  = 12
-	offCnt0 = 16
-	offCRC0 = 20
-	offCnt1 = 24
-	offCRC1 = 28
+	offVID   = 0
+	offCap   = 4
+	offPrev  = 8
+	offStamp = 12
+	offCnt0  = 16
+	offCRC0  = 20
+	offCnt1  = 24
+	offCRC1  = 28
 )
 
-// Payload formats (the fmt word). Chains may mix them freely.
+// stampCountBytes is the widest partial header store: a stamp and the
+// count slot after it (Store.putCount).
+const stampCountBytes = offCnt1 - offStamp
+
+// MaxEpoch is the last flush epoch a stamp can name. A store refuses to
+// count into the epoch after it (ErrEpochBound) rather than wrap to 0.
+const MaxEpoch = 1<<30 - 1
+
+// ErrEpochBound is Append's typed refusal once the store's flush epochs are
+// exhausted.
+var ErrEpochBound = errors.New("adj: flush epochs exhausted: a stamp cannot name the next one")
+
+// Payload formats (the fmt bit of word 1). Chains may mix them freely.
 const (
 	fmtFixed  = 0 // 4-byte little-endian neighbor slots
 	fmtVarint = 1 // zigzag delta-varint records (varint.go)
@@ -45,7 +62,7 @@ const (
 
 // CountPolicy says who writes a block's count slots and whether a crash can
 // be recovered from them. A policy's rules are its row of countRules;
-// DESIGN.md §7 "Who writes the count slots" has the same table with the
+// DESIGN.md §7 "The count slots and the stamp" has the same table with the
 // stores that choose each.
 type CountPolicy uint8
 
@@ -61,9 +78,10 @@ const (
 	// XPGraph-B, whose battery-backed DRAM is inside the persistence domain
 	// (§IV-C), so a PMEM count write would be pure overhead.
 	CountsDeferred
-	// CountsAcked counts into the slot the running flush cycle will select
-	// and leaves the rest to Ack (see the package comment): the crash-safe
-	// PMEM store, the only policy a recovery scan accepts.
+	// CountsAcked counts into the slot the block's stamp names for the
+	// running flush epoch and leaves the rest to Ack (see the package
+	// comment): the crash-safe PMEM store, the only policy a recovery scan
+	// accepts.
 	CountsAcked
 	countPolicies
 )
@@ -74,9 +92,10 @@ type countSlot uint8
 const (
 	slotNone countSlot = iota // DRAM mirrors only
 	slot0                     // slot 0, every append
-	// the running cycle's slot, when it shares the XPLine the append's
-	// records start in (and always in a new block's header write)
-	slotNext
+	// the slot the block's stamp names for the running epoch, when it
+	// shares the XPLine the append's records start in (and always in a new
+	// block's header write)
+	slotEpoch
 )
 
 // countRule is one policy's rules.
@@ -92,7 +111,7 @@ var countRules = [countPolicies]countRule{
 	CountsAtAppend: {name: "at-append", atAppend: slot0, chargeHdr: true},
 	CountsVolatile: {name: "volatile", atAppend: slotNone},
 	CountsDeferred: {name: "deferred", atAppend: slotNone, chargeHdr: true},
-	CountsAcked:    {name: "acked", atAppend: slotNext, ack: true, chargeHdr: true, recoverable: true},
+	CountsAcked:    {name: "acked", atAppend: slotEpoch, ack: true, chargeHdr: true, recoverable: true},
 }
 
 func (p CountPolicy) String() string { return countRules[p].name }
@@ -129,9 +148,14 @@ type header struct {
 	vid      uint32
 	capacity uint32
 	prev     int64  // byte offset of the previous block; 0 = none
-	format   uint32 // fmtFixed or fmtVarint; anything else is corruption
+	format   uint32 // fmtFixed or fmtVarint
+	sel      uint32 // the stamp: the count slot epoch chose
+	epoch    uint32
 	cnt, crc [2]uint32
 }
+
+// stampWord renders the fmt|sel|epoch half of word 1.
+func stampWord(format, sel, epoch uint32) uint32 { return format | sel<<1 | epoch<<2 }
 
 // parseHeader decodes the headerBytes at b.
 func parseHeader(b []byte) header {
@@ -140,7 +164,9 @@ func parseHeader(b []byte) header {
 		vid:      le.Uint32(b[offVID:]),
 		capacity: le.Uint32(b[offCap:]),
 		prev:     int64(le.Uint32(b[offPrev:])) * headerAlign,
-		format:   le.Uint32(b[offFmt:]),
+		format:   le.Uint32(b[offStamp:]) & 1,
+		sel:      le.Uint32(b[offStamp:]) >> 1 & 1,
+		epoch:    le.Uint32(b[offStamp:]) >> 2,
 		cnt:      [2]uint32{le.Uint32(b[offCnt0:]), le.Uint32(b[offCnt1:])},
 		crc:      [2]uint32{le.Uint32(b[offCRC0:]), le.Uint32(b[offCRC1:])},
 	}
@@ -152,7 +178,7 @@ func (h *header) put(b []byte) {
 	le.PutUint32(b[offVID:], h.vid)
 	le.PutUint32(b[offCap:], h.capacity)
 	le.PutUint32(b[offPrev:], uint32(h.prev/headerAlign))
-	le.PutUint32(b[offFmt:], h.format)
+	le.PutUint32(b[offStamp:], stampWord(h.format, h.sel, h.epoch))
 	le.PutUint32(b[offCnt0:], h.cnt[0])
 	le.PutUint32(b[offCRC0:], h.crc[0])
 	le.PutUint32(b[offCnt1:], h.cnt[1])
@@ -164,27 +190,39 @@ func (h *header) put(b []byte) {
 // per-capacity free lists and ChainSpans are format-independent.
 func (h *header) size() int64 { return headerBytes + 4*int64(h.capacity) }
 
+// trusted is the count slot recovery trusts when the edge log has committed
+// epoch committed: the one the stamp names, unless the stamp is the running
+// epoch's — then its change never committed, and the other slot, which that
+// change left alone, is still current.
+func (h *header) trusted(committed uint32) int {
+	if h.epoch == committed+1 {
+		return 1 - int(h.sel)
+	}
+	return int(h.sel)
+}
+
 // plausible reports whether h can head a block at off in an arena that ends
-// at end, given the count the scan trusts.
+// at end, when the edge log has committed epoch committed.
 //
 // A dead block's count slots are never authoritative, and they can
 // legitimately look implausible mid-kill: a dead header can straddle two
 // XPLines, so a crash can leave vid=deadVID durable while the previous
 // owner's counts survive in the second line — checked against whatever
-// format word the tear left beside them. So a dead block's counts are not
+// format bit the tear left beside them. So a dead block's counts are not
 // checked; the scan finishes the kill. A live block answers for the slot
-// recovery trusts only: the other one is the running cycle's scratch,
+// recovery trusts only: the other one is the running epoch's scratch,
 // where an append leaves its count beside its records — on a recycled
-// block, possibly torn against the previous owner's format word.
-func (h *header) plausible(off, end int64, cnt uint32) bool {
+// block, possibly torn against the previous owner's format bit. No stamp
+// names an epoch after the running one.
+func (h *header) plausible(off, end int64, committed uint32) bool {
 	// Fixed blocks hold at most cap records, varint blocks at most 4*cap (a
 	// record is at least one byte of the 4*cap-byte payload).
 	most := uint64(h.capacity)
 	if h.format == fmtVarint {
 		most *= 4
 	}
-	return h.capacity != 0 && off+h.size() <= end && h.format <= fmtVarint &&
-		(h.vid == deadVID || uint64(cnt) <= most) &&
+	return h.capacity != 0 && off+h.size() <= end && h.epoch <= committed+1 &&
+		(h.vid == deadVID || uint64(h.cnt[h.trusted(committed)]) <= most) &&
 		(h.vid <= maxScanVID || h.vid == deadVID || h.vid == journalVID)
 }
 
@@ -197,6 +235,36 @@ func putSlot(b []byte, cnt, crc uint32) {
 	binary.LittleEndian.PutUint32(b[offCRC0-offCnt0:], crc)
 }
 
+// putCount stores cnt as block blk's record count in slot sel — with the
+// payload's checksum where the store keeps them, and, when stamp, beside
+// the running epoch's stamp {format, sel, epoch}: one write for slot 0,
+// which follows the stamp, two for slot 1. {cnt, crc} share one 8-byte
+// word, so powerfail atomicity guarantees a count is never durable without
+// its checksum. The stamp and the count may reach the media in either
+// order: a stamp without its count, or a count without its stamp, both
+// leave recovery trusting the slot neither touched.
+func (s *Store) putCount(ctx *xpsim.Ctx, blk int64, format, sel uint8, stamp bool, cnt uint32) {
+	b, n := s.wordScratch[:], int64(4)
+	var crc uint32
+	if s.opts.Checksums {
+		crc, n = s.mirror[blk].crc, 8
+	}
+	if !stamp {
+		putSlot(b, cnt, crc)
+		s.m.Write(ctx, blk+slotOff(int(sel)), b[:n])
+		return
+	}
+	binary.LittleEndian.PutUint32(b, stampWord(uint32(format), uint32(sel), s.epoch))
+	if sel == 0 {
+		putSlot(b[offCnt0-offStamp:], cnt, crc)
+		s.m.Write(ctx, blk+offStamp, b[:offCnt0-offStamp+n])
+		return
+	}
+	s.m.Write(ctx, blk+offStamp, b[:4])
+	putSlot(b, cnt, crc)
+	s.m.Write(ctx, blk+offCnt1, b[:n])
+}
+
 // writeVID overwrites the owner of the block at off with a 4-byte store —
 // the commit of a chain swap, and the relaxed store's kill.
 func writeVID(m mem.Mem, ctx *xpsim.Ctx, off int64, vid uint32) {
@@ -204,16 +272,17 @@ func writeVID(m mem.Mem, ctx *xpsim.Ctx, off int64, vid uint32) {
 }
 
 // writeDead durably overwrites the block at off with a dead header: dead
-// owner, no prev, zeroed count slots. Zeroing matters: a recycled block
-// whose new header has not reached the media yet must read as zero visible
-// records, not as its previous owner's counts.
+// owner, no prev, the stamp of epoch 0 selecting slot 0, zeroed count slots.
+// Zeroing matters: a recycled block whose new header has not reached the
+// media yet must read as zero visible records, not as its previous owner's
+// counts — which is also why a block's first header counts into slot 1.
 //
-// The dead header keeps the block's format word. Powerfail atomicity is
-// per 8-byte word, so a torn kill can leave the {prev, fmt} word durable
+// The dead header keeps the block's format bit. Powerfail atomicity is
+// per 8-byte word, so a torn kill can leave the {prev, stamp} word durable
 // while the {vid, cap} word and the count slots are still the old owner's:
-// with a zeroed format that is a live FIXED block carrying a varint count
-// above its capacity, which recovery's scan takes for the never-durable
-// frontier — and zeroes the acknowledged blocks behind it.
+// with a zeroed format bit that is a live FIXED block carrying a varint
+// count above its capacity, which recovery's scan takes for the
+// never-durable frontier — and zeroes the committed blocks behind it.
 func (s *Store) writeDead(ctx *xpsim.Ctx, off int64, capacity uint32, format uint8) {
 	h := header{vid: deadVID, capacity: capacity, format: uint32(format)}
 	h.put(s.hdrScratch[:])

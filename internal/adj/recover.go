@@ -24,6 +24,7 @@ type RecoverableMem interface {
 type scanned struct {
 	off int64
 	header
+	visible uint32 // the trusted slot's count
 }
 
 // RecoverWith rebuilds the DRAM index (tails, counts, degrees) by scanning
@@ -33,14 +34,16 @@ type scanned struct {
 // order is not enough once compaction recycles blocks).
 //
 // Only CountsAcked stores are scan-recoverable (countRules); opts naming
-// another policy is refused with an error. slot selects which persisted
-// count slot is authoritative — the slot the edge log's flushed cursor
-// carried at the crash (elog.AckSlot). The scan also completes an armed
+// another policy is refused with an error. committed is the flush epoch the
+// edge log last committed (elog.Log.Epoch): it decides which count slot of
+// each block is current (header.trusted). The scan also completes an armed
 // compaction journal (roll-forward), treats an unparsable header as the
 // frontier of writes that never became durable (truncating and durably
 // zeroing the garbage suffix so a later recovery cannot misparse it),
-// remembers partially-visible retired blocks, and queues blocks with
-// disagreeing slots for re-acknowledgment.
+// remembers partially-visible retired blocks, and queues the blocks stamped
+// with the epoch that never committed into the first Ack: the recovered
+// store runs that epoch again, and its commit must not make their
+// uncommitted counts current.
 //
 // quarantined names block offsets whose media was damaged and routed around
 // by a scrub before the crash (nil: none). Quarantined blocks carry valid
@@ -54,18 +57,18 @@ type scanned struct {
 // disagree with what was acknowledged are reported via Store.Suspects —
 // corruption that happened while the store was down, caught before any
 // read can serve it.
-func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts Options, slot int, quarantined map[int64]bool) (*Store, error) {
+func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts Options, committed uint32, quarantined map[int64]bool) (*Store, error) {
 	opts, err := opts.normalized()
 	switch {
 	case err != nil:
 		return nil, err
 	case !opts.Counts.Recoverable():
 		return nil, fmt.Errorf("adj: %v counts are not scan-recoverable", opts.Counts)
-	case slot != 0 && slot != 1:
-		return nil, fmt.Errorf("adj: bad count slot %d", slot)
+	case committed > MaxEpoch:
+		return nil, fmt.Errorf("adj: committed epoch %d is beyond the stamps' %d", committed, MaxEpoch)
 	}
 	s := New(m, lat, 0, opts)
-	s.nextSlot = 1 - slot
+	s.epoch = committed + 1
 	end := m.PersistedAllocOffset(ctx)
 	if end < m.UserStart() || end > m.Size() {
 		return nil, fmt.Errorf("adj: corrupt allocation pointer %d (arena is [%d,%d])", end, m.UserStart(), m.Size())
@@ -85,8 +88,8 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 		if err != nil && !quarantined[off] {
 			return nil, fmt.Errorf("adj: block header at %d is unreadable and the scan cannot step over it: %w", off, err)
 		}
-		if h.plausible(off, end, h.cnt[slot]) {
-			raw = append(raw, scanned{off, h})
+		if h.plausible(off, end, committed) {
+			raw = append(raw, scanned{off: off, header: h, visible: h.cnt[h.trusted(committed)]})
 			off = align(off+h.size(), headerAlign)
 			continue
 		}
@@ -107,7 +110,7 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 		return nil, err
 	}
 
-	// Pass 3: build the index. A live block's counts are those of the slot
+	// Pass 3: build the index. A live block's count is that of the slot
 	// recovery trusts.
 	live := make(map[graph.VID][]scanned)
 	pointedTo := make(map[int64]int)
@@ -118,11 +121,12 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 			case quarantined[b.off]:
 				// Quarantined media with a scrub-written dead header:
 				// parseable, never reusable.
-			case b.cnt != [2]uint32{} || b.prev != 0:
-				// Mid-kill: the dead vid became durable but the slot zeroing
-				// did not. Finish the kill before recycling — newBlock relies
-				// on recycled blocks having durably zeroed count slots so a
-				// torn reuse header can never resurrect stale counts.
+			case b.prev != 0 || b.sel != 0 || b.epoch != 0 || b.cnt != [2]uint32{}:
+				// Mid-kill: the dead vid became durable but the rest of the
+				// dead header — no prev, no stamp, zeroed slots — did not. Finish the kill before recycling —
+				// newBlock relies on recycled blocks having durably zeroed
+				// count slots under a stamp that selects slot 0, so a torn
+				// reuse header can never resurrect stale counts.
 				s.killBlock(ctx, b.off, int(b.capacity), uint8(b.format))
 			default:
 				// Recycled block awaiting reuse: skip, but remember it so
@@ -152,23 +156,34 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 			}
 			return n
 		}
+		// Blocks that cannot hold committed records are droppable: kill them
+		// durably and rescan, since a drop can expose another. Two kinds:
+		//   - more than one chain end means some block's prev link never
+		//     became durable — a tail allocated right before the crash, torn
+		//     mid-header;
+		//   - a prev link to no block of the vertex follows a predecessor
+		//     whose own header never became durable — a recycled block whose
+		//     first header tore back to its dead one — so the block was
+		//     allocated after it, in the same uncommitted epoch.
+		// Either way it is zero-visible: a count only becomes current
+		// through an epoch commit, which orders after the barrier that made
+		// the whole header (prev included) durable.
+		owns := make(map[int64]bool, len(blks))
+		for _, b := range blks {
+			owns[b.off] = true
+		}
 		tails := countTails()
-		for tails > 1 {
-			// More than one chain end means some block's prev link never
-			// became durable — a tail allocated right before the crash,
-			// torn mid-header. Such a block cannot hold acknowledged
-			// records: a count slot only becomes authoritative through a
-			// flush commit, which orders after the barrier that made the
-			// whole header (prev included) durable. So every zero-visible
-			// dangling block is droppable; kill it durably and rescan (the
-			// drop can expose another dangler it pointed to).
+		for {
 			kept := blks[:0]
 			for _, b := range blks {
-				if pointedTo[b.off] != 0 || b.cnt[slot] != 0 {
+				dangling := tails > 1 && pointedTo[b.off] == 0
+				broken := b.prev != 0 && !owns[b.prev]
+				if b.visible != 0 || !dangling && !broken {
 					kept = append(kept, b)
 					continue
 				}
 				s.killBlock(ctx, b.off, int(b.capacity), uint8(b.format))
+				delete(owns, b.off)
 				if b.prev != 0 {
 					pointedTo[b.prev]--
 				}
@@ -183,14 +198,21 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 			continue
 		}
 		for _, b := range blks {
-			s.vx[v].records += b.cnt[slot]
+			if b.prev != 0 && !owns[b.prev] {
+				return nil, fmt.Errorf("adj: vertex %d block %d links to %d, no block of the vertex (corrupt prev link)", v, b.off, b.prev)
+			}
+			s.vx[v].records += b.visible
 			s.blocks++
 			s.bytes += b.size()
 			if pointedTo[b.off] != 0 {
 				continue
 			}
 			t := &s.vx[v]
-			t.tail, t.cnt, t.capacity, t.format = b.off, b.cnt[slot], b.capacity, uint8(b.format)
+			t.tail, t.cnt, t.capacity, t.format = b.off, b.visible, b.capacity, uint8(b.format)
+			t.stamp = uint8(b.sel)
+			if b.epoch == s.epoch {
+				t.stamp, t.run = t.stamp|stampOnMedia, runTag(s.epoch)
+			}
 			if b.format == fmtVarint && t.cnt > 0 {
 				// Rebuild the append cursor (byte extent + delta
 				// predecessor) by decoding the acknowledged records. The
@@ -210,17 +232,19 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 			return nil, fmt.Errorf("adj: vertex %d chain has %d tails (corrupt prev links)", v, tails)
 		}
 		for _, b := range blks {
-			if b.off != s.vx[v].tail && b.cnt[slot] != b.capacity {
+			if b.off != s.vx[v].tail && b.visible != b.capacity {
 				// Retired with a count differing from capacity — a fixed
 				// block retired before filling up, or any varint block
 				// (whose record count is unrelated to cap): pin the visible
 				// count so reads stop at it.
-				s.partialCnt[b.off] = b.cnt[slot]
+				s.partialCnt[b.off] = b.visible
 			}
-			if b.cnt[0] != b.cnt[1] {
-				// One slot is stale; make sure the next ack cycle rewrites
-				// it even if no new records arrive for this block.
-				s.pendPrev = append(s.pendPrev, pendEntry{blk: uint32(b.off / headerAlign), cnt: b.cnt[slot]})
+			if b.epoch == s.epoch {
+				// Stamped by the epoch that never committed: its stamped slot
+				// holds an uncommitted count, which the recovered store's
+				// first commit — of that same epoch — would make current.
+				// The first Ack writes the trusted count there.
+				s.pendAdd(b.off, b.visible, uint8(b.sel), uint8(b.format), false)
 			}
 		}
 		if !opts.Checksums {
@@ -241,14 +265,13 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 				return nil, fmt.Errorf("adj: vertex %d chain prev link to unknown block %d", v, off)
 			}
 			s.chains[v] = append(s.chains[v], off)
-			s.mirror[off] = blockMirror{capacity: b.capacity, crc: b.crc[slot], format: uint8(b.format)}
+			s.mirror[off] = blockMirror{capacity: b.capacity, crc: b.crc[b.trusted(committed)], format: uint8(b.format)}
 			off = b.prev
 		}
 		if s.read(ctx, v, walkOpts{mirror: true, blind: true}, nil) != nil {
 			s.suspects = append(s.suspects, v)
 		}
 	}
-	sortPend(s.pendPrev) // collected in vertex order; ack cycles merge by offset
 	return s, nil
 }
 

@@ -49,9 +49,9 @@ func TestReplaceChainTornKillKeepsArena(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Acknowledged at both slot parities, and durable.
+		// Committed, and durable.
 		s.Ack(ctx, 1, 0, 1)
-		s.Ack(ctx, 0, 0, 1)
+		s.Ack(ctx, 2, 0, 1)
 		m.TotalStats()
 
 		faults.Arm(plan)
@@ -64,7 +64,7 @@ func TestReplaceChainTornKillKeepsArena(t *testing.T) {
 			t.Fatal(err)
 		}
 		cr, _ := clone.Get("pblk")
-		rs, err := RecoverWith(xpsim.NewCtx(0), cr, &m.Lat, opts, 0, nil)
+		rs, err := RecoverWith(xpsim.NewCtx(0), cr, &m.Lat, opts, 2, nil)
 		return writes, rs, err
 	}
 

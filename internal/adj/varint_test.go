@@ -250,7 +250,7 @@ func TestVarintChecksumsDetectCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.Ack(ctx, 1, 0, 1) // a fresh store's first cycle fills slot 1
+	s.Ack(ctx, 1, 0, 1) // a fresh store's first epoch
 	if err := s.VerifyChain(ctx, 6); err != nil {
 		t.Fatalf("clean chain: %v", err)
 	}
@@ -379,11 +379,12 @@ func FuzzVarintBlockDecode(f *testing.F) {
 
 // TestRecoverTornKillKeepsBlocksBehind hand-builds the torn kill that used
 // to truncate an arena: powerfail atomicity is per 8-byte word, so killing
-// a varint block can leave the dead header's {prev, fmt} word durable while
-// the {vid, cap} word and the count slots are still the live owner's. If
-// the dead header dropped the format, that reads as a live fixed block
-// whose (varint) count exceeds its capacity — the scan's never-durable
-// frontier — and every acknowledged block behind it gets zeroed.
+// a varint block can leave the dead header's {prev, stamp} word durable
+// while the {vid, cap} word and the count slots are still the live owner's.
+// If the dead header dropped the format bit, that reads as a live fixed
+// block whose (varint) count in slot 0, the one a dead stamp selects,
+// exceeds its capacity — the scan's never-durable frontier — and every
+// committed block behind it gets zeroed.
 func TestRecoverTornKillKeepsBlocksBehind(t *testing.T) {
 	opts := Options{CrashSafe: true}
 	s, r, ctx := varintStore(t, opts)
@@ -395,10 +396,15 @@ func TestRecoverTornKillKeepsBlocksBehind(t *testing.T) {
 	for i := uint32(0); i < 40; i++ {
 		dense = append(dense, i)
 	}
-	// The first append sizes the block (12 units = 48 payload bytes).
-	for _, part := range [][]uint32{dense[:1], dense[1:]} {
+	// The first append sizes the block (12 units = 48 payload bytes); the
+	// second, an epoch later, turns the count to slot 0 — the slot a dead
+	// header's stamp selects.
+	for epoch, part := range [][]uint32{dense[:1], dense[1:]} {
 		if err := s.Append(ctx, 1, part); err != nil {
 			t.Fatal(err)
+		}
+		if epoch == 0 {
+			s.Ack(ctx, 1, 0, 1)
 		}
 	}
 	victim := s.vx[1].tail
@@ -415,9 +421,9 @@ func TestRecoverTornKillKeepsBlocksBehind(t *testing.T) {
 			t.Fatalf("setup: vertex %d's block is not behind the victim", v)
 		}
 	}
-	s.Ack(ctx, 1, 0, 1) // the slot a fresh store's first commit selects
+	s.Ack(ctx, 2, 0, 1)
 
-	// Kill the block for real, then put every word but {prev, fmt} back.
+	// Kill the block for real, then put every word but {prev, stamp} back.
 	var live, dead [headerBytes]byte
 	r.Read(ctx, victim, live[:])
 	s.killBlock(ctx, victim, int(s.vx[1].capacity), fmtVarint)
@@ -426,7 +432,7 @@ func TestRecoverTornKillKeepsBlocksBehind(t *testing.T) {
 	copy(torn[offPrev:offPrev+8], dead[offPrev:offPrev+8])
 	r.Write(ctx, victim, torn[:])
 
-	rs, err := RecoverWith(ctx, r, s.lat, opts, 1, nil)
+	rs, err := RecoverWith(ctx, r, s.lat, opts, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,12 +449,12 @@ func TestRecoverTornKillKeepsBlocksBehind(t *testing.T) {
 // TestRecoverTornReuseKeepsBlocksBehind hand-builds the torn reuse of a
 // recycled block across formats. A store recovered from fixed-width media
 // appends varint blocks, and takes them off the free lists: the block's old
-// contents are a dead header whose format word says fixed. Its new owner's
-// appends leave their count in the slot the running cycle will select, and a
-// varint count may exceed the capacity word. If the line is torn so that
-// {vid, cap} and the count reach the media but {prev, fmt} does not, the
-// scan sees a live fixed block carrying, in the slot it does NOT trust, a
-// count above its capacity. That slot is scratch: the block must be taken
+// contents are a dead header whose format bit says fixed. Its new owner's
+// appends leave their count in slot 1, and a varint count may exceed the
+// capacity word. If the line is torn so that {vid, cap} and the count reach
+// the media but {prev, stamp} does not, the scan sees a live fixed block
+// whose dead stamp selects slot 0, carrying, in the slot it does NOT trust,
+// a count above its capacity. That slot is scratch: the block must be taken
 // for what the trusted slot says — an empty dangler — not for the
 // never-durable frontier, behind which every acknowledged block gets zeroed.
 func TestRecoverTornReuseKeepsBlocksBehind(t *testing.T) {
@@ -476,7 +482,7 @@ func TestRecoverTornReuseKeepsBlocksBehind(t *testing.T) {
 
 	// The recovered store turns varint on and gives the recycled block to
 	// vertex 4: one record sizes it, forty one-byte deltas overfill its
-	// capacity word, all counted into slot 0 beside the records.
+	// capacity word, all counted into slot 1 beside the records.
 	opts.VarintBlocks = true
 	rs, err := RecoverWith(ctx, r, &m.Lat, opts, 1, nil)
 	if err != nil {
@@ -496,8 +502,8 @@ func TestRecoverTornReuseKeepsBlocksBehind(t *testing.T) {
 	}
 	var torn [headerBytes]byte
 	r.Read(ctx, victim, torn[:])
-	if cnt0 := parseHeader(torn[:]).cnt[0]; cnt0 != rs.vx[4].cnt {
-		t.Fatalf("setup: the appends left %d in slot 0, want their count %d", cnt0, rs.vx[4].cnt)
+	if cnt1 := parseHeader(torn[:]).cnt[1]; cnt1 != rs.vx[4].cnt {
+		t.Fatalf("setup: the appends left %d in slot 1, want their count %d", cnt1, rs.vx[4].cnt)
 	}
 	copy(torn[offPrev:offPrev+8], dead[offPrev:offPrev+8])
 	r.Write(ctx, victim, torn[:])

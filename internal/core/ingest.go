@@ -380,10 +380,10 @@ func (s *Store) initialClass(d Direction, v graph.VID) int {
 // flush_all_vbufs of Table I and the flushing phase of §IV-A.
 //
 // On crash-safe stores the cursor advance is a three-step commit:
-// acknowledge the drained counts into the spare slot (adj.Ack), write
-// everything back to media (persistBarrier), then atomically select the
-// slot while advancing the cursor (elog.MarkFlushedSlot). A crash before
-// the final store leaves the previous slot selected and the whole phase
+// acknowledge the drained counts into each changed block's stamped slot
+// (adj.Ack), write everything back to media (persistBarrier), then commit
+// the flush epoch while advancing the cursor (elog.Log.Commit). A crash
+// before the commit leaves the previous epoch current and the whole phase
 // invisible; after it, fully visible.
 //
 // Everything before the barrier is parallel work on bound threads (§III-D):
@@ -405,7 +405,11 @@ func (s *Store) FlushAllVbufs() error {
 		return err
 	}
 	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
-	parNs := max(drainNs+s.commitFlush(ctx, flushStart+drainNs), propsNs)
+	ackNs, err := s.commitFlush(ctx, flushStart+drainNs)
+	if err != nil {
+		return err
+	}
+	parNs := max(drainNs+ackNs, propsNs)
 	if s.opts.Buffer != BufferNone {
 		s.pool.Reset()
 	}
@@ -488,7 +492,7 @@ func (s *Store) flushProps(startNs int64) (int64, error) {
 }
 
 // commitFlush advances the flushing cursor over everything buffered,
-// running the crash-safe ack/barrier/select commit when the store
+// running the crash-safe ack/barrier/commit sequence when the store
 // requires it. The ack sub-phase starts at ackStart on the flushing lane
 // and its duration — the slowest group — is returned; the serial tail
 // (barrier and cursor store) is charged to ctx.
@@ -498,33 +502,35 @@ func (s *Store) flushProps(startNs int64) (int64, error) {
 // Groups are visited in (direction, partition) order and a group's workers
 // split its offset-sorted pending blocks into contiguous runs, so the
 // devices see one ascending sweep per arena however many workers share it.
-func (s *Store) commitFlush(ctx *xpsim.Ctx, ackStart int64) (ackNs int64) {
+func (s *Store) commitFlush(ctx *xpsim.Ctx, ackStart int64) (ackNs int64, err error) {
 	if !s.adjOpts.Counts.Acked() {
 		s.log.MarkFlushed(ctx, s.log.Buffered())
-		return 0
+		return 0, nil
 	}
 	s.machine.CrashPoint("flush:drained")
-	slot := 1 - s.log.AckSlot()
+	epoch := s.log.Epoch() + 1
 	wpg := s.workersPerGroup()
 	contention := s.contentionFor()
 	ackNs, _ = s.runGroups("ack", ackStart, func(_, _ int, g *group) (time.Duration, error) {
 		return xpsim.ParallelN(wpg, contention, nodeOfFn(g.node), func(w int, wctx *xpsim.Ctx) {
-			g.adj.Ack(wctx, slot, w, wpg)
+			g.adj.Ack(wctx, epoch, w, wpg)
 		}), nil
 	})
 	s.machine.CrashPoint("flush:acked")
 	s.persistBarrier(ctx)
 	s.machine.CrashPoint("flush:barrier")
-	s.log.MarkFlushedSlot(ctx, s.log.Buffered(), slot)
+	if err := s.log.Commit(ctx, s.log.Buffered()); err != nil {
+		return ackNs, err
+	}
 	s.machine.CrashPoint("flush:committed")
-	return ackNs
+	return ackNs, nil
 }
 
 // CompactAdjs merges all of one vertex's adjacency blocks (DRAM buffer
 // included) into a single PMEM block — compact_adjs(vid) of Table I.
 //
-// On crash-safe stores compaction only rewrites flush-acknowledged
-// records (the compacted block's count goes to both slots at once, which
+// On crash-safe stores compaction only rewrites committed records (the
+// compacted block's counts are committed the moment its swap commits, which
 // is only safe below the flushed cursor), so a full flushing phase runs
 // first.
 func (s *Store) CompactAdjs(ctx *xpsim.Ctx, v graph.VID) error {

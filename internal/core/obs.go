@@ -152,6 +152,7 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 		counter("xpgraph_buffer_phases_total", "Buffering phases executed.", float64(rep.Batches))
 		counter("xpgraph_flush_phases_total", "Full flushing phases executed.", float64(rep.FlushAlls))
 		counter("xpgraph_pool_fallbacks_total", "Buffer allocations that fell back to direct adjacency writes.", float64(rep.PoolFallbacks))
+		counter("xpgraph_snapshot_short_reads_total", "Snapshot reads refused because a compaction rewrote the chains past the fencing.", float64(s.SnapshotShortReads()))
 		phase := func(name string, ns int64) {
 			counter("xpgraph_phase_seconds_total", "Simulated seconds spent per pipeline phase (Fig. 3a split).",
 				float64(ns)/1e9, obs.Label{Key: "phase", Value: name})

@@ -183,8 +183,8 @@ type Options struct {
 	PropLogBytes int64
 }
 
-// counts derives the adjacency count policy (DESIGN.md §7 "Who writes the
-// count slots"). Every store but the default PMEM one gets a policy
+// counts derives the adjacency count policy (DESIGN.md §7 "The count slots
+// and the stamp"). Every store but the default PMEM one gets a policy
 // recovery refuses; why names the option that decided it.
 func (o Options) counts() (p adj.CountPolicy, why string) {
 	switch {

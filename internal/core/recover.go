@@ -19,8 +19,9 @@ type RecoveryReport struct {
 }
 
 // Recover re-attaches to the PMEM of a crashed store and rebuilds all
-// DRAM state: the edge log is attached first (its flushed cursor carries
-// the authoritative count slot), the adjacency arenas are scanned — each
+// DRAM state: the edge log is attached first (its header carries the last
+// committed flush epoch, which decides each block's current count slot),
+// the adjacency arenas are scanned — each
 // one sequentially, by an archive thread bound to its node, all of them in
 // parallel — to reload the vertex index, completing any interrupted
 // compaction via its journal, and the log window [flushed, head) is
@@ -28,9 +29,9 @@ type RecoveryReport struct {
 // §V-D) by the buffering phase itself, so recovery scales with the archive
 // threads like ingestion does.
 //
-// The replay is a straight re-insertion with no content dedup: counts
-// acknowledged under the selected slot cover exactly the edges below the
-// flushed cursor, so nothing in the window is visible in the recovered
+// The replay is a straight re-insertion with no content dedup: the counts
+// committed by the last epoch cover exactly the edges below the flushed
+// cursor, so nothing in the window is visible in the recovered
 // adjacency lists and nothing below it is missing. (The seed's
 // content-based dedup was both lossy — a legitimately duplicated edge in
 // the window was skipped against a single stored copy — and unsound
@@ -51,8 +52,7 @@ func Recover(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts O
 
 	// Re-attach the edge log first: its header and ring sit at
 	// deterministic offsets inside the dedicated log region, and its
-	// flushed cursor selects the adjacency count slot the arena scans
-	// must trust.
+	// committed epoch tells the arena scans which count slots to trust.
 	logRegion, ok := heap.Get(opts.Name + "-elog")
 	if !ok {
 		return nil, RecoveryReport{}, fmt.Errorf("core: log region for %q not found", opts.Name)
@@ -83,7 +83,7 @@ func Recover(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts O
 	// Everything so far was serial; the arena scans are a step of the
 	// archive threads, whose bookkeeping initPool sets up.
 	s.initPool()
-	scanNs, err := s.attachMemories(ctx.Cost.Ns(), s.log.AckSlot())
+	scanNs, err := s.attachMemories(ctx.Cost.Ns(), s.log.Epoch())
 	if err != nil {
 		return nil, RecoveryReport{}, err
 	}
@@ -141,7 +141,7 @@ func Recover(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts O
 
 	// Replay the window that may have lived in lost DRAM vertex buffers.
 	// Every record in it is invisible in the recovered adjacency lists
-	// (its count was never acknowledged under the selected slot), so it is
+	// (its count never committed), so it is
 	// an unbuffered window like any other: rewind the buffered cursor to
 	// the flushed one and run the ordinary buffering phase over it, on the
 	// archive threads. The phases sit on the recovery lane, after the

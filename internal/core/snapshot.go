@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -14,6 +15,24 @@ import (
 // ErrSnapshotClosed is what a read of a closed snapshot returns: its record
 // counts may since have been patched for a newer publication.
 var ErrSnapshotClosed = errors.New("core: snapshot is closed")
+
+// ShortReadError is a snapshot read that found fewer of a vertex's records
+// in its chains than the snapshot captured: a compaction rewrote them past
+// the fencing (freezeVertex), and the prefix the snapshot pins is gone.
+type ShortReadError struct {
+	Dir             Direction
+	V               graph.VID
+	Captured, Found int
+}
+
+func (e *ShortReadError) Error() string {
+	return fmt.Sprintf("core: snapshot of %s(%d) captured %d records, its chains hold %d: a compaction slipped past the fencing",
+		dirName(int(e.Dir)), e.V, e.Captured, e.Found)
+}
+
+// SnapshotShortReads reports how many snapshot reads failed with a
+// ShortReadError.
+func (s *Store) SnapshotShortReads() int64 { return s.shortReads.Load() }
 
 // Snapshot is a consistent point-in-time view of the graph. Because both
 // the PMEM adjacency chains and the DRAM vertex buffers are append-only
@@ -279,13 +298,11 @@ func (sn *Snapshot) materialize(ctx *xpsim.Ctx, d Direction, v graph.VID, checke
 	if err != nil {
 		return nil, err
 	}
-	// Fewer records visible than captured is only possible if a
-	// compaction slipped past the fencing: degrade to the resolved stream
-	// rather than fail.
-	if want < len(all) {
-		all = all[:want]
+	if len(all) < want {
+		sn.store.shortReads.Add(1)
+		return nil, &ShortReadError{Dir: d, V: v, Captured: want, Found: len(all)}
 	}
-	return adj.ResolveTombstones(all, 0), nil
+	return adj.ResolveTombstones(all[:want], 0), nil
 }
 
 // freezeVertex materializes the snapshot's view of v into a private

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/view"
 	"repro/internal/xpsim"
 )
 
@@ -178,5 +180,41 @@ func TestSnapshotPrefixProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSnapshotShortReadIsTyped compacts an arena directly, past the fencing
+// core puts around its own compactions, so the chains a snapshot captured
+// lose records (tombstones resolved). The snapshot's read must fail typed,
+// and count, rather than serve fewer records than it captured.
+func TestSnapshotShortReadIsTyped(t *testing.T) {
+	s := newStore(t, Options{Name: "short", NumVertices: 64, LogCapacity: 1 << 10,
+		ArchiveThreshold: 8, ArchiveThreads: 2})
+	if _, err := s.Ingest([]graph.Edge{{Src: 1, Dst: 2}, {Src: 1, Dst: 3}, graph.Del(1, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FlushAllVbufs(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := xpsim.NewCtx(0)
+	snap := s.Snapshot(ctx)
+	defer snap.Close()
+	if err := s.groups[Out][s.partOf(1)].adj.Compact(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	err := snap.Visit(ctx, Out, 1, view.Opts{}, func([]uint32, []uint16) { t.Error("the short read served records") })
+	var short *ShortReadError
+	if !errors.As(err, &short) || short.Captured != 3 || short.Found != 1 {
+		t.Fatalf("snapshot read after an unfenced compaction: %v; want a ShortReadError of 3 captured, 1 found", err)
+	}
+	if n := s.SnapshotShortReads(); n != 1 {
+		t.Fatalf("SnapshotShortReads = %d, want 1", n)
+	}
+	// A fenced compaction freezes the snapshot's view first.
+	if err := s.CompactAdjs(ctx, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.Visit(ctx, In, 3, view.Opts{}, func([]uint32, []uint16) {}); err != nil {
+		t.Fatalf("snapshot read after a fenced compaction: %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/adj"
@@ -100,6 +101,8 @@ type Store struct {
 	// the count bases' shares.
 	snapMu sync.Mutex
 	snaps  map[*Snapshot]struct{}
+	// shortReads counts snapshot reads refused with a ShortReadError.
+	shortReads atomic.Int64
 
 	// Publication state (snapshot.go): base is the count base the newest
 	// snapshot reads; dirty logs, per direction, the vertices whose counts
@@ -278,8 +281,8 @@ func (s *Store) groupNode(d, p int) int {
 
 // attachMemories re-attaches the adjacency arenas of a crashed store and
 // rebuilds their DRAM indexes. The caller has already attached the edge log
-// — whose flushed cursor carries ackSlot, the count slot adjacency recovery
-// must trust — and loaded the quarantine. Every region must already exist
+// — whose committed flush epoch tells adjacency recovery which count slots
+// to trust — and loaded the quarantine. Every region must already exist
 // in the heap: a missing region means the options describe a different
 // geometry (wrong NUMA mode, wrong name) than the store that crashed.
 //
@@ -288,7 +291,7 @@ func (s *Store) groupNode(d, p int) int {
 // scanned by a thread bound to the arena's node, so no block is read across
 // sockets, and the step lasts as long as the thread with the most arenas to
 // scan. Its duration is returned.
-func (s *Store) attachMemories(startNs int64, ackSlot int) (int64, error) {
+func (s *Store) attachMemories(startNs int64, committed uint32) (int64, error) {
 	regions := [2][]*pmem.Region{}
 	for d := 0; d < 2; d++ {
 		for p := 0; p < s.nparts; p++ {
@@ -332,7 +335,7 @@ func (s *Store) attachMemories(startNs int64, ackSlot int) (int64, error) {
 		}
 		var err error
 		dur := xpsim.ParallelN(1, contention, nodeOfFn(g.node), func(_ int, ctx *xpsim.Ctx) {
-			g.adj, err = adj.RecoverWith(ctx, regions[d][p], s.lat, s.adjOpts, ackSlot, quar)
+			g.adj, err = adj.RecoverWith(ctx, regions[d][p], s.lat, s.adjOpts, committed, quar)
 		})
 		return dur, err
 	})

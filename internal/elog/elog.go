@@ -33,24 +33,20 @@ var ErrFull = errors.New("elog: log full: flush required before overwriting")
 const HeaderBytes = hdrBytes
 
 const (
-	hdrBytes = 64 // persisted cursor block: head, buffered, flushed
+	hdrBytes = 64 // persisted cursor block: head, buffered, flushed, cap, epoch
 	offHead  = 0
 	offBuf   = 8
 	offFlush = 16
 	offCap   = 24
+	offEpoch = 32 // {epoch u32, low 32 bits of the flushed cursor it committed}
 )
 
-// slotBit is the top bit of the persisted flushed word: it selects which
-// adjacency count slot (0 or 1) is authoritative for recovery. Packing
-// the slot into the flushed word makes "these counts are acked up to
-// here" a single 8-byte store — atomic under powerfail semantics — which
-// is what keeps a crash between count writeback and cursor writeback from
-// double-counting replayed edges (see adj.Ack).
-const slotBit = uint64(1) << 63
+// MaxEpoch is the last flush epoch Commit accepts: the adjacency stamps
+// that name epochs hold 30 bits (adj.MaxEpoch).
+const MaxEpoch = 1<<30 - 1
 
-// maxCursor bounds cursor values so the slot bit can never be mistaken
-// for log position.
-const maxCursor = int64(slotBit - 1)
+// ErrEpochBound is Commit's typed refusal once the epochs are exhausted.
+var ErrEpochBound = errors.New("elog: flush epochs exhausted")
 
 // Config selects optional log features.
 type Config struct {
@@ -95,7 +91,7 @@ type Log struct {
 	head     int64
 	buffered int64
 	flushed  int64
-	slot     int // count slot selected by the persisted flushed word
+	epoch    uint32 // the last flush epoch committed (Commit)
 
 	// Append's encode buffers, log-owned so that a steady-state append
 	// allocates nothing (the logging thread is the only writer). They hold
@@ -160,15 +156,14 @@ func AttachWith(ctx *xpsim.Ctx, m mem.Mem, hdr, base int64, cfg Config) (*Log, e
 	l := &Log{m: m, hdr: hdr, base: base, battery: cfg.Battery}
 	l.head = int64(mem.ReadU64(m, ctx, hdr+offHead))
 	l.buffered = int64(mem.ReadU64(m, ctx, hdr+offBuf))
-	rawFlush := mem.ReadU64(m, ctx, hdr+offFlush)
-	l.slot = int(rawFlush >> 63)
-	l.flushed = int64(rawFlush &^ slotBit)
+	l.flushed = int64(mem.ReadU64(m, ctx, hdr+offFlush))
 	l.cap = int64(mem.ReadU64(m, ctx, hdr+offCap))
+	l.epoch = committedEpoch(mem.ReadU64(m, ctx, hdr+offEpoch), l.flushed)
 	switch {
 	case l.cap <= 0 || l.cap > (m.Size()-base)/graph.EdgeBytes:
 		return nil, fmt.Errorf("elog: corrupt header: cap=%d does not fit memory (%d bytes past base)",
 			l.cap, m.Size()-base)
-	case l.head < 0 || l.head > maxCursor || l.buffered < 0 || l.flushed > l.buffered || l.buffered > l.head:
+	case l.head < 0 || l.buffered < 0 || l.flushed < 0 || l.flushed > l.buffered || l.buffered > l.head:
 		return nil, fmt.Errorf("elog: corrupt header: head=%d buffered=%d flushed=%d cap=%d",
 			l.head, l.buffered, l.flushed, l.cap)
 	case l.head-l.flushed > l.cap && !cfg.Battery:
@@ -379,41 +374,67 @@ func (l *Log) MarkBuffered(ctx *xpsim.Ctx, upTo int64) {
 	}
 }
 
-// MarkFlushed advances the flushing cursor to upTo and persists it,
-// keeping the current count slot. Only buffered edges can be
-// flush-acknowledged.
+// MarkFlushed advances the flushing cursor to upTo and persists it, outside
+// any flush epoch: the commit of stores that recover from no epoch. Only
+// buffered edges can be flush-acknowledged.
 func (l *Log) MarkFlushed(ctx *xpsim.Ctx, upTo int64) {
-	l.MarkFlushedSlot(ctx, upTo, l.slot)
-}
-
-// AckSlot reports which adjacency count slot the persisted flushed word
-// currently selects (see adj.Ack): the slot whose counts recovery will
-// trust.
-func (l *Log) AckSlot() int { return l.slot }
-
-// MarkFlushedSlot advances the flushing cursor to upTo and atomically
-// switches the authoritative adjacency count slot — the commit point of
-// a crash-safe flushing phase. The caller must have made the slot's
-// count writes durable (persist barrier) before calling: once the
-// flushed word lands, recovery trusts them and stops replaying the
-// edges they cover.
-func (l *Log) MarkFlushedSlot(ctx *xpsim.Ctx, upTo int64, slot int) {
-	if upTo < l.flushed || upTo > l.buffered {
-		panic(fmt.Sprintf("elog: MarkFlushed(%d) outside [%d,%d]", upTo, l.flushed, l.buffered))
-	}
-	if slot != 0 && slot != 1 {
-		panic(fmt.Sprintf("elog: bad ack slot %d", slot))
-	}
-	l.flushed = upTo
-	l.slot = slot
-	word := uint64(upTo)
-	if slot == 1 {
-		word |= slotBit
-	}
-	mem.WriteU64(l.m, ctx, l.hdr+offFlush, word)
+	l.advanceFlushed(upTo)
+	mem.WriteU64(l.m, ctx, l.hdr+offFlush, uint64(upTo))
 	if !l.battery {
 		l.m.Flush(ctx, l.hdr, hdrBytes)
 	}
+}
+
+// Epoch reports the last flush epoch committed: 0 for a fresh log. It means
+// nothing on a log whose cursor advances through MarkFlushed.
+func (l *Log) Epoch() uint32 { return l.epoch }
+
+// Commit advances the flushing cursor to upTo and commits the next flush
+// epoch — the commit point of a crash-safe flushing phase (see adj.Ack). The
+// caller must have made the epoch's count writes durable (persist barrier)
+// before calling: once the commit lands, recovery trusts them and stops
+// replaying the edges they cover.
+//
+// The commit is two 8-byte stores in the header line: the flushed cursor,
+// and {epoch, low 32 bits of that cursor}. Whichever of them a crash leaves
+// durable decides (committedEpoch), so the epoch commits with a single
+// atomic store — the cursor's when it moves, the epoch word's when it does
+// not — and one flush.
+func (l *Log) Commit(ctx *xpsim.Ctx, upTo int64) error {
+	if l.epoch == MaxEpoch {
+		return ErrEpochBound
+	}
+	l.advanceFlushed(upTo)
+	l.epoch++
+	mem.WriteU64(l.m, ctx, l.hdr+offFlush, uint64(upTo))
+	mem.WriteU64(l.m, ctx, l.hdr+offEpoch, uint64(l.epoch)|uint64(uint32(upTo))<<32)
+	if !l.battery {
+		l.m.Flush(ctx, l.hdr, hdrBytes)
+	}
+	return nil
+}
+
+func (l *Log) advanceFlushed(upTo int64) {
+	if upTo < l.flushed || upTo > l.buffered {
+		panic(fmt.Sprintf("elog: MarkFlushed(%d) outside [%d,%d]", upTo, l.flushed, l.buffered))
+	}
+	l.flushed = upTo
+}
+
+// committedEpoch decodes the epoch word beside the flushed cursor. A
+// commit advances the cursor by less than the ring's capacity, so the low
+// cursor bits the word carries say which of the two stores a crash kept:
+// both, or neither (they agree); the cursor alone (the word lags it: the
+// commit landed); or the word alone (it leads: the commit did not).
+func committedEpoch(word uint64, flushed int64) uint32 {
+	epoch := uint32(word)
+	switch lead := int32(uint32(word>>32) - uint32(flushed)); {
+	case lead < 0:
+		return epoch + 1
+	case lead > 0 && epoch > 0:
+		return epoch - 1
+	}
+	return epoch
 }
 
 // Bytes reports the PMEM footprint of the log (header + ring + strip).

@@ -409,3 +409,61 @@ func TestRewindBuffered(t *testing.T) {
 		t.Fatalf("replay did not persist its cursor: %v, %v", again, err)
 	}
 }
+
+// TestCommitEpochSurvivesEveryTear crashes a commit at each of its two
+// stores: whichever of the flushed cursor and the epoch word is durable,
+// the log attaches at the epoch the durable cursor says — the old one until
+// the cursor moves, the new one once it has — and a commit that does not
+// move the cursor commits with its epoch word.
+func TestCommitEpochSurvivesEveryTear(t *testing.T) {
+	for _, advance := range []int64{3, 0} {
+		l, r, ctx := testLog(t, 16, false)
+		if _, err := l.Append(ctx, edges(8, 0)); err != nil {
+			t.Fatal(err)
+		}
+		l.MarkBuffered(ctx, 8)
+		if err := l.Commit(ctx, 4); err != nil {
+			t.Fatal(err)
+		}
+		old := make([]byte, HeaderBytes)
+		r.Read(ctx, l.HeaderOffset(), old)
+		if err := l.Commit(ctx, 4+advance); err != nil {
+			t.Fatal(err)
+		}
+		committed := make([]byte, HeaderBytes)
+		r.Read(ctx, l.HeaderOffset(), committed)
+		for _, tc := range []struct {
+			cursor, word bool // durable: the new flushed cursor, the new epoch word
+			want         uint32
+		}{{false, false, 1}, {true, true, 2}, {true, false, map[bool]uint32{true: 2, false: 1}[advance > 0]}, {false, true, map[bool]uint32{true: 1, false: 2}[advance > 0]}} {
+			hdr := append([]byte(nil), old...)
+			if tc.cursor {
+				copy(hdr[offFlush:offFlush+8], committed[offFlush:])
+			}
+			if tc.word {
+				copy(hdr[offEpoch:offEpoch+8], committed[offEpoch:])
+			}
+			r.Write(ctx, l.HeaderOffset(), hdr)
+			got, err := Attach(ctx, r, l.HeaderOffset(), l.BaseOffset(), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Epoch() != tc.want {
+				t.Errorf("advance %d, new cursor durable %v, new epoch word %v: epoch %d, want %d", advance, tc.cursor, tc.word, got.Epoch(), tc.want)
+			}
+		}
+	}
+}
+
+// TestCommitRefusesPastMaxEpoch: the epochs end in a typed refusal, never a
+// wrap to the epoch every block is created in.
+func TestCommitRefusesPastMaxEpoch(t *testing.T) {
+	l, _, ctx := testLog(t, 16, false)
+	l.epoch = MaxEpoch - 1
+	if err := l.Commit(ctx, 0); err != nil || l.Epoch() != MaxEpoch {
+		t.Fatalf("commit of the last epoch: %v, epoch %d", err, l.Epoch())
+	}
+	if err := l.Commit(ctx, 0); !errors.Is(err, ErrEpochBound) || l.Epoch() != MaxEpoch {
+		t.Fatalf("commit past the last epoch: %v, epoch %d; want ErrEpochBound", err, l.Epoch())
+	}
+}

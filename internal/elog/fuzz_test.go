@@ -10,7 +10,7 @@ import (
 )
 
 // fuzzLogSetup builds a small log in a real region with a representative
-// cursor state (wrapped head, all three cursors distinct, slot 1), and
+// cursor state (wrapped head, all three cursors distinct, epoch 1), and
 // returns the region, the log, and the raw header bytes.
 func fuzzLogSetup(tb testing.TB) (*pmem.Region, *Log, []byte) {
 	m := xpsim.NewMachine(2, 32<<20, xpsim.DefaultLatency())
@@ -24,12 +24,14 @@ func fuzzLogSetup(tb testing.TB) (*pmem.Region, *Log, []byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	// head=12 (wrapped), buffered=10, flushed=6, slot=1.
+	// head=12 (wrapped), buffered=10, flushed=6, epoch=1.
 	if _, err := l.Append(ctx, edges(8, 0)); err != nil {
 		tb.Fatal(err)
 	}
 	l.MarkBuffered(ctx, 8)
-	l.MarkFlushedSlot(ctx, 6, 1)
+	if err := l.Commit(ctx, 6); err != nil {
+		tb.Fatal(err)
+	}
 	if _, err := l.Append(ctx, edges(4, 8)); err != nil {
 		tb.Fatal(err)
 	}
@@ -57,7 +59,8 @@ func FuzzLogCursors(f *testing.F) {
 		{offBuf, 11},                  // buffered > head? (10 -> 11 keeps order; 13 breaks it)
 		{offBuf, 13},                  // buffered ahead of head
 		{offFlush, 11},                // flushed ahead of buffered
-		{offFlush, uint64(6) | 1<<63}, // same cursor, other slot
+		{offFlush, uint64(6) | 1<<63}, // negative flushed cursor
+		{offEpoch, uint64(9) | 6<<32}, // an epoch the cursor never committed
 		{offCap, 0},                   // zero capacity
 		{offCap, 1 << 50},             // capacity beyond the region
 		{offHead, ^uint64(0)},         // negative head when read as int64
@@ -81,10 +84,10 @@ func FuzzLogCursors(f *testing.F) {
 				t.Fatalf("valid header rejected: %v", err)
 			}
 			if got.Head() != l.Head() || got.Buffered() != l.Buffered() ||
-				got.Flushed() != l.Flushed() || got.AckSlot() != l.AckSlot() || got.Cap() != l.Cap() {
-				t.Fatalf("round-trip mismatch: got head=%d buf=%d flush=%d slot=%d cap=%d, want head=%d buf=%d flush=%d slot=%d cap=%d",
-					got.Head(), got.Buffered(), got.Flushed(), got.AckSlot(), got.Cap(),
-					l.Head(), l.Buffered(), l.Flushed(), l.AckSlot(), l.Cap())
+				got.Flushed() != l.Flushed() || got.Epoch() != l.Epoch() || got.Cap() != l.Cap() {
+				t.Fatalf("round-trip mismatch: got head=%d buf=%d flush=%d epoch=%d cap=%d, want head=%d buf=%d flush=%d epoch=%d cap=%d",
+					got.Head(), got.Buffered(), got.Flushed(), got.Epoch(), got.Cap(),
+					l.Head(), l.Buffered(), l.Flushed(), l.Epoch(), l.Cap())
 			}
 		}
 		if err != nil {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 
@@ -44,16 +43,6 @@ func ReadTextEdges(r io.Reader) ([]graph.Edge, error) {
 		return nil, err
 	}
 	return edges, nil
-}
-
-// ReadTextEdgeFile loads a SNAP/KONECT-style text edge list from disk.
-func ReadTextEdgeFile(path string) ([]graph.Edge, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadTextEdges(f)
 }
 
 // WriteTextEdges writes edges in the same text format (deletions are

@@ -12,14 +12,20 @@
 //	[4:6)   count  (uint16, 1..15 records)
 //	[6:8)   patch  (uint16, 0 = normal; n>0: replaces block n-1)
 //	[8:248) count × 16-byte records
-//	[248:256) zero
+//	[248:252) open  (uint32, 0 = closes its flush; n>0: an earlier block
+//	          of the flush that starts at block n-1)
+//	[252:256) zero
 //
-// Blocks are written strictly sequentially and never rewritten in place,
-// so a torn write can only affect the newest block: recovery truncates it
-// and every earlier record stays durable (the same prefix-durability
-// contract the edge log gives). A patch block re-publishes the records of
-// an earlier block whose media went bad — the scrub rebuild path — and
-// logically replaces it without touching the damaged line.
+// Blocks are appended and never rewritten in place. One flush is one run
+// of blocks: every block but the last is open and names the run's first
+// block; the closing block is written only once the open ones are on the
+// media, so a durable closing block commits its whole run. A crash inside
+// a flush can leave its open blocks torn or missing in any order; recovery
+// truncates the unclosed run and every earlier record stays durable (the
+// prefix-durability contract the edge log gives). A patch block
+// re-publishes the records of an earlier block whose media went bad — the
+// scrub rebuild path — and logically replaces it without touching the
+// damaged line; it closes its own one-block run.
 //
 // # Record format
 //
@@ -51,6 +57,7 @@ const (
 	RecordsPerBlock = 15
 
 	blockHdrBytes = 8
+	blockOpenOff  = blockHdrBytes + RecordsPerBlock*RecordBytes
 )
 
 // Record kinds.
@@ -137,67 +144,79 @@ func decodeRecord(p []byte) Record {
 	}
 }
 
-// EncodeBlock renders up to RecordsPerBlock records into dst (BlockBytes
-// long, zeroed by the caller or reused — it is fully overwritten).
-// patch is 0 for a normal block, or target+1 when this block logically
-// replaces an earlier one.
-func EncodeBlock(dst []byte, recs []Record, patch uint16) {
+// Block is one column block's content.
+type Block struct {
+	Recs []Record
+	// Patch is 0 for a normal block, or target+1 when this block logically
+	// replaces an earlier one.
+	Patch uint16
+	// Open is 0 for a block that closes its flush, or start+1 for an
+	// earlier block of the flush whose first block is start.
+	Open uint32
+}
+
+// EncodeBlock renders b into dst (BlockBytes long, zeroed by the caller or
+// reused — it is fully overwritten). b holds 1..RecordsPerBlock records.
+func EncodeBlock(dst []byte, b Block) {
 	if len(dst) < BlockBytes {
 		panic("prop: EncodeBlock buffer too small")
 	}
-	if len(recs) == 0 || len(recs) > RecordsPerBlock {
-		panic(fmt.Sprintf("prop: EncodeBlock record count %d", len(recs)))
+	if len(b.Recs) == 0 || len(b.Recs) > RecordsPerBlock {
+		panic(fmt.Sprintf("prop: EncodeBlock record count %d", len(b.Recs)))
 	}
 	for i := range dst[:BlockBytes] {
 		dst[i] = 0
 	}
-	binary.LittleEndian.PutUint16(dst[4:6], uint16(len(recs)))
-	binary.LittleEndian.PutUint16(dst[6:8], patch)
-	for i, r := range recs {
+	binary.LittleEndian.PutUint16(dst[4:6], uint16(len(b.Recs)))
+	binary.LittleEndian.PutUint16(dst[6:8], b.Patch)
+	for i, r := range b.Recs {
 		r.encode(dst[blockHdrBytes+i*RecordBytes:])
 	}
+	binary.LittleEndian.PutUint32(dst[blockOpenOff:], b.Open)
 	binary.LittleEndian.PutUint32(dst[0:4], crc32.Checksum(dst[4:BlockBytes], castagnoli))
 }
 
-// DecodeBlock parses one column block. It returns the records and the
-// patch target (+1; 0 when the block is a normal in-place block), or
-// ErrBadBlock when the checksum or header is invalid. A block that is
-// entirely zero (never written) decodes to (nil, 0, nil).
-func DecodeBlock(p []byte) (recs []Record, patch uint16, err error) {
+// DecodeBlock parses one column block, or returns ErrBadBlock when the
+// checksum or header is invalid. A block that is entirely zero (never
+// written) decodes to a Block with nil Recs and no error.
+func DecodeBlock(p []byte) (Block, error) {
 	if len(p) < BlockBytes {
-		return nil, 0, fmt.Errorf("%w: short block (%d bytes)", ErrBadBlock, len(p))
+		return Block{}, fmt.Errorf("%w: short block (%d bytes)", ErrBadBlock, len(p))
 	}
 	p = p[:BlockBytes]
 	if isZero(p) {
-		return nil, 0, nil
+		return Block{}, nil
 	}
 	if got, want := crc32.Checksum(p[4:], castagnoli), binary.LittleEndian.Uint32(p[0:4]); got != want {
-		return nil, 0, fmt.Errorf("%w: crc mismatch (stored %08x, computed %08x)", ErrBadBlock, want, got)
+		return Block{}, fmt.Errorf("%w: crc mismatch (stored %08x, computed %08x)", ErrBadBlock, want, got)
 	}
 	count := int(binary.LittleEndian.Uint16(p[4:6]))
-	patch = binary.LittleEndian.Uint16(p[6:8])
+	b := Block{Patch: binary.LittleEndian.Uint16(p[6:8]), Open: binary.LittleEndian.Uint32(p[blockOpenOff:])}
 	if count == 0 || count > RecordsPerBlock {
-		return nil, 0, fmt.Errorf("%w: record count %d", ErrBadBlock, count)
+		return Block{}, fmt.Errorf("%w: record count %d", ErrBadBlock, count)
 	}
-	if !isZero(p[blockHdrBytes+count*RecordBytes:]) {
-		return nil, 0, fmt.Errorf("%w: nonzero padding", ErrBadBlock)
+	if !isZero(p[blockHdrBytes+count*RecordBytes:blockOpenOff]) || !isZero(p[blockOpenOff+4:]) {
+		return Block{}, fmt.Errorf("%w: nonzero padding", ErrBadBlock)
 	}
-	recs = make([]Record, count)
-	for i := range recs {
+	if b.Patch != 0 && b.Open != 0 {
+		return Block{}, fmt.Errorf("%w: an open patch block", ErrBadBlock)
+	}
+	b.Recs = make([]Record, count)
+	for i := range b.Recs {
 		rp := p[blockHdrBytes+i*RecordBytes:]
 		if rp[1] != 0 {
-			return nil, 0, fmt.Errorf("%w: nonzero record pad", ErrBadBlock)
+			return Block{}, fmt.Errorf("%w: nonzero record pad", ErrBadBlock)
 		}
-		recs[i] = decodeRecord(rp)
+		b.Recs[i] = decodeRecord(rp)
 	}
-	for _, r := range recs {
+	for _, r := range b.Recs {
 		switch r.Kind {
 		case KindEdgeLabel, KindVProp, KindLabelDef:
 		default:
-			return nil, 0, fmt.Errorf("%w: unknown record kind %d", ErrBadBlock, r.Kind)
+			return Block{}, fmt.Errorf("%w: unknown record kind %d", ErrBadBlock, r.Kind)
 		}
 	}
-	return recs, patch, nil
+	return b, nil
 }
 
 func isZero(p []byte) bool {

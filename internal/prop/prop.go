@@ -65,7 +65,7 @@ type Store struct {
 type RecoverInfo struct {
 	Blocks      int64 // readable blocks (incl. patches)
 	Records     int64 // live records applied to the index
-	TornTail    bool  // a torn newest block was truncated
+	TornTail    bool  // an unclosed flush's blocks were truncated
 	BadBlocks   int64 // unreadable blocks (patched or unrecoverable)
 	Unreadable  int64 // unreadable blocks with no patch (=> damaged)
 	Quarantined int64 // blocks superseded by patches
@@ -89,11 +89,11 @@ func Create(m mem.Mem, lat *xpsim.LatencyModel, base, capBlocks int64) (*Store, 
 }
 
 // Attach recovers a column store from the durable image: it scans blocks
-// forward, truncates a torn tail, resolves patch blocks onto their
-// targets, and rebuilds the DRAM index by replaying the logical record
-// sequence. An unreadable block that no patch supersedes marks the store
-// damaged: checked reads fail with ErrDamaged instead of silently
-// answering defaults.
+// forward, truncates the run of an unfinished flush, resolves patch
+// blocks onto their targets, and rebuilds the DRAM index by replaying the
+// logical record sequence. An unreadable block that no patch supersedes
+// marks the store damaged: checked reads fail with ErrDamaged instead of
+// silently answering defaults.
 func Attach(ctx *xpsim.Ctx, m mem.Mem, lat *xpsim.LatencyModel, base, capBlocks int64) (*Store, RecoverInfo, error) {
 	s, err := Create(m, lat, base, capBlocks)
 	if err != nil {
@@ -101,39 +101,48 @@ func Attach(ctx *xpsim.Ctx, m mem.Mem, lat *xpsim.LatencyModel, base, capBlocks 
 	}
 	var info RecoverInfo
 	buf := make([]byte, BlockBytes)
-	// Scan every physical block. Blocks are written strictly
-	// sequentially, so the first all-zero block ends the log; a bad
-	// block before it is either media damage (patched later or
-	// unrecoverable) or — when nothing follows it — a torn tail.
+	// Scan every physical block up to the first all-zero one. No closing
+	// block lies past a hole: a flush's open blocks are all on the media
+	// before its closing block is written.
 	type scanned struct {
 		recs  []Record
 		patch uint16
 		bad   bool
 	}
 	var scan []scanned
+	committed := 0 // blocks [0, committed) belong to closed flushes
 	for i := int64(0); i < capBlocks; i++ {
-		rerr := mem.ReadChecked(s.m, ctx, s.base+i*BlockBytes, buf)
-		if rerr != nil {
+		if rerr := mem.ReadChecked(s.m, ctx, s.base+i*BlockBytes, buf); rerr != nil {
 			scan = append(scan, scanned{bad: true})
 			continue
 		}
-		recs, patch, derr := DecodeBlock(buf)
-		if derr != nil {
+		b, derr := DecodeBlock(buf)
+		if derr != nil || int64(b.Open) > i+1 {
 			scan = append(scan, scanned{bad: true})
 			continue
 		}
-		if recs == nil { // all-zero: end of log
+		if b.Recs == nil { // all-zero: end of log
 			break
 		}
-		scan = append(scan, scanned{recs: recs, patch: patch})
+		scan = append(scan, scanned{recs: b.Recs, patch: b.Patch})
+		if b.Open == 0 {
+			committed = len(scan)
+		} else {
+			// The blocks before this block's flush were committed when it
+			// started, even if their closing block has since gone bad.
+			committed = max(committed, int(b.Open)-1)
+		}
 	}
-	// Trim trailing bad blocks: the newest one may be a torn tail (a
-	// normal crash artifact, truncated without complaint).
-	for len(scan) > 0 && scan[len(scan)-1].bad {
-		scan = scan[:len(scan)-1]
+	// Truncate the unclosed flush: its blocks may be torn or missing in
+	// any order (a normal crash artifact, dropped without complaint). A bad
+	// block before the cut is media damage.
+	for _, b := range scan[committed:] {
 		info.TornTail = true
-		info.BadBlocks++
+		if b.bad {
+			info.BadBlocks++
+		}
 	}
+	scan = scan[:committed]
 	s.head = int64(len(scan))
 	s.blocks = make([]blockMeta, len(scan))
 	lastPatch := make(map[int]int) // target -> newest patch block
@@ -327,29 +336,46 @@ func (s *Store) BindFlush() {
 
 // Flush writes every pending record out as full column blocks (the last
 // one possibly partial — blocks are never rewritten, so the next flush
-// starts a fresh block). Records are durable in append order: a crash
-// mid-flush keeps a prefix.
+// starts a fresh block). The flush is durable as a whole once it returns:
+// a crash inside it rolls back its records and keeps every earlier one.
 func (s *Store) Flush(ctx *xpsim.Ctx) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.flushLocked(ctx)
 }
 
+// flushLocked writes the pending records as one run of blocks: the open
+// blocks, one flush of their lines — only the lines still in the XPBuffer
+// cost a media write, the rest went out as the run pushed them — and the
+// closing block, written and flushed last. Out of room, it writes the run
+// that fits and returns ErrFull.
 func (s *Store) flushLocked(ctx *xpsim.Ctx) error {
+	n := int64((len(s.pending) + RecordsPerBlock - 1) / RecordsPerBlock)
+	if n == 0 {
+		return nil
+	}
+	var err error
+	if n > s.capBlocks-s.head {
+		n, err = s.capBlocks-s.head, ErrFull
+		if n == 0 {
+			return err
+		}
+	}
 	var buf [BlockBytes]byte
 	// Under BindFlush the writing thread is on the node of the stripe it
 	// writes; its time is the caller's either way.
 	defer func(node int) { ctx.Node = node }(ctx.Node)
-	for len(s.pending) > 0 {
-		if s.head >= s.capBlocks {
-			return ErrFull
+	start := s.head
+	for i := int64(0); i < n; i++ {
+		k := min(len(s.pending), RecordsPerBlock)
+		recs := append([]Record(nil), s.pending[:k]...)
+		b := Block{Recs: recs}
+		if i < n-1 {
+			b.Open = uint32(start) + 1
+		} else if i > 0 {
+			s.m.Flush(ctx, s.base+start*BlockBytes, i*BlockBytes)
 		}
-		n := len(s.pending)
-		if n > RecordsPerBlock {
-			n = RecordsPerBlock
-		}
-		recs := append([]Record(nil), s.pending[:n]...)
-		EncodeBlock(buf[:], recs, 0)
+		EncodeBlock(buf[:], b)
 		off := s.base + s.head*BlockBytes
 		if node := s.m.NodeOf(off); s.bound && node != ctx.Node {
 			s.lat.DRAM(ctx, 8, true, false)  // the handover: one thread's store,
@@ -357,13 +383,15 @@ func (s *Store) flushLocked(ctx *xpsim.Ctx) error {
 			ctx.Node = node
 		}
 		s.m.Write(ctx, off, buf[:])
-		s.m.Flush(ctx, off, BlockBytes)
 		s.blocks = append(s.blocks, blockMeta{recs: recs, patchOf: -1})
 		s.head++
-		s.pending = s.pending[n:]
+		s.pending = s.pending[k:]
 	}
-	s.pending = nil
-	return nil
+	s.m.Flush(ctx, s.base+(s.head-1)*BlockBytes, BlockBytes)
+	if len(s.pending) == 0 {
+		s.pending = nil
+	}
+	return err
 }
 
 // Label answers the type of edge (src, dst): the last applied label, or
@@ -493,7 +521,7 @@ func (s *Store) Scrub(ctx *xpsim.Ctx) (ScrubReport, error) {
 		bad := false
 		if err := mem.ReadChecked(s.m, ctx, s.base+i*BlockBytes, buf); err != nil {
 			bad = true
-		} else if _, _, err := DecodeBlock(buf); err != nil {
+		} else if _, err := DecodeBlock(buf); err != nil {
 			bad = true
 		}
 		if !bad {
@@ -517,7 +545,7 @@ func (s *Store) Scrub(ctx *xpsim.Ctx) (ScrubReport, error) {
 			s.damaged = true
 			continue
 		}
-		EncodeBlock(blkbuf[:], recs, uint16(target)+1)
+		EncodeBlock(blkbuf[:], Block{Recs: recs, Patch: uint16(target) + 1})
 		off := s.base + s.head*BlockBytes
 		s.m.Write(ctx, off, blkbuf[:])
 		s.m.Flush(ctx, off, BlockBytes)

@@ -27,13 +27,14 @@ func TestBlockRoundTrip(t *testing.T) {
 		LabelDefRecord(4, "follows"),
 	}
 	var buf [BlockBytes]byte
-	EncodeBlock(buf[:], recs, 5)
-	got, patch, err := DecodeBlock(buf[:])
+	EncodeBlock(buf[:], Block{Recs: recs, Patch: 5})
+	b, err := DecodeBlock(buf[:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if patch != 5 || len(got) != 3 {
-		t.Fatalf("patch %d len %d", patch, len(got))
+	got := b.Recs
+	if b.Patch != 5 || b.Open != 0 || len(got) != 3 {
+		t.Fatalf("patch %d open %d len %d", b.Patch, b.Open, len(got))
 	}
 	if got[0] != recs[0] || got[1] != recs[1] || got[2] != recs[2] {
 		t.Fatalf("records differ: %+v vs %+v", got, recs)
@@ -46,14 +47,14 @@ func TestBlockRoundTrip(t *testing.T) {
 	}
 	// Corrupt one byte: decode must fail, not return wrong records.
 	buf[100] ^= 0xFF
-	if _, _, err := DecodeBlock(buf[:]); err == nil {
+	if _, err := DecodeBlock(buf[:]); err == nil {
 		t.Fatal("corrupt block decoded cleanly")
 	}
 	// All-zero block is a clean end-of-log.
 	var zero [BlockBytes]byte
-	recs2, _, err := DecodeBlock(zero[:])
-	if err != nil || recs2 != nil {
-		t.Fatalf("zero block: %v %v", recs2, err)
+	b2, err := DecodeBlock(zero[:])
+	if err != nil || b2.Recs != nil {
+		t.Fatalf("zero block: %v %v", b2.Recs, err)
 	}
 }
 
@@ -303,5 +304,117 @@ func TestLogFull(t *testing.T) {
 	s.ApplyProps([]graph.PropSet{{V: 999, Key: 1, Val: 1}})
 	if err := s.Flush(ctx); err != ErrFull {
 		t.Fatalf("want ErrFull, got %v", err)
+	}
+}
+
+// writeBlock puts b at physical block i, durably, as a crashed flush may
+// have left it.
+func writeBlock(r *pmem.Region, base, i int64, b Block) {
+	var buf [BlockBytes]byte
+	EncodeBlock(buf[:], b)
+	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
+	r.Write(ctx, base+i*BlockBytes, buf[:])
+	r.Flush(ctx, base+i*BlockBytes, BlockBytes)
+}
+
+func TestUnclosedFlushTruncates(t *testing.T) {
+	r, _, base := testRegion(t, 8)
+	lat := xpsim.DefaultLatency()
+	s, _ := Create(r, &lat, base, 8)
+	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
+	s.ApplyProps([]graph.PropSet{{V: 1, Key: 1, Val: 10}})
+	if err := s.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// A flush starting at block 1 crashed with blocks 1 and 3 on the media,
+	// block 2 missing and its closing block never written.
+	writeBlock(r, base, 1, Block{Recs: []Record{VPropRecord(1, 1, 20)}, Open: 2})
+	writeBlock(r, base, 3, Block{Recs: []Record{VPropRecord(2, 1, 30)}, Open: 2})
+
+	s2, info, err := Attach(ctx, r, &lat, base, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.TornTail || info.Unreadable != 0 || s2.Damaged() || s2.Blocks() != 1 {
+		t.Fatalf("want the unclosed flush truncated, got %+v, %d blocks", info, s2.Blocks())
+	}
+	if v, ok := s2.VProp(1, 1); !ok || v != 10 {
+		t.Fatalf("vprop = %d %v (want the closed flush's 10)", v, ok)
+	}
+	// The next flush closes at block 1; block 3 stays behind it, open, and
+	// the next attach drops it again.
+	s2.ApplyProps([]graph.PropSet{{V: 3, Key: 1, Val: 40}})
+	if err := s2.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	s3, _, err := Attach(ctx, r, &lat, base, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s3.VProp(2, 1); ok || s3.Blocks() != 2 {
+		t.Fatalf("a stale open block came back: %d blocks", s3.Blocks())
+	}
+	if v, ok := s3.VProp(3, 1); !ok || v != 40 {
+		t.Fatalf("vprop = %d %v (want 40)", v, ok)
+	}
+}
+
+func TestDamagedClosingBlockIsDamage(t *testing.T) {
+	r, _, base := testRegion(t, 8)
+	lat := xpsim.DefaultLatency()
+	s, _ := Create(r, &lat, base, 8)
+	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
+	for i := 0; i < RecordsPerBlock+1; i++ {
+		s.ApplyProps([]graph.PropSet{{V: uint32(i), Key: 1, Val: 1}})
+	}
+	if err := s.Flush(ctx); err != nil { // blocks 0 (open) and 1 (closing)
+		t.Fatal(err)
+	}
+	var b [1]byte
+	off := base + 1*BlockBytes + 9
+	r.Read(ctx, off, b[:])
+	b[0] ^= 0xA5
+	r.Write(ctx, off, b[:])
+	r.Flush(ctx, off, 1)
+	// The next flush, crashed: its open block names block 2 as its start,
+	// so blocks 0 and 1 were a closed flush and block 1 is damage, not a
+	// torn tail.
+	writeBlock(r, base, 2, Block{Recs: []Record{VPropRecord(99, 1, 1)}, Open: 3})
+
+	s2, info, err := Attach(ctx, r, &lat, base, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Unreadable != 1 || !s2.Damaged() || !info.TornTail || s2.Blocks() != 2 {
+		t.Fatalf("want block 1 damaged and block 2 truncated, got %+v, %d blocks", info, s2.Blocks())
+	}
+}
+
+func TestLongFlushPaysOnlyResidentLines(t *testing.T) {
+	const blocks = 400
+	r, m, base := testRegion(t, blocks)
+	lat := xpsim.DefaultLatency()
+	s, _ := Create(r, &lat, base, blocks)
+	for i := 0; i < blocks*RecordsPerBlock; i++ {
+		s.ApplyProps([]graph.PropSet{{V: uint32(i), Key: 1, Val: 1}})
+	}
+	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
+	for _, d := range m.Devices() {
+		d.WritebackAll(ctx) // the region's own header lines
+	}
+	m.ResetStats()
+	ctx = xpsim.NewCtx(xpsim.NodeUnbound)
+	if err := s.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// Every block is one line write; the run's closing flush pays only for
+	// the lines still in the XPBuffer (64 a device), and the closing block
+	// for its own.
+	resident := int64(len(m.Devices())) * 64
+	if lo, hi := blocks*lat.LineWrite, (blocks+resident+1)*lat.LineWrite; ctx.Cost.Ns() < lo || ctx.Cost.Ns() > hi {
+		t.Errorf("flush of %d blocks took %d ns, want %d..%d", blocks, ctx.Cost.Ns(), lo, hi)
+	}
+	if st := m.TotalStats(); st.MediaWriteLines > blocks {
+		t.Errorf("%d media line writes for %d blocks", st.MediaWriteLines, blocks)
 	}
 }

@@ -1,5 +1,7 @@
 package xpsim
 
+import "math/bits"
+
 // ChunkStore is a sparse byte array: backing chunks are allocated on first
 // touch. This keeps host memory proportional to data actually written, the
 // way Linux only materializes touched pages of a large mapping (the paper
@@ -12,8 +14,11 @@ type ChunkStore struct {
 
 const defaultChunkBits = 20 // 1 MiB chunks
 
+// NewChunkStore returns an untouched store of size bytes. A store smaller
+// than a chunk is one chunk of its own size (rounded up to a power of two),
+// so that small simulated devices stay cheap to clone.
 func NewChunkStore(size int64) *ChunkStore {
-	cs := &ChunkStore{size: size, chunkBits: defaultChunkBits}
+	cs := &ChunkStore{size: size, chunkBits: uint(min(defaultChunkBits, max(12, bits.Len64(uint64(size-1)))))}
 	n := (size + (1 << cs.chunkBits) - 1) >> cs.chunkBits
 	cs.chunks = make([][]byte, n)
 	return cs

@@ -64,12 +64,12 @@ go test -count=1 -run 'TestComparatorKillsMutants|TestSweepCases' ./internal/dif
 echo "== adjacency block format: one codec, pinned accesses, crash × scrub"
 # internal/adj/header.go is the only non-test file of the package that may
 # name a header offset (DESIGN.md §7 "Block format — who may touch it").
-if grep -nE 'off(VID|Cap|Prev|Fmt|Cnt[01]|CRC[01])' \
+if grep -nE 'off(VID|Cap|Prev|Stamp|Cnt[01]|CRC[01])' \
     $(git ls-files 'internal/adj/*.go' | grep -v -e '_test\.go$' -e '/header\.go$'); then
     echo "a header offset is named outside internal/adj/header.go" >&2
     exit 1
 fi
-# One count policy (DESIGN.md §7 "Who writes the count slots"): adj branches
+# One count policy (DESIGN.md §7 "The count slots and the stamp"): adj branches
 # on the normalized Options.Counts, whose rules are header.go's table, and
 # reads the CrashSafe spelling only where New folds it in
 # (Options.normalized); core derives the policy in options.go alone.
@@ -99,6 +99,21 @@ go test -count=1 -short -run 'TestReplaceChainTornKillKeepsArena|TestScrubCrashS
 # Each count policy's row at the device, the scan refusing every policy but
 # the acked one with an error, and DisableProactiveFlush holding.
 go test -count=1 -run 'TestCountPolicies|TestRecoverWithRefusesUnrecoverablePolicies' ./internal/adj/
+# The single-word commit (DESIGN.md §7 "The count slots and the stamp"): the
+# small-scope explorer — every sequence of appends, flush cycles,
+# compactions and deletions on a two-vertex arena, killed at every media
+# write, recovered, committed again and crashed again (depth 3 here, 5 under
+# plain `go test`, deeper with -explore.depth) — the stamps at the device,
+# and the epoch word surviving every tear of its commit.
+go test -count=1 -short -run 'TestExploreCommitProtocol|TestCountsRideTheRecordsWrite|TestRecoverTornKillKeepsBlocksBehind|TestRecoverTornReuseKeepsBlocksBehind|TestBoundsAreTypedRefusals|TestRunTagsWrapWithoutAStaleStamp' ./internal/adj/
+go test -count=1 -run 'TestCommitEpochSurvivesEveryTear|TestCommitRefusesPastMaxEpoch' ./internal/elog/
+go test -count=1 -run 'TestSnapshotShortReadIsTyped' ./internal/core/
+# The global slot parity and its two-cycle re-acknowledgment are gone, and
+# so is the text loader nothing called: none of them may come back.
+if git ls-files '*.go' | xargs grep -nE '\b(MarkFlushedSlot|AckSlot|slotBit|pendPrev|nextSlot|ReadTextEdgeFile)\b|cnt\[0\] != [a-z.]*cnt\[1\]'; then
+    echo "the global count-slot parity (or the text loader) came back" >&2
+    exit 1
+fi
 go test -count=1 -run 'TestRecoverRejects|TestDisableProactiveFlushIssuesNoAdjacencyFlush' ./internal/core/
 
 echo "== one clock: no wall-clock read in a policy path; the stepped pipeline; soak on the real one"
