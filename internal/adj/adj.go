@@ -1,11 +1,10 @@
-// Package adj implements persistent adjacency-list storage: per-vertex
-// chains of neighbor blocks living in PMEM (or DRAM for the volatile
-// variants). Blocks carry a persisted, self-describing header (header.go:
-// the one file that knows its layout) so a recovering process can rebuild
-// every chain with one sequential scan of the arena — the recovery scheme
-// of §V-D. Every read of a chain goes through one walker and one block
-// decoder (walk.go); compaction and scrub repair share one journaled chain
-// swap (swap.go).
+// Package adj implements persistent adjacency lists: per-vertex chains of
+// neighbor blocks in PMEM (in DRAM for the volatile variants). Blocks carry
+// a persisted, self-describing header (header.go: the one file that knows
+// its layout) so a recovering process can rebuild every chain with one
+// sequential scan of the arena — the recovery scheme of §V-D. Every read of
+// a chain goes through one walker and one block decoder (walk.go);
+// compaction and scrub repair share one journaled chain swap (swap.go).
 //
 // XPGraph appends whole drained vertex buffers (up to 63 neighbors) as one
 // contiguous write — the single-XPLine flush of §III-B — while GraphOne's
@@ -52,15 +51,15 @@ import (
 // that already stores `degree` records and is receiving `incoming` more.
 type Sizing func(degree, incoming int) int
 
-// XPGraphSizing grows blocks with the vertex: small vertices get small
+// xpGraphSizing grows blocks with the vertex: small vertices get small
 // blocks, hot vertices get room to absorb future flushes (amortizing
 // block-chain overhead), capped at 1024 neighbors per block.
-func XPGraphSizing(degree, incoming int) int {
+func xpGraphSizing(degree, incoming int) int {
 	return max(min(max(degree/2, 12), 1024), incoming)
 }
 
-// ExactSizing allocates exactly the incoming count (no growth headroom).
-func ExactSizing(_, incoming int) int { return incoming }
+// exactSizing allocates exactly the incoming count (no growth headroom).
+func exactSizing(_, incoming int) int { return incoming }
 
 // GraphOneSizing models GraphOne's adjacency chunks, which grow
 // geometrically with the vertex degree (its store chains chunks of
@@ -115,7 +114,7 @@ func (o Options) normalized() (Options, error) {
 		return o, fmt.Errorf("adj: Checksums require the acked count policy (the CRC lifecycle rides the Ack slots), not %v", o.Counts)
 	}
 	if o.Sizing == nil {
-		o.Sizing = XPGraphSizing
+		o.Sizing = xpGraphSizing
 	}
 	return o, nil
 }
@@ -336,8 +335,8 @@ func (s *Store) pendDrop(off int64) {
 // the payload encoding; insertion order is preserved in both formats
 // (snapshot-bounded reads take record-count prefixes of it).
 func (s *Store) Append(ctx *xpsim.Ctx, v graph.VID, nbrs []uint32) error {
-	if s.epoch > MaxEpoch && s.rule().ack {
-		return ErrEpochBound
+	if s.epoch > maxEpoch && s.rule().ack {
+		return errEpochBound
 	}
 	s.EnsureVertices(v + 1)
 	for len(nbrs) > 0 {

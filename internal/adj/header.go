@@ -46,13 +46,13 @@ const (
 // count slot after it (Store.putCount).
 const stampCountBytes = offCnt1 - offStamp
 
-// MaxEpoch is the last flush epoch a stamp can name. A store refuses to
-// count into the epoch after it (ErrEpochBound) rather than wrap to 0.
-const MaxEpoch = 1<<30 - 1
+// maxEpoch is the last flush epoch a stamp can name. A store refuses to
+// count into the epoch after it (errEpochBound) rather than wrap to 0.
+const maxEpoch = 1<<30 - 1
 
-// ErrEpochBound is Append's typed refusal once the store's flush epochs are
+// errEpochBound is Append's typed refusal once the store's flush epochs are
 // exhausted.
-var ErrEpochBound = errors.New("adj: flush epochs exhausted: a stamp cannot name the next one")
+var errEpochBound = errors.New("adj: flush epochs exhausted: a stamp cannot name the next one")
 
 // Payload formats (the fmt bit of word 1). Chains may mix them freely.
 const (

@@ -64,8 +64,8 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 		return nil, err
 	case !opts.Counts.Recoverable():
 		return nil, fmt.Errorf("adj: %v counts are not scan-recoverable", opts.Counts)
-	case committed > MaxEpoch:
-		return nil, fmt.Errorf("adj: committed epoch %d is beyond the stamps' %d", committed, MaxEpoch)
+	case committed > maxEpoch:
+		return nil, fmt.Errorf("adj: committed epoch %d is beyond the stamps' %d", committed, maxEpoch)
 	}
 	s := New(m, lat, 0, opts)
 	s.epoch = committed + 1

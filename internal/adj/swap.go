@@ -51,7 +51,7 @@ func (s *Store) Compact(ctx *xpsim.Ctx, v graph.VID) error {
 		return nil
 	}
 	old := s.opts.Sizing
-	s.opts.Sizing = ExactSizing
+	s.opts.Sizing = exactSizing
 	err := s.Append(ctx, v, live)
 	s.opts.Sizing = old
 	return err

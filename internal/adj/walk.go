@@ -285,17 +285,6 @@ func (s *Store) Visit(ctx *xpsim.Ctx, v graph.VID, fn func(nbr uint32)) {
 	s.read(ctx, v, walkOpts{}, fn)
 }
 
-// Contains reports whether nbr already appears in v's stored records.
-func (s *Store) Contains(ctx *xpsim.Ctx, v graph.VID, nbr uint32) bool {
-	found := false
-	s.Visit(ctx, v, func(n uint32) {
-		if n == nbr {
-			found = true
-		}
-	})
-	return found
-}
-
 // VerifyChain reads every visible byte of v's chain through the
 // media-error-checked path and, with Checksums on, verifies each block's
 // header fields and payload CRC32-C against the DRAM mirrors. It returns

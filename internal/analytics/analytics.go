@@ -1,7 +1,7 @@
-// Package analytics implements the graph query workloads of the paper's
-// evaluation (§V-C, Fig. 14): the one-hop neighbor query, BFS, PageRank
-// and Connected Components, all written against a store-agnostic View so
-// they run identically on XPGraph and GraphOne.
+// Package analytics implements the paper's query workloads (§V-C): the
+// one-hop neighbor query, BFS, PageRank and Connected Components over any
+// view. All are written against a store-agnostic View, so they run
+// identically on XPGraph and GraphOne.
 //
 // Parallel queries follow §III-D's CPU-binding strategy: at the start of
 // each computing iteration, vertices are classified by the NUMA node that

@@ -132,31 +132,3 @@ func (e *Engine) Triangles() TriangleResult {
 	})
 	return res
 }
-
-// DegreeHistogramResult buckets out-degrees the way §III-C discusses.
-type DegreeHistogramResult struct {
-	SimNs   int64
-	Buckets [5]int64 // 0, 1-2, 3-7, 8-63, 64+
-}
-
-// DegreeHistogram classifies every vertex by stored out-degree.
-func (e *Engine) DegreeHistogram() DegreeHistogramResult {
-	numV := int(e.view.NumVertices())
-	var res DegreeHistogramResult
-	for v := 0; v < numV; v++ {
-		d := e.view.OutDegree(graph.VID(v))
-		switch {
-		case d == 0:
-			res.Buckets[0]++
-		case d <= 2:
-			res.Buckets[1]++
-		case d <= 7:
-			res.Buckets[2]++
-		case d <= 63:
-			res.Buckets[3]++
-		default:
-			res.Buckets[4]++
-		}
-	}
-	return res
-}

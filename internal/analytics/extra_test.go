@@ -89,13 +89,3 @@ func TestTrianglesMatchesBruteForce(t *testing.T) {
 		t.Fatalf("triangles = %d, brute force = %d", got, want)
 	}
 }
-
-func TestDegreeHistogramEngine(t *testing.T) {
-	edges := []graph.Edge{{Src: 1, Dst: 0}, {Src: 2, Dst: 0}, {Src: 2, Dst: 1}}
-	e := NewEngine(newMapView(4, edges), testLat(), 2)
-	h := e.DegreeHistogram()
-	// Degrees: v0=0, v1=1, v2=2, v3=0.
-	if h.Buckets[0] != 2 || h.Buckets[1] != 2 {
-		t.Fatalf("histogram = %v", h.Buckets)
-	}
-}

@@ -17,15 +17,15 @@ import (
 // over traverse-all-then-filter (the prop experiment's rd_savings row
 // measures exactly this).
 
-// ErrNoTypedView reports a typed traversal over a view that does not
+// errNoTypedView reports a typed traversal over a view that does not
 // implement the typed surface (e.g. the GraphOne baseline).
-var ErrNoTypedView = fmt.Errorf("analytics: view has no typed read surface")
+var errNoTypedView = fmt.Errorf("analytics: view has no typed read surface")
 
 // typedView asserts the engine's view up to the typed surface.
 func (e *Engine) typedView() (view.Full, error) {
 	tv, ok := e.view.(view.Full)
 	if !ok {
-		return nil, ErrNoTypedView
+		return nil, errNoTypedView
 	}
 	return tv, nil
 }

@@ -1,9 +1,9 @@
 // Package bench is the experiment harness: one function per table and
-// figure of the paper's evaluation (§II-C and §V), each building the
-// workload, running the systems under comparison, and returning a
-// printable table. The regenerated quantity is simulated time / simulated
-// device traffic; the reproduction target is the paper's shape (who wins,
-// by what factor, where crossovers fall), not absolute numbers.
+// figure of the paper's evaluation (§II-C and §V). Each builds the
+// workload, runs the systems under comparison and returns a printable
+// table. The regenerated quantity is simulated time / simulated device
+// traffic; the reproduction target is the paper's shape (who wins, by what
+// factor, where crossovers fall), not absolute numbers.
 package bench
 
 import (
@@ -55,12 +55,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ScaledDRAMBytes is the machine DRAM capacity used by the volatile-system
+// scaledDRAMBytes is the machine DRAM capacity used by the volatile-system
 // experiments. The paper's testbed has 128 GB; the scaled value is chosen
 // so the paper's OOM boundary (YahooWeb, Kron29 and Kron30 fail on
 // DRAM-only systems; Kron28 and smaller fit — §II-C, Fig. 12) falls in
 // the same place against this implementation's memory layout constants.
-const ScaledDRAMBytes = 120 << 20
+const scaledDRAMBytes = 120 << 20
 
 // Cell is one table cell: the text the table prints and, for a measured
 // cell, the number behind it — a number leaves the harness once, here, and
@@ -350,7 +350,7 @@ func newXPGraph(edges []graph.Edge, numV uint32, cfg Config, opts ...xpOpt) (*co
 		h = pmem.NewHeap(m)
 	}
 	if o.Medium == core.MediumDRAM {
-		budget = mem.NewBudget(ScaledDRAMBytes)
+		budget = mem.NewBudget(scaledDRAMBytes)
 	}
 	s, err := core.New(m, h, budget, o)
 	if err == nil {
@@ -381,7 +381,7 @@ func newGraphOne(edges []graph.Edge, numV uint32, cfg Config, variant graphone.V
 	case graphone.VariantP, graphone.VariantN:
 		h = pmem.NewHeap(m)
 	case graphone.VariantD:
-		budget = mem.NewBudget(ScaledDRAMBytes)
+		budget = mem.NewBudget(scaledDRAMBytes)
 	}
 	if threads <= 0 {
 		threads = cfg.ArchiveThreads

@@ -262,7 +262,7 @@ func fig12(cfg Config) (Table, error) {
 		xpDO := cell(xpNs(func(o *core.Options) {
 			o.Medium = core.MediumDRAM
 			o.NUMA = core.NUMANone
-			o.PoolMax = ScaledDRAMBytes / 2
+			o.PoolMax = scaledDRAMBytes / 2
 		}))
 		goMM := cell(goNs(graphone.VariantMM))
 		xpMM := cell(xpNs(func(o *core.Options) {
@@ -293,7 +293,7 @@ func fig12(cfg Config) (Table, error) {
 		printed(fmt.Sprintf("%d of %d", mmWins, len(dss))))
 	t.Notes = append(t.Notes,
 		"paper Fig.12: large graphs OOM on DRAM-only; XPGraph-D up to 73% (DO) / 76% (MM) faster than GraphOne-D",
-		fmt.Sprintf("scaled machine DRAM = %d MB", ScaledDRAMBytes>>20))
+		fmt.Sprintf("scaled machine DRAM = %d MB", scaledDRAMBytes>>20))
 	return t, nil
 }
 

@@ -40,8 +40,8 @@ type Row struct {
 	Deviation int         `json:"deviation,omitempty"`
 }
 
-// ID names the row across experiments.
-func (r Row) ID() string { return r.Exp + "/" + r.Name }
+// id names the row across experiments.
+func (r Row) id() string { return r.Exp + "/" + r.Name }
 
 // worse reports whether v is worse than ref in the row's direction.
 func (r Row) worse(v, ref float64) bool {
@@ -87,15 +87,15 @@ func (r Row) declared() string {
 func Gate(cur, baseline []Row) []string {
 	var fails []string
 	failf := func(r Row, format string, a ...any) {
-		fails = append(fails, r.ID()+": "+fmt.Sprintf(format, a...))
+		fails = append(fails, r.id()+": "+fmt.Sprintf(format, a...))
 	}
 	base := map[string]Row{}
 	for _, b := range baseline {
-		base[b.ID()] = b
+		base[b.id()] = b
 	}
 	ran, have := map[string]bool{}, map[string]bool{}
 	for _, r := range cur {
-		ran[r.Exp], have[r.ID()] = true, true
+		ran[r.Exp], have[r.id()] = true, true
 		if math.IsNaN(r.Value) || math.IsInf(r.Value, 0) || (r.Better != Higher && r.Better != Lower) {
 			failf(r, "not a measurement (value %v, better %q)", r.Value, r.Better)
 			continue
@@ -112,7 +112,7 @@ func Gate(cur, baseline []Row) []string {
 		if len(baseline) == 0 {
 			continue
 		}
-		b, ok := base[r.ID()]
+		b, ok := base[r.id()]
 		if !ok {
 			failf(r, "bounded row has no baseline row to be held against")
 			continue
@@ -126,7 +126,7 @@ func Gate(cur, baseline []Row) []string {
 		}
 	}
 	for _, b := range baseline {
-		if ran[b.Exp] && !have[b.ID()] {
+		if ran[b.Exp] && !have[b.id()] {
 			failf(b, "baseline row is missing from the report")
 		}
 	}
@@ -138,7 +138,7 @@ func WriteRows(w io.Writer, rows []Row) error {
 	enc := json.NewEncoder(w)
 	for _, r := range rows {
 		if err := enc.Encode(r); err != nil {
-			return fmt.Errorf("row %s: %w", r.ID(), err)
+			return fmt.Errorf("row %s: %w", r.id(), err)
 		}
 	}
 	return nil

@@ -80,7 +80,7 @@ func TestDeclaredRowsGate(t *testing.T) {
 		}
 		dsKey[exp] = tb.Rows[0][0].Key
 		for _, r := range tb.Report() {
-			report[r.ID()] = r
+			report[r.id()] = r
 			if r.Floor != nil || r.Bound != nil {
 				declared++
 			}
@@ -126,8 +126,8 @@ func TestDeclaredRowsGate(t *testing.T) {
 			check := func(cur Row, baseline []Row, want string) {
 				t.Helper()
 				fails := Gate([]Row{cur}, baseline)
-				if len(fails) != 1 || !strings.HasPrefix(fails[0], r.ID()+": ") || !strings.Contains(fails[0], want) {
-					t.Errorf("value %g: want one %q failure naming %s, got %q", cur.Value, want, r.ID(), fails)
+				if len(fails) != 1 || !strings.HasPrefix(fails[0], r.id()+": ") || !strings.Contains(fails[0], want) {
+					t.Errorf("value %g: want one %q failure naming %s, got %q", cur.Value, want, r.id(), fails)
 				}
 			}
 			if r.Floor != nil {
@@ -217,7 +217,7 @@ func TestReportNamesRows(t *testing.T) {
 	}
 	for i := range want {
 		g, w := got[i], want[i]
-		if g.ID() != w.ID() || g.Value != w.Value || g.Unit != w.Unit || g.Better != w.Better ||
+		if g.id() != w.id() || g.Value != w.Value || g.Unit != w.Unit || g.Better != w.Better ||
 			deref(g.Floor) != deref(w.Floor) || g.Deviation != w.Deviation || (g.Band == nil) != (w.Band == nil) {
 			t.Errorf("row %d is %+v, want %+v", i, g, w)
 		}

@@ -52,10 +52,10 @@ func TestAllExperimentsSmoke(t *testing.T) {
 			}
 			seen := map[string]bool{}
 			for _, r := range rows {
-				if seen[r.ID()] {
-					t.Errorf("two rows are named %s", r.ID())
+				if seen[r.id()] {
+					t.Errorf("two rows are named %s", r.id())
 				}
-				seen[r.ID()] = true
+				seen[r.id()] = true
 			}
 			path := filepath.Join(t.TempDir(), "rows.json")
 			f, err := os.Create(path)

@@ -45,7 +45,7 @@ type Verdict int
 
 const (
 	// Deliver: the attempt goes through unharmed.
-	Deliver Verdict = iota
+	deliver Verdict = iota
 	// Drop: the message vanishes; the sender sees a transport error.
 	Drop
 	// Duplicate: the message is delivered twice (the second copy after
@@ -63,7 +63,7 @@ const (
 
 func (v Verdict) String() string {
 	switch v {
-	case Deliver:
+	case deliver:
 		return "deliver"
 	case Drop:
 		return "drop"
@@ -106,11 +106,11 @@ type Plan struct {
 	healed atomic.Bool
 
 	mu sync.Mutex
-	st Stats
+	st stats
 }
 
-// Stats counts injected faults by verdict, for metrics and test logs.
-type Stats struct {
+// stats counts injected faults by verdict, for metrics and test logs.
+type stats struct {
 	Attempts   int64
 	Drops      int64
 	Dups       int64
@@ -136,27 +136,27 @@ func unit(x uint64) float64 { return float64(x>>11) / (1 << 53) }
 // same verdict, so a seed fully determines the fault schedule.
 func (p *Plan) Fate(link Link, seq uint64, attempt int) (Verdict, time.Duration) {
 	if p == nil || p.healed.Load() {
-		return Deliver, 0
+		return deliver, 0
 	}
-	p.count(func(s *Stats) { s.Attempts++ })
+	p.count(func(s *stats) { s.Attempts++ })
 	if p.Partitioned(link, seq) {
-		p.count(func(s *Stats) { s.Partitions++ })
+		p.count(func(s *stats) { s.Partitions++ })
 		return Partition, 0
 	}
 	r := p.mix(link, seq, attempt)
 	u := unit(r)
 	switch {
 	case u < p.DropProb:
-		p.count(func(s *Stats) { s.Drops++ })
+		p.count(func(s *stats) { s.Drops++ })
 		return Drop, 0
 	case u < p.DropProb+p.DupProb:
-		p.count(func(s *Stats) { s.Dups++ })
+		p.count(func(s *stats) { s.Dups++ })
 		return Duplicate, p.delay(r)
 	case u < p.DropProb+p.DupProb+p.DelayProb:
-		p.count(func(s *Stats) { s.Delays++ })
+		p.count(func(s *stats) { s.Delays++ })
 		return Delay, p.delay(r)
 	}
-	return Deliver, 0
+	return deliver, 0
 }
 
 // Partitioned reports whether link is cut at stream position seq: seq
@@ -191,30 +191,27 @@ func (p *Plan) Heal() {
 	}
 }
 
-// Healed reports whether the plan has been closed.
-func (p *Plan) Healed() bool { return p != nil && p.healed.Load() }
-
-func (p *Plan) count(fn func(*Stats)) {
+func (p *Plan) count(fn func(*stats)) {
 	p.mu.Lock()
 	fn(&p.st)
 	p.mu.Unlock()
 }
 
 // Snapshot reads one consistent copy of the injection counters.
-func (p *Plan) Snapshot() Stats {
+func (p *Plan) Snapshot() stats {
 	if p == nil {
-		return Stats{}
+		return stats{}
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.st
 }
 
-// RandomPartitions derives n seq-space partition windows of the given
+// randomPartitions derives n seq-space partition windows of the given
 // length for each of the links, placed deterministically from the
 // plan's seed within [1, horizon]. Harnesses use it to schedule full
 // partitions without hand-writing windows.
-func RandomPartitions(seed uint64, links []Link, n int, length, horizon uint64) []Window {
+func randomPartitions(seed uint64, links []Link, n int, length, horizon uint64) []Window {
 	if horizon <= length {
 		horizon = length + 1
 	}
@@ -324,7 +321,7 @@ func Parse(spec string, links []Link) (*Plan, error) {
 		}
 	}
 	if count > 0 {
-		p.Partitions = RandomPartitions(p.Seed, links, count, length, horizon)
+		p.Partitions = randomPartitions(p.Seed, links, count, length, horizon)
 	}
 	return p, nil
 }

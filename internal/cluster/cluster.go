@@ -1,7 +1,5 @@
 // Package cluster is the partitioned multi-shard layer over N XPGraph
-// stores — the ROADMAP's "N stores behind a router that partitions
-// vertices" north-star item, built by composing the pieces the earlier
-// PRs proved out rather than replacing them:
+// stores. It composes the pieces below rather than replacing them:
 //
 //   - partitioning: a stable hash-slot map (shard.SlotMap) routes every
 //     edge by its source vertex and every out-read by its vertex;
@@ -50,7 +48,7 @@ type Config struct {
 	// vertex space and options), typically on its own machine — each
 	// follower is its own failure domain.
 	ReplicaFactory func(shardID, replica int) (*core.Store, error)
-	// Slots is the partition-ring size (default shard.DefaultSlots).
+	// Slots is the partition-ring size (default 256).
 	Slots int
 
 	// Pipeline knobs, one pipeline per shard (defaults as in

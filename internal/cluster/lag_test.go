@@ -44,7 +44,7 @@ func TestFailoverMidLagEpochMonotonic(t *testing.T) {
 	// model of the stream so far after each one. Each chunk is one
 	// Apply (chunk < BatchEdges, sync round-trips), so these are exactly
 	// the epochs the replica will publish while catching up. Keep the
-	// chunk count under ReplicaQueue so the stalled follower never
+	// chunk count under replicaQueue so the stalled follower never
 	// backpressures the leader.
 	all := testEdges(3000)
 	m := difftest.New()

@@ -17,12 +17,12 @@ import (
 	"repro/internal/xpsim"
 )
 
-// ReplicaQueue bounds each follower's inbox and each link's pending
+// replicaQueue bounds each follower's inbox and each link's pending
 // retries, in chunks. A full inbox refuses delivery (the transport
-// reports ErrShipBusy); the leader retries on a backoff and then abandons
+// reports errShipBusy); the leader retries on a backoff and then abandons
 // the chunk, flipping the follower into resync — bounded lag with
 // shed-to-resync, and a writer that never waits on a follower.
-const ReplicaQueue = 64
+const replicaQueue = 64
 
 // shipEntry is one applied leader chunk's immutable payload. One copy
 // is made when the leader assigns the chunk its sequence number; the
@@ -124,7 +124,7 @@ const (
 	shipRetain = 256
 	// reorderWindow bounds how far ahead of its next sequence number a
 	// follower stashes early chunks; a wider hole resyncs at once.
-	reorderWindow = ReplicaQueue / 2
+	reorderWindow = replicaQueue / 2
 	// gapWait is how long a follower sits on a sequence hole before it
 	// declares the chunk lost and resyncs, and how often a resync round
 	// that cannot reach its leader across a cut link tries again.
@@ -245,7 +245,7 @@ func newReplica(sh *Shard, id int, store *core.Store, factory func() (*core.Stor
 		clk:     sh.clk,
 		factory: factory,
 		store:   store,
-		inbox:   make([]queued, 0, ReplicaQueue),
+		inbox:   make([]queued, 0, replicaQueue),
 		stash:   make(map[uint64]shipMsg),
 	}
 	r.nextSeq.Store(1)
@@ -356,7 +356,7 @@ func (r *Replica) ship(m shipMsg, attempt int, now time.Time) {
 	}
 	if attempt < shipAttempts {
 		r.qmu.Lock()
-		ok := !r.closed && len(r.pending) < ReplicaQueue
+		ok := !r.closed && len(r.pending) < replicaQueue
 		if ok {
 			r.pending = append(r.pending, queued{at: now.Add(backoff(sh.id, m.seq, attempt)), m: m, attempt: attempt + 1})
 		}
@@ -398,10 +398,10 @@ func (r *Replica) retryDue(now time.Time) {
 
 // deliver is the receiver side of the transport: non-blocking admission
 // of a message arriving at at. False means the inbox is full or the
-// replica is closed — the transport surfaces that as ErrShipBusy.
+// replica is closed — the transport surfaces that as errShipBusy.
 func (r *Replica) deliver(m shipMsg, at time.Time) bool {
 	r.qmu.Lock()
-	ok := !r.closed && len(r.inbox) < ReplicaQueue
+	ok := !r.closed && len(r.inbox) < replicaQueue
 	if ok {
 		r.inbox = append(r.inbox, queued{at: at, m: m})
 	}

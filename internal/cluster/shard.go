@@ -115,9 +115,6 @@ func (sh *Shard) Store() *core.Store { return sh.store }
 // Epoch reads the shard's current snapshot epoch.
 func (sh *Shard) Epoch() uint64 { return sh.pipe.Epoch() }
 
-// Down reports whether the shard was killed.
-func (sh *Shard) Down() bool { return sh.down.Load() }
-
 // PipeStats reads one consistent copy of the shard's pipeline counters.
 func (sh *Shard) PipeStats() ingest.Stats { return sh.pipe.Stats() }
 

@@ -45,17 +45,17 @@ type Transport interface {
 // Typed transport failures (all transient by construction — the
 // sender's retry/give-up policy decides what to do with them).
 var (
-	// ErrShipDropped: the message was lost in flight.
-	ErrShipDropped = errors.New("transport: message dropped")
-	// ErrShipPartitioned: the link is partitioned; retries will keep
+	// errShipDropped: the message was lost in flight.
+	errShipDropped = errors.New("transport: message dropped")
+	// errShipPartitioned: the link is partitioned; retries will keep
 	// failing until the partition heals.
-	ErrShipPartitioned = errors.New("transport: link partitioned")
-	// ErrShipBusy: the receiver's inbox refused the message
+	errShipPartitioned = errors.New("transport: link partitioned")
+	// errShipBusy: the receiver's inbox refused the message
 	// (backpressure — the follower is not consuming).
-	ErrShipBusy = errors.New("transport: receiver inbox full")
-	// ErrShipTimeout: the delivery did not complete within the
+	errShipBusy = errors.New("transport: receiver inbox full")
+	// errShipTimeout: the delivery did not complete within the
 	// sender's patience; the message may or may not arrive later.
-	ErrShipTimeout = errors.New("transport: delivery timed out")
+	errShipTimeout = errors.New("transport: delivery timed out")
 )
 
 // perfectTransport is the default in-process fabric: one immediate
@@ -64,7 +64,7 @@ type perfectTransport struct{}
 
 func (perfectTransport) Ship(_ chaos.Link, _ uint64, _ int, now time.Time, deliver func(time.Time) bool) error {
 	if !deliver(now) {
-		return ErrShipBusy
+		return errShipBusy
 	}
 	return nil
 }
@@ -85,31 +85,27 @@ func NewChaosTransport(plan *chaos.Plan) *ChaosTransport {
 	return &ChaosTransport{plan: plan}
 }
 
-// Plan returns the underlying chaos plan (harnesses heal and inspect
-// it).
-func (t *ChaosTransport) Plan() *chaos.Plan { return t.plan }
-
 func (t *ChaosTransport) Ship(link chaos.Link, seq uint64, attempt int, now time.Time, deliver func(time.Time) bool) error {
 	verdict, d := t.plan.Fate(link, seq, attempt)
 	switch verdict {
 	case chaos.Drop:
-		return ErrShipDropped
+		return errShipDropped
 	case chaos.Partition:
-		return ErrShipPartitioned
+		return errShipPartitioned
 	case chaos.Delay:
 		// The message will arrive after d, but the sender has already
 		// lost patience: it sees a timeout and may retry, producing a
 		// duplicate the receiver dedupes. This is the classic ambiguous
 		// RPC outcome.
 		deliver(now.Add(d))
-		return ErrShipTimeout
+		return errShipTimeout
 	case chaos.Duplicate:
 		// One copy now, one later. The payload is immutable and shared,
 		// so the late copy needs no deep clone; the receiver dedupes.
 		ok := deliver(now)
 		deliver(now.Add(d))
 		if !ok {
-			return ErrShipBusy
+			return errShipBusy
 		}
 		return nil
 	}

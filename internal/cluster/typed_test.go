@@ -162,7 +162,7 @@ func TestClusterTypedDifferential(t *testing.T) {
 		{Types: []uint16{follows}},
 		{Types: []uint16{follows, blocks}},
 		{Key: 1, Op: prop.OpGe, Val: 25},
-		{Types: []uint16{blocks}, Key: 1, Op: prop.OpLt, Val: 10},
+		{Types: []uint16{blocks}, Key: 1, Op: "lt", Val: 10},
 	}
 	for v := graph.VID(0); v < 256; v++ {
 		for _, f := range filters {

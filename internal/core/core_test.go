@@ -248,26 +248,30 @@ func TestViewInterfaces(t *testing.T) {
 	s := newStore(t, Options{Name: "view", NumVertices: 16, LogCapacity: 256,
 		ArchiveThreshold: 64, ArchiveThreads: 2})
 	ctx := xpsim.NewCtx(0)
-	// Log a few edges below the archive threshold: they stay in the log.
-	for _, e := range []graph.Edge{{Src: 1, Dst: 2}, {Src: 1, Dst: 3}, {Src: 4, Dst: 1}} {
+	// Log a few edges below the archive threshold, one of them deleted
+	// again: they stay in the log, and every view resolves the tombstone.
+	for _, e := range []graph.Edge{{Src: 1, Dst: 2}, {Src: 1, Dst: 3}, {Src: 4, Dst: 1}, graph.Del(1, 2)} {
 		if _, err := s.log.Append(ctx, []graph.Edge{e}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := s.LoggedEdges(ctx); len(got) != 3 {
-		t.Fatalf("logged edges = %d, want 3", len(got))
+	if got := s.LoggedEdges(ctx); len(got) != 4 {
+		t.Fatalf("logged edges = %d, want 4", len(got))
 	}
-	if got := s.NbrsLog(ctx, Out, 1, nil); !difftest.SameMultiset(got, []uint32{2, 3}) {
+	if got := s.NbrsLog(ctx, Out, 1, nil); !difftest.SameMultiset(got, []uint32{3}) {
 		t.Fatalf("log out(1) = %v", got)
 	}
 	if got := s.NbrsLog(ctx, In, 1, nil); !difftest.SameMultiset(got, []uint32{4}) {
 		t.Fatalf("log in(1) = %v", got)
 	}
+	if got := s.NbrsLog(ctx, In, 2, nil); len(got) != 0 {
+		t.Fatalf("log in(2) = %v after its edge's deletion", got)
+	}
 	// Buffer them: they move to vertex buffers.
 	if err := s.BufferAllEdges(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.NbrsBuf(ctx, Out, 1, nil); !difftest.SameMultiset(got, []uint32{2, 3}) {
+	if got := s.NbrsBuf(ctx, Out, 1, nil); !difftest.SameMultiset(got, []uint32{3}) {
 		t.Fatalf("buf out(1) = %v", got)
 	}
 	if got := s.NbrsFlush(ctx, Out, 1, nil); len(got) != 0 {
@@ -277,14 +281,14 @@ func TestViewInterfaces(t *testing.T) {
 	if err := s.FlushAllVbufs(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.NbrsFlush(ctx, Out, 1, nil); !difftest.SameMultiset(got, []uint32{2, 3}) {
+	if got := s.NbrsFlush(ctx, Out, 1, nil); !difftest.SameMultiset(got, []uint32{3}) {
 		t.Fatalf("flush out(1) = %v after flush", got)
 	}
 	if got := s.NbrsBuf(ctx, Out, 1, nil); len(got) != 0 {
 		t.Fatalf("buf out(1) = %v after flush", got)
 	}
 	// The merged view is stable throughout.
-	if got := s.NbrsOut(ctx, 1, nil); !difftest.SameMultiset(got, []uint32{2, 3}) {
+	if got := s.NbrsOut(ctx, 1, nil); !difftest.SameMultiset(got, []uint32{3}) {
 		t.Fatalf("merged out(1) = %v", got)
 	}
 }
@@ -607,6 +611,8 @@ func TestFourSocketMachine(t *testing.T) {
 	}
 }
 
+// TestEdgesExport reads every live edge back, vertex by vertex through the
+// merged view, after an ingest that ends in a deletion.
 func TestEdgesExport(t *testing.T) {
 	stream := dedupEdges(gen.RMAT(8, 1200, 61))
 	stream = append(stream, graph.Del(stream[0].Src, stream[0].Dst))
@@ -617,7 +623,13 @@ func TestEdgesExport(t *testing.T) {
 	}
 	ctx := xpsim.NewCtx(0)
 	got := map[graph.Edge]int{}
-	s.Edges(ctx, func(e graph.Edge) { got[e]++ })
+	var scratch []uint32
+	for v := graph.VID(0); v < s.NumVertices(); v++ {
+		scratch = s.NbrsOut(ctx, v, scratch[:0])
+		for _, d := range scratch {
+			got[graph.Edge{Src: v, Dst: d}]++
+		}
+	}
 	ref := difftest.Of(stream)
 	var want int
 	for v := graph.VID(0); v < ref.NumVertices(); v++ {
@@ -735,10 +747,6 @@ func TestSmallAPISurface(t *testing.T) {
 	agg.Add(rep)
 	if agg.Edges != 2*rep.Edges || agg.TotalNs() < rep.TotalNs() {
 		t.Fatalf("report aggregation wrong: %+v vs %+v", agg, rep)
-	}
-	s.ResetReport()
-	if s.Report().Edges != 0 {
-		t.Fatal("ResetReport did not clear")
 	}
 }
 

@@ -21,7 +21,7 @@ func TestCrashSafeFlushCostNearRelaxed(t *testing.T) {
 	flushNs := func(relaxed bool) (int64, int64) {
 		s := newStore(t, Options{Name: "ackcost", NumVertices: 1 << 15,
 			LogCapacity: 1 << 16, ArchiveThreshold: 1 << 12, ArchiveThreads: 16,
-			NUMA: NUMASubgraph, AdjBytes: 32 << 20, RelaxedDurability: relaxed})
+			NUMA: NUMASubgraph, AdjBytes: 32 << 20, relaxedDurability: relaxed})
 		rep, err := s.Ingest(edges)
 		if err != nil {
 			t.Fatal(err)

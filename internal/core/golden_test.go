@@ -167,7 +167,7 @@ func goldenRun(t *testing.T, opts Options) []goldenRow {
 		step(m, h, "replace", ctx.Cost.Ns())
 		scans(m, h, s, "replaced-")
 	}
-	if !opts.RelaxedDurability {
+	if !opts.relaxedDurability {
 		ch, err := h.CrashClone()
 		if err != nil {
 			t.Fatal(err)
@@ -192,7 +192,7 @@ var goldenConfigs = []struct {
 	{"varint", Options{CompressedAdj: true}},
 	{"checksummed", Options{MediaGuard: true}},
 	{"checksummed-varint", Options{MediaGuard: true, CompressedAdj: true}},
-	{"relaxed", Options{RelaxedDurability: true}},
+	{"relaxed", Options{relaxedDurability: true}},
 }
 
 // goldenParent is what goldenRun printed at commit cea12b2, the last one

@@ -27,15 +27,15 @@ type IngestReport struct {
 	PoolFallbacks int64 // buffer allocations that fell back to direct writes
 }
 
-// ArchiveNs is the archiving pipeline total (buffering + flushing).
-func (r IngestReport) ArchiveNs() int64 { return r.BufferNs + r.FlushNs }
+// archiveNs is the archiving pipeline total (buffering + flushing).
+func (r IngestReport) archiveNs() int64 { return r.BufferNs + r.FlushNs }
 
 // TotalNs is the simulated wall time of the overlapped pipelines.
 func (r IngestReport) TotalNs() int64 {
-	if r.LogNs > r.ArchiveNs() {
+	if r.LogNs > r.archiveNs() {
 		return r.LogNs
 	}
-	return r.ArchiveNs()
+	return r.archiveNs()
 }
 
 // Add accumulates another report (for multi-call ingestion).
@@ -51,9 +51,6 @@ func (r *IngestReport) Add(o IngestReport) {
 
 // Report returns the accumulated ingestion report.
 func (s *Store) Report() IngestReport { return s.report }
-
-// ResetReport clears the accumulated report.
-func (s *Store) ResetReport() { s.report = IngestReport{} }
 
 // logChunk is how many edges the logging thread appends per call — the
 // granularity at which it checks archive triggers, as GraphOne's logging

@@ -597,8 +597,8 @@ type ScrubReport struct {
 	SimNs              int64
 }
 
-// ScrubStats accumulates scrub activity across runs (for metrics).
-type ScrubStats struct {
+// scrubStats accumulates scrub activity across runs (for metrics).
+type scrubStats struct {
 	Runs             int64
 	Damaged          int64
 	Repaired         int64
@@ -606,9 +606,6 @@ type ScrubStats struct {
 	SpansQuarantined int64
 	LogBadRecords    int64
 }
-
-// ScrubStats reports the accumulated scrub counters.
-func (s *Store) ScrubStats() ScrubStats { return s.scrubStats }
 
 // Scrub walks the heap on the simulated clock, verifies every adjacency
 // chain against its checksums, rebuilds damaged vertices from the SSD

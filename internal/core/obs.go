@@ -152,7 +152,7 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 		counter("xpgraph_buffer_phases_total", "Buffering phases executed.", float64(rep.Batches))
 		counter("xpgraph_flush_phases_total", "Full flushing phases executed.", float64(rep.FlushAlls))
 		counter("xpgraph_pool_fallbacks_total", "Buffer allocations that fell back to direct adjacency writes.", float64(rep.PoolFallbacks))
-		counter("xpgraph_snapshot_short_reads_total", "Snapshot reads refused because a compaction rewrote the chains past the fencing.", float64(s.SnapshotShortReads()))
+		counter("xpgraph_snapshot_short_reads_total", "Snapshot reads refused because a compaction rewrote the chains past the fencing.", float64(s.snapshotShortReads()))
 		phase := func(name string, ns int64) {
 			counter("xpgraph_phase_seconds_total", "Simulated seconds spent per pipeline phase (Fig. 3a split).",
 				float64(ns)/1e9, obs.Label{Key: "phase", Value: name})
@@ -189,7 +189,7 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 
 		// Media-error tolerance: scrub activity and quarantine occupancy
 		// (all zero unless Options.MediaGuard is on — see media.go).
-		sc := s.ScrubStats()
+		sc := s.scrubStats
 		counter("xpgraph_scrub_runs_total", "Scrub passes executed.", float64(sc.Runs))
 		counter("xpgraph_scrub_damaged_vertices_total", "Vertices found with corrupt or unreadable chains.", float64(sc.Damaged))
 		counter("xpgraph_scrub_repaired_vertices_total", "Damaged vertices rebuilt onto fresh blocks.", float64(sc.Repaired))

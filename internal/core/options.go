@@ -140,13 +140,14 @@ type Options struct {
 	// after construction as well.
 	Tracer *obs.Tracer
 
-	// RelaxedDurability opts out of the crash-safe ordering protocol
-	// (double-buffered count acknowledgment, journaled compaction,
-	// flush-before-publish log appends). Relaxed stores run the legacy
-	// write path — slightly cheaper, but a crash can lose or duplicate
-	// edges, so core.Recover refuses them. Default off: PMEM stores
-	// without a battery are crash-safe.
-	RelaxedDurability bool
+	// relaxedDurability opts out of the crash-safe ordering protocol
+	// (acknowledged counts, journaled compaction, flush-before-publish log
+	// appends): the legacy write path, slightly cheaper, but a crash can
+	// lose or duplicate edges, so core.Recover refuses it. It is not a
+	// knob: only core's tests set it, as the reference the crash-safe
+	// flush is priced against (TestCrashSafeFlushCostNearRelaxed, the
+	// golden access sequence's relaxed row).
+	relaxedDurability bool
 
 	// MediaGuard enables media-error tolerance (see media.go): CRC32-C
 	// checksummed adjacency blocks and edge-log records, a scrubber that
@@ -198,7 +199,7 @@ func (o Options) counts() (p adj.CountPolicy, why string) {
 		return adj.CountsDeferred, "battery-backed stores (XPGraph-B) keep DRAM across power loss"
 	case o.SSDOverflow > 0:
 		return adj.CountsAtAppend, "SSD-tiered stores are an extension prototype"
-	case o.RelaxedDurability:
+	case o.relaxedDurability:
 		return adj.CountsAtAppend, "relaxed-durability stores skip the ordering protocol recovery depends on"
 	}
 	return adj.CountsAcked, ""

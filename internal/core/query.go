@@ -84,18 +84,18 @@ func (s *Store) nbrsBufRaw(ctx *xpsim.Ctx, d Direction, v graph.VID, dst []uint3
 }
 
 // NbrsLog scans the unbuffered window of the circular edge log for v's
-// neighbors — get_nebrs_log_{out/in}(vid). This is an O(window) scan; it
-// exists for completeness of the phase-separated view interfaces.
+// neighbors — get_nebrs_log_{out/in}(vid) of Table I. This is an O(window)
+// scan; it exists for completeness of the phase-separated view interfaces.
 func (s *Store) NbrsLog(ctx *xpsim.Ctx, d Direction, v graph.VID, dst []uint32) []uint32 {
-	edges := s.log.Read(ctx, s.log.Buffered(), s.log.Head(), nil)
-	for _, e := range edges {
-		if Direction(d) == Out && e.Src == v {
+	start := len(dst)
+	for _, e := range s.log.Read(ctx, s.log.Buffered(), s.log.Head(), nil) {
+		if d == Out && e.Src == v {
 			dst = append(dst, e.Dst)
-		} else if Direction(d) == In && e.Target() == v {
+		} else if d == In && e.Target() == v {
 			dst = append(dst, e.Src|(e.Dst&graph.DelFlag))
 		}
 	}
-	return dst
+	return adj.ResolveTombstones(dst, start)
 }
 
 // LoggedEdges returns the edges still waiting in the log window —
@@ -112,22 +112,4 @@ func (s *Store) Degree(d Direction, v graph.VID) (int, error) {
 		return 0, nil
 	}
 	return int(s.records[d][v]), nil
-}
-
-// Edges streams every live edge (tombstones resolved) to fn in vertex
-// order — the export path for backups and migrations. It reflects the
-// store's current adjacency view; edges still waiting in the log window
-// are included only once buffered (call BufferAllEdges first for an exact
-// cut).
-func (s *Store) Edges(ctx *xpsim.Ctx, fn func(graph.Edge)) {
-	var scratch []uint32
-	for v := graph.VID(0); v < s.NumVertices(); v++ {
-		if s.records[Out][v] == 0 {
-			continue
-		}
-		scratch = s.Nbrs(ctx, Out, v, scratch[:0])
-		for _, dst := range scratch {
-			fn(graph.Edge{Src: v, Dst: dst})
-		}
-	}
 }

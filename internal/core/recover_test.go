@@ -199,7 +199,7 @@ func TestRecoverRejectsSSDOverflow(t *testing.T) {
 }
 
 func TestRecoverRejectsRelaxedDurability(t *testing.T) {
-	refusesRecovery(t, Options{Name: "rlx", RelaxedDurability: true}, "relaxed-durability")
+	refusesRecovery(t, Options{Name: "rlx", relaxedDurability: true}, "relaxed-durability")
 }
 
 func TestRecoverRejectsWrongLogCapacity(t *testing.T) {

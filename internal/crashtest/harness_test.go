@@ -1,6 +1,7 @@
-// Package crashtest is the differential recovery verifier: it runs a
-// deterministic XPGraph workload against the fault-injecting device model
-// (xpsim.Faults), crashes the simulated machine at an injected point,
+// Package crashtest is the crash and media-error verifier: test code that
+// kills or damages a store and holds what it reads to difftest's model. It
+// runs a deterministic XPGraph workload against the fault-injecting device
+// model (xpsim.Faults), crashes the simulated machine at an injected point,
 // recovers a store from the durable image (pmem.Heap.CrashClone +
 // core.Recover), and holds the recovered store to difftest's prefix mode.
 //
@@ -11,9 +12,9 @@
 // durable — no loss of flush-acknowledged edges, no duplicates from
 // replay, for any crash point.
 //
-// Its Config and Build are the one store configuration of the
-// single-store harnesses: internal/scrubtest builds its MediaGuard stores
-// with them too.
+// The package is test code alone: its config and newStore are the one store
+// configuration of the single-store harnesses, the crash sweeps here and
+// the media-error scenarios of scrub_harness_test.go.
 package crashtest
 
 import (
@@ -27,8 +28,8 @@ import (
 	"repro/internal/xpsim"
 )
 
-// Config describes one deterministic workload and the store it runs on.
-type Config struct {
+// config describes one deterministic workload and the store it runs on.
+type config struct {
 	Name     string  // store/region name prefix
 	Scale    int     // vertex-ID space is 1<<Scale
 	Edges    int64   // workload length
@@ -57,7 +58,7 @@ type Config struct {
 
 // WithDefaults fills the zero fields: a 64-vertex, 1500-update workload
 // on a 1024-record log, archived by two threads in one chunk.
-func (c Config) WithDefaults() Config {
+func (c config) WithDefaults() config {
 	if c.Name == "" {
 		c.Name = "crash"
 	}
@@ -83,7 +84,7 @@ func (c Config) WithDefaults() Config {
 }
 
 // Workload generates the deterministic edge stream for a config.
-func (c Config) Workload() []graph.Edge {
+func (c config) Workload() []graph.Edge {
 	if c.DelRatio > 0 {
 		return gen.Evolving(c.Scale, c.Edges, c.DelRatio, c.Seed)
 	}
@@ -91,7 +92,7 @@ func (c Config) Workload() []graph.Edge {
 }
 
 // Options is the store c describes.
-func (c Config) Options() core.Options {
+func (c config) Options() core.Options {
 	return core.Options{
 		Name:             c.Name,
 		NumVertices:      1 << c.Scale,
@@ -113,7 +114,7 @@ func (c Config) Options() core.Options {
 // recoveredOptions is Options for stores built by recovery: with
 // VarintFromRecovery the recovered store turns the varint encoding on
 // over the fixed-format image it inherited.
-func (c Config) recoveredOptions() core.Options {
+func (c config) recoveredOptions() core.Options {
 	opts := c.Options()
 	opts.CompressedAdj = opts.CompressedAdj || c.VarintFromRecovery
 	return opts
@@ -121,7 +122,7 @@ func (c Config) recoveredOptions() core.Options {
 
 // Build constructs a fault-tracked two-socket machine, its heap, and a
 // store with opts on it.
-func Build(opts core.Options) (*core.Store, *xpsim.Faults, error) {
+func newStore(opts core.Options) (*core.Store, *xpsim.Faults, error) {
 	machine := xpsim.NewMachine(2, 256<<20, xpsim.DefaultLatency())
 	faults := machine.TrackFaults()
 	st, err := core.New(machine, pmem.NewHeap(machine), nil, opts)
@@ -134,7 +135,7 @@ func Build(opts core.Options) (*core.Store, *xpsim.Faults, error) {
 // Ingest drives c's chunked ingest/compaction schedule over edges. Once an
 // armed plan has fired, the live run continues unharmed — only the durable
 // image is frozen — so the workload always completes.
-func Ingest(st *core.Store, c Config, edges []graph.Edge) error {
+func ingest(st *core.Store, c config, edges []graph.Edge) error {
 	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
 	for i, chunkN := 0, 1; i < len(edges); i, chunkN = i+c.Chunk, chunkN+1 {
 		if _, err := st.Ingest(edges[i:min(i+c.Chunk, len(edges))]); err != nil {
@@ -149,8 +150,8 @@ func Ingest(st *core.Store, c Config, edges []graph.Edge) error {
 	return nil
 }
 
-// Result reports what one harness run observed.
-type Result struct {
+// result reports what one harness run observed.
+type result struct {
 	MediaWrites  int64            // media-write events after arming (probe: total)
 	Sites        map[string]int64 // crash-site hit counts after arming
 	Crashed      bool             // did the armed plan fire
@@ -159,36 +160,36 @@ type Result struct {
 	Recovery     core.RecoveryReport
 }
 
-func resultOf(f *xpsim.Faults) *Result {
-	return &Result{MediaWrites: f.MediaWrites(), Sites: f.SiteHits(), Crashed: f.Crashed(), CrashDesc: f.CrashDescription()}
+func resultOf(f *xpsim.Faults) *result {
+	return &result{MediaWrites: f.MediaWrites(), Sites: f.SiteHits(), Crashed: f.Crashed(), CrashDesc: f.CrashDescription()}
 }
 
 // Probe runs the workload with fault tracking armed but no kill
 // scheduled, returning the total media-write count and crash-site hits —
 // the sweep space for exhaustive runs.
-func Probe(cfg Config) (*Result, error) {
-	return Run(cfg, xpsim.FaultPlan{})
+func probeRun(cfg config) (*result, error) {
+	return run(cfg, xpsim.FaultPlan{})
 }
 
 // Run executes the workload, crashing at the planned point, then
 // recovers from the durable image and differentially verifies the
 // recovered store. A zero plan runs to completion (and still verifies:
 // the final state must match the full model).
-func Run(cfg Config, plan xpsim.FaultPlan) (*Result, error) {
+func run(cfg config, plan xpsim.FaultPlan) (*result, error) {
 	cfg = cfg.WithDefaults()
-	return RunStream(cfg, cfg.Workload(), plan)
+	return runStream(cfg, cfg.Workload(), plan)
 }
 
 // RunStream is Run with an explicit edge stream instead of a generated
 // workload — regression tests use it to pin hand-built scenarios
 // (duplicate edges straddling a compaction, dense self-loops, ...).
-func RunStream(cfg Config, edges []graph.Edge, plan xpsim.FaultPlan) (*Result, error) {
+func runStream(cfg config, edges []graph.Edge, plan xpsim.FaultPlan) (*result, error) {
 	cfg = cfg.WithDefaults()
-	c, err := crash(cfg, edges, plan)
+	c, err := crashStream(cfg, edges, plan)
 	if err != nil {
 		return nil, err
 	}
-	res := &c.Result
+	res := &c.result
 	rs, err := recoverClone(c.heap, cfg, res)
 	if err == nil && !res.Crashed && res.DurableEdges != int64(len(edges)) {
 		err = fmt.Errorf("no crash, but only %d/%d edges durable", res.DurableEdges, len(edges))
@@ -202,33 +203,33 @@ func RunStream(cfg Config, edges []graph.Edge, plan xpsim.FaultPlan) (*Result, e
 	return res, nil
 }
 
-// CrashedRun is a workload stopped by its fault plan: the live run went
+// crashedRun is a workload stopped by its fault plan: the live run went
 // on unharmed, but the machine's durable image is frozen at the crash
 // point, so any number of recoveries can be tried on copies of it.
-type CrashedRun struct {
-	Result // of the workload run
+type crashedRun struct {
+	result // of the workload run
 
-	cfg   Config
+	cfg   config
 	edges []graph.Edge
 	heap  *pmem.Heap
 }
 
 // Crash runs the workload under plan and keeps the crashed machine.
-func Crash(cfg Config, plan xpsim.FaultPlan) (*CrashedRun, error) {
+func crash(cfg config, plan xpsim.FaultPlan) (*crashedRun, error) {
 	cfg = cfg.WithDefaults()
-	return crash(cfg, cfg.Workload(), plan)
+	return crashStream(cfg, cfg.Workload(), plan)
 }
 
-func crash(cfg Config, edges []graph.Edge, plan xpsim.FaultPlan) (*CrashedRun, error) {
-	st, faults, err := Build(cfg.Options())
+func crashStream(cfg config, edges []graph.Edge, plan xpsim.FaultPlan) (*crashedRun, error) {
+	st, faults, err := newStore(cfg.Options())
 	if err != nil {
 		return nil, err
 	}
 	faults.Arm(plan)
-	if err := Ingest(st, cfg, edges); err != nil {
+	if err := ingest(st, cfg, edges); err != nil {
 		return nil, fmt.Errorf("ingest: %w", err)
 	}
-	return &CrashedRun{Result: *resultOf(faults), cfg: cfg, edges: edges, heap: st.Heap()}, nil
+	return &crashedRun{result: *resultOf(faults), cfg: cfg, edges: edges, heap: st.Heap()}, nil
 }
 
 // RecoverCrashing crashes the recovery itself: it recovers a copy of the
@@ -237,10 +238,10 @@ func crash(cfg Config, edges []graph.Edge, plan xpsim.FaultPlan) (*CrashedRun, e
 // window, which is the buffering phase (its cursor stores, its
 // buffer:staged / buffer:marked sites, any adjacency write a full vertex
 // buffer forces). The twice-crashed image is then recovered and held to
-// the prefix mode. The Result counts the media writes and site hits of the
+// the prefix mode. The result counts the media writes and site hits of the
 // interrupted recovery — with a zero plan, the sweep space of crashes
 // inside it.
-func (c *CrashedRun) RecoverCrashing(plan xpsim.FaultPlan) (*Result, error) {
+func (c *crashedRun) RecoverCrashing(plan xpsim.FaultPlan) (*result, error) {
 	clone, err := c.heap.CrashClone()
 	if err != nil {
 		return nil, err
@@ -271,13 +272,13 @@ func (c *CrashedRun) RecoverCrashing(plan xpsim.FaultPlan) (*Result, error) {
 // again — the repeated-crash scenario that exercises recovery's own
 // writes (journal completion, allocation rewinds, garbage zeroing) as a
 // crashable workload.
-func RunDouble(cfg Config, plan1, plan2 xpsim.FaultPlan, contEdges int64) (*Result, error) {
+func runDouble(cfg config, plan1, plan2 xpsim.FaultPlan, contEdges int64) (*result, error) {
 	cfg = cfg.WithDefaults()
-	c, err := crash(cfg, cfg.Workload(), plan1)
+	c, err := crashStream(cfg, cfg.Workload(), plan1)
 	if err != nil {
 		return nil, err
 	}
-	res, edges := &c.Result, c.edges
+	res, edges := &c.result, c.edges
 
 	// First crash + recovery, on a clone that is itself fault-tracked so
 	// the continuation can crash too.
@@ -299,7 +300,7 @@ func RunDouble(cfg Config, plan1, plan2 xpsim.FaultPlan, contEdges int64) (*Resu
 	// Continuation workload under the second plan.
 	cont := gen.RMAT(cfg.Scale, contEdges, cfg.Seed^0xC047)
 	faults2.Arm(plan2)
-	if err := Ingest(rs, cfg, cont); err != nil {
+	if err := ingest(rs, cfg, cont); err != nil {
 		return res, fmt.Errorf("continuation ingest: %w", err)
 	}
 	res.Crashed = faults2.Crashed()
@@ -321,7 +322,7 @@ func RunDouble(cfg Config, plan1, plan2 xpsim.FaultPlan, contEdges int64) (*Resu
 
 // recoverClone snapshots the durable image and recovers a store from it,
 // filling res.DurableEdges and res.Recovery.
-func recoverClone(heap *pmem.Heap, cfg Config, res *Result) (*core.Store, error) {
+func recoverClone(heap *pmem.Heap, cfg config, res *result) (*core.Store, error) {
 	clone, err := heap.CrashClone()
 	if err != nil {
 		return nil, err

@@ -44,7 +44,7 @@ func propLabel(i int) uint16 {
 func runPropCrash(plan xpsim.FaultPlan) (int64, error) {
 	opts := core.Options{Name: "propcrash", NumVertices: propNV,
 		LogCapacity: 256, ArchiveThreshold: 32, ArchiveThreads: 2, Props: true}
-	st, faults, err := Build(opts)
+	st, faults, err := newStore(opts)
 	if err != nil {
 		return 0, err
 	}

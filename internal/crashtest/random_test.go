@@ -13,7 +13,7 @@ import (
 // randomSchedule derives one workload config + fault plan from a seed.
 // Everything — graph shape, deletion ratio, chunking, compaction cadence,
 // NUMA mode, kill point, tear geometry — is a pure function of the seed.
-func randomSchedule(seed uint64, mediaWrites int64) (Config, xpsim.FaultPlan) {
+func randomSchedule(seed uint64, mediaWrites int64) (config, xpsim.FaultPlan) {
 	r := seed
 	next := func(mod uint64) uint64 {
 		r = splitmix.Mix(r)
@@ -22,7 +22,7 @@ func randomSchedule(seed uint64, mediaWrites int64) (Config, xpsim.FaultPlan) {
 		}
 		return r % mod
 	}
-	cfg := Config{
+	cfg := config{
 		Name:             "rand",
 		Scale:            5 + int(next(3)),       // 32..128 vertices
 		Edges:            200 + int64(next(400)), // 200..599 updates
@@ -68,13 +68,13 @@ func TestCrashRandomizedSchedules(t *testing.T) {
 	for _, seed := range difftest.Schedules(0x9E3779B97F4A7C15, difftest.Short(50, 8)*difftest.TearSeeds()) {
 		t.Run(fmt.Sprintf("seed=%#x", seed), func(t *testing.T) {
 			cfg, _ := randomSchedule(seed, 0)
-			probe, err := Probe(cfg)
+			probe, err := probeRun(cfg)
 			if err != nil {
 				difftest.Fail(t, fmt.Errorf("probe: %w", err))
 				return
 			}
 			cfg, plan := randomSchedule(seed, probe.MediaWrites)
-			res, err := Run(cfg, plan)
+			res, err := run(cfg, plan)
 			if err == nil && plan.KillAtMediaWrite > 0 && !res.Crashed {
 				err = fmt.Errorf("plan %+v never fired (%d media writes)", plan, res.MediaWrites)
 			}

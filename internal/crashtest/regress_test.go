@@ -15,8 +15,8 @@ import (
 // from an already-flushed copy, so any dedup-by-content either loses
 // legitimate duplicates or replays flushed edges twice. Recovery must
 // rely on cursors alone.
-func dupConfig() (Config, []graph.Edge) {
-	cfg := Config{
+func dupConfig() (config, []graph.Edge) {
+	cfg := config{
 		Name:             "dup",
 		Scale:            4,
 		LogCapacity:      64,
@@ -47,7 +47,7 @@ func dupConfig() (Config, []graph.Edge) {
 // losses, no double replay.
 func TestCrashReplayKeepsDuplicateEdges(t *testing.T) {
 	cfg, edges := dupConfig()
-	probe, err := RunStream(cfg, edges, xpsim.FaultPlan{})
+	probe, err := runStream(cfg, edges, xpsim.FaultPlan{})
 	if err != nil {
 		t.Fatalf("probe: %v", err)
 	}
@@ -57,9 +57,9 @@ func TestCrashReplayKeepsDuplicateEdges(t *testing.T) {
 }
 
 // streams kills the edges stream at a case and verifies the recovered store.
-func streams(cfg Config, edges []graph.Edge) func(difftest.Case) error {
+func streams(cfg config, edges []graph.Edge) func(difftest.Case) error {
 	return func(c difftest.Case) error {
-		_, err := RunStream(cfg, edges, c.Plan)
+		_, err := runStream(cfg, edges, c.Plan)
 		return err
 	}
 }
@@ -71,7 +71,7 @@ func streams(cfg Config, edges []graph.Edge) func(difftest.Case) error {
 // and replay the whole window — exactly once.
 func TestCrashAckCommitBoundary(t *testing.T) {
 	cfg, edges := dupConfig()
-	probe, err := RunStream(cfg, edges, xpsim.FaultPlan{})
+	probe, err := runStream(cfg, edges, xpsim.FaultPlan{})
 	if err != nil {
 		t.Fatalf("probe: %v", err)
 	}
@@ -87,7 +87,7 @@ func TestCrashAckCommitBoundary(t *testing.T) {
 // under -short. By construction this includes the elog header writes that
 // persist the head and flushed cursors — the torn-header cases.
 func TestCrashTinyFullSweep(t *testing.T) {
-	cfg := Config{
+	cfg := config{
 		Name:        "tiny",
 		Scale:       4,
 		Edges:       40,
@@ -95,7 +95,7 @@ func TestCrashTinyFullSweep(t *testing.T) {
 		LogCapacity: 32, ArchiveThreshold: 8,
 		Chunk: 10, CompactEvery: 2,
 	}
-	probe, err := Probe(cfg)
+	probe, err := probeRun(cfg)
 	if err != nil {
 		t.Fatalf("probe: %v", err)
 	}
@@ -110,7 +110,7 @@ func TestCrashTinyFullSweep(t *testing.T) {
 func TestCrashDoubleCrash(t *testing.T) {
 	cfg := sweepConfig()
 	cfg.Name = "double"
-	probe, err := Probe(cfg)
+	probe, err := probeRun(cfg)
 	if err != nil {
 		t.Fatalf("probe: %v", err)
 	}
@@ -128,7 +128,7 @@ func TestCrashDoubleCrash(t *testing.T) {
 		}
 		for i, p2 := range plans2 {
 			p1 := xpsim.FaultPlan{KillAtMediaWrite: n, Tear: xpsim.TearWords, Seed: uint64(n) * 3}
-			if res, err := RunDouble(cfg, p1, p2, 200); err != nil {
+			if res, err := runDouble(cfg, p1, p2, 200); err != nil {
 				t.Fatalf("first kill %d, second plan %d: %v (crash: %s)", n, i, err, res.CrashDesc)
 			}
 		}

@@ -32,7 +32,7 @@ import (
 // site, where the batch just buffered is in the log and not flushed: each
 // of their recoveries must replay at least one batch.
 func TestCrashInsideRecovery(t *testing.T) {
-	for _, cfg := range append([]Config{sweepConfig(), varintSweepConfig()}, wideSweepConfigs()...) {
+	for _, cfg := range append([]config{sweepConfig(), varintSweepConfig()}, wideSweepConfigs()...) {
 		cfg.Name += "-rr"
 		s := probeSweep(t, cfg)
 		if s.Sites["buffer:marked"] == 0 {
@@ -42,7 +42,7 @@ func TestCrashInsideRecovery(t *testing.T) {
 		s.Points = difftest.Short[int64](0, 6)
 		var doubles, replays int64
 		s.Run(t, func(c difftest.Case) error {
-			crashed, err := Crash(cfg, c.Plan)
+			crashed, err := crash(cfg, c.Plan)
 			if err != nil {
 				return err
 			}

@@ -1,7 +1,6 @@
-// Package scrubtest is the differential media-error verifier: it runs a
-// deterministic workload on a MediaGuard store (crashtest's Config and
-// Build), injects uncorrectable errors (xpsim.Faults.InjectUE) under live
-// adjacency chains, and holds the store's checked read path to difftest's
+// The differential media-error verifier: it runs a deterministic workload
+// on a MediaGuard store (config and newStore), injects uncorrectable errors
+// (xpsim.Faults.InjectUE) under live adjacency chains, and holds the store's checked read path to difftest's
 // checked mode against the workload's model.
 //
 // The contract under test is the media-tolerance invariant: a checked
@@ -17,7 +16,8 @@
 // crash + recovery, and the compositions of a crash with a scrub, with
 // damage in the log window a recovery replays, and with damage in the log
 // span a recovery re-tees into the SSD archive.
-package scrubtest
+
+package crashtest
 
 import (
 	"bytes"
@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/adj"
 	"repro/internal/core"
-	"repro/internal/crashtest"
 	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -42,15 +41,15 @@ const ueTargets = 4
 // ingests the workload, and flushes everything into PMEM chains so UE
 // injection hits data the checked read path must cover. It returns cfg
 // with its defaults filled and the workload's model.
-func build(cfg crashtest.Config) (crashtest.Config, *core.Store, *xpsim.Faults, *difftest.Model, error) {
+func build(cfg config) (config, *core.Store, *xpsim.Faults, *difftest.Model, error) {
 	cfg = cfg.WithDefaults()
 	cfg.MediaGuard = true
-	st, faults, err := crashtest.Build(cfg.Options())
+	st, faults, err := newStore(cfg.Options())
 	if err != nil {
 		return cfg, nil, nil, nil, err
 	}
 	edges := cfg.Workload()
-	if err := crashtest.Ingest(st, cfg, edges); err != nil {
+	if err := ingest(st, cfg, edges); err != nil {
 		return cfg, nil, nil, nil, fmt.Errorf("ingest: %w", err)
 	}
 	if err := errors.Join(st.BufferAllEdges(), st.FlushAllVbufs()); err != nil {
@@ -106,7 +105,7 @@ func injectChains(st *core.Store, faults *xpsim.Faults, n int) []graph.VID {
 // under live chains, no checked read returns silently wrong data — every
 // read either matches the model or fails typed — and at least the
 // injected vertices do fail.
-func RunUEDetection(cfg crashtest.Config) error {
+func runUEDetection(cfg config) error {
 	_, st, faults, m, err := build(cfg)
 	if err != nil {
 		return err
@@ -151,7 +150,7 @@ func repair(st *core.Store, m *difftest.Model, damaged int) error {
 // cfg.ArchiveSSDBytes set the rebuild comes from the SSD archive;
 // otherwise every record must still be resident in the edge-log window
 // (size cfg.Edges <= cfg.LogCapacity accordingly).
-func RunScrubRepair(cfg crashtest.Config) error {
+func runScrubRepair(cfg config) error {
 	_, st, faults, m, err := build(cfg)
 	if err != nil {
 		return err
@@ -169,7 +168,7 @@ func RunScrubRepair(cfg crashtest.Config) error {
 // report it unrecoverable (never fabricate a partial chain), the store
 // must go degraded, and reads of it must fail with *UnrecoverableError
 // while every other read still matches the model.
-func RunUnrecoverable(cfg crashtest.Config) error {
+func runUnrecoverable(cfg config) error {
 	cfg, st, faults, m, err := build(cfg)
 	if err != nil {
 		return err
@@ -229,7 +228,7 @@ func RunUnrecoverable(cfg crashtest.Config) error {
 // exact-or-typed, and the scrub must rebuild every damaged vertex
 // from the resident log window — regardless of which encodings its chain
 // mixed. cfg.Edges + contEdges must fit in LogCapacity.
-func RunMixedFormatScrub(cfg crashtest.Config, contEdges int64) error {
+func runMixedFormatScrub(cfg config, contEdges int64) error {
 	cfg, st, _, m, err := build(cfg)
 	if err != nil {
 		return err
@@ -282,7 +281,7 @@ func RunMixedFormatScrub(cfg crashtest.Config, contEdges int64) error {
 // healthy node model-exactly, fails reads on the dead node typed,
 // refuses ingestion with a media error, and recovers to HealthOK when
 // the node revives.
-func RunNodeFailure(cfg crashtest.Config) error {
+func runNodeFailure(cfg config) error {
 	cfg.NUMA = core.NUMASubgraph
 	_, st, faults, m, err := build(cfg)
 	if err != nil {
@@ -323,7 +322,7 @@ func RunNodeFailure(cfg crashtest.Config) error {
 // quarantine must survive (same spans, no bad block recycled), the fault
 // state must propagate to the clone, the recovered store must serve the
 // full model, and a fresh scrub must find nothing new.
-func RunQuarantinePersistence(cfg crashtest.Config) error {
+func runQuarantinePersistence(cfg config) error {
 	cfg, st, faults, m, err := build(cfg)
 	if err != nil {
 		return err
@@ -372,27 +371,27 @@ func RunQuarantinePersistence(cfg crashtest.Config) error {
 	return nil
 }
 
-// ScrubCrash is a store stopped inside a scrub: the first composition of
+// scrubCrash is a store stopped inside a scrub: the first composition of
 // two fault harnesses (crash × scrub). A first scrub has repaired one small
 // vertex and persisted its quarantine; then every payload line under the
 // out-chain of the graph's hub went uncorrectable, and the machine was
 // killed by plan inside the second scrub — the one that repairs the hub.
 // The live run went on unharmed, so any number of recoveries can be tried
 // on clones of the frozen durable image.
-type ScrubCrash struct {
+type scrubCrash struct {
 	MediaWrites int64  // media writes of the interrupted scrub (probe: all of them)
 	CrashDesc   string // where the plan fired; empty if it did not
 
-	cfg   crashtest.Config
+	cfg   config
 	st    *core.Store
 	model *difftest.Model
 	quar  core.Health // after the first scrub: what must survive
 }
 
-// CrashInScrub builds the workload, runs the first scrub, damages the hub
+// crashInScrub builds the workload, runs the first scrub, damages the hub
 // and runs the second scrub under plan. A zero plan is the probe that
 // counts the sweep space.
-func CrashInScrub(cfg crashtest.Config, plan xpsim.FaultPlan) (*ScrubCrash, error) {
+func crashInScrub(cfg config, plan xpsim.FaultPlan) (*scrubCrash, error) {
 	cfg, st, faults, m, err := build(cfg)
 	if err != nil {
 		return nil, err
@@ -403,7 +402,7 @@ func CrashInScrub(cfg crashtest.Config, plan xpsim.FaultPlan) (*ScrubCrash, erro
 	if rep, err := st.Scrub(); err != nil || rep.Repaired == 0 || rep.SpansQuarantined == 0 {
 		return nil, fmt.Errorf("first scrub did not repair+quarantine: %+v, %v", rep, err)
 	}
-	c := &ScrubCrash{cfg: cfg, st: st, model: m, quar: st.Health()}
+	c := &scrubCrash{cfg: cfg, st: st, model: m, quar: st.Health()}
 
 	hub, lines := graph.VID(0), []core.MediaLine(nil)
 	for v := graph.VID(0); v < st.NumVertices(); v++ {
@@ -430,7 +429,7 @@ func CrashInScrub(cfg crashtest.Config, plan xpsim.FaultPlan) (*ScrubCrash, erro
 // quarantine the first scrub persisted survives, and a further scrub
 // completes the repair — after it every read is exact, none fails, and the
 // store is healthy.
-func (c *ScrubCrash) Verify() error {
+func (c *scrubCrash) Verify() error {
 	clone, err := c.st.Heap().CrashClone()
 	if err != nil {
 		return err
@@ -483,7 +482,7 @@ func refusesTyped(st *core.Store, opts core.Options) error {
 // typed media error instead. (Once a scrub has rewritten and quarantined
 // the damaged blocks, recovery parses straight over them:
 // RunQuarantinePersistence.)
-func RunHeaderUECrash(cfg crashtest.Config) error {
+func runHeaderUECrash(cfg config) error {
 	cfg, st, faults, _, err := build(cfg)
 	if err != nil {
 		return err
@@ -502,10 +501,10 @@ func RunHeaderUECrash(cfg crashtest.Config) error {
 // line now holds — a scrambled vertex ID, or a silently wrong edge given a
 // fresh, valid checksum by the replay's own writes — so core.Recover must
 // refuse with a typed media error.
-func RunReplayWindowUECrash(cfg crashtest.Config, record int64) error {
+func runReplayWindowUECrash(cfg config, record int64) error {
 	cfg = cfg.WithDefaults()
 	cfg.MediaGuard = true
-	st, _, err := crashtest.Build(cfg.Options())
+	st, _, err := newStore(cfg.Options())
 	if err != nil {
 		return err
 	}
@@ -529,33 +528,33 @@ func RunReplayWindowUECrash(cfg crashtest.Config, record int64) error {
 
 // injectLogUE marks the XPLine of st's edge-log ring that holds record
 // uncorrectable.
-func injectLogUE(st *core.Store, cfg crashtest.Config, record int64) {
+func injectLogUE(st *core.Store, cfg config, record int64) {
 	l := st.Log()
 	ring, _ := st.Heap().Get(cfg.Name + "-elog") // core.New mapped it
 	st.Machine().InjectUE(ring.LineAt(l.BaseOffset() + record%l.Cap()*graph.EdgeBytes))
 }
 
-// AppendCrash is a MediaGuard store with an SSD archive, killed inside an
+// appendCrash is a MediaGuard store with an SSD archive, killed inside an
 // edge-log append whose records never reached the archive: Ingest tees a
 // chunk into the archive only once the log has taken it, so a crash between
 // the two leaves the archive trailing the log, and the recovery's catch-up
 // re-tees the trailing span from the log. The workload is ingested, flushed
 // and archived; then one more chunk goes to the log alone, under the plan;
 // then the XPLine holding the chunk's first record goes uncorrectable.
-type AppendCrash struct {
+type appendCrash struct {
 	MediaWrites int64  // media writes of the append (probe: all of them)
 	CrashDesc   string // where the plan fired; empty if it did not
 
-	cfg      crashtest.Config
+	cfg      config
 	st       *core.Store
 	image    *pmem.Heap      // the durable image, before the UE landed
 	model    *difftest.Model // the workload, then the chunk
 	archived int64           // the archive's count: the workload's length
 }
 
-// CrashInAppend builds the workload and appends chunk more edges to the log
+// crashInAppend builds the workload and appends chunk more edges to the log
 // under plan. A zero plan is the probe that counts the sweep space.
-func CrashInAppend(cfg crashtest.Config, chunk int64, plan xpsim.FaultPlan) (*AppendCrash, error) {
+func crashInAppend(cfg config, chunk int64, plan xpsim.FaultPlan) (*appendCrash, error) {
 	cfg, st, faults, m, err := build(cfg)
 	if err != nil {
 		return nil, err
@@ -563,7 +562,7 @@ func CrashInAppend(cfg crashtest.Config, chunk int64, plan xpsim.FaultPlan) (*Ap
 	if cfg.ArchiveSSDBytes == 0 {
 		return nil, fmt.Errorf("the store needs an SSD archive to trail the log")
 	}
-	c := &AppendCrash{cfg: cfg, st: st, model: m, archived: st.Log().Head()}
+	c := &appendCrash{cfg: cfg, st: st, model: m, archived: st.Log().Head()}
 	tail := gen.RMAT(cfg.Scale, chunk, cfg.Seed^0xA9C)
 	faults.Arm(plan)
 	if n, err := st.Log().Append(xpsim.NewCtx(xpsim.NodeUnbound), tail); err != nil || n != len(tail) {
@@ -586,7 +585,7 @@ func CrashInAppend(cfg crashtest.Config, chunk int64, plan xpsim.FaultPlan) (*Ap
 // archive must end as it began: a refused recovery that had already teed the
 // span would leave scrambled records, under a valid count, in the scrub's
 // rebuild source.
-func (c *AppendCrash) Verify() (refused bool, err error) {
+func (c *appendCrash) Verify() (refused bool, err error) {
 	clean, err := c.image.CrashClone()
 	if err != nil {
 		return false, err

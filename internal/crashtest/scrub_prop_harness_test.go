@@ -10,21 +10,18 @@
 //   - unscrubbed mid-log damage surfaces at recovery as fail-closed
 //     typed reads (prop.ErrDamaged) — never default-label answers —
 //     while untyped adjacency reads keep serving model-exactly.
-package scrubtest
+package crashtest
 
 import (
 	"errors"
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/crashtest"
 	"repro/internal/difftest"
 	"repro/internal/graph"
 	"repro/internal/prop"
 	"repro/internal/xpsim"
 )
-
-const propNV = 64
 
 // propOptions is the MediaGuard store with property columns both scenarios
 // run on.
@@ -37,7 +34,7 @@ func propOptions(name string) core.Options {
 // — 300 distinct edges, all typed, plus one property per source vertex —
 // flushes every record into PMEM blocks, and returns the workload's model.
 func buildProp(name string) (*core.Store, *xpsim.Faults, *difftest.Model, error) {
-	st, faults, err := crashtest.Build(propOptions(name))
+	st, faults, err := newStore(propOptions(name))
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -75,7 +72,7 @@ var typed = difftest.Compare{Labels: true, Props: []uint16{1}}
 // land under every written block, the scrub rebuilds each from the DRAM
 // mirror as patch blocks, and the patched image survives crash +
 // recovery with the full typed state.
-func RunPropScrubRepair() error {
+func runPropScrubRepair() error {
 	st, faults, m, err := buildProp("prop-repair")
 	if err != nil {
 		return err
@@ -135,7 +132,7 @@ func RunPropScrubRepair() error {
 // every typed read fails with prop.ErrDamaged (never a default-label
 // answer), the scrub reports it unrecoverable, and the untyped adjacency
 // surface keeps serving.
-func RunPropUnrecoverable() error {
+func runPropUnrecoverable() error {
 	st, faults, m, err := buildProp("prop-unrec")
 	if err != nil {
 		return err

@@ -1,4 +1,4 @@
-package scrubtest
+package crashtest
 
 import "testing"
 
@@ -6,7 +6,7 @@ import "testing"
 // of them as patch blocks, and the patched image survives recovery with
 // the full typed state.
 func TestPropScrubRepair(t *testing.T) {
-	if err := RunPropScrubRepair(); err != nil {
+	if err := runPropScrubRepair(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -14,7 +14,7 @@ func TestPropScrubRepair(t *testing.T) {
 // TestPropUnrecoverable: unscrubbed mid-log column damage fails typed
 // reads closed after recovery while the adjacency surface keeps serving.
 func TestPropUnrecoverable(t *testing.T) {
-	if err := RunPropUnrecoverable(); err != nil {
+	if err := runPropUnrecoverable(); err != nil {
 		t.Fatal(err)
 	}
 }

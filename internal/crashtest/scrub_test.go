@@ -1,10 +1,9 @@
-package scrubtest
+package crashtest
 
 import (
 	"fmt"
 	"testing"
 
-	"repro/internal/crashtest"
 	"repro/internal/difftest"
 	"repro/internal/xpsim"
 )
@@ -12,7 +11,7 @@ import (
 // TestUEDetection: after UE injection, every checked read matches the
 // model or fails typed — never silently wrong edges.
 func TestUEDetection(t *testing.T) {
-	if err := RunUEDetection(crashtest.Config{Name: "ue-detect", Seed: 1, Edges: 600}); err != nil {
+	if err := runUEDetection(config{Name: "ue-detect", Seed: 1, Edges: 600}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -20,7 +19,7 @@ func TestUEDetection(t *testing.T) {
 // TestUEDetectionDeletes runs the detection differential over a
 // workload with deletions, so damaged chains carry tombstones too.
 func TestUEDetectionDeletes(t *testing.T) {
-	if err := RunUEDetection(crashtest.Config{Name: "ue-del", Seed: 2, Edges: 600, DelRatio: 0.2}); err != nil {
+	if err := runUEDetection(config{Name: "ue-del", Seed: 2, Edges: 600, DelRatio: 0.2}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -28,7 +27,7 @@ func TestUEDetectionDeletes(t *testing.T) {
 // TestScrubRepairFromLog rebuilds damaged chains from the resident
 // edge-log window: the whole workload fits in LogCapacity.
 func TestScrubRepairFromLog(t *testing.T) {
-	if err := RunScrubRepair(crashtest.Config{Name: "repair-log", Seed: 3, Edges: 600, LogCapacity: 1 << 10}); err != nil {
+	if err := runScrubRepair(config{Name: "repair-log", Seed: 3, Edges: 600, LogCapacity: 1 << 10}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -36,7 +35,7 @@ func TestScrubRepairFromLog(t *testing.T) {
 // TestScrubRepairFromArchive rebuilds from the SSD edge archive even
 // though the log window has rotated past the early records.
 func TestScrubRepairFromArchive(t *testing.T) {
-	if err := RunScrubRepair(crashtest.Config{
+	if err := runScrubRepair(config{
 		Name: "repair-ssd", Seed: 4, Edges: 1500,
 		LogCapacity: 1 << 8, ArchiveSSDBytes: 4 << 20,
 	}); err != nil {
@@ -47,7 +46,7 @@ func TestScrubRepairFromArchive(t *testing.T) {
 // TestUnrecoverable: no archive and a rotated log window leave a damaged
 // early vertex with no rebuild source; the scrub must say so honestly.
 func TestUnrecoverable(t *testing.T) {
-	if err := RunUnrecoverable(crashtest.Config{
+	if err := runUnrecoverable(config{
 		Name: "unrec", Seed: 5, Edges: 1500, LogCapacity: 1 << 8,
 	}); err != nil {
 		t.Fatal(err)
@@ -57,7 +56,7 @@ func TestUnrecoverable(t *testing.T) {
 // TestNodeFailure: whole-device failure serves healthy partitions and
 // refuses the rest, then recovers on revival.
 func TestNodeFailure(t *testing.T) {
-	if err := RunNodeFailure(crashtest.Config{Name: "nodefail", Seed: 6, Edges: 800}); err != nil {
+	if err := runNodeFailure(config{Name: "nodefail", Seed: 6, Edges: 800}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -65,7 +64,7 @@ func TestNodeFailure(t *testing.T) {
 // TestQuarantinePersistence: quarantined spans survive crash + recovery
 // with the archive re-attached, and a fresh scrub finds nothing new.
 func TestQuarantinePersistence(t *testing.T) {
-	if err := RunQuarantinePersistence(crashtest.Config{
+	if err := runQuarantinePersistence(config{
 		Name: "quar-persist", Seed: 7, Edges: 900, ArchiveSSDBytes: 4 << 20,
 	}); err != nil {
 		t.Fatal(err)
@@ -75,7 +74,7 @@ func TestQuarantinePersistence(t *testing.T) {
 // TestUEDetectionVarint runs the detection differential over delta-varint
 // chains, where one torn line can scramble a variable number of records.
 func TestUEDetectionVarint(t *testing.T) {
-	if err := RunUEDetection(crashtest.Config{Name: "ue-vz", Seed: 8, Edges: 600, DelRatio: 0.2, Varint: true}); err != nil {
+	if err := runUEDetection(config{Name: "ue-vz", Seed: 8, Edges: 600, DelRatio: 0.2, Varint: true}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -83,7 +82,7 @@ func TestUEDetectionVarint(t *testing.T) {
 // TestScrubRepairVarint rebuilds damaged varint chains from the resident
 // edge-log window.
 func TestScrubRepairVarint(t *testing.T) {
-	if err := RunScrubRepair(crashtest.Config{
+	if err := runScrubRepair(config{
 		Name: "repair-vz", Seed: 9, Edges: 600, LogCapacity: 1 << 10, Varint: true,
 	}); err != nil {
 		t.Fatal(err)
@@ -93,7 +92,7 @@ func TestScrubRepairVarint(t *testing.T) {
 // TestScrubRepairVarintFromArchive rebuilds varint chains from the SSD
 // archive after the log window rotated.
 func TestScrubRepairVarintFromArchive(t *testing.T) {
-	if err := RunScrubRepair(crashtest.Config{
+	if err := runScrubRepair(config{
 		Name: "repair-vz-ssd", Seed: 10, Edges: 1500,
 		LogCapacity: 1 << 8, ArchiveSSDBytes: 4 << 20, Varint: true,
 	}); err != nil {
@@ -104,7 +103,7 @@ func TestScrubRepairVarintFromArchive(t *testing.T) {
 // TestQuarantinePersistenceVarint: quarantine survives crash + recovery
 // when the repaired chains carry the varint encoding.
 func TestQuarantinePersistenceVarint(t *testing.T) {
-	if err := RunQuarantinePersistence(crashtest.Config{
+	if err := runQuarantinePersistence(config{
 		Name: "quar-vz", Seed: 11, Edges: 900, ArchiveSSDBytes: 4 << 20, Varint: true,
 	}); err != nil {
 		t.Fatal(err)
@@ -115,7 +114,7 @@ func TestQuarantinePersistenceVarint(t *testing.T) {
 // flips the encoding on, then UE damage and scrub repair must handle the
 // mixed chains model-exactly.
 func TestMixedFormatScrub(t *testing.T) {
-	if err := RunMixedFormatScrub(crashtest.Config{Name: "mix-scrub", Seed: 12, Edges: 600}, 300); err != nil {
+	if err := runMixedFormatScrub(config{Name: "mix-scrub", Seed: 12, Edges: 600}, 300); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -127,9 +126,9 @@ func TestMixedFormatScrub(t *testing.T) {
 // further scrub completes the repair. Exhaustive outside -short.
 func TestScrubCrashSweep(t *testing.T) {
 	for _, varint := range []bool{false, true} {
-		cfg := crashtest.Config{Name: "scrub-crash", Seed: 21, Edges: 3000, LogCapacity: 1 << 12, Varint: varint}
+		cfg := config{Name: "scrub-crash", Seed: 21, Edges: 3000, LogCapacity: 1 << 12, Varint: varint}
 		name := fmt.Sprintf("varint=%v", varint)
-		probe, err := CrashInScrub(cfg, xpsim.FaultPlan{})
+		probe, err := crashInScrub(cfg, xpsim.FaultPlan{})
 		if err != nil {
 			t.Fatalf("%s: probe: %v", name, err)
 		}
@@ -142,7 +141,7 @@ func TestScrubCrashSweep(t *testing.T) {
 		s := difftest.Sweep{Name: name, Writes: probe.MediaWrites, Points: difftest.Short[int64](0, 6),
 			Tears: []xpsim.TearMode{xpsim.TearNone, xpsim.TearPrefix, xpsim.TearWords}}
 		s.Run(t, func(c difftest.Case) error {
-			crashed, err := CrashInScrub(cfg, c.Plan)
+			crashed, err := crashInScrub(cfg, c.Plan)
 			if err != nil {
 				return err
 			}
@@ -159,9 +158,9 @@ func TestScrubCrashSweep(t *testing.T) {
 // typed. Either way the archive is left as it was. The uncrashed append is
 // one more case, and refuses. Exhaustive.
 func TestCatchUpUECrash(t *testing.T) {
-	cfg := crashtest.Config{Name: "catchup-ue", Seed: 23, Edges: 600, ArchiveSSDBytes: 64 << 10}
+	cfg := config{Name: "catchup-ue", Seed: 23, Edges: 600, ArchiveSSDBytes: 64 << 10}
 	const chunk = 100
-	probe, err := CrashInAppend(cfg, chunk, xpsim.FaultPlan{})
+	probe, err := crashInAppend(cfg, chunk, xpsim.FaultPlan{})
 	if err != nil {
 		t.Fatalf("probe: %v", err)
 	}
@@ -171,7 +170,7 @@ func TestCatchUpUECrash(t *testing.T) {
 	refusals := 0
 	s := difftest.Sweep{Name: "append", Writes: probe.MediaWrites, Tears: []xpsim.TearMode{xpsim.TearNone, xpsim.TearPrefix, xpsim.TearWords}}
 	s.Run(t, func(c difftest.Case) error {
-		crashed, err := CrashInAppend(cfg, chunk, c.Plan)
+		crashed, err := crashInAppend(cfg, chunk, c.Plan)
 		if err != nil {
 			return err
 		}
@@ -188,7 +187,7 @@ func TestCatchUpUECrash(t *testing.T) {
 // lines must not recover as a silently truncated arena.
 func TestHeaderUECrash(t *testing.T) {
 	for _, varint := range []bool{false, true} {
-		if err := RunHeaderUECrash(crashtest.Config{Name: "hdr-ue", Seed: 22, Edges: 800, Varint: varint}); err != nil {
+		if err := runHeaderUECrash(config{Name: "hdr-ue", Seed: 22, Edges: 800, Varint: varint}); err != nil {
 			t.Fatalf("varint=%v: %v", varint, err)
 		}
 	}
@@ -201,8 +200,8 @@ func TestHeaderUECrash(t *testing.T) {
 func TestReplayWindowUECrash(t *testing.T) {
 	for _, varint := range []bool{false, true} {
 		for _, record := range []int64{400, 500, 599} {
-			cfg := crashtest.Config{Name: "replay-ue", Scale: 6, Edges: 600, Seed: 3, Varint: varint}
-			if err := RunReplayWindowUECrash(cfg, record); err != nil {
+			cfg := config{Name: "replay-ue", Scale: 6, Edges: 600, Seed: 3, Varint: varint}
+			if err := runReplayWindowUECrash(cfg, record); err != nil {
 				t.Errorf("varint=%v record %d: %v", varint, record, err)
 			}
 		}

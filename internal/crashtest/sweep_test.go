@@ -12,8 +12,8 @@ import (
 // that one run is milliseconds, but it still crosses every interesting
 // phase — multiple flush epochs (LogCapacity 256 over 400 updates),
 // deletions, chunked ingest, and compactions between chunks.
-func sweepConfig() Config {
-	return Config{
+func sweepConfig() config {
+	return config{
 		Name:             "sweep",
 		Scale:            6,
 		Edges:            400,
@@ -30,7 +30,7 @@ func sweepConfig() Config {
 // same schedule, but every block the workload writes carries the
 // variable-length encoding, so torn writes land mid-record and CRC extents
 // cover varint payloads.
-func varintSweepConfig() Config {
+func varintSweepConfig() config {
 	cfg := sweepConfig()
 	cfg.Name = "sweep-vz"
 	cfg.Varint = true
@@ -42,8 +42,8 @@ func varintSweepConfig() Config {
 // out/in placement — so every flush commit splits each group's pending
 // blocks over several bound ack workers. The default two-thread configs
 // only ever run the one-worker case of that split.
-func wideSweepConfigs() []Config {
-	var cfgs []Config
+func wideSweepConfigs() []config {
+	var cfgs []config
 	for _, numa := range []struct {
 		name string
 		mode core.NUMAMode
@@ -61,9 +61,9 @@ var allTears = []xpsim.TearMode{xpsim.TearNone, xpsim.TearPrefix, xpsim.TearWord
 
 // probeSweep probes cfg: the kill space is every media write and every hit
 // of every crash site the workload reaches.
-func probeSweep(t *testing.T, cfg Config) difftest.Sweep {
+func probeSweep(t *testing.T, cfg config) difftest.Sweep {
 	t.Helper()
-	probe, err := Probe(cfg)
+	probe, err := probeRun(cfg)
 	if err != nil {
 		t.Fatalf("%s: probe: %v", cfg.Name, err)
 	}
@@ -74,9 +74,9 @@ func probeSweep(t *testing.T, cfg Config) difftest.Sweep {
 }
 
 // runs kills cfg's workload at a case and verifies the recovered store.
-func runs(cfg Config) func(difftest.Case) error {
+func runs(cfg config) func(difftest.Case) error {
 	return func(c difftest.Case) error {
-		_, err := Run(cfg, c.Plan)
+		_, err := run(cfg, c.Plan)
 		return err
 	}
 }
@@ -180,7 +180,7 @@ func TestCrashMixedFormatChains(t *testing.T) {
 	cfg := sweepConfig()
 	cfg.Name = "sweep-mix"
 	cfg.VarintFromRecovery = true
-	probe, err := Probe(cfg)
+	probe, err := probeRun(cfg)
 	if err != nil {
 		t.Fatalf("probe: %v", err)
 	}
@@ -192,7 +192,7 @@ func TestCrashMixedFormatChains(t *testing.T) {
 		for _, k2 := range kills2 {
 			plan1 := xpsim.FaultPlan{KillAtMediaWrite: k1, Tear: xpsim.TearWords, Seed: uint64(k1) ^ 0x317}
 			plan2 := xpsim.FaultPlan{KillAtMediaWrite: k2, Tear: xpsim.TearWords, Seed: uint64(k2) ^ 0x731}
-			if res, err := RunDouble(cfg, plan1, plan2, contEdges); err != nil {
+			if res, err := runDouble(cfg, plan1, plan2, contEdges); err != nil {
 				t.Fatalf("kill1=%d kill2=%d: %v (crash: %s)", k1, k2, err, res.CrashDesc)
 			}
 		}

@@ -16,7 +16,7 @@ import (
 // for the target alone — one Ingest and one flushing phase — whose few
 // media writes can then be killed one by one under many tear geometries.
 type tornWrite struct {
-	cfg     Config
+	cfg     config
 	setup   []graph.Edge
 	compact bool
 	target  []graph.Edge
@@ -25,9 +25,9 @@ type tornWrite struct {
 // run plays the scenario under plan and holds the recovered store to the
 // prefix mode. It also reports how much adjacency space the target
 // allocated and where the log head stood before it.
-func (tw tornWrite) run(plan xpsim.FaultPlan) (res *Result, pblkGrowth, headBefore int64, err error) {
+func (tw tornWrite) run(plan xpsim.FaultPlan) (res *result, pblkGrowth, headBefore int64, err error) {
 	cfg := tw.cfg.WithDefaults()
-	st, faults, err := Build(cfg.Options())
+	st, faults, err := newStore(cfg.Options())
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -103,7 +103,7 @@ func TestCrashTornFirstAppend(t *testing.T) {
 	for i := uint32(0); i < 8; i++ {
 		target = append(target, graph.Edge{Src: 16 + i, Dst: 24 + i}, graph.Edge{Src: 16 + i, Dst: 24 + (i+3)%8})
 	}
-	base := Config{Scale: 5, LogCapacity: 128, ArchiveThreshold: 16}
+	base := config{Scale: 5, LogCapacity: 128, ArchiveThreshold: 16}
 	for _, sc := range []struct {
 		name             string
 		varint, recycled bool
@@ -140,7 +140,7 @@ func TestCrashTornWrappedLogAppend(t *testing.T) {
 	const logCap = 64
 	edges := gen.RMAT(4, 2*logCap+6, 29)
 	tw := tornWrite{
-		cfg:    Config{Name: "torn-wrap", Scale: 4, LogCapacity: logCap, ArchiveThreshold: 16},
+		cfg:    config{Name: "torn-wrap", Scale: 4, LogCapacity: logCap, ArchiveThreshold: 16},
 		setup:  edges[:2*logCap-4], // head four records short of the wrap
 		target: edges[2*logCap-4:],
 	}

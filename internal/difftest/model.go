@@ -1,8 +1,8 @@
-// Package difftest is the differential-test kit every fault harness and
-// package test compares a store with: one reference model (Model), one
-// comparator written against view.Source (Compare) and one sweep driver
-// with one replay convention (Sweep). It imports nothing above
-// internal/view, so core's, graphone's and cluster's own tests can use it.
+// Package difftest is the differential-test kit: one reference model, one
+// comparator over view.Source and one sweep driver. Every fault harness and
+// package test compares a store with its Model, Compare and Sweep. It
+// imports nothing above internal/view, so core's, graphone's and cluster's
+// own tests can use it.
 package difftest
 
 import (

@@ -1,9 +1,9 @@
-// Package elog implements the consistency-guaranteed circular edge log of
-// XPGraph (§III-B, Fig. 7). New edges append at the head; a buffering
-// cursor tracks edges staged into DRAM vertex buffers; a flushing cursor
-// tracks edges durably in PMEM adjacency lists. The log refuses to
-// overwrite edges that are not yet flushed, so after a crash the edges in
-// [flushed, head) can be replayed to rebuild the lost DRAM vertex buffers.
+// Package elog implements XPGraph's consistency-guaranteed circular edge
+// log (§III-B). New edges append at the head; a buffering cursor tracks
+// edges staged into DRAM vertex buffers; a flushing cursor tracks edges
+// durably in PMEM adjacency lists. The log refuses to overwrite edges that
+// are not yet flushed, so after a crash the edges in [flushed, head) can be
+// replayed to rebuild the lost DRAM vertex buffers.
 //
 // The battery-backed variant (XPGraph-B, §IV-C) treats DRAM vertex buffers
 // as part of the persistence domain, so the head may overwrite any edge
@@ -41,12 +41,12 @@ const (
 	offEpoch = 32 // {epoch u32, low 32 bits of the flushed cursor it committed}
 )
 
-// MaxEpoch is the last flush epoch Commit accepts: the adjacency stamps
-// that name epochs hold 30 bits (adj.MaxEpoch).
-const MaxEpoch = 1<<30 - 1
+// maxEpoch is the last flush epoch Commit accepts: the adjacency stamps
+// that name epochs hold 30 bits (adj.maxEpoch).
+const maxEpoch = 1<<30 - 1
 
-// ErrEpochBound is Commit's typed refusal once the epochs are exhausted.
-var ErrEpochBound = errors.New("elog: flush epochs exhausted")
+// errEpochBound is Commit's typed refusal once the epochs are exhausted.
+var errEpochBound = errors.New("elog: flush epochs exhausted")
 
 // Config selects optional log features.
 type Config struct {
@@ -136,16 +136,6 @@ func CreateWith(ctx *xpsim.Ctx, m mem.Mem, capEntries int64, cfg Config) (*Log, 
 	// first append recovers an empty log instead of a corrupt one.
 	m.Flush(ctx, hdr, hdrBytes)
 	return l, nil
-}
-
-// Attach reopens a log previously created at hdr/base in m — the recovery
-// path: cursors are read back from persistent memory. Every invariant a
-// later Read or Mark relies on is validated here, so a corrupt or torn
-// header surfaces as an error instead of a panic or an out-of-window
-// replay: cursors must be ordered, the unflushed window must still be
-// resident (head-flushed <= cap), and the ring must fit the memory.
-func Attach(ctx *xpsim.Ctx, m mem.Mem, hdr, base int64, battery bool) (*Log, error) {
-	return AttachWith(ctx, m, hdr, base, Config{Battery: battery})
 }
 
 // AttachWith is Attach with the full feature configuration, which must
@@ -401,8 +391,8 @@ func (l *Log) Epoch() uint32 { return l.epoch }
 // atomic store — the cursor's when it moves, the epoch word's when it does
 // not — and one flush.
 func (l *Log) Commit(ctx *xpsim.Ctx, upTo int64) error {
-	if l.epoch == MaxEpoch {
-		return ErrEpochBound
+	if l.epoch == maxEpoch {
+		return errEpochBound
 	}
 	l.advanceFlushed(upTo)
 	l.epoch++

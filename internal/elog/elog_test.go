@@ -459,11 +459,11 @@ func TestCommitEpochSurvivesEveryTear(t *testing.T) {
 // wrap to the epoch every block is created in.
 func TestCommitRefusesPastMaxEpoch(t *testing.T) {
 	l, _, ctx := testLog(t, 16, false)
-	l.epoch = MaxEpoch - 1
-	if err := l.Commit(ctx, 0); err != nil || l.Epoch() != MaxEpoch {
+	l.epoch = maxEpoch - 1
+	if err := l.Commit(ctx, 0); err != nil || l.Epoch() != maxEpoch {
 		t.Fatalf("commit of the last epoch: %v, epoch %d", err, l.Epoch())
 	}
-	if err := l.Commit(ctx, 0); !errors.Is(err, ErrEpochBound) || l.Epoch() != MaxEpoch {
+	if err := l.Commit(ctx, 0); !errors.Is(err, errEpochBound) || l.Epoch() != maxEpoch {
 		t.Fatalf("commit past the last epoch: %v, epoch %d; want ErrEpochBound", err, l.Epoch())
 	}
 }

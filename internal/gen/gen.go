@@ -74,9 +74,6 @@ func (d Dataset) NumVertices() uint32 { return 1 << d.Scale }
 // Generate materializes the edge stream.
 func (d Dataset) Generate() []graph.Edge { return RMAT(d.Scale, d.Edges, d.Seed) }
 
-// BinBytes reports the binary edge-list size ("Bin Size" of Table II).
-func (d Dataset) BinBytes() int64 { return d.Edges * graph.EdgeBytes }
-
 // Catalog returns the seven evaluation datasets of Table II at ~1/1024
 // scale, preserving each |E|/|V| ratio.
 func Catalog() []Dataset {

@@ -1,5 +1,5 @@
-// Package graph holds the basic graph types shared by every store: 4-byte
-// vertex IDs and 8-byte edge records, the formats the paper's systems use
+// Package graph holds the graph types every store shares: 4-byte vertex IDs
+// and 8-byte edge records. These are the formats the paper's systems use
 // throughout (edge logs, adjacency lists, binary edge-list files).
 package graph
 

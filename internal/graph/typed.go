@@ -1,12 +1,12 @@
 package graph
 
-// Label is a small edge-type identifier. DefaultLabel (0) is the type of
+// label is a small edge-type identifier. DefaultLabel (0) is the type of
 // every edge ingested through the untyped paths, so a store upgraded to
 // the property layer reads its pre-existing edges back unchanged.
-type Label = uint16
+type label = uint16
 
 // DefaultLabel is the type of untyped edges.
-const DefaultLabel Label = 0
+const DefaultLabel label = 0
 
 // PropSet is one vertex-property write: set property Key of vertex V to
 // Val. Properties are last-write-wins signed 64-bit scalars keyed by a

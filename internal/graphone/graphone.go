@@ -1,12 +1,13 @@
-// Package graphone implements the comparison baseline: GraphOne (Kumar &
-// Huang, FAST'19), the state-of-the-art in-memory evolving-graph store the
-// paper evaluates against (§II-B, §V-A). It keeps the hybrid format — a
-// circular edge log for fresh updates plus per-vertex adjacency lists for
-// archived ones — and archives with the global batched *edge-centric*
-// strategy: count per-vertex degree increments, allocate each vertex's
-// chunk for the batch, then append neighbors one at a time. Those per-edge
-// 4-byte writes are exactly what read-modify-writes 256-byte XPLines when
-// the adjacency lists live on PMEM (§II-C).
+// Package graphone implements the comparison baseline, GraphOne (Kumar &
+// Huang, FAST'19), in its -D, -P, -N and -MM variants. GraphOne is the
+// state-of-the-art in-memory evolving-graph store the paper evaluates
+// against (§II-B, §V-A). It keeps the hybrid format — a circular edge log
+// for fresh updates plus per-vertex adjacency lists for archived ones — and
+// archives with the global batched *edge-centric* strategy: count
+// per-vertex degree increments, allocate each vertex's chunk for the batch,
+// then append neighbors one at a time. Those per-edge 4-byte writes are
+// exactly what read-modify-writes 256-byte XPLines when the adjacency lists
+// live on PMEM (§II-C).
 //
 // Variants follow the paper: GraphOne-D (all DRAM), GraphOne-P (edge log
 // and adjacency on interleaved PMEM via mmap), GraphOne-N (adjacency
@@ -151,41 +152,6 @@ func (s *Store) emitSpan(name string, lane int64, durNs int64) {
 	s.tracer.EmitPhase(name, lane, start, durNs)
 }
 
-// RegisterMetrics registers the baseline's occupancy gauges and
-// pipeline counters with a registry (the GraphOne analogue of
-// core.Store.RegisterMetrics, so the server scrapes either engine).
-func (s *Store) RegisterMetrics(r *obs.Registry) {
-	gauge := func(name, help string, fn func() float64) {
-		r.Register(obs.NewGaugeFunc(name, help, fn))
-	}
-	gauge("xpgraph_vertices", "Current vertex-ID space of the store.",
-		func() float64 { return float64(s.NumVertices()) })
-	gauge("xpgraph_elog_capacity_edges", "Circular edge log capacity in edges.",
-		func() float64 { return float64(s.log.Cap()) })
-	gauge("xpgraph_elog_logged_edges", "Total edges ever appended to the log (head cursor).",
-		func() float64 { return float64(s.log.Head()) })
-	gauge("xpgraph_elog_buffered_edges", "Edges archived out of the log (buffered cursor).",
-		func() float64 { return float64(s.log.Buffered()) })
-	gauge("xpgraph_elog_pending_buffer_edges", "Edges logged but not yet archived.",
-		func() float64 { return float64(s.log.PendingBuffer()) })
-	gauge("xpgraph_elog_pmem_bytes", "Bytes of the circular edge log.",
-		func() float64 { return float64(s.log.Bytes()) })
-	gauge("xpgraph_pblk_pmem_bytes", "Bytes of archived adjacency blocks.",
-		func() float64 { return float64(s.adjs[0].Bytes() + s.adjs[1].Bytes()) })
-	r.Register(obs.CollectorFunc(func(emit func(obs.Sample)) {
-		rep := s.Report()
-		counter := func(name, help string, v float64, labels ...obs.Label) {
-			emit(obs.Sample{Name: name, Help: help, Kind: obs.KindCounter, Labels: labels, Value: v})
-		}
-		counter("xpgraph_ingested_edges_total", "Edges accepted through the logging pipeline.", float64(rep.Edges))
-		counter("xpgraph_buffer_phases_total", "Archiving phases executed.", float64(rep.Batches))
-		counter("xpgraph_phase_seconds_total", "Simulated seconds spent per pipeline phase.",
-			float64(rep.LogNs)/1e9, obs.Label{Key: "phase", Value: "logging"})
-		counter("xpgraph_phase_seconds_total", "Simulated seconds spent per pipeline phase.",
-			float64(rep.ArchiveNs)/1e9, obs.Label{Key: "phase", Value: "archive"})
-	}))
-}
-
 // Store conforms to the canonical read surface, so analytics and the
 // server run identically over the baseline.
 var _ view.View = (*Store)(nil)
@@ -285,14 +251,8 @@ func (s *Store) ensureVertices(n graph.VID) {
 // NumVertices reports the vertex-ID space.
 func (s *Store) NumVertices() graph.VID { return graph.VID(len(s.records[0])) }
 
-// Report returns the accumulated ingest report.
-func (s *Store) Report() IngestReport { return s.report }
-
-// ResetReport clears it.
-func (s *Store) ResetReport() { s.report = IngestReport{} }
-
-// Variant reports the configured variant.
-func (s *Store) Variant() Variant { return s.opts.Variant }
+// resetReport clears it.
+func (s *Store) resetReport() { s.report = IngestReport{} }
 
 const logChunk = 4096
 
@@ -437,18 +397,6 @@ func (s *Store) archive() error {
 	return nil
 }
 
-// AddEdge logs one edge.
-func (s *Store) AddEdge(src, dst graph.VID) error {
-	_, err := s.Ingest([]graph.Edge{{Src: src, Dst: dst}})
-	return err
-}
-
-// DelEdge logs one deletion.
-func (s *Store) DelEdge(src, dst graph.VID) error {
-	_, err := s.Ingest([]graph.Edge{graph.Del(src, dst)})
-	return err
-}
-
 // Visit hands v's archived neighbors in direction d, tombstones resolved,
 // to fn as one run. GraphOne has no media-checked path and no property
 // layer; every edge carries the default label.
@@ -482,27 +430,8 @@ func (s *Store) Node(view.Dir, graph.VID) int {
 	return xpsim.NodeUnbound
 }
 
-// NumPartitions reports 1: GraphOne has no NUMA-aware partitioning.
-func (s *Store) NumPartitions() int { return 1 }
-
 // Labels reports the one default label; GraphOne has no property layer.
 func (s *Store) Labels() []string { return []string{""} }
 
 // VProp reports no property for any vertex.
 func (s *Store) VProp(graph.VID, uint16) (int64, bool, error) { return 0, false, nil }
-
-// MemUsage mirrors core.MemUsage fields for the benches.
-type MemUsage struct {
-	MetaDRAM int64
-	ElogPMEM int64
-	PblkPMEM int64
-}
-
-// MemUsage reports the breakdown.
-func (s *Store) MemUsage() MemUsage {
-	return MemUsage{
-		MetaDRAM: s.metaBytes,
-		ElogPMEM: s.log.Bytes(),
-		PblkPMEM: s.adjs[0].Bytes() + s.adjs[1].Bytes(),
-	}
-}

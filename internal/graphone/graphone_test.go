@@ -237,8 +237,8 @@ func TestGraphOneAPISurface(t *testing.T) {
 		s.OutNode(1) != s.InNode(1) {
 		t.Fatal("partition surface")
 	}
-	if s.Report().Edges != 3 {
-		t.Fatalf("report edges = %d", s.Report().Edges)
+	if s.report.Edges != 3 {
+		t.Fatalf("report edges = %d", s.report.Edges)
 	}
 	u := s.MemUsage()
 	if u.ElogPMEM == 0 || u.MetaDRAM == 0 {

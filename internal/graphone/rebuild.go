@@ -34,7 +34,7 @@ func Rebuild(machine *xpsim.Machine, heap *pmem.Heap, opts Options, edges []grap
 	if _, err := s.log.Append(setup, edges); err != nil {
 		return nil, 0, err
 	}
-	s.ResetReport()
+	s.resetReport()
 	if err := s.ArchiveAll(); err != nil {
 		return nil, 0, err
 	}

@@ -30,9 +30,9 @@ import (
 	"time"
 )
 
-// Tuning is the dynamic knob set the controller manages. The pipeline
+// tuning is the dynamic knob set the controller manages. The pipeline
 // reads it before every gather and admission check.
-type Tuning struct {
+type tuning struct {
 	// BatchEdges caps one write window (one Applier.Apply call).
 	BatchEdges int
 	// Linger is how long a partial batch waits for company.
@@ -86,13 +86,13 @@ func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
 	return c
 }
 
-// Controller is the AIMD admission controller. observe runs on the
+// controller is the AIMD admission controller. observe runs on the
 // pipeline's single writer; the knob reads are lock-free atomics so
 // admission checks on request goroutines never contend with it.
-type Controller struct {
+type controller struct {
 	cfg      AdaptiveConfig
 	queueCap int
-	base     Tuning // the static configured ceiling
+	base     tuning // the static configured ceiling
 
 	batchEdges atomic.Int64
 	lingerNs   atomic.Int64
@@ -106,7 +106,7 @@ type Controller struct {
 
 // newController builds a controller starting at the static ceiling
 // (base), which it never exceeds. queueCap bounds AdmitEdges.
-func newController(queueCap int, base Tuning, cfg AdaptiveConfig) *Controller {
+func newController(queueCap int, base tuning, cfg AdaptiveConfig) *controller {
 	cfg = cfg.withDefaults()
 	if base.AdmitEdges <= 0 || base.AdmitEdges > queueCap {
 		base.AdmitEdges = queueCap
@@ -114,32 +114,32 @@ func newController(queueCap int, base Tuning, cfg AdaptiveConfig) *Controller {
 	if base.BatchEdges < cfg.MinBatchEdges {
 		cfg.MinBatchEdges = base.BatchEdges
 	}
-	c := &Controller{cfg: cfg, queueCap: queueCap, base: base}
+	c := &controller{cfg: cfg, queueCap: queueCap, base: base}
 	c.batchEdges.Store(int64(base.BatchEdges))
 	c.lingerNs.Store(int64(base.Linger))
 	c.admitEdges.Store(int64(base.AdmitEdges))
 	return c
 }
 
-// BatchEdges reads the current write-window cap.
-func (c *Controller) BatchEdges() int { return int(c.batchEdges.Load()) }
+// curBatchEdges reads the current write-window cap.
+func (c *controller) curBatchEdges() int { return int(c.batchEdges.Load()) }
 
-// Linger reads the current batching linger.
-func (c *Controller) Linger() time.Duration { return time.Duration(c.lingerNs.Load()) }
+// linger reads the current batching linger.
+func (c *controller) linger() time.Duration { return time.Duration(c.lingerNs.Load()) }
 
-// AdmitEdges reads the current 429 admission threshold.
-func (c *Controller) AdmitEdges() int { return int(c.admitEdges.Load()) }
+// curAdmitEdges reads the current 429 admission threshold.
+func (c *controller) curAdmitEdges() int { return int(c.admitEdges.Load()) }
 
-// Steps reports how many multiplicative decreases and additive
+// steps reports how many multiplicative decreases and additive
 // increases the controller has taken.
-func (c *Controller) Steps() (decreases, increases int64) {
+func (c *controller) steps() (decreases, increases int64) {
 	return c.decreases.Load(), c.increases.Load()
 }
 
 // observe feeds one applied batch: the queue depth after it drained and
 // its latency on the pipeline's clock. Returns true when the tuning
 // moved.
-func (c *Controller) observe(queued int64, latency time.Duration) bool {
+func (c *controller) observe(queued int64, latency time.Duration) bool {
 	congested := latency > c.cfg.Target ||
 		float64(queued) > c.cfg.HighWater*float64(c.queueCap)
 	clear := latency < c.cfg.Target/2 &&
@@ -170,7 +170,7 @@ func (c *Controller) observe(queued int64, latency time.Duration) bool {
 }
 
 // decrease halves every knob toward its floor. Called under mu.
-func (c *Controller) decrease() bool {
+func (c *controller) decrease() bool {
 	minAdmit := max(1, int64(c.cfg.MinAdmitFrac*float64(c.queueCap)))
 	moved := halve(&c.batchEdges, int64(c.cfg.MinBatchEdges))
 	moved = halve(&c.lingerNs, int64(c.base.Linger/8)) || moved
@@ -183,7 +183,7 @@ func (c *Controller) decrease() bool {
 
 // increase steps every knob an additive increment — an eighth of its
 // configured value — back toward the static ceiling. Called under mu.
-func (c *Controller) increase() bool {
+func (c *controller) increase() bool {
 	moved := raise(&c.batchEdges, int64(c.base.BatchEdges/8), int64(c.base.BatchEdges))
 	moved = raise(&c.lingerNs, int64(c.base.Linger/8), int64(c.base.Linger)) || moved
 	moved = raise(&c.admitEdges, int64(c.queueCap/8), int64(c.base.AdmitEdges)) || moved

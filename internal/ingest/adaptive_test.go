@@ -6,12 +6,12 @@ import (
 )
 
 // Tuning reads the controller's three knobs as one comparable value.
-func (c *Controller) Tuning() Tuning {
-	return Tuning{BatchEdges: c.BatchEdges(), Linger: c.Linger(), AdmitEdges: c.AdmitEdges()}
+func (c *controller) Tuning() tuning {
+	return tuning{BatchEdges: c.curBatchEdges(), Linger: c.linger(), AdmitEdges: c.curAdmitEdges()}
 }
 
-func newTestController() *Controller {
-	return newController(1<<14, Tuning{BatchEdges: 4096, Linger: 2 * time.Millisecond},
+func newTestController() *controller {
+	return newController(1<<14, tuning{BatchEdges: 4096, Linger: 2 * time.Millisecond},
 		AdaptiveConfig{Target: time.Millisecond, Hold: 3})
 }
 
@@ -52,13 +52,13 @@ func TestControllerDecreaseCascade(t *testing.T) {
 		t.Fatalf("AdmitEdges floor: got %d, want %d", tun.AdmitEdges, (1<<14)/8)
 	}
 	// At the floors, further congestion is a no-op (not counted as a step).
-	dec, _ := c.Steps()
+	dec, _ := c.steps()
 	for i := 0; i < 3; i++ {
 		if c.observe(0, slow) {
 			t.Fatal("controller claimed to move while pinned at the floors")
 		}
 	}
-	if d, _ := c.Steps(); d != dec {
+	if d, _ := c.steps(); d != dec {
 		t.Fatalf("floored decreases still counted: %d -> %d", dec, d)
 	}
 }
@@ -123,16 +123,16 @@ func TestControllerIncreaseToCeiling(t *testing.T) {
 		t.Fatalf("recovery did not converge to the static ceiling: %+v", tun)
 	}
 	// Pinned at the ceiling, further clear signals are a no-op.
-	_, inc := c.Steps()
+	_, inc := c.steps()
 	for i := 0; i < 3; i++ {
 		if c.observe(0, fast) {
 			t.Fatal("controller exceeded or re-reported the static ceiling")
 		}
 	}
-	if _, i2 := c.Steps(); i2 != inc {
+	if _, i2 := c.steps(); i2 != inc {
 		t.Fatalf("ceiling increases still counted: %d -> %d", inc, i2)
 	}
-	dec, _ := c.Steps()
+	dec, _ := c.steps()
 	if dec == 0 || inc == 0 {
 		t.Fatalf("steps not counted: decreases=%d increases=%d", dec, inc)
 	}
@@ -171,14 +171,14 @@ func TestControllerDepthSignals(t *testing.T) {
 // defaults to (and never exceeds) the queue capacity, and MinBatchEdges
 // is clamped down to the base batch size so the floor is reachable.
 func TestNewControllerClamping(t *testing.T) {
-	c := newController(1000, Tuning{BatchEdges: 4096, Linger: time.Millisecond, AdmitEdges: 5000},
+	c := newController(1000, tuning{BatchEdges: 4096, Linger: time.Millisecond, AdmitEdges: 5000},
 		AdaptiveConfig{})
-	if got := c.AdmitEdges(); got != 1000 {
+	if got := c.curAdmitEdges(); got != 1000 {
 		t.Fatalf("AdmitEdges not clamped to queueCap: got %d", got)
 	}
 
-	c = newController(1000, Tuning{BatchEdges: 64, Linger: time.Millisecond}, AdaptiveConfig{})
-	if got := c.BatchEdges(); got != 64 {
+	c = newController(1000, tuning{BatchEdges: 64, Linger: time.Millisecond}, AdaptiveConfig{})
+	if got := c.curBatchEdges(); got != 64 {
 		t.Fatalf("base BatchEdges not honored: got %d", got)
 	}
 	// With base below the default MinBatchEdges floor, the floor clamps
@@ -187,7 +187,7 @@ func TestNewControllerClamping(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		c.observe(0, time.Minute)
 	}
-	if got := c.BatchEdges(); got != 64 {
+	if got := c.curBatchEdges(); got != 64 {
 		t.Fatalf("MinBatchEdges floor not clamped to base: got %d", got)
 	}
 }

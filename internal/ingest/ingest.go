@@ -1,8 +1,8 @@
 // Package ingest is the transport-independent batched write pipeline:
-// bounded admission, linger-based batching, single-writer application,
-// and graceful drain — extracted from the HTTP server so any transport
-// (JSON handlers, the binary batch endpoint, CLI loaders, tests) feeds
-// the same machinery.
+// bounded admission, linger-based batching, one writer and a graceful
+// drain. It was extracted from the HTTP server so any transport (JSON
+// handlers, the binary batch endpoint, CLI loaders, tests) feeds the same
+// machinery.
 //
 // The pipeline owns the write queue and the ingest counters. What it
 // does NOT own is the store: application, snapshot publication, and
@@ -146,7 +146,7 @@ type Stats struct {
 type Pipeline struct {
 	cfg Config
 	ap  Applier
-	ctl *Controller // the live knobs; fed only when cfg.Adaptive is set
+	ctl *controller // the live knobs; fed only when cfg.Adaptive is set
 	clk clock.Clock
 	// driver is closed when the wall driver has exited; nil: stepped by
 	// the clock's owner.
@@ -200,7 +200,7 @@ func New(cfg Config, ap Applier) *Pipeline {
 	if cfg.Adaptive != nil {
 		adaptive = *cfg.Adaptive
 	}
-	p.ctl = newController(cfg.QueueCap, Tuning{
+	p.ctl = newController(cfg.QueueCap, tuning{
 		BatchEdges: cfg.BatchEdges,
 		Linger:     cfg.Linger,
 		AdmitEdges: cfg.QueueCap,
@@ -233,10 +233,10 @@ func (p *Pipeline) Stats() Stats {
 	p.mu.Lock()
 	st := p.st
 	p.mu.Unlock()
-	st.CurBatchEdges = int64(p.ctl.BatchEdges())
-	st.CurLingerNs = int64(p.ctl.Linger())
-	st.AdmitEdges = int64(p.ctl.AdmitEdges())
-	st.TuneDecreases, st.TuneIncreases = p.ctl.Steps()
+	st.CurBatchEdges = int64(p.ctl.curBatchEdges())
+	st.CurLingerNs = int64(p.ctl.linger())
+	st.AdmitEdges = int64(p.ctl.curAdmitEdges())
+	st.TuneDecreases, st.TuneIncreases = p.ctl.steps()
 	return st
 }
 
@@ -300,13 +300,6 @@ func (p *Pipeline) wake() {
 	}
 }
 
-// Shutdown drains gracefully: new writes are fenced off, every accepted
-// write is applied, then the Applier's Flush runs one last time.
-func (p *Pipeline) Shutdown() {
-	p.SetDraining()
-	p.Close()
-}
-
 // Enqueue reserves queue space for the request's edges and hands them to
 // the writer. Reservation, acceptance counting and the hand-over share
 // one critical section, so accepted >= applied + dropped + queued can
@@ -317,7 +310,7 @@ func (p *Pipeline) Shutdown() {
 // (always at most QueueCap) — and ErrShuttingDown once draining started.
 func (p *Pipeline) Enqueue(req *Request) error {
 	n := int64(len(req.edges))
-	admit := int64(p.ctl.AdmitEdges())
+	admit := int64(p.ctl.curAdmitEdges())
 	p.mu.Lock()
 	if p.draining {
 		p.mu.Unlock()
@@ -423,7 +416,7 @@ func (p *Pipeline) idleWake() time.Time {
 // lingered out, or the pipeline is stopping. A ready batch is closed:
 // its edges become all, in arrival order.
 func (p *Pipeline) gather(now time.Time, stop bool) bool {
-	limit := p.ctl.BatchEdges()
+	limit := p.ctl.curBatchEdges()
 	p.mu.Lock()
 	for p.total < limit && p.qhead < len(p.queue) {
 		r := p.queue[p.qhead]
@@ -441,7 +434,7 @@ func (p *Pipeline) gather(now time.Time, stop bool) bool {
 		return false
 	}
 	if p.deadline.IsZero() {
-		p.deadline = now.Add(p.ctl.Linger())
+		p.deadline = now.Add(p.ctl.linger())
 	}
 	if p.total < limit && !stop && now.Before(p.deadline) {
 		return false
@@ -466,7 +459,7 @@ func (p *Pipeline) gather(now time.Time, stop bool) bool {
 // applied and published. An Apply error drops the failed chunk and
 // everything behind it in the batch, dequeued without application.
 func (p *Pipeline) applyChunk(stop bool) {
-	end := min(p.off+p.ctl.BatchEdges(), len(p.all))
+	end := min(p.off+p.ctl.curBatchEdges(), len(p.all))
 	chunk := p.all[p.off:end]
 	start := p.clk.Now()
 	simNs, epoch, err := p.ap.Apply(chunk)

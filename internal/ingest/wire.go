@@ -14,7 +14,7 @@ package ingest
 //	op 0x04 typed add:      payload = count × (src u32le · dst u32le · lbl u16le)
 //	op 0x05 property set:   payload = count × (vid u32le · key u16le · val i64le)
 //
-// count is 1..MaxFrameEdges. Fixed payloads require the destination's
+// count is 1..maxFrameEdges. Fixed payloads require the destination's
 // top bit (graph.DelFlag) clear — the op carries deletion, so a set flag
 // bit is a malformed frame, not a covert delete. The compact op resets
 // prevSrc to 0 at each frame start and carries the delete bit in the
@@ -62,9 +62,9 @@ const (
 	typedRecBytes = 10 // src u32le · dst u32le · lbl u16le
 	propRecBytes  = 14 // vid u32le · key u16le · val i64le
 
-	// MaxFrameEdges bounds one frame's count word, so a corrupt count
+	// maxFrameEdges bounds one frame's count word, so a corrupt count
 	// cannot make the decoder attempt a multi-gigabyte allocation.
-	MaxFrameEdges = 1 << 20
+	maxFrameEdges = 1 << 20
 
 	// maxWireVarint bounds one uvarint field: zigzag of a source delta is
 	// < 1<<33 and a destination word is < 1<<32, both <= 5 bytes.
@@ -145,7 +145,7 @@ func decodeFrames(r io.Reader, b *TypedBatch, maxEdges int, typed bool) error {
 			return fmt.Errorf("%w: truncated frame header: %v", ErrBadFrame, err)
 		}
 		count := int(binary.LittleEndian.Uint32(scratch[:4]))
-		if count == 0 || count > MaxFrameEdges {
+		if count == 0 || count > maxFrameEdges {
 			return fmt.Errorf("%w: frame count %d", ErrBadFrame, count)
 		}
 		if maxEdges > 0 && len(b.Edges)+len(b.Props)+count > maxEdges {
@@ -323,8 +323,8 @@ func zigzag(d int64) uint64 { return uint64((d << 1) ^ (d >> 63)) }
 func EncodeBatch(edges []graph.Edge, compact bool) []byte {
 	buf := append(make([]byte, 0, 5+len(edges)*graph.EdgeBytes), BatchMagic...)
 	if compact {
-		for off := 0; off < len(edges); off += MaxFrameEdges {
-			end := off + MaxFrameEdges
+		for off := 0; off < len(edges); off += maxFrameEdges {
+			end := off + maxFrameEdges
 			if end > len(edges) {
 				end = len(edges)
 			}
@@ -335,7 +335,7 @@ func EncodeBatch(edges []graph.Edge, compact bool) []byte {
 	for off := 0; off < len(edges); {
 		del := edges[off].IsDelete()
 		end := off
-		for end < len(edges) && edges[end].IsDelete() == del && end-off < MaxFrameEdges {
+		for end < len(edges) && edges[end].IsDelete() == del && end-off < maxFrameEdges {
 			end++
 		}
 		buf = appendFixedFrame(buf, edges[off:end], del)
@@ -361,7 +361,7 @@ func EncodeTypedBatch(edges []graph.Edge, labels []uint16, props []graph.PropSet
 	for off := 0; off < len(edges); {
 		del := edges[off].IsDelete()
 		end := off
-		for end < len(edges) && edges[end].IsDelete() == del && end-off < MaxFrameEdges {
+		for end < len(edges) && edges[end].IsDelete() == del && end-off < maxFrameEdges {
 			end++
 		}
 		if del {
@@ -377,8 +377,8 @@ func EncodeTypedBatch(edges []graph.Edge, labels []uint16, props []graph.PropSet
 		}
 		off = end
 	}
-	for off := 0; off < len(props); off += MaxFrameEdges {
-		end := off + MaxFrameEdges
+	for off := 0; off < len(props); off += maxFrameEdges {
+		end := off + maxFrameEdges
 		if end > len(props) {
 			end = len(props)
 		}

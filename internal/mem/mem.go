@@ -92,16 +92,6 @@ func (b *Budget) Charge(n int64) error {
 	return nil
 }
 
-// Release returns n bytes to the budget.
-func (b *Budget) Release(n int64) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	b.used -= n
-	b.mu.Unlock()
-}
-
 // Used reports currently charged bytes.
 func (b *Budget) Used() int64 {
 	if b == nil {
@@ -110,16 +100,6 @@ func (b *Budget) Used() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.used
-}
-
-// Peak reports the high-water mark of charged bytes.
-func (b *Budget) Peak() int64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.peak
 }
 
 // Space is a volatile memory space: plain DRAM, or Optane in Memory Mode

@@ -1,9 +1,9 @@
-// Package mempool implements the buddy-liked vertex-buffer memory pool of
-// XPGraph (§III-C, Fig. 9). The pool hands out large memory bulks, one in
-// use per buffering thread to avoid allocation contention, and manages
-// power-of-two vertex buffers (8 B … 512 B) with per-size free lists and
-// buddy splitting, so the frequent allocate/free churn of hierarchical
-// vertex buffers never reaches the system allocator.
+// Package mempool implements XPGraph's buddy-like vertex-buffer memory pool
+// (§III-C). The pool hands out large memory bulks, one in use per buffering
+// thread to avoid allocation contention, and manages power-of-two vertex
+// buffers (8 B … 512 B) with per-size free lists and buddy splitting, so
+// the frequent allocate/free churn of hierarchical vertex buffers never
+// reaches the system allocator.
 //
 // A bulk is a reservation. The DRAM budget, the pool limit and Footprint
 // count it whole from the moment a thread takes it, but host memory backs
@@ -23,29 +23,29 @@ import (
 	"repro/internal/mem"
 )
 
-// MinClassSize is the smallest vertex buffer (4-byte header + one
+// minClassSize is the smallest vertex buffer (4-byte header + one
 // neighbor, the paper's 8-byte configuration in Fig. 16). It is also the
 // size of the free-list link a free buffer holds.
-const MinClassSize = 8
+const minClassSize = 8
 
-// NumClasses covers sizes 8, 16, 32, 64, 128, 256, 512.
-const NumClasses = 7
+// numClasses covers sizes 8, 16, 32, 64, 128, 256, 512.
+const numClasses = 7
 
 // superClass is the largest class; bulks are carved in superblocks of
 // this size and split downward (buddy style).
-const superClass = NumClasses - 1
+const superClass = numClasses - 1
 
 // ClassSize returns the byte size of class c.
-func ClassSize(c int) int64 { return MinClassSize << c }
+func ClassSize(c int) int64 { return minClassSize << c }
 
 // ClassFor returns the smallest class holding size bytes.
 func ClassFor(size int64) int {
-	for c := 0; c < NumClasses; c++ {
+	for c := 0; c < numClasses; c++ {
 		if ClassSize(c) >= size {
 			return c
 		}
 	}
-	return NumClasses - 1
+	return numClasses - 1
 }
 
 // Handle identifies an allocated buffer: (bulk+1)<<32 | offset. The zero
@@ -109,7 +109,7 @@ type Pool struct {
 type threadState struct {
 	// free heads the per-class free lists. A free buffer's first 8 bytes
 	// hold the handle of the next one (None ends the list).
-	free    [NumClasses]Handle
+	free    [numClasses]Handle
 	curBulk int   // index into pool.bulks, -1 if none
 	bump    int64 // next unused byte in curBulk
 }
@@ -138,7 +138,7 @@ func (p *Pool) Alloc(thread, c int) (Handle, error) {
 	st := &p.threads[thread]
 	// The exact-size free list first, else the smallest larger free block,
 	// split down (buddy split).
-	for d := c; d < NumClasses; d++ {
+	for d := c; d < numClasses; d++ {
 		if h := st.free[d]; h != None {
 			st.free[d] = Handle(binary.LittleEndian.Uint64(p.bytes(h, d)))
 			return p.take(st, h, d, c), nil
@@ -303,7 +303,7 @@ func (p *Pool) Reset() {
 	defer p.mu.Unlock()
 	for i := range p.threads {
 		st := &p.threads[i]
-		st.free = [NumClasses]Handle{}
+		st.free = [numClasses]Handle{}
 		st.curBulk = -1
 		st.bump = 0
 	}

@@ -26,7 +26,7 @@ func TestClassSizing(t *testing.T) {
 
 func TestAllocZeroedAndAligned(t *testing.T) {
 	p := New(Config{BulkSize: 1 << 16, Threads: 1})
-	for c := 0; c < NumClasses; c++ {
+	for c := 0; c < numClasses; c++ {
 		h, err := p.Alloc(0, c)
 		if err != nil {
 			t.Fatal(err)
@@ -118,7 +118,7 @@ func TestNoOverlapProperty(t *testing.T) {
 					lives = lives[:len(lives)-1]
 					continue
 				}
-				c := rng.Intn(NumClasses)
+				c := rng.Intn(numClasses)
 				h, err := p.Alloc(th, c)
 				if err != nil {
 					return false
@@ -301,7 +301,7 @@ func TestSegmentsBackAWholeBulkExactly(t *testing.T) {
 // hierarchical buffers allocates nothing once the bulk is backed.
 func TestChurnAllocatesNothing(t *testing.T) {
 	p := New(Config{BulkSize: 1 << 16, Threads: 1})
-	var hs [NumClasses]Handle
+	var hs [numClasses]Handle
 	churn := func() {
 		for c := range hs {
 			hs[c], _ = p.Alloc(0, c)

@@ -1,10 +1,9 @@
-// Package obs is the unified observability layer of the reproduction: a
-// dependency-free metrics registry (counters, gauges, histograms with
-// fixed log-scale buckets) with Prometheus text-format and JSON
-// exposition, a device-telemetry collector over the simulated Optane
-// machine (device.go), and a phase tracer recording spans on the
-// simulated clock into a bounded ring exportable as Chrome trace-event
-// JSON (trace.go).
+// Package obs is the observability layer: a metrics registry, a
+// device-telemetry collector and a phase tracer on the simulated clock. The
+// registry (counters, gauges, histograms with fixed log-scale buckets) has
+// Prometheus text-format and JSON exposition; the collector covers the
+// simulated Optane machine (device.go); the tracer records spans into a
+// bounded ring exportable as Chrome trace-event JSON (trace.go).
 //
 // Everything paper-relevant — media read/write lines and amplification
 // (Fig. 3b, Fig. 13), XPBuffer hit/eviction behaviour, local vs remote
@@ -31,7 +30,7 @@ type Kind int
 const (
 	KindCounter Kind = iota
 	KindGauge
-	KindHistogram
+	kindHistogram
 )
 
 func (k Kind) String() string {
@@ -40,7 +39,7 @@ func (k Kind) String() string {
 		return "counter"
 	case KindGauge:
 		return "gauge"
-	case KindHistogram:
+	case kindHistogram:
 		return "histogram"
 	}
 	return "untyped"
@@ -74,7 +73,7 @@ type Sample struct {
 }
 
 // Collector produces samples at scrape time. Instruments (Counter,
-// Gauge, Histogram) are collectors of themselves; composite collectors
+// Histogram) are collectors of themselves; composite collectors
 // (the machine collector, store gauges) snapshot live state per scrape.
 type Collector interface {
 	Collect(emit func(Sample))
@@ -86,11 +85,11 @@ type CollectorFunc func(emit func(Sample))
 // Collect implements Collector.
 func (f CollectorFunc) Collect(emit func(Sample)) { f(emit) }
 
-// WithLabels wraps a collector so every sample it emits carries the
+// withLabels wraps a collector so every sample it emits carries the
 // extra constant labels (prepended, so a sample's own labels stay last).
 // This is how one registry hosts N copies of the same metric family —
 // e.g. per-shard store gauges in a cluster — without renaming anything.
-func WithLabels(c Collector, labels ...Label) Collector {
+func withLabels(c Collector, labels ...Label) Collector {
 	if len(labels) == 0 {
 		return c
 	}
@@ -143,17 +142,17 @@ func (r *Registry) root() *Registry {
 // exposition merges samples by name, so two collectors emitting the same
 // family with different labels compose naturally.
 func (r *Registry) Register(c Collector) {
-	c = WithLabels(c, r.labels...)
+	c = withLabels(c, r.labels...)
 	root := r.root()
 	root.mu.Lock()
 	root.collectors = append(root.collectors, c)
 	root.mu.Unlock()
 }
 
-// Gather collects every sample, sorted by name then label signature, so
+// gather collects every sample, sorted by name then label signature, so
 // expositions are deterministic. Gathering a Sub gathers its root: there
 // is exactly one exposition per registry tree.
-func (r *Registry) Gather() []Sample {
+func (r *Registry) gather() []Sample {
 	r = r.root()
 	r.mu.Lock()
 	cs := make([]Collector, len(r.collectors))
@@ -191,7 +190,7 @@ func labelSig(ls []Label) string {
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	var b strings.Builder
 	lastName := ""
-	for _, s := range r.Gather() {
+	for _, s := range r.gather() {
 		if s.Name != lastName {
 			if s.Help != "" {
 				fmt.Fprintf(&b, "# HELP %s %s\n", s.Name, escapeHelp(s.Help))
@@ -200,7 +199,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			lastName = s.Name
 		}
 		switch s.Kind {
-		case KindHistogram:
+		case kindHistogram:
 			for _, bk := range s.Buckets {
 				ls := append(append([]Label{}, s.Labels...), Label{"le", formatFloat(bk.UpperBound)})
 				writeLine(&b, s.Name+"_bucket", ls, float64(bk.Count))
@@ -272,10 +271,10 @@ type jsonSample struct {
 	Counts []uint64          `json:"bucket_counts,omitempty"`
 }
 
-// JSONSamples converts the gathered samples into the JSON exposition
+// jsonSamples converts the gathered samples into the JSON exposition
 // shape (used by WriteJSON and by tests).
-func (r *Registry) JSONSamples() []jsonSample {
-	samples := r.Gather()
+func (r *Registry) jsonSamples() []jsonSample {
+	samples := r.gather()
 	out := make([]jsonSample, 0, len(samples))
 	for _, s := range samples {
 		js := jsonSample{Name: s.Name, Kind: s.Kind.String(), Value: s.Value, Sum: s.Sum, Count: s.Count}
@@ -292,23 +291,6 @@ func (r *Registry) JSONSamples() []jsonSample {
 		out = append(out, js)
 	}
 	return out
-}
-
-// WriteJSON renders the registry as a JSON document:
-// {"metrics":[{name, kind, labels, value | sum/count/buckets}, ...]}.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	samples := r.JSONSamples()
-	var b strings.Builder
-	b.WriteString(`{"metrics":[`)
-	for i, s := range samples {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		writeJSONSample(&b, s)
-	}
-	b.WriteString("]}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
 }
 
 // writeJSONSample hand-rolls the encoding so the registry stays
@@ -330,7 +312,7 @@ func writeJSONSample(b *strings.Builder, s jsonSample) {
 		}
 		b.WriteByte('}')
 	}
-	if s.Kind == KindHistogram.String() {
+	if s.Kind == kindHistogram.String() {
 		fmt.Fprintf(b, `,"sum":%s,"count":%d`, jsonFloat(s.Sum), s.Count)
 		b.WriteString(`,"bucket_bounds":[`)
 		for i, v := range s.Bounds {
@@ -369,51 +351,17 @@ type Counter struct {
 	v          atomic.Int64
 }
 
-// NewCounter builds a counter; labels are optional name=value pairs.
-func NewCounter(name, help string, labels ...Label) *Counter {
+// newCounter builds a counter; labels are optional name=value pairs.
+func newCounter(name, help string, labels ...Label) *Counter {
 	return &Counter{name: name, help: help, labels: labels}
 }
 
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (must be >= 0; negative deltas are ignored to keep the
-// counter monotone).
-func (c *Counter) Add(n int64) {
-	if n > 0 {
-		c.v.Add(n)
-	}
-}
-
-// Value reports the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
 // Collect implements Collector.
 func (c *Counter) Collect(emit func(Sample)) {
 	emit(Sample{Name: c.name, Help: c.help, Kind: KindCounter, Labels: c.labels, Value: float64(c.v.Load())})
-}
-
-// Gauge is a settable value.
-type Gauge struct {
-	name, help string
-	labels     []Label
-	bits       atomic.Uint64
-}
-
-// NewGauge builds a gauge.
-func NewGauge(name, help string, labels ...Label) *Gauge {
-	return &Gauge{name: name, help: help, labels: labels}
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value reports the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Collect implements Collector.
-func (g *Gauge) Collect(emit func(Sample)) {
-	emit(Sample{Name: g.name, Help: g.help, Kind: KindGauge, Labels: g.labels, Value: g.Value()})
 }
 
 // GaugeFunc evaluates fn at every scrape — the natural shape for
@@ -447,9 +395,9 @@ type Histogram struct {
 	count      atomic.Int64
 }
 
-// NewHistogram builds a histogram over the given ascending bucket upper
+// newHistogram builds a histogram over the given ascending bucket upper
 // bounds.
-func NewHistogram(name, help string, bounds []float64, labels ...Label) *Histogram {
+func newHistogram(name, help string, bounds []float64, labels ...Label) *Histogram {
 	if len(bounds) == 0 {
 		bounds = DefBuckets
 	}
@@ -466,12 +414,12 @@ func NewHistogram(name, help string, bounds []float64, labels ...Label) *Histogr
 
 // DefBuckets is a log-scale default for request latencies in seconds:
 // 100 µs to ~105 s in powers of two.
-var DefBuckets = LogBuckets(1e-4, 2, 21)
+var DefBuckets = logBuckets(1e-4, 2, 21)
 
-// LogBuckets returns n log-scale bucket bounds: start, start*factor,
+// logBuckets returns n log-scale bucket bounds: start, start*factor,
 // start*factor^2, ... — the fixed log-scale buckets the paper-style
 // latency and size distributions want.
-func LogBuckets(start, factor float64, n int) []float64 {
+func logBuckets(start, factor float64, n int) []float64 {
 	if start <= 0 || factor <= 1 || n < 1 {
 		panic("obs: LogBuckets needs start>0, factor>1, n>=1")
 	}
@@ -502,12 +450,9 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count reports total observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Collect implements Collector, emitting cumulative bucket counts.
 func (h *Histogram) Collect(emit func(Sample)) {
-	s := Sample{Name: h.name, Help: h.help, Kind: KindHistogram, Labels: h.labels}
+	s := Sample{Name: h.name, Help: h.help, Kind: kindHistogram, Labels: h.labels}
 	var cum uint64
 	for i, b := range h.bounds {
 		cum += uint64(h.counts[i].Load())
@@ -542,7 +487,7 @@ func (v *HistogramVec) With(value string) *Histogram {
 	defer v.mu.Unlock()
 	h, ok := v.kids[value]
 	if !ok {
-		h = NewHistogram(v.name, v.help, v.bounds, Label{v.labelKey, value})
+		h = newHistogram(v.name, v.help, v.bounds, Label{v.labelKey, value})
 		v.kids[value] = h
 	}
 	return h
@@ -581,7 +526,7 @@ func (v *CounterVec) With(value string) *Counter {
 	defer v.mu.Unlock()
 	c, ok := v.kids[value]
 	if !ok {
-		c = NewCounter(v.name, v.help, Label{v.labelKey, value})
+		c = newCounter(v.name, v.help, Label{v.labelKey, value})
 		v.kids[value] = c
 	}
 	return c

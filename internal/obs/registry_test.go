@@ -55,11 +55,11 @@ func parsePromLine(t *testing.T, line string) (name string, labels map[string]st
 // per family and precede its samples.
 func TestPrometheusGrammar(t *testing.T) {
 	r := NewRegistry()
-	c := NewCounter("test_ops_total", "Operations.", Label{"shard", "a"})
+	c := newCounter("test_ops_total", "Operations.", Label{"shard", "a"})
 	c.Add(7)
 	g := NewGauge("test_depth", `Queue "depth" with\escapes.`)
 	g.Set(3.5)
-	h := NewHistogram("test_lat_seconds", "Latency.", LogBuckets(0.001, 10, 3))
+	h := newHistogram("test_lat_seconds", "Latency.", logBuckets(0.001, 10, 3))
 	h.Observe(0.0005)
 	h.Observe(0.05)
 	h.Observe(99)
@@ -150,7 +150,7 @@ func TestPrometheusGrammar(t *testing.T) {
 // TestPrometheusLabelEscaping pins the escaping rules for label values.
 func TestPrometheusLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	c := NewCounter("esc_total", "h", Label{"p", `a"b\c` + "\n"})
+	c := newCounter("esc_total", "h", Label{"p", `a"b\c` + "\n"})
 	c.Inc()
 	r.Register(c)
 	var b strings.Builder
@@ -166,7 +166,7 @@ func TestPrometheusLabelEscaping(t *testing.T) {
 // TestHistogramBucketsCumulative checks monotonicity of the gathered
 // cumulative buckets and the +Inf/count identity under many observations.
 func TestHistogramBucketsCumulative(t *testing.T) {
-	h := NewHistogram("h", "", LogBuckets(1, 2, 10))
+	h := newHistogram("h", "", logBuckets(1, 2, 10))
 	for i := 0; i < 5000; i++ {
 		h.Observe(float64(i % 1500))
 	}
@@ -192,9 +192,9 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 // and checks the histogram shape carries bounds and counts pairwise.
 func TestJSONExposition(t *testing.T) {
 	r := NewRegistry()
-	c := NewCounter("j_ops_total", "h", Label{"k", "v"})
+	c := newCounter("j_ops_total", "h", Label{"k", "v"})
 	c.Add(3)
-	h := NewHistogram("j_lat", "h", []float64{1, 2, 4})
+	h := newHistogram("j_lat", "h", []float64{1, 2, 4})
 	h.Observe(1.5)
 	h.Observe(100)
 	r.Register(c)
@@ -238,7 +238,7 @@ func TestJSONExposition(t *testing.T) {
 
 // TestCounterMonotone: negative Add deltas must be ignored.
 func TestCounterMonotone(t *testing.T) {
-	c := NewCounter("c", "")
+	c := newCounter("c", "")
 	c.Add(5)
 	c.Add(-3)
 	if c.Value() != 5 {

@@ -55,20 +55,17 @@ type Tracer struct {
 	dropped int64 // spans overwritten after the ring wrapped
 }
 
-// DefaultRingSpans bounds the span ring when callers pass cap <= 0.
-const DefaultRingSpans = 4096
+// defaultRingSpans bounds the span ring when callers pass cap <= 0.
+const defaultRingSpans = 4096
 
 // NewTracer builds a tracer holding the most recent capSpans spans
-// (DefaultRingSpans if capSpans <= 0).
+// (defaultRingSpans if capSpans <= 0).
 func NewTracer(capSpans int) *Tracer {
 	if capSpans <= 0 {
-		capSpans = DefaultRingSpans
+		capSpans = defaultRingSpans
 	}
 	return &Tracer{ring: make([]Span, 0, capSpans)}
 }
-
-// Enabled reports whether spans will be recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
 
 // Emit records one span. Nil-safe no-op when the tracer is disabled.
 func (t *Tracer) Emit(s Span) {
@@ -203,10 +200,4 @@ func microseconds(ns int64) string {
 		return fmt.Sprintf("%d", whole)
 	}
 	return fmt.Sprintf("%d.%03d", whole, frac)
-}
-
-// WriteJSON renders spans via WriteChromeTrace; alias kept so call
-// sites read naturally (tracer output is JSON, the dialect is Chrome).
-func (t *Tracer) WriteJSON(w io.Writer) error {
-	return WriteChromeTrace(w, t.Snapshot())
 }

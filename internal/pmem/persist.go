@@ -33,8 +33,8 @@ type regionImage struct {
 
 const imageMagic = "xpgraph-heap-v1"
 
-// Save serializes the heap (devices drained, regions included) to w.
-func Save(w io.Writer, h *Heap) error {
+// save serializes the heap (devices drained, regions included) to w.
+func save(w io.Writer, h *Heap) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	img := heapImage{
@@ -57,8 +57,8 @@ func Save(w io.Writer, h *Heap) error {
 	return gob.NewEncoder(w).Encode(img)
 }
 
-// Load rebuilds a machine and heap from a Save image.
-func Load(r io.Reader) (*xpsim.Machine, *Heap, error) {
+// load rebuilds a machine and heap from a save image.
+func load(r io.Reader) (*xpsim.Machine, *Heap, error) {
 	var img heapImage
 	if err := gob.NewDecoder(r).Decode(&img); err != nil {
 		return nil, nil, fmt.Errorf("pmem: decode heap image: %w", err)
@@ -93,7 +93,7 @@ func SaveFile(path string, h *Heap) error {
 	if err != nil {
 		return err
 	}
-	if err := Save(f, h); err != nil {
+	if err := save(f, h); err != nil {
 		f.Close()
 		return err
 	}
@@ -107,5 +107,5 @@ func LoadFile(path string) (*xpsim.Machine, *Heap, error) {
 		return nil, nil, err
 	}
 	defer f.Close()
-	return Load(f)
+	return load(f)
 }

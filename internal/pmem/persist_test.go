@@ -30,10 +30,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	mem.WriteU64(r2, ctx, r2.UserStart(), 0xDEADBEEF)
 
 	var buf bytes.Buffer
-	if err := Save(&buf, h); err != nil {
+	if err := save(&buf, h); err != nil {
 		t.Fatal(err)
 	}
-	_, h2, err := Load(&buf)
+	_, h2, err := load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestSaveLoadFile(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, _, err := Load(bytes.NewReader([]byte("not a heap"))); err == nil {
+	if _, _, err := load(bytes.NewReader([]byte("not a heap"))); err == nil {
 		t.Fatal("garbage must be rejected")
 	}
 }

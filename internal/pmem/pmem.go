@@ -1,9 +1,8 @@
-// Package pmem provides app-direct persistent memory regions on top of the
-// simulated Optane devices: the moral equivalent of pmem_map_file() on an
-// Ext4-DAX file system (§II-C). Regions are named, survive simulated
-// crashes, and may be placed on one NUMA node or interleaved across all of
-// them — the placement choices behind the paper's NUMA-aware segregated
-// graph storing (§III-D).
+// Package pmem provides app-direct persistent memory regions on the
+// simulated Optane devices, pmem_map_file's equivalent (§II-C). Regions are
+// named, survive simulated crashes, and may be placed on one NUMA node or
+// interleaved across all of them — the placement choices behind the paper's
+// NUMA-aware segregated graph storing (§III-D).
 package pmem
 
 import (
@@ -193,9 +192,6 @@ var (
 	_ mem.Mem        = (*Region)(nil)
 	_ mem.CheckedMem = (*Region)(nil)
 )
-
-// Name returns the region's name.
-func (r *Region) Name() string { return r.name }
 
 // Size implements mem.Mem.
 func (r *Region) Size() int64 { return r.size }

@@ -1,11 +1,11 @@
-// Package pmfs is a minimal simulated PMEM file system, the substrate for
-// the GraphOne-N baseline (GraphOne doing adjacency I/O through file
-// system calls on a NOVA-style PMEM file system, §V-A). Data still lands
-// on the simulated Optane devices; what the file system adds is the
+// Package pmfs is a minimal simulated PMEM file system, the substrate of
+// the GraphOne-N baseline (§V-A). GraphOne-N does its adjacency I/O through
+// file system calls on a NOVA-style PMEM file system. Data still lands on
+// the simulated Optane devices; what the file system adds is the
 // per-operation cost of going through the kernel — VFS dispatch, metadata
 // and log management — which is exactly why the paper finds file-I/O based
-// graph stores an order of magnitude slower than mmap-based ones
-// (Fig. 11; NOVA-Fortis, Fig. 10 of [79]).
+// graph stores an order of magnitude slower than mmap-based ones (Fig. 11;
+// NOVA-Fortis, Fig. 10 of [79]).
 package pmfs
 
 import (
@@ -33,14 +33,14 @@ type FS struct {
 	lat *xpsim.LatencyModel
 
 	mu         sync.Mutex
-	files      map[string]*File
+	files      map[string]*file
 	journalOff int64 // bump cursor inside the journal area
 	journalLen int64
 }
 
 // NewFS builds a file system backed by m.
 func NewFS(m mem.Mem, lat *xpsim.LatencyModel) *FS {
-	fs := &FS{m: m, lat: lat, files: make(map[string]*File)}
+	fs := &FS{m: m, lat: lat, files: make(map[string]*file)}
 	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
 	// Reserve a circular journal area up front.
 	fs.journalLen = 16 << 20
@@ -69,8 +69,8 @@ func (fs *FS) journal(ctx *xpsim.Ctx) {
 	fs.m.Write(ctx, pos, rec)
 }
 
-// File is a byte stream mapped onto region extents.
-type File struct {
+// file is a byte stream mapped onto region extents.
+type file struct {
 	fs   *FS
 	name string
 
@@ -79,36 +79,17 @@ type File struct {
 	size    int64
 }
 
-// Create makes (or truncates) a file. One VFS operation.
-func (fs *FS) Create(ctx *xpsim.Ctx, name string) (*File, error) {
+// create makes (or truncates) a file. One VFS operation.
+func (fs *FS) create(ctx *xpsim.Ctx, name string) (*file, error) {
 	ctx.Cost.Add(fs.lat.VFSOp)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f := &File{fs: fs, name: name}
+	f := &file{fs: fs, name: name}
 	fs.files[name] = f
 	return f, nil
 }
 
-// Open returns an existing file. One VFS operation.
-func (fs *FS) Open(ctx *xpsim.Ctx, name string) (*File, error) {
-	ctx.Cost.Add(fs.lat.VFSOp)
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f, ok := fs.files[name]
-	if !ok {
-		return nil, fmt.Errorf("pmfs: %s: no such file", name)
-	}
-	return f, nil
-}
-
-// Size reports the file length.
-func (f *File) Size() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.size
-}
-
-func (f *File) ensure(ctx *xpsim.Ctx, size int64) error {
+func (f *file) ensure(ctx *xpsim.Ctx, size int64) error {
 	for int64(len(f.extents))*extentSize < size {
 		off, err := f.fs.m.Alloc(ctx, extentSize, xpsim.XPLineSize)
 		if err != nil {
@@ -122,9 +103,9 @@ func (f *File) ensure(ctx *xpsim.Ctx, size int64) error {
 	return nil
 }
 
-// WriteAt is a pwrite(2): one VFS operation, one journal record, plus the
+// writeAt is a pwrite(2): one VFS operation, one journal record, plus the
 // data traffic.
-func (f *File) WriteAt(ctx *xpsim.Ctx, off int64, p []byte) error {
+func (f *file) writeAt(ctx *xpsim.Ctx, off int64, p []byte) error {
 	ctx.Cost.Add(f.fs.lat.VFSOp)
 	f.fs.journal(ctx)
 	f.mu.Lock()
@@ -146,8 +127,8 @@ func (f *File) WriteAt(ctx *xpsim.Ctx, off int64, p []byte) error {
 	return nil
 }
 
-// ReadAt is a pread(2): one VFS operation plus the data traffic.
-func (f *File) ReadAt(ctx *xpsim.Ctx, off int64, p []byte) error {
+// readAt is a pread(2): one VFS operation plus the data traffic.
+func (f *file) readAt(ctx *xpsim.Ctx, off int64, p []byte) error {
 	ctx.Cost.Add(f.fs.lat.VFSOp)
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -168,13 +149,13 @@ func (f *File) ReadAt(ctx *xpsim.Ctx, off int64, p []byte) error {
 	return nil
 }
 
-// FileMem adapts a File to the mem.Mem interface, so a graph store
+// FileMem adapts a file to the mem.Mem interface, so a graph store
 // written against flat memory can be rebased onto file I/O — which is
 // precisely how the paper builds GraphOne-N ("only changes the adjacency
 // list related memory interfaces based operations to file-I/O based
 // operations", §V-A).
 type FileMem struct {
-	f    *File
+	f    *file
 	size int64
 
 	mu    sync.Mutex
@@ -185,7 +166,7 @@ var _ mem.Mem = (*FileMem)(nil)
 
 // NewFileMem creates a file-backed memory of `size` bytes.
 func NewFileMem(ctx *xpsim.Ctx, fs *FS, name string, size int64) (*FileMem, error) {
-	f, err := fs.Create(ctx, name)
+	f, err := fs.create(ctx, name)
 	if err != nil {
 		return nil, err
 	}
@@ -194,14 +175,14 @@ func NewFileMem(ctx *xpsim.Ctx, fs *FS, name string, size int64) (*FileMem, erro
 
 // Read implements mem.Mem (a pread per call).
 func (fm *FileMem) Read(ctx *xpsim.Ctx, off int64, p []byte) {
-	if err := fm.f.ReadAt(ctx, off, p); err != nil {
+	if err := fm.f.readAt(ctx, off, p); err != nil {
 		panic(err)
 	}
 }
 
 // Write implements mem.Mem (a pwrite per call).
 func (fm *FileMem) Write(ctx *xpsim.Ctx, off int64, p []byte) {
-	if err := fm.f.WriteAt(ctx, off, p); err != nil {
+	if err := fm.f.writeAt(ctx, off, p); err != nil {
 		panic(err)
 	}
 }

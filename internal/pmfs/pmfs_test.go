@@ -23,16 +23,16 @@ func testFS(t *testing.T) (*FS, *xpsim.Ctx) {
 
 func TestFileReadWrite(t *testing.T) {
 	fs, ctx := testFS(t)
-	f, err := fs.Create(ctx, "adj.dat")
+	f, err := fs.create(ctx, "adj.dat")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []byte("persisted through the kernel")
-	if err := f.WriteAt(ctx, 100, want); err != nil {
+	if err := f.writeAt(ctx, 100, want); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(want))
-	if err := f.ReadAt(ctx, 100, got); err != nil {
+	if err := f.readAt(ctx, 100, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
@@ -52,24 +52,24 @@ func TestOpenMissing(t *testing.T) {
 
 func TestReadPastEOF(t *testing.T) {
 	fs, ctx := testFS(t)
-	f, _ := fs.Create(ctx, "f")
-	f.WriteAt(ctx, 0, []byte("xy"))
-	if err := f.ReadAt(ctx, 0, make([]byte, 10)); err == nil {
+	f, _ := fs.create(ctx, "f")
+	f.writeAt(ctx, 0, []byte("xy"))
+	if err := f.readAt(ctx, 0, make([]byte, 10)); err == nil {
 		t.Fatal("expected EOF error")
 	}
 }
 
 func TestWriteAcrossExtents(t *testing.T) {
 	fs, ctx := testFS(t)
-	f, _ := fs.Create(ctx, "big")
+	f, _ := fs.create(ctx, "big")
 	want := make([]byte, extentSize+4096)
 	rand.New(rand.NewSource(1)).Read(want)
 	off := int64(extentSize - 2048)
-	if err := f.WriteAt(ctx, off, want); err != nil {
+	if err := f.writeAt(ctx, off, want); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(want))
-	if err := f.ReadAt(ctx, off, got); err != nil {
+	if err := f.readAt(ctx, off, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
@@ -79,10 +79,10 @@ func TestWriteAcrossExtents(t *testing.T) {
 
 func TestVFSOverheadCharged(t *testing.T) {
 	fs, ctx := testFS(t)
-	f, _ := fs.Create(ctx, "f")
+	f, _ := fs.create(ctx, "f")
 	lat := xpsim.DefaultLatency()
 	before := ctx.Cost.Ns()
-	f.WriteAt(ctx, 0, []byte{1, 2, 3, 4})
+	f.writeAt(ctx, 0, []byte{1, 2, 3, 4})
 	if ctx.Cost.Ns()-before < lat.VFSOp {
 		t.Fatalf("pwrite charged %dns, want at least the VFS overhead %dns",
 			ctx.Cost.Ns()-before, lat.VFSOp)
@@ -166,12 +166,12 @@ func TestJournalingAddsMediaTraffic(t *testing.T) {
 	r, _ := h.Map("fsj", 64<<20, pmem.Placement{Kind: pmem.Bind, Node: 0})
 	fs := NewFS(r, &m.Lat)
 	ctx := xpsim.NewCtx(0)
-	f, _ := fs.Create(ctx, "adj")
+	f, _ := fs.create(ctx, "adj")
 	m.ResetStats()
 	var v [4]byte
 	const n = 2000
 	for i := int64(0); i < n; i++ {
-		f.WriteAt(ctx, i*1024, v[:])
+		f.writeAt(ctx, i*1024, v[:])
 	}
 	st := m.TotalStats()
 	if st.ReqWriteBytes < n*(4+journalRecordBytes) {

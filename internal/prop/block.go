@@ -1,7 +1,7 @@
-// Package prop is the property-graph layer of the store: typed edges
-// (a small label id per edge) and last-write-wins vertex properties,
-// persisted in PMEM-resident, CRC-guarded column blocks and mirrored in
-// a DRAM index for constant-time lookups on the read path.
+// Package prop is the property-graph layer: typed edges and vertex
+// properties in CRC-guarded PMEM column blocks with a DRAM index. Each edge
+// carries a small label id, vertex properties are last-write-wins, and the
+// DRAM index gives constant-time lookups on the read path.
 //
 // # Block format (DESIGN.md §13)
 //
@@ -51,33 +51,33 @@ import (
 const (
 	// BlockBytes is one column block — exactly one 256 B XPLine.
 	BlockBytes = 256
-	// RecordBytes is the size of one encoded record.
-	RecordBytes = 16
+	// recordBytes is the size of one encoded record.
+	recordBytes = 16
 	// RecordsPerBlock is how many records one block holds.
 	RecordsPerBlock = 15
 
 	blockHdrBytes = 8
-	blockOpenOff  = blockHdrBytes + RecordsPerBlock*RecordBytes
+	blockOpenOff  = blockHdrBytes + RecordsPerBlock*recordBytes
 )
 
 // Record kinds.
 const (
-	KindEdgeLabel = 1
-	KindVProp     = 2
-	KindLabelDef  = 3
+	kindEdgeLabel = 1
+	kindVProp     = 2
+	kindLabelDef  = 3
 )
 
-// MaxLabelName bounds a label-def name (it is packed into one record).
-const MaxLabelName = 12
+// maxLabelName bounds a label-def name (it is packed into one record).
+const maxLabelName = 12
 
-// ErrBadBlock reports a column block that fails its checksum or carries
+// errBadBlock reports a column block that fails its checksum or carries
 // a structurally impossible header.
-var ErrBadBlock = errors.New("prop: corrupt column block")
+var errBadBlock = errors.New("prop: corrupt column block")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Record is one decoded column-log record.
-type Record struct {
+// record is one decoded column-log record.
+type record struct {
 	Kind uint8
 	Lbl  uint16
 	Src  uint32
@@ -85,35 +85,35 @@ type Record struct {
 	Ext  uint32
 }
 
-// EdgeLabelRecord builds the record that sets the label of (src, dst).
-func EdgeLabelRecord(src, dst uint32, lbl uint16) Record {
-	return Record{Kind: KindEdgeLabel, Lbl: lbl, Src: src, Dst: dst}
+// edgeLabelRecord builds the record that sets the label of (src, dst).
+func edgeLabelRecord(src, dst uint32, lbl uint16) record {
+	return record{Kind: kindEdgeLabel, Lbl: lbl, Src: src, Dst: dst}
 }
 
-// VPropRecord builds the record that sets property key of vertex v.
-func VPropRecord(v uint32, key uint16, val int64) Record {
-	return Record{Kind: KindVProp, Lbl: key, Src: v,
+// vPropRecord builds the record that sets property key of vertex v.
+func vPropRecord(v uint32, key uint16, val int64) record {
+	return record{Kind: kindVProp, Lbl: key, Src: v,
 		Dst: uint32(uint64(val)), Ext: uint32(uint64(val) >> 32)}
 }
 
-// Value unpacks a KindVProp record's 64-bit value.
-func (r Record) Value() int64 {
+// value unpacks a kindVProp record's 64-bit value.
+func (r record) value() int64 {
 	return int64(uint64(r.Dst) | uint64(r.Ext)<<32)
 }
 
-// LabelDefRecord builds the record that registers name under label id.
-// The name must fit MaxLabelName bytes.
-func LabelDefRecord(id uint16, name string) Record {
+// labelDefRecord builds the record that registers name under label id.
+// The name must fit maxLabelName bytes.
+func labelDefRecord(id uint16, name string) record {
 	var b [12]byte
 	copy(b[:], name)
-	return Record{Kind: KindLabelDef, Lbl: id,
+	return record{Kind: kindLabelDef, Lbl: id,
 		Src: binary.LittleEndian.Uint32(b[0:4]),
 		Dst: binary.LittleEndian.Uint32(b[4:8]),
 		Ext: binary.LittleEndian.Uint32(b[8:12])}
 }
 
-// LabelName unpacks a KindLabelDef record's name.
-func (r Record) LabelName() string {
+// labelName unpacks a kindLabelDef record's name.
+func (r record) labelName() string {
 	var b [12]byte
 	binary.LittleEndian.PutUint32(b[0:4], r.Src)
 	binary.LittleEndian.PutUint32(b[4:8], r.Dst)
@@ -125,7 +125,7 @@ func (r Record) LabelName() string {
 	return string(b[:n])
 }
 
-func (r Record) encode(p []byte) {
+func (r record) encode(p []byte) {
 	p[0] = r.Kind
 	p[1] = 0
 	binary.LittleEndian.PutUint16(p[2:4], r.Lbl)
@@ -134,8 +134,8 @@ func (r Record) encode(p []byte) {
 	binary.LittleEndian.PutUint32(p[12:16], r.Ext)
 }
 
-func decodeRecord(p []byte) Record {
-	return Record{
+func decodeRecord(p []byte) record {
+	return record{
 		Kind: p[0],
 		Lbl:  binary.LittleEndian.Uint16(p[2:4]),
 		Src:  binary.LittleEndian.Uint32(p[4:8]),
@@ -144,9 +144,9 @@ func decodeRecord(p []byte) Record {
 	}
 }
 
-// Block is one column block's content.
-type Block struct {
-	Recs []Record
+// block is one column block's content.
+type block struct {
+	Recs []record
 	// Patch is 0 for a normal block, or target+1 when this block logically
 	// replaces an earlier one.
 	Patch uint16
@@ -155,9 +155,9 @@ type Block struct {
 	Open uint32
 }
 
-// EncodeBlock renders b into dst (BlockBytes long, zeroed by the caller or
+// encodeBlock renders b into dst (BlockBytes long, zeroed by the caller or
 // reused — it is fully overwritten). b holds 1..RecordsPerBlock records.
-func EncodeBlock(dst []byte, b Block) {
+func encodeBlock(dst []byte, b block) {
 	if len(dst) < BlockBytes {
 		panic("prop: EncodeBlock buffer too small")
 	}
@@ -170,50 +170,50 @@ func EncodeBlock(dst []byte, b Block) {
 	binary.LittleEndian.PutUint16(dst[4:6], uint16(len(b.Recs)))
 	binary.LittleEndian.PutUint16(dst[6:8], b.Patch)
 	for i, r := range b.Recs {
-		r.encode(dst[blockHdrBytes+i*RecordBytes:])
+		r.encode(dst[blockHdrBytes+i*recordBytes:])
 	}
 	binary.LittleEndian.PutUint32(dst[blockOpenOff:], b.Open)
 	binary.LittleEndian.PutUint32(dst[0:4], crc32.Checksum(dst[4:BlockBytes], castagnoli))
 }
 
-// DecodeBlock parses one column block, or returns ErrBadBlock when the
+// decodeBlock parses one column block, or returns errBadBlock when the
 // checksum or header is invalid. A block that is entirely zero (never
-// written) decodes to a Block with nil Recs and no error.
-func DecodeBlock(p []byte) (Block, error) {
+// written) decodes to a block with nil Recs and no error.
+func decodeBlock(p []byte) (block, error) {
 	if len(p) < BlockBytes {
-		return Block{}, fmt.Errorf("%w: short block (%d bytes)", ErrBadBlock, len(p))
+		return block{}, fmt.Errorf("%w: short block (%d bytes)", errBadBlock, len(p))
 	}
 	p = p[:BlockBytes]
 	if isZero(p) {
-		return Block{}, nil
+		return block{}, nil
 	}
 	if got, want := crc32.Checksum(p[4:], castagnoli), binary.LittleEndian.Uint32(p[0:4]); got != want {
-		return Block{}, fmt.Errorf("%w: crc mismatch (stored %08x, computed %08x)", ErrBadBlock, want, got)
+		return block{}, fmt.Errorf("%w: crc mismatch (stored %08x, computed %08x)", errBadBlock, want, got)
 	}
 	count := int(binary.LittleEndian.Uint16(p[4:6]))
-	b := Block{Patch: binary.LittleEndian.Uint16(p[6:8]), Open: binary.LittleEndian.Uint32(p[blockOpenOff:])}
+	b := block{Patch: binary.LittleEndian.Uint16(p[6:8]), Open: binary.LittleEndian.Uint32(p[blockOpenOff:])}
 	if count == 0 || count > RecordsPerBlock {
-		return Block{}, fmt.Errorf("%w: record count %d", ErrBadBlock, count)
+		return block{}, fmt.Errorf("%w: record count %d", errBadBlock, count)
 	}
-	if !isZero(p[blockHdrBytes+count*RecordBytes:blockOpenOff]) || !isZero(p[blockOpenOff+4:]) {
-		return Block{}, fmt.Errorf("%w: nonzero padding", ErrBadBlock)
+	if !isZero(p[blockHdrBytes+count*recordBytes:blockOpenOff]) || !isZero(p[blockOpenOff+4:]) {
+		return block{}, fmt.Errorf("%w: nonzero padding", errBadBlock)
 	}
 	if b.Patch != 0 && b.Open != 0 {
-		return Block{}, fmt.Errorf("%w: an open patch block", ErrBadBlock)
+		return block{}, fmt.Errorf("%w: an open patch block", errBadBlock)
 	}
-	b.Recs = make([]Record, count)
+	b.Recs = make([]record, count)
 	for i := range b.Recs {
-		rp := p[blockHdrBytes+i*RecordBytes:]
+		rp := p[blockHdrBytes+i*recordBytes:]
 		if rp[1] != 0 {
-			return Block{}, fmt.Errorf("%w: nonzero record pad", ErrBadBlock)
+			return block{}, fmt.Errorf("%w: nonzero record pad", errBadBlock)
 		}
 		b.Recs[i] = decodeRecord(rp)
 	}
 	for _, r := range b.Recs {
 		switch r.Kind {
-		case KindEdgeLabel, KindVProp, KindLabelDef:
+		case kindEdgeLabel, kindVProp, kindLabelDef:
 		default:
-			return Block{}, fmt.Errorf("%w: unknown record kind %d", ErrBadBlock, r.Kind)
+			return block{}, fmt.Errorf("%w: unknown record kind %d", errBadBlock, r.Kind)
 		}
 	}
 	return b, nil

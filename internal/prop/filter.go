@@ -4,14 +4,14 @@ import "fmt"
 
 // Predicate operators accepted by Filter.Op.
 const (
-	OpNone   = ""
-	OpEq     = "eq"
-	OpNe     = "ne"
-	OpLt     = "lt"
-	OpLe     = "le"
-	OpGt     = "gt"
+	opNone   = ""
+	opEq     = "eq"
+	opNe     = "ne"
+	opLt     = "lt"
+	opLe     = "le"
+	opGt     = "gt"
 	OpGe     = "ge"
-	OpExists = "exists"
+	opExists = "exists"
 )
 
 // Filter is the pushdown predicate of a typed traversal: an edge is
@@ -28,13 +28,10 @@ type Filter struct {
 	Val int64
 }
 
-// Empty reports a filter that accepts everything.
-func (f Filter) Empty() bool { return len(f.Types) == 0 && f.Op == OpNone }
-
 // Validate rejects unknown operators before a traversal starts.
 func (f Filter) Validate() error {
 	switch f.Op {
-	case OpNone, OpEq, OpNe, OpLt, OpLe, OpGt, OpGe, OpExists:
+	case opNone, opEq, opNe, opLt, opLe, opGt, OpGe, opExists:
 		return nil
 	}
 	return fmt.Errorf("prop: unknown filter op %q", f.Op)
@@ -57,7 +54,7 @@ func (f Filter) MatchLabel(lbl uint16) bool {
 // reading its property through get (ok=false: property unset; an unset
 // property fails every predicate except none).
 func (f Filter) MatchVertex(get func(key uint16) (int64, bool)) bool {
-	if f.Op == OpNone {
+	if f.Op == opNone {
 		return true
 	}
 	val, ok := get(f.Key)
@@ -65,17 +62,17 @@ func (f Filter) MatchVertex(get func(key uint16) (int64, bool)) bool {
 		return false
 	}
 	switch f.Op {
-	case OpExists:
+	case opExists:
 		return true
-	case OpEq:
+	case opEq:
 		return val == f.Val
-	case OpNe:
+	case opNe:
 		return val != f.Val
-	case OpLt:
+	case opLt:
 		return val < f.Val
-	case OpLe:
+	case opLe:
 		return val <= f.Val
-	case OpGt:
+	case opGt:
 		return val > f.Val
 	case OpGe:
 		return val >= f.Val

@@ -10,19 +10,19 @@ import (
 // round-trip every block it does accept.
 func FuzzPropColumnDecode(f *testing.F) {
 	var seed [BlockBytes]byte
-	EncodeBlock(seed[:], Block{Recs: []Record{
-		EdgeLabelRecord(1, 2, 3),
-		VPropRecord(4, 5, 6),
-		LabelDefRecord(7, "knows"),
+	encodeBlock(seed[:], block{Recs: []record{
+		edgeLabelRecord(1, 2, 3),
+		vPropRecord(4, 5, 6),
+		labelDefRecord(7, "knows"),
 	}})
 	f.Add(seed[:])
-	EncodeBlock(seed[:], Block{Recs: []Record{EdgeLabelRecord(1, 2, 3)}, Open: 9})
+	encodeBlock(seed[:], block{Recs: []record{edgeLabelRecord(1, 2, 3)}, Open: 9})
 	f.Add(seed[:])
 	f.Add(make([]byte, BlockBytes))
 	f.Add([]byte{1, 2, 3})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := DecodeBlock(data)
+		b, err := decodeBlock(data)
 		if err != nil {
 			return
 		}
@@ -35,7 +35,7 @@ func FuzzPropColumnDecode(f *testing.F) {
 		// Whatever decoded must re-encode to the identical block (the
 		// spare bytes are zero by construction).
 		var re [BlockBytes]byte
-		EncodeBlock(re[:], b)
+		encodeBlock(re[:], b)
 		if !bytes.Equal(re[:], data[:BlockBytes]) {
 			t.Fatalf("decode/encode round-trip mismatch")
 		}

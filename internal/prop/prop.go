@@ -11,9 +11,9 @@ import (
 )
 
 var (
-	// ErrFull reports an exhausted column log: no further property
+	// errFull reports an exhausted column log: no further property
 	// writes are accepted until the store is recreated larger.
-	ErrFull = errors.New("prop: property column log full")
+	errFull = errors.New("prop: property column log full")
 	// ErrDamaged reports an unrecoverable column block: a mid-log block
 	// failed its checksum (or sits on uncorrectable media) with no patch
 	// to supersede it, so some property records are lost. Typed reads
@@ -25,7 +25,7 @@ var (
 
 // blockMeta is the DRAM mirror of one physical column block.
 type blockMeta struct {
-	recs []Record // current content (nil: unreadable, awaiting a patch)
+	recs []record // current content (nil: unreadable, awaiting a patch)
 	// patchOf is the physical block this one replaces (-1: normal).
 	patchOf int
 	// superseded marks a block whose content now lives in a later patch.
@@ -47,7 +47,7 @@ type Store struct {
 	capBlocks int64
 	head      int64 // physical blocks written
 
-	pending []Record
+	pending []record
 	blocks  []blockMeta
 
 	labels  map[uint64]uint16
@@ -105,7 +105,7 @@ func Attach(ctx *xpsim.Ctx, m mem.Mem, lat *xpsim.LatencyModel, base, capBlocks 
 	// block lies past a hole: a flush's open blocks are all on the media
 	// before its closing block is written.
 	type scanned struct {
-		recs  []Record
+		recs  []record
 		patch uint16
 		bad   bool
 	}
@@ -116,7 +116,7 @@ func Attach(ctx *xpsim.Ctx, m mem.Mem, lat *xpsim.LatencyModel, base, capBlocks 
 			scan = append(scan, scanned{bad: true})
 			continue
 		}
-		b, derr := DecodeBlock(buf)
+		b, derr := decodeBlock(buf)
 		if derr != nil || int64(b.Open) > i+1 {
 			scan = append(scan, scanned{bad: true})
 			continue
@@ -190,22 +190,22 @@ func Attach(ctx *xpsim.Ctx, m mem.Mem, lat *xpsim.LatencyModel, base, capBlocks 
 }
 
 // applyIndex folds one record into the DRAM index (callers hold mu).
-func (s *Store) applyIndex(r Record) {
+func (s *Store) applyIndex(r record) {
 	switch r.Kind {
-	case KindEdgeLabel:
+	case kindEdgeLabel:
 		k := uint64(r.Src)<<32 | uint64(r.Dst)
 		if r.Lbl == graph.DefaultLabel {
 			delete(s.labels, k)
 		} else {
 			s.labels[k] = r.Lbl
 		}
-	case KindVProp:
-		s.vprops[uint64(r.Src)<<32|uint64(r.Lbl)] = r.Value()
-	case KindLabelDef:
+	case kindVProp:
+		s.vprops[uint64(r.Src)<<32|uint64(r.Lbl)] = r.value()
+	case kindLabelDef:
 		for int(r.Lbl) >= len(s.names) {
 			s.names = append(s.names, "")
 		}
-		s.names[r.Lbl] = r.LabelName()
+		s.names[r.Lbl] = r.labelName()
 	}
 }
 
@@ -214,8 +214,8 @@ func (s *Store) applyIndex(r Record) {
 // can never re-assign the id to a different name after a caller has
 // started using it. Registering an existing name returns its id.
 func (s *Store) RegisterLabel(ctx *xpsim.Ctx, name string) (uint16, error) {
-	if name == "" || len(name) > MaxLabelName {
-		return 0, fmt.Errorf("%w: %q (1..%d bytes)", ErrBadLabel, name, MaxLabelName)
+	if name == "" || len(name) > maxLabelName {
+		return 0, fmt.Errorf("%w: %q (1..%d bytes)", ErrBadLabel, name, maxLabelName)
 	}
 	s.mu.Lock()
 	for id, n := range s.names {
@@ -226,7 +226,7 @@ func (s *Store) RegisterLabel(ctx *xpsim.Ctx, name string) (uint16, error) {
 	}
 	id := uint16(len(s.names))
 	s.names = append(s.names, name)
-	s.pending = append(s.pending, LabelDefRecord(id, name))
+	s.pending = append(s.pending, labelDefRecord(id, name))
 	s.mu.Unlock()
 	if err := s.Flush(ctx); err != nil {
 		return 0, err
@@ -238,40 +238,18 @@ func (s *Store) RegisterLabel(ctx *xpsim.Ctx, name string) (uint16, error) {
 // cluster uses to broadcast one shard's registration to its peers and
 // replicas with the identical id.
 func (s *Store) SetLabelDef(ctx *xpsim.Ctx, id uint16, name string) error {
-	if name == "" || len(name) > MaxLabelName {
-		return fmt.Errorf("%w: %q (1..%d bytes)", ErrBadLabel, name, MaxLabelName)
+	if name == "" || len(name) > maxLabelName {
+		return fmt.Errorf("%w: %q (1..%d bytes)", ErrBadLabel, name, maxLabelName)
 	}
 	s.mu.Lock()
 	if int(id) < len(s.names) && s.names[id] == name {
 		s.mu.Unlock()
 		return nil
 	}
-	s.pending = append(s.pending, LabelDefRecord(id, name))
-	s.applyIndex(LabelDefRecord(id, name))
+	s.pending = append(s.pending, labelDefRecord(id, name))
+	s.applyIndex(labelDefRecord(id, name))
 	s.mu.Unlock()
 	return s.Flush(ctx)
-}
-
-// LabelID resolves a registered label name.
-func (s *Store) LabelID(name string) (uint16, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for id, n := range s.names {
-		if id > 0 && n == name {
-			return uint16(id), true
-		}
-	}
-	return 0, false
-}
-
-// LabelName resolves a label id ("" for the default label or unknown).
-func (s *Store) LabelName(id uint16) string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if int(id) < len(s.names) {
-		return s.names[id]
-	}
-	return ""
 }
 
 // Labels returns the label table: index = label id, names[0] = "" (the
@@ -304,7 +282,7 @@ func (s *Store) ApplyEdgeLabels(edges []graph.Edge, labels []uint16) {
 				continue
 			}
 		}
-		r := EdgeLabelRecord(e.Src, e.Dst, lbl)
+		r := edgeLabelRecord(e.Src, e.Dst, lbl)
 		s.pending = append(s.pending, r)
 		s.applyIndex(r)
 	}
@@ -315,7 +293,7 @@ func (s *Store) ApplyProps(sets []graph.PropSet) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, p := range sets {
-		r := VPropRecord(p.V, p.Key, p.Val)
+		r := vPropRecord(p.V, p.Key, p.Val)
 		s.pending = append(s.pending, r)
 		s.applyIndex(r)
 	}
@@ -348,7 +326,7 @@ func (s *Store) Flush(ctx *xpsim.Ctx) error {
 // blocks, one flush of their lines — only the lines still in the XPBuffer
 // cost a media write, the rest went out as the run pushed them — and the
 // closing block, written and flushed last. Out of room, it writes the run
-// that fits and returns ErrFull.
+// that fits and returns errFull.
 func (s *Store) flushLocked(ctx *xpsim.Ctx) error {
 	n := int64((len(s.pending) + RecordsPerBlock - 1) / RecordsPerBlock)
 	if n == 0 {
@@ -356,7 +334,7 @@ func (s *Store) flushLocked(ctx *xpsim.Ctx) error {
 	}
 	var err error
 	if n > s.capBlocks-s.head {
-		n, err = s.capBlocks-s.head, ErrFull
+		n, err = s.capBlocks-s.head, errFull
 		if n == 0 {
 			return err
 		}
@@ -368,14 +346,14 @@ func (s *Store) flushLocked(ctx *xpsim.Ctx) error {
 	start := s.head
 	for i := int64(0); i < n; i++ {
 		k := min(len(s.pending), RecordsPerBlock)
-		recs := append([]Record(nil), s.pending[:k]...)
-		b := Block{Recs: recs}
+		recs := append([]record(nil), s.pending[:k]...)
+		b := block{Recs: recs}
 		if i < n-1 {
 			b.Open = uint32(start) + 1
 		} else if i > 0 {
 			s.m.Flush(ctx, s.base+start*BlockBytes, i*BlockBytes)
 		}
-		EncodeBlock(buf[:], b)
+		encodeBlock(buf[:], b)
 		off := s.base + s.head*BlockBytes
 		if node := s.m.NodeOf(off); s.bound && node != ctx.Node {
 			s.lat.DRAM(ctx, 8, true, false)  // the handover: one thread's store,
@@ -401,25 +379,6 @@ func (s *Store) Label(src, dst uint32) uint16 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.labels[uint64(src)<<32|uint64(dst)]
-}
-
-// LabelChecked is Label, failing with ErrDamaged once an unrecoverable
-// column block means the answer could be silently wrong.
-func (s *Store) LabelChecked(src, dst uint32) (uint16, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.damaged {
-		return 0, ErrDamaged
-	}
-	return s.labels[uint64(src)<<32|uint64(dst)], nil
-}
-
-// VProp reads vertex v's property key.
-func (s *Store) VProp(v uint32, key uint16) (int64, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	val, ok := s.vprops[uint64(v)<<32|uint64(key)]
-	return val, ok
 }
 
 // VPropChecked is VProp with the damage guard.
@@ -460,13 +419,6 @@ func (s *Store) Damaged() bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.damaged
-}
-
-// PendingRecords reports how many applied records await a flush.
-func (s *Store) PendingRecords() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.pending)
 }
 
 // Blocks reports how many physical blocks the log holds.
@@ -521,7 +473,7 @@ func (s *Store) Scrub(ctx *xpsim.Ctx) (ScrubReport, error) {
 		bad := false
 		if err := mem.ReadChecked(s.m, ctx, s.base+i*BlockBytes, buf); err != nil {
 			bad = true
-		} else if _, err := DecodeBlock(buf); err != nil {
+		} else if _, err := decodeBlock(buf); err != nil {
 			bad = true
 		}
 		if !bad {
@@ -545,7 +497,7 @@ func (s *Store) Scrub(ctx *xpsim.Ctx) (ScrubReport, error) {
 			s.damaged = true
 			continue
 		}
-		EncodeBlock(blkbuf[:], Block{Recs: recs, Patch: uint16(target) + 1})
+		encodeBlock(blkbuf[:], block{Recs: recs, Patch: uint16(target) + 1})
 		off := s.base + s.head*BlockBytes
 		s.m.Write(ctx, off, blkbuf[:])
 		s.m.Flush(ctx, off, BlockBytes)
@@ -559,11 +511,4 @@ func (s *Store) Scrub(ctx *xpsim.Ctx) (ScrubReport, error) {
 		rep.Rebuilt++
 	}
 	return rep, nil
-}
-
-// Quarantined reports how many physical blocks scrubs have retired.
-func (s *Store) Quarantined() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.quarantined
 }

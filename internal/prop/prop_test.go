@@ -21,14 +21,14 @@ func testRegion(t *testing.T, capBlocks int64) (*pmem.Region, *xpsim.Machine, in
 }
 
 func TestBlockRoundTrip(t *testing.T) {
-	recs := []Record{
-		EdgeLabelRecord(1, 2, 7),
-		VPropRecord(9, 3, -123456789),
-		LabelDefRecord(4, "follows"),
+	recs := []record{
+		edgeLabelRecord(1, 2, 7),
+		vPropRecord(9, 3, -123456789),
+		labelDefRecord(4, "follows"),
 	}
 	var buf [BlockBytes]byte
-	EncodeBlock(buf[:], Block{Recs: recs, Patch: 5})
-	b, err := DecodeBlock(buf[:])
+	encodeBlock(buf[:], block{Recs: recs, Patch: 5})
+	b, err := decodeBlock(buf[:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,20 +39,20 @@ func TestBlockRoundTrip(t *testing.T) {
 	if got[0] != recs[0] || got[1] != recs[1] || got[2] != recs[2] {
 		t.Fatalf("records differ: %+v vs %+v", got, recs)
 	}
-	if got[1].Value() != -123456789 {
-		t.Fatalf("value %d", got[1].Value())
+	if got[1].value() != -123456789 {
+		t.Fatalf("value %d", got[1].value())
 	}
-	if got[2].LabelName() != "follows" {
-		t.Fatalf("name %q", got[2].LabelName())
+	if got[2].labelName() != "follows" {
+		t.Fatalf("name %q", got[2].labelName())
 	}
 	// Corrupt one byte: decode must fail, not return wrong records.
 	buf[100] ^= 0xFF
-	if _, err := DecodeBlock(buf[:]); err == nil {
+	if _, err := decodeBlock(buf[:]); err == nil {
 		t.Fatal("corrupt block decoded cleanly")
 	}
 	// All-zero block is a clean end-of-log.
 	var zero [BlockBytes]byte
-	b2, err := DecodeBlock(zero[:])
+	b2, err := decodeBlock(zero[:])
 	if err != nil || b2.Recs != nil {
 		t.Fatalf("zero block: %v %v", b2.Recs, err)
 	}
@@ -268,12 +268,12 @@ func TestFilter(t *testing.T) {
 		val  int64
 		want bool
 	}{
-		{OpEq, 10, true}, {OpEq, 11, false},
-		{OpNe, 10, false}, {OpNe, 11, true},
-		{OpLt, 11, true}, {OpLt, 10, false},
-		{OpLe, 10, true}, {OpGt, 9, true},
+		{opEq, 10, true}, {opEq, 11, false},
+		{opNe, 10, false}, {opNe, 11, true},
+		{opLt, 11, true}, {opLt, 10, false},
+		{opLe, 10, true}, {opGt, 9, true},
 		{OpGe, 10, true}, {OpGe, 11, false},
-		{OpExists, 0, true},
+		{opExists, 0, true},
 	} {
 		f := Filter{Key: 1, Op: tc.op, Val: tc.val}
 		if got := f.MatchVertex(get); got != tc.want {
@@ -281,7 +281,7 @@ func TestFilter(t *testing.T) {
 		}
 	}
 	// Unset property fails every real predicate.
-	f = Filter{Key: 9, Op: OpExists}
+	f = Filter{Key: 9, Op: opExists}
 	if f.MatchVertex(get) {
 		t.Fatal("unset property passed exists")
 	}
@@ -302,16 +302,16 @@ func TestLogFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.ApplyProps([]graph.PropSet{{V: 999, Key: 1, Val: 1}})
-	if err := s.Flush(ctx); err != ErrFull {
+	if err := s.Flush(ctx); err != errFull {
 		t.Fatalf("want ErrFull, got %v", err)
 	}
 }
 
 // writeBlock puts b at physical block i, durably, as a crashed flush may
 // have left it.
-func writeBlock(r *pmem.Region, base, i int64, b Block) {
+func writeBlock(r *pmem.Region, base, i int64, b block) {
 	var buf [BlockBytes]byte
-	EncodeBlock(buf[:], b)
+	encodeBlock(buf[:], b)
 	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
 	r.Write(ctx, base+i*BlockBytes, buf[:])
 	r.Flush(ctx, base+i*BlockBytes, BlockBytes)
@@ -328,8 +328,8 @@ func TestUnclosedFlushTruncates(t *testing.T) {
 	}
 	// A flush starting at block 1 crashed with blocks 1 and 3 on the media,
 	// block 2 missing and its closing block never written.
-	writeBlock(r, base, 1, Block{Recs: []Record{VPropRecord(1, 1, 20)}, Open: 2})
-	writeBlock(r, base, 3, Block{Recs: []Record{VPropRecord(2, 1, 30)}, Open: 2})
+	writeBlock(r, base, 1, block{Recs: []record{vPropRecord(1, 1, 20)}, Open: 2})
+	writeBlock(r, base, 3, block{Recs: []record{vPropRecord(2, 1, 30)}, Open: 2})
 
 	s2, info, err := Attach(ctx, r, &lat, base, 8)
 	if err != nil {
@@ -379,7 +379,7 @@ func TestDamagedClosingBlockIsDamage(t *testing.T) {
 	// The next flush, crashed: its open block names block 2 as its start,
 	// so blocks 0 and 1 were a closed flush and block 1 is damage, not a
 	// torn tail.
-	writeBlock(r, base, 2, Block{Recs: []Record{VPropRecord(99, 1, 1)}, Open: 3})
+	writeBlock(r, base, 2, block{Recs: []record{vPropRecord(99, 1, 1)}, Open: 3})
 
 	s2, info, err := Attach(ctx, r, &lat, base, 8)
 	if err != nil {

@@ -15,7 +15,7 @@ func TestVersionedRoutes(t *testing.T) {
 	_, ts := testServer(t)
 
 	// /v1 is canonical: no deprecation header, epoch in header and body.
-	body, _ := json.Marshal(EdgesRequest{Edges: []EdgeJSON{{Src: 1, Dst: 2}}})
+	body, _ := json.Marshal(EdgesRequest{Edges: []edgeJSON{{Src: 1, Dst: 2}}})
 	resp, err := http.Post(ts.URL+"/v1/edges", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func TestVersionedRoutes(t *testing.T) {
 	if code := do(t, "GET", ts.URL+"/v1/healthz", nil, &hz); code != 200 || hz.Status != "ok" {
 		t.Fatalf("healthz: code=%d %+v", code, hz)
 	}
-	var snap SnapshotResponse
+	var snap snapshotResponse
 	if code := do(t, "POST", ts.URL+"/v1/snapshot", nil, &snap); code != 200 || snap.Epoch <= hz.Epoch {
 		t.Fatalf("snapshot: code=%d %+v (healthz epoch %d)", code, snap, hz.Epoch)
 	}
@@ -126,7 +126,7 @@ func TestConcurrentReadWrite(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				src := uint32(g*100 + i)
-				body, _ := json.Marshal(EdgesRequest{Edges: []EdgeJSON{{Src: src, Dst: src + 1}}})
+				body, _ := json.Marshal(EdgesRequest{Edges: []edgeJSON{{Src: src, Dst: src + 1}}})
 				resp, err := http.Post(ts.URL+"/v1/edges", "application/json", bytes.NewReader(body))
 				if err != nil {
 					errs <- err
@@ -169,7 +169,7 @@ func TestConcurrentReadWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var st StatsResponse
+	var st statsResponse
 	do(t, "GET", ts.URL+"/v1/stats", nil, &st)
 	if st.LoggedEdges != writers*perWriter {
 		t.Fatalf("logged = %d, want %d", st.LoggedEdges, writers*perWriter)
@@ -191,7 +191,7 @@ func TestReadsDuringLargeIngest(t *testing.T) {
 	})
 
 	// Seed a vertex so reads have something stable to fetch.
-	body, _ := json.Marshal(EdgesRequest{Edges: []EdgeJSON{{Src: 1, Dst: 2}}})
+	body, _ := json.Marshal(EdgesRequest{Edges: []edgeJSON{{Src: 1, Dst: 2}}})
 	resp, err := http.Post(ts.URL+"/v1/edges", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -200,9 +200,9 @@ func TestReadsDuringLargeIngest(t *testing.T) {
 
 	// Kick off a 4096-edge ingest: 16 batches with 20ms pauses between
 	// applications, so the ingest is in flight for ~300ms.
-	var big []EdgeJSON
+	var big []edgeJSON
 	for i := uint32(0); i < 4096; i++ {
-		big = append(big, EdgeJSON{Src: 5000 + i%50, Dst: i})
+		big = append(big, edgeJSON{Src: 5000 + i%50, Dst: i})
 	}
 	body, _ = json.Marshal(EdgesRequest{Edges: big})
 	resp, err = http.Post(ts.URL+"/v1/edges?async=1", "application/json", bytes.NewReader(body))
@@ -270,9 +270,9 @@ func TestBackpressure(t *testing.T) {
 	var rejected atomic.Bool
 	var retryAfter string
 	for i := 0; i < 64 && !rejected.Load(); i++ {
-		var edges []EdgeJSON
+		var edges []edgeJSON
 		for j := uint32(0); j < 128; j++ {
-			edges = append(edges, EdgeJSON{Src: uint32(i), Dst: j})
+			edges = append(edges, edgeJSON{Src: uint32(i), Dst: j})
 		}
 		body, _ := json.Marshal(EdgesRequest{Edges: edges})
 		resp, err := http.Post(ts.URL+"/v1/edges?async=1", "application/json", bytes.NewReader(body))
@@ -305,9 +305,9 @@ func TestBackpressure(t *testing.T) {
 	}
 
 	// An oversized single request is rejected outright, not queued.
-	var huge []EdgeJSON
+	var huge []edgeJSON
 	for j := uint32(0); j < 600; j++ {
-		huge = append(huge, EdgeJSON{Src: 9, Dst: j})
+		huge = append(huge, edgeJSON{Src: 9, Dst: j})
 	}
 	body, _ := json.Marshal(EdgesRequest{Edges: huge})
 	resp, err := http.Post(ts.URL+"/v1/edges", "application/json", bytes.NewReader(body))

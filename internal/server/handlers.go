@@ -337,7 +337,7 @@ func (s *Server) handleVertex(w http.ResponseWriter, r *http.Request) {
 			s.writeReadError(w, cv, v, err)
 			return
 		}
-		writeEpochJSON(w, cv.Epoch(), DegreeResponse{Vertex: v, Out: out, In: in,
+		writeEpochJSON(w, cv.Epoch(), degreeResponse{Vertex: v, Out: out, In: in,
 			Epoch: cv.Epoch(), EpochVector: cv.EpochVector()})
 	default:
 		httpError(w, http.StatusNotFound, "not_found", "unknown vertex view %q", sub)
@@ -464,7 +464,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.cl.Stats()
-	resp := StatsResponse{
+	resp := statsResponse{
 		NumVertices:     st.NumVertices,
 		LoggedEdges:     st.LoggedEdges,
 		MetaDRAMBytes:   st.MetaDRAMBytes,
@@ -506,7 +506,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	vec := s.cl.PublishAll()
 	epoch := cluster.EpochScalar(vec)
-	writeEpochJSON(w, epoch, SnapshotResponse{Epoch: epoch, EpochVector: vec})
+	writeEpochJSON(w, epoch, snapshotResponse{Epoch: epoch, EpochVector: vec})
 }
 
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
@@ -606,7 +606,7 @@ func (s *Server) rejectIfDegraded(w http.ResponseWriter) bool {
 }
 
 func (s *Server) handleBFS(w http.ResponseWriter, r *http.Request) {
-	var req BFSRequest
+	var req bfsRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad_request", "bad body: %v", err)
 		return
@@ -617,13 +617,13 @@ func (s *Server) handleBFS(w http.ResponseWriter, r *http.Request) {
 	cv := s.cl.AcquireView()
 	defer cv.Release()
 	res := s.engineFor(cv).BFS(req.Root)
-	writeEpochJSON(w, cv.Epoch(), BFSResponse{Root: req.Root, Visited: res.Visited,
+	writeEpochJSON(w, cv.Epoch(), bfsResponse{Root: req.Root, Visited: res.Visited,
 		Levels: res.Levels, SimMs: float64(res.SimNs) / 1e6,
 		Epoch: cv.Epoch(), EpochVector: cv.EpochVector()})
 }
 
 func (s *Server) handlePageRank(w http.ResponseWriter, r *http.Request) {
-	var req PageRankRequest
+	var req pageRankRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad_request", "bad body: %v", err)
 		return
@@ -641,15 +641,15 @@ func (s *Server) handlePageRank(w http.ResponseWriter, r *http.Request) {
 	defer cv.Release()
 	res := s.engineFor(cv).PageRank(req.Iterations)
 
-	ranked := make([]RankedVertex, len(res.Ranks))
+	ranked := make([]rankedVertex, len(res.Ranks))
 	for v, rk := range res.Ranks {
-		ranked[v] = RankedVertex{Vertex: graph.VID(v), Rank: rk}
+		ranked[v] = rankedVertex{Vertex: graph.VID(v), Rank: rk}
 	}
 	sort.Slice(ranked, func(i, j int) bool { return ranked[i].Rank > ranked[j].Rank })
 	if len(ranked) > req.Top {
 		ranked = ranked[:req.Top]
 	}
-	writeEpochJSON(w, cv.Epoch(), PageRankResponse{Top: ranked,
+	writeEpochJSON(w, cv.Epoch(), pageRankResponse{Top: ranked,
 		SimMs: float64(res.SimNs) / 1e6, Epoch: cv.Epoch(), EpochVector: cv.EpochVector()})
 }
 
@@ -660,7 +660,7 @@ func (s *Server) handleCC(w http.ResponseWriter, r *http.Request) {
 	cv := s.cl.AcquireView()
 	defer cv.Release()
 	res := s.engineFor(cv).CC()
-	writeEpochJSON(w, cv.Epoch(), CCResponse{Components: res.Components,
+	writeEpochJSON(w, cv.Epoch(), ccResponse{Components: res.Components,
 		SimMs: float64(res.SimNs) / 1e6, Epoch: cv.Epoch(), EpochVector: cv.EpochVector()})
 }
 
@@ -749,7 +749,7 @@ func (s *Server) handleKHop(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
-	var req PathRequest
+	var req pathRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad_request", "bad body: %v", err)
 		return
@@ -777,7 +777,7 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 		s.writeQueryError(w, cv, qerr)
 		return
 	}
-	writeEpochJSON(w, cv.Epoch(), PathResponse{Root: req.Root, Target: req.Target,
+	writeEpochJSON(w, cv.Epoch(), pathResponse{Root: req.Root, Target: req.Target,
 		Found: res.Found, Path: res.Path, Hops: res.Hops,
 		SimMs: float64(res.SimNs) / 1e6,
 		Epoch: cv.Epoch(), EpochVector: cv.EpochVector()})
@@ -792,10 +792,10 @@ func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		cv := s.cl.AcquireView()
 		defer cv.Release()
-		writeEpochJSON(w, cv.Epoch(), LabelsResponse{Labels: cv.Labels(),
+		writeEpochJSON(w, cv.Epoch(), labelsResponse{Labels: cv.Labels(),
 			Epoch: cv.Epoch(), EpochVector: cv.EpochVector()})
 	case http.MethodPost:
-		var req LabelRequest
+		var req labelRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			httpError(w, http.StatusBadRequest, "bad_request", "bad body: %v", err)
 			return
@@ -823,7 +823,7 @@ func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) {
 		}
 		vec := s.cl.EpochVector()
 		epoch := cluster.EpochScalar(vec)
-		writeEpochJSON(w, epoch, LabelResponse{ID: id, Name: req.Name,
+		writeEpochJSON(w, epoch, labelResponse{ID: id, Name: req.Name,
 			Epoch: epoch, EpochVector: vec})
 	default:
 		httpError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use GET or POST")

@@ -138,9 +138,9 @@ func TestIngestBinErrors(t *testing.T) {
 
 func TestMaxBodyBytes(t *testing.T) {
 	_, ts := testServerCfg(t, Config{QueryThreads: 4, MaxBodyBytes: 64})
-	var big []EdgeJSON
+	var big []edgeJSON
 	for i := uint32(0); i < 64; i++ {
-		big = append(big, EdgeJSON{Src: i, Dst: i + 1})
+		big = append(big, edgeJSON{Src: i, Dst: i + 1})
 	}
 	var e errorBody
 	if code := do(t, "POST", ts.URL+"/v1/edges", EdgesRequest{Edges: big}, &e); code != 413 || e.Error.Code != "batch_too_large" {

@@ -60,9 +60,9 @@ func TestRetryAfterJitter(t *testing.T) {
 func TestDegradedServing(t *testing.T) {
 	srv, ts, m := mediaServer(t, Config{QueryThreads: 4})
 
-	var edges []EdgeJSON
+	var edges []edgeJSON
 	for i := uint32(0); i < 8; i++ {
-		edges = append(edges, EdgeJSON{Src: 1, Dst: 10 + i})
+		edges = append(edges, edgeJSON{Src: 1, Dst: 10 + i})
 	}
 	if code := do(t, "POST", ts.URL+"/v1/edges", EdgesRequest{Edges: edges}, nil); code != 200 {
 		t.Fatalf("ingest: %d", code)
@@ -124,7 +124,7 @@ func TestDegradedServing(t *testing.T) {
 func TestNodeFailureReadonly(t *testing.T) {
 	_, ts, m := mediaServer(t, Config{QueryThreads: 4, BreakerThreshold: 2, BreakerCooldown: time.Hour})
 
-	do(t, "POST", ts.URL+"/v1/edges", EdgesRequest{Edges: []EdgeJSON{{Src: 1, Dst: 2}}}, nil)
+	do(t, "POST", ts.URL+"/v1/edges", EdgesRequest{Edges: []edgeJSON{{Src: 1, Dst: 2}}}, nil)
 	m.Faults().FailNode(1)
 
 	var h HealthzResponse
@@ -136,13 +136,13 @@ func TestNodeFailureReadonly(t *testing.T) {
 	}
 
 	var eb errorBody
-	if code := do(t, "POST", ts.URL+"/v1/query/bfs", BFSRequest{Root: 1}, &eb); code != http.StatusServiceUnavailable || eb.Error.Code != "degraded" {
+	if code := do(t, "POST", ts.URL+"/v1/query/bfs", bfsRequest{Root: 1}, &eb); code != http.StatusServiceUnavailable || eb.Error.Code != "degraded" {
 		t.Fatalf("bfs on readonly store: code=%d body=%+v", code, eb)
 	}
 
 	// Two failed writes trip the breaker (threshold 2); the next one is
 	// shed up front with circuit_open and a Retry-After.
-	body := EdgesRequest{Edges: []EdgeJSON{{Src: 3, Dst: 4}}}
+	body := EdgesRequest{Edges: []edgeJSON{{Src: 3, Dst: 4}}}
 	for i := 0; i < 2; i++ {
 		if code := do(t, "POST", ts.URL+"/v1/edges", body, &eb); code != http.StatusServiceUnavailable || eb.Error.Code != "media_error" {
 			t.Fatalf("write %d on dead node: code=%d body=%+v", i, code, eb)
@@ -206,9 +206,9 @@ func TestRequestTimeout(t *testing.T) {
 
 	// A 3-chunk synchronous ingest sleeps 2x300ms between chunks — well
 	// past the 50ms deadline.
-	var edges []EdgeJSON
+	var edges []edgeJSON
 	for i := uint32(0); i < 6; i++ {
-		edges = append(edges, EdgeJSON{Src: i, Dst: i + 1})
+		edges = append(edges, edgeJSON{Src: i, Dst: i + 1})
 	}
 	resp := doRaw(t, "POST", ts.URL+"/v1/edges", EdgesRequest{Edges: edges})
 	if resp.code != http.StatusServiceUnavailable || resp.errCode != "deadline_exceeded" {

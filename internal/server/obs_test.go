@@ -47,9 +47,9 @@ func scrape(t *testing.T, url, accept string) (string, string) {
 // telemetry and the per-endpoint latency histograms.
 func TestPrometheusScrape(t *testing.T) {
 	_, ts := testServer(t)
-	var edges []EdgeJSON
+	var edges []edgeJSON
 	for i := uint32(0); i < 200; i++ {
-		edges = append(edges, EdgeJSON{Src: i % 50, Dst: i%50 + 1})
+		edges = append(edges, edgeJSON{Src: i % 50, Dst: i%50 + 1})
 	}
 	do(t, "POST", ts.URL+"/v1/edges", EdgesRequest{Edges: edges}, nil)
 	do(t, "GET", ts.URL+"/v1/vertices/1/out", nil, nil)
@@ -108,9 +108,9 @@ func TestMetricsConsistentUnderIngest(t *testing.T) {
 					return
 				default:
 				}
-				var edges []EdgeJSON
+				var edges []edgeJSON
 				for j := uint32(0); j < 32; j++ {
-					edges = append(edges, EdgeJSON{Src: (seed*31 + i + j) % 900, Dst: (i + j) % 900})
+					edges = append(edges, edgeJSON{Src: (seed*31 + i + j) % 900, Dst: (i + j) % 900})
 				}
 				do(t, "POST", ts.URL+"/v1/edges?async=1", EdgesRequest{Edges: edges}, nil)
 			}
@@ -144,9 +144,9 @@ func TestMetricsConsistentUnderIngest(t *testing.T) {
 // phase spans and drains the ring, so the next scrape starts empty.
 func TestTraceEndpoint(t *testing.T) {
 	_, ts := testServer(t)
-	var edges []EdgeJSON
+	var edges []edgeJSON
 	for i := uint32(0); i < 400; i++ {
-		edges = append(edges, EdgeJSON{Src: i % 100, Dst: (i + 1) % 100})
+		edges = append(edges, edgeJSON{Src: i % 100, Dst: (i + 1) % 100})
 	}
 	do(t, "POST", ts.URL+"/v1/edges", EdgesRequest{Edges: edges}, nil)
 	do(t, "POST", ts.URL+"/v1/flush", nil, nil)
@@ -202,9 +202,9 @@ func TestGracefulShutdown(t *testing.T) {
 	srv, ts := testServerCfg(t, Config{QueryThreads: 4, QueueCap: 1 << 14, BatchEdges: 128})
 	accepted := int64(0)
 	for i := uint32(0); i < 20; i++ {
-		var edges []EdgeJSON
+		var edges []edgeJSON
 		for j := uint32(0); j < 50; j++ {
-			edges = append(edges, EdgeJSON{Src: i*50 + j, Dst: j})
+			edges = append(edges, edgeJSON{Src: i*50 + j, Dst: j})
 		}
 		if code := do(t, "POST", ts.URL+"/v1/edges?async=1", EdgesRequest{Edges: edges}, nil); code != 202 {
 			t.Fatalf("async ingest: %d", code)
@@ -236,7 +236,7 @@ func TestGracefulShutdown(t *testing.T) {
 
 	// New writes are fenced with 503.
 	var er errorBody
-	code := do(t, "POST", ts.URL+"/v1/edges", EdgesRequest{Edges: []EdgeJSON{{Src: 1, Dst: 2}}}, &er)
+	code := do(t, "POST", ts.URL+"/v1/edges", EdgesRequest{Edges: []edgeJSON{{Src: 1, Dst: 2}}}, &er)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("write after Shutdown: code=%d, want 503", code)
 	}
@@ -275,7 +275,7 @@ func TestMetricCatalogMatchesDesign(t *testing.T) {
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	do(t, "POST", ts.URL+"/v1/edges", EdgesRequest{Edges: []EdgeJSON{{Src: 1, Dst: 2}}}, nil)
+	do(t, "POST", ts.URL+"/v1/edges", EdgesRequest{Edges: []edgeJSON{{Src: 1, Dst: 2}}}, nil)
 	body, _ := scrape(t, ts.URL+"/v1/metrics", "text/plain")
 	live := map[string]bool{}
 	for _, line := range strings.Split(body, "\n") {

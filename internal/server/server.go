@@ -1,6 +1,5 @@
-// Package server exposes an XPGraph cluster as an HTTP graph service —
-// the kind of application layer a downstream adopter puts in front of
-// the library. It speaks JSON over stdlib net/http, versioned under /v1:
+// Package server exposes an XPGraph cluster as an HTTP graph service. It
+// speaks JSON over stdlib net/http, versioned under /v1:
 //
 //	POST /v1/edges            {"edges":[{"src":1,"dst":2}, ...]}   ingest a batch
 //	DELETE /v1/edges          {"edges":[{"src":1,"dst":2}]}        delete edges
@@ -367,15 +366,10 @@ func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // ---- request/response shapes ----
 
-// EdgeJSON is one edge in wire format.
-type EdgeJSON struct {
+// edgeJSON is one edge in wire format.
+type edgeJSON struct {
 	Src graph.VID `json:"src"`
 	Dst graph.VID `json:"dst"`
-}
-
-// EdgesRequest is the body of POST/DELETE /v1/edges.
-type EdgesRequest struct {
-	Edges []EdgeJSON `json:"edges"`
 }
 
 // IngestResponse reports an ingestion. For async (202) responses only
@@ -401,8 +395,8 @@ type NeighborsResponse struct {
 	EpochVector []uint64  `json:"epoch_vector"`
 }
 
-// DegreeResponse reports record counts.
-type DegreeResponse struct {
+// degreeResponse reports record counts.
+type degreeResponse struct {
 	Vertex      graph.VID `json:"vertex"`
 	Out         int       `json:"out"`
 	In          int       `json:"in"`
@@ -410,9 +404,9 @@ type DegreeResponse struct {
 	EpochVector []uint64  `json:"epoch_vector"`
 }
 
-// StatsResponse reports store and machine statistics, summed across
+// statsResponse reports store and machine statistics, summed across
 // shards (NumVertices is the max: vertex IDs are global).
-type StatsResponse struct {
+type statsResponse struct {
 	NumVertices     graph.VID `json:"num_vertices"`
 	LoggedEdges     int64     `json:"logged_edges"`
 	MetaDRAMBytes   int64     `json:"meta_dram_bytes"`
@@ -426,8 +420,8 @@ type StatsResponse struct {
 	EpochVector     []uint64  `json:"epoch_vector"`
 }
 
-// SnapshotResponse reports an explicit snapshot publication.
-type SnapshotResponse struct {
+// snapshotResponse reports an explicit snapshot publication.
+type snapshotResponse struct {
 	Epoch       uint64   `json:"epoch"`
 	EpochVector []uint64 `json:"epoch_vector"`
 }
@@ -517,13 +511,13 @@ type MetricsResponse struct {
 	EpochVector     []uint64 `json:"epoch_vector"`
 }
 
-// BFSRequest selects a traversal root.
-type BFSRequest struct {
+// bfsRequest selects a traversal root.
+type bfsRequest struct {
 	Root graph.VID `json:"root"`
 }
 
-// BFSResponse reports a traversal.
-type BFSResponse struct {
+// bfsResponse reports a traversal.
+type bfsResponse struct {
 	Root        graph.VID `json:"root"`
 	Visited     int64     `json:"visited"`
 	Levels      int       `json:"levels"`
@@ -532,28 +526,28 @@ type BFSResponse struct {
 	EpochVector []uint64  `json:"epoch_vector"`
 }
 
-// PageRankRequest configures a PageRank run.
-type PageRankRequest struct {
+// pageRankRequest configures a PageRank run.
+type pageRankRequest struct {
 	Iterations int `json:"iterations"`
 	Top        int `json:"top"`
 }
 
-// RankedVertex pairs a vertex with its rank.
-type RankedVertex struct {
+// rankedVertex pairs a vertex with its rank.
+type rankedVertex struct {
 	Vertex graph.VID `json:"vertex"`
 	Rank   float64   `json:"rank"`
 }
 
-// PageRankResponse reports the top-ranked vertices.
-type PageRankResponse struct {
-	Top         []RankedVertex `json:"top"`
+// pageRankResponse reports the top-ranked vertices.
+type pageRankResponse struct {
+	Top         []rankedVertex `json:"top"`
 	SimMs       float64        `json:"sim_ms"`
 	Epoch       uint64         `json:"epoch"`
 	EpochVector []uint64       `json:"epoch_vector"`
 }
 
-// CCResponse reports connected components.
-type CCResponse struct {
+// ccResponse reports connected components.
+type ccResponse struct {
 	Components  int      `json:"components"`
 	SimMs       float64  `json:"sim_ms"`
 	Epoch       uint64   `json:"epoch"`
@@ -592,10 +586,10 @@ type KHopResponse struct {
 	EpochVector []uint64  `json:"epoch_vector"`
 }
 
-// PathRequest asks for a shortest path (by hop count) from Root to
+// pathRequest asks for a shortest path (by hop count) from Root to
 // Target through edges passing the optional Types/Filter predicate,
 // exploring at most MaxDepth hops (default 8, max 64).
-type PathRequest struct {
+type pathRequest struct {
 	Root     graph.VID   `json:"root"`
 	Target   graph.VID   `json:"target"`
 	MaxDepth int         `json:"max_depth"`
@@ -603,9 +597,9 @@ type PathRequest struct {
 	Filter   *FilterJSON `json:"filter,omitempty"`
 }
 
-// PathResponse reports the search: when Found, Path is the vertex
+// pathResponse reports the search: when Found, Path is the vertex
 // sequence root..target inclusive and Hops == len(path)-1.
-type PathResponse struct {
+type pathResponse struct {
 	Root        graph.VID   `json:"root"`
 	Target      graph.VID   `json:"target"`
 	Found       bool        `json:"found"`
@@ -616,22 +610,22 @@ type PathResponse struct {
 	EpochVector []uint64    `json:"epoch_vector"`
 }
 
-// LabelsResponse is the edge-label table: Labels[id] is the name of
+// labelsResponse is the edge-label table: Labels[id] is the name of
 // label id, with id 0 the default (untyped) label whose name is "".
-type LabelsResponse struct {
+type labelsResponse struct {
 	Labels      []string `json:"labels"`
 	Epoch       uint64   `json:"epoch"`
 	EpochVector []uint64 `json:"epoch_vector"`
 }
 
-// LabelRequest is the body of POST /v1/labels.
-type LabelRequest struct {
+// labelRequest is the body of POST /v1/labels.
+type labelRequest struct {
 	Name string `json:"name"`
 }
 
-// LabelResponse reports a label registration (idempotent: registering
+// labelResponse reports a label registration (idempotent: registering
 // an existing name returns its id).
-type LabelResponse struct {
+type labelResponse struct {
 	ID          uint16   `json:"id"`
 	Name        string   `json:"name"`
 	Epoch       uint64   `json:"epoch"`

@@ -63,7 +63,7 @@ func do(t *testing.T, method, url string, body any, out any) int {
 func TestIngestAndQuery(t *testing.T) {
 	_, ts := testServer(t)
 	var ing IngestResponse
-	code := do(t, "POST", ts.URL+"/v1/edges", EdgesRequest{Edges: []EdgeJSON{
+	code := do(t, "POST", ts.URL+"/v1/edges", EdgesRequest{Edges: []edgeJSON{
 		{Src: 1, Dst: 2}, {Src: 1, Dst: 3}, {Src: 2, Dst: 3}, {Src: 3, Dst: 1},
 	}}, &ing)
 	if code != 200 || ing.Accepted != 4 {
@@ -81,7 +81,7 @@ func TestIngestAndQuery(t *testing.T) {
 		t.Fatalf("in(1): code=%d %v", code, nb.Neighbors)
 	}
 
-	var deg DegreeResponse
+	var deg degreeResponse
 	do(t, "GET", ts.URL+"/v1/vertices/1/degree", nil, &deg)
 	if deg.Out != 2 || deg.In != 1 {
 		t.Fatalf("degree = %+v", deg)
@@ -90,8 +90,8 @@ func TestIngestAndQuery(t *testing.T) {
 
 func TestDeleteEdges(t *testing.T) {
 	_, ts := testServer(t)
-	do(t, "POST", ts.URL+"/v1/edges", EdgesRequest{Edges: []EdgeJSON{{Src: 5, Dst: 6}, {Src: 5, Dst: 7}}}, nil)
-	if code := do(t, "DELETE", ts.URL+"/v1/edges", EdgesRequest{Edges: []EdgeJSON{{Src: 5, Dst: 6}}}, nil); code != 200 {
+	do(t, "POST", ts.URL+"/v1/edges", EdgesRequest{Edges: []edgeJSON{{Src: 5, Dst: 6}, {Src: 5, Dst: 7}}}, nil)
+	if code := do(t, "DELETE", ts.URL+"/v1/edges", EdgesRequest{Edges: []edgeJSON{{Src: 5, Dst: 6}}}, nil); code != 200 {
 		t.Fatalf("delete: %d", code)
 	}
 	var nb NeighborsResponse
@@ -104,21 +104,21 @@ func TestDeleteEdges(t *testing.T) {
 func TestQueries(t *testing.T) {
 	_, ts := testServer(t)
 	// A small chain plus a hub.
-	var edges []EdgeJSON
+	var edges []edgeJSON
 	for i := uint32(0); i < 20; i++ {
-		edges = append(edges, EdgeJSON{Src: i, Dst: i + 1})
-		edges = append(edges, EdgeJSON{Src: i + 100, Dst: 0})
+		edges = append(edges, edgeJSON{Src: i, Dst: i + 1})
+		edges = append(edges, edgeJSON{Src: i + 100, Dst: 0})
 	}
 	do(t, "POST", ts.URL+"/v1/edges", EdgesRequest{Edges: edges}, nil)
 
-	var bfs BFSResponse
-	do(t, "POST", ts.URL+"/v1/query/bfs", BFSRequest{Root: 0}, &bfs)
+	var bfs bfsResponse
+	do(t, "POST", ts.URL+"/v1/query/bfs", bfsRequest{Root: 0}, &bfs)
 	if bfs.Visited != 21 {
 		t.Fatalf("bfs visited = %d, want 21", bfs.Visited)
 	}
 
-	var pr PageRankResponse
-	do(t, "POST", ts.URL+"/v1/query/pagerank", PageRankRequest{Iterations: 5, Top: 3}, &pr)
+	var pr pageRankResponse
+	do(t, "POST", ts.URL+"/v1/query/pagerank", pageRankRequest{Iterations: 5, Top: 3}, &pr)
 	if len(pr.Top) != 3 {
 		t.Fatalf("pagerank top = %+v", pr.Top)
 	}
@@ -126,8 +126,8 @@ func TestQueries(t *testing.T) {
 		t.Fatalf("top list not sorted: %+v", pr.Top)
 	}
 	// The 20-follower hub must outrank an arbitrary leaf vertex.
-	var all PageRankResponse
-	do(t, "POST", ts.URL+"/v1/query/pagerank", PageRankRequest{Iterations: 5, Top: 1 << 20}, &all)
+	var all pageRankResponse
+	do(t, "POST", ts.URL+"/v1/query/pagerank", pageRankRequest{Iterations: 5, Top: 1 << 20}, &all)
 	var hub, leaf float64
 	for _, rv := range all.Top {
 		if rv.Vertex == 0 {
@@ -141,7 +141,7 @@ func TestQueries(t *testing.T) {
 		t.Fatalf("hub rank %g <= leaf rank %g", hub, leaf)
 	}
 
-	var cc CCResponse
+	var cc ccResponse
 	do(t, "POST", ts.URL+"/v1/query/cc", struct{}{}, &cc)
 	if cc.Components <= 0 {
 		t.Fatalf("cc = %+v", cc)
@@ -150,8 +150,8 @@ func TestQueries(t *testing.T) {
 
 func TestStatsFlushCompact(t *testing.T) {
 	_, ts := testServer(t)
-	do(t, "POST", ts.URL+"/v1/edges", EdgesRequest{Edges: []EdgeJSON{{Src: 1, Dst: 2}}}, nil)
-	var st StatsResponse
+	do(t, "POST", ts.URL+"/v1/edges", EdgesRequest{Edges: []edgeJSON{{Src: 1, Dst: 2}}}, nil)
+	var st statsResponse
 	if code := do(t, "GET", ts.URL+"/v1/stats", nil, &st); code != 200 {
 		t.Fatal("stats failed")
 	}
@@ -176,7 +176,7 @@ func TestBadRequests(t *testing.T) {
 	if code := do(t, "POST", ts.URL+"/v1/edges", map[string]any{"edges": []any{}}, nil); code != 400 {
 		t.Fatalf("empty edges = %d, want 400", code)
 	}
-	if code := do(t, "PUT", ts.URL+"/v1/edges", EdgesRequest{Edges: []EdgeJSON{{Src: 1, Dst: 2}}}, nil); code != 405 {
+	if code := do(t, "PUT", ts.URL+"/v1/edges", EdgesRequest{Edges: []edgeJSON{{Src: 1, Dst: 2}}}, nil); code != 405 {
 		t.Fatalf("PUT = %d, want 405", code)
 	}
 	if code := do(t, "GET", ts.URL+"/v1/vertices/abc/out", nil, nil); code != 400 {
@@ -202,7 +202,7 @@ func TestConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				src := uint32(g*100 + i)
-				body, _ := json.Marshal(EdgesRequest{Edges: []EdgeJSON{{Src: src, Dst: src + 1}}})
+				body, _ := json.Marshal(EdgesRequest{Edges: []edgeJSON{{Src: src, Dst: src + 1}}})
 				resp, err := http.Post(ts.URL+"/v1/edges", "application/json", bytes.NewReader(body))
 				if err != nil {
 					errs <- err
@@ -221,7 +221,7 @@ func TestConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	var st StatsResponse
+	var st statsResponse
 	do(t, "GET", ts.URL+"/v1/stats", nil, &st)
 	if st.LoggedEdges != 64 {
 		t.Fatalf("logged = %d, want 64", st.LoggedEdges)
@@ -230,9 +230,9 @@ func TestConcurrentClients(t *testing.T) {
 
 func TestKHopEndpoint(t *testing.T) {
 	_, ts := testServer(t)
-	var edges []EdgeJSON
+	var edges []edgeJSON
 	for i := uint32(0); i < 6; i++ {
-		edges = append(edges, EdgeJSON{Src: i, Dst: i + 1})
+		edges = append(edges, edgeJSON{Src: i, Dst: i + 1})
 	}
 	do(t, "POST", ts.URL+"/v1/edges", EdgesRequest{Edges: edges}, nil)
 	var kh KHopResponse
@@ -278,12 +278,12 @@ func TestDegreeOnDeadPartitionFailsTyped(t *testing.T) {
 			liveV = v
 		}
 	}
-	if code := do(t, "POST", ts.URL+"/v1/edges", EdgesRequest{Edges: []EdgeJSON{
+	if code := do(t, "POST", ts.URL+"/v1/edges", EdgesRequest{Edges: []edgeJSON{
 		{Src: deadV, Dst: liveV}, {Src: liveV, Dst: deadV},
 	}}, nil); code != 200 {
 		t.Fatalf("ingest: %d", code)
 	}
-	var dg DegreeResponse
+	var dg degreeResponse
 	if code := do(t, "GET", fmt.Sprintf("%s/v1/vertices/%d/degree", ts.URL, liveV), nil, &dg); code != 200 || dg.Out != 1 || dg.In != 1 {
 		t.Fatalf("degree before the kill: code=%d %+v", code, dg)
 	}

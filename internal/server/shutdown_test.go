@@ -42,9 +42,9 @@ func TestGracefulShutdownDuringScrub(t *testing.T) {
 					return
 				default:
 				}
-				var edges []EdgeJSON
+				var edges []edgeJSON
 				for k := 0; k < 16; k++ {
-					edges = append(edges, EdgeJSON{
+					edges = append(edges, edgeJSON{
 						Src: uint32((g*1000 + i*16 + k) % 1024),
 						Dst: uint32((g + i + k) % 1024),
 					})
@@ -106,7 +106,7 @@ func TestGracefulShutdownDuringScrub(t *testing.T) {
 	}
 
 	// The pipeline is fenced: post-shutdown writes answer shutting_down.
-	body, _ := json.Marshal(EdgesRequest{Edges: []EdgeJSON{{Src: 1, Dst: 2}}})
+	body, _ := json.Marshal(EdgesRequest{Edges: []edgeJSON{{Src: 1, Dst: 2}}})
 	resp, err = http.Post(ts.URL+"/v1/edges", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestGracefulShutdownDuringScrub(t *testing.T) {
 func TestShutdownIdempotentAfterScrubbyLife(t *testing.T) {
 	srv, ts, _ := mediaServer(t, Config{ScrubEvery: 100 * time.Microsecond})
 	for i := 0; i < 4; i++ {
-		body, _ := json.Marshal(EdgesRequest{Edges: []EdgeJSON{
+		body, _ := json.Marshal(EdgesRequest{Edges: []edgeJSON{
 			{Src: uint32(i), Dst: uint32(i + 1)},
 		}})
 		resp, err := http.Post(ts.URL+"/v1/edges", "application/json", bytes.NewReader(body))

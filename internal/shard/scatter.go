@@ -29,7 +29,7 @@ type Geometry struct {
 }
 
 // Hashed is XPGraph's geometry: parts partitions of ranges lists each, and
-// vertex v on list ⌊h·parts·ranges / 2³²⌋, h the high half of Hash64(v).
+// vertex v on list ⌊h·parts·ranges / 2³²⌋, h the high half of hash64(v).
 // By the nested-floor identity that list ÷ ranges is exactly PartOf(v,
 // parts), so a partition's lists hold exactly its vertices, and inside the
 // partition they split its vertices by hash, not by ID order: how the IDs
@@ -48,12 +48,12 @@ func Contiguous(numV int64, ranges int) Geometry {
 // Ranges is how many ranged lists one partition has.
 func (g Geometry) Ranges() int { return g.ranges }
 
-// Lists is how many ranged lists one direction has.
-func (g Geometry) Lists() int { return g.parts * g.ranges }
+// lists is how many ranged lists one direction has.
+func (g Geometry) lists() int { return g.parts * g.ranges }
 
 func (g Geometry) listOf(v graph.VID) int {
 	if g.width == 0 {
-		return int((Hash64(v) >> 32) * uint64(g.Lists()) >> 32)
+		return int((hash64(v) >> 32) * uint64(g.lists()) >> 32)
 	}
 	return min(int(int64(v)/g.width), g.ranges-1)
 }
@@ -137,15 +137,15 @@ func (st *Stage) sharder(ns *nodeShare, i int) int {
 	return st.byNode[ns.first+i]
 }
 
-// Run shards the log records [from, to). It returns the 2*g.Lists() lists
-// (direction d's list i at index d*g.Lists()+i; they alias the Stage and
+// Run shards the log records [from, to). It returns the 2*g.lists() lists
+// (direction d's list i at index d*g.lists()+i; they alias the Stage and
 // stay valid until the next Run), the largest vertex ID in the batch, and
 // the simulated duration of the stage: that of its slowest sharder.
 func (st *Stage) Run(log Log, from, to int64, g Geometry, sh Sharders) (lists [][]Entry, maxV graph.VID, ns int64) {
 	st.cut(log, from, to)
 	st.assign(log, sh)
 	n := int(to - from)
-	nl := 2 * g.Lists()
+	nl := 2 * g.lists()
 	st.batch = grow(st.batch, n)
 	st.entries = grow(st.entries, 2*n)
 	st.cursors = grow(st.cursors, len(st.chunks)*nl)
@@ -163,7 +163,7 @@ func (st *Stage) Run(log Log, from, to int64, g Geometry, sh Sharders) (lists []
 		for _, e := range edges {
 			for d := 0; d < 2; d++ {
 				v := Of(d, e).V
-				row[d*g.Lists()+g.listOf(v)]++
+				row[d*g.lists()+g.listOf(v)]++
 				maxV = max(maxV, v)
 			}
 		}
@@ -199,7 +199,7 @@ func (st *Stage) Run(log Log, from, to int64, g Geometry, sh Sharders) (lists []
 		for _, e := range edges {
 			for d := 0; d < 2; d++ {
 				en := Of(d, e)
-				l := d*g.Lists() + g.listOf(en.V)
+				l := d*g.lists() + g.listOf(en.V)
 				st.entries[row[l]] = en
 				row[l]++
 			}

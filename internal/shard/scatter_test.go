@@ -12,7 +12,7 @@ import (
 // oracleShard is the serial shard loop the Stage replaced: one pass over
 // the batch in log order, appending each edge's two entries to their lists.
 func oracleShard(batch []graph.Edge, g Geometry) [][]Entry {
-	lists := make([][]Entry, 2*g.Lists())
+	lists := make([][]Entry, 2*g.lists())
 	for _, e := range batch {
 		for d := 0; d < 2; d++ {
 			var v graph.VID
@@ -22,7 +22,7 @@ func oracleShard(batch []graph.Edge, g Geometry) [][]Entry {
 			} else {
 				v, nbr = e.Target(), e.Src|(e.Dst&graph.DelFlag)
 			}
-			l := d*g.Lists() + g.listOf(v)
+			l := d*g.lists() + g.listOf(v)
 			lists[l] = append(lists[l], Entry{V: v, Nbr: nbr})
 		}
 	}

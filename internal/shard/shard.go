@@ -1,10 +1,9 @@
-// Package shard implements the edge-sharding approach both stores use for
-// load-balanced multi-threaded archiving (§IV-A, inherited from GraphOne):
-// a batch of edges is split into many ranged edge lists keyed by vertex —
-// by its hash for XPGraph, by its contiguous ID range for GraphOne — more
-// lists than threads, and lists are assigned to workers greedily by size so
-// every worker gets an approximately equal number of edges while staying
-// free of atomics.
+// Package shard implements the edge sharding both stores archive through
+// (§IV-A): ranged edge lists dealt to workers by size. A batch of edges is
+// split into many ranged edge lists keyed by vertex — by its hash for
+// XPGraph, by its contiguous ID range for GraphOne — more lists than
+// threads, and lists are assigned to workers greedily by size, so every
+// worker gets about the same number of edges while staying free of atomics.
 //
 // The same idea generalized one level up is the cluster partition map
 // (SlotMap): vertex IDs hash onto a fixed ring of slots — more slots than
@@ -32,18 +31,18 @@ type Entry struct {
 // greedy assignment can balance skewed batches.
 const RangesPerWorker = 4
 
-// DefaultSlots is the partition-ring size used when a SlotMap is built
+// defaultSlots is the partition-ring size used when a SlotMap is built
 // with slots <= 0. 256 slots over at most a few dozen shards keeps the
 // per-shard slot count high enough that hash skew stays under a few
 // percent, while the table itself stays a cache-line-scale array.
-const DefaultSlots = 256
+const defaultSlots = 256
 
-// Hash64 is the splitmix64 finalizer over a vertex ID: a fixed, seedless
+// hash64 is the splitmix64 finalizer over a vertex ID: a fixed, seedless
 // avalanche permutation of the 64-bit input. It is deliberately not
 // seeded and not process-dependent — partition stability across restarts
 // (same vid → same slot → same shard) is a correctness property of the
 // cluster, not a tuning knob.
-func Hash64(v graph.VID) uint64 {
+func hash64(v graph.VID) uint64 {
 	x := uint64(v)
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
@@ -55,7 +54,7 @@ func Hash64(v graph.VID) uint64 {
 
 // PartOf maps a vertex to one of a store's parts NUMA sub-graphs (§III-D):
 // the one partition function of the tree, used by core.Store and refined by
-// Hashed's lists. It scales the high half of Hash64 onto [0, parts).
+// Hashed's lists. It scales the high half of hash64 onto [0, parts).
 // SlotMap takes the hash modulo the ring size — its low bits — and on the
 // same bits every vertex a cluster shard owns would fall into one
 // sub-graph. Like the slot map it is seedless: a recovered store must find
@@ -64,7 +63,7 @@ func PartOf(v graph.VID, parts int) int {
 	if parts <= 1 {
 		return 0
 	}
-	return int((Hash64(v) >> 32) * uint64(parts) >> 32)
+	return int((hash64(v) >> 32) * uint64(parts) >> 32)
 }
 
 // SlotMap is the cluster partition map: a fixed ring of hash slots, each
@@ -78,12 +77,12 @@ type SlotMap struct {
 }
 
 // NewSlotMap builds the map for nShards shards over a ring of `slots`
-// slots (DefaultSlots when slots <= 0). nShards must be in [1, 65536]
+// slots (defaultSlots when slots <= 0). nShards must be in [1, 65536]
 // and must not exceed the slot count, else every extra shard would own
 // nothing.
 func NewSlotMap(nShards, slots int) (*SlotMap, error) {
 	if slots <= 0 {
-		slots = DefaultSlots
+		slots = defaultSlots
 	}
 	if nShards < 1 || nShards > 1<<16 {
 		return nil, fmt.Errorf("shard: slot map needs 1..65536 shards, got %d", nShards)
@@ -98,39 +97,14 @@ func NewSlotMap(nShards, slots int) (*SlotMap, error) {
 	return m, nil
 }
 
-// Shards reports the number of shards the map distributes over.
-func (m *SlotMap) Shards() int { return m.shards }
-
-// Slots reports the ring size.
-func (m *SlotMap) Slots() int { return len(m.slots) }
-
-// Slot maps a vertex to its hash slot.
-func (m *SlotMap) Slot(v graph.VID) int {
-	return int(Hash64(v) % uint64(len(m.slots)))
+// slot maps a vertex to its hash slot.
+func (m *SlotMap) slot(v graph.VID) int {
+	return int(hash64(v) % uint64(len(m.slots)))
 }
 
 // Owner maps a vertex to the shard that owns it. Edges are partitioned
 // by source vertex, so Owner(src) decides where an edge is applied and
 // Owner(v) decides which shard answers v's out-neighbor reads.
 func (m *SlotMap) Owner(v graph.VID) int {
-	return int(m.slots[m.Slot(v)])
-}
-
-// Split partitions a batch of edges by owner shard, appending into per-
-// shard buffers (buffers may be nil or recycled from a previous call;
-// they are truncated first). The returned slices alias bufs. Deletes
-// route like adds: graph.Target strips the tombstone flag before the
-// destination is inspected, and the source carries no flag.
-func (m *SlotMap) Split(edges []graph.Edge, bufs [][]graph.Edge) [][]graph.Edge {
-	if len(bufs) < m.shards {
-		bufs = append(bufs, make([][]graph.Edge, m.shards-len(bufs))...)
-	}
-	bufs = bufs[:m.shards]
-	for i := range bufs {
-		bufs[i] = bufs[i][:0]
-	}
-	for _, e := range edges {
-		bufs[m.Owner(e.Src)] = append(bufs[m.Owner(e.Src)], e)
-	}
-	return bufs
+	return int(m.slots[m.slot(v)])
 }

@@ -71,8 +71,8 @@ func TestContiguousIsGraphOnesRanges(t *testing.T) {
 		for _, threads := range []int{1, 4, 16, 95} {
 			ranges := RangesPerWorker * threads
 			g := Contiguous(numV, ranges)
-			if g.parts != 1 || g.Ranges() != ranges || g.Lists() != ranges {
-				t.Fatalf("Contiguous(%d, %d) has %d parts of %d lists, %d in all", numV, ranges, g.parts, g.Ranges(), g.Lists())
+			if g.parts != 1 || g.Ranges() != ranges || g.lists() != ranges {
+				t.Fatalf("Contiguous(%d, %d) has %d parts of %d lists, %d in all", numV, ranges, g.parts, g.Ranges(), g.lists())
 			}
 			for v := graph.VID(0); int64(v) < numV+2*int64(ranges)+10; v++ {
 				if got, want := g.listOf(v), parentRange(v, numV, ranges); got != want {
@@ -101,12 +101,12 @@ func TestHashedListsRefinePartOf(t *testing.T) {
 	for _, parts := range []int{1, 2, 3, 4, 8} {
 		for _, ranges := range []int{1, 4, 16, 64} {
 			g := Hashed(parts, ranges)
-			if g.parts != parts || g.Ranges() != ranges || g.Lists() != parts*ranges {
-				t.Fatalf("Hashed(%d, %d) has %d parts of %d lists, %d in all", parts, ranges, g.parts, g.Ranges(), g.Lists())
+			if g.parts != parts || g.Ranges() != ranges || g.lists() != parts*ranges {
+				t.Fatalf("Hashed(%d, %d) has %d parts of %d lists, %d in all", parts, ranges, g.parts, g.Ranges(), g.lists())
 			}
 			for _, v := range vs {
 				l := g.listOf(v)
-				if l < 0 || l >= g.Lists() || l/ranges != PartOf(v, parts) {
+				if l < 0 || l >= g.lists() || l/ranges != PartOf(v, parts) {
 					t.Fatalf("Hashed(%d, %d): vertex %d on list %d, in partition %d; PartOf says %d", parts, ranges, v, l, l/ranges, PartOf(v, parts))
 				}
 			}
@@ -119,10 +119,10 @@ func TestHashedListsRefinePartOf(t *testing.T) {
 // workers by Balance, and the most loaded worker of any group over its
 // group's mean.
 func busiest(edges []graph.Edge, g Geometry, workers int) float64 {
-	counts := make([]int, 2*g.Lists())
+	counts := make([]int, 2*g.lists())
 	for _, e := range edges {
 		for d := 0; d < 2; d++ {
-			counts[d*g.Lists()+g.listOf(Of(d, e).V)]++
+			counts[d*g.lists()+g.listOf(Of(d, e).V)]++
 		}
 	}
 	// Balance reads only the lists' lengths: let them share one array.

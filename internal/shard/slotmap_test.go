@@ -29,8 +29,8 @@ func TestHash64Golden(t *testing.T) {
 		{1 << 20, 0xB7C4539491951F72},
 	}
 	for _, g := range golden {
-		if got := Hash64(g.v); got != g.want {
-			t.Errorf("Hash64(%d) = %#016x, want %#016x", g.v, got, g.want)
+		if got := hash64(g.v); got != g.want {
+			t.Errorf("hash64(%d) = %#016x, want %#016x", g.v, got, g.want)
 		}
 	}
 }
@@ -121,7 +121,7 @@ func TestSlotBalance(t *testing.T) {
 		counts := make([]int, tc.shards)
 		hit := make(map[int]bool)
 		for v := graph.VID(0); len(hit) < m.Slots() && v < 1<<20; v++ {
-			s := m.Slot(v)
+			s := m.slot(v)
 			if hit[s] {
 				continue
 			}
@@ -213,7 +213,7 @@ func TestNewSlotMapErrors(t *testing.T) {
 	if _, err := NewSlotMap(8, 4); err == nil {
 		t.Error("more shards than slots accepted")
 	}
-	if m, err := NewSlotMap(1, 0); err != nil || m.Slots() != DefaultSlots {
+	if m, err := NewSlotMap(1, 0); err != nil || m.Slots() != defaultSlots {
 		t.Errorf("default ring: m=%v err=%v", m, err)
 	}
 }
@@ -247,7 +247,7 @@ func TestPartOfGolden(t *testing.T) {
 // inside each of the four shards too. There the band is 4 points: a shard
 // holds a quarter of the sources, so the stream's heaviest vertices weigh
 // four times as much (vertex 0 alone is 3.6 % of shard 0's out-entries). A
-// PartOf on the slot map's own bits, Hash64(v) % 256 % P, would read 100/0
+// PartOf on the slot map's own bits, hash64(v) % 256 % P, would read 100/0
 // in every shard.
 func TestPartOfBalancesRMAT(t *testing.T) {
 	edges := gen.RMAT(17, 1<<21, 7)

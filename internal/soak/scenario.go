@@ -209,18 +209,18 @@ const (
 	// load. Run static vs adaptive to measure the p99 read-latency win
 	// (`xpgraph bench -exp soak`).
 	BurstyIngest = "bursty-ingest"
-	// FaultStorm schedules media UEs under the hottest vertices, a
+	// faultStorm schedules media UEs under the hottest vertices, a
 	// shard-leader kill, and a late scrub. Its strict SLO fails by
 	// design: the run demonstrates violation reporting and dumps
 	// seed + scenario + Chrome trace for replay.
-	FaultStorm = "fault-storm"
-	// SustainedOverload drives one long over-capacity ingest window into
+	faultStorm = "fault-storm"
+	// sustainedOverload drives one long over-capacity ingest window into
 	// a small admission queue: queue-full 429 sheds trip the overload
 	// circuit breaker, refused writes become typed circuit_open 503s,
 	// half-open probes re-test the queue each cooldown, and once the
 	// window ends the breaker closes and the post-overload read tail
 	// must recover to its TailReadP99Us budget (ROADMAP item 2).
-	SustainedOverload = "sustained-overload"
+	sustainedOverload = "sustained-overload"
 )
 
 // ByName returns a builtin scenario, seeded with its default seed.
@@ -299,9 +299,9 @@ func ByName(name string) (Scenario, error) {
 				MaxReplicaLag: -1,
 			},
 		}, nil
-	case FaultStorm:
+	case faultStorm:
 		return Scenario{
-			Name:          FaultStorm,
+			Name:          faultStorm,
 			Seed:          0x50A6_0003,
 			Shards:        2,
 			Replicas:      1,
@@ -335,9 +335,9 @@ func ByName(name string) (Scenario, error) {
 				MaxReplicaLag: -1,
 			},
 		}, nil
-	case SustainedOverload:
+	case sustainedOverload:
 		return Scenario{
-			Name:          SustainedOverload,
+			Name:          sustainedOverload,
 			Seed:          0x50A6_0004,
 			Shards:        1,
 			Vertices:      1 << 16,
@@ -382,5 +382,5 @@ func ByName(name string) (Scenario, error) {
 
 // Names lists the builtin scenarios.
 func Names() []string {
-	return []string{ShortMix, BurstyIngest, FaultStorm, SustainedOverload}
+	return []string{ShortMix, BurstyIngest, faultStorm, sustainedOverload}
 }

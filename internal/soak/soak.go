@@ -1,9 +1,8 @@
-// Package soak is the million-user soak harness (DESIGN.md §12): an
-// open-loop load driver on the simulated clock that runs configurable
-// scenarios — zipfian neighbor/k-hop reads, bursty batched ingest,
-// tenant skew, scheduled fault injection — against a full server/
-// cluster/ingest/core stack for long simulated horizons, then judges
-// the run against a per-scenario SLO spec.
+// Package soak is the million-user soak harness (DESIGN.md §12): scenarios
+// on the simulated clock judged against per-scenario SLOs. An open-loop
+// load driver runs scenarios — zipfian neighbor/k-hop reads, bursty batched
+// ingest, tenant skew, scheduled fault injection — against a full
+// server/cluster/ingest/core stack for long simulated horizons.
 //
 // # Determinism
 //
@@ -1096,10 +1095,4 @@ func (r *runner) dump(dir string) error {
 	prom := httptest.NewRecorder()
 	r.srv.ServeHTTP(prom, httptest.NewRequest("GET", "/v1/metrics?format=prometheus", nil))
 	return os.WriteFile(base+".metrics.prom", prom.Body.Bytes(), 0o644)
-}
-
-// DumpFiles lists the artifact paths a failing run writes into dir.
-func (sc Scenario) DumpFiles(dir string) []string {
-	base := filepath.Join(dir, sc.withDefaults().dumpBase())
-	return []string{base + ".report.json", base + ".trace.json", base + ".metrics.prom"}
 }

@@ -25,8 +25,8 @@ func TestDeterministicReport(t *testing.T) {
 		{"short-mix/adaptive", ShortMix, true, false},
 		{"bursty-ingest/static", BurstyIngest, false, false},
 		{"bursty-ingest/adaptive", BurstyIngest, true, false},
-		{"sustained-overload", SustainedOverload, false, false},
-		{"fault-storm", FaultStorm, false, true},
+		{"sustained-overload", sustainedOverload, false, false},
+		{"fault-storm", faultStorm, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sc, err := ByName(tc.scenario)
@@ -167,7 +167,7 @@ func TestSeedChangesReport(t *testing.T) {
 // and dumps the replay artifacts: scenario + seed + report JSON, a
 // Chrome trace of the virtual timeline, and the metrics exposition.
 func TestFaultScenarioFailsSLO(t *testing.T) {
-	sc, err := ByName(FaultStorm)
+	sc, err := ByName(faultStorm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestFaultScenarioFailsSLO(t *testing.T) {
 // queue each cooldown, the breaker closes again, and the post-overload
 // read tail recovers to its SLO budget.
 func TestSustainedOverloadBreaker(t *testing.T) {
-	sc, err := ByName(SustainedOverload)
+	sc, err := ByName(sustainedOverload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,8 @@ import (
 	"repro/internal/xpsim"
 )
 
-// PageSize is the device access granularity.
-const PageSize = 4096
+// pageSize is the device access granularity.
+const pageSize = 4096
 
 // Latencies of one 4 KiB page operation, loosely matching a datacenter
 // NVMe drive (the testbed's 3.84 TB Intel NVMe SSD). Roughly 30-50x the
@@ -51,7 +51,7 @@ func (s *Space) pages(off, n int64) int64 {
 	if n <= 0 {
 		return 0
 	}
-	return (off+n-1)/PageSize - off/PageSize + 1
+	return (off+n-1)/pageSize - off/pageSize + 1
 }
 
 // Read implements mem.Mem: one page read per touched page.
@@ -111,13 +111,6 @@ func (s *Space) NodeOf(int64) int { return -1 }
 
 // Persistent implements mem.Mem.
 func (s *Space) Persistent() bool { return true }
-
-// Pages reports (read, written) page counts.
-func (s *Space) Pages() (int64, int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pagesRead, s.pagesWritten
-}
 
 func (s *Space) check(off, n int64) {
 	if off < 0 || off+n > s.size {

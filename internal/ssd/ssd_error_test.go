@@ -97,13 +97,13 @@ func TestPartialWriteThenReopen(t *testing.T) {
 	w := xpsim.NewCtx(0)
 
 	prefix := bytes.Repeat([]byte{0x5A}, 1000) // not page aligned
-	s.Write(w, PageSize, prefix)
+	s.Write(w, pageSize, prefix)
 
 	// "Reopen": a fresh reader context over the same space reads the
 	// whole page the partial write touched.
 	r := xpsim.NewCtx(0)
-	page := make([]byte, PageSize)
-	s.Read(r, PageSize, page)
+	page := make([]byte, pageSize)
+	s.Read(r, pageSize, page)
 	if !bytes.Equal(page[:1000], prefix) {
 		t.Fatal("written prefix lost")
 	}
@@ -144,10 +144,10 @@ func TestPagesAccounting(t *testing.T) {
 	s := New(&lat, 1<<20)
 	ctx := xpsim.NewCtx(0)
 
-	s.Write(ctx, 0, make([]byte, PageSize))      // exactly one page
-	s.Write(ctx, PageSize*2+100, []byte{1})      // sub-page: still one page
-	s.Write(ctx, PageSize*4-8, make([]byte, 16)) // straddles two pages
-	s.Read(ctx, PageSize*4-8, make([]byte, 16))  // straddles two pages
+	s.Write(ctx, 0, make([]byte, pageSize))      // exactly one page
+	s.Write(ctx, pageSize*2+100, []byte{1})      // sub-page: still one page
+	s.Write(ctx, pageSize*4-8, make([]byte, 16)) // straddles two pages
+	s.Read(ctx, pageSize*4-8, make([]byte, 16))  // straddles two pages
 
 	r, w := s.Pages()
 	if w != 4 {

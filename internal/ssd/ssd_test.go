@@ -35,13 +35,13 @@ func TestPageGranularCosts(t *testing.T) {
 	small := xpsim.NewCtx(0)
 	s.Write(small, 0, make([]byte, 8))
 	big := xpsim.NewCtx(0)
-	s.Write(big, PageSize*4, make([]byte, PageSize))
+	s.Write(big, pageSize*4, make([]byte, pageSize))
 	// A sub-page write costs a full page program.
 	if small.Cost.Ns() != big.Cost.Ns() {
 		t.Fatalf("8B write %dns vs 4K write %dns; both should cost one page", small.Cost.Ns(), big.Cost.Ns())
 	}
 	span := xpsim.NewCtx(0)
-	s.Write(span, PageSize*8+100, make([]byte, PageSize)) // straddles two pages
+	s.Write(span, pageSize*8+100, make([]byte, pageSize)) // straddles two pages
 	if span.Cost.Ns() != 2*big.Cost.Ns() {
 		t.Fatalf("straddling write %dns, want two pages (%dns)", span.Cost.Ns(), 2*big.Cost.Ns())
 	}

@@ -1,10 +1,9 @@
-// Package vbuf implements XPGraph's DRAM vertex buffers (§III-B, §III-C):
-// small per-vertex staging areas that coalesce edge updates so the flush
-// to PMEM becomes a single XPLine write. Buffers are hierarchical: a
-// vertex starts with a 16-byte L0 buffer (3 neighbors) and is promoted to
-// the double-sized next layer whenever it fills, up to a configured
-// maximum (256 bytes / 63 neighbors by default), matching the adaptive
-// scheme of Fig. 8.
+// Package vbuf implements XPGraph's DRAM vertex buffers (§III-B, §III-C),
+// which coalesce edge updates into one-XPLine flushes. Buffers are
+// hierarchical: a vertex starts with a 16-byte L0 buffer (3 neighbors) and
+// is promoted to the double-sized next layer whenever it fills, up to a
+// configured maximum (256 bytes / 63 neighbors by default), matching the
+// adaptive scheme of Fig. 8.
 //
 // Each buffer is `{mcnt uint16, cnt uint16, nbrs [cap]uint32}` — the
 // 4-byte header of the paper. Buffers live in a mempool.Pool; this package
@@ -18,16 +17,16 @@ import (
 	"repro/internal/xpsim"
 )
 
-// HeaderSize is the {mcnt,cnt} prefix of every buffer.
-const HeaderSize = 4
+// headerSize is the {mcnt,cnt} prefix of every buffer.
+const headerSize = 4
 
 // Cap reports how many neighbors a buffer of class c holds:
 // (size-4)/4, e.g. 3 for the 16-byte L0 and 63 for the 256-byte L4.
-func Cap(c int) int { return int((mempool.ClassSize(c) - HeaderSize) / 4) }
+func Cap(c int) int { return int((mempool.ClassSize(c) - headerSize) / 4) }
 
 // ClassForCount returns the smallest class whose buffer holds n neighbors.
 func ClassForCount(n int) int {
-	return mempool.ClassFor(HeaderSize + 4*int64(n))
+	return mempool.ClassFor(headerSize + 4*int64(n))
 }
 
 // Buffers manages vertex buffers of one store over a shared pool.
@@ -41,9 +40,6 @@ func New(pool *mempool.Pool, lat *xpsim.LatencyModel) *Buffers {
 	return &Buffers{pool: pool, lat: lat}
 }
 
-// Pool exposes the underlying pool (for usage accounting).
-func (b *Buffers) Pool() *mempool.Pool { return b.pool }
-
 // NewBuf allocates an empty buffer of class c for worker `thread`.
 func (b *Buffers) NewBuf(ctx *xpsim.Ctx, thread, c int) (mempool.Handle, error) {
 	h, err := b.pool.Alloc(thread, c)
@@ -53,7 +49,7 @@ func (b *Buffers) NewBuf(ctx *xpsim.Ctx, thread, c int) (mempool.Handle, error) 
 	p := b.pool.Bytes(h, c)
 	binary.LittleEndian.PutUint16(p[0:2], uint16(Cap(c)))
 	binary.LittleEndian.PutUint16(p[2:4], 0)
-	b.lat.DRAM(ctx, HeaderSize, true, false)
+	b.lat.DRAM(ctx, headerSize, true, false)
 	return h, nil
 }
 
@@ -80,7 +76,7 @@ func (b *Buffers) Append(ctx *xpsim.Ctx, h mempool.Handle, c int, nbr uint32) {
 	if cnt >= Cap(c) {
 		panic("vbuf: append to full buffer")
 	}
-	binary.LittleEndian.PutUint32(p[HeaderSize+4*cnt:], nbr)
+	binary.LittleEndian.PutUint32(p[headerSize+4*cnt:], nbr)
 	binary.LittleEndian.PutUint16(p[2:4], uint16(cnt+1))
 	// The neighbor store and the header update usually land in a line
 	// the batch touched recently (hot buffers stay in the CPU cache).
@@ -99,11 +95,11 @@ func (b *Buffers) Promote(ctx *xpsim.Ctx, thread int, h mempool.Handle, c, newC 
 	src := b.pool.Bytes(h, c)
 	dst := b.pool.Bytes(nh, newC)
 	cnt := binary.LittleEndian.Uint16(src[2:4])
-	copy(dst[HeaderSize:], src[HeaderSize:HeaderSize+4*int(cnt)])
+	copy(dst[headerSize:], src[headerSize:headerSize+4*int(cnt)])
 	binary.LittleEndian.PutUint16(dst[0:2], uint16(Cap(newC)))
 	binary.LittleEndian.PutUint16(dst[2:4], cnt)
-	b.lat.DRAM(ctx, int64(HeaderSize+4*int(cnt)), false, true)
-	b.lat.DRAM(ctx, int64(HeaderSize+4*int(cnt)), true, true)
+	b.lat.DRAM(ctx, int64(headerSize+4*int(cnt)), false, true)
+	b.lat.DRAM(ctx, int64(headerSize+4*int(cnt)), true, true)
 	b.pool.Free(thread, h, c)
 	return nh, nil
 }
@@ -115,22 +111,11 @@ func (b *Buffers) Drain(ctx *xpsim.Ctx, h mempool.Handle, c int, dst []uint32) [
 	p := b.pool.Bytes(h, c)
 	cnt := int(binary.LittleEndian.Uint16(p[2:4]))
 	for i := 0; i < cnt; i++ {
-		dst = append(dst, binary.LittleEndian.Uint32(p[HeaderSize+4*i:]))
+		dst = append(dst, binary.LittleEndian.Uint32(p[headerSize+4*i:]))
 	}
 	binary.LittleEndian.PutUint16(p[2:4], 0)
 	b.lat.DRAM(ctx, int64(4*cnt), false, true)
 	return dst
-}
-
-// Visit streams the staged neighbors to fn without clearing or
-// allocating.
-func (b *Buffers) Visit(ctx *xpsim.Ctx, h mempool.Handle, c int, fn func(nbr uint32)) {
-	p := b.pool.Bytes(h, c)
-	cnt := int(binary.LittleEndian.Uint16(p[2:4]))
-	for i := 0; i < cnt; i++ {
-		fn(binary.LittleEndian.Uint32(p[HeaderSize+4*i:]))
-	}
-	b.lat.DRAM(ctx, int64(4*cnt), false, true)
 }
 
 // Neighbors appends the staged neighbors to dst without clearing (the
@@ -139,7 +124,7 @@ func (b *Buffers) Neighbors(ctx *xpsim.Ctx, h mempool.Handle, c int, dst []uint3
 	p := b.pool.Bytes(h, c)
 	cnt := int(binary.LittleEndian.Uint16(p[2:4]))
 	for i := 0; i < cnt; i++ {
-		dst = append(dst, binary.LittleEndian.Uint32(p[HeaderSize+4*i:]))
+		dst = append(dst, binary.LittleEndian.Uint32(p[headerSize+4*i:]))
 	}
 	b.lat.DRAM(ctx, int64(4*cnt), false, true)
 	return dst

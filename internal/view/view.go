@@ -105,23 +105,23 @@ type View interface {
 	InDegree(v graph.VID) int
 }
 
-// Checked is the media-error-aware half of the read surface: reads that
+// checked is the media-error-aware half of the read surface: reads that
 // touch uncorrectable lines or checksum-mismatched blocks return a typed
 // error instead of silently wrong neighbors (DESIGN.md §9). Stores
 // without a media guard simply never fail.
-type Checked interface {
+type checked interface {
 	NbrsOutChecked(ctx *xpsim.Ctx, v graph.VID, dst []uint32) ([]uint32, error)
 	NbrsInChecked(ctx *xpsim.Ctx, v graph.VID, dst []uint32) ([]uint32, error)
 }
 
-// Typed is the property-graph half of the read surface (DESIGN.md §13):
+// typed is the property-graph half of the read surface (DESIGN.md §13):
 // edge labels, vertex properties, and filtered traversal with the
 // predicate pushed down into the view. Pushdown is the contract, not an
 // optimization hint — a neighbor pruned by the filter never reaches the
 // caller, so a filtered frontier never charges the next hop's media
 // reads. Stores without a property layer implement this trivially (every
 // edge carries the default label, no vertex has properties).
-type Typed interface {
+type typed interface {
 	// Labels reports the label table: index = label id; entry 0 is ""
 	// (the default label every untyped edge carries).
 	Labels() []string
@@ -146,8 +146,8 @@ type Typed interface {
 // zero handler changes.
 type Full interface {
 	View
-	Checked
-	Typed
+	checked
+	typed
 }
 
 // Surface derives the Full method set from a Source. A store embeds it
@@ -162,8 +162,8 @@ func (s Surface) Nbrs(ctx *xpsim.Ctx, d Dir, v graph.VID, dst []uint32) []uint32
 	return dst
 }
 
-// NbrsChecked is Nbrs through the media-checked walk.
-func (s Surface) NbrsChecked(ctx *xpsim.Ctx, d Dir, v graph.VID, dst []uint32) ([]uint32, error) {
+// nbrsChecked is Nbrs through the media-checked walk.
+func (s Surface) nbrsChecked(ctx *xpsim.Ctx, d Dir, v graph.VID, dst []uint32) ([]uint32, error) {
 	return s.nbrs(ctx, d, v, dst, Opts{Checked: true})
 }
 
@@ -184,11 +184,11 @@ func (s Surface) NbrsIn(ctx *xpsim.Ctx, v graph.VID, dst []uint32) []uint32 {
 }
 
 func (s Surface) NbrsOutChecked(ctx *xpsim.Ctx, v graph.VID, dst []uint32) ([]uint32, error) {
-	return s.NbrsChecked(ctx, Out, v, dst)
+	return s.nbrsChecked(ctx, Out, v, dst)
 }
 
 func (s Surface) NbrsInChecked(ctx *xpsim.Ctx, v graph.VID, dst []uint32) ([]uint32, error) {
-	return s.NbrsChecked(ctx, In, v, dst)
+	return s.nbrsChecked(ctx, In, v, dst)
 }
 
 func (s Surface) VisitOut(ctx *xpsim.Ctx, v graph.VID, fn func(nbr uint32)) { s.visit(ctx, Out, v, fn) }

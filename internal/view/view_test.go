@@ -346,7 +346,7 @@ func checkFull(t *testing.T, g view.Full, m *difftest.Model) {
 			{},
 			{Types: []uint16{2}},
 			{Types: []uint16{0, 1}, Key: 1, Op: prop.OpGe, Val: 40},
-			{Key: 1, Op: prop.OpExists},
+			{Key: 1, Op: "exists"},
 		} {
 			for _, d := range []struct {
 				name string

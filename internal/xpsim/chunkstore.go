@@ -54,8 +54,8 @@ func (cs *ChunkStore) WriteAt(p []byte, off int64) {
 	}
 }
 
-// TouchedBytes reports how much backing memory has been materialized.
-func (cs *ChunkStore) TouchedBytes() int64 {
+// touchedBytes reports how much backing memory has been materialized.
+func (cs *ChunkStore) touchedBytes() int64 {
 	var n int64
 	for _, c := range cs.chunks {
 		if c != nil {
@@ -65,9 +65,9 @@ func (cs *ChunkStore) TouchedBytes() int64 {
 	return n
 }
 
-// Export returns the materialized chunks (index -> contents) and the
+// export returns the materialized chunks (index -> contents) and the
 // store size, for state serialization.
-func (cs *ChunkStore) Export() (map[int][]byte, int64) {
+func (cs *ChunkStore) export() (map[int][]byte, int64) {
 	chunks := make(map[int][]byte)
 	for i, c := range cs.chunks {
 		if c != nil {
@@ -77,8 +77,8 @@ func (cs *ChunkStore) Export() (map[int][]byte, int64) {
 	return chunks, cs.size
 }
 
-// Clone returns a deep copy of the store.
-func (cs *ChunkStore) Clone() *ChunkStore {
+// clone returns a deep copy of the store.
+func (cs *ChunkStore) clone() *ChunkStore {
 	n := NewChunkStore(cs.size)
 	for i, c := range cs.chunks {
 		if c != nil {
@@ -90,8 +90,8 @@ func (cs *ChunkStore) Clone() *ChunkStore {
 	return n
 }
 
-// Restore overwrites the store's chunks from an Export snapshot.
-func (cs *ChunkStore) Restore(chunks map[int][]byte) {
+// restore overwrites the store's chunks from an export snapshot.
+func (cs *ChunkStore) restore(chunks map[int][]byte) {
 	for i, c := range chunks {
 		cs.chunks[i] = c
 	}

@@ -35,9 +35,6 @@ func (c *Cost) Ns() int64 { return c.ns }
 // Duration reports the accumulated simulated time.
 func (c *Cost) Duration() time.Duration { return time.Duration(c.ns) }
 
-// Reset zeroes the clock.
-func (c *Cost) Reset() { c.ns = 0 }
-
 // Ctx is the access context threaded through every simulated memory
 // operation. It identifies the issuing worker's simulated clock, the NUMA
 // node its thread runs on, and how many workers share the current parallel
@@ -92,17 +89,6 @@ func (l *LatencyModel) DRAM(ctx *Ctx, n int64, write, sequential bool) {
 		per = l.DRAMRead
 	}
 	ctx.Cost.Add(lines * per)
-}
-
-// Parallel runs a simulated parallel phase with n workers and returns the
-// maximum simulated cost across them (the phase's simulated duration).
-//
-// Workers execute sequentially on the host — the simulation is about
-// simulated time, not host parallelism — which makes every experiment
-// deterministic. nodeOf selects the NUMA node worker w is pinned to
-// (return NodeUnbound for unpinned workers).
-func Parallel(n int, nodeOf func(w int) int, fn func(w int, ctx *Ctx)) time.Duration {
-	return ParallelN(n, n, nodeOf, fn)
 }
 
 // ParallelN is Parallel with an explicit contention level: `contention` is

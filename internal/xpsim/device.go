@@ -126,16 +126,16 @@ func (d *Device) Stats() Stats {
 	return d.stats
 }
 
-// ResetStats zeroes the counters (the XPBuffer keeps its contents).
-func (d *Device) ResetStats() {
+// resetStats zeroes the counters (the XPBuffer keeps its contents).
+func (d *Device) resetStats() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.stats = Stats{}
 }
 
-// Drain writes back every dirty XPBuffer line so media write counters
+// drain writes back every dirty XPBuffer line so media write counters
 // account for all data, then returns the updated snapshot.
-func (d *Device) Drain() Stats {
+func (d *Device) drain() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, li := range d.buf.drain(nil) {
@@ -169,7 +169,7 @@ func (d *Device) enableTracking(f *Faults) {
 	defer d.mu.Unlock()
 	if d.faults == nil {
 		d.faults = f
-		d.durable = d.store.Clone()
+		d.durable = d.store.clone()
 	}
 }
 
@@ -367,7 +367,7 @@ func (d *Device) checkRange(off, n int64) {
 func (d *Device) TouchedBytes() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.store.TouchedBytes()
+	return d.store.touchedBytes()
 }
 
 // DeviceState is the serializable content of a device: the media bytes
@@ -383,10 +383,10 @@ type DeviceState struct {
 
 // ExportState snapshots the device after draining the XPBuffer.
 func (d *Device) ExportState() DeviceState {
-	d.Drain()
+	d.drain()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	chunks, size := d.store.Export()
+	chunks, size := d.store.export()
 	return DeviceState{Node: d.node, Size: size, Alloc: d.alloc, Chunks: chunks}
 }
 
@@ -404,7 +404,7 @@ func (d *Device) DurableState() DeviceState {
 	if d.durable != nil {
 		src = d.durable
 	}
-	chunks, size := src.Export()
+	chunks, size := src.export()
 	copied := make(map[int][]byte, len(chunks))
 	for i, c := range chunks {
 		nc := make([]byte, len(c))
@@ -423,7 +423,7 @@ func (d *Device) RestoreState(st DeviceState) error {
 		return fmt.Errorf("xpsim: snapshot geometry (node %d, %d bytes) does not match device (node %d, %d bytes)",
 			st.Node, st.Size, d.node, d.size)
 	}
-	d.store.Restore(st.Chunks)
+	d.store.restore(st.Chunks)
 	d.alloc = st.Alloc
 	return nil
 }

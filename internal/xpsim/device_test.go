@@ -92,7 +92,7 @@ func TestSmallRandomWritesAmplify(t *testing.T) {
 		var v [4]byte
 		d.Write(ctx, off+8, v[:])
 	}
-	s := d.Drain()
+	s := d.drain()
 	if amp := s.WriteAmplification(); amp < 10 {
 		t.Errorf("write amplification = %.1f, want >> 1 for scattered 4B writes", amp)
 	}
@@ -111,7 +111,7 @@ func TestSequentialAppendDoesNotRMW(t *testing.T) {
 	for i := int64(0); i < n; i++ {
 		d.Write(ctx, i*8, e[:])
 	}
-	s := d.Drain()
+	s := d.drain()
 	if s.MediaReadLines != 0 {
 		t.Errorf("media reads = %d, want 0 for pure sequential appends", s.MediaReadLines)
 	}
@@ -256,7 +256,7 @@ func TestMediaWriteAccounting(t *testing.T) {
 			d.Write(ctx, off, p)
 			req += n
 		}
-		s := d.Drain()
+		s := d.drain()
 		return s.MediaWriteBytes() >= 0 && s.ReqWriteBytes == req
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {

@@ -30,7 +30,7 @@ func TestBufEvictionsCounted(t *testing.T) {
 	}
 }
 
-// TestDrainIsNotAnEviction: Drain writes back dirty lines but must not
+// TestDrainIsNotAnEviction: drain writes back dirty lines but must not
 // count them as capacity evictions.
 func TestDrainIsNotAnEviction(t *testing.T) {
 	d := testDevice(1 << 20)
@@ -42,7 +42,7 @@ func TestDrainIsNotAnEviction(t *testing.T) {
 	if ev := d.Stats().BufEvictions; ev != 0 {
 		t.Fatalf("writes within capacity evicted %d lines", ev)
 	}
-	st := d.Drain()
+	st := d.drain()
 	if st.BufEvictions != 0 {
 		t.Fatalf("Drain counted %d evictions, want 0", st.BufEvictions)
 	}

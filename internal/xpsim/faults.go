@@ -2,7 +2,6 @@ package xpsim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/splitmix"
@@ -152,18 +151,6 @@ func (f *Faults) SiteHits() map[string]int64 {
 	for k, v := range f.siteHits {
 		out[k] = v
 	}
-	return out
-}
-
-// Sites returns the names of all crash sites hit since arming, sorted.
-func (f *Faults) Sites() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]string, 0, len(f.siteHits))
-	for k := range f.siteHits {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -1,8 +1,9 @@
 // Package xpsim simulates Intel Optane Persistent Memory (200 series) at
-// the level of detail XPGraph's design depends on: 256-byte XPLine media
-// granularity, an internal write-combining XPBuffer that turns partial-line
-// writes into read-modify-write operations, NUMA locality with expensive
-// remote accesses, and limited multi-threaded store performance.
+// XPLine granularity, with its XPBuffer, NUMA locality and bandwidth
+// limits. Those are the details XPGraph's design depends on: 256-byte media
+// lines, an internal write-combining XPBuffer that turns partial-line
+// writes into read-modify-write operations, expensive remote accesses, and
+// limited multi-threaded store performance.
 //
 // All simulated traffic is charged to a per-worker Cost (a simulated
 // clock). Experiments report simulated time, which makes thread-scaling

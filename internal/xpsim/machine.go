@@ -41,7 +41,7 @@ func (m *Machine) Devices() []*Device { return m.devices }
 func (m *Machine) TotalStats() Stats {
 	var s Stats
 	for _, d := range m.devices {
-		s.Add(d.Drain())
+		s.Add(d.drain())
 	}
 	return s
 }
@@ -59,7 +59,7 @@ func (m *Machine) SnapshotStats() Stats {
 // ResetStats zeroes all device counters.
 func (m *Machine) ResetStats() {
 	for _, d := range m.devices {
-		d.ResetStats()
+		d.resetStats()
 	}
 }
 

@@ -33,8 +33,8 @@ import (
 // UE on the line it touched. Both are deterministic given the seed.
 //
 // Media-fault state lives on Faults but is deliberately NOT reset by Arm:
-// crash sweeps re-arm plans continuously, while bad lines stay bad until a
-// scrubber remaps around them or ClearUE is called.
+// crash sweeps re-arm plans continuously, while bad lines stay bad: a
+// scrubber remaps around them.
 
 // MediaError is the typed error a checked device access returns when it
 // touches an uncorrectable line or a failed device. Line is -1 for a
@@ -68,32 +68,6 @@ func (f *Faults) markUELocked(node int, line int64) {
 		f.ue[node] = make(map[int64]bool)
 	}
 	f.ue[node][line] = true
-}
-
-// ClearUE forgets a single uncorrectable line — the remap step of a scrub
-// calls this once the data has been re-replicated elsewhere and nothing
-// references the bad line any more.
-func (f *Faults) ClearUE(node int, line int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.ue[node] != nil {
-		delete(f.ue[node], line)
-	}
-}
-
-// ClearAllUEs forgets every uncorrectable line (test teardown helper; the
-// scrambled media bytes stay scrambled).
-func (f *Faults) ClearAllUEs() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.ue = nil
-}
-
-// IsUE reports whether the line is currently marked uncorrectable.
-func (f *Faults) IsUE(node int, line int64) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.ue[node][line]
 }
 
 // UELines returns the sorted uncorrectable lines of one node.
@@ -168,8 +142,8 @@ func (f *Faults) ReviveNode(node int) {
 	delete(f.dead, node)
 }
 
-// NodeFailed reports whether the node's device is currently failed.
-func (f *Faults) NodeFailed(node int) bool {
+// nodeFailed reports whether the node's device is currently failed.
+func (f *Faults) nodeFailed(node int) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.dead[node]
@@ -333,7 +307,7 @@ func (d *Device) ReadChecked(ctx *Ctx, off int64, p []byte) error {
 	if len(p) == 0 {
 		return nil
 	}
-	if d.faults != nil && d.faults.NodeFailed(d.node) {
+	if d.faults != nil && d.faults.nodeFailed(d.node) {
 		return &MediaError{Node: d.node, Line: -1}
 	}
 	d.checkRange(off, int64(len(p)))
@@ -391,18 +365,5 @@ func (d *Device) ReadChecked(ctx *Ctx, off int64, p []byte) error {
 	if merr != nil {
 		return merr
 	}
-	return nil
-}
-
-// WriteChecked is Device.Write that errors instead of writing when the
-// device's node has failed. Writes to uncorrectable lines succeed (the
-// media cells still accept programming) but do NOT heal the UE mark —
-// remapping is the scrubber's job, so a stale mark can never hide behind
-// an overwrite.
-func (d *Device) WriteChecked(ctx *Ctx, off int64, p []byte) error {
-	if d.faults != nil && d.faults.NodeFailed(d.node) {
-		return &MediaError{Node: d.node, Line: -1}
-	}
-	d.Write(ctx, off, p)
 	return nil
 }

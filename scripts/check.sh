@@ -37,6 +37,14 @@ fi
 echo "== go build ./..."
 go build ./...
 
+echo "== exported-API budget"
+# Every exported function, method, type, const and var of internal/ has a
+# caller in a non-test file of another package (either module), or a line
+# in scripts/apibudget/allow.txt with a reason from a closed set; a stale
+# line fails too. The same package holds README.md's internal/ tree to the
+# package comments. -v logs the rule-(h) line count and the API counts.
+go test -count=1 -v ./scripts/apibudget/
+
 echo "== benchmarks/ module (vet + tests)"
 # The repo's benchmark is its own module (replace repro => ../), outside
 # ./..., and it calls internal/ APIs by name: an internal/ change that
@@ -95,7 +103,7 @@ fi
 # archive, all refused typed. They ran above under -race as well; this
 # stanza names them.
 go test -count=1 -run 'TestGoldenAccessSequence' ./internal/core/
-go test -count=1 -short -run 'TestReplaceChainTornKillKeepsArena|TestScrubCrashSweep|TestHeaderUECrash|TestReplayWindowUECrash|TestCatchUpUECrash' ./internal/adj/ ./internal/scrubtest/
+go test -count=1 -short -run 'TestReplaceChainTornKillKeepsArena|TestScrubCrashSweep|TestHeaderUECrash|TestReplayWindowUECrash|TestCatchUpUECrash' ./internal/adj/ ./internal/crashtest/
 # Each count policy's row at the device, the scan refusing every policy but
 # the acked one with an error, and DisableProactiveFlush holding.
 go test -count=1 -run 'TestCountPolicies|TestRecoverWithRefusesUnrecoverablePolicies' ./internal/adj/
@@ -109,9 +117,10 @@ go test -count=1 -short -run 'TestExploreCommitProtocol|TestCountsRideTheRecords
 go test -count=1 -run 'TestCommitEpochSurvivesEveryTear|TestCommitRefusesPastMaxEpoch' ./internal/elog/
 go test -count=1 -run 'TestSnapshotShortReadIsTyped' ./internal/core/
 # The global slot parity and its two-cycle re-acknowledgment are gone, and
-# so is the text loader nothing called: none of them may come back.
-if git ls-files '*.go' | xargs grep -nE '\b(MarkFlushedSlot|AckSlot|slotBit|pendPrev|nextSlot|ReadTextEdgeFile)\b|cnt\[0\] != [a-z.]*cnt\[1\]'; then
-    echo "the global count-slot parity (or the text loader) came back" >&2
+# so are the text loader and the APIs the exported-API budget found nothing
+# calling: none of them may come back.
+if git ls-files '*.go' | xargs grep -nE '\b(MarkFlushedSlot|AckSlot|slotBit|pendPrev|nextSlot|ReadTextEdgeFile|ReadTextEdges|WriteTextEdges|ClearUE|ClearAllUEs|IsUE|WriteChecked|BinBytes|PendingRecords|DegreeHistogramResult|ResetReport|ScrubStats)\b|cnt\[0\] != [a-z.]*cnt\[1\]'; then
+    echo "the global count-slot parity, the text loader or an API the budget deleted came back" >&2
     exit 1
 fi
 go test -count=1 -run 'TestRecoverRejects|TestDisableProactiveFlushIssuesNoAdjacencyFlush' ./internal/core/
@@ -276,8 +285,8 @@ echo "== media-scrub differentials (short)"
 # The UE-injection differential harness (DESIGN.md §9): every read under
 # injected media errors matches the model or fails typed, scrubs repair
 # or honestly refuse, quarantine survives recovery. Fast and
-# deterministic, so the whole suite gates here; the nightly workflow
-# repeats it under -race -count=5.
-go test -short ./internal/scrubtest/
+# deterministic, so all of it gates here (the crashtest tests not named
+# TestCrash*); the nightly workflow repeats it under -race -count=5.
+go test -short -run 'TestUE|TestScrub|TestUnrecoverable|TestNodeFailure|TestQuarantine|TestMixedFormatScrub|TestCatchUpUECrash|TestHeaderUECrash|TestReplayWindowUECrash|TestProp' ./internal/crashtest/
 
 echo "check.sh: all green"
