@@ -643,38 +643,65 @@ func (s *Store) ackBegin() {
 	s.ackList, s.pendCur = list, s.pendCur[:0]
 }
 
-// ResolveTombstones removes the deletion records of dst[start:], and one
-// matching neighbor record for each, returning dst shortened to the
-// survivors. dst[:start] is left alone.
-func ResolveTombstones(dst []uint32, start int) []uint32 {
-	recs := dst[start:]
-	var dels map[uint32]int
-	for _, r := range recs {
-		if r&graph.DelFlag != 0 {
-			if dels == nil {
-				dels = make(map[uint32]int)
+// Resolver resolves deletions in history order over one vertex's record
+// stream, handed to Run one run at a time, newest run first: the records
+// newer than the vertex's chain (core's DRAM vertex buffer), then the
+// chain's blocks as Read hands them out. Walking each run newest record
+// first, it makes each tombstone a pending cancel of the next older
+// matching insert. So a delete cancels an earlier matching insert, and one
+// still pending at the end cancels nothing.
+type Resolver struct {
+	// dels counts, per neighbor n, the deletes of n still pending and,
+	// under n|graph.DelFlag, the inserts of n they cancelled; it is made at
+	// the first tombstone.
+	dels map[uint32]int
+}
+
+// Run resolves recs, one run in insertion order, older than every run Run
+// was handed before. It leaves recs as they are.
+func (r *Resolver) Run(recs []uint32) {
+	for i := len(recs) - 1; i >= 0; i-- {
+		switch x := recs[i]; {
+		case x&graph.DelFlag != 0:
+			if r.dels == nil {
+				r.dels = make(map[uint32]int)
 			}
-			dels[r&^graph.DelFlag]++
+			r.dels[x&^graph.DelFlag]++
+		case r.dels != nil && r.dels[x] > 0:
+			r.dels[x]--
+			r.dels[x|graph.DelFlag]++
 		}
 	}
-	if dels == nil {
+}
+
+// Live returns dst with dst[start:] resolved: tombstones are dropped, and
+// so are as many inserts of each neighbor as its deletes cancelled — the
+// first ones in dst, so a stream whose every delete matches reads in the
+// order it always did. The rest keep their order; dst[:start] is left
+// alone. Live consumes the Resolver.
+func (r *Resolver) Live(dst []uint32, start int) []uint32 {
+	if r.dels == nil {
 		return dst
 	}
-	// Forward compaction is alias-safe (the write index never passes the
-	// read index); which matching insert a deletion cancels is
-	// irrelevant under multiset semantics.
-	out := recs[:0]
-	for _, r := range recs {
-		if r&graph.DelFlag != 0 {
-			continue
+	out := dst[:start]
+	for _, x := range dst[start:] {
+		switch {
+		case x&graph.DelFlag != 0:
+		case r.dels[x|graph.DelFlag] > 0:
+			r.dels[x|graph.DelFlag]--
+		default:
+			out = append(out, x)
 		}
-		if n := dels[r]; n > 0 {
-			dels[r] = n - 1
-			continue
-		}
-		out = append(out, r)
 	}
-	return dst[:start+len(out)]
+	return out
+}
+
+// ResolveTombstones resolves dst[start:], one run in insertion order, and
+// returns dst shortened to its survivors. dst[:start] is left alone.
+func ResolveTombstones(dst []uint32, start int) []uint32 {
+	var r Resolver
+	r.Run(dst[start:])
+	return r.Live(dst, start)
 }
 
 func align(x, a int64) int64 { return (x + a - 1) / a * a }

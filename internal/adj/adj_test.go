@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -49,8 +50,25 @@ func crashAfterCommit(t *testing.T, s *Store, r RecoverableMem, ctx *xpsim.Ctx) 
 
 // oldestFirst reads v's records in insertion order through the trusting path.
 func oldestFirst(s *Store, ctx *xpsim.Ctx, v graph.VID) []uint32 {
-	recs, _ := s.Read(ctx, v, nil, ReadOpts{OldestFirst: true})
+	recs, _ := readOldestFirst(s, ctx, v, false)
 	return recs
+}
+
+// raw reads v's stored records as Read lays them out, tombstones and all.
+func raw(s *Store, ctx *xpsim.Ctx, v graph.VID, checked bool) ([]uint32, error) {
+	return s.Read(ctx, v, nil, func([]uint32) {}, checked)
+}
+
+// readOldestFirst reads v's raw records in insertion order: Read's block
+// runs, oldest block first.
+func readOldestFirst(s *Store, ctx *xpsim.Ctx, v graph.VID, checked bool) ([]uint32, error) {
+	var runs [][]uint32
+	_, err := s.Read(ctx, v, nil, func(run []uint32) { runs = append(runs, slices.Clone(run)) }, checked)
+	var recs []uint32
+	for i := len(runs) - 1; i >= 0; i-- {
+		recs = append(recs, runs[i]...)
+	}
+	return recs, err
 }
 
 func sorted(u []uint32) []uint32 {
@@ -113,12 +131,10 @@ func TestContains(t *testing.T) {
 	s, _, _, ctx := testStore(t)
 	s.Append(ctx, 2, []uint32{5, 6})
 	contains := func(v graph.VID, nbr uint32) bool {
-		found := false
-		s.Visit(ctx, v, func(n uint32) { found = found || n == nbr })
-		return found
+		return slices.Contains(s.Neighbors(ctx, v, nil), nbr)
 	}
 	if !contains(2, 5) || contains(2, 7) || contains(99, 5) {
-		t.Fatal("Visit reports a record that was not appended, or misses one that was")
+		t.Fatal("Neighbors reports a record that was not appended, or misses one that was")
 	}
 }
 
@@ -340,17 +356,17 @@ func TestRecoverAfterRecycleReorder(t *testing.T) {
 	}
 }
 
-func TestVisitAndOldestFirst(t *testing.T) {
+// TestReadRunsAreBlocks: Read hands out a chain's blocks as runs, newest
+// first, each in insertion order.
+func TestReadRunsAreBlocks(t *testing.T) {
 	s, _, _, ctx := testStore(t)
 	var want []uint32
 	for i := uint32(0); i < 300; i++ {
 		s.Append(ctx, 7, []uint32{i})
 		want = append(want, i)
 	}
-	var visited []uint32
-	s.Visit(ctx, 7, func(n uint32) { visited = append(visited, n) })
-	if !equalMultiset(visited, want) {
-		t.Fatalf("Visit yielded %d records, want %d", len(visited), len(want))
+	if s.Blocks() < 2 {
+		t.Fatalf("one block: no run order to check")
 	}
 	old := oldestFirst(s, ctx, 7)
 	if len(old) != len(want) {
@@ -362,7 +378,6 @@ func TestVisitAndOldestFirst(t *testing.T) {
 		}
 	}
 	// Out-of-range vertices are no-ops.
-	s.Visit(ctx, 9999, func(uint32) { t.Fatal("visited missing vertex") })
 	if got := oldestFirst(s, ctx, 9999); len(got) != 0 {
 		t.Fatal("missing vertex has records")
 	}
@@ -407,9 +422,7 @@ func TestVolatileCountsVisit(t *testing.T) {
 	}
 	s.Reserve(ctx, 1, 25) // retire a partial tail
 	s.Append(ctx, 1, []uint32{999})
-	var got []uint32
-	s.Visit(ctx, 1, func(n uint32) { got = append(got, n) })
-	if len(got) != 31 {
+	if got := s.Neighbors(ctx, 1, nil); len(got) != 31 {
 		t.Fatalf("volatile-count visit = %d records, want 31", len(got))
 	}
 }
@@ -755,5 +768,81 @@ func TestRunTagsWrapWithoutAStaleStamp(t *testing.T) {
 	r.Read(ctx, s.vx[1].tail, hdr[:])
 	if h := parseHeader(hdr[:]); h.sel != 0 || h.cnt != [2]uint32{2, 1} || h.epoch != s.epoch {
 		t.Fatalf("the change counted into slot %d (slots %v, stamp epoch %d), want slot 0 stamped by epoch %d beside the committed 1", h.sel, h.cnt, h.epoch, s.epoch)
+	}
+}
+
+// historyLive is the reference meaning of a record stream in insertion
+// order: a delete cancels an earlier matching insert if one is live, and
+// cancels nothing otherwise.
+func historyLive(stream []uint32) []uint32 {
+	var live []uint32
+	for _, r := range stream {
+		if r&graph.DelFlag == 0 {
+			live = append(live, r)
+		} else if i := slices.Index(live, r&^graph.DelFlag); i >= 0 {
+			live = slices.Delete(live, i, i+1)
+		}
+	}
+	return live
+}
+
+// randomStream is a record stream over a few neighbors, a third of it
+// deletes, many of them of edges not live.
+func randomStream(rng *rand.Rand, n int) []uint32 {
+	stream := make([]uint32, n)
+	for i := range stream {
+		stream[i] = uint32(rng.Intn(4))
+		if rng.Intn(3) == 0 {
+			stream[i] |= graph.DelFlag
+		}
+	}
+	return stream
+}
+
+// Resolving a stream whole equals resolving a prefix first — what a
+// compaction or a rebuild from a snapshot does — then the prefix's
+// survivors followed by the rest, at every cut.
+func TestResolveAtEveryCut(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		stream := randomStream(rng, 1+rng.Intn(30))
+		whole := ResolveTombstones(slices.Clone(stream), 0)
+		if want := historyLive(stream); !equalMultiset(whole, want) {
+			t.Fatalf("%x resolves to %v, want %v", stream, whole, want)
+		}
+		for cut := 0; cut <= len(stream); cut++ {
+			two := append(ResolveTombstones(slices.Clone(stream[:cut]), 0), stream[cut:]...)
+			if got := ResolveTombstones(two, 0); !equalMultiset(got, whole) {
+				t.Fatalf("%x cut at %d resolves to %v, whole to %v", stream, cut, got, whole)
+			}
+		}
+	}
+}
+
+// A Resolver fed a newer run and then a chain's block runs, newest first,
+// resolves the stream they hold in history order.
+func TestResolverTakesRunsNewestFirst(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 300; trial++ {
+		s, _, _, ctx := testStore(t)
+		stream := randomStream(rng, 1+rng.Intn(60))
+		chained := rng.Intn(len(stream) + 1)
+		for rest := stream[:chained]; len(rest) > 0; {
+			n := min(len(rest), 1+rng.Intn(8))
+			if err := s.Append(ctx, 1, rest[:n]); err != nil {
+				t.Fatal(err)
+			}
+			rest = rest[n:]
+		}
+		var res Resolver
+		res.Run(stream[chained:])
+		recs, err := s.Read(ctx, 1, nil, res.Run, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res.Live(append(recs, stream[chained:]...), 0)
+		if want := historyLive(stream); !equalMultiset(got, want) {
+			t.Fatalf("%x (%d chained) reads %v, want %v", stream, chained, got, want)
+		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 // difftest's prefix mode — then run one flush cycle further and crashed
 // again. The crash sweeps of internal/crashtest kill one workload's run at
 // every point; this kills every short history, which is where the header
-// bugs on record (DESIGN.md §7 "Bugs the sweeps caught") lived.
+// bugs on record (DESIGN.md §7 "Bugs the harnesses caught") lived.
 
 var exploreDepth = flag.Int("explore.depth", 0, "operations per explored sequence (0: 5, 3 under -short)")
 
@@ -154,7 +154,7 @@ func (x *xrun) do(op xop) error {
 	case xFlush:
 		return x.flush()
 	case xDelete:
-		live := ResolveTombstones(x.s.Neighbors(x.ctx, op.v, nil), 0)
+		live := x.s.Neighbors(x.ctx, op.v, nil)
 		for i := range live {
 			live[i] |= graph.DelFlag
 		}
@@ -176,7 +176,7 @@ func (x *xrun) applicable(prev *xop, op xop) bool {
 	case xFlush:
 		return prev != nil && prev.kind == xAppend
 	case xCompact, xDelete:
-		return len(ResolveTombstones(x.s.Neighbors(x.ctx, op.v, nil), 0)) > 0
+		return len(x.s.Neighbors(x.ctx, op.v, nil)) > 0
 	}
 	return true
 }
@@ -373,8 +373,9 @@ type xsource struct {
 func newXSource(ctx *xpsim.Ctx, s *Store) xsource {
 	var x xsource
 	for v := graph.VID(0); v < s.NumVertices(); v++ {
-		recs, err := s.Read(ctx, v, nil, ReadOpts{Checked: true})
-		x.out = append(x.out, ResolveTombstones(recs, 0))
+		var res Resolver
+		recs, err := s.Read(ctx, v, nil, res.Run, true)
+		x.out = append(x.out, res.Live(recs, 0))
 		x.errs = append(x.errs, err)
 	}
 	return x

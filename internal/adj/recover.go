@@ -268,7 +268,7 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 			s.mirror[off] = blockMirror{capacity: b.capacity, crc: b.crc[b.trusted(committed)], format: uint8(b.format)}
 			off = b.prev
 		}
-		if s.read(ctx, v, walkOpts{mirror: true, blind: true}, nil) != nil {
+		if s.read(ctx, v, walkOpts{mirror: true, blind: true}, nil, nil) != nil {
 			s.suspects = append(s.suspects, v)
 		}
 	}

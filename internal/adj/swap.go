@@ -26,7 +26,7 @@ func (s *Store) Compact(ctx *xpsim.Ctx, v graph.VID) error {
 	if int(v) >= len(s.vx) || s.vx[v].tail == 0 {
 		return nil
 	}
-	live := ResolveTombstones(s.Neighbors(ctx, v, nil), 0)
+	live := s.Neighbors(ctx, v, nil)
 	if s.opts.VarintBlocks {
 		// Sorting is safe here — compaction fences live snapshots and any
 		// later snapshot's record-count bound covers the whole compacted

@@ -88,8 +88,8 @@ func TestVarintAppendAndRead(t *testing.T) {
 	if got := oldestFirst(s, ctx, 3); !equalU32s(got, want) {
 		t.Fatalf("oldest-first = %v, want %v", got, want)
 	}
-	if got := s.Neighbors(ctx, 3, nil); !equalMultiset(got, want) {
-		t.Fatalf("neighbors = %v", got)
+	if got, _ := raw(s, ctx, 3, false); !equalMultiset(got, want) {
+		t.Fatalf("records = %v", got)
 	}
 	if s.Records(3) != len(want) {
 		t.Fatalf("records = %d", s.Records(3))
@@ -116,10 +116,8 @@ func TestVarintChainAcrossBlocks(t *testing.T) {
 	if got := oldestFirst(s, ctx, 1); !equalU32s(got, want) {
 		t.Fatalf("%d neighbors back, want %d (order-preserving)", len(got), len(want))
 	}
-	visited := 0
-	s.Visit(ctx, 1, func(uint32) { visited++ })
-	if visited != len(want) {
-		t.Fatalf("visit count = %d, want %d", visited, len(want))
+	if got, _ := raw(s, ctx, 1, false); len(got) != len(want) {
+		t.Fatalf("record count = %d, want %d", len(got), len(want))
 	}
 }
 
@@ -254,7 +252,7 @@ func TestVarintChecksumsDetectCorruption(t *testing.T) {
 	if err := s.VerifyChain(ctx, 6); err != nil {
 		t.Fatalf("clean chain: %v", err)
 	}
-	got, err := s.Read(ctx, 6, nil, ReadOpts{Checked: true})
+	got, err := raw(s, ctx, 6, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +272,7 @@ func TestVarintChecksumsDetectCorruption(t *testing.T) {
 	if err := s.VerifyChain(ctx, 6); !errors.As(err, &ce) {
 		t.Fatalf("VerifyChain after corruption = %v, want CorruptError", err)
 	}
-	if _, err := s.Read(ctx, 6, nil, ReadOpts{OldestFirst: true, Checked: true}); !errors.As(err, &ce) {
+	if _, err := readOldestFirst(s, ctx, 6, true); !errors.As(err, &ce) {
 		t.Fatalf("checked read after corruption = %v, want CorruptError", err)
 	}
 
@@ -304,7 +302,7 @@ func TestVarintReplaceChainRoundTrip(t *testing.T) {
 	if _, err := s.ReplaceChain(ctx, 8, recs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Read(ctx, 8, nil, ReadOpts{OldestFirst: true, Checked: true})
+	got, err := readOldestFirst(s, ctx, 8, true)
 	if err != nil {
 		t.Fatal(err)
 	}

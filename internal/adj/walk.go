@@ -13,26 +13,12 @@ import (
 )
 
 // The read side: one chain walker and one block decoder behind every read
-// of a chain — Neighbors, Visit, Contains, Read, VerifyChain, Layout, the
-// release loops of compaction and repair, and recovery's cursor rebuild and
-// checksum audit. What differs between them is data (walkOpts), not code.
-
-// ReadOpts selects the variant of Read.
-type ReadOpts struct {
-	// OldestFirst streams the chain in insertion order (oldest block first)
-	// instead of newest block first — the order snapshot-bounded reads need.
-	OldestFirst bool
-	// Checked reads through the media-error-checked path: instead of
-	// silently returning whatever the media holds, the read reports a
-	// *xpsim.MediaError or *CorruptError when v's chain touches damaged
-	// lines, corrupt links or (with Options.Checksums) checksum-mismatched
-	// payloads.
-	Checked bool
-}
+// of a chain — Read, Neighbors, VerifyChain, Layout, the release loops of
+// compaction and repair, and recovery's cursor rebuild and checksum audit.
+// What differs between them is data (walkOpts), not code.
 
 // walkOpts says how a chain is walked.
 type walkOpts struct {
-	oldestFirst bool
 	// checked reads every byte through mem.ReadChecked and validates the
 	// whole chain's links before the first block is visited.
 	checked bool
@@ -154,13 +140,12 @@ func (r *reader) decode(off int64, format, capacity, cnt uint32, withCRC bool, f
 	return e, nil
 }
 
-// walk visits the blocks of v's chain, newest first or oldest first. A
-// trusting newest-first walk follows the prev links as it goes: a block's
-// header is read, the block visited, its link followed. Every other walk
-// over the links collects and validates the chain first — the links only
-// run tail to head — and then reads each header again as it visits. A
-// mirror walk takes the chain from DRAM. visit may rewrite the block it is
-// handed; it gets the walk's reader to decode payloads with.
+// walk visits the blocks of v's chain, newest first. A trusting walk
+// follows the prev links as it goes: a block's header is read, the block
+// visited, its link followed. A checked walk over the links collects and
+// validates the whole chain first and then reads each header again as it
+// visits. A mirror walk takes the chain from DRAM. visit may rewrite the
+// block it is handed; it gets the walk's reader to decode payloads with.
 func (s *Store) walk(ctx *xpsim.Ctx, v graph.VID, o walkOpts, visit func(r *reader, off int64, h header) error) error {
 	if int(v) >= len(s.vx) || s.vx[v].tail == 0 {
 		return nil
@@ -191,7 +176,7 @@ func (s *Store) walk(ctx *xpsim.Ctx, v graph.VID, o walkOpts, visit func(r *read
 		}
 		return nil
 	}
-	if !o.mirror && !o.oldestFirst && !o.checked {
+	if o.trusting() {
 		return links(func(off int64, h header) error { return visit(r, off, h) })
 	}
 	chain := s.chains[v]
@@ -205,10 +190,7 @@ func (s *Store) walk(ctx *xpsim.Ctx, v graph.VID, o walkOpts, visit func(r *read
 		}
 		chain = r.chain
 	}
-	for i, off := range chain {
-		if o.oldestFirst {
-			off = chain[len(chain)-1-i]
-		}
+	for _, off := range chain {
 		var h header
 		if !o.blind {
 			var err error
@@ -236,20 +218,23 @@ func (s *Store) walk(ctx *xpsim.Ctx, v graph.VID, o walkOpts, visit func(r *read
 }
 
 // read streams v's stored records to fn (nil: read and verify only), block
-// by block in the walk's order, the records of a block always in insertion
-// order. Deletion tombstones are streamed as-is; merging is the caller's
-// concern. A mirror walk verifies each payload against its acknowledged
+// by block newest first, the records of a block in insertion order, and
+// calls cut (nil: none) after each block. Deletion tombstones are streamed
+// as-is. A mirror walk verifies each payload against its acknowledged
 // CRC32-C; decode failures (overlong varints, records claimed past the
 // payload, deltas walking outside uint32) and checksum mismatches surface
 // as *CorruptError, uncorrectable lines as *xpsim.MediaError — except on a
 // trusting walk, which skips what it cannot decode.
-func (s *Store) read(ctx *xpsim.Ctx, v graph.VID, o walkOpts, fn func(nbr uint32)) error {
+func (s *Store) read(ctx *xpsim.Ctx, v graph.VID, o walkOpts, fn func(nbr uint32), cut func()) error {
 	return s.walk(ctx, v, o, func(r *reader, off int64, h header) error {
 		cnt := s.blockCnt(v, off, h.capacity)
 		if cnt == 0 {
 			return nil
 		}
 		e, err := r.decode(off, h.format, h.capacity, cnt, o.mirror, fn)
+		if cut != nil {
+			cut()
+		}
 		switch {
 		case err == nil && o.mirror && e.crc != s.mirror[off].crc:
 			// The format word is not verified; a corrupted one routes the
@@ -265,24 +250,31 @@ func (s *Store) read(ctx *xpsim.Ctx, v graph.VID, o walkOpts, fn func(nbr uint32
 	})
 }
 
-// Read appends vertex v's stored records to dst in the order and through
-// the path o selects. On an error dst holds the records read before it.
-func (s *Store) Read(ctx *xpsim.Ctx, v graph.VID, dst []uint32, o ReadOpts) ([]uint32, error) {
-	err := s.read(ctx, v, walkOpts{oldestFirst: o.OldestFirst, checked: o.Checked, mirror: o.Checked && s.opts.Checksums},
-		func(nb uint32) { dst = append(dst, nb) })
+// Read appends vertex v's stored records to dst, newest block first and
+// each block in insertion order, and hands each block's records to run as
+// soon as they are appended — the runs a Resolver takes; run may rewrite
+// them in place. A checked read goes through the media-error-checked path:
+// instead of silently returning whatever the media holds, it reports a
+// *xpsim.MediaError or *CorruptError when v's chain touches damaged lines,
+// corrupt links or (with Options.Checksums) checksum-mismatched payloads.
+// On an error dst holds the records read before it.
+func (s *Store) Read(ctx *xpsim.Ctx, v graph.VID, dst []uint32, run func(recs []uint32), checked bool) ([]uint32, error) {
+	start := len(dst)
+	err := s.read(ctx, v, walkOpts{checked: checked, mirror: checked && s.opts.Checksums},
+		func(nb uint32) { dst = append(dst, nb) },
+		func() {
+			run(dst[start:])
+			start = len(dst)
+		})
 	return dst, err
 }
 
-// Neighbors appends vertex v's stored records to dst, newest block first.
+// Neighbors appends vertex v's live neighbors to dst: its stored records,
+// newest block first, deletions resolved in history order (Resolver).
 func (s *Store) Neighbors(ctx *xpsim.Ctx, v graph.VID, dst []uint32) []uint32 {
-	dst, _ = s.Read(ctx, v, dst, ReadOpts{})
-	return dst
-}
-
-// Visit streams vertex v's stored records to fn, newest block first,
-// without allocating.
-func (s *Store) Visit(ctx *xpsim.Ctx, v graph.VID, fn func(nbr uint32)) {
-	s.read(ctx, v, walkOpts{}, fn)
+	var res Resolver
+	recs, _ := s.Read(ctx, v, dst, res.Run, false)
+	return res.Live(recs, len(dst))
 }
 
 // VerifyChain reads every visible byte of v's chain through the
@@ -292,7 +284,7 @@ func (s *Store) Visit(ctx *xpsim.Ctx, v graph.VID, fn func(nbr uint32)) {
 // uncorrectable line or failed device, and a *CorruptError when bytes read
 // back cleanly but are not the bytes that were acknowledged.
 func (s *Store) VerifyChain(ctx *xpsim.Ctx, v graph.VID) error {
-	return s.read(ctx, v, walkOpts{checked: true, mirror: s.opts.Checksums, verify: true}, nil)
+	return s.read(ctx, v, walkOpts{checked: true, mirror: s.opts.Checksums, verify: true}, nil, nil)
 }
 
 // LayoutStats describes the live on-media adjacency layout: visible

@@ -5,10 +5,10 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"testing"
 
-	"repro/internal/adj"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/pmem"
@@ -157,11 +157,18 @@ func goldenRun(t *testing.T, opts Options) []goldenRow {
 			}
 		}
 		ctx := xpsim.NewCtx(0)
-		recs, err := s.rawStream(ctx, Out, hub, adj.ReadOpts{OldestFirst: true, Checked: true})
-		if err != nil {
+		// The hub's raw stream in insertion order (its vertex buffer is
+		// empty after the flush): the chain's block runs, oldest first.
+		a := s.groups[Out][s.partOf(hub)].adj
+		var runs [][]uint32
+		if _, err := a.Read(ctx, hub, nil, func(run []uint32) { runs = append(runs, slices.Clone(run)) }, true); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.groups[Out][s.partOf(hub)].adj.ReplaceChain(ctx, hub, recs); err != nil {
+		var recs []uint32
+		for i := len(runs) - 1; i >= 0; i-- {
+			recs = append(recs, runs[i]...)
+		}
+		if _, err := a.ReplaceChain(ctx, hub, recs); err != nil {
 			t.Fatal(err)
 		}
 		step(m, h, "replace", ctx.Cost.Ns())
@@ -195,95 +202,96 @@ var goldenConfigs = []struct {
 	{"relaxed", Options{relaxedDurability: true}},
 }
 
-// goldenParent is what goldenRun printed at commit cea12b2, the last one
-// with one global count-slot parity (`go test ./internal/core -run
-// TestGoldenAccessSequence -golden.print -v` prints the table in this
-// syntax) — the TestAckSplitIsInvisibleToDevice twin idiom, across commits.
+// goldenParent is what goldenRun printed at commit 529968a, the last one
+// whose snapshots read their chains oldest block first (`go test
+// ./internal/core -run TestGoldenAccessSequence -golden.print -v` prints the
+// table in this syntax) — the TestAckSplitIsInvisibleToDevice twin idiom,
+// across commits.
 var goldenParent = map[string][]goldenRow{
 	"fixed": {
-		{"ingest", 6681, 8290, 11122, 9085, 6131, 1004, 3126654, 0xe6f35d95553d92d5},
-		{"scan-newest", 1542, 0, 4643, 1542, 0, 0, 851654, 0xe6f35d95553d92d5},
-		{"scan-newest-checked", 1535, 0, 7409, 1535, 0, 0, 890973, 0xe6f35d95553d92d5},
-		{"scan-oldest", 1538, 0, 7406, 1538, 0, 0, 892920, 0xe6f35d95553d92d5},
-		{"scan-oldest-checked", 1538, 0, 7406, 1538, 0, 0, 892920, 0xe6f35d95553d92d5},
-		{"compact", 2566, 9835, 15406, 3650, 426, 9533, 2878553, 0x9e2bda6ea2f14566},
-		{"compacted-newest", 1146, 0, 1656, 1146, 0, 0, 597666, 0x9e2bda6ea2f14566},
-		{"compacted-newest-checked", 1147, 0, 2679, 1147, 0, 0, 614309, 0x9e2bda6ea2f14566},
-		{"compacted-oldest", 1147, 0, 2679, 1147, 0, 0, 614309, 0x9e2bda6ea2f14566},
-		{"compacted-oldest-checked", 1147, 0, 2679, 1147, 0, 0, 614309, 0x9e2bda6ea2f14566},
-		{"ingest-more", 1683, 1993, 1369, 2141, 1408, 202, 621967, 0xae211b5913fd7b12},
-		{"recover", 1759, 0, 2035, 1759, 0, 0, 145190, 0xae211b5913fd7b12},
-		{"recovered-newest", 1891, 0, 2685, 1891, 0, 0, 983999, 0xae211b5913fd7b12},
-		{"recovered-newest-checked", 1891, 0, 4539, 1891, 0, 0, 1013387, 0xae211b5913fd7b12},
-		{"recovered-oldest", 1889, 0, 4541, 1889, 0, 0, 1012797, 0xae211b5913fd7b12},
-		{"recovered-oldest-checked", 1889, 0, 4541, 1889, 0, 0, 1012797, 0xae211b5913fd7b12},
+		{"ingest", 5195, 6731, 12243, 7526, 4572, 1004, 2989085, 0x3a4b875fe0e65f12},
+		{"scan-newest", 1539, 0, 4646, 1539, 0, 0, 850061, 0x3a4b875fe0e65f12},
+		{"scan-newest-checked", 1535, 0, 7409, 1535, 0, 0, 890973, 0x3a4b875fe0e65f12},
+		{"scan-oldest", 1538, 0, 7406, 1538, 0, 0, 892920, 0x3a4b875fe0e65f12},
+		{"scan-oldest-checked", 1538, 0, 7406, 1538, 0, 0, 892920, 0x3a4b875fe0e65f12},
+		{"compact", 2066, 9281, 15132, 3094, 0, 9533, 2877255, 0xebe2b9bd02c33b83},
+		{"compacted-newest", 1146, 0, 1656, 1146, 0, 0, 597666, 0xebe2b9bd02c33b83},
+		{"compacted-newest-checked", 1147, 0, 2679, 1147, 0, 0, 614309, 0xebe2b9bd02c33b83},
+		{"compacted-oldest", 1147, 0, 2679, 1147, 0, 0, 614309, 0xebe2b9bd02c33b83},
+		{"compacted-oldest-checked", 1147, 0, 2679, 1147, 0, 0, 614309, 0xebe2b9bd02c33b83},
+		{"ingest-more", 1211, 1519, 1113, 1666, 1062, 202, 622308, 0x9f54db82a3888f84},
+		{"recover", 1759, 0, 2036, 1759, 0, 0, 145200, 0x9f54db82a3888f84},
+		{"recovered-newest", 1891, 0, 2685, 1891, 0, 0, 983999, 0x9f54db82a3888f84},
+		{"recovered-newest-checked", 1891, 0, 4539, 1891, 0, 0, 1013387, 0x9f54db82a3888f84},
+		{"recovered-oldest", 1889, 0, 4541, 1889, 0, 0, 1012797, 0x9f54db82a3888f84},
+		{"recovered-oldest-checked", 1889, 0, 4541, 1889, 0, 0, 1012797, 0x9f54db82a3888f84},
 		{"records-read", 0, 0, 0, 0, 0, 0, 0, 0x547b9986255d0288},
 	},
 	"varint": {
-		{"ingest", 5965, 6984, 10190, 7779, 4825, 1004, 3032489, 0xa330bfbbf2336996},
-		{"scan-newest", 948, 0, 3223, 948, 0, 0, 532120, 0xa330bfbbf2336996},
-		{"scan-newest-checked", 949, 0, 5065, 949, 0, 0, 561885, 0xa330bfbbf2336996},
-		{"scan-oldest", 948, 0, 5066, 948, 0, 0, 561236, 0xa330bfbbf2336996},
-		{"scan-oldest-checked", 948, 0, 5066, 948, 0, 0, 561236, 0xa330bfbbf2336996},
-		{"compact", 1637, 8296, 12517, 2066, 372, 7959, 2018658, 0x4c448f258009eea3},
-		{"compacted-newest", 450, 0, 1761, 450, 0, 0, 248724, 0x4c448f258009eea3},
-		{"compacted-newest-checked", 454, 0, 2764, 454, 0, 0, 266916, 0x4c448f258009eea3},
-		{"compacted-oldest", 454, 0, 2764, 454, 0, 0, 266916, 0x4c448f258009eea3},
-		{"compacted-oldest-checked", 454, 0, 2764, 454, 0, 0, 266916, 0x4c448f258009eea3},
-		{"ingest-more", 2231, 2461, 1708, 2609, 1876, 202, 677686, 0x3fe6e41cc5cb32d8},
-		{"recover", 1985, 0, 2204, 1985, 0, 0, 161420, 0x3fe6e41cc5cb32d8},
-		{"recovered-newest", 1138, 0, 2803, 1138, 0, 0, 602340, 0x3fe6e41cc5cb32d8},
-		{"recovered-newest-checked", 1138, 0, 4554, 1138, 0, 0, 629966, 0x3fe6e41cc5cb32d8},
-		{"recovered-oldest", 1139, 0, 4553, 1139, 0, 0, 630615, 0x3fe6e41cc5cb32d8},
-		{"recovered-oldest-checked", 1139, 0, 4553, 1139, 0, 0, 630615, 0x3fe6e41cc5cb32d8},
+		{"ingest", 5057, 6064, 11874, 6859, 3905, 1004, 2951962, 0xc1add1073d6cfa09},
+		{"scan-newest", 946, 0, 3225, 946, 0, 0, 531176, 0xc1add1073d6cfa09},
+		{"scan-newest-checked", 949, 0, 5065, 949, 0, 0, 561885, 0xc1add1073d6cfa09},
+		{"scan-oldest", 948, 0, 5066, 948, 0, 0, 561236, 0xc1add1073d6cfa09},
+		{"scan-oldest-checked", 948, 0, 5066, 948, 0, 0, 561236, 0xc1add1073d6cfa09},
+		{"compact", 1193, 7796, 12246, 1565, 0, 7959, 2019374, 0x3b2d9e40b55f13da},
+		{"compacted-newest", 450, 0, 1761, 450, 0, 0, 248724, 0x3b2d9e40b55f13da},
+		{"compacted-newest-checked", 454, 0, 2764, 454, 0, 0, 266916, 0x3b2d9e40b55f13da},
+		{"compacted-oldest", 454, 0, 2764, 454, 0, 0, 266916, 0x3b2d9e40b55f13da},
+		{"compacted-oldest-checked", 454, 0, 2764, 454, 0, 0, 266916, 0x3b2d9e40b55f13da},
+		{"ingest-more", 1570, 1785, 1726, 1932, 1328, 202, 660923, 0xda6493014ad93575},
+		{"recover", 1985, 0, 2205, 1985, 0, 0, 161430, 0xda6493014ad93575},
+		{"recovered-newest", 1138, 0, 2803, 1138, 0, 0, 602340, 0xda6493014ad93575},
+		{"recovered-newest-checked", 1138, 0, 4554, 1138, 0, 0, 629966, 0xda6493014ad93575},
+		{"recovered-oldest", 1139, 0, 4553, 1139, 0, 0, 630615, 0xda6493014ad93575},
+		{"recovered-oldest-checked", 1139, 0, 4553, 1139, 0, 0, 630615, 0xda6493014ad93575},
 		{"records-read", 0, 0, 0, 0, 0, 0, 0, 0x9d934efb22ebe9c},
 	},
 	"checksummed": {
-		{"ingest", 6746, 8771, 11073, 9619, 6475, 1485, 3265215, 0x2f9e8ed341e46040},
-		{"scan-newest", 1542, 0, 4643, 1542, 0, 0, 851654, 0x2f9e8ed341e46040},
-		{"scan-newest-checked", 1542, 0, 4643, 1542, 0, 0, 851654, 0x2f9e8ed341e46040},
-		{"scan-oldest", 1538, 0, 7406, 1538, 0, 0, 892920, 0x2f9e8ed341e46040},
-		{"scan-oldest-checked", 1540, 0, 4645, 1540, 0, 0, 850356, 0x2f9e8ed341e46040},
-		{"compact", 2566, 9835, 15406, 3650, 426, 9533, 2878553, 0xb6bbdda08b3f9b6f},
-		{"compacted-newest", 1146, 0, 1656, 1146, 0, 0, 597666, 0xb6bbdda08b3f9b6f},
-		{"compacted-newest-checked", 1147, 0, 1655, 1147, 0, 0, 597961, 0xb6bbdda08b3f9b6f},
-		{"compacted-oldest", 1147, 0, 2679, 1147, 0, 0, 614309, 0xb6bbdda08b3f9b6f},
-		{"compacted-oldest-checked", 1147, 0, 1655, 1147, 0, 0, 597961, 0xb6bbdda08b3f9b6f},
-		{"ingest-more", 1687, 2089, 1369, 2238, 1472, 299, 649457, 0x98d3f80d7b6447ce},
-		{"replace", 48, 52, 7, 93, 0, 52, 28470, 0x4a064af65656ac30},
-		{"replaced-newest", 1846, 0, 2728, 1846, 0, 0, 970704, 0x4a064af65656ac30},
-		{"replaced-newest-checked", 1891, 0, 2683, 1891, 0, 0, 983979, 0x4a064af65656ac30},
-		{"replaced-oldest", 1889, 0, 4538, 1889, 0, 0, 1012767, 0x4a064af65656ac30},
-		{"replaced-oldest-checked", 1888, 0, 2686, 1888, 0, 0, 983094, 0x4a064af65656ac30},
-		{"recover", 3693, 0, 2827, 3693, 0, 0, 303260, 0x4a064af65656ac30},
-		{"recovered-newest", 1891, 0, 2683, 1891, 0, 0, 983979, 0x4a064af65656ac30},
-		{"recovered-newest-checked", 1891, 0, 2683, 1891, 0, 0, 983979, 0x4a064af65656ac30},
-		{"recovered-oldest", 1889, 0, 4538, 1889, 0, 0, 1012767, 0x4a064af65656ac30},
-		{"recovered-oldest-checked", 1888, 0, 2686, 1888, 0, 0, 983094, 0x4a064af65656ac30},
+		{"ingest", 5260, 7212, 12194, 8060, 4916, 1485, 3127646, 0x82f30163955b966f},
+		{"scan-newest", 1539, 0, 4646, 1539, 0, 0, 850061, 0x82f30163955b966f},
+		{"scan-newest-checked", 1542, 0, 4643, 1542, 0, 0, 851654, 0x82f30163955b966f},
+		{"scan-oldest", 1538, 0, 7406, 1538, 0, 0, 892920, 0x82f30163955b966f},
+		{"scan-oldest-checked", 1540, 0, 4645, 1540, 0, 0, 850356, 0x82f30163955b966f},
+		{"compact", 2066, 9281, 15132, 3094, 0, 9533, 2877255, 0x1c6f67fb3d7fd00a},
+		{"compacted-newest", 1146, 0, 1656, 1146, 0, 0, 597666, 0x1c6f67fb3d7fd00a},
+		{"compacted-newest-checked", 1147, 0, 1655, 1147, 0, 0, 597961, 0x1c6f67fb3d7fd00a},
+		{"compacted-oldest", 1147, 0, 2679, 1147, 0, 0, 614309, 0x1c6f67fb3d7fd00a},
+		{"compacted-oldest-checked", 1147, 0, 1655, 1147, 0, 0, 597961, 0x1c6f67fb3d7fd00a},
+		{"ingest-more", 1215, 1615, 1113, 1763, 1126, 299, 649798, 0xabb72ea48a4ba9cb},
+		{"replace", 48, 52, 7, 93, 0, 52, 28470, 0x3a03760f820b3d2e},
+		{"replaced-newest", 1843, 0, 2731, 1843, 0, 0, 968757, 0x3a03760f820b3d2e},
+		{"replaced-newest-checked", 1891, 0, 2683, 1891, 0, 0, 983979, 0x3a03760f820b3d2e},
+		{"replaced-oldest", 1889, 0, 4538, 1889, 0, 0, 1012767, 0x3a03760f820b3d2e},
+		{"replaced-oldest-checked", 1888, 0, 2686, 1888, 0, 0, 983094, 0x3a03760f820b3d2e},
+		{"recover", 3693, 0, 2828, 3693, 0, 0, 303270, 0x3a03760f820b3d2e},
+		{"recovered-newest", 1891, 0, 2683, 1891, 0, 0, 983979, 0x3a03760f820b3d2e},
+		{"recovered-newest-checked", 1891, 0, 2683, 1891, 0, 0, 983979, 0x3a03760f820b3d2e},
+		{"recovered-oldest", 1889, 0, 4538, 1889, 0, 0, 1012767, 0x3a03760f820b3d2e},
+		{"recovered-oldest-checked", 1888, 0, 2686, 1888, 0, 0, 983094, 0x3a03760f820b3d2e},
 		{"records-read", 0, 0, 0, 0, 0, 0, 0, 0xe82acb6e3f01b60c},
 	},
 	"checksummed-varint": {
-		{"ingest", 6029, 7464, 10142, 8312, 5168, 1485, 3171050, 0xfd4f876b1ec080b0},
-		{"scan-newest", 948, 0, 3223, 948, 0, 0, 532120, 0xfd4f876b1ec080b0},
-		{"scan-newest-checked", 949, 0, 3222, 949, 0, 0, 532415, 0xfd4f876b1ec080b0},
-		{"scan-oldest", 948, 0, 5066, 948, 0, 0, 561236, 0xfd4f876b1ec080b0},
-		{"scan-oldest-checked", 946, 0, 3225, 946, 0, 0, 530822, 0xfd4f876b1ec080b0},
-		{"compact", 1637, 8296, 12517, 2066, 372, 7959, 2018658, 0xf4a5d2c05b02ac6},
-		{"compacted-newest", 450, 0, 1761, 450, 0, 0, 248724, 0xf4a5d2c05b02ac6},
-		{"compacted-newest-checked", 454, 0, 1757, 454, 0, 0, 250966, 0xf4a5d2c05b02ac6},
-		{"compacted-oldest", 454, 0, 2764, 454, 0, 0, 266916, 0xf4a5d2c05b02ac6},
-		{"compacted-oldest-checked", 454, 0, 1757, 454, 0, 0, 250966, 0xf4a5d2c05b02ac6},
-		{"ingest-more", 2235, 2557, 1708, 2706, 1940, 299, 705176, 0xd80d520d32ac2500},
-		{"replace", 16, 21, 19, 30, 0, 21, 10012, 0x822c1f1697664afe},
-		{"replaced-newest", 1123, 0, 2817, 1123, 0, 0, 597905, 0x822c1f1697664afe},
-		{"replaced-newest-checked", 1138, 0, 2802, 1138, 0, 0, 602330, 0x822c1f1697664afe},
-		{"replaced-oldest", 1139, 0, 4551, 1139, 0, 0, 630595, 0x822c1f1697664afe},
-		{"replaced-oldest-checked", 1140, 0, 2800, 1140, 0, 0, 603628, 0x822c1f1697664afe},
-		{"recover", 2420, 0, 3982, 2420, 0, 0, 201045, 0x822c1f1697664afe},
-		{"recovered-newest", 1138, 0, 2802, 1138, 0, 0, 602330, 0x822c1f1697664afe},
-		{"recovered-newest-checked", 1138, 0, 2802, 1138, 0, 0, 602330, 0x822c1f1697664afe},
-		{"recovered-oldest", 1139, 0, 4551, 1139, 0, 0, 630595, 0x822c1f1697664afe},
-		{"recovered-oldest-checked", 1140, 0, 2800, 1140, 0, 0, 603628, 0x822c1f1697664afe},
+		{"ingest", 5121, 6544, 11826, 7392, 4248, 1485, 3090523, 0x4b030369cd82dbd},
+		{"scan-newest", 946, 0, 3225, 946, 0, 0, 531176, 0x4b030369cd82dbd},
+		{"scan-newest-checked", 949, 0, 3222, 949, 0, 0, 532415, 0x4b030369cd82dbd},
+		{"scan-oldest", 948, 0, 5066, 948, 0, 0, 561236, 0x4b030369cd82dbd},
+		{"scan-oldest-checked", 946, 0, 3225, 946, 0, 0, 530822, 0x4b030369cd82dbd},
+		{"compact", 1193, 7796, 12246, 1565, 0, 7959, 2019374, 0xaa77187efba39fcf},
+		{"compacted-newest", 450, 0, 1761, 450, 0, 0, 248724, 0xaa77187efba39fcf},
+		{"compacted-newest-checked", 454, 0, 1757, 454, 0, 0, 250966, 0xaa77187efba39fcf},
+		{"compacted-oldest", 454, 0, 2764, 454, 0, 0, 266916, 0xaa77187efba39fcf},
+		{"compacted-oldest-checked", 454, 0, 1757, 454, 0, 0, 250966, 0xaa77187efba39fcf},
+		{"ingest-more", 1574, 1881, 1726, 2029, 1392, 299, 688413, 0x38311b3d7a3650d6},
+		{"replace", 15, 21, 20, 29, 0, 21, 9717, 0xc5b4a1171738428a},
+		{"replaced-newest", 1115, 0, 2825, 1115, 0, 0, 593067, 0xc5b4a1171738428a},
+		{"replaced-newest-checked", 1138, 0, 2802, 1138, 0, 0, 602330, 0xc5b4a1171738428a},
+		{"replaced-oldest", 1139, 0, 4551, 1139, 0, 0, 630595, 0xc5b4a1171738428a},
+		{"replaced-oldest-checked", 1140, 0, 2800, 1140, 0, 0, 603628, 0xc5b4a1171738428a},
+		{"recover", 2420, 0, 3983, 2420, 0, 0, 201055, 0xc5b4a1171738428a},
+		{"recovered-newest", 1138, 0, 2802, 1138, 0, 0, 602330, 0xc5b4a1171738428a},
+		{"recovered-newest-checked", 1138, 0, 2802, 1138, 0, 0, 602330, 0xc5b4a1171738428a},
+		{"recovered-oldest", 1139, 0, 4551, 1139, 0, 0, 630595, 0xc5b4a1171738428a},
+		{"recovered-oldest-checked", 1140, 0, 2800, 1140, 0, 0, 603628, 0xc5b4a1171738428a},
 		{"records-read", 0, 0, 0, 0, 0, 0, 0, 0x4d08a21f9a7ce638},
 	},
 	"relaxed": {
@@ -313,110 +321,63 @@ type moved struct {
 // but records-read, which no step may move — every scan returns the parent's
 // records, in the parent's order.
 //
-// A block's header now names its own current count slot and the flush
-// epoch that chose it, so a block left alone after the epoch it changed in
-// owes the next one nothing; the parent re-acknowledged every such block
-// into its other slot. The media hash moves in every step: the stamps are
-// new header bytes, and the other slots keep what they held. The crash-safe
-// stores:
-//   - ingest writes 920–1559 lines fewer (−12 to −19 %), reads as many fewer
-//     (each re-acknowledged header line was a miss, then an eviction) and
-//     takes 2.7–4.4 % less time;
-//   - compaction's leading flush-all re-acknowledged the whole last ingest
-//     cycle: 500–554 writes, 444–500 reads and all 372–426 evictions fewer,
-//     its time within ±0.05 %;
-//   - ingest-more writes 474–676 lines fewer, its time +0.05 % (fixed: a
-//     block's first change in an epoch that turns it to slot 1 is two write
-//     requests, stamp and count) to −2.4 % (varint);
-//   - the scan right after ingest, and the one after the repair, find 2–8
-//     more of their lines in the XPBuffer that the last flush left behind,
-//     and every other scan reads what the parent read;
-//   - recovery reads the log's epoch word: one buffer hit, 10 ns;
-//   - the checksummed-varint repair reads one line fewer.
+// A snapshot now reads a chain the way a live read does — newest block
+// first, following each prev link once and reading each header once — and
+// resolves the same runs, leaving out the newest records past its bound; it
+// lays the blocks out oldest first, so it returns what it returned before.
+// So:
+//   - each "-oldest" scan reads what the "-newest" scan of the same path
+//     reads (fixed and relaxed scan-oldest: 892 920 → 851 654 ns, 7 406 →
+//     4 643 XPBuffer hits), give or take the lines the scan before it left
+//     in the XPBuffer;
+//   - the varint compaction right after a snapshot scan finds one line
+//     fewer in the XPBuffer that scan left behind;
+//   - the checksummed repair reads its hub's chain for the replacement
+//     newest block first (one line fewer), and the scan after it inherits
+//     that XPBuffer.
 //
-// The relaxed store counts at append and commits no epoch: not a row moves.
+// No media byte moves, and no live-read row.
 var goldenMoved = map[string]map[string]moved{
 	"fixed": {
-		"ingest":                   {-1486, -1559, 1121, -1559, -1559, 0, -137569, 0x3a4b875fe0e65f12},
-		"scan-newest":              {-3, 0, 3, -3, 0, 0, -1593, 0x3a4b875fe0e65f12},
-		"scan-newest-checked":      {0, 0, 0, 0, 0, 0, 0, 0x3a4b875fe0e65f12},
-		"scan-oldest":              {0, 0, 0, 0, 0, 0, 0, 0x3a4b875fe0e65f12},
-		"scan-oldest-checked":      {0, 0, 0, 0, 0, 0, 0, 0x3a4b875fe0e65f12},
-		"compact":                  {-500, -554, -274, -556, -426, 0, -1298, 0xebe2b9bd02c33b83},
-		"compacted-newest":         {0, 0, 0, 0, 0, 0, 0, 0xebe2b9bd02c33b83},
-		"compacted-newest-checked": {0, 0, 0, 0, 0, 0, 0, 0xebe2b9bd02c33b83},
-		"compacted-oldest":         {0, 0, 0, 0, 0, 0, 0, 0xebe2b9bd02c33b83},
-		"compacted-oldest-checked": {0, 0, 0, 0, 0, 0, 0, 0xebe2b9bd02c33b83},
-		"ingest-more":              {-472, -474, -256, -475, -346, 0, 341, 0x9f54db82a3888f84},
-		"recover":                  {0, 0, 1, 0, 0, 0, 10, 0x9f54db82a3888f84},
-		"recovered-newest":         {0, 0, 0, 0, 0, 0, 0, 0x9f54db82a3888f84},
-		"recovered-newest-checked": {0, 0, 0, 0, 0, 0, 0, 0x9f54db82a3888f84},
-		"recovered-oldest":         {0, 0, 0, 0, 0, 0, 0, 0x9f54db82a3888f84},
-		"recovered-oldest-checked": {0, 0, 0, 0, 0, 0, 0, 0x9f54db82a3888f84},
+		"scan-oldest":              {4, 0, -2763, 4, 0, 0, -41266, 0},
+		"scan-oldest-checked":      {-3, 0, 3, -3, 0, 0, -1947, 0},
+		"compacted-oldest":         {0, 0, -1024, 0, 0, 0, -16348, 0},
+		"recovered-oldest":         {2, 0, -1856, 2, 0, 0, -28798, 0},
+		"recovered-oldest-checked": {2, 0, -2, 2, 0, 0, 590, 0},
 	},
 	"varint": {
-		"ingest":                   {-908, -920, 1684, -920, -920, 0, -80527, 0xc1add1073d6cfa09},
-		"scan-newest":              {-2, 0, 2, -2, 0, 0, -944, 0xc1add1073d6cfa09},
-		"scan-newest-checked":      {0, 0, 0, 0, 0, 0, 0, 0xc1add1073d6cfa09},
-		"scan-oldest":              {0, 0, 0, 0, 0, 0, 0, 0xc1add1073d6cfa09},
-		"scan-oldest-checked":      {0, 0, 0, 0, 0, 0, 0, 0xc1add1073d6cfa09},
-		"compact":                  {-444, -500, -271, -501, -372, 0, 716, 0x3b2d9e40b55f13da},
-		"compacted-newest":         {0, 0, 0, 0, 0, 0, 0, 0x3b2d9e40b55f13da},
-		"compacted-newest-checked": {0, 0, 0, 0, 0, 0, 0, 0x3b2d9e40b55f13da},
-		"compacted-oldest":         {0, 0, 0, 0, 0, 0, 0, 0x3b2d9e40b55f13da},
-		"compacted-oldest-checked": {0, 0, 0, 0, 0, 0, 0, 0x3b2d9e40b55f13da},
-		"ingest-more":              {-661, -676, 18, -677, -548, 0, -16763, 0xda6493014ad93575},
-		"recover":                  {0, 0, 1, 0, 0, 0, 10, 0xda6493014ad93575},
-		"recovered-newest":         {0, 0, 0, 0, 0, 0, 0, 0xda6493014ad93575},
-		"recovered-newest-checked": {0, 0, 0, 0, 0, 0, 0, 0xda6493014ad93575},
-		"recovered-oldest":         {0, 0, 0, 0, 0, 0, 0, 0xda6493014ad93575},
-		"recovered-oldest-checked": {0, 0, 0, 0, 0, 0, 0, 0xda6493014ad93575},
+		"scan-oldest":              {1, 0, -1844, 1, 0, 0, -28821, 0},
+		"scan-oldest-checked":      {1, 0, -1, 1, 0, 0, 649, 0},
+		"compact":                  {1, 0, -1, 1, 0, 0, 433, 0},
+		"compacted-oldest":         {0, 0, -1007, 0, 0, 0, -15950, 0},
+		"recovered-oldest":         {-1, 0, -1750, -1, 0, 0, -28275, 0},
+		"recovered-oldest-checked": {-1, 0, 1, -1, 0, 0, -649, 0},
 	},
 	"checksummed": {
-		"ingest":                   {-1486, -1559, 1121, -1559, -1559, 0, -137569, 0x82f30163955b966f},
-		"scan-newest":              {-3, 0, 3, -3, 0, 0, -1593, 0x82f30163955b966f},
-		"scan-newest-checked":      {0, 0, 0, 0, 0, 0, 0, 0x82f30163955b966f},
-		"scan-oldest":              {0, 0, 0, 0, 0, 0, 0, 0x82f30163955b966f},
-		"scan-oldest-checked":      {0, 0, 0, 0, 0, 0, 0, 0x82f30163955b966f},
-		"compact":                  {-500, -554, -274, -556, -426, 0, -1298, 0x1c6f67fb3d7fd00a},
-		"compacted-newest":         {0, 0, 0, 0, 0, 0, 0, 0x1c6f67fb3d7fd00a},
-		"compacted-newest-checked": {0, 0, 0, 0, 0, 0, 0, 0x1c6f67fb3d7fd00a},
-		"compacted-oldest":         {0, 0, 0, 0, 0, 0, 0, 0x1c6f67fb3d7fd00a},
-		"compacted-oldest-checked": {0, 0, 0, 0, 0, 0, 0, 0x1c6f67fb3d7fd00a},
-		"ingest-more":              {-472, -474, -256, -475, -346, 0, 341, 0xabb72ea48a4ba9cb},
-		"replace":                  {0, 0, 0, 0, 0, 0, 0, 0x3a03760f820b3d2e},
-		"replaced-newest":          {-3, 0, 3, -3, 0, 0, -1947, 0x3a03760f820b3d2e},
-		"replaced-newest-checked":  {0, 0, 0, 0, 0, 0, 0, 0x3a03760f820b3d2e},
-		"replaced-oldest":          {0, 0, 0, 0, 0, 0, 0, 0x3a03760f820b3d2e},
-		"replaced-oldest-checked":  {0, 0, 0, 0, 0, 0, 0, 0x3a03760f820b3d2e},
-		"recover":                  {0, 0, 1, 0, 0, 0, 10, 0x3a03760f820b3d2e},
-		"recovered-newest":         {0, 0, 0, 0, 0, 0, 0, 0x3a03760f820b3d2e},
-		"recovered-newest-checked": {0, 0, 0, 0, 0, 0, 0, 0x3a03760f820b3d2e},
-		"recovered-oldest":         {0, 0, 0, 0, 0, 0, 0, 0x3a03760f820b3d2e},
-		"recovered-oldest-checked": {0, 0, 0, 0, 0, 0, 0, 0x3a03760f820b3d2e},
+		"scan-oldest":              {4, 0, -2763, 4, 0, 0, -41266, 0},
+		"scan-oldest-checked":      {2, 0, -2, 2, 0, 0, 1298, 0},
+		"compacted-oldest":         {0, 0, -1024, 0, 0, 0, -16348, 0},
+		"replace":                  {-1, 0, 0, 0, 0, 0, -167, 0},
+		"replaced-newest":          {-1, 0, 1, -1, 0, 0, -295, 0},
+		"replaced-oldest":          {2, 0, -1855, 2, 0, 0, -28788, 0},
+		"replaced-oldest-checked":  {3, 0, -3, 3, 0, 0, 885, 0},
+		"recovered-oldest":         {2, 0, -1855, 2, 0, 0, -28788, 0},
+		"recovered-oldest-checked": {3, 0, -3, 3, 0, 0, 885, 0},
 	},
 	"checksummed-varint": {
-		"ingest":                   {-908, -920, 1684, -920, -920, 0, -80527, 0x4b030369cd82dbd},
-		"scan-newest":              {-2, 0, 2, -2, 0, 0, -944, 0x4b030369cd82dbd},
-		"scan-newest-checked":      {0, 0, 0, 0, 0, 0, 0, 0x4b030369cd82dbd},
-		"scan-oldest":              {0, 0, 0, 0, 0, 0, 0, 0x4b030369cd82dbd},
-		"scan-oldest-checked":      {0, 0, 0, 0, 0, 0, 0, 0x4b030369cd82dbd},
-		"compact":                  {-444, -500, -271, -501, -372, 0, 716, 0xaa77187efba39fcf},
-		"compacted-newest":         {0, 0, 0, 0, 0, 0, 0, 0xaa77187efba39fcf},
-		"compacted-newest-checked": {0, 0, 0, 0, 0, 0, 0, 0xaa77187efba39fcf},
-		"compacted-oldest":         {0, 0, 0, 0, 0, 0, 0, 0xaa77187efba39fcf},
-		"compacted-oldest-checked": {0, 0, 0, 0, 0, 0, 0, 0xaa77187efba39fcf},
-		"ingest-more":              {-661, -676, 18, -677, -548, 0, -16763, 0x38311b3d7a3650d6},
-		"replace":                  {-1, 0, 1, -1, 0, 0, -295, 0xc5b4a1171738428a},
-		"replaced-newest":          {-8, 0, 8, -8, 0, 0, -4838, 0xc5b4a1171738428a},
-		"replaced-newest-checked":  {0, 0, 0, 0, 0, 0, 0, 0xc5b4a1171738428a},
-		"replaced-oldest":          {0, 0, 0, 0, 0, 0, 0, 0xc5b4a1171738428a},
-		"replaced-oldest-checked":  {0, 0, 0, 0, 0, 0, 0, 0xc5b4a1171738428a},
-		"recover":                  {0, 0, 1, 0, 0, 0, 10, 0xc5b4a1171738428a},
-		"recovered-newest":         {0, 0, 0, 0, 0, 0, 0, 0xc5b4a1171738428a},
-		"recovered-newest-checked": {0, 0, 0, 0, 0, 0, 0, 0xc5b4a1171738428a},
-		"recovered-oldest":         {0, 0, 0, 0, 0, 0, 0, 0xc5b4a1171738428a},
-		"recovered-oldest-checked": {0, 0, 0, 0, 0, 0, 0, 0xc5b4a1171738428a},
+		"scan-oldest":              {1, 0, -1844, 1, 0, 0, -28821, 0},
+		"scan-oldest-checked":      {3, 0, -3, 3, 0, 0, 1593, 0},
+		"compact":                  {1, 0, -1, 1, 0, 0, 433, 0},
+		"compacted-oldest":         {0, 0, -1007, 0, 0, 0, -15950, 0},
+		"replaced-oldest":          {-1, 0, -1749, -1, 0, 0, -28265, 0},
+		"replaced-oldest-checked":  {-2, 0, 2, -2, 0, 0, -1298, 0},
+		"recovered-oldest":         {-1, 0, -1749, -1, 0, 0, -28265, 0},
+		"recovered-oldest-checked": {-2, 0, 2, -2, 0, 0, -1298, 0},
+	},
+	"relaxed": {
+		"scan-oldest":         {4, 0, -2763, 4, 0, 0, -41266, 0},
+		"scan-oldest-checked": {-3, 0, 3, -3, 0, 0, -1947, 0},
+		"compacted-oldest":    {0, 0, -1020, 0, 0, 0, -16200, 0},
 	},
 }
 

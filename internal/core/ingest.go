@@ -570,6 +570,7 @@ func (s *Store) compactOne(ctx *xpsim.Ctx, v graph.VID) error {
 		if err := g.adj.Compact(ctx, v); err != nil {
 			return err
 		}
+		s.noteRewrite(d, v)
 		s.machine.CrashPoint("compact:done")
 		s.staleBase()
 		s.records[d][v] = uint32(g.adj.Records(v))

@@ -690,6 +690,7 @@ func (s *Store) Scrub() (ScrubReport, error) {
 						rep.BytesQuarantined += span[1]
 					}
 					s.records[d][v] = uint32(g.adj.Records(v))
+					s.noteRewrite(d, v)
 					s.staleBase()
 					if g.adj.VerifyChain(ctx, v) == nil {
 						repaired = true
@@ -738,13 +739,29 @@ func (s *Store) Scrub() (ScrubReport, error) {
 	return rep, nil
 }
 
+// noteRewrite marks v's chain in direction d rewritten at the log head
+// (MediaGuard stores: rebuildRecords reads the mark).
+func (s *Store) noteRewrite(d int, v graph.VID) {
+	if !s.opts.MediaGuard {
+		return
+	}
+	if s.rewrites[d] == nil {
+		s.rewrites[d] = make(map[graph.VID]int64)
+	}
+	s.rewrites[d][v] = s.log.Head()
+}
+
 // rebuildRecords reconstructs vertex v's record stream in direction d,
 // preferring the SSD archive (complete whenever its count matches the log
 // head: every accepted edge was teed) and falling back to the resident
-// edge-log window (exact only when the window verified clean and holds
-// every one of v's raw records). Returns ok=false when neither source can
-// vouch for completeness — a partial rebuild would be silently wrong data,
-// the one thing this subsystem exists to prevent.
+// edge-log window when it verified clean. The window vouches for v's raw
+// records when it holds as many of them as v's chain counts and either
+// reaches log position 0 (a rewrite dropped nothing, then) or starts
+// after v's chain was last rewritten. Otherwise a window that reaches
+// position 0 holds v's whole history, whose resolved stream is a rebuild
+// as the archive's is. Returns ok=false when no source can vouch
+// for completeness — a partial rebuild would be silently wrong data, the
+// one thing this subsystem exists to prevent.
 func (s *Store) rebuildRecords(ctx *xpsim.Ctx, d Direction, v graph.VID, logOK bool) ([]uint32, bool) {
 	if s.arch != nil && !s.arch.full && s.arch.cnt == s.log.Head() {
 		// The archive holds the raw stream; resolve tombstones the same
@@ -752,21 +769,16 @@ func (s *Store) rebuildRecords(ctx *xpsim.Ctx, d Direction, v graph.VID, logOK b
 		recs := s.arch.collect(ctx, d, v)
 		return adj.ResolveTombstones(recs, 0), true
 	}
-	if logOK {
-		lo := s.log.Head() - s.log.Cap()
-		if lo < 0 {
-			lo = 0
-		}
-		edges := s.log.Read(ctx, lo, s.log.Head(), nil)
-		var recs []uint32
-		for _, e := range edges {
-			if en := shard.Of(int(d), e); en.V == v {
-				recs = append(recs, en.Nbr)
-			}
-		}
-		if len(recs) == int(s.records[d][v]) {
-			return recs, true
-		}
+	if !logOK {
+		return nil, false
+	}
+	lo := max(s.log.Head()-s.log.Cap(), 0)
+	recs := s.logged(ctx, d, v, lo, nil)
+	switch {
+	case len(recs) == int(s.records[d][v]) && (lo == 0 || max(s.rewrites[d][v], s.rewriteFloor) <= lo):
+		return recs, true
+	case lo == 0:
+		return adj.ResolveTombstones(recs, 0), true
 	}
 	return nil, false
 }

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"errors"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/graphone"
 	"repro/internal/obs"
 	"repro/internal/xpsim"
 )
@@ -374,6 +378,96 @@ func benchIngestTracer(b *testing.B, enabled bool) {
 		}
 		if err := s.FlushAllVbufs(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestSpanTaxonomyMatchesDesign holds DESIGN.md §8's "Span taxonomy" table
+// to the spans the tracer records — a store's phases and worker sub-spans
+// through ingest, flush, compaction, scrub and recovery, and GraphOne's
+// phases — name for name, in both directions. Directions and numbers in a
+// name are normalized to <dir> and <N>, as the table writes them.
+func TestSpanTaxonomyMatchesDesign(t *testing.T) {
+	norm := strings.NewReplacer("out/", "<dir>/", "in/", "<dir>/")
+	number := regexp.MustCompile(`(/p|^compact v)[0-9]+$`)
+	live := map[string]bool{}
+	note := func(tr *obs.Tracer) {
+		if tr.Dropped() != 0 {
+			t.Fatalf("ring dropped %d spans; size it up", tr.Dropped())
+		}
+		for _, sp := range tr.Snapshot() {
+			live[number.ReplaceAllString(norm.Replace(sp.Name), "$1<N>")] = true
+		}
+	}
+
+	opts := Options{Name: "taxonomy", NumVertices: 1 << 8, ArchiveThreads: 4, NUMA: NUMASubgraph,
+		ArchiveThreshold: 1 << 8, MediaGuard: true, Props: true}
+	s := newStore(t, opts)
+	tr := obs.NewTracer(1 << 14)
+	s.SetTracer(tr)
+	edges := gen.RMAT(8, 4000, 3)
+	if _, err := s.IngestTyped(edges, make([]uint16, len(edges))); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetProps([]graph.PropSet{{V: 1, Key: 1, Val: 7}}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := xpsim.NewCtx(0)
+	if err := errors.Join(s.FlushAllVbufs(), s.CompactAdjs(ctx, 1), s.CompactAllAdjs(ctx)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Scrub(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Ingest(gen.RMAT(8, 500, 4)); err != nil {
+		t.Fatal(err)
+	}
+	note(tr)
+	clone, err := s.Heap().CrashClone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Tracer = obs.NewTracer(1 << 12)
+	if _, _, err := Recover(clone.Machine(), clone, nil, opts); err != nil {
+		t.Fatal(err)
+	}
+	note(opts.Tracer)
+	m, h := testMachine()
+	g, err := graphone.New(m, h, nil, graphone.Options{Name: "taxonomy-g1", NumVertices: 1 << 8, ArchiveThreshold: 1 << 8, ArchiveThreads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gtr := obs.NewTracer(1 << 12)
+	g.SetTracer(gtr)
+	if _, err := g.Ingest(edges); err != nil {
+		t.Fatal(err)
+	}
+	note(gtr)
+
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(design), "\n### Span taxonomy\n")
+	section, _, _ = strings.Cut(section, "\n### ")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		if cell, ok := strings.CutPrefix(line, "| `"); ok {
+			name, _, _ := strings.Cut(cell, "`")
+			documented[name] = true
+		}
+	}
+	if len(documented) == 0 {
+		t.Fatal("no span names found under DESIGN.md's Span taxonomy")
+	}
+	for n := range live {
+		if !documented[n] {
+			t.Errorf("the tracer records %q; DESIGN.md §8's span taxonomy does not list it", n)
+		}
+	}
+	for n := range documented {
+		if !live[n] {
+			t.Errorf("DESIGN.md §8's span taxonomy lists %q; no traced run records it", n)
 		}
 	}
 }

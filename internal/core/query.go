@@ -1,9 +1,12 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/adj"
 	"repro/internal/graph"
 	"repro/internal/mempool"
+	"repro/internal/shard"
 	"repro/internal/view"
 	"repro/internal/xpsim"
 )
@@ -12,8 +15,9 @@ import (
 // checked and typed forms are all one walk — PMEM block chain, then the
 // DRAM vertex buffer — so the store hand-writes that walk once (Visit) and
 // view.Surface derives NbrsOut, VisitIn, NbrsOutChecked, VisitOutTyped
-// and the rest from it. All return neighbor IDs with deletion tombstones
-// already resolved unless stated otherwise.
+// and the rest from it. All resolve deletions in history order
+// (adj.Resolver): a delete cancels an earlier matching insert, and
+// an unmatched one cancels nothing.
 
 // Visit hands the merged neighbor view of v in direction d to fn, as one
 // run.
@@ -24,33 +28,67 @@ func (s *Store) Visit(ctx *xpsim.Ctx, d Direction, v graph.VID, o view.Opts, fn 
 	if v >= s.NumVertices() {
 		return nil
 	}
-	recs, err := s.rawStream(ctx, d, v, adj.ReadOpts{Checked: o.Checked})
+	recs, err := s.live(ctx, d, v, -1, o.Checked)
 	if err != nil {
 		return err
 	}
-	recs = adj.ResolveTombstones(recs, 0)
 	fn(recs, s.labels(d, v, recs, o))
 	return nil
 }
 
-// rawStream materializes v's raw record stream in direction d: the PMEM
-// chain (newest block first, or in insertion order) followed by the DRAM
-// vertex buffer, tombstones unresolved. A checked read goes through the
-// media-error-checked path: blocks on uncorrectable lines or failing
+// live materializes v's neighbors in direction d from its PMEM chain and
+// its DRAM vertex buffer, deletions resolved in history order. Read live
+// (want < 0), the chain comes newest block first and the buffer after it;
+// the buffer is newer than the chain, so it is read and resolved first,
+// into the tail of the slice the chain is then read into. A snapshot reads
+// the oldest want records instead, in insertion order — each block
+// reversed as it is read, then the whole chain — the order no later flush
+// changes; fewer than want is its short read. A checked read goes through
+// the media-error-checked path: blocks on uncorrectable lines or failing
 // their checksum error instead of returning scrambled bytes, and
 // quarantined-unrecoverable vertices fail fast with *UnrecoverableError.
-// DRAM vertex buffers need no checking — the error model covers
-// persistent media only.
-func (s *Store) rawStream(ctx *xpsim.Ctx, d Direction, v graph.VID, o adj.ReadOpts) ([]uint32, error) {
-	if o.Checked && s.isUnrec(d, v) {
+// DRAM vertex buffers need no checking — the error model covers persistent
+// media only.
+func (s *Store) live(ctx *xpsim.Ctx, d Direction, v graph.VID, want int, checked bool) ([]uint32, error) {
+	if want == 0 {
+		return nil, nil
+	}
+	if checked && s.isUnrec(d, v) {
 		return nil, &UnrecoverableError{Dir: d, V: v}
 	}
-	recs, err := s.groups[d][s.partOf(v)].adj.Read(ctx, v, make([]uint32, 0, s.records[d][v]), o)
+	a := s.groups[d][s.partOf(v)].adj
+	chained, total := a.Records(v), a.Records(v)
+	if h := s.vbH[d][v]; h != mempool.None {
+		total += s.bufs.Count(h, int(s.vbC[d][v]))
+	}
+	if want > total {
+		s.shortReads.Add(1)
+		return nil, &shortReadError{Dir: d, V: v, Captured: want, Found: total}
+	}
+	recs := s.nbrsBufRaw(ctx, d, v, make([]uint32, chained, total))
+	var res adj.Resolver
+	run := slices.Reverse[[]uint32]
+	if want < 0 {
+		run = res.Run
+		res.Run(recs[chained:])
+	}
+	chain, err := a.Read(ctx, v, recs[:0:chained], run, checked)
 	if err != nil {
 		s.noteReadDamage(d, v, err)
 		return nil, err
 	}
-	return s.nbrsBufRaw(ctx, d, v, recs), nil
+	if want > 0 {
+		slices.Reverse(chain)
+	}
+	if len(chain) != chained {
+		// The chain held other than its count says (a trusting read of
+		// damaged media): the buffer follows whatever it did hold.
+		recs = append(chain, recs[chained:]...)
+	}
+	if want < 0 {
+		return res.Live(recs, 0), nil
+	}
+	return adj.ResolveTombstones(recs[:min(want, len(recs))], 0), nil
 }
 
 // NbrsFlush returns only the PMEM-resident neighbors —
@@ -59,9 +97,7 @@ func (s *Store) NbrsFlush(ctx *xpsim.Ctx, d Direction, v graph.VID, dst []uint32
 	if v >= s.NumVertices() {
 		return dst
 	}
-	start := len(dst)
-	dst = s.groups[d][s.partOf(v)].adj.Neighbors(ctx, v, dst)
-	return adj.ResolveTombstones(dst, start)
+	return s.groups[d][s.partOf(v)].adj.Neighbors(ctx, v, dst)
 }
 
 // NbrsBuf returns only the DRAM-buffered neighbors —
@@ -70,9 +106,7 @@ func (s *Store) NbrsBuf(ctx *xpsim.Ctx, d Direction, v graph.VID, dst []uint32) 
 	if v >= s.NumVertices() {
 		return dst
 	}
-	start := len(dst)
-	dst = s.nbrsBufRaw(ctx, d, v, dst)
-	return adj.ResolveTombstones(dst, start)
+	return adj.ResolveTombstones(s.nbrsBufRaw(ctx, d, v, dst), len(dst))
 }
 
 func (s *Store) nbrsBufRaw(ctx *xpsim.Ctx, d Direction, v graph.VID, dst []uint32) []uint32 {
@@ -87,15 +121,18 @@ func (s *Store) nbrsBufRaw(ctx *xpsim.Ctx, d Direction, v graph.VID, dst []uint3
 // neighbors — get_nebrs_log_{out/in}(vid) of Table I. This is an O(window)
 // scan; it exists for completeness of the phase-separated view interfaces.
 func (s *Store) NbrsLog(ctx *xpsim.Ctx, d Direction, v graph.VID, dst []uint32) []uint32 {
-	start := len(dst)
-	for _, e := range s.log.Read(ctx, s.log.Buffered(), s.log.Head(), nil) {
-		if d == Out && e.Src == v {
-			dst = append(dst, e.Dst)
-		} else if d == In && e.Target() == v {
-			dst = append(dst, e.Src|(e.Dst&graph.DelFlag))
+	return adj.ResolveTombstones(s.logged(ctx, d, v, s.log.Buffered(), dst), len(dst))
+}
+
+// logged appends v's records in direction d among the log's [from, head)
+// to dst, in log order.
+func (s *Store) logged(ctx *xpsim.Ctx, d Direction, v graph.VID, from int64, dst []uint32) []uint32 {
+	for _, e := range s.log.Read(ctx, from, s.log.Head(), nil) {
+		if en := shard.Of(int(d), e); en.V == v {
+			dst = append(dst, en.Nbr)
 		}
 	}
-	return adj.ResolveTombstones(dst, start)
+	return dst
 }
 
 // LoggedEdges returns the edges still waiting in the log window —

@@ -71,6 +71,7 @@ func Recover(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts O
 	s.logMem = logRegion
 
 	if opts.MediaGuard {
+		s.rewriteFloor = s.log.Flushed()
 		// Load the persisted quarantine before the arenas are scanned:
 		// mapMemories must know which block spans to keep off the free
 		// lists, and the damaged/unrecoverable vertex sets survive the

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/adj"
 	"repro/internal/graph"
 	"repro/internal/view"
 	"repro/internal/xpsim"
@@ -267,32 +266,12 @@ func (sn *Snapshot) Visit(ctx *xpsim.Ctx, d Direction, v graph.VID, o view.Opts,
 		s.lat.DRAM(ctx, int64(4*len(recs)), false, true)
 	default:
 		var err error
-		if recs, err = sn.materialize(ctx, d, v, o.Checked); err != nil {
+		if recs, err = s.live(ctx, d, v, int(sn.records[d][v]), o.Checked); err != nil {
 			return err
 		}
 	}
 	fn(recs, s.labels(d, v, recs, o))
 	return nil
-}
-
-// materialize reconstructs the snapshot view of v from the live chains:
-// the first records[d][v] entries of the vertex's append-only stream
-// (PMEM chain blocks oldest->newest, then the live vertex buffer),
-// tombstones resolved.
-func (sn *Snapshot) materialize(ctx *xpsim.Ctx, d Direction, v graph.VID, checked bool) ([]uint32, error) {
-	want := int(sn.records[d][v])
-	if want == 0 {
-		return nil, nil
-	}
-	all, err := sn.store.rawStream(ctx, d, v, adj.ReadOpts{OldestFirst: true, Checked: checked})
-	if err != nil {
-		return nil, err
-	}
-	if len(all) < want {
-		sn.store.shortReads.Add(1)
-		return nil, &shortReadError{Dir: d, V: v, Captured: want, Found: len(all)}
-	}
-	return adj.ResolveTombstones(all[:want], 0), nil
 }
 
 // freezeVertex materializes the snapshot's view of v into a private
@@ -318,7 +297,7 @@ func (sn *Snapshot) freezeVertex(ctx *xpsim.Ctx, v graph.VID) {
 		// is already media-damaged, the freeze must not launder scrambled
 		// bytes into a trusted frozen copy — record the error instead, so
 		// checked readers of this snapshot keep failing typed.
-		recs, err := sn.materialize(ctx, Direction(d), v, sn.store.opts.MediaGuard)
+		recs, err := sn.store.live(ctx, Direction(d), v, int(sn.records[d][v]), sn.store.opts.MediaGuard)
 		if err != nil {
 			if sn.frozenErr[d] == nil {
 				sn.frozenErr[d] = make(map[graph.VID]error)

@@ -130,6 +130,12 @@ type Store struct {
 	unrec      [2]map[graph.VID]struct{} // vertices the scrubber could not rebuild
 	quarSpans  [2][]map[int64]int64      // per dir/part: quarantined block offset -> span bytes
 	scrubStats scrubStats
+	// rewrites holds the log head at each vertex chain's last rewrite (a
+	// compaction or a scrub repair) and rewriteFloor the flushed cursor a
+	// recovery found, before which any chain may have been rewritten: a
+	// log-window rebuild trusts only windows that start after both.
+	rewrites     [2]map[graph.VID]int64
+	rewriteFloor int64
 }
 
 // New creates an XPGraph store on the machine. For PMEM media a heap is

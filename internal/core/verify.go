@@ -52,8 +52,8 @@ func (s *Store) Verify(ctx *xpsim.Ctx) (VerifyReport, error) {
 			adjRecs := g.adj.Records(v)
 			if adjRecs > 0 {
 				rep.ChainsWalked++
-				var walked int64
-				g.adj.Visit(ctx, v, func(uint32) { walked++ })
+				recs, _ := g.adj.Read(ctx, v, nil, func([]uint32) {}, false)
+				walked := int64(len(recs))
 				if walked != int64(adjRecs) {
 					return rep, fmt.Errorf("core: vertex %d dir %d: chain has %d records, index says %d",
 						v, d, walked, adjRecs)

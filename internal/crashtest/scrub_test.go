@@ -1,10 +1,13 @@
 package crashtest
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/difftest"
+	"repro/internal/graph"
 	"repro/internal/xpsim"
 )
 
@@ -50,6 +53,46 @@ func TestUnrecoverable(t *testing.T) {
 		Name: "unrec", Seed: 5, Edges: 1500, LogCapacity: 1 << 8,
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScrubLogWindowAfterCompaction: a compaction rewrites vertex 1's
+// out-count to its one survivor (1→2), and the 256-record log window has
+// rotated past the insert, so the window holds one record of vertex 1 — the
+// delete — as many as the chain counts, and none of its stream. The scrub
+// must refuse the vertex typed instead of rebuilding it from the window.
+func TestScrubLogWindowAfterCompaction(t *testing.T) {
+	cfg := config{Name: "window-compact", LogCapacity: 256, MediaGuard: true}.WithDefaults()
+	st, faults, err := newStore(cfg.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := []graph.Edge{{Src: 1, Dst: 2}, {Src: 1, Dst: 3}}
+	for i := 0; i < 300; i++ {
+		edges = append(edges, graph.Edge{Src: graph.VID(4 + i%40), Dst: graph.VID(5 + i%37)})
+	}
+	edges = append(edges, graph.Del(1, 3))
+	for i := 0; i < 10; i++ {
+		edges = append(edges, graph.Edge{Src: graph.VID(4 + i), Dst: 6})
+	}
+	if _, err := st.Ingest(edges); err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(st.BufferAllEdges(), st.CompactAllAdjs(xpsim.NewCtx(xpsim.NodeUnbound))); err != nil {
+		t.Fatal(err)
+	}
+	for _, ln := range st.VertexMediaLines(core.Out, 1) {
+		faults.InjectUE(ln.Node, ln.Line)
+	}
+	rep, err := st.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := checked.Run(difftest.Of(edges), st); err != nil {
+		t.Fatalf("after a scrub that reports %+v: %v", rep, err)
+	}
+	if rep.Unrecoverable == 0 {
+		t.Fatalf("the scrub rebuilt vertex 1 from a window without its stream: %+v", rep)
 	}
 }
 

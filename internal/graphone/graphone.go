@@ -404,7 +404,7 @@ func (s *Store) Visit(ctx *xpsim.Ctx, d view.Dir, v graph.VID, o view.Opts, fn f
 	if v >= s.NumVertices() {
 		return nil
 	}
-	nbrs := adj.ResolveTombstones(s.adjs[d].Neighbors(ctx, v, nil), 0)
+	nbrs := s.adjs[d].Neighbors(ctx, v, nil)
 	var lbls []uint16
 	if o.Labels {
 		lbls = make([]uint16, len(nbrs))

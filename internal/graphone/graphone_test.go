@@ -1,6 +1,7 @@
 package graphone
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/adj"
@@ -281,7 +282,7 @@ func TestArchiveOrderAtAnyThreadCount(t *testing.T) {
 		ctx := xpsim.NewCtx(0)
 		for d := 0; d < 2; d++ {
 			for v := graph.VID(0); v < 512; v++ {
-				got, _ := s.adjs[d].Read(ctx, v, nil, adj.ReadOpts{OldestFirst: true})
+				got := oldestFirst(ctx, s.adjs[d], v)
 				if len(got) != len(want[d][v]) {
 					t.Fatalf("%d threads: vertex %d dir %d holds %d records, oracle %d", threads, v, d, len(got), len(want[d][v]))
 				}
@@ -319,4 +320,16 @@ func TestBindSingleNodeStaysLocal(t *testing.T) {
 	if remote(false) == 0 {
 		t.Error("unbound ingest on interleaved PMEM made no remote access: the check above proves nothing")
 	}
+}
+
+// oldestFirst reads v's raw records in insertion order: Read's block runs,
+// oldest block first.
+func oldestFirst(ctx *xpsim.Ctx, a *adj.Store, v graph.VID) []uint32 {
+	var runs [][]uint32
+	a.Read(ctx, v, nil, func(run []uint32) { runs = append(runs, slices.Clone(run)) }, false)
+	var recs []uint32
+	for i := len(runs) - 1; i >= 0; i-- {
+		recs = append(recs, runs[i]...)
+	}
+	return recs
 }

@@ -221,12 +221,10 @@ type runner struct {
 	shards []*shardTimeline
 	// labels are the label ids typed writes draw from.
 	labels []uint16
-	// plan is the chaos schedule on the shipping links, journal what the
-	// cluster applied, in order, and live the inserts it applied that no
-	// write has deleted since (chaos runs only).
+	// plan is the chaos schedule on the shipping links and journal what
+	// the cluster applied, in order (chaos runs only).
 	plan    *chaos.Plan
 	journal []applied
-	live    []graph.Edge
 	// tailStart is when the sustained-overload window closes (-1 when
 	// the scenario has none); reads at or after it feed TailReadP99Us.
 	tailStart int64
@@ -411,11 +409,6 @@ func (r *runner) record(a applied) {
 		return
 	}
 	r.journal = append(r.journal, a)
-	for _, e := range a.edges {
-		if !e.IsDelete() {
-			r.live = append(r.live, e)
-		}
-	}
 }
 
 // ---- load generation ----
@@ -739,32 +732,13 @@ func (r *runner) write() {
 		return
 	}
 	del := sc.DeleteFrac > 0 && r.rng.Float() < sc.DeleteFrac
-	var edges []graph.Edge
-	if del && r.plan != nil {
-		// A chaos run deletes only inserts it has seen applied: a store
-		// resolves a deletion that matches no earlier insert against a
-		// later one until a compaction drops it, and a follower rebuilt
-		// from a snapshot never holds it (ROADMAP item 3), so an unmatched
-		// deletion would fail the differential for a reason that is not
-		// replication's.
-		for len(edges) < sc.WriteBatch && len(r.live) > 0 {
-			i := r.rng.intn(len(r.live))
-			edges = append(edges, graph.Del(r.live[i].Src, r.live[i].Dst))
-			r.live[i] = r.live[len(r.live)-1]
-			r.live = r.live[:len(r.live)-1]
-		}
-		if len(edges) == 0 {
-			return
-		}
-	} else {
-		edges = make([]graph.Edge, sc.WriteBatch)
-		for i := range edges {
-			src := r.pickVertex()
-			dst := graph.VID(r.rng.intn(int(sc.Vertices)))
-			edges[i] = graph.Edge{Src: src, Dst: dst}
-			if del {
-				edges[i] = graph.Del(src, dst)
-			}
+	edges := make([]graph.Edge, sc.WriteBatch)
+	for i := range edges {
+		src := r.pickVertex()
+		dst := graph.VID(r.rng.intn(int(sc.Vertices)))
+		edges[i] = graph.Edge{Src: src, Dst: dst}
+		if del {
+			edges[i] = graph.Del(src, dst)
 		}
 	}
 	parts := make([][]graph.Edge, sc.Shards)

@@ -63,8 +63,10 @@ type Source interface {
 	// included). It fails typed when a partition holding some of those
 	// records is unservable.
 	Degree(d Dir, v graph.VID) (int, error)
-	// Visit hands v's neighbors in direction d, deletion tombstones
-	// resolved and multi-edges kept, to fn in one or more runs (a store
+	// Visit hands v's neighbors in direction d, deletions resolved in
+	// history order — a delete cancels an earlier matching insert, an
+	// unmatched one cancels nothing — and multi-edges kept, to fn in one
+	// or more runs (a store
 	// has one; a cluster one per partition holding records). lbls is nil
 	// unless o.Labels, and then parallel to nbrs. The slices are fn's to
 	// read, not to modify, and stay valid after it returns: stores hand

@@ -23,8 +23,10 @@ import (
 
 // The conformance suite: every implementer of the read surface answers
 // the same questions the same way. One seeded workload (multi-edges,
-// deletions, typed edges, vertex properties) is loaded into each and into
-// a difftest.Model; the kit's comparator holds every Source to the model,
+// deletions, deletions of absent edges followed by their insert, typed
+// edges, vertex properties) is loaded into each, with a compaction of every
+// vertex between its halves where the implementer has one, and into a
+// difftest.Model; the kit's comparator holds every Source to the model,
 // and the assertions here pin what the surface adds on top — appends,
 // reads past NumVertices, filters, the guard's re-entrancy, typed damage.
 
@@ -48,7 +50,7 @@ type workload struct {
 	props  []graph.PropSet
 }
 
-func build() (workload, *difftest.Model) {
+func build() workload {
 	var w workload
 	add := func(e graph.Edge) {
 		w.ops = append(w.ops, e)
@@ -61,6 +63,13 @@ func build() (workload, *difftest.Model) {
 	var live []graph.Edge
 	for i := 0; i < 600; i++ {
 		switch {
+		case i%11 == 10: // delete an absent edge, then insert it
+			e := graph.Edge{Src: graph.VID(rng.Next() % numV), Dst: graph.VID(rng.Next() % numV)}
+			if !slices.Contains(live, e) {
+				add(graph.Del(e.Src, e.Dst))
+			}
+			add(e)
+			live = append(live, e)
 		case i%9 == 8 && len(live) > 0: // delete one live edge
 			j := int(rng.Next() % uint64(len(live)))
 			add(graph.Del(live[j].Src, live[j].Dst)) // a deletion's label is ignored
@@ -77,12 +86,23 @@ func build() (workload, *difftest.Model) {
 	for v := graph.VID(0); v < numV; v += 2 {
 		w.props = append(w.props, graph.PropSet{V: v, Key: 1, Val: int64(v*3) % 100})
 	}
+	return w
+}
+
+// model is w's reference, every vertex compacted between the halves when
+// compacted is set.
+func (w workload) model(compacted bool) *difftest.Model {
 	m := difftest.New()
 	m.RegisterLabel("follows")
 	m.RegisterLabel("likes")
-	m.IngestTyped(w.ops, w.labels)
+	half := len(w.ops) / 2
+	m.IngestTyped(w.ops[:half], w.labels[:half])
+	for v := graph.VID(0); compacted && v < numV; v++ {
+		m.Compact(v)
+	}
+	m.IngestTyped(w.ops[half:], w.labels[half:])
 	m.SetProps(w.props)
-	return w, m
+	return m
 }
 
 // subject is one implementer under test.
@@ -92,6 +112,8 @@ type subject struct {
 	full view.Full // nil: the View half only
 	// damage makes checked out-reads of hub fail (nil: no checked path).
 	damage func(t *testing.T)
+	// compacted: every vertex was compacted between the halves.
+	compacted bool
 }
 
 // buildStore makes a MediaGuard + Props store on its own fault-tracked
@@ -127,8 +149,8 @@ func poisonHub(t *testing.T, st *core.Store, faults *xpsim.Faults) {
 }
 
 // loadedStore ingests the workload into a fresh store: the first half
-// flushed to PMEM chains, the second half left in the DRAM vertex
-// buffers, so every read merges both.
+// flushed to PMEM chains and compacted, the second half left in the DRAM
+// vertex buffers, so every read merges both.
 func loadedStore(t *testing.T, w workload) (*core.Store, *xpsim.Faults) {
 	t.Helper()
 	st, faults := newCoreStore(t, "conf")
@@ -141,7 +163,7 @@ func loadedStore(t *testing.T, w workload) (*core.Store, *xpsim.Faults) {
 	if _, err := st.IngestTyped(w.ops[:half], w.labels[:half]); err != nil {
 		t.Fatal(err)
 	}
-	if err := errors.Join(st.BufferAllEdges(), st.FlushAllVbufs()); err != nil {
+	if err := errors.Join(st.BufferAllEdges(), st.FlushAllVbufs(), st.CompactAllAdjs(xpsim.NewCtx(xpsim.NodeUnbound))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.IngestTyped(w.ops[half:], w.labels[half:]); err != nil {
@@ -155,7 +177,7 @@ func loadedStore(t *testing.T, w workload) (*core.Store, *xpsim.Faults) {
 
 func liveStore(t *testing.T, w workload) subject {
 	st, faults := loadedStore(t, w)
-	return subject{name: "core.Store", view: st, full: st, damage: func(t *testing.T) { poisonHub(t, st, faults) }}
+	return subject{name: "core.Store", view: st, full: st, damage: func(t *testing.T) { poisonHub(t, st, faults) }, compacted: true}
 }
 
 func snapshot(t *testing.T, w workload) subject {
@@ -166,7 +188,7 @@ func snapshot(t *testing.T, w workload) subject {
 	if _, err := st.Ingest([]graph.Edge{{Src: hub, Dst: 1}, {Src: numV + 5, Dst: hub}}); err != nil {
 		t.Fatal(err)
 	}
-	return subject{name: "core.Snapshot", view: sn, full: sn, damage: func(t *testing.T) { poisonHub(t, st, faults) }}
+	return subject{name: "core.Snapshot", view: sn, full: sn, damage: func(t *testing.T) { poisonHub(t, st, faults) }, compacted: true}
 }
 
 func guardedSnapshot(t *testing.T, w workload) subject {
@@ -178,8 +200,9 @@ func guardedSnapshot(t *testing.T, w workload) subject {
 }
 
 // clusterView loads the workload through the router into a cluster of
-// the given shape. With replicas, the partition after hub's is killed
-// once its follower has caught up, so that partition serves failed over.
+// the given shape. Without replicas, every vertex is compacted between the
+// halves; with them, the partition after hub's is killed once its follower
+// has caught up, so that partition serves failed over.
 func clusterView(shards, replicas int) func(t *testing.T, w workload) subject {
 	return func(t *testing.T, w workload) subject {
 		stores := make([]*core.Store, shards)
@@ -214,6 +237,11 @@ func clusterView(shards, replicas int) func(t *testing.T, w workload) subject {
 		if err := cl.FlushAll(); err != nil {
 			t.Fatal(err)
 		}
+		for v := graph.VID(0); replicas == 0 && v < numV; v++ {
+			if _, err := cl.CompactVertex(v); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if _, err := cl.IngestTyped(w.ops[half:], w.labels[half:], w.props); err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +262,7 @@ func clusterView(shards, replicas int) func(t *testing.T, w workload) subject {
 		t.Cleanup(cv.Release)
 		o := cl.Owner(hub)
 		return subject{name: fmt.Sprintf("cluster.ClusterView %d shards x %d replicas", shards, replicas),
-			view: cv, full: cv, damage: func(t *testing.T) { poisonHub(t, stores[o], faults[o]) }}
+			view: cv, full: cv, damage: func(t *testing.T) { poisonHub(t, stores[o], faults[o]) }, compacted: replicas == 0}
 	}
 }
 
@@ -255,11 +283,12 @@ func graphOne(t *testing.T, w workload) subject {
 }
 
 func TestConformance(t *testing.T) {
-	w, m := build()
+	w := build()
 	for _, mk := range []func(*testing.T, workload) subject{
 		liveStore, snapshot, guardedSnapshot, clusterView(1, 0), clusterView(4, 1), graphOne,
 	} {
 		s := mk(t, w)
+		m := w.model(s.compacted)
 		t.Run(s.name, func(t *testing.T) {
 			if _, err := (difftest.Compare{Degrees: true}).Run(m, s.view.(view.Source)); err != nil {
 				t.Fatal(err)
@@ -426,7 +455,7 @@ func checkDamaged(t *testing.T, g view.Full) {
 // callback, a writer arriving in between would wait for that RLock while
 // the callback's own RLock waits behind the writer.
 func TestGuardCallbackRunsUnlocked(t *testing.T) {
-	w, _ := build()
+	w := build()
 	st, _ := loadedStore(t, w)
 	sn := st.Snapshot(xpsim.NewCtx(xpsim.NodeUnbound))
 	defer sn.Close()

@@ -34,6 +34,18 @@ if [[ -n "$unformatted" ]]; then
     exit 1
 fi
 
+echo "== every fuzz target a workflow or this script names exists"
+# `go test -fuzz` with no matching target prints PASS and exits 0, so a
+# deleted target would leave its step testing nothing.
+missing=0
+for name in $(grep -ohE -- '-fuzz +[A-Za-z0-9_]+' .github/workflows/*.yml scripts/check.sh | awk '{print $2}' | sort -u); do
+    if ! git ls-files '*_test.go' | xargs grep -qE "^func $name\("; then
+        echo "-fuzz $name names no fuzz target in a _test.go file" >&2
+        missing=1
+    fi
+done
+[[ $missing == 0 ]] || exit 1
+
 echo "== go build ./..."
 go build ./...
 
@@ -117,13 +129,27 @@ go test -count=1 -short -run 'TestExploreCommitProtocol|TestCountsRideTheRecords
 go test -count=1 -run 'TestCommitEpochSurvivesEveryTear|TestCommitRefusesPastMaxEpoch' ./internal/elog/
 go test -count=1 -run 'TestSnapshotShortReadIsTyped' ./internal/core/
 # The global slot parity and its two-cycle re-acknowledgment are gone, and
-# so are the text loader and the APIs the exported-API budget found nothing
-# calling: none of them may come back.
-if git ls-files '*.go' | xargs grep -nE '\b(MarkFlushedSlot|AckSlot|slotBit|pendPrev|nextSlot|ReadTextEdgeFile|ReadTextEdges|WriteTextEdges|ClearUE|ClearAllUEs|IsUE|WriteChecked|BinBytes|PendingRecords|DegreeHistogramResult|ResetReport|ScrubStats)\b|cnt\[0\] != [a-z.]*cnt\[1\]'; then
-    echo "the global count-slot parity, the text loader or an API the budget deleted came back" >&2
+# so are the text loader, the APIs the exported-API budget found nothing
+# calling and the oldest-first read (every read walks newest first through
+# one resolver): none of them may come back.
+if git ls-files '*.go' | xargs grep -nE '\b(MarkFlushedSlot|AckSlot|slotBit|pendPrev|nextSlot|ReadTextEdgeFile|ReadTextEdges|WriteTextEdges|ClearUE|ClearAllUEs|IsUE|WriteChecked|BinBytes|PendingRecords|DegreeHistogramResult|ResetReport|ScrubStats|OldestFirst)\b|cnt\[0\] != [a-z.]*cnt\[1\]'; then
+    echo "the global count-slot parity, the text loader, the oldest-first read or an API the budget deleted came back" >&2
     exit 1
 fi
 go test -count=1 -run 'TestRecoverRejects|TestDisableProactiveFlushIssuesNoAdjacencyFlush' ./internal/core/
+
+echo "== one delete semantics: one newest-first resolver behind every read"
+# A delete cancels an earlier matching insert and an unmatched one cancels
+# nothing, whenever a compaction runs (DESIGN.md §5): the resolver at every
+# cut and under a snapshot's skip; every read surface over deletes of
+# absent edges and re-inserts around a compaction; a stepped cluster's
+# leader, snapshots, follower and recovered store through compactions,
+# scrub rebuilds and resyncs; and the scrub refusing a log window that a
+# compaction outran.
+go test -count=1 -run 'TestResolveAtEveryCut|TestResolverSkipsTheNewest' ./internal/adj/
+go test -count=1 -run 'TestConformance' ./internal/view/
+go test -count=1 -run 'TestDeleteSemanticsDifferential' ./internal/cluster/
+go test -count=1 -run 'TestScrubLogWindowAfterCompaction' ./internal/crashtest/
 
 echo "== one clock: no wall-clock read in a policy path; the stepped pipeline; soak on the real one"
 # Policy code reads time through internal/clock (DESIGN.md §12.5 "Clocks"),
@@ -275,11 +301,15 @@ echo "== EXPERIMENTS.md is what its template renders from results_full.txt"
 # its paper band with no recorded deviation all fail here.
 python3 scripts/mkexperiments.py /dev/stdout | diff -u EXPERIMENTS.md -
 
-echo "== DESIGN.md §8's metric catalog is the live registry"
+echo "== DESIGN.md §8's metric catalog and span taxonomy are the live registry and tracer"
 # Every series a live server exports — store, device collector, pipeline,
 # breaker, shipping, a follower, the server's own — is in the catalog's
 # tables and every catalog name is exported ({a,b} expands).
 go test -count=1 -run 'TestMetricCatalogMatchesDesign' ./internal/server/
+# Its span taxonomy is the tracer's: every span a traced store, its scrub
+# and recovery and a traced GraphOne store record is in the table, and
+# every name in the table is recorded.
+go test -count=1 -run 'TestSpanTaxonomyMatchesDesign' ./internal/core/
 
 echo "== media-scrub differentials (short)"
 # The UE-injection differential harness (DESIGN.md §9): every read under
