@@ -170,9 +170,9 @@ func New(stores []*core.Store, cfg Config) (*Cluster, error) {
 	c := &Cluster{cfg: cfg, pmap: pmap}
 	for i, st := range stores {
 		sh := &Shard{
-			id:    i,
-			store: st,
-			clk:   cfg.Clock,
+			member: member{store: st},
+			id:     i,
+			clk:    cfg.Clock,
 			br: breaker{
 				threshold: cfg.BreakerThreshold,
 				overload:  cfg.BreakerSheds,
@@ -219,9 +219,7 @@ func (c *Cluster) Start() error {
 					sh.replicas = append(sh.replicas, newReplica(sh, ri, st, factory))
 				}
 			}
-			sh.mu.Lock()
-			sh.publishLocked(xpsim.NewCtx(xpsim.NodeUnbound))
-			sh.mu.Unlock()
+			_ = sh.mutate(nil, republish)
 			sh.pipe.Start()
 		}
 	})
@@ -313,12 +311,8 @@ func (c *Cluster) Ingest(edges []graph.Edge, sync bool) (IngestResult, error) {
 			continue
 		}
 		sh := c.shards[i]
-		if sh.down.Load() {
-			firstErr = &ShardError{Shard: i, Err: ErrShardDown}
-			break
-		}
-		if ok, wait := sh.br.allow(sh.clk.Now()); !ok {
-			firstErr = &ShardError{Shard: i, Err: &BreakerOpenError{Wait: wait}}
+		if err := sh.admit(&shipEntry{edges: part}); err != nil {
+			firstErr = &ShardError{Shard: i, Err: err}
 			break
 		}
 		req := ingest.NewRequest(part)
@@ -421,10 +415,10 @@ func putParts(parts [][]graph.Edge) {
 }
 
 // IngestLocal applies edges synchronously, bypassing the pipelines — the
-// bulk-load path (bench, preload). Each shard applies its partition
-// under its own lock, republishes, and ships to its followers; the
-// returned simulated time is the slowest shard's, since every shard is
-// its own machine applying in parallel.
+// bulk-load path (bench, preload). Each shard admits and commits its
+// partition as one plain entry; the returned simulated time is the
+// slowest shard's, since every shard is its own machine applying in
+// parallel.
 func (c *Cluster) IngestLocal(edges []graph.Edge) (simNs int64, err error) {
 	parts := c.splitPooled(edges)
 	defer putParts(parts)
@@ -433,40 +427,28 @@ func (c *Cluster) IngestLocal(edges []graph.Edge) (simNs int64, err error) {
 			continue
 		}
 		sh := c.shards[i]
-		if sh.down.Load() {
-			return simNs, &ShardError{Shard: i, Err: ErrShardDown}
+		e := shipEntry{edges: part}
+		var ns int64
+		if err = sh.admit(&e); err == nil {
+			ns, _, err = sh.commit(&e)
 		}
-		sh.mu.Lock()
-		rep, ierr := sh.store.Ingest(part)
-		var msg shipMsg
-		if ierr == nil {
-			epoch := sh.publishLocked(xpsim.NewCtx(xpsim.NodeUnbound))
-			msg = sh.recordShipLocked(shipEntry{edges: part, epoch: epoch})
+		if err != nil {
+			return simNs, &ShardError{Shard: i, Err: err}
 		}
-		sh.mu.Unlock()
-		if ierr != nil {
-			return simNs, &ShardError{Shard: i, Err: ierr}
-		}
-		sh.dispatch(msg)
-		if ns := rep.TotalNs(); ns > simNs {
-			simNs = ns
-		}
+		simNs = max(simNs, ns)
 	}
 	return simNs, nil
 }
 
-// ---- admin ops (exclusive per-shard lock, then republish) ----
+// ---- admin ops: one mutate per live shard ----
 
 // PublishAll publishes a fresh snapshot on every live shard and returns
 // the resulting epoch vector.
 func (c *Cluster) PublishAll() []uint64 {
 	for _, sh := range c.shards {
-		if sh.down.Load() {
-			continue
+		if !sh.down.Load() {
+			_ = sh.mutate(nil, republish)
 		}
-		sh.mu.Lock()
-		sh.publishLocked(xpsim.NewCtx(xpsim.NodeUnbound))
-		sh.mu.Unlock()
 	}
 	return c.EpochVector()
 }
@@ -478,13 +460,7 @@ func (c *Cluster) FlushAll() error {
 		if sh.down.Load() {
 			continue
 		}
-		sh.mu.Lock()
-		err := sh.store.FlushAllVbufs()
-		if err == nil {
-			sh.publishLocked(xpsim.NewCtx(xpsim.NodeUnbound))
-		}
-		sh.mu.Unlock()
-		if err != nil {
+		if err := sh.mutate(nil, flushVbufs); err != nil {
 			return &ShardError{Shard: sh.id, Err: err}
 		}
 	}
@@ -499,14 +475,9 @@ func (c *Cluster) CompactVertex(v graph.VID) (simNs int64, err error) {
 		return 0, &ShardError{Shard: sh.id, Err: ErrShardDown}
 	}
 	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
-	sh.mu.Lock()
-	cerr := sh.store.CompactAdjs(ctx, v)
-	if cerr == nil {
-		sh.publishLocked(ctx)
-	}
-	sh.mu.Unlock()
-	if cerr != nil {
-		return 0, &ShardError{Shard: sh.id, Err: cerr}
+	err = sh.mutate(ctx, func(st *core.Store) (bool, error) { return true, st.CompactAdjs(ctx, v) })
+	if err != nil {
+		return 0, &ShardError{Shard: sh.id, Err: err}
 	}
 	return ctx.Cost.Ns(), nil
 }
@@ -519,14 +490,13 @@ func (c *Cluster) ScrubAll() (core.ScrubReport, error) {
 		if sh.down.Load() {
 			continue
 		}
-		sh.mu.Lock()
-		rep, serr := sh.store.Scrub()
-		if serr == nil {
-			sh.publishLocked(xpsim.NewCtx(xpsim.NodeUnbound))
-		}
-		sh.mu.Unlock()
-		if serr != nil {
-			return total, &ShardError{Shard: sh.id, Err: serr}
+		var rep core.ScrubReport
+		err := sh.mutate(nil, func(st *core.Store) (changed bool, err error) {
+			rep, err = st.Scrub()
+			return true, err
+		})
+		if err != nil {
+			return total, &ShardError{Shard: sh.id, Err: err}
 		}
 		total.VerticesScanned += rep.VerticesScanned
 		total.Damaged += rep.Damaged

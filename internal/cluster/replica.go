@@ -24,21 +24,24 @@ import (
 // shed-to-resync, and a writer that never waits on a follower.
 const replicaQueue = 64
 
-// shipEntry is one applied leader chunk's immutable payload. One copy
-// is made when the leader assigns the chunk its sequence number; the
-// retention ring and every delivery attempt (including chaos-injected
-// duplicates) share it read-only. Typed entries additionally carry
-// per-edge labels, vertex-property writes, and label-table broadcasts
-// (DESIGN.md §13).
+// shipEntry is the one unit of a partition write (DESIGN.md §11.2):
+// every write route commits one on the leader, and the leader's
+// followers apply the recorded copy with the same member.apply. The
+// copy is made when the leader assigns the entry its sequence number;
+// the retention ring and every delivery attempt (including
+// chaos-injected duplicates) share it read-only.
 type shipEntry struct {
-	edges []graph.Edge
-	epoch uint64
-
-	typed  bool
-	labels []uint16        // labels[i] types edges[i]
+	edges  []graph.Edge
+	epoch  uint64          // the leader epoch the entry's commit left
+	labels []uint16        // labels[i] types edges[i]; none: plain edges
 	props  []graph.PropSet // vertex-property writes in the same window
 	defs   []labelDef      // label-table (id, name) broadcasts
 }
+
+// hasData reports whether the entry carries edges or properties: such an
+// entry publishes where it applies and its outcome feeds the breaker; a
+// defs-only label broadcast does neither.
+func (e *shipEntry) hasData() bool { return len(e.edges) > 0 || len(e.props) > 0 }
 
 // labelDef is one broadcast label-table assignment.
 type labelDef struct {
@@ -181,19 +184,13 @@ func earliest(a, b time.Time) time.Time {
 // or resync round — whose state lives on the struct. Shard.Step calls it
 // on a stepped clock; on the wall clock it runs under clock.Timer.Drive.
 type Replica struct {
+	member
 	sh   *Shard
 	link chaos.Link // shard and follower index
 	clk  clock.Clock
 	// factory provisions a fresh store for a snapshot rebuild — the
 	// same constructor that built the follower at Start.
 	factory func() (*core.Store, error)
-
-	// mu orders the stepper's store mutation (and the snapshot-resync
-	// store swap) against snapshot reads, exactly like a shard leader's
-	// mu.
-	mu    sync.RWMutex
-	store *core.Store // guarded by mu; swapped by snapshot resync
-	cur   *published  // guarded by mu
 
 	// qmu guards the link's two bounded queues — the arrivals the
 	// transport delivered and the leader's pending retries — and closed.
@@ -208,7 +205,7 @@ type Replica struct {
 	state   atomic.Int32  // rstate
 	nextSeq atomic.Uint64 // next sequence number to apply
 
-	applyErr error // first PERMANENT apply failure; guarded by mu
+	applyErr atomic.Pointer[error] // first PERMANENT apply failure
 
 	// Stepper-owned state.
 	stash         map[uint64]shipMsg // reorder stash
@@ -244,7 +241,6 @@ func newReplica(sh *Shard, id int, store *core.Store, factory func() (*core.Stor
 		link:    chaos.Link{Shard: sh.id, Replica: id},
 		clk:     sh.clk,
 		factory: factory,
-		store:   store,
 		inbox:   make([]queued, 0, replicaQueue),
 		stash:   make(map[uint64]shipMsg),
 	}
@@ -252,7 +248,7 @@ func newReplica(sh *Shard, id int, store *core.Store, factory func() (*core.Stor
 	// Publish the initial empty snapshot at the leader's initial epoch
 	// (1), so a view acquired before any write still has something to
 	// pin.
-	r.cur = &published{snap: store.Snapshot(xpsim.NewCtx(xpsim.NodeUnbound)), epoch: 1}
+	r.reset(store, 1)
 	if t := r.clk.Timer(); t != nil {
 		r.kick = make(chan struct{}, 1)
 		r.driver = t.Drive(r.kick, func() (time.Time, bool) {
@@ -288,9 +284,10 @@ func (r *Replica) Epoch() uint64 {
 // surface here; they resolve through resync. A replica with a non-nil
 // Err has stopped advancing and is never selected for serving.
 func (r *Replica) Err() error {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.applyErr
+	if p := r.applyErr.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // State reports the replica's serving state: running, resyncing, or
@@ -446,11 +443,7 @@ func (r *Replica) toResync() {
 
 // setDamaged records a permanent apply failure and stops the replica.
 func (r *Replica) setDamaged(err error) {
-	r.mu.Lock()
-	if r.applyErr == nil {
-		r.applyErr = err
-	}
-	r.mu.Unlock()
+	r.applyErr.CompareAndSwap(nil, &err)
 	r.state.Store(int32(replicaDamaged))
 }
 
@@ -596,16 +589,9 @@ func (r *Replica) applyMsg(m shipMsg) bool {
 	}
 	var simNs int64
 	if err == nil {
-		r.mu.Lock()
-		if simNs, err = r.apply(m.e); err == nil {
+		if simNs, err = r.replay(m.e); err == nil {
 			r.nextSeq.Store(m.seq + 1)
-			r.cur.retire() // first, as in Shard.publishLocked
-			r.cur = &published{
-				snap:  r.store.Snapshot(xpsim.NewCtx(xpsim.NodeUnbound)),
-				epoch: m.e.epoch,
-			}
 		}
-		r.mu.Unlock()
 	}
 	r.busyUntil = r.clk.Done(start, time.Duration(simNs))
 	if err == nil {
@@ -622,37 +608,6 @@ func (r *Replica) applyMsg(m shipMsg) bool {
 	r.forceSnapshot = true
 	r.toResync()
 	return false
-}
-
-// apply replays one shipped entry into the follower store (callers hold
-// mu exclusively) and returns its simulated cost. Plain entries are a
-// straight Ingest; typed entries replay label-table broadcasts first (so
-// shipped ids always resolve), then the typed edges, then the property
-// writes — the same order the leader applied them in.
-func (r *Replica) apply(e *shipEntry) (int64, error) {
-	if !e.typed {
-		rep, err := r.store.Ingest(e.edges)
-		return rep.TotalNs(), err
-	}
-	for _, d := range e.defs {
-		if err := r.store.SetLabelDef(d.id, d.name); err != nil {
-			return 0, err
-		}
-	}
-	var simNs int64
-	if len(e.edges) > 0 {
-		rep, err := r.store.IngestTyped(e.edges, e.labels)
-		if err != nil {
-			return 0, err
-		}
-		simNs = rep.TotalNs()
-	}
-	if len(e.props) > 0 {
-		if err := r.store.SetProps(e.props); err != nil {
-			return simNs, err
-		}
-	}
-	return simNs, nil
 }
 
 // resyncRound is one round of the catch-up state machine (DESIGN.md
@@ -790,12 +745,7 @@ func (r *Replica) snapshotResync() (simNs int64, err error) {
 		return simNs, err
 	}
 
-	r.mu.Lock()
-	old := r.cur
-	r.store = fresh
-	r.cur = &published{snap: fresh.Snapshot(xpsim.NewCtx(xpsim.NodeUnbound)), epoch: p.epoch}
-	old.retire()
-	r.mu.Unlock()
+	r.reset(fresh, p.epoch)
 	r.nextSeq.Store(head + 1)
 	return simNs, nil
 }
@@ -830,15 +780,6 @@ func (r *Replica) finish() {
 	}
 	for r.stateNow() == replicaResyncing && r.resyncRound() {
 	}
-}
-
-// acquire pins the replica's current publication.
-func (r *Replica) acquire() *published {
-	r.mu.RLock()
-	p := r.cur
-	p.refs.Add(1)
-	r.mu.RUnlock()
-	return p
 }
 
 // View pins the replica's current publication and returns a guarded

@@ -218,6 +218,47 @@ func TestClusterTypedDifferential(t *testing.T) {
 			}
 		}
 	}
+
+	// A label broadcast carries no edges or properties, so it publishes
+	// nowhere: after a bare publication has put every leader ahead of its
+	// followers, registering a label leaves every leader's and every
+	// follower's epoch where it was, the followers' once they applied it.
+	cl.PublishAll()
+	leaders, followers := cl.EpochVector(), replicaEpochs(cl)
+	likes, err := cl.RegisterLabel("likes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cl.Shards(); i++ {
+		sh := cl.Shard(i)
+		for _, r := range sh.Replicas() {
+			for deadline := time.Now().Add(5 * time.Second); r.NextSeq() <= sh.ShipSeq(); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("shard %d replica stuck at seq %d, leader shipped %d", i, r.NextSeq(), sh.ShipSeq())
+				}
+			}
+			if got := r.Store().Labels(); len(got) <= int(likes) || got[likes] != "likes" {
+				t.Fatalf("shard %d replica label table after RegisterLabel = %v", i, got)
+			}
+		}
+	}
+	if got := cl.EpochVector(); fmt.Sprint(got) != fmt.Sprint(leaders) {
+		t.Fatalf("leader epochs %v after RegisterLabel, %v before", got, leaders)
+	}
+	if got := replicaEpochs(cl); fmt.Sprint(got) != fmt.Sprint(followers) {
+		t.Fatalf("follower epochs %v after RegisterLabel, %v before", got, followers)
+	}
+}
+
+// replicaEpochs lists every follower's published epoch, shard by shard.
+func replicaEpochs(cl *Cluster) []uint64 {
+	var out []uint64
+	for i := 0; i < cl.Shards(); i++ {
+		for _, r := range cl.Shard(i).Replicas() {
+			out = append(out, r.Epoch())
+		}
+	}
+	return out
 }
 
 // TestClusterTypedFailClosed pins the down-shard behavior of the typed
@@ -252,65 +293,100 @@ func TestClusterTypedFailClosed(t *testing.T) {
 	}
 }
 
-// TestClusterTypedBreaker pins that the typed write path goes through
-// the shard's circuit breaker like the pipeline path does: typed media
-// failures count toward opening it, an open breaker refuses a typed
-// write up front with the time left until its probe, and after the
-// cooldown a successful typed write is the half-open probe that closes
-// it. The cluster runs on a virtual clock, so the cooldown is crossed by
-// setting the clock, not by sleeping.
+// errPipelineDropped stands for an apply failure on the pipeline route,
+// which reports it by dropping the request's edges, not to the caller of
+// an async Ingest.
+var errPipelineDropped = errors.New("the pipeline dropped the write")
+
+// TestClusterTypedBreaker pins that every write route whose entry carries
+// edges or properties goes through the shard's one admission and feeds
+// the breaker the outcome of its commit: media failures count toward
+// opening it, an open breaker refuses the write up front with the time
+// left until its probe, and after the cooldown a successful write is the
+// half-open probe that closes it. The cluster runs on a virtual clock, so
+// the cooldown is crossed by setting the clock, not by sleeping.
 func TestClusterTypedBreaker(t *testing.T) {
-	m := xpsim.NewMachine(2, 256<<20, xpsim.DefaultLatency())
-	faults := m.TrackFaults()
-	st, err := core.New(m, pmem.NewHeap(m), nil, core.Options{
-		Name: "tbreaker", NumVertices: 1 << 10, LogCapacity: 1 << 12,
-		ArchiveThreshold: 1 << 8, ArchiveThreads: 4, Props: true,
-		MediaGuard: true, ArchiveSSDBytes: 4 << 20})
-	if err != nil {
-		t.Fatal(err)
+	routes := []struct {
+		name  string
+		write func(cl *Cluster, clk *clock.Virtual, e graph.Edge, lbl uint16) error
+	}{
+		{"IngestTyped", func(cl *Cluster, _ *clock.Virtual, e graph.Edge, lbl uint16) error {
+			_, err := cl.IngestTyped([]graph.Edge{e}, []uint16{lbl}, nil)
+			return err
+		}},
+		{"IngestLocal", func(cl *Cluster, _ *clock.Virtual, e graph.Edge, _ uint16) error {
+			_, err := cl.IngestLocal([]graph.Edge{e})
+			return err
+		}},
+		{"Ingest", func(cl *Cluster, clk *clock.Virtual, e graph.Edge, _ uint16) error {
+			dropped := cl.Shard(0).PipeStats().EdgesDropped
+			if _, err := cl.Ingest([]graph.Edge{e}, false); err != nil {
+				return err
+			}
+			runUntil(cl, clk, clk.Now().Add(time.Second))
+			if cl.Shard(0).PipeStats().EdgesDropped > dropped {
+				return errPipelineDropped
+			}
+			return nil
+		}},
 	}
-	clk := &clock.Virtual{}
-	cl, err := New([]*core.Store{st}, Config{BreakerThreshold: 2, BreakerCooldown: time.Minute, Clock: clk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Close)
-	lbl, err := cl.RegisterLabel("follows")
-	if err != nil {
-		t.Fatal(err)
-	}
-	write := func(dst uint32) error {
-		_, err := cl.IngestTyped([]graph.Edge{{Src: 3, Dst: dst}}, []uint16{lbl}, nil)
-		return err
-	}
-	if err := write(1); err != nil {
-		t.Fatalf("typed write on a healthy store: %v", err)
-	}
+	for _, route := range routes {
+		t.Run(route.name, func(t *testing.T) {
+			m := xpsim.NewMachine(2, 256<<20, xpsim.DefaultLatency())
+			faults := m.TrackFaults()
+			st, err := core.New(m, pmem.NewHeap(m), nil, core.Options{
+				Name: "tbreaker", NumVertices: 1 << 10, LogCapacity: 1 << 12,
+				ArchiveThreshold: 1 << 8, ArchiveThreads: 4, Props: true,
+				MediaGuard: true, ArchiveSSDBytes: 4 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			clk := &clock.Virtual{}
+			cl, err := New([]*core.Store{st}, Config{BreakerThreshold: 2, BreakerCooldown: time.Minute, Clock: clk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Start(); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(cl.Close)
+			lbl, err := cl.RegisterLabel("follows")
+			if err != nil {
+				t.Fatal(err)
+			}
+			write := func(dst uint32) error { return route.write(cl, clk, graph.Edge{Src: 3, Dst: dst}, lbl) }
+			if err := write(1); err != nil {
+				t.Fatalf("write on a healthy store: %v", err)
+			}
 
-	faults.FailNode(1)
-	var me *xpsim.MediaError
-	for i := 0; i < 2; i++ {
-		if err := write(2); !errors.As(err, &me) {
-			t.Fatalf("typed write %d on a dead node = %v, want a *xpsim.MediaError", i, err)
-		}
-	}
-	var boe *BreakerOpenError
-	if err := write(2); !errors.As(err, &boe) || boe.Wait <= 0 {
-		t.Fatalf("typed write after two media failures = %v, want a *BreakerOpenError with a positive Wait", err)
-	}
-	if v := cl.Shard(0).Breaker(); !v.Open || v.Trips != 1 || v.Rejected != 1 {
-		t.Fatalf("breaker after the trip = %+v", v)
-	}
+			faults.FailNode(1)
+			var me *xpsim.MediaError
+			for i := 0; i < 2; i++ {
+				if err := write(2); !errors.As(err, &me) && !errors.Is(err, errPipelineDropped) {
+					t.Fatalf("write %d on a dead node = %v, want a media failure", i, err)
+				}
+			}
+			var boe *BreakerOpenError
+			if err := write(2); !errors.As(err, &boe) || boe.Wait <= 0 {
+				t.Fatalf("write after two media failures = %v, want a *BreakerOpenError with a positive Wait", err)
+			}
+			if v := cl.Shard(0).Breaker(); !v.Open || v.Trips != 1 || v.Rejected != 1 {
+				t.Fatalf("breaker after the trip = %+v", v)
+			}
+			// A label broadcast carries no data: the open breaker neither
+			// refuses it nor hears of it.
+			if _, err := cl.RegisterLabel("blocks"); err != nil {
+				t.Fatalf("RegisterLabel with the breaker open: %v", err)
+			}
 
-	faults.ReviveNode(1)
-	clk.Set(int64(2 * time.Minute))
-	if err := write(2); err != nil {
-		t.Fatalf("typed half-open probe after the cooldown: %v", err)
-	}
-	if v := cl.Shard(0).Breaker(); v.Open || v.Probes != 1 || v.Closes != 1 {
-		t.Fatalf("breaker after a successful typed probe = %+v, want closed by one probe", v)
+			faults.ReviveNode(1)
+			clk.Set(clk.Now().Add(2 * time.Minute).UnixNano())
+			if err := write(2); err != nil {
+				t.Fatalf("half-open probe after the cooldown: %v", err)
+			}
+			if v := cl.Shard(0).Breaker(); v.Open || v.Probes != 1 || v.Closes != 1 || v.Rejected != 1 {
+				t.Fatalf("breaker after a successful probe = %+v, want closed by one probe", v)
+			}
+		})
 	}
 }

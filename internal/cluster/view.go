@@ -86,22 +86,15 @@ func (c *Cluster) AcquireView() *ClusterView {
 	}
 	cv.Surface = view.Surface{Source: cv}
 	for i, sh := range c.shards {
-		if !sh.down.Load() {
-			p := sh.acquire()
-			cv.pins[i] = p
-			cv.srcs[i] = view.GuardSource(p.snap, &sh.mu)
-			cv.epochs[i] = p.epoch
-		} else if r := bestReplica(sh); r != nil {
-			p := r.acquire()
-			cv.pins[i] = p
-			cv.srcs[i] = view.GuardSource(p.snap, &r.mu)
-			cv.epochs[i] = p.epoch
+		m := sh.serving()
+		if m == nil {
+			continue
 		}
-		if s := cv.srcs[i]; s != nil {
-			if nv := s.NumVertices(); nv > cv.numV {
-				cv.numV = nv
-			}
-		}
+		p := m.acquire()
+		cv.pins[i] = p
+		cv.srcs[i] = view.GuardSource(p.snap, &m.mu)
+		cv.epochs[i] = p.epoch
+		cv.numV = max(cv.numV, cv.srcs[i].NumVertices())
 	}
 	return cv
 }

@@ -167,14 +167,11 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	s.enqueueAndRespond(w, r, edges)
 }
 
-// handleIngestBin is the binary batch endpoint: the same pipeline as
-// POST /v1/edges behind the length-prefixed wire format of
-// ingest.DecodeBatch (DESIGN.md §10.1), extended with typed-edge and
-// property-set frames (§13.6). A plain batch — no typed frames — takes
-// the async-capable pipeline path exactly as before; a batch carrying
-// labels or property writes is applied synchronously under the owner
-// shards' locks (cluster.IngestTyped), because an edge's adjacency
-// record and its label must land in one lock window.
+// handleIngestBin is the binary batch endpoint: POST /v1/edges behind
+// the length-prefixed wire format of ingest.DecodeBatch (DESIGN.md
+// §10.1), extended with typed-edge and property-set frames (§13.6). A
+// plain batch takes the pipeline route, a batch with labels or property
+// writes cluster.IngestTyped; §11.2's table says how each commits.
 func (s *Server) handleIngestBin(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")

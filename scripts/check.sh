@@ -252,6 +252,41 @@ echo "== vertex-buffer pool: a bulk is a reservation, backed on first carve"
 go test -count=1 ./internal/mempool/
 go test -count=1 -run 'TestFirstIngestBacksOnlyWhatItCarves' ./internal/core/
 
+echo "== one commit per partition: every write window is the member's"
+# A partition write is one ship entry that the leader commits and its
+# followers replay with the same apply (DESIGN.md §11.2): the exclusive lock
+# of a member (a Shard or a Replica), publishLocked and recordShipLocked
+# appear in non-test code of internal/cluster only inside member's methods,
+# Shard.commit and Shard.mutate (the breaker's mutex is its own). Every
+# other window is on this list, one reason a line.
+member_window_ok='
+Replica.resyncRound   the caught-up flip: no seq may be assigned between the check and running
+'
+echo "$member_window_ok" | sed '/^$/d; s/^/  allowed: /'
+windows=$(git ls-files 'internal/cluster/*.go' | grep -v '_test\.go$' |
+    xargs awk -v ok="$(echo "$member_window_ok" | awk 'NF {printf "%s,", $1}')" '
+    BEGIN { n = split(ok, a, ","); for (i = 1; i <= n; i++) allowed[a[i]] = 1 }
+    /^func / {
+        fn = $0
+        sub(/^func /, "", fn)
+        if (fn ~ /^\(/) {
+            sub(/^\([a-z]+ \*?/, "", fn)
+            sub(/\) /, ".", fn)
+        }
+        sub(/\(.*/, "", fn)
+        next
+    }
+    /^[ \t]*\/\// { next }
+    /\.mu\.Lock\(\)|publishLocked\(|recordShipLocked\(/ {
+        if (fn ~ /^(member|breaker)\./ || fn == "Shard.commit" || fn == "Shard.mutate" || fn in allowed) next
+        print FILENAME ":" FNR ": " fn ": " $0
+    }')
+if [[ -n "$windows" ]]; then
+    echo "$windows" >&2
+    echo "a hand-rolled write window: commit an entry, mutate, or give the window a reasoned line above" >&2
+    exit 1
+fi
+
 echo "== cluster router + failover (-race)"
 # The partitioned-cluster suite under the race detector: the 4-shard
 # differential vs a single store, replica log-shipping convergence, the
