@@ -25,10 +25,12 @@
 // needs no further write. An append whose records start in the XPLine of
 // that slot writes the count (and the stamp) itself — a new block's header,
 // stamp, count and first records are one contiguous write — so the count
-// rides to the media with the records; a flushing phase's workers call Ack
-// to write what is left: the counts of blocks whose tail has moved on to
-// another line. The caller makes everything durable with a machine-wide
-// writeback barrier and then commits the epoch. A crash anywhere before the
+// rides to the media with the records. A flush drain's FillTail writes the
+// count just before the records wherever they start. A flushing phase's
+// workers call Ack to write what is left: the counts of blocks an Append
+// left after its tail had moved on to another line. The caller makes
+// everything durable with a machine-wide writeback barrier and then
+// commits the epoch. A crash anywhere before the
 // commit leaves every committed count current and every uncommitted record
 // invisible; replaying the log window [flushed, head) then restores the
 // uncommitted records exactly once, with no content-based dedup.
@@ -342,7 +344,7 @@ func (s *Store) Append(ctx *xpsim.Ctx, v graph.VID, nbrs []uint32) error {
 	for len(nbrs) > 0 {
 		n := 0
 		if s.vx[v].tail != 0 {
-			n = s.appendTail(ctx, v, nbrs)
+			n = s.appendTail(ctx, v, nbrs, false)
 		}
 		if n == 0 {
 			// No tail block, or a full one (fixed: no free slot; varint: the
@@ -384,10 +386,43 @@ func encodeRun(buf []byte, format uint8, free int, prev uint32, nbrs []uint32) (
 	return buf, n, prev
 }
 
+// TailFit reports the offset of v's tail block and whether it has room
+// for another record: a fixed block a free slot, a varint block a free
+// byte (FillTail may still find the next record's encoding too long). A
+// flush drain fills such tails first, in the order of their offsets.
+func (s *Store) TailFit(v graph.VID) (off int64, room bool) {
+	if int(v) >= len(s.vx) || s.vx[v].tail == 0 {
+		return 0, false
+	}
+	t := &s.vx[v]
+	if t.format == fmtVarint {
+		return t.tail, t.bytes < 4*t.capacity
+	}
+	return t.tail, t.cnt < t.capacity
+}
+
+// FillTail writes as many of nbrs as fit v's tail block and returns how
+// many it stored; the rest need new blocks, which Append opens. Unlike an
+// Append, it writes the block's count (and the stamp the media lacks)
+// whichever XPLine the records start in, before them: a drain that fills
+// tails in offset order then writes each block's lines in one ascending
+// sweep, and Ack owes the block nothing.
+func (s *Store) FillTail(ctx *xpsim.Ctx, v graph.VID, nbrs []uint32) (int, error) {
+	if s.epoch > maxEpoch && s.rule().ack {
+		return 0, errEpochBound
+	}
+	if int(v) >= len(s.vx) || s.vx[v].tail == 0 {
+		return 0, nil
+	}
+	return s.appendTail(ctx, v, nbrs, true), nil
+}
+
 // appendTail writes as many of nbrs as fit v's tail block with a single
 // memory operation — fixed slots, or one delta chain continued from the
-// block's last record — and returns how many it stored.
-func (s *Store) appendTail(ctx *xpsim.Ctx, v graph.VID, nbrs []uint32) int {
+// block's last record — and returns how many it stored. Under the acked
+// policy the count follows the records when it shares their first XPLine;
+// force writes it, wherever it lies, before them.
+func (s *Store) appendTail(ctx *xpsim.Ctx, v graph.VID, nbrs []uint32, force bool) int {
 	t := &s.vx[v]
 	blk, format := t.tail, t.format
 	used := 4 * t.cnt
@@ -400,7 +435,9 @@ func (s *Store) appendTail(ctx *xpsim.Ctx, v graph.VID, nbrs []uint32) int {
 		return 0
 	}
 	off := blk + headerBytes + int64(used)
-	s.m.Write(ctx, off, enc)
+	if !force {
+		s.m.Write(ctx, off, enc)
+	}
 	if s.opts.Checksums {
 		m := s.mirror[blk]
 		m.crc = crc32.Update(m.crc, castagnoli, enc)
@@ -415,14 +452,14 @@ func (s *Store) appendTail(ctx *xpsim.Ctx, v graph.VID, nbrs []uint32) int {
 		// anything not yet committed. A block's first change in the epoch
 		// turns to its other slot — the current one must survive a crash
 		// before the commit — and later ones rewrite it. When that slot
-		// shares the records' XPLine the count (and the stamp, if the media
-		// lacks it) rides the same line to the media here and now, and Ack
-		// has nothing left to write for this block.
+		// shares the records' XPLine, or force says so, the count (and the
+		// stamp, if the media lacks it) goes to the media here and now, and
+		// Ack has nothing left to write for this block.
 		if tag := runTag(s.epoch); t.run != tag {
 			t.stamp, t.run = t.stamp&stampSel^stampSel, tag
 		}
 		sel := t.stamp & stampSel
-		counted := (blk+slotOff(int(sel)))/xpsim.XPLineSize == off/xpsim.XPLineSize
+		counted := force || (blk+slotOff(int(sel)))/xpsim.XPLineSize == off/xpsim.XPLineSize
 		if counted {
 			s.putCount(ctx, blk, t.format, sel, t.stamp&stampOnMedia == 0, t.cnt)
 			t.stamp |= stampOnMedia
@@ -430,6 +467,9 @@ func (s *Store) appendTail(ctx *xpsim.Ctx, v graph.VID, nbrs []uint32) int {
 		s.pendAdd(blk, t.cnt, sel, t.format, counted)
 	case slot0:
 		s.putCount(ctx, blk, t.format, 0, false, t.cnt)
+	}
+	if force {
+		s.m.Write(ctx, off, enc)
 	}
 	s.commitAppend(ctx, v, off, enc, n)
 	return n

@@ -471,7 +471,8 @@ func TestAckSplitIsInvisibleToDevice(t *testing.T) {
 		// store's first cycle acknowledges epoch 1.
 		for i, tw := range []twin{one, four} {
 			n := 1 + 3*i
-			xpsim.ParallelN(n, 4, xpsim.PinnedTo(0), func(w int, wctx *xpsim.Ctx) {
+			var sw xpsim.Sweep
+			sw.Each(n, 4, xpsim.PinnedTo(0), func(w int, wctx *xpsim.Ctx) {
 				tw.s.Ack(wctx, uint32(cycle+1), w, n)
 			})
 		}
@@ -520,8 +521,10 @@ func (c *countingMem) Alloc(ctx *xpsim.Ctx, size, align int64) (int64, error) {
 // flush-all earns them back. An append that starts in the XPLine of the
 // slot its block's stamp names writes the count beside its records, and
 // the cycle's Ack then skips the block; only a block whose tail has moved
-// on to another line is left for Ack. A block left alone in the next epoch
-// owes nothing; one changed there turns to its other slot and stamps it.
+// on to another line is left for Ack. A flush drain's tail fill writes the
+// count (and the stamp the media lacks) itself wherever its records start,
+// so Ack skips its block too. A block left alone in the next epoch owes
+// nothing; one changed there turns to its other slot and stamps it.
 func TestCountsRideTheRecordsWrite(t *testing.T) {
 	for name, opts := range map[string]Options{
 		"fixed": {CrashSafe: true}, "varint": {CrashSafe: true, VarintBlocks: true}, "checksums": {CrashSafe: true, Checksums: true},
@@ -531,15 +534,26 @@ func TestCountsRideTheRecordsWrite(t *testing.T) {
 		_, r, m, ctx := testStore(t)
 		cm := &countingMem{RecoverableMem: r}
 		s := New(cm, &m.Lat, 16, opts)
-		appendN := func(v graph.VID, n int) int {
-			t.Helper()
+		records := func(n int) []uint32 {
 			nbrs := make([]uint32, n)
 			for i := range nbrs {
 				nbrs[i] = uint32(i+1) * 0x9E3779B1 &^ graph.DelFlag // far apart: a varint record is 5 bytes
 			}
+			return nbrs
+		}
+		appendN := func(v graph.VID, n int) int {
+			t.Helper()
 			before := cm.writes
-			if err := s.Append(ctx, v, nbrs); err != nil {
+			if err := s.Append(ctx, v, records(n)); err != nil {
 				t.Fatal(err)
+			}
+			return cm.writes - before
+		}
+		fillN := func(v graph.VID, n int) int {
+			t.Helper()
+			before := cm.writes
+			if k, err := s.FillTail(ctx, v, records(n)); err != nil || k != n {
+				t.Fatalf("%s: FillTail stored %d of %d records: %v", name, k, n, err)
 			}
 			return cm.writes - before
 		}
@@ -568,17 +582,33 @@ func TestCountsRideTheRecordsWrite(t *testing.T) {
 		if w := appendN(2, 1); w != 1 || s.vx[2].tail != roomy {
 			t.Fatalf("%s: an append in another line than its header is %d write requests, want the records alone", name, w)
 		}
+		// Vertex 3's tail leaves the header's line too, and a tail fill
+		// writes its count before its records.
+		appendN(3, 3)
+		appendN(3, 100)
+		filled := s.vx[3].tail
+		if w := fillN(3, 1); w != 2 || s.vx[3].tail != filled {
+			t.Fatalf("%s: a tail fill in another line than its header is %d write requests, want count and records", name, w)
+		}
 
 		s.Ack(ctx, 1, 0, 1)
 		if len(s.ackList) != 1 || s.ackList[0].off() != roomy {
 			t.Fatalf("%s: the cycle acknowledges %v, want block %d alone", name, s.ackList, roomy)
 		}
-		for v := graph.VID(1); v <= 2; v++ {
+		for v := graph.VID(1); v <= 3; v++ {
 			if h := media(v); h.cnt[1] != s.vx[v].cnt {
 				t.Fatalf("%s: vertex %d's block holds %d of %d records in the slot to commit", name, v, h.cnt[1], s.vx[v].cnt)
 			}
 		}
-		// Neither block changes in epoch 2: Ack owes them nothing.
+		// Epoch 2 changes vertex 3's block by a tail fill alone: the fill
+		// turns to slot 0 and writes it beside the stamp, one write before
+		// its records, and Ack owes nothing.
+		if w := fillN(3, 1); w != 2 {
+			t.Fatalf("%s: epoch 2's tail fill is %d write requests, want stamp and count, then records", name, w)
+		}
+		if h := media(3); h.sel != 0 || h.epoch != 2 || h.cnt[0] != s.vx[3].cnt {
+			t.Fatalf("%s: after epoch 2's tail fill the slots are %v stamped %d@%d, want %d records in slot 0 stamped by epoch 2", name, h.cnt, h.sel, h.epoch, s.vx[3].cnt)
+		}
 		s.Ack(ctx, 2, 0, 1)
 		if len(s.ackList) != 0 {
 			t.Fatalf("%s: epoch 2 acknowledges %v, want nothing", name, s.ackList)

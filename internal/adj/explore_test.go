@@ -32,12 +32,13 @@ type xop struct {
 	v      graph.VID
 	n      int  // records an append logs
 	varint bool // the append's new blocks are delta-varint
+	fill   bool // the append is a flush drain's: FillTail, then Append what is left
 }
 
 type xopKind uint8
 
 const (
-	xAppend  xopKind = iota // log n records of v, then append them to its chain
+	xAppend  xopKind = iota // log n records of v, then append them to its chain (or fill its tail first)
 	xFlush                  // a flush cycle: Ack, writeback barrier, commit
 	xCompact                // a flush cycle, then compact v
 	xDelete                 // log a tombstone for each of v's live records, then xCompact: v's chain dies and its blocks go to the free lists
@@ -45,11 +46,13 @@ const (
 
 // xops is the alphabet. Blocks hold 4 fixed records or 16 bytes of varint
 // ones, so a vertex's chain grows with its second append, a varint block
-// holds four times more records than its capacity word says, headers come
-// to straddle XPLines a few blocks in, and every dead block has the size a
-// later append asks for: it is recycled.
+// holds four times more records than its capacity word says, and every dead
+// block has the size a later append asks for: it is recycled. The arena's
+// first block ends its XPLine, so a tail fill into it writes its count in
+// one line and its records in the next; the second straddles a line.
 var xops = []xop{
 	{name: "a3", v: 0, n: 3},
+	{name: "f3", v: 0, n: 3, fill: true},
 	{name: "b3", v: 1, n: 3},
 	{name: "av", v: 0, n: 20, varint: true},
 	{name: "bv", v: 1, n: 20, varint: true},
@@ -79,11 +82,12 @@ type xrun struct {
 	logged    [2]uint32 // records logged per vertex: the value generator
 	hdr, base int64     // where the log sits in its region
 	cover     xcover
+	seedTaken bool // the free block the arena starts with was allocated
 }
 
 // xcover records which of the states the alphabet is sized to reach a run
 // reached.
-type xcover struct{ grew, straddled, recycled bool }
+type xcover struct{ grew, straddled, recycled, filledAcross bool }
 
 func newXRun(t *testing.T) *xrun {
 	m := xpsim.NewMachine(1, 128<<10, xpsim.DefaultLatency())
@@ -104,14 +108,22 @@ func newXRun(t *testing.T) *xrun {
 	}
 	x := &xrun{m: m, heap: heap, log: log, s: New(arena, &m.Lat, 1, xOpts), ctx: ctx,
 		hdr: log.HeaderOffset(), base: log.BaseOffset()}
-	// A dead block pads the arena so that the first block's header straddles
-	// an XPLine.
-	pad := xpsim.XPLineSize - headerBytes/2 - arena.UserStart()
-	off, err := arena.Alloc(ctx, pad, headerAlign)
-	if err != nil {
-		t.Fatal(err)
+	// Dead blocks lay the arena out so that the first block allocated — a
+	// recycled block of the alphabet's size, the free lists' only one — has
+	// its header end an XPLine, and the first block bumped after it has its
+	// header straddle the next.
+	recycled := int64(4*4 + headerBytes)
+	for _, size := range []int64{xpsim.XPLineSize - headerBytes - arena.UserStart(), recycled,
+		2*xpsim.XPLineSize - headerBytes/2 - (xpsim.XPLineSize - headerBytes + recycled)} {
+		off, err := arena.Alloc(ctx, size, headerAlign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x.s.writeDead(ctx, off, uint32(size-headerBytes)/4, fmtFixed)
+		if size == recycled {
+			x.s.recycle(off, 4)
+		}
 	}
-	x.s.writeDead(ctx, off, uint32(pad-headerBytes)/4, fmtFixed)
 	m.TotalStats() // the empty store is durable: kills count from here
 	return x
 }
@@ -125,8 +137,10 @@ func (x *xrun) value(v graph.VID) uint32 {
 }
 
 // logAndAppend logs recs as edges of v, marks them buffered and appends
-// them to v's chain: the buffering phase and a drain in one.
-func (x *xrun) logAndAppend(v graph.VID, recs []uint32) error {
+// them to v's chain: the buffering phase and a drain in one. With fill the
+// drain is a flush-all's: it fills v's tail first, then opens new blocks
+// for the rest.
+func (x *xrun) logAndAppend(v graph.VID, recs []uint32, fill bool) error {
 	edges := make([]graph.Edge, len(recs))
 	for i, r := range recs {
 		edges[i] = graph.Edge{Src: v, Dst: r}
@@ -136,6 +150,21 @@ func (x *xrun) logAndAppend(v graph.VID, recs []uint32) error {
 	}
 	x.edges = append(x.edges, edges...)
 	x.log.MarkBuffered(x.ctx, x.log.Head())
+	if fill && x.s.Has(v) {
+		t := x.s.vx[v]
+		used := 4 * t.cnt
+		if t.format == fmtVarint {
+			used = t.bytes
+		}
+		n, err := x.s.FillTail(x.ctx, v, recs)
+		if err != nil {
+			return err
+		}
+		slot := t.tail + slotOff(int(x.s.vx[v].stamp&stampSel))
+		x.cover.filledAcross = x.cover.filledAcross ||
+			n > 0 && slot/xpsim.XPLineSize != (t.tail+headerBytes+int64(used))/xpsim.XPLineSize
+		recs = recs[n:]
+	}
 	return x.s.Append(x.ctx, v, recs)
 }
 
@@ -148,8 +177,12 @@ func (x *xrun) do(op xop) error {
 		}
 		x.s.opts.VarintBlocks = op.varint
 		free := len(x.s.freeBlocks[4])
-		err := x.logAndAppend(op.v, recs)
-		x.cover.recycled = x.cover.recycled || len(x.s.freeBlocks[4]) < free
+		err := x.logAndAppend(op.v, recs, op.fill)
+		if len(x.s.freeBlocks[4]) < free {
+			// The first block taken off the free lists is the arena's own.
+			x.cover.recycled = x.cover.recycled || x.seedTaken
+			x.seedTaken = true
+		}
 		return err
 	case xFlush:
 		return x.flush()
@@ -158,7 +191,7 @@ func (x *xrun) do(op xop) error {
 		for i := range live {
 			live[i] |= graph.DelFlag
 		}
-		if err := x.logAndAppend(op.v, live); err != nil {
+		if err := x.logAndAppend(op.v, live, false); err != nil {
 			return err
 		}
 	}
@@ -291,6 +324,7 @@ func TestExploreCommitProtocol(t *testing.T) {
 		}
 		x.observe()
 		cover.grew, cover.straddled, cover.recycled = cover.grew || x.cover.grew, cover.straddled || x.cover.straddled, cover.recycled || x.cover.recycled
+		cover.filledAcross = cover.filledAcross || x.cover.filledAcross
 		sequences++
 		if writes > 0 {
 			difftest.Sweep{Name: seqName(seq), Writes: writes}.Run(t, func(c difftest.Case) error {
@@ -315,8 +349,9 @@ func TestExploreCommitProtocol(t *testing.T) {
 	}
 	explore(nil)
 	t.Logf("depth %d: %d sequences, %d states, %d kills", depth, sequences, len(seen), kills)
-	if !cover.grew || !cover.straddled || !cover.recycled {
-		t.Errorf("depth %d reaches chains that grow %v, headers that straddle an XPLine %v, recycled blocks %v; want all three", depth, cover.grew, cover.straddled, cover.recycled)
+	if !cover.grew || !cover.straddled || !cover.recycled || !cover.filledAcross {
+		t.Errorf("depth %d reaches chains that grow %v, headers that straddle an XPLine %v, recycled blocks %v, tail fills whose count and records lie in two lines %v; want all four",
+			depth, cover.grew, cover.straddled, cover.recycled, cover.filledAcross)
 	}
 }
 

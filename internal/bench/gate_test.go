@@ -23,6 +23,10 @@ var declarations = []struct {
 	{"wire", "{ds}/varint_wr_B_edge", nil, ptr(simBound)},
 	{"wire", "{ds}/fixed_payload_B_edge", nil, ptr(simBound)},
 	{"wire", "{ds}/varint_payload_B_edge", nil, ptr(simBound)},
+	{"wire", "{ds}/fixed_log_wr_B_edge", nil, ptr(simBound)},
+	{"wire", "{ds}/fixed_adj_wr_B_edge", nil, ptr(simBound)},
+	{"wire", "{ds}/varint_log_wr_B_edge", nil, ptr(simBound)},
+	{"wire", "{ds}/varint_adj_wr_B_edge", nil, ptr(simBound)},
 	{"wire", "{ds}/json_wire_B_edge", nil, ptr(simBound)},
 	{"wire", "{ds}/bin_wire_B_edge", nil, ptr(simBound)},
 

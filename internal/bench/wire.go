@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -125,6 +126,19 @@ func wire(cfg Config) (Table, error) {
 			// input edge, and live records per 256 B XPLine of block
 			// footprint (headers included — the real on-media cost).
 			wrBytes[i] = float64(m.TotalStats().MediaWriteBytes()) / n
+			// The same traffic split by the pmem region the lines belong to.
+			var logLines, adjLines int64
+			s.MediaWriteLines(func(region string, lines int64) {
+				if region == "elog" {
+					logLines += lines
+				} else if strings.HasPrefix(region, "adj-") {
+					adjLines += lines
+				}
+			})
+			t.derive(key.Key+"/"+format+"_log_wr_B_edge",
+				num(float64(logLines*xpsim.XPLineSize)/n, "%.2f", "B/edge", Lower).bound(simBound))
+			t.derive(key.Key+"/"+format+"_adj_wr_B_edge",
+				num(float64(adjLines*xpsim.XPLineSize)/n, "%.2f", "B/edge", Lower).bound(simBound))
 			if ls.BlockBytes > 0 {
 				perLine[i] = float64(ls.Records) * float64(xpsim.XPLineSize) / float64(ls.BlockBytes)
 			}

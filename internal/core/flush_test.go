@@ -1,12 +1,15 @@
 package core
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mempool"
+	"repro/internal/pmem"
 	"repro/internal/xpsim"
 )
 
@@ -167,6 +170,124 @@ func TestDisableProactiveFlushIssuesNoAdjacencyFlush(t *testing.T) {
 		}
 		if flushes := m.TotalStats().Flushes - before; (flushes == 0) != disable {
 			t.Errorf("DisableProactiveFlush=%v: XPLine-sized adjacency appends flushed %d lines", disable, flushes)
+		}
+	}
+}
+
+// TestFlushWritesEachLineOnce is the XPLine rule of a flush-all's drain
+// (§II-A, §III-B): on the benchmark's store shape — 16 archive threads,
+// sub-graph NUMA — each flush's drain sends every adjacency line it writes
+// to the media once, tails and new blocks alike, so its adjacency
+// media-write lines equal the distinct adjacency lines it wrote. A drain
+// that walks vertex IDs upward through tails from earlier flushes writes
+// lines back that it writes again, and fails.
+func TestFlushWritesEachLineOnce(t *testing.T) {
+	m, h := testMachine()
+	s, err := New(m, h, nil, Options{Name: "lines", NumVertices: 1 << 13, ArchiveThreads: 16,
+		NUMA: NUMASubgraph, LogCapacity: 1 << 19, AdjBytes: 16 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := gen.RMAT(13, 4*40000, 7)
+	var names []string
+	var regions []*pmem.Region
+	for d := 0; d < 2; d++ {
+		for p := range s.groups[d] {
+			r, ok := h.Get(s.adjRegionName(d, p))
+			if !ok {
+				t.Fatalf("no region %q", s.adjRegionName(d, p))
+			}
+			names, regions = append(names, s.adjRegionName(d, p)), append(regions, r)
+		}
+	}
+	adjMedia := func() (sum int64) {
+		m.TotalStats() // write the XPBuffers back
+		for _, name := range names {
+			sum += m.RegionWriteLines(name)
+		}
+		return sum
+	}
+	for round := 0; round < 4; round++ {
+		if _, err := s.Ingest(edges[round*40000 : (round+1)*40000]); err != nil {
+			t.Fatal(err)
+		}
+		if s.Report().FlushAlls != int64(round) {
+			t.Fatalf("round %d: %d flush-alls: the log filled", round, s.Report().FlushAlls)
+		}
+		written := map[[2]int64]bool{}
+		media := adjMedia()
+		m.TraceWrites(func(node int, line int64) { written[[2]int64{int64(node), line}] = true })
+		for d := 0; d < 2; d++ {
+			for p, g := range s.groups[d] {
+				if _, err := s.drainGroup(d, p, g); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		m.TraceWrites(nil)
+		media = adjMedia() - media
+		distinct := 0
+		for _, r := range regions {
+			for off := int64(0); off < r.AllocBytes(); off += xpsim.XPLineSize {
+				if node, line := r.LineAt(off); written[[2]int64{int64(node), line}] {
+					distinct++
+				}
+			}
+		}
+		t.Logf("flush %d: the drain wrote %d distinct adjacency lines, %d to the media", round+1, distinct, media)
+		if media != int64(distinct) {
+			t.Errorf("flush %d: the drain wrote %d adjacency lines to the media for %d distinct lines", round+1, media, distinct)
+		}
+		if err := s.FlushAllVbufs(); err != nil { // ack and commit what the drain wrote
+			t.Fatal(err)
+		}
+	}
+	checkModel(t, s, difftest.Of(edges))
+}
+
+// TestMediaWritesByRegion pins where the media writes of the benchmark's
+// bulk-ingest stream go — RMAT(17, 2^21, 7) in one Ingest on the
+// benchmark's store shape — region by region, in media bytes per edge: the
+// edge log writes its 8 B records as whole XPLines, and the adjacency
+// arenas take the rest. Before flushes filled tails in offset order the
+// arenas took 76.5 B/edge.
+func TestMediaWritesByRegion(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2^21 edges")
+	}
+	const edges = 1 << 21
+	m := xpsim.NewMachine(2, edges*48+(48<<20), xpsim.DefaultLatency())
+	h := pmem.NewHeap(m)
+	s, err := New(m, h, nil, Options{Name: "bulk", NumVertices: 1 << 17, ArchiveThreads: 16,
+		LogCapacity: 1 << 19, NUMA: NUMASubgraph, AdjBytes: edges*32/2 + (16 << 20), PropLogBytes: 4 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := m.TotalStats()
+	if _, err := s.Ingest(gen.RMAT(17, edges, 7)); err != nil {
+		t.Fatal(err)
+	}
+	total := m.TotalStats().Sub(before).MediaWriteBytes()
+	perEdge := func(lines int64) float64 { return float64(lines*xpsim.XPLineSize) / edges }
+	var logLines, adjLines int64
+	s.MediaWriteLines(func(region string, lines int64) {
+		switch {
+		case region == "elog":
+			logLines += lines
+		case strings.HasPrefix(region, "adj-"):
+			adjLines += lines
+		default:
+			t.Errorf("a store without properties or a media guard has a region %q", region)
+		}
+	})
+	logB, adjB := perEdge(logLines), perEdge(adjLines)
+	t.Logf("media B/edge: %.2f, the edge log %.2f, the adjacency arenas %.2f", float64(total)/edges, logB, adjB)
+	for _, c := range []struct {
+		region    string
+		got, want float64
+	}{{"edge log", logB, 8.07}, {"adjacency arenas", adjB, 55.6}, {"all regions", logB + adjB, float64(total) / edges}} {
+		if math.Abs(c.got-c.want) > 0.05 {
+			t.Errorf("%s: %.2f media B/edge, want %.2f", c.region, c.got, c.want)
 		}
 	}
 }

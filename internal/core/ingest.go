@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -231,7 +232,7 @@ func (s *Store) bufferPhase(lane int64) error {
 		ranges := lists[(d*s.nparts+p)*geo.Ranges():][:geo.Ranges()]
 		assign := s.stage.Balance(ranges, wpg)
 		var insertErr error
-		dur := xpsim.ParallelN(wpg, contention, nodeOfFn(g.node), func(w int, ctx *xpsim.Ctx) {
+		dur := s.sweep.Each(wpg, contention, nodeOfFn(g.node), func(w int, ctx *xpsim.Ctx) {
 			thread := (d*s.nparts+p)*wpg + w
 			for _, ri := range assign[w] {
 				for _, se := range ranges[ri] {
@@ -401,7 +402,7 @@ func (s *Store) FlushAllVbufs() error {
 	if err != nil {
 		return err
 	}
-	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
+	ctx := s.flushCtx.reset()
 	ackNs, err := s.commitFlush(ctx, flushStart+drainNs)
 	if err != nil {
 		return err
@@ -419,41 +420,96 @@ func (s *Store) FlushAllVbufs() error {
 // the group's workers, bound to its node, append their vertices' buffered
 // neighbors to the adjacency list and free the buffers.
 //
-// The group's buffered vertices are one xpsim.Sweep in ascending ID order,
-// each weighing its buffered count, so the group's appends sweep its arena
-// upward and a flush lays its new blocks out in ID order — the order
-// compaction writes and analytics reads them in — whichever worker drains
-// which vertex. The item list is sized to its first use plus a quarter,
-// not doubled, because a store's first flushes are on the write path's
-// allocation budget.
+// The drain is two xpsim.Sweeps, so a flush writes each XPLine of the arena
+// in one visit, whichever worker drains which vertex. The first fills the
+// tail blocks that have room in the order of their offsets, each block's
+// count just before its records (adj.Store.FillTail). The second takes what
+// is still buffered in ascending ID order and opens new blocks for it, so a
+// flush lays its new blocks out in ID order — the order compaction writes
+// and analytics reads them in. Each item weighs its buffered count. The
+// item lists are sized to their first use plus a quarter, not doubled,
+// because a store's first flushes are on the write path's allocation
+// budget; like the ID scan, the offset sort reads the DRAM index and is not
+// charged.
 func (s *Store) drainGroup(d, p int, g *group) (time.Duration, error) {
 	numV := s.NumVertices()
 	buffered := func(v graph.VID) bool { return s.vbH[d][v] != mempool.None && s.partOf(v) == p }
-	k := 0
+	k, kt := 0, 0
 	for v := graph.VID(0); v < numV; v++ {
 		if buffered(v) {
 			k++
+			if _, room := g.adj.TailFit(v); room {
+				kt++
+			}
 		}
 	}
 	if cap(s.sweepVs) < k {
 		s.sweepVs = make([]graph.VID, 0, k+k/4)
 	}
-	vs := s.sweepVs[:0]
+	if cap(s.sweepTails) < kt {
+		s.sweepTails = make([]graph.VID, 0, kt+kt/4)
+	}
+	vs, tails := s.sweepVs[:0], s.sweepTails[:0]
 	for v := graph.VID(0); v < numV; v++ {
 		if buffered(v) {
 			vs = append(vs, v)
+			if _, room := g.adj.TailFit(v); room {
+				tails = append(tails, v)
+			}
 		}
 	}
-	s.sweepVs = vs
+	slices.SortFunc(tails, func(a, b graph.VID) int {
+		offA, _ := g.adj.TailFit(a)
+		offB, _ := g.adj.TailFit(b)
+		return cmp.Compare(offA, offB)
+	})
+	s.sweepTails = tails
+	records := func(v graph.VID) int { return s.bufs.Count(s.vbH[d][v], int(s.vbC[d][v])) }
 	var err error
-	dur := s.sweep.Run(s.lat, s.workersPerGroup(), s.contentionFor(), nodeOfFn(g.node), len(vs), func(i int) int {
-		return s.bufs.Count(s.vbH[d][vs[i]], int(s.vbC[d][vs[i]]))
+	fill := s.sweep.Run(s.lat, s.workersPerGroup(), s.contentionFor(), nodeOfFn(g.node), len(tails), func(i int) int {
+		return records(tails[i])
 	}, func(ctx *xpsim.Ctx, i int) {
 		if err == nil {
-			err = s.drainVertex(ctx, d, p, vs[i])
+			err = s.fillTail(ctx, d, p, tails[i])
 		}
 	})
-	return dur, err
+	if err != nil {
+		return fill, err
+	}
+	rest := vs[:0]
+	for _, v := range vs {
+		if s.vbH[d][v] != mempool.None {
+			rest = append(rest, v)
+		}
+	}
+	s.sweepVs = rest
+	open := s.sweep.Run(s.lat, s.workersPerGroup(), s.contentionFor(), nodeOfFn(g.node), len(rest), func(i int) int {
+		return records(rest[i])
+	}, func(ctx *xpsim.Ctx, i int) {
+		if err == nil {
+			err = s.drainVertex(ctx, d, p, rest[i])
+		}
+	})
+	return fill + open, err
+}
+
+// fillTail writes as many of v's buffered neighbors in direction d as fit
+// its tail block and frees the buffer once it is empty, on the drain worker
+// ctx names; what does not fit stays buffered for the second pass.
+func (s *Store) fillTail(ctx *xpsim.Ctx, d, p int, v graph.VID) error {
+	h, c := s.vbH[d][v], int(s.vbC[d][v])
+	s.lat.CPU(ctx, 2)
+	s.drained = s.bufs.Neighbors(ctx, h, c, s.drained[:0])
+	n, err := s.groups[d][p].adj.FillTail(ctx, v, s.drained)
+	if err != nil {
+		return err
+	}
+	if n < len(s.drained) {
+		s.bufs.Drop(ctx, h, c, n)
+		return nil
+	}
+	s.freeBuf(ctx, d, p, v)
+	return nil
 }
 
 // drainVertex appends v's buffered neighbors in direction d to its
@@ -467,10 +523,15 @@ func (s *Store) drainVertex(ctx *xpsim.Ctx, d, p int, v graph.VID) error {
 			return err
 		}
 	}
-	s.bufs.Free((d*s.nparts+p)*s.workersPerGroup()+ctx.Worker, h, c)
+	s.freeBuf(ctx, d, p, v)
+	return nil
+}
+
+// freeBuf frees v's buffer in direction d to the drain worker ctx names.
+func (s *Store) freeBuf(ctx *xpsim.Ctx, d, p int, v graph.VID) {
+	s.bufs.Free((d*s.nparts+p)*s.workersPerGroup()+ctx.Worker, s.vbH[d][v], int(s.vbC[d][v]))
 	s.vbH[d][v] = mempool.None
 	s.vbC[d][v] = 0
-	return nil
 }
 
 // flushProps pushes pending property records into the column log so a
@@ -482,7 +543,7 @@ func (s *Store) flushProps(startNs int64) (int64, error) {
 	if s.props == nil {
 		return 0, nil
 	}
-	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
+	ctx := s.propsCtx.reset()
 	err := s.props.Flush(ctx)
 	s.subSpan("props", 2*s.nparts, startNs, ctx.Cost.Ns())
 	return ctx.Cost.Ns(), err
@@ -509,7 +570,7 @@ func (s *Store) commitFlush(ctx *xpsim.Ctx, ackStart int64) (ackNs int64, err er
 	wpg := s.workersPerGroup()
 	contention := s.contentionFor()
 	ackNs, _ = s.runGroups("ack", ackStart, func(_, _ int, g *group) (time.Duration, error) {
-		return xpsim.ParallelN(wpg, contention, nodeOfFn(g.node), func(w int, wctx *xpsim.Ctx) {
+		return s.sweep.Each(wpg, contention, nodeOfFn(g.node), func(w int, wctx *xpsim.Ctx) {
 			g.adj.Ack(wctx, epoch, w, wpg)
 		}), nil
 	})

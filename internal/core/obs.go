@@ -161,6 +161,13 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 		phase("buffering", rep.BufferNs)
 		phase("flushing", rep.FlushNs)
 
+		// Where the media writes go: each pmem region's XPLines written
+		// back to the media.
+		s.MediaWriteLines(func(region string, lines int64) {
+			counter("xpgraph_media_write_lines_total", "XPLines written to the media in the store's pmem region (XPBuffer write-backs, not drained at scrape).",
+				float64(lines), obs.Label{Key: "region", Value: region})
+		})
+
 		// Adjacency block encoding (fixed vs delta-varint): cumulative
 		// payload bytes and records per format, plus the derived
 		// edges-per-256B-XPLine density each format achieves.

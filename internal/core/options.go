@@ -11,7 +11,7 @@
 //
 // Store methods are not safe for concurrent use: the simulation executes
 // parallel phases as deterministic sequential worker loops over simulated
-// clocks (see xpsim.ParallelN), so real host-side concurrency would only
+// clocks (see xpsim.Sweep), so real host-side concurrency would only
 // race the bookkeeping without modelling anything. Wrap a Store in a
 // mutex if an application drives it from several goroutines.
 package core

@@ -142,9 +142,9 @@ func TestNbrsLogConcurrentReaders(t *testing.T) {
 
 // TestSteadyStateIngestAllocations is the allocation budget of the
 // archiving path: on a warmed store one 2048-edge Ingest — log, shard,
-// drain — allocates 17 times, budget 19: the ranged lists, the log's encode
-// and span buffers and the workers' contexts are all store-owned or pooled
-// scratch. A traced store (the server always attaches a tracer) keeps the
+// drain — allocates 4 times, budget 6: the ranged lists, the log's encode
+// and span buffers, its cursor words and the workers' contexts are all
+// store-owned or pooled scratch. A traced store (the server always attaches a tracer) keeps the
 // same budget: its worker span names are built once.
 func TestSteadyStateIngestAllocations(t *testing.T) {
 	if raceEnabled {
@@ -170,8 +170,8 @@ func TestSteadyStateIngestAllocations(t *testing.T) {
 				}
 			})
 			t.Logf("%.0f allocations per 2048-edge Ingest", allocs)
-			if allocs > 19 {
-				t.Fatalf("one 2048-edge Ingest on a warmed store allocates %.0f times, budget 19", allocs)
+			if allocs > 6 {
+				t.Fatalf("one 2048-edge Ingest on a warmed store allocates %.0f times, budget 6", allocs)
 			}
 		})
 	}
@@ -253,5 +253,35 @@ func TestRecoveryScalesWithArchiveThreads(t *testing.T) {
 		wideRep.Replayed, wideRep.SimNs, oneRep.SimNs, float64(oneRep.SimNs)/float64(wideRep.SimNs))
 	if oneRep.SimNs < 3*wideRep.SimNs {
 		t.Fatalf("recovery on 16 threads takes %d sim-ns, on 1 thread %d: want >= 3x apart", wideRep.SimNs, oneRep.SimNs)
+	}
+}
+
+// TestWarmFlushAllocatesNothing: once a store's flushes have sized the
+// drain's item lists, the ack list and the span names, a flush-all — both
+// drain passes, the ack cycle and the commit — allocates nothing.
+func TestWarmFlushAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations show in MemStats")
+	}
+	s := newStore(t, Options{Name: "flushallocs", NumVertices: 1 << 14, ArchiveThreads: 16, NUMA: NUMASubgraph, AdjBytes: 32 << 20})
+	edges := gen.RMAT(14, 24*4096, 9)
+	var mallocs uint64
+	for round := 0; round < 24; round++ {
+		if _, err := s.Ingest(edges[round*4096 : (round+1)*4096]); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := s.FlushAllVbufs(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if round >= 16 {
+			mallocs += after.Mallocs - before.Mallocs
+		}
+	}
+	t.Logf("%d allocations over 8 warm flush-alls", mallocs)
+	if mallocs != 0 {
+		t.Fatalf("8 warm flush-alls allocate %d times, want 0", mallocs)
 	}
 }

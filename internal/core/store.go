@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,8 +85,12 @@ type Store struct {
 	stage      shard.Stage
 	drained    []uint32    // a vertex buffer's neighbors on their way to the adjacency list
 	threadBusy []int64     // runGroups: time each archive thread has spent in the current step
-	sweep      xpsim.Sweep // the drain's loop: its workers' clocks
+	sweep      xpsim.Sweep // the parallel phases' loops — buffer, drain, ack, scan — and their workers' clocks
 	sweepVs    []graph.VID // the drain's items: a group's buffered vertices, ascending
+	sweepTails []graph.VID // the drain's first pass: buffered vertices whose tail has room, by tail offset
+	// flushCtx and propsCtx are the flush's serial contexts, reused:
+	// xpsim.NewCtx's would escape through the mem.Mem writes they carry.
+	flushCtx, propsCtx scratchCtx
 
 	// Phase tracing (nil = disabled): spans are placed on per-lane
 	// simulated-clock cursors so the exported timeline reconstructs the
@@ -200,6 +205,20 @@ func newShell(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts 
 	return s
 }
 
+// scratchCtx is a single unbound worker's context and clock that a store
+// reuses.
+type scratchCtx struct {
+	ctx  xpsim.Ctx
+	cost xpsim.Cost
+}
+
+// reset zeroes the clock and returns the context.
+func (c *scratchCtx) reset() *xpsim.Ctx {
+	c.cost = xpsim.Cost{}
+	c.ctx = xpsim.Ctx{Cost: &c.cost, Node: xpsim.NodeUnbound, Workers: 1}
+	return &c.ctx
+}
+
 // persistBarrier writes back every line buffered inside the machine's
 // devices — the commit fence of a crash-safe flushing phase: after it,
 // everything written so far is on media.
@@ -271,6 +290,41 @@ func (s *Store) adjRegionName(d, p int) string {
 	return fmt.Sprintf("%s-adj-%s-%d", s.opts.Name, dirName(d), p)
 }
 
+// MediaWriteLines calls fn with each of the store's pmem regions — named
+// past the store's name: "elog", "adj-out-0", ..., "prop", "quar" — and the
+// XPLines written back to the media inside it since the machine's counters
+// were last reset, found by a range lookup of each written line in the
+// devices' reservations. It does not drain the XPBuffers; xpsim.Machine's
+// TotalStats does.
+func (s *Store) MediaWriteLines(fn func(region string, lines int64)) {
+	for _, name := range s.regionNames() {
+		fn(strings.TrimPrefix(name, s.opts.Name+"-"), s.machine.RegionWriteLines(name))
+	}
+}
+
+// regionNames lists the store's pmem regions: the edge log, the adjacency
+// arenas in (direction, partition) order, and the property column and
+// quarantine where the store keeps them. A store on another medium has
+// none.
+func (s *Store) regionNames() []string {
+	if s.opts.Medium != MediumPMEM {
+		return nil
+	}
+	names := []string{s.opts.Name + "-elog"}
+	for d := 0; d < 2; d++ {
+		for p := range s.groups[d] {
+			names = append(names, s.adjRegionName(d, p))
+		}
+	}
+	if s.props != nil {
+		names = append(names, s.opts.Name+"-prop")
+	}
+	if s.quarMem != nil {
+		names = append(names, s.opts.Name+"-quar")
+	}
+	return names
+}
+
 // groupNode is the node the arena of direction d, partition p lives on and
 // its threads are bound to; xpsim.NodeUnbound for an interleaved arena and
 // unbound threads.
@@ -340,7 +394,7 @@ func (s *Store) attachMemories(startNs int64, committed uint32) (int64, error) {
 			}
 		}
 		var err error
-		dur := xpsim.ParallelN(1, contention, nodeOfFn(g.node), func(_ int, ctx *xpsim.Ctx) {
+		dur := s.sweep.Each(1, contention, nodeOfFn(g.node), func(_ int, ctx *xpsim.Ctx) {
 			g.adj, err = adj.RecoverWith(ctx, regions[d][p], s.lat, s.adjOpts, committed, quar)
 		})
 		return dur, err

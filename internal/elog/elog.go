@@ -101,6 +101,15 @@ type Log struct {
 	// DRAM of the modelled store (core.MemUsage).
 	recScratch []byte
 	crcScratch []byte
+	// word is putCursor's store: a stack array would escape through the
+	// mem.Mem interface, one allocation per cursor write.
+	word [8]byte
+}
+
+// putCursor stores the 8-byte header word at offset at with one write.
+func (l *Log) putCursor(ctx *xpsim.Ctx, at int64, v uint64) {
+	binary.LittleEndian.PutUint64(l.word[:], v)
+	l.m.Write(ctx, l.hdr+at, l.word[:])
 }
 
 // Create allocates and initializes a log of capEntries edges inside m.
@@ -256,7 +265,7 @@ func (l *Log) Append(ctx *xpsim.Ctx, edges []graph.Edge) (int, error) {
 		}
 	}
 	l.head += n
-	mem.WriteU64(l.m, ctx, l.hdr+offHead, uint64(l.head))
+	l.putCursor(ctx, offHead, uint64(l.head))
 	if !l.battery {
 		l.m.Flush(ctx, l.hdr, hdrBytes)
 	}
@@ -358,7 +367,7 @@ func (l *Log) MarkBuffered(ctx *xpsim.Ctx, upTo int64) {
 		panic(fmt.Sprintf("elog: MarkBuffered(%d) outside [%d,%d]", upTo, l.buffered, l.head))
 	}
 	l.buffered = upTo
-	mem.WriteU64(l.m, ctx, l.hdr+offBuf, uint64(upTo))
+	l.putCursor(ctx, offBuf, uint64(upTo))
 	if !l.battery {
 		l.m.Flush(ctx, l.hdr, hdrBytes)
 	}
@@ -369,7 +378,7 @@ func (l *Log) MarkBuffered(ctx *xpsim.Ctx, upTo int64) {
 // buffered edges can be flush-acknowledged.
 func (l *Log) MarkFlushed(ctx *xpsim.Ctx, upTo int64) {
 	l.advanceFlushed(upTo)
-	mem.WriteU64(l.m, ctx, l.hdr+offFlush, uint64(upTo))
+	l.putCursor(ctx, offFlush, uint64(upTo))
 	if !l.battery {
 		l.m.Flush(ctx, l.hdr, hdrBytes)
 	}
@@ -396,8 +405,8 @@ func (l *Log) Commit(ctx *xpsim.Ctx, upTo int64) error {
 	}
 	l.advanceFlushed(upTo)
 	l.epoch++
-	mem.WriteU64(l.m, ctx, l.hdr+offFlush, uint64(upTo))
-	mem.WriteU64(l.m, ctx, l.hdr+offEpoch, uint64(l.epoch)|uint64(uint32(upTo))<<32)
+	l.putCursor(ctx, offFlush, uint64(upTo))
+	l.putCursor(ctx, offEpoch, uint64(l.epoch)|uint64(uint32(upTo))<<32)
 	if !l.battery {
 		l.m.Flush(ctx, l.hdr, hdrBytes)
 	}

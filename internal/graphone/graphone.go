@@ -134,6 +134,7 @@ type Store struct {
 	metaBytes int64
 	report    IngestReport
 	stage     shard.Stage // archiving scratch, reused by every phase
+	sweep     xpsim.Sweep // the archiving workers' loop and clocks
 
 	// Phase tracing (nil = disabled); lane cursors as in core.Store.
 	tracer  *obs.Tracer
@@ -345,7 +346,7 @@ func (s *Store) archive() error {
 	for d := 0; d < 2; d++ {
 		ranges := lists[d*geo.Ranges():][:geo.Ranges()]
 		assign := s.stage.Balance(ranges, threads)
-		dur := xpsim.ParallelN(threads, threads, nodeOf, func(w int, ctx *xpsim.Ctx) {
+		dur := s.sweep.Each(threads, threads, nodeOf, func(w int, ctx *xpsim.Ctx) {
 			for _, ri := range assign[w] {
 				for _, se := range ranges[ri] {
 					if s.degEp[d][se.V] != s.epoch {

@@ -78,7 +78,7 @@ func (h *Heap) Map(name string, size int64, p Placement) (*Region, error) {
 	switch p.Kind {
 	case Bind:
 		d := h.machine.Device(p.Node)
-		base, err := d.Reserve(size, xpsim.XPLineSize)
+		base, err := d.Reserve(name, size, xpsim.XPLineSize)
 		if err != nil {
 			return nil, fmt.Errorf("pmem: map %q: %w", name, err)
 		}
@@ -88,7 +88,7 @@ func (h *Heap) Map(name string, size int64, p Placement) (*Region, error) {
 		n := int64(h.machine.Sockets)
 		per := (size + p.Stripe*n - 1) / n / p.Stripe * p.Stripe
 		for _, d := range h.machine.Devices() {
-			base, err := d.Reserve(per, xpsim.XPLineSize)
+			base, err := d.Reserve(name, per, xpsim.XPLineSize)
 			if err != nil {
 				return nil, fmt.Errorf("pmem: map %q: %w", name, err)
 			}

@@ -63,7 +63,7 @@ func (g Geometry) listOf(v graph.VID) int {
 type Sharders struct {
 	N          int                 // thread count
 	NodeOf     func(t int) int     // node thread t is bound to (xpsim.NodeUnbound: none)
-	Contention int                 // threads concurrently on one device (xpsim.ParallelN)
+	Contention int                 // threads concurrently on one device (xpsim.Sweep)
 	Lat        *xpsim.LatencyModel // the machine the threads run on
 }
 

@@ -118,6 +118,21 @@ func (b *Buffers) Drain(ctx *xpsim.Ctx, h mempool.Handle, c int, dst []uint32) [
 	return dst
 }
 
+// Drop removes the n oldest staged neighbors and moves the rest to the
+// front, charged as a DRAM move: a flush drain that filled a tail block
+// with the buffer's first n neighbors leaves the rest for a new block.
+func (b *Buffers) Drop(ctx *xpsim.Ctx, h mempool.Handle, c, n int) {
+	p := b.pool.Bytes(h, c)
+	cnt := int(binary.LittleEndian.Uint16(p[2:4]))
+	if n > cnt {
+		panic("vbuf: drop of more neighbors than the buffer stages")
+	}
+	copy(p[headerSize:], p[headerSize+4*n:headerSize+4*cnt])
+	binary.LittleEndian.PutUint16(p[2:4], uint16(cnt-n))
+	b.lat.DRAM(ctx, int64(4*(cnt-n)), false, true)
+	b.lat.DRAM(ctx, int64(4*(cnt-n)), true, true)
+}
+
 // Neighbors appends the staged neighbors to dst without clearing (the
 // query path: buffers double as a DRAM cache, §III-B).
 func (b *Buffers) Neighbors(ctx *xpsim.Ctx, h mempool.Handle, c int, dst []uint32) []uint32 {

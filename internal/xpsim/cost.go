@@ -91,40 +91,8 @@ func (l *LatencyModel) DRAM(ctx *Ctx, n int64, write, sequential bool) {
 	ctx.Cost.Add(lines * per)
 }
 
-// ParallelN is Parallel with an explicit contention level: `contention` is
-// the number of workers concurrently hammering the same device, which can
-// exceed n when other worker groups (e.g. the in-graph group on the same
-// socket) run at the same time, or fall below n when unbound workers
-// spread across several sockets' devices. The ctx handed to fn is only valid
-// until fn returns.
-func ParallelN(n, contention int, nodeOf func(w int) int, fn func(w int, ctx *Ctx)) time.Duration {
-	if n <= 0 {
-		return 0
-	}
-	if contention < 1 {
-		contention = 1
-	}
-	// The workers run one after the other, so they share one context and one
-	// clock, reset in between: one allocation per phase instead of two per
-	// worker. fn must not keep ctx past its return.
-	var worker struct {
-		ctx  Ctx
-		cost Cost
-	}
-	var max int64
-	for w := 0; w < n; w++ {
-		worker.cost = Cost{}
-		worker.ctx = Ctx{Cost: &worker.cost, Node: nodeOf(w), Worker: w, Workers: contention}
-		fn(w, &worker.ctx)
-		if worker.cost.Ns() > max {
-			max = worker.cost.Ns()
-		}
-	}
-	return time.Duration(max)
-}
-
-// Unpinned is a convenience nodeOf function for Parallel: no worker is
-// pinned anywhere.
+// Unpinned is a convenience nodeOf function for Sweep: no worker is pinned
+// anywhere.
 func Unpinned(int) int { return NodeUnbound }
 
 // PinnedTo returns a nodeOf function pinning every worker to node.

@@ -2,6 +2,8 @@ package xpsim
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 )
 
@@ -92,6 +94,14 @@ type Device struct {
 	buf   *xpBuffer
 	stats Stats
 	alloc int64 // bump allocation pointer for region placement
+	// spans are the named reservations, ascending, and spanLines the
+	// media-write lines that landed in each since the last reset.
+	spans     []Span
+	spanLines []int64
+	// wb is the writeback scratch: the dirty lines a drain collects.
+	wb []int64
+	// traceWrite, when set, sees every line a Write touches.
+	traceWrite func(node int, line int64)
 
 	// Fault tracking (nil under eADR semantics): durable mirrors the
 	// backing store but is only updated at media-write events, so it
@@ -131,6 +141,28 @@ func (d *Device) resetStats() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.stats = Stats{}
+	clear(d.spanLines)
+}
+
+// Span is one named reservation of a device: a pmem region, or its share
+// of the device when the region is interleaved.
+type Span struct {
+	Name      string
+	Base, End int64
+}
+
+// spanWriteLines reports the media-write lines that landed in the
+// reservations named name since the last reset.
+func (d *Device) spanWriteLines(name string) int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var n int64
+	for i, sp := range d.spans {
+		if sp.Name == name {
+			n += d.spanLines[i]
+		}
+	}
+	return n
 }
 
 // drain writes back every dirty XPBuffer line so media write counters
@@ -138,7 +170,8 @@ func (d *Device) resetStats() {
 func (d *Device) drain() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, li := range d.buf.drain(nil) {
+	d.wb = d.buf.drain(d.wb[:0])
+	for _, li := range d.wb {
 		d.mediaWrite(li)
 	}
 	return d.stats
@@ -150,12 +183,13 @@ func (d *Device) drain() Stats {
 // The XPBuffer holds at most 64 lines, so the barrier is cheap.
 func (d *Device) WritebackAll(ctx *Ctx) {
 	d.mu.Lock()
-	lines := d.buf.drain(nil)
-	for _, li := range lines {
+	d.wb = d.buf.drain(d.wb[:0])
+	for _, li := range d.wb {
 		d.mediaWrite(li)
 	}
+	n := int64(len(d.wb))
 	d.mu.Unlock()
-	ctx.Cost.Add(int64(len(lines)) * d.lat.LineWrite)
+	ctx.Cost.Add(n * d.lat.LineWrite)
 }
 
 // enableTracking switches the device from eADR to tracked-durability
@@ -179,6 +213,11 @@ func (d *Device) enableTracking(f *Faults) {
 // the two can never diverge.
 func (d *Device) mediaWrite(li int64) {
 	d.stats.MediaWriteLines++
+	// Reservations are XPLine-aligned, so one span owns the whole line.
+	off := li * XPLineSize
+	if i := sort.Search(len(d.spans), func(i int) bool { return d.spans[i].End > off }); i < len(d.spans) && d.spans[i].Base <= off {
+		d.spanLines[i]++
+	}
 	if d.durable == nil {
 		return
 	}
@@ -199,10 +238,11 @@ func (d *Device) mediaWrite(li int64) {
 	}
 }
 
-// Reserve carves n bytes (aligned to align) out of the device for a
-// region and returns the base offset. Reservations survive simulated
-// crashes — they are the moral equivalent of pmem_map_file.
-func (d *Device) Reserve(n, align int64) (int64, error) {
+// Reserve carves n bytes (aligned to align) out of the device for the
+// region called name and returns the base offset. Reservations survive
+// simulated crashes — they are the moral equivalent of pmem_map_file — and
+// the media writes that land in each are counted under its name.
+func (d *Device) Reserve(name string, n, align int64) (int64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	base := d.alloc
@@ -213,6 +253,8 @@ func (d *Device) Reserve(n, align int64) (int64, error) {
 		return 0, fmt.Errorf("xpsim: device node %d full: need %d bytes, %d free", d.node, n, d.size-base)
 	}
 	d.alloc = base + n
+	d.spans = append(d.spans, Span{Name: name, Base: base, End: base + n})
+	d.spanLines = append(d.spanLines, 0)
 	return base, nil
 }
 
@@ -303,6 +345,9 @@ func (d *Device) Write(ctx *Ctx, off int64, p []byte) {
 		covered := off <= lineStart && end >= lineEnd
 		startsAtLine := off <= lineStart
 		hit, wbLine := d.buf.access(li, true, window)
+		if d.traceWrite != nil {
+			d.traceWrite(d.node, li)
+		}
 		if hit {
 			d.stats.BufHits++
 			ns += float64(d.lat.BufWrite) * wmul
@@ -378,6 +423,7 @@ type DeviceState struct {
 	Node   int
 	Size   int64
 	Alloc  int64
+	Spans  []Span
 	Chunks map[int][]byte
 }
 
@@ -387,7 +433,7 @@ func (d *Device) ExportState() DeviceState {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	chunks, size := d.store.export()
-	return DeviceState{Node: d.node, Size: size, Alloc: d.alloc, Chunks: chunks}
+	return DeviceState{Node: d.node, Size: size, Alloc: d.alloc, Spans: slices.Clone(d.spans), Chunks: chunks}
 }
 
 // DurableState snapshots the bytes the device model says are durable at
@@ -411,7 +457,7 @@ func (d *Device) DurableState() DeviceState {
 		copy(nc, c)
 		copied[i] = nc
 	}
-	return DeviceState{Node: d.node, Size: size, Alloc: d.alloc, Chunks: copied}
+	return DeviceState{Node: d.node, Size: size, Alloc: d.alloc, Spans: slices.Clone(d.spans), Chunks: copied}
 }
 
 // RestoreState overwrites the device contents from a snapshot. The
@@ -425,5 +471,6 @@ func (d *Device) RestoreState(st DeviceState) error {
 	}
 	d.store.restore(st.Chunks)
 	d.alloc = st.Alloc
+	d.spans, d.spanLines = slices.Clone(st.Spans), make([]int64, len(st.Spans))
 	return nil
 }

@@ -198,18 +198,18 @@ func TestWriteContentionKnee(t *testing.T) {
 
 func TestReserve(t *testing.T) {
 	d := testDevice(4096)
-	a, err := d.Reserve(100, 256)
+	a, err := d.Reserve("r", 100, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := d.Reserve(100, 256)
+	b, err := d.Reserve("r", 100, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a%256 != 0 || b%256 != 0 || b <= a {
 		t.Fatalf("bad reservations a=%d b=%d", a, b)
 	}
-	if _, err := d.Reserve(1<<20, 1); err == nil {
+	if _, err := d.Reserve("big", 1<<20, 1); err == nil {
 		t.Fatal("expected out-of-space error")
 	}
 }
@@ -261,5 +261,49 @@ func TestMediaWriteAccounting(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRegionWriteLines: each media write is counted under the reservation
+// that owns its line, an interleaved region's on every device it spans;
+// lines outside every reservation count under none, ResetStats zeroes the
+// counts, and a device restored from a snapshot keeps its names.
+func TestRegionWriteLines(t *testing.T) {
+	m := NewMachine(2, 1<<20, DefaultLatency())
+	ctx := NewCtx(0)
+	base := map[string]int64{} // the same on both devices: they reserve alike
+	for _, name := range []string{"log", "adj"} {
+		for _, d := range m.Devices() {
+			b, err := d.Reserve(name, 4*XPLineSize, XPLineSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base[name] = b
+		}
+	}
+	line := make([]byte, XPLineSize)
+	for _, d := range m.Devices() {
+		d.Write(ctx, base["log"], line)                    // one log line
+		d.Write(ctx, base["adj"]+XPLineSize/2, line)       // two adj lines
+		d.Write(ctx, base["adj"]+4*XPLineSize+8, line[:8]) // past every reservation
+	}
+	st := m.TotalStats()
+	if got := [3]int64{m.RegionWriteLines("log"), m.RegionWriteLines("adj"), st.MediaWriteLines}; got != [3]int64{2, 4, 8} {
+		t.Fatalf("log, adj and all media-write lines = %v, want [2 4 8]", got)
+	}
+	clone := NewMachine(2, 1<<20, DefaultLatency())
+	for i, d := range m.Devices() {
+		if err := clone.Device(i).RestoreState(d.ExportState()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.ResetStats()
+	if n := m.RegionWriteLines("adj"); n != 0 {
+		t.Fatalf("after ResetStats adj counts %d lines", n)
+	}
+	clone.Device(1).Write(ctx, base["adj"], line)
+	clone.TotalStats()
+	if n := clone.RegionWriteLines("adj"); n != 1 {
+		t.Fatalf("a restored device counts %d adj lines for one write, want 1", n)
 	}
 }

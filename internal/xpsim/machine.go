@@ -56,6 +56,27 @@ func (m *Machine) SnapshotStats() Stats {
 	return s
 }
 
+// RegionWriteLines reports the media-write lines that landed in the pmem
+// region called name, on every device it spans, since the last reset. Like
+// SnapshotStats it does not drain the XPBuffers.
+func (m *Machine) RegionWriteLines(name string) int64 {
+	var n int64
+	for _, d := range m.devices {
+		n += d.spanWriteLines(name)
+	}
+	return n
+}
+
+// TraceWrites makes every device call fn, under its lock, with each XPLine
+// a Write touches, from now until TraceWrites(nil).
+func (m *Machine) TraceWrites(fn func(node int, line int64)) {
+	for _, d := range m.devices {
+		d.mu.Lock()
+		d.traceWrite = fn
+		d.mu.Unlock()
+	}
+}
+
 // ResetStats zeroes all device counters.
 func (m *Machine) ResetStats() {
 	for _, d := range m.devices {

@@ -31,8 +31,10 @@ type Sweep struct {
 }
 
 // Run runs fn on items 0..k-1 with n workers at the given contention level
-// and returns the loop's simulated time, the slowest worker's clock.
-// nodeOf places worker w as in ParallelN. records(i) is item i's record
+// — the workers concurrently on one device, which can exceed n when other
+// worker groups on the same socket run at the same time — and returns the
+// loop's simulated time, the slowest worker's clock. nodeOf(w) is the NUMA
+// node worker w is bound to (NodeUnbound: none). records(i) is item i's record
 // count — a vertex's buffered neighbors, or its degree in the direction a
 // kernel visits — and 1 + records(i) its weight; the weights are read from
 // DRAM state the caller keeps anyway and are not charged. Every chunk a
@@ -80,7 +82,26 @@ func (s *Sweep) Run(lat *LatencyModel, n, contention int, nodeOf func(w int) int
 	return time.Duration(slowest)
 }
 
-// Clock reports worker w's clock at the end of the last Run.
+// Each is a parallel phase that is not a vertex sweep: it runs fn once for
+// each of n workers, worker 0 first, each on a clock of its own, and
+// returns the phase's simulated time, the slowest worker's clock. contention
+// and nodeOf are as for Run. The workers run one after the other on the
+// host, on the Sweep's reused contexts, so a warmed Sweep allocates
+// nothing. The ctx handed to fn is only valid until Each returns.
+func (s *Sweep) Each(n, contention int, nodeOf func(w int) int, fn func(w int, ctx *Ctx)) time.Duration {
+	if n <= 0 {
+		return 0
+	}
+	s.reset(n, max(contention, 1), nodeOf)
+	var slowest int64
+	for w := range n {
+		fn(w, &s.ctxs[w])
+		slowest = max(slowest, s.costs[w].Ns())
+	}
+	return time.Duration(slowest)
+}
+
+// Clock reports worker w's clock at the end of the last Run or Each.
 func (s *Sweep) Clock(w int) time.Duration { return s.costs[w].Duration() }
 
 // reset gives the loop n workers with zeroed clocks.

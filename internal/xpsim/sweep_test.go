@@ -2,6 +2,7 @@ package xpsim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -186,6 +187,35 @@ func TestSweepAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestSweepEach: Each runs every worker once, in order, each on a clock of
+// its own with its placement and the phase's contention, lasts as long as
+// the slowest, and allocates nothing once warmed.
+func TestSweepEach(t *testing.T) {
+	var sw Sweep
+	work := func(w int, ctx *Ctx) { ctx.Cost.Add(int64(100 * (w%3 + 1))) }
+	var order []int
+	got := sw.Each(5, 7, PinnedTo(1), func(w int, ctx *Ctx) {
+		order = append(order, w)
+		if ctx.Worker != w || ctx.Workers != 7 || ctx.Node != 1 || ctx.Cost.Ns() != 0 {
+			t.Errorf("worker %d runs on %+v with %d ns on its clock", w, *ctx, ctx.Cost.Ns())
+		}
+		work(w, ctx)
+	})
+	if got != 300 || !slices.Equal(order, []int{0, 1, 2, 3, 4}) {
+		t.Errorf("Each took %v running workers %v, want 300ns and 0..4 in order", got, order)
+	}
+	if d := sw.Each(2, 0, Unpinned, func(_ int, ctx *Ctx) {
+		if ctx.Workers != 1 {
+			t.Errorf("contention 0 runs workers at %d, want 1", ctx.Workers)
+		}
+	}); d != 0 {
+		t.Errorf("two idle workers took %v", d)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { sw.Each(5, 7, PinnedTo(1), work) }); allocs != 0 {
+		t.Fatalf("a warmed Each allocates %.1f times per run", allocs)
+	}
+}
+
 // TestSweepSmallFrontierNoSlowerThanRoundRobin: a BFS-sized frontier of 20
 // vertices with a hub in front finishes no later on 4 workers than the
 // round-robin deal it replaced (worker w takes items w, w+4, …), grabs
@@ -195,7 +225,7 @@ func TestSweepSmallFrontierNoSlowerThanRoundRobin(t *testing.T) {
 	cost := func(i int) int64 { return lat.CPUOp * 2 * int64(1+skewed(i)) }
 	var sw Sweep
 	dyn, _, _, _ := traceSweep(&sw, &lat, 4, 20, skewed, cost)
-	rr := int64(ParallelN(4, 4, Unpinned, func(w int, ctx *Ctx) {
+	rr := int64(Parallel(4, Unpinned, func(w int, ctx *Ctx) {
 		for i := range 20 {
 			if i%4 == w {
 				ctx.Cost.Add(cost(i))

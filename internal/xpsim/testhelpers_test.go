@@ -13,5 +13,6 @@ func (c *Cost) Reset() { c.ns = 0 }
 // deterministic. nodeOf selects the NUMA node worker w is pinned to
 // (return NodeUnbound for unpinned workers).
 func Parallel(n int, nodeOf func(w int) int, fn func(w int, ctx *Ctx)) time.Duration {
-	return ParallelN(n, n, nodeOf, fn)
+	var sw Sweep
+	return sw.Each(n, n, nodeOf, fn)
 }

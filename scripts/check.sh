@@ -191,23 +191,26 @@ echo "== archiving path: full-width shard stage, log read in XPLines, allocation
 # The shard stage cuts a batch across every archive thread of a node —
 # whole stripes when there are enough, else XPLine runs at most a line
 # apart — and the log is read one access per XPLine, not per record. A
-# warmed shard stage and a warmed log read allocate nothing and a warmed
-# store, traced or not, at most 19 times per 2048-edge Ingest (budgets
-# checked without -race, under which sync.Pool drops buffers). shard.PartOf gives every
+# warmed shard stage, a warmed log read and a warmed store's flush-all
+# allocate nothing, and a warmed store, traced or not, at most 6 times per
+# 2048-edge Ingest (budgets checked without -race, under which sync.Pool
+# drops buffers). shard.PartOf gives every
 # sub-graph its share of an RMAT stream's out- and in-entries, inside each
 # cluster shard too and whether or not the IDs are scrambled. XPGraph's
 # ranged lists come from the same hash — each lies inside its vertex's
 # partition, and they balance a group's drain workers on RMAT IDs — while
 # GraphOne's stay its contiguous ranges. They ran above under -race as
 # well; this stanza names them.
-go test -count=1 -run 'TestStageCutsFullWidth|TestReadInLines|TestReadAllocatesNothing|TestSteadyStateIngestAllocations|TestStageSteadyStateAllocatesNothing|TestPartOf|TestHashedLists|TestContiguousIsGraphOnesRanges' ./internal/core/ ./internal/shard/ ./internal/elog/
+go test -count=1 -run 'TestStageCutsFullWidth|TestReadInLines|TestReadAllocatesNothing|TestSteadyStateIngestAllocations|TestWarmFlushAllocatesNothing|TestStageSteadyStateAllocatesNothing|TestPartOf|TestHashedLists|TestContiguousIsGraphOnesRanges' ./internal/core/ ./internal/shard/ ./internal/elog/
 
-echo "== one sweep order: the flush drain and the analytics kernels on one xpsim loop"
-# A whole-graph sweep is one xpsim.Sweep over ascending IDs, dealt in
-# weighted chunks to the least busy worker (DESIGN.md §4 "One sweep
-# order"), so a flush lays its blocks out in ID order and an analytics
-# iteration reads them back in that order. No strided or rank deal of
-# vertices to workers remains in non-test code under internal/.
+echo "== one sweep order, one media write per XPLine per flush: the flush drain and the analytics kernels on one xpsim loop"
+# A whole-graph sweep is one xpsim.Sweep, dealt in weighted chunks to the
+# least busy worker (DESIGN.md §4 "One sweep order"). A flush's drain is
+# two: the tails that have room in offset order, then new blocks in ID
+# order, so it writes each XPLine to the media once and lays its new
+# blocks out in ID order, and an analytics iteration reads them back in
+# that order. No strided or rank deal of vertices to workers remains in
+# non-test code under internal/.
 if git ls-files 'internal/*.go' | grep -v '_test\.go$' |
     xargs grep -nE '[a-z]+ \+= workers\b|rank ?% ?n\b|for [a-z]+ := w; [^;]*; [a-z]+ \+= '; then
     echo "a strided or rank deal of items to workers: run the sweep on xpsim.Sweep" >&2
@@ -217,9 +220,12 @@ fi
 # grabs; the slowest clock; grabs charged only on several workers; no
 # allocation; a small frontier no slower than round-robin), every drain
 # worker dealt a comparable share, a flush's blocks ascending with their IDs
-# in every arena, and no scrub started once draining began.
+# in every arena, each flush's drain writing as many adjacency lines to the
+# media as distinct lines, the bulk-ingest stream's media writes split by
+# region (log 8.07, adjacency 55.6 B/edge), and no scrub started once
+# draining began.
 go test -count=1 -run 'TestSweep|ExampleSweep' ./internal/xpsim/
-go test -count=1 -run 'TestFlushDrainUsesEveryWorker|TestFlushLaysBlocksOutInIDOrder' ./internal/core/
+go test -count=1 -run 'TestFlushDrainUsesEveryWorker|TestFlushLaysBlocksOutInIDOrder|TestFlushWritesEachLineOnce|TestMediaWritesByRegion' ./internal/core/
 go test -count=20 -run 'TestDrainCancelsPendingScrubTick' ./internal/ingest/
 
 echo "== publication: one count base per store, patched from the vertices a buffer phase touched"
