@@ -13,10 +13,17 @@
 // direction the kernel visits. A whole-graph iteration thus reads each
 // arena upward, in the order a flush drain and compaction laid its blocks
 // out, while a power-law graph's hubs still spread over the workers.
+//
+// The level-synchronous traversals (BFS, k-hop, typed k-hop, path) share one
+// level loop, traverse, and sweep each level the same way: orderFrontier
+// puts the vertices a level reached in ascending ID order, by a serial sort
+// or a parallel scan of the visited bitmap, whichever the latency model
+// prices lower, so the next level reads the arenas upward too.
 package analytics
 
 import (
 	"maps"
+	"math"
 	"slices"
 
 	"repro/internal/graph"
@@ -72,6 +79,15 @@ func (e *Engine) classify(vs []graph.VID, nodeOf func(graph.VID) int) map[int][]
 		buckets[n] = append(buckets[n], v)
 	}
 	return buckets
+}
+
+// classifyAll is classify over every vertex, in ID order.
+func (e *Engine) classifyAll(nodeOf func(graph.VID) int) map[int][]graph.VID {
+	all := make([]graph.VID, e.view.NumVertices())
+	for v := range all {
+		all[v] = graph.VID(v)
+	}
+	return e.classify(all, nodeOf)
 }
 
 // parRun processes the vertex buckets: each bucket gets an equal share of
@@ -173,31 +189,22 @@ type BFSResult struct {
 // BFS traverses the connected out-subgraph from root, level-synchronous,
 // classifying each frontier by NUMA node before processing (§III-D).
 func (e *Engine) BFS(root graph.VID) BFSResult {
-	numV := e.view.NumVertices()
-	if root >= numV {
+	if root >= e.view.NumVertices() {
 		return BFSResult{}
 	}
-	visited := make([]bool, numV)
-	visited[root] = true
-	frontier := []graph.VID{root}
 	res := BFSResult{Visited: 1}
-	for len(frontier) > 0 {
+	res.SimNs, _ = e.traverse(root, math.MaxInt, nil, e.visitOut, func(level []graph.VID) bool {
 		res.Levels++
-		var next []graph.VID
-		ns := e.parRun(e.classify(frontier, e.view.OutNode), e.view.OutDegree, func(ctx *xpsim.Ctx, v graph.VID) {
-			e.view.VisitOut(ctx, v, func(nb uint32) {
-				e.lat.CPU(ctx, 2)
-				if nb < uint32(numV) && !visited[nb] {
-					visited[nb] = true
-					next = append(next, graph.VID(nb))
-				}
-			})
-		})
-		res.SimNs += ns
-		res.Visited += int64(len(next))
-		frontier = next
-	}
+		res.Visited += int64(len(level))
+		return true
+	})
 	return res
+}
+
+// visitOut is traverse's out for the untyped kernels: every out-edge.
+func (e *Engine) visitOut(ctx *xpsim.Ctx, v graph.VID, edge func(nb uint32)) error {
+	e.view.VisitOut(ctx, v, edge)
+	return nil
 }
 
 // PageRankResult reports a PageRank run.
@@ -219,11 +226,7 @@ func (e *Engine) PageRank(iters int) PageRankResult {
 	for v := range rank {
 		rank[v] = 1.0 / float64(numV)
 	}
-	all := make([]graph.VID, numV)
-	for v := range all {
-		all[v] = graph.VID(v)
-	}
-	buckets := e.classify(all, e.view.InNode)
+	buckets := e.classifyAll(e.view.InNode)
 	var res PageRankResult
 	for it := 0; it < iters; it++ {
 		ns := e.parRun(buckets, e.view.InDegree, func(ctx *xpsim.Ctx, v graph.VID) {
@@ -264,11 +267,7 @@ func (e *Engine) CC() CCResult {
 	for v := range labels {
 		labels[v] = uint32(v)
 	}
-	all := make([]graph.VID, numV)
-	for v := range all {
-		all[v] = graph.VID(v)
-	}
-	buckets := e.classify(all, e.view.OutNode)
+	buckets := e.classifyAll(e.view.OutNode)
 	var res CCResult
 	for changed := true; changed; {
 		changed = false
@@ -289,11 +288,12 @@ func (e *Engine) CC() CCResult {
 		})
 		res.SimNs += ns
 	}
-	comps := make(map[uint32]bool)
-	for _, l := range labels {
-		comps[l] = true
+	// Each component's label is its lowest vertex ID, which keeps it.
+	for v, l := range labels {
+		if l == uint32(v) {
+			res.Components++
+		}
 	}
-	res.Components = len(comps)
 	res.Labels = labels
 	return res
 }

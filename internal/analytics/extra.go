@@ -1,7 +1,8 @@
 package analytics
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/xpsim"
@@ -18,31 +19,19 @@ type KHopResult struct {
 // generalization of the one-hop query of §V-C that graph-serving
 // workloads (friends-of-friends, fraud rings) issue constantly.
 func (e *Engine) KHop(root graph.VID, k int) KHopResult {
-	numV := e.view.NumVertices()
-	if root >= numV || k <= 0 {
+	if root >= e.view.NumVertices() || k <= 0 {
 		return KHopResult{}
 	}
-	visited := make([]bool, numV)
-	visited[root] = true
-	frontier := []graph.VID{root}
 	var res KHopResult
-	for hop := 0; hop < k && len(frontier) > 0; hop++ {
-		var next []graph.VID
-		ns := e.parRun(e.classify(frontier, e.view.OutNode), e.view.OutDegree, func(ctx *xpsim.Ctx, v graph.VID) {
-			e.view.VisitOut(ctx, v, func(nb uint32) {
-				e.lat.CPU(ctx, 2)
-				if nb < uint32(numV) && !visited[nb] {
-					visited[nb] = true
-					next = append(next, graph.VID(nb))
-				}
-			})
-		})
-		res.SimNs += ns
-		res.PerHop = append(res.PerHop, int64(len(next)))
-		res.Reached += int64(len(next))
-		frontier = next
-	}
+	res.SimNs, _ = e.traverse(root, k, nil, e.visitOut, res.add)
 	return res
+}
+
+// add is traverse's after for the k-hop kernels: one hop's new vertices.
+func (r *KHopResult) add(level []graph.VID) bool {
+	r.PerHop = append(r.PerHop, int64(len(level)))
+	r.Reached += int64(len(level))
+	return true
 }
 
 // TriangleResult reports a triangle count.
@@ -63,12 +52,9 @@ func (e *Engine) Triangles() TriangleResult {
 	}
 	// Materialize undirected, deduplicated adjacency (charged reads).
 	adj := make([][]uint32, numV)
-	all := make([]graph.VID, numV)
-	for v := range all {
-		all[v] = graph.VID(v)
-	}
+	buckets := e.classifyAll(e.view.OutNode)
 	var res TriangleResult
-	res.SimNs += e.parRun(e.classify(all, e.view.OutNode), e.degree, func(ctx *xpsim.Ctx, v graph.VID) {
+	res.SimNs += e.parRun(buckets, e.degree, func(ctx *xpsim.Ctx, v graph.VID) {
 		var set []uint32
 		collect := func(u uint32) {
 			if int(u) < numV && u != uint32(v) {
@@ -77,15 +63,9 @@ func (e *Engine) Triangles() TriangleResult {
 		}
 		e.view.VisitOut(ctx, v, collect)
 		e.view.VisitIn(ctx, v, collect)
-		sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
-		dedup := set[:0]
-		for i, u := range set {
-			if i == 0 || u != set[i-1] {
-				dedup = append(dedup, u)
-			}
-		}
+		slices.Sort(set)
 		e.lat.CPU(ctx, int64(len(set)))
-		adj[v] = dedup
+		adj[v] = slices.Compact(set)
 	})
 
 	// rank(v): by degree then ID — keeps hub work subquadratic.
@@ -94,18 +74,14 @@ func (e *Engine) Triangles() TriangleResult {
 	for v := range order {
 		order[v] = int32(v)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		di, dj := len(adj[order[i]]), len(adj[order[j]])
-		if di != dj {
-			return di < dj
-		}
-		return order[i] < order[j]
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(len(adj[a]), len(adj[b])), cmp.Compare(a, b))
 	})
 	for r, v := range order {
 		rank[v] = int32(r)
 	}
 
-	res.SimNs += e.parRun(e.classify(all, e.view.OutNode), func(v graph.VID) int { return len(adj[v]) }, func(ctx *xpsim.Ctx, v graph.VID) {
+	res.SimNs += e.parRun(buckets, func(v graph.VID) int { return len(adj[v]) }, func(ctx *xpsim.Ctx, v graph.VID) {
 		for _, u := range adj[v] {
 			if rank[u] <= rank[v] {
 				continue

@@ -2,6 +2,7 @@ package analytics
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/prop"
@@ -21,56 +22,37 @@ import (
 // implement the typed surface (e.g. the GraphOne baseline).
 var errNoTypedView = fmt.Errorf("analytics: view has no typed read surface")
 
-// typedView asserts the engine's view up to the typed surface.
-func (e *Engine) typedView() (view.Full, error) {
+// visitTyped is traverse's out for the typed kernels: the out-edges that
+// pass f, pruned while the adjacency stream decodes. It fails when the
+// engine's view has no typed surface or f is invalid.
+func (e *Engine) visitTyped(f prop.Filter) (func(*xpsim.Ctx, graph.VID, func(uint32)) error, error) {
 	tv, ok := e.view.(view.Full)
 	if !ok {
 		return nil, errNoTypedView
 	}
-	return tv, nil
+	if err := f.Validate(); err != nil {
+		return nil, err
+	}
+	return func(ctx *xpsim.Ctx, v graph.VID, edge func(nb uint32)) error {
+		return tv.VisitOutTyped(ctx, v, f, func(nb uint32, _ uint16) { edge(nb) })
+	}, nil
 }
 
 // KHopFiltered is KHop expanding only edges that pass f: an edge is
 // followed when its label is in f.Types and its destination passes the
 // property predicate. With an empty filter it degenerates to KHop.
 func (e *Engine) KHopFiltered(root graph.VID, k int, f prop.Filter) (KHopResult, error) {
-	tv, err := e.typedView()
+	out, err := e.visitTyped(f)
 	if err != nil {
 		return KHopResult{}, err
 	}
-	if err := f.Validate(); err != nil {
-		return KHopResult{}, err
-	}
-	numV := e.view.NumVertices()
-	if root >= numV || k <= 0 {
+	if root >= e.view.NumVertices() || k <= 0 {
 		return KHopResult{}, nil
 	}
-	visited := make([]bool, numV)
-	visited[root] = true
-	frontier := []graph.VID{root}
 	var res KHopResult
-	for hop := 0; hop < k && len(frontier) > 0; hop++ {
-		var next []graph.VID
-		var verr error
-		ns := e.parRun(e.classify(frontier, e.view.OutNode), e.view.OutDegree, func(ctx *xpsim.Ctx, v graph.VID) {
-			err := tv.VisitOutTyped(ctx, v, f, func(nb uint32, _ uint16) {
-				e.lat.CPU(ctx, 2)
-				if nb < uint32(numV) && !visited[nb] {
-					visited[nb] = true
-					next = append(next, graph.VID(nb))
-				}
-			})
-			if err != nil && verr == nil {
-				verr = err
-			}
-		})
-		if verr != nil {
-			return KHopResult{}, verr
-		}
-		res.SimNs += ns
-		res.PerHop = append(res.PerHop, int64(len(next)))
-		res.Reached += int64(len(next))
-		frontier = next
+	res.SimNs, err = e.traverse(root, k, nil, out, res.add)
+	if err != nil {
+		return KHopResult{}, err
 	}
 	return res, nil
 }
@@ -88,11 +70,8 @@ type PathResult struct {
 // edges passing f, exploring at most maxDepth hops. The same pushdown
 // applies: pruned edges never extend the search frontier.
 func (e *Engine) Path(root, target graph.VID, maxDepth int, f prop.Filter) (PathResult, error) {
-	tv, err := e.typedView()
+	out, err := e.visitTyped(f)
 	if err != nil {
-		return PathResult{}, err
-	}
-	if err := f.Validate(); err != nil {
 		return PathResult{}, err
 	}
 	numV := e.view.NumVertices()
@@ -102,53 +81,26 @@ func (e *Engine) Path(root, target graph.VID, maxDepth int, f prop.Filter) (Path
 	if root == target {
 		return PathResult{Found: true, Path: []graph.VID{root}}, nil
 	}
-	const noParent = ^uint32(0)
 	parent := make([]uint32, numV)
-	for i := range parent {
-		parent[i] = noParent
-	}
-	parent[root] = uint32(root)
-	frontier := []graph.VID{root}
 	var res PathResult
-	for hop := 0; hop < maxDepth && len(frontier) > 0 && !res.Found; hop++ {
-		var next []graph.VID
-		var verr error
-		ns := e.parRun(e.classify(frontier, e.view.OutNode), e.view.OutDegree, func(ctx *xpsim.Ctx, v graph.VID) {
-			err := tv.VisitOutTyped(ctx, v, f, func(nb uint32, _ uint16) {
-				e.lat.CPU(ctx, 2)
-				if nb < uint32(numV) && parent[nb] == noParent {
-					parent[nb] = uint32(v)
-					if graph.VID(nb) == target {
-						res.Found = true
-					}
-					next = append(next, graph.VID(nb))
-				}
-			})
-			if err != nil && verr == nil {
-				verr = err
-			}
-		})
-		if verr != nil {
-			return PathResult{}, verr
-		}
-		res.SimNs += ns
-		frontier = next
+	res.SimNs, err = e.traverse(root, maxDepth, parent, out, func(level []graph.VID) bool {
+		res.Found = slices.Contains(level, target)
+		return !res.Found
+	})
+	if err != nil {
+		return PathResult{}, err
 	}
 	if !res.Found {
 		return res, nil
 	}
 	// Walk the parent chain back from the target.
-	var rev []graph.VID
-	for v := target; ; v = graph.VID(parent[v]) {
-		rev = append(rev, v)
+	for v := target; ; v = parent[v] {
+		res.Path = append(res.Path, v)
 		if v == root {
 			break
 		}
 	}
-	res.Path = make([]graph.VID, len(rev))
-	for i, v := range rev {
-		res.Path[len(rev)-1-i] = v
-	}
+	slices.Reverse(res.Path)
 	res.Hops = len(res.Path) - 1
 	return res, nil
 }

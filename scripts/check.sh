@@ -203,7 +203,7 @@ echo "== archiving path: full-width shard stage, log read in XPLines, allocation
 # well; this stanza names them.
 go test -count=1 -run 'TestStageCutsFullWidth|TestReadInLines|TestReadAllocatesNothing|TestSteadyStateIngestAllocations|TestWarmFlushAllocatesNothing|TestStageSteadyStateAllocatesNothing|TestPartOf|TestHashedLists|TestContiguousIsGraphOnesRanges' ./internal/core/ ./internal/shard/ ./internal/elog/
 
-echo "== one sweep order, one media write per XPLine per flush: the flush drain and the analytics kernels on one xpsim loop"
+echo "== one sweep order, one media write per XPLine per flush: the flush drain and the analytics kernels on one xpsim loop, each frontier level in ID order"
 # A whole-graph sweep is one xpsim.Sweep, dealt in weighted chunks to the
 # least busy worker (DESIGN.md §4 "One sweep order"). A flush's drain is
 # two: the tails that have room in offset order, then new blocks in ID
@@ -222,10 +222,13 @@ fi
 # worker dealt a comparable share, a flush's blocks ascending with their IDs
 # in every arena, each flush's drain writing as many adjacency lines to the
 # media as distinct lines, the bulk-ingest stream's media writes split by
-# region (log 8.07, adjacency 55.6 B/edge), and no scrub started once
-# draining began.
+# region (log 8.07, adjacency 55.6 B/edge), no scrub started once draining
+# began, every BFS / k-hop / typed k-hop / path level expanded in ascending
+# ID order with orderFrontier's sort and scan paths agreeing, and BFS and
+# k-hop simulated time repeating to the nanosecond.
 go test -count=1 -run 'TestSweep|ExampleSweep' ./internal/xpsim/
 go test -count=1 -run 'TestFlushDrainUsesEveryWorker|TestFlushLaysBlocksOutInIDOrder|TestFlushWritesEachLineOnce|TestMediaWritesByRegion' ./internal/core/
+go test -count=1 -run 'TestFrontierSweepsUpward|TestKernelsRepeatExactly' ./internal/analytics/
 go test -count=20 -run 'TestDrainCancelsPendingScrubTick' ./internal/ingest/
 
 echo "== publication: one count base per store, patched from the vertices a buffer phase touched"
