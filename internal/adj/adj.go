@@ -3,8 +3,10 @@
 // a persisted, self-describing header (header.go: the one file that knows
 // its layout) so a recovering process can rebuild every chain with one
 // sequential scan of the arena — the recovery scheme of §V-D. Every read of
-// a chain goes through one walker and one block decoder (walk.go);
-// compaction and scrub repair share one journaled chain swap (swap.go).
+// a chain goes through one walker and one block decoder (walk.go), which
+// fetch each XPLine of a block once: the header read brings the rest of its
+// line, and the records there come from that copy. Compaction and scrub
+// repair share one journaled chain swap (swap.go).
 //
 // XPGraph appends whole drained vertex buffers (up to 63 neighbors) as one
 // contiguous write — the single-XPLine flush of §III-B — while GraphOne's

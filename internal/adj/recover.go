@@ -80,6 +80,8 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 	// every acknowledged block behind it. The scan cannot step over a block
 	// it cannot size, so it fails typed — unless a scrub already rewrote the
 	// header and quarantined the block (the line keeps its poison mark).
+	// Consecutive headers in one line are parsed from the window the first
+	// of them fetched, so the scan reads each header line once.
 	r := s.reader(ctx, opts.Checksums)
 	defer r.release()
 	var raw []scanned
@@ -102,7 +104,8 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 		m.RewindAlloc(ctx, off)
 		break
 	}
-
+	// The frontier write and the kills below rewrite scanned lines.
+	r.drop()
 	r.checked = false
 
 	// Pass 2: complete an armed swap journal.

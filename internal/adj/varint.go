@@ -32,6 +32,8 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
+
+	"repro/internal/xpsim"
 )
 
 const (
@@ -42,10 +44,11 @@ const (
 	maxVarintRec = 5
 
 	// varintChunkBytes is the media-read granularity of the streaming
-	// decoder. Chunks never cross the payload end, so a decode touches
-	// only the block's own lines, but it may read up to a chunk beyond
-	// the last acknowledged record's byte (slack inside the block).
-	varintChunkBytes = 256
+	// decoder: an XPLine. Chunks end at line boundaries and never cross the
+	// payload end, so a decode fetches each of the block's lines once and
+	// touches no other, but it may read up to the end of the last
+	// acknowledged record's line (slack inside the block).
+	varintChunkBytes = xpsim.XPLineSize
 )
 
 var errVarintCorrupt = errors.New("adj: corrupt delta-varint payload")
@@ -101,9 +104,7 @@ func (r *varintReader) fill() error {
 	if n <= 0 {
 		return errVarintCorrupt // records claimed beyond the payload
 	}
-	if n > int64(len(r.buf)) {
-		n = int64(len(r.buf))
-	}
+	n = min(n, varintChunkBytes-r.off%varintChunkBytes)
 	if err := r.read(r.off, r.buf[:n]); err != nil {
 		return err
 	}

@@ -38,21 +38,29 @@ type walkOpts struct {
 // trusting walks serve whatever decodes and stop quietly at what does not.
 func (o walkOpts) trusting() bool { return !o.checked && !o.mirror }
 
-// fixedChunkBytes is the media-read granularity of the fixed-width decoder:
-// every block the sizing policies hand out is one read; larger (compacted)
-// payloads are cut at XPLine boundaries, so no line is touched twice.
+// fixedChunkBytes is the most the fixed-width decoder asks the memory for
+// at once. Its chunks are cut at XPLine boundaries, and the records in the
+// header's line come from the reader's window, so a block's decode fetches
+// each of its lines once.
 const fixedChunkBytes = 4096
 
-// reader is the scratch of one chain walk: the header and payload buffers
-// the memory reads into and the varint decoder's state. Buffers handed to a
-// mem.Mem escape, so walks take their reader from a pool instead of the
-// stack and a read allocates nothing.
+// reader is the scratch of one chain walk: the window of the last header's
+// line, the payload buffer and the varint decoder's state. Buffers handed
+// to a mem.Mem escape, so walks take their reader from a pool instead of
+// the stack and a read allocates nothing.
 type reader struct {
 	s       *Store
 	ctx     *xpsim.Ctx
 	checked bool
 	fetch   func(off int64, p []byte) error // r.read, bound once
-	hdr     [headerBytes]byte
+	// line holds [lineOff, lineOff+lineLen): a block header and the rest of
+	// its XPLine, fetched with it in one device read. Reads that start
+	// inside it are served from it. A header that crosses a line boundary
+	// takes its second line whole, so the window is up to an XPLine and a
+	// header long.
+	line    [xpsim.XPLineSize + headerBytes]byte
+	lineOff int64
+	lineLen int
 	buf     [fixedChunkBytes]byte
 	vr      varintReader
 	chain   []int64
@@ -72,10 +80,15 @@ func (s *Store) reader(ctx *xpsim.Ctx, checked bool) *reader {
 
 func (r *reader) release() {
 	r.s, r.ctx = nil, nil
+	r.drop()
 	readerPool.Put(r)
 }
 
-func (r *reader) read(off int64, p []byte) error {
+// drop forgets the window: what is read next comes from the device.
+func (r *reader) drop() { r.lineLen = 0 }
+
+// device reads p at off from the memory.
+func (r *reader) device(off int64, p []byte) error {
 	if r.checked {
 		return mem.ReadChecked(r.s.m, r.ctx, off, p)
 	}
@@ -83,9 +96,40 @@ func (r *reader) read(off int64, p []byte) error {
 	return nil
 }
 
+// read fills p with the bytes at off: from the window when off is inside
+// it, and from the device for what lies past the window's end.
+func (r *reader) read(off int64, p []byte) error {
+	if i := off - r.lineOff; i >= 0 && i < int64(r.lineLen) {
+		n := copy(p, r.line[i:r.lineLen])
+		if n == len(p) {
+			return nil
+		}
+		off, p = off+int64(n), p[n:]
+	}
+	return r.device(off, p)
+}
+
+// header parses the block header at off. Unless the window already holds
+// it, the window moves to [off, the line boundary past the header), clamped
+// to the allocated end of the arena, and only the bytes past the old
+// window's end are fetched. A UE poisons a whole XPLine, so the rest of the
+// header's line raises no fault the header would not; a window whose fetch
+// failed is dropped, so the next read of it reports the fault again.
 func (r *reader) header(off int64) (header, error) {
-	err := r.read(off, r.hdr[:])
-	return parseHeader(r.hdr[:]), err
+	var err error
+	if i := off - r.lineOff; i < 0 || i+headerBytes > int64(r.lineLen) {
+		end := (off + headerBytes + xpsim.XPLineSize - 1) / xpsim.XPLineSize * xpsim.XPLineSize
+		end = max(off+headerBytes, min(end, mem.AllocatedEnd(r.s.m, off)))
+		kept := 0
+		if i >= 0 && i < int64(r.lineLen) {
+			kept = copy(r.line[:], r.line[i:r.lineLen])
+		}
+		r.lineOff, r.lineLen = off, int(end-off)
+		if err = r.device(off+int64(kept), r.line[kept:r.lineLen]); err != nil {
+			r.drop()
+		}
+	}
+	return parseHeader(r.line[off-r.lineOff:]), err
 }
 
 // extent is what decoding a block's records consumed: the payload bytes
@@ -144,8 +188,11 @@ func (r *reader) decode(off int64, format, capacity, cnt uint32, withCRC bool, f
 // follows the prev links as it goes: a block's header is read, the block
 // visited, its link followed. A checked walk over the links collects and
 // validates the whole chain first and then reads each header again as it
-// visits. A mirror walk takes the chain from DRAM. visit may rewrite the
-// block it is handed; it gets the walk's reader to decode payloads with.
+// visits. A mirror walk takes the chain from DRAM. visit gets the walk's
+// reader to decode payloads with; the records in the header's line come
+// from the window the header read left. visit may rewrite the block it is
+// handed, so the window is dropped before a visit's header is read and
+// once the visit returns.
 func (s *Store) walk(ctx *xpsim.Ctx, v graph.VID, o walkOpts, visit func(r *reader, off int64, h header) error) error {
 	if int(v) >= len(s.vx) || s.vx[v].tail == 0 {
 		return nil
@@ -176,8 +223,13 @@ func (s *Store) walk(ctx *xpsim.Ctx, v graph.VID, o walkOpts, visit func(r *read
 		}
 		return nil
 	}
+	visitOnce := func(off int64, h header) error {
+		err := visit(r, off, h)
+		r.drop()
+		return err
+	}
 	if o.trusting() {
-		return links(func(off int64, h header) error { return visit(r, off, h) })
+		return links(visitOnce)
 	}
 	chain := s.chains[v]
 	if !o.mirror {
@@ -189,6 +241,7 @@ func (s *Store) walk(ctx *xpsim.Ctx, v graph.VID, o walkOpts, visit func(r *read
 			return err
 		}
 		chain = r.chain
+		r.drop()
 	}
 	for _, off := range chain {
 		var h header
@@ -210,7 +263,7 @@ func (s *Store) walk(ctx *xpsim.Ctx, v graph.VID, o walkOpts, visit func(r *read
 			}
 			h.capacity = m.capacity
 		}
-		if err := visit(r, off, h); err != nil {
+		if err := visitOnce(off, h); err != nil {
 			return err
 		}
 	}

@@ -27,6 +27,10 @@ var declarations = []struct {
 	{"wire", "{ds}/fixed_adj_wr_B_edge", nil, ptr(simBound)},
 	{"wire", "{ds}/varint_log_wr_B_edge", nil, ptr(simBound)},
 	{"wire", "{ds}/varint_adj_wr_B_edge", nil, ptr(simBound)},
+	{"wire", "{ds}/fixed_pr_rd_lines", nil, ptr(simBound)},
+	{"wire", "{ds}/fixed_pr_accesses", nil, ptr(simBound)},
+	{"wire", "{ds}/varint_pr_rd_lines", nil, ptr(simBound)},
+	{"wire", "{ds}/varint_pr_accesses", nil, ptr(simBound)},
 	{"wire", "{ds}/json_wire_B_edge", nil, ptr(simBound)},
 	{"wire", "{ds}/bin_wire_B_edge", nil, ptr(simBound)},
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/analytics"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/ingest"
@@ -146,6 +147,14 @@ func wire(cfg Config) (Table, error) {
 				t.derive(key.Key+"/"+format+"_payload_B_edge",
 					num(float64(ls.PayloadBytes)/float64(ls.Records), "%.2f", "B/edge", Lower).bound(simBound))
 			}
+			// The read side of the same blocks: one PageRank iteration over
+			// the compacted store at 8 query workers, 4 a node — the media
+			// lines it reads and the XPLine accesses it makes.
+			before := m.TotalStats()
+			analytics.NewEngine(s, &m.Lat, 8).PageRank(1)
+			pr := m.TotalStats().Sub(before)
+			t.derive(key.Key+"/"+format+"_pr_rd_lines", count(pr.MediaReadLines, "lines", Lower).bound(simBound))
+			t.derive(key.Key+"/"+format+"_pr_accesses", count(pr.BufHits+pr.BufMisses, "accesses", Lower).bound(simBound))
 		}
 		gain := 0.0
 		if perLine[0] > 0 {

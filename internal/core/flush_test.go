@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analytics"
 	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -245,6 +246,28 @@ func TestFlushWritesEachLineOnce(t *testing.T) {
 	checkModel(t, s, difftest.Of(edges))
 }
 
+// bulkEdges is the length of bulk-ingest's stream, RMAT(17, 2^21, 7).
+const bulkEdges = 1 << 21
+
+// bulkIngest ingests the benchmark's bulk-ingest stream in one Ingest on
+// the benchmark's store shape and returns the store, its machine and the
+// machine's counters across the Ingest.
+func bulkIngest(t *testing.T) (*Store, *xpsim.Machine, xpsim.Stats) {
+	t.Helper()
+	m := xpsim.NewMachine(2, bulkEdges*48+(48<<20), xpsim.DefaultLatency())
+	h := pmem.NewHeap(m)
+	s, err := New(m, h, nil, Options{Name: "bulk", NumVertices: 1 << 17, ArchiveThreads: 16,
+		LogCapacity: 1 << 19, NUMA: NUMASubgraph, AdjBytes: bulkEdges*32/2 + (16 << 20), PropLogBytes: 4 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := m.TotalStats()
+	if _, err := s.Ingest(gen.RMAT(17, bulkEdges, 7)); err != nil {
+		t.Fatal(err)
+	}
+	return s, m, m.TotalStats().Sub(before)
+}
+
 // TestMediaWritesByRegion pins where the media writes of the benchmark's
 // bulk-ingest stream go — RMAT(17, 2^21, 7) in one Ingest on the
 // benchmark's store shape — region by region, in media bytes per edge: the
@@ -255,20 +278,9 @@ func TestMediaWritesByRegion(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2^21 edges")
 	}
-	const edges = 1 << 21
-	m := xpsim.NewMachine(2, edges*48+(48<<20), xpsim.DefaultLatency())
-	h := pmem.NewHeap(m)
-	s, err := New(m, h, nil, Options{Name: "bulk", NumVertices: 1 << 17, ArchiveThreads: 16,
-		LogCapacity: 1 << 19, NUMA: NUMASubgraph, AdjBytes: edges*32/2 + (16 << 20), PropLogBytes: 4 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := m.TotalStats()
-	if _, err := s.Ingest(gen.RMAT(17, edges, 7)); err != nil {
-		t.Fatal(err)
-	}
-	total := m.TotalStats().Sub(before).MediaWriteBytes()
-	perEdge := func(lines int64) float64 { return float64(lines*xpsim.XPLineSize) / edges }
+	s, _, ingested := bulkIngest(t)
+	total := ingested.MediaWriteBytes()
+	perEdge := func(lines int64) float64 { return float64(lines*xpsim.XPLineSize) / bulkEdges }
 	var logLines, adjLines int64
 	s.MediaWriteLines(func(region string, lines int64) {
 		switch {
@@ -281,13 +293,40 @@ func TestMediaWritesByRegion(t *testing.T) {
 		}
 	})
 	logB, adjB := perEdge(logLines), perEdge(adjLines)
-	t.Logf("media B/edge: %.2f, the edge log %.2f, the adjacency arenas %.2f", float64(total)/edges, logB, adjB)
+	t.Logf("media B/edge: %.2f, the edge log %.2f, the adjacency arenas %.2f", float64(total)/bulkEdges, logB, adjB)
 	for _, c := range []struct {
 		region    string
 		got, want float64
-	}{{"edge log", logB, 8.07}, {"adjacency arenas", adjB, 55.6}, {"all regions", logB + adjB, float64(total) / edges}} {
+	}{{"edge log", logB, 8.07}, {"adjacency arenas", adjB, 55.6}, {"all regions", logB + adjB, float64(total) / bulkEdges}} {
 		if math.Abs(c.got-c.want) > 0.05 {
 			t.Errorf("%s: %.2f media B/edge, want %.2f", c.region, c.got, c.want)
+		}
+	}
+}
+
+// TestPageRankReadsEachLineOnce pins what one PageRank iteration over the
+// bulk-ingest store costs the devices at the benchmark's 8 query workers,
+// 4 per node: media lines read and XPLine accesses. With 4 workers a line
+// stays in the XPBuffer for 64/4 = 16 accesses, so every access a walk
+// spends on a line it already read pushes another line out. A walk that
+// read each block's header and its records in two device reads made 299.3k
+// accesses and read 101.0k lines.
+func TestPageRankReadsEachLineOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2^21 edges")
+	}
+	s, m, _ := bulkIngest(t)
+	before := m.TotalStats()
+	analytics.NewEngine(s, &m.Lat, 8).PageRank(1)
+	d := m.TotalStats().Sub(before)
+	lines, accesses := d.MediaReadLines, d.BufHits+d.BufMisses
+	t.Logf("one PageRank iteration: %d media lines read, %d XPLine accesses", lines, accesses)
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{{"media lines read", lines, 84_165}, {"XPLine accesses", accesses, 175_622}} {
+		if math.Abs(float64(c.got-c.want)) > 0.005*float64(c.want) {
+			t.Errorf("%s: %d, want %d within 0.5 %%", c.name, c.got, c.want)
 		}
 	}
 }

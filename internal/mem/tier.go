@@ -97,6 +97,21 @@ func (t *Tiered) Alloc(ctx *xpsim.Ctx, n, align int64) (int64, error) {
 // AllocBytes implements Mem.
 func (t *Tiered) AllocBytes() int64 { return t.fast.AllocBytes() + t.slow.AllocBytes() }
 
+// AllocatedEnd reports where the allocated range that holds off ends: the
+// bump cursor of a flat space, that of off's tier in a Tiered one (whose
+// AllocBytes is a sum, not an offset). A read of [off, AllocatedEnd(m, off))
+// stays inside what m handed out.
+func AllocatedEnd(m Mem, off int64) int64 {
+	t, ok := m.(*Tiered)
+	switch {
+	case !ok:
+		return m.AllocBytes()
+	case off < t.split:
+		return AllocatedEnd(t.fast, off)
+	}
+	return t.split + AllocatedEnd(t.slow, off-t.split)
+}
+
 // SlowBytes reports bytes allocated on the slow tier.
 func (t *Tiered) SlowBytes() int64 { return t.slow.AllocBytes() }
 

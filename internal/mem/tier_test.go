@@ -98,3 +98,27 @@ func TestTieredExhaustion(t *testing.T) {
 		t.Fatal("expected both tiers exhausted")
 	}
 }
+
+// TestAllocatedEnd: a flat space's allocated range ends at its cursor, a
+// tiered one's at the cursor of the tier that holds the offset — its
+// AllocBytes, a sum of both, is neither.
+func TestAllocatedEnd(t *testing.T) {
+	tier, fast, slow := tierUnderTest()
+	ctx := xpsim.NewCtx(0)
+	if _, err := tier.Alloc(ctx, 900, 16); err != nil { // fast
+		t.Fatal(err)
+	}
+	off, err := tier.Alloc(ctx, 300, 16) // overflows to slow
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := AllocatedEnd(fast, 0), fast.AllocBytes(); got != want {
+		t.Fatalf("flat space: %d, want its cursor %d", got, want)
+	}
+	if got, want := AllocatedEnd(tier, 128), fast.AllocBytes(); got != want {
+		t.Fatalf("fast tier: %d, want %d", got, want)
+	}
+	if got, want := AllocatedEnd(tier, off), 1024+slow.AllocBytes(); got != want || got != off+300 {
+		t.Fatalf("slow tier: %d, want %d (the block at %d ends at %d)", got, want, off, off+300)
+	}
+}

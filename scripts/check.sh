@@ -224,10 +224,16 @@ fi
 # media as distinct lines, the bulk-ingest stream's media writes split by
 # region (log 8.07, adjacency 55.6 B/edge), no scrub started once draining
 # began, every BFS / k-hop / typed k-hop / path level expanded in ascending
-# ID order with orderFrontier's sort and scan paths agreeing, and BFS and
-# k-hop simulated time repeating to the nanosecond.
+# ID order with orderFrontier's sort and scan paths agreeing, BFS and k-hop
+# simulated time repeating to the nanosecond, a chain walk making one device
+# access per XPLine of a block's header and records at every header offset
+# and the recovery scan one per header line, the header's window dropped
+# around every visit and clamped to the arena's allocated end, and one
+# PageRank iteration over the bulk-ingest store reading 84.2k media lines
+# in 175.6k accesses.
 go test -count=1 -run 'TestSweep|ExampleSweep' ./internal/xpsim/
-go test -count=1 -run 'TestFlushDrainUsesEveryWorker|TestFlushLaysBlocksOutInIDOrder|TestFlushWritesEachLineOnce|TestMediaWritesByRegion' ./internal/core/
+go test -count=1 -run 'TestFlushDrainUsesEveryWorker|TestFlushLaysBlocksOutInIDOrder|TestFlushWritesEachLineOnce|TestMediaWritesByRegion|TestPageRankReadsEachLineOnce' ./internal/core/
+go test -count=1 -run 'TestChainReadsFetchEachLineOnce|TestWindowDroppedAcrossVisits|TestHeaderLineClampedToTheArena' ./internal/adj/
 go test -count=1 -run 'TestFrontierSweepsUpward|TestKernelsRepeatExactly' ./internal/analytics/
 go test -count=20 -run 'TestDrainCancelsPendingScrubTick' ./internal/ingest/
 
