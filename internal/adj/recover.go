@@ -25,6 +25,10 @@ type scanned struct {
 	off int64
 	header
 	visible uint32 // the trusted slot's count
+	// ext is what the visible records of a varint block consume, when the
+	// scan decoded them from its header's window (decoded).
+	ext     extent
+	decoded bool
 }
 
 // RecoverWith rebuilds the DRAM index (tails, counts, degrees) by scanning
@@ -81,7 +85,9 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 	// it cannot size, so it fails typed — unless a scrub already rewrote the
 	// header and quarantined the block (the line keeps its poison mark).
 	// Consecutive headers in one line are parsed from the window the first
-	// of them fetched, so the scan reads each header line once.
+	// of them fetched, so the scan reads each header line once. A varint
+	// block's visible records that lie in that window are decoded from it,
+	// with no device read: pass 3 takes a tail's append cursor from there.
 	r := s.reader(ctx, opts.Checksums)
 	defer r.release()
 	var raw []scanned
@@ -91,7 +97,13 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 			return nil, fmt.Errorf("adj: block header at %d is unreadable and the scan cannot step over it: %w", off, err)
 		}
 		if h.plausible(off, end, committed) {
-			raw = append(raw, scanned{off: off, header: h, visible: h.cnt[h.trusted(committed)]})
+			b := scanned{off: off, header: h, visible: h.cnt[h.trusted(committed)]}
+			if err == nil && b.format == fmtVarint && b.visible > 0 {
+				r.local = true
+				b.ext, err = r.decode(off, b.format, b.capacity, b.visible, false, nil)
+				r.local, b.decoded = false, err == nil
+			}
+			raw = append(raw, b)
 			off = align(off+h.size(), headerAlign)
 			continue
 		}
@@ -218,15 +230,18 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 			}
 			if b.format == fmtVarint && t.cnt > 0 {
 				// Rebuild the append cursor (byte extent + delta
-				// predecessor) by decoding the acknowledged records. The
-				// count slot only became authoritative after the barrier
-				// that persisted those payload bytes, so a decode failure
-				// here is real corruption: fatal without Checksums; with
-				// Checksums keep a best-effort cursor and let the CRC
-				// walk below flag the vertex as suspect.
-				e, err := r.decode(b.off, b.format, b.capacity, t.cnt, false, nil)
-				if err != nil && !opts.Checksums {
-					return nil, fmt.Errorf("adj: vertex %d varint tail at %d undecodable: %v", v, b.off, err)
+				// predecessor) from the acknowledged records: the scan's
+				// decode, or one now of the records that reach past the
+				// header's line. The count slot only became authoritative
+				// after the barrier that persisted those payload bytes, so a
+				// decode failure here is real corruption: fatal without
+				// Checksums; with Checksums keep a best-effort cursor and
+				// let the CRC walk below flag the vertex as suspect.
+				e := b.ext
+				if !b.decoded {
+					if e, err = r.decode(b.off, b.format, b.capacity, t.cnt, false, nil); err != nil && !opts.Checksums {
+						return nil, fmt.Errorf("adj: vertex %d varint tail at %d undecodable: %v", v, b.off, err)
+					}
 				}
 				t.bytes, t.last = uint32(e.bytes), e.last
 			}

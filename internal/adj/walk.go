@@ -19,8 +19,8 @@ import (
 
 // walkOpts says how a chain is walked.
 type walkOpts struct {
-	// checked reads every byte through mem.ReadChecked and validates the
-	// whole chain's links before the first block is visited.
+	// checked reads every byte through mem.ReadChecked; a corrupt link fails
+	// typed instead of ending the walk quietly.
 	checked bool
 	// mirror takes the chain layout, capacities and checksums from the DRAM
 	// mirror (Checksums stores) instead of the prev links and headers on
@@ -52,7 +52,10 @@ type reader struct {
 	s       *Store
 	ctx     *xpsim.Ctx
 	checked bool
-	fetch   func(off int64, p []byte) error // r.read, bound once
+	// local fails a read that would reach the device with errPastWindow:
+	// the recovery scan decodes what its header reads already fetched.
+	local bool
+	fetch func(off int64, p []byte) error // r.read, bound once
 	// line holds [lineOff, lineOff+lineLen): a block header and the rest of
 	// its XPLine, fetched with it in one device read. Reads that start
 	// inside it are served from it. A header that crosses a line boundary
@@ -63,8 +66,11 @@ type reader struct {
 	lineLen int
 	buf     [fixedChunkBytes]byte
 	vr      varintReader
-	chain   []int64
 }
+
+// errPastWindow is a local read's failure: its bytes are not all in the
+// window.
+var errPastWindow = errors.New("adj: read past the header's window")
 
 var readerPool = sync.Pool{New: func() any {
 	r := new(reader)
@@ -105,6 +111,9 @@ func (r *reader) read(off int64, p []byte) error {
 			return nil
 		}
 		off, p = off+int64(n), p[n:]
+	}
+	if r.local {
+		return errPastWindow
 	}
 	return r.device(off, p)
 }
@@ -184,28 +193,36 @@ func (r *reader) decode(off int64, format, capacity, cnt uint32, withCRC bool, f
 	return e, nil
 }
 
-// walk visits the blocks of v's chain, newest first. A trusting walk
-// follows the prev links as it goes: a block's header is read, the block
-// visited, its link followed. A checked walk over the links collects and
-// validates the whole chain first and then reads each header again as it
-// visits. A mirror walk takes the chain from DRAM. visit gets the walk's
-// reader to decode payloads with; the records in the header's line come
-// from the window the header read left. visit may rewrite the block it is
-// handed, so the window is dropped before a visit's header is read and
-// once the visit returns.
+// walk visits the blocks of v's chain, newest first. A walk over the links
+// — trusting or checked — follows the prev links as it goes: a block's
+// header is read, the block visited, its link followed. A mirror walk takes
+// the chain from DRAM. visit gets the walk's reader to decode payloads
+// with; the records in the header's line come from the window the header
+// read left. visit may rewrite the block it is handed, so the window is
+// dropped before a visit's header is read and once the visit returns. A
+// chain whose blocks hold more records than v's DRAM count — a corrupt
+// link that loops or wanders into other blocks — fails with *CorruptError
+// before the block that would overrun it is visited.
 func (s *Store) walk(ctx *xpsim.Ctx, v graph.VID, o walkOpts, visit func(r *reader, off int64, h header) error) error {
 	if int(v) >= len(s.vx) || s.vx[v].tail == 0 {
 		return nil
 	}
 	r := s.reader(ctx, o.checked)
 	defer r.release()
-	// links follows the prev links from the tail, bounded and validated so
-	// that corrupt links fail instead of running out of the arena.
-	links := func(each func(off int64, h header) error) error {
-		n := int64(0)
-		for off := s.vx[v].tail; off != 0; n++ {
+	var handed uint64 // the records of the blocks visited so far
+	visitOnce := func(off int64, h header) error {
+		if handed += uint64(s.blockCnt(v, off, h.capacity)); handed > uint64(s.vx[v].records) {
+			return &CorruptError{V: v, Block: off, Reason: fmt.Sprintf("chain holds more than the vertex's %d records", s.vx[v].records)}
+		}
+		err := visit(r, off, h)
+		r.drop()
+		return err
+	}
+	if !o.mirror {
+		for off, n := s.vx[v].tail, int64(0); off != 0; n++ {
 			// s.blocks undercounts once a recovered store reuses blocks that
-			// were dead at the crash; the arena's fill is the hard bound.
+			// were dead at the crash; the arena's fill is the hard bound on a
+			// loop of empty blocks.
 			if n > s.blocks && n > s.m.AllocBytes()/headerBytes {
 				return &CorruptError{V: v, Block: off, Reason: "prev links form a cycle"}
 			}
@@ -216,34 +233,14 @@ func (s *Store) walk(ctx *xpsim.Ctx, v graph.VID, o walkOpts, visit func(r *read
 			if h.prev+headerBytes > s.m.Size() {
 				return &CorruptError{V: v, Block: off, Reason: fmt.Sprintf("prev link %d out of arena", h.prev)}
 			}
-			if err := each(off, h); err != nil {
+			if err := visitOnce(off, h); err != nil {
 				return err
 			}
 			off = h.prev
 		}
 		return nil
 	}
-	visitOnce := func(off int64, h header) error {
-		err := visit(r, off, h)
-		r.drop()
-		return err
-	}
-	if o.trusting() {
-		return links(visitOnce)
-	}
-	chain := s.chains[v]
-	if !o.mirror {
-		r.chain = r.chain[:0]
-		if err := links(func(off int64, _ header) error {
-			r.chain = append(r.chain, off)
-			return nil
-		}); err != nil {
-			return err
-		}
-		chain = r.chain
-		r.drop()
-	}
-	for _, off := range chain {
+	for _, off := range s.chains[v] {
 		var h header
 		if !o.blind {
 			var err error
@@ -251,18 +248,16 @@ func (s *Store) walk(ctx *xpsim.Ctx, v graph.VID, o walkOpts, visit func(r *read
 				return err
 			}
 		}
-		if o.mirror {
-			m := s.mirror[off]
-			switch {
-			case o.blind:
-				h = header{vid: v, format: uint32(m.format)}
-			case o.verify && h.vid != v:
-				return &CorruptError{V: v, Block: off, Reason: fmt.Sprintf("header vid %d", h.vid)}
-			case o.verify && h.capacity != m.capacity:
-				return &CorruptError{V: v, Block: off, Reason: fmt.Sprintf("header cap %d, expected %d", h.capacity, m.capacity)}
-			}
-			h.capacity = m.capacity
+		m := s.mirror[off]
+		switch {
+		case o.blind:
+			h = header{vid: v, format: uint32(m.format)}
+		case o.verify && h.vid != v:
+			return &CorruptError{V: v, Block: off, Reason: fmt.Sprintf("header vid %d", h.vid)}
+		case o.verify && h.capacity != m.capacity:
+			return &CorruptError{V: v, Block: off, Reason: fmt.Sprintf("header cap %d, expected %d", h.capacity, m.capacity)}
 		}
+		h.capacity = m.capacity
 		if err := visitOnce(off, h); err != nil {
 			return err
 		}

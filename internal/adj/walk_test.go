@@ -1,6 +1,7 @@
 package adj
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -26,12 +27,12 @@ func linesOf(off, end int64) int64 {
 // TestChainReadsFetchEachLineOnce puts one block at every 16-byte header
 // offset of an XPLine, holding every record count from 0 to its capacity,
 // in fixed and varint format, with and without checksums, and reads it
-// through each walk. A trusting walk and a mirror walk make one device
-// access per distinct XPLine of the block's header and records: the header
-// read fetches the rest of its line and the decoder takes the records there
-// from it. A checked walk over the links reads each header once more, to
-// validate the chain before it visits. The recovery scan makes one access
-// per distinct header line, plus the records it decodes or checks.
+// through each walk. Every walk — trusting, checked over the links, or
+// mirror — makes one device access per distinct XPLine of the block's
+// header and records: the header read fetches the rest of its line and the
+// decoder takes the records there from it. The recovery scan makes one
+// access per distinct header line, plus the payload lines it checks and
+// those of the varint records that reach past their header's line.
 func TestChainReadsFetchEachLineOnce(t *testing.T) {
 	const capacity = 80 // 352 block bytes: two or three lines
 	for _, varint := range []bool{false, true} {
@@ -91,9 +92,6 @@ func TestChainReadsFetchEachLineOnce(t *testing.T) {
 								t.Fatalf("vertex %d: %d records, want %d", v, len(got), cnt)
 							}
 							want := linesOf(off, off+headerBytes+int64(s.vx[v].bytes))
-							if checked && !checksums {
-								want += linesOf(off, off+headerBytes)
-							}
 							if n := accesses(m) - before; n != want {
 								t.Errorf("%d records at %d, checked=%v: %d device accesses, want %d", cnt, off, checked, n, want)
 							}
@@ -102,7 +100,9 @@ func TestChainReadsFetchEachLineOnce(t *testing.T) {
 					// Every vertex holds one block. Recovery reads the
 					// allocation pointer and each header line; with Checksums
 					// it reads every payload to check its CRC, and it decodes
-					// each varint tail's records to rebuild its cursor.
+					// the varint tails whose records reach past their header's
+					// line to rebuild their cursors (the scan decoded the rest
+					// from that line).
 					headerLines := map[int64]bool{}
 					want := int64(1)
 					for v := range filler {
@@ -117,7 +117,8 @@ func TestChainReadsFetchEachLineOnce(t *testing.T) {
 						if checksums {
 							want += payload
 						}
-						if varint {
+						lineEnd := (off + headerBytes + xpsim.XPLineSize - 1) / xpsim.XPLineSize * xpsim.XPLineSize
+						if varint && off+headerBytes+int64(s.vx[v].bytes) > lineEnd {
 							want += payload
 						}
 					}
@@ -201,5 +202,40 @@ func TestHeaderLineClampedToTheArena(t *testing.T) {
 	}
 	if got := s.Neighbors(ctx, 1, nil); !slices.Equal(got, []uint32{7, 8, 9}) {
 		t.Fatalf("neighbors %v, want [7 8 9]", got)
+	}
+}
+
+// TestCyclicChainFailsTyped: a prev link that loops back into the chain
+// fails every walk over the links with *CorruptError once the blocks would
+// hand over more records than the vertex holds — the walk visits as it
+// follows the links, so the bound, not a validation pass, is what stops it.
+func TestCyclicChainFailsTyped(t *testing.T) {
+	s, r, _, ctx := testStore(t)
+	s.opts.Sizing = func(int, int) int { return 4 }
+	for i := range uint32(3) {
+		if err := s.Append(ctx, 1, []uint32{4 * i, 4*i + 1, 4*i + 2, 4*i + 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tail, oldest := s.vx[1].tail, int64(0)
+	s.walk(ctx, 1, walkOpts{}, func(_ *reader, off int64, _ header) error {
+		oldest = off
+		return nil
+	})
+	var buf [headerBytes]byte
+	r.Read(ctx, oldest, buf[:])
+	h := parseHeader(buf[:])
+	h.prev = tail
+	h.put(buf[:])
+	r.Write(ctx, oldest, buf[:])
+	for _, checked := range []bool{false, true} {
+		got, err := raw(s, ctx, 1, checked)
+		var ce *CorruptError
+		if !errors.As(err, &ce) {
+			t.Fatalf("checked=%v: a cyclic chain read %d records and returned %v, want a *CorruptError", checked, len(got), err)
+		}
+		if len(got) > s.Records(1) {
+			t.Fatalf("checked=%v: a cyclic chain handed over %d records, the vertex holds %d", checked, len(got), s.Records(1))
+		}
 	}
 }

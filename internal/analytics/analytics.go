@@ -14,6 +14,15 @@
 // arena upward, in the order a flush drain and compaction laid its blocks
 // out, while a power-law graph's hubs still spread over the workers.
 //
+// A hub shares its level with the node's other workers (xpsim.Sweep.Spread):
+// the worker that grabs a vertex over the chunk cap with at least 128
+// records reads its whole chain, and the work the kernel's edge function
+// charges for it is dealt in equal shares over up to all of the node's
+// workers. So every kernel's work is two functions: the vertex's, which
+// reads on the ctx it is handed, and the edge function, built once per run,
+// which takes the ctx it charges as a parameter (edges binds it to a
+// visit). Nothing the host computes changes order; only the clocks move.
+//
 // The level-synchronous traversals (BFS, k-hop, typed k-hop, path) share one
 // level loop, traverse, and sweep each level the same way: orderFrontier
 // puts the vertices a level reached in ascending ID order, by a serial sort
@@ -95,7 +104,9 @@ func (e *Engine) classifyAll(nodeOf func(graph.VID) int) map[int][]graph.VID {
 // concurrently — the phase's simulated time is the slowest bucket. A
 // bucket is one xpsim.Sweep over its vertices in order; records(v) is the
 // number of adjacency records work reads for v, its weight in the deal.
-func (e *Engine) parRun(buckets map[int][]graph.VID, records func(v graph.VID) int, work func(ctx *xpsim.Ctx, v graph.VID)) int64 {
+// work charges v's reads to ctx and its per-edge work to edge: for a hub
+// the sweep deals the latter over the bucket's workers (Sweep.Spread).
+func (e *Engine) parRun(buckets map[int][]graph.VID, records func(v graph.VID) int, work func(ctx, edge *xpsim.Ctx, v graph.VID)) int64 {
 	if len(buckets) == 0 {
 		return 0
 	}
@@ -131,9 +142,9 @@ func (e *Engine) parRun(buckets map[int][]graph.VID, records func(v graph.VID) i
 			contention = workers
 		}
 		n := node
-		dur := e.sweep.Run(e.lat, workers, contention, func(int) int { return n }, len(vs),
+		dur := e.sweep.Spread(e.lat, workers, contention, func(int) int { return n }, len(vs),
 			func(i int) int { return records(vs[i]) },
-			func(ctx *xpsim.Ctx, i int) { work(ctx, vs[i]) })
+			func(ctx, edge *xpsim.Ctx, i int) { work(ctx, edge, vs[i]) })
 		if int64(dur) > phaseNs {
 			phaseNs = int64(dur)
 		}
@@ -169,12 +180,13 @@ func (e *Engine) OneHop(count int, seed uint64) OneHopResult {
 			vs = append(vs, v)
 		}
 	}
-	var touched int64
-	ns := e.parRun(e.classify(vs, e.view.OutNode), e.view.OutDegree, func(ctx *xpsim.Ctx, v graph.VID) {
-		var n int64
-		e.view.VisitOut(ctx, v, func(uint32) { n++ })
+	var touched, n int64
+	tally := func(uint32) { n++ }
+	ns := e.parRun(e.classify(vs, e.view.OutNode), e.view.OutDegree, func(ctx, edge *xpsim.Ctx, v graph.VID) {
+		n = 0
+		e.view.VisitOut(ctx, v, tally)
 		touched += n
-		e.lat.CPU(ctx, n)
+		e.lat.CPU(edge, n)
 	})
 	return OneHopResult{SimNs: ns, Queried: int64(len(vs)), Touched: touched}
 }
@@ -207,6 +219,29 @@ func (e *Engine) visitOut(ctx *xpsim.Ctx, v graph.VID, edge func(nb uint32)) err
 	return nil
 }
 
+// edges binds a kernel's edge function, built once per run, to the vertex a
+// visit is at and the ctx its work is charged to. visit is the func(nbr) a
+// view's Visit* takes, bound once as well, so a visit builds no closure.
+type edges struct {
+	fn    func(ctx *xpsim.Ctx, v graph.VID, nb uint32)
+	ctx   *xpsim.Ctx
+	v     graph.VID
+	visit func(nb uint32)
+}
+
+func newEdges(fn func(ctx *xpsim.Ctx, v graph.VID, nb uint32)) *edges {
+	b := &edges{fn: fn}
+	b.visit = func(nb uint32) { b.fn(b.ctx, b.v, nb) }
+	return b
+}
+
+// at points the binding at v, its edge work charged to ctx, and returns the
+// visitor.
+func (b *edges) at(ctx *xpsim.Ctx, v graph.VID) func(nb uint32) {
+	b.ctx, b.v = ctx, v
+	return b.visit
+}
+
 // PageRankResult reports a PageRank run.
 type PageRankResult struct {
 	SimNs int64
@@ -227,19 +262,21 @@ func (e *Engine) PageRank(iters int) PageRankResult {
 		rank[v] = 1.0 / float64(numV)
 	}
 	buckets := e.classifyAll(e.view.InNode)
+	var sum float64
+	pull := newEdges(func(ctx *xpsim.Ctx, _ graph.VID, u uint32) {
+		e.lat.CPU(ctx, 3)
+		if int(u) >= numV {
+			return
+		}
+		if deg := e.view.OutDegree(graph.VID(u)); deg > 0 {
+			sum += rank[u] / float64(deg)
+		}
+	})
 	var res PageRankResult
 	for it := 0; it < iters; it++ {
-		ns := e.parRun(buckets, e.view.InDegree, func(ctx *xpsim.Ctx, v graph.VID) {
-			var sum float64
-			e.view.VisitIn(ctx, v, func(u uint32) {
-				e.lat.CPU(ctx, 3)
-				if int(u) >= numV {
-					return
-				}
-				if deg := e.view.OutDegree(graph.VID(u)); deg > 0 {
-					sum += rank[u] / float64(deg)
-				}
-			})
+		ns := e.parRun(buckets, e.view.InDegree, func(ctx, edge *xpsim.Ctx, v graph.VID) {
+			sum = 0
+			e.view.VisitIn(ctx, v, pull.at(edge, v))
 			next[v] = (1-d)/float64(numV) + d*sum
 		})
 		rank, next = next, rank
@@ -268,21 +305,22 @@ func (e *Engine) CC() CCResult {
 		labels[v] = uint32(v)
 	}
 	buckets := e.classifyAll(e.view.OutNode)
+	var low uint32
+	scan := newEdges(func(ctx *xpsim.Ctx, _ graph.VID, u uint32) {
+		e.lat.CPU(ctx, 2)
+		if int(u) < numV && labels[u] < low {
+			low = labels[u]
+		}
+	})
 	var res CCResult
 	for changed := true; changed; {
 		changed = false
-		ns := e.parRun(buckets, e.degree, func(ctx *xpsim.Ctx, v graph.VID) {
-			min := labels[v]
-			scan := func(u uint32) {
-				e.lat.CPU(ctx, 2)
-				if int(u) < numV && labels[u] < min {
-					min = labels[u]
-				}
-			}
-			e.view.VisitOut(ctx, v, scan)
-			e.view.VisitIn(ctx, v, scan)
-			if min < labels[v] {
-				labels[v] = min
+		ns := e.parRun(buckets, e.degree, func(ctx, edge *xpsim.Ctx, v graph.VID) {
+			low = labels[v]
+			e.view.VisitOut(ctx, v, scan.at(edge, v))
+			e.view.VisitIn(ctx, v, scan.visit)
+			if low < labels[v] {
+				labels[v] = low
 				changed = true
 			}
 		})

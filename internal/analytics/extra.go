@@ -53,18 +53,19 @@ func (e *Engine) Triangles() TriangleResult {
 	// Materialize undirected, deduplicated adjacency (charged reads).
 	adj := make([][]uint32, numV)
 	buckets := e.classifyAll(e.view.OutNode)
-	var res TriangleResult
-	res.SimNs += e.parRun(buckets, e.degree, func(ctx *xpsim.Ctx, v graph.VID) {
-		var set []uint32
-		collect := func(u uint32) {
-			if int(u) < numV && u != uint32(v) {
-				set = append(set, u)
-			}
+	var set []uint32
+	collect := newEdges(func(_ *xpsim.Ctx, v graph.VID, u uint32) {
+		if int(u) < numV && u != uint32(v) {
+			set = append(set, u)
 		}
-		e.view.VisitOut(ctx, v, collect)
-		e.view.VisitIn(ctx, v, collect)
+	})
+	var res TriangleResult
+	res.SimNs += e.parRun(buckets, e.degree, func(ctx, edge *xpsim.Ctx, v graph.VID) {
+		set = nil
+		e.view.VisitOut(ctx, v, collect.at(edge, v))
+		e.view.VisitIn(ctx, v, collect.visit)
 		slices.Sort(set)
-		e.lat.CPU(ctx, int64(len(set)))
+		e.lat.CPU(edge, int64(len(set)))
 		adj[v] = slices.Compact(set)
 	})
 
@@ -81,7 +82,7 @@ func (e *Engine) Triangles() TriangleResult {
 		rank[v] = int32(r)
 	}
 
-	res.SimNs += e.parRun(buckets, func(v graph.VID) int { return len(adj[v]) }, func(ctx *xpsim.Ctx, v graph.VID) {
+	res.SimNs += e.parRun(buckets, func(v graph.VID) int { return len(adj[v]) }, func(_, ctx *xpsim.Ctx, v graph.VID) {
 		for _, u := range adj[v] {
 			if rank[u] <= rank[v] {
 				continue

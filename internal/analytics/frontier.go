@@ -33,21 +33,23 @@ func (e *Engine) traverse(root graph.VID, depth int, parent []uint32,
 	seen.set(root)
 	level := []graph.VID{root}
 	var simNs int64
+	var next []graph.VID
+	reach := newEdges(func(ctx *xpsim.Ctx, v graph.VID, nb uint32) {
+		e.lat.CPU(ctx, 2)
+		if nb < numV && !seen.has(nb) {
+			seen.set(nb)
+			flagged.set(nb)
+			next = append(next, nb)
+			if parent != nil {
+				parent[nb] = v
+			}
+		}
+	})
 	for hop := 0; hop < depth && len(level) > 0; hop++ {
-		var next []graph.VID
+		next = nil
 		var err error
-		simNs += e.parRun(e.classify(level, e.view.OutNode), e.view.OutDegree, func(ctx *xpsim.Ctx, v graph.VID) {
-			err = cmp.Or(err, out(ctx, v, func(nb uint32) {
-				e.lat.CPU(ctx, 2)
-				if nb < numV && !seen.has(nb) {
-					seen.set(nb)
-					flagged.set(nb)
-					next = append(next, nb)
-					if parent != nil {
-						parent[nb] = v
-					}
-				}
-			}))
+		simNs += e.parRun(e.classify(level, e.view.OutNode), e.view.OutDegree, func(ctx, edge *xpsim.Ctx, v graph.VID) {
+			err = cmp.Or(err, out(ctx, v, reach.at(edge, v)))
 		})
 		if err != nil {
 			return 0, err

@@ -347,3 +347,88 @@ func TestKernelsRepeatExactly(t *testing.T) {
 		}
 	}
 }
+
+// hubMeter is a view that records, for every out-visit, the simulated time
+// its reads charged to the visiting ctx and the edges it handed over.
+type hubMeter struct {
+	view.View
+	readNs, edges map[graph.VID]int64
+}
+
+func (h *hubMeter) VisitOut(ctx *xpsim.Ctx, v graph.VID, fn func(uint32)) {
+	before := ctx.Cost.Ns()
+	h.View.VisitOut(ctx, v, func(nb uint32) {
+		h.edges[v]++
+		fn(nb)
+	})
+	h.readNs[v] += ctx.Cost.Ns() - before
+}
+
+// TestHubLevelSharesWorkers: on an RMAT graph with a star on it, a 2-hop
+// from a light root through the hub at 8 threads (4 workers a node) lasts
+// no longer than the root's level, the frontier's order, the hub's read, a
+// quarter of the hub's edge work and the grabs — the charges of that same
+// run — where a hub expanded on one worker alone would add all its edge
+// work to its read.
+func TestHubLevelSharesWorkers(t *testing.T) {
+	const hub = graph.VID(1)
+	edges := gen.RMAT(11, 20000, 5)
+	out := make([][]uint32, 1<<11)
+	for _, e := range edges {
+		out[e.Src] = append(out[e.Src], e.Dst)
+	}
+	// The root: light, and so are its RMAT neighbours — the star's hub is
+	// the one heavy vertex of the level it expands.
+	heavy := func(v uint32) bool { return len(out[v]) >= 64 }
+	root := graph.VID(2)
+	for len(out[root]) < 4 || heavy(uint32(root)) || slices.ContainsFunc(out[root], heavy) {
+		root++
+	}
+	for v := range graph.VID(1 << 11) {
+		if v != hub {
+			edges = append(edges, graph.Edge{Src: hub, Dst: v})
+		}
+	}
+	edges = append(edges, graph.Edge{Src: root, Dst: hub})
+	mach := xpsim.NewMachine(2, 256<<20, xpsim.DefaultLatency())
+	s, err := core.New(mach, pmem.NewHeap(mach), nil, core.Options{Name: "hub", NumVertices: 1 << 11,
+		LogCapacity: 1 << 15, ArchiveThreshold: 1 << 10, ArchiveThreads: 8, NUMA: core.NUMASubgraph})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Ingest(edges); err != nil {
+		t.Fatal(err)
+	}
+	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
+	if err := s.FlushAllVbufs(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CompactAllAdjs(ctx); err != nil {
+		t.Fatal(err)
+	}
+	snap := s.Snapshot(ctx)
+	defer snap.Close()
+	if d := snap.OutDegree(root); d > 64 {
+		t.Fatalf("the root has out-degree %d, not a light one", d)
+	}
+	m := &hubMeter{View: snap, readNs: map[graph.VID]int64{}, edges: map[graph.VID]int64{}}
+	e := NewEngine(m, &mach.Lat, 8)
+	res := e.KHop(root, 2)
+
+	lat := mach.Lat
+	edgeNs := func(v graph.VID) int64 { return 2 * lat.CPUOp * m.edges[v] }
+	rootLevel := lat.DRAMWrite + m.readNs[root] + edgeNs(root)
+	first := int(res.PerHop[0])
+	order := min(e.sortNs(first), e.scanNs(first, 2*((1<<11+63)/64)))
+	hubNs := m.readNs[hub] + (edgeNs(hub)+3)/4
+	bound := rootLevel + order + hubNs + 2*lat.DRAMWrite
+	alone := rootLevel + order + m.readNs[hub] + edgeNs(hub)
+	t.Logf("2-hop from %d: %d ns; root level %d, order %d, hub read %d and edge work %d (%d edges): bound %d, the hub alone %d",
+		root, res.SimNs, rootLevel, order, m.readNs[hub], edgeNs(hub), m.edges[hub], bound, alone)
+	if res.SimNs > bound {
+		t.Fatalf("the 2-hop took %d ns, over the hub's read plus a quarter of its edge work (%d ns)", res.SimNs, bound)
+	}
+	if res.SimNs >= alone {
+		t.Fatalf("the 2-hop took %d ns, no less than with the hub's edge work on one worker (%d ns)", res.SimNs, alone)
+	}
+}

@@ -24,7 +24,8 @@ var errNoTypedView = fmt.Errorf("analytics: view has no typed read surface")
 
 // visitTyped is traverse's out for the typed kernels: the out-edges that
 // pass f, pruned while the adjacency stream decodes. It fails when the
-// engine's view has no typed surface or f is invalid.
+// engine's view has no typed surface or f is invalid. The adapter to the
+// typed visitor is built once per run, like the edge function it calls.
 func (e *Engine) visitTyped(f prop.Filter) (func(*xpsim.Ctx, graph.VID, func(uint32)) error, error) {
 	tv, ok := e.view.(view.Full)
 	if !ok {
@@ -33,8 +34,11 @@ func (e *Engine) visitTyped(f prop.Filter) (func(*xpsim.Ctx, graph.VID, func(uin
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
-	return func(ctx *xpsim.Ctx, v graph.VID, edge func(nb uint32)) error {
-		return tv.VisitOutTyped(ctx, v, f, func(nb uint32, _ uint16) { edge(nb) })
+	var edge func(nb uint32)
+	typed := func(nb uint32, _ uint16) { edge(nb) }
+	return func(ctx *xpsim.Ctx, v graph.VID, fn func(nb uint32)) error {
+		edge = fn
+		return tv.VisitOutTyped(ctx, v, f, typed)
 	}, nil
 }
 

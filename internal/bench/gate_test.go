@@ -31,6 +31,8 @@ var declarations = []struct {
 	{"wire", "{ds}/fixed_pr_accesses", nil, ptr(simBound)},
 	{"wire", "{ds}/varint_pr_rd_lines", nil, ptr(simBound)},
 	{"wire", "{ds}/varint_pr_accesses", nil, ptr(simBound)},
+	{"wire", "{ds}/fixed_khop2_max_us", nil, ptr(simBound)},
+	{"wire", "{ds}/varint_khop2_max_us", nil, ptr(simBound)},
 	{"wire", "{ds}/json_wire_B_edge", nil, ptr(simBound)},
 	{"wire", "{ds}/bin_wire_B_edge", nil, ptr(simBound)},
 

@@ -57,6 +57,27 @@ func decodeRate(nEdges int, rounds int, fn func() error) (float64, error) {
 	return float64(nEdges) / best.Seconds(), nil
 }
 
+// khopSample is how many 2-hops khop2Max takes the slowest of.
+const khopSample = 64
+
+// khop2Max is the benchmark's read on one store: the slowest simulated
+// 2-hop over a fixed sample of roots — the vertices at a stride through the
+// ID space whose out-degree is 1..64, as the benchmark picks its k-hop
+// roots. Its first level can hold a hub, whose expansion sets the time.
+func khop2Max(e *analytics.Engine, s *core.Store) int64 {
+	numV := s.NumVertices()
+	step := max(numV/(4*khopSample), 1)
+	var slowest int64
+	for r, n := graph.VID(0), 0; r < numV && n < khopSample; r += step {
+		if d := s.OutDegree(r); d == 0 || d > 64 {
+			continue
+		}
+		slowest = max(slowest, e.KHop(r, 2).SimNs)
+		n++
+	}
+	return slowest
+}
+
 // wire regenerates the PR-6 evaluation: binary batch decode throughput
 // vs the JSON handler path, and delta-varint adjacency density vs the
 // fixed 4-byte layout on a power-law ingest.
@@ -150,11 +171,14 @@ func wire(cfg Config) (Table, error) {
 			// The read side of the same blocks: one PageRank iteration over
 			// the compacted store at 8 query workers, 4 a node — the media
 			// lines it reads and the XPLine accesses it makes.
+			eng := analytics.NewEngine(s, &m.Lat, 8)
 			before := m.TotalStats()
-			analytics.NewEngine(s, &m.Lat, 8).PageRank(1)
+			eng.PageRank(1)
 			pr := m.TotalStats().Sub(before)
 			t.derive(key.Key+"/"+format+"_pr_rd_lines", count(pr.MediaReadLines, "lines", Lower).bound(simBound))
 			t.derive(key.Key+"/"+format+"_pr_accesses", count(pr.BufHits+pr.BufMisses, "accesses", Lower).bound(simBound))
+			t.derive(key.Key+"/"+format+"_khop2_max_us",
+				num(float64(khop2Max(eng, s))/1e3, "%.2f", "us", Lower).bound(simBound))
 		}
 		gain := 0.0
 		if perLine[0] > 0 {

@@ -12,6 +12,12 @@ const (
 	sweepShareDiv   = 8
 )
 
+// An item heavier than the chunk cap on its own that holds at least
+// spreadRecords records — two XPLines of 4-byte records — has its edge work
+// dealt over several workers: one share per spreadRecords/2 records, at
+// most one per worker and one per cap of its weight.
+const spreadRecords = 2 * XPLineSize / 4
+
 // Sweep is the one vertex-sweep loop of the simulation: items 0..k-1 run in
 // index order, dealt in chunks of consecutive items to whichever worker's
 // simulated clock is lowest (the lowest index on a tie), the way a
@@ -23,11 +29,15 @@ const (
 // that order.
 //
 // A Sweep is scratch that a caller owns and reuses: once it has grown to
-// the widest loop it ran, Run allocates nothing. It is not safe for
-// concurrent use.
+// the widest loop it ran, Run and Spread allocate nothing. It is not safe
+// for concurrent use.
 type Sweep struct {
 	costs []Cost
 	ctxs  []Ctx
+	taken []bool // Spread's scratch: the workers a heavy item's shares went to
+	// edge is the clock a heavy item's edge work runs on before it is dealt.
+	edge     Ctx
+	edgeCost Cost
 }
 
 // Run runs fn on items 0..k-1 with n workers at the given contention level
@@ -39,17 +49,39 @@ type Sweep struct {
 // kernel visits — and 1 + records(i) its weight; the weights are read from
 // DRAM state the caller keeps anyway and are not charged. Every chunk a
 // worker grabs costs it one DRAMWrite, the atomic on the shared cursor; a
-// one-worker loop grabs nothing and never asks for a weight. The ctx handed
-// to fn is only valid until Run returns; its Worker field names the worker.
+// one-worker loop grabs nothing and never asks for a weight. An item heavier
+// than the chunk cap is a chunk alone, all of it on the worker that grabbed
+// it. The ctx handed to fn is only valid until Run returns; its Worker field
+// names the worker.
 func (s *Sweep) Run(lat *LatencyModel, n, contention int, nodeOf func(w int) int,
 	k int, records func(i int) int, fn func(ctx *Ctx, i int)) time.Duration {
+	return s.run(lat, n, contention, nodeOf, k, records, false, func(ctx, _ *Ctx, i int) { fn(ctx, i) })
+}
+
+// Spread is Run for a loop whose items read records and then work on each:
+// fn charges item i's reads to ctx and its per-record work to edge. For most
+// items the two are the same context. An item heavier than the chunk cap
+// that holds at least two XPLines of records is still read by the worker
+// that grabbed it — every read, and its cost, on that worker in the host's
+// order — but edge is a scratch clock, and what fn charged to it is dealt
+// afterwards in k equal shares, k = min(n, ⌈weight/cap⌉, records/64), to
+// the grabbing worker and the k−1 idlest others, each of which pays one
+// DRAMWrite grab. Nothing fn computes changes order; only the clocks move.
+func (s *Sweep) Spread(lat *LatencyModel, n, contention int, nodeOf func(w int) int,
+	k int, records func(i int) int, fn func(ctx, edge *Ctx, i int)) time.Duration {
+	return s.run(lat, n, contention, nodeOf, k, records, true, fn)
+}
+
+// run is the one loop behind Run and Spread.
+func (s *Sweep) run(lat *LatencyModel, n, contention int, nodeOf func(w int) int,
+	k int, records func(i int) int, spread bool, fn func(ctx, edge *Ctx, i int)) time.Duration {
 	if n <= 0 || k <= 0 {
 		return 0
 	}
 	s.reset(n, max(contention, 1), nodeOf)
 	if n == 1 {
 		for i := range k {
-			fn(&s.ctxs[0], i)
+			fn(&s.ctxs[0], &s.ctxs[0], i)
 		}
 		return s.costs[0].Duration()
 	}
@@ -69,10 +101,19 @@ func (s *Sweep) Run(lat *LatencyModel, n, contention int, nodeOf func(w int) int
 			weight += next
 			end++
 		}
-		ctx := &s.ctxs[s.idlest()]
+		g := s.idlest()
+		ctx := &s.ctxs[g]
 		ctx.Cost.Add(lat.DRAMWrite)
+		if parts := s.shares(n, weight, limit); spread && parts > 1 { // a chunk over the cap is one item
+			s.edge, s.edgeCost = *ctx, Cost{}
+			s.edge.Cost = &s.edgeCost
+			fn(ctx, &s.edge, i)
+			s.deal(lat, g, parts)
+			i++
+			continue
+		}
 		for ; i < end; i++ {
-			fn(ctx, i)
+			fn(ctx, ctx, i)
 		}
 	}
 	var slowest int64
@@ -80,6 +121,42 @@ func (s *Sweep) Run(lat *LatencyModel, n, contention int, nodeOf func(w int) int
 		slowest = max(slowest, s.costs[w].Ns())
 	}
 	return time.Duration(slowest)
+}
+
+// shares is how many workers a chunk's edge work is dealt over: 1 unless
+// it is one item over the cap with at least spreadRecords records (its
+// weight is 1 + its records).
+func (s *Sweep) shares(n int, weight, limit int64) int {
+	records := weight - 1
+	if weight <= limit || records < spreadRecords {
+		return 1
+	}
+	k := min(int64(n), records/(spreadRecords/2))
+	if limit > 0 {
+		k = min(k, (weight+limit-1)/limit)
+	}
+	return int(k)
+}
+
+// deal charges the edge work on s.edge in k equal shares: one to worker g,
+// which read the item, and one to each of the k−1 idlest other workers, the
+// lowest index on a tie, each with its grab. A share is rounded up, so no
+// work is free.
+func (s *Sweep) deal(lat *LatencyModel, g, k int) {
+	share := (s.edgeCost.ns + int64(k) - 1) / int64(k)
+	clear(s.taken)
+	s.taken[g] = true
+	s.costs[g].Add(share)
+	for range k - 1 {
+		w := -1
+		for o := range s.costs {
+			if !s.taken[o] && (w < 0 || s.costs[o].ns < s.costs[w].ns) {
+				w = o
+			}
+		}
+		s.taken[w] = true
+		s.costs[w].Add(lat.DRAMWrite + share)
+	}
 }
 
 // Each is a parallel phase that is not a vertex sweep: it runs fn once for
@@ -109,8 +186,9 @@ func (s *Sweep) reset(n, contention int, nodeOf func(w int) int) {
 	if cap(s.costs) < n {
 		s.costs = make([]Cost, n)
 		s.ctxs = make([]Ctx, n)
+		s.taken = make([]bool, n)
 	}
-	s.costs, s.ctxs = s.costs[:n], s.ctxs[:n]
+	s.costs, s.ctxs, s.taken = s.costs[:n], s.ctxs[:n], s.taken[:n]
 	for w := range n {
 		s.costs[w] = Cost{}
 		s.ctxs[w] = Ctx{Cost: &s.costs[w], Node: nodeOf(w), Worker: w, Workers: contention}

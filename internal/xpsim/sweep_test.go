@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"time"
 )
 
 // sweepChunk is one grab as fn sees it: the worker, its first item and the
@@ -235,6 +236,102 @@ func TestSweepSmallFrontierNoSlowerThanRoundRobin(t *testing.T) {
 	t.Logf("20 items on 4 workers: dynamic %d ns, round-robin %d ns", dyn, rr)
 	if dyn > rr {
 		t.Fatalf("the dynamic loop took %d ns, the round-robin deal %d ns", dyn, rr)
+	}
+}
+
+// spreadItem is one item of a spread loop: its records, the read it
+// charges to the ctx it is handed and the edge work to the edge ctx.
+type spreadItem struct {
+	records    int
+	read, edge int64
+}
+
+// runSpread runs items through Spread on n workers and returns each worker's
+// clock at the end, and for each item whether its edge ctx was a scratch
+// clock (spread) and which worker read it.
+func runSpread(t *testing.T, sw *Sweep, lat *LatencyModel, n int, items []spreadItem) (clocks []int64, spread []bool, reader []int) {
+	spread, reader = make([]bool, len(items)), make([]int, len(items))
+	sw.Spread(lat, n, n, PinnedTo(0), len(items), func(i int) int { return items[i].records }, func(ctx, edge *Ctx, i int) {
+		ctx.Cost.Add(items[i].read)
+		edge.Cost.Add(items[i].edge)
+		spread[i], reader[i] = edge != ctx, ctx.Worker
+		if edge.Worker != ctx.Worker || edge.Node != ctx.Node || edge.Workers != ctx.Workers {
+			t.Errorf("item %d: the edge ctx %+v is not placed like the reading worker's %+v", i, *edge, *ctx)
+		}
+	})
+	for w := range n {
+		clocks = append(clocks, sw.Clock(w).Nanoseconds())
+	}
+	return clocks, spread, reader
+}
+
+// TestSweepSpreadsHeavyItems: an item heavier than the chunk cap that holds
+// at least two XPLines of records is read on the worker that grabbed it,
+// and its edge work lands in k equal shares on that worker and the k−1
+// idlest others, each of which pays one grab; nothing else spreads, Run
+// never does, and the loop still allocates nothing.
+func TestSweepSpreadsHeavyItems(t *testing.T) {
+	lat := DefaultLatency()
+	g := lat.DRAMWrite
+	var sw Sweep
+
+	// One hub alone: k = min(4 workers, ⌈5001/156⌉, 5000/64) = 4 shares.
+	clocks, spread, reader := runSpread(t, &sw, &lat, 4, []spreadItem{{records: 5000, read: 900, edge: 4000}})
+	if want := []int64{g + 900 + 1000, g + 1000, g + 1000, g + 1000}; !slices.Equal(clocks, want) || !spread[0] || reader[0] != 0 {
+		t.Errorf("a hub on 4 workers: clocks %v (spread %v, read by %d), want %v read by 0", clocks, spread[0], reader[0], want)
+	}
+	// Busy workers keep their clocks: the hub (128 records, k = 128/64 = 2)
+	// goes to the idlest worker, 3, and its second share to the next
+	// idlest, 1. The light items (100 records) are over the cap but too
+	// small to spread.
+	clocks, spread, reader = runSpread(t, &sw, &lat, 4, []spreadItem{
+		{records: 100, read: 5000}, {records: 100, read: 300}, {records: 100, read: 2000},
+		{records: 128, read: 50, edge: 1001},
+	})
+	if want := []int64{g + 5000, g + 300 + g + 501, g + 2000, g + 50 + 501}; !slices.Equal(clocks, want) {
+		t.Errorf("a hub after three busy items: clocks %v, want %v (shares rounded up)", clocks, want)
+	}
+	if !slices.Equal(spread, []bool{false, false, false, true}) || reader[3] != 3 {
+		t.Errorf("spread %v, the hub read by worker %d: only the hub spreads, read by the idlest", spread, reader[3])
+	}
+
+	// Nothing spreads under the cap, under 128 records, or on one worker.
+	many := make([]spreadItem, 1000)
+	for i := range many {
+		many[i] = spreadItem{records: 200, read: 10, edge: 400}
+	}
+	for name, tc := range map[string]struct {
+		n     int
+		items []spreadItem
+	}{
+		"under the cap": {4, many},
+		"127 records":   {4, []spreadItem{{records: 127, read: 10, edge: 254}}},
+		"one worker":    {1, []spreadItem{{records: 5000, read: 10, edge: 10000}}},
+	} {
+		if _, spread, _ := runSpread(t, &sw, &lat, tc.n, tc.items); slices.Contains(spread, true) {
+			t.Errorf("%s: an item spread", name)
+		}
+	}
+	// A loop lighter than its workers has a zero cap; a hub still spreads.
+	if clocks, spread, _ := runSpread(t, &sw, &lat, 96, []spreadItem{{records: 130, read: 10, edge: 260}}); !spread[0] || clocks[1] != g+130 {
+		t.Errorf("a 130-record hub alone on 96 workers: spread %v, worker 1 at %d, want 2 shares", spread[0], clocks[1])
+	}
+
+	// The drain's loop, Run, keeps a hub whole on the worker that grabs it.
+	ns := sw.Run(&lat, 4, 4, PinnedTo(0), 1, func(int) int { return 5000 }, func(ctx *Ctx, _ int) { ctx.Cost.Add(4900) })
+	if ns != time.Duration(g+4900) || sw.Clock(1) != 0 {
+		t.Errorf("Run took %v with worker 1 at %v: it must not spread", ns, sw.Clock(1))
+	}
+
+	hubs := []spreadItem{{records: 3000, read: 500, edge: 6000}, {records: 3, read: 5, edge: 6}, {records: 700, read: 90, edge: 1400}}
+	runSpread(t, &sw, &lat, 8, hubs)
+	if allocs := testing.AllocsPerRun(20, func() {
+		sw.Spread(&lat, 8, 8, PinnedTo(1), len(hubs), func(i int) int { return hubs[i].records }, func(ctx, edge *Ctx, i int) {
+			ctx.Cost.Add(hubs[i].read)
+			edge.Cost.Add(hubs[i].edge)
+		})
+	}); allocs != 0 {
+		t.Fatalf("a warmed spread loop allocates %.1f times per run", allocs)
 	}
 }
 

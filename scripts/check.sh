@@ -225,16 +225,20 @@ fi
 # region (log 8.07, adjacency 55.6 B/edge), no scrub started once draining
 # began, every BFS / k-hop / typed k-hop / path level expanded in ascending
 # ID order with orderFrontier's sort and scan paths agreeing, BFS and k-hop
-# simulated time repeating to the nanosecond, a chain walk making one device
+# simulated time repeating to the nanosecond, a hub's edge work dealt in
+# equal shares over the idlest workers of its node (never in the drain's
+# loop) and a 2-hop through a hub within its read plus a quarter of its
+# edge work, a chain walk — trusting, checked or mirror — making one device
 # access per XPLine of a block's header and records at every header offset
-# and the recovery scan one per header line, the header's window dropped
-# around every visit and clamped to the arena's allocated end, and one
-# PageRank iteration over the bulk-ingest store reading 84.2k media lines
-# in 175.6k accesses.
+# and the recovery scan one per header line, a cyclic chain failing typed
+# within the vertex's record count, the header's window dropped around
+# every visit and clamped to the arena's allocated end, and one PageRank
+# iteration over the bulk-ingest store reading 84.2k media lines in 175.6k
+# accesses.
 go test -count=1 -run 'TestSweep|ExampleSweep' ./internal/xpsim/
 go test -count=1 -run 'TestFlushDrainUsesEveryWorker|TestFlushLaysBlocksOutInIDOrder|TestFlushWritesEachLineOnce|TestMediaWritesByRegion|TestPageRankReadsEachLineOnce' ./internal/core/
-go test -count=1 -run 'TestChainReadsFetchEachLineOnce|TestWindowDroppedAcrossVisits|TestHeaderLineClampedToTheArena' ./internal/adj/
-go test -count=1 -run 'TestFrontierSweepsUpward|TestKernelsRepeatExactly' ./internal/analytics/
+go test -count=1 -run 'TestChainReadsFetchEachLineOnce|TestWindowDroppedAcrossVisits|TestHeaderLineClampedToTheArena|TestCyclicChainFailsTyped' ./internal/adj/
+go test -count=1 -run 'TestFrontierSweepsUpward|TestKernelsRepeatExactly|TestHubLevelSharesWorkers' ./internal/analytics/
 go test -count=20 -run 'TestDrainCancelsPendingScrubTick' ./internal/ingest/
 
 echo "== publication: one count base per store, patched from the vertices a buffer phase touched"
