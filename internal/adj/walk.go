@@ -169,7 +169,20 @@ func (r *reader) decode(off int64, format, capacity, cnt uint32, withCRC bool, f
 		}
 		return extent{bytes: r.vr.bytesConsumed(), crc: r.vr.sum(), last: r.vr.last()}, err
 	}
-	pos, end := off+headerBytes, off+headerBytes+4*int64(cnt)
+	// A fixed payload can be cut at any record, so the lines past the
+	// header's window go to the walker's payload clock (xpsim.Sweep.Spread
+	// deals a hub's over its node's workers).
+	walker := r.ctx
+	if walker.Payload != nil {
+		r.ctx = walker.Payload
+	}
+	err := r.fixed(off+headerBytes, off+headerBytes+4*int64(cnt), withCRC, fn, &e)
+	r.ctx = walker
+	return e, err
+}
+
+// fixed is decode's fixed-width path over the payload [pos, end).
+func (r *reader) fixed(pos, end int64, withCRC bool, fn func(nbr uint32), e *extent) error {
 	for pos < end {
 		n := min(end-pos, int64(len(r.buf)))
 		if pos+n < end {
@@ -177,7 +190,7 @@ func (r *reader) decode(off int64, format, capacity, cnt uint32, withCRC bool, f
 		}
 		chunk := r.buf[:n]
 		if err := r.read(pos, chunk); err != nil {
-			return e, err
+			return err
 		}
 		if withCRC {
 			e.crc = crc32.Update(e.crc, castagnoli, chunk)
@@ -190,7 +203,7 @@ func (r *reader) decode(off int64, format, capacity, cnt uint32, withCRC bool, f
 		pos += n
 		e.bytes += n
 	}
-	return e, nil
+	return nil
 }
 
 // walk visits the blocks of v's chain, newest first. A walk over the links

@@ -7,21 +7,25 @@
 // each computing iteration, vertices are classified by the NUMA node that
 // owns their adjacency data and each class is processed by worker threads
 // bound to that node's cores — avoiding both remote PMEM reads and
-// per-vertex thread migration. Within a class the vertices are one
-// xpsim.Sweep: in ascending order, dealt in chunks of consecutive vertices
-// to whichever bound worker is least busy, each weighing its degree in the
-// direction the kernel visits. A whole-graph iteration thus reads each
-// arena upward, in the order a flush drain and compaction laid its blocks
-// out, while a power-law graph's hubs still spread over the workers.
+// per-vertex thread migration. A level's classes are one
+// xpsim.Sweep.Spread: each class in ascending order, dealt in chunks of
+// consecutive vertices to whichever of its node's workers is least busy,
+// each weighing its degree in the direction the kernel visits. A
+// whole-graph iteration thus reads each arena upward, in the order a flush
+// drain and compaction laid its blocks out, while a power-law graph's hubs
+// still spread over the workers.
 //
-// A hub shares its level with the node's other workers (xpsim.Sweep.Spread):
-// the worker that grabs a vertex over the chunk cap with at least 128
-// records reads its whole chain, and the work the kernel's edge function
-// charges for it is dealt in equal shares over up to all of the node's
-// workers. So every kernel's work is two functions: the vertex's, which
-// reads on the ctx it is handed, and the edge function, built once per run,
-// which takes the ctx it charges as a parameter (edges binds it to a
-// visit). Nothing the host computes changes order; only the clocks move.
+// A hub shares its level with the node's other workers: the worker that
+// grabs a vertex over the chunk cap with at least 128 records reads its
+// chain's headers, and the fixed payload lines the walk charges to
+// ctx.Payload and the work the kernel's edge function charges are dealt in
+// equal shares over up to all of the node's workers. After the level's last
+// class an end-of-level pass moves edge shares, never reads, off the slowest
+// worker to idle workers of either node while that ends the level sooner.
+// So every kernel's work is two functions: the vertex's, which reads on the
+// ctx it is handed, and the edge function, built once per run, which takes
+// the ctx it charges as a parameter (edges binds it to a visit). Nothing the
+// host computes changes order; only the clocks move.
 //
 // The level-synchronous traversals (BFS, k-hop, typed k-hop, path) share one
 // level loop, traverse, and sweep each level the same way: orderFrontier
@@ -56,6 +60,9 @@ type Engine struct {
 	// reproduces the unbound baseline of Fig. 18.
 	bind  bool
 	sweep xpsim.Sweep
+	// parRun's scratch: a level's buckets in node order.
+	groups []xpsim.Group
+	lists  [][]graph.VID
 }
 
 // sockets is the simulated machine's socket count: threads bound to one
@@ -99,13 +106,15 @@ func (e *Engine) classifyAll(nodeOf func(graph.VID) int) map[int][]graph.VID {
 	return e.classify(all, nodeOf)
 }
 
-// parRun processes the vertex buckets: each bucket gets an equal share of
-// the threads, bound to the bucket's node, and all buckets run
-// concurrently — the phase's simulated time is the slowest bucket. A
-// bucket is one xpsim.Sweep over its vertices in order; records(v) is the
-// number of adjacency records work reads for v, its weight in the deal.
-// work charges v's reads to ctx and its per-edge work to edge: for a hub
-// the sweep deals the latter over the bucket's workers (Sweep.Spread).
+// parRun runs one level over the vertex buckets: each bucket gets an equal
+// share of the threads, bound to the bucket's node, and all buckets run at
+// once as one xpsim.Sweep.Spread, in node order. A bucket's workers sweep
+// its vertices in order; records(v) is the number of adjacency records work
+// reads for v, its weight in the deal. work charges v's reads to ctx and
+// its per-edge work to edge: for a hub the sweep deals its payload reads and
+// its edge work over the bucket's workers, and an end-of-level pass moves
+// edge shares off the slowest worker to idle ones of any node. The level's
+// simulated time is the slowest worker's clock.
 func (e *Engine) parRun(buckets map[int][]graph.VID, records func(v graph.VID) int, work func(ctx, edge *xpsim.Ctx, v graph.VID)) int64 {
 	if len(buckets) == 0 {
 		return 0
@@ -122,7 +131,7 @@ func (e *Engine) parRun(buckets map[int][]graph.VID, records func(v graph.VID) i
 	// Node order, not map order: the buckets run one after the other on
 	// devices whose XPBuffer state carries over, so the order they run in
 	// shows in the simulated time.
-	var phaseNs int64
+	e.groups, e.lists = e.groups[:0], e.lists[:0]
 	for _, node := range slices.Sorted(maps.Keys(buckets)) {
 		vs := buckets[node]
 		workers := per
@@ -141,15 +150,12 @@ func (e *Engine) parRun(buckets map[int][]graph.VID, records func(v graph.VID) i
 			workers = perNodeCap
 			contention = workers
 		}
-		n := node
-		dur := e.sweep.Spread(e.lat, workers, contention, func(int) int { return n }, len(vs),
-			func(i int) int { return records(vs[i]) },
-			func(ctx, edge *xpsim.Ctx, i int) { work(ctx, edge, vs[i]) })
-		if int64(dur) > phaseNs {
-			phaseNs = int64(dur)
-		}
+		e.groups = append(e.groups, xpsim.Group{Node: node, Workers: workers, Contention: contention, Items: len(vs)})
+		e.lists = append(e.lists, vs)
 	}
-	return phaseNs
+	return int64(e.sweep.Spread(e.lat, e.groups,
+		func(g, i int) int { return records(e.lists[g][i]) },
+		func(ctx, edge *xpsim.Ctx, g, i int) { work(ctx, edge, e.lists[g][i]) }))
 }
 
 // degree is v's record count in both directions, the weight of a vertex

@@ -12,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/pmem"
 	"repro/internal/prop"
+	"repro/internal/shard"
 	"repro/internal/splitmix"
 	"repro/internal/view"
 	"repro/internal/xpsim"
@@ -349,47 +350,82 @@ func TestKernelsRepeatExactly(t *testing.T) {
 }
 
 // hubMeter is a view that records, for every out-visit, the simulated time
-// its reads charged to the visiting ctx and the edges it handed over.
+// its reads charged to the visiting ctx (for a hub, its headers), the time
+// they charged to the ctx's payload clock when it has one of its own (a
+// hub's payload lines), and the edges it handed over.
 type hubMeter struct {
 	view.View
-	readNs, edges map[graph.VID]int64
+	readNs, payloadNs, edges map[graph.VID]int64
 }
 
 func (h *hubMeter) VisitOut(ctx *xpsim.Ctx, v graph.VID, fn func(uint32)) {
-	before := ctx.Cost.Ns()
+	payload := ctx
+	if ctx.Payload != nil {
+		payload = ctx.Payload
+	}
+	before, paid := ctx.Cost.Ns(), payload.Cost.Ns()
 	h.View.VisitOut(ctx, v, func(nb uint32) {
 		h.edges[v]++
 		fn(nb)
 	})
 	h.readNs[v] += ctx.Cost.Ns() - before
+	if payload != ctx {
+		h.payloadNs[v] += payload.Cost.Ns() - paid
+	}
 }
 
-// TestHubLevelSharesWorkers: on an RMAT graph with a star on it, a 2-hop
-// from a light root through the hub at 8 threads (4 workers a node) lasts
-// no longer than the root's level, the frontier's order, the hub's read, a
-// quarter of the hub's edge work and the grabs — the charges of that same
-// run — where a hub expanded on one worker alone would add all its edge
-// work to its read.
+// TestHubLevelSharesWorkers: on an RMAT graph with stars on it, a 2-hop from
+// a light root through the stars' hubs at 8 threads (4 workers a node) takes
+// the hubs' payload reads and edge work off the workers that read their
+// headers. Its time is bounded by that run's own charges: the root's level,
+// the frontier's order, and a hub level no longer than the home node's
+// workers with the headers and a quarter of the payload reads, or the other
+// node's busiest with all the level's light work and a quarter of each hub's
+// edge work, its grab and the transfer of its records. It is also under a
+// quarter of the hubs' reads and edge work together, which is as low as a
+// deal inside the hubs' node could go: edge work crossed sockets.
 func TestHubLevelSharesWorkers(t *testing.T) {
-	const hub = graph.VID(1)
+	for _, tc := range []struct {
+		name string
+		hubs int // the first IDs from 1 up that live on vertex 1's node
+	}{
+		{"one star", 1},
+		{"three stars on one node", 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var hubs []graph.VID
+			for v := graph.VID(1); len(hubs) < tc.hubs; v++ {
+				if shard.PartOf(v, 2) == shard.PartOf(1, 2) {
+					hubs = append(hubs, v)
+				}
+			}
+			hubLevel(t, hubs)
+		})
+	}
+}
+
+// hubLevel runs TestHubLevelSharesWorkers' 2-hop through the given hubs.
+func hubLevel(t *testing.T, hubs []graph.VID) {
 	edges := gen.RMAT(11, 20000, 5)
 	out := make([][]uint32, 1<<11)
 	for _, e := range edges {
 		out[e.Src] = append(out[e.Src], e.Dst)
 	}
-	// The root: light, and so are its RMAT neighbours — the star's hub is
-	// the one heavy vertex of the level it expands.
-	heavy := func(v uint32) bool { return len(out[v]) >= 64 }
+	// The root: light, and so are its RMAT neighbours — the stars' hubs
+	// are the heavy vertices of the level it expands.
+	heavy := func(v uint32) bool { return len(out[v]) >= 64 || slices.Contains(hubs, graph.VID(v)) }
 	root := graph.VID(2)
 	for len(out[root]) < 4 || heavy(uint32(root)) || slices.ContainsFunc(out[root], heavy) {
 		root++
 	}
-	for v := range graph.VID(1 << 11) {
-		if v != hub {
-			edges = append(edges, graph.Edge{Src: hub, Dst: v})
+	for _, hub := range hubs {
+		for v := range graph.VID(1 << 11) {
+			if v != hub {
+				edges = append(edges, graph.Edge{Src: hub, Dst: v})
+			}
 		}
+		edges = append(edges, graph.Edge{Src: root, Dst: hub})
 	}
-	edges = append(edges, graph.Edge{Src: root, Dst: hub})
 	mach := xpsim.NewMachine(2, 256<<20, xpsim.DefaultLatency())
 	s, err := core.New(mach, pmem.NewHeap(mach), nil, core.Options{Name: "hub", NumVertices: 1 << 11,
 		LogCapacity: 1 << 15, ArchiveThreshold: 1 << 10, ArchiveThreads: 8, NUMA: core.NUMASubgraph})
@@ -411,24 +447,42 @@ func TestHubLevelSharesWorkers(t *testing.T) {
 	if d := snap.OutDegree(root); d > 64 {
 		t.Fatalf("the root has out-degree %d, not a light one", d)
 	}
-	m := &hubMeter{View: snap, readNs: map[graph.VID]int64{}, edges: map[graph.VID]int64{}}
+	m := &hubMeter{View: snap, readNs: map[graph.VID]int64{}, payloadNs: map[graph.VID]int64{}, edges: map[graph.VID]int64{}}
 	e := NewEngine(m, &mach.Lat, 8)
 	res := e.KHop(root, 2)
 
 	lat := mach.Lat
+	grab := lat.DRAMWrite
 	edgeNs := func(v graph.VID) int64 { return 2 * lat.CPUOp * m.edges[v] }
-	rootLevel := lat.DRAMWrite + m.readNs[root] + edgeNs(root)
+	quarter := func(ns int64) int64 { return (ns + 3) / 4 }
+	rootLevel := grab + m.readNs[root] + edgeNs(root)
 	first := int(res.PerHop[0])
 	order := min(e.sortNs(first), e.scanNs(first, 2*((1<<11+63)/64)))
-	hubNs := m.readNs[hub] + (edgeNs(hub)+3)/4
-	bound := rootLevel + order + hubNs + 2*lat.DRAMWrite
-	alone := rootLevel + order + m.readNs[hub] + edgeNs(hub)
-	t.Logf("2-hop from %d: %d ns; root level %d, order %d, hub read %d and edge work %d (%d edges): bound %d, the hub alone %d",
-		root, res.SimNs, rootLevel, order, m.readNs[hub], edgeNs(hub), m.edges[hub], bound, alone)
-	if res.SimNs > bound {
-		t.Fatalf("the 2-hop took %d ns, over the hub's read plus a quarter of its edge work (%d ns)", res.SimNs, bound)
+	var home, away, inNode int64
+	for _, v := range out[root] { // the level's light vertices
+		away += grab + m.readNs[graph.VID(v)] + edgeNs(graph.VID(v))
 	}
-	if res.SimNs >= alone {
-		t.Fatalf("the 2-hop took %d ns, no less than with the hub's edge work on one worker (%d ns)", res.SimNs, alone)
+	for _, hub := range hubs {
+		if m.payloadNs[hub] == 0 {
+			t.Fatalf("hub %d read no payload line on a scratch clock", hub)
+		}
+		var c xpsim.Cost
+		lat.DRAM(&xpsim.Ctx{Cost: &c}, 4*((m.edges[hub]+3)/4), false, true)
+		home += m.readNs[hub] + quarter(m.payloadNs[hub]) + 2*grab
+		away += quarter(edgeNs(hub)) + grab + c.Ns()
+		inNode += (m.payloadNs[hub] + edgeNs(hub)) / 4
+	}
+	bound := rootLevel + order + max(home, away)
+	t.Logf("2-hop from %d through hubs %v: %d ns; root level %d, order %d, hub level: home %d, away %d; an in-node deal %d or more",
+		root, hubs, res.SimNs, rootLevel, order, home, away, inNode)
+	for _, hub := range hubs {
+		t.Logf("hub %d on node %d: header reads %d, payload %d, edge work %d (%d edges)",
+			hub, snap.OutNode(hub), m.readNs[hub], m.payloadNs[hub], edgeNs(hub), m.edges[hub])
+	}
+	if res.SimNs > bound {
+		t.Fatalf("the 2-hop took %d ns, over its bound %d", res.SimNs, bound)
+	}
+	if res.SimNs-rootLevel-order >= inNode {
+		t.Fatalf("the hub level took %d ns, no less than a deal inside the hubs' node could reach (%d ns)", res.SimNs-rootLevel-order, inNode)
 	}
 }

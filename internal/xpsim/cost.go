@@ -44,6 +44,11 @@ type Ctx struct {
 	Node    int // NUMA node the issuing thread runs on; NodeUnbound if unpinned
 	Worker  int // worker index within the current phase (scheduler placement hint)
 	Workers int // concurrently active workers in the current phase (>=1)
+	// Payload is the context a chain walk charges a fixed-width block's
+	// payload lines past its header's line to; nil means this one.
+	// Sweep.Spread points it at a scratch clock while a hub is read and
+	// deals what it took over the hub's node's workers.
+	Payload *Ctx
 }
 
 // NewCtx returns a context for a single bound worker on the given node.

@@ -240,24 +240,41 @@ func TestSweepSmallFrontierNoSlowerThanRoundRobin(t *testing.T) {
 }
 
 // spreadItem is one item of a spread loop: its records, the read it
-// charges to the ctx it is handed and the edge work to the edge ctx.
+// charges to the ctx it is handed (a hub's headers), the payload read it
+// charges to that ctx's payload clock, and the edge work to the edge ctx.
 type spreadItem struct {
-	records    int
-	read, edge int64
+	records             int
+	read, payload, edge int64
 }
 
-// runSpread runs items through Spread on n workers and returns each worker's
-// clock at the end, and for each item whether its edge ctx was a scratch
-// clock (spread) and which worker read it.
+// runItem charges item it as a chain walk does: its headers on ctx, its
+// payload lines on ctx.Payload (nil: ctx), its edge work on edge.
+func runItem(ctx, edge *Ctx, it spreadItem) {
+	ctx.Cost.Add(it.read)
+	payload := ctx
+	if ctx.Payload != nil {
+		payload = ctx.Payload
+	}
+	payload.Cost.Add(it.payload)
+	edge.Cost.Add(it.edge)
+}
+
+// runSpread runs items through Spread as one group of n workers on node 0
+// and returns each worker's clock at the end, and for each item whether its
+// edge ctx was a scratch clock (spread) and which worker read it.
 func runSpread(t *testing.T, sw *Sweep, lat *LatencyModel, n int, items []spreadItem) (clocks []int64, spread []bool, reader []int) {
 	spread, reader = make([]bool, len(items)), make([]int, len(items))
-	sw.Spread(lat, n, n, PinnedTo(0), len(items), func(i int) int { return items[i].records }, func(ctx, edge *Ctx, i int) {
-		ctx.Cost.Add(items[i].read)
-		edge.Cost.Add(items[i].edge)
+	sw.Spread(lat, []Group{{Node: 0, Workers: n, Contention: n, Items: len(items)}}, func(_, i int) int { return items[i].records }, func(ctx, edge *Ctx, _, i int) {
 		spread[i], reader[i] = edge != ctx, ctx.Worker
-		if edge.Worker != ctx.Worker || edge.Node != ctx.Node || edge.Workers != ctx.Workers {
-			t.Errorf("item %d: the edge ctx %+v is not placed like the reading worker's %+v", i, *edge, *ctx)
+		if (ctx.Payload != nil) != spread[i] {
+			t.Errorf("item %d: spread %v with payload clock %v", i, spread[i], ctx.Payload)
 		}
+		for _, c := range []*Ctx{edge, ctx.Payload} {
+			if c != nil && (c.Worker != ctx.Worker || c.Node != ctx.Node || c.Workers != ctx.Workers || c.Payload != nil) {
+				t.Errorf("item %d: the scratch ctx %+v is not placed like the reading worker's %+v", i, *c, *ctx)
+			}
+		}
+		runItem(ctx, edge, items[i])
 	})
 	for w := range n {
 		clocks = append(clocks, sw.Clock(w).Nanoseconds())
@@ -266,18 +283,19 @@ func runSpread(t *testing.T, sw *Sweep, lat *LatencyModel, n int, items []spread
 }
 
 // TestSweepSpreadsHeavyItems: an item heavier than the chunk cap that holds
-// at least two XPLines of records is read on the worker that grabbed it,
-// and its edge work lands in k equal shares on that worker and the k−1
-// idlest others, each of which pays one grab; nothing else spreads, Run
-// never does, and the loop still allocates nothing.
+// at least two XPLines of records has its headers read on the worker that
+// grabbed it, and its payload reads and edge work land in k equal shares on
+// that worker and the k−1 idlest others, each of which pays one grab;
+// nothing else spreads, Run never does, and the loop still allocates
+// nothing.
 func TestSweepSpreadsHeavyItems(t *testing.T) {
 	lat := DefaultLatency()
 	g := lat.DRAMWrite
 	var sw Sweep
 
 	// One hub alone: k = min(4 workers, ⌈5001/156⌉, 5000/64) = 4 shares.
-	clocks, spread, reader := runSpread(t, &sw, &lat, 4, []spreadItem{{records: 5000, read: 900, edge: 4000}})
-	if want := []int64{g + 900 + 1000, g + 1000, g + 1000, g + 1000}; !slices.Equal(clocks, want) || !spread[0] || reader[0] != 0 {
+	clocks, spread, reader := runSpread(t, &sw, &lat, 4, []spreadItem{{records: 5000, read: 900, payload: 2000, edge: 4000}})
+	if want := []int64{g + 900 + 1500, g + 1500, g + 1500, g + 1500}; !slices.Equal(clocks, want) || !spread[0] || reader[0] != 0 {
 		t.Errorf("a hub on 4 workers: clocks %v (spread %v, read by %d), want %v read by 0", clocks, spread[0], reader[0], want)
 	}
 	// Busy workers keep their clocks: the hub (128 records, k = 128/64 = 2)
@@ -323,15 +341,179 @@ func TestSweepSpreadsHeavyItems(t *testing.T) {
 		t.Errorf("Run took %v with worker 1 at %v: it must not spread", ns, sw.Clock(1))
 	}
 
-	hubs := []spreadItem{{records: 3000, read: 500, edge: 6000}, {records: 3, read: 5, edge: 6}, {records: 700, read: 90, edge: 1400}}
+	hubs := []spreadItem{{records: 3000, read: 500, payload: 900, edge: 6000}, {records: 3, read: 5, edge: 6}, {records: 700, read: 90, payload: 200, edge: 1400}}
 	runSpread(t, &sw, &lat, 8, hubs)
 	if allocs := testing.AllocsPerRun(20, func() {
-		sw.Spread(&lat, 8, 8, PinnedTo(1), len(hubs), func(i int) int { return hubs[i].records }, func(ctx, edge *Ctx, i int) {
-			ctx.Cost.Add(hubs[i].read)
-			edge.Cost.Add(hubs[i].edge)
+		sw.Spread(&lat, []Group{{Node: 1, Workers: 8, Contention: 8, Items: len(hubs)}}, func(_, i int) int { return hubs[i].records }, func(ctx, edge *Ctx, _, i int) {
+			runItem(ctx, edge, hubs[i])
 		})
 	}); allocs != 0 {
 		t.Fatalf("a warmed spread loop allocates %.1f times per run", allocs)
+	}
+}
+
+// runLevel runs items[g] as group g of one Spread level and returns the
+// level's time and every worker's clock, in group order.
+func runLevel(sw *Sweep, lat *LatencyModel, groups []Group, items [][]spreadItem) (int64, []int64) {
+	for g := range groups {
+		groups[g].Items = len(items[g])
+	}
+	ns := sw.Spread(lat, groups, func(g, i int) int { return items[g][i].records }, func(ctx, edge *Ctx, g, i int) {
+		runItem(ctx, edge, items[g][i])
+	})
+	var clocks []int64
+	for w := range len(sw.costs) {
+		clocks = append(clocks, sw.Clock(w).Nanoseconds())
+	}
+	return ns.Nanoseconds(), clocks
+}
+
+// twoNodes is a level with a hub on node 0's two workers and nothing for
+// node 1's two. Its hub holds 256 records, so k = 2: the reader ends at a
+// grab, the header read and half the payload and edge work, its helper at a
+// grab and the same halves.
+func twoNodes() []Group {
+	return []Group{{Node: 0, Workers: 2, Contention: 2}, {Node: 1, Workers: 2, Contention: 2}}
+}
+
+// TestSweepPassMovesEdgeNotReads: the end-of-level pass moves a hub's edge
+// shares to idle workers of the other node, each paying a grab and the
+// sequential DRAM read of its records; the payload read shares stay on the
+// hub's node, so a hub with no edge work leaves the other node idle.
+func TestSweepPassMovesEdgeNotReads(t *testing.T) {
+	lat := DefaultLatency()
+	g := lat.DRAMWrite
+	var sw Sweep
+	var c Cost
+	lat.DRAM(&Ctx{Cost: &c}, 4*128, false, true) // a share's 128 records
+	transfer := c.Ns()
+
+	hub := spreadItem{records: 256, read: 100, payload: 400, edge: 2000}
+	ns, clocks := runLevel(&sw, &lat, twoNodes(), [][]spreadItem{{hub}, nil})
+	// Before the pass: [g+100+200+1000, g+200+1000, 0, 0]. Both edge shares
+	// leave node 0; the read shares stay.
+	if want := []int64{g + 100 + 200, 200, 1000 + g + transfer, 1000 + g + transfer}; !slices.Equal(clocks, want) || ns != slices.Max(want) {
+		t.Errorf("a hub on node 0 with node 1 idle: %d ns, clocks %v, want %v", ns, clocks, want)
+	}
+
+	hub.edge = 0
+	if _, clocks := runLevel(&sw, &lat, twoNodes(), [][]spreadItem{{hub}, nil}); !slices.Equal(clocks, []int64{g + 100 + 200, g + 200, 0, 0}) {
+		t.Errorf("a hub with no edge work: clocks %v, want node 1 idle: reads never move", clocks)
+	}
+}
+
+// TestSweepPassChargesTransferAcrossSockets: a share the pass moves inside
+// its node costs the receiver its edge work and a grab and nothing more;
+// across sockets it also pays lat.DRAM of its records (above).
+func TestSweepPassChargesTransferAcrossSockets(t *testing.T) {
+	lat := DefaultLatency()
+	g := lat.DRAMWrite
+	var sw Sweep
+	// Three workers on one node: the hub's three shares go to all of them;
+	// the light item behind it (100 records, too few to spread) then lands
+	// on worker 1, which the pass relieves of its share: worker 2, the
+	// idlest, takes it for a grab and its edge work.
+	ns, clocks := runLevel(&sw, &lat, []Group{{Node: 0, Workers: 3, Contention: 3}}, [][]spreadItem{{
+		{records: 256, read: 100, edge: 3000},
+		{records: 100, read: 5000},
+	}})
+	if want := []int64{g + 100 + 1000, g + 5000, g + 1000 + g + 1000}; !slices.Equal(clocks, want) || ns != g+5000 {
+		t.Errorf("a share moved inside its node: %d ns, clocks %v, want %v", ns, clocks, want)
+	}
+}
+
+// TestSweepPassNeverRaisesTheLevel: on random levels of one to three groups
+// — pinned to either node or unbound — the pass never raises the slowest
+// clock, and moves work only to workers that end below it.
+func TestSweepPassNeverRaisesTheLevel(t *testing.T) {
+	lat := DefaultLatency()
+	var sw Sweep
+	rng := uint64(1)
+	next := func(n int) int {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return int(rng>>33) % n
+	}
+	moved := 0
+	for range 300 {
+		groups := make([]Group, 1+next(3))
+		items := make([][]spreadItem, len(groups))
+		for gi := range groups {
+			w := 1 + next(6)
+			groups[gi] = Group{Node: next(3) - 1, Workers: w, Contention: w}
+			for range next(40) {
+				it := spreadItem{records: next(8), read: int64(next(400))}
+				if next(4) == 0 {
+					it.records = 64 + next(3000)
+					it.payload, it.edge = int64(3*it.records), int64(8*it.records)
+				}
+				it.edge += int64(2 * it.records)
+				items[gi] = append(items[gi], it)
+			}
+		}
+		for g := range groups {
+			groups[g].Items = len(items[g])
+		}
+		sw.level(&lat, groups, func(g, i int) int { return items[g][i].records }, func(ctx, edge *Ctx, g, i int) {
+			runItem(ctx, edge, items[g][i])
+		})
+		before := make([]int64, len(sw.costs))
+		for w := range sw.costs {
+			before[w] = sw.costs[w].Ns()
+		}
+		end := slices.Max(before)
+		sw.balance(&lat)
+		for w := range sw.costs {
+			if now := sw.costs[w].Ns(); now > before[w] && now >= end {
+				t.Fatalf("groups %+v: worker %d went %d → %d ns, the level ended at %d", groups, w, before[w], now, end)
+			} else if now != before[w] {
+				moved++
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("the pass moved nothing on 300 random levels")
+	}
+	t.Logf("%d worker clocks moved", moved)
+}
+
+// TestSweepPassAllocatesNothing: a warmed two-node level whose pass moves
+// shares allocates nothing.
+func TestSweepPassAllocatesNothing(t *testing.T) {
+	lat := DefaultLatency()
+	var sw Sweep
+	groups := twoNodes()
+	items := [][]spreadItem{{{records: 3000, read: 500, payload: 900, edge: 6000}, {records: 3, read: 5, edge: 6}, {records: 700, read: 90, payload: 200, edge: 1400}}, {{records: 2, read: 9, edge: 4}}}
+	run := func() { runLevel(&sw, &lat, groups, items) }
+	run()
+	if len(sw.shares) == 0 || sw.Clock(2) == 0 {
+		t.Fatalf("the level dealt %d shares and moved none to node 1", len(sw.shares))
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		sw.Spread(&lat, groups, func(g, i int) int { return items[g][i].records }, func(ctx, edge *Ctx, g, i int) {
+			runItem(ctx, edge, items[g][i])
+		})
+	}); allocs != 0 {
+		t.Fatalf("a warmed level allocates %.1f times per run", allocs)
+	}
+}
+
+// TestSweepDealNoLaterThanWhole: a hub grabbed while another worker is busy
+// with a long read must not deal a share to that worker. Its read share
+// would stay there through the pass, and the loop would end later than with
+// the hub kept whole (3204 ns against 3070): a worker takes a share only if
+// its clock with it stays below the reader's with the whole hub.
+func TestSweepDealNoLaterThanWhole(t *testing.T) {
+	lat := DefaultLatency()
+	var sw Sweep
+	items := []spreadItem{{records: 0, read: 3000}, {records: 256, read: 100, payload: 400, edge: 2000}}
+	records := func(i int) int { return items[i].records }
+	whole := sw.Run(&lat, 3, 3, PinnedTo(0), len(items), records, func(ctx *Ctx, i int) { runItem(ctx, ctx, items[i]) })
+	clocks, spread, _ := runSpread(t, &sw, &lat, 3, items)
+	if end := slices.Max(clocks); !spread[1] || end > whole.Nanoseconds() {
+		t.Fatalf("the spread loop ended at %d ns (clocks %v, hub spread %v), the whole one at %v", end, clocks, spread[1], whole)
+	}
+	if clocks[0] != lat.DRAMWrite+3000 {
+		t.Fatalf("the busy worker ended at %d ns: it took a share of the hub", clocks[0])
 	}
 }
 

@@ -241,6 +241,17 @@ go test -count=1 -run 'TestChainReadsFetchEachLineOnce|TestWindowDroppedAcrossVi
 go test -count=1 -run 'TestFrontierSweepsUpward|TestKernelsRepeatExactly|TestHubLevelSharesWorkers' ./internal/analytics/
 go test -count=20 -run 'TestDrainCancelsPendingScrubTick' ./internal/ingest/
 
+echo "== one level, one set of clocks: a hub's reads split over its node, edge work over the machine"
+# A hub's payload lines and edge work go in equal shares to its node's
+# workers, never to one the share would leave later than the hub kept
+# whole; the end-of-level pass moves edge shares, never read time, off the
+# slowest worker to the idlest of either node (a grab off the reader, a
+# DRAM read of the records across sockets), never raises the level and
+# allocates nothing; a 2-hop through one hub and through three on one node
+# stays within its own charges and under any in-node deal.
+go test -count=1 -run 'TestSweepPassNeverRaisesTheLevel|TestSweepPassMovesEdgeNotReads|TestSweepPassChargesTransferAcrossSockets|TestSweepPassAllocatesNothing|TestSweepDealNoLaterThanWhole|TestSweepSpreadsHeavyItems' ./internal/xpsim/
+go test -count=1 -run 'TestHubLevelSharesWorkers' ./internal/analytics/
+
 echo "== publication: one count base per store, patched from the vertices a buffer phase touched"
 # A capture patches the store's shared count base from the dirty log, copies
 # it whole once the log passed its cap or another writer marked it stale,
@@ -251,7 +262,8 @@ echo "== publication: one count base per store, patched from the vertices a buff
 # recovery and growth; it kills four mutants (compaction not staling the
 # base, a shared base patched, the log dropping an entry at its cap, a
 # second Close releasing again). Close runs once however retire and unref
-# race, under -race; and a patched capture allocates the Snapshot alone, a
+# race, under -race; and a patched capture allocates the Snapshot alone (the
+# fewest of five captures, so a stray allocation elsewhere cannot fail it), a
 # published chunk with one follower under |V| bytes (without -race).
 go test -count=1 -race -short -run 'TestPublicationDifferential' ./internal/core/
 go test -count=1 -race -run 'TestPinnedReadersNeverSeeClosedSnapshots|TestRetireAndUnrefCloseOnce' ./internal/cluster/
