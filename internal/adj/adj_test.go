@@ -41,7 +41,7 @@ func crashAfterCommit(t *testing.T, s *Store, r RecoverableMem, ctx *xpsim.Ctx) 
 	t.Helper()
 	epoch := s.epoch
 	s.Ack(ctx, epoch, 0, 1)
-	rs, err := RecoverWith(ctx, r, s.lat, s.opts, epoch, nil)
+	rs, err := RecoverWith(ctx, nil, 1, r, s.lat, s.opts, epoch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -730,13 +730,13 @@ func TestRecoverWithRefusesUnrecoverablePolicies(t *testing.T) {
 		{Counts: CountsVolatile, CrashSafe: true},
 	} {
 		_, r, m, ctx := testStore(t)
-		if rs, err := RecoverWith(ctx, r, &m.Lat, opts, 1, nil); err == nil || rs != nil {
+		if rs, err := RecoverWith(ctx, nil, 1, r, &m.Lat, opts, 1, nil); err == nil || rs != nil {
 			t.Errorf("RecoverWith(%+v) = %v, %v; want a refusal", opts, rs, err)
 		}
 	}
 	for _, opts := range []Options{{CrashSafe: true}, {Counts: CountsAcked, CrashSafe: true}, {Counts: CountsAcked, Checksums: true}} {
 		_, r, m, ctx := testStore(t)
-		if _, err := RecoverWith(ctx, r, &m.Lat, opts, 1, nil); err != nil {
+		if _, err := RecoverWith(ctx, nil, 1, r, &m.Lat, opts, 1, nil); err != nil {
 			t.Errorf("RecoverWith(%+v): %v", opts, err)
 		}
 	}

@@ -253,7 +253,7 @@ func (x *xrun) crash() (*xrun, error) {
 	if err != nil {
 		return nil, fmt.Errorf("attach log: %w", err)
 	}
-	s, err := RecoverWith(ctx, arena, &clone.Machine().Lat, xOpts, log.Epoch(), nil)
+	s, err := RecoverWith(ctx, nil, 1, arena, &clone.Machine().Lat, xOpts, log.Epoch(), nil)
 	if err != nil {
 		return nil, fmt.Errorf("recover: %w", err)
 	}

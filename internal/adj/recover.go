@@ -1,9 +1,10 @@
 package adj
 
 import (
+	"cmp"
 	"fmt"
-	"maps"
 	"slices"
+	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/mem"
@@ -32,10 +33,16 @@ type scanned struct {
 }
 
 // RecoverWith rebuilds the DRAM index (tails, counts, degrees) by scanning
-// the arena sequentially from its start to the persisted allocation
-// pointer. Chains come back because each block persists its prev link;
-// the tail of a chain is the one block no other block points to (offset
-// order is not enough once compaction recycles blocks).
+// the arena from its start to the persisted allocation pointer. Chains come
+// back because each block persists its prev link; the tail of a chain is
+// the one block no other block points to (offset order is not enough once
+// compaction recycles blocks).
+//
+// The header walk is split over walkers workers of sw (nil: a Sweep of its
+// own), bound to ctx's node at ctx's contention, one segment of the arena
+// each; a serial join on ctx makes their walks the one block list a serial
+// walk finds (scan). ctx's clock waits for the slowest walker. The rest of
+// the recovery is serial, on ctx. At one walker the scan is the serial walk.
 //
 // Only CountsAcked stores are scan-recoverable (countRules); opts naming
 // another policy is refused with an error. committed is the flush epoch the
@@ -61,7 +68,7 @@ type scanned struct {
 // disagree with what was acknowledged are reported via Store.Suspects —
 // corruption that happened while the store was down, caught before any
 // read can serve it.
-func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts Options, committed uint32, quarantined map[int64]bool) (*Store, error) {
+func RecoverWith(ctx *xpsim.Ctx, sw *xpsim.Sweep, walkers int, m RecoverableMem, lat *xpsim.LatencyModel, opts Options, committed uint32, quarantined map[int64]bool) (*Store, error) {
 	opts, err := opts.normalized()
 	switch {
 	case err != nil:
@@ -78,47 +85,24 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 		return nil, fmt.Errorf("adj: corrupt allocation pointer %d (arena is [%d,%d])", end, m.UserStart(), m.Size())
 	}
 
-	// Pass 1: parse the arena. A Checksums store reads its headers through
-	// the media-error-checked path: a header on an uncorrectable line is
-	// scrambled bytes, and taking it for the frontier would silently drop
-	// every acknowledged block behind it. The scan cannot step over a block
-	// it cannot size, so it fails typed — unless a scrub already rewrote the
-	// header and quarantined the block (the line keeps its poison mark).
-	// Consecutive headers in one line are parsed from the window the first
-	// of them fetched, so the scan reads each header line once. A varint
-	// block's visible records that lie in that window are decoded from it,
-	// with no device read: pass 3 takes a tail's append cursor from there.
-	r := s.reader(ctx, opts.Checksums)
-	defer r.release()
-	var raw []scanned
-	for off := align(m.UserStart(), headerAlign); off+headerBytes <= end; {
-		h, err := r.header(off)
-		if err != nil && !quarantined[off] {
-			return nil, fmt.Errorf("adj: block header at %d is unreadable and the scan cannot step over it: %w", off, err)
-		}
-		if h.plausible(off, end, committed) {
-			b := scanned{off: off, header: h, visible: h.cnt[h.trusted(committed)]}
-			if err == nil && b.format == fmtVarint && b.visible > 0 {
-				r.local = true
-				b.ext, err = r.decode(off, b.format, b.capacity, b.visible, false, nil)
-				r.local, b.decoded = false, err == nil
-			}
-			raw = append(raw, b)
-			off = align(off+h.size(), headerAlign)
-			continue
-		}
-		// The frontier: everything from here on was allocated after the
-		// last writeback barrier and never became durably reachable, so it
-		// holds no acknowledged records. Zero it (so a later recovery cannot
-		// parse leftover bytes as a block) and hand it back to the allocator.
-		m.Write(ctx, off, make([]byte, end-off))
-		m.Flush(ctx, off, end-off)
-		m.RewindAlloc(ctx, off)
-		break
+	// Pass 1: parse the arena (scan). The frontier: everything from it on
+	// was allocated after the last writeback barrier and never became
+	// durably reachable, so it holds no acknowledged records. Zero it (so a
+	// later recovery cannot parse leftover bytes as a block) and hand it
+	// back to the allocator.
+	raw, frontier, err := s.scan(ctx, sw, walkers, align(m.UserStart(), headerAlign), end, committed, quarantined)
+	if err != nil {
+		return nil, err
 	}
-	// The frontier write and the kills below rewrite scanned lines.
-	r.drop()
-	r.checked = false
+	if frontier < end {
+		m.Write(ctx, frontier, make([]byte, end-frontier))
+		m.Flush(ctx, frontier, end-frontier)
+		m.RewindAlloc(ctx, frontier)
+	}
+	// Pass 3 rebuilds varint append cursors from the media, after the
+	// frontier write and the kills rewrote scanned lines.
+	r := s.reader(ctx, false)
+	defer r.release()
 
 	// Pass 2: complete an armed swap journal.
 	if err := s.journalRollForward(ctx, raw); err != nil {
@@ -126,10 +110,21 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 	}
 
 	// Pass 3: build the index. A live block's count is that of the slot
-	// recovery trusts.
-	live := make(map[graph.VID][]scanned)
-	pointedTo := make(map[int64]int)
-	for _, b := range raw {
+	// recovery trusts. raw is in offset order, so at finds the block a prev
+	// link names; pointed[i] counts the live blocks whose link names raw[i].
+	// live lists the live blocks by (vertex, offset): each vertex's blocks
+	// are one run of it.
+	at := func(off int64) int {
+		if i := sort.Search(len(raw), func(i int) bool { return raw[i].off >= off }); i < len(raw) && raw[i].off == off {
+			return i
+		}
+		return -1
+	}
+	pointed := make([]int32, len(raw))
+	var live []int32
+	var top uint32
+	for i := range raw {
+		b := &raw[i]
 		switch b.vid {
 		case deadVID:
 			switch {
@@ -152,20 +147,32 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 		case journalVID:
 			continue // already recorded by journalRollForward
 		}
-		v := graph.VID(b.vid)
-		s.EnsureVertices(v + 1)
-		live[v] = append(live[v], b)
-		if b.prev != 0 {
-			pointedTo[b.prev]++
+		live = append(live, int32(i))
+		top = max(top, b.vid+1)
+		if j := at(b.prev); b.prev != 0 && j >= 0 {
+			pointed[j]++
 		}
 	}
+	s.EnsureVertices(graph.VID(top))
 	// Deterministic vertex order: pruning below writes to the device, and
-	// map iteration order must not leak into simulated cache state.
-	for _, v := range slices.Sorted(maps.Keys(live)) {
-		blks := live[v]
+	// must not depend on where the blocks lie.
+	slices.SortFunc(live, func(a, b int32) int { return cmp.Or(cmp.Compare(raw[a].vid, raw[b].vid), cmp.Compare(a, b)) })
+	for lo := 0; lo < len(live); {
+		v := graph.VID(raw[live[lo]].vid)
+		hi := lo + 1
+		for hi < len(live) && raw[live[hi]].vid == uint32(v) {
+			hi++
+		}
+		blks := live[lo:hi]
+		lo = hi
+		// owns reports whether off is a block of v that is still live.
+		owns := func(off int64) bool {
+			j := at(off)
+			return j >= 0 && raw[j].vid == uint32(v)
+		}
 		countTails := func() (n int) {
-			for _, b := range blks {
-				if pointedTo[b.off] == 0 {
+			for _, i := range blks {
+				if pointed[i] == 0 {
 					n++
 				}
 			}
@@ -183,24 +190,21 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 		// Either way it is zero-visible: a count only becomes current
 		// through an epoch commit, which orders after the barrier that made
 		// the whole header (prev included) durable.
-		owns := make(map[int64]bool, len(blks))
-		for _, b := range blks {
-			owns[b.off] = true
-		}
 		tails := countTails()
 		for {
 			kept := blks[:0]
-			for _, b := range blks {
-				dangling := tails > 1 && pointedTo[b.off] == 0
-				broken := b.prev != 0 && !owns[b.prev]
+			for _, i := range blks {
+				b := &raw[i]
+				dangling := tails > 1 && pointed[i] == 0
+				broken := b.prev != 0 && !owns(b.prev)
 				if b.visible != 0 || !dangling && !broken {
-					kept = append(kept, b)
+					kept = append(kept, i)
 					continue
 				}
 				s.killBlock(ctx, b.off, int(b.capacity), uint8(b.format))
-				delete(owns, b.off)
-				if b.prev != 0 {
-					pointedTo[b.prev]--
+				b.vid = deadVID
+				if j := at(b.prev); b.prev != 0 && j >= 0 {
+					pointed[j]--
 				}
 			}
 			if len(kept) == len(blks) {
@@ -212,14 +216,15 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 		if len(blks) == 0 {
 			continue
 		}
-		for _, b := range blks {
-			if b.prev != 0 && !owns[b.prev] {
+		for _, i := range blks {
+			b := &raw[i]
+			if b.prev != 0 && !owns(b.prev) {
 				return nil, fmt.Errorf("adj: vertex %d block %d links to %d, no block of the vertex (corrupt prev link)", v, b.off, b.prev)
 			}
 			s.vx[v].records += b.visible
 			s.blocks++
 			s.bytes += b.size()
-			if pointedTo[b.off] != 0 {
+			if pointed[i] != 0 {
 				continue
 			}
 			t := &s.vx[v]
@@ -249,7 +254,8 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 		if tails != 1 {
 			return nil, fmt.Errorf("adj: vertex %d chain has %d tails (corrupt prev links)", v, tails)
 		}
-		for _, b := range blks {
+		for _, i := range blks {
+			b := &raw[i]
 			if b.off != s.vx[v].tail && b.visible != b.capacity {
 				// Retired with a count differing from capacity — a fixed
 				// block retired before filling up, or any varint block
@@ -273,15 +279,11 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 		// into a self-consistent mirror. Then recompute each payload's CRC
 		// from the media, newest block first up to the first disagreement,
 		// and flag the vertex if there is one.
-		byOff := make(map[int64]scanned, len(blks))
-		for _, b := range blks {
-			byOff[b.off] = b
-		}
 		for off := s.vx[v].tail; off != 0; {
-			b, ok := byOff[off]
-			if !ok {
+			if !owns(off) {
 				return nil, fmt.Errorf("adj: vertex %d chain prev link to unknown block %d", v, off)
 			}
+			b := &raw[at(off)]
 			s.chains[v] = append(s.chains[v], off)
 			s.mirror[off] = blockMirror{capacity: b.capacity, crc: b.crc[b.trusted(committed)], format: uint8(b.format)}
 			off = b.prev
@@ -291,6 +293,171 @@ func RecoverWith(ctx *xpsim.Ctx, m RecoverableMem, lat *xpsim.LatencyModel, opts
 		}
 	}
 	return s, nil
+}
+
+// scan is pass 1 of RecoverWith: it parses the arena's blocks from first,
+// where the first block's header lies, up to end, and returns them in
+// offset order with the frontier, the first offset whose header cannot head
+// a block (end if the blocks fill the arena).
+//
+// A Checksums store reads its headers through the media-error-checked path:
+// a header on an uncorrectable line is scrambled bytes, and taking it for
+// the frontier would silently drop every acknowledged block behind it. The
+// scan cannot step over a block it cannot size, so it fails typed — unless
+// a scrub already rewrote the header and quarantined the block (the line
+// keeps its poison mark). Consecutive headers in one line are parsed from
+// the window the first of them fetched, so the scan reads each header line
+// once. A varint block's visible records that lie in that window are
+// decoded from it, with no device read: pass 3 takes a tail's append cursor
+// from there.
+//
+// The walk runs on walkers workers of sw, bound to ctx's node at ctx's
+// contention, one segment of whole XPLines each. Segment 0's worker starts
+// on the first header. Every other worker cannot know where a block starts
+// in its segment, so it probes each headerAlign offset from the segment's
+// start until a header is plausible and starts accepts it, and walks on
+// from there as the serial scan would; a header that ends its run
+// (implausible, or unreadable and not quarantined) is noted, and probing
+// resumes headerAlign bytes on. The walks only read. Then the join, on ctx,
+// follows the true walk from first: at an offset some walker visited it
+// takes that walker's verdict, and anywhere else it reads the header
+// itself, until it lands on a visited offset again. So the join's block
+// list is the serial walk's whatever the walkers guessed, and at one
+// walker it is the serial walk.
+func (s *Store) scan(ctx *xpsim.Ctx, sw *xpsim.Sweep, walkers int, first, end int64, committed uint32, quarantined map[int64]bool) ([]scanned, int64, error) {
+	walkers = max(walkers, 1)
+	// Segment i is [cuts[i], cuts[i+1]): the lines past first's, cut into
+	// walkers stretches of whole lines (fewer if the arena is shorter).
+	base := first / xpsim.XPLineSize * xpsim.XPLineSize
+	lines := (end - base + xpsim.XPLineSize - 1) / xpsim.XPLineSize
+	per := (lines + int64(walkers) - 1) / int64(walkers)
+	cuts := []int64{first}
+	for c := base + per*xpsim.XPLineSize; c < end && per > 0; c += per * xpsim.XPLineSize {
+		cuts = append(cuts, c)
+	}
+	cuts = append(cuts, max(end, first))
+	// The walks run on the host in segment order, whichever worker pays
+	// for them, so they append to one list in offset order: every visit of
+	// segment i lies below cuts[i+1].
+	var memo []visit
+	if sw == nil {
+		sw = new(xpsim.Sweep)
+	}
+	dur := sw.Run(s.lat, walkers, ctx.Workers, xpsim.PinnedTo(ctx.Node), len(cuts)-1,
+		func(i int) int { return int((cuts[i+1] - cuts[i]) / headerAlign) },
+		func(wctx *xpsim.Ctx, i int) {
+			memo = s.walkSegment(memo, wctx, first, cuts[i], cuts[i+1], end, committed, quarantined)
+		})
+	ctx.Cost.Add(int64(dur))
+
+	// The join, whose cursor climbs memo.
+	var r *reader // the join's own reads
+	defer func() {
+		if r != nil {
+			r.release()
+		}
+	}()
+	raw := make([]scanned, 0, len(memo))
+	next := 0
+	for off := first; off+headerBytes <= end; {
+		for next < len(memo) && memo[next].off < off {
+			next++
+		}
+		var read visit
+		v := &read
+		if next < len(memo) && memo[next].off == off {
+			v = &memo[next]
+		} else {
+			if r == nil {
+				r = s.reader(ctx, s.opts.Checksums)
+			}
+			read = s.visitAt(r, off, end, committed, quarantined)
+		}
+		switch {
+		case v.err != nil:
+			return nil, 0, fmt.Errorf("adj: block header at %d is unreadable and the scan cannot step over it: %w", off, v.err)
+		case v.stop:
+			return raw, off, nil
+		}
+		raw = append(raw, v.scanned)
+		off = align(off+v.size(), headerAlign)
+	}
+	return raw, end, nil
+}
+
+// visit is what the scan found at one offset: a block, or the header that
+// ends a walk there — at the frontier, or, with err, unreadable.
+type visit struct {
+	scanned
+	stop bool
+	err  error
+}
+
+// visitAt parses the header at off the way the scan takes it.
+func (s *Store) visitAt(r *reader, off, end int64, committed uint32, quarantined map[int64]bool) visit {
+	h, err := r.header(off)
+	if err != nil && !quarantined[off] {
+		return visit{scanned: scanned{off: off}, stop: true, err: err}
+	}
+	if !h.plausible(off, end, committed) {
+		return visit{scanned: scanned{off: off}, stop: true}
+	}
+	b := scanned{off: off, header: h, visible: h.cnt[h.trusted(committed)]}
+	if err == nil && b.format == fmtVarint && b.visible > 0 {
+		r.local = true
+		b.ext, err = r.decode(off, b.format, b.capacity, b.visible, false, nil)
+		r.local, b.decoded = false, err == nil
+	}
+	return visit{scanned: b}
+}
+
+// walkSegment is one scan walker: it walks the headers that start in
+// [lo, hi) of an arena whose blocks lie in [first, end) and appends its
+// visits to out in offset order. The first segment starts on the true
+// walk; any other walker probes for a block's start (starts). A run's stop
+// is kept, and ends the walk on the true walk; a failed probe is not kept.
+func (s *Store) walkSegment(out []visit, ctx *xpsim.Ctx, first, lo, hi, end int64, committed uint32, quarantined map[int64]bool) []visit {
+	r := s.reader(ctx, s.opts.Checksums)
+	defer r.release()
+	sure := lo == first
+	onWalk := sure
+	for off := lo; off < hi && off+headerBytes <= end; {
+		v := s.visitAt(r, off, end, committed, quarantined)
+		if !v.stop && (onWalk || s.starts(r, &v.header, first, end, committed)) {
+			out = append(out, v)
+			off, onWalk = align(off+v.size(), headerAlign), true
+			continue
+		}
+		if v.stop && onWalk {
+			out = append(out, v)
+			if sure {
+				break
+			}
+		}
+		off, onWalk = off+headerAlign, false
+	}
+	return out
+}
+
+// starts reports whether a plausible header a probe found is likely a
+// block's start rather than payload that passes for one: payload under a
+// bogus size would lead the walk past the blocks it covers. A store
+// without checksums leaves both CRC words zero; a block's prev link names a
+// block of the same vertex, which costs the probe one more header read;
+// and a live block with no link, no stamp and no count is what the last
+// records of a payload before its zeroed tail look like. A start it turns
+// down costs only the join's reads.
+func (s *Store) starts(r *reader, h *header, first, end int64, committed uint32) bool {
+	switch {
+	case !s.opts.Checksums && h.crc != [2]uint32{}:
+		return false
+	case h.prev == 0:
+		return h.vid == deadVID || h.epoch != 0 || h.cnt != [2]uint32{}
+	case h.prev < first || h.prev+headerBytes > end:
+		return false
+	}
+	p, err := r.header(h.prev)
+	return err == nil && p.vid == h.vid && p.plausible(h.prev, end, committed)
 }
 
 // journalRollForward finds the swap journal among the scanned blocks and,

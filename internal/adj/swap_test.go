@@ -64,7 +64,7 @@ func TestReplaceChainTornKillKeepsArena(t *testing.T) {
 			t.Fatal(err)
 		}
 		cr, _ := clone.Get("pblk")
-		rs, err := RecoverWith(xpsim.NewCtx(0), cr, &m.Lat, opts, 2, nil)
+		rs, err := RecoverWith(xpsim.NewCtx(0), nil, 1, cr, &m.Lat, opts, 2, nil)
 		return writes, rs, err
 	}
 

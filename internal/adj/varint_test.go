@@ -277,7 +277,7 @@ func TestVarintChecksumsDetectCorruption(t *testing.T) {
 	}
 
 	// Recovery recomputes payload CRCs: the vertex must come back suspect.
-	rs, err := RecoverWith(ctx, r, s.lat, Options{CrashSafe: true, Checksums: true, VarintBlocks: true}, 1, nil)
+	rs, err := RecoverWith(ctx, nil, 1, r, s.lat, Options{CrashSafe: true, Checksums: true, VarintBlocks: true}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +430,7 @@ func TestRecoverTornKillKeepsBlocksBehind(t *testing.T) {
 	copy(torn[offPrev:offPrev+8], dead[offPrev:offPrev+8])
 	r.Write(ctx, victim, torn[:])
 
-	rs, err := RecoverWith(ctx, r, s.lat, opts, 2, nil)
+	rs, err := RecoverWith(ctx, nil, 1, r, s.lat, opts, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +482,7 @@ func TestRecoverTornReuseKeepsBlocksBehind(t *testing.T) {
 	// vertex 4: one record sizes it, forty one-byte deltas overfill its
 	// capacity word, all counted into slot 1 beside the records.
 	opts.VarintBlocks = true
-	rs, err := RecoverWith(ctx, r, &m.Lat, opts, 1, nil)
+	rs, err := RecoverWith(ctx, nil, 1, r, &m.Lat, opts, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +506,7 @@ func TestRecoverTornReuseKeepsBlocksBehind(t *testing.T) {
 	copy(torn[offPrev:offPrev+8], dead[offPrev:offPrev+8])
 	r.Write(ctx, victim, torn[:])
 
-	rs, err = RecoverWith(ctx, r, &m.Lat, opts, 1, nil)
+	rs, err = RecoverWith(ctx, nil, 1, r, &m.Lat, opts, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,7 @@ func TestChainReadsFetchEachLineOnce(t *testing.T) {
 					}
 					want += int64(len(headerLines))
 					before := accesses(m)
-					if _, err := RecoverWith(ctx, r, s.lat, s.opts, s.epoch, nil); err != nil {
+					if _, err := RecoverWith(ctx, nil, 1, r, s.lat, s.opts, s.epoch, nil); err != nil {
 						t.Fatal(err)
 					}
 					if n := accesses(m) - before; n != want {

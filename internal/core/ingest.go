@@ -232,7 +232,7 @@ func (s *Store) bufferPhase(lane int64) error {
 		ranges := lists[(d*s.nparts+p)*geo.Ranges():][:geo.Ranges()]
 		assign := s.stage.Balance(ranges, wpg)
 		var insertErr error
-		dur := s.sweep.Each(wpg, contention, nodeOfFn(g.node), func(w int, ctx *xpsim.Ctx) {
+		dur := s.sweep.Each(wpg, contention, xpsim.PinnedTo(g.node), func(w int, ctx *xpsim.Ctx) {
 			thread := (d*s.nparts+p)*wpg + w
 			for _, ri := range assign[w] {
 				for _, se := range ranges[ri] {
@@ -298,10 +298,6 @@ func (s *Store) runGroups(phase string, startNs int64, fn func(d, p int, g *grou
 		}
 	}
 	return slices.Max(busy), nil
-}
-
-func nodeOfFn(node int) func(int) int {
-	return func(int) int { return node }
 }
 
 // bufferInsert stages one neighbor into v's vertex buffer, promoting or
@@ -466,7 +462,7 @@ func (s *Store) drainGroup(d, p int, g *group) (time.Duration, error) {
 	s.sweepTails = tails
 	records := func(v graph.VID) int { return s.bufs.Count(s.vbH[d][v], int(s.vbC[d][v])) }
 	var err error
-	fill := s.sweep.Run(s.lat, s.workersPerGroup(), s.contentionFor(), nodeOfFn(g.node), len(tails), func(i int) int {
+	fill := s.sweep.Run(s.lat, s.workersPerGroup(), s.contentionFor(), xpsim.PinnedTo(g.node), len(tails), func(i int) int {
 		return records(tails[i])
 	}, func(ctx *xpsim.Ctx, i int) {
 		if err == nil {
@@ -483,7 +479,7 @@ func (s *Store) drainGroup(d, p int, g *group) (time.Duration, error) {
 		}
 	}
 	s.sweepVs = rest
-	open := s.sweep.Run(s.lat, s.workersPerGroup(), s.contentionFor(), nodeOfFn(g.node), len(rest), func(i int) int {
+	open := s.sweep.Run(s.lat, s.workersPerGroup(), s.contentionFor(), xpsim.PinnedTo(g.node), len(rest), func(i int) int {
 		return records(rest[i])
 	}, func(ctx *xpsim.Ctx, i int) {
 		if err == nil {
@@ -570,7 +566,7 @@ func (s *Store) commitFlush(ctx *xpsim.Ctx, ackStart int64) (ackNs int64, err er
 	wpg := s.workersPerGroup()
 	contention := s.contentionFor()
 	ackNs, _ = s.runGroups("ack", ackStart, func(_, _ int, g *group) (time.Duration, error) {
-		return s.sweep.Each(wpg, contention, nodeOfFn(g.node), func(w int, wctx *xpsim.Ctx) {
+		return s.sweep.Each(wpg, contention, xpsim.PinnedTo(g.node), func(w int, wctx *xpsim.Ctx) {
 			g.adj.Ack(wctx, epoch, w, wpg)
 		}), nil
 	})

@@ -244,14 +244,60 @@ func TestRecoverySpans(t *testing.T) {
 	if scanStart <= 0 || scanEnd != firstStart || firstStart+replayNs != rep.SimNs {
 		t.Errorf("attach %d, scans until %d, replay [%d,+%d], SimNs %d: not back to back", scanStart, scanEnd, firstStart, replayNs, rep.SimNs)
 	}
+	if rep.ScanNs != scanEnd-scanStart || rep.ReplayNs != replayNs || scanStart+rep.ScanNs+rep.ReplayNs != rep.SimNs {
+		t.Errorf("report: attach %d + ScanNs %d + ReplayNs %d, SimNs %d; spans: scans %d, replay %d", scanStart, rep.ScanNs, rep.ReplayNs, rep.SimNs, scanEnd-scanStart, replayNs)
+	}
 }
 
-// TestRecoveryScanIsBoundAndParallel: every arena is scanned by an archive
-// thread bound to the arena's node — on sub-graph partitions not one access
+// TestRecoveryReportSplitsTheClock: SimNs is the serial attach, ScanNs,
+// ReplayNs and, on a store with property columns, their attach after the
+// replay — the recover span's layers, which the report's two fields and the
+// scan sub-spans' common start attribute exactly.
+func TestRecoveryReportSplitsTheClock(t *testing.T) {
+	for _, props := range []bool{false, true} {
+		opts := Options{Name: "split", NumVertices: 1 << 12, ArchiveThreads: 16,
+			NUMA: NUMASubgraph, AdjBytes: 8 << 20, ArchiveThreshold: 1 << 10, Props: props}
+		s := newStore(t, opts)
+		if _, err := s.Ingest(gen.RMAT(12, 20000, 5)); err != nil {
+			t.Fatal(err)
+		}
+		clone, err := s.Heap().CrashClone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := obs.NewTracer(1 << 12)
+		opts.Tracer = tr
+		_, rep, err := Recover(clone.Machine(), clone, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		attachNs := int64(-1)
+		for _, sp := range tr.Snapshot() {
+			if strings.HasPrefix(sp.Name, "scan ") {
+				attachNs = sp.StartNs
+			}
+		}
+		if rep.ScanNs <= 0 || rep.ReplayNs <= 0 || attachNs <= 0 {
+			t.Fatalf("props %v: attach %d, ScanNs %d, ReplayNs %d: want all three", props, attachNs, rep.ScanNs, rep.ReplayNs)
+		}
+		propsNs := rep.SimNs - attachNs - rep.ScanNs - rep.ReplayNs
+		if props != (propsNs > 0) || propsNs < 0 {
+			t.Errorf("props %v: SimNs %d = attach %d + ScanNs %d + ReplayNs %d + %d", props, rep.SimNs, attachNs, rep.ScanNs, rep.ReplayNs, propsNs)
+		}
+	}
+}
+
+// TestRecoveryScanIsBoundAndParallel: every arena is scanned by archive
+// threads bound to the arena's node — on sub-graph partitions not one access
 // of a recovery crosses sockets, where one unbound context read every other
 // arena remotely — and the arenas are scanned in parallel: recovery (with
-// nothing to replay) lasts as long as the serial attach plus the thread
-// with the most to scan. One archive thread scans them one after the other.
+// nothing to replay) lasts as long as the serial attach plus the group with
+// the most to scan. One archive thread scans them one after the other, four
+// scan them one each, and sixteen split each arena's walk over the four
+// workers of its group, which takes the step to 0.3 of four's or less
+// (0.27; 0.33 when a walker's probe takes any plausible header for a
+// block's start, which leaves the join walking what payload misled it
+// past).
 func TestRecoveryScanIsBoundAndParallel(t *testing.T) {
 	opts := Options{Name: "scan", NumVertices: 1 << 12, ArchiveThreads: 16,
 		NUMA: NUMASubgraph, AdjBytes: 8 << 20}
@@ -263,9 +309,9 @@ func TestRecoveryScanIsBoundAndParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	// scansOn recovers on the given number of archive threads and returns
-	// the report, when the scans start, and the scan sub-spans' durations in
-	// start order.
-	scansOn := func(threads int) (rep RecoveryReport, attachNs int64, scans []obs.Span) {
+	// the report, when the scans start, and the scan sub-spans in start
+	// order, the slowest's duration and the sum of theirs.
+	scansOn := func(threads int) (rep RecoveryReport, attachNs int64, scans []obs.Span, slowest, sum int64) {
 		clone, err := s.Heap().CrashClone()
 		if err != nil {
 			t.Fatal(err)
@@ -287,27 +333,37 @@ func TestRecoveryScanIsBoundAndParallel(t *testing.T) {
 		for _, sp := range o.Tracer.Snapshot() {
 			if strings.HasPrefix(sp.Name, "scan ") {
 				scans = append(scans, sp)
+				slowest, sum = max(slowest, sp.DurNs), sum+sp.DurNs
 			}
 		}
 		if len(scans) != 4 {
 			t.Fatalf("%d threads: %d scan sub-spans, want one per group", threads, len(scans))
 		}
-		return rep, scans[0].StartNs, scans
-	}
-
-	rep, attachNs, scans := scansOn(16)
-	var slowest, sum int64
-	for _, sp := range scans {
-		if sp.StartNs != attachNs {
-			t.Errorf("16 threads: %q starts at %d, the first scan at %d", sp.Name, sp.StartNs, attachNs)
+		if rep.ScanNs != slowest && threads >= 4 || rep.ScanNs != sum && threads == 1 {
+			t.Errorf("%d threads: ScanNs %d, scan sub-spans' slowest %d and sum %d", threads, rep.ScanNs, slowest, sum)
 		}
-		slowest, sum = max(slowest, sp.DurNs), sum+sp.DurNs
-	}
-	if attachNs <= 0 || rep.SimNs != attachNs+slowest {
-		t.Errorf("16 threads: SimNs %d, want attach %d + slowest scan %d", rep.SimNs, attachNs, slowest)
+		return rep, scans[0].StartNs, scans, slowest, sum
 	}
 
-	one, oneAttach, scans := scansOn(1)
+	for _, threads := range []int{4, 16} {
+		rep, attachNs, scans, slowest, _ := scansOn(threads)
+		for _, sp := range scans {
+			if sp.StartNs != attachNs {
+				t.Errorf("%d threads: %q starts at %d, the first scan at %d", threads, sp.Name, sp.StartNs, attachNs)
+			}
+		}
+		if attachNs <= 0 || rep.SimNs != attachNs+slowest {
+			t.Errorf("%d threads: SimNs %d, want attach %d + slowest scan %d", threads, rep.SimNs, attachNs, slowest)
+		}
+	}
+	four, attachNs, _, four1, fourSum := scansOn(4)
+	sixteen, _, _, sixteen1, _ := scansOn(16)
+	if sixteen.BlocksScanned != four.BlocksScanned || 10*sixteen1 > 3*four1 {
+		t.Errorf("16 threads scan %d blocks in %d ns, 4 threads %d in %d: want the same blocks in 0.3 of the time or less", sixteen.BlocksScanned, sixteen1, four.BlocksScanned, four1)
+	}
+	t.Logf("scan step: %d ns on 4 threads, %d ns on 16 (%.2fx)", four1, sixteen1, float64(four1)/float64(sixteen1))
+
+	one, oneAttach, scans, _, _ := scansOn(1)
 	at := oneAttach
 	for _, sp := range scans {
 		if sp.StartNs != at {
@@ -315,8 +371,8 @@ func TestRecoveryScanIsBoundAndParallel(t *testing.T) {
 		}
 		at += sp.DurNs
 	}
-	if oneAttach != attachNs || one.SimNs != at || one.SimNs != attachNs+sum {
-		t.Errorf("1 thread: attach %d, SimNs %d; 16 threads: attach %d, scans sum to %d", oneAttach, one.SimNs, attachNs, sum)
+	if oneAttach != attachNs || one.SimNs != at || one.SimNs != attachNs+fourSum {
+		t.Errorf("1 thread: attach %d, SimNs %d; 4 threads: attach %d, scans sum to %d", oneAttach, one.SimNs, attachNs, fourSum)
 	}
 }
 

@@ -12,8 +12,14 @@ import (
 )
 
 // RecoveryReport summarizes a crash recovery.
+//
+// SimNs is the serial attach of the log (and the quarantine), then ScanNs,
+// then ReplayNs, then the attach of the property columns where the store
+// keeps them.
 type RecoveryReport struct {
 	SimNs         int64 // simulated recovery time
+	ScanNs        int64 // the arena scans' step: the slowest archive thread's scans
+	ReplayNs      int64 // the replay's buffering phases
 	BlocksScanned int64 // adjacency blocks reloaded from PMEM
 	Replayed      int64 // log edges replayed into fresh vertex buffers
 }
@@ -21,13 +27,15 @@ type RecoveryReport struct {
 // Recover re-attaches to the PMEM of a crashed store and rebuilds all
 // DRAM state: the edge log is attached first (its header carries the last
 // committed flush epoch, which decides each block's current count slot),
-// the adjacency arenas are scanned — each
-// one sequentially, by an archive thread bound to its node, all of them in
-// parallel — to reload the vertex index, completing any interrupted
-// compaction via its journal, and the log window [flushed, head) is
-// replayed into fresh vertex buffers (the recovery scheme of §III-B /
-// §V-D) by the buffering phase itself, so recovery scales with the archive
-// threads like ingestion does.
+// the adjacency arenas are scanned to reload the vertex index, completing
+// any interrupted compaction via its journal, and the log window
+// [flushed, head) is replayed into fresh vertex buffers (the recovery
+// scheme of §III-B / §V-D) by the buffering phase itself. Both scale with
+// the archive threads like ingestion does: the arenas are scanned in
+// parallel, and each arena's header walk is split into segments over its
+// group's workers, bound to the arena's node, whose walks a serial join
+// makes the serial walk's block list (adj.RecoverWith); the replay is
+// sharded and drained by the same threads.
 //
 // The replay is a straight re-insertion with no content dedup: the counts
 // committed by the last epoch cover exactly the edges below the flushed
@@ -88,7 +96,7 @@ func Recover(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts O
 	if err != nil {
 		return nil, RecoveryReport{}, err
 	}
-	var rep RecoveryReport
+	rep := RecoveryReport{ScanNs: scanNs}
 
 	// Rebuild vertex-level DRAM state from the recovered arenas.
 	maxV := opts.NumVertices
@@ -155,7 +163,7 @@ func Recover(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts O
 			return nil, RecoveryReport{}, err
 		}
 	}
-	replayNs := s.report.BufferNs
+	rep.ReplayNs = s.report.BufferNs
 	s.report = IngestReport{} // the replay is recovery's work, not ingestion
 
 	if opts.Props {
@@ -168,7 +176,7 @@ func Recover(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts O
 			return nil, RecoveryReport{}, err
 		}
 	}
-	rep.SimNs = ctx.Cost.Ns() + scanNs + replayNs
+	rep.SimNs = ctx.Cost.Ns() + rep.ScanNs + rep.ReplayNs
 	s.laneEnd[obs.LaneRecovery] = 0 // the recover span holds attach, scan and replay
 	s.emitSpan("recover", obs.LaneRecovery, rep.SimNs)
 	return s, rep, nil

@@ -347,10 +347,11 @@ func (s *Store) groupNode(d, p int) int {
 // geometry (wrong NUMA mode, wrong name) than the store that crashed.
 //
 // The arena scans are one more parallel step of the archive threads
-// (runGroups), starting at startNs on the recovery lane: each arena is
-// scanned by a thread bound to the arena's node, so no block is read across
-// sockets, and the step lasts as long as the thread with the most arenas to
-// scan. Its duration is returned.
+// (runGroups), starting at startNs on the recovery lane: each arena's header
+// walk is split over its group's workers, bound to the arena's node, so no
+// block is read across sockets, and the rest of its recovery runs on one of
+// them; the step lasts as long as the thread with the most to scan. Its
+// duration is returned.
 func (s *Store) attachMemories(startNs int64, committed uint32) (int64, error) {
 	regions := [2][]*pmem.Region{}
 	for d := 0; d < 2; d++ {
@@ -377,9 +378,11 @@ func (s *Store) attachMemories(startNs int64, committed uint32) (int64, error) {
 		return 0, fmt.Errorf("core: found adjacency region %q beyond partition %d: the crashed store had more partitions (different NUMA mode)", extra, s.nparts-1)
 	}
 
-	// One scanning thread per arena: the threads that share a device are the
-	// bound ones of its node, or all of them on interleaved arenas.
-	scanners := min(s.opts.ArchiveThreads, 2*s.nparts)
+	// Each arena's walk runs on its group's workers: the threads that share
+	// a device are the bound ones of its node, or all of them on interleaved
+	// arenas.
+	walkers := s.workersPerGroup()
+	scanners := min(s.opts.ArchiveThreads, walkers*2*s.nparts)
 	contention := scanners
 	if s.opts.NUMA != NUMANone {
 		contention = (scanners + s.machine.Sockets - 1) / s.machine.Sockets
@@ -393,11 +396,10 @@ func (s *Store) attachMemories(startNs int64, committed uint32) (int64, error) {
 				quar[off] = true
 			}
 		}
+		ctx := &xpsim.Ctx{Cost: new(xpsim.Cost), Node: g.node, Workers: contention}
 		var err error
-		dur := s.sweep.Each(1, contention, nodeOfFn(g.node), func(_ int, ctx *xpsim.Ctx) {
-			g.adj, err = adj.RecoverWith(ctx, regions[d][p], s.lat, s.adjOpts, committed, quar)
-		})
-		return dur, err
+		g.adj, err = adj.RecoverWith(ctx, &s.sweep, walkers, regions[d][p], s.lat, s.adjOpts, committed, quar)
+		return ctx.Cost.Duration(), err
 	})
 }
 

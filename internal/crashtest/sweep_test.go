@@ -1,6 +1,7 @@
 package crashtest
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -120,9 +121,33 @@ func TestCrashSweepNoCompaction(t *testing.T) {
 // TestCrashSweepWideArchive crashes the wide-archive configs at every
 // media write (word tears, the nastiest mode) and at every hit of the four
 // flush-commit sites: drained (before any ack worker runs), acked (all
-// groups' count slots written, nothing fenced), barrier, committed.
+// groups' count slots written, nothing fenced), barrier, committed. Their
+// recoveries split each arena's header walk over the group's workers, one
+// segment each: every arena spans more XPLines than its group has workers.
 func TestCrashSweepWideArchive(t *testing.T) {
 	for _, cfg := range wideSweepConfigs() {
+		c, err := crash(cfg, xpsim.FaultPlan{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		walkers := cfg.ArchiveThreads / 4 // sub-graph: 2 partitions × 2 directions
+		if cfg.NUMA == core.NUMAOutIn {
+			walkers = cfg.ArchiveThreads / 2
+		}
+		for _, dir := range []string{"out", "in"} {
+			for p := 0; p < 2; p++ {
+				r, ok := c.heap.Get(fmt.Sprintf("%s-adj-%s-%d", cfg.Name, dir, p))
+				if !ok && p == 0 {
+					t.Fatalf("%s: no %s arena", cfg.Name, dir)
+				}
+				if !ok {
+					continue
+				}
+				if lines := (r.AllocBytes() - r.UserStart()) / xpsim.XPLineSize; lines < int64(walkers) {
+					t.Fatalf("%s: arena %s/%d spans %d XPLines, fewer than its %d scan walkers", cfg.Name, dir, p, lines, walkers)
+				}
+			}
+		}
 		s := probeSweep(t, cfg)
 		sites := map[string]int64{}
 		for _, site := range []string{"flush:drained", "flush:acked", "flush:barrier", "flush:committed"} {

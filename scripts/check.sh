@@ -146,7 +146,7 @@ echo "== one delete semantics: one newest-first resolver behind every read"
 # leader, snapshots, follower and recovered store through compactions,
 # scrub rebuilds and resyncs; and the scrub refusing a log window that a
 # compaction outran.
-go test -count=1 -run 'TestResolveAtEveryCut|TestResolverSkipsTheNewest' ./internal/adj/
+go test -count=1 -run 'TestResolveAtEveryCut|TestResolverTakesRunsNewestFirst' ./internal/adj/
 go test -count=1 -run 'TestConformance' ./internal/view/
 go test -count=1 -run 'TestDeleteSemanticsDifferential' ./internal/cluster/
 go test -count=1 -run 'TestScrubLogWindowAfterCompaction' ./internal/crashtest/
@@ -247,10 +247,23 @@ echo "== one level, one set of clocks: a hub's reads split over its node, edge w
 # whole; the end-of-level pass moves edge shares, never read time, off the
 # slowest worker to the idlest of either node (a grab off the reader, a
 # DRAM read of the records across sockets), never raises the level and
-# allocates nothing; a 2-hop through one hub and through three on one node
-# stays within its own charges and under any in-node deal.
+# allocates nothing. (The 2-hop through one hub and through three on one
+# node, TestHubLevelSharesWorkers, runs in the stanza above.)
 go test -count=1 -run 'TestSweepPassNeverRaisesTheLevel|TestSweepPassMovesEdgeNotReads|TestSweepPassChargesTransferAcrossSockets|TestSweepPassAllocatesNothing|TestSweepDealNoLaterThanWhole|TestSweepSpreadsHeavyItems' ./internal/xpsim/
-go test -count=1 -run 'TestHubLevelSharesWorkers' ./internal/analytics/
+
+echo "== one recovery scan: each arena's header walk split over its node's workers"
+# The walk runs as segments on the group's workers and a serial join makes
+# their walks the serial walk's block list (DESIGN.md §4 "the arena scan is
+# split"): at
+# any walker count over arenas with payload that passes for headers, a hub
+# spanning segments, dead, recycled and quarantined blocks, an armed
+# journal, varint tails and a frontier with blocks behind it; the scan step
+# bound to the arenas' nodes and at 16 threads 0.3 of 4's or less; the
+# report's attach + scan + replay (+ props) the recover span; the wide
+# crash sweep recovering over several segments per arena.
+go test -count=1 -run 'TestSplitScanIsTheSerialScan' ./internal/adj/
+go test -count=1 -run 'TestRecoveryScanIsBoundAndParallel|TestRecoverySpans|TestRecoveryReportSplitsTheClock' ./internal/core/
+go test -count=1 -short -run 'TestCrashSweepWideArchive' ./internal/crashtest/
 
 echo "== publication: one count base per store, patched from the vertices a buffer phase touched"
 # A capture patches the store's shared count base from the dirty log, copies
