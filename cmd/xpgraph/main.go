@@ -490,8 +490,8 @@ func cmdRecover(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("recovered: %d blocks scanned in %.3f ms, %d log edges replayed in %.3f ms, sim %.3fs\n",
-		rep.BlocksScanned, float64(rep.ScanNs)/1e6, rep.Replayed, float64(rep.ReplayNs)/1e6, f(rep.SimNs))
+	fmt.Printf("recovered: %d blocks scanned in %.3f ms, %d log edges replayed in %.3f ms, property columns attached in %.3f ms, sim %.3fs\n",
+		rep.BlocksScanned, float64(rep.ScanNs)/1e6, rep.Replayed, float64(rep.ReplayNs)/1e6, float64(rep.PropsNs)/1e6, f(rep.SimNs))
 	vctx := xpsim.NewCtx(xpsim.NodeUnbound)
 	vrep, err := rs.Verify(vctx)
 	if err != nil {

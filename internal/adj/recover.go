@@ -80,6 +80,9 @@ func RecoverWith(ctx *xpsim.Ctx, sw *xpsim.Sweep, walkers int, m RecoverableMem,
 	}
 	s := New(m, lat, 0, opts)
 	s.epoch = committed + 1
+	if sw == nil {
+		sw = new(xpsim.Sweep)
+	}
 	end := m.PersistedAllocOffset(ctx)
 	if end < m.UserStart() || end > m.Size() {
 		return nil, fmt.Errorf("adj: corrupt allocation pointer %d (arena is [%d,%d])", end, m.UserStart(), m.Size())
@@ -99,11 +102,6 @@ func RecoverWith(ctx *xpsim.Ctx, sw *xpsim.Sweep, walkers int, m RecoverableMem,
 		m.Flush(ctx, frontier, end-frontier)
 		m.RewindAlloc(ctx, frontier)
 	}
-	// Pass 3 rebuilds varint append cursors from the media, after the
-	// frontier write and the kills rewrote scanned lines.
-	r := s.reader(ctx, false)
-	defer r.release()
-
 	// Pass 2: complete an armed swap journal.
 	if err := s.journalRollForward(ctx, raw); err != nil {
 		return nil, err
@@ -113,7 +111,12 @@ func RecoverWith(ctx *xpsim.Ctx, sw *xpsim.Sweep, walkers int, m RecoverableMem,
 	// recovery trusts. raw is in offset order, so at finds the block a prev
 	// link names; pointed[i] counts the live blocks whose link names raw[i].
 	// live lists the live blocks by (vertex, offset): each vertex's blocks
-	// are one run of it.
+	// are one run of it. The loop names, in vertex order, the vertices whose
+	// chain needs the media read again (work): a varint tail whose append
+	// cursor the scan could not decode, and, with Checksums, every chain's
+	// payload CRCs; one sweep reads them after the loop. A corrupt link ends
+	// the loop (broken), but its error comes after any decode error of the
+	// tails named before it, as in vertex order.
 	at := func(off int64) int {
 		if i := sort.Search(len(raw), func(i int) bool { return raw[i].off >= off }); i < len(raw) && raw[i].off == off {
 			return i
@@ -123,6 +126,8 @@ func RecoverWith(ctx *xpsim.Ctx, sw *xpsim.Sweep, walkers int, m RecoverableMem,
 	pointed := make([]int32, len(raw))
 	var live []int32
 	var top uint32
+	var work []rework
+	var broken error
 	for i := range raw {
 		b := &raw[i]
 		switch b.vid {
@@ -157,6 +162,7 @@ func RecoverWith(ctx *xpsim.Ctx, sw *xpsim.Sweep, walkers int, m RecoverableMem,
 	// Deterministic vertex order: pruning below writes to the device, and
 	// must not depend on where the blocks lie.
 	slices.SortFunc(live, func(a, b int32) int { return cmp.Or(cmp.Compare(raw[a].vid, raw[b].vid), cmp.Compare(a, b)) })
+vertices:
 	for lo := 0; lo < len(live); {
 		v := graph.VID(raw[live[lo]].vid)
 		hi := lo + 1
@@ -219,7 +225,8 @@ func RecoverWith(ctx *xpsim.Ctx, sw *xpsim.Sweep, walkers int, m RecoverableMem,
 		for _, i := range blks {
 			b := &raw[i]
 			if b.prev != 0 && !owns(b.prev) {
-				return nil, fmt.Errorf("adj: vertex %d block %d links to %d, no block of the vertex (corrupt prev link)", v, b.off, b.prev)
+				broken = fmt.Errorf("adj: vertex %d block %d links to %d, no block of the vertex (corrupt prev link)", v, b.off, b.prev)
+				break vertices
 			}
 			s.vx[v].records += b.visible
 			s.blocks++
@@ -236,23 +243,18 @@ func RecoverWith(ctx *xpsim.Ctx, sw *xpsim.Sweep, walkers int, m RecoverableMem,
 			if b.format == fmtVarint && t.cnt > 0 {
 				// Rebuild the append cursor (byte extent + delta
 				// predecessor) from the acknowledged records: the scan's
-				// decode, or one now of the records that reach past the
-				// header's line. The count slot only became authoritative
-				// after the barrier that persisted those payload bytes, so a
-				// decode failure here is real corruption: fatal without
-				// Checksums; with Checksums keep a best-effort cursor and
-				// let the CRC walk below flag the vertex as suspect.
-				e := b.ext
-				if !b.decoded {
-					if e, err = r.decode(b.off, b.format, b.capacity, t.cnt, false, nil); err != nil && !opts.Checksums {
-						return nil, fmt.Errorf("adj: vertex %d varint tail at %d undecodable: %v", v, b.off, err)
-					}
+				// decode, or, after the loop, one of the records that reach
+				// past the header's line.
+				if b.decoded {
+					t.bytes, t.last = uint32(b.ext.bytes), b.ext.last
+				} else {
+					work = append(work, rework{v: v, off: b.off, capacity: b.capacity, cnt: t.cnt, lines: lineSpan(b.off, b.size())})
 				}
-				t.bytes, t.last = uint32(e.bytes), e.last
 			}
 		}
 		if tails != 1 {
-			return nil, fmt.Errorf("adj: vertex %d chain has %d tails (corrupt prev links)", v, tails)
+			broken = fmt.Errorf("adj: vertex %d chain has %d tails (corrupt prev links)", v, tails)
+			break vertices
 		}
 		for _, i := range blks {
 			b := &raw[i]
@@ -276,24 +278,110 @@ func RecoverWith(ctx *xpsim.Ctx, sw *xpsim.Sweep, walkers int, m RecoverableMem,
 		}
 		// Rebuild the DRAM mirrors from the acknowledged slot words — never
 		// from recomputed media bytes, which would launder any corruption
-		// into a self-consistent mirror. Then recompute each payload's CRC
-		// from the media, newest block first up to the first disagreement,
-		// and flag the vertex if there is one.
+		// into a self-consistent mirror. The payload CRCs are recomputed
+		// by the sweep, after the vertex's cursor is decoded.
+		chain := 0
 		for off := s.vx[v].tail; off != 0; {
 			if !owns(off) {
-				return nil, fmt.Errorf("adj: vertex %d chain prev link to unknown block %d", v, off)
+				broken = fmt.Errorf("adj: vertex %d chain prev link to unknown block %d", v, off)
+				break vertices
 			}
 			b := &raw[at(off)]
 			s.chains[v] = append(s.chains[v], off)
 			s.mirror[off] = blockMirror{capacity: b.capacity, crc: b.crc[b.trusted(committed)], format: uint8(b.format)}
+			chain += lineSpan(off, b.size())
 			off = b.prev
 		}
-		if s.read(ctx, v, walkOpts{mirror: true, blind: true}, nil, nil) != nil {
-			s.suspects = append(s.suspects, v)
+		if k := len(work) - 1; k < 0 || work[k].v != v {
+			work = append(work, rework{v: v})
+		}
+		work[len(work)-1].audit = true
+		work[len(work)-1].lines += chain
+	}
+
+	// The count slot only became authoritative after the barrier that
+	// persisted a tail's payload bytes, so a decode failure is real
+	// corruption: fatal without Checksums; with Checksums keep a best-effort
+	// cursor and let the CRC walk flag the vertex as suspect.
+	s.rereadChains(ctx, sw, walkers, work)
+	for _, w := range work {
+		if w.err != nil && !opts.Checksums {
+			return nil, fmt.Errorf("adj: vertex %d varint tail at %d undecodable: %v", w.v, w.off, w.err)
+		}
+	}
+	if broken != nil {
+		return nil, broken
+	}
+	for _, w := range work {
+		if w.suspect {
+			s.suspects = append(s.suspects, w.v)
 		}
 	}
 	return s, nil
 }
+
+// lineSpan is how many XPLines the n bytes at off span.
+func lineSpan(off, n int64) int {
+	return int((off+n-1)/xpsim.XPLineSize - off/xpsim.XPLineSize + 1)
+}
+
+// rework is one vertex whose chain pass 3 reads again from the media: the
+// cnt records of its varint tail at off, which reach past the header's line
+// (off 0: none), and, with audit, its payload CRCs. lines weighs it.
+type rework struct {
+	v             graph.VID
+	off           int64
+	capacity, cnt uint32
+	audit         bool
+	lines         int
+	err           error // the tail's decode failed
+	suspect       bool  // a payload disagrees with its acknowledged CRC
+}
+
+// rereadChains runs work in one sweep over walkers workers of sw, bound to
+// ctx's node at ctx's contention, each decoding through a reader of its
+// own; ctx waits for the slowest. A tail's decode sets its vertex's append
+// cursor (byte extent and delta predecessor); the CRC walk then recomputes
+// each payload's CRC from the media, newest block first up to the first
+// disagreement, reading as far as that cursor says.
+func (s *Store) rereadChains(ctx *xpsim.Ctx, sw *xpsim.Sweep, walkers int, work []rework) {
+	walkers = max(walkers, 1)
+	readers := make([]*reader, walkers)
+	defer func() {
+		for _, r := range readers {
+			if r != nil {
+				r.release()
+			}
+		}
+	}()
+	dur := sw.Run(s.lat, walkers, ctx.Workers, xpsim.PinnedTo(ctx.Node), len(work),
+		func(i int) int { return work[i].lines },
+		func(wctx *xpsim.Ctx, i int) {
+			w := &work[i]
+			if w.off != 0 {
+				r := readers[wctx.Worker]
+				if r == nil {
+					r = s.reader(wctx, false)
+					readers[wctx.Worker] = r
+				}
+				var e extent
+				e, w.err = r.decode(w.off, fmtVarint, w.capacity, w.cnt, false, nil)
+				s.vx[w.v].bytes, s.vx[w.v].last = uint32(e.bytes), e.last
+			}
+			if w.audit {
+				w.suspect = s.read(wctx, w.v, walkOpts{mirror: true, blind: true}, nil, nil) != nil
+			}
+		})
+	ctx.Cost.Add(int64(dur))
+}
+
+// segmentsPerWalker is how many segments the scan cuts an arena into per
+// walker when it has more than one: equal stretches of lines are not equal
+// work (the first flush's small blocks crowd the arena's start with
+// headers), and a Sweep deals the segments to whichever walker is idlest.
+// Four a walker took every benchmark workload's recovery down at seed 7,
+// where two raised one.
+const segmentsPerWalker = 4
 
 // scan is pass 1 of RecoverWith: it parses the arena's blocks from first,
 // where the first block's header lies, up to end, and returns them in
@@ -312,9 +400,10 @@ func RecoverWith(ctx *xpsim.Ctx, sw *xpsim.Sweep, walkers int, m RecoverableMem,
 // from there.
 //
 // The walk runs on walkers workers of sw, bound to ctx's node at ctx's
-// contention, one segment of whole XPLines each. Segment 0's worker starts
-// on the first header. Every other worker cannot know where a block starts
-// in its segment, so it probes each headerAlign offset from the segment's
+// contention, over segmentsPerWalker segments of whole XPLines a worker
+// (one at one walker), each dealt to the idlest. Segment 0's walk starts
+// on the first header. Any other cannot know where a block starts in its
+// segment, so its worker probes each headerAlign offset from the segment's
 // start until a header is plausible and starts accepts it, and walks on
 // from there as the serial scan would; a header that ends its run
 // (implausible, or unreadable and not quarantined) is noted, and probing
@@ -327,10 +416,15 @@ func RecoverWith(ctx *xpsim.Ctx, sw *xpsim.Sweep, walkers int, m RecoverableMem,
 func (s *Store) scan(ctx *xpsim.Ctx, sw *xpsim.Sweep, walkers int, first, end int64, committed uint32, quarantined map[int64]bool) ([]scanned, int64, error) {
 	walkers = max(walkers, 1)
 	// Segment i is [cuts[i], cuts[i+1]): the lines past first's, cut into
-	// walkers stretches of whole lines (fewer if the arena is shorter).
+	// segmentsPerWalker stretches of whole lines a walker, one for a lone
+	// walker (fewer if the arena is shorter).
+	segments := int64(walkers)
+	if walkers > 1 {
+		segments *= segmentsPerWalker
+	}
 	base := first / xpsim.XPLineSize * xpsim.XPLineSize
 	lines := (end - base + xpsim.XPLineSize - 1) / xpsim.XPLineSize
-	per := (lines + int64(walkers) - 1) / int64(walkers)
+	per := (lines + segments - 1) / segments
 	cuts := []int64{first}
 	for c := base + per*xpsim.XPLineSize; c < end && per > 0; c += per * xpsim.XPLineSize {
 		cuts = append(cuts, c)
@@ -338,51 +432,87 @@ func (s *Store) scan(ctx *xpsim.Ctx, sw *xpsim.Sweep, walkers int, first, end in
 	cuts = append(cuts, max(end, first))
 	// The walks run on the host in segment order, whichever worker pays
 	// for them, so they append to one list in offset order: every visit of
-	// segment i lies below cuts[i+1].
-	var memo []visit
+	// segment i lies below cuts[i+1]. The block list is sized once, for as
+	// many of the smallest blocks as the arena's lines hold.
+	w := walks{blocks: make([]scanned, 0, (end-first)/align(headerBytes+4, headerAlign)+1)}
 	if sw == nil {
 		sw = new(xpsim.Sweep)
 	}
 	dur := sw.Run(s.lat, walkers, ctx.Workers, xpsim.PinnedTo(ctx.Node), len(cuts)-1,
 		func(i int) int { return int((cuts[i+1] - cuts[i]) / headerAlign) },
 		func(wctx *xpsim.Ctx, i int) {
-			memo = s.walkSegment(memo, wctx, first, cuts[i], cuts[i+1], end, committed, quarantined)
+			s.walkSegment(&w, wctx, first, cuts[i], cuts[i+1], end, committed, quarantined)
 		})
 	ctx.Cost.Add(int64(dur))
 
-	// The join, whose cursor climbs memo.
+	// The join builds its list in place: raw[:n] is the true walk so far,
+	// and raw[next:] the visits its cursor has not reached. A block the
+	// join reads itself takes the slot of a visit it passed, or is inserted
+	// where there is none.
 	var r *reader // the join's own reads
 	defer func() {
 		if r != nil {
 			r.release()
 		}
 	}()
-	raw := make([]scanned, 0, len(memo))
-	next := 0
+	unreadable := func(off int64, err error) error {
+		return fmt.Errorf("adj: block header at %d is unreadable and the scan cannot step over it: %w", off, err)
+	}
+	raw, stops := w.blocks, w.stops
+	n, next := 0, 0
 	for off := first; off+headerBytes <= end; {
-		for next < len(memo) && memo[next].off < off {
+		for next < len(raw) && raw[next].off < off {
 			next++
 		}
-		var read visit
-		v := &read
-		if next < len(memo) && memo[next].off == off {
-			v = &memo[next]
-		} else {
+		for len(stops) > 0 && stops[0].off < off {
+			stops = stops[1:]
+		}
+		switch {
+		case next < len(raw) && raw[next].off == off:
+			if n < next {
+				raw[n] = raw[next]
+			}
+			next++
+		case len(stops) > 0 && stops[0].off == off:
+			if stops[0].err != nil {
+				return nil, 0, unreadable(off, stops[0].err)
+			}
+			return raw[:n], off, nil
+		default:
 			if r == nil {
 				r = s.reader(ctx, s.opts.Checksums)
 			}
-			read = s.visitAt(r, off, end, committed, quarantined)
+			v := s.visitAt(r, off, end, committed, quarantined)
+			switch {
+			case v.err != nil:
+				return nil, 0, unreadable(off, v.err)
+			case v.stop:
+				return raw[:n], off, nil
+			case n == next:
+				raw = slices.Insert(raw, n, v.scanned)
+				next++
+			default:
+				raw[n] = v.scanned
+			}
 		}
-		switch {
-		case v.err != nil:
-			return nil, 0, fmt.Errorf("adj: block header at %d is unreadable and the scan cannot step over it: %w", off, v.err)
-		case v.stop:
-			return raw, off, nil
-		}
-		raw = append(raw, v.scanned)
-		off = align(off+v.size(), headerAlign)
+		off = align(off+raw[n].size(), headerAlign)
+		n++
 	}
-	return raw, end, nil
+	return raw[:n], end, nil
+}
+
+// walks is what the scan's walkers found, in offset order: the blocks, and
+// the headers that end a run.
+type walks struct {
+	blocks []scanned
+	stops  []stop
+}
+
+// stop is a header that ends a walk at off — at the frontier, or, with
+// err, unreadable.
+type stop struct {
+	off int64
+	err error
 }
 
 // visit is what the scan found at one offset: a block, or the header that
@@ -412,11 +542,11 @@ func (s *Store) visitAt(r *reader, off, end int64, committed uint32, quarantined
 }
 
 // walkSegment is one scan walker: it walks the headers that start in
-// [lo, hi) of an arena whose blocks lie in [first, end) and appends its
-// visits to out in offset order. The first segment starts on the true
-// walk; any other walker probes for a block's start (starts). A run's stop
-// is kept, and ends the walk on the true walk; a failed probe is not kept.
-func (s *Store) walkSegment(out []visit, ctx *xpsim.Ctx, first, lo, hi, end int64, committed uint32, quarantined map[int64]bool) []visit {
+// [lo, hi) of an arena whose blocks lie in [first, end) and appends what it
+// finds to w in offset order. The first segment starts on the true walk;
+// any other walker probes for a block's start (starts). A run's stop is
+// kept, and ends the walk on the true walk; a failed probe is not kept.
+func (s *Store) walkSegment(w *walks, ctx *xpsim.Ctx, first, lo, hi, end int64, committed uint32, quarantined map[int64]bool) {
 	r := s.reader(ctx, s.opts.Checksums)
 	defer r.release()
 	sure := lo == first
@@ -424,19 +554,18 @@ func (s *Store) walkSegment(out []visit, ctx *xpsim.Ctx, first, lo, hi, end int6
 	for off := lo; off < hi && off+headerBytes <= end; {
 		v := s.visitAt(r, off, end, committed, quarantined)
 		if !v.stop && (onWalk || s.starts(r, &v.header, first, end, committed)) {
-			out = append(out, v)
+			w.blocks = append(w.blocks, v.scanned)
 			off, onWalk = align(off+v.size(), headerAlign), true
 			continue
 		}
 		if v.stop && onWalk {
-			out = append(out, v)
+			w.stops = append(w.stops, stop{off, v.err})
 			if sure {
 				break
 			}
 		}
 		off, onWalk = off+headerAlign, false
 	}
-	return out
 }
 
 // starts reports whether a plausible header a probe found is likely a

@@ -3,9 +3,11 @@ package adj
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/difftest"
@@ -35,6 +37,7 @@ var scanCases = []scanCase{
 	{name: "fixed", opts: Options{Counts: CountsAcked}, fakes: true, frontier: true},
 	{name: "fixed-no-frontier", opts: Options{Counts: CountsAcked}, fakes: true},
 	{name: "varint", opts: Options{Counts: CountsAcked, VarintBlocks: true}, frontier: true},
+	{name: "varint-checksums", opts: Options{Counts: CountsAcked, VarintBlocks: true, Checksums: true}},
 	{name: "checksums", opts: Options{Counts: CountsAcked, Checksums: true}, quarantine: true},
 }
 
@@ -44,7 +47,9 @@ const scanHub = 0
 // arena builds c's arena and returns it with the epoch its log committed
 // and its quarantine. Vertices 1..299 get chains of small blocks, some
 // compacted (dead blocks) and then refilled (recycled ones), around the
-// hub's block; the last compaction's journal is left armed.
+// hub's block; the last compaction's journal is left armed. On varint
+// blocks every 13th light vertex then takes a long append, so tails whose
+// visible records run past their header's line are many.
 func (c scanCase) arena(t *testing.T) (*pmem.Region, *xpsim.Machine, uint32, map[int64]bool) {
 	t.Helper()
 	m := xpsim.NewMachine(2, 64<<20, xpsim.DefaultLatency())
@@ -90,6 +95,17 @@ func (c scanCase) arena(t *testing.T) (*pmem.Region, *xpsim.Machine, uint32, map
 		}
 	}
 	light(600)
+	if c.opts.VarintBlocks {
+		for v := graph.VID(2); v < 300; v += 13 {
+			recs := make([]uint32, 100+rng.Intn(200))
+			for i := range recs {
+				recs[i] = rng.Uint32() >> 1
+			}
+			if err := s.Append(ctx, v, recs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	ack()
 	// Blocks allocated after the last commit hold no acknowledged record:
 	// the frontier may fall on the first of them.
@@ -274,7 +290,77 @@ func TestSplitScanIsTheSerialScan(t *testing.T) {
 			if !bytes.Equal(oneMem, fourMem) {
 				t.Error("four walkers left different bytes on the media")
 			}
+			if c.opts.VarintBlocks {
+				splitCursorsAreTheSerialOnes(t, c, want)
+			}
 		})
+	}
+}
+
+// splitCursorsAreTheSerialOnes: on a varint arena whose blocks the serial
+// scan found (blocks), many tails' visible records run past their header's
+// line, so pass 3 decodes their append cursors from the media. With two of
+// those tails corrupted past that line, recovery at one walker and at four
+// fails with the same error, the first corrupt vertex's, or, with
+// Checksums, recovers at both with the same suspects, both corrupt ones.
+func splitCursorsAreTheSerialOnes(t *testing.T, c scanCase, blocks []scanned) {
+	t.Helper()
+	pointed := map[int64]bool{}
+	for _, b := range blocks {
+		pointed[b.prev] = true
+	}
+	var tails []scanned
+	for _, b := range blocks {
+		if b.vid < 300 && b.vid != scanHub && b.format == fmtVarint && b.visible > 0 && !b.decoded && !pointed[b.off] {
+			tails = append(tails, b)
+		}
+	}
+	if len(tails) < 10 {
+		t.Fatalf("setup: %d varint tails reach past their header's line, want at least 10", len(tails))
+	}
+	slices.SortFunc(tails, func(a, b scanned) int { return int(a.vid) - int(b.vid) })
+	// corrupt writes an overlong varint past the header's line of the first
+	// two tails whose records reach that far.
+	corrupt := func(r *pmem.Region, m *xpsim.Machine) (vs []graph.VID) {
+		ctx := xpsim.NewCtx(0)
+		s := New(r, &m.Lat, 0, c.opts)
+		rd := s.reader(ctx, false)
+		defer rd.release()
+		for _, b := range tails {
+			e, err := rd.decode(b.off, b.format, b.capacity, b.visible, false, nil)
+			at := align(b.off+headerBytes+1, xpsim.XPLineSize)
+			if err != nil || at+8 > b.off+headerBytes+e.bytes {
+				continue
+			}
+			r.Write(ctx, at, bytes.Repeat([]byte{0xff}, 8))
+			r.Flush(ctx, at, 8)
+			if vs = append(vs, graph.VID(b.vid)); len(vs) == 2 {
+				return vs
+			}
+		}
+		t.Fatalf("setup: %d tails of records past their header's line to corrupt", len(vs))
+		return nil
+	}
+	recoverCorrupt := func(walkers int) (*Store, []graph.VID, error) {
+		r, m, committed, quar := c.arena(t)
+		vs := corrupt(r, m)
+		s, err := RecoverWith(xpsim.NewCtx(0), nil, walkers, r, &m.Lat, c.opts, committed, quar)
+		return s, vs, err
+	}
+	one, vs, oneErr := recoverCorrupt(1)
+	four, _, fourErr := recoverCorrupt(4)
+	if !c.opts.Checksums {
+		want := fmt.Sprintf("vertex %d varint tail", vs[0])
+		if oneErr == nil || fourErr == nil || oneErr.Error() != fourErr.Error() || !strings.Contains(oneErr.Error(), want) {
+			t.Errorf("corrupt tails of %v: one walker fails with %v, four with %v; want both %q", vs, oneErr, fourErr, want)
+		}
+		return
+	}
+	if oneErr != nil || fourErr != nil {
+		t.Fatalf("corrupt tails of %v: one walker %v, four %v; want both recovered", vs, oneErr, fourErr)
+	}
+	if !slices.Equal(one.Suspects(), four.Suspects()) || !slices.Contains(one.Suspects(), vs[0]) || !slices.Contains(one.Suspects(), vs[1]) {
+		t.Errorf("corrupt tails of %v: one walker suspects %v, four %v", vs, one.Suspects(), four.Suspects())
 	}
 }
 

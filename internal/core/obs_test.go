@@ -250,9 +250,10 @@ func TestRecoverySpans(t *testing.T) {
 }
 
 // TestRecoveryReportSplitsTheClock: SimNs is the serial attach, ScanNs,
-// ReplayNs and, on a store with property columns, their attach after the
-// replay — the recover span's layers, which the report's two fields and the
-// scan sub-spans' common start attribute exactly.
+// ReplayNs and PropsNs, the attach of the property columns after the
+// replay, which a store without them does not have — the recover span's
+// layers, which the report's three fields and the scan sub-spans' common
+// start attribute exactly.
 func TestRecoveryReportSplitsTheClock(t *testing.T) {
 	for _, props := range []bool{false, true} {
 		opts := Options{Name: "split", NumVertices: 1 << 12, ArchiveThreads: 16,
@@ -280,9 +281,9 @@ func TestRecoveryReportSplitsTheClock(t *testing.T) {
 		if rep.ScanNs <= 0 || rep.ReplayNs <= 0 || attachNs <= 0 {
 			t.Fatalf("props %v: attach %d, ScanNs %d, ReplayNs %d: want all three", props, attachNs, rep.ScanNs, rep.ReplayNs)
 		}
-		propsNs := rep.SimNs - attachNs - rep.ScanNs - rep.ReplayNs
-		if props != (propsNs > 0) || propsNs < 0 {
-			t.Errorf("props %v: SimNs %d = attach %d + ScanNs %d + ReplayNs %d + %d", props, rep.SimNs, attachNs, rep.ScanNs, rep.ReplayNs, propsNs)
+		rest := rep.SimNs - attachNs - rep.ScanNs - rep.ReplayNs - rep.PropsNs
+		if props != (rep.PropsNs > 0) || rep.PropsNs < 0 || rest != 0 {
+			t.Errorf("props %v: SimNs %d = attach %d + ScanNs %d + ReplayNs %d + PropsNs %d + %d", props, rep.SimNs, attachNs, rep.ScanNs, rep.ReplayNs, rep.PropsNs, rest)
 		}
 	}
 }

@@ -200,3 +200,41 @@ func TestPropFlushWritesNoBlockAcrossSockets(t *testing.T) {
 		t.Errorf("unbound store: %d remote accesses, %d ns (bound: %d ns)", st.RemoteAccesses, unboundNs, ns)
 	}
 }
+
+// TestPropAttachReadsNoBlockAcrossSockets: recovery re-attaches the column
+// log on all of the archive workers, each reading stripes of its own node,
+// so on a sub-graph store not one line of the attach crosses sockets.
+func TestPropAttachReadsNoBlockAcrossSockets(t *testing.T) {
+	const blocks = 100 // 6.25 stripes of 16 blocks
+	sets := make([]graph.PropSet, blocks*prop.RecordsPerBlock)
+	for i := range sets {
+		sets[i] = graph.PropSet{V: graph.VID(i % 64), Key: 1, Val: int64(i)}
+	}
+	opts := Options{Name: "pattach", NumVertices: 64, ArchiveThreads: 16, NUMA: NUMASubgraph, Props: true}
+	s := newStore(t, opts)
+	if err := s.SetProps(sets); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.flushProps(0); err != nil {
+		t.Fatal(err)
+	}
+	clone, err := s.Heap().CrashClone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, rep, err := Recover(clone.Machine(), clone, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone.Machine().ResetStats()
+	ns, err := rs.recoverProps()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rs.props.Blocks(); got != blocks || ns <= 0 || rep.PropsNs <= 0 {
+		t.Fatalf("%d column blocks attached in %d ns (PropsNs %d), want %d", got, ns, rep.PropsNs, blocks)
+	}
+	if st := clone.Machine().TotalStats(); st.RemoteAccesses != 0 || st.LocalAccesses == 0 {
+		t.Errorf("%d remote and %d local line accesses during the column attach, want none remote", st.RemoteAccesses, st.LocalAccesses)
+	}
+}

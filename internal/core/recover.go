@@ -14,12 +14,12 @@ import (
 // RecoveryReport summarizes a crash recovery.
 //
 // SimNs is the serial attach of the log (and the quarantine), then ScanNs,
-// then ReplayNs, then the attach of the property columns where the store
-// keeps them.
+// then ReplayNs, then PropsNs.
 type RecoveryReport struct {
 	SimNs         int64 // simulated recovery time
 	ScanNs        int64 // the arena scans' step: the slowest archive thread's scans
 	ReplayNs      int64 // the replay's buffering phases
+	PropsNs       int64 // the property columns' attach (0 without Options.Props)
 	BlocksScanned int64 // adjacency blocks reloaded from PMEM
 	Replayed      int64 // log edges replayed into fresh vertex buffers
 }
@@ -30,12 +30,17 @@ type RecoveryReport struct {
 // the adjacency arenas are scanned to reload the vertex index, completing
 // any interrupted compaction via its journal, and the log window
 // [flushed, head) is replayed into fresh vertex buffers (the recovery
-// scheme of §III-B / §V-D) by the buffering phase itself. Both scale with
-// the archive threads like ingestion does: the arenas are scanned in
-// parallel, and each arena's header walk is split into segments over its
-// group's workers, bound to the arena's node, whose walks a serial join
-// makes the serial walk's block list (adj.RecoverWith); the replay is
-// sharded and drained by the same threads.
+// scheme of §III-B / §V-D) by the buffering phase itself, and the property
+// columns, where the store keeps them, are attached last. All of it but
+// the log's attach scales with the archive threads like ingestion does:
+// the arenas are scanned in parallel, and each arena's header walk is
+// split into segments over its group's workers, bound to the arena's node,
+// whose walks a serial join makes the serial walk's block list; the varint
+// tails the walk could not decode, and with checksums the payload CRC
+// walks, are one more sweep of those workers (adj.RecoverWith). The replay
+// is sharded and drained by the same threads, and the column log is read
+// by all of them in rounds of one interleave stripe each, every worker on
+// the node that holds its stripe, joined in block order (prop.Attach).
 //
 // The replay is a straight re-insertion with no content dedup: the counts
 // committed by the last epoch cover exactly the edges below the flushed
@@ -172,14 +177,25 @@ func Recover(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts O
 		// records roll back to defaults) and flagging unrecoverable
 		// mid-log damage so typed reads fail closed instead of serving
 		// silently-default labels.
-		if err := s.attachProps(ctx, true); err != nil {
+		if rep.PropsNs, err = s.recoverProps(); err != nil {
 			return nil, RecoveryReport{}, err
 		}
 	}
-	rep.SimNs = ctx.Cost.Ns() + rep.ScanNs + rep.ReplayNs
-	s.laneEnd[obs.LaneRecovery] = 0 // the recover span holds attach, scan and replay
+	rep.SimNs = ctx.Cost.Ns() + rep.ScanNs + rep.ReplayNs + rep.PropsNs
+	s.laneEnd[obs.LaneRecovery] = 0 // the recover span holds attach, scan, replay and props
 	s.emitSpan("recover", obs.LaneRecovery, rep.SimNs)
 	return s, rep, nil
+}
+
+// recoverProps re-attaches the property columns on the recovery workers,
+// each pinned to the node of the stripes it reads, so each node's device
+// serves its share of them at once, and returns the attach's simulated
+// time.
+func (s *Store) recoverProps() (int64, error) {
+	ctx := &xpsim.Ctx{Cost: new(xpsim.Cost), Node: xpsim.NodeUnbound,
+		Workers: (s.recoveryWorkers() + s.machine.Sockets - 1) / s.machine.Sockets}
+	err := s.attachProps(ctx, true)
+	return ctx.Cost.Ns(), err
 }
 
 func alignUp(x, a int64) int64 { return (x + a - 1) / a * a }

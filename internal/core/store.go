@@ -382,7 +382,7 @@ func (s *Store) attachMemories(startNs int64, committed uint32) (int64, error) {
 	// a device are the bound ones of its node, or all of them on interleaved
 	// arenas.
 	walkers := s.workersPerGroup()
-	scanners := min(s.opts.ArchiveThreads, walkers*2*s.nparts)
+	scanners := s.recoveryWorkers()
 	contention := scanners
 	if s.opts.NUMA != NUMANone {
 		contention = (scanners + s.machine.Sockets - 1) / s.machine.Sockets
@@ -405,7 +405,8 @@ func (s *Store) attachMemories(startNs int64, committed uint32) (int64, error) {
 
 // attachProps creates (or, for recovery, re-attaches) the property
 // column log region. The recovery path replays the CRC-guarded blocks
-// into the DRAM index and flags unrecoverable mid-log damage.
+// into the DRAM index and flags unrecoverable mid-log damage; its reads
+// run on every archive worker (prop.Attach), at ctx's contention.
 func (s *Store) attachProps(ctx *xpsim.Ctx, reattach bool) error {
 	if s.opts.Medium != MediumPMEM || s.heap == nil {
 		return fmt.Errorf("core: the property layer requires PMEM app-direct (it rides the persistent heap)")
@@ -431,7 +432,7 @@ func (s *Store) attachProps(ctx *xpsim.Ctx, reattach bool) error {
 	}
 	base := alignUp(r.UserStart(), prop.BlockBytes)
 	if reattach {
-		s.props, _, err = prop.Attach(ctx, r, s.lat, base, capBlocks)
+		s.props, _, err = prop.Attach(ctx, &s.sweep, s.recoveryWorkers(), r, s.lat, base, capBlocks)
 	} else {
 		s.props, err = prop.Create(r, s.lat, base, capBlocks)
 	}
@@ -495,6 +496,12 @@ func (s *Store) workersPerGroup() int {
 		w = 1
 	}
 	return w
+}
+
+// recoveryWorkers is how many archive threads recovery's parallel steps
+// run on: the groups' workers, as many as there are threads.
+func (s *Store) recoveryWorkers() int {
+	return min(s.opts.ArchiveThreads, 2*s.nparts*s.workersPerGroup())
 }
 
 // contentionFor reports how many workers concurrently hit the devices the

@@ -7,6 +7,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/difftest"
 	"repro/internal/graph"
+	"repro/internal/pmem"
+	"repro/internal/prop"
 	"repro/internal/xpsim"
 )
 
@@ -38,20 +40,25 @@ func propLabel(i int) uint16 {
 	return uint16(1 + (e.Src*31+e.Dst)%3)
 }
 
+// propOpts is the typed workload's store: its two archive workers attach
+// the column log at recovery.
+var propOpts = core.Options{Name: "propcrash", NumVertices: propNV,
+	LogCapacity: 256, ArchiveThreshold: 32, ArchiveThreads: 2, Props: true}
+
 // runPropCrash drives the typed workload under plan, recovers from the
 // durable image, and holds the recovered store to the prefix mode — to the
-// exact mode when the plan never fired.
-func runPropCrash(plan xpsim.FaultPlan) (int64, error) {
-	opts := core.Options{Name: "propcrash", NumVertices: propNV,
-		LogCapacity: 256, ArchiveThreshold: 32, ArchiveThreads: 2, Props: true}
+// exact mode when the plan never fired. It returns the media writes the
+// workload made and the recovered store.
+func runPropCrash(plan xpsim.FaultPlan) (int64, *core.Store, error) {
+	opts := propOpts
 	st, faults, err := newStore(opts)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	m := difftest.New()
 	for _, name := range []string{"a", "b", "c"} {
 		if _, err := st.RegisterLabel(name); err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 		m.RegisterLabel(name)
 	}
@@ -64,23 +71,23 @@ func runPropCrash(plan xpsim.FaultPlan) (int64, error) {
 			edges[j], labels[j] = propEdge(c*propChunkEdges+j), propLabel(c*propChunkEdges+j)
 		}
 		if _, err := st.IngestTyped(edges, labels); err != nil {
-			return 0, fmt.Errorf("chunk %d: %w", c, err)
+			return 0, nil, fmt.Errorf("chunk %d: %w", c, err)
 		}
 		// One never-rewritten property per chunk.
 		ps := []graph.PropSet{{V: uint32(c), Key: 1, Val: int64(c + 1)}}
 		if err := st.SetProps(ps); err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 		m.IngestTyped(edges, labels)
 		m.SetProps(ps)
 		if err := st.FlushAllVbufs(); err != nil {
-			return 0, fmt.Errorf("flush chunk %d: %w", c, err)
+			return 0, nil, fmt.Errorf("flush chunk %d: %w", c, err)
 		}
 	}
 
 	clone, err := st.Heap().CrashClone()
 	if err != nil {
-		return faults.MediaWrites(), err
+		return faults.MediaWrites(), nil, err
 	}
 	rs, _, err := core.Recover(clone.Machine(), clone, nil, opts)
 	if err == nil && faults.Crashed() {
@@ -89,24 +96,36 @@ func runPropCrash(plan xpsim.FaultPlan) (int64, error) {
 		_, err = difftest.Compare{Labels: true, Props: []uint16{1}}.Run(m, rs)
 	}
 	if err != nil {
-		return faults.MediaWrites(), fmt.Errorf("%w (crash: %s)", err, faults.CrashDescription())
+		return faults.MediaWrites(), nil, fmt.Errorf("%w (crash: %s)", err, faults.CrashDescription())
 	}
-	return faults.MediaWrites(), nil
+	return faults.MediaWrites(), rs, nil
 }
 
 // TestCrashSweepPropColumns sweeps crash points across the typed
 // workload's media writes under each tear mode.
 func TestCrashSweepPropColumns(t *testing.T) {
-	m, err := runPropCrash(xpsim.FaultPlan{})
+	m, rs, err := runPropCrash(xpsim.FaultPlan{})
 	if err != nil {
 		t.Fatalf("probe: %v", err)
 	}
 	if m < 50 {
 		t.Fatalf("workload too small to sweep: only %d media writes", m)
 	}
-	s := difftest.Sweep{Name: "propcrash", Writes: m, Points: difftest.Short[int64](120, 25), Tears: allTears}
+	// The recovery's attach reads a round of one interleave stripe per
+	// worker, the first from the log's first block on; the all-zero block
+	// that ends the log lies past it.
+	r, ok := rs.Heap().Get(propOpts.Name + "-prop")
+	if !ok {
+		t.Fatal("no column log region")
+	}
+	base := (r.UserStart() + prop.BlockBytes - 1) / prop.BlockBytes * prop.BlockBytes
+	workers := int64(propOpts.ArchiveThreads)
+	if first := ((base/pmem.DefaultStripe+workers)*pmem.DefaultStripe - base) / prop.BlockBytes; workers < 2 || rs.Props().Blocks() < first {
+		t.Fatalf("setup: %d column blocks on %d workers, whose first round reads %d: want two rounds or more", rs.Props().Blocks(), workers, first)
+	}
+	s := difftest.Sweep{Name: "propcrash", Writes: m, Points: difftest.Short[int64](0, 25), Tears: allTears}
 	s.Run(t, func(c difftest.Case) error {
-		_, err := runPropCrash(c.Plan)
+		_, _, err := runPropCrash(c.Plan)
 		return err
 	})
 }

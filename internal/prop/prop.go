@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/mem"
+	"repro/internal/pmem"
 	"repro/internal/xpsim"
 )
 
@@ -94,45 +95,42 @@ func Create(m mem.Mem, lat *xpsim.LatencyModel, base, capBlocks int64) (*Store, 
 // logical record sequence. An unreadable block that no patch supersedes
 // marks the store damaged: checked reads fail with ErrDamaged instead of
 // silently answering defaults.
-func Attach(ctx *xpsim.Ctx, m mem.Mem, lat *xpsim.LatencyModel, base, capBlocks int64) (*Store, RecoverInfo, error) {
+//
+// The scan's reads run on workers workers of sw (nil: a Sweep of its own)
+// in rounds of whole interleave stripes, one stripe per worker, each worker
+// pinned to the node that holds its stripe (m.NodeOf), at ctx's
+// contention; ctx's clock waits for a round's slowest worker. A serial join
+// then takes the round's blocks in block order as the serial scan takes
+// them, up to the first all-zero block, and only then does the next round
+// start. At one worker the scan reads block by block on ctx. The cut, the
+// patch resolution and the index replay are serial and charge nothing.
+func Attach(ctx *xpsim.Ctx, sw *xpsim.Sweep, workers int, m mem.Mem, lat *xpsim.LatencyModel, base, capBlocks int64) (*Store, RecoverInfo, error) {
 	s, err := Create(m, lat, base, capBlocks)
 	if err != nil {
 		return nil, RecoverInfo{}, err
 	}
 	var info RecoverInfo
-	buf := make([]byte, BlockBytes)
 	// Scan every physical block up to the first all-zero one. No closing
 	// block lies past a hole: a flush's open blocks are all on the media
 	// before its closing block is written.
-	type scanned struct {
-		recs  []record
-		patch uint16
-		bad   bool
-	}
 	var scan []scanned
 	committed := 0 // blocks [0, committed) belong to closed flushes
-	for i := int64(0); i < capBlocks; i++ {
-		if rerr := mem.ReadChecked(s.m, ctx, s.base+i*BlockBytes, buf); rerr != nil {
-			scan = append(scan, scanned{bad: true})
-			continue
+	s.scanBlocks(ctx, sw, workers, func(b scanned) bool {
+		if !b.bad && b.recs == nil { // all-zero: end of log
+			return false
 		}
-		b, derr := decodeBlock(buf)
-		if derr != nil || int64(b.Open) > i+1 {
-			scan = append(scan, scanned{bad: true})
-			continue
-		}
-		if b.Recs == nil { // all-zero: end of log
-			break
-		}
-		scan = append(scan, scanned{recs: b.Recs, patch: b.Patch})
-		if b.Open == 0 {
+		scan = append(scan, b)
+		switch {
+		case b.bad:
+		case b.open == 0:
 			committed = len(scan)
-		} else {
+		default:
 			// The blocks before this block's flush were committed when it
 			// started, even if their closing block has since gone bad.
-			committed = max(committed, int(b.Open)-1)
+			committed = max(committed, int(b.open)-1)
 		}
-	}
+		return true
+	})
 	// Truncate the unclosed flush: its blocks may be torn or missing in
 	// any order (a normal crash artifact, dropped without complaint). A bad
 	// block before the cut is media damage.
@@ -187,6 +185,77 @@ func Attach(ctx *xpsim.Ctx, m mem.Mem, lat *xpsim.LatencyModel, base, capBlocks 
 	}
 	s.quarantined = info.Quarantined
 	return s, info, nil
+}
+
+// scanned is one column block as the attach scan reads it: bad
+// (unreadable, corrupt, or naming a flush start past itself), all-zero (no
+// records), or a block's records, patch target and open mark.
+type scanned struct {
+	recs  []record
+	patch uint16
+	open  uint32
+	bad   bool
+}
+
+// readBlock reads physical block i on ctx into buf and parses it.
+func (s *Store) readBlock(ctx *xpsim.Ctx, i int64, buf []byte) scanned {
+	if err := mem.ReadChecked(s.m, ctx, s.base+i*BlockBytes, buf); err != nil {
+		return scanned{bad: true}
+	}
+	b, err := decodeBlock(buf)
+	if err != nil || int64(b.Open) > i+1 {
+		return scanned{bad: true}
+	}
+	return scanned{recs: b.Recs, patch: b.Patch, open: b.Open}
+}
+
+// stripeBytes is the interleave granularity a scan round is cut at: a
+// region's stripes alternate between the nodes' devices.
+const stripeBytes = pmem.DefaultStripe
+
+// scanBlocks hands Attach's loop body take the blocks from 0 on, in block
+// order, until take returns false or the log's capacity ends. With more
+// than one worker the reads run in rounds of up to workers whole stripes
+// (Attach); the blocks of a round past the one take stopped at are read and
+// dropped.
+func (s *Store) scanBlocks(ctx *xpsim.Ctx, sw *xpsim.Sweep, workers int, take func(scanned) bool) {
+	buf := make([]byte, BlockBytes)
+	if workers <= 1 {
+		for i := int64(0); i < s.capBlocks; i++ {
+			if !take(s.readBlock(ctx, i, buf)) {
+				return
+			}
+		}
+		return
+	}
+	if sw == nil {
+		sw = new(xpsim.Sweep)
+	}
+	// cuts[w] is the first block of the round's stripe w; cuts[n] ends it.
+	cuts := make([]int64, 0, workers+1)
+	round := make([]scanned, workers*stripeBytes/BlockBytes)
+	for lo := int64(0); lo < s.capBlocks; {
+		cuts = append(cuts[:0], lo)
+		for len(cuts) <= workers && cuts[len(cuts)-1] < s.capBlocks {
+			off := s.base + cuts[len(cuts)-1]*BlockBytes
+			cuts = append(cuts, min(((off/stripeBytes+1)*stripeBytes-s.base)/BlockBytes, s.capBlocks))
+		}
+		n := len(cuts) - 1
+		hi := cuts[n]
+		dur := sw.Each(n, ctx.Workers, func(w int) int { return s.m.NodeOf(s.base + cuts[w]*BlockBytes) },
+			func(w int, wctx *xpsim.Ctx) {
+				for i := cuts[w]; i < cuts[w+1]; i++ {
+					round[i-lo] = s.readBlock(wctx, i, buf)
+				}
+			})
+		ctx.Cost.Add(int64(dur))
+		for _, b := range round[:hi-lo] {
+			if !take(b) {
+				return
+			}
+		}
+		lo = hi
+	}
 }
 
 // applyIndex folds one record into the DRAM index (callers hold mu).

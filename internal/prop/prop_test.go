@@ -99,7 +99,7 @@ func TestApplyFlushAttach(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, info, err := Attach(ctx, r, &lat, base, 64)
+	s2, info, err := Attach(ctx, nil, 1, r, &lat, base, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestTornTailTruncates(t *testing.T) {
 	r.Write(ctx, off, b[:])
 	r.Flush(ctx, off, 1)
 
-	s2, info, err := Attach(ctx, r, &lat, base, 8)
+	s2, info, err := Attach(ctx, nil, 1, r, &lat, base, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestMidLogDamageFailsClosed(t *testing.T) {
 	r.Write(ctx, off, b[:])
 	r.Flush(ctx, off, 1)
 
-	s2, info, err := Attach(ctx, r, &lat, base, 8)
+	s2, info, err := Attach(ctx, nil, 1, r, &lat, base, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestScrubRebuildsUEBlock(t *testing.T) {
 
 	// Recovery over the patched image: the UE block is superseded by the
 	// patch, so the attach is clean and the index is intact.
-	s2, info, err := Attach(ctx, r, &lat, base, 16)
+	s2, info, err := Attach(ctx, nil, 1, r, &lat, base, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestUnclosedFlushTruncates(t *testing.T) {
 	writeBlock(r, base, 1, block{Recs: []record{vPropRecord(1, 1, 20)}, Open: 2})
 	writeBlock(r, base, 3, block{Recs: []record{vPropRecord(2, 1, 30)}, Open: 2})
 
-	s2, info, err := Attach(ctx, r, &lat, base, 8)
+	s2, info, err := Attach(ctx, nil, 1, r, &lat, base, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestUnclosedFlushTruncates(t *testing.T) {
 	if err := s2.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	s3, _, err := Attach(ctx, r, &lat, base, 8)
+	s3, _, err := Attach(ctx, nil, 1, r, &lat, base, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestDamagedClosingBlockIsDamage(t *testing.T) {
 	// torn tail.
 	writeBlock(r, base, 2, block{Recs: []record{vPropRecord(99, 1, 1)}, Open: 3})
 
-	s2, info, err := Attach(ctx, r, &lat, base, 8)
+	s2, info, err := Attach(ctx, nil, 1, r, &lat, base, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,6 +57,12 @@ echo "== exported-API budget"
 # package comments. -v logs the rule-(h) line count and the API counts.
 go test -count=1 -v ./scripts/apibudget/
 
+echo "== named test runs name tests"
+# Every alternative of every -run pattern in this file and in
+# .github/workflows/ci.yml matches a test of a package its line runs: a
+# renamed or deleted test fails here instead of silently running nothing.
+go test -count=1 ./scripts/checknames/
+
 echo "== benchmarks/ module (vet + tests)"
 # The repo's benchmark is its own module (replace repro => ../), outside
 # ./..., and it calls internal/ APIs by name: an internal/ change that
@@ -259,11 +265,17 @@ echo "== one recovery scan: each arena's header walk split over its node's worke
 # spanning segments, dead, recycled and quarantined blocks, an armed
 # journal, varint tails and a frontier with blocks behind it; the scan step
 # bound to the arenas' nodes and at 16 threads 0.3 of 4's or less; the
-# report's attach + scan + replay (+ props) the recover span; the wide
-# crash sweep recovering over several segments per arena.
+# report's attach + scan + replay + props the recover span; the wide
+# crash sweep recovering over several segments per arena. Pass 3's varint
+# tail decodes and CRC walks run as one sweep of the same workers (the
+# split-scan test's varint arenas, a corrupt tail among them), and the
+# column log's attach reads rounds of stripes on every archive worker, each
+# on its stripe's node, joined in block order (DESIGN.md §13.3); the
+# column crash sweep attaches over two rounds on two workers.
 go test -count=1 -run 'TestSplitScanIsTheSerialScan' ./internal/adj/
-go test -count=1 -run 'TestRecoveryScanIsBoundAndParallel|TestRecoverySpans|TestRecoveryReportSplitsTheClock' ./internal/core/
-go test -count=1 -short -run 'TestCrashSweepWideArchive' ./internal/crashtest/
+go test -count=1 -run 'TestSplitAttachIsTheSerialAttach' ./internal/prop/
+go test -count=1 -run 'TestRecoveryScanIsBoundAndParallel|TestRecoverySpans|TestRecoveryReportSplitsTheClock|TestPropAttachReadsNoBlockAcrossSockets' ./internal/core/
+go test -count=1 -short -run 'TestCrashSweepWideArchive|TestCrashSweepPropColumns' ./internal/crashtest/
 
 echo "== publication: one count base per store, patched from the vertices a buffer phase touched"
 # A capture patches the store's shared count base from the dirty log, copies
