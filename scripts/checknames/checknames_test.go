@@ -1,7 +1,9 @@
-// Package checknames holds the named test runs of scripts/check.sh and
-// .github/workflows/ci.yml to the tests that exist: a -run pattern whose
-// alternative names no test of the packages its line runs selects nothing
-// for that alternative, and go test reports no failure for it.
+// Package checknames holds the named test runs of scripts/check.sh and the
+// two workflows to the tests that exist, and ci.yml to check.sh's sections.
+// A -run pattern whose alternative names no test of the packages its line
+// runs selects nothing for that alternative, a -fuzz pattern that matches no
+// fuzz target fuzzes nothing, and go test reports no failure for either; a
+// section that no ci.yml step names never runs in CI.
 package checknames
 
 import (
@@ -11,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -18,27 +21,27 @@ import (
 // root is the repository root, seen from this package's directory.
 const root = "../.."
 
-// TestRunPatternsNameTests: every alternative of every -run pattern in
-// check.sh and ci.yml matches a test, example or fuzz target of a package
-// its go test line names. Like go test, an alternative is a regular
-// expression matched unanchored against the top-level name (the part of the
-// pattern before its first top-level '/').
+// files are the files whose go test lines the checks read.
+var files = []string{"scripts/check.sh", ".github/workflows/ci.yml", ".github/workflows/nightly.yml"}
+
+// TestRunPatternsNameTests: every alternative of every -run pattern in the
+// files matches a test, example or fuzz target of a package its go test line
+// names, and every -fuzz pattern exactly one fuzz target of them. Like go
+// test, an alternative is a regular expression matched unanchored against
+// the top-level name (the part of the pattern before its first top-level
+// '/'). ci.yml runs named tests only through check.sh's sections.
 func TestRunPatternsNameTests(t *testing.T) {
 	names := map[string][]string{} // package directory -> its test names
 	patterns := 0
-	for _, file := range []string{"scripts/check.sh", ".github/workflows/ci.yml"} {
-		data, err := os.ReadFile(filepath.Join(root, file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, line := range strings.Split(string(data), "\n") {
-			pattern, pkgs, ok := runLine(line)
-			if !ok {
+	for _, file := range files {
+		for _, c := range commands(t, file) {
+			flags, pkgs := goTest(c.text)
+			run, fuzz := flags["run"], flags["fuzz"]
+			if run == "" && fuzz == "" {
 				continue
 			}
-			patterns++
 			if len(pkgs) == 0 {
-				t.Errorf("%s:%d: -run %q names no package directory", file, i+1, pattern)
+				t.Errorf("%s:%d: go test names no package directory", file, c.line)
 			}
 			var have []string
 			for _, pkg := range pkgs {
@@ -47,17 +50,25 @@ func TestRunPatternsNameTests(t *testing.T) {
 				}
 				have = append(have, names[pkg]...)
 			}
-			level, _ := cut(pattern, '/')
+			where := strings.Join(pkgs, " ")
+			if fuzz != "" {
+				if n := len(matching(t, fuzz, have, "Fuzz")); n != 1 {
+					t.Errorf("%s:%d: -fuzz %q matches %d fuzz targets of %s, want 1", file, c.line, fuzz, n, where)
+				}
+			}
+			if run == "" {
+				continue
+			}
+			patterns++
+			if file == ".github/workflows/ci.yml" {
+				t.Errorf("%s:%d: -run %q: put the run in a section of scripts/check.sh", file, c.line, run)
+			}
+			level, _ := cut(run, '/')
 			for alt := level; alt != ""; {
 				var a string
 				a, alt = cut(alt, '|')
-				re, err := regexp.Compile(a)
-				if err != nil {
-					t.Errorf("%s:%d: -run alternative %q: %v", file, i+1, a, err)
-					continue
-				}
-				if !matchesAny(re, have) {
-					t.Errorf("%s:%d: -run alternative %q names no test of %s", file, i+1, a, strings.Join(pkgs, " "))
+				if len(matching(t, a, have, "")) == 0 {
+					t.Errorf("%s:%d: -run alternative %q names no test of %s", file, c.line, a, where)
 				}
 			}
 		}
@@ -67,10 +78,78 @@ func TestRunPatternsNameTests(t *testing.T) {
 	}
 }
 
-// runLine parses a line that runs go test with a -run pattern: the
-// pattern, unquoted, and the package directories it names, relative to the
-// repository root.
-func runLine(line string) (pattern string, pkgs []string, ok bool) {
+// TestCIRunsEverySectionOnce: the `bash scripts/check.sh <section>…` steps
+// of ci.yml name sections that check.sh defines (functions at the start of
+// a line), and together every one of them exactly once. A step with no
+// section runs them all.
+func TestCIRunsEverySectionOnce(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join(root, "scripts/check.sh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sections []string
+	runs := map[string]int{}
+	for _, m := range regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*)\(\) \{$`).FindAllStringSubmatch(string(data), -1) {
+		sections = append(sections, m[1])
+		runs[m[1]] = 0
+	}
+	if len(sections) < 10 {
+		t.Fatalf("scripts/check.sh defines %d sections, want 10 or more", len(sections))
+	}
+	for _, c := range commands(t, ".github/workflows/ci.yml") {
+		fields := shellFields(c.text)
+		at := slices.Index(fields, "scripts/check.sh")
+		if at < 0 {
+			continue
+		}
+		args := words(fields[at+1:])
+		if len(args) == 0 {
+			args = sections
+		}
+		for _, s := range args {
+			if _, ok := runs[s]; !ok {
+				t.Errorf(".github/workflows/ci.yml:%d: scripts/check.sh has no section %q", c.line, s)
+			}
+			runs[s]++
+		}
+	}
+	for _, s := range sections {
+		if runs[s] != 1 {
+			t.Errorf("ci.yml runs section %q of scripts/check.sh %d times, want once", s, runs[s])
+		}
+	}
+}
+
+// command is one shell command of a file: its lines joined at trailing
+// backslashes, and the number of its first line.
+type command struct {
+	line int
+	text string
+}
+
+func commands(t *testing.T, file string) []command {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(root, file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []command
+	joining := false
+	for i, line := range strings.Split(string(data), "\n") {
+		if !joining {
+			out = append(out, command{line: i + 1})
+		}
+		var text string
+		text, joining = strings.CutSuffix(strings.TrimRight(line, " \t"), "\\")
+		out[len(out)-1].text += text + " "
+	}
+	return out
+}
+
+// goTest parses a command that runs go test: its flags' values, unquoted
+// (the checks read -run's and -fuzz's), and the package directories it
+// names, relative to the repository root. Other commands give nil.
+func goTest(line string) (flags map[string]string, pkgs []string) {
 	fields := shellFields(line)
 	at := -1
 	for i := 0; i+1 < len(fields) && at < 0; i++ {
@@ -79,23 +158,33 @@ func runLine(line string) (pattern string, pkgs []string, ok bool) {
 		}
 	}
 	if at < 0 {
-		return "", nil, false
+		return nil, nil
 	}
-	for i := at; i < len(fields); i++ {
+	fields, flags = words(fields[at:]), map[string]string{}
+	for i := 0; i < len(fields); i++ {
 		f := fields[i]
 		switch {
-		case f == "&&" || f == "|" || f == ";" || f == "||":
-			i = len(fields)
-		case f == "-run" && i+1 < len(fields):
-			pattern, ok = fields[i+1], true
+		case (f == "-run" || f == "-fuzz") && i+1 < len(fields):
+			flags[f[1:]] = fields[i+1]
 			i++
-		case strings.HasPrefix(f, "-run="):
-			pattern, ok = strings.TrimPrefix(f, "-run="), true
+		case strings.HasPrefix(f, "-"):
+			k, v, _ := strings.Cut(f[1:], "=")
+			flags[k] = v
 		case strings.HasPrefix(f, "./"):
 			pkgs = append(pkgs, filepath.Clean(f))
 		}
 	}
-	return pattern, pkgs, ok
+	return flags, pkgs
+}
+
+// words is fields up to the end of their command, the first shell operator.
+func words(fields []string) []string {
+	for i, f := range fields {
+		if f == "&&" || f == "||" || f == "|" || f == ";" {
+			return fields[:i]
+		}
+	}
+	return fields
 }
 
 // shellFields splits a shell line into words, dropping quotes and stopping
@@ -183,11 +272,20 @@ func testNames(t *testing.T, dir string) []string {
 	return names
 }
 
-func matchesAny(re *regexp.Regexp, names []string) bool {
+// matching lists the names with the prefix that the regular expression
+// expr matches.
+func matching(t *testing.T, expr string, names []string, prefix string) []string {
+	t.Helper()
+	re, err := regexp.Compile(expr)
+	if err != nil {
+		t.Errorf("pattern %q: %v", expr, err)
+		return nil
+	}
+	var out []string
 	for _, n := range names {
-		if re.MatchString(n) {
-			return true
+		if strings.HasPrefix(n, prefix) && re.MatchString(n) {
+			out = append(out, n)
 		}
 	}
-	return false
+	return out
 }
