@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/pmem"
 	"repro/internal/server"
@@ -25,7 +26,17 @@ func testService(t *testing.T) *Client {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(st, m, server.Config{QueryThreads: 4, Linger: time.Millisecond})
+	return serveStore(t, st)
+}
+
+// serveStore serves st through a real server whose pipeline lingers 1ms.
+func serveStore(t *testing.T, st *core.Store) *Client {
+	t.Helper()
+	cl, err := cluster.New([]*core.Store{st}, cluster.Config{Linger: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.NewCluster(cl, server.Config{QueryThreads: 4})
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)

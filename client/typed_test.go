@@ -8,11 +8,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/pmem"
-	"repro/internal/server"
 	"repro/internal/xpsim"
 )
 
@@ -26,11 +24,7 @@ func typedService(t *testing.T) *Client {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(st, m, server.Config{QueryThreads: 4, Linger: time.Millisecond})
-	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	return New(ts.URL, Options{})
+	return serveStore(t, st)
 }
 
 // TestTypedWire is the table-driven stub test of the property-graph

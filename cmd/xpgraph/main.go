@@ -163,30 +163,7 @@ func cmdBench(args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d rows to %s\n", len(rows), *jsonPath)
 	}
-	return writeTrace(*tracePath, cfg.Tracer)
-}
-
-// writeTrace dumps the tracer ring as Chrome trace-event JSON, viewable
-// in chrome://tracing or https://ui.perfetto.dev.
-func writeTrace(path string, t *obs.Tracer) error {
-	if path == "" || t == nil {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	spans := t.Snapshot()
-	if err := obs.WriteChromeTrace(f, spans); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %d phase spans to %s (dropped %d; open in chrome://tracing)\n",
-		len(spans), path, t.Dropped())
-	return nil
+	return obs.WriteTraceFile(*tracePath, cfg.Tracer, os.Stderr)
 }
 
 // cmdBenchgate runs the one gate (bench.Gate) over a row report: every

@@ -71,6 +71,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -81,6 +82,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/pmem"
 	"repro/internal/server"
@@ -107,11 +109,11 @@ func run(args []string, _, stderr io.Writer) int {
 	pmemGB := fs.Int64("pmem-gb", 4, "simulated PMEM per NUMA node (GiB)")
 	threads := fs.Int("threads", 16, "archive threads")
 	qthreads := fs.Int("qthreads", 32, "query threads")
-	queueCap := fs.Int("queue-cap", 1<<16, "ingest queue capacity (edges)")
-	batchEdges := fs.Int("batch-edges", 4096, "edges applied per ingest batch")
-	linger := fs.Duration("linger", 2*time.Millisecond, "batching linger time")
+	queueCap := fs.Int("queue-cap", ingest.DefaultQueueCap, "ingest queue capacity (edges)")
+	batchEdges := fs.Int("batch-edges", ingest.DefaultBatchEdges, "edges applied per ingest batch")
+	linger := fs.Duration("linger", ingest.DefaultLinger, "batching linger time")
 	adaptive := fs.Bool("adaptive", false, "AIMD adaptive admission: auto-tune batch size, linger and the 429 threshold from observed queue depth and batch latency (DESIGN.md §12.3)")
-	adaptiveTarget := fs.Duration("adaptive-target", 0, "applied-batch latency target for -adaptive (default 2ms)")
+	adaptiveTarget := fs.Duration("adaptive-target", ingest.DefaultAdaptiveTarget, "applied-batch latency target for -adaptive")
 	flushEvery := fs.Duration("flush-every", 5*time.Second, "periodic vertex-buffer flush (0 disables)")
 	requestTimeout := fs.Duration("request-timeout", 0, "per-request deadline; requests past it answer 503 deadline_exceeded (0 disables)")
 	shutdownTimeout := fs.Duration("shutdown-timeout", 30*time.Second, "bound on graceful shutdown: HTTP drain plus ingest-queue drain share this budget (0 waits forever)")
@@ -230,23 +232,25 @@ func run(args []string, _, stderr io.Writer) int {
 	}
 	srv := server.NewCluster(cl, server.Config{
 		QueryThreads:   *qthreads,
-		QueueCap:       *queueCap,
-		BatchEdges:     *batchEdges,
-		Linger:         *linger,
-		FlushEvery:     *flushEvery,
 		Tracer:         tracer,
 		RequestTimeout: *requestTimeout,
-		ScrubEvery:     *scrubEvery,
 	})
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	// Bind before announcing, so the message names the bound address (a
+	// port of 0 resolved) and a client that reads it can connect at once.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		srv.Close()
+		return fatal(err)
+	}
+	httpSrv := &http.Server{Handler: srv}
 	errC := make(chan error, 1)
-	go func() { errC <- httpSrv.ListenAndServe() }()
+	go func() { errC <- httpSrv.Serve(ln) }()
 
 	sigC := make(chan os.Signal, 1)
 	signal.Notify(sigC, syscall.SIGINT, syscall.SIGTERM)
 	defer signal.Stop(sigC)
-	fmt.Fprintf(stderr, "xpgraphd listening on %s\n", *addr)
+	fmt.Fprintf(stderr, "xpgraphd listening on %s\n", ln.Addr())
 
 	select {
 	case err := <-errC:
@@ -285,28 +289,10 @@ func run(args []string, _, stderr io.Writer) int {
 	}
 
 	if *tracePath != "" {
-		if err := writeTrace(*tracePath, srv.Tracer(), stderr); err != nil {
+		if err := obs.WriteTraceFile(*tracePath, srv.Tracer(), stderr); err != nil {
 			return fatal(err)
 		}
 	}
 	fmt.Fprintln(stderr, "xpgraphd: drained and flushed; bye")
 	return 0
-}
-
-// writeTrace dumps the tracer ring as Chrome trace-event JSON.
-func writeTrace(path string, t *obs.Tracer, stderr io.Writer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	spans := t.Snapshot()
-	if err := obs.WriteChromeTrace(f, spans); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "xpgraphd: wrote %d phase spans to %s\n", len(spans), path)
-	return nil
 }

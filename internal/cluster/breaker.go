@@ -5,6 +5,10 @@ import (
 	"time"
 )
 
+// breakerThreshold is how many consecutive media-write failures open a
+// shard's breaker.
+const breakerThreshold = 3
+
 // breaker is the per-shard ingest circuit breaker. It has two arms:
 //
 //   - media: repeated media-write failures (the shard's store reporting
@@ -34,7 +38,6 @@ import (
 // virtual time like everything else there.
 type breaker struct {
 	mu        sync.Mutex
-	threshold int           // consecutive media failures that open the breaker
 	overload  int           // consecutive queue-full sheds that open it (0 = arm disabled)
 	cooldown  time.Duration // open duration before the half-open probe
 	fails     int           // consecutive media failures while closed
@@ -92,13 +95,13 @@ func (b *breaker) closeLocked() {
 }
 
 // recordFailure counts one media-write failure. The breaker opens at
-// threshold consecutive failures, or immediately when a half-open probe
+// breakerThreshold consecutive failures, or immediately when a half-open probe
 // fails.
 func (b *breaker) recordFailure(now time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.fails++
-	if b.fails >= b.threshold || b.halfOpen {
+	if b.fails >= breakerThreshold || b.halfOpen {
 		b.openLocked(now, false)
 	}
 }

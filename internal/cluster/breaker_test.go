@@ -6,11 +6,11 @@ import (
 )
 
 // TestBreakerStateMachine pins the per-shard failure-shedding policy:
-// threshold consecutive media failures open the breaker, the cooldown
+// breakerThreshold (3) consecutive media failures open the breaker, the cooldown
 // admits a half-open probe, a failed probe re-opens immediately, a
 // successful one closes and resets the streak.
 func TestBreakerStateMachine(t *testing.T) {
-	b := breaker{threshold: 3, cooldown: time.Second}
+	b := breaker{cooldown: time.Second}
 	t0 := time.Unix(1000, 0)
 
 	for i := 0; i < 2; i++ {

@@ -48,8 +48,6 @@ type Config struct {
 	// vertex space and options), typically on its own machine — each
 	// follower is its own failure domain.
 	ReplicaFactory func(shardID, replica int) (*core.Store, error)
-	// Slots is the partition-ring size (default 256).
-	Slots int
 
 	// Pipeline knobs, one pipeline per shard (defaults as in
 	// internal/ingest).
@@ -65,15 +63,15 @@ type Config struct {
 	// knobs tune down under congestion (DESIGN.md §12.3).
 	Adaptive bool
 	// AdaptiveTarget overrides the controller's applied-batch latency
-	// target (default 2ms host time).
+	// target (default as in internal/ingest).
 	AdaptiveTarget time.Duration
 
-	// Breaker knobs, one breaker per shard.
-	BreakerThreshold int           // consecutive media failures that open it (default 3)
-	BreakerCooldown  time.Duration // open duration before the half-open probe (default 5s)
+	// Breaker knobs, one breaker per shard; breakerThreshold consecutive
+	// media failures open it.
+	BreakerCooldown time.Duration // open duration before the half-open probe (default 5s)
 	// BreakerSheds arms the overload side: consecutive queue-full sheds
-	// that open the breaker (0 disables the arm — the default, matching
-	// the pre-PR-10 behavior where only media failures tripped it).
+	// that open the breaker (0, the default, disables the arm: only media
+	// failures trip it).
 	BreakerSheds int
 
 	// Transport is the leader→replica delivery fabric (DESIGN.md §14);
@@ -93,12 +91,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.QueueCap <= 0 {
-		c.QueueCap = 1 << 16
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 5 * time.Second
 	}
@@ -160,7 +152,7 @@ func New(stores []*core.Store, cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: need at least one store")
 	}
 	cfg = cfg.withDefaults()
-	pmap, err := shard.NewSlotMap(len(stores), cfg.Slots)
+	pmap, err := shard.NewSlotMap(len(stores), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -173,12 +165,8 @@ func New(stores []*core.Store, cfg Config) (*Cluster, error) {
 			member: member{store: st},
 			id:     i,
 			clk:    cfg.Clock,
-			br: breaker{
-				threshold: cfg.BreakerThreshold,
-				overload:  cfg.BreakerSheds,
-				cooldown:  cfg.BreakerCooldown,
-			},
-			tr: cfg.Transport,
+			br:     breaker{overload: cfg.BreakerSheds, cooldown: cfg.BreakerCooldown},
+			tr:     cfg.Transport,
 		}
 		icfg := ingest.Config{
 			QueueCap:   cfg.QueueCap,
@@ -236,8 +224,11 @@ func (c *Cluster) Shard(i int) *Shard { return c.shards[i] }
 // source).
 func (c *Cluster) Owner(v graph.VID) int { return c.pmap.Owner(v) }
 
-// QueueCap is the per-shard ingest queue bound in edges.
-func (c *Cluster) QueueCap() int { return c.cfg.QueueCap }
+// Pipeline is the configuration every shard's ingest pipeline runs, its
+// defaults resolved: QueueCap is the per-shard queue bound in edges,
+// BatchEdges the cap on one write window (the ceiling, under adaptive
+// admission).
+func (c *Cluster) Pipeline() ingest.Config { return c.shards[0].pipe.Config() }
 
 // Clock is the clock the cluster's policy code reads (Config.Clock).
 func (c *Cluster) Clock() clock.Clock { return c.cfg.Clock }
@@ -677,7 +668,7 @@ func (c *Cluster) RegisterMetrics(reg *obs.Registry) {
 				emit(obs.Sample{Name: name, Help: help, Kind: kind, Value: val})
 			}
 			sample("xpgraph_ingest_queue_depth_edges", "Edges accepted but not yet applied or dropped.", obs.KindGauge, float64(v.Queued))
-			sample("xpgraph_ingest_queue_cap_edges", "Bounded ingest queue capacity in edges.", obs.KindGauge, float64(c.cfg.QueueCap))
+			sample("xpgraph_ingest_queue_cap_edges", "Bounded ingest queue capacity in edges.", obs.KindGauge, float64(sh.pipe.Config().QueueCap))
 			sample("xpgraph_ingest_edges_accepted_total", "Edges admitted past the queue-capacity check.", obs.KindCounter, float64(v.EdgesAccepted))
 			sample("xpgraph_ingest_edges_applied_total", "Edges applied to the store.", obs.KindCounter, float64(v.EdgesApplied))
 			sample("xpgraph_ingest_edges_dropped_total", "Accepted edges dequeued without application (failure or shutdown).", obs.KindCounter, float64(v.EdgesDropped))

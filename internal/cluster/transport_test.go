@@ -278,7 +278,7 @@ func TestReplicaGapResyncAfterDrops(t *testing.T) {
 // half-open probe, an admitted write closes it, and the transition
 // counters record the full open → half-open → closed cycle.
 func TestBreakerOverloadArm(t *testing.T) {
-	b := breaker{threshold: 3, overload: 2, cooldown: time.Second}
+	b := breaker{overload: 2, cooldown: time.Second}
 	t0 := time.Unix(2000, 0)
 
 	b.noteShed(t0)

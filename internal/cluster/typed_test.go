@@ -342,7 +342,7 @@ func TestClusterTypedBreaker(t *testing.T) {
 				t.Fatal(err)
 			}
 			clk := &clock.Virtual{}
-			cl, err := New([]*core.Store{st}, Config{BreakerThreshold: 2, BreakerCooldown: time.Minute, Clock: clk})
+			cl, err := New([]*core.Store{st}, Config{BreakerCooldown: time.Minute, Clock: clk})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -361,14 +361,14 @@ func TestClusterTypedBreaker(t *testing.T) {
 
 			faults.FailNode(1)
 			var me *xpsim.MediaError
-			for i := 0; i < 2; i++ {
+			for i := 0; i < breakerThreshold; i++ {
 				if err := write(2); !errors.As(err, &me) && !errors.Is(err, errPipelineDropped) {
 					t.Fatalf("write %d on a dead node = %v, want a media failure", i, err)
 				}
 			}
 			var boe *BreakerOpenError
 			if err := write(2); !errors.As(err, &boe) || boe.Wait <= 0 {
-				t.Fatalf("write after two media failures = %v, want a *BreakerOpenError with a positive Wait", err)
+				t.Fatalf("write after %d media failures = %v, want a *BreakerOpenError with a positive Wait", breakerThreshold, err)
 			}
 			if v := cl.Shard(0).Breaker(); !v.Open || v.Trips != 1 || v.Rejected != 1 {
 				t.Fatalf("breaker after the trip = %+v", v)

@@ -6,16 +6,16 @@
 // The control loop (DESIGN.md §12.3):
 //
 //   - congestion signal: an applied batch ran longer than the target
-//     latency, or the queue sits above the high-water mark. Hold
-//     consecutive signals halve BatchEdges, Linger, and the 429
+//     latency, or the queue sits above the high-water mark. A run of
+//     hold consecutive signals halves BatchEdges, Linger, and the 429
 //     admission threshold (multiplicative decrease) — shorter write
 //     windows mean readers wait less behind the exclusive lock, and a
 //     lower admission threshold sheds load before the queue drowns.
 //   - clear signal: a batch finished well under target with the queue
-//     near empty. Hold consecutive signals step every knob an additive
+//     near empty. A run of hold such signals steps every knob an additive
 //     increment back toward its static configured value.
 //   - anything in between is the hysteresis band: both counters reset,
-//     nothing moves. The Hold requirement plus the band keep the
+//     nothing moves. The hold requirement plus the band keep the
 //     controller from flapping on a single outlier batch.
 //
 // The static Config values are the ceiling: under light load the
@@ -42,55 +42,46 @@ type tuning struct {
 	AdmitEdges int
 }
 
-// AdaptiveConfig tunes the controller. Zero fields take the defaults.
+// AdaptiveConfig tunes the controller. A zero Target takes the default.
 type AdaptiveConfig struct {
 	// Target is the applied-batch latency the controller steers toward;
-	// batches slower than it signal congestion (default 2ms). It is on
+	// batches slower than it signal congestion (default
+	// DefaultAdaptiveTarget). It is on
 	// the pipeline's clock: host latency on the wall clock, the batch's
 	// simulated cost on a virtual one.
 	Target time.Duration
-	// LowWater and HighWater bound the hysteresis band as fractions of
-	// the queue capacity: depth above HighWater*cap signals congestion,
-	// and a clear signal additionally needs depth below LowWater*cap
-	// (defaults 0.25 and 0.75).
-	LowWater, HighWater float64
-	// MinBatchEdges floors the multiplicative decrease (default 256).
-	MinBatchEdges int
-	// MinAdmitFrac floors the admission threshold as a fraction of the
-	// queue capacity (default 1/8).
-	MinAdmitFrac float64
-	// Hold is how many consecutive same-direction signals are required
-	// before the controller acts (default 3).
-	Hold int
 }
 
 func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
 	if c.Target <= 0 {
-		c.Target = 2 * time.Millisecond
-	}
-	if c.LowWater <= 0 {
-		c.LowWater = 0.25
-	}
-	if c.HighWater <= 0 {
-		c.HighWater = 0.75
-	}
-	if c.MinBatchEdges <= 0 {
-		c.MinBatchEdges = 256
-	}
-	if c.MinAdmitFrac <= 0 {
-		c.MinAdmitFrac = 0.125
-	}
-	if c.Hold <= 0 {
-		c.Hold = 3
+		c.Target = DefaultAdaptiveTarget
 	}
 	return c
 }
+
+// The controller's fixed shape (DESIGN.md §12.3).
+const (
+	// lowWater and highWater bound the hysteresis band as fractions of
+	// the queue capacity: depth above highWater*cap signals congestion,
+	// and a clear signal additionally needs depth below lowWater*cap.
+	lowWater, highWater = 0.25, 0.75
+	// minBatchEdges floors the multiplicative decrease of BatchEdges (or
+	// the configured BatchEdges, when that is smaller).
+	minBatchEdges = 256
+	// minAdmitFrac floors the admission threshold as a fraction of the
+	// queue capacity.
+	minAdmitFrac = 0.125
+	// hold is how many consecutive same-direction signals are required
+	// before the controller acts.
+	hold = 3
+)
 
 // controller is the AIMD admission controller. observe runs on the
 // pipeline's single writer; the knob reads are lock-free atomics so
 // admission checks on request goroutines never contend with it.
 type controller struct {
-	cfg      AdaptiveConfig
+	target   time.Duration
+	minBatch int // minBatchEdges, clamped to the ceiling
 	queueCap int
 	base     tuning // the static configured ceiling
 
@@ -111,10 +102,7 @@ func newController(queueCap int, base tuning, cfg AdaptiveConfig) *controller {
 	if base.AdmitEdges <= 0 || base.AdmitEdges > queueCap {
 		base.AdmitEdges = queueCap
 	}
-	if base.BatchEdges < cfg.MinBatchEdges {
-		cfg.MinBatchEdges = base.BatchEdges
-	}
-	c := &controller{cfg: cfg, queueCap: queueCap, base: base}
+	c := &controller{target: cfg.Target, minBatch: min(minBatchEdges, base.BatchEdges), queueCap: queueCap, base: base}
 	c.batchEdges.Store(int64(base.BatchEdges))
 	c.lingerNs.Store(int64(base.Linger))
 	c.admitEdges.Store(int64(base.AdmitEdges))
@@ -140,10 +128,10 @@ func (c *controller) steps() (decreases, increases int64) {
 // its latency on the pipeline's clock. Returns true when the tuning
 // moved.
 func (c *controller) observe(queued int64, latency time.Duration) bool {
-	congested := latency > c.cfg.Target ||
-		float64(queued) > c.cfg.HighWater*float64(c.queueCap)
-	clear := latency < c.cfg.Target/2 &&
-		float64(queued) < c.cfg.LowWater*float64(c.queueCap)
+	congested := latency > c.target ||
+		float64(queued) > highWater*float64(c.queueCap)
+	clear := latency < c.target/2 &&
+		float64(queued) < lowWater*float64(c.queueCap)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -151,14 +139,14 @@ func (c *controller) observe(queued int64, latency time.Duration) bool {
 	case congested:
 		c.congestN++
 		c.clearN = 0
-		if c.congestN >= c.cfg.Hold {
+		if c.congestN >= hold {
 			c.congestN = 0
 			return c.decrease()
 		}
 	case clear:
 		c.clearN++
 		c.congestN = 0
-		if c.clearN >= c.cfg.Hold {
+		if c.clearN >= hold {
 			c.clearN = 0
 			return c.increase()
 		}
@@ -171,8 +159,8 @@ func (c *controller) observe(queued int64, latency time.Duration) bool {
 
 // decrease halves every knob toward its floor. Called under mu.
 func (c *controller) decrease() bool {
-	minAdmit := max(1, int64(c.cfg.MinAdmitFrac*float64(c.queueCap)))
-	moved := halve(&c.batchEdges, int64(c.cfg.MinBatchEdges))
+	minAdmit := max(1, int64(minAdmitFrac*float64(c.queueCap)))
+	moved := halve(&c.batchEdges, int64(c.minBatch))
 	moved = halve(&c.lingerNs, int64(c.base.Linger/8)) || moved
 	moved = halve(&c.admitEdges, minAdmit) || moved
 	if moved {

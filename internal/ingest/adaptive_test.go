@@ -12,20 +12,20 @@ func (c *controller) Tuning() tuning {
 
 func newTestController() *controller {
 	return newController(1<<14, tuning{BatchEdges: 4096, Linger: 2 * time.Millisecond},
-		AdaptiveConfig{Target: time.Millisecond, Hold: 3})
+		AdaptiveConfig{Target: time.Millisecond})
 }
 
 // TestControllerDecreaseCascade pins the multiplicative-decrease rule:
-// Hold consecutive over-target batches halve every knob, repeated
+// hold (3) consecutive over-target batches halve every knob, repeated
 // congestion walks them down to their floors and no further.
 func TestControllerDecreaseCascade(t *testing.T) {
 	c := newTestController()
 	slow := 5 * time.Millisecond
 
-	// Two over-target batches are not enough (Hold = 3).
+	// Two over-target batches are not enough (hold = 3).
 	for i := 0; i < 2; i++ {
 		if c.observe(0, slow) {
-			t.Fatal("controller moved before Hold consecutive signals")
+			t.Fatal("controller moved before hold consecutive signals")
 		}
 	}
 	if !c.observe(0, slow) {
@@ -36,8 +36,8 @@ func TestControllerDecreaseCascade(t *testing.T) {
 		t.Fatalf("first decrease did not halve the knobs: %+v", tun)
 	}
 
-	// Sustained congestion bottoms out at the floors: MinBatchEdges,
-	// base.Linger/8, MinAdmitFrac*queueCap.
+	// Sustained congestion bottoms out at the floors: minBatchEdges,
+	// base.Linger/8, minAdmitFrac*queueCap.
 	for i := 0; i < 60; i++ {
 		c.observe(0, slow)
 	}
@@ -81,7 +81,7 @@ func TestControllerHysteresisBand(t *testing.T) {
 	}
 
 	// Streak reset: 2 congestion signals, then an in-band batch, then 2
-	// more congestion signals — never Hold consecutive, so no movement.
+	// more congestion signals — never hold consecutive, so no movement.
 	slow := 5 * time.Millisecond
 	c.observe(0, slow)
 	c.observe(0, slow)
@@ -96,7 +96,7 @@ func TestControllerHysteresisBand(t *testing.T) {
 }
 
 // TestControllerIncreaseToCeiling pins the additive-increase rule: after
-// congestion clears, Hold consecutive fast-and-shallow batches step the
+// congestion clears, hold consecutive fast-and-shallow batches step the
 // knobs back up, converging exactly to the static ceiling and never past
 // it.
 func TestControllerIncreaseToCeiling(t *testing.T) {
@@ -145,7 +145,7 @@ func TestControllerDepthSignals(t *testing.T) {
 	c := newTestController()
 	fast := 100 * time.Microsecond
 
-	// Depth above HighWater*cap (0.75 * 1<<14 = 12288) congests.
+	// Depth above highWater*cap (0.75 * 1<<14 = 12288) congests.
 	deep := int64(13000)
 	c.observe(deep, fast)
 	c.observe(deep, fast)
@@ -168,7 +168,7 @@ func TestControllerDepthSignals(t *testing.T) {
 }
 
 // TestNewControllerClamping pins the constructor's sanitation: AdmitEdges
-// defaults to (and never exceeds) the queue capacity, and MinBatchEdges
+// defaults to (and never exceeds) the queue capacity, and minBatchEdges
 // is clamped down to the base batch size so the floor is reachable.
 func TestNewControllerClamping(t *testing.T) {
 	c := newController(1000, tuning{BatchEdges: 4096, Linger: time.Millisecond, AdmitEdges: 5000},
@@ -181,13 +181,13 @@ func TestNewControllerClamping(t *testing.T) {
 	if got := c.curBatchEdges(); got != 64 {
 		t.Fatalf("base BatchEdges not honored: got %d", got)
 	}
-	// With base below the default MinBatchEdges floor, the floor clamps
+	// With base below the minBatchEdges floor, the floor clamps
 	// to base: sustained congestion must leave BatchEdges at base, not
 	// try to halve below it.
 	for i := 0; i < 30; i++ {
 		c.observe(0, time.Minute)
 	}
 	if got := c.curBatchEdges(); got != 64 {
-		t.Fatalf("MinBatchEdges floor not clamped to base: got %d", got)
+		t.Fatalf("minBatchEdges floor not clamped to base: got %d", got)
 	}
 }

@@ -55,46 +55,19 @@ func TestConfigWithDefaults(t *testing.T) {
 }
 
 // TestAdaptiveConfigWithDefaults does the same for the AIMD
-// controller's knob set.
+// controller's one setting; the rest of its shape is constants.
 func TestAdaptiveConfigWithDefaults(t *testing.T) {
-	def := AdaptiveConfig{
-		Target:        2 * time.Millisecond,
-		LowWater:      0.25,
-		HighWater:     0.75,
-		MinBatchEdges: 256,
-		MinAdmitFrac:  0.125,
-		Hold:          3,
-	}
-	cases := []struct {
-		name string
-		in   AdaptiveConfig
-		want AdaptiveConfig
+	for _, tc := range []struct {
+		name     string
+		in, want AdaptiveConfig
 	}{
-		{name: "zero value takes every default", in: AdaptiveConfig{}, want: def},
-		{
-			name: "negative fields are treated as unset",
-			in: AdaptiveConfig{Target: -time.Second, LowWater: -1, HighWater: -1,
-				MinBatchEdges: -5, MinAdmitFrac: -0.5, Hold: -2},
-			want: def,
-		},
-		{
-			name: "already-set fields survive",
-			in: AdaptiveConfig{Target: time.Millisecond, LowWater: 0.1, HighWater: 0.9,
-				MinBatchEdges: 64, MinAdmitFrac: 0.25, Hold: 5},
-			want: AdaptiveConfig{Target: time.Millisecond, LowWater: 0.1, HighWater: 0.9,
-				MinBatchEdges: 64, MinAdmitFrac: 0.25, Hold: 5},
-		},
-		{
-			name: "partial: only the unset fields default",
-			in:   AdaptiveConfig{Target: 10 * time.Millisecond, Hold: 1},
-			want: AdaptiveConfig{Target: 10 * time.Millisecond, LowWater: 0.25, HighWater: 0.75,
-				MinBatchEdges: 256, MinAdmitFrac: 0.125, Hold: 1},
-		},
-	}
-	for _, tc := range cases {
+		{name: "zero value takes the default", in: AdaptiveConfig{}, want: AdaptiveConfig{Target: 2 * time.Millisecond}},
+		{name: "negative is treated as unset", in: AdaptiveConfig{Target: -time.Second}, want: AdaptiveConfig{Target: 2 * time.Millisecond}},
+		{name: "a set target survives", in: AdaptiveConfig{Target: time.Millisecond}, want: AdaptiveConfig{Target: time.Millisecond}},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := tc.in.withDefaults(); got != tc.want {
-				t.Fatalf("withDefaults(%+v)\n got %+v\nwant %+v", tc.in, got, tc.want)
+				t.Fatalf("withDefaults(%+v) = %+v, want %+v", tc.in, got, tc.want)
 			}
 		})
 	}

@@ -35,11 +35,22 @@ import (
 	"repro/internal/graph"
 )
 
+// The pipeline's defaults: every layer above (cluster, server, xpgraphd's
+// flags) takes these values from here.
+const (
+	DefaultQueueCap   = 1 << 16              // max queued edges admitted
+	DefaultBatchEdges = 4096                 // max edges applied per write window
+	DefaultLinger     = 2 * time.Millisecond // how long a batch waits for company
+	// DefaultAdaptiveTarget is the adaptive controller's applied-batch
+	// latency target (AdaptiveConfig.Target).
+	DefaultAdaptiveTarget = 2 * time.Millisecond
+)
+
 // Config sizes the pipeline. Zero fields take the defaults.
 type Config struct {
-	QueueCap   int           // max queued edges admitted (default 1<<16)
-	BatchEdges int           // max edges applied per write window (default 4096)
-	Linger     time.Duration // how long a batch waits for company (default 2ms)
+	QueueCap   int           // max queued edges admitted (default DefaultQueueCap)
+	BatchEdges int           // max edges applied per write window (default DefaultBatchEdges)
+	Linger     time.Duration // how long a batch waits for company (default DefaultLinger)
 	FlushEvery time.Duration // background vertex-buffer flush period; 0 = off
 	ScrubEvery time.Duration // background scrub period; 0 = off
 	BatchDelay time.Duration // test-only pause between chunks; 0 = none
@@ -57,13 +68,13 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.QueueCap <= 0 {
-		c.QueueCap = 1 << 16
+		c.QueueCap = DefaultQueueCap
 	}
 	if c.BatchEdges <= 0 {
-		c.BatchEdges = 4096
+		c.BatchEdges = DefaultBatchEdges
 	}
 	if c.Linger <= 0 {
-		c.Linger = 2 * time.Millisecond
+		c.Linger = DefaultLinger
 	}
 	return c
 }
@@ -226,6 +237,9 @@ func (p *Pipeline) Start() {
 		})
 	}
 }
+
+// Config is the pipeline's configuration with every default resolved.
+func (p *Pipeline) Config() Config { return p.cfg }
 
 // Stats snapshots every counter under one lock acquisition, plus the
 // live tuning knobs (atomics; consistent enough for telemetry).

@@ -110,16 +110,19 @@ func TestStep(t *testing.T) {
 		},
 		{
 			name: "BatchEdges is re-read per chunk: a decrease mid-request shortens the next window",
-			// Every chunk overruns the 1 µs target and Hold is 1, so each
-			// one halves the cap, down to the 16-edge floor.
-			cfg: Config{Adaptive: &AdaptiveConfig{Target: us, Hold: 1, MinBatchEdges: 16}},
+			// Every chunk overruns the 1 µs target, so every third (hold)
+			// halves the cap, down to the 256-edge floor.
+			cfg: Config{BatchEdges: 1024, Adaptive: &AdaptiveConfig{Target: us}},
 			events: []event{
-				{at: 0, enqueue: 128, applied: []int{64}, wake: 6400, queued: 64},
-				{at: 6400, applied: []int{32}, wake: 9600, queued: 32},
-				{at: 9600, applied: []int{16}, wake: 11200, queued: 16},
-				{at: 11200, applied: []int{16}, wake: 12800},
+				{at: 0, enqueue: 4864, applied: []int{1024}, wake: 102400, queued: 3840},
+				{at: 102400, applied: []int{1024}, wake: 204800, queued: 2816},
+				{at: 204800, applied: []int{1024}, wake: 307200, queued: 1792},
+				{at: 307200, applied: []int{512}, wake: 358400, queued: 1280},
+				{at: 358400, applied: []int{512}, wake: 409600, queued: 768},
+				{at: 409600, applied: []int{512}, wake: 460800, queued: 256},
+				{at: 460800, applied: []int{256}, wake: 486400},
 			},
-			requests: []outcome{{batches: 4}},
+			requests: []outcome{{batches: 7}},
 		},
 		{
 			name: "a busy writer defers the next batch to the end of the current window",

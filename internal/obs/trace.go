@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"os"
 	"strings"
 	"sync"
 )
@@ -189,6 +190,29 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 	b.WriteString("\n]\n")
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// WriteTraceFile writes the tracer's spans to path as Chrome trace-event
+// JSON, viewable in chrome://tracing or https://ui.perfetto.dev, and says
+// so on log. A nil tracer writes nothing.
+func WriteTraceFile(path string, t *Tracer, log io.Writer) error {
+	if t == nil {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	spans := t.Snapshot()
+	if err := WriteChromeTrace(f, spans); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(log, "wrote %d phase spans to %s (dropped %d; open in chrome://tracing)\n", len(spans), path, t.Dropped())
+	return nil
 }
 
 // microseconds formats simulated ns as a decimal µs value without

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
 )
 
 func TestVersionedRoutes(t *testing.T) {
@@ -178,16 +180,15 @@ func TestConcurrentReadWrite(t *testing.T) {
 
 // TestReadsDuringLargeIngest asserts the tentpole property: a GET
 // completes while a large, multi-batch ingest is still mid-flight. The
-// batchDelay hook stretches the gap between batch applications (outside
+// BatchDelay hook stretches the gap between batch applications (outside
 // the write lock), and the async write path keeps the client from
 // waiting, so the test can observe the overlap deterministically.
 func TestReadsDuringLargeIngest(t *testing.T) {
-	_, ts := testServerCfg(t, Config{
-		QueryThreads: 4,
-		BatchEdges:   256,
-		QueueCap:     1 << 16,
-		Linger:       time.Millisecond,
-		batchDelay:   20 * time.Millisecond,
+	_, ts := pipelineServer(t, Config{QueryThreads: 4}, cluster.Config{
+		BatchEdges: 256,
+		QueueCap:   1 << 16,
+		Linger:     time.Millisecond,
+		BatchDelay: 20 * time.Millisecond,
 	})
 
 	// Seed a vertex so reads have something stable to fetch.
@@ -257,12 +258,11 @@ func TestReadsDuringLargeIngest(t *testing.T) {
 
 // TestBackpressure fills the bounded queue and expects 429+Retry-After.
 func TestBackpressure(t *testing.T) {
-	_, ts := testServerCfg(t, Config{
-		QueryThreads: 4,
-		BatchEdges:   64,
-		QueueCap:     512,
-		Linger:       time.Millisecond,
-		batchDelay:   50 * time.Millisecond,
+	_, ts := pipelineServer(t, Config{QueryThreads: 4}, cluster.Config{
+		BatchEdges: 64,
+		QueueCap:   512,
+		Linger:     time.Millisecond,
+		BatchDelay: 50 * time.Millisecond,
 	})
 
 	// Async-post until the queue rejects. The writer drains 64 edges per

@@ -42,7 +42,7 @@ func (s *Server) decodeWriteBody(w http.ResponseWriter, r *http.Request) []graph
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	edges := ingest.GetEdgeBuf()
 	var err error
-	edges, err = ingest.DecodeJSONEdges(body, edges, r.Method == http.MethodDelete, s.cl.QueueCap())
+	edges, err = ingest.DecodeJSONEdges(body, edges, r.Method == http.MethodDelete, s.cl.Pipeline().QueueCap)
 	if err == nil && len(edges) == 0 {
 		err = errors.New("no edges")
 	}
@@ -61,7 +61,7 @@ func (s *Server) writeDecodeError(w http.ResponseWriter, err error, binary bool)
 	switch {
 	case errors.Is(err, ingest.ErrBatchTooLarge):
 		httpError(w, http.StatusRequestEntityTooLarge, "batch_too_large",
-			"request exceeds the queue capacity of %d edges; split it", s.cl.QueueCap())
+			"request exceeds the queue capacity of %d edges; split it", s.cl.Pipeline().QueueCap)
 	case errors.As(err, &mbe):
 		httpError(w, http.StatusRequestEntityTooLarge, "batch_too_large",
 			"request body exceeds the %d byte limit; split it", s.cfg.MaxBodyBytes)
@@ -104,7 +104,7 @@ func (s *Server) writeIngestError(w http.ResponseWriter, err error) {
 		}
 		httpShardError(w, http.StatusTooManyRequests, "queue_full", shardID, vec,
 			"ingest queue of shard %d is full (%d edges queued, capacity %d)",
-			shardID, queued, s.cl.QueueCap())
+			shardID, queued, s.cl.Pipeline().QueueCap)
 	case errors.As(err, &me):
 		// A media failure, not a capacity problem: the device under the
 		// write is gone or erroring. 503 so clients back off.
@@ -186,7 +186,7 @@ func (s *Server) handleIngestBin(w http.ResponseWriter, r *http.Request) {
 	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	b := ingest.TypedBatch{Edges: ingest.GetEdgeBuf()}
-	err := ingest.DecodeBatchTyped(body, &b, s.cl.QueueCap())
+	err := ingest.DecodeBatchTyped(body, &b, s.cl.Pipeline().QueueCap)
 	if err == nil && len(b.Edges) == 0 && len(b.Props) == 0 {
 		err = errors.New("no edges")
 	}
@@ -440,7 +440,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			resp.LastBatchEdges = v.LastBatchEdges
 		}
 	}
-	resp.QueueCapEdges = int64(s.cl.QueueCap()) * int64(s.cl.Shards())
+	resp.QueueCapEdges = int64(s.cl.Pipeline().QueueCap) * int64(s.cl.Shards())
 	resp.SnapshotAgeMs = float64(s.cl.Clock().Now().UnixNano()-lastPub) / 1e6
 	writeJSON(w, resp)
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/graph"
 	"repro/internal/ingest"
 )
@@ -96,7 +97,7 @@ func TestIngestBinAsync(t *testing.T) {
 }
 
 func TestIngestBinErrors(t *testing.T) {
-	_, ts := testServerCfg(t, Config{QueryThreads: 4, QueueCap: 16})
+	_, ts := pipelineServer(t, Config{QueryThreads: 4}, cluster.Config{QueueCap: 16})
 
 	var e errorBody
 	if code := postBin(t, ts.URL, ingest.EncodeBatch([]graph.Edge{{Src: 1, Dst: 2}}, false),

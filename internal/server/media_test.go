@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/pmem"
 	"repro/internal/xpsim"
@@ -16,7 +17,7 @@ import (
 
 // mediaServer builds a server over a MediaGuard store with fault
 // tracking armed, so tests can inject uncorrectable errors.
-func mediaServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *xpsim.Machine) {
+func mediaServer(t *testing.T, cfg Config, ccfg cluster.Config) (*Server, *httptest.Server, *xpsim.Machine) {
 	t.Helper()
 	m := xpsim.NewMachine(2, 256<<20, xpsim.DefaultLatency())
 	m.TrackFaults()
@@ -27,10 +28,7 @@ func mediaServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *xpsim.Ma
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(st, m, cfg)
-	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
+	srv, ts := serveCluster(t, []*core.Store{st}, cfg, ccfg)
 	return srv, ts, m
 }
 
@@ -58,7 +56,7 @@ func TestRetryAfterJitter(t *testing.T) {
 // answer 503 media_error instead of wrong data, scrub, and watch the
 // store return to ok with the data intact.
 func TestDegradedServing(t *testing.T) {
-	srv, ts, m := mediaServer(t, Config{QueryThreads: 4})
+	srv, ts, m := mediaServer(t, Config{QueryThreads: 4}, cluster.Config{})
 
 	var edges []edgeJSON
 	for i := uint32(0); i < 8; i++ {
@@ -122,7 +120,7 @@ func TestDegradedServing(t *testing.T) {
 // flips to 503 readonly, writes are refused as media errors and trip the
 // circuit breaker, analytics are suspended, and revival restores service.
 func TestNodeFailureReadonly(t *testing.T) {
-	_, ts, m := mediaServer(t, Config{QueryThreads: 4, BreakerThreshold: 2, BreakerCooldown: time.Hour})
+	_, ts, m := mediaServer(t, Config{QueryThreads: 4}, cluster.Config{BreakerCooldown: time.Hour})
 
 	do(t, "POST", ts.URL+"/v1/edges", EdgesRequest{Edges: []edgeJSON{{Src: 1, Dst: 2}}}, nil)
 	m.Faults().FailNode(1)
@@ -140,10 +138,10 @@ func TestNodeFailureReadonly(t *testing.T) {
 		t.Fatalf("bfs on readonly store: code=%d body=%+v", code, eb)
 	}
 
-	// Two failed writes trip the breaker (threshold 2); the next one is
-	// shed up front with circuit_open and a Retry-After.
+	// Three failed writes trip the breaker (the cluster's threshold); the
+	// next one is shed up front with circuit_open and a Retry-After.
 	body := EdgesRequest{Edges: []edgeJSON{{Src: 3, Dst: 4}}}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		if code := do(t, "POST", ts.URL+"/v1/edges", body, &eb); code != http.StatusServiceUnavailable || eb.Error.Code != "media_error" {
 			t.Fatalf("write %d on dead node: code=%d body=%+v", i, code, eb)
 		}
@@ -202,7 +200,8 @@ func doRaw(t *testing.T, method, url string, body any) rawResult {
 // TestRequestTimeout pins the deadline satellite: a request running past
 // Config.RequestTimeout answers 503 with the deadline_exceeded envelope.
 func TestRequestTimeout(t *testing.T) {
-	_, ts := testServerCfg(t, Config{QueryThreads: 4, RequestTimeout: 50 * time.Millisecond, batchDelay: 300 * time.Millisecond, BatchEdges: 2})
+	_, ts := pipelineServer(t, Config{QueryThreads: 4, RequestTimeout: 50 * time.Millisecond},
+		cluster.Config{BatchDelay: 300 * time.Millisecond, BatchEdges: 2})
 
 	// A 3-chunk synchronous ingest sleeps 2x300ms between chunks — well
 	// past the 50ms deadline.

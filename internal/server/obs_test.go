@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"regexp"
 	"strings"
@@ -95,7 +94,7 @@ func TestPrometheusScrape(t *testing.T) {
 // disagrees with accepted - applied - dropped. Run under -race this also
 // pins the counters' synchronization.
 func TestMetricsConsistentUnderIngest(t *testing.T) {
-	_, ts := testServerCfg(t, Config{QueryThreads: 4, QueueCap: 1 << 14, BatchEdges: 64})
+	_, ts := pipelineServer(t, Config{QueryThreads: 4}, cluster.Config{QueueCap: 1 << 14, BatchEdges: 64})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
@@ -199,7 +198,7 @@ func TestTraceEndpoint(t *testing.T) {
 // TestGracefulShutdown: Shutdown applies every accepted async write,
 // flushes vertex buffers, and fences new writes with 503.
 func TestGracefulShutdown(t *testing.T) {
-	srv, ts := testServerCfg(t, Config{QueryThreads: 4, QueueCap: 1 << 14, BatchEdges: 128})
+	srv, ts := pipelineServer(t, Config{QueryThreads: 4}, cluster.Config{QueueCap: 1 << 14, BatchEdges: 128})
 	accepted := int64(0)
 	for i := uint32(0); i < 20; i++ {
 		var edges []edgeJSON
@@ -264,17 +263,10 @@ func TestMetricCatalogMatchesDesign(t *testing.T) {
 		return st
 	}
 	// One follower, so the replica series exist.
-	cfg := Config{}.withDefaults().clusterConfig()
-	cfg.Replicas = 1
-	cfg.ReplicaFactory = func(int, int) (*core.Store, error) { return store("follower"), nil }
-	cl, err := cluster.New([]*core.Store{store("leader")}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewCluster(cl, Config{})
-	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
+	_, ts := serveCluster(t, []*core.Store{store("leader")}, Config{}, cluster.Config{
+		Replicas:       1,
+		ReplicaFactory: func(int, int) (*core.Store, error) { return store("follower"), nil },
+	})
 	do(t, "POST", ts.URL+"/v1/edges", EdgesRequest{Edges: []edgeJSON{{Src: 1, Dst: 2}}}, nil)
 	body, _ := scrape(t, ts.URL+"/v1/metrics", "text/plain")
 	live := map[string]bool{}

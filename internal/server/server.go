@@ -125,25 +125,17 @@ import (
 	"repro/internal/xpsim"
 )
 
-// Config tunes the serving stack. The zero value is usable: every field
-// defaults to the value documented on it.
+// Config tunes the HTTP frontend. The zero value is usable: every field
+// defaults to the value documented on it. The pipelines, breakers and
+// replicas behind it are the cluster's (cluster.Config).
 type Config struct {
 	// QueryThreads is the simulated parallelism of /v1/query/* runs
 	// (default 8).
 	QueryThreads int
-	// QueueCap bounds each shard's ingest queue in edges; writes beyond
-	// it get 429 + Retry-After (default 1<<16).
-	QueueCap int
-	// BatchEdges caps how many edges one ingest batch applies under a
-	// shard's write lock before its snapshot is republished (default 4096).
+	// BatchEdges is the one pipeline knob New passes to its one-shard
+	// cluster (cluster.Config.BatchEdges). NewCluster's cluster has its
+	// own; a BatchEdges set here must match it.
 	BatchEdges int
-	// Linger is how long each shard's writer waits for more requests to
-	// fill a batch before applying a partial one (default 2ms).
-	Linger time.Duration
-	// FlushEvery periodically flushes all vertex buffers to PMEM from
-	// each shard's writer goroutine (0 disables; flushing still happens
-	// through the store's own archive thresholds and POST /v1/flush).
-	FlushEvery time.Duration
 	// Tracer receives the stores' phase spans and backs GET /v1/trace.
 	// When nil the server uses the first store's attached tracer, or
 	// creates a default bounded ring so /v1/trace always works.
@@ -151,61 +143,20 @@ type Config struct {
 	// RequestTimeout bounds every request; one that runs past it answers
 	// 503 deadline_exceeded (0 disables).
 	RequestTimeout time.Duration
-	// ScrubEvery periodically runs a media scrub pass from each shard's
-	// writer goroutine — MediaGuard stores only (0 disables; POST
-	// /v1/scrub always works).
-	ScrubEvery time.Duration
-	// BreakerThreshold is how many consecutive media-write failures open
-	// a shard's ingest circuit breaker (default 3).
-	BreakerThreshold int
-	// BreakerCooldown is how long a breaker stays open before admitting
-	// a half-open probe write (default 5s).
-	BreakerCooldown time.Duration
 	// MaxBodyBytes bounds every write-request body via
 	// http.MaxBytesReader; oversized bodies answer 413 batch_too_large
 	// (default 32 MiB).
 	MaxBodyBytes int64
-	// Adaptive attaches the AIMD admission controller to every shard's
-	// ingest pipeline: BatchEdges/Linger/QueueCap become ceilings and
-	// the live knobs tune down under congestion (DESIGN.md §12.3).
-	Adaptive bool
-	// AdaptiveTarget overrides the controller's applied-batch latency
-	// target (default 2ms host time).
-	AdaptiveTarget time.Duration
-
-	// batchDelay is a test hook: sleep between batch applications,
-	// outside the write locks, so tests can observe reads completing
-	// while a multi-batch ingest is mid-flight.
-	batchDelay time.Duration
 }
 
 func (c Config) withDefaults() Config {
 	if c.QueryThreads <= 0 {
 		c.QueryThreads = 8
 	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 1 << 16
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 32 << 20
 	}
 	return c
-}
-
-// clusterConfig maps the server's pipeline knobs onto the cluster's.
-func (c Config) clusterConfig() cluster.Config {
-	return cluster.Config{
-		QueueCap:         c.QueueCap,
-		BatchEdges:       c.BatchEdges,
-		Linger:           c.Linger,
-		FlushEvery:       c.FlushEvery,
-		ScrubEvery:       c.ScrubEvery,
-		BreakerThreshold: c.BreakerThreshold,
-		BreakerCooldown:  c.BreakerCooldown,
-		BatchDelay:       c.batchDelay,
-		Adaptive:         c.Adaptive,
-		AdaptiveTarget:   c.AdaptiveTarget,
-	}
 }
 
 // Server wraps a cluster with an http.Handler. Create with New (single
@@ -237,23 +188,26 @@ type Server struct {
 	httpReqs *obs.CounterVec
 }
 
-// New builds a server over a single store — a one-shard cluster — and
-// starts its ingest pipeline. The classic deployment, and bit-compatible
-// with the pre-cluster wire surface (scalar epochs gain a length-1
-// epoch_vector alongside).
+// New builds a server over a single store — a one-shard cluster with the
+// default pipeline and cfg.BatchEdges — and starts its ingest pipeline.
+// The classic deployment, and bit-compatible with the pre-cluster wire
+// surface (scalar epochs gain a length-1 epoch_vector alongside).
 func New(store *core.Store, machine *xpsim.Machine, cfg Config) *Server {
-	cl, err := cluster.New([]*core.Store{store}, cfg.withDefaults().clusterConfig())
+	cl, err := cluster.New([]*core.Store{store}, cluster.Config{BatchEdges: cfg.BatchEdges})
 	if err != nil {
 		panic(fmt.Sprintf("server: building one-shard cluster: %v", err))
 	}
 	return newServer(cl, machine, cfg)
 }
 
-// NewCluster builds a server over a pre-built, not-yet-started cluster
-// (its pipeline knobs were fixed at cluster.New; the server's own
-// pipeline fields are ignored here). The server takes ownership: Close/
-// Shutdown stop the cluster.
+// NewCluster builds a server over a pre-built, not-yet-started cluster,
+// whose pipeline knobs were fixed at cluster.New. The server takes
+// ownership: Close/Shutdown stop the cluster. It panics when
+// cfg.BatchEdges is set and differs from the cluster's.
 func NewCluster(cl *cluster.Cluster, cfg Config) *Server {
+	if have := cl.Pipeline().BatchEdges; cfg.BatchEdges > 0 && cfg.BatchEdges != have {
+		panic(fmt.Sprintf("server: Config.BatchEdges %d, but the cluster applies %d; set it on cluster.Config", cfg.BatchEdges, have))
+	}
 	return newServer(cl, cl.Shard(0).Store().Machine(), cfg)
 }
 

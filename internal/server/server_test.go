@@ -21,6 +21,19 @@ func testServer(t *testing.T) (*Server, *httptest.Server) {
 
 func testServerCfg(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
+	st := testStore(t)
+	return serve(t, New(st, st.Machine(), cfg))
+}
+
+// pipelineServer is testServerCfg with the one-shard cluster's pipeline
+// and breaker knobs taken from ccfg.
+func pipelineServer(t *testing.T, cfg Config, ccfg cluster.Config) (*Server, *httptest.Server) {
+	t.Helper()
+	return serveCluster(t, []*core.Store{testStore(t)}, cfg, ccfg)
+}
+
+func testStore(t *testing.T) *core.Store {
+	t.Helper()
 	m := xpsim.NewMachine(2, 256<<20, xpsim.DefaultLatency())
 	st, err := core.New(m, pmem.NewHeap(m), nil, core.Options{
 		Name: "http", NumVertices: 1024, LogCapacity: 1 << 12,
@@ -28,7 +41,21 @@ func testServerCfg(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(st, m, cfg)
+	return st
+}
+
+// serveCluster builds a cluster over stores and serves it.
+func serveCluster(t *testing.T, stores []*core.Store, cfg Config, ccfg cluster.Config) (*Server, *httptest.Server) {
+	t.Helper()
+	cl, err := cluster.New(stores, ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return serve(t, NewCluster(cl, cfg))
+}
+
+// serve puts srv behind an httptest server; both close at cleanup.
+func serve(t *testing.T, srv *Server) (*Server, *httptest.Server) {
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
@@ -260,14 +287,8 @@ func TestDegreeOnDeadPartitionFailsTyped(t *testing.T) {
 		}
 		stores[i] = st
 	}
-	cl, err := cluster.New(stores, Config{}.withDefaults().clusterConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewCluster(cl, Config{})
-	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
+	srv, ts := serveCluster(t, stores, Config{}, cluster.Config{})
+	cl := srv.Cluster()
 
 	const victim = 0
 	var deadV, liveV uint32
@@ -300,4 +321,21 @@ func TestDegreeOnDeadPartitionFailsTyped(t *testing.T) {
 			t.Fatalf("GET %s with partition %d down: code=%d body=%+v", path, victim, code, eb)
 		}
 	}
+}
+
+// TestNewClusterRefusesADisagreeingBatchEdges: the cluster's pipelines
+// are fixed at cluster.New, so NewCluster takes a Config.BatchEdges only
+// when it is the cluster's own, and panics rather than ignore another.
+func TestNewClusterRefusesADisagreeingBatchEdges(t *testing.T) {
+	cl, err := cluster.New([]*core.Store{testStore(t)}, cluster.Config{BatchEdges: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewCluster accepted BatchEdges 128 over a cluster applying 64")
+		}
+	}()
+	NewCluster(cl, Config{BatchEdges: 128})
 }

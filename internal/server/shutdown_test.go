@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
 )
 
 // TestGracefulShutdownDuringScrub is the satellite-4 regression test at
@@ -18,8 +20,7 @@ import (
 // up afterwards. Run under -race this pins that ScrubEvery work and the
 // graceful drain cannot interleave on a shard's writer goroutine.
 func TestGracefulShutdownDuringScrub(t *testing.T) {
-	srv, ts, _ := mediaServer(t, Config{
-		QueryThreads: 4,
+	srv, ts, _ := mediaServer(t, Config{QueryThreads: 4}, cluster.Config{
 		// Scrub constantly so Shutdown almost certainly lands with a
 		// scrub tick pending or in flight.
 		ScrubEvery: 200 * time.Microsecond,
@@ -132,7 +133,7 @@ func TestGracefulShutdownDuringScrub(t *testing.T) {
 // is safe (Close must be a no-op) even when the server spent its life
 // scrubbing.
 func TestShutdownIdempotentAfterScrubbyLife(t *testing.T) {
-	srv, ts, _ := mediaServer(t, Config{ScrubEvery: 100 * time.Microsecond})
+	srv, ts, _ := mediaServer(t, Config{}, cluster.Config{ScrubEvery: 100 * time.Microsecond})
 	for i := 0; i < 4; i++ {
 		body, _ := json.Marshal(EdgesRequest{Edges: []edgeJSON{
 			{Src: uint32(i), Dst: uint32(i + 1)},

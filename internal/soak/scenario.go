@@ -130,12 +130,11 @@ type Scenario struct {
 	BreakerCooldown time.Duration `json:"breaker_cooldown,omitempty"`
 
 	// Ingest-pipeline knobs under test: every shard's pipeline is built
-	// with them (cluster.Config; DESIGN.md §12.3). With Adaptive they are
-	// the AIMD controller's ceiling.
-	QueueCap   int           `json:"queue_cap"`
-	BatchEdges int           `json:"batch_edges"`
-	Linger     time.Duration `json:"linger"`
-	Adaptive   bool          `json:"adaptive"`
+	// with them (cluster.Config; DESIGN.md §12.3), and with the pipeline's
+	// default BatchEdges and Linger. With Adaptive the three are the AIMD
+	// controller's ceiling.
+	QueueCap int  `json:"queue_cap"`
+	Adaptive bool `json:"adaptive"`
 	// Target is the AIMD applied-batch latency target, in simulated time:
 	// on the driver's clock a batch takes its simulated cost (only with
 	// Adaptive).
@@ -176,12 +175,6 @@ func (sc Scenario) withDefaults() Scenario {
 	}
 	if sc.QueueCap <= 0 {
 		sc.QueueCap = 1 << 14
-	}
-	if sc.BatchEdges <= 0 {
-		sc.BatchEdges = 4096
-	}
-	if sc.Linger <= 0 {
-		sc.Linger = 2 * time.Millisecond
 	}
 	if sc.Target <= 0 {
 		sc.Target = 200 * time.Microsecond
@@ -248,8 +241,6 @@ func ByName(name string) (Scenario, error) {
 			BurstLen:         150 * time.Millisecond,
 			BurstMult:        6,
 			QueueCap:         1 << 14,
-			BatchEdges:       4096,
-			Linger:           2 * time.Millisecond,
 			ScrapeEvery:      250 * time.Millisecond,
 			SLO: SLO{
 				ReadP99Us:     2000,
@@ -287,8 +278,6 @@ func ByName(name string) (Scenario, error) {
 			BurstLen:      200 * time.Millisecond,
 			BurstMult:     50,
 			QueueCap:      1 << 15,
-			BatchEdges:    4096,
-			Linger:        2 * time.Millisecond,
 			Target:        100 * time.Microsecond,
 			ScrapeEvery:   250 * time.Millisecond,
 			SLO: SLO{
@@ -318,8 +307,6 @@ func ByName(name string) (Scenario, error) {
 			Tenants:       2,
 			TenantSkew:    0.5,
 			QueueCap:      1 << 14,
-			BatchEdges:    4096,
-			Linger:        2 * time.Millisecond,
 			ScrapeEvery:   250 * time.Millisecond,
 			Faults: []FaultOp{
 				{At: 500 * time.Millisecond, Kind: "ue", Vertices: 64},
@@ -357,8 +344,6 @@ func ByName(name string) (Scenario, error) {
 			OverloadFor:  600 * time.Millisecond,
 			OverloadMult: 40,
 			QueueCap:     1 << 10,
-			BatchEdges:   4096,
-			Linger:       2 * time.Millisecond,
 			// Two consecutive queue-full sheds trip the breaker; a probe
 			// re-tests the queue every 100ms.
 			BreakerSheds:    2,

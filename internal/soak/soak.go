@@ -18,8 +18,8 @@
 //
 // # Policy is the system's, measurement is the harness's
 //
-// The cluster is built with the scenario's own QueueCap, BatchEdges,
-// Linger, adaptive controller and overload breaker, on a virtual clock
+// The cluster is built with the scenario's own QueueCap, adaptive
+// controller and overload breaker, on a virtual clock
 // the driver owns (DESIGN.md §12.5 "Clocks"). A stepped cluster starts
 // no goroutines: writes go in through POST /v1/ingest/bin?async=1 — a 429
 // queue_full or a 503 circuit_open is the router's own answer — and the
@@ -299,8 +299,6 @@ func newRunner(sc Scenario) (*runner, error) {
 	ccfg := cluster.Config{
 		Replicas:        sc.Replicas,
 		QueueCap:        sc.QueueCap,
-		BatchEdges:      sc.BatchEdges,
-		Linger:          sc.Linger,
 		Adaptive:        sc.Adaptive,
 		AdaptiveTarget:  sc.Target,
 		BreakerSheds:    sc.BreakerSheds,

@@ -1,9 +1,11 @@
 // Package checknames holds the named test runs of scripts/check.sh and the
-// two workflows to the tests that exist, and ci.yml to check.sh's sections.
-// A -run pattern whose alternative names no test of the packages its line
-// runs selects nothing for that alternative, a -fuzz pattern that matches no
-// fuzz target fuzzes nothing, and go test reports no failure for either; a
-// section that no ci.yml step names never runs in CI.
+// two workflows to the tests that exist, ci.yml to check.sh's sections, and
+// the nightly's repeats to the sections they repeat. A -run pattern whose
+// alternative names no test of the packages its line runs selects nothing
+// for that alternative, a -fuzz pattern that matches no fuzz target fuzzes
+// nothing, and go test reports no failure for either; a section that no
+// ci.yml step names never runs in CI; and a test added to a section that
+// the nightly repeats under its own -run list never reaches the repeat.
 package checknames
 
 import (
@@ -118,6 +120,112 @@ func TestCIRunsEverySectionOnce(t *testing.T) {
 			t.Errorf("ci.yml runs section %q of scripts/check.sh %d times, want once", s, runs[s])
 		}
 	}
+}
+
+// nightlyRepeats are the sections of scripts/check.sh whose runs of a
+// package the nightly workflow repeats under flags of its own, by the name
+// of the nightly step that does. only, when set, narrows the section's
+// tests to those it matches.
+var nightlyRepeats = []struct {
+	section, pkg, step, only string
+}{
+	{"scrub", "internal/crashtest", "scrub differential sweep", ""},
+	{"chaos", "internal/soak", "chaos differential sweep (committed schedules)", ""},
+	{"clock", "internal/soak", "soak determinism (-race -count=3)", "^TestDeterministicReport$"},
+}
+
+// TestNightlyRepeatsItsSections: every test that a repeated section's go
+// test lines select on the package (top-level names, as -run's first level
+// selects them) is selected by a go test line of the repeating nightly step
+// on the same package.
+func TestNightlyRepeatsItsSections(t *testing.T) {
+	for _, r := range nightlyRepeats {
+		names := testNames(t, r.pkg)
+		var want []string
+		for _, c := range section(t, r.section) {
+			want = append(want, selected(t, c.text, r.pkg, names)...)
+		}
+		if r.only != "" {
+			want = matching(t, r.only, want, "")
+		}
+		if len(want) == 0 {
+			t.Errorf("section %q selects no test of %s", r.section, r.pkg)
+		}
+		var have []string
+		for _, c := range step(t, r.step) {
+			have = append(have, selected(t, c.text, r.pkg, names)...)
+		}
+		for _, name := range want {
+			if !slices.Contains(have, name) {
+				t.Errorf("scripts/check.sh section %q runs %s of ./%s, which the nightly step %q does not repeat", r.section, name, r.pkg, r.step)
+			}
+		}
+	}
+}
+
+// section is the commands of a check.sh section: the lines of its function.
+func section(t *testing.T, name string) []command {
+	t.Helper()
+	var out []command
+	in := false
+	for _, c := range commands(t, "scripts/check.sh") {
+		switch {
+		case strings.TrimSpace(c.text) == name+"() {":
+			in = true
+		case in && strings.TrimSpace(c.text) == "}":
+			return out
+		case in:
+			out = append(out, c)
+		}
+	}
+	t.Fatalf("scripts/check.sh has no section %q", name)
+	return nil
+}
+
+// step is the commands of a nightly.yml step, from its name on.
+func step(t *testing.T, name string) []command {
+	t.Helper()
+	var out []command
+	in := false
+	for _, c := range commands(t, ".github/workflows/nightly.yml") {
+		if n, ok := strings.CutPrefix(strings.TrimSpace(c.text), "- name: "); ok {
+			if in {
+				return out
+			}
+			in = n == name
+			continue
+		}
+		if in {
+			out = append(out, c)
+		}
+	}
+	if !in {
+		t.Fatalf(".github/workflows/nightly.yml has no step %q", name)
+	}
+	return out
+}
+
+// selected lists the tests of names (pkg's) that a go test command runs on
+// pkg: those its -run pattern's first level matches, or all of them when it
+// has none. Other commands, and go test lines of other packages, select
+// nothing.
+func selected(t *testing.T, line, pkg string, names []string) []string {
+	t.Helper()
+	flags, pkgs := goTest(line)
+	if !slices.Contains(pkgs, pkg) {
+		return nil
+	}
+	level, _ := cut(flags["run"], '/')
+	if level == "" {
+		return matching(t, "", names, "Test")
+	}
+	var out []string
+	for alt := level; alt != ""; {
+		var a string
+		a, alt = cut(alt, '|')
+		out = append(out, matching(t, a, names, "Test")...)
+	}
+	return out
 }
 
 // command is one shell command of a file: its lines joined at trailing
