@@ -138,6 +138,8 @@ type Cluster struct {
 	cfg    Config
 	pmap   *shard.SlotMap
 	shards []*Shard
+	// routes recycles the writes' routing scratch (route).
+	routes sync.Pool
 
 	started sync.Once
 	closed  sync.Once
@@ -160,6 +162,9 @@ func New(stores []*core.Store, cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: %d replicas requested without a ReplicaFactory", cfg.Replicas)
 	}
 	c := &Cluster{cfg: cfg, pmap: pmap}
+	c.routes.New = func() any {
+		return &route{parts: make([][]graph.Edge, len(stores)), reqs: make([]*ingest.Request, len(stores))}
+	}
 	for i, st := range stores {
 		sh := &Shard{
 			member: member{store: st},
@@ -291,13 +296,11 @@ func (r IngestResult) Epoch() uint64 { return EpochScalar(r.Epochs) }
 // transactions the evolving-graph workload does not ask for.
 func (c *Cluster) Ingest(edges []graph.Edge, sync bool) (IngestResult, error) {
 	res := IngestResult{}
-	parts := c.splitPooled(edges)
-	defer putParts(parts)
+	rt := c.split(edges)
+	defer c.putRoute(rt)
 
-	reqs := make([]*ingest.Request, len(parts))
-	enq := make([][]graph.Edge, len(parts)) // buffers the pipelines own
 	var firstErr *ShardError
-	for i, part := range parts {
+	for i, part := range rt.parts {
 		if len(part) == 0 {
 			continue
 		}
@@ -308,6 +311,7 @@ func (c *Cluster) Ingest(edges []graph.Edge, sync bool) (IngestResult, error) {
 		}
 		req := ingest.NewRequest(part)
 		if err := sh.pipe.Enqueue(req); err != nil {
+			req.Release()
 			if errors.Is(err, ingest.ErrQueueFull) {
 				// Feed the overload arm: sustained queue-full streaks trip
 				// the breaker so the 429 storm becomes typed 503s.
@@ -318,15 +322,19 @@ func (c *Cluster) Ingest(edges []graph.Edge, sync bool) (IngestResult, error) {
 		}
 		sh.br.noteAdmit()
 		// The pipeline owns the part until its Result is delivered.
-		parts[i], enq[i] = nil, part
-		reqs[i] = req
+		rt.reqs[i] = req
 	}
 
 	// Wait for whatever was enqueued — even on a partial routing failure,
 	// so sync callers always know the fate of the parts that did land and
-	// the pooled buffers can be accounted. Async callers return
-	// immediately; their parts' buffers go to the GC with the pipeline.
+	// the route keeps their buffers. Async callers return immediately;
+	// their parts' buffers go to the GC with the pipeline.
 	if !sync {
+		for i, req := range rt.reqs {
+			if req != nil {
+				rt.parts[i], rt.reqs[i] = nil, nil
+			}
+		}
 		if firstErr != nil {
 			return res, firstErr
 		}
@@ -335,18 +343,20 @@ func (c *Cluster) Ingest(edges []graph.Edge, sync bool) (IngestResult, error) {
 		return res, nil
 	}
 
-	for i, req := range reqs {
+	for i, req := range rt.reqs {
 		if req == nil {
 			continue
 		}
+		rt.reqs[i] = nil
 		sh := c.shards[i]
 		var r ingest.Result
 		select {
 		case r = <-req.Done():
 		case <-sh.pipe.Stopping():
 			if !sh.pipe.Draining() {
-				// Abrupt stop: the pipeline may still hold the buffer; let
-				// the GC take it.
+				// Abrupt stop: the pipeline may still hold the request and
+				// its buffer; let the GC take them.
+				rt.parts[i] = nil
 				if firstErr == nil {
 					firstErr = &ShardError{Shard: i, Err: ingest.ErrShuttingDown}
 				}
@@ -356,8 +366,9 @@ func (c *Cluster) Ingest(edges []graph.Edge, sync bool) (IngestResult, error) {
 			// answered.
 			r = <-req.Done()
 		}
-		// Result delivered: the pipeline is done with the part's buffer.
-		parts[i] = enq[i]
+		// Result delivered: the pipeline is done with the request and the
+		// part's buffer.
+		req.Release()
 		if r.Err != nil {
 			if firstErr == nil {
 				firstErr = &ShardError{Shard: i, Err: r.Err}
@@ -377,32 +388,54 @@ func (c *Cluster) Ingest(edges []graph.Edge, sync bool) (IngestResult, error) {
 	return res, nil
 }
 
-// splitPooled partitions edges by owner into pooled per-shard buffers.
-func (c *Cluster) splitPooled(edges []graph.Edge) [][]graph.Edge {
-	parts := make([][]graph.Edge, len(c.shards))
-	if len(c.shards) == 1 {
-		buf := ingest.GetEdgeBuf()
-		parts[0] = append(buf, edges...)
-		return parts
+// route is one write's routing scratch: each shard's part of the batch
+// and the request that carries it to the shard's pipeline. Cluster.routes
+// recycles it with the part buffers, so a warm write routes without
+// allocating.
+type route struct {
+	parts [][]graph.Edge    // per shard; nil once a pipeline keeps the buffer
+	reqs  []*ingest.Request // per shard; nil: nothing enqueued
+}
+
+// maxPartCap is the largest part buffer a route keeps, so one
+// pathological write cannot pin memory forever.
+const maxPartCap = 1 << 17
+
+// getRoute takes a recycled route, every part empty.
+func (c *Cluster) getRoute() *route {
+	rt := c.routes.Get().(*route)
+	for i, p := range rt.parts {
+		if p == nil {
+			p = make([]graph.Edge, 0, 4096)
+		}
+		rt.parts[i] = p[:0]
 	}
-	for i := range parts {
-		parts[i] = ingest.GetEdgeBuf()
+	return rt
+}
+
+// split partitions edges by owner into a recycled route's parts.
+func (c *Cluster) split(edges []graph.Edge) *route {
+	rt := c.getRoute()
+	if len(c.shards) == 1 {
+		rt.parts[0] = append(rt.parts[0], edges...)
+		return rt
 	}
 	for _, e := range edges {
 		o := c.pmap.Owner(e.Src)
-		parts[o] = append(parts[o], e)
+		rt.parts[o] = append(rt.parts[o], e)
 	}
-	return parts
+	return rt
 }
 
-// putParts recycles the per-shard buffers still in parts (nil: a pipeline
-// owns that one).
-func putParts(parts [][]graph.Edge) {
-	for _, p := range parts {
-		if p != nil {
-			ingest.PutEdgeBuf(p)
+// putRoute recycles a route whose requests have all been answered or let
+// go.
+func (c *Cluster) putRoute(rt *route) {
+	for i, p := range rt.parts {
+		if cap(p) > maxPartCap {
+			rt.parts[i] = nil
 		}
 	}
+	c.routes.Put(rt)
 }
 
 // IngestLocal applies edges synchronously, bypassing the pipelines — the
@@ -411,9 +444,9 @@ func putParts(parts [][]graph.Edge) {
 // slowest shard's, since every shard is its own machine applying in
 // parallel.
 func (c *Cluster) IngestLocal(edges []graph.Edge) (simNs int64, err error) {
-	parts := c.splitPooled(edges)
-	defer putParts(parts)
-	for i, part := range parts {
+	rt := c.split(edges)
+	defer c.putRoute(rt)
+	for i, part := range rt.parts {
 		if len(part) == 0 {
 			continue
 		}

@@ -348,7 +348,7 @@ func (r *Replica) ship(m shipMsg, attempt int, now time.Time) {
 	if attempt > 1 {
 		sh.shipRetries.Add(1)
 	}
-	if sh.tr.Ship(r.link, m.seq, attempt, now, func(at time.Time) bool { return r.deliver(m, at) }) == nil {
+	if sh.tr.Ship(r.link, delivery{r, m}, attempt, now) == nil {
 		return
 	}
 	if attempt < shipAttempts {

@@ -29,18 +29,29 @@ import (
 // at the receiver with a later arrival time.
 type Transport interface {
 	// Ship makes one delivery attempt (attempt is 1-based), at now, of
-	// the chunk with sequence number seq on link. deliver queues the
-	// message at the receiver to arrive at the given time and reports
-	// whether the receiver's inbox took it; the transport may call it
-	// zero times (drop), once, or twice (duplication), for now or later.
-	// A nil return means the sender may consider the chunk delivered;
-	// an error means it should retry or give up — even though the
-	// message may still arrive (delayed delivery).
-	Ship(link chaos.Link, seq uint64, attempt int, now time.Time, deliver func(at time.Time) bool) error
+	// d's chunk on link. d.to queues the message at the receiver to
+	// arrive at the given time and reports whether the receiver's inbox
+	// took it; the transport may call it zero times (drop), once, or
+	// twice (duplication), for now or later. A nil return means the
+	// sender may consider the chunk delivered; an error means it should
+	// retry or give up — even though the message may still arrive
+	// (delayed delivery).
+	Ship(link chaos.Link, d delivery, attempt int, now time.Time) error
 	// Cut reports whether link is partitioned at stream position seq: a
 	// follower's resync round cannot reach its leader across it either.
 	Cut(link chaos.Link, seq uint64) bool
 }
+
+// delivery is one shipped chunk bound for one follower's inbox, passed by
+// value so that an attempt allocates nothing.
+type delivery struct {
+	r *Replica
+	m shipMsg
+}
+
+// to queues the chunk at the follower to arrive at at, reporting whether
+// its inbox took it.
+func (d delivery) to(at time.Time) bool { return d.r.deliver(d.m, at) }
 
 // Typed transport failures (all transient by construction — the
 // sender's retry/give-up policy decides what to do with them).
@@ -62,8 +73,8 @@ var (
 // delivery, failing only on receiver backpressure.
 type perfectTransport struct{}
 
-func (perfectTransport) Ship(_ chaos.Link, _ uint64, _ int, now time.Time, deliver func(time.Time) bool) error {
-	if !deliver(now) {
+func (perfectTransport) Ship(_ chaos.Link, d delivery, _ int, now time.Time) error {
+	if !d.to(now) {
 		return errShipBusy
 	}
 	return nil
@@ -85,31 +96,31 @@ func NewChaosTransport(plan *chaos.Plan) *ChaosTransport {
 	return &ChaosTransport{plan: plan}
 }
 
-func (t *ChaosTransport) Ship(link chaos.Link, seq uint64, attempt int, now time.Time, deliver func(time.Time) bool) error {
-	verdict, d := t.plan.Fate(link, seq, attempt)
+func (t *ChaosTransport) Ship(link chaos.Link, d delivery, attempt int, now time.Time) error {
+	verdict, wait := t.plan.Fate(link, d.m.seq, attempt)
 	switch verdict {
 	case chaos.Drop:
 		return errShipDropped
 	case chaos.Partition:
 		return errShipPartitioned
 	case chaos.Delay:
-		// The message will arrive after d, but the sender has already
+		// The message will arrive after wait, but the sender has already
 		// lost patience: it sees a timeout and may retry, producing a
 		// duplicate the receiver dedupes. This is the classic ambiguous
 		// RPC outcome.
-		deliver(now.Add(d))
+		d.to(now.Add(wait))
 		return errShipTimeout
 	case chaos.Duplicate:
 		// One copy now, one later. The payload is immutable and shared,
 		// so the late copy needs no deep clone; the receiver dedupes.
-		ok := deliver(now)
-		deliver(now.Add(d))
+		ok := d.to(now)
+		d.to(now.Add(wait))
 		if !ok {
 			return errShipBusy
 		}
 		return nil
 	}
-	return perfectTransport{}.Ship(link, seq, attempt, now, deliver)
+	return perfectTransport{}.Ship(link, d, attempt, now)
 }
 
 func (t *ChaosTransport) Cut(link chaos.Link, seq uint64) bool { return t.plan.Partitioned(link, seq) }

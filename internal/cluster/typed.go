@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"repro/internal/graph"
-	"repro/internal/ingest"
-)
+import "repro/internal/graph"
 
 // The typed write routes of the cluster (DESIGN.md §11.2's table, §13.5).
 // A typed batch commits synchronously on each owner shard — it bypasses
@@ -53,13 +50,11 @@ func (c *Cluster) RegisterLabel(name string) (uint16, error) {
 func (c *Cluster) IngestTyped(edges []graph.Edge, labels []uint16, props []graph.PropSet) (IngestResult, error) {
 	res := IngestResult{}
 	n := len(c.shards)
-	eparts := make([][]graph.Edge, n)
+	rt := c.getRoute()
+	defer c.putRoute(rt)
+	eparts := rt.parts
 	lparts := make([][]uint16, n)
 	pparts := make([][]graph.PropSet, n)
-	for i := range eparts {
-		eparts[i] = ingest.GetEdgeBuf()
-	}
-	defer putParts(eparts)
 	for i, e := range edges {
 		o := c.pmap.Owner(e.Src)
 		eparts[o] = append(eparts[o], e)

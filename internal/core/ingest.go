@@ -59,8 +59,13 @@ func (s *Store) Report() IngestReport { return s.report }
 const logChunk = 4096
 
 // flushFraction triggers a full flushing phase once buffered-but-unflushed
-// edges reach this fraction of the log, so the head never catches the
-// flushing cursor.
+// edges reach this fraction of the log. Only an archive step checks it, and
+// Ingest takes one only once a call has logged ArchiveThreshold edges past
+// the buffered cursor: BufferAllEdges, which buffers every smaller call's
+// tail, never does. So a store fed small batches, as the serving path's
+// write windows are, lets the head catch the flushing cursor, and its
+// flush-all comes from elog.ErrFull instead (DESIGN.md §4 "The log-space
+// trigger").
 const flushFraction = 0.5
 
 // Ingest streams the edges through the full logging → buffering →
@@ -78,7 +83,7 @@ func (s *Store) Ingest(edges []graph.Edge) (IngestReport, error) {
 	}
 	before := s.report
 	s.ensureVertices(graph.MaxVID(edges) + 1)
-	logCtx := xpsim.NewCtx(xpsim.NodeUnbound)
+	logCtx := s.logCtx.reset()
 	i := 0
 	for i < len(edges) {
 		end := i + logChunk
@@ -260,7 +265,7 @@ func (s *Store) bufferPhase(lane int64) error {
 		return err
 	}
 	s.machine.CrashPoint("buffer:staged")
-	markCtx := xpsim.NewCtx(xpsim.NodeUnbound)
+	markCtx := s.markCtx.reset()
 	s.log.MarkBuffered(markCtx, to)
 	s.machine.CrashPoint("buffer:marked")
 	phaseNs := shardNs + drainNs + markCtx.Cost.Ns()

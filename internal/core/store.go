@@ -88,9 +88,11 @@ type Store struct {
 	sweep      xpsim.Sweep // the parallel phases' loops — buffer, drain, ack, scan — and their workers' clocks
 	sweepVs    []graph.VID // the drain's items: a group's buffered vertices, ascending
 	sweepTails []graph.VID // the drain's first pass: buffered vertices whose tail has room, by tail offset
-	// flushCtx and propsCtx are the flush's serial contexts, reused:
-	// xpsim.NewCtx's would escape through the mem.Mem writes they carry.
-	flushCtx, propsCtx scratchCtx
+	// The serial contexts, reused: xpsim.NewCtx's would escape through the
+	// mem.Mem accesses they carry. logCtx is Ingest's logging thread,
+	// markCtx a buffering phase's log mark, flushCtx and propsCtx the
+	// flush's.
+	logCtx, markCtx, flushCtx, propsCtx scratchCtx
 
 	// Phase tracing (nil = disabled): spans are placed on per-lane
 	// simulated-clock cursors so the exported timeline reconstructs the

@@ -115,7 +115,22 @@ type Request struct {
 // NewRequest wraps edges for enqueueing. The pipeline owns the slice
 // until the Result is delivered.
 func NewRequest(edges []graph.Edge) *Request {
-	return &Request{edges: edges, done: make(chan Result, 1)}
+	r := requestPool.Get().(*Request)
+	r.edges = edges
+	return r
+}
+
+// requestPool recycles requests and their done channels.
+var requestPool = sync.Pool{
+	New: func() any { return &Request{done: make(chan Result, 1)} },
+}
+
+// Release recycles a request whose Result its caller has received, or
+// one that was never enqueued; the caller must not touch it afterwards.
+// The pipeline lets go of a request when it delivers the Result.
+func (r *Request) Release() {
+	*r = Request{done: r.done}
+	requestPool.Put(r)
 }
 
 // Done is the request's completion channel.

@@ -68,7 +68,7 @@ type RecoverInfo struct {
 	Records     int64 // live records applied to the index
 	TornTail    bool  // an unclosed flush's blocks were truncated
 	BadBlocks   int64 // unreadable blocks (patched or unrecoverable)
-	Unreadable  int64 // unreadable blocks with no patch (=> damaged)
+	Unreadable  int64 // unreadable blocks with no patch, uncorrectable tail blocks included (=> damaged)
 	Quarantined int64 // blocks superseded by patches
 }
 
@@ -133,11 +133,18 @@ func Attach(ctx *xpsim.Ctx, sw *xpsim.Sweep, workers int, m mem.Mem, lat *xpsim.
 	})
 	// Truncate the unclosed flush: its blocks may be torn or missing in
 	// any order (a normal crash artifact, dropped without complaint). A bad
-	// block before the cut is media damage.
+	// block before the cut is media damage. So is an uncorrectable block
+	// after it: a crash tears lines but never makes one uncorrectable, and
+	// the block may be the closing block of an acknowledged flush, whose
+	// records the cut would drop. The store fails closed.
 	for _, b := range scan[committed:] {
 		info.TornTail = true
 		if b.bad {
 			info.BadBlocks++
+		}
+		if b.ue {
+			s.damaged = true
+			info.Unreadable++
 		}
 	}
 	scan = scan[:committed]
@@ -189,18 +196,20 @@ func Attach(ctx *xpsim.Ctx, sw *xpsim.Sweep, workers int, m mem.Mem, lat *xpsim.
 
 // scanned is one column block as the attach scan reads it: bad
 // (unreadable, corrupt, or naming a flush start past itself), all-zero (no
-// records), or a block's records, patch target and open mark.
+// records), or a block's records, patch target and open mark. ue marks a
+// bad block whose media read failed, not its checksum or its marks.
 type scanned struct {
 	recs  []record
 	patch uint16
 	open  uint32
 	bad   bool
+	ue    bool
 }
 
 // readBlock reads physical block i on ctx into buf and parses it.
 func (s *Store) readBlock(ctx *xpsim.Ctx, i int64, buf []byte) scanned {
 	if err := mem.ReadChecked(s.m, ctx, s.base+i*BlockBytes, buf); err != nil {
-		return scanned{bad: true}
+		return scanned{bad: true, ue: true}
 	}
 	b, err := decodeBlock(buf)
 	if err != nil || int64(b.Open) > i+1 {

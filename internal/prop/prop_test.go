@@ -1,6 +1,7 @@
 package prop
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/graph"
@@ -387,6 +388,35 @@ func TestDamagedClosingBlockIsDamage(t *testing.T) {
 	}
 	if info.Unreadable != 1 || !s2.Damaged() || !info.TornTail || s2.Blocks() != 2 {
 		t.Fatalf("want block 1 damaged and block 2 truncated, got %+v, %d blocks", info, s2.Blocks())
+	}
+}
+
+// TestUEClosingBlockOfLastFlushFailsClosed: a closing block the tear
+// check cannot read — uncorrectable media, not a torn line — may close an
+// acknowledged flush. The cut still drops it, but the store fails its
+// checked reads instead of answering the previous value.
+func TestUEClosingBlockOfLastFlushFailsClosed(t *testing.T) {
+	r, m, base := testRegion(t, 8)
+	lat := xpsim.DefaultLatency()
+	s, _ := Create(r, &lat, base, 8)
+	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
+	for _, val := range []int64{10, 20} {
+		s.ApplyProps([]graph.PropSet{{V: 1, Key: 1, Val: val}})
+		if err := s.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.InjectUE(r.LineAt(base + 1*BlockBytes))
+
+	s2, info, err := Attach(ctx, nil, 1, r, &lat, base, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.TornTail || info.Unreadable != 1 || !s2.Damaged() || s2.Blocks() != 1 {
+		t.Fatalf("want the UE'd last flush cut and the store damaged, got %+v, %d blocks, damaged %v", info, s2.Blocks(), s2.Damaged())
+	}
+	if _, _, err := s2.VPropChecked(1, 1); !errors.Is(err, ErrDamaged) {
+		t.Fatalf("checked vprop = %v, want ErrDamaged", err)
 	}
 }
 

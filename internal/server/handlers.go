@@ -245,9 +245,9 @@ func putNbrScratch(bp *[]uint32, used []uint32) {
 	nbrScratchPool.Put(bp)
 }
 
-// vertexPath parses "/vertices/{id}/{rest...}".
+// vertexPath parses "/v1/vertices/{id}/{rest...}".
 func vertexPath(path string) (graph.VID, string, error) {
-	rest := strings.TrimPrefix(path, "/vertices/")
+	rest := strings.TrimPrefix(path, v1+"/vertices/")
 	parts := strings.SplitN(rest, "/", 2)
 	id, err := strconv.ParseUint(parts[0], 10, 32)
 	if err != nil {
@@ -511,7 +511,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
 		return
 	}
-	idStr := strings.TrimPrefix(r.URL.Path, "/compact/")
+	idStr := strings.TrimPrefix(r.URL.Path, v1+"/compact/")
 	id, err := strconv.ParseUint(idStr, 10, 32)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad_request", "bad vertex id %q", idStr)

@@ -170,10 +170,9 @@ type Server struct {
 	// machine is the reference machine for query latency modeling (shard
 	// 0's; all shards of a cluster are configured identically).
 	machine *xpsim.Machine
-	mux     *http.ServeMux
 	// inner is the mux, optionally wrapped in http.TimeoutHandler when
-	// Config.RequestTimeout is set; ServeHTTP routes through it after the
-	// /v1 prefix handling.
+	// Config.RequestTimeout is set; ServeHTTP routes /v1 requests through
+	// it.
 	inner http.Handler
 
 	// retrySeq sequences the jittered Retry-After values of 429 responses.
@@ -234,29 +233,28 @@ func newServer(cl *cluster.Cluster, machine *xpsim.Machine, cfg Config) *Server 
 	}
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("/edges", s.handleEdges)
-	mux.HandleFunc("/ingest/bin", s.handleIngestBin)
-	mux.HandleFunc("/vertices/", s.handleVertex)
-	mux.HandleFunc("/snapshot", s.handleSnapshot)
-	mux.HandleFunc("/compact/", s.handleCompact)
-	mux.HandleFunc("/flush", s.handleFlush)
-	mux.HandleFunc("/scrub", s.handleScrub)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/trace", s.handleTrace)
-	mux.HandleFunc("/query/bfs", s.handleBFS)
-	mux.HandleFunc("/query/pagerank", s.handlePageRank)
-	mux.HandleFunc("/query/cc", s.handleCC)
-	mux.HandleFunc("/query/khop", s.handleKHop)
-	mux.HandleFunc("/query/path", s.handlePath)
-	mux.HandleFunc("/labels", s.handleLabels)
+	mux.HandleFunc(v1+"/edges", s.handleEdges)
+	mux.HandleFunc(v1+"/ingest/bin", s.handleIngestBin)
+	mux.HandleFunc(v1+"/vertices/", s.handleVertex)
+	mux.HandleFunc(v1+"/snapshot", s.handleSnapshot)
+	mux.HandleFunc(v1+"/compact/", s.handleCompact)
+	mux.HandleFunc(v1+"/flush", s.handleFlush)
+	mux.HandleFunc(v1+"/scrub", s.handleScrub)
+	mux.HandleFunc(v1+"/stats", s.handleStats)
+	mux.HandleFunc(v1+"/healthz", s.handleHealthz)
+	mux.HandleFunc(v1+"/metrics", s.handleMetrics)
+	mux.HandleFunc(v1+"/trace", s.handleTrace)
+	mux.HandleFunc(v1+"/query/bfs", s.handleBFS)
+	mux.HandleFunc(v1+"/query/pagerank", s.handlePageRank)
+	mux.HandleFunc(v1+"/query/cc", s.handleCC)
+	mux.HandleFunc(v1+"/query/khop", s.handleKHop)
+	mux.HandleFunc(v1+"/query/path", s.handlePath)
+	mux.HandleFunc(v1+"/labels", s.handleLabels)
 	// Catch-all so unknown routes get the JSON error envelope instead of
 	// the mux's plain-text 404.
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		httpError(w, http.StatusNotFound, "not_found", "no such route %q", r.URL.Path)
+	mux.HandleFunc(v1+"/", func(w http.ResponseWriter, r *http.Request) {
+		httpError(w, http.StatusNotFound, "not_found", "no such route %q", strings.TrimPrefix(r.URL.Path, v1))
 	})
-	s.mux = mux
 	s.inner = mux
 	if cfg.RequestTimeout > 0 {
 		// TimeoutHandler answers abandoned requests itself with 503 and
@@ -274,6 +272,9 @@ func newServer(cl *cluster.Cluster, machine *xpsim.Machine, cfg Config) *Server 
 // Cluster returns the serving backend (tests and embedding callers).
 func (s *Server) Cluster() *cluster.Cluster { return s.cl }
 
+// v1 is the prefix of every route the mux serves.
+const v1 = "/v1"
+
 // ServeHTTP implements http.Handler. Only /v1/* routes exist; the
 // pre-/v1 unversioned aliases were removed after their deprecation
 // release and now answer 404 with a successor-version pointer. Every
@@ -282,11 +283,9 @@ func (s *Server) Cluster() *cluster.Cluster { return s.cl }
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	route := "other"
-	if p, ok := strings.CutPrefix(r.URL.Path, "/v1"); ok && (p == "" || strings.HasPrefix(p, "/")) {
+	if p, ok := strings.CutPrefix(r.URL.Path, v1); ok && (p == "" || strings.HasPrefix(p, "/")) {
 		route = routeLabel(p)
-		r2 := r.Clone(r.Context())
-		r2.URL.Path = p
-		s.inner.ServeHTTP(w, r2)
+		s.inner.ServeHTTP(w, r)
 	} else {
 		w.Header().Set("Link", `</v1>; rel="successor-version"`)
 		httpError(w, http.StatusNotFound, "not_found",

@@ -221,16 +221,19 @@ archiving() {
     # The shard stage cuts a batch across every archive thread of a node —
     # whole stripes when there are enough, else XPLine runs at most a line
     # apart — and the log is read one access per XPLine, not per record. A
-    # warmed shard stage, a warmed log read and a warmed store's flush-all
-    # allocate nothing, and a warmed store, traced or not, at most 6 times per
-    # 2048-edge Ingest (budgets checked without -race, under which sync.Pool
-    # drops buffers). shard.PartOf gives every
-    # sub-graph its share of an RMAT stream's out- and in-entries, inside each
-    # cluster shard too and whether or not the IDs are scrambled. XPGraph's
+    # warmed shard stage, a warmed log read, a warmed store's flush-all and
+    # its 2048-edge Ingest, traced or not, allocate nothing; a warm
+    # 16 384-edge routed write on 4 shards and their followers allocates only
+    # its epoch vector, publications, ship records and the stores' growth
+    # (budgets checked without -race, under which sync.Pool drops buffers).
+    # shard.PartOf gives every sub-graph its share of an RMAT stream's out-
+    # and in-entries, inside each cluster shard too and whether or not the
+    # IDs are scrambled. XPGraph's
     # ranged lists come from the same hash — each lies inside its vertex's
     # partition, and they balance a group's drain workers on RMAT IDs — while
     # GraphOne's stay its contiguous ranges.
     go test -count=1 -run 'TestStageCutsFullWidth|TestReadInLines|TestReadAllocatesNothing|TestSteadyStateIngestAllocations|TestWarmFlushAllocatesNothing|TestStageSteadyStateAllocatesNothing|TestPartOf|TestHashedLists|TestContiguousIsGraphOnesRanges' ./internal/core/ ./internal/shard/ ./internal/elog/
+    go test -count=1 -run 'TestWarmWriteAllocations' ./internal/cluster/
 }
 
 sweep-order() {
